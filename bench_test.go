@@ -101,7 +101,7 @@ func BenchmarkAblationCompression(b *testing.B) {
 				cfg := prof.DefaultConfig()
 				cfg.Compress = on
 				out, err := e.Run(scalana.RunConfig{
-					App: scalana.GetApp("cg"), NP: 32, Tool: scalana.ToolScalAna, Prof: cfg})
+					App: scalana.GetApp("cg"), NP: 32, ToolName: "scalana", Prof: cfg})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -158,7 +158,7 @@ func BenchmarkAblationSampling(b *testing.B) {
 				cfg := prof.DefaultConfig()
 				cfg.SampleHz = hz
 				out, err := e.Run(scalana.RunConfig{
-					App: app, NP: 32, Tool: scalana.ToolScalAna, Prof: cfg})
+					App: app, NP: 32, ToolName: "scalana", Prof: cfg})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -215,7 +215,7 @@ func BenchmarkScale2048(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		out, err := e.Run(scalana.RunConfig{App: app, NP: 2048, Tool: scalana.ToolScalAna})
+		out, err := e.Run(scalana.RunConfig{App: app, NP: 2048, ToolName: "scalana"})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -10,7 +10,7 @@
 //	scalana-detect -app cg -scales 4,8,16 -abnorm-thd 1.5 -profiles dir/
 //	scalana-detect -app zeusmp -scales 8,16,32 -expect-cause bval3d
 //	scalana-detect -app cg -scales 4,8,16 -json report.json
-//	scalana-detect -app cg -scales 4,8 -store /var/lib/scalana
+//	scalana-detect -app cg -store /var/lib/scalana
 //	scalana-detect -app cg -store /var/lib/scalana -watch
 //
 // With -expect-cause, the command exits non-zero unless some reported
@@ -27,27 +27,29 @@
 // <app>.<np>.json are loaded from the directory instead of re-running.
 // With -store, profile sets come from a scalana-serve content-addressed
 // store instead; each requested scale must resolve to exactly one
-// stored set.
+// stored set, and without -scales every stored scale is used.
 //
 // With -watch (requires -store), the command switches to streaming
 // regression mode: the newest stored run at -np (default: the largest
 // stored scale) is scored against the rolling per-vertex baseline built
-// from every earlier run, exactly as scalana-serve's GET /v1/watch —
-// with -json '-', the bytes are identical to the served response.
+// from every earlier run.
+//
+// Every mode is one internal/query plan — the same one scalana-serve
+// runs for POST /v1/detect and GET /v1/watch — and -json writes the
+// plan's canonical bytes, so CLI and served output are identical by
+// construction.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"strings"
 
 	"scalana/internal/baseline"
 	"scalana/internal/detect"
 	"scalana/internal/fit"
-	"scalana/internal/ppg"
-	"scalana/internal/prof"
+	"scalana/internal/query"
 	"scalana/internal/scales"
 	"scalana/internal/store"
 
@@ -56,7 +58,7 @@ import (
 
 func main() {
 	appName := flag.String("app", "", "workload name")
-	scaleList := flag.String("scales", "4,8,16,32", "comma-separated rank counts")
+	scaleList := flag.String("scales", "4,8,16,32", "comma-separated rank counts (with -store, default: every stored scale)")
 	hz := flag.Float64("hz", 1000, "sampling frequency for profiling runs")
 	abnormThd := flag.Float64("abnorm-thd", 1.3, "AbnormThd detection parameter")
 	topK := flag.Int("topk", 10, "maximum non-scalable vertices reported")
@@ -66,7 +68,6 @@ func main() {
 	expectCause := flag.String("expect-cause", "", "exit non-zero unless a reported root cause matches this substring")
 	commCauses := flag.Bool("comm-causes", false, "admit non-scalable collectives as root-cause candidates (detect.Config.CommCauses)")
 	jsonOut := flag.String("json", "", "also write the report as JSON to this file ('-' for stdout)")
-	useInterp := flag.Bool("interp", false, "execute on the tree-walking interpreter instead of the bytecode VM")
 	watch := flag.Bool("watch", false, "streaming regression mode: score the newest stored run against the rolling baseline (requires -store)")
 	watchNP := flag.Int("np", 0, "scale to watch (0 = largest stored scale; -watch only)")
 	watchZ := flag.Float64("z", 3, "z-score flagging threshold (-watch only)")
@@ -81,102 +82,15 @@ func main() {
 	if app == nil {
 		fatalf("unknown app %q", *appName)
 	}
-	if *watch {
-		p := baseline.Params{
-			ZThd: *watchZ, CUSUMThd: *watchCUSUM, CUSUMK: *watchK,
-			MinRuns: *watchMinRuns, MinShare: *watchMinShare,
-		}
-		runWatch(app, *storeDir, *watchNP, p, *watchMerge, *jsonOut)
-		return
-	}
-	all, err := scales.Parse(*scaleList)
-	if err != nil {
-		fatalf("-scales: %v", err)
-	}
-	nps, dropped := scales.SplitMin(all, app.MinNP)
-	if len(dropped) > 0 {
-		fmt.Fprintf(os.Stderr, "scalana-detect: dropping scales %v: %s requires at least %d ranks\n",
-			dropped, app.Name, app.MinNP)
-	}
-	if len(nps) == 0 {
-		fatalf("no usable scales: all of %v are below the %d-rank minimum of %s", dropped, app.MinNP, app.Name)
-	}
 	if *profilesDir != "" && *storeDir != "" {
 		fatalf("-profiles and -store are mutually exclusive")
 	}
-
-	var runs []detect.ScaleRun
-	switch {
-	case *storeDir != "":
-		st, err := store.Open(*storeDir)
-		if err != nil {
+	env := query.Env{Engine: scalana.NewEngine(), Parallelism: *parallel}
+	var err error
+	if *storeDir != "" {
+		if env.Store, err = store.Open(*storeDir); err != nil {
 			fatalf("%v", err)
 		}
-		_, graph, err := scalana.Compile(app)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		for _, np := range nps {
-			entry, err := st.Only(app.Name, np)
-			if err != nil {
-				fatalf("%v", err)
-			}
-			data, err := st.Get(entry.Key)
-			if err != nil {
-				fatalf("%v", err)
-			}
-			ps, err := prof.DecodeProfileSet(data, graph)
-			if err != nil {
-				fatalf("decode %s: %v", entry.Key, err)
-			}
-			pg, err := ppg.Build(graph, ps.Profiles)
-			if err != nil {
-				fatalf("assemble PPG from %s: %v", entry.Key, err)
-			}
-			runs = append(runs, detect.ScaleRun{NP: np, PPG: pg})
-		}
-	case *profilesDir != "":
-		_, graph, err := scalana.Compile(app)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		for _, np := range nps {
-			path := filepath.Join(*profilesDir, fmt.Sprintf("%s.%d.json", app.Name, np))
-			ps, err := prof.LoadProfileSet(path, graph)
-			if err != nil {
-				fatalf("load %s: %v", path, err)
-			}
-			pg, err := ppg.Build(graph, ps.Profiles)
-			if err != nil {
-				fatalf("assemble PPG from %s: %v", path, err)
-			}
-			runs = append(runs, detect.ScaleRun{NP: np, PPG: pg})
-		}
-	default:
-		cfg := prof.DefaultConfig()
-		cfg.SampleHz = *hz
-		var err error
-		runs, err = scalana.SweepWithConfig(app, nps, scalana.SweepConfig{
-			Parallelism: *parallel,
-			Prof:        cfg,
-			Interp:      *useInterp,
-		})
-		if err != nil {
-			fatalf("%v", err)
-		}
-	}
-
-	dcfg := detect.DefaultConfig()
-	dcfg.AbnormThd = *abnormThd
-	dcfg.TopK = *topK
-	dcfg.CommCauses = *commCauses
-	rep, err := scalana.DetectScalingLoss(runs, dcfg)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	prog, err := app.Parse()
-	if err != nil {
-		prog = nil
 	}
 	// With -json '-' stdout must stay parseable JSON; the rendered text
 	// report moves to stderr.
@@ -184,19 +98,57 @@ func main() {
 	if *jsonOut == "-" {
 		rendered = os.Stderr
 	}
-	fmt.Fprint(rendered, rep.Render(prog))
 
-	if *jsonOut != "" {
-		data, err := rep.EncodeJSON()
-		if err != nil {
-			fatalf("encode report: %v", err)
+	if *watch {
+		if env.Store == nil {
+			fatalf("-watch requires -store")
 		}
-		if *jsonOut == "-" {
-			os.Stdout.Write(append(data, '\n'))
-		} else if err := os.WriteFile(*jsonOut, append(data, '\n'), 0o644); err != nil {
-			fatalf("write report: %v", err)
+		if env.Merge, err = fit.ParseMergeStrategy(*watchMerge); err != nil {
+			fatalf("-merge: %v", err)
+		}
+		rep, data := run(env.Watch(query.Watch{App: app, NP: *watchNP, Params: baseline.Params{
+			ZThd: *watchZ, CUSUMThd: *watchCUSUM, CUSUMK: *watchK,
+			MinRuns: *watchMinRuns, MinShare: *watchMinShare,
+		}}))
+		fmt.Fprint(rendered, rep.Render())
+		writeJSON(*jsonOut, data)
+		if !rep.Quiet() {
+			os.Exit(2) // regressions found: distinct from usage/runtime failures (1)
+		}
+		return
+	}
+
+	q := query.Detect{
+		App: app, Simulate: *storeDir == "" && *profilesDir == "", ProfilesDir: *profilesDir,
+		SampleHz: *hz, Config: detect.DefaultConfig(),
+	}
+	q.Config.AbnormThd, q.Config.TopK, q.Config.CommCauses = *abnormThd, *topK, *commCauses
+	// The store source defaults to every stored scale, as POST /v1/detect
+	// does; the 4,8,16,32 default is for runs that choose their scales.
+	scalesSet := env.Store == nil
+	flag.Visit(func(f *flag.Flag) { scalesSet = scalesSet || f.Name == "scales" })
+	if scalesSet {
+		all, err := scales.Parse(*scaleList)
+		if err != nil {
+			fatalf("-scales: %v", err)
+		}
+		var dropped []int
+		q.Scales, dropped = scales.SplitMin(all, app.MinNP)
+		if len(dropped) > 0 {
+			fmt.Fprintf(os.Stderr, "scalana-detect: dropping scales %v: %s requires at least %d ranks\n",
+				dropped, app.Name, app.MinNP)
+		}
+		if len(q.Scales) == 0 {
+			fatalf("no usable scales: all of %v are below the %d-rank minimum of %s", dropped, app.MinNP, app.Name)
 		}
 	}
+	rep, data := run(env.Detect(q))
+	prog, err := app.Parse()
+	if err != nil {
+		prog = nil
+	}
+	fmt.Fprint(rendered, rep.Render(prog))
+	writeJSON(*jsonOut, data)
 
 	if *expectCause != "" {
 		if len(rep.Causes) == 0 {
@@ -210,59 +162,29 @@ func main() {
 	}
 }
 
-// runWatch is the -watch mode: load the store's full run history into a
-// rolling-baseline state and score the newest run at one scale. The
-// JSON bytes written with -json are exactly what GET /v1/watch serves
-// for the same store and thresholds.
-func runWatch(app *scalana.App, storeDir string, np int, p baseline.Params, mergeName, jsonOut string) {
-	if storeDir == "" {
-		fatalf("-watch requires -store")
-	}
-	merge, err := fit.ParseMergeStrategy(mergeName)
-	if err != nil {
-		fatalf("-merge: %v", err)
-	}
-	st, err := store.Open(storeDir)
+// run executes a planned query; a planning or execution error is fatal.
+func run[R any](plan query.Plan[R], err error) (R, []byte) {
 	if err != nil {
 		fatalf("%v", err)
 	}
-	_, graph, err := scalana.Compile(app)
+	rep, data, err := plan.Run()
 	if err != nil {
 		fatalf("%v", err)
 	}
-	state, err := baseline.LoadStore(st, app.Name, graph, merge)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	nps := state.NPs()
-	if len(nps) == 0 {
-		fatalf("no profile sets stored for app %q in %s", app.Name, storeDir)
-	}
-	if np == 0 {
-		np = nps[len(nps)-1]
-	}
-	rep, err := state.Watch(np, p)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	rendered := os.Stdout
-	if jsonOut == "-" {
-		rendered = os.Stderr
-	}
-	fmt.Fprint(rendered, rep.Render())
-	if jsonOut != "" {
-		data, err := rep.EncodeJSON()
-		if err != nil {
-			fatalf("encode report: %v", err)
-		}
-		if jsonOut == "-" {
-			os.Stdout.Write(append(data, '\n'))
-		} else if err := os.WriteFile(jsonOut, append(data, '\n'), 0o644); err != nil {
+	return rep, data
+}
+
+// writeJSON writes a report's canonical bytes where -json points: the
+// exact bytes scalana-serve answers the same query with.
+func writeJSON(path string, data []byte) {
+	switch path {
+	case "":
+	case "-":
+		os.Stdout.Write(data)
+	default:
+		if err := os.WriteFile(path, data, 0o644); err != nil {
 			fatalf("write report: %v", err)
 		}
-	}
-	if !rep.Quiet() {
-		os.Exit(2) // regressions found: distinct from usage/runtime failures (1)
 	}
 }
 

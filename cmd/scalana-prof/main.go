@@ -36,7 +36,6 @@ func main() {
 	compress := flag.Bool("compress", true, "graph-guided communication compression")
 	out := flag.String("o", "", "write the profile set to this JSON file (scalana tool only)")
 	seed := flag.Int64("seed", 0, "simulation seed")
-	useInterp := flag.Bool("interp", false, "execute on the tree-walking interpreter instead of the bytecode VM")
 	flag.Parse()
 
 	if *listTools {
@@ -61,7 +60,7 @@ func main() {
 	cfg.Seed = *seed
 
 	res, err := scalana.Run(scalana.RunConfig{
-		App: app, NP: *np, ToolName: *tool, Prof: cfg, Seed: *seed, Interp: *useInterp,
+		App: app, NP: *np, ToolName: *tool, Prof: cfg, Seed: *seed,
 	})
 	if err != nil {
 		fatalf("%v", err)

@@ -37,7 +37,6 @@ func main() {
 	corpusOut := flag.String("corpus", "", "write the generated corpus (with ground-truth labels) to this JSON file")
 	jsonOut := flag.String("json", "", "write the scored evaluation to this JSON file ('-' for stdout)")
 	genOnly := flag.Bool("generate-only", false, "generate and write the corpus without evaluating it")
-	useInterp := flag.Bool("interp", false, "evaluate on the tree-walking interpreter instead of the bytecode VM")
 	flag.Parse()
 
 	if *genOnly && *corpusOut == "" {
@@ -68,7 +67,7 @@ func main() {
 		return
 	}
 
-	ecfg := synth.EvalConfig{Parallelism: *parallel, SampleHz: *hz, TopK: *topK, Interp: *useInterp}
+	ecfg := synth.EvalConfig{Parallelism: *parallel, SampleHz: *hz, TopK: *topK}
 	ecfg.NPs, err = scales.Parse(*npList)
 	if err != nil {
 		fatalf("-np-list: %v", err)

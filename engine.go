@@ -135,9 +135,6 @@ type SweepConfig struct {
 	Seed int64
 	// PSGOptions overrides contraction settings (zero value = defaults).
 	PSGOptions psg.Options
-	// Interp runs every scale on the tree-walking interpreter instead of
-	// the bytecode VM (see RunConfig.Interp).
-	Interp bool
 }
 
 // Sweep profiles the app at every scale in nps using the engine's
@@ -158,7 +155,6 @@ func (e *Engine) Sweep(app *App, nps []int, cfg SweepConfig) ([]detect.ScaleRun,
 			Prof:       cfg.Prof,
 			Seed:       cfg.Seed,
 			PSGOptions: cfg.PSGOptions,
-			Interp:     cfg.Interp,
 		})
 		if err != nil {
 			return detect.ScaleRun{}, err

@@ -43,7 +43,7 @@ func main() {
 	fmt.Println("\nPMU evidence in dgemm (np=32):")
 	dgemmStats := func(name string) (lst, cycCV float64) {
 		out, err := scalana.Run(scalana.RunConfig{
-			App: scalana.GetApp(name), NP: 32, Tool: scalana.ToolScalAna, Prof: cfg})
+			App: scalana.GetApp(name), NP: 32, ToolName: "scalana", Prof: cfg})
 		if err != nil {
 			log.Fatal(err)
 		}

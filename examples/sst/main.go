@@ -42,7 +42,7 @@ func main() {
 	fmt.Println("\nper-rank TOT_INS in handleEvent (np=32):")
 	for _, name := range []string{"sst", "sst-opt"} {
 		out, err := scalana.Run(scalana.RunConfig{
-			App: scalana.GetApp(name), NP: 32, Tool: scalana.ToolScalAna, Prof: cfg})
+			App: scalana.GetApp(name), NP: 32, ToolName: "scalana", Prof: cfg})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -113,7 +113,7 @@ func fig7() (*Result, error) {
 
 	// (b) abnormal vertex: per-rank times on the imbalanced stencil.
 	demo := scalana.GetApp("stencil-demo-imbalanced")
-	out, err := eng.Run(scalana.RunConfig{App: demo, NP: 16, Tool: scalana.ToolScalAna, Prof: sweepProf()})
+	out, err := eng.Run(scalana.RunConfig{App: demo, NP: 16, ToolName: "scalana", Prof: sweepProf()})
 	if err != nil {
 		return nil, err
 	}
@@ -326,7 +326,7 @@ func fig15() (*Result, error) {
 // instance, summed over its vertices.
 func handleEventSeries(appName string, c machine.Counter) ([]float64, error) {
 	out, err := eng.Run(scalana.RunConfig{
-		App: scalana.GetApp(appName), NP: 32, Tool: scalana.ToolScalAna, Prof: sweepProf()})
+		App: scalana.GetApp(appName), NP: 32, ToolName: "scalana", Prof: sweepProf()})
 	if err != nil {
 		return nil, err
 	}
@@ -347,7 +347,7 @@ func fig16() (*Result, error) {
 	r := newResult("fig16", "Fig. 16: Nekbone dgemm PMU data before/after the fix, np=32")
 	series := func(appName string, c machine.Counter) ([]float64, error) {
 		out, err := eng.Run(scalana.RunConfig{
-			App: scalana.GetApp(appName), NP: 32, Tool: scalana.ToolScalAna, Prof: sweepProf()})
+			App: scalana.GetApp(appName), NP: 32, ToolName: "scalana", Prof: sweepProf()})
 		if err != nil {
 			return nil, err
 		}

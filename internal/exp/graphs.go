@@ -69,7 +69,7 @@ func fig4() (*Result, error) {
 func fig6() (*Result, error) {
 	r := newResult("fig6", "Fig. 6: PPG of the stencil demo, np=8")
 	app := scalana.GetApp("stencil-demo")
-	out, err := eng.Run(scalana.RunConfig{App: app, NP: 8, Tool: scalana.ToolScalAna, Prof: sweepProf()})
+	out, err := eng.Run(scalana.RunConfig{App: app, NP: 8, ToolName: "scalana", Prof: sweepProf()})
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,9 @@
 package serve
 
-import "sync"
+import (
+	"sync"
+	"sync/atomic"
+)
 
 // flight is one in-progress computation and its eventual result.
 type flight struct {
@@ -8,6 +11,10 @@ type flight struct {
 	data []byte
 	err  error
 }
+
+// flightCount tallies one endpoint's flights: computations performed,
+// and requests answered by joining one already in flight.
+type flightCount struct{ computes, coalesced atomic.Int64 }
 
 // flightGroup gives request-level dedup (single-flight): concurrent
 // calls with one key run the function once and share its result. Unlike
@@ -20,34 +27,31 @@ type flightGroup struct {
 	m  map[string]*flight
 }
 
-// Do runs fn under key, coalescing concurrent duplicates. The joined
-// callback (optional) fires on a caller that found an in-flight
-// computation, before it blocks waiting — that ordering is what lets
-// tests deterministically observe "a second request has coalesced"
-// while the first is still computing. Returns the shared result and
-// whether this call joined rather than computed.
-func (g *flightGroup) Do(key string, joined func(), fn func() ([]byte, error)) ([]byte, bool, error) {
+// Do runs fn under key, coalescing concurrent duplicates. A caller that
+// finds an in-flight computation is counted before it blocks waiting —
+// that ordering is what lets tests deterministically observe "a second
+// request has coalesced" while the first is still computing.
+func (g *flightGroup) Do(key string, c *flightCount, fn func() ([]byte, error)) ([]byte, error) {
 	g.mu.Lock()
 	if g.m == nil {
 		g.m = map[string]*flight{}
 	}
 	if f, ok := g.m[key]; ok {
 		g.mu.Unlock()
-		if joined != nil {
-			joined()
-		}
+		c.coalesced.Add(1)
 		<-f.done
-		return f.data, true, f.err
+		return f.data, f.err
 	}
 	f := &flight{done: make(chan struct{})}
 	g.m[key] = f
 	g.mu.Unlock()
 
+	c.computes.Add(1)
 	f.data, f.err = fn()
 
 	g.mu.Lock()
 	delete(g.m, key)
 	g.mu.Unlock()
 	close(f.done)
-	return f.data, false, f.err
+	return f.data, f.err
 }

@@ -6,9 +6,10 @@
 // (internal/store), one scalana.Engine is shared across every request
 // (PSG and bytecode compilation amortize across uploads of the same
 // app), simulation work is bounded by a worker gate sized by the
-// SweepConfig.Parallelism knob, and concurrent identical detect
-// requests coalesce into one computation (single-flight keyed by the
-// stored content hashes plus the normalized detect config).
+// SweepConfig.Parallelism knob, and concurrent identical queries
+// coalesce into one computation (single-flight on the query plan's key).
+// The detect, sweep, comm and watch endpoints parse a request into an
+// internal/query query and write the plan's canonical bytes.
 //
 // Endpoints (all JSON):
 //
@@ -27,9 +28,9 @@
 //
 // A detect request reads stored profile sets by default (name scales,
 // or hashes, or nothing for "every stored scale"); with "simulate":
-// true it sweeps the app on the simulator instead. Either way the
-// response bytes are exactly what scalana-detect -json writes for the
-// same inputs.
+// true it sweeps the app on the simulator instead. Either way it is the
+// query scalana-detect runs, so the response bytes are what its -json
+// writes for the same inputs.
 package serve
 
 import (
@@ -42,17 +43,15 @@ import (
 	"runtime"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 
 	"scalana/internal/baseline"
-	"scalana/internal/commmatrix"
 	"scalana/internal/detect"
 	"scalana/internal/fit"
-	"scalana/internal/ppg"
 	"scalana/internal/prof"
 	"scalana/internal/psg"
+	"scalana/internal/query"
 	"scalana/internal/scales"
 	"scalana/internal/store"
 
@@ -90,25 +89,22 @@ type Config struct {
 // Server is the detection service. Create with New; safe for concurrent
 // use.
 type Server struct {
-	st       *store.Store
-	engine   *scalana.Engine
-	parallel int
-	sampleHz float64
-	logf     func(format string, args ...any)
+	// cfg is New's Config with its defaults filled in.
+	cfg Config
+	// env is what every query runs against: cfg's store, engine, sweep
+	// fan-out and baseline merge strategy, and the sample cache below.
+	env query.Env
 
 	// gate bounds concurrent simulation/PPG work across requests.
 	gate chan struct{}
 
-	// flights coalesces concurrent identical computations per endpoint.
-	flights flightGroup
+	// flights coalesces concurrent identical queries, tallied per
+	// endpoint.
+	flights                         flightGroup
+	detects, sweeps, comms, watches flightCount
 
 	mu       sync.Mutex
 	uploaded map[string]*scalana.App
-
-	// watch holds the server-wide default flagging thresholds; merge the
-	// server-wide baseline merge strategy.
-	watch baseline.Params
-	merge fit.MergeStrategy
 
 	// samples caches ingested baseline samples by store key. Entries are
 	// content-addressed (derived from stored bytes + compiled graph +
@@ -116,24 +112,14 @@ type Server struct {
 	sampleMu sync.Mutex
 	samples  map[store.Key]*baseline.Sample
 
-	uploads         atomic.Int64
-	detectComputes  atomic.Int64
-	detectCoalesced atomic.Int64
-	sweepComputes   atomic.Int64
-	sweepCoalesced  atomic.Int64
-	commComputes    atomic.Int64
-	commCoalesced   atomic.Int64
-	watchComputes   atomic.Int64
-	watchCoalesced  atomic.Int64
-	sampleIngests   atomic.Int64
+	uploads       atomic.Int64
+	sampleIngests atomic.Int64
 
-	// detectGate, when non-nil, blocks every detect computation until the
-	// channel closes. Test hook: it lets the coalescing test hold the
+	// computeGate, when non-nil, blocks every coalesced computation until
+	// the channel closes. Test hook: it lets the coalescing test hold the
 	// first computation open until a second request has verifiably
 	// joined. Set before the server starts handling requests.
-	detectGate chan struct{}
-	// watchGate is the same hook for watch computations.
-	watchGate chan struct{}
+	computeGate chan struct{}
 }
 
 // New creates a server.
@@ -141,30 +127,25 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Store == nil {
 		return nil, fmt.Errorf("serve: Config.Store is required")
 	}
-	eng := cfg.Engine
-	if eng == nil {
-		eng = scalana.NewEngine()
+	if cfg.Engine == nil {
+		cfg.Engine = scalana.NewEngine()
 	}
-	p := cfg.Parallelism
-	if p <= 0 {
-		p = runtime.NumCPU()
+	if cfg.Parallelism <= 0 {
+		cfg.Parallelism = runtime.NumCPU()
 	}
-	hz := cfg.SampleHz
-	if hz <= 0 {
-		hz = 1000
+	if cfg.SampleHz <= 0 {
+		cfg.SampleHz = 1000
 	}
-	return &Server{
-		st:       cfg.Store,
-		engine:   eng,
-		parallel: p,
-		sampleHz: hz,
-		watch:    cfg.Watch.Normalized(),
-		merge:    cfg.Merge,
+	cfg.Watch = cfg.Watch.Normalized()
+	s := &Server{
+		cfg:      cfg,
+		env:      query.Env{Engine: cfg.Engine, Store: cfg.Store, Parallelism: cfg.Parallelism, Merge: cfg.Merge},
 		samples:  map[store.Key]*baseline.Sample{},
-		logf:     cfg.Logf,
-		gate:     make(chan struct{}, p),
+		gate:     make(chan struct{}, cfg.Parallelism),
 		uploaded: map[string]*scalana.App{},
-	}, nil
+	}
+	s.env.Sample = s.sampleFor
+	return s, nil
 }
 
 // Stats is the /v1/stats payload.
@@ -195,34 +176,22 @@ type Stats struct {
 
 // Stats snapshots the service counters.
 func (s *Server) Stats() Stats {
-	entries, _ := s.st.List()
+	entries, _ := s.env.Store.List()
 	return Stats{
 		Uploads:         s.uploads.Load(),
 		StoredSets:      len(entries),
-		DetectComputes:  s.detectComputes.Load(),
-		DetectCoalesced: s.detectCoalesced.Load(),
-		SweepComputes:   s.sweepComputes.Load(),
-		SweepCoalesced:  s.sweepCoalesced.Load(),
-		CommComputes:    s.commComputes.Load(),
-		CommCoalesced:   s.commCoalesced.Load(),
-		WatchComputes:   s.watchComputes.Load(),
-		WatchCoalesced:  s.watchCoalesced.Load(),
+		DetectComputes:  s.detects.computes.Load(),
+		DetectCoalesced: s.detects.coalesced.Load(),
+		SweepComputes:   s.sweeps.computes.Load(),
+		SweepCoalesced:  s.sweeps.coalesced.Load(),
+		CommComputes:    s.comms.computes.Load(),
+		CommCoalesced:   s.comms.coalesced.Load(),
+		WatchComputes:   s.watches.computes.Load(),
+		WatchCoalesced:  s.watches.coalesced.Load(),
 		BaselineSamples: s.sampleCount(),
 		SampleIngests:   s.sampleIngests.Load(),
-		CompileCache:    s.engine.CacheStats(),
+		CompileCache:    s.env.Engine.CacheStats(),
 	}
-}
-
-// httpError carries a status code through the compute path.
-type httpError struct {
-	code int
-	msg  string
-}
-
-func (e *httpError) Error() string { return e.msg }
-
-func errf(code int, format string, args ...any) error {
-	return &httpError{code: code, msg: fmt.Sprintf(format, args...)}
 }
 
 // Handler returns the service's HTTP handler.
@@ -248,13 +217,13 @@ func (s *Server) Handler() http.Handler {
 
 // logged wraps the mux with one log line per request.
 func (s *Server) logged(next http.Handler) http.Handler {
-	if s.logf == nil {
+	if s.cfg.Logf == nil {
 		return next
 	}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
 		next.ServeHTTP(rec, r)
-		s.logf("%s %s -> %d (%d bytes)", r.Method, r.URL.Path, rec.status, rec.bytes)
+		s.cfg.Logf("%s %s -> %d (%d bytes)", r.Method, r.URL.Path, rec.status, rec.bytes)
 	})
 }
 
@@ -283,9 +252,7 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 		writeErr(w, http.StatusInternalServerError, "encode response: %v", err)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	w.Write(append(data, '\n'))
+	writeRaw(w, code, append(data, '\n'))
 }
 
 // writeRaw writes pre-encoded JSON bytes untouched — the byte-identity
@@ -300,10 +267,7 @@ func writeErr(w http.ResponseWriter, code int, format string, args ...any) {
 	type errJSON struct {
 		Error string `json:"error"`
 	}
-	data, _ := json.MarshalIndent(errJSON{Error: fmt.Sprintf(format, args...)}, "", " ")
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	w.Write(append(data, '\n'))
+	writeJSON(w, code, errJSON{Error: fmt.Sprintf(format, args...)})
 }
 
 // fail maps a compute-path error onto an HTTP response. Store errors
@@ -312,9 +276,9 @@ func writeErr(w http.ResponseWriter, code int, format string, args ...any) {
 // missing content 404, ambiguous selections 409 (the client must name a
 // hash), and corruption — server-side state gone bad — stays 500.
 func fail(w http.ResponseWriter, err error) {
-	var he *httpError
-	if errors.As(err, &he) {
-		writeErr(w, he.code, "%s", he.msg)
+	var qe *query.Error
+	if errors.As(err, &qe) {
+		writeErr(w, qe.Status, "%s", qe.Msg)
 		return
 	}
 	switch {
@@ -335,6 +299,44 @@ func (s *Server) acquire() func() {
 	return func() { <-s.gate }
 }
 
+// answer is the one path from a planned query to its response: the
+// plan's canonical bytes, computed once per concurrent set of requests
+// with the same key (single-flight on the query's canonical form) under
+// a simulation-gate slot. A planning error arrives as err.
+func answer[R any](s *Server, w http.ResponseWriter, c *flightCount, plan query.Plan[R], err error) {
+	if err != nil {
+		fail(w, err)
+		return
+	}
+	data, err := s.flights.Do(plan.Key, c, func() ([]byte, error) {
+		if s.computeGate != nil {
+			<-s.computeGate
+		}
+		defer s.acquire()()
+		return plan.Bytes()
+	})
+	if err != nil {
+		fail(w, err)
+		return
+	}
+	writeRaw(w, http.StatusOK, data)
+}
+
+// readJSON decodes a bounded JSON request body into v, answering 400
+// itself when it cannot.
+func readJSON(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
+	if err != nil {
+		writeErr(w, http.StatusBadRequest, "read request: %v", err)
+		return false
+	}
+	if err := json.Unmarshal(body, v); err != nil {
+		writeErr(w, http.StatusBadRequest, "parse request: %v", err)
+		return false
+	}
+	return true
+}
+
 // lookupApp resolves an application name: uploaded apps first, then the
 // bundled registry. The returned *App is stable per name for the
 // server's lifetime, which is what keys the engine's compile cache.
@@ -346,6 +348,16 @@ func (s *Server) lookupApp(name string) *scalana.App {
 		return a
 	}
 	return scalana.GetApp(name)
+}
+
+// app is lookupApp for query endpoints: it answers 404 itself and
+// returns nil when the name is unknown.
+func (s *Server) app(w http.ResponseWriter, name string) *scalana.App {
+	a := s.lookupApp(name)
+	if a == nil {
+		writeErr(w, http.StatusNotFound, "unknown app %q", name)
+	}
+	return a
 }
 
 // ---- apps ----
@@ -386,14 +398,8 @@ func (s *Server) handleListApps(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleUploadApp(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 16<<20))
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "read request: %v", err)
-		return
-	}
 	var req appUploadJSON
-	if err := json.Unmarshal(body, &req); err != nil {
-		writeErr(w, http.StatusBadRequest, "parse request: %v", err)
+	if !readJSON(w, r, 16<<20, &req) {
 		return
 	}
 	if !store.ValidName(req.Name) {
@@ -416,18 +422,29 @@ func (s *Server) handleUploadApp(w http.ResponseWriter, r *http.Request) {
 		MinNP  int    `json:"min_np"`
 		Status string `json:"status"`
 	}
-	s.mu.Lock()
-	if existing := s.uploaded[req.Name]; existing != nil {
-		same := existing.Source == req.Source && existing.MinNP == req.MinNP
-		s.mu.Unlock()
-		if same {
-			writeJSON(w, http.StatusOK, resultJSON{App: req.Name, MinNP: req.MinNP, Status: "exists"})
-			return
+	// register installs app under its name unless one is registered
+	// already (a nil app only asks), and answers for the registered one:
+	// idempotent when it matches the request, a conflict when it differs.
+	register := func(app *scalana.App) bool {
+		s.mu.Lock()
+		existing := s.uploaded[req.Name]
+		if existing == nil && app != nil {
+			s.uploaded[req.Name] = app
 		}
-		writeErr(w, http.StatusConflict, "app %q is already registered with different source", req.Name)
+		s.mu.Unlock()
+		switch {
+		case existing == nil:
+			return false
+		case existing.Source == req.Source && existing.MinNP == req.MinNP:
+			writeJSON(w, http.StatusOK, resultJSON{App: req.Name, MinNP: req.MinNP, Status: "exists"})
+		default:
+			writeErr(w, http.StatusConflict, "app %q is already registered with different source", req.Name)
+		}
+		return true
+	}
+	if register(nil) {
 		return
 	}
-	s.mu.Unlock()
 	app := &scalana.App{
 		Name:        req.Name,
 		File:        req.Name + ".mp",
@@ -437,25 +454,15 @@ func (s *Server) handleUploadApp(w http.ResponseWriter, r *http.Request) {
 	}
 	// Compile through the shared engine: this both validates the source
 	// and warms the cache every later request for this app will hit.
-	if _, _, err := s.engine.Compile(app, psg.Options{}); err != nil {
+	if _, _, err := s.env.Engine.Compile(app, psg.Options{}); err != nil {
 		writeErr(w, http.StatusBadRequest, "compile %s: %v", req.Name, err)
 		return
 	}
-	s.mu.Lock()
-	if existing := s.uploaded[req.Name]; existing != nil {
-		// Lost a registration race: keep the winner so the engine cache
-		// stays keyed by one *App per name.
-		same := existing.Source == req.Source && existing.MinNP == req.MinNP
-		s.mu.Unlock()
-		if same {
-			writeJSON(w, http.StatusOK, resultJSON{App: req.Name, MinNP: req.MinNP, Status: "exists"})
-			return
-		}
-		writeErr(w, http.StatusConflict, "app %q is already registered with different source", req.Name)
+	// Losing a registration race keeps the winner, so the engine cache
+	// stays keyed by one *App per name.
+	if register(app) {
 		return
 	}
-	s.uploaded[req.Name] = app
-	s.mu.Unlock()
 	writeJSON(w, http.StatusCreated, resultJSON{App: req.Name, MinNP: req.MinNP, Status: "created"})
 }
 
@@ -490,7 +497,7 @@ func (s *Server) handleUploadProfiles(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "profile set has invalid np %d", head.NP)
 		return
 	}
-	_, graph, err := s.engine.Compile(app, psg.Options{})
+	_, graph, err := s.env.Engine.Compile(app, psg.Options{})
 	if err != nil {
 		writeErr(w, http.StatusInternalServerError, "compile %s: %v", head.App, err)
 		return
@@ -507,7 +514,7 @@ func (s *Server) handleUploadProfiles(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "profile set envelope np %d disagrees with decoded np %d", head.NP, ps.NP)
 		return
 	}
-	key, err := s.st.Put(head.App, head.NP, body)
+	key, err := s.env.Store.Put(head.App, head.NP, body)
 	if err != nil {
 		writeErr(w, http.StatusInternalServerError, "store profile set: %v", err)
 		return
@@ -525,9 +532,9 @@ func (s *Server) handleListProfiles(w http.ResponseWriter, r *http.Request) {
 	var entries []store.Entry
 	var err error
 	if app := r.URL.Query().Get("app"); app != "" {
-		entries, err = s.st.ListApp(app)
+		entries, err = s.env.Store.ListApp(app)
 	} else {
-		entries, err = s.st.List()
+		entries, err = s.env.Store.List()
 	}
 	if err != nil {
 		fail(w, err)
@@ -546,7 +553,7 @@ func (s *Server) handleGetProfiles(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	k := store.Key{App: r.PathValue("app"), NP: np, Hash: r.PathValue("hash")}
-	data, err := s.st.Get(k)
+	data, err := s.env.Store.Get(k)
 	if err != nil {
 		fail(w, err)
 		return
@@ -554,7 +561,7 @@ func (s *Server) handleGetProfiles(w http.ResponseWriter, r *http.Request) {
 	writeRaw(w, http.StatusOK, data)
 }
 
-// ---- detect ----
+// ---- queries ----
 
 // detectConfigJSON exposes the user-tunable detect.Config knobs. Zero
 // values mean "paper default" (so a slope threshold of exactly 0 is not
@@ -586,437 +593,77 @@ func (j detectConfigJSON) resolve() detect.Config {
 	return cfg
 }
 
-// configKey renders the resolved config for the single-flight key.
-func configKey(cfg detect.Config) string {
-	return fmt.Sprintf("%g|%g|%g|%d|%t", cfg.AbnormThd, cfg.SlopeThd, cfg.MinShare, cfg.TopK, cfg.CommCauses)
-}
-
+// detectRequest is the wire form of query.Detect, whose fields it names:
+// App by name (bundled or uploaded), a zero SampleHz as the server's
+// configured rate, and zero Config fields as the paper defaults.
 type detectRequest struct {
-	// App names the application (bundled or uploaded).
-	App string `json:"app"`
-	// Scales selects stored sets by scale (exactly one stored set must
-	// exist per scale), or the scales to simulate. Empty means every
-	// stored scale, ascending.
-	Scales []int `json:"scales,omitempty"`
-	// Hashes selects stored sets by content hash (full or unique prefix),
-	// mutually exclusive with Scales.
-	Hashes []string `json:"hashes,omitempty"`
-	// Simulate sweeps the app on the simulator instead of reading the
-	// store.
-	Simulate bool `json:"simulate,omitempty"`
-	// SampleHz, Seed, and Interp configure simulate-mode runs.
-	SampleHz float64 `json:"hz,omitempty"`
-	Seed     int64   `json:"seed,omitempty"`
-	Interp   bool    `json:"interp,omitempty"`
-	// Config tunes detection (zero fields = paper defaults).
-	Config detectConfigJSON `json:"config,omitempty"`
+	App      string           `json:"app"`
+	Scales   []int            `json:"scales,omitempty"`
+	Hashes   []string         `json:"hashes,omitempty"`
+	Simulate bool             `json:"simulate,omitempty"`
+	SampleHz float64          `json:"hz,omitempty"`
+	Seed     int64            `json:"seed,omitempty"`
+	Config   detectConfigJSON `json:"config,omitempty"`
 }
 
 func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "read request: %v", err)
-		return
-	}
 	var req detectRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		writeErr(w, http.StatusBadRequest, "parse request: %v", err)
+	if !readJSON(w, r, 1<<20, &req) {
 		return
 	}
-	app := s.lookupApp(req.App)
+	app := s.app(w, req.App)
 	if app == nil {
-		writeErr(w, http.StatusNotFound, "unknown app %q", req.App)
 		return
 	}
-	dcfg := req.Config.resolve()
-
-	key, compute, err := s.planDetect(app, &req, dcfg)
-	if err != nil {
-		fail(w, err)
-		return
+	q := query.Detect{
+		App: app, Simulate: req.Simulate, Scales: req.Scales, Hashes: req.Hashes,
+		SampleHz: req.SampleHz, Seed: req.Seed, Config: req.Config.resolve(),
 	}
-	data, _, err := s.flights.Do(key,
-		func() { s.detectCoalesced.Add(1) },
-		func() ([]byte, error) {
-			s.detectComputes.Add(1)
-			if s.detectGate != nil {
-				<-s.detectGate
-			}
-			return compute()
-		})
-	if err != nil {
-		fail(w, err)
-		return
+	if q.SampleHz <= 0 {
+		q.SampleHz = s.cfg.SampleHz
 	}
-	writeRaw(w, http.StatusOK, data)
-}
-
-// planDetect validates a detect request and returns its single-flight
-// key plus the deferred computation. Resolution happens up front — the
-// key must name the exact stored content (or simulation parameters) so
-// that "identical request" means "identical inputs".
-func (s *Server) planDetect(app *scalana.App, req *detectRequest, dcfg detect.Config) (string, func() ([]byte, error), error) {
-	if req.Simulate {
-		if len(req.Hashes) > 0 {
-			return "", nil, errf(http.StatusBadRequest, "simulate mode reads no stored sets; drop \"hashes\"")
-		}
-		if len(req.Scales) == 0 {
-			return "", nil, errf(http.StatusBadRequest, "simulate mode needs \"scales\"")
-		}
-		if err := scales.Validate(req.Scales); err != nil {
-			return "", nil, errf(http.StatusBadRequest, "%v", err)
-		}
-		for _, np := range req.Scales {
-			if np < app.MinNP {
-				return "", nil, errf(http.StatusBadRequest, "%s requires at least %d ranks, got %d", app.Name, app.MinNP, np)
-			}
-		}
-		hz := req.SampleHz
-		if hz <= 0 {
-			hz = s.sampleHz
-		}
-		key := fmt.Sprintf("detect|%s|sim|%v|hz=%g|seed=%d|interp=%t|%s",
-			app.Name, req.Scales, hz, req.Seed, req.Interp, configKey(dcfg))
-		nps := append([]int(nil), req.Scales...)
-		return key, func() ([]byte, error) {
-			release := s.acquire()
-			defer release()
-			pcfg := prof.DefaultConfig()
-			pcfg.SampleHz = hz
-			runs, err := s.engine.Sweep(app, nps, scalana.SweepConfig{
-				Parallelism: s.parallel,
-				Prof:        pcfg,
-				Seed:        req.Seed,
-				Interp:      req.Interp,
-			})
-			if err != nil {
-				return nil, err
-			}
-			return encodeReport(runs, dcfg)
-		}, nil
-	}
-
-	entries, err := s.resolveStored(app.Name, req.Scales, req.Hashes)
-	if err != nil {
-		return "", nil, err
-	}
-	parts := make([]string, len(entries))
-	for i, e := range entries {
-		parts[i] = fmt.Sprintf("%d:%s", e.NP, e.Hash)
-	}
-	key := fmt.Sprintf("detect|%s|stored|%s|%s", app.Name, strings.Join(parts, ","), configKey(dcfg))
-	return key, func() ([]byte, error) {
-		runs, err := s.loadRuns(app, entries)
-		if err != nil {
-			return nil, err
-		}
-		return encodeReport(runs, dcfg)
-	}, nil
-}
-
-// resolveStored maps a (scales, hashes) selection onto concrete store
-// entries, in request order. With neither, every stored scale for the
-// app is used in ascending order; each scale must resolve to exactly
-// one stored set.
-func (s *Server) resolveStored(appName string, scaleList []int, hashes []string) ([]store.Entry, error) {
-	if len(scaleList) > 0 && len(hashes) > 0 {
-		return nil, errf(http.StatusBadRequest, "pass \"scales\" or \"hashes\", not both")
-	}
-	if len(hashes) > 0 {
-		entries := make([]store.Entry, 0, len(hashes))
-		seenNP := map[int]bool{}
-		for _, h := range hashes {
-			e, err := s.st.Resolve(appName, h)
-			if err != nil {
-				return nil, err
-			}
-			if seenNP[e.NP] {
-				return nil, errf(http.StatusBadRequest, "two selected sets share scale np=%d; detection needs one run per scale", e.NP)
-			}
-			seenNP[e.NP] = true
-			entries = append(entries, e)
-		}
-		return entries, nil
-	}
-	if len(scaleList) == 0 {
-		all, err := s.st.ListApp(appName)
-		if err != nil {
-			return nil, err
-		}
-		if len(all) == 0 {
-			return nil, errf(http.StatusNotFound, "no profile sets stored for app %q", appName)
-		}
-		for _, e := range all {
-			scaleList = append(scaleList, e.NP)
-		}
-		sort.Ints(scaleList)
-		scaleList = dedupSorted(scaleList)
-	} else if err := scales.Validate(scaleList); err != nil {
-		return nil, errf(http.StatusBadRequest, "%v", err)
-	}
-	entries := make([]store.Entry, 0, len(scaleList))
-	for _, np := range scaleList {
-		e, err := s.st.Only(appName, np)
-		if err != nil {
-			return nil, err
-		}
-		entries = append(entries, e)
-	}
-	return entries, nil
-}
-
-func dedupSorted(nps []int) []int {
-	out := nps[:0]
-	for i, np := range nps {
-		if i == 0 || np != nps[i-1] {
-			out = append(out, np)
-		}
-	}
-	return out
-}
-
-// loadRuns builds per-scale PPGs from stored profile sets. This is the
-// service path that replaces the legacy scalana-detect -profiles
-// directory loading: the store, not a filename convention, names the
-// inputs.
-func (s *Server) loadRuns(app *scalana.App, entries []store.Entry) ([]detect.ScaleRun, error) {
-	release := s.acquire()
-	defer release()
-	_, graph, err := s.engine.Compile(app, psg.Options{})
-	if err != nil {
-		return nil, err
-	}
-	runs := make([]detect.ScaleRun, 0, len(entries))
-	for _, e := range entries {
-		data, err := s.st.Get(e.Key)
-		if err != nil {
-			return nil, err
-		}
-		ps, err := prof.DecodeProfileSet(data, graph)
-		if err != nil {
-			return nil, errf(http.StatusConflict, "stored set %s no longer decodes against %s: %v", e.Key, app.Name, err)
-		}
-		pg, err := ppg.Build(graph, ps.Profiles)
-		if err != nil {
-			return nil, fmt.Errorf("assemble PPG from %s: %w", e.Key, err)
-		}
-		runs = append(runs, detect.ScaleRun{NP: e.NP, PPG: pg})
-	}
-	return runs, nil
-}
-
-// encodeReport runs detection and renders the exact bytes scalana-detect
-// -json writes (report JSON plus trailing newline).
-func encodeReport(runs []detect.ScaleRun, dcfg detect.Config) ([]byte, error) {
-	rep, err := scalana.DetectScalingLoss(runs, dcfg)
-	if err != nil {
-		return nil, err
-	}
-	data, err := rep.EncodeJSON()
-	if err != nil {
-		return nil, err
-	}
-	return append(data, '\n'), nil
-}
-
-// ---- sweep comparison ----
-
-type sweepRunJSON struct {
-	NP      int              `json:"np"`
-	Hash    string           `json:"hash"`
-	Elapsed detect.WireFloat `json:"elapsed"`
-	// Speedup is elapsed at the smallest scale over elapsed here;
-	// Efficiency normalizes by the scale ratio (1.0 = perfect strong
-	// scaling).
-	Speedup    detect.WireFloat `json:"speedup"`
-	Efficiency detect.WireFloat `json:"efficiency"`
-}
-
-type sweepModelJSON struct {
-	A  detect.WireFloat `json:"a"`
-	B  detect.WireFloat `json:"b"`
-	R2 detect.WireFloat `json:"r2"`
-}
-
-type sweepResponseJSON struct {
-	App  string         `json:"app"`
-	Runs []sweepRunJSON `json:"runs"`
-	// Model is the log-log elapsed-vs-np fit (nil with fewer than two
-	// scales).
-	Model *sweepModelJSON `json:"model,omitempty"`
+	plan, err := s.env.Detect(q)
+	answer(s, w, &s.detects, plan, err)
 }
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	appName := q.Get("app")
-	app := s.lookupApp(appName)
+	app := s.app(w, r.URL.Query().Get("app"))
 	if app == nil {
-		writeErr(w, http.StatusNotFound, "unknown app %q", appName)
 		return
 	}
-	var scaleList []int
-	if sl := q.Get("scales"); sl != "" {
+	q := query.Sweep{App: app}
+	if sl := r.URL.Query().Get("scales"); sl != "" {
 		var err error
-		scaleList, err = scales.Parse(sl)
-		if err != nil {
+		if q.Scales, err = scales.Parse(sl); err != nil {
 			writeErr(w, http.StatusBadRequest, "scales: %v", err)
 			return
 		}
 	}
-	entries, err := s.resolveStored(app.Name, scaleList, nil)
-	if err != nil {
-		fail(w, err)
-		return
-	}
-	parts := make([]string, len(entries))
-	for i, e := range entries {
-		parts[i] = fmt.Sprintf("%d:%s", e.NP, e.Hash)
-	}
-	key := fmt.Sprintf("sweep|%s|%s", app.Name, strings.Join(parts, ","))
-	data, _, err := s.flights.Do(key,
-		func() { s.sweepCoalesced.Add(1) },
-		func() ([]byte, error) {
-			s.sweepComputes.Add(1)
-			return s.computeSweep(app, entries)
-		})
-	if err != nil {
-		fail(w, err)
-		return
-	}
-	writeRaw(w, http.StatusOK, data)
-}
-
-func (s *Server) computeSweep(app *scalana.App, entries []store.Entry) ([]byte, error) {
-	release := s.acquire()
-	defer release()
-	_, graph, err := s.engine.Compile(app, psg.Options{})
-	if err != nil {
-		return nil, err
-	}
-	resp := sweepResponseJSON{App: app.Name}
-	var nps, elapsed []float64
-	for _, e := range entries {
-		data, err := s.st.Get(e.Key)
-		if err != nil {
-			return nil, err
-		}
-		ps, err := prof.DecodeProfileSet(data, graph)
-		if err != nil {
-			return nil, errf(http.StatusConflict, "stored set %s no longer decodes against %s: %v", e.Key, app.Name, err)
-		}
-		resp.Runs = append(resp.Runs, sweepRunJSON{NP: e.NP, Hash: e.Hash, Elapsed: detect.WireFloat(ps.Elapsed)})
-		nps = append(nps, float64(e.NP))
-		elapsed = append(elapsed, ps.Elapsed)
-	}
-	if len(resp.Runs) > 0 {
-		baseNP, baseT := float64(resp.Runs[0].NP), float64(resp.Runs[0].Elapsed)
-		for i := range resp.Runs {
-			sp := baseT / float64(resp.Runs[i].Elapsed)
-			resp.Runs[i].Speedup = detect.WireFloat(sp)
-			resp.Runs[i].Efficiency = detect.WireFloat(sp * baseNP / float64(resp.Runs[i].NP))
-		}
-	}
-	if model, err := fit.FitLogLog(nps, elapsed); err == nil {
-		resp.Model = &sweepModelJSON{A: detect.WireFloat(model.A), B: detect.WireFloat(model.B), R2: detect.WireFloat(model.R2)}
-	}
-	data, err := json.MarshalIndent(resp, "", " ")
-	if err != nil {
-		return nil, err
-	}
-	return append(data, '\n'), nil
-}
-
-// ---- comm matrix ----
-
-type commFlowJSON struct {
-	Src   int              `json:"src"`
-	Dst   int              `json:"dst"`
-	Bytes detect.WireFloat `json:"bytes"`
-	Msgs  int64            `json:"msgs"`
-}
-
-type commResponseJSON struct {
-	App        string           `json:"app"`
-	NP         int              `json:"np"`
-	Seed       int64            `json:"seed"`
-	TotalBytes detect.WireFloat `json:"total_bytes"`
-	// Bytes and Msgs are the dense np*np traffic matrices in row-major
-	// order (src*np+dst), as collected by the commmatrix tool.
-	Bytes    []detect.WireFloat `json:"bytes"`
-	Msgs     []int64            `json:"msgs"`
-	TopFlows []commFlowJSON     `json:"top_flows"`
+	plan, err := s.env.Sweep(q)
+	answer(s, w, &s.sweeps, plan, err)
 }
 
 func (s *Server) handleComm(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	appName := q.Get("app")
-	app := s.lookupApp(appName)
+	v := r.URL.Query()
+	app := s.app(w, v.Get("app"))
 	if app == nil {
-		writeErr(w, http.StatusNotFound, "unknown app %q", appName)
 		return
 	}
-	np, err := strconv.Atoi(q.Get("np"))
-	if err != nil || np < 1 {
-		writeErr(w, http.StatusBadRequest, "bad np %q", q.Get("np"))
+	q := query.Comm{App: app}
+	var err error
+	if q.NP, err = strconv.Atoi(v.Get("np")); err != nil || q.NP < 1 {
+		writeErr(w, http.StatusBadRequest, "bad np %q", v.Get("np"))
 		return
 	}
-	if np < app.MinNP {
-		writeErr(w, http.StatusBadRequest, "%s requires at least %d ranks, got %d", app.Name, app.MinNP, np)
-		return
-	}
-	var seed int64
-	if sv := q.Get("seed"); sv != "" {
-		seed, err = strconv.ParseInt(sv, 10, 64)
-		if err != nil {
+	if sv := v.Get("seed"); sv != "" {
+		if q.Seed, err = strconv.ParseInt(sv, 10, 64); err != nil {
 			writeErr(w, http.StatusBadRequest, "bad seed %q", sv)
 			return
 		}
 	}
-	key := fmt.Sprintf("comm|%s|np=%d|seed=%d", app.Name, np, seed)
-	data, _, err := s.flights.Do(key,
-		func() { s.commCoalesced.Add(1) },
-		func() ([]byte, error) {
-			s.commComputes.Add(1)
-			return s.computeComm(app, np, seed)
-		})
-	if err != nil {
-		fail(w, err)
-		return
-	}
-	writeRaw(w, http.StatusOK, data)
+	plan, err := s.env.Comm(q)
+	answer(s, w, &s.comms, plan, err)
 }
-
-func (s *Server) computeComm(app *scalana.App, np int, seed int64) ([]byte, error) {
-	release := s.acquire()
-	defer release()
-	out, err := s.engine.Run(scalana.RunConfig{App: app, NP: np, ToolName: "commmatrix", Seed: seed})
-	if err != nil {
-		return nil, err
-	}
-	m, ok := out.Measurement.Data().(*commmatrix.Matrix)
-	if !ok {
-		return nil, fmt.Errorf("commmatrix tool produced no matrix")
-	}
-	resp := commResponseJSON{
-		App: app.Name, NP: np, Seed: seed,
-		TotalBytes: detect.WireFloat(m.TotalBytes()),
-		Bytes:      make([]detect.WireFloat, len(m.Bytes)),
-		Msgs:       m.Msgs,
-	}
-	for i, b := range m.Bytes {
-		resp.Bytes[i] = detect.WireFloat(b)
-	}
-	for _, f := range m.TopFlows(10) {
-		resp.TopFlows = append(resp.TopFlows, commFlowJSON{Src: f.Src, Dst: f.Dst, Bytes: detect.WireFloat(f.Bytes), Msgs: f.Msgs})
-	}
-	data, err := json.MarshalIndent(resp, "", " ")
-	if err != nil {
-		return nil, err
-	}
-	return append(data, '\n'), nil
-}
-
-// ---- stats ----
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.Stats())

@@ -10,12 +10,14 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"scalana/internal/detect"
 	"scalana/internal/ppg"
 	"scalana/internal/prof"
+	"scalana/internal/query"
 	"scalana/internal/store"
 	"scalana/internal/synth"
 
@@ -167,7 +169,7 @@ func TestServedDetectByteIdenticalSynthCase(t *testing.T) {
 
 	// The shared engine compiled the uploaded app once: registration,
 	// two uploads, and two detect queries all hit one cache entry.
-	if cs := srv.engine.CacheStats(); cs.Misses != 1 {
+	if cs := srv.env.Engine.CacheStats(); cs.Misses != 1 {
 		t.Fatalf("expected one compile miss across uploads+queries, got %+v", cs)
 	}
 }
@@ -213,76 +215,108 @@ func TestStoredBytesByteIdentical(t *testing.T) {
 	}
 }
 
-// TestDetectCoalescing is the acceptance test for request dedup: two
-// concurrent identical detect requests must trigger exactly one
-// simulation. The detectGate hook holds the first computation open
-// until the second request has verifiably joined the flight.
-func TestDetectCoalescing(t *testing.T) {
-	srv, ts := newTestServer(t)
-	gate := make(chan struct{})
-	srv.detectGate = gate
-
-	body, _ := json.Marshal(detectRequest{App: "cg", Scales: []int{4, 8}, Simulate: true})
-	type result struct {
-		code int
-		data []byte
-	}
-	results := make(chan result, 2)
-	var wg sync.WaitGroup
-	launch := func() {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			code, data := post(t, ts.URL+"/v1/detect", "application/json", body)
-			results <- result{code, data}
-		}()
-	}
-
-	waitFor := func(desc string, pred func() bool) {
-		t.Helper()
-		for i := 0; i < 1000; i++ {
-			if pred() {
-				return
+// TestCoalescing is the acceptance test for request dedup, over every
+// query endpoint: two concurrent identical requests must trigger exactly
+// one computation. The computeGate hook holds the first computation
+// open until the second request has verifiably joined the flight. A
+// third request after the flight drained recomputes (the flight group
+// dedups in-flight work, it is not a response cache) and must serve the
+// same bytes — the determinism contract.
+func TestCoalescing(t *testing.T) {
+	detectBody, _ := json.Marshal(detectRequest{App: "cg", Scales: []int{4, 8}, Simulate: true})
+	for _, tc := range []struct {
+		name   string
+		path   string
+		body   []byte // nil = GET
+		stored bool   // the query reads stored sets
+		count  func(*Server) *flightCount
+		stats  func(Stats) (computes, coalesced int64)
+	}{
+		{"detect", "/v1/detect", detectBody, false, func(s *Server) *flightCount { return &s.detects },
+			func(st Stats) (int64, int64) { return st.DetectComputes, st.DetectCoalesced }},
+		{"sweep", "/v1/sweep?app=cg", nil, true, func(s *Server) *flightCount { return &s.sweeps },
+			func(st Stats) (int64, int64) { return st.SweepComputes, st.SweepCoalesced }},
+		{"comm", "/v1/comm?app=cg&np=4", nil, false, func(s *Server) *flightCount { return &s.comms },
+			func(st Stats) (int64, int64) { return st.CommComputes, st.CommCoalesced }},
+		{"watch", "/v1/watch?app=cg", nil, true, func(s *Server) *flightCount { return &s.watches },
+			func(st Stats) (int64, int64) { return st.WatchComputes, st.WatchCoalesced }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv, ts := newTestServer(t)
+			if tc.stored {
+				for np, set := range encodeSets(t, srv.env.Engine, scalana.GetApp("cg"), []int{4, 8}, 1000) {
+					if code, body := post(t, ts.URL+"/v1/profiles", "application/json", set); code != http.StatusCreated {
+						t.Fatalf("upload np=%d: %d %s", np, code, body)
+					}
+				}
 			}
-			time.Sleep(5 * time.Millisecond)
-		}
-		t.Fatalf("timed out waiting for %s", desc)
-	}
+			gate := make(chan struct{})
+			srv.computeGate = gate
+			request := func() (int, []byte) {
+				if tc.body != nil {
+					return post(t, ts.URL+tc.path, "application/json", tc.body)
+				}
+				return get(t, ts.URL+tc.path)
+			}
+			type result struct {
+				code int
+				data []byte
+			}
+			results := make(chan result, 2)
+			var wg sync.WaitGroup
+			launch := func() {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					code, data := request()
+					results <- result{code, data}
+				}()
+			}
+			waitFor := func(desc string, n *atomic.Int64) {
+				t.Helper()
+				for i := 0; i < 1000; i++ {
+					if n.Load() == 1 {
+						return
+					}
+					time.Sleep(5 * time.Millisecond)
+				}
+				t.Fatalf("timed out waiting for %s", desc)
+			}
 
-	launch() // first request starts computing and blocks on the gate
-	waitFor("first compute to start", func() bool { return srv.detectComputes.Load() == 1 })
-	launch() // second identical request must join, not compute
-	waitFor("second request to coalesce", func() bool { return srv.detectCoalesced.Load() == 1 })
-	close(gate)
-	wg.Wait()
-	close(results)
+			c := tc.count(srv)
+			launch() // first request starts computing and blocks on the gate
+			waitFor("first compute to start", &c.computes)
+			launch() // second identical request must join, not compute
+			waitFor("second request to coalesce", &c.coalesced)
+			close(gate)
+			wg.Wait()
+			close(results)
 
-	var bodies [][]byte
-	for r := range results {
-		if r.code != http.StatusOK {
-			t.Fatalf("detect: %d %s", r.code, r.data)
-		}
-		bodies = append(bodies, r.data)
-	}
-	if !bytes.Equal(bodies[0], bodies[1]) {
-		t.Fatal("coalesced responses differ")
-	}
-	if got := srv.detectComputes.Load(); got != 1 {
-		t.Fatalf("expected exactly one detect computation, got %d", got)
-	}
-	if st := srv.Stats(); st.DetectComputes != 1 || st.DetectCoalesced != 1 {
-		t.Fatalf("stats %+v", st)
-	}
+			var bodies [][]byte
+			for r := range results {
+				if r.code != http.StatusOK {
+					t.Fatalf("%s: %d %s", tc.name, r.code, r.data)
+				}
+				bodies = append(bodies, r.data)
+			}
+			if !bytes.Equal(bodies[0], bodies[1]) {
+				t.Fatal("coalesced responses differ")
+			}
+			if computes, coalesced := tc.stats(srv.Stats()); computes != 1 || coalesced != 1 {
+				t.Fatalf("expected one computation and one coalesced request, got %d and %d", computes, coalesced)
+			}
+			if st := srv.Stats(); st.DetectComputes+st.SweepComputes+st.CommComputes+st.WatchComputes != 1 {
+				t.Fatalf("another endpoint's counter moved: %+v", st)
+			}
 
-	// A third identical request after completion recomputes (the flight
-	// group dedups in-flight work, it is not a response cache) — and the
-	// report is byte-identical, which is the determinism contract.
-	code, third := post(t, ts.URL+"/v1/detect", "application/json", body)
-	if code != http.StatusOK || !bytes.Equal(third, bodies[0]) {
-		t.Fatalf("post-flight request: %d, identical=%t", code, bytes.Equal(third, bodies[0]))
-	}
-	if got := srv.detectComputes.Load(); got != 2 {
-		t.Fatalf("expected a second computation after the flight drained, got %d", got)
+			code, third := request()
+			if code != http.StatusOK || !bytes.Equal(third, bodies[0]) {
+				t.Fatalf("post-flight request: %d, identical=%t", code, bytes.Equal(third, bodies[0]))
+			}
+			if computes, coalesced := tc.stats(srv.Stats()); computes != 2 || coalesced != 1 {
+				t.Fatalf("expected a second computation after the flight drained, got %d computes, %d coalesced", computes, coalesced)
+			}
+		})
 	}
 }
 
@@ -340,8 +374,8 @@ func TestAmbiguousScaleNeedsHash(t *testing.T) {
 	app := scalana.GetApp("cg")
 	nps := []int{4}
 	// Two different uploads for one (app, np): different sampling rates.
-	a := encodeSets(t, srv.engine, app, nps, 1000)[4]
-	b := encodeSets(t, srv.engine, app, nps, 500)[4]
+	a := encodeSets(t, srv.env.Engine, app, nps, 1000)[4]
+	b := encodeSets(t, srv.env.Engine, app, nps, 500)[4]
 	if bytes.Equal(a, b) {
 		t.Fatal("test needs two distinct profile sets")
 	}
@@ -411,7 +445,7 @@ func TestSweepEndpoint(t *testing.T) {
 	srv, ts := newTestServer(t)
 	app := scalana.GetApp("cg")
 	nps := []int{4, 8}
-	sets := encodeSets(t, srv.engine, app, nps, 1000)
+	sets := encodeSets(t, srv.env.Engine, app, nps, 1000)
 	for _, np := range nps {
 		post(t, ts.URL+"/v1/profiles", "application/json", sets[np])
 	}
@@ -419,7 +453,7 @@ func TestSweepEndpoint(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("sweep: %d %s", code, body)
 	}
-	var resp sweepResponseJSON
+	var resp query.SweepReport
 	if err := json.Unmarshal(body, &resp); err != nil {
 		t.Fatal(err)
 	}
@@ -448,7 +482,7 @@ func TestCommEndpoint(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("comm: %d %s", code, body)
 	}
-	var resp commResponseJSON
+	var resp query.CommReport
 	if err := json.Unmarshal(body, &resp); err != nil {
 		t.Fatal(err)
 	}

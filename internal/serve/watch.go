@@ -4,23 +4,17 @@ package serve
 // run at one scale against the rolling baseline built from every
 // earlier run (internal/baseline), and /v1/baseline warms or rebuilds
 // the server's sample cache from the store. Watch responses are exactly
-// baseline.EncodeJSON()+'\n' — byte-identical to scalana-detect -watch
-// -json over the same store — and concurrent identical watch requests
-// coalesce into one computation, keyed by the full run history plus the
-// resolved thresholds, the same single-flight regime detect uses.
+// baseline.EncodeJSON()+'\n', the canonical bytes of the query.Watch plan
+// scalana-detect -watch -json runs too, and concurrent identical watch
+// requests coalesce on the plan's key (the full run history plus the
+// resolved thresholds) like every other query.
 
 import (
-	"encoding/json"
-	"fmt"
-	"io"
 	"net/http"
-	"net/url"
-	"sort"
 	"strconv"
-	"strings"
 
 	"scalana/internal/baseline"
-	"scalana/internal/psg"
+	"scalana/internal/query"
 	"scalana/internal/store"
 
 	scalana "scalana"
@@ -47,10 +41,10 @@ func (s *Server) dropSamples(appName string) int {
 	return n
 }
 
-// sampleFor returns the ingested sample for one stored set, from cache
-// or by decoding the stored bytes against the app's compiled graph.
-// Samples are content-addressed, so a concurrent double-ingest is
-// wasted work but never a wrong answer.
+// sampleFor is the query.Env sample lookup: the ingested sample for one
+// stored set, from cache or by ingesting the stored bytes. Samples are
+// content-addressed, so a concurrent double-ingest is wasted work but
+// never a wrong answer.
 func (s *Server) sampleFor(app *scalana.App, e store.Entry) (*baseline.Sample, error) {
 	s.sampleMu.Lock()
 	smp := s.samples[e.Key]
@@ -58,20 +52,9 @@ func (s *Server) sampleFor(app *scalana.App, e store.Entry) (*baseline.Sample, e
 	if smp != nil {
 		return smp, nil
 	}
-	_, graph, err := s.engine.Compile(app, psg.Options{})
+	smp, err := s.env.Ingest(app, e)
 	if err != nil {
 		return nil, err
-	}
-	data, err := s.st.Get(e.Key)
-	if err != nil {
-		return nil, err
-	}
-	smp, err = baseline.IngestBytes(data, graph, e.Hash, s.merge)
-	if err != nil {
-		return nil, errf(http.StatusConflict, "stored set %s no longer decodes against %s: %v", e.Key, app.Name, err)
-	}
-	if smp.NP != e.NP {
-		return nil, fmt.Errorf("stored set %s decodes to np=%d: %w", e.Key, smp.NP, store.ErrCorrupt)
 	}
 	s.sampleIngests.Add(1)
 	s.sampleMu.Lock()
@@ -80,177 +63,45 @@ func (s *Server) sampleFor(app *scalana.App, e store.Entry) (*baseline.Sample, e
 	return smp, nil
 }
 
-// histories lists every (np, upload-ordered entries) pair for an app,
-// scales ascending. The store's History order assigns each run its
-// baseline sequence number.
-func (s *Server) histories(appName string) ([]int, map[int][]store.Entry, error) {
-	entries, err := s.st.ListApp(appName)
-	if err != nil {
-		return nil, nil, err
+func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
+	v := r.URL.Query()
+	app := s.app(w, v.Get("app"))
+	if app == nil {
+		return
 	}
-	npSet := map[int]bool{}
-	for _, e := range entries {
-		npSet[e.NP] = true
-	}
-	nps := make([]int, 0, len(npSet))
-	for np := range npSet {
-		nps = append(nps, np)
-	}
-	sort.Ints(nps)
-	hists := make(map[int][]store.Entry, len(nps))
-	for _, np := range nps {
-		h, err := s.st.History(appName, np)
-		if err != nil {
-			return nil, nil, err
-		}
-		hists[np] = h
-	}
-	return nps, hists, nil
-}
-
-// buildState assembles the app's full baseline state from the store,
-// every scale included (cross-scale slope fits need them all).
-func (s *Server) buildState(app *scalana.App, nps []int, hists map[int][]store.Entry) (*baseline.State, error) {
-	_, graph, err := s.engine.Compile(app, psg.Options{})
-	if err != nil {
-		return nil, err
-	}
-	state := baseline.NewState(app.Name, graph, s.merge)
-	for _, np := range nps {
-		for seq, e := range hists[np] {
-			smp, err := s.sampleFor(app, e)
-			if err != nil {
-				return nil, err
-			}
-			if err := state.Add(seq, smp); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return state, nil
-}
-
-// parseWatchParams overlays query-parameter overrides on the server's
-// configured thresholds.
-func (s *Server) parseWatchParams(q url.Values) (baseline.Params, error) {
-	p := s.watch
+	// Query parameters override the server's configured thresholds.
+	q := query.Watch{App: app, Params: s.cfg.Watch}
 	for _, f := range []struct {
 		name string
 		dst  *float64
 	}{
-		{"z", &p.ZThd},
-		{"cusum", &p.CUSUMThd},
-		{"cusum-k", &p.CUSUMK},
-		{"min-share", &p.MinShare},
+		{"z", &q.Params.ZThd},
+		{"cusum", &q.Params.CUSUMThd},
+		{"cusum-k", &q.Params.CUSUMK},
+		{"min-share", &q.Params.MinShare},
 	} {
-		v := q.Get(f.name)
-		if v == "" {
-			continue
-		}
-		x, err := strconv.ParseFloat(v, 64)
-		if err != nil || x < 0 {
-			return p, errf(http.StatusBadRequest, "bad %s %q", f.name, v)
-		}
-		*f.dst = x
-	}
-	if v := q.Get("min-runs"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 1 {
-			return p, errf(http.StatusBadRequest, "bad min-runs %q", v)
-		}
-		p.MinRuns = n
-	}
-	return p.Normalized(), nil
-}
-
-func paramsKey(p baseline.Params) string {
-	return fmt.Sprintf("z=%g|cusum=%g|k=%g|minruns=%d|minshare=%g",
-		p.ZThd, p.CUSUMThd, p.CUSUMK, p.MinRuns, p.MinShare)
-}
-
-func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	appName := q.Get("app")
-	app := s.lookupApp(appName)
-	if app == nil {
-		writeErr(w, http.StatusNotFound, "unknown app %q", appName)
-		return
-	}
-	p, err := s.parseWatchParams(q)
-	if err != nil {
-		fail(w, err)
-		return
-	}
-	np := 0
-	if v := q.Get("np"); v != "" {
-		np, err = strconv.Atoi(v)
-		if err != nil || np < 1 {
-			writeErr(w, http.StatusBadRequest, "bad np %q", v)
-			return
-		}
-	}
-	nps, hists, err := s.histories(app.Name)
-	if err != nil {
-		fail(w, err)
-		return
-	}
-	if len(nps) == 0 {
-		writeErr(w, http.StatusNotFound, "no profile sets stored for app %q", appName)
-		return
-	}
-	if np == 0 {
-		np = nps[len(nps)-1] // default: watch the largest stored scale
-	}
-	if len(hists[np]) == 0 {
-		writeErr(w, http.StatusNotFound, "no profile sets stored for app %q at np=%d", appName, np)
-		return
-	}
-
-	// The flight key names the exact inputs: every scale's history in
-	// upload order (slope fits read all scales) plus the resolved
-	// thresholds, so "identical request" means "identical bytes out".
-	var parts []string
-	for _, n := range nps {
-		hashes := make([]string, len(hists[n]))
-		for i, e := range hists[n] {
-			hashes[i] = e.Hash
-		}
-		parts = append(parts, fmt.Sprintf("%d:%s", n, strings.Join(hashes, ",")))
-	}
-	key := fmt.Sprintf("watch|%s|np=%d|%s|%s", app.Name, np, strings.Join(parts, ";"), paramsKey(p))
-
-	data, _, err := s.flights.Do(key,
-		func() { s.watchCoalesced.Add(1) },
-		func() ([]byte, error) {
-			s.watchComputes.Add(1)
-			if s.watchGate != nil {
-				<-s.watchGate
+		if sv := v.Get(f.name); sv != "" {
+			var err error
+			if *f.dst, err = strconv.ParseFloat(sv, 64); err != nil {
+				writeErr(w, http.StatusBadRequest, "bad %s %q", f.name, sv)
+				return
 			}
-			return s.computeWatch(app, np, p, nps, hists)
-		})
-	if err != nil {
-		fail(w, err)
-		return
+		}
 	}
-	writeRaw(w, http.StatusOK, data)
-}
-
-func (s *Server) computeWatch(app *scalana.App, np int, p baseline.Params, nps []int, hists map[int][]store.Entry) ([]byte, error) {
-	release := s.acquire()
-	defer release()
-	state, err := s.buildState(app, nps, hists)
-	if err != nil {
-		return nil, err
+	for _, f := range []struct {
+		name string
+		dst  *int
+	}{{"min-runs", &q.Params.MinRuns}, {"np", &q.NP}} {
+		if sv := v.Get(f.name); sv != "" {
+			var err error
+			if *f.dst, err = strconv.Atoi(sv); err != nil || *f.dst < 1 {
+				writeErr(w, http.StatusBadRequest, "bad %s %q", f.name, sv)
+				return
+			}
+		}
 	}
-	rep, err := state.Watch(np, p)
-	if err != nil {
-		return nil, err
-	}
-	data, err := rep.EncodeJSON()
-	if err != nil {
-		return nil, err
-	}
-	return append(data, '\n'), nil
+	plan, err := s.env.Watch(q)
+	answer(s, w, &s.watches, plan, err)
 }
 
 // ---- baseline warm/rebuild ----
@@ -278,41 +129,29 @@ type baselineResponseJSON struct {
 }
 
 func (s *Server) handleBaseline(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "read request: %v", err)
-		return
-	}
 	var req baselineRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		writeErr(w, http.StatusBadRequest, "parse request: %v", err)
+	if !readJSON(w, r, 1<<20, &req) {
 		return
 	}
-	app := s.lookupApp(req.App)
+	app := s.app(w, req.App)
 	if app == nil {
-		writeErr(w, http.StatusNotFound, "unknown app %q", req.App)
 		return
 	}
 	evicted := 0
 	if req.Rebuild {
 		evicted = s.dropSamples(app.Name)
 	}
-	nps, hists, err := s.histories(app.Name)
+	nps, hists, err := s.env.Histories(app.Name)
 	if err != nil {
 		fail(w, err)
 		return
 	}
-	if len(nps) == 0 {
-		writeErr(w, http.StatusNotFound, "no profile sets stored for app %q", req.App)
-		return
-	}
-	release := s.acquire()
+	defer s.acquire()()
 	before := s.sampleIngests.Load()
-	resp := baselineResponseJSON{App: app.Name, Merge: s.merge.String(), Evicted: evicted}
+	resp := baselineResponseJSON{App: app.Name, Merge: s.env.Merge.String(), Evicted: evicted}
 	for _, np := range nps {
 		for _, e := range hists[np] {
 			if _, err := s.sampleFor(app, e); err != nil {
-				release()
 				fail(w, err)
 				return
 			}
@@ -320,7 +159,6 @@ func (s *Server) handleBaseline(w http.ResponseWriter, r *http.Request) {
 		resp.Scales = append(resp.Scales, baselineScaleJSON{NP: np, Runs: len(hists[np])})
 		resp.Runs += len(hists[np])
 	}
-	release()
 	resp.Ingested = s.sampleIngests.Load() - before
 	writeJSON(w, http.StatusOK, resp)
 }

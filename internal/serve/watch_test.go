@@ -8,15 +8,14 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
-	"sync"
 	"testing"
-	"time"
 
 	"scalana/internal/baseline"
 	"scalana/internal/fit"
 	"scalana/internal/ppg"
 	"scalana/internal/prof"
 	"scalana/internal/psg"
+	"scalana/internal/query"
 	"scalana/internal/store"
 
 	scalana "scalana"
@@ -97,8 +96,8 @@ func hottestVertex(t *testing.T, data []byte, graph *psg.Graph) psg.VID {
 // TestWatchEndToEnd is the tentpole acceptance test: a three-run quiet
 // history stays quiet, a fourth run with a seeded 20x regression is
 // flagged at the correct vertex, repeated requests are byte-identical,
-// and the served bytes equal the scalana-detect -watch pipeline
-// (baseline.LoadStore over the same store).
+// and the served bytes equal the scalana-detect -watch pipeline (the
+// same query against an uncached environment over the same store).
 func TestWatchEndToEnd(t *testing.T) {
 	srv, ts := newTestServer(t)
 	app := scalana.GetApp("cg")
@@ -109,7 +108,7 @@ func TestWatchEndToEnd(t *testing.T) {
 
 	// Three baseline runs: the base profile with ±0.1% noise, newest at
 	// the baseline mean so the quiet watch stays quiet.
-	base := encodeSets(t, srv.engine, app, []int{4}, 1000)[4]
+	base := encodeSets(t, srv.env.Engine, app, []int{4}, 1000)[4]
 	for _, f := range []float64{0.999, 1.001, 1.000} {
 		set := scaleSet(t, base, graph, f)
 		if code, body := post(t, ts.URL+"/v1/profiles", "application/json", set); code != http.StatusCreated {
@@ -164,23 +163,20 @@ func TestWatchEndToEnd(t *testing.T) {
 		t.Fatal("repeated watch requests differ")
 	}
 
-	// Byte parity with the CLI path: LoadStore over the same store dir,
-	// same thresholds, same merge — scalana-detect -watch -json '-' in
-	// process.
-	state, err := baseline.LoadStore(srv.st, "cg", graph, srv.merge)
+	// Byte parity with the CLI path: the same watch query against an
+	// environment with no sample cache — scalana-detect -watch -json '-'
+	// in process.
+	cli := query.Env{Engine: scalana.NewEngine(), Store: srv.env.Store, Merge: srv.env.Merge}
+	plan, err := cli.Watch(query.Watch{App: app, NP: 4, Params: srv.cfg.Watch})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cliRep, err := state.Watch(4, srv.watch)
+	cliBytes, err := plan.Bytes()
 	if err != nil {
 		t.Fatal(err)
 	}
-	cliBytes, err := cliRep.EncodeJSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(flagged, append(cliBytes, '\n')) {
-		t.Fatalf("served watch differs from the offline pipeline\nserved %d bytes, offline %d bytes", len(flagged), len(cliBytes)+1)
+	if !bytes.Equal(flagged, cliBytes) {
+		t.Fatalf("served watch differs from the offline pipeline\nserved %d bytes, offline %d bytes", len(flagged), len(cliBytes))
 	}
 
 	// Threshold overrides change the flight key and the result: an
@@ -194,76 +190,6 @@ func TestWatchEndToEnd(t *testing.T) {
 	}
 }
 
-// TestWatchCoalescing mirrors TestDetectCoalescing for the watch
-// endpoint: two concurrent identical requests, one computation.
-func TestWatchCoalescing(t *testing.T) {
-	srv, ts := newTestServer(t)
-	app := scalana.GetApp("cg")
-	_, graph, err := scalana.Compile(app)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := encodeSets(t, srv.engine, app, []int{4}, 1000)[4]
-	for _, f := range []float64{0.999, 1.001} {
-		set := scaleSet(t, base, graph, f)
-		if code, body := post(t, ts.URL+"/v1/profiles", "application/json", set); code != http.StatusCreated {
-			t.Fatalf("upload: %d %s", code, body)
-		}
-	}
-	gate := make(chan struct{})
-	srv.watchGate = gate
-
-	type result struct {
-		code int
-		data []byte
-	}
-	results := make(chan result, 2)
-	var wg sync.WaitGroup
-	launch := func() {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			code, data := get(t, ts.URL+"/v1/watch?app=cg")
-			results <- result{code, data}
-		}()
-	}
-	waitFor := func(desc string, pred func() bool) {
-		t.Helper()
-		for i := 0; i < 1000; i++ {
-			if pred() {
-				return
-			}
-			time.Sleep(5 * time.Millisecond)
-		}
-		t.Fatalf("timed out waiting for %s", desc)
-	}
-
-	launch()
-	waitFor("first watch compute to start", func() bool { return srv.watchComputes.Load() == 1 })
-	launch()
-	waitFor("second request to coalesce", func() bool { return srv.watchCoalesced.Load() == 1 })
-	close(gate)
-	wg.Wait()
-	close(results)
-
-	var bodies [][]byte
-	for r := range results {
-		if r.code != http.StatusOK {
-			t.Fatalf("watch: %d %s", r.code, r.data)
-		}
-		bodies = append(bodies, r.data)
-	}
-	if !bytes.Equal(bodies[0], bodies[1]) {
-		t.Fatal("coalesced watch responses differ")
-	}
-	if got := srv.watchComputes.Load(); got != 1 {
-		t.Fatalf("expected exactly one watch computation, got %d", got)
-	}
-	if st := srv.Stats(); st.WatchComputes != 1 || st.WatchCoalesced != 1 {
-		t.Fatalf("stats %+v", st)
-	}
-}
-
 // TestBaselineEndpoint: POST /v1/baseline warms the sample cache (runs
 // counted per scale), re-warming ingests nothing, and rebuild evicts
 // then re-ingests.
@@ -274,7 +200,7 @@ func TestBaselineEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bases := encodeSets(t, srv.engine, app, []int{4, 8}, 1000)
+	bases := encodeSets(t, srv.env.Engine, app, []int{4, 8}, 1000)
 	for _, np := range []int{4, 8} {
 		for _, f := range []float64{0.999, 1.001} {
 			set := scaleSet(t, bases[np], graph, f)
@@ -335,7 +261,7 @@ func TestServeErrorClasses(t *testing.T) {
 	// guaranteed-ambiguous one-char prefix for the Resolve path.
 	var hashes []string
 	for _, hz := range []float64{1000, 500} {
-		set := encodeSets(t, srv.engine, app, []int{4}, hz)[4]
+		set := encodeSets(t, srv.env.Engine, app, []int{4}, hz)[4]
 		if code, body := post(t, ts.URL+"/v1/profiles", "application/json", set); code != http.StatusCreated {
 			t.Fatalf("upload: %d %s", code, body)
 		}
@@ -345,7 +271,7 @@ func TestServeErrorClasses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base8 := encodeSets(t, srv.engine, app, []int{8}, 1000)[8]
+	base8 := encodeSets(t, srv.env.Engine, app, []int{8}, 1000)[8]
 	ambiguousPrefix := ""
 	for i := 0; ambiguousPrefix == "" && i < 20; i++ {
 		set := scaleSet(t, base8, graph, 1-0.0001*float64(i))
@@ -420,14 +346,14 @@ func TestServeErrorClasses(t *testing.T) {
 func TestStoreCorruptionSurfacesAs500(t *testing.T) {
 	srv, ts := newTestServer(t)
 	app := scalana.GetApp("cg")
-	set := encodeSets(t, srv.engine, app, []int{4}, 1000)[4]
+	set := encodeSets(t, srv.env.Engine, app, []int{4}, 1000)[4]
 	if code, body := post(t, ts.URL+"/v1/profiles", "application/json", set); code != http.StatusCreated {
 		t.Fatalf("upload: %d %s", code, body)
 	}
 	hash := store.HashOf(set)
 
 	// A history log naming a set that is not stored.
-	histPath := filepath.Join(srv.st.Root(), "cg", "4", "history.log")
+	histPath := filepath.Join(srv.env.Store.Root(), "cg", "4", "history.log")
 	ghost := store.HashOf([]byte("never stored"))
 	if err := os.WriteFile(histPath, []byte(hash+"\n"+ghost+"\n"), 0o644); err != nil {
 		t.Fatal(err)
@@ -440,7 +366,7 @@ func TestStoreCorruptionSurfacesAs500(t *testing.T) {
 	}
 
 	// Tampered content: the stored bytes no longer hash to their address.
-	setPath := filepath.Join(srv.st.Root(), "cg", "4", hash+".json")
+	setPath := filepath.Join(srv.env.Store.Root(), "cg", "4", hash+".json")
 	if err := os.WriteFile(setPath, []byte(`{"app":"cg","np":4}`), 0o644); err != nil {
 		t.Fatal(err)
 	}

@@ -36,52 +36,6 @@ import (
 	"scalana/internal/vm"
 )
 
-// Tool is legacy sugar for selecting a bundled measurement tool. The run
-// API dispatches on registered tool names (RunConfig.ToolName,
-// RegisterTool); the enum constants below resolve to those names via
-// ToolName, so existing call sites keep working unchanged.
-type Tool int
-
-// Available tools.
-const (
-	// ToolNone runs the application bare (the overhead baseline).
-	ToolNone Tool = iota
-	// ToolScalAna attaches the graph-based profiler (paper's tool).
-	ToolScalAna
-	// ToolTracer attaches the Scalasca-like full tracer.
-	ToolTracer
-	// ToolCallPath attaches the HPCToolkit-like call-path profiler.
-	ToolCallPath
-)
-
-func (t Tool) String() string {
-	switch t {
-	case ToolNone:
-		return "none"
-	case ToolScalAna:
-		return "ScalAna"
-	case ToolTracer:
-		return "Scalasca-like tracer"
-	case ToolCallPath:
-		return "HPCToolkit-like profiler"
-	}
-	return "unknown"
-}
-
-// ToolName resolves the enum value to the registered tool name it is
-// sugar for ("" for ToolNone and for values outside the enum).
-func (t Tool) ToolName() string {
-	switch t {
-	case ToolScalAna:
-		return "scalana"
-	case ToolTracer:
-		return "tracer"
-	case ToolCallPath:
-		return "hpctk"
-	}
-	return ""
-}
-
 // App re-exports the workload type.
 type App = apps.App
 
@@ -120,12 +74,9 @@ type RunConfig struct {
 	App *App
 	NP  int
 	// ToolName selects a registered measurement tool by name (see
-	// RegisterTool / Tools). Empty means no tool unless the legacy Tool
-	// enum below selects one.
+	// RegisterTool / Tools). Empty runs the application bare (the
+	// overhead baseline).
 	ToolName string
-	// Tool is the legacy enum selector, kept as sugar: it resolves to a
-	// registered name via Tool.ToolName. ToolName wins when both are set.
-	Tool Tool
 	// Prof configures the ScalAna profiler (zero value = paper defaults).
 	Prof prof.Config
 	// Trace configures the tracer baseline (zero value = defaults).
@@ -142,27 +93,10 @@ type RunConfig struct {
 	// PSGOptions overrides contraction settings (zero value = defaults).
 	PSGOptions psg.Options
 	// Interp executes on the tree-walking interpreter instead of the
-	// bytecode VM. The two are behaviorally identical (the differential
-	// harness in internal/vm/difftest holds them to byte-identical
-	// reports); the interpreter survives as the oracle and escape hatch.
+	// bytecode VM. Oracle-only: it is how internal/vm/difftest holds the
+	// two engines to byte-identical reports, and the only selector — no
+	// CLI flag, request field, or sweep option reaches it.
 	Interp bool
-}
-
-// resolveTool maps the config's tool selection to a registered name:
-// ToolName wins, otherwise the legacy enum resolves through
-// Tool.ToolName. Empty means a bare run.
-func (cfg RunConfig) resolveTool() (string, error) {
-	if cfg.ToolName != "" {
-		return cfg.ToolName, nil
-	}
-	if cfg.Tool == ToolNone {
-		return "", nil
-	}
-	name := cfg.Tool.ToolName()
-	if name == "" {
-		return "", fmt.Errorf("scalana: Tool(%d) is not a known tool enum value", int(cfg.Tool))
-	}
-	return name, nil
 }
 
 // RunOutput is the result of one execution.
@@ -246,11 +180,7 @@ func RunCompiled(prog *minilang.Program, graph *psg.Graph, cfg RunConfig) (*RunO
 	if prog == nil || graph == nil {
 		return nil, fmt.Errorf("scalana: RunCompiled needs a compiled program and graph")
 	}
-	name, err := cfg.resolveTool()
-	if err != nil {
-		return nil, err
-	}
-
+	name := cfg.ToolName
 	out := &RunOutput{App: cfg.App, NP: cfg.NP, Tool: name, Graph: graph}
 	wcfg := mpisim.Config{NP: cfg.NP, Seed: cfg.Seed}
 	if cfg.App.CoreConfig != nil {
@@ -263,6 +193,7 @@ func RunCompiled(prog *minilang.Program, graph *psg.Graph, cfg RunConfig) (*RunO
 		if !ok {
 			return nil, fmt.Errorf("scalana: no measurement tool registered as %q (registered: %v)", name, Tools())
 		}
+		var err error
 		trun, err = tool.NewRun(ToolContext{Config: cfg, Graph: graph})
 		if err != nil {
 			return nil, fmt.Errorf("scalana: set up tool %s: %w", name, err)

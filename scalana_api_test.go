@@ -30,20 +30,6 @@ func TestGetAppAndNames(t *testing.T) {
 	}
 }
 
-func TestToolString(t *testing.T) {
-	for tool, want := range map[Tool]string{
-		ToolNone:     "none",
-		ToolScalAna:  "ScalAna",
-		ToolTracer:   "Scalasca-like tracer",
-		ToolCallPath: "HPCToolkit-like profiler",
-		Tool(99):     "unknown",
-	} {
-		if tool.String() != want {
-			t.Errorf("%d.String() = %q, want %q", tool, tool.String(), want)
-		}
-	}
-}
-
 func TestCompileOptionsRespected(t *testing.T) {
 	app := GetApp("cg")
 	_, contracted, err := CompileOptions(app, psg.Options{MaxLoopDepth: 10, Contract: true})
@@ -62,33 +48,33 @@ func TestCompileOptionsRespected(t *testing.T) {
 func TestRunProducesToolOutputs(t *testing.T) {
 	app := GetApp("cg")
 	for _, tc := range []struct {
-		tool Tool
+		tool string
 		has  func(*RunOutput) bool
 	}{
-		{ToolNone, func(o *RunOutput) bool {
+		{"", func(o *RunOutput) bool {
 			return o.Profiles() == nil && o.Traces() == nil && o.CtxProfiles() == nil && o.StorageBytes() == 0
 		}},
-		{ToolScalAna, func(o *RunOutput) bool { return len(o.Profiles()) == 8 && o.PPG() != nil && o.StorageBytes() > 0 }},
-		{ToolTracer, func(o *RunOutput) bool { return len(o.Traces()) == 8 && o.StorageBytes() > 0 }},
-		{ToolCallPath, func(o *RunOutput) bool { return len(o.CtxProfiles()) == 8 && o.StorageBytes() > 0 }},
+		{"scalana", func(o *RunOutput) bool { return len(o.Profiles()) == 8 && o.PPG() != nil && o.StorageBytes() > 0 }},
+		{"tracer", func(o *RunOutput) bool { return len(o.Traces()) == 8 && o.StorageBytes() > 0 }},
+		{"hpctk", func(o *RunOutput) bool { return len(o.CtxProfiles()) == 8 && o.StorageBytes() > 0 }},
 	} {
-		out, err := Run(RunConfig{App: app, NP: 8, Tool: tc.tool})
+		out, err := Run(RunConfig{App: app, NP: 8, ToolName: tc.tool})
 		if err != nil {
-			t.Fatalf("%v: %v", tc.tool, err)
+			t.Fatalf("%q: %v", tc.tool, err)
 		}
 		if !tc.has(out) {
-			t.Errorf("%v: outputs missing or unexpected: %+v", tc.tool, out)
+			t.Errorf("%q: outputs missing or unexpected: %+v", tc.tool, out)
 		}
 	}
 }
 
 func TestRunsAreReproducibleWithSeed(t *testing.T) {
 	app := GetApp("mg")
-	a, err := Run(RunConfig{App: app, NP: 8, Tool: ToolScalAna, Seed: 42})
+	a, err := Run(RunConfig{App: app, NP: 8, ToolName: "scalana", Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(RunConfig{App: app, NP: 8, Tool: ToolScalAna, Seed: 42})
+	b, err := Run(RunConfig{App: app, NP: 8, ToolName: "scalana", Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +126,7 @@ func main() {
 	mpi_barrier();
 }`,
 	}
-	out, err := Run(RunConfig{App: app, NP: 4, Tool: ToolScalAna})
+	out, err := Run(RunConfig{App: app, NP: 4, ToolName: "scalana"})
 	if err != nil {
 		t.Fatal(err)
 	}

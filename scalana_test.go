@@ -176,15 +176,15 @@ func TestToolOverheadOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scal, err := Run(RunConfig{App: app, NP: 16, Tool: ToolScalAna})
+	scal, err := Run(RunConfig{App: app, NP: 16, ToolName: "scalana"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	trc, err := Run(RunConfig{App: app, NP: 16, Tool: ToolTracer})
+	trc, err := Run(RunConfig{App: app, NP: 16, ToolName: "tracer"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	hpc, err := Run(RunConfig{App: app, NP: 16, Tool: ToolCallPath})
+	hpc, err := Run(RunConfig{App: app, NP: 16, ToolName: "hpctk"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,19 +3,18 @@
 # and write a machine-readable JSON snapshot.
 #
 # Usage:
-#   scripts/bench-snapshot.sh OUT.json [vm|interp|sched]
+#   scripts/bench-snapshot.sh OUT.json [vm|sched]
 #
-# The second argument selects the execution engine for program runs: the
-# bytecode VM (default) or the tree-walking interpreter (via the
-# SCALANA_BENCH_EXEC environment variable the benchmarks honor). The
-# sched mode is the VM engine under the cooperative run-to-block
-# scheduler — the label distinguishes post-scheduler snapshots from the
-# pre-scheduler BENCH_vm.json numbers. The committed snapshots pair the
-# modes:
+# The second argument only labels the snapshot: both modes run the
+# bytecode VM. sched distinguishes snapshots taken under the cooperative
+# run-to-block scheduler from the pre-scheduler BENCH_vm.json numbers:
 #
-#   scripts/bench-snapshot.sh BENCH_baseline.json interp
 #   scripts/bench-snapshot.sh BENCH_vm.json vm
 #   scripts/bench-snapshot.sh BENCH_sched.json sched
+#
+# BENCH_baseline.json is the tree-walking interpreter's reference
+# snapshot. It is history: the interpreter is now reachable only through
+# RunConfig.Interp (the difftest oracle), so no mode regenerates it.
 #
 # TestBenchBaselinesParse keeps the files loadable, holds the VM snapshot
 # to its speedup/allocation gates against the baseline, and holds the
@@ -23,13 +22,12 @@
 # BENCHTIME overrides the go test -benchtime value (default 1s).
 set -euo pipefail
 
-out=${1:?usage: bench-snapshot.sh OUT.json [vm|interp|sched]}
+out=${1:?usage: bench-snapshot.sh OUT.json [vm|sched]}
 mode=${2:-vm}
 case "$mode" in
-vm | sched) exec_env="" ;;
-interp) exec_env="interp" ;;
+vm | sched) ;;
 *)
-	echo "bench-snapshot.sh: unknown mode \"$mode\" (want vm, interp, or sched)" >&2
+	echo "bench-snapshot.sh: unknown mode \"$mode\" (want vm or sched)" >&2
 	exit 2
 	;;
 esac
@@ -38,9 +36,9 @@ cd "$(dirname "$0")/.."
 tmp=$(mktemp)
 trap 'rm -f "$tmp"' EXIT
 
-SCALANA_BENCH_EXEC="$exec_env" go test -run '^$' -bench Sweep -benchmem \
+go test -run '^$' -bench Sweep -benchmem \
 	-benchtime "${BENCHTIME:-1s}" . | tee "$tmp"
-SCALANA_BENCH_EXEC="$exec_env" go test -run '^$' -bench . -benchmem \
+go test -run '^$' -bench . -benchmem \
 	-benchtime "${BENCHTIME:-1s}" ./internal/prof | tee -a "$tmp"
 
 # An empty snapshot is worse than no snapshot: TestBenchBaselinesParse

@@ -2,7 +2,6 @@ package scalana_test
 
 import (
 	"fmt"
-	"os"
 	"testing"
 
 	"scalana/internal/detect"
@@ -12,20 +11,14 @@ import (
 )
 
 // benchmarkSweepNP runs one zeusmp profiled sweep at the given scale
-// through the full sweep path. SCALANA_BENCH_EXEC=interp pins execution
-// to the tree-walking interpreter, so the same benchmark names measure
-// both engines and scripts/bench-snapshot.sh can snapshot each mode.
-// Compilation — PSG and bytecode alike — is warmed before the timed
-// loop: the numbers measure execution, not compile.
+// through the full sweep path. Compilation — PSG and bytecode alike —
+// is warmed before the timed loop: the numbers measure execution, not
+// compile.
 func benchmarkSweepNP(b *testing.B, np int) {
 	app := scalana.GetApp("zeusmp")
 	cfg := prof.DefaultConfig()
 	cfg.SampleHz = 2000
-	scfg := scalana.SweepConfig{
-		Parallelism: 1,
-		Prof:        cfg,
-		Interp:      os.Getenv("SCALANA_BENCH_EXEC") == "interp",
-	}
+	scfg := scalana.SweepConfig{Parallelism: 1, Prof: cfg}
 	e := scalana.NewEngine()
 	if _, err := e.Sweep(app, []int{np}, scfg); err != nil {
 		b.Fatal(err)
@@ -124,7 +117,7 @@ func BenchmarkSweepCompileCache(b *testing.B) {
 	b.Run("uncached", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for _, np := range nps {
-				if _, err := scalana.Run(scalana.RunConfig{App: app, NP: np, Tool: scalana.ToolScalAna, Prof: cfg}); err != nil {
+				if _, err := scalana.Run(scalana.RunConfig{App: app, NP: np, ToolName: "scalana", Prof: cfg}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -85,7 +85,7 @@ func TestSweepCompilesOncePerApp(t *testing.T) {
 // pre-compiled program is identical to the one-shot Run path.
 func TestRunCompiledMatchesRun(t *testing.T) {
 	app := GetApp("mg")
-	cfg := RunConfig{App: app, NP: 8, Tool: ToolScalAna, Seed: 7}
+	cfg := RunConfig{App: app, NP: 8, ToolName: "scalana", Seed: 7}
 
 	oneShot, err := Run(cfg)
 	if err != nil {
@@ -115,18 +115,18 @@ func TestRunCompiledMatchesRun(t *testing.T) {
 // fresh-compile path exactly.
 func TestEngineRunSharesGraphAcrossRuns(t *testing.T) {
 	e := NewEngine()
-	a, err := e.Run(RunConfig{App: GetApp("cg"), NP: 8, Tool: ToolScalAna})
+	a, err := e.Run(RunConfig{App: GetApp("cg"), NP: 8, ToolName: "scalana"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := e.Run(RunConfig{App: GetApp("cg"), NP: 16, Tool: ToolScalAna})
+	b, err := e.Run(RunConfig{App: GetApp("cg"), NP: 16, ToolName: "scalana"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a.Graph != b.Graph {
 		t.Error("engine runs of one app should share the compiled graph")
 	}
-	fresh, err := Run(RunConfig{App: GetApp("cg"), NP: 16, Tool: ToolScalAna})
+	fresh, err := Run(RunConfig{App: GetApp("cg"), NP: 16, ToolName: "scalana"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -97,74 +97,6 @@ func TestRunNilToolRunErrors(t *testing.T) {
 	}
 }
 
-// TestToolEnumResolvesToRegisteredNames pins the legacy enum's sugar
-// mapping onto the registry, and that every resolved name is actually
-// registered.
-func TestToolEnumResolvesToRegisteredNames(t *testing.T) {
-	for tool, want := range map[scalana.Tool]string{
-		scalana.ToolNone:     "",
-		scalana.ToolScalAna:  "scalana",
-		scalana.ToolTracer:   "tracer",
-		scalana.ToolCallPath: "hpctk",
-		scalana.Tool(99):     "",
-	} {
-		if got := tool.ToolName(); got != want {
-			t.Errorf("Tool(%d).ToolName() = %q, want %q", int(tool), got, want)
-		}
-		if want != "" {
-			if _, ok := scalana.LookupTool(want); !ok {
-				t.Errorf("enum resolves to %q but nothing is registered under it", want)
-			}
-		}
-	}
-	if _, err := scalana.Run(scalana.RunConfig{App: scalana.GetApp("cg"), NP: 4, Tool: scalana.Tool(99)}); err == nil {
-		t.Error("out-of-range enum value should error rather than run bare")
-	}
-}
-
-// TestEnumAndNameRunsIdentical proves the enum really is sugar: for each
-// legacy tool, a run selected by enum and a run selected by registered
-// name produce identical results — same virtual makespan, same storage,
-// and (for the profiler) byte-identical wire JSON.
-func TestEnumAndNameRunsIdentical(t *testing.T) {
-	app := scalana.GetApp("cg")
-	for _, tc := range []struct {
-		enum scalana.Tool
-		name string
-	}{
-		{scalana.ToolScalAna, "scalana"},
-		{scalana.ToolTracer, "tracer"},
-		{scalana.ToolCallPath, "hpctk"},
-	} {
-		byEnum, err := scalana.Run(scalana.RunConfig{App: app, NP: 8, Tool: tc.enum, Seed: 3})
-		if err != nil {
-			t.Fatalf("%s via enum: %v", tc.name, err)
-		}
-		byName, err := scalana.Run(scalana.RunConfig{App: app, NP: 8, ToolName: tc.name, Seed: 3})
-		if err != nil {
-			t.Fatalf("%s via name: %v", tc.name, err)
-		}
-		if byEnum.Tool != tc.name || byName.Tool != tc.name {
-			t.Errorf("%s: resolved tool names %q / %q", tc.name, byEnum.Tool, byName.Tool)
-		}
-		if byEnum.Result.Elapsed != byName.Result.Elapsed {
-			t.Errorf("%s: elapsed differs: %g vs %g", tc.name, byEnum.Result.Elapsed, byName.Result.Elapsed)
-		}
-		if byEnum.StorageBytes() != byName.StorageBytes() {
-			t.Errorf("%s: storage differs: %d vs %d", tc.name, byEnum.StorageBytes(), byName.StorageBytes())
-		}
-		if byEnum.Measurement.ToolName() != byName.Measurement.ToolName() {
-			t.Errorf("%s: measurement tool names differ", tc.name)
-		}
-		if tc.name == "scalana" {
-			a, b := saveWire(t, byEnum), saveWire(t, byName)
-			if a != b {
-				t.Errorf("%s: wire JSON differs between enum and name selection", tc.name)
-			}
-		}
-	}
-}
-
 func saveWire(t *testing.T, out *scalana.RunOutput) string {
 	t.Helper()
 	ps := &prof.ProfileSet{App: out.App.Name, NP: out.NP, Elapsed: out.Result.Elapsed, Profiles: out.Profiles()}
