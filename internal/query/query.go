@@ -10,8 +10,10 @@ package query
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
+	"os"
 	"path/filepath"
 	"strings"
 
@@ -86,38 +88,34 @@ func checkMinNP(app *scalana.App, nps ...int) error {
 	return nil
 }
 
-// storedScales lists the scales an app has profile sets stored at,
-// ascending.
-func (e *Env) storedScales(appName string) ([]int, error) {
-	entries, err := e.Store.ListApp(appName)
-	if err != nil {
-		return nil, err
-	}
-	var nps []int
-	for _, ent := range entries { // ListApp is scale-ascending
-		if len(nps) == 0 || nps[len(nps)-1] != ent.NP {
-			nps = append(nps, ent.NP)
-		}
-	}
-	if len(nps) == 0 {
-		return nil, errorf(http.StatusNotFound, "no profile sets stored for app %q", appName)
-	}
-	return nps, nil
+// errNoSets is the answer for an app with nothing stored.
+func errNoSets(appName string) error {
+	return errorf(http.StatusNotFound, "no profile sets stored for app %q", appName)
 }
 
 // Histories lists an app's stored scales ascending and, per scale, its
 // entries in upload order (store.History) — the order that assigns each
-// run its baseline sequence number.
+// run its baseline sequence number. A scale directory holding no stored
+// set is not a scale, whatever its history log says.
 func (e *Env) Histories(appName string) ([]int, map[int][]store.Entry, error) {
-	nps, err := e.storedScales(appName)
+	dirs, err := e.Store.Scales(appName)
 	if err != nil {
 		return nil, nil, err
 	}
-	hists := make(map[int][]store.Entry, len(nps))
-	for _, np := range nps {
-		if hists[np], err = e.Store.History(appName, np); err != nil {
+	nps := make([]int, 0, len(dirs))
+	hists := make(map[int][]store.Entry, len(dirs))
+	for _, np := range dirs {
+		hist, err := e.Store.History(appName, np)
+		if err != nil {
 			return nil, nil, err
 		}
+		if len(hist) > 0 {
+			nps = append(nps, np)
+			hists[np] = hist
+		}
+	}
+	if len(nps) == 0 {
+		return nil, nil, errNoSets(appName)
 	}
 	return nps, hists, nil
 }
@@ -145,9 +143,10 @@ func (e *Env) resolve(appName string, scaleList []int, hashes []string) ([]store
 		}
 		return entries, nil
 	}
-	if len(scaleList) == 0 {
+	allStored := len(scaleList) == 0
+	if allStored {
 		var err error
-		if scaleList, err = e.storedScales(appName); err != nil {
+		if scaleList, err = e.Store.Scales(appName); err != nil {
 			return nil, err
 		}
 	} else if err := scales.Validate(scaleList); err != nil {
@@ -155,10 +154,16 @@ func (e *Env) resolve(appName string, scaleList []int, hashes []string) ([]store
 	}
 	for _, np := range scaleList {
 		ent, err := e.Store.Only(appName, np)
+		if allStored && errors.Is(err, os.ErrNotExist) {
+			continue // a scale directory holding no stored set is not a scale
+		}
 		if err != nil {
 			return nil, err
 		}
 		entries = append(entries, ent)
+	}
+	if len(entries) == 0 {
+		return nil, errNoSets(appName)
 	}
 	return entries, nil
 }

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"scalana/internal/baseline"
@@ -170,6 +171,201 @@ func TestWatchValidation(t *testing.T) {
 		var qe *Error
 		if !errors.As(err, &qe) || qe.Status != tc.status || qe.Msg != tc.msg {
 			t.Errorf("want %d %q, got %v", tc.status, tc.msg, err)
+		}
+	}
+}
+
+// handBuilt lays a store directory out by hand — path under the root to
+// file content, a path ending in "/" being an empty directory — the way
+// an older store version, a crash or an operator could have left it.
+func handBuilt(t testing.TB, files map[string]string) Env {
+	t.Helper()
+	root := t.TempDir()
+	for path, content := range files {
+		full := filepath.Join(root, filepath.FromSlash(path))
+		if strings.HasSuffix(path, "/") {
+			if err := os.MkdirAll(full, 0o755); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		if err := os.MkdirAll(filepath.Dir(full), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(full, []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st, err := store.Open(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return Env{Store: st}
+}
+
+// hash spells a readable content address: one hex digit, 64 times.
+func hash(digit string) string { return strings.Repeat(digit, 64) }
+
+// set is the file name of the stored set with that address.
+func set(digit string) string { return hash(digit) + ".json" }
+
+// lines is a history.log naming those addresses in that order.
+func lines(digits ...string) string {
+	var b strings.Builder
+	for _, d := range digits {
+		b.WriteString(hash(d) + "\n")
+	}
+	return b.String()
+}
+
+// TestHistoriesParity pins what Histories answers over store
+// directories in every state the reconciliation rules name, as literal
+// expected values: "np:order" per stored scale, the order spelled by
+// each address's digit.
+func TestHistoriesParity(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		files map[string]string
+		want  string // the histories, or the error text
+		is    error  // the sentinel an error must wrap
+	}{
+		{name: "logged order preserved, scales ascending",
+			files: map[string]string{
+				"cg/8/" + set("a"): "x", "cg/8/" + set("b"): "x", "cg/8/" + set("c"): "x",
+				"cg/8/history.log":  lines("c", "a", "b"),
+				"cg/16/" + set("d"): "x", "cg/16/history.log": lines("d"),
+				"cg/4/" + set("f"): "x", "cg/4/" + set("e"): "x", "cg/4/history.log": lines("f", "e"),
+				"zeusmp/64/" + set("0"): "x",
+			},
+			want: "4:fe 8:cab 16:d"},
+		{name: "duplicate log lines collapse to the first",
+			files: map[string]string{
+				"cg/8/" + set("a"): "x", "cg/8/" + set("b"): "x",
+				"cg/8/history.log": lines("b", "a", "b", "a") + "not a hash\n\n" + lines("b"),
+			},
+			want: "8:ba"},
+		{name: "unlogged legacy sets follow the logged ones, hash-ascending",
+			files: map[string]string{
+				"cg/8/" + set("d"): "x", "cg/8/" + set("a"): "x", "cg/8/" + set("c"): "x", "cg/8/" + set("b"): "x",
+				"cg/8/history.log":  lines("c"),
+				"cg/16/" + set("9"): "x", "cg/16/" + set("3"): "x", // no log at all
+			},
+			want: "8:cabd 16:39"},
+		{name: "a logged set that is gone",
+			files: map[string]string{
+				"cg/4/" + set("a"): "x",
+				"cg/8/" + set("a"): "x", "cg/8/history.log": lines("a", "b"),
+			},
+			want: "store: history cg/8 names " + hash("b") + " but no such set is stored: store corrupt",
+			is:   store.ErrCorrupt},
+		{name: "directories holding no set are not scales",
+			files: map[string]string{
+				"cg/4/" + set("a"):  "x",
+				"cg/16/":            "",
+				"cg/32/history.log": lines("e"), "cg/32/.put-77": "torn upload",
+				"cg/64/" + hash("b") + ".tmp": "x", "cg/64/" + set("c") + "/": "",
+				"cg/x/" + set("d"): "x", "cg/128": "a file",
+			},
+			want: "4:a"},
+		{name: "unknown app", files: map[string]string{"zeusmp/8/" + set("a"): "x"},
+			want: `no profile sets stored for app "cg"`},
+		{name: "app with only empty scales", files: map[string]string{"cg/8/": "", "cg/16/history.log": lines("a")},
+			want: `no profile sets stored for app "cg"`},
+	} {
+		e := handBuilt(t, tc.files)
+		nps, hists, err := e.Histories("cg")
+		var got string
+		if err != nil {
+			got = err.Error()
+			var qe *Error
+			if tc.is == nil && (!errors.As(err, &qe) || qe.Status != http.StatusNotFound) {
+				t.Errorf("%s: error %v is not a 404", tc.name, err)
+			}
+			if tc.is != nil && !errors.Is(err, tc.is) {
+				t.Errorf("%s: error %v does not wrap %v", tc.name, err, tc.is)
+			}
+		} else {
+			var parts []string
+			for _, np := range nps {
+				order := ""
+				for _, ent := range hists[np] {
+					if ent.App != "cg" || ent.NP != np || ent.Hash != hash(ent.Hash[:1]) {
+						t.Errorf("%s: np=%d holds entry %v", tc.name, np, ent.Key)
+					}
+					order += ent.Hash[:1]
+				}
+				parts = append(parts, fmt.Sprintf("%d:%s", np, order))
+			}
+			got = strings.Join(parts, " ")
+			if len(hists) != len(nps) {
+				t.Errorf("%s: %d scales but %d histories", tc.name, len(nps), len(hists))
+			}
+		}
+		if got != tc.want {
+			t.Errorf("%s:\n got %s\nwant %s", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestResolveEveryStoredScale: an empty scale selection means the scales
+// that hold a set — the rule Histories applies — and each must hold
+// exactly one.
+func TestResolveEveryStoredScale(t *testing.T) {
+	e := handBuilt(t, map[string]string{
+		"cg/8/" + set("b"): "eight", "cg/8/history.log": lines("b"),
+		"cg/4/" + set("a"):  "four",
+		"cg/16/":            "",
+		"cg/32/history.log": lines("e"),
+	})
+	entries, err := e.resolve("cg", nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []store.Entry{
+		{Key: store.Key{App: "cg", NP: 4, Hash: hash("a")}, Size: 4},
+		{Key: store.Key{App: "cg", NP: 8, Hash: hash("b")}, Size: 5},
+	}
+	if fmt.Sprint(entries) != fmt.Sprint(want) {
+		t.Errorf("resolve(every stored scale) = %v, want %v", entries, want)
+	}
+	if _, err := e.resolve("cg", []int{4, 16}, nil); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("naming a scale that holds no set: %v, want os.ErrNotExist", err)
+	}
+
+	if err := os.WriteFile(filepath.Join(e.Store.Root(), "cg", "8", set("c")), []byte("x"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.resolve("cg", nil, nil); !errors.Is(err, store.ErrAmbiguous) {
+		t.Errorf("two sets at one scale: %v, want ErrAmbiguous", err)
+	}
+	var qe *Error
+	_, err = e.resolve("zeusmp", nil, nil)
+	if !errors.As(err, &qe) || qe.Status != http.StatusNotFound || qe.Msg != `no profile sets stored for app "zeusmp"` {
+		t.Errorf("nothing stored: %v", err)
+	}
+}
+
+// BenchmarkHistories is the store side of one /v1/watch: four scales of
+// 64 runs each, listed and put in upload order.
+func BenchmarkHistories(b *testing.B) {
+	st, err := store.Open(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, np := range []int{8, 16, 32, 64} {
+		for run := 0; run < 64; run++ {
+			if _, err := st.Put("cg", np, []byte(fmt.Sprintf("np %d run %d", np, run))); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	e := Env{Store: st}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		nps, hists, err := e.Histories("cg")
+		if err != nil || len(nps) != 4 || len(hists[64]) != 64 {
+			b.Fatalf("Histories = %v, %d runs at np=64, %v", nps, len(hists[64]), err)
 		}
 	}
 }

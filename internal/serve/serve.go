@@ -176,10 +176,10 @@ type Stats struct {
 
 // Stats snapshots the service counters.
 func (s *Server) Stats() Stats {
-	entries, _ := s.env.Store.List()
+	stored, _ := s.env.Store.Count()
 	return Stats{
 		Uploads:         s.uploads.Load(),
-		StoredSets:      len(entries),
+		StoredSets:      stored,
 		DetectComputes:  s.detects.computes.Load(),
 		DetectCoalesced: s.detects.coalesced.Load(),
 		SweepComputes:   s.sweeps.computes.Load(),

@@ -69,7 +69,9 @@ func (k Key) String() string { return fmt.Sprintf("%s/%d/%s", k.App, k.NP, k.Has
 // Entry is one stored set in a listing.
 type Entry struct {
 	Key
-	// Size is the stored byte count.
+	// Size is the stored byte count, filled by the calls that report it
+	// (List, ListApp, ListScale, Only, Resolve) at one lstat each. History
+	// orders runs and stats nothing: its entries carry Size 0.
 	Size int64 `json:"size"`
 }
 
@@ -80,7 +82,8 @@ type Store struct {
 	// mu serializes writes (Put and its history-log append) within this
 	// process. Readers of stored sets need no lock — rename is the commit
 	// point — but the upload-order log is append-only per (app, np) and
-	// the append must pair atomically with the file landing.
+	// the append must pair atomically with the file landing, so History
+	// takes it too and never sees one without the other.
 	mu sync.Mutex
 }
 
@@ -118,6 +121,11 @@ func ValidName(app string) bool {
 	return true
 }
 
+// badApp is the error for an app name ValidName rejects.
+func badApp(app string) error {
+	return fmt.Errorf("store: invalid app name %q: %w", app, os.ErrInvalid)
+}
+
 // HashOf returns the store address of a byte string: lowercase hex
 // SHA-256.
 func HashOf(data []byte) string {
@@ -129,8 +137,13 @@ func (s *Store) dirFor(app string, np int) string {
 	return filepath.Join(s.root, app, strconv.Itoa(np))
 }
 
-func (s *Store) pathFor(k Key) string {
-	return filepath.Join(s.dirFor(k.App, k.NP), k.Hash+".json")
+func (s *Store) pathFor(k Key) string { return setPath(s.dirFor(k.App, k.NP), k.Hash) }
+
+// setPath names the file holding one set inside its scale's directory.
+// Plain concatenation is filepath.Join here — dir is clean and a hash is
+// hex — without a Clean for every entry of a listing.
+func setPath(dir, hash string) string {
+	return dir + string(filepath.Separator) + hash + ".json"
 }
 
 // historyName is the per-(app, np) upload-order log: one content hash
@@ -150,7 +163,7 @@ func (s *Store) historyPath(app string, np int) string {
 // np) history log, establishing the upload order History reports.
 func (s *Store) Put(app string, np int, data []byte) (Key, error) {
 	if !ValidName(app) {
-		return Key{}, fmt.Errorf("store: invalid app name %q: %w", app, os.ErrInvalid)
+		return Key{}, badApp(app)
 	}
 	if np < 1 {
 		return Key{}, fmt.Errorf("store: invalid scale %d: %w", np, os.ErrInvalid)
@@ -221,48 +234,56 @@ func (s *Store) appendHistory(app string, np int, hash string) error {
 // has vanished is ErrCorrupt (history names a run that no longer
 // exists), and stored sets that predate the log (or were copied in by
 // hand) are appended after all logged entries in hash order, so legacy
-// stores keep a deterministic — if arbitrary — ordering.
+// stores keep a deterministic — if arbitrary — ordering. A scale whose
+// directory holds no stored set has no history, whatever a log left
+// behind there says: it is not a scale (see Scales).
+//
+// The cost is one directory read and one log read, whatever the app's
+// other scales hold, and no lstat: the returned entries carry Size 0.
 func (s *Store) History(app string, np int) ([]Entry, error) {
 	if !ValidName(app) {
-		return nil, fmt.Errorf("store: invalid app name %q: %w", app, os.ErrInvalid)
+		return nil, badApp(app)
 	}
 	if np < 1 {
 		return nil, fmt.Errorf("store: invalid scale %d: %w", np, os.ErrInvalid)
 	}
-	stored, err := s.ListScale(app, np)
-	if err != nil {
-		return nil, err
-	}
-	byHash := make(map[string]Entry, len(stored))
-	for _, e := range stored {
-		byHash[e.Hash] = e
-	}
-
+	// Both reads sit under the write lock, so no Put of this process lands
+	// between them: the log and the listing describe one state. The log is
+	// read first because a Put renames before it logs — a cooperating
+	// process can then only add files the log does not name yet, never
+	// leave the log naming a file the listing missed.
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	raw, err := os.ReadFile(s.historyPath(app, np))
-	s.mu.Unlock()
 	if err != nil && !os.IsNotExist(err) {
 		return nil, fmt.Errorf("store: history %s/%d: %w", app, np, err)
 	}
+	stored, err := s.hashes(app, np)
+	if err != nil || len(stored) == 0 {
+		return nil, err
+	}
 
-	var out []Entry
-	seen := map[string]bool{}
-	for _, line := range strings.Split(string(raw), "\n") {
+	out := make([]Entry, 0, len(stored))
+	logged := make([]bool, len(stored)) // indexed like stored
+	for rest := string(raw); rest != ""; {
+		var line string
+		line, rest, _ = strings.Cut(rest, "\n")
 		hash := strings.TrimSpace(line)
-		if !validHash(hash) || seen[hash] {
-			continue
-		}
-		seen[hash] = true
-		e, ok := byHash[hash]
-		if !ok {
+		i := sort.SearchStrings(stored, hash)
+		switch {
+		case i < len(stored) && stored[i] == hash:
+			if !logged[i] {
+				logged[i] = true
+				out = append(out, Entry{Key: Key{App: app, NP: np, Hash: hash}})
+			}
+		case validHash(hash): // anything else is a junk line, skipped
 			return nil, fmt.Errorf("store: history %s/%d names %s but no such set is stored: %w",
 				app, np, hash, ErrCorrupt)
 		}
-		out = append(out, e)
 	}
-	for _, e := range stored { // ListScale is hash-ascending, so unlogged legacy sets append deterministically
-		if !seen[e.Hash] {
-			out = append(out, e)
+	for i, hash := range stored { // hash-ascending, so unlogged legacy sets append deterministically
+		if !logged[i] {
+			out = append(out, Entry{Key: Key{App: app, NP: np, Hash: hash}})
 		}
 	}
 	return out, nil
@@ -297,20 +318,120 @@ func (s *Store) Has(k Key) bool {
 	return err == nil
 }
 
+// hashes lists the content hashes stored under <app>/<np>, ascending,
+// from the directory's entry names and type bits alone — no lstat. A
+// scale with no directory holds none.
+func (s *Store) hashes(app string, np int) ([]string, error) {
+	if !ValidName(app) {
+		return nil, badApp(app)
+	}
+	if np < 1 {
+		return nil, nil
+	}
+	files, err := os.ReadDir(s.dirFor(app, np))
+	if err != nil {
+		if os.IsNotExist(err) {
+			return nil, nil
+		}
+		return nil, fmt.Errorf("store: list %s/%d: %w", app, np, err)
+	}
+	out := make([]string, 0, len(files))
+	for _, f := range files { // ReadDir sorts by name, so hashes come out ordered
+		hash, ok := strings.CutSuffix(f.Name(), ".json")
+		if ok && !f.IsDir() && validHash(hash) {
+			out = append(out, hash)
+		}
+	}
+	return out, nil
+}
+
+// sized stats one stored set, in its scale's directory dir, for the Size
+// its listing reports.
+func sized(dir string, k Key) (Entry, error) {
+	info, err := os.Lstat(setPath(dir, k.Hash))
+	if err != nil {
+		return Entry{}, fmt.Errorf("store: list %s: %w", k, err)
+	}
+	return Entry{Key: k, Size: info.Size()}, nil
+}
+
+// apps lists the app directories under the root, by name.
+func (s *Store) apps() ([]string, error) {
+	dirs, err := os.ReadDir(s.root)
+	if err != nil {
+		return nil, fmt.Errorf("store: list: %w", err)
+	}
+	var out []string
+	for _, d := range dirs {
+		if d.IsDir() && ValidName(d.Name()) {
+			out = append(out, d.Name())
+		}
+	}
+	return out, nil
+}
+
+// Scales returns the scales an app has a directory for, ascending, from
+// one stat-free read of the app's directory. The first Put at a scale
+// creates its directory and nothing removes it, so a listed scale may
+// hold no stored set (a Put that failed, sets deleted by hand): such a
+// directory is not a stored scale, and callers drop it once History or
+// Only has looked inside.
+func (s *Store) Scales(app string) ([]int, error) {
+	if !ValidName(app) {
+		return nil, badApp(app)
+	}
+	dirs, err := os.ReadDir(filepath.Join(s.root, app))
+	if err != nil {
+		if os.IsNotExist(err) {
+			return nil, nil
+		}
+		return nil, fmt.Errorf("store: list %s: %w", app, err)
+	}
+	var nps []int
+	for _, d := range dirs {
+		// Only the spelling dirFor writes names a scale: "08" is not np=8.
+		if np, err := strconv.Atoi(d.Name()); err == nil && np >= 1 && d.IsDir() && strconv.Itoa(np) == d.Name() {
+			nps = append(nps, np)
+		}
+	}
+	sort.Ints(nps)
+	return nps, nil
+}
+
+// Count returns the number of stored sets, from directory names alone.
+func (s *Store) Count() (int, error) {
+	apps, err := s.apps()
+	if err != nil {
+		return 0, err
+	}
+	n := 0
+	for _, app := range apps {
+		nps, err := s.Scales(app)
+		if err != nil {
+			return 0, err
+		}
+		for _, np := range nps {
+			hashes, err := s.hashes(app, np)
+			if err != nil {
+				return 0, err
+			}
+			n += len(hashes)
+		}
+	}
+	return n, nil
+}
+
 // List returns every stored entry, sorted by app name, then scale
 // ascending, then hash — a deterministic order independent of insertion
 // history.
 func (s *Store) List() ([]Entry, error) {
-	apps, err := os.ReadDir(s.root)
+	apps, err := s.apps()
 	if err != nil {
-		return nil, fmt.Errorf("store: list: %w", err)
+		return nil, err
 	}
 	var out []Entry
-	for _, appDir := range apps {
-		if !appDir.IsDir() || !ValidName(appDir.Name()) {
-			continue
-		}
-		sub, err := s.ListApp(appDir.Name())
+	for _, app := range apps {
+		sub, err := s.ListApp(app)
 		if err != nil {
 			return nil, err
 		}
@@ -322,65 +443,33 @@ func (s *Store) List() ([]Entry, error) {
 // ListApp returns the stored entries for one app, sorted by scale
 // ascending then hash.
 func (s *Store) ListApp(app string) ([]Entry, error) {
-	if !ValidName(app) {
-		return nil, fmt.Errorf("store: invalid app name %q: %w", app, os.ErrInvalid)
-	}
-	npDirs, err := os.ReadDir(filepath.Join(s.root, app))
+	nps, err := s.Scales(app)
 	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, nil
-		}
-		return nil, fmt.Errorf("store: list %s: %w", app, err)
+		return nil, err
 	}
-	type npEntry struct {
-		np  int
-		dir string
-	}
-	var nps []npEntry
-	for _, d := range npDirs {
-		if !d.IsDir() {
-			continue
-		}
-		np, err := strconv.Atoi(d.Name())
-		if err != nil || np < 1 {
-			continue
-		}
-		nps = append(nps, npEntry{np: np, dir: d.Name()})
-	}
-	sort.Slice(nps, func(i, j int) bool { return nps[i].np < nps[j].np })
 	var out []Entry
-	for _, ne := range nps {
-		files, err := os.ReadDir(filepath.Join(s.root, app, ne.dir))
+	for _, np := range nps {
+		sub, err := s.ListScale(app, np)
 		if err != nil {
-			return nil, fmt.Errorf("store: list %s/%d: %w", app, ne.np, err)
+			return nil, err
 		}
-		for _, f := range files { // ReadDir sorts by name, so hashes come out ordered
-			name := f.Name()
-			hash, ok := strings.CutSuffix(name, ".json")
-			if f.IsDir() || !ok || !validHash(hash) {
-				continue
-			}
-			info, err := f.Info()
-			if err != nil {
-				return nil, fmt.Errorf("store: list %s/%d/%s: %w", app, ne.np, name, err)
-			}
-			out = append(out, Entry{Key: Key{App: app, NP: ne.np, Hash: hash}, Size: info.Size()})
-		}
+		out = append(out, sub...)
 	}
 	return out, nil
 }
 
 // ListScale returns the stored entries for one (app, scale), sorted by
-// hash.
+// hash, reading that scale's directory only.
 func (s *Store) ListScale(app string, np int) ([]Entry, error) {
-	all, err := s.ListApp(app)
+	hashes, err := s.hashes(app, np)
 	if err != nil {
 		return nil, err
 	}
-	var out []Entry
-	for _, e := range all {
-		if e.NP == np {
-			out = append(out, e)
+	dir := s.dirFor(app, np)
+	out := make([]Entry, len(hashes))
+	for i, hash := range hashes {
+		if out[i], err = sized(dir, Key{App: app, NP: np, Hash: hash}); err != nil {
+			return nil, err
 		}
 	}
 	return out, nil
@@ -393,21 +482,27 @@ func (s *Store) Resolve(app, prefix string) (Entry, error) {
 	if prefix == "" || !validHashPrefix(prefix) {
 		return Entry{}, fmt.Errorf("store: invalid hash prefix %q: %w", prefix, os.ErrInvalid)
 	}
-	all, err := s.ListApp(app)
+	nps, err := s.Scales(app)
 	if err != nil {
 		return Entry{}, err
 	}
-	var matches []Entry
-	for _, e := range all {
-		if strings.HasPrefix(e.Hash, prefix) {
-			matches = append(matches, e)
+	var matches []Key
+	for _, np := range nps {
+		hashes, err := s.hashes(app, np)
+		if err != nil {
+			return Entry{}, err
+		}
+		for _, hash := range hashes {
+			if strings.HasPrefix(hash, prefix) {
+				matches = append(matches, Key{App: app, NP: np, Hash: hash})
+			}
 		}
 	}
 	switch len(matches) {
 	case 0:
 		return Entry{}, fmt.Errorf("store: no stored profile set for app %s matches hash %q: %w", app, prefix, os.ErrNotExist)
 	case 1:
-		return matches[0], nil
+		return sized(s.dirFor(app, matches[0].NP), matches[0])
 	default:
 		return Entry{}, fmt.Errorf("store: hash prefix %q is ambiguous for app %s (%d matches): %w", prefix, app, len(matches), ErrAmbiguous)
 	}
@@ -417,17 +512,17 @@ func (s *Store) Resolve(app, prefix string) (Entry, error) {
 // more than one are errors: when several uploads exist for one scale, a
 // query must name the hash it wants.
 func (s *Store) Only(app string, np int) (Entry, error) {
-	entries, err := s.ListScale(app, np)
+	hashes, err := s.hashes(app, np)
 	if err != nil {
 		return Entry{}, err
 	}
-	switch len(entries) {
+	switch len(hashes) {
 	case 0:
 		return Entry{}, fmt.Errorf("store: no stored profile set for app %s at np=%d: %w", app, np, os.ErrNotExist)
 	case 1:
-		return entries[0], nil
+		return sized(s.dirFor(app, np), Key{App: app, NP: np, Hash: hashes[0]})
 	default:
-		return Entry{}, fmt.Errorf("store: %d profile sets stored for app %s at np=%d; name the content hash to pick one: %w", len(entries), app, np, ErrAmbiguous)
+		return Entry{}, fmt.Errorf("store: %d profile sets stored for app %s at np=%d; name the content hash to pick one: %w", len(hashes), app, np, ErrAmbiguous)
 	}
 }
 

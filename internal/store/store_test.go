@@ -400,3 +400,174 @@ func TestErrorSentinels(t *testing.T) {
 		t.Fatalf("Get(tampered): %v, want ErrCorrupt", err)
 	}
 }
+
+// TestHistoryEmptyScale: a scale directory holding no stored set has no
+// history — not even a corrupt one — whatever was left behind in it.
+func TestHistoryEmptyScale(t *testing.T) {
+	s := open(t)
+	k, _ := s.Put("cg", 4, []byte("only"))
+	if err := os.Remove(s.pathFor(k)); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(s.dirFor("cg", 4), ".put-123"), []byte("torn"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if hist, err := s.History("cg", 4); err != nil || len(hist) != 0 {
+		t.Fatalf("History of a scale holding only history.log and a temp file = %+v, %v", hist, err)
+	}
+	if hist, err := s.History("cg", 32); err != nil || len(hist) != 0 {
+		t.Fatalf("History of a scale with no directory = %+v, %v", hist, err)
+	}
+}
+
+// TestScalesAndCount: Scales names the directories dirFor writes (and no
+// other spelling of a number), Count the sets under them, both without
+// lstat-ing a file.
+func TestScalesAndCount(t *testing.T) {
+	s := open(t)
+	s.Put("cg", 16, []byte("a16"))
+	s.Put("cg", 4, []byte("a4"))
+	s.Put("cg", 4, []byte("a4-second"))
+	s.Put("zeusmp", 8, []byte("z8"))
+	for _, dir := range []string{"08", "0", "-2", "x"} {
+		if err := os.MkdirAll(filepath.Join(s.Root(), "cg", dir), 0o755); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.WriteFile(filepath.Join(s.Root(), "cg", "32"), []byte("a file, not a scale"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if nps, err := s.Scales("cg"); err != nil || !reflect.DeepEqual(nps, []int{4, 16}) {
+		t.Fatalf("Scales(cg) = %v, %v, want [4 16]", nps, err)
+	}
+	if nps, err := s.Scales("nope"); err != nil || len(nps) != 0 {
+		t.Fatalf("Scales(unknown app) = %v, %v", nps, err)
+	}
+	if _, err := s.Scales("../evil"); !errors.Is(err, os.ErrInvalid) {
+		t.Fatalf("Scales(bad app): %v, want os.ErrInvalid", err)
+	}
+	listed, err := s.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, err := s.Count(); err != nil || n != 4 || n != len(listed) {
+		t.Fatalf("Count = %d, %v, want 4 = len(List) (%d)", n, err, len(listed))
+	}
+	for _, e := range listed {
+		if e.Size == 0 {
+			t.Fatalf("List left %v without its size", e.Key)
+		}
+	}
+}
+
+// putRuns stores n distinct sets under (app, np).
+func putRuns(t testing.TB, s *Store, app string, np, n int) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		if _, err := s.Put(app, np, []byte(fmt.Sprintf("%s/%d run %d", app, np, i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestReadCostIgnoresSiblingScales: what a read of one scale costs does
+// not depend on what the app's other scales hold. Allocations stand in
+// for directory entries touched — every entry read or lstat-ed
+// allocates — so equal counts with 0 and with 200 sets next door mean
+// the sibling was never walked, and the ceiling keeps the per-entry cost
+// where it is: about two allocations an entry (dirent and name) plus a
+// fixed dozen.
+func TestReadCostIgnoresSiblingScales(t *testing.T) {
+	s := open(t)
+	putRuns(t, s, "cg", 8, 64)
+	history := func() {
+		if hist, err := s.History("cg", 8); err != nil || len(hist) != 64 {
+			t.Fatalf("History = %d entries, %v", len(hist), err)
+		}
+	}
+	alone := testing.AllocsPerRun(20, history)
+	t.Logf("History over 64 entries: %v allocations", alone)
+	putRuns(t, s, "cg", 16, 200)
+	if crowded := testing.AllocsPerRun(20, history); crowded != alone {
+		t.Errorf("History(cg, 8) allocates %v with an empty sibling scale and %v beside 200 sets", alone, crowded)
+	}
+	const ceiling = 200
+	if alone > ceiling {
+		t.Errorf("History over 64 entries allocates %v, ceiling %d", alone, ceiling)
+	}
+
+	// A sibling whose log names a set that is gone is that scale's
+	// corruption, and only that scale's.
+	if err := os.WriteFile(s.historyPath("cg", 16), []byte(HashOf([]byte("never stored"))+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.History("cg", 16); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("History(cg, 16) over a log naming a missing set: %v, want ErrCorrupt", err)
+	}
+	history()
+	one, _ := s.Put("cg", 4, []byte("the only np=4 run"))
+	if e, err := s.Only("cg", 4); err != nil || e.Key != one || e.Size != int64(len("the only np=4 run")) {
+		t.Fatalf("Only(cg, 4) beside a corrupt sibling = %+v, %v", e, err)
+	}
+}
+
+// TestHistoryConcurrentWithPut — run under -race in CI — uploads distinct
+// sets while another goroutine reads the history. A read must never fall
+// between a set landing and its log line (a logged hash missing from a
+// stale listing is a spurious ErrCorrupt, a 500 from /v1/watch), and
+// every order read must extend the one read before it.
+func TestHistoryConcurrentWithPut(t *testing.T) {
+	s := open(t)
+	const puts = 500
+	stop, done := make(chan struct{}), make(chan struct{})
+	var putErr error
+	go func() {
+		defer close(done)
+		for i := 0; i < puts && putErr == nil; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			_, putErr = s.Put("cg", 8, []byte(fmt.Sprintf("run %d", i)))
+		}
+	}()
+	// read takes one history and checks it extends the one before it.
+	var prev []Entry
+	read := func() error {
+		hist, err := s.History("cg", 8)
+		if err != nil {
+			return err
+		}
+		if len(hist) < len(prev) {
+			return fmt.Errorf("%d runs, after a read of %d", len(hist), len(prev))
+		}
+		for i, e := range prev {
+			if hist[i] != e {
+				return fmt.Errorf("run %d of the order read before moved", i)
+			}
+		}
+		prev = hist
+		return nil
+	}
+	var readErr error
+	for reading := true; reading && readErr == nil; {
+		select {
+		case <-done:
+			reading = false // one more read, of the final state
+		default:
+		}
+		readErr = read()
+	}
+	close(stop)
+	<-done // the writer is out of the directory before TempDir removes it
+	if readErr != nil {
+		t.Fatalf("History during uploads: %v", readErr)
+	}
+	if putErr != nil {
+		t.Fatal(putErr)
+	}
+	if len(prev) != puts {
+		t.Fatalf("final history holds %d runs, want %d", len(prev), puts)
+	}
+}
