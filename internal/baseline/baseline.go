@@ -21,9 +21,8 @@
 //   - the newest run is scored against that baseline with a z-score
 //     (sudden regression) and a one-sided CUSUM over the whole history
 //     (slow drift a single z-test misses);
-//   - per-vertex scaling fits extend incrementally: the cross-scale
-//     log-log model absorbs the newest run through fit.LogLogAccum
-//     instead of refitting the sweep.
+//   - per-vertex scaling slopes are two plain fit.FitLogLog calls over
+//     each scale's latest sample, without and with the newest run.
 //
 // Determinism contract: a State's output is a pure function of the runs
 // it holds, never of the order they were added in. Runs carry an
@@ -163,8 +162,8 @@ type Run struct {
 type State struct {
 	app   string
 	merge fit.MergeStrategy
-	keys  []string // symbol-table snapshot, VID -> stable key
-	verts []*psg.Vertex
+	keys  []string      // the graph's read-only VID -> stable key table
+	verts []*psg.Vertex // the graph's read-only VID -> vertex table
 	byNP  map[int][]Run
 }
 
@@ -172,12 +171,7 @@ type State struct {
 // strategy is fixed per state: baselines built under one strategy are
 // not comparable to samples merged under another.
 func NewState(app string, g *psg.Graph, merge fit.MergeStrategy) *State {
-	keys := g.Keys()
-	verts := make([]*psg.Vertex, len(keys))
-	for i := range verts {
-		verts[i] = g.VertexByVID(psg.VID(i))
-	}
-	return &State{app: app, merge: merge, keys: keys, verts: verts, byNP: map[int][]Run{}}
+	return &State{app: app, merge: merge, keys: g.Keys(), verts: g.Vertices, byNP: map[int][]Run{}}
 }
 
 // App returns the application name the state tracks.
@@ -455,69 +449,35 @@ func (s *State) cusumAt(hist []Run, vid int, mean, std, k float64) float64 {
 
 // slopes fits the vertex's cross-scale log-log model twice: without and
 // with the newest run at watchNP. Each scale contributes its latest
-// sample; the "old" fit uses the previous run at watchNP when one
-// exists and omits the scale otherwise. When the watched scale extends
-// the frontier, the new fit is literally the old accumulator extended
-// by one point — the incremental update the ROADMAP asks for.
+// sample, in ascending np order; the "old" fit uses the previous run at
+// watchNP when one exists and omits the scale otherwise. A fit that
+// cannot be made (fewer than two scales sampled the vertex) is NaN.
 func (s *State) slopes(watchNP, vid int) (old, new float64) {
-	old, new = math.NaN(), math.NaN()
-	var oldAcc fit.LogLogAccum
-	oldOK := true
+	var oldPs, oldYs, newPs, newYs []float64
 	for _, np := range s.NPs() {
 		hist := s.byNP[np]
-		r := hist[len(hist)-1]
+		if x := hist[len(hist)-1].Sample.Values[vid]; !math.IsNaN(x) {
+			newPs, newYs = append(newPs, float64(np)), append(newYs, x)
+		}
 		if np == watchNP {
-			if len(hist) < 2 {
-				continue // no prior run at this scale: omit it from the old fit
-			}
-			r = hist[len(hist)-2]
+			hist = hist[:len(hist)-1] // the old fit predates the newest run
 		}
-		x := r.Sample.Values[vid]
-		if math.IsNaN(x) {
-			continue
+		if len(hist) == 0 {
+			continue // no prior run at this scale: the old fit omits it
 		}
-		if err := oldAcc.Add(float64(np), x); err != nil {
-			oldOK = false
-			break
+		if x := hist[len(hist)-1].Sample.Values[vid]; !math.IsNaN(x) {
+			oldPs, oldYs = append(oldPs, float64(np)), append(oldYs, x)
 		}
 	}
-	if oldOK {
-		if m, err := oldAcc.Model(); err == nil {
-			old = m.B
-		}
-	}
+	return slopeOf(oldPs, oldYs), slopeOf(newPs, newYs)
+}
 
-	nps := s.NPs()
-	frontier := len(nps) > 0 && watchNP == nps[len(nps)-1] && len(s.byNP[watchNP]) == 1
-	if frontier && oldOK {
-		// The newest run introduces a new largest scale: extend a copy of
-		// the old accumulator by exactly one point.
-		newest := s.byNP[watchNP][0]
-		x := newest.Sample.Values[vid]
-		acc := oldAcc.Clone()
-		if !math.IsNaN(x) && acc.Add(float64(watchNP), x) == nil {
-			if m, err := acc.Model(); err == nil {
-				new = m.B
-			}
-		}
-		return old, new
+func slopeOf(ps, ys []float64) float64 {
+	m, err := fit.FitLogLog(ps, ys)
+	if err != nil {
+		return math.NaN()
 	}
-
-	var newAcc fit.LogLogAccum
-	for _, np := range nps {
-		hist := s.byNP[np]
-		x := hist[len(hist)-1].Sample.Values[vid]
-		if math.IsNaN(x) {
-			continue
-		}
-		if err := newAcc.Add(float64(np), x); err != nil {
-			return old, new
-		}
-	}
-	if m, err := newAcc.Model(); err == nil {
-		new = m.B
-	}
-	return old, new
+	return m.B
 }
 
 // severity maps a z-score into the ranking scale, capping +Inf the same

@@ -30,7 +30,9 @@ func (m LogLog) String() string {
 // FitLogLog fits a log-log model to (ps, ys). Non-positive samples are
 // clamped to a tiny epsilon so vertices that vanish at some scale do not
 // poison the fit. It returns an error when fewer than two distinct scales
-// are present.
+// are present. The sums accumulate in slice order, so callers whose output
+// bytes depend on the coefficients (baseline's slopes) must pass points in
+// one canonical order.
 func FitLogLog(ps, ys []float64) (LogLog, error) {
 	if len(ps) != len(ys) {
 		return LogLog{}, fmt.Errorf("fit: length mismatch %d vs %d", len(ps), len(ys))

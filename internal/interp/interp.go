@@ -11,8 +11,8 @@ import (
 )
 
 // IndirectObserver is notified when an indirect call resolves its target
-// at run time (paper §III-B3). The ScalAna profiler records these to
-// refine the PSG.
+// at run time (paper §III-B3). The ScalAna profiler records which
+// targets fired (prof.IndirectRecord); the PSG already holds them all.
 type IndirectObserver func(rank int, inst *psg.Instance, site minilang.NodeID, target string)
 
 // Runner executes one MiniMP program against a PSG.

@@ -87,12 +87,6 @@ var Builtins = map[string]*Builtin{
 	"print": {Name: "print", Kind: BuiltinIO, Arity: -1},
 }
 
-// IsMPIComm reports whether the call expression is an MPI communication
-// operation (an MPI vertex in the PSG).
-func IsMPIComm(c *CallExpr) bool {
-	return c.Builtin != nil && c.Builtin.Kind == BuiltinComm
-}
-
 // IsCollective reports whether the call is an MPI collective.
 func IsCollective(c *CallExpr) bool {
 	return c.Builtin != nil && c.Builtin.Collective

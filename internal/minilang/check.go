@@ -184,8 +184,9 @@ func (c *checker) resolveCall(call *CallExpr) {
 	}
 	if c.declared(call.Name) {
 		// Call through a variable holding a function reference: an indirect
-		// call site. Static analysis cannot know the target (paper §III-B3);
-		// the runtime records it and the PSG is refined afterwards.
+		// call site. Static analysis cannot know the target (paper §III-B3):
+		// the PSG carries every address-taken function under the site and
+		// the runtime records which one fired.
 		call.Indirect = true
 		return
 	}

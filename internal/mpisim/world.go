@@ -209,9 +209,6 @@ func (p *Proc) Rand() float64 {
 	return p.rng.Float64()
 }
 
-// Hooks returns the rank's tool hooks.
-func (p *Proc) Hooks() []Hook { return p.rawHooks }
-
 // advance moves the clock forward and notifies hooks. Overhead requested
 // by hooks is charged as a follow-up AdvPerturb advance.
 //

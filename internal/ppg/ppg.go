@@ -158,7 +158,7 @@ func Build(g *psg.Graph, profiles []*prof.RankProfile) (*Graph, error) {
 		RankTime: make([]float64, np),
 	}
 
-	// One symbol-table snapshot plus one key-sorted VID order for the
+	// The symbol table's keys plus one key-sorted VID order for the
 	// whole build; the pre-VID build sorted key strings once per rank.
 	keys := g.Keys()
 	order := make([]psg.VID, nv)

@@ -150,8 +150,8 @@ func (pd *PerfData) Active() bool {
 }
 
 // PerfAt returns the performance data attributed to a vertex on this
-// rank, or nil when the vertex was never sampled (VIDs past the profile's
-// dense storage were materialized after collection and carry no data).
+// rank, or nil when the vertex was never sampled or the VID is outside
+// the profile's dense storage.
 func (rp *RankProfile) PerfAt(vid psg.VID) *PerfData {
 	if int(vid) >= len(rp.Vertex) {
 		return nil
@@ -196,7 +196,6 @@ func (rp *RankProfile) StorageBytes() int64 {
 // Profiler is the per-rank tool hook. It implements mpisim.Hook.
 type Profiler struct {
 	cfg     Config
-	graph   *psg.Graph
 	profile *RankProfile
 
 	period float64
@@ -225,7 +224,6 @@ func New(cfg Config, graph *psg.Graph, rank, np int) *Profiler {
 	}
 	return &Profiler{
 		cfg:              cfg,
-		graph:            graph,
 		profile:          NewRankProfile(graph, rank, np),
 		period:           1 / cfg.SampleHz,
 		requestConverter: map[int]srcTag{},
@@ -246,18 +244,10 @@ func (pr *Profiler) sampleRand() float64 {
 // Profile returns the collected rank profile.
 func (pr *Profiler) Profile() *RankProfile { return pr.profile }
 
-// perf returns the dense slot for a vertex. The pre-sizing in New makes
-// the common case a bare bounds check plus index; the growth path only
-// fires when ResolveIndirect's slow path materialized vertices after this
-// profiler was created.
-func (pr *Profiler) perf(vid psg.VID) *PerfData {
-	if int(vid) >= len(pr.profile.Vertex) {
-		grown := make([]PerfData, pr.graph.NumVIDs())
-		copy(grown, pr.profile.Vertex)
-		pr.profile.Vertex = grown
-	}
-	return &pr.profile.Vertex[vid]
-}
+// perf returns the dense slot for a vertex. New sizes the storage to the
+// graph's symbol table and a compiled graph never grows, so every VID a
+// run can hand the profiler is in range.
+func (pr *Profiler) perf(vid psg.VID) *PerfData { return &pr.profile.Vertex[vid] }
 
 func ctxVID(ctx any) psg.VID {
 	if v, ok := ctx.(*psg.Vertex); ok && v != nil {

@@ -48,13 +48,16 @@ type Stats struct {
 	Calls          int
 }
 
-// Graph is a Program Structure Graph.
+// Graph is a Program Structure Graph. Build constructs it, finalizes it
+// once and hands it out; nothing mutates it afterwards, so every field
+// and accessor may be read from any number of goroutines with no lock.
 type Graph struct {
 	// Prog is the program the graph was built from.
 	Prog *minilang.Program
 	// Root is the synthetic root vertex above main's body.
 	Root *Vertex
-	// Vertices is the dense preorder vertex list, indexed by Vertex.ID.
+	// Vertices is the dense preorder vertex list, indexed by Vertex.ID
+	// (equivalently by Vertex.VID: the symbol table of symtab.go).
 	Vertices []*Vertex
 	// Main is the instance of the program's main function.
 	Main *Instance
@@ -63,16 +66,10 @@ type Graph struct {
 	// Stats summarizes construction (paper Table II columns).
 	Stats Stats
 
-	mu        sync.RWMutex
 	byKey     map[string]*Vertex
+	keys      []string // Vertices[i].Key, the slice Keys hands out
 	instances []*Instance
-	parents   map[*Instance]*Instance // for recursion detection at runtime
-
-	// Symbol table (see symtab.go): vids is the dense VID -> vertex
-	// binding, vidOf interns stable keys. Both are append-only across
-	// re-finalization.
-	vids  []*Vertex
-	vidOf map[string]VID
+	parents   map[*Instance]*Instance // for recursion detection while building
 
 	// Executable-form cache (see CompileExec). psg cannot depend on the
 	// bytecode VM, so the cached value is opaque here; scalana stores the
@@ -123,9 +120,8 @@ func Build(prog *minilang.Program, opts Options) (*Graph, error) {
 	b := &builder{g: g}
 	b.walkBlock(g.Main, mainFn.Body, g.Root)
 
-	// Pre-materialize every possible indirect-call target so the graph is
-	// immutable during execution and can be shared by concurrent runs
-	// (see the package comment in resolve.go).
+	// Materialize every possible indirect-call target now: nothing can
+	// add a vertex after finalize (see the comment in resolve.go).
 	if err := g.materializeAllIndirect(); err != nil {
 		return nil, err
 	}
@@ -187,16 +183,10 @@ func (g *Graph) newInstance(parent *Instance, fn *minilang.FuncDecl, path string
 }
 
 // VertexByKey returns the vertex with the given stable key, or nil.
-func (g *Graph) VertexByKey(key string) *Vertex {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	return g.byKey[key]
-}
+func (g *Graph) VertexByKey(key string) *Vertex { return g.byKey[key] }
 
 // Instances returns all function instances (inlined copies).
 func (g *Graph) Instances() []*Instance {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
 	out := make([]*Instance, len(g.instances))
 	copy(out, g.instances)
 	return out
@@ -475,22 +465,17 @@ func countVertices(root *Vertex) int {
 	return n
 }
 
-// finalize assigns dense IDs in preorder, indexes keys, and recomputes
-// after-contraction statistics.
+// finalize assigns dense IDs and VIDs in preorder, indexes keys, and
+// computes after-contraction statistics. Build and BuildLocal call it
+// exactly once, as their last step; the graph is immutable from then on.
 func (g *Graph) finalize() {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.finalizeLocked()
-}
-
-func (g *Graph) finalizeLocked() {
-	g.Vertices = g.Vertices[:0]
-	g.byKey = map[string]*Vertex{}
 	st := Stats{VerticesBefore: g.Stats.VerticesBefore}
 	var walk func(v *Vertex)
 	walk = func(v *Vertex) {
 		v.ID = len(g.Vertices)
+		v.VID = VID(v.ID)
 		g.Vertices = append(g.Vertices, v)
+		g.keys = append(g.keys, v.Key)
 		if prev, dup := g.byKey[v.Key]; dup {
 			panic(fmt.Sprintf("psg: duplicate vertex key %q (%s vs %s)", v.Key, prev, v))
 		}
@@ -514,5 +499,4 @@ func (g *Graph) finalizeLocked() {
 	walk(g.Root)
 	st.VerticesAfter = len(g.Vertices)
 	g.Stats = st
-	g.assignVIDs()
 }

@@ -29,8 +29,6 @@ type GraphDTO struct {
 
 // ToDTO converts the graph to its serializable form.
 func (g *Graph) ToDTO() GraphDTO {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
 	dto := GraphDTO{File: g.Prog.File, Stats: g.Stats}
 	for _, v := range g.Vertices {
 		parent := -1
@@ -62,18 +60,14 @@ func (g *Graph) MarshalJSON() ([]byte, error) {
 // used for the static-overhead experiment (paper Table III's memory note:
 // "each vertex of the PSG occupies 32B of memory").
 func (g *Graph) SizeBytes() int {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
 	const perVertex = 32
 	return len(g.Vertices) * perVertex
 }
 
 // CheckInvariants validates structural invariants of the graph; tests and
-// property checks call it after construction and refinement. It returns an
-// error describing the first violation found.
+// property checks call it after construction. It returns an error
+// describing the first violation found.
 func (g *Graph) CheckInvariants() error {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
 	seen := map[*Vertex]bool{}
 	var walk func(v *Vertex) error
 	walk = func(v *Vertex) error {
@@ -115,6 +109,9 @@ func (g *Graph) CheckInvariants() error {
 	if err := walk(g.Root); err != nil {
 		return err
 	}
+	if len(g.keys) != len(g.Vertices) {
+		return fmt.Errorf("symbol table has %d keys for %d vertices", len(g.keys), len(g.Vertices))
+	}
 	for i, v := range g.Vertices {
 		if v.ID != i {
 			return fmt.Errorf("vertex %s has ID %d at index %d", v, v.ID, i)
@@ -122,11 +119,8 @@ func (g *Graph) CheckInvariants() error {
 		if g.byKey[v.Key] != v {
 			return fmt.Errorf("vertex %s not indexed by key", v)
 		}
-		if int(v.VID) >= len(g.vids) || g.vids[v.VID] != v {
-			return fmt.Errorf("vertex %s not bound in symbol table (VID %d)", v, v.VID)
-		}
-		if g.vidOf[v.Key] != v.VID {
-			return fmt.Errorf("vertex %s key interned as VID %d, vertex carries %d", v, g.vidOf[v.Key], v.VID)
+		if int(v.VID) != i || g.keys[i] != v.Key {
+			return fmt.Errorf("vertex %s not bound in symbol table (VID %d, key %q at index %d)", v, v.VID, g.keys[i], i)
 		}
 	}
 	if g.Root.VID != VIDRoot {

@@ -12,12 +12,13 @@ import (
 // The paper (§III-B3) leaves indirect call sites as Call vertices and
 // fills them in with runtime information. In MiniMP the possible targets
 // are statically enumerable — a function value can only originate from
-// an address-of expression (&name) — so Build pre-materializes the
-// subtree for every (indirect site, address-taken function) pair at
-// compile time. The payoff is concurrency: a compiled graph shared by
-// many simultaneous runs (the sweep engine's compile cache) is immutable
-// during execution, because every target the interpreter can produce is
-// already present and ResolveIndirect reduces to a read-locked lookup.
+// an address-of expression (&name) — so Build materializes the subtree
+// for every (indirect site, address-taken function) pair at compile
+// time, before contraction and the one finalize. That is the whole
+// mechanism: materialize is reachable only from Build, ResolveIndirect
+// is a lookup in what Build filled, and a compiled graph shared by many
+// simultaneous runs (the sweep engine's compile cache) cannot change
+// under them because no code that could change it exists.
 
 // addressTakenFuncs returns the sorted names of functions whose address
 // is taken (&name) anywhere in the program. These are exactly the
@@ -95,35 +96,26 @@ func addressTakenFuncs(prog *minilang.Program) []string {
 	return out
 }
 
-// materializeLocked inlines target's local PSG underneath the indirect
-// call vertex at (inst, site), or returns the cached/ancestor instance.
-// created reports whether new vertices were added. The caller must hold
-// g.mu exclusively (or be the single-threaded Build).
-func (g *Graph) materializeLocked(inst *Instance, site minilang.NodeID, target string) (child *Instance, created bool, err error) {
-	if m := inst.indirect[site]; m != nil {
-		if c, ok := m[target]; ok {
-			return c, false, nil
-		}
-	}
+// materialize inlines target's local PSG underneath cv, the indirect
+// call vertex of (inst, site), or binds the site to the ancestor instance
+// already executing target. Build-only: it runs single-threaded from
+// materializeAllIndirect, once per (site, target) pair, before finalize.
+func (g *Graph) materialize(inst *Instance, site minilang.NodeID, cv *Vertex, target string) error {
 	fn := g.Prog.Func(target)
 	if fn == nil {
-		return nil, false, fmt.Errorf("psg: indirect call to unknown function %q", target)
-	}
-	cv := inst.siteVertex[site]
-	if cv == nil {
-		return nil, false, fmt.Errorf("psg: node %d in %s is not an indirect call site", site, inst.Path)
+		return fmt.Errorf("psg: indirect call to unknown function %q", target)
 	}
 
 	// Recursion through function pointers: reuse the active ancestor
 	// instance, forming a cycle like direct recursion does.
 	for p := inst; p != nil; p = g.parents[p] {
 		if p.Fn != nil && p.Fn.Name == target {
-			g.rememberIndirect(inst, site, target, p)
-			return p, false, nil
+			rememberIndirect(inst, site, target, p)
+			return nil
 		}
 	}
 
-	child = g.newInstance(inst, fn, fmt.Sprintf("%s/%d@%s", inst.Path, site, target))
+	child := g.newInstance(inst, fn, fmt.Sprintf("%s/%d@%s", inst.Path, site, target))
 	b := &builder{g: g}
 	// Seed the inlining stack with the ancestry so that direct recursion
 	// inside the materialized subtree is still detected.
@@ -134,14 +126,14 @@ func (g *Graph) materializeLocked(inst *Instance, site minilang.NodeID, target s
 	}
 	b.stack = append(b.stack, stackEntry{name: target, inst: child})
 	b.walkBlock(child, fn.Body, cv)
-	g.rememberIndirect(inst, site, target, child)
-	return child, true, nil
+	rememberIndirect(inst, site, target, child)
+	return nil
 }
 
-// maxMaterializedInstances bounds pre-materialization. The fixpoint must
-// run to completion — a partially materialized graph would push deep
-// indirect sites back onto the mutating runtime path and void the
-// immutable-shared-graph guarantee — so the pathological case (k
+// maxMaterializedInstances bounds materialization. The fixpoint must run
+// to completion — a partially materialized graph would leave deep
+// indirect sites with no subtree at all, and there is no runtime path to
+// add one — so the pathological case (k
 // address-taken functions that each contain an indirect site, giving one
 // instance chain per ordered target sequence, O(k!) growth that no real
 // workload exhibits) is rejected at compile time instead of silently
@@ -176,7 +168,7 @@ func (g *Graph) materializeAllIndirect() error {
 		sort.Slice(sites, func(a, b int) bool { return sites[a] < sites[b] })
 		for _, s := range sites {
 			for _, t := range targets {
-				if _, _, err := g.materializeLocked(inst, s, t); err != nil {
+				if err := g.materialize(inst, s, inst.siteVertex[s], t); err != nil {
 					return err
 				}
 			}
@@ -189,39 +181,25 @@ func (g *Graph) materializeAllIndirect() error {
 // at run time (paper §III-B3). inst/site identify the Call vertex of the
 // indirect call site; target is the function actually invoked.
 //
-// Targets the interpreter can produce are always address-taken and
-// therefore pre-materialized by Build, making this a read-locked cache
-// lookup — runs never mutate a shared graph. The slow path below only
-// fires for direct API callers naming a function that is never
-// address-taken; it materializes under the write lock, applying the
-// usual contraction and re-finalizing vertex IDs.
+// It is a lookup, never a mutation: Build materialized every target a
+// program can produce (function values come only from &name), so the
+// only misses are callers naming an unknown function, a node that is not
+// an indirect site, or a function whose address is never taken — each an
+// error that leaves the graph as it was.
 func (g *Graph) ResolveIndirect(inst *Instance, site minilang.NodeID, target string) (*Instance, error) {
-	g.mu.RLock()
-	if m := inst.indirect[site]; m != nil {
-		if child, ok := m[target]; ok {
-			g.mu.RUnlock()
-			return child, nil
-		}
+	if child := inst.indirect[site][target]; child != nil {
+		return child, nil
 	}
-	g.mu.RUnlock()
-
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	child, created, err := g.materializeLocked(inst, site, target)
-	if err != nil {
-		return nil, err
+	if g.Prog.Func(target) == nil {
+		return nil, fmt.Errorf("psg: indirect call to unknown function %q", target)
 	}
-	if created {
-		if g.Opts.Contract {
-			cv := inst.siteVertex[site]
-			g.contractSubtree(cv, cv.LoopDepth())
-		}
-		g.finalizeLocked()
+	if inst.siteVertex[site] == nil {
+		return nil, fmt.Errorf("psg: node %d in %s is not an indirect call site", site, inst.Path)
 	}
-	return child, nil
+	return nil, fmt.Errorf("psg: indirect call to %q, whose address is never taken: node %d in %s has no subtree for it", target, site, inst.Path)
 }
 
-func (g *Graph) rememberIndirect(inst *Instance, site minilang.NodeID, target string, child *Instance) {
+func rememberIndirect(inst *Instance, site minilang.NodeID, target string, child *Instance) {
 	m := inst.indirect[site]
 	if m == nil {
 		m = map[string]*Instance{}

@@ -1,25 +1,18 @@
 package psg
 
-// Symbol table: dense interned vertex IDs (ISSUE 2, DESIGN.md §7).
+// Symbol table: dense interned vertex IDs (DESIGN.md §7).
 //
-// Every materialized vertex gets a VID, a dense uint32 index into the
-// graph's symbol table. Downstream layers (prof, ppg, detect, trace)
-// attribute performance data by VID — a slice index — instead of hashing
-// the vertex's string key; the string keys survive only in the JSON wire
+// Every vertex has a VID, a dense uint32 index into the graph's symbol
+// table. Downstream layers (prof, ppg, detect, trace) attribute
+// performance data by VID — a slice index — instead of hashing the
+// vertex's string key; the string keys survive only in the JSON wire
 // formats and in rendering.
 //
-// Assignment rules:
-//
-//   - VIDs are assigned at finalize time in preorder, so the first
-//     finalize of a Build gives VID == Vertex.ID. The root vertex is
-//     always VIDRoot (0).
-//   - The table is append-only. A re-finalize (the write-locked slow path
-//     of ResolveIndirect) may add vertices and may renumber preorder IDs,
-//     but an assigned VID is never reused or remapped to a different key:
-//     lookups go through the vertex's stable key, so a vertex replaced by
-//     contraction under the same key keeps its VID.
-//   - Profiles written against a graph therefore stay valid for the
-//     lifetime of that graph, and dense per-VID storage only ever grows.
+// A graph is finalized exactly once, at the end of Build, and never
+// changes afterwards, so the table is simply the preorder vertex list:
+// VID == Vertex.ID == index in Graph.Vertices, the root is VIDRoot (0),
+// and every accessor below is an unsynchronized slice or map read that
+// any number of goroutines may make at once.
 
 // VID is a dense interned vertex ID, valid for one *Graph.
 type VID uint32
@@ -31,73 +24,38 @@ const VIDRoot VID = 0
 // has no responsible peer vertex).
 const VIDNone VID = ^VID(0)
 
-// assignVIDs gives every vertex reachable from the root a VID, reusing
-// the VID already interned for the vertex's key when one exists. Called
-// from finalizeLocked with g.mu held.
-func (g *Graph) assignVIDs() {
-	if g.vidOf == nil {
-		g.vidOf = make(map[string]VID, len(g.Vertices))
-	}
-	for _, v := range g.Vertices {
-		id, ok := g.vidOf[v.Key]
-		if !ok {
-			id = VID(len(g.vids))
-			g.vidOf[v.Key] = id
-			g.vids = append(g.vids, nil)
-		}
-		v.VID = id
-		g.vids[id] = v
-	}
-}
-
 // NumVIDs returns the size of the symbol table; valid VIDs are
 // [0, NumVIDs). Dense per-VID storage should be sized to this.
-func (g *Graph) NumVIDs() int {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	return len(g.vids)
-}
+func (g *Graph) NumVIDs() int { return len(g.Vertices) }
 
 // KeyOf returns the stable string key interned for a VID, or "" when the
 // VID is out of range (including VIDNone).
 func (g *Graph) KeyOf(id VID) string {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	if int(id) >= len(g.vids) {
+	if int(id) >= len(g.Vertices) {
 		return ""
 	}
-	return g.vids[id].Key
+	return g.Vertices[id].Key
 }
 
-// VIDOf returns the VID interned for a stable vertex key.
+// VIDOf returns the VID interned for a stable vertex key, or VIDNone and
+// false when the graph has no such vertex.
 func (g *Graph) VIDOf(key string) (VID, bool) {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	id, ok := g.vidOf[key]
-	return id, ok
+	v := g.byKey[key]
+	if v == nil {
+		return VIDNone, false
+	}
+	return v.VID, true
 }
 
-// VertexByVID returns the vertex currently bound to a VID, or nil when
-// the VID is out of range.
+// VertexByVID returns the vertex bound to a VID, or nil when the VID is
+// out of range.
 func (g *Graph) VertexByVID(id VID) *Vertex {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	if int(id) >= len(g.vids) {
+	if int(id) >= len(g.Vertices) {
 		return nil
 	}
-	return g.vids[id]
+	return g.Vertices[id]
 }
 
-// Keys returns a snapshot of the symbol table's keys indexed by VID.
-// Callers that must not take the graph lock per lookup (parallel PPG
-// assembly) grab one snapshot up front; the graph is immutable during
-// execution, so the snapshot cannot go stale mid-build.
-func (g *Graph) Keys() []string {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	out := make([]string, len(g.vids))
-	for i, v := range g.vids {
-		out[i] = v.Key
-	}
-	return out
-}
+// Keys returns the symbol table's keys indexed by VID. The slice is
+// computed once by Build and shared by every caller: it is read-only.
+func (g *Graph) Keys() []string { return g.keys }

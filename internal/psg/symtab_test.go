@@ -32,10 +32,9 @@ func main() {
 			t.Errorf("VertexByVID(%d) = %v, want %v", v.VID, got, v)
 		}
 	}
-	// First finalize assigns VIDs in preorder, so VID == preorder ID.
 	for _, v := range g.Vertices {
 		if int(v.VID) != v.ID {
-			t.Errorf("vertex %s: VID %d != preorder ID %d after first finalize", v, v.VID, v.ID)
+			t.Errorf("vertex %s: VID %d != preorder ID %d", v, v.VID, v.ID)
 		}
 	}
 	if _, ok := g.VIDOf("nope"); ok {
@@ -58,56 +57,51 @@ func main() {
 	}
 }
 
-// TestSymbolTableStableAcrossRefinement is the append-only guarantee the
-// dense profile storage depends on: the write-locked slow path of
-// ResolveIndirect may renumber preorder IDs, but every already-assigned
-// VID keeps its key.
-func TestSymbolTableStableAcrossRefinement(t *testing.T) {
+// TestSymbolTableIsPreorderIndex is the identity the dense profile
+// storage depends on, on a graph with materialized indirect targets and
+// contraction: a vertex's VID is its index in Vertices, for good.
+func TestSymbolTableIsPreorderIndex(t *testing.T) {
 	prog := minilang.MustParse("t.mp", `
 func double(x) { return x * 2; }
-func never(x) {
+func triple(x) {
 	for (var i = 0; i < 3; i = i + 1) { compute(10, 1, 1, 64); }
 	return x * 3;
 }
 func main() {
 	var f = &double;
+	var h = &triple;
 	var y = f(2);
 	mpi_barrier();
 }`)
-	g := MustBuild(prog)
-	var site minilang.NodeID
-	for _, v := range g.Vertices {
-		if v.IndirectSite {
-			site = v.SiteNode
-		}
-	}
-	if site == 0 {
-		t.Fatal("no indirect site found")
-	}
-	before := g.NumVIDs()
-	keyByVID := make(map[VID]string, before)
-	for _, v := range g.Vertices {
-		keyByVID[v.VID] = v.Key
-	}
-	// "never" is not address-taken, so this exercises the mutating slow
-	// path: materialize, contract, re-finalize.
-	if _, err := g.ResolveIndirect(g.Main, site, "never"); err != nil {
+	local, err := BuildLocal(prog, "triple")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if g.NumVIDs() <= before {
-		t.Errorf("symbol table did not grow: %d -> %d", before, g.NumVIDs())
-	}
-	for vid, key := range keyByVID {
-		if got := g.KeyOf(vid); got != key {
-			t.Errorf("VID %d remapped across refinement: %q -> %q", vid, key, got)
+	for _, g := range []*Graph{MustBuild(prog), local} {
+		if g.Root.VID != VIDRoot || g.Vertices[VIDRoot] != g.Root {
+			t.Errorf("root is VID %d, Vertices[0] = %s", g.Root.VID, g.Vertices[VIDRoot])
 		}
-	}
-	for _, v := range g.Vertices {
-		if int(v.VID) >= g.NumVIDs() {
-			t.Errorf("vertex %s has out-of-table VID %d", v, v.VID)
+		keys := g.Keys()
+		if len(keys) != len(g.Vertices) || g.NumVIDs() != len(g.Vertices) {
+			t.Fatalf("%d keys, %d VIDs, %d vertices", len(keys), g.NumVIDs(), len(g.Vertices))
 		}
-	}
-	if err := g.CheckInvariants(); err != nil {
-		t.Fatal(err)
+		for i, v := range g.Vertices {
+			vid := VID(i)
+			if v.VID != vid {
+				t.Errorf("Vertices[%d] has VID %d", i, v.VID)
+			}
+			if keys[vid] != v.Key {
+				t.Errorf("Keys()[%d] = %q, vertex key %q", vid, keys[vid], v.Key)
+			}
+			if got, ok := g.VIDOf(g.KeyOf(vid)); !ok || got != vid {
+				t.Errorf("VIDOf(KeyOf(%d)) = %d, %v", vid, got, ok)
+			}
+		}
+		if again := g.Keys(); &again[0] != &keys[0] {
+			t.Error("Keys() copied the table; want the one shared slice")
+		}
+		if err := g.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

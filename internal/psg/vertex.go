@@ -9,8 +9,9 @@
 //     its control-flow structure;
 //  2. inter-procedural analysis: a top-down traversal of the program call
 //     graph from main, replacing user-defined calls by the callee's local
-//     graph (recursion forms a cycle; indirect calls are left as Call
-//     vertices and refined with runtime information);
+//     graph (recursion forms a cycle; an indirect call stays a Call
+//     vertex with the subtree of every address-taken function beneath
+//     it — the paper fills these in at run time, see resolve.go);
 //  3. graph contraction: MPI invocations and their enclosing control
 //     structures are always preserved; branches without MPI collapse into
 //     Comp vertices; loops without MPI nested deeper than MaxLoopDepth are
@@ -60,7 +61,7 @@ func (k Kind) String() string {
 // children is the control-dependence edge used by backtracking.
 type Vertex struct {
 	ID   int    // dense index in Graph.Vertices, assigned after contraction
-	VID  VID    // interned symbol-table ID, stable across re-finalization
+	VID  VID    // interned symbol-table ID, equal to ID (see symtab.go)
 	Key  string // stable identifier across runs and scales
 	Kind Kind
 	Name string // display name: builtin name, "loop", "branch", ...
@@ -89,8 +90,8 @@ type Vertex struct {
 	// RecursiveTo is set on KindCall vertices that close a recursion cycle:
 	// it names the ancestor instance executing the callee.
 	RecursiveTo *Instance
-	// IndirectSite marks KindCall vertices for indirect calls pending
-	// runtime refinement.
+	// IndirectSite marks the KindCall vertex of an indirect call; the
+	// subtrees of its possible targets hang beneath it.
 	IndirectSite bool
 }
 
@@ -175,7 +176,7 @@ type Instance struct {
 	calls map[minilang.NodeID]*Instance
 	// indirect maps indirect call-site nodes to the materialized target
 	// instances, by callee name (pre-filled by Build for every
-	// address-taken function; Graph.ResolveIndirect adds the rest).
+	// address-taken function; read-only afterwards).
 	indirect map[minilang.NodeID]map[string]*Instance
 	// siteVertex maps indirect call-site nodes to their Call vertex.
 	siteVertex map[minilang.NodeID]*Vertex

@@ -160,7 +160,8 @@ func (s *Store) historyPath(app string, np int) string {
 // key — content addressing makes the write idempotent. The write is
 // atomic (temp file + rename in the destination directory), and the
 // first time a given content lands its hash is appended to the (app,
-// np) history log, establishing the upload order History reports.
+// np) history log, establishing the upload order History reports. A Put
+// whose log append fails stores nothing, so retrying it logs it.
 func (s *Store) Put(app string, np int, data []byte) (Key, error) {
 	if !ValidName(app) {
 		return Key{}, badApp(app)
@@ -201,6 +202,10 @@ func (s *Store) Put(app string, np int, data []byte) (Key, error) {
 		return Key{}, fmt.Errorf("store: put %s: %w", k, err)
 	}
 	if err := s.appendHistory(app, np, k.Hash); err != nil {
+		// Un-land the set: left in place, a retry would hit the early
+		// return above and never log it, and History would adopt it later
+		// as an unlogged legacy set, in hash order instead of upload order.
+		os.Remove(path)
 		return Key{}, err
 	}
 	return k, nil
@@ -307,15 +312,6 @@ func (s *Store) Get(k Key) ([]byte, error) {
 		return nil, fmt.Errorf("store: %s: content hash mismatch (stored bytes hash to %s): %w", k, got, ErrCorrupt)
 	}
 	return data, nil
-}
-
-// Has reports whether a key is present.
-func (s *Store) Has(k Key) bool {
-	if !ValidName(k.App) || !validHash(k.Hash) || k.NP < 1 {
-		return false
-	}
-	_, err := os.Stat(s.pathFor(k))
-	return err == nil
 }
 
 // hashes lists the content hashes stored under <app>/<np>, ascending,

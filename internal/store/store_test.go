@@ -335,6 +335,57 @@ func TestHistoryLegacyUnlogged(t *testing.T) {
 	}
 }
 
+// TestPutRetryAfterFailedHistoryAppend: a Put whose history append fails
+// must store nothing, so the retry lands and logs the run at its upload
+// position. Left on disk, the set would be adopted later as an unlogged
+// legacy set — after every logged run, whatever the upload order.
+func TestPutRetryAfterFailedHistoryAppend(t *testing.T) {
+	s := open(t)
+	payA, payB, payC := []byte("run-a"), []byte("run-b"), []byte("run-c")
+	if HashOf(payB) >= HashOf(payA) {
+		t.Fatal("pick payloads with HashOf(B) < HashOf(A), so hash order cannot pass for upload order")
+	}
+	a, err := s.Put("cg", 8, payA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Make the append fail: the log's name now belongs to a directory.
+	log, saved := s.historyPath("cg", 8), s.historyPath("cg", 8)+".saved"
+	if err := os.Rename(log, saved); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(log, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	b := Key{App: "cg", NP: 8, Hash: HashOf(payB)}
+	if _, err := s.Put("cg", 8, payB); err == nil {
+		t.Fatal("Put succeeded with an unwritable history log")
+	}
+	if _, err := os.Stat(s.pathFor(b)); !os.IsNotExist(err) {
+		t.Fatalf("failed Put left %s behind (stat: %v)", s.pathFor(b), err)
+	}
+	if err := os.Remove(log); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Rename(saved, log); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Put("cg", 8, payB); err != nil {
+		t.Fatal(err)
+	}
+	c, err := s.Put("cg", 8, payC)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hist, err := s.History("cg", 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(hist) != 3 || hist[0].Key != a || hist[1].Key != b || hist[2].Key != c {
+		t.Fatalf("History = %+v, want upload order %v, %v, %v", hist, a, b, c)
+	}
+}
+
 // TestHistoryCorruptLog: a logged hash with no stored set is store
 // corruption, reported via the ErrCorrupt sentinel (a 500, not a 4xx,
 // at the serve layer).

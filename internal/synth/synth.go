@@ -176,12 +176,3 @@ func (c *Corpus) Save(path string) error {
 	}
 	return os.WriteFile(path, data, 0o644)
 }
-
-// LoadCorpus reads a corpus written by Save.
-func LoadCorpus(path string) (*Corpus, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return DecodeCorpus(data)
-}

@@ -303,7 +303,7 @@ func (m *machine) run(l *Link, f []Value) Value {
 			}
 			child := l.indirect[in.a][fnv.Fn]
 			if child == nil {
-				child = m.r.Prog.resolveSlow(l, in.a, fnv.Fn)
+				m.r.Prog.missingTarget(l, in.a, fnv.Fn)
 			}
 			if got, want := is.argc, int32(len(child.code.fn.Params)); got != want {
 				panic(fmt.Sprintf("vm: %s expects %d args, got %d", child.code.fn.Name, want, got))

@@ -2,7 +2,6 @@ package vm
 
 import (
 	"fmt"
-	"sync"
 
 	"scalana/internal/minilang"
 	"scalana/internal/psg"
@@ -19,22 +18,6 @@ type Program struct {
 	graph *psg.Graph
 	codes map[string]*Code
 	main  *Link
-
-	// mu guards links and the slow indirect-resolution path. The fast
-	// paths never take it.
-	mu    sync.Mutex
-	links map[*psg.Instance]*Link
-	// slow memoizes indirect targets resolved after linking (targets
-	// that were never address-taken, reached only by direct API use).
-	// Existing Link.indirect maps are never mutated — concurrent ranks
-	// read them without synchronization.
-	slow map[slowKey]*Link
-}
-
-type slowKey struct {
-	link   *Link
-	site   int32
-	target string
 }
 
 // Link binds one function's shared bytecode to one psg.Instance. Its
@@ -61,8 +44,6 @@ func Compile(prog *minilang.Program, graph *psg.Graph) (*Program, error) {
 		prog:  prog,
 		graph: graph,
 		codes: make(map[string]*Code, len(prog.Funcs)),
-		links: map[*psg.Instance]*Link{},
-		slow:  map[slowKey]*Link{},
 	}
 	for _, fn := range prog.Funcs {
 		code, err := compileFunc(fn)
@@ -77,17 +58,16 @@ func Compile(prog *minilang.Program, graph *psg.Graph) (*Program, error) {
 	if graph.Main == nil {
 		return nil, fmt.Errorf("vm: PSG has no main instance")
 	}
-	p.mu.Lock()
-	p.main = p.linkLocked(graph.Main)
-	p.mu.Unlock()
+	p.main = p.link(graph.Main, map[*psg.Instance]*Link{})
 	return p, nil
 }
 
-// linkLocked returns the Link for inst, building it (and, recursively,
-// its callees) on first use. The memo entry is installed before the
-// recursion so recursive call cycles resolve to the in-progress Link.
-func (p *Program) linkLocked(inst *psg.Instance) *Link {
-	if l, ok := p.links[inst]; ok {
+// link returns the Link for inst, building it (and, recursively, its
+// callees) on first use. links is Compile's memo; the entry is installed
+// before the recursion so recursive call cycles resolve to the
+// in-progress Link.
+func (p *Program) link(inst *psg.Instance, links map[*psg.Instance]*Link) *Link {
+	if l, ok := links[inst]; ok {
 		return l
 	}
 	code := p.codes[inst.Fn.Name]
@@ -98,13 +78,13 @@ func (p *Program) linkLocked(inst *psg.Instance) *Link {
 		calls:    make([]*Link, len(code.calls)),
 		indirect: make([]map[string]*Link, len(code.indirects)),
 	}
-	p.links[inst] = l
+	links[inst] = l
 	for i, id := range code.ctxNodes {
 		l.ctx[i] = inst.VertexOf(id)
 	}
 	for i := range code.calls {
 		if child := inst.CalleeInstance(code.calls[i].node); child != nil {
-			l.calls[i] = p.linkLocked(child)
+			l.calls[i] = p.link(child, links)
 		}
 	}
 	for i := range code.indirects {
@@ -114,35 +94,23 @@ func (p *Program) linkLocked(inst *psg.Instance) *Link {
 		}
 		m := make(map[string]*Link, len(targets))
 		for name, ti := range targets {
-			m[name] = p.linkLocked(ti)
+			m[name] = p.link(ti, links)
 		}
 		l.indirect[i] = m
 	}
 	return l
 }
 
-// resolveSlow handles an indirect call whose target was not
-// pre-materialized at link time. Program semantics cannot reach this
-// (function values come only from &name, and every address-taken
-// function is materialized by psg.Build), but psg keeps a slow path for
-// direct API callers and the VM mirrors it. Panics carry the
-// interpreter's messages.
-func (p *Program) resolveSlow(l *Link, site int32, target string) *Link {
+// missingTarget reports an indirect call whose target has no Link. No
+// program can get here — function values come only from &name, and
+// psg.Build materializes every address-taken function under every
+// indirect site — so this is the cold end of opCallInd, kept to fail
+// with the interpreter's exact messages rather than a nil dereference.
+func (p *Program) missingTarget(l *Link, site int32, target string) {
 	is := &l.code.indirects[site]
 	if p.prog.Func(target) == nil {
 		panic(fmt.Sprintf("%s: indirect call to unknown function %q", is.pos, target))
 	}
-	inst, err := p.graph.ResolveIndirect(l.inst, is.node, target)
-	if err != nil {
-		panic(fmt.Sprintf("%s: %v", is.pos, err))
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	key := slowKey{link: l, site: site, target: target}
-	if child, ok := p.slow[key]; ok {
-		return child
-	}
-	child := p.linkLocked(inst)
-	p.slow[key] = child
-	return child
+	_, err := p.graph.ResolveIndirect(l.inst, is.node, target)
+	panic(fmt.Sprintf("%s: %v", is.pos, err))
 }

@@ -164,10 +164,10 @@ func Run(cfg RunConfig) (*RunOutput, error) {
 // RunCompiled is the execute phase of Run: it runs an already-compiled
 // program on the simulator with the configured tool attached. The graph
 // may be shared between concurrent RunCompiled calls: a compiled graph
-// is immutable during execution — every indirect-call target a program
-// can produce is pre-materialized at compile time (psg.Build), so runs
-// only read it, and sharing one graph across a sweep changes neither
-// profiles nor detection output.
+// is immutable — psg.Build materializes every indirect-call target a
+// program can produce and nothing can add a vertex afterwards — so runs
+// only read it, with no lock, and sharing one graph across a sweep
+// changes neither profiles nor detection output.
 //
 // The tool is resolved through the registry (RegisterTool); RunCompiled
 // itself knows nothing about individual tools — it drives the generic
