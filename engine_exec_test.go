@@ -10,14 +10,12 @@ import (
 	scalana "scalana"
 )
 
-// TestEngineExecSelection hammers one Engine from concurrent goroutines
-// that alternate between the bytecode VM and the tree-walking
-// interpreter on the same app. Under -race this exercises the compile
-// cache plus the graph's single-flight bytecode compilation
-// (psg.Graph.CompileExec) when the first VM execution races other
-// selections, and it asserts every goroutine — either engine — produces
-// byte-identical encoded profiles.
-func TestEngineExecSelection(t *testing.T) {
+// TestEngineColdStartCompilesOnce races eight goroutines' first Run on a
+// cold Engine. Under -race this exercises the compile cache and the
+// graph's single-flight bytecode compilation (psg.Graph.CompileExec)
+// while every caller is still a first caller; it asserts exactly one
+// compile miss and byte-identical encoded profiles from every goroutine.
+func TestEngineColdStartCompilesOnce(t *testing.T) {
 	app := scalana.GetApp("cg")
 	cfg := prof.DefaultConfig()
 	e := scalana.NewEngine()
@@ -30,10 +28,7 @@ func TestEngineExecSelection(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			out, err := e.Run(scalana.RunConfig{
-				App: app, NP: 16, ToolName: "scalana", Prof: cfg,
-				Interp: w%2 == 1,
-			})
+			out, err := e.Run(scalana.RunConfig{App: app, NP: 16, ToolName: "scalana", Prof: cfg})
 			if err != nil {
 				errs[w] = err
 				return
@@ -45,12 +40,15 @@ func TestEngineExecSelection(t *testing.T) {
 	wg.Wait()
 	for w, err := range errs {
 		if err != nil {
-			t.Fatalf("worker %d (interp=%v): %v", w, w%2 == 1, err)
+			t.Fatalf("worker %d: %v", w, err)
 		}
 	}
 	for w := 1; w < workers; w++ {
 		if !bytes.Equal(encodings[0], encodings[w]) {
-			t.Fatalf("worker %d (interp=%v) profiles diverge from worker 0 (interp=false)", w, w%2 == 1)
+			t.Fatalf("worker %d profiles diverge from worker 0", w)
 		}
+	}
+	if st := e.CacheStats(); st.Misses != 1 || st.Hits != workers-1 {
+		t.Errorf("cold start compiled %d times (%d hits), want 1 miss and %d hits", st.Misses, st.Hits, workers-1)
 	}
 }

@@ -4,11 +4,29 @@ import (
 	"strings"
 	"testing"
 
-	"scalana/internal/interp"
 	"scalana/internal/ir"
 	"scalana/internal/mpisim"
 	"scalana/internal/psg"
+	"scalana/internal/vm"
 )
+
+// runApp executes the app on the bytecode VM, the engine the binaries run.
+func runApp(t *testing.T, app *App, cfg mpisim.Config) mpisim.RunResult {
+	t.Helper()
+	prog := app.MustParse()
+	code, err := vm.Compile(prog, psg.MustBuild(prog))
+	if err != nil {
+		t.Fatalf("compile: %v", err)
+	}
+	if app.CoreConfig != nil {
+		cfg.Core = app.CoreConfig(cfg.NP)
+	}
+	res, err := mpisim.NewWorld(cfg).Run(vm.NewRunner(code).Execute)
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	return res
+}
 
 // TestAllAppsParseAndBuild: every registered workload must compile and
 // produce a valid contracted PSG.
@@ -46,22 +64,8 @@ func TestAllAppsRun(t *testing.T) {
 			if np < 4 {
 				np = 4
 			}
-			prog := app.MustParse()
-			g := psg.MustBuild(prog)
-			run := func() mpisim.RunResult {
-				r := interp.NewRunner(prog, g)
-				cfg := mpisim.Config{NP: np, Seed: 7}
-				if app.CoreConfig != nil {
-					cfg.Core = app.CoreConfig(np)
-				}
-				res, err := r.Run(cfg)
-				if err != nil {
-					t.Fatalf("run: %v", err)
-				}
-				return res
-			}
-			a := run()
-			b := run()
+			a := runApp(t, app, mpisim.Config{NP: np, Seed: 7})
+			b := runApp(t, app, mpisim.Config{NP: np, Seed: 7})
 			if a.Elapsed != b.Elapsed {
 				t.Errorf("non-deterministic: %g vs %g", a.Elapsed, b.Elapsed)
 			}
@@ -80,17 +84,8 @@ func TestAppsStrongScaling(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
 			app := Get(name)
-			prog := app.MustParse()
-			g := psg.MustBuild(prog)
-			elapsed := func(np int) float64 {
-				r := interp.NewRunner(prog, g)
-				res, err := r.Run(mpisim.Config{NP: np})
-				if err != nil {
-					t.Fatal(err)
-				}
-				return res.Elapsed
-			}
-			t4, t16 := elapsed(4), elapsed(16)
+			t4 := runApp(t, app, mpisim.Config{NP: 4}).Elapsed
+			t16 := runApp(t, app, mpisim.Config{NP: 16}).Elapsed
 			if t16 >= t4 {
 				t.Errorf("no speedup from 4 to 16 ranks: %g -> %g", t4, t16)
 			}

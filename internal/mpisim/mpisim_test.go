@@ -582,14 +582,3 @@ func TestEventKindAndAdvanceKindStrings(t *testing.T) {
 		}
 	}
 }
-
-func TestSortedRanksByClock(t *testing.T) {
-	w := newTestWorld(3)
-	w.Run(func(p *Proc) {
-		p.Compute(float64(3-p.Rank)*1e6, 0, 0, 64)
-	})
-	order := w.SortedRanksByClock()
-	if order[0] != 2 || order[2] != 0 {
-		t.Errorf("order = %v", order)
-	}
-}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 	"sync"
 
 	"scalana/internal/machine"
@@ -322,14 +321,3 @@ func (p *Proc) Alltoall(bytes float64) { p.collective("mpi_alltoall", -1, bytes)
 
 // Allgather gathers bytes from every rank to all.
 func (p *Proc) Allgather(bytes float64) { p.collective("mpi_allgather", -1, bytes) }
-
-// SortedRanksByClock is a debugging helper returning ranks ordered by
-// their current virtual clocks.
-func (w *World) SortedRanksByClock() []int {
-	idx := make([]int, w.np)
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return w.procs[idx[a]].Clock < w.procs[idx[b]].Clock })
-	return idx
-}

@@ -344,7 +344,7 @@ func (pr *Profiler) MPIEvent(p *mpisim.Proc, ev *mpisim.Event) float64 {
 }
 
 // ObserveIndirect records a runtime indirect-call resolution; wire it to
-// interp.Runner.OnIndirect.
+// vm.Runner.OnIndirect.
 func (pr *Profiler) ObserveIndirect(rank int, inst *psg.Instance, site minilang.NodeID, target string) {
 	key := fmt.Sprintf("%s:%d#%s", inst.Path, site, target)
 	rec := pr.profile.Indirect[key]

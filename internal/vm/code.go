@@ -1,14 +1,34 @@
 package vm
 
 import (
-	"scalana/internal/interp"
+	"fmt"
+
 	"scalana/internal/minilang"
 )
 
-// Value is the MiniMP runtime value, shared with the tree-walking
-// interpreter so both execution paths agree on representation, printing,
-// and error formatting down to the byte.
-type Value = interp.Value
+// Value is a MiniMP runtime value: a number, a function reference, or an
+// array. The zero Value is the number 0. The test-only reference
+// interpreter (difftest/interp) uses this type too, so both agree on
+// representation, printing, and error formatting down to the byte.
+type Value struct {
+	Num float64
+	Fn  string    // non-empty: function reference created by &name
+	Arr []float64 // non-nil: array created by alloc(n)
+}
+
+// IsNum reports whether v is a plain number.
+func (v Value) IsNum() bool { return v.Fn == "" && v.Arr == nil }
+
+func (v Value) String() string {
+	switch {
+	case v.Fn != "":
+		return "&" + v.Fn
+	case v.Arr != nil:
+		return fmt.Sprintf("array[%d]", len(v.Arr))
+	default:
+		return fmt.Sprintf("%g", v.Num)
+	}
+}
 
 // op is a bytecode opcode. The set is deliberately close to the
 // interpreter's evaluation steps: every point where the tree-walker
@@ -26,7 +46,7 @@ const (
 
 	// Attribution and accounting.
 	opSetCtx // p.Ctx = link.ctx[a] unless nil
-	opGlue   // charge GlueIns abstract instructions
+	opGlue   // charge glueIns abstract instructions
 
 	// Control flow.
 	opJmp      // pc = a

@@ -13,9 +13,10 @@ import (
 // temporaries are allocated above the live locals and released at every
 // statement boundary.
 //
-// The compiler's contract is behavioral identity with internal/interp:
-// it emits explicit opSetCtx/opGlue instructions at exactly the points
-// the tree-walker moves the attribution context and charges glue, keeps
+// The compiler's contract is behavioral identity with the reference
+// tree-walker (internal/vm/difftest/interp): it emits explicit
+// opSetCtx/opGlue instructions at exactly the points the tree-walker
+// moves the attribution context and charges glue, keeps
 // the interpreter's left-to-right evaluation and conversion order
 // (opChkNum lets a binary operator convert its left operand before the
 // right operand runs), and reproduces the interpreter's panic messages

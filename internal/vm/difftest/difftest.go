@@ -1,10 +1,14 @@
 // Package difftest is the differential harness that holds the bytecode
-// VM and the tree-walking interpreter to identical observable behavior.
-// The interpreter is the semantic oracle: for a given workload the
-// harness executes every pipeline stage twice — once per execution
-// engine — and demands byte-identical ScalAna profiles at every scale,
+// VM to the tree-walking reference interpreter (difftest/interp), the
+// semantic oracle. For a given workload the harness executes every
+// pipeline stage twice — on the VM through scalana.RunCompiled, on the
+// oracle by driving the same public tool lifecycle itself (runOracle) —
+// and demands byte-identical ScalAna profiles at every scale,
 // byte-identical detect reports (rendered text and JSON), and identical
 // communication matrices. Any divergence is a VM bug by definition.
+//
+// Only tests import this package and the interpreter under it; CI fails
+// if either shows up in the dependencies of anything that ships.
 package difftest
 
 import (
@@ -15,8 +19,11 @@ import (
 	"scalana/internal/commmatrix"
 	"scalana/internal/detect"
 	"scalana/internal/minilang"
+	"scalana/internal/mpisim"
+	"scalana/internal/ppg"
 	"scalana/internal/prof"
 	"scalana/internal/psg"
+	"scalana/internal/vm/difftest/interp"
 
 	scalana "scalana"
 )
@@ -69,12 +76,12 @@ func DiffApp(app *scalana.App, cfg Config) error {
 	for _, np := range nps {
 		var encoded [2][]byte
 		for mode := 0; mode < 2; mode++ {
-			out, enc, err := profileOnce(prog, graph, app, np, profCfg, cfg.Seed, mode == 1)
+			pg, enc, err := profileOnce(prog, graph, app, np, profCfg, cfg.Seed, mode == 1)
 			if err != nil {
 				return err
 			}
 			encoded[mode] = enc
-			runsByMode[mode] = append(runsByMode[mode], detect.ScaleRun{NP: np, PPG: out.PPG()})
+			runsByMode[mode] = append(runsByMode[mode], detect.ScaleRun{NP: np, PPG: pg})
 		}
 		if !bytes.Equal(encoded[0], encoded[1]) {
 			return fmt.Errorf("%s np=%d: VM and interpreter profiles diverge:\n--- vm ---\n%s\n--- interp ---\n%s",
@@ -110,15 +117,15 @@ func DiffApp(app *scalana.App, cfg Config) error {
 	// Communication matrices at the smallest scale.
 	var mats [2]*commmatrix.Matrix
 	for mode := 0; mode < 2; mode++ {
-		out, err := scalana.RunCompiled(prog, graph, scalana.RunConfig{
-			App: app, NP: nps[0], ToolName: "commmatrix", Seed: cfg.Seed, Interp: mode == 1,
-		})
+		_, data, err := run(prog, graph, scalana.RunConfig{
+			App: app, NP: nps[0], ToolName: "commmatrix", Seed: cfg.Seed,
+		}, mode == 1)
 		if err != nil {
-			return fmt.Errorf("%s np=%d (interp=%v): comm matrix run: %w", app.Name, nps[0], mode == 1, err)
+			return fmt.Errorf("comm matrix run: %w", err)
 		}
-		m, ok := out.Measurement.Data().(*commmatrix.Matrix)
+		m, ok := data.(*commmatrix.Matrix)
 		if !ok {
-			return fmt.Errorf("%s: commmatrix tool produced %T, want *commmatrix.Matrix", app.Name, out.Measurement.Data())
+			return fmt.Errorf("%s: commmatrix tool produced %T, want *commmatrix.Matrix", app.Name, data)
 		}
 		mats[mode] = m
 	}
@@ -131,19 +138,73 @@ func DiffApp(app *scalana.App, cfg Config) error {
 	return nil
 }
 
-// profileOnce runs one profiled execution and returns the output plus the
-// canonical encoding of its profile set.
-func profileOnce(prog *minilang.Program, graph *psg.Graph, app *scalana.App, np int, profCfg prof.Config, seed int64, useInterp bool) (*scalana.RunOutput, []byte, error) {
-	out, err := scalana.RunCompiled(prog, graph, scalana.RunConfig{
-		App: app, NP: np, ToolName: "scalana", Prof: profCfg, Seed: seed, Interp: useInterp,
-	})
+// profileOnce runs one profiled execution on the chosen engine and
+// returns its PPG plus the canonical encoding of its profile set.
+func profileOnce(prog *minilang.Program, graph *psg.Graph, app *scalana.App, np int, profCfg prof.Config, seed int64, oracle bool) (*ppg.Graph, []byte, error) {
+	res, data, err := run(prog, graph, scalana.RunConfig{
+		App: app, NP: np, ToolName: "scalana", Prof: profCfg, Seed: seed,
+	}, oracle)
 	if err != nil {
-		return nil, nil, fmt.Errorf("%s np=%d (interp=%v): %w", app.Name, np, useInterp, err)
+		return nil, nil, err
 	}
-	ps := &prof.ProfileSet{App: app.Name, NP: np, Elapsed: out.Result.Elapsed, Profiles: out.Profiles()}
+	d, ok := data.(*scalana.ScalAnaData)
+	if !ok {
+		return nil, nil, fmt.Errorf("%s: scalana tool produced %T, want *scalana.ScalAnaData", app.Name, data)
+	}
+	ps := &prof.ProfileSet{App: app.Name, NP: np, Elapsed: res.Elapsed, Profiles: d.Profiles}
 	enc, err := ps.Encode()
 	if err != nil {
-		return nil, nil, fmt.Errorf("%s np=%d (interp=%v): encode profiles: %w", app.Name, np, useInterp, err)
+		return nil, nil, fmt.Errorf("%s np=%d (interp=%v): encode profiles: %w", app.Name, np, oracle, err)
 	}
-	return out, enc, nil
+	return d.PPG, enc, nil
+}
+
+// run executes cfg on the VM (scalana.RunCompiled) or on the oracle and
+// returns the simulator result with the tool's payload.
+func run(prog *minilang.Program, graph *psg.Graph, cfg scalana.RunConfig, oracle bool) (mpisim.RunResult, any, error) {
+	if oracle {
+		res, data, err := runOracle(prog, graph, cfg)
+		if err != nil {
+			return res, nil, fmt.Errorf("%s np=%d (interp): %w", cfg.App.Name, cfg.NP, err)
+		}
+		return res, data, nil
+	}
+	out, err := scalana.RunCompiled(prog, graph, cfg)
+	if err != nil {
+		return mpisim.RunResult{}, nil, fmt.Errorf("%s np=%d (vm): %w", cfg.App.Name, cfg.NP, err)
+	}
+	return out.Result, out.Measurement.Data(), nil
+}
+
+// runOracle executes cfg on the tree-walking interpreter. It is what
+// scalana.RunCompiled does around the VM, written against the same
+// documented tool lifecycle (scalana.ToolRun): look the tool up, NewRun,
+// HooksForRank as the world's hook factory, run, FinalizeRank per rank,
+// Finish.
+func runOracle(prog *minilang.Program, graph *psg.Graph, cfg scalana.RunConfig) (mpisim.RunResult, any, error) {
+	tool, ok := scalana.LookupTool(cfg.ToolName)
+	if !ok {
+		return mpisim.RunResult{}, nil, fmt.Errorf("no measurement tool registered as %q", cfg.ToolName)
+	}
+	trun, err := tool.NewRun(scalana.ToolContext{Config: cfg, Graph: graph})
+	if err != nil {
+		return mpisim.RunResult{}, nil, err
+	}
+	wcfg := mpisim.Config{NP: cfg.NP, Seed: cfg.Seed, HookFactory: trun.HooksForRank}
+	if cfg.App.CoreConfig != nil {
+		wcfg.Core = cfg.App.CoreConfig(cfg.NP)
+	}
+	runner := interp.NewRunner(prog, graph)
+	if obs, ok := trun.(scalana.IndirectObserver); ok {
+		runner.OnIndirect = obs.ObserveIndirect
+	}
+	res, err := mpisim.NewWorld(wcfg).Run(runner.Execute)
+	if err != nil {
+		return res, nil, err
+	}
+	for r := 0; r < cfg.NP; r++ {
+		trun.FinalizeRank(r)
+	}
+	data, err := trun.Finish()
+	return res, data, err
 }

@@ -8,12 +8,8 @@ import (
 	"scalana/internal/minilang"
 	"scalana/internal/mpisim"
 	"scalana/internal/psg"
+	"scalana/internal/vm"
 )
-
-// IndirectObserver is notified when an indirect call resolves its target
-// at run time (paper §III-B3). The ScalAna profiler records which
-// targets fired (prof.IndirectRecord); the PSG already holds them all.
-type IndirectObserver func(rank int, inst *psg.Instance, site minilang.NodeID, target string)
 
 // Runner executes one MiniMP program against a PSG.
 type Runner struct {
@@ -26,7 +22,7 @@ type Runner struct {
 	// Stdout receives print() output; nil discards it.
 	Stdout io.Writer
 	// OnIndirect observes runtime indirect-call resolution.
-	OnIndirect IndirectObserver
+	OnIndirect vm.IndirectObserver
 }
 
 // NewRunner builds a Runner with defaults.

@@ -1,16 +1,66 @@
 package interp
 
 import (
+	"fmt"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
 	"scalana/internal/minilang"
 	"scalana/internal/mpisim"
 	"scalana/internal/psg"
+	"scalana/internal/vm"
 )
 
-func runSource(t *testing.T, src string, np int) (mpisim.RunResult, *psg.Graph) {
+// outcome is everything a MiniMP run lets a test observe.
+type outcome struct {
+	mpisim.RunResult
+	Stdout   string
+	Indirect []string // resolved indirect-call targets, in resolution order
+}
+
+// runBoth executes prog at np ranks on the oracle and on the bytecode VM
+// — the engine every shipped binary runs — and fails the test unless the
+// two agree: same error text, or same per-rank clocks, elapsed time,
+// print() output and observed indirect calls. It returns the VM's
+// outcome, so every assertion a caller makes is an assertion on the VM.
+func runBoth(t testing.TB, prog *minilang.Program, g *psg.Graph, np int) (outcome, error) {
+	t.Helper()
+	code, err := vm.Compile(prog, g)
+	if err != nil {
+		t.Fatalf("vm compile: %v", err)
+	}
+	var outs [2]outcome
+	var errs [2]error
+	for i := range outs {
+		var sb strings.Builder
+		out := &outs[i]
+		observe := func(rank int, inst *psg.Instance, site minilang.NodeID, target string) {
+			out.Indirect = append(out.Indirect, target)
+		}
+		var body func(*mpisim.Proc)
+		if i == 0 {
+			r := NewRunner(prog, g)
+			r.Stdout, r.OnIndirect, body = &sb, observe, r.Execute
+		} else {
+			r := vm.NewRunner(code)
+			r.Stdout, r.OnIndirect, body = &sb, observe, r.Execute
+		}
+		out.RunResult, errs[i] = mpisim.NewWorld(mpisim.Config{NP: np}).Run(body)
+		out.Stdout = sb.String()
+	}
+	if fmt.Sprint(errs[0]) != fmt.Sprint(errs[1]) {
+		t.Fatalf("engines disagree on the error:\ninterp: %v\nvm:     %v", errs[0], errs[1])
+	}
+	if errs[1] == nil && !reflect.DeepEqual(outs[0], outs[1]) {
+		t.Fatalf("engines disagree on the outcome:\ninterp: %+v\nvm:     %+v", outs[0], outs[1])
+	}
+	return outs[1], errs[1]
+}
+
+// mustRunBoth is runBoth on source text; a failing run fails the test.
+func mustRunBoth(t testing.TB, src string, np int) (outcome, *psg.Graph) {
 	t.Helper()
 	prog, err := minilang.Parse("test.mp", src)
 	if err != nil {
@@ -20,31 +70,29 @@ func runSource(t *testing.T, src string, np int) (mpisim.RunResult, *psg.Graph) 
 	if err != nil {
 		t.Fatalf("psg: %v", err)
 	}
-	r := NewRunner(prog, g)
-	res, err := r.Run(mpisim.Config{NP: np})
+	out, err := runBoth(t, prog, g, np)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	return res, g
+	return out, g
+}
+
+func runSource(t *testing.T, src string, np int) (mpisim.RunResult, *psg.Graph) {
+	t.Helper()
+	out, g := mustRunBoth(t, src, np)
+	return out.RunResult, g
 }
 
 func TestSequentialArithmetic(t *testing.T) {
-	var sb strings.Builder
-	prog := minilang.MustParse("test.mp", `
+	out, _ := mustRunBoth(t, `
 func main() {
 	var x = 3;
 	var y = x * 4 + 2;
 	var z = pow(2, 10);
 	print("y=", y, "z=", z, "mod=", 17 % 5);
 }
-`)
-	g := psg.MustBuild(prog)
-	r := NewRunner(prog, g)
-	r.Stdout = &sb
-	if _, err := r.Run(mpisim.Config{NP: 1}); err != nil {
-		t.Fatal(err)
-	}
-	got := sb.String()
+`, 1)
+	got := out.Stdout
 	want := "[rank 0] y= 14 z= 1024 mod= 2\n"
 	if got != want {
 		t.Errorf("output = %q, want %q", got, want)
@@ -139,8 +187,7 @@ func main() {
 }
 
 func TestRecvAnyReturnsSource(t *testing.T) {
-	var sb strings.Builder
-	prog := minilang.MustParse("test.mp", `
+	out, _ := mustRunBoth(t, `
 func main() {
 	var rank = mpi_rank();
 	if (rank == 0) {
@@ -150,21 +197,14 @@ func main() {
 		mpi_send(0, 5, 64);
 	}
 }
-`)
-	g := psg.MustBuild(prog)
-	r := NewRunner(prog, g)
-	r.Stdout = &sb
-	if _, err := r.Run(mpisim.Config{NP: 2}); err != nil {
-		t.Fatal(err)
-	}
-	if want := "[rank 0] got from 1\n"; sb.String() != want {
-		t.Errorf("output = %q, want %q", sb.String(), want)
+`, 2)
+	if want := "[rank 0] got from 1\n"; out.Stdout != want {
+		t.Errorf("output = %q, want %q", out.Stdout, want)
 	}
 }
 
 func TestUserFunctionsAndRecursion(t *testing.T) {
-	var sb strings.Builder
-	prog := minilang.MustParse("test.mp", `
+	out, _ := mustRunBoth(t, `
 func fib(n) {
 	if (n < 2) { return n; }
 	return fib(n - 1) + fib(n - 2);
@@ -172,21 +212,14 @@ func fib(n) {
 func main() {
 	print("fib10=", fib(10));
 }
-`)
-	g := psg.MustBuild(prog)
-	r := NewRunner(prog, g)
-	r.Stdout = &sb
-	if _, err := r.Run(mpisim.Config{NP: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if want := "[rank 0] fib10= 55\n"; sb.String() != want {
-		t.Errorf("output = %q, want %q", sb.String(), want)
+`, 1)
+	if want := "[rank 0] fib10= 55\n"; out.Stdout != want {
+		t.Errorf("output = %q, want %q", out.Stdout, want)
 	}
 }
 
 func TestIndirectCallResolvesAndRuns(t *testing.T) {
-	var sb strings.Builder
-	prog := minilang.MustParse("test.mp", `
+	out, g := mustRunBoth(t, `
 func double(x) { return x * 2; }
 func triple(x) { return x * 3; }
 func main() {
@@ -196,22 +229,12 @@ func main() {
 	}
 	print("r=", f(7));
 }
-`)
-	g := psg.MustBuild(prog)
-	r := NewRunner(prog, g)
-	r.Stdout = &sb
-	var observed []string
-	r.OnIndirect = func(rank int, inst *psg.Instance, site minilang.NodeID, target string) {
-		observed = append(observed, target)
+`, 1)
+	if want := "[rank 0] r= 14\n"; out.Stdout != want {
+		t.Errorf("output = %q, want %q", out.Stdout, want)
 	}
-	if _, err := r.Run(mpisim.Config{NP: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if want := "[rank 0] r= 14\n"; sb.String() != want {
-		t.Errorf("output = %q, want %q", sb.String(), want)
-	}
-	if len(observed) != 1 || observed[0] != "double" {
-		t.Errorf("indirect observations = %v, want [double]", observed)
+	if len(out.Indirect) != 1 || out.Indirect[0] != "double" {
+		t.Errorf("indirect observations = %v, want [double]", out.Indirect)
 	}
 	if err := g.CheckInvariants(); err != nil {
 		t.Errorf("graph invariants after refinement: %v", err)
@@ -219,8 +242,7 @@ func main() {
 }
 
 func TestArraysAndWhile(t *testing.T) {
-	var sb strings.Builder
-	prog := minilang.MustParse("test.mp", `
+	out, _ := mustRunBoth(t, `
 func main() {
 	var a = alloc(10);
 	var i = 0;
@@ -234,15 +256,9 @@ func main() {
 	}
 	print("sum=", sum);
 }
-`)
-	g := psg.MustBuild(prog)
-	r := NewRunner(prog, g)
-	r.Stdout = &sb
-	if _, err := r.Run(mpisim.Config{NP: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if want := "[rank 0] sum= 285\n"; sb.String() != want {
-		t.Errorf("output = %q, want %q", sb.String(), want)
+`, 1)
+	if want := "[rank 0] sum= 285\n"; out.Stdout != want {
+		t.Errorf("output = %q, want %q", out.Stdout, want)
 	}
 }
 
@@ -277,9 +293,7 @@ func main() {
 	a[5] = 1;
 }
 `)
-	g := psg.MustBuild(prog)
-	r := NewRunner(prog, g)
-	if _, err := r.Run(mpisim.Config{NP: 2}); err == nil {
+	if _, err := runBoth(t, prog, psg.MustBuild(prog), 2); err == nil {
 		t.Fatal("expected out-of-range error, got nil")
 	}
 }

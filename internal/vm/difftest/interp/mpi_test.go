@@ -8,26 +8,19 @@ import (
 	"scalana/internal/minilang"
 	"scalana/internal/mpisim"
 	"scalana/internal/psg"
+	"scalana/internal/vm"
 )
 
 func mustRun(t *testing.T, src string, np int) mpisim.RunResult {
 	t.Helper()
-	prog := minilang.MustParse("t.mp", src)
-	g := psg.MustBuild(prog)
-	r := NewRunner(prog, g)
-	res, err := r.Run(mpisim.Config{NP: np})
-	if err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	return res
+	out, _ := mustRunBoth(t, src, np)
+	return out.RunResult
 }
 
 func mustFail(t *testing.T, src string, np int, substr string) {
 	t.Helper()
 	prog := minilang.MustParse("t.mp", src)
-	g := psg.MustBuild(prog)
-	r := NewRunner(prog, g)
-	_, err := r.Run(mpisim.Config{NP: np})
+	_, err := runBoth(t, prog, psg.MustBuild(prog), np)
 	if err == nil {
 		t.Fatalf("expected error containing %q", substr)
 	}
@@ -36,8 +29,8 @@ func mustFail(t *testing.T, src string, np int, substr string) {
 	}
 }
 
-// TestAllCollectives drives every collective builtin through the
-// interpreter.
+// TestAllCollectives drives every collective builtin through both
+// engines.
 func TestAllCollectives(t *testing.T) {
 	res := mustRun(t, `
 func main() {
@@ -109,19 +102,12 @@ func TestRuntimeErrors(t *testing.T) {
 }
 
 func TestMathBuiltins(t *testing.T) {
-	var sb strings.Builder
-	prog := minilang.MustParse("t.mp", `
+	out, _ := mustRunBoth(t, `
 func main() {
 	print(sqrt(81), log2(8), exp(0), floor(2.9), ceil(2.1), abs(0 - 5), log(1));
-}`)
-	g := psg.MustBuild(prog)
-	r := NewRunner(prog, g)
-	r.Stdout = &sb
-	if _, err := r.Run(mpisim.Config{NP: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if want := "[rank 0] 9 3 1 2 3 5 0\n"; sb.String() != want {
-		t.Errorf("output = %q, want %q", sb.String(), want)
+}`, 1)
+	if want := "[rank 0] 9 3 1 2 3 5 0\n"; out.Stdout != want {
+		t.Errorf("output = %q, want %q", out.Stdout, want)
 	}
 }
 
@@ -142,8 +128,7 @@ func main() {
 }
 
 func TestElseIfChains(t *testing.T) {
-	var sb strings.Builder
-	prog := minilang.MustParse("t.mp", `
+	out, _ := mustRunBoth(t, `
 func classify(x) {
 	if (x < 0) { return 0 - 1; }
 	else if (x == 0) { return 0; }
@@ -152,41 +137,27 @@ func classify(x) {
 }
 func main() {
 	print(classify(0 - 5), classify(0), classify(5), classify(50));
-}`)
-	g := psg.MustBuild(prog)
-	r := NewRunner(prog, g)
-	r.Stdout = &sb
-	if _, err := r.Run(mpisim.Config{NP: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if want := "[rank 0] -1 0 1 2\n"; sb.String() != want {
-		t.Errorf("output = %q, want %q", sb.String(), want)
+}`, 1)
+	if want := "[rank 0] -1 0 1 2\n"; out.Stdout != want {
+		t.Errorf("output = %q, want %q", out.Stdout, want)
 	}
 }
 
 func TestNestedFunctionCallsAcrossInstances(t *testing.T) {
-	var sb strings.Builder
-	prog := minilang.MustParse("t.mp", `
+	out, _ := mustRunBoth(t, `
 func inner(x) { return x * x; }
 func outer(x) { return inner(x) + inner(x + 1); }
 func main() {
 	print(outer(2) + outer(3));
-}`)
-	g := psg.MustBuild(prog)
-	r := NewRunner(prog, g)
-	r.Stdout = &sb
-	if _, err := r.Run(mpisim.Config{NP: 1}); err != nil {
-		t.Fatal(err)
-	}
+}`, 1)
 	// outer(2)=4+9=13, outer(3)=9+16=25 -> 38
-	if want := "[rank 0] 38\n"; sb.String() != want {
-		t.Errorf("output = %q, want %q", sb.String(), want)
+	if want := "[rank 0] 38\n"; out.Stdout != want {
+		t.Errorf("output = %q, want %q", out.Stdout, want)
 	}
 }
 
 func TestWhileWithBreakContinue(t *testing.T) {
-	var sb strings.Builder
-	prog := minilang.MustParse("t.mp", `
+	out, _ := mustRunBoth(t, `
 func main() {
 	var s = 0;
 	var i = 0;
@@ -197,15 +168,9 @@ func main() {
 		s = s + i;
 	}
 	print(s); // 1+3+5+7+9 = 25
-}`)
-	g := psg.MustBuild(prog)
-	r := NewRunner(prog, g)
-	r.Stdout = &sb
-	if _, err := r.Run(mpisim.Config{NP: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if want := "[rank 0] 25\n"; sb.String() != want {
-		t.Errorf("output = %q, want %q", sb.String(), want)
+}`, 1)
+	if want := "[rank 0] 25\n"; out.Stdout != want {
+		t.Errorf("output = %q, want %q", out.Stdout, want)
 	}
 }
 
@@ -218,24 +183,32 @@ func main() {
 	mpi_barrier();
 }`)
 	g := psg.MustBuild(prog)
-	var events []*mpisim.Event
-	hook := &ctxCapture{events: &events}
-	r := NewRunner(prog, g)
-	world := mpisim.NewWorld(mpisim.Config{NP: 2, HookFactory: func(rank int) []mpisim.Hook {
-		if rank == 0 {
-			return []mpisim.Hook{hook}
-		}
-		return nil
-	}})
-	if _, err := world.Run(r.Execute); err != nil {
+	code, err := vm.Compile(prog, g)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if len(events) != 1 {
-		t.Fatalf("%d events", len(events))
-	}
-	v, ok := events[0].Ctx.(*psg.Vertex)
-	if !ok || v.Kind != psg.KindMPI || v.Name != "mpi_barrier" {
-		t.Errorf("event ctx = %v", events[0].Ctx)
+	for name, body := range map[string]func(*mpisim.Proc){
+		"interp": NewRunner(prog, g).Execute,
+		"vm":     vm.NewRunner(code).Execute,
+	} {
+		var events []*mpisim.Event
+		hook := &ctxCapture{events: &events}
+		world := mpisim.NewWorld(mpisim.Config{NP: 2, HookFactory: func(rank int) []mpisim.Hook {
+			if rank == 0 {
+				return []mpisim.Hook{hook}
+			}
+			return nil
+		}})
+		if _, err := world.Run(body); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if len(events) != 1 {
+			t.Fatalf("%s: %d events", name, len(events))
+		}
+		v, ok := events[0].Ctx.(*psg.Vertex)
+		if !ok || v.Kind != psg.KindMPI || v.Name != "mpi_barrier" {
+			t.Errorf("%s: event ctx = %v", name, events[0].Ctx)
+		}
 	}
 }
 

@@ -57,16 +57,13 @@ func TestInterpreterArithmeticProperty(t *testing.T) {
 			t.Logf("generated source failed to parse: %s: %v", src, err)
 			return false
 		}
-		g := psg.MustBuild(prog)
-		var sb strings.Builder
-		r := NewRunner(prog, g)
-		r.Stdout = &sb
-		if _, err := r.Run(mpisim.Config{NP: 1}); err != nil {
+		out, err := runBoth(t, prog, psg.MustBuild(prog), 1)
+		if err != nil {
 			t.Logf("run failed: %s: %v", src, err)
 			return false
 		}
 		var got float64
-		if _, err := fmt.Sscanf(strings.TrimPrefix(sb.String(), "[rank 0] "), "%g", &got); err != nil {
+		if _, err := fmt.Sscanf(strings.TrimPrefix(out.Stdout, "[rank 0] "), "%g", &got); err != nil {
 			return false
 		}
 		if math.IsNaN(want) {
@@ -89,16 +86,9 @@ func main() {
 	for (var i = 0; i < %d; i = i + 1) { s = s + i; }
 	print(s);
 }`, n)
-		prog := minilang.MustParse("gen.mp", src)
-		g := psg.MustBuild(prog)
-		var sb strings.Builder
-		r := NewRunner(prog, g)
-		r.Stdout = &sb
-		if _, err := r.Run(mpisim.Config{NP: 1}); err != nil {
-			return false
-		}
+		out, _ := mustRunBoth(t, src, 1)
 		want := fmt.Sprintf("[rank 0] %d\n", n*(n-1)/2)
-		return sb.String() == want
+		return out.Stdout == want
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
@@ -110,7 +100,7 @@ func main() {
 func TestRingProperty(t *testing.T) {
 	prev := 0.0
 	for _, np := range []int{2, 4, 8, 16} {
-		prog := minilang.MustParse("ring.mp", `
+		res := mustRun(t, `
 func main() {
 	var rank = mpi_rank();
 	var np = mpi_size();
@@ -121,13 +111,7 @@ func main() {
 		mpi_recv(rank - 1, 0, 64);
 		mpi_send((rank + 1) % np, 0, 64);
 	}
-}`)
-		g := psg.MustBuild(prog)
-		r := NewRunner(prog, g)
-		res, err := r.Run(mpisim.Config{NP: np})
-		if err != nil {
-			t.Fatalf("np=%d: %v", np, err)
-		}
+}`, np)
 		if res.Elapsed <= prev {
 			t.Errorf("ring of %d not slower than smaller ring: %g <= %g", np, res.Elapsed, prev)
 		}
@@ -145,13 +129,13 @@ func main() {
 }`)
 	g := psg.MustBuild(prog)
 	withGlue := NewRunner(prog, g)
-	res1, err := withGlue.Run(mpisim.Config{NP: 1})
+	res1, err := mpisim.NewWorld(mpisim.Config{NP: 1}).Run(withGlue.Execute)
 	if err != nil {
 		t.Fatal(err)
 	}
 	noGlue := NewRunner(prog, g)
 	noGlue.GlueIns = 0
-	res2, err := noGlue.Run(mpisim.Config{NP: 1})
+	res2, err := mpisim.NewWorld(mpisim.Config{NP: 1}).Run(noGlue.Execute)
 	if err != nil {
 		t.Fatal(err)
 	}

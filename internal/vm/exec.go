@@ -5,28 +5,33 @@ import (
 	"io"
 	"math"
 
-	"scalana/internal/interp"
 	"scalana/internal/minilang"
 	"scalana/internal/mpisim"
+	"scalana/internal/psg"
 )
 
-// Runner executes a compiled Program on simulated ranks. It is the
-// bytecode counterpart of interp.Runner and keeps the same knobs so the
-// two are drop-in interchangeable behind scalana.RunCompiled.
+// glueIns is the abstract instruction count charged per statement,
+// modelling the scalar bookkeeping code between the bulk compute/MPI
+// operations.
+const glueIns = 24
+
+// IndirectObserver is notified when an indirect call resolves its target
+// at run time (paper §III-B3). The ScalAna profiler records which
+// targets fired (prof.IndirectRecord); the PSG already holds them all.
+type IndirectObserver func(rank int, inst *psg.Instance, site minilang.NodeID, target string)
+
+// Runner executes a compiled Program on simulated ranks.
 type Runner struct {
 	Prog *Program
-	// GlueIns is the abstract instruction count charged per statement,
-	// identical in meaning to interp.Runner.GlueIns.
-	GlueIns float64
 	// Stdout receives print() output; nil discards it.
 	Stdout io.Writer
 	// OnIndirect observes runtime indirect-call resolution.
-	OnIndirect interp.IndirectObserver
+	OnIndirect IndirectObserver
 }
 
-// NewRunner builds a Runner with the interpreter's defaults.
+// NewRunner builds a Runner for p.
 func NewRunner(p *Program) *Runner {
-	return &Runner{Prog: p, GlueIns: 24}
+	return &Runner{Prog: p}
 }
 
 // Execute runs the program's main function on rank p. It is the body
@@ -146,9 +151,7 @@ func (m *machine) run(l *Link, f []Value) Value {
 				p.Ctx = v
 			}
 		case opGlue:
-			if m.r.GlueIns > 0 {
-				p.Glue(m.r.GlueIns)
-			}
+			p.Glue(glueIns)
 		case opJmp:
 			pc = int(in.a)
 		case opJmpFalse:

@@ -12,13 +12,13 @@ import (
 	"reflect"
 	"testing"
 
-	"scalana/internal/interp"
 	"scalana/internal/machine"
 	"scalana/internal/minilang"
 	"scalana/internal/mpisim"
 	"scalana/internal/psg"
 	"scalana/internal/synth"
 	"scalana/internal/vm"
+	"scalana/internal/vm/difftest/interp"
 )
 
 // recEvent is one MPI event with the opaque attribution contexts

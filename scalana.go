@@ -24,15 +24,12 @@ import (
 
 	"scalana/internal/apps"
 	"scalana/internal/detect"
-	"scalana/internal/hpctk"
-	"scalana/internal/interp"
 	"scalana/internal/minilang"
 	"scalana/internal/mpisim"
 	"scalana/internal/par"
 	"scalana/internal/ppg"
 	"scalana/internal/prof"
 	"scalana/internal/psg"
-	"scalana/internal/trace"
 	"scalana/internal/vm"
 )
 
@@ -79,10 +76,6 @@ type RunConfig struct {
 	ToolName string
 	// Prof configures the ScalAna profiler (zero value = paper defaults).
 	Prof prof.Config
-	// Trace configures the tracer baseline (zero value = defaults).
-	Trace trace.Config
-	// CallPath configures the call-path profiler baseline.
-	CallPath hpctk.Config
 	// ToolOptions carries configuration for externally registered tools;
 	// their NewRun type-asserts it (nil = tool defaults).
 	ToolOptions any
@@ -92,11 +85,6 @@ type RunConfig struct {
 	Stdout io.Writer
 	// PSGOptions overrides contraction settings (zero value = defaults).
 	PSGOptions psg.Options
-	// Interp executes on the tree-walking interpreter instead of the
-	// bytecode VM. Oracle-only: it is how internal/vm/difftest holds the
-	// two engines to byte-identical reports, and the only selector — no
-	// CLI flag, request field, or sweep option reaches it.
-	Interp bool
 }
 
 // RunOutput is the result of one execution.
@@ -117,14 +105,6 @@ type RunOutput struct {
 // only). Compatibility accessor for Measurement.Profiles.
 func (o *RunOutput) Profiles() []*prof.RankProfile { return o.Measurement.Profiles() }
 
-// Traces returns the per-rank traces ("tracer" tool runs only).
-// Compatibility accessor for Measurement.Traces.
-func (o *RunOutput) Traces() []*trace.RankTrace { return o.Measurement.Traces() }
-
-// CtxProfiles returns the per-rank call-path profiles ("hpctk" tool runs
-// only). Compatibility accessor for Measurement.CtxProfiles.
-func (o *RunOutput) CtxProfiles() []*hpctk.RankProfile { return o.Measurement.CtxProfiles() }
-
 // PPG returns the assembled Program Performance Graph ("scalana" tool
 // runs only). Compatibility accessor for Measurement.PPG.
 func (o *RunOutput) PPG() *ppg.Graph { return o.Measurement.PPG() }
@@ -139,8 +119,9 @@ func validateRunConfig(cfg RunConfig) error {
 	if cfg.App == nil {
 		return fmt.Errorf("scalana: RunConfig.App is nil")
 	}
-	if cfg.NP < cfg.App.MinNP {
-		return fmt.Errorf("scalana: %s requires at least %d ranks, got %d", cfg.App.Name, cfg.App.MinNP, cfg.NP)
+	// An unregistered app's MinNP is 0; the simulator needs one rank.
+	if minNP := max(1, cfg.App.MinNP); cfg.NP < minNP {
+		return fmt.Errorf("scalana: %s requires at least %d ranks, got %d", cfg.App.Name, minNP, cfg.NP)
 	}
 	return nil
 }
@@ -204,17 +185,23 @@ func RunCompiled(prog *minilang.Program, graph *psg.Graph, cfg RunConfig) (*RunO
 		wcfg.HookFactory = trun.HooksForRank
 	}
 
-	var observe interp.IndirectObserver
-	if obs, ok := trun.(IndirectObserver); ok {
-		observe = obs.ObserveIndirect
-	}
-	body, err := executionBody(prog, graph, cfg, observe)
+	// The bytecode is cached on the graph, so the sweep-wide sharing the
+	// Engine arranges for graphs extends to it: compile once, execute at
+	// every scale.
+	cached, err := graph.CompileExec(func() (any, error) {
+		return vm.Compile(prog, graph)
+	})
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("scalana: compile bytecode for %s: %w", cfg.App.Name, err)
+	}
+	runner := vm.NewRunner(cached.(*vm.Program))
+	runner.Stdout = cfg.Stdout
+	if obs, ok := trun.(IndirectObserver); ok {
+		runner.OnIndirect = obs.ObserveIndirect
 	}
 
 	world := mpisim.NewWorld(wcfg)
-	res, err := world.Run(body)
+	res, err := world.Run(runner.Execute)
 	if err != nil {
 		return nil, fmt.Errorf("scalana: run %s np=%d: %w", cfg.App.Name, cfg.NP, err)
 	}
@@ -240,30 +227,6 @@ func RunCompiled(prog *minilang.Program, graph *psg.Graph, cfg RunConfig) (*RunO
 	}
 	out.Measurement = m
 	return out, nil
-}
-
-// executionBody selects the execution path for one run: the bytecode VM
-// by default, the tree-walking interpreter when cfg.Interp is set. The
-// VM's compiled program is cached on the graph (psg.Graph.CompileExec),
-// so the sweep-wide sharing the Engine arranges for graphs extends to
-// bytecode: compile once, execute at every scale.
-func executionBody(prog *minilang.Program, graph *psg.Graph, cfg RunConfig, observe interp.IndirectObserver) (func(*mpisim.Proc), error) {
-	if cfg.Interp {
-		runner := interp.NewRunner(prog, graph)
-		runner.Stdout = cfg.Stdout
-		runner.OnIndirect = observe
-		return runner.Execute, nil
-	}
-	cached, err := graph.CompileExec(func() (any, error) {
-		return vm.Compile(prog, graph)
-	})
-	if err != nil {
-		return nil, fmt.Errorf("scalana: compile bytecode for %s: %w", cfg.App.Name, err)
-	}
-	runner := vm.NewRunner(cached.(*vm.Program))
-	runner.Stdout = cfg.Stdout
-	runner.OnIndirect = observe
-	return runner.Execute, nil
 }
 
 // Sweep profiles the app with ScalAna at each scale in nps and returns the

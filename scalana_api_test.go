@@ -15,6 +15,17 @@ func TestRunConfigValidation(t *testing.T) {
 	if _, err := Run(RunConfig{App: GetApp("zeusmp"), NP: 2}); err == nil {
 		t.Error("np below MinNP should error")
 	}
+	// An unregistered app has MinNP 0, so only the NP >= 1 check stands
+	// between these and mpisim.NewWorld's panic.
+	adhoc := &App{Name: "x", Source: "func main() { mpi_barrier(); }"}
+	for _, np := range []int{0, -1} {
+		if _, err := Run(RunConfig{App: adhoc, NP: np}); err == nil {
+			t.Errorf("np=%d should error", np)
+		}
+		if _, err := NewEngine().Sweep(adhoc, []int{2, np}, SweepConfig{Parallelism: 1}); err == nil {
+			t.Errorf("sweep with scale %d should error", np)
+		}
+	}
 }
 
 func TestGetAppAndNames(t *testing.T) {
@@ -52,11 +63,11 @@ func TestRunProducesToolOutputs(t *testing.T) {
 		has  func(*RunOutput) bool
 	}{
 		{"", func(o *RunOutput) bool {
-			return o.Profiles() == nil && o.Traces() == nil && o.CtxProfiles() == nil && o.StorageBytes() == 0
+			return o.Profiles() == nil && o.Measurement.Traces() == nil && o.Measurement.CtxProfiles() == nil && o.StorageBytes() == 0
 		}},
 		{"scalana", func(o *RunOutput) bool { return len(o.Profiles()) == 8 && o.PPG() != nil && o.StorageBytes() > 0 }},
-		{"tracer", func(o *RunOutput) bool { return len(o.Traces()) == 8 && o.StorageBytes() > 0 }},
-		{"hpctk", func(o *RunOutput) bool { return len(o.CtxProfiles()) == 8 && o.StorageBytes() > 0 }},
+		{"tracer", func(o *RunOutput) bool { return len(o.Measurement.Traces()) == 8 && o.StorageBytes() > 0 }},
+		{"hpctk", func(o *RunOutput) bool { return len(o.Measurement.CtxProfiles()) == 8 && o.StorageBytes() > 0 }},
 	} {
 		out, err := Run(RunConfig{App: app, NP: 8, ToolName: tc.tool})
 		if err != nil {

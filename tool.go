@@ -39,9 +39,9 @@ type MeasurementTool interface {
 // ToolContext carries the per-run inputs a MeasurementTool needs to set
 // up collection.
 type ToolContext struct {
-	// Config is the full run configuration: App, NP, Seed, the typed
-	// config sections of the bundled tools, and ToolOptions for
-	// externally registered ones.
+	// Config is the full run configuration: App, NP, Seed, Prof for the
+	// bundled ScalAna profiler, and ToolOptions for externally registered
+	// tools.
 	Config RunConfig
 	// Graph is the compiled PSG the run executes against. It is shared
 	// and immutable during execution; tools may read it freely.
@@ -70,9 +70,9 @@ type ToolRun interface {
 
 // IndirectObserver is optionally implemented by a ToolRun that wants
 // runtime indirect-call resolutions (paper §III-B3). When implemented,
-// the interpreter reports every resolved indirect call; rank is the
-// resolving rank, and calls arrive concurrently across ranks (but in
-// order within one rank).
+// the VM reports every resolved indirect call; rank is the resolving
+// rank, and calls arrive concurrently across ranks (but in order within
+// one rank).
 type IndirectObserver interface {
 	ObserveIndirect(rank int, inst *psg.Instance, site minilang.NodeID, target string)
 }

@@ -146,7 +146,7 @@ func TestMeasurementAccessorsNilSafe(t *testing.T) {
 	if out.Measurement != nil || out.Tool != "" {
 		t.Fatalf("bare run should carry no measurement, got tool %q", out.Tool)
 	}
-	if out.Profiles() != nil || out.Traces() != nil || out.CtxProfiles() != nil ||
+	if out.Profiles() != nil || out.Measurement.Traces() != nil || out.Measurement.CtxProfiles() != nil ||
 		out.PPG() != nil || out.StorageBytes() != 0 {
 		t.Error("nil-Measurement accessors should return zero values")
 	}

@@ -90,26 +90,20 @@ func (tracerTool) Description() string {
 }
 
 func (tracerTool) NewRun(tc ToolContext) (ToolRun, error) {
-	c := tc.Config.Trace
-	if c.EventCost == 0 {
-		c = trace.DefaultConfig()
-	}
 	np := tc.Config.NP
 	return &tracerRun{
-		cfg:     c,
 		tracers: make([]*trace.Tracer, np),
 		traces:  make([]*trace.RankTrace, np),
 	}, nil
 }
 
 type tracerRun struct {
-	cfg     trace.Config
 	tracers []*trace.Tracer
 	traces  []*trace.RankTrace
 }
 
 func (r *tracerRun) HooksForRank(rank int) []mpisim.Hook {
-	tr := trace.New(r.cfg, rank)
+	tr := trace.New(trace.DefaultConfig(), rank)
 	r.tracers[rank] = tr
 	return []mpisim.Hook{tr}
 }
@@ -131,26 +125,20 @@ func (callPathTool) Description() string {
 }
 
 func (callPathTool) NewRun(tc ToolContext) (ToolRun, error) {
-	c := tc.Config.CallPath
-	if c.SampleHz == 0 {
-		c = hpctk.DefaultConfig()
-	}
 	np := tc.Config.NP
 	return &callPathRun{
-		cfg:       c,
 		profilers: make([]*hpctk.Profiler, np),
 		profiles:  make([]*hpctk.RankProfile, np),
 	}, nil
 }
 
 type callPathRun struct {
-	cfg       hpctk.Config
 	profilers []*hpctk.Profiler
 	profiles  []*hpctk.RankProfile
 }
 
 func (r *callPathRun) HooksForRank(rank int) []mpisim.Hook {
-	pr := hpctk.New(r.cfg, rank)
+	pr := hpctk.New(hpctk.DefaultConfig(), rank)
 	r.profilers[rank] = pr
 	return []mpisim.Hook{pr}
 }
