@@ -118,26 +118,10 @@ type rankPart struct {
 // buckets are keyed by (vertex, rank) and therefore never shared between
 // ranks; their final order comes from the deterministic sort below.
 func Build(g *psg.Graph, profiles []*prof.RankProfile) (*Graph, error) {
-	if len(profiles) == 0 {
-		return nil, fmt.Errorf("ppg: no profiles")
+	if err := prof.CheckRanks(profiles); err != nil {
+		return nil, err
 	}
-	np := profiles[0].NP
-	if len(profiles) != np {
-		return nil, fmt.Errorf("ppg: got %d profiles for np=%d", len(profiles), np)
-	}
-	seen := make([]bool, np)
-	for _, rp := range profiles {
-		if rp.NP != np {
-			return nil, fmt.Errorf("ppg: profile for rank %d has np=%d, want %d", rp.Rank, rp.NP, np)
-		}
-		if rp.Rank < 0 || rp.Rank >= np {
-			return nil, fmt.Errorf("ppg: profile rank %d out of range", rp.Rank)
-		}
-		if seen[rp.Rank] {
-			return nil, fmt.Errorf("ppg: duplicate profile for rank %d", rp.Rank)
-		}
-		seen[rp.Rank] = true
-	}
+	np := len(profiles)
 	nv := g.NumVIDs()
 	for _, rp := range profiles {
 		// VIDs are dense per graph instance: a profile collected against a

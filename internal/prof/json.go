@@ -1,12 +1,12 @@
 package prof
 
-// JSON wire format. This is one of the two places where stable string
-// vertex keys survive the VID interning refactor (the other is report
-// rendering): profiles on disk must outlive the process whose symbol
-// table assigned the VIDs, so every VID converts back to its interned
-// key on the way out and re-interns on the way in. The byte format is
-// unchanged from the pre-VID representation — profile directories
-// written by older builds still load.
+// JSON wire format, write side. This is one of the two places where
+// stable string vertex keys survive the VID interning refactor (the other
+// is report rendering): profiles on disk must outlive the process whose
+// symbol table assigned the VIDs, so every VID converts back to its
+// interned key on the way out and re-interns on the way in (decode.go).
+// The byte format is unchanged from the pre-VID representation — profile
+// directories written by older builds still load.
 
 import (
 	"encoding/json"
@@ -118,61 +118,6 @@ func (rp *RankProfile) MarshalJSON() ([]byte, error) {
 	return json.Marshal(dto)
 }
 
-// fromDTO re-interns a wire profile against g's symbol table.
-func (dto *rankProfileDTO) fromDTO(g *psg.Graph) (*RankProfile, error) {
-	rp := NewRankProfile(g, dto.Rank, dto.NP)
-	vidOf := func(key string) (psg.VID, error) {
-		vid, ok := g.VIDOf(key)
-		if !ok {
-			return 0, fmt.Errorf("rank %d profile names vertex %q, which the compiled graph does not contain (profile/app mismatch?)", dto.Rank, key)
-		}
-		return vid, nil
-	}
-	vkeys := make([]string, 0, len(dto.Vertex))
-	for key := range dto.Vertex {
-		vkeys = append(vkeys, key)
-	}
-	sort.Strings(vkeys)
-	for _, key := range vkeys {
-		vid, err := vidOf(key)
-		if err != nil {
-			return nil, err
-		}
-		pd := dto.Vertex[key]
-		if pd == nil {
-			return nil, fmt.Errorf("rank %d profile has a null record for vertex %q", dto.Rank, key)
-		}
-		rp.Vertex[vid] = *pd
-	}
-	for _, rec := range dto.Comm {
-		if rec == nil {
-			return nil, fmt.Errorf("rank %d profile has a null communication record", dto.Rank)
-		}
-		vid, err := vidOf(rec.VertexKey)
-		if err != nil {
-			return nil, err
-		}
-		dep := psg.VIDNone
-		if rec.DepVertex != "" {
-			if dep, err = vidOf(rec.DepVertex); err != nil {
-				return nil, err
-			}
-		}
-		key := CommKey{
-			VID: vid, Op: rec.Op, DepRank: rec.DepRank, DepVID: dep,
-			Tag: rec.Tag, Bytes: rec.Bytes, Collective: rec.Collective,
-		}
-		rp.Comm[key] = &CommRecord{CommKey: key, Count: rec.Count, TotalWait: rec.TotalWait, MaxWait: rec.MaxWait}
-	}
-	for _, rec := range dto.Indirect {
-		if rec == nil {
-			return nil, fmt.Errorf("rank %d profile has a null indirect-call record", dto.Rank)
-		}
-		rp.Indirect[fmt.Sprintf("%s:%d#%s", rec.InstancePath, rec.Site, rec.Target)] = rec
-	}
-	return rp, nil
-}
-
 // commKeyLess orders communication records on the wire. It compares the
 // same fields, in the same order and direction, as the old record-level
 // commLess did — the on-disk byte sequence is unchanged — but it is
@@ -231,47 +176,4 @@ func (ps *ProfileSet) Save(path string) error {
 		return err
 	}
 	return os.WriteFile(path, data, 0o644)
-}
-
-// profileSetDTO is the wire form of a ProfileSet.
-type profileSetDTO struct {
-	App      string            `json:"app"`
-	NP       int               `json:"np"`
-	Elapsed  float64           `json:"elapsed"`
-	Profiles []*rankProfileDTO `json:"profiles"`
-}
-
-// DecodeProfileSet parses wire-format bytes written by Encode (by this
-// build or a pre-VID one — the wire format is unchanged) and re-interns
-// them against the compiled graph's symbol table.
-func DecodeProfileSet(data []byte, g *psg.Graph) (*ProfileSet, error) {
-	var dto profileSetDTO
-	if err := json.Unmarshal(data, &dto); err != nil {
-		return nil, fmt.Errorf("parse profile set: %w", err)
-	}
-	ps := &ProfileSet{App: dto.App, NP: dto.NP, Elapsed: dto.Elapsed}
-	for _, pdto := range dto.Profiles {
-		if pdto == nil {
-			return nil, fmt.Errorf("profile set has a null rank profile")
-		}
-		rp, err := pdto.fromDTO(g)
-		if err != nil {
-			return nil, err
-		}
-		ps.Profiles = append(ps.Profiles, rp)
-	}
-	return ps, nil
-}
-
-// LoadProfileSet reads a profile set file written by Save.
-func LoadProfileSet(path string, g *psg.Graph) (*ProfileSet, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	ps, err := DecodeProfileSet(data, g)
-	if err != nil {
-		return nil, fmt.Errorf("prof: load %s: %w", path, err)
-	}
-	return ps, nil
 }

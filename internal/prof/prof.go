@@ -142,6 +142,35 @@ func NewRankProfile(g *psg.Graph, rank, np int) *RankProfile {
 	}
 }
 
+// CheckRanks reports whether profiles is one complete job: every rank of
+// the np its first profile names, each exactly once, all agreeing on np.
+// ppg.Build refuses anything else, so the upload path asks the same
+// question before a set is stored (the store is append-only: a set that
+// can never be assembled would fail every later query of its scale).
+func CheckRanks(profiles []*RankProfile) error {
+	if len(profiles) == 0 {
+		return fmt.Errorf("ppg: no profiles")
+	}
+	np := profiles[0].NP
+	if len(profiles) != np {
+		return fmt.Errorf("ppg: got %d profiles for np=%d", len(profiles), np)
+	}
+	seen := make([]bool, np)
+	for _, rp := range profiles {
+		if rp.NP != np {
+			return fmt.Errorf("ppg: profile for rank %d has np=%d, want %d", rp.Rank, rp.NP, np)
+		}
+		if rp.Rank < 0 || rp.Rank >= np {
+			return fmt.Errorf("ppg: profile rank %d out of range", rp.Rank)
+		}
+		if seen[rp.Rank] {
+			return fmt.Errorf("ppg: duplicate profile for rank %d", rp.Rank)
+		}
+		seen[rp.Rank] = true
+	}
+	return nil
+}
+
 // Active reports whether a dense vertex slot carries attributed data (the
 // equivalent of key presence in the old map representation: a zero-valued
 // slot means the vertex was never sampled).

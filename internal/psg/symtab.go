@@ -47,6 +47,16 @@ func (g *Graph) VIDOf(key string) (VID, bool) {
 	return v.VID, true
 }
 
+// VIDOfBytes is VIDOf for a key still sitting in a read buffer: the map
+// lookup converts in place, so resolving a key allocates nothing.
+func (g *Graph) VIDOfBytes(key []byte) (VID, bool) {
+	v := g.byKey[string(key)]
+	if v == nil {
+		return VIDNone, false
+	}
+	return v.VID, true
+}
+
 // VertexByVID returns the vertex bound to a VID, or nil when the VID is
 // out of range.
 func (g *Graph) VertexByVID(id VID) *Vertex {

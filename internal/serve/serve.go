@@ -476,45 +476,47 @@ func (s *Server) handleUploadProfiles(w http.ResponseWriter, r *http.Request) {
 	}
 	// Peek at the envelope to find the app before the full validating
 	// decode (which needs the app's compiled graph).
-	var head struct {
-		App string `json:"app"`
-		NP  int    `json:"np"`
-	}
-	if err := json.Unmarshal(body, &head); err != nil {
-		writeErr(w, http.StatusBadRequest, "parse profile set: %v", err)
+	appName, np, err := prof.PeekEnvelope(body)
+	if err != nil {
+		writeErr(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	if !store.ValidName(head.App) {
-		writeErr(w, http.StatusBadRequest, "profile set names invalid app %q", head.App)
+	if !store.ValidName(appName) {
+		writeErr(w, http.StatusBadRequest, "profile set names invalid app %q", appName)
 		return
 	}
-	app := s.lookupApp(head.App)
+	app := s.lookupApp(appName)
 	if app == nil {
-		writeErr(w, http.StatusNotFound, "unknown app %q: upload its source to /v1/apps first", head.App)
+		writeErr(w, http.StatusNotFound, "unknown app %q: upload its source to /v1/apps first", appName)
 		return
 	}
-	if head.NP < 1 {
-		writeErr(w, http.StatusBadRequest, "profile set has invalid np %d", head.NP)
+	if np < 1 {
+		writeErr(w, http.StatusBadRequest, "profile set has invalid np %d", np)
 		return
 	}
 	_, graph, err := s.env.Engine.Compile(app, psg.Options{})
 	if err != nil {
-		writeErr(w, http.StatusInternalServerError, "compile %s: %v", head.App, err)
+		writeErr(w, http.StatusInternalServerError, "compile %s: %v", appName, err)
 		return
 	}
-	// Full validating decode against the app's symbol table: uploads that
-	// would fail at detect time fail here instead, and only bytes that
-	// decode cleanly are ever stored.
+	// Full validating decode against the app's symbol table, then the
+	// rank checks ppg.Build makes: uploads that would fail at detect time
+	// fail here instead, and only sets every later query can assemble are
+	// ever stored — history is append-only, so one that cannot would fail
+	// its scale's watch forever. PeekEnvelope is the decoder's own
+	// top-level loop, so ps.App and ps.NP are the values routed on above.
 	ps, err := prof.DecodeProfileSet(body, graph)
+	if err == nil {
+		err = prof.CheckRanks(ps.Profiles)
+	}
+	if err == nil && len(ps.Profiles) != np {
+		err = fmt.Errorf("envelope np %d disagrees with its %d rank profiles", np, len(ps.Profiles))
+	}
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, "invalid profile set for %s: %v", head.App, err)
+		writeErr(w, http.StatusBadRequest, "invalid profile set for %s: %v", appName, err)
 		return
 	}
-	if ps.NP != head.NP {
-		writeErr(w, http.StatusBadRequest, "profile set envelope np %d disagrees with decoded np %d", head.NP, ps.NP)
-		return
-	}
-	key, err := s.env.Store.Put(head.App, head.NP, body)
+	key, err := s.env.Store.Put(appName, np, body)
 	if err != nil {
 		writeErr(w, http.StatusInternalServerError, "store profile set: %v", err)
 		return

@@ -396,7 +396,7 @@ func TestAmbiguousScaleNeedsHash(t *testing.T) {
 }
 
 func TestUploadValidation(t *testing.T) {
-	_, ts := newTestServer(t)
+	srv, ts := newTestServer(t)
 	if code, _ := post(t, ts.URL+"/v1/profiles", "application/json", []byte(`{"app":"no-such-app","np":4}`)); code != http.StatusNotFound {
 		t.Fatalf("unknown app upload: got %d, want 404", code)
 	}
@@ -408,9 +408,47 @@ func TestUploadValidation(t *testing.T) {
 	if code, _ := post(t, ts.URL+"/v1/profiles", "application/json", bad); code != http.StatusBadRequest {
 		t.Fatalf("mismatched profile upload: got %d, want 400", code)
 	}
+	// Sets that decode but that ppg.Build could never assemble. The store
+	// is append-only, so one of these landing would fail every later
+	// watch of its scale.
+	rank := func(r, np int) string {
+		return fmt.Sprintf(`{"rank":%d,"np":%d,"vertex":{},"comm":[],"indirect":[]}`, r, np)
+	}
+	for name, set := range map[string]string{
+		"no profiles":            `{"app":"cg","np":4,"elapsed":1,"profiles":[]}`,
+		"null profiles":          `{"app":"cg","np":4,"elapsed":1,"profiles":null}`,
+		"wrong count and ranks":  `{"app":"cg","np":4,"elapsed":1,"profiles":[` + rank(0, 8) + "," + rank(0, 8) + "," + rank(9, 8) + "," + rank(1, 8) + `]}`,
+		"duplicate rank":         `{"app":"cg","np":2,"elapsed":1,"profiles":[` + rank(0, 2) + "," + rank(0, 2) + `]}`,
+		"rank out of range":      `{"app":"cg","np":2,"elapsed":1,"profiles":[` + rank(0, 2) + "," + rank(2, 2) + `]}`,
+		"per-rank np disagrees":  `{"app":"cg","np":2,"elapsed":1,"profiles":[` + rank(0, 2) + "," + rank(1, 4) + `]}`,
+		"envelope np mislabels":  `{"app":"cg","np":4,"elapsed":1,"profiles":[` + rank(0, 2) + "," + rank(1, 2) + `]}`,
+		"repeated envelope np":   `{"app":"cg","np":2,"elapsed":1,"profiles":[` + rank(0, 2) + "," + rank(1, 2) + `],"np":4}`,
+		"repeated envelope app":  `{"app":"cg","np":2,"elapsed":1,"profiles":[` + rank(0, 2) + "," + rank(1, 2) + `],"APP":"no-such-app"}`,
+		"mistyped envelope np":   `{"app":"cg","np":"4"}`,
+		"fractional envelope np": `{"app":"cg","np":4.0}`,
+	} {
+		code, body := post(t, ts.URL+"/v1/profiles", "application/json", []byte(set))
+		want := http.StatusBadRequest
+		if name == "repeated envelope app" {
+			want = http.StatusNotFound // last wins, as in the full decode
+		}
+		if code != want {
+			t.Errorf("%s: got %d %s, want %d", name, code, body, want)
+		}
+	}
 	// Nothing invalid may have landed in the store.
 	if code, body := get(t, ts.URL+"/v1/profiles"); code != http.StatusOK || !bytes.Contains(body, []byte(`"sets": null`)) {
 		t.Fatalf("store not empty after rejected uploads: %d %s", code, body)
+	}
+	// A later valid upload and a watch of its scale still work: no
+	// rejected set poisoned cg's history.
+	for _, set := range encodeSets(t, srv.env.Engine, scalana.GetApp("cg"), []int{4}, 1000) {
+		if code, body := post(t, ts.URL+"/v1/profiles", "application/json", set); code != http.StatusCreated {
+			t.Fatalf("valid upload after rejected ones: %d %s", code, body)
+		}
+	}
+	if code, body := get(t, ts.URL+"/v1/watch?app=cg"); code != http.StatusOK {
+		t.Fatalf("watch after rejected uploads: %d %s", code, body)
 	}
 }
 
