@@ -52,11 +52,14 @@ func (s *synthetic) setTime(v *psg.Vertex, rank int, time float64) {
 
 func (s *synthetic) addEdge(from *psg.Vertex, rank int, to *psg.Vertex, peerRank int, wait float64) {
 	key := prof.CommKey{VID: from.VID, Op: from.Name, DepRank: peerRank, DepVID: to.VID}
-	s.profs[rank].Comm[key] = &prof.CommRecord{CommKey: key, Count: 1, TotalWait: wait, MaxWait: wait}
+	s.profs[rank].Comm = append(s.profs[rank].Comm, prof.CommRecord{CommKey: key, Count: 1, TotalWait: wait, MaxWait: wait})
 }
 
 func (s *synthetic) ppg() *ppg.Graph {
 	s.t.Helper()
+	for _, rp := range s.profs {
+		rp.SortComm()
+	}
 	pg, err := ppg.Build(s.graph, s.profs)
 	if err != nil {
 		s.t.Fatal(err)

@@ -41,8 +41,14 @@ type collSlot struct {
 }
 
 type collectives struct {
-	w     *World
-	slots map[int]*collSlot
+	w *World
+	// live is the window of collectives some rank is still inside, in
+	// sequence order: live[i] is collective number base+i. Collectives
+	// retire in order — nobody enters number k+1 before leaving k — so
+	// the window is a slot or two long and indexing it by sequence number
+	// replaces a map lookup.
+	live []*collSlot
+	base int
 	// free recycles retired slots. A slot retires only after every rank
 	// has read its results (reads == np), so reuse cannot confuse
 	// readers; the arrivals slice is reused as-is because all np entries
@@ -51,7 +57,29 @@ type collectives struct {
 }
 
 func newCollectives(w *World) *collectives {
-	return &collectives{w: w, slots: map[int]*collSlot{}}
+	return &collectives{w: w}
+}
+
+// slotFor returns the slot of collective number seq, opening it when the
+// calling rank is the first to arrive.
+func (c *collectives) slotFor(seq int, op string, root int, bytes float64) *collSlot {
+	i := seq - c.base
+	if i == len(c.live) {
+		c.live = append(c.live, c.newSlot(op, root, bytes))
+	}
+	return c.live[i]
+}
+
+// retire recycles a slot every rank has read and slides the window past
+// it.
+func (c *collectives) retire(seq int) {
+	i := seq - c.base
+	c.free = append(c.free, c.live[i])
+	c.live[i] = nil
+	for len(c.live) > 0 && c.live[0] == nil {
+		c.live = c.live[:copy(c.live, c.live[1:])]
+		c.base++
+	}
 }
 
 // newSlot allocates or recycles a slot.
@@ -106,11 +134,7 @@ func (p *Proc) collective(op string, root int, bytes float64) {
 	p.collSeq++
 
 	c := p.world.colls
-	slot := c.slots[seq]
-	if slot == nil {
-		slot = c.newSlot(op, root, bytes)
-		c.slots[seq] = slot
-	}
+	slot := c.slotFor(seq, op, root, bytes)
 	if slot.op != op {
 		panic(fmt.Sprintf("mpisim: rank %d called %s where other ranks called %s (collective #%d mismatch)", p.Rank, op, slot.op, seq))
 	}
@@ -158,7 +182,6 @@ func (p *Proc) collective(op string, root int, bytes float64) {
 
 	slot.reads++
 	if slot.reads == p.world.np {
-		delete(c.slots, seq)
-		c.free = append(c.free, slot)
+		c.retire(seq)
 	}
 }

@@ -106,8 +106,8 @@ type Event struct {
 	SendPeer  int
 	SendBytes float64
 	// ReqID is the request handle for isend/irecv/wait events (0 if none);
-	// the ScalAna PMPI layer keys its request-converter map on it
-	// (paper Fig. 5).
+	// the ScalAna PMPI layer's request converter remembers a posted
+	// receive under it until the wait that completes it (paper Fig. 5).
 	ReqID int
 }
 
@@ -158,8 +158,8 @@ func (k AdvanceKind) String() string {
 // observing an AdvPerturb advance is ignored to keep the charge finite.
 type Hook interface {
 	// Advance is called for every virtual-time advance on the rank.
-	// pmu holds the PMU counter deltas accrued during the advance (zero
-	// for waits and perturbation).
+	// pmu holds the PMU counter deltas accrued during the advance: zero
+	// for every kind but AdvCompute and AdvGlue.
 	Advance(p *Proc, from, to float64, kind AdvanceKind, ctx any, pmu machine.Vec) (overhead float64)
 	// MPIEvent is called after each MPI operation completes. The Event
 	// points into per-rank scratch storage that is reused by the next

@@ -582,3 +582,104 @@ func TestEventKindAndAdvanceKindStrings(t *testing.T) {
 		}
 	}
 }
+
+// TestRunResultCounters pins the simulator's own event counts on a run
+// small enough to count by hand: rank 0 receives (entry overhead, a
+// yield, the wait, the copy), rank 1 computes and sends (compute, entry
+// overhead, injection).
+func TestRunResultCounters(t *testing.T) {
+	body := func(p *Proc) {
+		if p.Rank == 0 {
+			p.Recv(1, 0, 64)
+		} else {
+			p.Compute(1e6, 0, 0, 64)
+			p.Send(0, 0, 64)
+		}
+	}
+	res, err := newTestWorld(2).Run(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Advances != 6 || res.Events != 2 || res.Yields != 1 || res.Samples != 0 {
+		t.Errorf("bare run counted %d advances, %d events, %d yields, %d samples; want 6, 2, 1, 0",
+			res.Advances, res.Events, res.Yields, res.Samples)
+	}
+	// A hook that charges for every advance and every event adds one
+	// perturbation advance behind each of them.
+	cfg := Config{NP: 2, Seed: 1, HookFactory: func(rank int) []Hook { return []Hook{&chargingHook{}} }}
+	res, err = NewWorld(cfg).Run(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Advances != 6+6+2 || res.Events != 2 || res.Yields != 1 || res.Samples != 6 {
+		t.Errorf("charged run counted %d advances, %d events, %d yields, %d samples; want 14, 2, 1, 6",
+			res.Advances, res.Events, res.Yields, res.Samples)
+	}
+}
+
+// TestInboxIndexedPastScanLimit sends one rank more (source, tag) pairs
+// than an inbox scans and checks every message still finds its channel.
+func TestInboxIndexedPastScanLimit(t *testing.T) {
+	const np, tags = 4, 4
+	w := newTestWorld(np)
+	var got [np][tags]float64
+	_, err := w.Run(func(p *Proc) {
+		if p.Rank != 0 {
+			for tag := 0; tag < tags; tag++ {
+				p.Send(0, tag, float64(100*p.Rank+tag))
+			}
+			return
+		}
+		for src := np - 1; src >= 1; src-- {
+			for tag := tags - 1; tag >= 0; tag-- {
+				req := p.Irecv(src, tag, 0)
+				p.Wait(req.ID())
+			}
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := &w.matcher.inboxes[0]
+	if len(in.list) != (np-1)*tags || in.index == nil {
+		t.Fatalf("rank 0 inbox: %d channels, index %v; want %d channels behind an index", len(in.list), in.index != nil, (np-1)*tags)
+	}
+	for _, e := range in.list {
+		if in.index[e.srcTag] != e.ch || len(e.ch.sends) != 1 {
+			t.Fatalf("channel %+v: index and list disagree, or %d sends, want 1", e.srcTag, len(e.ch.sends))
+		}
+		got[e.src][e.tag] = e.ch.sends[0].bytes
+	}
+	for src := 1; src < np; src++ {
+		for tag := 0; tag < tags; tag++ {
+			if want := float64(100*src + tag); got[src][tag] != want {
+				t.Errorf("channel %d->0 tag %d carried %g bytes, want %g", src, tag, got[src][tag], want)
+			}
+		}
+	}
+}
+
+// TestCollectiveWindowStaysShort runs many collectives with ranks at
+// different paces: the live window never holds more than the collective
+// some ranks are still leaving and the one others are already entering.
+func TestCollectiveWindowStaysShort(t *testing.T) {
+	w := newTestWorld(4)
+	longest := 0
+	_, err := w.Run(func(p *Proc) {
+		for i := 0; i < 200; i++ {
+			p.Compute(float64((p.Rank+i)%3)*1e5, 0, 0, 64)
+			p.Allreduce(8)
+			p.Barrier()
+			if n := len(w.colls.live); n > longest {
+				longest = n
+			}
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if longest > 2 || len(w.colls.live) != 0 || w.colls.base != 400 {
+		t.Errorf("window reached %d slots, ends with %d live at base %d; want at most 2, then 0 at 400",
+			longest, len(w.colls.live), w.colls.base)
+	}
+}

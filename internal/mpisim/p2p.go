@@ -23,8 +23,6 @@ import (
 // wildcard and specific receives on the same channel is rejected, which
 // keeps wildcard matching well-defined.
 
-type p2pKey struct{ src, dst, tag int }
-
 type sendInfo struct {
 	from    int
 	seq     int
@@ -35,7 +33,12 @@ type sendInfo struct {
 }
 
 type channel struct {
-	sends       []*sendInfo
+	src, tag int
+	sends    []*sendInfo
+	// head is the first send a wildcard receive has yet to look at:
+	// every send before it is matched, so wildcard matching starts here
+	// instead of rescanning the channel's history.
+	head        int
 	recvClaims  int  // sequence numbers claimed by specific receives
 	hasSpecific bool // a specific receive has used this channel
 	// waiter is the rank parked until the send with sequence number
@@ -46,20 +49,48 @@ type channel struct {
 	waiterSeq int
 }
 
-type anyKey struct{ dst, tag int }
+type srcTag struct{ src, tag int }
+
+// inboxEntry is one channel of an inbox, its (source, tag) pair beside
+// the pointer so that a scan reads one contiguous run of memory.
+type inboxEntry struct {
+	srcTag
+	ch *channel
+}
+
+// inbox is the channels that target one rank, in creation order. A rank
+// hears from a few (source, tag) pairs, so finding a channel is a scan of
+// list; a rank that hears from more than maxScanChans gets an index.
+type inbox struct {
+	list  []inboxEntry
+	index map[srcTag]*channel
+}
+
+const (
+	maxScanChans = 8
+	// inboxCap is the list capacity each rank gets out of the matcher's
+	// one slab; a longer list moves to the heap.
+	inboxCap = 4
+)
 
 type matcher struct {
-	w     *World
-	chans map[p2pKey]*channel
-	// anyWaiter maps (dst,tag) to the rank parked in a wildcard receive.
-	anyWaiter map[anyKey]int
+	w *World
+	// inboxes holds every channel, by destination rank.
+	inboxes []inbox
 	// slab is the current sendInfo allocation chunk. Records live for the
 	// whole run (channels keep them for matching), so the slab only grows;
 	// chunks are never appended past capacity, keeping pointers stable.
 	slab []sendInfo
+	// chanSlab is the same for channels.
+	chanSlab []channel
+	// anyScanned counts the sends wildcard matching has examined.
+	anyScanned int
 }
 
-const sendSlabChunk = 256
+const (
+	sendSlabChunk = 256
+	chanSlabChunk = 64
+)
 
 // newSendInfo carves one record out of the slab.
 func (m *matcher) newSendInfo() *sendInfo {
@@ -71,18 +102,48 @@ func (m *matcher) newSendInfo() *sendInfo {
 }
 
 func newMatcher(w *World) *matcher {
-	return &matcher{
-		w:         w,
-		chans:     map[p2pKey]*channel{},
-		anyWaiter: map[anyKey]int{},
+	m := &matcher{w: w, inboxes: make([]inbox, w.np)}
+	lists := make([]inboxEntry, w.np*inboxCap)
+	for r := range m.inboxes {
+		m.inboxes[r].list = lists[r*inboxCap : r*inboxCap : (r+1)*inboxCap]
 	}
+	return m
 }
 
-func (m *matcher) chanFor(k p2pKey) *channel {
-	ch := m.chans[k]
-	if ch == nil {
-		ch = &channel{waiter: -1}
-		m.chans[k] = ch
+// chanFor returns the channel src -> dst on tag, creating it on first use.
+//
+//scalana:hot
+func (m *matcher) chanFor(src, dst, tag int) *channel {
+	in := &m.inboxes[dst]
+	if in.index != nil {
+		if ch := in.index[srcTag{src, tag}]; ch != nil {
+			return ch
+		}
+	} else {
+		for i := range in.list {
+			if e := &in.list[i]; e.src == src && e.tag == tag {
+				return e.ch
+			}
+		}
+	}
+	return m.newChannel(in, src, tag)
+}
+
+func (m *matcher) newChannel(in *inbox, src, tag int) *channel {
+	if len(m.chanSlab) == cap(m.chanSlab) {
+		m.chanSlab = make([]channel, 0, chanSlabChunk)
+	}
+	m.chanSlab = append(m.chanSlab, channel{src: src, tag: tag, waiter: -1})
+	ch := &m.chanSlab[len(m.chanSlab)-1]
+	in.list = append(in.list, inboxEntry{srcTag{src, tag}, ch})
+	switch {
+	case in.index != nil:
+		in.index[srcTag{src, tag}] = ch
+	case len(in.list) > maxScanChans:
+		in.index = make(map[srcTag]*channel, 2*len(in.list))
+		for _, e := range in.list {
+			in.index[e.srcTag] = e.ch
+		}
 	}
 	return ch
 }
@@ -90,8 +151,7 @@ func (m *matcher) chanFor(k p2pKey) *channel {
 // postSend registers a message from src to dst and readies a matching
 // parked receiver, if any.
 func (m *matcher) postSend(src, dst, tag int, bytes, tArrive float64, ctx any) {
-	k := p2pKey{src, dst, tag}
-	ch := m.chanFor(k)
+	ch := m.chanFor(src, dst, tag)
 	info := m.newSendInfo()
 	*info = sendInfo{from: src, seq: len(ch.sends), bytes: bytes, tArrive: tArrive, ctx: ctx}
 	ch.sends = append(ch.sends, info)
@@ -103,63 +163,77 @@ func (m *matcher) postSend(src, dst, tag int, bytes, tArrive float64, ctx any) {
 		m.w.sched.wake(r)
 		return
 	}
-	ak := anyKey{dst, tag}
-	if r, ok := m.anyWaiter[ak]; ok && !ch.hasSpecific {
-		delete(m.anyWaiter, ak)
+	// A rank parked in a wildcard receive says so in its block state.
+	if b := &m.w.procs[dst].block; b.kind == blockRecvAny && b.tag == tag && !ch.hasSpecific {
 		info.matched = true
-		m.w.procs[r].wakeInfo = info
-		m.w.sched.wake(r)
+		m.w.procs[dst].wakeInfo = info
+		m.w.sched.wake(dst)
 	}
 }
 
 // claimRecv obtains the matching send for the next specific receive
-// posted by dst on (src,tag); if the send has not been posted yet the
+// posted by p on (src,tag); if the send has not been posted yet the
 // rank parks until it is.
-func (m *matcher) claimRecv(p *Proc, src, dst, tag int) *sendInfo {
-	k := p2pKey{src, dst, tag}
-	ch := m.chanFor(k)
+func (m *matcher) claimRecv(p *Proc, src, tag int) *sendInfo {
+	ch, seq := m.claim(src, p.Rank, tag)
+	return m.take(p, ch, seq)
+}
+
+// claim reserves, for a specific receive, the next sequence number of the
+// channel src -> dst on tag: receives match sends in program order.
+func (m *matcher) claim(src, dst, tag int) (*channel, int) {
+	ch := m.chanFor(src, dst, tag)
 	ch.hasSpecific = true
-	seq := ch.recvClaims
 	ch.recvClaims++
+	return ch, ch.recvClaims - 1
+}
+
+// take consumes send number seq of a channel for a specific receive of
+// its destination rank p, parking p until the send is posted.
+func (m *matcher) take(p *Proc, ch *channel, seq int) *sendInfo {
 	if seq < len(ch.sends) {
 		info := ch.sends[seq]
 		if info.matched {
-			panic(fmt.Sprintf("mpisim: send %d->%d tag %d seq %d already consumed by a wildcard receive (mixed wildcard/specific matching is not supported)", src, dst, tag, seq))
+			panic(fmt.Sprintf("mpisim: send %d->%d tag %d seq %d already consumed by a wildcard receive (mixed wildcard/specific matching is not supported)", ch.src, p.Rank, ch.tag, seq))
 		}
 		info.matched = true
 		return info
 	}
 	ch.waiter = p.Rank
 	ch.waiterSeq = seq
-	p.block = blockState{kind: blockRecv, src: src, tag: tag, seq: seq}
+	p.block = blockState{kind: blockRecv, src: ch.src, tag: ch.tag, seq: seq}
 	m.w.sched.yieldBlocked(p)
 	return p.takeWake()
 }
 
-// claimRecvAny matches the next wildcard receive on (dst,tag): the
+// claimRecvAny matches the next wildcard receive of p on tag: the
 // unconsumed send with the earliest virtual arrival, or — when none is
-// posted — the first send a peer posts for (dst,tag).
-func (m *matcher) claimRecvAny(p *Proc, dst, tag int) *sendInfo {
+// posted — the first send a peer posts to p on tag.
+func (m *matcher) claimRecvAny(p *Proc, tag int) *sendInfo {
 	var best *sendInfo
-	for k, ch := range m.chans {
-		if k.dst != dst || k.tag != tag || ch.hasSpecific {
+	for _, e := range m.inboxes[p.Rank].list {
+		ch := e.ch
+		if e.tag != tag || ch.hasSpecific {
 			continue
 		}
-		for _, s := range ch.sends {
-			if s.matched {
-				continue
-			}
-			if best == nil || s.tArrive < best.tArrive || (s.tArrive == best.tArrive && s.from < best.from) {
-				best = s
-			}
-			break // sends are in order; only the first unmatched can match
+		// Sends are in order; only the first unmatched one can match.
+		for ch.head < len(ch.sends) && ch.sends[ch.head].matched {
+			ch.head++
+			m.anyScanned++
+		}
+		if ch.head == len(ch.sends) {
+			continue
+		}
+		m.anyScanned++
+		s := ch.sends[ch.head]
+		if best == nil || s.tArrive < best.tArrive || (s.tArrive == best.tArrive && s.from < best.from) {
+			best = s
 		}
 	}
 	if best != nil {
 		best.matched = true
 		return best
 	}
-	m.anyWaiter[anyKey{dst, tag}] = p.Rank
 	p.block = blockState{kind: blockRecvAny, tag: tag}
 	m.w.sched.yieldBlocked(p)
 	return p.takeWake()
@@ -172,8 +246,10 @@ type Request struct {
 	src    int // AnySource for wildcard receives
 	tag    int
 	bytes  float64
-	// seq is the matching sequence number claimed at post time for
-	// specific receives; wildcard receives resolve at wait time.
+	// ch and seq are the channel and the matching sequence number a
+	// specific receive claimed at post time; wildcard receives resolve at
+	// wait time.
+	ch      *channel
 	seq     int
 	claimed *sendInfo
 	postCtx any
@@ -204,7 +280,7 @@ func (p *Proc) Recv(src, tag int, bytes float64) {
 	p.validPeer(src)
 	t0 := p.Clock
 	p.mpiOverhead()
-	info := p.world.matcher.claimRecv(p, src, p.Rank, tag)
+	info := p.world.matcher.claimRecv(p, src, tag)
 	wait := p.waitUntil(info.tArrive)
 	p.advance(info.bytes*p.world.cfg.Net.PerByte, AdvTransfer, zeroVec)
 	p.emit(Event{Kind: EvRecv, Op: "mpi_recv", Peer: info.from, Tag: tag, Bytes: info.bytes,
@@ -216,7 +292,7 @@ func (p *Proc) Recv(src, tag int, bytes float64) {
 func (p *Proc) RecvAny(tag int, bytes float64) int {
 	t0 := p.Clock
 	p.mpiOverhead()
-	info := p.world.matcher.claimRecvAny(p, p.Rank, tag)
+	info := p.world.matcher.claimRecvAny(p, tag)
 	wait := p.waitUntil(info.tArrive)
 	p.advance(info.bytes*p.world.cfg.Net.PerByte, AdvTransfer, zeroVec)
 	p.emit(Event{Kind: EvRecv, Op: "mpi_recv_any", Peer: info.from, Tag: tag, Bytes: info.bytes,
@@ -244,7 +320,7 @@ func (p *Proc) Irecv(src, tag int, bytes float64) *Request {
 	t0 := p.Clock
 	p.mpiOverhead()
 	req := p.newRequest(false, src, tag, bytes)
-	req.seq = p.claimSeq(src, tag)
+	req.ch, req.seq = p.world.matcher.claim(src, p.Rank, tag)
 	p.emit(Event{Kind: EvIrecv, Op: "mpi_irecv", Peer: src, Tag: tag, Bytes: bytes, TStart: t0, TEnd: p.Clock, DepRank: -1, Root: -1, ReqID: req.id})
 	return req
 }
@@ -257,16 +333,6 @@ func (p *Proc) IrecvAny(tag int, bytes float64) *Request {
 	req := p.newRequest(false, AnySource, tag, bytes)
 	p.emit(Event{Kind: EvIrecv, Op: "mpi_irecv_any", Peer: AnySource, Tag: tag, Bytes: bytes, TStart: t0, TEnd: p.Clock, DepRank: -1, Root: -1, ReqID: req.id})
 	return req
-}
-
-// claimSeq claims the next matching sequence number for (src -> p.Rank,
-// tag); the send is looked up (or waited for) when the request resolves.
-func (p *Proc) claimSeq(src, tag int) int {
-	ch := p.world.matcher.chanFor(p2pKey{src, p.Rank, tag})
-	ch.hasSpecific = true
-	seq := ch.recvClaims
-	ch.recvClaims++
-	return seq
 }
 
 func (p *Proc) newRequest(isSend bool, src, tag int, bytes float64) *Request {
@@ -306,25 +372,10 @@ func (p *Proc) resolve(r *Request) *sendInfo {
 		return nil
 	}
 	if r.src == AnySource {
-		r.claimed = p.world.matcher.claimRecvAny(p, p.Rank, r.tag)
+		r.claimed = p.world.matcher.claimRecvAny(p, r.tag)
 		return r.claimed
 	}
-	m := p.world.matcher
-	ch := m.chanFor(p2pKey{r.src, p.Rank, r.tag})
-	if r.seq < len(ch.sends) {
-		info := ch.sends[r.seq]
-		if info.matched {
-			panic(fmt.Sprintf("mpisim: send %d->%d tag %d seq %d already consumed by a wildcard receive (mixed wildcard/specific matching is not supported)", r.src, p.Rank, r.tag, r.seq))
-		}
-		info.matched = true
-		r.claimed = info
-		return info
-	}
-	ch.waiter = p.Rank
-	ch.waiterSeq = r.seq
-	p.block = blockState{kind: blockRecv, src: r.src, tag: r.tag, seq: r.seq}
-	p.world.sched.yieldBlocked(p)
-	r.claimed = p.takeWake()
+	r.claimed = p.world.matcher.take(p, r.ch, r.seq)
 	return r.claimed
 }
 
@@ -412,7 +463,7 @@ func (p *Proc) Sendrecv(dst, stag int, sbytes float64, src, rtag int, rbytes flo
 	p.mpiOverhead()
 	p.advance(sbytes*p.world.cfg.Net.PerByte, AdvTransfer, zeroVec)
 	p.world.matcher.postSend(p.Rank, dst, stag, sbytes, p.Clock+p.world.cfg.Net.Latency, p.Ctx)
-	info := p.world.matcher.claimRecv(p, src, p.Rank, rtag)
+	info := p.world.matcher.claimRecv(p, src, rtag)
 	wait := p.waitUntil(info.tArrive)
 	p.advance(info.bytes*p.world.cfg.Net.PerByte, AdvTransfer, zeroVec)
 	p.emit(Event{Kind: EvSendrecv, Op: "mpi_sendrecv", Peer: info.from, Tag: rtag, Bytes: sbytes + info.bytes,

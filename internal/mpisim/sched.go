@@ -214,6 +214,7 @@ func (s *scheduler) yieldBlocked(p *Proc) {
 		s.mu.Unlock()
 		panic(abortMsg)
 	}
+	p.yields++
 	s.handoffLocked()
 	for s.current != p.Rank && !s.aborted {
 		p.cond.Wait()

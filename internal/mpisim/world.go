@@ -98,6 +98,16 @@ type RunResult struct {
 	Clocks []float64
 	// PerturbTotal is the summed virtual tool overhead across ranks.
 	PerturbTotal float64
+	// The simulator's own event counts, summed over ranks. They are a
+	// pure function of program, scale, seed and tool configuration, so
+	// they repeat exactly where host timings do not.
+	//
+	// Advances counts virtual-time advances (every one calls each hook),
+	// Events completed MPI operations reported to hooks, Yields the times
+	// a rank parked and handed the scheduler baton on, and Samples the
+	// advances after which a hook charged overhead — for the ScalAna
+	// profiler, the advances that crossed a timer-sample boundary.
+	Advances, Events, Yields, Samples int64
 }
 
 // Run executes body once per rank under the cooperative virtual-time
@@ -135,6 +145,10 @@ func (w *World) Run(body func(p *Proc)) (RunResult, error) {
 	for r, p := range w.procs {
 		res.Clocks[r] = p.Clock
 		res.PerturbTotal += p.PerturbTotal
+		res.Advances += p.advances
+		res.Events += p.events
+		res.Yields += p.yields
+		res.Samples += p.samples
 		if p.Clock > res.Elapsed {
 			res.Elapsed = p.Clock
 		}
@@ -192,6 +206,9 @@ type Proc struct {
 	// freeReqs recycles completed request handles. Touched only while
 	// the rank holds the scheduler baton.
 	freeReqs []*Request
+
+	// Event counts behind RunResult's counters.
+	advances, events, yields, samples int64
 }
 
 // NP returns the job size.
@@ -222,11 +239,13 @@ func (p *Proc) advance(dt float64, kind AdvanceKind, pmu machine.Vec) {
 	}
 	from := p.Clock
 	p.Clock += dt
+	p.advances++
 	var owed float64
 	for _, h := range p.rawHooks {
 		owed += h.Advance(p, from, p.Clock, kind, p.Ctx, pmu)
 	}
 	if owed > 0 && kind != AdvPerturb {
+		p.samples++
 		p.Perturb(owed)
 	}
 }
@@ -243,6 +262,7 @@ func (p *Proc) emit(ev Event) {
 		ev.SendPeer = -1
 	}
 	p.evScratch = ev
+	p.events++
 	var owed float64
 	for _, h := range p.rawHooks {
 		owed += h.MPIEvent(p, &p.evScratch)

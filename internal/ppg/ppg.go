@@ -71,32 +71,6 @@ func keyOf(keys []string, vid psg.VID) string {
 	return keys[vid]
 }
 
-// commKeyLess totally orders communication records so per-rank float
-// aggregation happens in a reproducible order. The order is the string
-// order of the interned keys, not VID order, so graphs assembled by this
-// build sum floats in exactly the sequence the pre-VID build used.
-func commKeyLess(keys []string, a, b prof.CommKey) bool {
-	if ak, bk := keyOf(keys, a.VID), keyOf(keys, b.VID); ak != bk {
-		return ak < bk
-	}
-	if a.Op != b.Op {
-		return a.Op < b.Op
-	}
-	if a.DepRank != b.DepRank {
-		return a.DepRank < b.DepRank
-	}
-	if ad, bd := keyOf(keys, a.DepVID), keyOf(keys, b.DepVID); ad != bd {
-		return ad < bd
-	}
-	if a.Tag != b.Tag {
-		return a.Tag < b.Tag
-	}
-	if a.Bytes != b.Bytes {
-		return a.Bytes < b.Bytes
-	}
-	return !a.Collective && b.Collective
-}
-
 // rankPart is one rank's independently-computed contribution to the
 // graph, produced by the parallel phase of Build. Edges live in one
 // arena per rank (edgeVals) with per-bucket views sliced out of one
@@ -107,6 +81,7 @@ type rankPart struct {
 	edgeVals []DepEdge
 	froms    []EdgeFrom
 	buckets  [][]*DepEdge
+	err      error
 }
 
 // Build assembles the PPG from the PSG and all rank profiles.
@@ -164,36 +139,36 @@ func Build(g *psg.Graph, profiles []*prof.RankProfile) (*Graph, error) {
 			}
 		}
 		// Aggregate dependence edges per (vertex, peer rank, peer vertex),
-		// again in a fixed record order for the same reason. The sort key
-		// starts with exactly the aggregation fields — vertex, op, peer
-		// rank, peer vertex — so records of one aggregated edge form a
-		// contiguous run and records of one waiting vertex form a
+		// again in a fixed record order for the same reason: the canonical
+		// order rp.Comm is kept in, verified here rather than re-derived.
+		// Its sort key starts with exactly the aggregation fields — vertex,
+		// op, peer rank, peer vertex — so records of one aggregated edge
+		// form a contiguous run and records of one waiting vertex form a
 		// contiguous run of runs: aggregation is a linear scan into a
 		// per-rank arena, and each (vertex, rank) bucket is a subslice of
 		// one pointer arena.
-		ckeys := make([]prof.CommKey, 0, len(rp.Comm))
-		for key := range rp.Comm {
-			ckeys = append(ckeys, key)
+		if part.err = rp.CheckComm(keys); part.err != nil {
+			parts[i] = part
+			return
 		}
-		sort.Slice(ckeys, func(a, b int) bool { return commKeyLess(keys, ckeys[a], ckeys[b]) })
-		part.edgeVals = make([]DepEdge, 0, len(ckeys))
-		edgeFrom := make([]psg.VID, 0, len(ckeys)) // waiting vertex per arena slot
-		var lastKey prof.CommKey
-		for _, ck := range ckeys {
-			rec := rp.Comm[ck]
+		part.edgeVals = make([]DepEdge, 0, len(rp.Comm))
+		edgeFrom := make([]psg.VID, 0, len(rp.Comm)) // waiting vertex per arena slot
+		var last *prof.CommRecord
+		for j := range rp.Comm {
+			rec := &rp.Comm[j]
 			if rec.DepRank < 0 {
 				continue
 			}
 			n := len(part.edgeVals)
-			if n == 0 || lastKey.VID != rec.VID || lastKey.Op != rec.Op ||
-				lastKey.DepRank != rec.DepRank || lastKey.DepVID != rec.DepVID {
+			if last == nil || last.VID != rec.VID || last.Op != rec.Op ||
+				last.DepRank != rec.DepRank || last.DepVID != rec.DepVID {
 				part.edgeVals = append(part.edgeVals, DepEdge{
 					PeerRank: rec.DepRank, PeerVID: rec.DepVID, Op: rec.Op, Collective: rec.Collective,
 				})
 				edgeFrom = append(edgeFrom, rec.VID)
 				n++
 			}
-			lastKey = ck
+			last = rec
 			e := &part.edgeVals[n-1]
 			e.Count += rec.Count
 			e.Bytes += rec.Bytes * float64(rec.Count)
@@ -222,6 +197,9 @@ func Build(g *psg.Graph, profiles []*prof.RankProfile) (*Graph, error) {
 	// reductions, edge bucket splicing.
 	nBuckets := 0
 	for i := range parts {
+		if parts[i].err != nil {
+			return nil, fmt.Errorf("ppg: %w", parts[i].err)
+		}
 		nBuckets += len(parts[i].froms)
 	}
 	pg.Edges = make(map[EdgeFrom][]*DepEdge, nBuckets)

@@ -1,6 +1,9 @@
 package ppg
 
 import (
+	"crypto/sha256"
+	"fmt"
+	"strings"
 	"testing"
 
 	"scalana/internal/machine"
@@ -69,17 +72,18 @@ func TestBuildEdgesAggregation(t *testing.T) {
 	p0 := mkProfile(0, np, g, []float64{0.1, 0.05})
 	key := prof.CommKey{VID: mpiV.VID, Op: "mpi_allreduce", DepRank: 1,
 		DepVID: mpiV.VID, Bytes: 8, Collective: true}
-	p0.Comm[key] = &prof.CommRecord{CommKey: key, Count: 10, TotalWait: 0.5, MaxWait: 0.1}
+	p0.Comm = append(p0.Comm, prof.CommRecord{CommKey: key, Count: 10, TotalWait: 0.5, MaxWait: 0.1})
 	// A second record with a different op but same peer aggregates into a
 	// separate edge.
 	key2 := key
 	key2.Op = "mpi_barrier"
-	p0.Comm[key2] = &prof.CommRecord{CommKey: key2, Count: 2, TotalWait: 0.01, MaxWait: 0.01}
+	p0.Comm = append(p0.Comm, prof.CommRecord{CommKey: key2, Count: 2, TotalWait: 0.01, MaxWait: 0.01})
 	// Records without a dependence rank never become edges.
 	key3 := key
 	key3.DepRank = -1
 	key3.Op = "mpi_isend"
-	p0.Comm[key3] = &prof.CommRecord{CommKey: key3, Count: 5}
+	p0.Comm = append(p0.Comm, prof.CommRecord{CommKey: key3, Count: 5})
+	p0.SortComm()
 	p1 := mkProfile(1, np, g, []float64{0.1, 0.0})
 
 	pg, err := Build(g, []*prof.RankProfile{p0, p1})
@@ -130,5 +134,57 @@ func TestBuildErrors(t *testing.T) {
 	oob := mkProfile(5, 2, g, []float64{0.1})
 	if _, err := Build(g, []*prof.RankProfile{p1, oob}); err == nil {
 		t.Error("rank out of range should error")
+	}
+}
+
+// TestTiedRecordsAggregateInWireOrder is the licence for deleting this
+// package's own record comparator. It broke ties after Tag by Bytes and
+// then Collective; the one comparator left (prof's, the wire order Comm
+// is stored in) goes Collective and then Bytes. Records that tie through
+// Tag and differ in Bytes alone sort the same either way, and those are
+// the only ties a run can produce — Collective is a function of Op. The
+// expected values were recorded from the two-comparator build (commit
+// e6e52b1): 0.2 + 0.3 + 0.1 in ascending-Bytes order is exactly 0.6,
+// where 0.1 + 0.2 + 0.3 would be 0.6000000000000001.
+func TestTiedRecordsAggregateInWireOrder(t *testing.T) {
+	g := testGraph(t)
+	mpiV := g.Root.Children[1]
+	p0 := mkProfile(0, 2, g, []float64{0.1, 0.05})
+	for _, r := range []struct{ bytes, wait float64 }{{1e6, 0.1}, {7, 0.2}, {1e3, 0.3}} {
+		key := prof.CommKey{VID: mpiV.VID, Op: "mpi_recv", DepRank: 1, DepVID: mpiV.VID, Tag: 4, Bytes: r.bytes}
+		p0.Comm = append(p0.Comm, prof.CommRecord{CommKey: key, Count: 3, TotalWait: r.wait, MaxWait: r.wait / 2})
+	}
+	p1 := mkProfile(1, 2, g, []float64{0.1, 0.0})
+	profiles := []*prof.RankProfile{p0, p1}
+
+	// Unsorted, the profile is refused rather than summed in the order it
+	// happens to be in.
+	if _, err := Build(g, profiles); err == nil || !strings.Contains(err.Error(), "canonical order") {
+		t.Fatalf("Build of an unsorted profile: %v, want a canonical-order error", err)
+	}
+	if _, err := prof.EncodeProfileSet(&prof.ProfileSet{App: "tie", NP: 2, Elapsed: 1, Profiles: profiles}); err == nil {
+		t.Fatal("an unsorted profile encoded")
+	}
+	p0.SortComm()
+
+	pg, err := Build(g, profiles)
+	if err != nil {
+		t.Fatal(err)
+	}
+	edges := pg.Edges[EdgeFrom{VID: mpiV.VID, Rank: 0}]
+	if len(edges) != 1 {
+		t.Fatalf("%d edges, want the three records in one", len(edges))
+	}
+	want := DepEdge{PeerRank: 1, PeerVID: mpiV.VID, Op: "mpi_recv", Count: 9, Bytes: 3.003021e+06, TotalWait: 0.6, MaxWait: 0.15}
+	if *edges[0] != want {
+		t.Errorf("aggregated edge = %+v, want %+v", *edges[0], want)
+	}
+	data, err := prof.EncodeProfileSet(&prof.ProfileSet{App: "tie", NP: 2, Elapsed: 1, Profiles: profiles})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const wantSHA = "cee017047e087d2963789e3b4e3989adb7ffcdb5286a7e8d554bed8dd34160c0"
+	if got := fmt.Sprintf("%x", sha256.Sum256(data)); got != wantSHA {
+		t.Errorf("encoded set hashes to %s, want %s\n%s", got, wantSHA, data)
 	}
 }

@@ -111,8 +111,10 @@ func BenchmarkProfilerSampleOnly(b *testing.B) {
 }
 
 // TestSamplerHotPathAllocFree asserts the steady-state per-event cost of
-// the interned hot path: once a vertex's dense slot and comm record
-// exist, attributing further samples and events allocates nothing.
+// the interned hot path: once a vertex's dense slot and comm records
+// exist, attributing further samples and events allocates nothing. Every
+// vertex alternates between two peers — two records on one chain, the
+// case a one-entry cache in front of the lookup would thrash on.
 // Allocation counts are deterministic, so this asserts cleanly even on a
 // single-CPU runner where timing comparisons cannot.
 func TestSamplerHotPathAllocFree(t *testing.T) {
@@ -121,29 +123,30 @@ func TestSamplerHotPathAllocFree(t *testing.T) {
 	w := mpisim.NewWorld(mpisim.Config{NP: 1})
 	p := w.Proc(0)
 	pr := New(DefaultConfig(), g, 0, 4)
-	evs := make([]mpisim.Event, len(vs))
-	for i, v := range vs {
+	evs := make([]mpisim.Event, 2*len(vs))
+	for i := range evs {
+		v, peer := vs[i%len(vs)], 1+i/len(vs)
 		evs[i] = mpisim.Event{
-			Kind: mpisim.EvRecv, Op: "mpi_recv", Rank: 0, Peer: 1, Tag: i,
-			Bytes: 1024, Wait: 1e-4, DepRank: 1, DepCtx: v, Ctx: v,
+			Kind: mpisim.EvRecv, Op: "mpi_recv", Rank: 0, Peer: peer, Tag: i % len(vs),
+			Bytes: 1024, Wait: 1e-4, DepRank: peer, DepCtx: v, Ctx: v,
 		}
 	}
 	period := 1 / pr.cfg.SampleHz
-	// Warm every slot and record once.
-	for i := range vs {
-		t0 := float64(i) * period
-		pr.Advance(p, t0, t0+period, mpisim.AdvCompute, vs[i], machine.Vec{1, 1, 1, 1, 1})
-		pr.MPIEvent(p, &evs[i])
-	}
-	iter := len(vs)
-	allocs := testing.AllocsPerRun(200, func() {
-		i := iter % len(vs)
+	iter := 0
+	step := func() {
 		t0 := float64(iter) * period
-		pr.Advance(p, t0, t0+period, mpisim.AdvCompute, vs[i], machine.Vec{1, 1, 1, 1, 1})
-		pr.MPIEvent(p, &evs[i])
+		pr.Advance(p, t0, t0+period, mpisim.AdvCompute, vs[iter%len(vs)], machine.Vec{1, 1, 1, 1, 1})
+		pr.MPIEvent(p, &evs[iter%len(evs)])
 		iter++
-	})
-	if allocs != 0 {
+	}
+	// Warm every slot and record once.
+	for range evs {
+		step()
+	}
+	if allocs := testing.AllocsPerRun(200, step); allocs != 0 {
 		t.Errorf("steady-state sample+event path allocates %.1f objects/op, want 0", allocs)
+	}
+	if got, want := len(pr.Profile().Comm), len(evs); got != want {
+		t.Errorf("%d records, want %d (two peers a vertex)", got, want)
 	}
 }

@@ -326,15 +326,26 @@ func (d *decoder) pmu(v *machine.Vec) error {
 	return nil
 }
 
+// comm reads the "comm" array into rp.Comm. A writer emits records in
+// canonical order with no key twice, which one comparison a record
+// confirms; any other input is sorted — stably, so that among records
+// sharing a key the last one read wins, as it did when records were filed
+// in a map.
 func (d *decoder) comm(rp *RankProfile, faults *rankFaults) error {
-	clear(rp.Comm)
+	rp.Comm = rp.Comm[:0]
 	faults.comm = ""
 	if null, err := d.begin('['); null || err != nil {
 		return err
 	}
+	keys := d.g.Keys()
+	ordered := true
 	for first := true; ; first = false {
-		if more, err := d.more(']', first); !more {
+		more, err := d.more(']', first)
+		if err != nil {
 			return err
+		}
+		if !more {
+			break
 		}
 		fault, err := d.commRecord(rp)
 		if err != nil {
@@ -343,11 +354,27 @@ func (d *decoder) comm(rp *RankProfile, faults *rankFaults) error {
 		if faults.comm == "" {
 			faults.comm = fault
 		}
+		if n := len(rp.Comm); ordered && fault == "" && n > 1 {
+			ordered = commKeyLess(keys, &rp.Comm[n-2].CommKey, &rp.Comm[n-1].CommKey)
+		}
 	}
+	if !ordered {
+		sortComm(keys, rp.Comm)
+		kept := rp.Comm[:1]
+		for _, rec := range rp.Comm[1:] {
+			if last := &kept[len(kept)-1]; commKeyLess(keys, &last.CommKey, &rec.CommKey) {
+				kept = append(kept, rec)
+			} else {
+				*last = rec
+			}
+		}
+		rp.Comm = kept
+	}
+	return nil
 }
 
-// commRecord reads one communication record and files it under its
-// CommKey as soon as the object closes. Vertex keys resolve as they are
+// commRecord reads one communication record and appends it to rp.Comm
+// as soon as the object closes. Vertex keys resolve as they are
 // read; a key the graph lacks comes back as the record's fault.
 func (d *decoder) commRecord(rp *RankProfile) (fault string, err error) {
 	switch null, err := d.begin('{'); {
@@ -358,7 +385,7 @@ func (d *decoder) commRecord(rp *RankProfile) (fault string, err error) {
 	}
 	// An absent or empty DepVertex is "no responsible vertex". A key the
 	// graph lacks is kept (copied) for the fault message.
-	rec := &CommRecord{}
+	var rec CommRecord
 	var vertexKey, depKey string
 	vertexGiven, vertexKnown, depKnown := false, false, true
 	rec.DepVID = psg.VIDNone
@@ -430,7 +457,7 @@ func (d *decoder) commRecord(rp *RankProfile) (fault string, err error) {
 	case !depKnown:
 		return unknownVertex(depKey), nil
 	}
-	rp.Comm[rec.CommKey] = rec
+	rp.Comm = append(rp.Comm, rec)
 	return "", nil
 }
 
@@ -491,6 +518,6 @@ func (d *decoder) indirectRecord(rp *RankProfile) (null bool, err error) {
 			return false, err
 		}
 	}
-	rp.Indirect[fmt.Sprintf("%s:%d#%s", rec.InstancePath, rec.Site, rec.Target)] = rec
+	rp.setIndirect(indirectKey(rec.InstancePath, rec.Site, rec.Target), rec)
 	return false, nil
 }

@@ -425,8 +425,9 @@ func allocBoundSet(tb testing.TB) (*psg.Graph, []byte) {
 		}
 		for i, v := range mpiVertices(g) {
 			key := CommKey{VID: v.VID, Op: "mpi_sendrecv", DepRank: (rank + 1) % np, DepVID: v.VID, Tag: i, Bytes: 4096}
-			rp.Comm[key] = &CommRecord{CommKey: key, Count: 10, TotalWait: 0.001 * float64(i+1), MaxWait: 0.0001}
+			rp.Comm = append(rp.Comm, CommRecord{CommKey: key, Count: 10, TotalWait: 0.001 * float64(i+1), MaxWait: 0.0001})
 		}
+		rp.SortComm()
 		ps.Profiles = append(ps.Profiles, rp)
 	}
 	data, err := ps.Encode()

@@ -64,10 +64,13 @@ func fuzzSeedSet(tb testing.TB, g *psg.Graph) *ProfileSet {
 		rp.Vertex[compVID] = PerfData{Samples: 10 + int64(rank), Time: 0.125}
 		rp.Vertex[compVID].PMU[machine.TotCyc] = 1e6
 		key := CommKey{VID: mpiVID, Op: "mpi_sendrecv", DepRank: 1 - rank, DepVID: compVID, Tag: 1, Bytes: 64}
-		rp.Comm[key] = &CommRecord{CommKey: key, Count: 4, TotalWait: 0.01, MaxWait: 0.004}
 		ckey := CommKey{VID: mpiVID, Op: "mpi_allreduce", DepRank: 1 - rank, DepVID: compVID, Collective: true, Bytes: 8}
-		rp.Comm[ckey] = &CommRecord{CommKey: ckey, Count: 1, TotalWait: 0.002, MaxWait: 0.002}
-		rp.Indirect["main:1#foo"] = &IndirectRecord{InstancePath: "main", Site: 1, Target: "foo", Count: 2}
+		rp.Comm = []CommRecord{
+			{CommKey: key, Count: 4, TotalWait: 0.01, MaxWait: 0.004},
+			{CommKey: ckey, Count: 1, TotalWait: 0.002, MaxWait: 0.002},
+		}
+		rp.SortComm()
+		rp.Indirect = map[string]*IndirectRecord{"main:1#foo": {InstancePath: "main", Site: 1, Target: "foo", Count: 2}}
 		ps.Profiles = append(ps.Profiles, rp)
 	}
 	return ps

@@ -76,36 +76,28 @@ func (rp *RankProfile) MarshalJSON() ([]byte, error) {
 		}
 		dto.Vertex[key] = &rp.Vertex[i]
 	}
-	// Wire order must not derive from map iteration order (the maporder
-	// invariant): collect the keys, validate them, sort them with a
-	// comparator total over distinct CommKeys, and only then build the
-	// record list. Sorting built records instead is how the PR 6 commLess
-	// bug hid — its record comparator skipped Tag and Collective, so tied
-	// records silently serialized in map order.
-	ckeys := make([]CommKey, 0, len(rp.Comm))
-	for ck := range rp.Comm {
-		if _, err := keyOf(ck.VID); err != nil {
-			return nil, err
-		}
-		if ck.DepVID != psg.VIDNone {
-			if _, err := keyOf(ck.DepVID); err != nil {
-				return nil, err
-			}
-		}
-		ckeys = append(ckeys, ck)
+	// Comm is kept in wire order (the order is verified, not re-derived:
+	// a profile sorted by anything but commKeyLess must not reach disk),
+	// so the record list is one pass over it.
+	if err := rp.CheckComm(keys); err != nil {
+		return nil, err
 	}
-	sort.Slice(ckeys, func(i, j int) bool { return commKeyLess(keys, ckeys[i], ckeys[j]) })
-	for _, ck := range ckeys {
-		rec := rp.Comm[ck]
+	recs := make([]commRecordDTO, len(rp.Comm))
+	if len(recs) > 0 {
+		dto.Comm = make([]*commRecordDTO, len(recs))
+	}
+	for i := range rp.Comm {
+		rec := &rp.Comm[i]
 		dep := ""
-		if ck.DepVID != psg.VIDNone {
-			dep = keys[ck.DepVID]
+		if rec.DepVID != psg.VIDNone {
+			dep = keys[rec.DepVID]
 		}
-		dto.Comm = append(dto.Comm, &commRecordDTO{
-			VertexKey: keys[ck.VID], Op: ck.Op, DepRank: ck.DepRank, DepVertex: dep,
-			Tag: ck.Tag, Bytes: ck.Bytes, Collective: ck.Collective,
+		recs[i] = commRecordDTO{
+			VertexKey: keys[rec.VID], Op: rec.Op, DepRank: rec.DepRank, DepVertex: dep,
+			Tag: rec.Tag, Bytes: rec.Bytes, Collective: rec.Collective,
 			Count: rec.Count, TotalWait: rec.TotalWait, MaxWait: rec.MaxWait,
-		})
+		}
+		dto.Comm[i] = &recs[i]
 	}
 	ikeys := make([]string, 0, len(rp.Indirect))
 	for k := range rp.Indirect {
@@ -116,40 +108,6 @@ func (rp *RankProfile) MarshalJSON() ([]byte, error) {
 		dto.Indirect = append(dto.Indirect, rp.Indirect[k])
 	}
 	return json.Marshal(dto)
-}
-
-// commKeyLess orders communication records on the wire. It compares the
-// same fields, in the same order and direction, as the old record-level
-// commLess did — the on-disk byte sequence is unchanged — but it is
-// total over distinct CommKeys by construction: every CommKey field
-// participates, so no tie can fall through to map iteration order.
-func commKeyLess(keys []string, a, b CommKey) bool {
-	if ak, bk := keys[a.VID], keys[b.VID]; ak != bk {
-		return ak < bk
-	}
-	if a.Op != b.Op {
-		return a.Op < b.Op
-	}
-	if a.DepRank != b.DepRank {
-		return a.DepRank < b.DepRank
-	}
-	var ad, bd string
-	if a.DepVID != psg.VIDNone {
-		ad = keys[a.DepVID]
-	}
-	if b.DepVID != psg.VIDNone {
-		bd = keys[b.DepVID]
-	}
-	if ad != bd {
-		return ad < bd
-	}
-	if a.Tag != b.Tag {
-		return a.Tag < b.Tag
-	}
-	if a.Collective != b.Collective {
-		return !a.Collective
-	}
-	return a.Bytes < b.Bytes
 }
 
 // Encode serializes the profile set to the JSON wire format — exactly

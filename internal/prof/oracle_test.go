@@ -3,7 +3,9 @@ package prof
 // decodeOracle is the decoder DecodeProfileSet had until the single-pass
 // reader in decode.go replaced it: encoding/json into string-keyed DTOs,
 // then a re-interning pass. It is kept, verbatim, as the reference the
-// differential test and FuzzDecodeVsOracle hold the reader to.
+// differential test and FuzzDecodeVsOracle hold the reader to. One thing
+// changed with RankProfile.Comm: the records still meet in a map keyed by
+// CommKey, and the map is then flattened into the canonical-order slice.
 
 import (
 	"encoding/json"
@@ -39,6 +41,11 @@ func (dto *rankProfileDTO) fromDTO(g *psg.Graph) (*RankProfile, error) {
 		}
 		rp.Vertex[vid] = *pd
 	}
+	// Records are filed under their CommKey, so of two that share one the
+	// later wins, key bits included (a map assignment rewrites a key that
+	// holds a float: -0 replaces 0); the survivors then take the order
+	// RankProfile.Comm is kept in.
+	comm := map[CommKey]*CommRecord{}
 	for _, rec := range dto.Comm {
 		if rec == nil {
 			return nil, fmt.Errorf("rank %d profile has a null communication record", dto.Rank)
@@ -57,13 +64,17 @@ func (dto *rankProfileDTO) fromDTO(g *psg.Graph) (*RankProfile, error) {
 			VID: vid, Op: rec.Op, DepRank: rec.DepRank, DepVID: dep,
 			Tag: rec.Tag, Bytes: rec.Bytes, Collective: rec.Collective,
 		}
-		rp.Comm[key] = &CommRecord{CommKey: key, Count: rec.Count, TotalWait: rec.TotalWait, MaxWait: rec.MaxWait}
+		comm[key] = &CommRecord{CommKey: key, Count: rec.Count, TotalWait: rec.TotalWait, MaxWait: rec.MaxWait}
 	}
+	for _, rec := range comm {
+		rp.Comm = append(rp.Comm, *rec)
+	}
+	sortComm(g.Keys(), rp.Comm)
 	for _, rec := range dto.Indirect {
 		if rec == nil {
 			return nil, fmt.Errorf("rank %d profile has a null indirect-call record", dto.Rank)
 		}
-		rp.Indirect[fmt.Sprintf("%s:%d#%s", rec.InstancePath, rec.Site, rec.Target)] = rec
+		rp.setIndirect(indirectKey(rec.InstancePath, rec.Site, rec.Target), rec)
 	}
 	return rp, nil
 }

@@ -8,6 +8,7 @@ package prof
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"scalana/internal/machine"
 	"scalana/internal/minilang"
@@ -119,9 +120,14 @@ type RankProfile struct {
 	// Vertex is dense per-vertex performance data indexed by psg.VID; a
 	// zero-valued entry means the vertex was never sampled on this rank.
 	Vertex []PerfData
-	// Comm holds the compressed communication dependence records.
-	Comm map[CommKey]*CommRecord
-	// Indirect holds runtime indirect-call resolutions.
+	// Comm holds the compressed communication dependence records in the
+	// canonical wire order (commKeyLess), strictly ascending: no two
+	// records share a CommKey. Profiler.Profile and the decoder establish
+	// the order; a hand-built profile calls SortComm. The encoder and
+	// ppg.Build verify it with CheckComm instead of sorting again.
+	Comm []CommRecord
+	// Indirect holds runtime indirect-call resolutions (nil until the
+	// first one: most programs make no indirect call).
 	Indirect map[string]*IndirectRecord
 	// Raw counts for storage accounting.
 	EventsSeen    int64
@@ -133,13 +139,108 @@ type RankProfile struct {
 // pre-sized to g's symbol table.
 func NewRankProfile(g *psg.Graph, rank, np int) *RankProfile {
 	return &RankProfile{
-		Rank:     rank,
-		NP:       np,
-		Graph:    g,
-		Vertex:   make([]PerfData, g.NumVIDs()),
-		Comm:     map[CommKey]*CommRecord{},
-		Indirect: map[string]*IndirectRecord{},
+		Rank:   rank,
+		NP:     np,
+		Graph:  g,
+		Vertex: make([]PerfData, g.NumVIDs()),
 	}
+}
+
+// commKeyLess is the canonical order of communication records: the order
+// they have on the wire and the order ppg.Build sums them in. It compares
+// vertices by their interned key strings, not by VID, so bytes written by
+// this build equal the pre-VID build's, and it is total over distinct
+// CommKeys — every field participates. VIDs must be in range of keys,
+// psg.VIDNone excepted on the dependence side (CheckComm verifies that
+// before anything compares).
+func commKeyLess(keys []string, a, b *CommKey) bool {
+	if a.VID != b.VID {
+		if ak, bk := keys[a.VID], keys[b.VID]; ak != bk {
+			return ak < bk
+		}
+	}
+	if a.Op != b.Op {
+		return a.Op < b.Op
+	}
+	if a.DepRank != b.DepRank {
+		return a.DepRank < b.DepRank
+	}
+	if a.DepVID != b.DepVID {
+		var ad, bd string
+		if a.DepVID != psg.VIDNone {
+			ad = keys[a.DepVID]
+		}
+		if b.DepVID != psg.VIDNone {
+			bd = keys[b.DepVID]
+		}
+		if ad != bd {
+			return ad < bd
+		}
+	}
+	if a.Tag != b.Tag {
+		return a.Tag < b.Tag
+	}
+	if a.Collective != b.Collective {
+		return !a.Collective
+	}
+	return a.Bytes < b.Bytes
+}
+
+// sortComm puts records into canonical order. The sort is stable, so
+// records that share a CommKey keep their relative order.
+func sortComm(keys []string, comm []CommRecord) {
+	slices.SortStableFunc(comm, func(a, b CommRecord) int {
+		switch {
+		case commKeyLess(keys, &a.CommKey, &b.CommKey):
+			return -1
+		case commKeyLess(keys, &b.CommKey, &a.CommKey):
+			return 1
+		}
+		return 0
+	})
+}
+
+// SortComm puts a hand-built profile's records into the canonical order
+// CheckComm demands. Records naming a vertex outside the graph are left
+// for CheckComm to report.
+func (rp *RankProfile) SortComm() {
+	keys := rp.Graph.Keys()
+	if rp.commInRange(len(keys)) == nil {
+		sortComm(keys, rp.Comm)
+	}
+}
+
+// commInRange reports the first record that names a vertex outside a
+// symbol table of n entries (psg.VIDNone is legal as DepVID only).
+func (rp *RankProfile) commInRange(n int) error {
+	for i := range rp.Comm {
+		rec := &rp.Comm[i]
+		bad := rec.VID
+		if int(bad) < n && rec.DepVID != psg.VIDNone {
+			bad = rec.DepVID
+		}
+		if int(bad) >= n {
+			return fmt.Errorf("prof: rank %d profile references VID %d outside the symbol table (%d entries)", rp.Rank, bad, n)
+		}
+	}
+	return nil
+}
+
+// CheckComm verifies, in one linear pass, what every consumer of Comm
+// relies on: each record names vertices of the symbol table keys, and the
+// records are in strictly ascending canonical order. Aggregating or
+// encoding them in any other order would change float sums and wire
+// bytes, so the encoder and ppg.Build refuse instead of sorting again.
+func (rp *RankProfile) CheckComm(keys []string) error {
+	if err := rp.commInRange(len(keys)); err != nil {
+		return err
+	}
+	for i := 1; i < len(rp.Comm); i++ {
+		if !commKeyLess(keys, &rp.Comm[i-1].CommKey, &rp.Comm[i].CommKey) {
+			return fmt.Errorf("prof: rank %d profile: communication records %d and %d are out of canonical order or share a key (a hand-built profile calls SortComm)", rp.Rank, i-1, i)
+		}
+	}
+	return nil
 }
 
 // CheckRanks reports whether profiles is one complete job: every rank of
@@ -236,27 +337,86 @@ type Profiler struct {
 	pendingPMU machine.Vec
 	rng        *rand.Rand
 
-	// requestConverter reproduces paper Fig. 5: request handle ->
-	// (source, tag) captured at MPI_Irecv, consumed at MPI_Wait.
-	requestConverter map[int]srcTag
+	// The records an MPI vertex owns form a chain through profile.Comm:
+	// commHead[vid] is one more than the index of the newest (0 = none)
+	// and commNext[i] is the same for the record before record i. A
+	// vertex has one to a few distinct parameter sets, so finding an
+	// event's record is a short field-by-field compare.
+	commHead []int32
+	commNext []int32
+	// commSorted says profile.Comm is in canonical order; appending a
+	// record clears it and Profile restores it.
+	commSorted bool
+	// wideTag says an event carried a tag outside [0, 256); see record.
+	wideTag bool
+
+	// pending reproduces the request converter of paper Fig. 5: request
+	// handle -> source captured at MPI_Irecv (the tag of Fig. 5 rides on
+	// the wait event itself), consumed at MPI_Wait and dropped wholesale
+	// at MPI_Waitall, which completes every request the rank has. It
+	// never holds more than the rank's outstanding receive requests.
+	pending []pendingRecv
 }
 
-type srcTag struct {
+type pendingRecv struct {
+	id  int
 	src int
-	tag int
 }
 
-// New creates the profiler hook for one rank.
+// Per-rank capacities carved from NewProfilers' slabs; a rank that
+// needs more grows its own slice on the heap.
+const (
+	commCap    = 8
+	pendingCap = 8
+)
+
+// NewProfilers returns the hooks of all np ranks of one run, rank r at
+// index r. Every rank's dense vertex storage, record arena, record index
+// and request converter are carved from slabs allocated once here — a
+// handful of allocations a run instead of a handful a rank. Use the
+// elements in place (&profilers[r]); a copy would fork a rank's state.
+func NewProfilers(cfg Config, graph *psg.Graph, np int) []Profiler {
+	return newProfilers(cfg, graph, 0, np, np)
+}
+
+// New creates a stand-alone profiler hook for one rank.
 func New(cfg Config, graph *psg.Graph, rank, np int) *Profiler {
+	return &newProfilers(cfg, graph, rank, 1, np)[0]
+}
+
+// newProfilers builds the profilers of ranks first..first+n-1 of an
+// np-rank job over shared slabs.
+func newProfilers(cfg Config, graph *psg.Graph, first, n, np int) []Profiler {
 	if cfg.SampleHz <= 0 {
 		cfg.SampleHz = DefaultConfig().SampleHz
 	}
-	return &Profiler{
-		cfg:              cfg,
-		profile:          NewRankProfile(graph, rank, np),
-		period:           1 / cfg.SampleHz,
-		requestConverter: map[int]srcTag{},
+	nv := graph.NumVIDs()
+	profilers := make([]Profiler, n)
+	profiles := make([]RankProfile, n)
+	vertex := make([]PerfData, n*nv)
+	heads := make([]int32, n*nv)
+	comm := make([]CommRecord, n*commCap)
+	next := make([]int32, n*commCap)
+	pending := make([]pendingRecv, n*pendingCap)
+	for i := range profilers {
+		profiles[i] = RankProfile{
+			Rank:   first + i,
+			NP:     np,
+			Graph:  graph,
+			Vertex: vertex[i*nv : (i+1)*nv : (i+1)*nv],
+			Comm:   comm[i*commCap : i*commCap : (i+1)*commCap],
+		}
+		profilers[i] = Profiler{
+			cfg:        cfg,
+			profile:    &profiles[i],
+			period:     1 / cfg.SampleHz,
+			commHead:   heads[i*nv : (i+1)*nv : (i+1)*nv],
+			commNext:   next[i*commCap : i*commCap : (i+1)*commCap],
+			commSorted: true,
+			pending:    pending[i*pendingCap : i*pendingCap : (i+1)*pendingCap],
+		}
 	}
+	return profilers
 }
 
 // sampleRand lazily seeds the instrumentation-sampling RNG on first draw.
@@ -270,8 +430,25 @@ func (pr *Profiler) sampleRand() float64 {
 	return pr.rng.Float64()
 }
 
-// Profile returns the collected rank profile.
-func (pr *Profiler) Profile() *RankProfile { return pr.profile }
+// Profile returns the collected rank profile, its communication records
+// in canonical order. The profiler stays usable: further events keep
+// accumulating into the same profile.
+func (pr *Profiler) Profile() *RankProfile {
+	if !pr.commSorted {
+		comm := pr.profile.Comm
+		sortComm(pr.profile.Graph.Keys(), comm)
+		// The sort moved records, so re-thread the per-vertex chains.
+		for i := range comm {
+			pr.commHead[comm[i].VID] = 0
+		}
+		for i := range comm {
+			pr.commNext[i] = pr.commHead[comm[i].VID]
+			pr.commHead[comm[i].VID] = int32(i + 1)
+		}
+		pr.commSorted = true
+	}
+	return pr.profile
+}
 
 // perf returns the dense slot for a vertex. New sizes the storage to the
 // graph's symbol table and a compiled graph never grows, so every VID a
@@ -292,7 +469,11 @@ func ctxVID(ctx any) psg.VID {
 //
 //scalana:hot
 func (pr *Profiler) Advance(p *mpisim.Proc, from, to float64, kind mpisim.AdvanceKind, ctx any, pmu machine.Vec) float64 {
-	pr.pendingPMU.Add(pmu)
+	// Only computation and glue accrue counters; every other kind passes
+	// the zero vector, and x + 0 is x.
+	if kind <= mpisim.AdvGlue {
+		pr.pendingPMU.Add(pmu)
+	}
 	bucket := int64(to / pr.period)
 	crossings := bucket - pr.lastBucket
 	pr.lastBucket = bucket
@@ -320,20 +501,30 @@ func (pr *Profiler) MPIEvent(p *mpisim.Proc, ev *mpisim.Event) float64 {
 	// Fig. 5: capture (source, tag) at Irecv; resolve at Wait. When the
 	// posted source was a wildcard, the completed event's Peer plays the
 	// role of status.MPI_SOURCE.
+	depRank := ev.DepRank
 	switch ev.Kind {
 	case mpisim.EvIrecv:
-		pr.requestConverter[ev.ReqID] = srcTag{src: ev.Peer, tag: ev.Tag}
+		pr.pending = append(pr.pending, pendingRecv{id: ev.ReqID, src: ev.Peer})
 		return 0 // dependence is recorded at completion time
 	case mpisim.EvIsend:
 		return 0
 	case mpisim.EvWait:
-		if st, ok := pr.requestConverter[ev.ReqID]; ok {
-			delete(pr.requestConverter, ev.ReqID)
-			if st.src == mpisim.AnySource {
-				// Source was uncertain; use the completed status.
-				st.src = ev.Peer
+		for i := range pr.pending {
+			if st := pr.pending[i]; st.id == ev.ReqID {
+				last := len(pr.pending) - 1
+				pr.pending[i] = pr.pending[last]
+				pr.pending = pr.pending[:last]
+				// The completed receive depended on the source it was
+				// posted for, or — when that was uncertain — on the one
+				// the completed status names.
+				if depRank = st.src; depRank == mpisim.AnySource {
+					depRank = ev.Peer
+				}
+				break
 			}
 		}
+	case mpisim.EvWaitall:
+		pr.pending = pr.pending[:0]
 	}
 
 	// Random sampling-based instrumentation (paper §III-B2): record the
@@ -343,27 +534,15 @@ func (pr *Profiler) MPIEvent(p *mpisim.Proc, ev *mpisim.Event) float64 {
 	}
 	pr.profile.EventsSampled++
 
-	key := CommKey{
-		VID:        ctxVID(ev.Ctx),
-		Op:         ev.Op,
-		DepRank:    ev.DepRank,
-		DepVID:     ctxVID(ev.DepCtx),
-		Tag:        ev.Tag,
-		Bytes:      ev.Bytes,
-		Collective: ev.Collective,
-	}
-	if ev.DepCtx == nil {
-		key.DepVID = psg.VIDNone
+	vid, depVID, tag := ctxVID(ev.Ctx), psg.VIDNone, ev.Tag
+	if ev.DepCtx != nil {
+		depVID = ctxVID(ev.DepCtx)
 	}
 	if !pr.cfg.Compress {
 		// Without graph-guided compression every record is unique.
-		key.Tag = int(pr.profile.EventsSampled)<<8 | key.Tag
+		tag = int(pr.profile.EventsSampled)<<8 | tag
 	}
-	rec := pr.profile.Comm[key]
-	if rec == nil {
-		rec = &CommRecord{CommKey: key}
-		pr.profile.Comm[key] = rec
-	}
+	rec := pr.record(vid, depVID, depRank, tag, ev)
 	rec.Count++
 	rec.TotalWait += ev.Wait
 	if ev.Wait > rec.MaxWait {
@@ -372,14 +551,57 @@ func (pr *Profiler) MPIEvent(p *mpisim.Proc, ev *mpisim.Event) float64 {
 	return pr.cfg.CommRecordCost
 }
 
+// record finds the record an event accumulates into, appending one when
+// the vertex has not issued these parameters before.
+//
+//scalana:hot
+func (pr *Profiler) record(vid, depVID psg.VID, depRank, tag int, ev *mpisim.Event) *CommRecord {
+	comm := pr.profile.Comm
+	// Uncompressed, an event's number sits in its key above a tag in
+	// [0, 256), so while every tag has been that small the key is new by
+	// construction and the chain — one record an event — is not walked.
+	pr.wideTag = pr.wideTag || uint(ev.Tag) >= 256
+	if pr.cfg.Compress || pr.wideTag {
+		for i := pr.commHead[vid]; i != 0; i = pr.commNext[i-1] {
+			rec := &comm[i-1]
+			if rec.DepRank == depRank && rec.Tag == tag && rec.DepVID == depVID &&
+				rec.Bytes == ev.Bytes && rec.Collective == ev.Collective && rec.Op == ev.Op {
+				return rec
+			}
+		}
+	}
+	pr.profile.Comm = append(comm, CommRecord{CommKey: CommKey{
+		VID: vid, Op: ev.Op, DepRank: depRank, DepVID: depVID,
+		Tag: tag, Bytes: ev.Bytes, Collective: ev.Collective,
+	}})
+	pr.commNext = append(pr.commNext, pr.commHead[vid])
+	pr.commHead[vid] = int32(len(pr.profile.Comm))
+	pr.commSorted = false
+	return &pr.profile.Comm[len(comm)]
+}
+
+// indirectKey names one (call site, target) resolution in
+// RankProfile.Indirect.
+func indirectKey(instancePath string, site minilang.NodeID, target string) string {
+	return fmt.Sprintf("%s:%d#%s", instancePath, site, target)
+}
+
+// setIndirect files rec under key, allocating the map on first use.
+func (rp *RankProfile) setIndirect(key string, rec *IndirectRecord) {
+	if rp.Indirect == nil {
+		rp.Indirect = map[string]*IndirectRecord{}
+	}
+	rp.Indirect[key] = rec
+}
+
 // ObserveIndirect records a runtime indirect-call resolution; wire it to
 // vm.Runner.OnIndirect.
 func (pr *Profiler) ObserveIndirect(rank int, inst *psg.Instance, site minilang.NodeID, target string) {
-	key := fmt.Sprintf("%s:%d#%s", inst.Path, site, target)
+	key := indirectKey(inst.Path, site, target)
 	rec := pr.profile.Indirect[key]
 	if rec == nil {
 		rec = &IndirectRecord{InstancePath: inst.Path, Site: site, Target: target}
-		pr.profile.Indirect[key] = rec
+		pr.profile.setIndirect(key, rec)
 	}
 	rec.Count++
 }

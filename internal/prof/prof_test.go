@@ -3,6 +3,7 @@ package prof
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"scalana/internal/machine"
@@ -185,9 +186,10 @@ func main() {
 		t.Fatal(err)
 	}
 	var waitRec *CommRecord
-	for _, rec := range profilers[0].Profile().Comm {
-		if rec.Op == "mpi_wait" {
-			waitRec = rec
+	comm := profilers[0].Profile().Comm
+	for i := range comm {
+		if comm[i].Op == "mpi_wait" {
+			waitRec = &comm[i]
 		}
 	}
 	if waitRec == nil {
@@ -258,8 +260,8 @@ func TestProfileSetRoundTrip(t *testing.T) {
 	if len(lp.Comm) != 1 {
 		t.Fatalf("comm records = %d", len(lp.Comm))
 	}
-	for k, rec := range lp.Comm {
-		if k.Op != "mpi_recv" || rec.TotalWait != 0.01 {
+	for _, rec := range lp.Comm {
+		if rec.Op != "mpi_recv" || rec.TotalWait != 0.01 {
 			t.Errorf("restored record = %+v", rec)
 		}
 	}
@@ -285,5 +287,125 @@ func TestLoadProfileSetErrors(t *testing.T) {
 	os.WriteFile(mismatch, []byte(`{"app":"x","np":1,"profiles":[{"rank":0,"np":1,"vertex":{"nope:99":{"Samples":1,"Time":0.1,"PMU":[0,0,0,0,0]}}}]}`), 0o644)
 	if _, err := LoadProfileSet(mismatch, g); err == nil {
 		t.Error("unknown vertex key should error")
+	}
+}
+
+// TestRequestConverterBounded holds the request converter to the rank's
+// outstanding requests: every bundled app that posts mpi_irecv completes
+// it with mpi_waitall, which names no request, so a converter that only
+// forgot a receive at mpi_wait kept one entry a receive for the whole
+// run.
+func TestRequestConverterBounded(t *testing.T) {
+	g := testGraph(t)
+	profilers := make([]*Profiler, 2)
+	w := mpisim.NewWorld(mpisim.Config{NP: 2, HookFactory: func(rank int) []mpisim.Hook {
+		profilers[rank] = New(DefaultConfig(), g, rank, 2)
+		return []mpisim.Hook{profilers[rank]}
+	}})
+	check := func(p *mpisim.Proc) {
+		if held, out := len(profilers[p.Rank].pending), p.Outstanding(); held > out {
+			t.Errorf("rank %d: converter holds %d receives, %d requests outstanding", p.Rank, held, out)
+		}
+	}
+	_, err := w.Run(func(p *mpisim.Proc) {
+		peer := 1 - p.Rank
+		for round := 0; round < 1000; round++ {
+			for i := 0; i < 8; i++ {
+				p.Irecv(peer, i, 64)
+				check(p)
+			}
+			for i := 0; i < 8; i++ {
+				p.Isend(peer, i, 64)
+				check(p)
+			}
+			if held := len(profilers[p.Rank].pending); held != 8 {
+				t.Errorf("rank %d round %d: converter holds %d receives before waitall, want 8", p.Rank, round, held)
+			}
+			p.Waitall()
+			check(p)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for rank, pr := range profilers {
+		if held := len(pr.pending); held != 0 {
+			t.Errorf("rank %d: converter retains %d entries after the run, want 0", rank, held)
+		}
+	}
+}
+
+// TestUncompressedKeysCollideLikeTheMap covers the one way two
+// uncompressed records can share a key: a tag outside [0, 256) overlaps
+// the event number stored above it (event 1 with tag 0x200 and event 3
+// with tag 0 both make 0x300; a negative tag absorbs the number
+// entirely). The profiler skips the record lookup while no such tag has
+// been seen, and must still merge exactly the records the map-based
+// reference merged.
+func TestUncompressedKeysCollideLikeTheMap(t *testing.T) {
+	g := testGraph(t)
+	cfg := DefaultConfig()
+	cfg.Compress = false
+	p := fakeProc(t)
+	v := g.Root.Children[1]
+	tags := []int{0x200, 7, 0, 0x100, -1, -1, 3, 0x300, 5}
+	pr, ref := New(cfg, g, 0, 2), newOracleProfiler(cfg, g, 0, 2)
+	for _, tag := range tags {
+		ev := &mpisim.Event{Kind: mpisim.EvRecv, Op: "mpi_recv", Peer: 1, Tag: tag,
+			Bytes: 64, Wait: 0.5, DepRank: 1, DepCtx: v, Ctx: v}
+		pr.MPIEvent(p, ev)
+		ref.MPIEvent(p, ev)
+	}
+	if n := len(ref.Profile().Comm); n >= len(tags) {
+		t.Fatalf("reference kept %d records of %d events: the tags no longer collide", n, len(tags))
+	}
+	got, err := (&ProfileSet{NP: 2, Profiles: []*RankProfile{pr.Profile()}}).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := (&ProfileSet{NP: 2, Profiles: []*RankProfile{ref.Profile()}}).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(want) {
+		t.Errorf("profiler and reference disagree\n--- profiler ---\n%s\n--- reference ---\n%s", got, want)
+	}
+}
+
+// TestCheckComm covers what the encoder and ppg.Build refuse: records out
+// of canonical order, two records under one key, and vertices the graph
+// does not have (psg.VIDNone is a vertex only on the dependence side).
+func TestCheckComm(t *testing.T) {
+	g := testGraph(t)
+	v := g.Root.Children[1]
+	rec := func(vid, dep psg.VID, tag int) CommRecord {
+		return CommRecord{CommKey: CommKey{VID: vid, Op: "mpi_recv", DepRank: 1, DepVID: dep, Tag: tag}, Count: 1}
+	}
+	for _, tc := range []struct {
+		name    string
+		comm    []CommRecord
+		wantErr string // after SortComm; "" = accepted
+	}{
+		{"ascending", []CommRecord{rec(v.VID, psg.VIDNone, 1), rec(v.VID, v.VID, 1), rec(v.VID, v.VID, 2)}, ""},
+		{"descending", []CommRecord{rec(v.VID, v.VID, 2), rec(v.VID, v.VID, 1)}, ""},
+		{"shared key", []CommRecord{rec(v.VID, v.VID, 1), rec(v.VID, v.VID, 1)}, "share a key"},
+		{"unknown vertex", []CommRecord{rec(psg.VID(g.NumVIDs()), v.VID, 1)}, "outside the symbol table"},
+		{"no vertex", []CommRecord{rec(psg.VIDNone, v.VID, 1)}, "outside the symbol table"},
+		{"unknown dependence vertex", []CommRecord{rec(v.VID, psg.VID(g.NumVIDs()), 1)}, "outside the symbol table"},
+	} {
+		rp := NewRankProfile(g, 0, 2)
+		rp.Comm = tc.comm
+		sortedAlready := tc.name == "ascending"
+		if err := rp.CheckComm(g.Keys()); (err == nil) != sortedAlready {
+			t.Errorf("%s, as built: CheckComm = %v", tc.name, err)
+		}
+		rp.SortComm()
+		err := rp.CheckComm(g.Keys())
+		if tc.wantErr == "" && err != nil || tc.wantErr != "" && (err == nil || !strings.Contains(err.Error(), tc.wantErr)) {
+			t.Errorf("%s, after SortComm: CheckComm = %v, want %q", tc.name, err, tc.wantErr)
+		}
+		if _, encErr := rp.MarshalJSON(); (encErr == nil) != (err == nil) {
+			t.Errorf("%s: MarshalJSON = %v where CheckComm = %v", tc.name, encErr, err)
+		}
 	}
 }

@@ -36,27 +36,29 @@ func (scalAnaTool) NewRun(tc ToolContext) (ToolRun, error) {
 		pc.Seed = tc.Config.Seed
 	}
 	np := tc.Config.NP
-	return &scalAnaRun{
-		cfg:       pc,
+	// Every rank's profiler storage comes out of the run's slabs, and so
+	// do the one-hook lists the simulator asks for rank by rank.
+	r := &scalAnaRun{
 		graph:     tc.Graph,
-		np:        np,
-		profilers: make([]*prof.Profiler, np),
+		profilers: prof.NewProfilers(pc, tc.Graph, np),
+		hooks:     make([]mpisim.Hook, np),
 		profiles:  make([]*prof.RankProfile, np),
-	}, nil
+	}
+	for rank := range r.hooks {
+		r.hooks[rank] = &r.profilers[rank]
+	}
+	return r, nil
 }
 
 type scalAnaRun struct {
-	cfg       prof.Config
 	graph     *psg.Graph
-	np        int
-	profilers []*prof.Profiler
+	profilers []prof.Profiler
+	hooks     []mpisim.Hook
 	profiles  []*prof.RankProfile
 }
 
 func (r *scalAnaRun) HooksForRank(rank int) []mpisim.Hook {
-	pr := prof.New(r.cfg, r.graph, rank, r.np)
-	r.profilers[rank] = pr
-	return []mpisim.Hook{pr}
+	return r.hooks[rank : rank+1 : rank+1]
 }
 
 func (r *scalAnaRun) FinalizeRank(rank int) int64 {
