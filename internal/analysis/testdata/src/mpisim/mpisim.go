@@ -1,9 +1,13 @@
 // Package mpisim exercises the walltime analyzer: the directory name
 // matches a restricted simulator-core package segment, so wall-clock
-// reads and channel machinery are forbidden here.
+// reads, channel machinery, go statements and condition variables are
+// forbidden here.
 package mpisim
 
-import "time"
+import (
+	"sync"
+	"time"
+)
 
 // virtualDelay is legal: time.Duration is a unit, not a clock.
 func virtualDelay(d time.Duration) float64 { return d.Seconds() }
@@ -27,4 +31,20 @@ func selects(ch chan int) { // want `channel type in package mpisim`
 	case <-ch: // want `channel receive in package mpisim`
 	default:
 	}
+}
+
+func spawns(f func()) {
+	go f() // want `go statement in package mpisim`
+	//scalana:allow walltime the fixture's stand-in for the adapter's one justified goroutine
+	go f()
+}
+
+// A mutex is legal: the blocking-body adapter hands control over with two.
+type handoff struct {
+	mu   sync.Mutex
+	cond sync.Cond // want `sync.Cond in package mpisim`
+}
+
+func conds(mu *sync.Mutex) *sync.Cond { // want `sync.Cond in package mpisim`
+	return sync.NewCond(mu) // want `sync.NewCond in package mpisim`
 }

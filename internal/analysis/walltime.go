@@ -7,18 +7,20 @@ import (
 	"strings"
 )
 
-// WallTime enforces the PR 7 cooperative-scheduler contract: inside the
-// simulator core, time is virtual and scheduling is a baton handoff over
-// per-rank condition variables. Wall-clock reads, timers, channels, and
-// select would reintroduce the nondeterminism (goroutine wakeup order,
-// timer jitter) the scheduler was built to eliminate, so none of them
-// may appear in the restricted packages' non-test code.
+// WallTime enforces the cooperative-scheduler contract: inside the
+// simulator core, time is virtual and the scheduler is one loop on its
+// caller's goroutine, stepping ranks that are values, not goroutines.
+// Wall-clock reads, timers, channels, select, go statements and condition
+// variables would reintroduce the nondeterminism (goroutine wakeup order,
+// timer jitter) and the per-rank stacks the scheduler was built to
+// eliminate, so none of them may appear in the restricted packages'
+// non-test code.
 var WallTime = &Analyzer{
 	Name: "walltime",
-	Doc: "forbids wall-clock time (time.Now/After/Sleep/Timer/Ticker) and " +
-		"channel/select constructs in the simulator core packages " +
-		"(" + strings.Join(WallTimePackages, ", ") + "): simulation runs on " +
-		"virtual time under the cooperative scheduler only",
+	Doc: "forbids wall-clock time (time.Now/After/Sleep/Timer/Ticker), " +
+		"channel/select constructs, go statements and sync.Cond in the simulator " +
+		"core packages (" + strings.Join(WallTimePackages, ", ") + "): simulation " +
+		"runs on virtual time, on the goroutine that called World.Run",
 	Run: runWallTime,
 }
 
@@ -57,7 +59,7 @@ func runWallTime(pass *Pass) error {
 			switch n := n.(type) {
 			case *ast.ChanType:
 				pass.Reportf(n.Pos(), "channel type in package %s: the cooperative scheduler contract allows "+
-					"no channels in the simulator core (use the baton handoff / sync.Cond machinery)", pkg)
+					"no channels in the simulator core (a rank that must wait parks and returns to the driver loop)", pkg)
 			case *ast.SelectStmt:
 				pass.Reportf(n.Pos(), "select in package %s: the cooperative scheduler contract allows no "+
 					"channel operations in the simulator core", pkg)
@@ -69,14 +71,26 @@ func runWallTime(pass *Pass) error {
 					pass.Reportf(n.Pos(), "channel receive in package %s: the cooperative scheduler contract "+
 						"allows no channel operations in the simulator core", pkg)
 				}
+			case *ast.GoStmt:
+				pass.Reportf(n.Pos(), "go statement in package %s: ranks are stepped on the goroutine that "+
+					"called World.Run; the simulator core starts none of its own", pkg)
 			case *ast.SelectorExpr:
-				if id, ok := n.X.(*ast.Ident); ok {
-					if pn, ok := pass.TypesInfo.Uses[id].(*types.PkgName); ok &&
-						pn.Imported().Path() == "time" && forbiddenTimeNames[n.Sel.Name] {
-						pass.Reportf(n.Pos(), "time.%s in package %s: simulation must run on virtual time only "+
-							"(wall clocks and timers reintroduce the nondeterminism the scheduler removed)",
-							n.Sel.Name, pkg)
-					}
+				id, ok := n.X.(*ast.Ident)
+				if !ok {
+					break
+				}
+				pn, ok := pass.TypesInfo.Uses[id].(*types.PkgName)
+				if !ok {
+					break
+				}
+				switch path := pn.Imported().Path(); {
+				case path == "time" && forbiddenTimeNames[n.Sel.Name]:
+					pass.Reportf(n.Pos(), "time.%s in package %s: simulation must run on virtual time only "+
+						"(wall clocks and timers reintroduce the nondeterminism the scheduler removed)",
+						n.Sel.Name, pkg)
+				case path == "sync" && (n.Sel.Name == "Cond" || n.Sel.Name == "NewCond"):
+					pass.Reportf(n.Pos(), "sync.%s in package %s: a parked rank is a continuation record, "+
+						"not a goroutine asleep on a condition variable", n.Sel.Name, pkg)
 				}
 			}
 			return true

@@ -21,7 +21,7 @@ func runApp(t *testing.T, app *App, cfg mpisim.Config) mpisim.RunResult {
 	if app.CoreConfig != nil {
 		cfg.Core = app.CoreConfig(cfg.NP)
 	}
-	res, err := mpisim.NewWorld(cfg).Run(vm.NewRunner(code).Execute)
+	res, err := mpisim.NewWorld(cfg).Run(vm.NewRunner(code).Stepper(cfg.NP))
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}

@@ -6,7 +6,7 @@ import "testing"
 func BenchmarkP2PRoundtrip(b *testing.B) {
 	w := NewWorld(Config{NP: 2})
 	b.ResetTimer()
-	_, err := w.Run(func(p *Proc) {
+	_, err := w.RunBlocking(func(p *Proc) {
 		for i := 0; i < b.N; i++ {
 			if p.Rank == 0 {
 				p.Send(1, 0, 1024)
@@ -26,7 +26,7 @@ func BenchmarkP2PRoundtrip(b *testing.B) {
 func BenchmarkNonBlockingExchange(b *testing.B) {
 	w := NewWorld(Config{NP: 4})
 	b.ResetTimer()
-	_, err := w.Run(func(p *Proc) {
+	_, err := w.RunBlocking(func(p *Proc) {
 		next := (p.Rank + 1) % 4
 		prev := (p.Rank + 3) % 4
 		for i := 0; i < b.N; i++ {
@@ -46,7 +46,7 @@ func BenchmarkNonBlockingExchange(b *testing.B) {
 func BenchmarkAllreduce(b *testing.B) {
 	w := NewWorld(Config{NP: 16})
 	b.ResetTimer()
-	_, err := w.Run(func(p *Proc) {
+	_, err := w.RunBlocking(func(p *Proc) {
 		for i := 0; i < b.N; i++ {
 			p.Allreduce(8)
 		}

@@ -14,8 +14,8 @@ import (
 // Under run-to-block scheduling a slot is a plain arrival counter: each
 // rank that arrives before the last parks on the slot, and the last
 // arriver computes the result and readies all of them. No mutex or
-// completion channel is needed — only the baton-holding rank ever
-// touches a slot.
+// completion channel is needed — only the rank being stepped ever touches
+// a slot.
 
 type arrival struct {
 	t   float64
@@ -23,6 +23,7 @@ type arrival struct {
 }
 
 type collSlot struct {
+	seq      int // the collective's number in program order
 	op       string
 	root     int
 	bytes    float64
@@ -32,7 +33,6 @@ type collSlot struct {
 	// arriver.
 	waiters []int
 	// computed by the last arriver:
-	done     bool
 	tMax     float64
 	depRank  int
 	depCtx   any
@@ -65,16 +65,16 @@ func newCollectives(w *World) *collectives {
 func (c *collectives) slotFor(seq int, op string, root int, bytes float64) *collSlot {
 	i := seq - c.base
 	if i == len(c.live) {
-		c.live = append(c.live, c.newSlot(op, root, bytes))
+		c.live = append(c.live, c.newSlot(seq, op, root, bytes))
 	}
 	return c.live[i]
 }
 
 // retire recycles a slot every rank has read and slides the window past
 // it.
-func (c *collectives) retire(seq int) {
-	i := seq - c.base
-	c.free = append(c.free, c.live[i])
+func (c *collectives) retire(slot *collSlot) {
+	i := slot.seq - c.base
+	c.free = append(c.free, slot)
 	c.live[i] = nil
 	for len(c.live) > 0 && c.live[0] == nil {
 		c.live = c.live[:copy(c.live, c.live[1:])]
@@ -83,7 +83,7 @@ func (c *collectives) retire(seq int) {
 }
 
 // newSlot allocates or recycles a slot.
-func (c *collectives) newSlot(op string, root int, bytes float64) *collSlot {
+func (c *collectives) newSlot(seq int, op string, root int, bytes float64) *collSlot {
 	var slot *collSlot
 	if n := len(c.free); n > 0 {
 		slot = c.free[n-1]
@@ -93,7 +93,7 @@ func (c *collectives) newSlot(op string, root int, bytes float64) *collSlot {
 	} else {
 		slot = &collSlot{arrivals: make([]arrival, c.w.np)}
 	}
-	slot.op, slot.root, slot.bytes = op, root, bytes
+	slot.seq, slot.op, slot.root, slot.bytes = seq, op, root, bytes
 	slot.depRank = -1
 	return slot
 }
@@ -126,15 +126,16 @@ func ceilLog2b(n int) float64 {
 	return math.Ceil(math.Log2(float64(n)))
 }
 
-// collective executes one collective operation on the calling rank.
-func (p *Proc) collective(op string, root int, bytes float64) {
+// collective executes one collective operation on the calling rank: the
+// arrival, and — for the last arriver — the completion; every earlier
+// arriver parks (false) and completes when the last one wakes it.
+func (p *Proc) collective(op string, root int, bytes float64) bool {
 	t0 := p.Clock
 	p.mpiOverhead()
 	seq := p.collSeq
 	p.collSeq++
 
-	c := p.world.colls
-	slot := c.slotFor(seq, op, root, bytes)
+	slot := p.world.colls.slotFor(seq, op, root, bytes)
 	if slot.op != op {
 		panic(fmt.Sprintf("mpisim: rank %d called %s where other ranks called %s (collective #%d mismatch)", p.Rank, op, slot.op, seq))
 	}
@@ -143,26 +144,33 @@ func (p *Proc) collective(op string, root int, bytes float64) {
 	}
 	slot.arrivals[p.Rank] = arrival{t: p.Clock, ctx: p.Ctx}
 	slot.got++
-	if slot.got == p.world.np {
-		for r, a := range slot.arrivals {
-			if a.t > slot.tMax || slot.depRank == -1 {
-				slot.tMax = a.t
-				slot.depRank = r
-				slot.depCtx = a.ctx
-			}
-		}
-		slot.complete = slot.tMax + p.world.collCost(op, bytes, p.world.np)
-		slot.done = true
-		for _, r := range slot.waiters {
-			p.world.sched.wake(r)
-		}
-		slot.waiters = slot.waiters[:0]
-	} else {
+	if slot.got < p.world.np {
 		slot.waiters = append(slot.waiters, p.Rank)
-		p.block = blockState{kind: blockColl, op: op, seq: seq}
-		p.world.sched.yieldBlocked(p)
+		p.world.sched.blockOn(p, blockState{kind: blockColl, op: op, seq: seq})
+		return p.park(cont{kind: contColl, t0: t0, slot: slot, bytes: bytes})
 	}
+	for r, a := range slot.arrivals {
+		if a.t > slot.tMax || slot.depRank == -1 {
+			slot.tMax = a.t
+			slot.depRank = r
+			slot.depCtx = a.ctx
+		}
+	}
+	slot.complete = slot.tMax + p.world.collCost(op, bytes, p.world.np)
+	for _, r := range slot.waiters {
+		p.world.sched.wake(r)
+	}
+	slot.waiters = slot.waiters[:0]
+	p.finishCollective(t0, slot, bytes)
+	return true
+}
 
+// finishCollective is the complete half of a collective: wait out the
+// completion time the last arriver computed, report the event, and retire
+// the slot once every rank has read it.
+//
+//scalana:hot
+func (p *Proc) finishCollective(t0 float64, slot *collSlot, bytes float64) {
 	myArrival := p.Clock
 	wait := slot.tMax - myArrival
 	if wait < 0 {
@@ -176,12 +184,12 @@ func (p *Proc) collective(op string, root int, bytes float64) {
 		// This rank was the straggler; it depends on no one here.
 		depRank, depCtx = -1, nil
 	}
-	p.emit(Event{Kind: EvCollective, Op: op, Peer: -1, Bytes: bytes,
+	p.emit(Event{Kind: EvCollective, Op: slot.op, Peer: -1, Bytes: bytes,
 		TStart: t0, TEnd: p.Clock, Wait: wait, DepRank: depRank, DepCtx: depCtx,
-		Collective: true, Root: root})
+		Collective: true, Root: slot.root})
 
 	slot.reads++
 	if slot.reads == p.world.np {
-		c.retire(seq)
+		p.world.colls.retire(slot)
 	}
 }

@@ -3,18 +3,20 @@
 // The ScalAna paper runs MPI applications on Tianhe-2 and an InfiniBand
 // cluster; offline pure-Go has neither MPI nor an interconnect, so this
 // package substitutes a discrete-event simulator: every rank has its own
-// virtual clock and PMU (internal/machine), and a cooperative scheduler
-// runs exactly one rank at a time, picked from a min-heap ordered by
-// virtual clock (rank index breaks ties). Ranks yield at blocking points
-// — an unmatched receive, a wait on a pending request, a collective still
-// missing participants — and resume when the operation can complete.
-// Point-to-point messages match by sequence number per (src,dst,tag)
-// channel, collectives synchronize on arrival of all ranks, and
-// completion times follow a LogGP-style cost model. Reports are
-// byte-identical across runs by construction: no goroutine preemption,
-// wakeup order, or wall-clock timer influences matching or timing, and
-// deadlocks are detected exactly — the moment no rank can progress, the
-// run fails with each blocked rank's pending operation.
+// virtual clock and PMU (internal/machine), and World.Run is one loop, on
+// its caller's goroutine, that steps one rank at a time, picked from a
+// min-heap ordered by virtual clock (rank index breaks ties). A rank is a
+// resumable value, not a goroutine: at a blocking point — an unmatched
+// receive, a wait on a pending request, a collective still missing
+// participants — the operation records its continuation in the Proc and
+// returns to the loop, which completes it once a peer has made that
+// possible. Point-to-point messages match by sequence number per
+// (src,dst,tag) channel, collectives synchronize on arrival of all ranks,
+// and completion times follow a LogGP-style cost model. Reports are
+// byte-identical across runs by construction: nothing a host thread does
+// influences matching or timing, and deadlocks are detected exactly — the
+// moment no rank can progress, the run fails with each blocked rank's
+// pending operation.
 //
 // Crucially for the paper's subject matter, the simulator produces *wait
 // states*: a receive that blocks on a late sender, or a collective that

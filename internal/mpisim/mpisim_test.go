@@ -18,7 +18,7 @@ func TestSendRecvTiming(t *testing.T) {
 	w := newTestWorld(2)
 	net := w.cfg.Net
 	const bytes = 1 << 20
-	_, err := w.Run(func(p *Proc) {
+	_, err := w.RunBlocking(func(p *Proc) {
 		if p.Rank == 0 {
 			p.Send(1, 0, bytes)
 		} else {
@@ -44,7 +44,7 @@ func TestMessagesMatchInOrder(t *testing.T) {
 	w := newTestWorld(2)
 	var waits []float64
 	w.cfg.HookFactory = nil
-	_, err := w.Run(func(p *Proc) {
+	_, err := w.RunBlocking(func(p *Proc) {
 		if p.Rank == 0 {
 			p.Send(1, 7, 100)
 			p.Compute(1e7, 0, 0, 64) // delay before second send
@@ -66,7 +66,7 @@ func TestMessagesMatchInOrder(t *testing.T) {
 
 func TestEagerSendDoesNotBlock(t *testing.T) {
 	w := newTestWorld(2)
-	_, err := w.Run(func(p *Proc) {
+	_, err := w.RunBlocking(func(p *Proc) {
 		if p.Rank == 0 {
 			p.Send(1, 0, 64)
 			// Sender proceeds immediately; its clock is just overhead+copy.
@@ -87,7 +87,7 @@ func TestEagerSendDoesNotBlock(t *testing.T) {
 
 func TestNonBlockingWaitall(t *testing.T) {
 	w := newTestWorld(3)
-	_, err := w.Run(func(p *Proc) {
+	_, err := w.RunBlocking(func(p *Proc) {
 		next := (p.Rank + 1) % 3
 		prev := (p.Rank + 2) % 3
 		p.Irecv(prev, 1, 4096)
@@ -117,7 +117,7 @@ func TestWaitallDependsOnLatestArrival(t *testing.T) {
 		return []Hook{&captureHook{events: &events}}
 	}
 	w := NewWorld(cfg)
-	_, err := w.Run(func(p *Proc) {
+	_, err := w.RunBlocking(func(p *Proc) {
 		switch p.Rank {
 		case 0:
 			p.Irecv(1, 0, 64)
@@ -176,7 +176,7 @@ func TestCollectiveStragglerDependence(t *testing.T) {
 		return []Hook{&captureHook{events: &events}}
 	}
 	w := NewWorld(cfg)
-	_, err := w.Run(func(p *Proc) {
+	_, err := w.RunBlocking(func(p *Proc) {
 		if p.Rank == 2 {
 			p.Compute(1e8, 0, 0, 64)
 		}
@@ -202,7 +202,7 @@ func TestCollectiveStragglerDependence(t *testing.T) {
 
 func TestCollectiveEqualizesClocks(t *testing.T) {
 	w := newTestWorld(5)
-	_, err := w.Run(func(p *Proc) {
+	_, err := w.RunBlocking(func(p *Proc) {
 		p.Compute(float64(p.Rank+1)*1e6, 0, 0, 64)
 		p.Barrier()
 	})
@@ -219,7 +219,7 @@ func TestCollectiveEqualizesClocks(t *testing.T) {
 
 func TestCollectiveOpMismatchFails(t *testing.T) {
 	w := newTestWorld(2)
-	_, err := w.Run(func(p *Proc) {
+	_, err := w.RunBlocking(func(p *Proc) {
 		if p.Rank == 0 {
 			p.Barrier()
 		} else {
@@ -233,7 +233,7 @@ func TestCollectiveOpMismatchFails(t *testing.T) {
 
 func TestCollectiveRootMismatchFails(t *testing.T) {
 	w := newTestWorld(2)
-	_, err := w.Run(func(p *Proc) {
+	_, err := w.RunBlocking(func(p *Proc) {
 		p.Bcast(p.Rank, 64) // different roots
 	})
 	if err == nil || !strings.Contains(err.Error(), "root") {
@@ -256,7 +256,7 @@ func TestCollectiveCostGrowsWithScale(t *testing.T) {
 
 func TestSendrecvExchange(t *testing.T) {
 	w := newTestWorld(4)
-	_, err := w.Run(func(p *Proc) {
+	_, err := w.RunBlocking(func(p *Proc) {
 		next := (p.Rank + 1) % 4
 		prev := (p.Rank + 3) % 4
 		for i := 0; i < 3; i++ {
@@ -276,7 +276,7 @@ func TestSendrecvExchange(t *testing.T) {
 func TestRecvAnyMatchesOnlySender(t *testing.T) {
 	w := newTestWorld(3)
 	got := -1
-	_, err := w.Run(func(p *Proc) {
+	_, err := w.RunBlocking(func(p *Proc) {
 		switch p.Rank {
 		case 0:
 			got = p.RecvAny(9, 128)
@@ -302,7 +302,7 @@ func TestIrecvAnyResolvedAtWait(t *testing.T) {
 		return []Hook{&captureHook{events: &events}}
 	}
 	w := NewWorld(cfg)
-	_, err := w.Run(func(p *Proc) {
+	_, err := w.RunBlocking(func(p *Proc) {
 		if p.Rank == 0 {
 			req := p.IrecvAny(3, 256)
 			p.Wait(req.ID())
@@ -330,7 +330,7 @@ func TestIrecvAnyResolvedAtWait(t *testing.T) {
 func TestPanicOnOneRankAbortsRun(t *testing.T) {
 	w := newTestWorld(4)
 	start := time.Now()
-	_, err := w.Run(func(p *Proc) {
+	_, err := w.RunBlocking(func(p *Proc) {
 		if p.Rank == 3 {
 			panic("boom")
 		}
@@ -349,7 +349,7 @@ func TestDeadlockDetection(t *testing.T) {
 	// ready heap drains (no timeout knob exists anymore — the deprecated
 	// DeadlockTimeout no-op was removed; see DESIGN.md §11).
 	w := NewWorld(Config{NP: 2})
-	_, err := w.Run(func(p *Proc) {
+	_, err := w.RunBlocking(func(p *Proc) {
 		if p.Rank == 0 {
 			p.Recv(1, 0, 64) // rank 1 never sends
 		}
@@ -365,7 +365,7 @@ func TestDeadlockDiagnosticNamesEveryBlockedRank(t *testing.T) {
 	// drains and name both ranks with their pending operations.
 	start := time.Now()
 	w := NewWorld(Config{NP: 2})
-	_, err := w.Run(func(p *Proc) {
+	_, err := w.RunBlocking(func(p *Proc) {
 		p.Recv(1-p.Rank, 7, 64)
 	})
 	if err == nil {
@@ -393,7 +393,7 @@ func TestDeadlockDiagnosticCollective(t *testing.T) {
 	// Rank 1 joins the barrier; rank 0 blocks in a recv first, so the
 	// collective never completes. The report must show both block states.
 	w := NewWorld(Config{NP: 2})
-	_, err := w.Run(func(p *Proc) {
+	_, err := w.RunBlocking(func(p *Proc) {
 		if p.Rank == 0 {
 			p.Recv(1, 3, 64) // rank 1 is already in the barrier
 		}
@@ -430,7 +430,7 @@ func TestDirectDriveBlockingPanics(t *testing.T) {
 
 func TestInvalidPeerFails(t *testing.T) {
 	w := newTestWorld(2)
-	_, err := w.Run(func(p *Proc) {
+	_, err := w.RunBlocking(func(p *Proc) {
 		if p.Rank == 0 {
 			p.Send(5, 0, 64)
 		}
@@ -442,7 +442,7 @@ func TestInvalidPeerFails(t *testing.T) {
 
 func TestWaitUnknownRequestFails(t *testing.T) {
 	w := newTestWorld(1)
-	_, err := w.Run(func(p *Proc) {
+	_, err := w.RunBlocking(func(p *Proc) {
 		p.Wait(42)
 	})
 	if err == nil || !strings.Contains(err.Error(), "unknown request") {
@@ -452,7 +452,7 @@ func TestWaitUnknownRequestFails(t *testing.T) {
 
 func TestMixedWildcardSpecificRejected(t *testing.T) {
 	w := NewWorld(Config{NP: 2})
-	_, err := w.Run(func(p *Proc) {
+	_, err := w.RunBlocking(func(p *Proc) {
 		if p.Rank == 0 {
 			// Specific recv claims seq 0, then a wildcard tries to steal
 			// from the same channel: rejected by design.
@@ -473,7 +473,7 @@ func TestMixedWildcardSpecificRejected(t *testing.T) {
 func TestDeterminismUnderConcurrency(t *testing.T) {
 	run := func() []float64 {
 		w := newTestWorld(8)
-		_, err := w.Run(func(p *Proc) {
+		_, err := w.RunBlocking(func(p *Proc) {
 			next := (p.Rank + 1) % 8
 			prev := (p.Rank + 7) % 8
 			for i := 0; i < 10; i++ {
@@ -508,7 +508,7 @@ func TestDeterminismUnderConcurrency(t *testing.T) {
 
 func TestPerturbAccounting(t *testing.T) {
 	w := newTestWorld(1)
-	res, err := w.Run(func(p *Proc) {
+	res, err := w.RunBlocking(func(p *Proc) {
 		p.Compute(1e6, 0, 0, 64)
 		p.Perturb(0.5)
 	})
@@ -528,7 +528,7 @@ func TestHookOverheadCharged(t *testing.T) {
 	cfg := Config{NP: 1, Seed: 1}
 	cfg.HookFactory = func(rank int) []Hook { return []Hook{charge} }
 	w := NewWorld(cfg)
-	res, err := w.Run(func(p *Proc) {
+	res, err := w.RunBlocking(func(p *Proc) {
 		p.Compute(1e6, 0, 0, 64)
 		p.Barrier()
 	})
@@ -560,8 +560,8 @@ func TestRandDeterministicPerRank(t *testing.T) {
 	w1 := newTestWorld(2)
 	w2 := newTestWorld(2)
 	var a, b [2]float64
-	w1.Run(func(p *Proc) { a[p.Rank] = p.Rand() })
-	w2.Run(func(p *Proc) { b[p.Rank] = p.Rand() })
+	w1.RunBlocking(func(p *Proc) { a[p.Rank] = p.Rand() })
+	w2.RunBlocking(func(p *Proc) { b[p.Rank] = p.Rand() })
 	if a != b {
 		t.Errorf("per-rank RNG not deterministic: %v vs %v", a, b)
 	}
@@ -596,7 +596,7 @@ func TestRunResultCounters(t *testing.T) {
 			p.Send(0, 0, 64)
 		}
 	}
-	res, err := newTestWorld(2).Run(body)
+	res, err := newTestWorld(2).RunBlocking(body)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -607,7 +607,7 @@ func TestRunResultCounters(t *testing.T) {
 	// A hook that charges for every advance and every event adds one
 	// perturbation advance behind each of them.
 	cfg := Config{NP: 2, Seed: 1, HookFactory: func(rank int) []Hook { return []Hook{&chargingHook{}} }}
-	res, err = NewWorld(cfg).Run(body)
+	res, err = NewWorld(cfg).RunBlocking(body)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -623,7 +623,7 @@ func TestInboxIndexedPastScanLimit(t *testing.T) {
 	const np, tags = 4, 4
 	w := newTestWorld(np)
 	var got [np][tags]float64
-	_, err := w.Run(func(p *Proc) {
+	_, err := w.RunBlocking(func(p *Proc) {
 		if p.Rank != 0 {
 			for tag := 0; tag < tags; tag++ {
 				p.Send(0, tag, float64(100*p.Rank+tag))
@@ -665,7 +665,7 @@ func TestInboxIndexedPastScanLimit(t *testing.T) {
 func TestCollectiveWindowStaysShort(t *testing.T) {
 	w := newTestWorld(4)
 	longest := 0
-	_, err := w.Run(func(p *Proc) {
+	_, err := w.RunBlocking(func(p *Proc) {
 		for i := 0; i < 200; i++ {
 			p.Compute(float64((p.Rank+i)%3)*1e5, 0, 0, 64)
 			p.Allreduce(8)

@@ -12,11 +12,11 @@ import (
 // virtual clocks.
 //
 // Under run-to-block scheduling the matcher is a plain single-threaded
-// data structure: only the rank holding the scheduler baton touches it.
-// A receive whose send has not been posted records a waiter on the
-// channel and yields; the matching postSend later delivers the record
-// straight into the parked rank's wake slot and marks it ready. No
-// locks, waiter channels, or wall-clock timers are involved.
+// data structure: only the rank being stepped touches it. A receive whose
+// send has not been posted records a waiter on the channel and parks; the
+// matching postSend later delivers the record straight into the parked
+// rank's wake slot and marks it ready. No locks, waiter channels, or
+// wall-clock timers are involved.
 //
 // Wildcard receives (mpi_recv_any) match the unconsumed send with the
 // earliest virtual arrival among all channels targeting (dst,tag). Mixing
@@ -172,8 +172,8 @@ func (m *matcher) postSend(src, dst, tag int, bytes, tArrive float64, ctx any) {
 }
 
 // claimRecv obtains the matching send for the next specific receive
-// posted by p on (src,tag); if the send has not been posted yet the
-// rank parks until it is.
+// posted by p on (src,tag); nil means the send has not been posted yet and
+// the rank is now blocked on it.
 func (m *matcher) claimRecv(p *Proc, src, tag int) *sendInfo {
 	ch, seq := m.claim(src, p.Rank, tag)
 	return m.take(p, ch, seq)
@@ -189,7 +189,9 @@ func (m *matcher) claim(src, dst, tag int) (*channel, int) {
 }
 
 // take consumes send number seq of a channel for a specific receive of
-// its destination rank p, parking p until the send is posted.
+// its destination rank p. When the send is not posted yet it registers p
+// as the channel's waiter and returns nil: postSend will wake p with the
+// send in its wake slot.
 func (m *matcher) take(p *Proc, ch *channel, seq int) *sendInfo {
 	if seq < len(ch.sends) {
 		info := ch.sends[seq]
@@ -201,14 +203,14 @@ func (m *matcher) take(p *Proc, ch *channel, seq int) *sendInfo {
 	}
 	ch.waiter = p.Rank
 	ch.waiterSeq = seq
-	p.block = blockState{kind: blockRecv, src: ch.src, tag: ch.tag, seq: seq}
-	m.w.sched.yieldBlocked(p)
-	return p.takeWake()
+	m.w.sched.blockOn(p, blockState{kind: blockRecv, src: ch.src, tag: ch.tag, seq: seq})
+	return nil
 }
 
 // claimRecvAny matches the next wildcard receive of p on tag: the
 // unconsumed send with the earliest virtual arrival, or — when none is
-// posted — the first send a peer posts to p on tag.
+// posted, which it reports as nil — the first send a peer posts to p on
+// tag, delivered through the wake slot.
 func (m *matcher) claimRecvAny(p *Proc, tag int) *sendInfo {
 	var best *sendInfo
 	for _, e := range m.inboxes[p.Rank].list {
@@ -234,9 +236,8 @@ func (m *matcher) claimRecvAny(p *Proc, tag int) *sendInfo {
 		best.matched = true
 		return best
 	}
-	p.block = blockState{kind: blockRecvAny, tag: tag}
-	m.w.sched.yieldBlocked(p)
-	return p.takeWake()
+	m.w.sched.blockOn(p, blockState{kind: blockRecvAny, tag: tag})
+	return nil
 }
 
 // Request is a non-blocking communication handle.
@@ -276,28 +277,50 @@ func (p *Proc) Send(dst, tag int, bytes float64) {
 }
 
 // Recv is a blocking receive from a specific source.
-func (p *Proc) Recv(src, tag int, bytes float64) {
+func (p *Proc) Recv(src, tag int, bytes float64) bool {
 	p.validPeer(src)
 	t0 := p.Clock
 	p.mpiOverhead()
 	info := p.world.matcher.claimRecv(p, src, tag)
-	wait := p.waitUntil(info.tArrive)
-	p.advance(info.bytes*p.world.cfg.Net.PerByte, AdvTransfer, zeroVec)
-	p.emit(Event{Kind: EvRecv, Op: "mpi_recv", Peer: info.from, Tag: tag, Bytes: info.bytes,
-		TStart: t0, TEnd: p.Clock, Wait: wait, DepRank: info.from, DepCtx: info.ctx, Root: -1})
+	if info == nil {
+		return p.park(cont{kind: contRecv, t0: t0, tag: tag})
+	}
+	p.finishRecv("mpi_recv", t0, tag, info)
+	return true
 }
 
+// Parked is what RecvAny returns in place of a source rank when the rank
+// parked; MatchedSource has the source once the rank is stepped again.
+const Parked = -2
+
 // RecvAny is a blocking wildcard-source receive; it returns the matched
-// source rank (the MPI_Status.MPI_SOURCE of paper Fig. 5).
+// source rank (the MPI_Status.MPI_SOURCE of paper Fig. 5), or Parked.
 func (p *Proc) RecvAny(tag int, bytes float64) int {
 	t0 := p.Clock
 	p.mpiOverhead()
 	info := p.world.matcher.claimRecvAny(p, tag)
+	if info == nil {
+		if !p.park(cont{kind: contRecvAny, t0: t0, tag: tag}) {
+			return Parked
+		}
+		return p.MatchedSource()
+	}
+	p.finishRecv("mpi_recv_any", t0, tag, info)
+	return info.from
+}
+
+// MatchedSource is the source rank of the RecvAny the rank last parked in.
+func (p *Proc) MatchedSource() int { return int(p.cont.from) }
+
+// finishRecv is the complete half of Recv and RecvAny: wait out the
+// matched message's arrival, copy it in, report the event.
+//
+//scalana:hot
+func (p *Proc) finishRecv(op string, t0 float64, tag int, info *sendInfo) {
 	wait := p.waitUntil(info.tArrive)
 	p.advance(info.bytes*p.world.cfg.Net.PerByte, AdvTransfer, zeroVec)
-	p.emit(Event{Kind: EvRecv, Op: "mpi_recv_any", Peer: info.from, Tag: tag, Bytes: info.bytes,
+	p.emit(Event{Kind: EvRecv, Op: op, Peer: info.from, Tag: tag, Bytes: info.bytes,
 		TStart: t0, TEnd: p.Clock, Wait: wait, DepRank: info.from, DepCtx: info.ctx, Root: -1})
-	return info.from
 }
 
 // Isend posts a non-blocking send. Eager semantics: the payload is
@@ -362,8 +385,9 @@ func (p *Proc) FindRequest(id int) *Request {
 	return nil
 }
 
-// resolve obtains the matched sendInfo for a receive request, parking
-// the rank if the matching send has not been posted yet.
+// resolve obtains the matched sendInfo for a receive request; nil means
+// the matching send has not been posted yet and the rank is now blocked on
+// it (resume stores the send its waker delivers in r.claimed).
 func (p *Proc) resolve(r *Request) *sendInfo {
 	if r.claimed != nil {
 		return r.claimed
@@ -394,7 +418,7 @@ func (p *Proc) dropRequest(id int) {
 // Wait completes one outstanding request (paper Fig. 5: the communication
 // dependence of a non-blocking receive is recorded here, where source and
 // tag become certain).
-func (p *Proc) Wait(id int) {
+func (p *Proc) Wait(id int) bool {
 	r := p.FindRequest(id)
 	if r == nil {
 		panic(fmt.Sprintf("mpisim: rank %d: mpi_wait on unknown request %d", p.Rank, id))
@@ -405,12 +429,23 @@ func (p *Proc) Wait(id int) {
 		p.dropRequest(id)
 		p.emit(Event{Kind: EvWait, Op: "mpi_wait", Peer: r.src, Tag: r.tag, Bytes: r.bytes,
 			TStart: t0, TEnd: p.Clock, DepRank: -1, Root: -1, Requests: 1, ReqID: id})
-		return
+		return true
 	}
 	info := p.resolve(r)
+	if info == nil {
+		return p.park(cont{kind: contWait, t0: t0, idx: id})
+	}
+	p.finishWait(t0, r, info)
+	return true
+}
+
+// finishWait is the complete half of a Wait on a receive request.
+//
+//scalana:hot
+func (p *Proc) finishWait(t0 float64, r *Request, info *sendInfo) {
 	wait := p.waitUntil(info.tArrive)
 	p.advance(info.bytes*p.world.cfg.Net.PerByte, AdvTransfer, zeroVec)
-	tag := r.tag
+	id, tag := r.id, r.tag
 	p.dropRequest(id)
 	p.emit(Event{Kind: EvWait, Op: "mpi_wait", Peer: info.from, Tag: tag, Bytes: info.bytes,
 		TStart: t0, TEnd: p.Clock, Wait: wait, DepRank: info.from, DepCtx: info.ctx, Root: -1, Requests: 1, ReqID: id})
@@ -419,44 +454,57 @@ func (p *Proc) Wait(id int) {
 // Waitall completes every outstanding request of the rank. The dependence
 // recorded is the request whose message arrived last — the rank that kept
 // this rank waiting.
-func (p *Proc) Waitall() {
-	t0 := p.Clock
+func (p *Proc) Waitall() bool {
+	p.cont = cont{t0: p.Clock}
 	p.mpiOverhead()
-	var lastArrive float64
-	depRank := -1
-	var depCtx any
-	var totalBytes float64
-	n, nRecv := 0, 0
-	// Completing everything lets the loop walk the outstanding list in
-	// order and release it wholesale afterwards instead of splicing per
-	// request.
-	for _, r := range p.reqs {
-		n++
+	return p.waitallFrom() || p.parked()
+}
+
+// waitallFrom is Waitall from request number cont.idx on, its accumulators
+// in the continuation record so that it can park at any receive whose send
+// is not posted yet and be re-entered there: false means it parked.
+// Completing everything lets the loop walk the outstanding list in order
+// and release it wholesale afterwards instead of splicing per request.
+//
+//scalana:hot
+func (p *Proc) waitallFrom() bool {
+	c := &p.cont
+	for ; c.idx < len(p.reqs); c.idx++ {
+		r := p.reqs[c.idx]
 		if !r.isSend {
-			nRecv++
 			info := p.resolve(r)
-			totalBytes += info.bytes
-			if info.tArrive > lastArrive {
-				lastArrive = info.tArrive
-				depRank = info.from
-				depCtx = info.ctx
+			if info == nil {
+				c.kind = contWaitall
+				return false
+			}
+			c.nRecv++
+			c.bytes += info.bytes
+			if c.last == nil || info.tArrive > c.last.tArrive {
+				c.last = info
 			}
 		}
 		p.freeReqs = append(p.freeReqs, r)
 	}
+	n := len(p.reqs)
 	p.reqs = p.reqs[:0]
-	wait := p.waitUntil(lastArrive)
-	if totalBytes > 0 {
-		p.advance(totalBytes*p.world.cfg.Net.PerByte, AdvTransfer, zeroVec)
+	var wait float64
+	depRank, depCtx := -1, any(nil)
+	if c.last != nil {
+		wait = p.waitUntil(c.last.tArrive)
+		depRank, depCtx = c.last.from, c.last.ctx
 	}
-	p.emit(Event{Kind: EvWaitall, Op: "mpi_waitall", Peer: depRank, Tag: 0, Bytes: totalBytes,
-		TStart: t0, TEnd: p.Clock, Wait: wait, DepRank: depRank, DepCtx: depCtx, Root: -1,
-		Requests: n, RecvRequests: nRecv})
+	if c.bytes > 0 {
+		p.advance(c.bytes*p.world.cfg.Net.PerByte, AdvTransfer, zeroVec)
+	}
+	p.emit(Event{Kind: EvWaitall, Op: "mpi_waitall", Peer: depRank, Tag: 0, Bytes: c.bytes,
+		TStart: c.t0, TEnd: p.Clock, Wait: wait, DepRank: depRank, DepCtx: depCtx, Root: -1,
+		Requests: n, RecvRequests: int(c.nRecv)})
+	return true
 }
 
 // Sendrecv performs a combined exchange: both transfers proceed
 // concurrently and the call completes when the incoming message arrives.
-func (p *Proc) Sendrecv(dst, stag int, sbytes float64, src, rtag int, rbytes float64) {
+func (p *Proc) Sendrecv(dst, stag int, sbytes float64, src, rtag int, rbytes float64) bool {
 	p.validPeer(dst)
 	p.validPeer(src)
 	t0 := p.Clock
@@ -464,6 +512,17 @@ func (p *Proc) Sendrecv(dst, stag int, sbytes float64, src, rtag int, rbytes flo
 	p.advance(sbytes*p.world.cfg.Net.PerByte, AdvTransfer, zeroVec)
 	p.world.matcher.postSend(p.Rank, dst, stag, sbytes, p.Clock+p.world.cfg.Net.Latency, p.Ctx)
 	info := p.world.matcher.claimRecv(p, src, rtag)
+	if info == nil {
+		return p.park(cont{kind: contSendrecv, t0: t0, tag: rtag, dst: int32(dst), bytes: sbytes})
+	}
+	p.finishSendrecv(t0, rtag, dst, sbytes, info)
+	return true
+}
+
+// finishSendrecv is the complete half of Sendrecv.
+//
+//scalana:hot
+func (p *Proc) finishSendrecv(t0 float64, rtag, dst int, sbytes float64, info *sendInfo) {
 	wait := p.waitUntil(info.tArrive)
 	p.advance(info.bytes*p.world.cfg.Net.PerByte, AdvTransfer, zeroVec)
 	p.emit(Event{Kind: EvSendrecv, Op: "mpi_sendrecv", Peer: info.from, Tag: rtag, Bytes: sbytes + info.bytes,

@@ -4,29 +4,28 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"sync"
 	"sync/atomic"
 )
 
-// Cooperative virtual-time scheduling. Exactly one rank is runnable at a
-// time; every other rank goroutine is parked on its per-rank condition
-// variable. A rank runs until it reaches a blocking point — a receive
-// whose matching send has not been posted, a wait on an unmatched
-// request, or a collective still missing participants — and then yields
-// the baton back to the scheduler, which resumes the ready rank with the
-// smallest virtual clock (rank index breaks ties). Unblocking is a plain
-// function call made by the currently-running rank (postSend delivering
-// to a parked receiver, the last collective arriver releasing the slot):
-// the woken rank is pushed back onto the ready heap and runs when its
-// clock comes up.
+// Cooperative virtual-time scheduling. A rank's program is a resumable
+// value, not a goroutine: World.Run is one loop, on its caller's
+// goroutine, that pops the ready rank with the smallest virtual clock
+// (rank index breaks ties) and steps it. The rank runs until its program
+// finishes or reaches a blocking point — a receive whose matching send
+// has not been posted, a wait on an unmatched request, a collective still
+// missing participants — where the operation records its continuation in
+// the Proc and the stepper returns. Unblocking is a plain function call
+// made by the rank being stepped (postSend delivering to a parked
+// receiver, the last collective arriver releasing the slot): the woken
+// rank is pushed back onto the ready heap, and when its clock comes up the
+// loop runs the second half of its operation and steps it again.
 //
 // Because the execution order is a pure function of virtual clocks and
-// rank indices, runs are deterministic by construction — no goroutine
-// preemption, channel wakeup order, or wall-clock timer ever influences
-// matching or timing. It also makes deadlock detection exact: when the
-// ready heap is empty while unfinished ranks remain, those ranks can
-// never make progress, and the scheduler reports each of them with the
-// operation it is blocked in.
+// rank indices, runs are deterministic by construction — nothing a host
+// thread does influences matching or timing. It also makes deadlock
+// detection exact: when the ready heap is empty while unfinished ranks
+// remain, those ranks can never make progress, and the scheduler reports
+// each of them with the operation it is blocked in.
 
 // blockKind classifies why a rank is parked.
 type blockKind uint8
@@ -59,6 +58,93 @@ func (b blockState) String() string {
 	return "unknown operation"
 }
 
+// contKind names the blocking operation a parked rank is in the middle of.
+type contKind uint8
+
+const (
+	contNone contKind = iota
+	contRecv
+	contRecvAny
+	contSendrecv
+	contWait
+	contWaitall
+	contColl
+)
+
+// cont is a parked rank's continuation: the locals of its blocking
+// operation that cross the blocking point, which a goroutine would have
+// kept on its stack. A rank blocks in at most one operation, so each Proc
+// has one, and operations share its fields to keep a Proc the size it was
+// with a condition variable in it. kind is contNone unless the rank is
+// parked.
+type cont struct {
+	kind  contKind
+	dst   int32 // Sendrecv destination
+	nRecv int32 // Waitall: receive requests completed so far
+	from  int32 // the source a parked RecvAny matched (its result)
+	t0    float64
+	tag   int // receive tag (Recv, RecvAny, Sendrecv)
+	// bytes is the Sendrecv send size, the collective payload, or the
+	// Waitall running total.
+	bytes float64
+	// idx is the id of the request a Wait is completing, or the index in
+	// Proc.reqs of the next request a Waitall has to complete.
+	idx int
+	// last is the latest-arriving message a Waitall has seen: the rank that
+	// kept this one waiting. Send records live as long as the world.
+	last *sendInfo
+	slot *collSlot // the collective the rank arrived in
+}
+
+// park records the continuation of an operation whose post half could not
+// complete and returns the operation's result: false, "parked".
+func (p *Proc) park(c cont) bool {
+	p.cont = c
+	return p.parked()
+}
+
+// parked is the result of an operation that parked. Under World.Run that
+// is false — the stepper returns to the driver. Under RunBlocking the
+// body's goroutine sleeps here until the driver has run the complete half,
+// so the operation reports completion like one that never parked.
+func (p *Proc) parked() bool {
+	if b := p.world.blocking; b != nil {
+		b.yield(p)
+		return true
+	}
+	return false
+}
+
+// resume runs the complete half of the operation the rank parked in, with
+// the send its waker matched. It reports false when the operation parked
+// again (a Waitall meeting a second message not yet sent).
+//
+//scalana:hot
+func (p *Proc) resume() bool {
+	c := &p.cont
+	kind := c.kind
+	c.kind = contNone
+	info := p.wakeInfo
+	p.wakeInfo = nil
+	switch kind {
+	case contRecv:
+		p.finishRecv("mpi_recv", c.t0, c.tag, info)
+	case contRecvAny:
+		c.from = int32(info.from)
+		p.finishRecv("mpi_recv_any", c.t0, c.tag, info)
+	case contSendrecv:
+		p.finishSendrecv(c.t0, c.tag, int(c.dst), c.bytes, info)
+	case contWait:
+		p.finishWait(c.t0, p.FindRequest(c.idx), info)
+	case contWaitall:
+		p.reqs[c.idx].claimed = info
+		return p.waitallFrom()
+	case contColl:
+		p.finishCollective(c.t0, c.slot, c.bytes)
+	}
+	return true
+}
+
 // reverseTieBreak is a test hook: when set, equal virtual clocks resolve
 // to the highest rank instead of the lowest. Determinism tests flip it to
 // prove that reports do not depend on the tie-breaking discipline —
@@ -77,21 +163,13 @@ type rankEnt struct {
 }
 
 type scheduler struct {
-	w *World
-	// mu guards the baton handoff (current, aborted) and the parked
-	// ranks' condition variables. The ready heap and block states are
-	// only ever touched by the single running rank (or by World.Run
-	// before any rank starts), so the baton handoff's lock/unlock pair
-	// is the one synchronization point per yield.
-	mu      sync.Mutex
-	ready   []rankEnt
+	w     *World
+	ready []rankEnt
+	// current is the rank being stepped, -1 outside World.Run; started
+	// says a driver loop is running, so a parked rank has peers to wake it.
 	current int
 	started bool
-	live    int
-	aborted bool
 }
-
-const abortMsg = "mpisim: run aborted by failure on another rank"
 
 func newScheduler(w *World) *scheduler {
 	return &scheduler{w: w, current: -1}
@@ -160,114 +238,81 @@ func (s *scheduler) popReady() int {
 }
 
 // begin arms the scheduler for one World.Run: every rank is ready at its
-// current clock and the baton is pre-granted to the minimum. Called
-// before the rank goroutines spawn, so no locking is contended.
+// current clock.
 func (s *scheduler) begin() {
-	s.mu.Lock()
 	s.started = true
-	s.aborted = false
-	s.live = s.w.np
 	s.ready = s.ready[:0]
-	for r := 0; r < s.w.np; r++ {
-		s.w.procs[r].block = blockState{}
-		s.pushReady(s.w.procs[r].Clock, int32(r))
-	}
-	s.current = s.popReady()
-	s.mu.Unlock()
-}
-
-// end disarms the scheduler after World.Run completes.
-func (s *scheduler) end() {
-	s.mu.Lock()
-	s.started = false
-	s.current = -1
-	s.mu.Unlock()
-}
-
-// acquire parks the calling rank until the scheduler grants it the baton
-// for the first time.
-func (s *scheduler) acquire(p *Proc) {
-	s.mu.Lock()
-	for s.current != p.Rank && !s.aborted {
-		p.cond.Wait()
-	}
-	ab := s.aborted
-	s.mu.Unlock()
-	if ab {
-		panic(abortMsg)
-	}
-}
-
-// yieldBlocked parks the calling rank on its recorded block state and
-// hands the baton to the next ready rank. The caller must have set
-// p.block; the waker clears it and stores any wake payload before
-// pushing the rank back onto the ready heap.
-func (s *scheduler) yieldBlocked(p *Proc) {
-	s.mu.Lock()
-	if !s.started {
-		b := p.block
+	for r, p := range s.w.procs {
 		p.block = blockState{}
-		s.mu.Unlock()
+		p.cont.kind = contNone
+		s.pushReady(p.Clock, int32(r))
+	}
+}
+
+// run is one World.Run: the driver loop behind the recover that turns a
+// panic on a rank — in its program or in an MPI operation — into the run's
+// error.
+func (s *scheduler) run(step Stepper) (err error) {
+	s.begin()
+	defer func() {
+		if rec := recover(); rec != nil {
+			err = fmt.Errorf("rank %d: %v", s.current, rec)
+		}
+		s.started, s.current = false, -1
+	}()
+	return s.drive(step)
+}
+
+// drive is the scheduler: it steps the ready rank with the smallest clock
+// until every rank has finished. A rank popped with a continuation first
+// runs the complete half of the operation it parked in; a drained heap
+// with ranks unfinished is a deadlock.
+//
+//scalana:hot
+func (s *scheduler) drive(step Stepper) error {
+	procs := s.w.procs
+	for live := len(procs); live > 0; {
+		r := s.popReady()
+		if r < 0 {
+			return s.deadlock()
+		}
+		s.current = r
+		p := procs[r]
+		if p.cont.kind != contNone && !p.resume() {
+			continue
+		}
+		if step(p) {
+			live--
+		} else if p.cont.kind == contNone {
+			panic("mpisim: stepper returned unfinished without parking in a blocking operation")
+		}
+	}
+	return nil
+}
+
+// blockOn records the operation rank p is about to park in. The waker
+// clears it and stores any wake payload before pushing the rank back onto
+// the ready heap.
+func (s *scheduler) blockOn(p *Proc, b blockState) {
+	if !s.started {
 		panic(fmt.Sprintf("mpisim: rank %d would block forever in %s — blocking operations outside World.Run have no peers to wake them", p.Rank, b))
 	}
-	if s.aborted {
-		s.mu.Unlock()
-		panic(abortMsg)
-	}
+	p.block = b
 	p.yields++
-	s.handoffLocked()
-	for s.current != p.Rank && !s.aborted {
-		p.cond.Wait()
-	}
-	ab := s.aborted
-	s.mu.Unlock()
-	if ab {
-		panic(abortMsg)
-	}
 }
 
 // wake marks a parked rank ready again at its current clock. Called by
-// the running rank (a matching send, the last collective arriver); the
-// woken goroutine stays parked until the scheduler picks it.
+// the rank being stepped (a matching send, the last collective arriver);
+// the woken rank resumes when the driver pops it.
 func (s *scheduler) wake(rank int) {
 	p := s.w.procs[rank]
 	p.block = blockState{}
 	s.pushReady(p.Clock, int32(rank))
 }
 
-// exit retires the calling rank after its body returned (or panicked and
-// was recovered) and passes the baton on.
-func (s *scheduler) exit(p *Proc) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.live--
-	if s.aborted {
-		return
-	}
-	if s.live == 0 {
-		s.started = false
-		s.current = -1
-		return
-	}
-	s.handoffLocked()
-}
-
-// handoffLocked grants the baton to the minimum-clock ready rank, or —
-// when no rank is ready while unfinished ranks remain — declares an
-// exact deadlock. Caller holds s.mu.
-func (s *scheduler) handoffLocked() {
-	next := s.popReady()
-	if next < 0 {
-		s.deadlockLocked()
-		return
-	}
-	s.current = next
-	s.w.procs[next].cond.Signal()
-}
-
-// deadlockLocked reports the exact deadlock: every unfinished rank with
-// the operation it is blocked in, then aborts the run. Caller holds s.mu.
-func (s *scheduler) deadlockLocked() {
+// deadlock reports the exact deadlock: every unfinished rank with the
+// operation it is blocked in.
+func (s *scheduler) deadlock() error {
 	var sb strings.Builder
 	n := 0
 	for _, p := range s.w.procs {
@@ -277,22 +322,6 @@ func (s *scheduler) deadlockLocked() {
 		fmt.Fprintf(&sb, "\n  rank %d: blocked in %s", p.Rank, p.block)
 		n++
 	}
-	s.w.fail(errors.New("mpisim: deadlock: no rank can make progress; " +
-		fmt.Sprintf("%d rank(s) blocked forever:", n) + sb.String()))
-	s.abortLocked()
-}
-
-// abortAll wakes every parked rank so it unwinds with an abort panic.
-// Called after World.fail when a rank dies.
-func (s *scheduler) abortAll() {
-	s.mu.Lock()
-	s.abortLocked()
-	s.mu.Unlock()
-}
-
-func (s *scheduler) abortLocked() {
-	s.aborted = true
-	for _, p := range s.w.procs {
-		p.cond.Signal()
-	}
+	return errors.New("mpisim: deadlock: no rank can make progress; " +
+		fmt.Sprintf("%d rank(s) blocked forever:", n) + sb.String())
 }

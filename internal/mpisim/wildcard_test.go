@@ -32,7 +32,7 @@ func runWildcard(t *testing.T, np int, body func(p *Proc)) (string, *World) {
 		digests[rank] = &eventDigest{h: sha256.New()}
 		return []Hook{digests[rank]}
 	}})
-	res, err := w.Run(body)
+	res, err := w.RunBlocking(body)
 	if err != nil {
 		t.Fatal(err)
 	}

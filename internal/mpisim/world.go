@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync"
 
 	"scalana/internal/machine"
 )
@@ -36,7 +35,9 @@ type Config struct {
 	HookFactory func(rank int) []Hook
 }
 
-// World is one simulated MPI job.
+// World is one simulated MPI job: np ranks, the matcher and collective
+// slots they meet in, and the scheduler that steps them. A world belongs
+// to one goroutine — the one that calls Run — and starts none of its own.
 type World struct {
 	cfg     Config
 	np      int
@@ -44,8 +45,10 @@ type World struct {
 	matcher *matcher
 	colls   *collectives
 	sched   *scheduler
-	failMu  sync.Mutex
-	abErr   error
+	// blocking is set for the length of a RunBlocking: the adapter that
+	// lets a parked operation sleep on its body's goroutine instead of
+	// returning to the stepper. Nil in every production run.
+	blocking *blockingBodies
 }
 
 // NewWorld creates a world with np ranks.
@@ -75,7 +78,6 @@ func NewWorld(cfg Config) *World {
 			Rank:  r,
 			Core:  machine.NewCore(cfg.Core, r),
 		}
-		p.cond.L = &w.sched.mu
 		if cfg.HookFactory != nil {
 			p.rawHooks = cfg.HookFactory(r)
 		}
@@ -104,43 +106,26 @@ type RunResult struct {
 	//
 	// Advances counts virtual-time advances (every one calls each hook),
 	// Events completed MPI operations reported to hooks, Yields the times
-	// a rank parked and handed the scheduler baton on, and Samples the
+	// a rank parked in a blocking operation, and Samples the
 	// advances after which a hook charged overhead — for the ScalAna
 	// profiler, the advances that crossed a timer-sample boundary.
 	Advances, Events, Yields, Samples int64
 }
 
-// Run executes body once per rank under the cooperative virtual-time
-// scheduler: each rank gets a goroutine for its stack, but exactly one
-// rank runs at a time, and control passes at blocking points to the
-// ready rank with the smallest virtual clock. A panic in any rank aborts
-// the whole job and is returned as an error; a deadlock (no rank can
+// Stepper runs one rank's program until it finishes (true) or parks in a
+// blocking MPI operation (false: the operation returned its "parked"
+// result and the stepper must return at once, keeping whatever it needs to
+// continue after that operation). World.Run calls it again once the
+// operation has completed.
+type Stepper func(p *Proc) (finished bool)
+
+// Run executes the job under the cooperative virtual-time scheduler, on
+// the calling goroutine: it steps the ready rank with the smallest virtual
+// clock until every rank's program has finished. A panic on any rank ends
+// the run and is returned as that rank's error; a deadlock (no rank can
 // make progress) fails the run immediately with a per-rank diagnostic.
-func (w *World) Run(body func(p *Proc)) (RunResult, error) {
-	s := w.sched
-	s.begin()
-	var wg sync.WaitGroup
-	wg.Add(w.np)
-	for r := 0; r < w.np; r++ {
-		p := w.procs[r]
-		go func() {
-			defer wg.Done()
-			defer func() {
-				if rec := recover(); rec != nil {
-					w.fail(fmt.Errorf("rank %d: %v", p.Rank, rec))
-					s.abortAll()
-				}
-				s.exit(p)
-			}()
-			s.acquire(p)
-			body(p)
-		}()
-	}
-	wg.Wait()
-	s.end()
-	w.failMu.Lock()
-	err := w.abErr
-	w.failMu.Unlock()
+func (w *World) Run(step Stepper) (RunResult, error) {
+	err := w.sched.run(step)
 	res := RunResult{Clocks: make([]float64, w.np)}
 	for r, p := range w.procs {
 		res.Clocks[r] = p.Clock
@@ -153,23 +138,21 @@ func (w *World) Run(body func(p *Proc)) (RunResult, error) {
 			res.Elapsed = p.Clock
 		}
 	}
-	if err != nil {
-		return res, err
-	}
-	return res, nil
-}
-
-func (w *World) fail(err error) {
-	w.failMu.Lock()
-	if w.abErr == nil {
-		w.abErr = err
-	}
-	w.failMu.Unlock()
+	return res, err
 }
 
 // Proc is the per-rank execution state: the virtual clock, the PMU core,
-// outstanding requests, tool hooks, and the attribution context (the PSG
-// vertex currently executing, set by the interpreter).
+// outstanding requests, tool hooks, the attribution context (the PSG
+// vertex currently executing, set by the VM), and — while the rank is
+// parked — the continuation of the one operation it is blocked in.
+//
+// The blocking operations (Recv, RecvAny, Wait, Waitall, Sendrecv and the
+// collectives) are each split at their single blocking point. The post
+// half runs in the call; when the operation cannot complete yet the rank
+// parks — the call reports false (RecvAny: Parked) and its stepper must
+// return to World.Run — and the complete half runs from the driver loop
+// once a peer has woken the rank. Under RunBlocking the same calls block
+// and always report completion.
 type Proc struct {
 	world *World
 	Rank  int
@@ -191,20 +174,18 @@ type Proc struct {
 	nextReq int
 	collSeq int
 
-	// cond parks the rank's goroutine while another rank holds the
-	// scheduler baton; block describes the operation it is blocked in
-	// (exact deadlock diagnostics print it) and wakeInfo carries the
-	// matched send delivered by the waker.
-	cond     sync.Cond
+	// block describes the operation a parked rank is blocked in (exact
+	// deadlock diagnostics print it), cont is what its complete half needs
+	// and wakeInfo carries the matched send delivered by the waker.
 	block    blockState
+	cont     cont
 	wakeInfo *sendInfo
 
 	// evScratch stages events for emit: hooks receive a pointer into it,
 	// valid only for the duration of the callback, so steady-state
 	// simulation emits events without allocating.
 	evScratch Event
-	// freeReqs recycles completed request handles. Touched only while
-	// the rank holds the scheduler baton.
+	// freeReqs recycles completed request handles.
 	freeReqs []*Request
 
 	// Event counts behind RunResult's counters.
@@ -309,14 +290,6 @@ func (p *Proc) waitUntil(t float64) float64 {
 	return w
 }
 
-// takeWake consumes the matched send a waker delivered before resuming
-// this rank.
-func (p *Proc) takeWake() *sendInfo {
-	info := p.wakeInfo
-	p.wakeInfo = nil
-	return info
-}
-
 func ceilLog2(n int) float64 {
 	if n <= 1 {
 		return 0
@@ -324,20 +297,21 @@ func ceilLog2(n int) float64 {
 	return math.Ceil(math.Log2(float64(n)))
 }
 
-// Barrier synchronizes all ranks.
-func (p *Proc) Barrier() { p.collective("mpi_barrier", -1, 0) }
+// Barrier synchronizes all ranks. Like every collective it reports false
+// when the rank parked waiting for the others.
+func (p *Proc) Barrier() bool { return p.collective("mpi_barrier", -1, 0) }
 
 // Bcast broadcasts bytes from root.
-func (p *Proc) Bcast(root int, bytes float64) { p.collective("mpi_bcast", root, bytes) }
+func (p *Proc) Bcast(root int, bytes float64) bool { return p.collective("mpi_bcast", root, bytes) }
 
 // Reduce reduces bytes to root.
-func (p *Proc) Reduce(root int, bytes float64) { p.collective("mpi_reduce", root, bytes) }
+func (p *Proc) Reduce(root int, bytes float64) bool { return p.collective("mpi_reduce", root, bytes) }
 
 // Allreduce reduces bytes to all ranks.
-func (p *Proc) Allreduce(bytes float64) { p.collective("mpi_allreduce", -1, bytes) }
+func (p *Proc) Allreduce(bytes float64) bool { return p.collective("mpi_allreduce", -1, bytes) }
 
 // Alltoall exchanges bytes with every rank.
-func (p *Proc) Alltoall(bytes float64) { p.collective("mpi_alltoall", -1, bytes) }
+func (p *Proc) Alltoall(bytes float64) bool { return p.collective("mpi_alltoall", -1, bytes) }
 
 // Allgather gathers bytes from every rank to all.
-func (p *Proc) Allgather(bytes float64) { p.collective("mpi_allgather", -1, bytes) }
+func (p *Proc) Allgather(bytes float64) bool { return p.collective("mpi_allgather", -1, bytes) }

@@ -172,7 +172,7 @@ func main() {
 		return []mpisim.Hook{profilers[rank]}
 	}}
 	w := mpisim.NewWorld(cfg)
-	_, err := w.Run(func(p *mpisim.Proc) {
+	_, err := w.RunBlocking(func(p *mpisim.Proc) {
 		// Execute the scenario manually (the interpreter integration is
 		// covered elsewhere): set MPI vertex contexts like interp would.
 		if p.Rank == 0 {
@@ -307,7 +307,7 @@ func TestRequestConverterBounded(t *testing.T) {
 			t.Errorf("rank %d: converter holds %d receives, %d requests outstanding", p.Rank, held, out)
 		}
 	}
-	_, err := w.Run(func(p *mpisim.Proc) {
+	_, err := w.RunBlocking(func(p *mpisim.Proc) {
 		peer := 1 - p.Rank
 		for round := 0; round < 1000; round++ {
 			for i := 0; i < 8; i++ {

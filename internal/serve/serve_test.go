@@ -479,6 +479,29 @@ func TestAppUploadValidation(t *testing.T) {
 	}
 }
 
+// TestRunawayRecursionIsAnErrorResponse: an uploaded program that recurses
+// without bound used to overflow the host stack and take the server down.
+// Both endpoints that simulate must answer with the rank's error, and the
+// server must still be there for the next request.
+func TestRunawayRecursionIsAnErrorResponse(t *testing.T) {
+	_, ts := newTestServer(t)
+	body, _ := json.Marshal(appUploadJSON{Name: "runaway", Source: "func f(n) { return f(n + 1); }\nfunc main() { f(0); }\n", MinNP: 2})
+	if code, resp := post(t, ts.URL+"/v1/apps", "application/json", body); code != http.StatusCreated {
+		t.Fatalf("register app: %d %s", code, resp)
+	}
+	const want = "exceeds the call depth limit"
+	req, _ := json.Marshal(detectRequest{App: "runaway", Simulate: true, Scales: []int{2, 4}})
+	if code, resp := post(t, ts.URL+"/v1/detect", "application/json", req); code < 400 || !bytes.Contains(resp, []byte(want)) {
+		t.Errorf("simulated detect of a runaway recursion: %d %s, want an error naming the depth limit", code, resp)
+	}
+	if code, resp := get(t, ts.URL+"/v1/comm?app=runaway&np=2"); code < 400 || !bytes.Contains(resp, []byte(want)) {
+		t.Errorf("comm of a runaway recursion: %d %s, want an error naming the depth limit", code, resp)
+	}
+	if code, resp := get(t, ts.URL+"/v1/comm?app=cg&np=4"); code != http.StatusOK {
+		t.Errorf("next request after the failed ones: %d %s", code, resp)
+	}
+}
+
 func TestSweepEndpoint(t *testing.T) {
 	srv, ts := newTestServer(t)
 	app := scalana.GetApp("cg")

@@ -147,7 +147,7 @@ func TestTracerEndToEndVolume(t *testing.T) {
 	}}
 	w := mpisim.NewWorld(cfg)
 	const iters = 25
-	_, err := w.Run(func(p *mpisim.Proc) {
+	_, err := w.RunBlocking(func(p *mpisim.Proc) {
 		for i := 0; i < iters; i++ {
 			next := (p.Rank + 1) % 4
 			prev := (p.Rank + 3) % 4

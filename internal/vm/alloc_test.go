@@ -48,19 +48,24 @@ func TestExecuteAllocsIndependentOfIterations(t *testing.T) {
 	_, _, shortProg := loopProgram(t, 100)
 	_, _, longProg := loopProgram(t, 10000)
 	world := mpisim.NewWorld(mpisim.Config{NP: 1, Seed: 1})
-	p := world.Proc(0)
 
 	measure := func(vp *vm.Program) float64 {
 		r := vm.NewRunner(vp)
-		r.Execute(p) // warm lazy state
-		return testing.AllocsPerRun(20, func() { r.Execute(p) })
+		execute := func() {
+			if _, err := world.Run(r.Stepper(1)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		execute() // warm lazy state
+		return testing.AllocsPerRun(20, execute)
 	}
 	short := measure(shortProg)
 	long := measure(longProg)
 	if long > short {
 		t.Errorf("100x more iterations allocate more: %.1f allocs vs %.1f — the VM loop body allocates per iteration", long, short)
 	}
-	// A run allocates only the machine and one frame; keep a generous
+	// A run allocates only its machine, register and call-stack slabs and
+	// the result's clocks; keep a generous
 	// bound so harness changes don't flake, while still catching
 	// per-statement regressions.
 	if short > 16 {

@@ -198,7 +198,7 @@ func runOracle(prog *minilang.Program, graph *psg.Graph, cfg scalana.RunConfig) 
 	if obs, ok := trun.(scalana.IndirectObserver); ok {
 		runner.OnIndirect = obs.ObserveIndirect
 	}
-	res, err := mpisim.NewWorld(wcfg).Run(runner.Execute)
+	res, err := mpisim.NewWorld(wcfg).RunBlocking(runner.Execute)
 	if err != nil {
 		return res, nil, err
 	}

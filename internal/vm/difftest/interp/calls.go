@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"scalana/internal/minilang"
+	"scalana/internal/vm"
 )
 
 func (ex *exec) evalCall(call *minilang.CallExpr) Value {
@@ -33,6 +34,7 @@ func (ex *exec) evalCall(call *minilang.CallExpr) Value {
 		if ex.r.OnIndirect != nil {
 			ex.r.OnIndirect(ex.p.Rank, inst, call.ID(), fnv.Fn)
 		}
+		ex.checkDepth(call, target)
 		return ex.callFunction(child, target, args)
 	}
 
@@ -41,7 +43,16 @@ func (ex *exec) evalCall(call *minilang.CallExpr) Value {
 	if child == nil {
 		panic(fmt.Sprintf("%s: no PSG instance for call to %q (site %d in %s)", call.Pos(), call.Name, call.ID(), inst.Path))
 	}
+	ex.checkDepth(call, target)
 	return ex.callFunction(child, target, args)
+}
+
+// checkDepth refuses a call that would make the stack deeper than the
+// VM's limit, with the VM's message.
+func (ex *exec) checkDepth(call *minilang.CallExpr, target *minilang.FuncDecl) {
+	if len(ex.frames) >= vm.MaxCallDepth {
+		panic(fmt.Sprintf("%s: call to %q exceeds the call depth limit of %d", call.Pos(), target.Name, vm.MaxCallDepth))
+	}
 }
 
 func (ex *exec) evalBuiltin(call *minilang.CallExpr) Value {

@@ -31,7 +31,8 @@ func NewRunner(prog *minilang.Program, graph *psg.Graph) *Runner {
 }
 
 // Execute runs the program's main function on rank p. It is the body
-// passed to mpisim.World.Run.
+// passed to mpisim.World.RunBlocking: the tree-walker recurses on the Go
+// stack, so it needs the adapter's goroutine to park on.
 func (r *Runner) Execute(p *mpisim.Proc) {
 	ex := &exec{r: r, p: p}
 	main := r.Prog.Func("main")
@@ -84,8 +85,17 @@ func (ex *exec) callFunction(inst *psg.Instance, fn *minilang.FuncDecl, args []V
 	return ret
 }
 
-func (ex *exec) pushScope() { f := ex.top(); f.scopes = append(f.scopes, map[string]Value{}) }
-func (ex *exec) popScope()  { f := ex.top(); f.scopes = f.scopes[:len(f.scopes)-1] }
+// pushScope opens a scope on the running function's frame and returns the
+// frame: the matching popScope is deferred on it, not on whatever frame is
+// on top then — while a panic unwinds, the callees' frames still are, and
+// popping theirs would bury the rank's error under an index panic.
+func (ex *exec) pushScope() *frame {
+	f := ex.top()
+	f.scopes = append(f.scopes, map[string]Value{})
+	return f
+}
+
+func (f *frame) popScope() { f.scopes = f.scopes[:len(f.scopes)-1] }
 
 func (ex *exec) lookup(name string, pos minilang.Pos) Value {
 	f := ex.top()
@@ -120,8 +130,7 @@ func (ex *exec) glue() {
 }
 
 func (ex *exec) execBlock(b *minilang.Block) ctrl {
-	ex.pushScope()
-	defer ex.popScope()
+	defer ex.pushScope().popScope()
 	for _, s := range b.Stmts {
 		if c := ex.execStmt(s); c != ctrlNone {
 			return c
@@ -175,8 +184,7 @@ func (ex *exec) execStmt(s minilang.Stmt) ctrl {
 			return ex.execBlock(st.Else)
 		}
 	case *minilang.ForStmt:
-		ex.pushScope()
-		defer ex.popScope()
+		defer ex.pushScope().popScope()
 		if st.Init != nil {
 			if c := ex.execStmt(st.Init); c != ctrlNone {
 				return c

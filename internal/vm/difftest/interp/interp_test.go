@@ -39,15 +39,16 @@ func runBoth(t testing.TB, prog *minilang.Program, g *psg.Graph, np int) (outcom
 		observe := func(rank int, inst *psg.Instance, site minilang.NodeID, target string) {
 			out.Indirect = append(out.Indirect, target)
 		}
-		var body func(*mpisim.Proc)
+		world := mpisim.NewWorld(mpisim.Config{NP: np})
 		if i == 0 {
 			r := NewRunner(prog, g)
-			r.Stdout, r.OnIndirect, body = &sb, observe, r.Execute
+			r.Stdout, r.OnIndirect = &sb, observe
+			out.RunResult, errs[i] = world.RunBlocking(r.Execute)
 		} else {
 			r := vm.NewRunner(code)
-			r.Stdout, r.OnIndirect, body = &sb, observe, r.Execute
+			r.Stdout, r.OnIndirect = &sb, observe
+			out.RunResult, errs[i] = world.Run(r.Stepper(np))
 		}
-		out.RunResult, errs[i] = mpisim.NewWorld(mpisim.Config{NP: np}).Run(body)
 		out.Stdout = sb.String()
 	}
 	if fmt.Sprint(errs[0]) != fmt.Sprint(errs[1]) {
@@ -283,6 +284,49 @@ func main() {
 		if a.Clocks[r] != b.Clocks[r] {
 			t.Errorf("rank %d clock differs: %g vs %g", r, a.Clocks[r], b.Clocks[r])
 		}
+	}
+}
+
+// TestUnboundedRecursionFailsTheRank: a call stack is data with a fixed
+// depth limit, so runaway recursion is a positioned rank error on both
+// engines (runBoth compares the text) instead of a host stack overflow.
+func TestUnboundedRecursionFailsTheRank(t *testing.T) {
+	prog := minilang.MustParse("r.mp", "func f(n) { return f(n + 1); }\nfunc main() { f(0); }\n")
+	_, err := runBoth(t, prog, psg.MustBuild(prog), 2)
+	want := fmt.Sprintf(`rank 0: r.mp:1:20: call to "f" exceeds the call depth limit of %d`, vm.MaxCallDepth)
+	if err == nil || err.Error() != want {
+		t.Fatalf("unbounded recursion: error %v, want %q", err, want)
+	}
+}
+
+// TestDeepRecursionGrowsTheStack recurses to just under the limit —
+// through an indirect call too — and exchanges a message at the bottom: the
+// VM's register file outgrows its slab share, and rank 1 parks and resumes
+// on the grown stack.
+func TestDeepRecursionGrowsTheStack(t *testing.T) {
+	src := fmt.Sprintf(`
+func down(n, g) {
+	if (n == 0) {
+		if (mpi_rank() == 0) {
+			compute(1e6, 0, 0, 64);
+			mpi_send(1, 3, 8);
+			return 0;
+		}
+		return mpi_recv_any(3, 8) + 1;
+	}
+	var below = g(n - 1, g);
+	return below + n;
+}
+func main() {
+	var g = &down;
+	print("sum=", down(%d, g));
+}
+`, vm.MaxCallDepth-2)
+	out, _ := mustRunBoth(t, src, 2)
+	n := vm.MaxCallDepth - 2
+	want := fmt.Sprintf("[rank 0] sum= %d\n[rank 1] sum= %d\n", n*(n+1)/2, n*(n+1)/2+1)
+	if out.Stdout != want {
+		t.Errorf("output = %q, want %q", out.Stdout, want)
 	}
 }
 

@@ -187,9 +187,9 @@ func main() {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, body := range map[string]func(*mpisim.Proc){
-		"interp": NewRunner(prog, g).Execute,
-		"vm":     vm.NewRunner(code).Execute,
+	for name, run := range map[string]func(*mpisim.World) (mpisim.RunResult, error){
+		"interp": func(w *mpisim.World) (mpisim.RunResult, error) { return w.RunBlocking(NewRunner(prog, g).Execute) },
+		"vm":     func(w *mpisim.World) (mpisim.RunResult, error) { return w.Run(vm.NewRunner(code).Stepper(w.NP())) },
 	} {
 		var events []*mpisim.Event
 		hook := &ctxCapture{events: &events}
@@ -199,7 +199,7 @@ func main() {
 			}
 			return nil
 		}})
-		if _, err := world.Run(body); err != nil {
+		if _, err := run(world); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		if len(events) != 1 {

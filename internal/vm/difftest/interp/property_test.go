@@ -129,13 +129,13 @@ func main() {
 }`)
 	g := psg.MustBuild(prog)
 	withGlue := NewRunner(prog, g)
-	res1, err := mpisim.NewWorld(mpisim.Config{NP: 1}).Run(withGlue.Execute)
+	res1, err := mpisim.NewWorld(mpisim.Config{NP: 1}).RunBlocking(withGlue.Execute)
 	if err != nil {
 		t.Fatal(err)
 	}
 	noGlue := NewRunner(prog, g)
 	noGlue.GlueIns = 0
-	res2, err := mpisim.NewWorld(mpisim.Config{NP: 1}).Run(noGlue.Execute)
+	res2, err := mpisim.NewWorld(mpisim.Config{NP: 1}).RunBlocking(noGlue.Execute)
 	if err != nil {
 		t.Fatal(err)
 	}

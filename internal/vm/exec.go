@@ -34,26 +34,53 @@ func NewRunner(p *Program) *Runner {
 	return &Runner{Prog: p}
 }
 
-// Execute runs the program's main function on rank p. It is the body
-// passed to mpisim.World.Run.
-func (r *Runner) Execute(p *mpisim.Proc) {
+// MaxCallDepth bounds a rank's MiniMP call stack. The stack is data, so a
+// runaway recursion fails its rank with a positioned error instead of
+// exhausting the host.
+const MaxCallDepth = 1000
+
+// Stepper sets up one run of np ranks — a machine a rank, their register
+// files and call stacks carved from one slab each — and returns the
+// stepper to hand to mpisim.World.Run.
+func (r *Runner) Stepper(np int) mpisim.Stepper {
 	main := r.Prog.main
-	if len(main.code.fn.Params) != 0 {
-		panic(fmt.Sprintf("vm: %s expects %d args, got 0", main.code.fn.Name, len(main.code.fn.Params)))
+	nRegs, nCalls := int(r.Prog.stackRegs), int(r.Prog.stackDepth)
+	machines := make([]machine, np)
+	regs := make([]Value, np*nRegs)
+	calls := make([]frame, np*nCalls)
+	for i := range machines {
+		m := &machines[i]
+		m.r = r
+		m.regs = regs[i*nRegs : (i+1)*nRegs : (i+1)*nRegs]
+		m.calls = append(calls[i*nCalls:i*nCalls:(i+1)*nCalls], frame{l: main})
 	}
-	m := &machine{r: r, p: p}
-	m.call(main, nil)
+	return func(p *mpisim.Proc) bool { return machines[p.Rank].step(p) }
 }
 
-// machine is the per-rank execution state. Frames are reused across
-// calls at the same depth, so steady-state execution performs no
-// allocations: slots are written before they are read (the checker's
-// declare-before-use guarantee), which makes zeroing unnecessary.
+// frame is one activation on a machine's call stack.
+type frame struct {
+	l *Link
+	// pc is where the activation continues: after the call it made, or
+	// after the MPI operation it parked in.
+	pc int32
+	// base is the frame's first register in machine.regs; dst is the
+	// register of the caller's frame that receives the return value.
+	base, dst int32
+}
+
+// machine is the per-rank execution state: an explicit call stack over
+// one register file, so that a rank parked in an MPI operation is a few
+// saved words, not a suspended Go stack. Registers are reused as the
+// stack moves, and steady-state execution performs no allocations: slots
+// are written before they are read (the checker's declare-before-use
+// guarantee), which makes zeroing unnecessary.
 type machine struct {
-	r      *Runner
-	p      *mpisim.Proc
-	frames [][]Value
-	depth  int
+	r     *Runner
+	regs  []Value
+	calls []frame
+	// anyReg is 1 + the register waiting for the source of the RecvAny the
+	// rank parked in; 0 when there is none.
+	anyReg int32
 }
 
 // Precomputed conversion-role strings so the hot path never
@@ -109,232 +136,262 @@ func boolVal(b bool) Value {
 	return Value{}
 }
 
-// call runs one function invocation. args is a subslice of the caller's
-// frame; it is copied into the callee frame before execution.
+// enter pushes an activation of l with args as its first registers. dst
+// and pos belong to the call site: where the value goes, and where a call
+// too deep is reported.
 //
 //scalana:hot
-func (m *machine) call(l *Link, args []Value) Value {
-	code := l.code
-	if m.depth == len(m.frames) {
-		m.frames = append(m.frames, make([]Value, code.nSlots))
+func (m *machine) enter(l *Link, args []Value, dst int32, pos *minilang.Pos) {
+	n := len(m.calls)
+	if n >= MaxCallDepth {
+		panic(fmt.Sprintf("%s: call to %q exceeds the call depth limit of %d", *pos, l.code.fn.Name, MaxCallDepth))
 	}
-	f := m.frames[m.depth]
-	if int32(len(f)) < code.nSlots {
-		f = make([]Value, code.nSlots)
-		m.frames[m.depth] = f
+	top := &m.calls[n-1]
+	base := top.base + top.l.code.nSlots
+	if need := int(base + l.code.nSlots); need > len(m.regs) {
+		// Only a recursive program outgrows Program.stackRegs.
+		grown := make([]Value, max(need, 2*len(m.regs)))
+		copy(grown, m.regs[:base])
+		m.regs = grown
 	}
-	copy(f, args)
-	m.depth++
-	v := m.run(l, f)
-	m.depth--
-	return v
+	copy(m.regs[base:], args)
+	m.calls = append(m.calls, frame{l: l, base: base, dst: dst})
 }
 
-// run is the bytecode dispatch loop — the hottest function in a sweep.
+// step runs the rank's program from where it stopped until it finishes
+// (true) or parks in an MPI operation (false). It is the bytecode
+// dispatch loop — the hottest function in a sweep.
 //
 //scalana:hot
-func (m *machine) run(l *Link, f []Value) Value {
-	code := l.code
-	instrs := code.instrs
-	p := m.p
-	for pc := 0; pc < len(instrs); {
-		in := instrs[pc]
-		pc++
-		switch in.op {
-		case opNop:
-		case opConst:
-			f[in.a] = code.consts[in.b]
-		case opMove:
-			f[in.a] = f[in.b]
-		case opSetCtx:
-			if v := l.ctx[in.a]; v != nil {
-				p.Ctx = v
-			}
-		case opGlue:
-			p.Glue(glueIns)
-		case opJmp:
-			pc = int(in.a)
-		case opJmpFalse:
-			if !truthy(f[in.a], code.poss[in.pos]) {
-				pc = int(in.b)
-			}
-		case opJmpTrue:
-			if truthy(f[in.a], code.poss[in.pos]) {
-				pc = int(in.b)
-			}
-		case opRet:
-			if in.a < 0 {
-				return Value{}
-			}
-			return f[in.a]
-		case opChkNum:
-			num(f[in.a], code.poss[in.pos], whats[in.b])
+func (m *machine) step(p *mpisim.Proc) bool {
+	if m.anyReg != 0 {
+		top := &m.calls[len(m.calls)-1]
+		m.regs[top.base+m.anyReg-1] = Value{Num: float64(p.MatchedSource())}
+		m.anyReg = 0
+	}
+	// One iteration an activation: entered, returned to, or resumed.
+	for {
+		fr := &m.calls[len(m.calls)-1]
+		l := fr.l
+		code := l.code
+		instrs := code.instrs
+		f := m.regs[fr.base : fr.base+code.nSlots]
+		pc := int(fr.pc)
+	dispatch:
+		for {
+			in := instrs[pc]
+			pc++
+			switch in.op {
+			case opNop:
+			case opConst:
+				f[in.a] = code.consts[in.b]
+			case opMove:
+				f[in.a] = f[in.b]
+			case opSetCtx:
+				if v := l.ctx[in.a]; v != nil {
+					p.Ctx = v
+				}
+			case opGlue:
+				p.Glue(glueIns)
+			case opJmp:
+				pc = int(in.a)
+			case opJmpFalse:
+				if !truthy(f[in.a], code.poss[in.pos]) {
+					pc = int(in.b)
+				}
+			case opJmpTrue:
+				if truthy(f[in.a], code.poss[in.pos]) {
+					pc = int(in.b)
+				}
+			case opRet:
+				var v Value
+				if in.a >= 0 {
+					v = f[in.a]
+				}
+				top, dst := len(m.calls)-1, fr.dst
+				m.calls = m.calls[:top]
+				if top == 0 {
+					return true
+				}
+				m.regs[m.calls[top-1].base+dst] = v
+				break dispatch
+			case opChkNum:
+				num(f[in.a], code.poss[in.pos], whats[in.b])
 
-		case opNeg:
-			f[in.b] = Value{Num: -num(f[in.a], code.poss[in.pos], "operand")}
-		case opNot:
-			f[in.b] = boolVal(num(f[in.a], code.poss[in.pos], "operand") == 0)
-		case opBool:
-			f[in.b] = boolVal(truthy(f[in.a], code.poss[in.pos]))
-		case opAdd:
-			f[in.c] = Value{Num: f[in.a].Num + f[in.b].Num}
-		case opSub:
-			f[in.c] = Value{Num: f[in.a].Num - f[in.b].Num}
-		case opMul:
-			f[in.c] = Value{Num: f[in.a].Num * f[in.b].Num}
-		case opDiv:
-			if f[in.b].Num == 0 {
-				panic(fmt.Sprintf("%s: division by zero", code.poss[in.pos]))
-			}
-			f[in.c] = Value{Num: f[in.a].Num / f[in.b].Num}
-		case opMod:
-			if f[in.b].Num == 0 {
-				panic(fmt.Sprintf("%s: modulo by zero", code.poss[in.pos]))
-			}
-			f[in.c] = Value{Num: math.Mod(f[in.a].Num, f[in.b].Num)}
-		case opEq:
-			f[in.c] = boolVal(f[in.a].Num == f[in.b].Num)
-		case opNe:
-			f[in.c] = boolVal(f[in.a].Num != f[in.b].Num)
-		case opLt:
-			f[in.c] = boolVal(f[in.a].Num < f[in.b].Num)
-		case opLe:
-			f[in.c] = boolVal(f[in.a].Num <= f[in.b].Num)
-		case opGt:
-			f[in.c] = boolVal(f[in.a].Num > f[in.b].Num)
-		case opGe:
-			f[in.c] = boolVal(f[in.a].Num >= f[in.b].Num)
+			case opNeg:
+				f[in.b] = Value{Num: -num(f[in.a], code.poss[in.pos], "operand")}
+			case opNot:
+				f[in.b] = boolVal(num(f[in.a], code.poss[in.pos], "operand") == 0)
+			case opBool:
+				f[in.b] = boolVal(truthy(f[in.a], code.poss[in.pos]))
+			case opAdd:
+				f[in.c] = Value{Num: f[in.a].Num + f[in.b].Num}
+			case opSub:
+				f[in.c] = Value{Num: f[in.a].Num - f[in.b].Num}
+			case opMul:
+				f[in.c] = Value{Num: f[in.a].Num * f[in.b].Num}
+			case opDiv:
+				if f[in.b].Num == 0 {
+					panic(fmt.Sprintf("%s: division by zero", code.poss[in.pos]))
+				}
+				f[in.c] = Value{Num: f[in.a].Num / f[in.b].Num}
+			case opMod:
+				if f[in.b].Num == 0 {
+					panic(fmt.Sprintf("%s: modulo by zero", code.poss[in.pos]))
+				}
+				f[in.c] = Value{Num: math.Mod(f[in.a].Num, f[in.b].Num)}
+			case opEq:
+				f[in.c] = boolVal(f[in.a].Num == f[in.b].Num)
+			case opNe:
+				f[in.c] = boolVal(f[in.a].Num != f[in.b].Num)
+			case opLt:
+				f[in.c] = boolVal(f[in.a].Num < f[in.b].Num)
+			case opLe:
+				f[in.c] = boolVal(f[in.a].Num <= f[in.b].Num)
+			case opGt:
+				f[in.c] = boolVal(f[in.a].Num > f[in.b].Num)
+			case opGe:
+				f[in.c] = boolVal(f[in.a].Num >= f[in.b].Num)
 
-		case opArrChk:
-			if f[in.a].Arr == nil {
-				panic(fmt.Sprintf("%s: %q is not an array", code.poss[in.pos], code.names[in.d]))
-			}
-		case opLoadIdx:
-			arr := f[in.a].Arr
-			idx := int(num(f[in.b], code.poss[in.pos], "index"))
-			if idx < 0 || idx >= len(arr) {
-				panic(fmt.Sprintf("%s: index %d out of range [0,%d)", code.poss[in.pos], idx, len(arr)))
-			}
-			f[in.c] = Value{Num: arr[idx]}
-		case opIdxChk:
-			arr := f[in.a].Arr
-			idx := int(num(f[in.b], code.poss[in.pos], "index"))
-			if idx < 0 || idx >= len(arr) {
-				panic(fmt.Sprintf("%s: index %d out of range [0,%d)", code.poss[in.pos], idx, len(arr)))
-			}
-		case opStoreIdx:
-			f[in.a].Arr[int(f[in.b].Num)] = num(f[in.c], code.poss[in.pos], "array element")
-		case opAlloc:
-			ln := int(num(f[in.a], code.poss[in.pos], "alloc argument"))
-			if ln < 0 {
-				panic(fmt.Sprintf("%s: alloc of negative length %d", code.poss[in.pos], ln))
-			}
-			f[in.b] = Value{Arr: make([]float64, ln)}
-		case opLen:
-			if f[in.a].Arr == nil {
-				panic(fmt.Sprintf("%s: len of non-array", code.poss[in.pos]))
-			}
-			f[in.b] = Value{Num: float64(len(f[in.a].Arr))}
+			case opArrChk:
+				if f[in.a].Arr == nil {
+					panic(fmt.Sprintf("%s: %q is not an array", code.poss[in.pos], code.names[in.d]))
+				}
+			case opLoadIdx:
+				arr := f[in.a].Arr
+				idx := int(num(f[in.b], code.poss[in.pos], "index"))
+				if idx < 0 || idx >= len(arr) {
+					panic(fmt.Sprintf("%s: index %d out of range [0,%d)", code.poss[in.pos], idx, len(arr)))
+				}
+				f[in.c] = Value{Num: arr[idx]}
+			case opIdxChk:
+				arr := f[in.a].Arr
+				idx := int(num(f[in.b], code.poss[in.pos], "index"))
+				if idx < 0 || idx >= len(arr) {
+					panic(fmt.Sprintf("%s: index %d out of range [0,%d)", code.poss[in.pos], idx, len(arr)))
+				}
+			case opStoreIdx:
+				f[in.a].Arr[int(f[in.b].Num)] = num(f[in.c], code.poss[in.pos], "array element")
+			case opAlloc:
+				ln := int(num(f[in.a], code.poss[in.pos], "alloc argument"))
+				if ln < 0 {
+					panic(fmt.Sprintf("%s: alloc of negative length %d", code.poss[in.pos], ln))
+				}
+				f[in.b] = Value{Arr: make([]float64, ln)}
+			case opLen:
+				if f[in.a].Arr == nil {
+					panic(fmt.Sprintf("%s: len of non-array", code.poss[in.pos]))
+				}
+				f[in.b] = Value{Num: float64(len(f[in.a].Arr))}
 
-		case opMath1:
-			v := num(f[in.a], code.poss[in.pos], mathArgWhats[in.d])
-			var out float64
-			switch mathFn(in.d) {
-			case mathSqrt:
-				out = math.Sqrt(v)
-			case mathLog:
-				out = math.Log(v)
-			case mathLog2:
-				out = math.Log2(v)
-			case mathExp:
-				out = math.Exp(v)
-			case mathFloor:
-				out = math.Floor(v)
-			case mathCeil:
-				out = math.Ceil(v)
-			case mathAbs:
-				out = math.Abs(v)
-			}
-			f[in.b] = Value{Num: out}
-		case opMath2:
-			what := mathArgWhats[in.d]
-			v0 := num(f[in.a], code.poss[in.pos], what)
-			v1 := num(f[in.b], code.poss[in.pos], what)
-			var out float64
-			switch mathFn(in.d) {
-			case mathMin:
-				out = math.Min(v0, v1)
-			case mathMax:
-				out = math.Max(v0, v1)
-			case mathPow:
-				out = math.Pow(v0, v1)
-			}
-			f[in.c] = Value{Num: out}
-		case opRand:
-			f[in.a] = Value{Num: p.Rand()}
-		case opRank:
-			f[in.a] = Value{Num: float64(p.Rank)}
-		case opSize:
-			f[in.a] = Value{Num: float64(p.NP())}
-		case opCompute:
-			pos := code.poss[in.pos]
-			b := in.a
-			n0 := num(f[b], pos, "compute argument")
-			n1 := num(f[b+1], pos, "compute argument")
-			n2 := num(f[b+2], pos, "compute argument")
-			n3 := num(f[b+3], pos, "compute argument")
-			p.Compute(n0, n1, n2, n3)
-			f[in.c] = Value{}
-		case opMPI:
-			m.mpi(code, f, in)
-		case opPrint:
-			m.print(code, f, in)
+			case opMath1:
+				v := num(f[in.a], code.poss[in.pos], mathArgWhats[in.d])
+				var out float64
+				switch mathFn(in.d) {
+				case mathSqrt:
+					out = math.Sqrt(v)
+				case mathLog:
+					out = math.Log(v)
+				case mathLog2:
+					out = math.Log2(v)
+				case mathExp:
+					out = math.Exp(v)
+				case mathFloor:
+					out = math.Floor(v)
+				case mathCeil:
+					out = math.Ceil(v)
+				case mathAbs:
+					out = math.Abs(v)
+				}
+				f[in.b] = Value{Num: out}
+			case opMath2:
+				what := mathArgWhats[in.d]
+				v0 := num(f[in.a], code.poss[in.pos], what)
+				v1 := num(f[in.b], code.poss[in.pos], what)
+				var out float64
+				switch mathFn(in.d) {
+				case mathMin:
+					out = math.Min(v0, v1)
+				case mathMax:
+					out = math.Max(v0, v1)
+				case mathPow:
+					out = math.Pow(v0, v1)
+				}
+				f[in.c] = Value{Num: out}
+			case opRand:
+				f[in.a] = Value{Num: p.Rand()}
+			case opRank:
+				f[in.a] = Value{Num: float64(p.Rank)}
+			case opSize:
+				f[in.a] = Value{Num: float64(p.NP())}
+			case opCompute:
+				pos := code.poss[in.pos]
+				b := in.a
+				n0 := num(f[b], pos, "compute argument")
+				n1 := num(f[b+1], pos, "compute argument")
+				n2 := num(f[b+2], pos, "compute argument")
+				n3 := num(f[b+3], pos, "compute argument")
+				p.Compute(n0, n1, n2, n3)
+				f[in.c] = Value{}
+			case opMPI:
+				if !m.mpi(p, code, f, in) {
+					fr.pc = int32(pc)
+					return false
+				}
+			case opPrint:
+				m.print(p, code, f, in)
 
-		case opCall:
-			cs := &code.calls[in.a]
-			child := l.calls[in.a]
-			if child == nil {
-				panic(fmt.Sprintf("%s: no PSG instance for call to %q (site %d in %s)",
-					cs.pos, cs.callee, cs.node, l.inst.Path))
-			}
-			f[in.c] = m.call(child, f[in.b:in.b+cs.argc])
-		case opCallInd:
-			is := &code.indirects[in.a]
-			fnv := f[in.d]
-			if fnv.Fn == "" {
-				panic(fmt.Sprintf("%s: %q does not hold a function reference", is.pos, is.varName))
-			}
-			child := l.indirect[in.a][fnv.Fn]
-			if child == nil {
-				m.r.Prog.missingTarget(l, in.a, fnv.Fn)
-			}
-			if got, want := is.argc, int32(len(child.code.fn.Params)); got != want {
-				panic(fmt.Sprintf("vm: %s expects %d args, got %d", child.code.fn.Name, want, got))
-			}
-			if m.r.OnIndirect != nil {
-				m.r.OnIndirect(p.Rank, l.inst, is.node, fnv.Fn)
-			}
-			f[in.c] = m.call(child, f[in.b:in.b+is.argc])
+			case opCall:
+				cs := &code.calls[in.a]
+				child := l.calls[in.a]
+				if child == nil {
+					panic(fmt.Sprintf("%s: no PSG instance for call to %q (site %d in %s)",
+						cs.pos, cs.callee, cs.node, l.inst.Path))
+				}
+				fr.pc = int32(pc)
+				m.enter(child, f[in.b:in.b+cs.argc], in.c, &cs.pos)
+				break dispatch
+			case opCallInd:
+				is := &code.indirects[in.a]
+				fnv := f[in.d]
+				if fnv.Fn == "" {
+					panic(fmt.Sprintf("%s: %q does not hold a function reference", is.pos, is.varName))
+				}
+				child := l.indirect[in.a][fnv.Fn]
+				if child == nil {
+					m.r.Prog.missingTarget(l, in.a, fnv.Fn)
+				}
+				if got, want := is.argc, int32(len(child.code.fn.Params)); got != want {
+					panic(fmt.Sprintf("vm: %s expects %d args, got %d", child.code.fn.Name, want, got))
+				}
+				if m.r.OnIndirect != nil {
+					m.r.OnIndirect(p.Rank, l.inst, is.node, fnv.Fn)
+				}
+				fr.pc = int32(pc)
+				m.enter(child, f[in.b:in.b+is.argc], in.c, &is.pos)
+				break dispatch
 
-		case opStrPanic:
-			panic(fmt.Sprintf("%s: string literal outside print", code.poss[in.pos]))
-		default:
-			panic(fmt.Sprintf("vm: unknown opcode %d", in.op))
+			case opStrPanic:
+				panic(fmt.Sprintf("%s: string literal outside print", code.poss[in.pos]))
+			default:
+				panic(fmt.Sprintf("vm: unknown opcode %d", in.op))
+			}
 		}
 	}
-	return Value{}
 }
 
 // mpi dispatches one MPI builtin. Argument conversion order and error
-// roles match the interpreter's evalMPI exactly.
+// roles match the interpreter's evalMPI exactly. It reports false when the
+// operation parked: the result register is already written (the source of
+// a RecvAny follows through anyReg), so the program continues at the next
+// instruction.
 //
 //scalana:hot
-func (m *machine) mpi(code *Code, f []Value, in instr) {
+func (m *machine) mpi(p *mpisim.Proc, code *Code, f []Value, in instr) bool {
 	pos := code.poss[in.pos]
 	o := mpiOp(in.d)
 	what := mpiArgWhats[o]
 	b := in.a
-	p := m.p
 	switch o {
 	case mpiSend:
 		a0 := int(num(f[b], pos, what))
@@ -346,12 +403,17 @@ func (m *machine) mpi(code *Code, f []Value, in instr) {
 		a0 := int(num(f[b], pos, what))
 		a1 := int(num(f[b+1], pos, what))
 		a2 := num(f[b+2], pos, what)
-		p.Recv(a0, a1, a2)
 		f[in.c] = Value{}
+		return p.Recv(a0, a1, a2)
 	case mpiRecvAny:
 		a0 := int(num(f[b], pos, what))
 		a1 := num(f[b+1], pos, what)
-		f[in.c] = Value{Num: float64(p.RecvAny(a0, a1))}
+		src := p.RecvAny(a0, a1)
+		if src == mpisim.Parked {
+			m.anyReg = in.c + 1
+			return false
+		}
+		f[in.c] = Value{Num: float64(src)}
 	case mpiIsend:
 		a0 := int(num(f[b], pos, what))
 		a1 := int(num(f[b+1], pos, what))
@@ -367,11 +429,12 @@ func (m *machine) mpi(code *Code, f []Value, in instr) {
 		a1 := num(f[b+1], pos, what)
 		f[in.c] = Value{Num: float64(p.IrecvAny(a0, a1).ID())}
 	case mpiWait:
-		p.Wait(int(num(f[b], pos, what)))
+		a0 := int(num(f[b], pos, what))
 		f[in.c] = Value{}
+		return p.Wait(a0)
 	case mpiWaitall:
-		p.Waitall()
 		f[in.c] = Value{}
+		return p.Waitall()
 	case mpiSendrecv:
 		a0 := int(num(f[b], pos, what))
 		a1 := int(num(f[b+1], pos, what))
@@ -379,44 +442,48 @@ func (m *machine) mpi(code *Code, f []Value, in instr) {
 		a3 := int(num(f[b+3], pos, what))
 		a4 := int(num(f[b+4], pos, what))
 		a5 := num(f[b+5], pos, what)
-		p.Sendrecv(a0, a1, a2, a3, a4, a5)
 		f[in.c] = Value{}
+		return p.Sendrecv(a0, a1, a2, a3, a4, a5)
 	case mpiBarrier:
-		p.Barrier()
 		f[in.c] = Value{}
+		return p.Barrier()
 	case mpiBcast:
 		a0 := int(num(f[b], pos, what))
 		a1 := num(f[b+1], pos, what)
-		p.Bcast(a0, a1)
 		f[in.c] = Value{}
+		return p.Bcast(a0, a1)
 	case mpiReduce:
 		a0 := int(num(f[b], pos, what))
 		a1 := num(f[b+1], pos, what)
-		p.Reduce(a0, a1)
 		f[in.c] = Value{}
+		return p.Reduce(a0, a1)
 	case mpiAllreduce:
-		p.Allreduce(num(f[b], pos, what))
+		a0 := num(f[b], pos, what)
 		f[in.c] = Value{}
+		return p.Allreduce(a0)
 	case mpiAlltoall:
-		p.Alltoall(num(f[b], pos, what))
+		a0 := num(f[b], pos, what)
 		f[in.c] = Value{}
+		return p.Alltoall(a0)
 	case mpiAllgather:
-		p.Allgather(num(f[b], pos, what))
+		a0 := num(f[b], pos, what)
 		f[in.c] = Value{}
+		return p.Allgather(a0)
 	default:
 		panic(fmt.Sprintf("vm: unhandled MPI builtin %q", mpiNames[o]))
 	}
+	return true
 }
 
 // print mirrors interp's evalPrint output format; with a nil Stdout the
 // arguments were still evaluated by the preceding instructions.
-func (m *machine) print(code *Code, f []Value, in instr) {
+func (m *machine) print(p *mpisim.Proc, code *Code, f []Value, in instr) {
 	f[in.b] = Value{}
 	if m.r.Stdout == nil {
 		return
 	}
 	spec := &code.prints[in.a]
-	out := fmt.Sprintf("[rank %d]", m.p.Rank)
+	out := fmt.Sprintf("[rank %d]", p.Rank)
 	for _, part := range spec.parts {
 		if part.isStr {
 			out += " " + part.str

@@ -85,17 +85,17 @@ func runRecorded(prog *minilang.Program, graph *psg.Graph, np int, useInterp boo
 			return []mpisim.Hook{recs[rank]}
 		},
 	})
-	var body func(*mpisim.Proc)
+	var res mpisim.RunResult
+	var err error
 	if useInterp {
-		body = interp.NewRunner(prog, graph).Execute
+		res, err = world.RunBlocking(interp.NewRunner(prog, graph).Execute)
 	} else {
-		vp, err := vm.Compile(prog, graph)
-		if err != nil {
+		var vp *vm.Program
+		if vp, err = vm.Compile(prog, graph); err != nil {
 			return nil, nil, err
 		}
-		body = vm.NewRunner(vp).Execute
+		res, err = world.Run(vm.NewRunner(vp).Stepper(np))
 	}
-	res, err := world.Run(body)
 	if err != nil {
 		return nil, nil, err
 	}

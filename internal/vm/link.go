@@ -18,6 +18,10 @@ type Program struct {
 	graph *psg.Graph
 	codes map[string]*Code
 	main  *Link
+	// stackRegs and stackDepth are the registers and frames of the deepest
+	// call path that does not recurse: what a rank's machine is given up
+	// front (only a recursive program grows past them at run time).
+	stackRegs, stackDepth int32
 }
 
 // Link binds one function's shared bytecode to one psg.Instance. Its
@@ -59,7 +63,34 @@ func Compile(prog *minilang.Program, graph *psg.Graph) (*Program, error) {
 		return nil, fmt.Errorf("vm: PSG has no main instance")
 	}
 	p.main = p.link(graph.Main, map[*psg.Instance]*Link{})
+	p.stackRegs, p.stackDepth = stackNeed(p.main, map[*Link]bool{})
 	return p, nil
+}
+
+// stackNeed returns the registers and frames the deepest call path from l
+// needs. A link already on the path (recursion) adds nothing; the instance
+// tree has no other sharing, so the walk is linear.
+func stackNeed(l *Link, onPath map[*Link]bool) (regs, depth int32) {
+	if onPath[l] {
+		return 0, 0
+	}
+	onPath[l] = true
+	below := func(child *Link) {
+		if child != nil {
+			r, d := stackNeed(child, onPath)
+			regs, depth = max(regs, r), max(depth, d)
+		}
+	}
+	for _, child := range l.calls {
+		below(child)
+	}
+	for _, targets := range l.indirect {
+		for _, child := range targets {
+			below(child)
+		}
+	}
+	delete(onPath, l)
+	return l.code.nSlots + regs, 1 + depth
 }
 
 // link returns the Link for inst, building it (and, recursively, its

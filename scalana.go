@@ -201,7 +201,7 @@ func RunCompiled(prog *minilang.Program, graph *psg.Graph, cfg RunConfig) (*RunO
 	}
 
 	world := mpisim.NewWorld(wcfg)
-	res, err := world.Run(runner.Execute)
+	res, err := world.Run(runner.Stepper(cfg.NP))
 	if err != nil {
 		return nil, fmt.Errorf("scalana: run %s np=%d: %w", cfg.App.Name, cfg.NP, err)
 	}

@@ -115,6 +115,18 @@ func TestSweepAndDetectSmoke(t *testing.T) {
 	}
 }
 
+// TestUnboundedRecursionIsARankError: before the VM's call stack was data
+// this program killed the process ("fatal error: stack overflow", which no
+// recover can catch); it must come back as the rank's positioned error.
+func TestUnboundedRecursionIsARankError(t *testing.T) {
+	app := &App{Name: "r", Source: "func f(n) { return f(n + 1); }\nfunc main() { f(0); }\n"}
+	_, err := Run(RunConfig{App: app, NP: 2})
+	want := `scalana: run r np=2: rank 0: :1:20: call to "f" exceeds the call depth limit of 1000`
+	if err == nil || err.Error() != want {
+		t.Fatalf("Run = %v, want error %q", err, want)
+	}
+}
+
 // TestIndirectCallProfiledEndToEnd: an app using function pointers runs
 // under the ScalAna profiler; the PSG is refined at run time and the
 // callee's work is attributed to the materialized vertices.

@@ -71,8 +71,8 @@ type ToolRun interface {
 // IndirectObserver is optionally implemented by a ToolRun that wants
 // runtime indirect-call resolutions (paper §III-B3). When implemented,
 // the VM reports every resolved indirect call; rank is the resolving
-// rank, and calls arrive concurrently across ranks (but in order within
-// one rank).
+// rank, and calls arrive one at a time, on the goroutine that called
+// RunCompiled, in the order the scheduler steps the ranks.
 type IndirectObserver interface {
 	ObserveIndirect(rank int, inst *psg.Instance, site minilang.NodeID, target string)
 }
