@@ -17,23 +17,25 @@ import (
 // as time, which a shared 1-CPU runner cannot assert, and as allocation,
 // which repeats exactly under testing.AllocsPerRun's single P.
 //
-// Measured when the profiler's per-rank maps became per-run slabs: 16.7
-// objects and 6,521 B a rank (the map-based profiler: 41.4 and 10,502 B).
+// Measured with the sampling timer's state in the rank: 16.1 objects and
+// 6,435 B a rank (16.7 and 6,521 B when the profiler kept its own period,
+// bucket and pending counters; the map-based profiler: 41.4 and 10,502 B).
 // The budgets are those plus 20 %. What is left is ppg.Build's per-rank
 // edge arenas and the dense Vertex blocks, not the per-event path.
 //
-// The bare run has a budget of its own, the same way: 24.3 objects and
-// 5,865 B a rank now that a rank's machine, registers and call stack are
-// carved from three per-run slabs (29.6 and 6,133 B when each rank had a
-// goroutine, a machine and a frame per call depth of its own). A per-rank
+// The bare run has a budget of its own, the same way: 23.3 objects and
+// 5,913 B a rank — the ranks of a world are one slab, and a rank carries
+// the timer and the counters it reads (24.3 and 5,865 B before; bare and
+// attached together fell from 12,386 to 12,348 B). A rank's machine,
+// registers and call stack are carved from three per-run slabs; a per-rank
 // allocation creeping back into vm.Runner.Stepper shows here as a count.
 func TestAttachCostPerRank(t *testing.T) {
 	const (
 		np                = 256
 		runs              = 5
-		objectsBudget     = 20
-		bytesBudget       = 7800
-		bareObjectsBudget = 29
+		objectsBudget     = 19
+		bytesBudget       = 7700
+		bareObjectsBudget = 28
 		bareBytesBudget   = 7000
 	)
 	app := scalana.GetApp("zeusmp")
@@ -100,6 +102,27 @@ func TestSimulatorCountersRepeat(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		if got := counters("scalana"); got != want {
 			t.Errorf("profiled run %d: advances, events, yields, samples = %v, want %v", i, got, want)
+		}
+	}
+}
+
+// TestSamplesCountsTimerSamplesOnly pins RunResult.Samples for the two
+// baseline tools on the same run: the call-path profiler's are its timer
+// samples, and the tracer — whose every record charges overhead, which is
+// what Samples used to count (48,992 here) — takes none.
+func TestSamplesCountsTimerSamplesOnly(t *testing.T) {
+	app := scalana.GetApp("zeusmp")
+	prog, graph, err := scalana.NewEngine().Compile(app, psg.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for tool, want := range map[string][2]int64{"hpctk": {90704, 3376}, "tracer": {141984, 0}} {
+		out, err := scalana.RunCompiled(prog, graph, scalana.RunConfig{App: app, NP: 64, ToolName: tool, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := [2]int64{out.Result.Advances, out.Result.Samples}; got != want {
+			t.Errorf("%s: advances, samples = %v, want %v", tool, got, want)
 		}
 	}
 }

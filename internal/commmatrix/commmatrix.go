@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"sort"
 
-	"scalana/internal/machine"
 	"scalana/internal/mpisim"
 	"scalana/internal/psg"
 )
@@ -82,7 +81,9 @@ func (rc *RankComm) StorageBytes() int64 {
 	return header + int64(len(rc.ByVertex))*vertexEntry + cells*peerCell
 }
 
-// Collector is the per-rank hook implementing mpisim.Hook.
+// Collector is the per-rank hook. It implements mpisim.Hook alone: it sees
+// MPI events and takes no timer samples, which is exactly why its runtime
+// overhead sits below the sampling profilers.
 type Collector struct {
 	cfg  Config
 	comm *RankComm
@@ -123,12 +124,6 @@ func (c *Collector) vertex(ctx any) *VertexComm {
 		c.comm.ByVertex[vid] = vc
 	}
 	return vc
-}
-
-// Advance is a no-op: the collector does no timer sampling, which is
-// exactly why its runtime overhead sits below the sampling profilers.
-func (c *Collector) Advance(p *mpisim.Proc, from, to float64, kind mpisim.AdvanceKind, ctx any, pmu machine.Vec) float64 {
-	return 0
 }
 
 // MPIEvent updates the per-vertex counters and the peer matrix row.

@@ -68,12 +68,10 @@ func (rp *RankProfile) StorageBytes() int64 {
 	return fileHeader + s
 }
 
-// Profiler is the per-rank hook implementing mpisim.Hook.
+// Profiler is the per-rank hook, an mpisim.TimerSampler.
 type Profiler struct {
-	cfg        Config
-	profile    *RankProfile
-	period     float64
-	pendingPMU machine.Vec
+	cfg     Config
+	profile *RankProfile
 	// paths caches the rendered calling-context string per leaf vertex,
 	// indexed by interned psg.VID: the parent walk and string join run
 	// once per distinct context instead of once per sample.
@@ -88,7 +86,6 @@ func New(cfg Config, rank int) *Profiler {
 	return &Profiler{
 		cfg:     cfg,
 		profile: &RankProfile{Rank: rank, Ctx: map[string]*CtxData{}},
-		period:  1 / cfg.SampleHz,
 	}
 }
 
@@ -121,28 +118,25 @@ func (pr *Profiler) callPath(ctx any) string {
 	return path
 }
 
-// Advance implements timer sampling against the calling context.
-func (pr *Profiler) Advance(p *mpisim.Proc, from, to float64, kind mpisim.AdvanceKind, ctx any, pmu machine.Vec) float64 {
-	pr.pendingPMU.Add(pmu)
-	crossings := int64(to/pr.period) - int64(from/pr.period)
-	if crossings <= 0 {
-		return 0
-	}
-	path := pr.callPath(ctx)
+// SamplePeriod asks the rank for a timer interrupt every 1/SampleHz
+// virtual seconds.
+func (pr *Profiler) SamplePeriod() float64 { return 1 / pr.cfg.SampleHz }
+
+// Sample is the timer interrupt: it unwinds the calling context the rank
+// is in and attributes the samples and the counters accrued since the
+// previous interrupt to it.
+func (pr *Profiler) Sample(p *mpisim.Proc, crossings int64, period float64, pmu *machine.Vec) float64 {
+	path := pr.callPath(p.Ctx)
 	cd := pr.profile.Ctx[path]
 	if cd == nil {
 		cd = &CtxData{}
 		pr.profile.Ctx[path] = cd
 	}
 	cd.Samples += crossings
-	cd.Time += float64(crossings) * pr.period
-	cd.PMU.Add(pr.pendingPMU)
-	pr.pendingPMU = machine.Vec{}
+	cd.Time += float64(crossings) * period
+	cd.PMU.Add(*pmu)
 	if pr.cfg.TraceLine {
 		pr.profile.TraceSamples += crossings
-	}
-	if kind == mpisim.AdvPerturb {
-		return 0
 	}
 	return float64(crossings) * pr.cfg.SampleCost
 }
@@ -150,7 +144,7 @@ func (pr *Profiler) Advance(p *mpisim.Proc, from, to float64, kind mpisim.Advanc
 // MPIEvent is a no-op: a pure sampling profiler does not interpose on MPI.
 func (pr *Profiler) MPIEvent(p *mpisim.Proc, ev *mpisim.Event) float64 { return 0 }
 
-var _ mpisim.Hook = (*Profiler)(nil)
+var _ mpisim.TimerSampler = (*Profiler)(nil)
 
 // HotPath is one entry of the profiler's report.
 type HotPath struct {

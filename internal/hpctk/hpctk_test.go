@@ -38,7 +38,8 @@ func TestCallPathAttribution(t *testing.T) {
 	v := testVertex(t)
 	pr := New(DefaultConfig(), 0)
 	p := fakeProc(t)
-	pr.Advance(p, 0, 0.1, mpisim.AdvCompute, v, machine.Vec{50, 100, 25, 0, 40})
+	p.Ctx = v
+	pr.Sample(p, 20, 1.0/200, &machine.Vec{50, 100, 25, 0, 40}) // 0.1s at 200Hz
 	prof := pr.Profile()
 	if len(prof.Ctx) != 1 {
 		t.Fatalf("contexts = %d, want 1", len(prof.Ctx))
@@ -48,8 +49,8 @@ func TestCallPathAttribution(t *testing.T) {
 		if !strings.Contains(path, ";") {
 			t.Errorf("path %q has no nesting", path)
 		}
-		if cd.Samples != 20 { // 0.1s at 200Hz
-			t.Errorf("samples = %d, want 20", cd.Samples)
+		if cd.Samples != 20 || cd.Time != 0.1 {
+			t.Errorf("samples = %d over %g s, want 20 over 0.1", cd.Samples, cd.Time)
 		}
 		if cd.PMU[0] != 50 {
 			t.Errorf("PMU = %v", cd.PMU)
@@ -63,7 +64,7 @@ func TestCallPathAttribution(t *testing.T) {
 func TestNilContextAttribution(t *testing.T) {
 	pr := New(DefaultConfig(), 0)
 	p := fakeProc(t)
-	pr.Advance(p, 0, 0.01, mpisim.AdvCompute, nil, machine.Vec{})
+	pr.Sample(p, 2, 1.0/200, &machine.Vec{})
 	if _, ok := pr.Profile().Ctx["root"]; !ok {
 		t.Errorf("nil ctx should attribute to root: %v", pr.Profile().Ctx)
 	}
@@ -81,14 +82,20 @@ func TestMPIEventIsNoOp(t *testing.T) {
 }
 
 func TestSamplerCost(t *testing.T) {
+	// Driven by the rank's timer: 27.6 ms of computation crosses five
+	// 200 Hz boundaries, each charged; the samples a perturbation advance
+	// crosses are taken and not charged.
 	pr := New(DefaultConfig(), 0)
-	p := fakeProc(t)
-	owed := pr.Advance(p, 0, 0.1, mpisim.AdvCompute, nil, machine.Vec{})
-	if owed != 20*DefaultConfig().SampleCost {
-		t.Errorf("owed = %g", owed)
+	p := mpisim.NewWorld(mpisim.Config{NP: 1, HookFactory: func(int) []mpisim.Hook {
+		return []mpisim.Hook{pr}
+	}}).Proc(0)
+	p.Compute(1.056e8, 0, 0, 64)
+	if got := pr.Profile().TraceSamples; got != 5 || p.PerturbTotal != 5*DefaultConfig().SampleCost {
+		t.Errorf("%d samples charged %g, want 5 charged %g", got, p.PerturbTotal, 5*DefaultConfig().SampleCost)
 	}
-	if owed2 := pr.Advance(p, 0.1, 0.2, mpisim.AdvPerturb, nil, machine.Vec{}); owed2 != 0 {
-		t.Error("perturb advances must not be charged")
+	p.Perturb(0.1)
+	if got := pr.Profile().TraceSamples; got != 25 || p.PerturbTotal != 5*DefaultConfig().SampleCost+0.1 {
+		t.Errorf("after a perturb advance: %d samples, %g charged; want 25 and no new charge", got, p.PerturbTotal)
 	}
 }
 

@@ -84,12 +84,13 @@ func DefaultConfig() Config {
 	}
 }
 
-// Core is one simulated core's PMU state.
+// Core is the cost model of the core hosting one rank. It holds no
+// counters: an operation reports the PMU deltas it caused, and the rank
+// (mpisim.Proc) accumulates them between the timer samples that read them.
 type Core struct {
 	cfg       Config
 	rank      int
 	memFactor float64
-	counters  Vec
 }
 
 // NewCore creates the core hosting the given rank.
@@ -104,20 +105,17 @@ func NewCore(cfg Config, rank int) *Core {
 	return &Core{cfg: cfg, rank: rank, memFactor: mf}
 }
 
-// Counters returns the accumulated PMU vector.
-func (c *Core) Counters() Vec { return c.counters }
-
 // MemFactor returns the relative memory slowdown of this core.
 func (c *Core) MemFactor() float64 { return c.memFactor }
 
 // Compute models executing a kernel performing the given floating point
-// operations, loads, stores, over a working set of ws bytes. It returns the
-// elapsed virtual time in seconds and the PMU counter deltas.
+// operations, loads, stores, over a working set of ws bytes. It stores the
+// PMU counter deltas in *d and returns the elapsed virtual time in seconds.
 //
 // The cost model overlaps computation and memory: cycles are the maximum of
 // the FP pipeline time, the instruction issue time, and the memory time
 // derived from a two-level cache hit model over the working set.
-func (c *Core) Compute(flops, loads, stores, ws float64) (float64, Vec) {
+func (c *Core) Compute(flops, loads, stores, ws float64, d *Vec) float64 {
 	if flops < 0 || loads < 0 || stores < 0 {
 		panic(fmt.Sprintf("machine: negative compute operands (%g,%g,%g)", flops, loads, stores))
 	}
@@ -152,25 +150,18 @@ func (c *Core) Compute(flops, loads, stores, ws float64) (float64, Vec) {
 		cycles = cyclesMem
 	}
 
-	var d Vec
-	d[TotIns] = ins
-	d[TotCyc] = cycles
-	d[TotLstIns] = mem
-	d[L2Miss] = missMem * mem
-	d[FpOps] = flops
-	c.counters.Add(d)
-	return cycles / c.cfg.ClockHz, d
+	*d = Vec{TotIns: ins, TotCyc: cycles, TotLstIns: mem, L2Miss: missMem * mem, FpOps: flops}
+	return cycles / c.cfg.ClockHz
 }
 
-// Overhead charges light bookkeeping work (interpreter glue, MPI call
-// entry): n abstract instructions at the core's issue rate.
-func (c *Core) Overhead(n float64) (float64, Vec) {
-	var d Vec
-	d[TotIns] = n
-	d[TotCyc] = n / c.cfg.IPC
-	// Only two counters move; skip the generic Vec.Add on this hot path
-	// (one Overhead per interpreted statement).
-	c.counters[TotIns] += d[TotIns]
-	c.counters[TotCyc] += d[TotCyc]
-	return d[TotCyc] / c.cfg.ClockHz, d
+// Overhead prices light bookkeeping work (interpreter glue, MPI call
+// entry): n abstract instructions at the issue rate take the returned
+// cycles (the TOT_CYC delta; TOT_INS moves by n and no other counter
+// moves) and seconds. The price is the same on every core of the
+// configuration — memory speed, the one thing that differs between them,
+// does not enter it — so a caller that charges the same n per statement
+// computes it once.
+func (cfg *Config) Overhead(n float64) (cycles, dt float64) {
+	cycles = n / cfg.IPC
+	return cycles, cycles / cfg.ClockHz
 }

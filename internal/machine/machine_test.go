@@ -5,9 +5,16 @@ import (
 	"testing/quick"
 )
 
+// compute runs one kernel and returns its time and counter deltas.
+func compute(c *Core, flops, loads, stores, ws float64) (float64, Vec) {
+	var d Vec
+	dt := c.Compute(flops, loads, stores, ws, &d)
+	return dt, d
+}
+
 func TestComputeBasics(t *testing.T) {
 	c := NewCore(DefaultConfig(), 0)
-	dt, d := c.Compute(1e6, 1e5, 5e4, 1024)
+	dt, d := compute(c, 1e6, 1e5, 5e4, 1024)
 	if dt <= 0 {
 		t.Fatalf("elapsed = %g, want > 0", dt)
 	}
@@ -20,19 +27,15 @@ func TestComputeBasics(t *testing.T) {
 	if d[FpOps] != 1e6 {
 		t.Errorf("FP_OPS = %g", d[FpOps])
 	}
-	if got := c.Counters(); got != d {
-		t.Errorf("accumulated counters %v != delta %v after one call", got, d)
-	}
-	c.Compute(1e6, 1e5, 5e4, 1024)
-	if got := c.Counters()[TotIns]; got != 2*d[TotIns] {
-		t.Errorf("counters should accumulate: %g != %g", got, 2*d[TotIns])
+	if dt2, d2 := compute(c, 1e6, 1e5, 5e4, 1024); dt2 != dt || d2 != d {
+		t.Errorf("a core holds no state: second call gave %g %v, first %g %v", dt2, d2, dt, d)
 	}
 }
 
 func TestComputeFlopsScaling(t *testing.T) {
 	c := NewCore(DefaultConfig(), 0)
-	t1, _ := c.Compute(1e7, 0, 0, 64)
-	t2, _ := c.Compute(1e8, 0, 0, 64)
+	t1, _ := compute(c, 1e7, 0, 0, 64)
+	t2, _ := compute(c, 1e8, 0, 0, 64)
 	ratio := t2 / t1
 	if ratio < 9.5 || ratio > 10.5 {
 		t.Errorf("10x flops gave %gx time", ratio)
@@ -44,7 +47,7 @@ func TestCacheModelMonotonicInWorkingSet(t *testing.T) {
 	prev := 0.0
 	for _, ws := range []float64{1 << 10, 64 << 10, 512 << 10, 4 << 20, 64 << 20} {
 		c := NewCore(cfg, 0)
-		dt, _ := c.Compute(1e5, 1e6, 0, ws) // memory-dominated
+		dt, _ := compute(c, 1e5, 1e6, 0, ws) // memory-dominated
 		if dt < prev {
 			t.Errorf("time decreased when working set grew to %g: %g < %g", ws, dt, prev)
 		}
@@ -54,9 +57,9 @@ func TestCacheModelMonotonicInWorkingSet(t *testing.T) {
 
 func TestCacheMissesIncreaseWithWorkingSet(t *testing.T) {
 	cSmall := NewCore(DefaultConfig(), 0)
-	_, dSmall := cSmall.Compute(1e5, 1e6, 0, 8<<10)
+	_, dSmall := compute(cSmall, 1e5, 1e6, 0, 8<<10)
 	cBig := NewCore(DefaultConfig(), 0)
-	_, dBig := cBig.Compute(1e5, 1e6, 0, 32<<20)
+	_, dBig := compute(cBig, 1e5, 1e6, 0, 32<<20)
 	if dSmall[L2Miss] >= dBig[L2Miss] {
 		t.Errorf("L2 misses: small ws %g >= big ws %g", dSmall[L2Miss], dBig[L2Miss])
 	}
@@ -77,8 +80,8 @@ func TestHeterogeneousMemorySpeed(t *testing.T) {
 	slow := NewCore(cfg, 1)
 	// Memory-bound kernel: the slow-memory core must take longer while
 	// executing the identical instruction stream (the Nekbone signature).
-	tf, df := fast.Compute(1e5, 2e6, 1e6, 32<<20)
-	ts, ds := slow.Compute(1e5, 2e6, 1e6, 32<<20)
+	tf, df := compute(fast, 1e5, 2e6, 1e6, 32<<20)
+	ts, ds := compute(slow, 1e5, 2e6, 1e6, 32<<20)
 	if ts <= tf {
 		t.Errorf("slow-memory core not slower: %g <= %g", ts, tf)
 	}
@@ -89,8 +92,8 @@ func TestHeterogeneousMemorySpeed(t *testing.T) {
 		t.Errorf("TOT_CYC must be higher on slow core: %g <= %g", ds[TotCyc], df[TotCyc])
 	}
 	// Compute-bound kernel: memory speed must not matter.
-	tf2, _ := fast.Compute(1e7, 100, 0, 1024)
-	ts2, _ := slow.Compute(1e7, 100, 0, 1024)
+	tf2, _ := compute(fast, 1e7, 100, 0, 1024)
+	ts2, _ := compute(slow, 1e7, 100, 0, 1024)
 	if tf2 != ts2 {
 		t.Errorf("compute-bound kernel affected by memory speed: %g vs %g", tf2, ts2)
 	}
@@ -106,13 +109,10 @@ func TestMemSpeedZeroOrNegativeClamped(t *testing.T) {
 }
 
 func TestOverhead(t *testing.T) {
-	c := NewCore(DefaultConfig(), 0)
-	dt, d := c.Overhead(1000)
-	if dt <= 0 || d[TotIns] != 1000 {
-		t.Errorf("overhead: dt=%g ins=%g", dt, d[TotIns])
-	}
-	if d[TotLstIns] != 0 || d[FpOps] != 0 {
-		t.Errorf("overhead should not touch mem/fp counters: %v", d)
+	cfg := DefaultConfig()
+	cycles, dt := cfg.Overhead(1000)
+	if cycles != 1000/cfg.IPC || dt != cycles/cfg.ClockHz {
+		t.Errorf("overhead: cycles=%g dt=%g, want 1000 instructions at IPC %g and %g Hz", cycles, dt, cfg.IPC, cfg.ClockHz)
 	}
 }
 
@@ -122,7 +122,7 @@ func TestComputePanicsOnNegative(t *testing.T) {
 			t.Error("expected panic on negative flops")
 		}
 	}()
-	NewCore(DefaultConfig(), 0).Compute(-1, 0, 0, 0)
+	compute(NewCore(DefaultConfig(), 0), -1, 0, 0, 0)
 }
 
 func TestVecAddScale(t *testing.T) {
@@ -152,7 +152,7 @@ func TestComputePropertyNonNegative(t *testing.T) {
 	c := NewCore(DefaultConfig(), 0)
 	f := func(flops, loads, stores, ws uint32) bool {
 		fl, ld, st, w := float64(flops), float64(loads), float64(stores), float64(ws)
-		dt, d := c.Compute(fl, ld, st, w)
+		dt, d := compute(c, fl, ld, st, w)
 		if dt < 0 {
 			return false
 		}
@@ -178,8 +178,8 @@ func TestComputePropertyMonotone(t *testing.T) {
 		b, e := float64(base)+1, float64(extra)
 		c1 := NewCore(cfg, 0)
 		c2 := NewCore(cfg, 0)
-		t1, _ := c1.Compute(b, b, b, 4096)
-		t2, _ := c2.Compute(b+e, b+e, b+e, 4096)
+		t1, _ := compute(c1, b, b, b, 4096)
+		t2, _ := compute(c2, b+e, b+e, b+e, 4096)
 		return t2 >= t1
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {

@@ -1,6 +1,10 @@
 package mpisim
 
-import "testing"
+import (
+	"testing"
+
+	"scalana/internal/machine"
+)
 
 // BenchmarkP2PRoundtrip measures matcher throughput for blocking pairs.
 func BenchmarkP2PRoundtrip(b *testing.B) {
@@ -64,5 +68,38 @@ func BenchmarkComputeAdvance(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p.Compute(1000, 100, 50, 4096)
+	}
+}
+
+// benchObserver is an every-advance hook that does nothing.
+type benchObserver struct{}
+
+func (benchObserver) MPIEvent(*Proc, *Event) float64 { return 0 }
+func (benchObserver) Advance(*Proc, float64, float64, AdvanceKind, any, machine.Vec) float64 {
+	return 0
+}
+
+// BenchmarkGlueAdvance measures the advance a MiniMP statement pays — the
+// VM's 24-instruction glue charge, 5.5 ns of virtual time, so one in
+// ~92,000 crosses a 2 kHz sample period — on a rank with no hook, with a
+// timer sampler (the benchmark sweeps' 2 kHz), and with an every-advance
+// observer.
+func BenchmarkGlueAdvance(b *testing.B) {
+	for _, c := range []struct {
+		name  string
+		hooks []Hook
+	}{
+		{"bare", nil},
+		{"timer", []Hook{&timerOnly{period: 1.0 / 2000, cost: 1.8e-6}}},
+		{"observer", []Hook{benchObserver{}}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			w := NewWorld(Config{NP: 1, HookFactory: func(int) []Hook { return c.hooks }})
+			p := w.Proc(0)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				p.Glue(24)
+			}
+		})
 	}
 }

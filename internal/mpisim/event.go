@@ -22,6 +22,14 @@
 // states*: a receive that blocks on a late sender, or a collective that
 // waits for a straggler, records how long it waited and on whom — exactly
 // the inter-process dependence that ScalAna's backtracking walks.
+//
+// Measurement tools attach as Hooks. Every hook hears of each completed
+// MPI operation. Virtual time reaches a hook one of two ways: a
+// TimerSampler names a period and is called when the rank's clock crosses
+// a multiple of it, with the PMU counters accrued since the last crossing
+// (between samples an advance calls nothing), and an AdvanceObserver is
+// called on every advance. The overhead a callback returns is charged to
+// the rank as virtual time.
 package mpisim
 
 import "scalana/internal/machine"
@@ -150,22 +158,51 @@ func (k AdvanceKind) String() string {
 	return "advance"
 }
 
-// Hook observes one rank's execution. Each rank gets its own hook
-// instances, so implementations need no internal locking.
+// Hook observes one rank's execution: it is told of every completed MPI
+// operation. Each rank gets its own hook instances, so implementations
+// need no internal locking. A hook that also wants virtual time
+// implements one of the two optional interfaces below — TimerSampler for
+// fixed-period samples, AdvanceObserver to see every advance.
 //
-// Both callbacks return the virtual measurement overhead (seconds) the
+// Every callback returns the virtual measurement overhead (seconds) the
 // tool wants charged for the observation — the per-sample interrupt cost
 // or the per-record logging cost. The simulator applies the charge as an
 // AdvPerturb advance after the callback returns; overhead returned while
 // observing an AdvPerturb advance is ignored to keep the charge finite.
 type Hook interface {
-	// Advance is called for every virtual-time advance on the rank.
-	// pmu holds the PMU counter deltas accrued during the advance: zero
-	// for every kind but AdvCompute and AdvGlue.
-	Advance(p *Proc, from, to float64, kind AdvanceKind, ctx any, pmu machine.Vec) (overhead float64)
 	// MPIEvent is called after each MPI operation completes. The Event
 	// points into per-rank scratch storage that is reused by the next
 	// operation: it is valid only for the duration of the call, and
 	// implementations that keep event data must copy the fields out.
 	MPIEvent(p *Proc, ev *Event) (overhead float64)
+}
+
+// TimerSampler is a Hook driven by the rank's sampling timer, the way
+// PAPI overflow sampling drives a profiler: the program runs unobserved
+// between interrupts. The rank owns the clock and the PMU counters, so it
+// owns the timer; a rank has one, and NewWorld panics if two of its hooks
+// ask for it.
+type TimerSampler interface {
+	Hook
+	// SamplePeriod returns the timer period in virtual seconds (positive).
+	// It is called once, when the world is built.
+	SamplePeriod() float64
+	// Sample is called when an advance has carried the rank's clock across
+	// one or more multiples of the period: crossings is how many, p.Ctx is
+	// the attribution context the interrupt lands in, and *pmu holds the
+	// PMU counter deltas the rank accrued since the previous Sample. The
+	// rank clears *pmu when Sample returns; copy what you keep.
+	Sample(p *Proc, crossings int64, period float64, pmu *machine.Vec) (overhead float64)
+}
+
+// AdvanceObserver is a Hook that is called for every virtual-time advance
+// on its rank — what a tracer instrumenting region transitions needs, and
+// what a sampler does not. It costs an interface call per executed
+// statement.
+type AdvanceObserver interface {
+	Hook
+	// Advance is called after the clock moved from from to to. pmu holds
+	// the PMU counter deltas accrued during the advance: zero for every
+	// kind but AdvCompute and AdvGlue.
+	Advance(p *Proc, from, to float64, kind AdvanceKind, ctx any, pmu machine.Vec) (overhead float64)
 }

@@ -605,14 +605,27 @@ func TestRunResultCounters(t *testing.T) {
 			res.Advances, res.Events, res.Yields, res.Samples)
 	}
 	// A hook that charges for every advance and every event adds one
-	// perturbation advance behind each of them.
+	// perturbation advance behind each of them — and takes no sample: what
+	// an every-advance observer charges is not the timer's.
 	cfg := Config{NP: 2, Seed: 1, HookFactory: func(rank int) []Hook { return []Hook{&chargingHook{}} }}
 	res, err = NewWorld(cfg).RunBlocking(body)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Advances != 6+6+2 || res.Events != 2 || res.Yields != 1 || res.Samples != 6 {
-		t.Errorf("charged run counted %d advances, %d events, %d yields, %d samples; want 14, 2, 1, 6",
+	if res.Advances != 6+6+2 || res.Events != 2 || res.Yields != 1 || res.Samples != 0 {
+		t.Errorf("charged run counted %d advances, %d events, %d yields, %d samples; want 14, 2, 1, 0",
+			res.Advances, res.Events, res.Yields, res.Samples)
+	}
+	// A 1 µs timer fires on rank 1's compute, on rank 0's wait for it, and
+	// on the entry overhead of rank 1's send: three charged advances, and
+	// one perturbation advance behind each.
+	cfg.HookFactory = func(rank int) []Hook { return []Hook{&timerOnly{period: 1e-6, cost: 1e-9}} }
+	res, err = NewWorld(cfg).RunBlocking(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Advances != 6+3 || res.Events != 2 || res.Yields != 1 || res.Samples != 3 {
+		t.Errorf("sampled run counted %d advances, %d events, %d yields, %d samples; want 9, 2, 1, 3",
 			res.Advances, res.Events, res.Yields, res.Samples)
 	}
 }

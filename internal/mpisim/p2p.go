@@ -271,7 +271,7 @@ func (p *Proc) Send(dst, tag int, bytes float64) {
 	p.validPeer(dst)
 	t0 := p.Clock
 	p.mpiOverhead()
-	p.advance(bytes*p.world.cfg.Net.PerByte, AdvTransfer, zeroVec)
+	p.advance(bytes*p.world.cfg.Net.PerByte, AdvTransfer, &zeroVec)
 	p.world.matcher.postSend(p.Rank, dst, tag, bytes, p.Clock+p.world.cfg.Net.Latency, p.Ctx)
 	p.emit(Event{Kind: EvSend, Op: "mpi_send", Peer: dst, Tag: tag, Bytes: bytes, TStart: t0, TEnd: p.Clock, DepRank: -1, Root: -1})
 }
@@ -318,7 +318,7 @@ func (p *Proc) MatchedSource() int { return int(p.cont.from) }
 //scalana:hot
 func (p *Proc) finishRecv(op string, t0 float64, tag int, info *sendInfo) {
 	wait := p.waitUntil(info.tArrive)
-	p.advance(info.bytes*p.world.cfg.Net.PerByte, AdvTransfer, zeroVec)
+	p.advance(info.bytes*p.world.cfg.Net.PerByte, AdvTransfer, &zeroVec)
 	p.emit(Event{Kind: EvRecv, Op: op, Peer: info.from, Tag: tag, Bytes: info.bytes,
 		TStart: t0, TEnd: p.Clock, Wait: wait, DepRank: info.from, DepCtx: info.ctx, Root: -1})
 }
@@ -329,7 +329,7 @@ func (p *Proc) Isend(dst, tag int, bytes float64) *Request {
 	p.validPeer(dst)
 	t0 := p.Clock
 	p.mpiOverhead()
-	p.advance(bytes*p.world.cfg.Net.PerByte, AdvTransfer, zeroVec)
+	p.advance(bytes*p.world.cfg.Net.PerByte, AdvTransfer, &zeroVec)
 	p.world.matcher.postSend(p.Rank, dst, tag, bytes, p.Clock+p.world.cfg.Net.Latency, p.Ctx)
 	req := p.newRequest(true, dst, tag, bytes)
 	p.emit(Event{Kind: EvIsend, Op: "mpi_isend", Peer: dst, Tag: tag, Bytes: bytes, TStart: t0, TEnd: p.Clock, DepRank: -1, Root: -1, ReqID: req.id})
@@ -444,7 +444,7 @@ func (p *Proc) Wait(id int) bool {
 //scalana:hot
 func (p *Proc) finishWait(t0 float64, r *Request, info *sendInfo) {
 	wait := p.waitUntil(info.tArrive)
-	p.advance(info.bytes*p.world.cfg.Net.PerByte, AdvTransfer, zeroVec)
+	p.advance(info.bytes*p.world.cfg.Net.PerByte, AdvTransfer, &zeroVec)
 	id, tag := r.id, r.tag
 	p.dropRequest(id)
 	p.emit(Event{Kind: EvWait, Op: "mpi_wait", Peer: info.from, Tag: tag, Bytes: info.bytes,
@@ -494,7 +494,7 @@ func (p *Proc) waitallFrom() bool {
 		depRank, depCtx = c.last.from, c.last.ctx
 	}
 	if c.bytes > 0 {
-		p.advance(c.bytes*p.world.cfg.Net.PerByte, AdvTransfer, zeroVec)
+		p.advance(c.bytes*p.world.cfg.Net.PerByte, AdvTransfer, &zeroVec)
 	}
 	p.emit(Event{Kind: EvWaitall, Op: "mpi_waitall", Peer: depRank, Tag: 0, Bytes: c.bytes,
 		TStart: c.t0, TEnd: p.Clock, Wait: wait, DepRank: depRank, DepCtx: depCtx, Root: -1,
@@ -509,7 +509,7 @@ func (p *Proc) Sendrecv(dst, stag int, sbytes float64, src, rtag int, rbytes flo
 	p.validPeer(src)
 	t0 := p.Clock
 	p.mpiOverhead()
-	p.advance(sbytes*p.world.cfg.Net.PerByte, AdvTransfer, zeroVec)
+	p.advance(sbytes*p.world.cfg.Net.PerByte, AdvTransfer, &zeroVec)
 	p.world.matcher.postSend(p.Rank, dst, stag, sbytes, p.Clock+p.world.cfg.Net.Latency, p.Ctx)
 	info := p.world.matcher.claimRecv(p, src, rtag)
 	if info == nil {
@@ -524,7 +524,7 @@ func (p *Proc) Sendrecv(dst, stag int, sbytes float64, src, rtag int, rbytes flo
 //scalana:hot
 func (p *Proc) finishSendrecv(t0 float64, rtag, dst int, sbytes float64, info *sendInfo) {
 	wait := p.waitUntil(info.tArrive)
-	p.advance(info.bytes*p.world.cfg.Net.PerByte, AdvTransfer, zeroVec)
+	p.advance(info.bytes*p.world.cfg.Net.PerByte, AdvTransfer, &zeroVec)
 	p.emit(Event{Kind: EvSendrecv, Op: "mpi_sendrecv", Peer: info.from, Tag: rtag, Bytes: sbytes + info.bytes,
 		TStart: t0, TEnd: p.Clock, Wait: wait, DepRank: info.from, DepCtx: info.ctx, Root: -1,
 		SendPeer: dst, SendBytes: sbytes})
@@ -533,4 +533,5 @@ func (p *Proc) finishSendrecv(t0 float64, rtag, dst int, sbytes float64, info *s
 // Outstanding reports the number of pending requests (testing aid).
 func (p *Proc) Outstanding() int { return len(p.reqs) }
 
+// zeroVec is the counter delta of every advance but compute and glue.
 var zeroVec machine.Vec

@@ -45,6 +45,11 @@ type World struct {
 	matcher *matcher
 	colls   *collectives
 	sched   *scheduler
+	// glue is the counter delta of the n = glue[TotIns] instructions a rank
+	// last asked Glue to charge and glueDt their time. The VM charges the
+	// same n for every statement of every rank, so they are priced once.
+	glue   machine.Vec
+	glueDt float64
 	// blocking is set for the length of a RunBlocking: the adapter that
 	// lets a parked operation sleep on its body's goroutine instead of
 	// returning to the stepper. Nil in every production run.
@@ -72,15 +77,15 @@ func NewWorld(cfg Config) *World {
 	w.matcher = newMatcher(w)
 	w.colls = newCollectives(w)
 	w.procs = make([]*Proc, cfg.NP)
+	procs := make([]Proc, cfg.NP)
 	for r := 0; r < cfg.NP; r++ {
-		p := &Proc{
-			world: w,
-			Rank:  r,
-			Core:  machine.NewCore(cfg.Core, r),
-		}
+		p := &procs[r]
+		p.world, p.Rank, p.Core = w, r, machine.NewCore(cfg.Core, r)
+		var hooks []Hook
 		if cfg.HookFactory != nil {
-			p.rawHooks = cfg.HookFactory(r)
+			hooks = cfg.HookFactory(r)
 		}
+		p.attach(hooks)
 		w.procs[r] = p
 	}
 	return w
@@ -104,11 +109,13 @@ type RunResult struct {
 	// pure function of program, scale, seed and tool configuration, so
 	// they repeat exactly where host timings do not.
 	//
-	// Advances counts virtual-time advances (every one calls each hook),
-	// Events completed MPI operations reported to hooks, Yields the times
-	// a rank parked in a blocking operation, and Samples the
-	// advances after which a hook charged overhead — for the ScalAna
-	// profiler, the advances that crossed a timer-sample boundary.
+	// Advances counts virtual-time advances, Events completed MPI
+	// operations reported to hooks, Yields the times a rank parked in a
+	// blocking operation, and Samples the advances that fired the rank's
+	// sampling timer (crossed one or more period boundaries of its
+	// TimerSampler) and were charged for it: a perturbation advance never
+	// is, and what an AdvanceObserver charges — a tracer's region records
+	// — is not a sample. Zero for a run without a TimerSampler.
 	Advances, Events, Yields, Samples int64
 }
 
@@ -165,7 +172,18 @@ type Proc struct {
 	// PerturbTotal accumulates virtual tool overhead (AdvPerturb).
 	PerturbTotal float64
 
-	rawHooks []Hook
+	// hooks all receive MPI events; observers are the ones that also see
+	// every advance, sampler the one the timer below drives.
+	hooks     []Hook
+	observers []AdvanceObserver
+	sampler   TimerSampler
+	// The sampling timer: bucket is int64(Clock/period) as of the previous
+	// advance, and an advance that moves it has crossed that many period
+	// boundaries. Without a sampler the period is +Inf and the bucket stays
+	// 0. pmu accumulates the PMU counter deltas since the last sample.
+	period float64
+	bucket int64
+	pmu    machine.Vec
 	// rng is seeded lazily on the first Rand call: most workloads never
 	// draw randomness, and seeding math/rand's source per rank is
 	// expensive enough to show up in np=1024 sweeps.
@@ -206,11 +224,32 @@ func (p *Proc) Rand() float64 {
 	return p.rng.Float64()
 }
 
-// advance moves the clock forward and notifies hooks. Overhead requested
-// by hooks is charged as a follow-up AdvPerturb advance.
+// attach files the rank's hooks under the callbacks they implement and
+// sets the sampling timer's period if one asks for it.
+func (p *Proc) attach(hooks []Hook) {
+	p.hooks = hooks
+	p.period = math.Inf(1)
+	for _, h := range hooks {
+		if o, ok := h.(AdvanceObserver); ok {
+			p.observers = append(p.observers, o)
+		}
+		if s, ok := h.(TimerSampler); ok {
+			if p.sampler != nil {
+				panic(fmt.Sprintf("mpisim: rank %d has two timer samplers; a rank has one sampling timer", p.Rank))
+			}
+			if p.period = s.SamplePeriod(); !(p.period > 0) {
+				panic(fmt.Sprintf("mpisim: rank %d timer sampler asks for a period of %g s", p.Rank, p.period))
+			}
+			p.sampler = s
+		}
+	}
+}
+
+// advance moves the clock forward. Between timer samples, on a rank no
+// hook observes advance by advance, that is all it does.
 //
 //scalana:hot
-func (p *Proc) advance(dt float64, kind AdvanceKind, pmu machine.Vec) {
+func (p *Proc) advance(dt float64, kind AdvanceKind, pmu *machine.Vec) {
 	if dt < 0 {
 		if dt > -1e-12 {
 			dt = 0
@@ -221,12 +260,34 @@ func (p *Proc) advance(dt float64, kind AdvanceKind, pmu machine.Vec) {
 	from := p.Clock
 	p.Clock += dt
 	p.advances++
+	if int64(p.Clock/p.period) != p.bucket || len(p.observers) != 0 {
+		p.tick(from, kind, pmu)
+	}
+}
+
+// tick is the part of an advance that calls hooks: the every-advance
+// observers first, in hook-list order, then the timer sampler if the
+// advance crossed a period boundary. pmu is the advance's own counter
+// delta, which only observers are shown. The overhead they ask for is
+// summed in that order and charged as one follow-up AdvPerturb advance;
+// what is asked for while observing that one is ignored.
+//
+//scalana:hot
+func (p *Proc) tick(from float64, kind AdvanceKind, pmu *machine.Vec) {
 	var owed float64
-	for _, h := range p.rawHooks {
-		owed += h.Advance(p, from, p.Clock, kind, p.Ctx, pmu)
+	for _, o := range p.observers {
+		owed += o.Advance(p, from, p.Clock, kind, p.Ctx, *pmu)
+	}
+	if bucket := int64(p.Clock / p.period); bucket != p.bucket {
+		crossings := bucket - p.bucket
+		p.bucket = bucket
+		owed += p.sampler.Sample(p, crossings, p.period, &p.pmu)
+		p.pmu = machine.Vec{}
+		if kind != AdvPerturb {
+			p.samples++
+		}
 	}
 	if owed > 0 && kind != AdvPerturb {
-		p.samples++
 		p.Perturb(owed)
 	}
 }
@@ -245,7 +306,7 @@ func (p *Proc) emit(ev Event) {
 	p.evScratch = ev
 	p.events++
 	var owed float64
-	for _, h := range p.rawHooks {
+	for _, h := range p.hooks {
 		owed += h.MPIEvent(p, &p.evScratch)
 	}
 	if owed > 0 {
@@ -254,15 +315,27 @@ func (p *Proc) emit(ev Event) {
 }
 
 // Compute executes application computation through the machine model.
+//
+//scalana:hot
 func (p *Proc) Compute(flops, loads, stores, ws float64) {
-	dt, pmu := p.Core.Compute(flops, loads, stores, ws)
-	p.advance(dt, AdvCompute, pmu)
+	var d machine.Vec
+	dt := p.Core.Compute(flops, loads, stores, ws, &d)
+	p.pmu.Add(d)
+	p.advance(dt, AdvCompute, &d)
 }
 
 // Glue charges n abstract bookkeeping instructions (interpreter overhead).
+//
+//scalana:hot
 func (p *Proc) Glue(n float64) {
-	dt, pmu := p.Core.Overhead(n)
-	p.advance(dt, AdvGlue, pmu)
+	w := p.world
+	if n != w.glue[machine.TotIns] {
+		w.glue[machine.TotIns] = n
+		w.glue[machine.TotCyc], w.glueDt = w.cfg.Core.Overhead(n)
+	}
+	p.pmu[machine.TotIns] += n
+	p.pmu[machine.TotCyc] += w.glue[machine.TotCyc]
+	p.advance(w.glueDt, AdvGlue, &w.glue)
 }
 
 // Perturb charges virtual measurement-tool overhead. The overhead
@@ -272,12 +345,12 @@ func (p *Proc) Glue(n float64) {
 // real hardware.
 func (p *Proc) Perturb(dt float64) {
 	p.PerturbTotal += dt
-	p.advance(dt, AdvPerturb, machine.Vec{})
+	p.advance(dt, AdvPerturb, &zeroVec)
 }
 
 // mpiOverhead charges the CPU entry cost of one MPI operation.
 func (p *Proc) mpiOverhead() {
-	p.advance(p.world.cfg.Net.Overhead, AdvMPIOverhead, machine.Vec{})
+	p.advance(p.world.cfg.Net.Overhead, AdvMPIOverhead, &zeroVec)
 }
 
 // waitUntil blocks virtual time until t (no-op if already past).
@@ -286,7 +359,7 @@ func (p *Proc) waitUntil(t float64) float64 {
 		return 0
 	}
 	w := t - p.Clock
-	p.advance(w, AdvWait, machine.Vec{})
+	p.advance(w, AdvWait, &zeroVec)
 	return w
 }
 

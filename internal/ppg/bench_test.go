@@ -38,8 +38,8 @@ func benchProfiles(tb testing.TB, nMPI, np int) (*psg.Graph, []*prof.RankProfile
 		pr := prof.New(prof.DefaultConfig(), g, r, np)
 		period := 1 / prof.DefaultConfig().SampleHz
 		for i, v := range mpis {
-			t0 := float64(i) * period
-			pr.Advance(p, t0, t0+period, mpisim.AdvCompute, v, machine.Vec{100, 50, 10, 1, 5})
+			p.Ctx = v
+			pr.Sample(p, 1, period, &machine.Vec{100, 50, 10, 1, 5})
 			pr.MPIEvent(p, &mpisim.Event{
 				Kind: mpisim.EvRecv, Op: "mpi_recv", Rank: r, Peer: (r + 1) % np,
 				Tag: i, Bytes: 1024, Wait: 1e-4, DepRank: (r + 1) % np, DepCtx: v, Ctx: v,

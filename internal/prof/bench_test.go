@@ -36,8 +36,8 @@ func mpiVertices(g *psg.Graph) []*psg.Vertex {
 }
 
 // BenchmarkProfilerEvents is the sampler + PMPI hot path end to end: one
-// op is a fresh per-rank profiler handling rounds of timer advances (each
-// crossing a sample period) and MPI events across 16 distinct vertices —
+// op is a fresh per-rank profiler handling rounds of timer samples (one
+// period crossed each) and MPI events across 16 distinct vertices —
 // the first-touch storage cost plus the steady-state attribution cost.
 // Allocation counts are deterministic and recorded in DESIGN.md §5.
 func BenchmarkProfilerEvents(b *testing.B) {
@@ -60,8 +60,8 @@ func BenchmarkProfilerEvents(b *testing.B) {
 		pr := New(DefaultConfig(), g, 0, 4)
 		for j := 0; j < rounds*len(vs); j++ {
 			v := vs[j%len(vs)]
-			t0 := float64(j) * period
-			pr.Advance(p, t0, t0+period, mpisim.AdvCompute, v, machine.Vec{100, 50, 10, 1, 5})
+			p.Ctx = v
+			pr.Sample(p, 1, period, &machine.Vec{100, 50, 10, 1, 5})
 			pr.MPIEvent(p, &evs[j%len(evs)])
 		}
 	}
@@ -87,14 +87,14 @@ func BenchmarkProfilerEventSteady(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		v := vs[i%len(vs)]
-		t0 := float64(i) * period
-		pr.Advance(p, t0, t0+period, mpisim.AdvCompute, v, machine.Vec{100, 50, 10, 1, 5})
+		p.Ctx = v
+		pr.Sample(p, 1, period, &machine.Vec{100, 50, 10, 1, 5})
 		pr.MPIEvent(p, &evs[i%len(evs)])
 	}
 }
 
-// BenchmarkProfilerSampleOnly isolates the timer-sampling path (Advance
-// with a period crossing, no MPI work).
+// BenchmarkProfilerSampleOnly isolates the timer-sampling path (Sample
+// for one period crossing, no MPI work).
 func BenchmarkProfilerSampleOnly(b *testing.B) {
 	g := benchGraph(4)
 	vs := mpiVertices(g)
@@ -105,8 +105,8 @@ func BenchmarkProfilerSampleOnly(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		t0 := float64(i) * period
-		pr.Advance(p, t0, t0+period, mpisim.AdvCompute, vs[i%len(vs)], machine.Vec{100, 50, 10, 1, 5})
+		p.Ctx = vs[i%len(vs)]
+		pr.Sample(p, 1, period, &machine.Vec{100, 50, 10, 1, 5})
 	}
 }
 
@@ -134,8 +134,8 @@ func TestSamplerHotPathAllocFree(t *testing.T) {
 	period := 1 / pr.cfg.SampleHz
 	iter := 0
 	step := func() {
-		t0 := float64(iter) * period
-		pr.Advance(p, t0, t0+period, mpisim.AdvCompute, vs[iter%len(vs)], machine.Vec{1, 1, 1, 1, 1})
+		p.Ctx = vs[iter%len(vs)]
+		pr.Sample(p, 1, period, &machine.Vec{1, 1, 1, 1, 1})
 		pr.MPIEvent(p, &evs[iter%len(evs)])
 		iter++
 	}
@@ -148,5 +148,32 @@ func TestSamplerHotPathAllocFree(t *testing.T) {
 	}
 	if got, want := len(pr.Profile().Comm), len(evs); got != want {
 		t.Errorf("%d records, want %d (two peers a vertex)", got, want)
+	}
+}
+
+// TestSampledAdvanceAllocFree is the same gate one layer down, on the
+// path a statement takes: a glue advance and a compute advance on a rank
+// with the profiler attached allocate nothing, whether or not they fire
+// the rank's timer. At 100 MHz every second glue advance does, and every
+// compute advance crosses thousands of periods.
+func TestSampledAdvanceAllocFree(t *testing.T) {
+	g := benchGraph(4)
+	cfg := DefaultConfig()
+	cfg.SampleHz = 1e8
+	pr := New(cfg, g, 0, 4)
+	p := sampledProc(pr)
+	p.Ctx = mpiVertices(g)[0]
+	for name, advance := range map[string]func(){
+		"glue":    func() { p.Glue(24) },
+		"compute": func() { p.Compute(1e5, 1e4, 1e3, 4096) },
+	} {
+		advance()
+		before := pr.Profile().SamplesTaken
+		if allocs := testing.AllocsPerRun(1000, advance); allocs != 0 {
+			t.Errorf("a %s advance with the profiler attached allocates %.2f objects, want 0", name, allocs)
+		}
+		if took := pr.Profile().SamplesTaken - before; took < 500 {
+			t.Errorf("1001 %s advances took %d samples; the gate must cover the sampled path", name, took)
+		}
 	}
 }

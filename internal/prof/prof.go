@@ -323,19 +323,12 @@ func (rp *RankProfile) StorageBytes() int64 {
 		int64(len(rp.Indirect))*indirectEntry
 }
 
-// Profiler is the per-rank tool hook. It implements mpisim.Hook.
+// Profiler is the per-rank tool hook: an mpisim.TimerSampler, driven by
+// the rank's sampling timer and its MPI events.
 type Profiler struct {
 	cfg     Config
 	profile *RankProfile
-
-	period float64
-	// lastBucket caches int64(to/period) from the previous Advance call.
-	// Advances on a rank are contiguous (each from equals the prior to,
-	// starting at virtual time zero), so the cached value equals
-	// int64(from/period) exactly and saves one division per advance.
-	lastBucket int64
-	pendingPMU machine.Vec
-	rng        *rand.Rand
+	rng     *rand.Rand
 
 	// The records an MPI vertex owns form a chain through profile.Comm:
 	// commHead[vid] is one more than the index of the newest (0 = none)
@@ -409,7 +402,6 @@ func newProfilers(cfg Config, graph *psg.Graph, first, n, np int) []Profiler {
 		profilers[i] = Profiler{
 			cfg:        cfg,
 			profile:    &profiles[i],
-			period:     1 / cfg.SampleHz,
 			commHead:   heads[i*nv : (i+1)*nv : (i+1)*nv],
 			commNext:   next[i*commCap : i*commCap : (i+1)*commCap],
 			commSorted: true,
@@ -462,33 +454,22 @@ func ctxVID(ctx any) psg.VID {
 	return psg.VIDRoot
 }
 
-// Advance implements the timer sampler. PMU deltas accumulate in a pending
-// vector; each period crossing "fires an interrupt" that attributes the
-// pending counters and one sample period of time to the current vertex —
-// the same attribution PAPI overflow sampling performs via the call stack.
+// SamplePeriod asks the rank for a timer interrupt every 1/SampleHz
+// virtual seconds.
+func (pr *Profiler) SamplePeriod() float64 { return 1 / pr.cfg.SampleHz }
+
+// Sample is the timer interrupt: it attributes the counters accrued since
+// the previous interrupt and one sample period of time a crossing to the
+// vertex the rank is in — the same attribution PAPI overflow sampling
+// performs via the call stack.
 //
 //scalana:hot
-func (pr *Profiler) Advance(p *mpisim.Proc, from, to float64, kind mpisim.AdvanceKind, ctx any, pmu machine.Vec) float64 {
-	// Only computation and glue accrue counters; every other kind passes
-	// the zero vector, and x + 0 is x.
-	if kind <= mpisim.AdvGlue {
-		pr.pendingPMU.Add(pmu)
-	}
-	bucket := int64(to / pr.period)
-	crossings := bucket - pr.lastBucket
-	pr.lastBucket = bucket
-	if crossings <= 0 {
-		return 0
-	}
-	pd := pr.perf(ctxVID(ctx))
+func (pr *Profiler) Sample(p *mpisim.Proc, crossings int64, period float64, pmu *machine.Vec) float64 {
+	pd := pr.perf(ctxVID(p.Ctx))
 	pd.Samples += crossings
-	pd.Time += float64(crossings) * pr.period
-	pd.PMU.Add(pr.pendingPMU)
-	pr.pendingPMU = machine.Vec{}
+	pd.Time += float64(crossings) * period
+	pd.PMU.Add(*pmu)
 	pr.profile.SamplesTaken += crossings
-	if kind == mpisim.AdvPerturb {
-		return 0
-	}
 	return float64(crossings) * pr.cfg.SampleCost
 }
 
@@ -606,4 +587,4 @@ func (pr *Profiler) ObserveIndirect(rank int, inst *psg.Instance, site minilang.
 	rec.Count++
 }
 
-var _ mpisim.Hook = (*Profiler)(nil)
+var _ mpisim.TimerSampler = (*Profiler)(nil)

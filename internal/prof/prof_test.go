@@ -29,14 +29,26 @@ func fakeProc(t *testing.T) *mpisim.Proc {
 	return w.Proc(0)
 }
 
+// sampledProc attaches pr to the one rank of a new world, so the rank's
+// sampling timer drives it.
+func sampledProc(pr *Profiler) *mpisim.Proc {
+	w := mpisim.NewWorld(mpisim.Config{NP: 1, HookFactory: func(int) []mpisim.Hook {
+		return []mpisim.Hook{pr}
+	}})
+	return w.Proc(0)
+}
+
 func TestSamplerCrossingCounts(t *testing.T) {
 	g := testGraph(t)
 	pr := New(DefaultConfig(), g, 0, 1) // 200 Hz -> period 5 ms
-	p := fakeProc(t)
+	p := sampledProc(pr)
 	v := g.Root.Children[0] // the Comp vertex
+	p.Ctx = v
 
-	// Advance 12 ms in one go: crosses t=5ms and t=10ms -> 2 samples.
-	owed := pr.Advance(p, 0, 0.012, mpisim.AdvCompute, v, machine.Vec{100, 200, 50, 1, 80})
+	// 12 ms of computation in one go (issue-bound: 1.15 instructions a
+	// flop, 2 a cycle, 2.2 GHz): crosses t=5ms and t=10ms -> 2 samples.
+	const flops = 4.6e7
+	p.Compute(flops, 0, 0, 64)
 	pd := pr.Profile().PerfAt(v.VID)
 	if pd == nil || pd.Samples != 2 {
 		t.Fatalf("samples = %+v, want 2", pd)
@@ -44,35 +56,41 @@ func TestSamplerCrossingCounts(t *testing.T) {
 	if pd.Time != 2.0/200 {
 		t.Errorf("sampled time = %g, want %g", pd.Time, 2.0/200)
 	}
-	if pd.PMU[0] != 100 {
+	if pd.PMU[machine.FpOps] != flops {
 		t.Errorf("PMU attributed = %v", pd.PMU)
 	}
-	if owed != 2*DefaultConfig().SampleCost {
-		t.Errorf("owed = %g", owed)
+	if p.PerturbTotal != 2*DefaultConfig().SampleCost {
+		t.Errorf("charged %g, want two sample costs", p.PerturbTotal)
 	}
 
 	// Sub-period advances accumulate pending PMU without sampling...
-	owed = pr.Advance(p, 0.012, 0.013, mpisim.AdvCompute, v, machine.Vec{7, 0, 0, 0, 0})
-	if owed != 0 {
-		t.Errorf("sub-period advance owed %g", owed)
+	ins := pd.PMU[machine.TotIns]
+	p.Glue(7)
+	if p.PerturbTotal != 2*DefaultConfig().SampleCost {
+		t.Errorf("sub-period advance was charged: total %g", p.PerturbTotal)
 	}
-	if pr.Profile().Vertex[v.VID].PMU[0] != 100 {
+	if pr.Profile().Vertex[v.VID].PMU[machine.TotIns] != ins {
 		t.Error("pending PMU flushed too early")
 	}
-	// ...and the next crossing flushes them.
-	pr.Advance(p, 0.013, 0.016, mpisim.AdvCompute, v, machine.Vec{3, 0, 0, 0, 0})
-	if got := pr.Profile().Vertex[v.VID].PMU[0]; got != 110 {
-		t.Errorf("PMU after flush = %g, want 110", got)
+	// ...and the next crossing (t=15ms) flushes them.
+	p.Glue(3)
+	p.Perturb(0.004)
+	if got := pr.Profile().Vertex[v.VID].PMU[machine.TotIns]; got != ins+10 {
+		t.Errorf("PMU after flush = %g, want %g", got, ins+10)
 	}
 }
 
 func TestSamplerNoChargeOnPerturb(t *testing.T) {
 	g := testGraph(t)
 	pr := New(DefaultConfig(), g, 0, 1)
-	p := fakeProc(t)
-	owed := pr.Advance(p, 0, 1.0, mpisim.AdvPerturb, g.Root.Children[0], machine.Vec{})
-	if owed != 0 {
-		t.Errorf("perturb advance charged %g", owed)
+	p := sampledProc(pr)
+	p.Ctx = g.Root.Children[0]
+	p.Perturb(1.0)
+	if pr.Profile().SamplesTaken != 200 {
+		t.Errorf("a 1 s perturb advance took %d samples, want 200", pr.Profile().SamplesTaken)
+	}
+	if p.PerturbTotal != 1.0 {
+		t.Errorf("perturb advance was charged for its samples: total %g", p.PerturbTotal)
 	}
 }
 
@@ -224,7 +242,8 @@ func TestStorageBytesGrowsWithRecords(t *testing.T) {
 	v := g.Root.Children[1]
 	pr.MPIEvent(p, &mpisim.Event{Kind: mpisim.EvRecv, Op: "mpi_recv", Peer: 1,
 		Bytes: 64, DepRank: 1, DepCtx: v, Ctx: v})
-	pr.Advance(p, 0, 1, mpisim.AdvCompute, g.Root.Children[0], machine.Vec{})
+	p.Ctx = g.Root.Children[0]
+	pr.Sample(p, 200, 1.0/200, &machine.Vec{})
 	if pr.Profile().StorageBytes() <= empty {
 		t.Error("storage should grow with records")
 	}
@@ -235,7 +254,8 @@ func TestProfileSetRoundTrip(t *testing.T) {
 	pr := New(DefaultConfig(), g, 0, 1)
 	p := fakeProc(t)
 	v := g.Root.Children[1]
-	pr.Advance(p, 0, 0.1, mpisim.AdvCompute, g.Root.Children[0], machine.Vec{10, 20, 5, 1, 8})
+	p.Ctx = g.Root.Children[0]
+	pr.Sample(p, 20, 1.0/200, &machine.Vec{10, 20, 5, 1, 8})
 	pr.MPIEvent(p, &mpisim.Event{Kind: mpisim.EvRecv, Op: "mpi_recv", Peer: 1, Tag: 3,
 		Bytes: 64, Wait: 0.01, DepRank: 1, DepCtx: v, Ctx: v})
 	pr.ObserveIndirect(0, g.Main, 7, "target")

@@ -2,8 +2,10 @@ package prof
 
 // oracleProfiler is the hook Profiler was until dense per-rank tables
 // replaced its hash maps: one map lookup on the full CommKey per sampled
-// event, a request-converter map, and the pending counters summed on
-// every advance. Advance and MPIEvent are kept verbatim as the reference
+// event, a request-converter map, and a sampling timer of its own — an
+// mpisim.AdvanceObserver that sums the pending counters and works out the
+// period crossings on every advance, where Profiler is handed both by the
+// rank's timer. Advance and MPIEvent are kept verbatim as the reference
 // the differential test in profiler_apps_test.go holds Profiler to — the
 // two must write byte-identical profile sets. Only Profile is new: it
 // flattens the map into the canonical-order slice RankProfile.Comm became.

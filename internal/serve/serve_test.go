@@ -20,6 +20,7 @@ import (
 	"scalana/internal/query"
 	"scalana/internal/store"
 	"scalana/internal/synth"
+	"scalana/internal/vm"
 
 	scalana "scalana"
 )
@@ -496,6 +497,31 @@ func TestRunawayRecursionIsAnErrorResponse(t *testing.T) {
 	}
 	if code, resp := get(t, ts.URL+"/v1/comm?app=runaway&np=2"); code < 400 || !bytes.Contains(resp, []byte(want)) {
 		t.Errorf("comm of a runaway recursion: %d %s, want an error naming the depth limit", code, resp)
+	}
+	if code, resp := get(t, ts.URL+"/v1/comm?app=cg&np=4"); code != http.StatusOK {
+		t.Errorf("next request after the failed ones: %d %s", code, resp)
+	}
+}
+
+// TestRunawayLoopIsAnErrorResponse: an uploaded program that never ends
+// used to hold its worker slot for ever. The step budget fails its rank
+// with the same positioned error on every request, and the server is
+// there for the next one.
+func TestRunawayLoopIsAnErrorResponse(t *testing.T) {
+	_, ts := newTestServer(t)
+	body, _ := json.Marshal(appUploadJSON{Name: "spin", Source: "func main() {\n\twhile (1) { }\n}\n", MinNP: 2})
+	if code, resp := post(t, ts.URL+"/v1/apps", "application/json", body); code != http.StatusCreated {
+		t.Fatalf("register app: %d %s", code, resp)
+	}
+	want := []byte(fmt.Sprintf("rank 0: spin.mp:2:2: rank exceeds the step budget of %d backward jumps and calls", vm.MaxSteps))
+	req, _ := json.Marshal(detectRequest{App: "spin", Simulate: true, Scales: []int{2, 4}})
+	if code, resp := post(t, ts.URL+"/v1/detect", "application/json", req); code < 400 || !bytes.Contains(resp, want) {
+		t.Errorf("simulated detect of a program that never ends: %d %s, want an error with %q", code, resp, want)
+	}
+	for i := 0; i < 2; i++ {
+		if code, resp := get(t, ts.URL+"/v1/comm?app=spin&np=2"); code < 400 || !bytes.Contains(resp, want) {
+			t.Errorf("comm of a program that never ends, request %d: %d %s, want an error with %q", i, code, resp, want)
+		}
 	}
 	if code, resp := get(t, ts.URL+"/v1/comm?app=cg&np=4"); code != http.StatusOK {
 		t.Errorf("next request after the failed ones: %d %s", code, resp)

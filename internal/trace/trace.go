@@ -71,7 +71,8 @@ func (rt *RankTrace) StorageBytes() int64 {
 	return int64(len(rt.Records)) * recordBytes
 }
 
-// Tracer is the per-rank hook implementing mpisim.Hook.
+// Tracer is the per-rank hook, an mpisim.AdvanceObserver: region
+// transitions can happen at any advance, so it watches them all.
 type Tracer struct {
 	cfg     Config
 	trace   *RankTrace
@@ -131,7 +132,7 @@ func (tr *Tracer) MPIEvent(p *mpisim.Proc, ev *mpisim.Event) float64 {
 	return tr.cfg.EventCost
 }
 
-var _ mpisim.Hook = (*Tracer)(nil)
+var _ mpisim.AdvanceObserver = (*Tracer)(nil)
 
 // WaitState is an aggregated wait state found by post-mortem analysis.
 type WaitState struct {

@@ -351,7 +351,7 @@ func (c *compiler) forStmt(st *minilang.ForStmt) error {
 			return err
 		}
 	}
-	c.emit(instr{op: opJmp, a: head})
+	c.emit(instr{op: opJmp, a: head, pos: c.pos(st.Pos())})
 	if jf >= 0 {
 		c.patch(jf)
 	}
@@ -380,7 +380,7 @@ func (c *compiler) whileStmt(st *minilang.WhileStmt) error {
 	for _, i := range l.continues {
 		c.code.instrs[i].a = head
 	}
-	c.emit(instr{op: opJmp, a: head})
+	c.emit(instr{op: opJmp, a: head, pos: c.pos(st.Pos())})
 	c.patch(jf)
 	for _, i := range l.breaks {
 		c.patch(i)

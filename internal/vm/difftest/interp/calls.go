@@ -48,11 +48,13 @@ func (ex *exec) evalCall(call *minilang.CallExpr) Value {
 }
 
 // checkDepth refuses a call that would make the stack deeper than the
-// VM's limit, with the VM's message.
+// VM's limit, with the VM's message, and charges the call to the step
+// budget as the VM does.
 func (ex *exec) checkDepth(call *minilang.CallExpr, target *minilang.FuncDecl) {
 	if len(ex.frames) >= vm.MaxCallDepth {
 		panic(fmt.Sprintf("%s: call to %q exceeds the call depth limit of %d", call.Pos(), target.Name, vm.MaxCallDepth))
 	}
+	ex.spend(call.Pos())
 }
 
 func (ex *exec) evalBuiltin(call *minilang.CallExpr) Value {

@@ -59,6 +59,17 @@ type exec struct {
 	r      *Runner
 	p      *mpisim.Proc
 	frames []*frame
+	// steps counts the loop iterations completed and the calls made,
+	// against the VM's budget.
+	steps int
+}
+
+// spend takes one step — the end of a loop iteration or a call, at pos —
+// from the rank's budget, with the VM's message.
+func (ex *exec) spend(pos minilang.Pos) {
+	if ex.steps++; ex.steps > vm.MaxSteps {
+		panic(fmt.Sprintf("%s: rank exceeds the step budget of %d backward jumps and calls", pos, vm.MaxSteps))
+	}
 }
 
 func (ex *exec) top() *frame { return ex.frames[len(ex.frames)-1] }
@@ -209,6 +220,7 @@ func (ex *exec) execStmt(s minilang.Stmt) ctrl {
 					return c
 				}
 			}
+			ex.spend(st.Pos())
 		}
 	case *minilang.WhileStmt:
 		for {
@@ -224,6 +236,7 @@ func (ex *exec) execStmt(s minilang.Stmt) ctrl {
 			if c == ctrlReturn {
 				return c
 			}
+			ex.spend(st.Pos())
 		}
 	default:
 		panic(fmt.Sprintf("interp: unknown statement %T", s))

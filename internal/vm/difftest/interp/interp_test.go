@@ -299,6 +299,25 @@ func TestUnboundedRecursionFailsTheRank(t *testing.T) {
 	}
 }
 
+// TestRunawayLoopFailsTheRank: a rank has a budget of backward jumps and
+// calls, counted the same way by both engines (runBoth compares the
+// text), so a program that never ends is a positioned rank error: at the
+// loop when only the loop spends, at the call when both do and the call
+// is the step that overdraws.
+func TestRunawayLoopFailsTheRank(t *testing.T) {
+	for src, pos := range map[string]string{
+		"func main() { while (1) { } }\n": "1:15",
+		"func f() { return 1; }\nfunc main() { for (var i = 0; i >= 0; i = i + 1) { f(); } }\n": "2:52",
+	} {
+		prog := minilang.MustParse("r.mp", src)
+		_, err := runBoth(t, prog, psg.MustBuild(prog), 2)
+		want := fmt.Sprintf("rank 0: r.mp:%s: rank exceeds the step budget of %d backward jumps and calls", pos, vm.MaxSteps)
+		if err == nil || err.Error() != want {
+			t.Errorf("%q: error %v, want %q", src, err, want)
+		}
+	}
+}
+
 // TestDeepRecursionGrowsTheStack recurses to just under the limit —
 // through an indirect call too — and exchanges a message at the bottom: the
 // VM's register file outgrows its slab share, and rank 1 parks and resumes

@@ -39,6 +39,11 @@ func NewRunner(p *Program) *Runner {
 // exhausting the host.
 const MaxCallDepth = 1000
 
+// MaxSteps bounds the backward jumps and calls one rank may execute: a
+// count, not a clock, so a program that never ends — while (1) {} — fails
+// its rank at the same statement on every run and every host.
+const MaxSteps = 1 << 22
+
 // Stepper sets up one run of np ranks — a machine a rank, their register
 // files and call stacks carved from one slab each — and returns the
 // stepper to hand to mpisim.World.Run.
@@ -53,6 +58,7 @@ func (r *Runner) Stepper(np int) mpisim.Stepper {
 		m.r = r
 		m.regs = regs[i*nRegs : (i+1)*nRegs : (i+1)*nRegs]
 		m.calls = append(calls[i*nCalls:i*nCalls:(i+1)*nCalls], frame{l: main})
+		m.steps = MaxSteps
 	}
 	return func(p *mpisim.Proc) bool { return machines[p.Rank].step(p) }
 }
@@ -81,6 +87,8 @@ type machine struct {
 	// anyReg is 1 + the register waiting for the source of the RecvAny the
 	// rank parked in; 0 when there is none.
 	anyReg int32
+	// steps is what is left of the rank's MaxSteps.
+	steps int32
 }
 
 // Precomputed conversion-role strings so the hot path never
@@ -146,6 +154,7 @@ func (m *machine) enter(l *Link, args []Value, dst int32, pos *minilang.Pos) {
 	if n >= MaxCallDepth {
 		panic(fmt.Sprintf("%s: call to %q exceeds the call depth limit of %d", *pos, l.code.fn.Name, MaxCallDepth))
 	}
+	m.spend(pos)
 	top := &m.calls[n-1]
 	base := top.base + top.l.code.nSlots
 	if need := int(base + l.code.nSlots); need > len(m.regs) {
@@ -156,6 +165,23 @@ func (m *machine) enter(l *Link, args []Value, dst int32, pos *minilang.Pos) {
 	}
 	copy(m.regs[base:], args)
 	m.calls = append(m.calls, frame{l: l, base: base, dst: dst})
+}
+
+// spend takes one step — a backward jump or a call, at pos — from the
+// rank's budget.
+//
+//scalana:hot
+func (m *machine) spend(pos *minilang.Pos) {
+	if m.steps--; m.steps < 0 {
+		outOfSteps(pos)
+	}
+}
+
+// outOfSteps is outlined from spend, as badNum is from num.
+//
+//go:noinline
+func outOfSteps(pos *minilang.Pos) {
+	panic(fmt.Sprintf("%s: rank exceeds the step budget of %d backward jumps and calls", *pos, MaxSteps))
 }
 
 // step runs the rank's program from where it stopped until it finishes
@@ -194,6 +220,9 @@ func (m *machine) step(p *mpisim.Proc) bool {
 			case opGlue:
 				p.Glue(glueIns)
 			case opJmp:
+				if int(in.a) < pc {
+					m.spend(&code.poss[in.pos])
+				}
 				pc = int(in.a)
 			case opJmpFalse:
 				if !truthy(f[in.a], code.poss[in.pos]) {

@@ -1,11 +1,13 @@
 package scalana
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"scalana/internal/detect"
 	"scalana/internal/psg"
+	"scalana/internal/vm"
 )
 
 func TestRunConfigValidation(t *testing.T) {
@@ -124,6 +126,19 @@ func TestUnboundedRecursionIsARankError(t *testing.T) {
 	want := `scalana: run r np=2: rank 0: :1:20: call to "f" exceeds the call depth limit of 1000`
 	if err == nil || err.Error() != want {
 		t.Fatalf("Run = %v, want error %q", err, want)
+	}
+}
+
+// TestRunawayLoopIsARankError: a program that never ends exhausts its
+// rank's step budget — a count of backward jumps and calls, so the error
+// and its position repeat exactly — instead of running for ever.
+func TestRunawayLoopIsARankError(t *testing.T) {
+	app := &App{Name: "spin", Source: "func main() { while (1) { } }\n"}
+	want := fmt.Sprintf("scalana: run spin np=2: rank 0: :1:15: rank exceeds the step budget of %d backward jumps and calls", vm.MaxSteps)
+	for i := 0; i < 2; i++ {
+		if _, err := Run(RunConfig{App: app, NP: 2, ToolName: "scalana"}); err == nil || err.Error() != want {
+			t.Fatalf("Run %d = %v, want error %q", i, err, want)
+		}
 	}
 }
 

@@ -52,13 +52,21 @@ type ToolContext struct {
 //
 //  1. HooksForRank is called once per rank, sequentially in rank order,
 //     during world construction (before any rank executes).
-//  2. The simulation runs; hooks observe their own rank only.
+//  2. The simulation runs; hooks observe their own rank only: its MPI
+//     events, and virtual time as timer samples or advance by advance,
+//     whichever of mpisim's optional interfaces they implement.
 //  3. FinalizeRank is called once per rank, concurrently across ranks,
 //     after the run completes. It must touch rank-local state only.
 //  4. Finish is called once, after every FinalizeRank returned, to
 //     assemble the cross-rank payload stored in the Measurement.
 type ToolRun interface {
-	// HooksForRank returns the simulator hooks attached to one rank.
+	// HooksForRank returns the simulator hooks attached to one rank. Every
+	// hook receives the rank's MPI events (mpisim.Hook). One that samples
+	// on a timer also implements mpisim.TimerSampler — it names its period
+	// once and is called only when the rank's clock crosses a multiple of
+	// it, at most one such hook a rank; one that must see every
+	// virtual-time advance implements mpisim.AdvanceObserver, at the cost
+	// of a call per executed statement.
 	HooksForRank(rank int) []mpisim.Hook
 	// FinalizeRank extracts the rank's measurement data and returns its
 	// storage size in bytes (the tool-comparison experiments sum these).
