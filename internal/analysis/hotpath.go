@@ -26,7 +26,7 @@ import (
 // argument of panic(...) is skipped, since a once-per-process crash
 // message is not a steady-state allocation. Outline the panic into a
 // //go:noinline helper instead when the hot function must stay within
-// the inlining budget (see vm.badNum).
+// the inlining budget (see vm.chkNaN).
 var HotPath = &Analyzer{
 	Name: "hotpath",
 	Doc: "checks //scalana:hot annotated functions for allocation-prone constructs: " +

@@ -184,7 +184,7 @@ func (p *Proc) finishCollective(t0 float64, slot *collSlot, bytes float64) {
 		// This rank was the straggler; it depends on no one here.
 		depRank, depCtx = -1, nil
 	}
-	p.emit(Event{Kind: EvCollective, Op: slot.op, Peer: -1, Bytes: bytes,
+	p.emit(&Event{Kind: EvCollective, Op: slot.op, Peer: -1, Bytes: bytes,
 		TStart: t0, TEnd: p.Clock, Wait: wait, DepRank: depRank, DepCtx: depCtx,
 		Collective: true, Root: slot.root})
 

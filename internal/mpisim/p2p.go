@@ -273,7 +273,7 @@ func (p *Proc) Send(dst, tag int, bytes float64) {
 	p.mpiOverhead()
 	p.advance(bytes*p.world.cfg.Net.PerByte, AdvTransfer, &zeroVec)
 	p.world.matcher.postSend(p.Rank, dst, tag, bytes, p.Clock+p.world.cfg.Net.Latency, p.Ctx)
-	p.emit(Event{Kind: EvSend, Op: "mpi_send", Peer: dst, Tag: tag, Bytes: bytes, TStart: t0, TEnd: p.Clock, DepRank: -1, Root: -1})
+	p.emit(&Event{Kind: EvSend, Op: "mpi_send", Peer: dst, Tag: tag, Bytes: bytes, TStart: t0, TEnd: p.Clock, DepRank: -1, Root: -1})
 }
 
 // Recv is a blocking receive from a specific source.
@@ -319,7 +319,7 @@ func (p *Proc) MatchedSource() int { return int(p.cont.from) }
 func (p *Proc) finishRecv(op string, t0 float64, tag int, info *sendInfo) {
 	wait := p.waitUntil(info.tArrive)
 	p.advance(info.bytes*p.world.cfg.Net.PerByte, AdvTransfer, &zeroVec)
-	p.emit(Event{Kind: EvRecv, Op: op, Peer: info.from, Tag: tag, Bytes: info.bytes,
+	p.emit(&Event{Kind: EvRecv, Op: op, Peer: info.from, Tag: tag, Bytes: info.bytes,
 		TStart: t0, TEnd: p.Clock, Wait: wait, DepRank: info.from, DepCtx: info.ctx, Root: -1})
 }
 
@@ -332,7 +332,7 @@ func (p *Proc) Isend(dst, tag int, bytes float64) *Request {
 	p.advance(bytes*p.world.cfg.Net.PerByte, AdvTransfer, &zeroVec)
 	p.world.matcher.postSend(p.Rank, dst, tag, bytes, p.Clock+p.world.cfg.Net.Latency, p.Ctx)
 	req := p.newRequest(true, dst, tag, bytes)
-	p.emit(Event{Kind: EvIsend, Op: "mpi_isend", Peer: dst, Tag: tag, Bytes: bytes, TStart: t0, TEnd: p.Clock, DepRank: -1, Root: -1, ReqID: req.id})
+	p.emit(&Event{Kind: EvIsend, Op: "mpi_isend", Peer: dst, Tag: tag, Bytes: bytes, TStart: t0, TEnd: p.Clock, DepRank: -1, Root: -1, ReqID: req.id})
 	return req
 }
 
@@ -344,7 +344,7 @@ func (p *Proc) Irecv(src, tag int, bytes float64) *Request {
 	p.mpiOverhead()
 	req := p.newRequest(false, src, tag, bytes)
 	req.ch, req.seq = p.world.matcher.claim(src, p.Rank, tag)
-	p.emit(Event{Kind: EvIrecv, Op: "mpi_irecv", Peer: src, Tag: tag, Bytes: bytes, TStart: t0, TEnd: p.Clock, DepRank: -1, Root: -1, ReqID: req.id})
+	p.emit(&Event{Kind: EvIrecv, Op: "mpi_irecv", Peer: src, Tag: tag, Bytes: bytes, TStart: t0, TEnd: p.Clock, DepRank: -1, Root: -1, ReqID: req.id})
 	return req
 }
 
@@ -354,7 +354,7 @@ func (p *Proc) IrecvAny(tag int, bytes float64) *Request {
 	t0 := p.Clock
 	p.mpiOverhead()
 	req := p.newRequest(false, AnySource, tag, bytes)
-	p.emit(Event{Kind: EvIrecv, Op: "mpi_irecv_any", Peer: AnySource, Tag: tag, Bytes: bytes, TStart: t0, TEnd: p.Clock, DepRank: -1, Root: -1, ReqID: req.id})
+	p.emit(&Event{Kind: EvIrecv, Op: "mpi_irecv_any", Peer: AnySource, Tag: tag, Bytes: bytes, TStart: t0, TEnd: p.Clock, DepRank: -1, Root: -1, ReqID: req.id})
 	return req
 }
 
@@ -427,7 +427,7 @@ func (p *Proc) Wait(id int) bool {
 	p.mpiOverhead()
 	if r.isSend {
 		p.dropRequest(id)
-		p.emit(Event{Kind: EvWait, Op: "mpi_wait", Peer: r.src, Tag: r.tag, Bytes: r.bytes,
+		p.emit(&Event{Kind: EvWait, Op: "mpi_wait", Peer: r.src, Tag: r.tag, Bytes: r.bytes,
 			TStart: t0, TEnd: p.Clock, DepRank: -1, Root: -1, Requests: 1, ReqID: id})
 		return true
 	}
@@ -447,7 +447,7 @@ func (p *Proc) finishWait(t0 float64, r *Request, info *sendInfo) {
 	p.advance(info.bytes*p.world.cfg.Net.PerByte, AdvTransfer, &zeroVec)
 	id, tag := r.id, r.tag
 	p.dropRequest(id)
-	p.emit(Event{Kind: EvWait, Op: "mpi_wait", Peer: info.from, Tag: tag, Bytes: info.bytes,
+	p.emit(&Event{Kind: EvWait, Op: "mpi_wait", Peer: info.from, Tag: tag, Bytes: info.bytes,
 		TStart: t0, TEnd: p.Clock, Wait: wait, DepRank: info.from, DepCtx: info.ctx, Root: -1, Requests: 1, ReqID: id})
 }
 
@@ -496,7 +496,7 @@ func (p *Proc) waitallFrom() bool {
 	if c.bytes > 0 {
 		p.advance(c.bytes*p.world.cfg.Net.PerByte, AdvTransfer, &zeroVec)
 	}
-	p.emit(Event{Kind: EvWaitall, Op: "mpi_waitall", Peer: depRank, Tag: 0, Bytes: c.bytes,
+	p.emit(&Event{Kind: EvWaitall, Op: "mpi_waitall", Peer: depRank, Tag: 0, Bytes: c.bytes,
 		TStart: c.t0, TEnd: p.Clock, Wait: wait, DepRank: depRank, DepCtx: depCtx, Root: -1,
 		Requests: n, RecvRequests: int(c.nRecv)})
 	return true
@@ -525,7 +525,7 @@ func (p *Proc) Sendrecv(dst, stag int, sbytes float64, src, rtag int, rbytes flo
 func (p *Proc) finishSendrecv(t0 float64, rtag, dst int, sbytes float64, info *sendInfo) {
 	wait := p.waitUntil(info.tArrive)
 	p.advance(info.bytes*p.world.cfg.Net.PerByte, AdvTransfer, &zeroVec)
-	p.emit(Event{Kind: EvSendrecv, Op: "mpi_sendrecv", Peer: info.from, Tag: rtag, Bytes: sbytes + info.bytes,
+	p.emit(&Event{Kind: EvSendrecv, Op: "mpi_sendrecv", Peer: info.from, Tag: rtag, Bytes: sbytes + info.bytes,
 		TStart: t0, TEnd: p.Clock, Wait: wait, DepRank: info.from, DepCtx: info.ctx, Root: -1,
 		SendPeer: dst, SendBytes: sbytes})
 }

@@ -297,13 +297,13 @@ func (p *Proc) tick(from float64, kind AdvanceKind, pmu *machine.Vec) {
 // overwrites; hooks must copy any fields they keep (see Hook).
 //
 //scalana:hot
-func (p *Proc) emit(ev Event) {
+func (p *Proc) emit(ev *Event) {
 	ev.Rank = p.Rank
 	ev.Ctx = p.Ctx
 	if ev.Kind != EvSendrecv {
 		ev.SendPeer = -1
 	}
-	p.evScratch = ev
+	p.evScratch = *ev
 	p.events++
 	var owed float64
 	for _, h := range p.hooks {

@@ -528,6 +528,37 @@ func TestRunawayLoopIsAnErrorResponse(t *testing.T) {
 	}
 }
 
+// TestHugeAllocIsAnErrorResponse: an uploaded alloc(1e12) used to end the
+// process with "fatal error: runtime: out of memory", and an alloc in a
+// loop to grow until the host did. A rank's array budget fails it with the
+// same positioned error on every request, and the server is there for the
+// next one.
+func TestHugeAllocIsAnErrorResponse(t *testing.T) {
+	_, ts := newTestServer(t)
+	for name, c := range map[string]struct{ src, at string }{
+		"big":  {"func main() {\n\tvar a = alloc(1000000000000);\n}\n", "big.mp:2:10: alloc of 1e+12"},
+		"grow": {"func main() {\n\twhile (1) {\n\t\tvar a = alloc(1000);\n\t}\n}\n", "grow.mp:3:11: alloc of 1000"},
+	} {
+		body, _ := json.Marshal(appUploadJSON{Name: name, Source: c.src, MinNP: 2})
+		if code, resp := post(t, ts.URL+"/v1/apps", "application/json", body); code != http.StatusCreated {
+			t.Fatalf("register app: %d %s", code, resp)
+		}
+		want := []byte(fmt.Sprintf("rank 0: %s elements exceeds what is left of the rank's array budget of %d", c.at, vm.MaxArrayElems))
+		req, _ := json.Marshal(detectRequest{App: name, Simulate: true, Scales: []int{2, 4}})
+		if code, resp := post(t, ts.URL+"/v1/detect", "application/json", req); code != http.StatusInternalServerError || !bytes.Contains(resp, want) {
+			t.Errorf("simulated detect of %s: %d %s, want a 500 with %q", name, code, resp, want)
+		}
+		for i := 0; i < 2; i++ {
+			if code, resp := get(t, ts.URL+"/v1/comm?app="+name+"&np=2"); code != http.StatusInternalServerError || !bytes.Contains(resp, want) {
+				t.Errorf("comm of %s, request %d: %d %s, want a 500 with %q", name, i, code, resp, want)
+			}
+		}
+	}
+	if code, resp := get(t, ts.URL+"/v1/comm?app=cg&np=4"); code != http.StatusOK {
+		t.Errorf("next request after the failed ones: %d %s", code, resp)
+	}
+}
+
 func TestSweepEndpoint(t *testing.T) {
 	srv, ts := newTestServer(t)
 	app := scalana.GetApp("cg")

@@ -2,7 +2,11 @@ package vm_test
 
 import (
 	"fmt"
+	"reflect"
+	"runtime"
+	"strings"
 	"testing"
+	"unsafe"
 
 	"scalana/internal/minilang"
 	"scalana/internal/mpisim"
@@ -70,5 +74,52 @@ func TestExecuteAllocsIndependentOfIterations(t *testing.T) {
 	// per-statement regressions.
 	if short > 16 {
 		t.Errorf("Execute allocates %.1f objects per run, want a small constant", short)
+	}
+}
+
+// TestRegisterIsOneWord: a register is one pointer-free 8-byte word, so a
+// run's register slab is np × registers × 8 bytes the collector never scans.
+// Setting up a run is a fixed number of allocations whatever np is, and its
+// bytes a rank stay under what 40 one-word registers, the machine and one
+// frame need — a sixth of what the 48-byte {float64, string, []float64}
+// register took.
+func TestRegisterIsOneWord(t *testing.T) {
+	if size, kind := unsafe.Sizeof(vm.Value(0)), reflect.TypeOf(vm.Value(0)).Kind(); size != 8 || kind != reflect.Float64 {
+		t.Fatalf("vm.Value is %d bytes of kind %v, want one float64 word", size, kind)
+	}
+	const regs, np = 40, 1024
+	var src strings.Builder
+	src.WriteString("func main() {\n")
+	for i := 0; i < regs; i++ {
+		fmt.Fprintf(&src, "\tvar v%d = %d;\n", i, i)
+	}
+	src.WriteString("}\n")
+	prog, err := minilang.Parse("regs.mp", src.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	graph, err := psg.Build(prog, psg.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	vp, err := vm.Compile(prog, graph)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := vm.NewRunner(vp)
+	var step mpisim.Stepper
+	if allocs := testing.AllocsPerRun(10, func() { step = r.Stepper(np) }); allocs > 4 {
+		t.Errorf("Stepper(%d) makes %.0f allocations, want the machine, register and frame slabs and the closure", np, allocs)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	step = r.Stepper(np)
+	runtime.ReadMemStats(&after)
+	perRank := float64(after.TotalAlloc-before.TotalAlloc) / np
+	if budget := float64(regs*8 + 200); perRank < regs*8 || perRank > budget {
+		t.Errorf("Stepper(%d) allocates %.0f bytes a rank, want %d for the registers and at most %.0f in all", np, perRank, regs*8, budget)
+	}
+	if _, err := mpisim.NewWorld(mpisim.Config{NP: np, Seed: 1}).Run(step); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -2,31 +2,56 @@ package vm
 
 import (
 	"fmt"
+	"math"
 
 	"scalana/internal/minilang"
 )
 
-// Value is a MiniMP runtime value: a number, a function reference, or an
-// array. The zero Value is the number 0. The test-only reference
-// interpreter (difftest/interp) uses this type too, so both agree on
-// representation, printing, and error formatting down to the byte.
-type Value struct {
-	Num float64
-	Fn  string    // non-empty: function reference created by &name
-	Arr []float64 // non-nil: array created by alloc(n)
-}
+// Value is a MiniMP runtime value in one pointer-free word: a number, or a
+// reference boxed into NaN space — bits 62..50 all set, bit 48 the kind,
+// the low 48 bits the payload: a function's index in the Program's name
+// table, or an array's offset<<24 | length in its rank's heap. Every other
+// word is a number, the host's NaNs included: none has bit 50 set, and no
+// arithmetic reads a box, so none makes one (DESIGN.md §10). The zero Value
+// is the number 0.
+type Value float64
+
+const (
+	boxBits  = 0x7FFC << 48 // bits 62..50
+	kindMask = 0xFFFF << 48
+	kindFn   = 0x7FFC << 48
+	kindArr  = 0x7FFD << 48
+	arrBits  = 24 // an array box's offset and length fields
+	arrMask  = 1<<arrBits - 1
+)
+
+const _ = uint(arrMask - MaxArrayElems) // an offset or a length fits its field
+
+func (v Value) bits() uint64 { return math.Float64bits(float64(v)) }
 
 // IsNum reports whether v is a plain number.
-func (v Value) IsNum() bool { return v.Fn == "" && v.Arr == nil }
+func (v Value) IsNum() bool { return v.bits()&boxBits != boxBits }
 
-func (v Value) String() string {
+func (v Value) isFn() bool  { return v.bits()&kindMask == kindFn }
+func (v Value) isArr() bool { return v.bits()&kindMask == kindArr }
+func (v Value) fnID() int   { return int(v.bits() &^ kindMask) }
+func (v Value) arrLen() int { return int(v.bits() & arrMask) }
+
+// fnRef boxes function id; arrRef boxes the array of n elements at off.
+func fnRef(id int32) Value { return Value(math.Float64frombits(kindFn | uint64(id))) }
+func arrRef(off, n int) Value {
+	return Value(math.Float64frombits(kindArr | uint64(off)<<arrBits | uint64(n)))
+}
+
+// format prints v as MiniMP does; fns names the function references.
+func (v Value) format(fns []string) string {
 	switch {
-	case v.Fn != "":
-		return "&" + v.Fn
-	case v.Arr != nil:
-		return fmt.Sprintf("array[%d]", len(v.Arr))
+	case v.isFn():
+		return "&" + fns[v.fnID()]
+	case v.isArr():
+		return fmt.Sprintf("array[%d]", v.arrLen())
 	default:
-		return fmt.Sprintf("%g", v.Num)
+		return fmt.Sprintf("%g", float64(v))
 	}
 }
 
@@ -52,7 +77,7 @@ const (
 	opJmp      // pc = a
 	opJmpFalse // if !truthy(R[a]) pc = b (num check, "condition")
 	opJmpTrue  // if truthy(R[a]) pc = b (num check, "condition")
-	opRet      // return R[a]; a < 0 returns the zero Value
+	opRet      // return R[a]; a < 0 returns 0
 
 	// Checks. opChkNum verifies R[a] is a number with message whats[b];
 	// it lets binary operators convert their left operand before the
@@ -61,7 +86,7 @@ const (
 
 	// Unary and binary arithmetic/comparison: R[c] = R[a] op R[b].
 	// Operands were verified numeric by opChkNum (or are statically
-	// numeric), so these read .Num directly.
+	// numeric), so these read the word as a float64 directly.
 	opNeg // R[b] = -num(R[a], "operand")
 	opNot // R[b] = bool(num(R[a], "operand") == 0)
 	opBool
@@ -82,11 +107,11 @@ const (
 	// before an element store evaluates its right-hand side, matching
 	// the interpreter's check-before-eval order.
 	opArrChk
-	opLoadIdx  // R[c] = R[a].Arr[int(num(R[b], "index"))], bounds-checked
+	opLoadIdx  // R[c] = R[a][int(num(R[b], "index"))], bounds-checked
 	opIdxChk   // convert + bounds-check R[b] against R[a]
-	opStoreIdx // R[a].Arr[int(R[b].Num)] = num(R[c], "array element")
+	opStoreIdx // R[a][int(R[b])] = num(R[c], "array element")
 	opAlloc    // R[b] = alloc(int(num(R[a], "alloc argument")))
-	opLen      // R[b] = len(R[a].Arr)
+	opLen      // R[b] = len(R[a])
 
 	// Builtins.
 	opMath1 // R[b] = mathFns1[d](num(R[a], name+" argument"))
@@ -96,7 +121,7 @@ const (
 	opSize  // R[a] = np
 	opCompute
 	opMPI   // mpi op d, args R[a..], result R[c]
-	opPrint // spec prints[a], result R[b] = Value{}
+	opPrint // spec prints[a], result R[b] = 0
 
 	// Calls.
 	opCall    // site a, argBase b, dst c
@@ -219,6 +244,7 @@ type Code struct {
 	consts []Value
 	poss   []minilang.Pos
 	names  []string // variable names for array errors
+	fns    []string // the Program's function names, by function id
 
 	// ctxNodes are the attribution sites (opSetCtx's a indexes it).
 	ctxNodes []minilang.NodeID

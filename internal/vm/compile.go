@@ -45,10 +45,11 @@ type compiler struct {
 	nameIdx map[string]int32
 }
 
-// compileFunc lowers one function declaration to bytecode.
-func compileFunc(fn *minilang.FuncDecl) (*Code, error) {
+// compileFunc lowers one function declaration to bytecode; fns is the
+// program's function-name table, which &name constants index.
+func compileFunc(fn *minilang.FuncDecl, fns []string) (*Code, error) {
 	c := &compiler{
-		code:    &Code{fn: fn},
+		code:    &Code{fn: fn, fns: fns},
 		posIdx:  map[minilang.Pos]int32{},
 		ctxIdx:  map[minilang.NodeID]int32{},
 		numIdx:  map[float64]int32{},
@@ -110,15 +111,19 @@ func (c *compiler) numConst(v float64) int32 {
 		return i
 	}
 	i := int32(len(c.code.consts))
-	c.code.consts = append(c.code.consts, Value{Num: v})
+	c.code.consts = append(c.code.consts, Value(v))
 	c.numIdx[v] = i
 	return i
 }
 
-func (c *compiler) fnConst(name string) int32 {
-	i := int32(len(c.code.consts))
-	c.code.consts = append(c.code.consts, Value{Fn: name})
-	return i
+func (c *compiler) fnConst(name string, pos minilang.Pos) (int32, error) {
+	for id, fn := range c.code.fns {
+		if fn == name {
+			c.code.consts = append(c.code.consts, fnRef(int32(id)))
+			return int32(len(c.code.consts) - 1), nil
+		}
+	}
+	return 0, fmt.Errorf("vm: %s: &%s: no such function", pos, name)
 }
 
 func (c *compiler) pushScope() {
@@ -415,8 +420,12 @@ func (c *compiler) expr(e minilang.Expr, dst int32) (int32, bool, error) {
 		c.emit(instr{op: opMove, a: dst, b: slot})
 		return dst, false, nil
 	case *minilang.FuncRefExpr:
+		k, err := c.fnConst(x.Name, x.Pos())
+		if err != nil {
+			return 0, false, err
+		}
 		r := c.place(dst)
-		c.emit(instr{op: opConst, a: r, b: c.fnConst(x.Name)})
+		c.emit(instr{op: opConst, a: r, b: k})
 		return r, false, nil
 	case *minilang.IndexExpr:
 		slot, err := c.lookup(x.Name, x.Pos())
@@ -480,8 +489,8 @@ func (c *compiler) binary(x *minilang.BinaryExpr, dst int32) (int32, bool, error
 	switch x.Op {
 	case minilang.TokAndAnd, minilang.TokOrOr:
 		// Short-circuit, with the interpreter's exact result values:
-		// && yields Value{} when L is false, boolVal(truthy(R)) otherwise;
-		// || yields Value{Num: 1} when L is true.
+		// && yields 0 when L is false, boolVal(truthy(R)) otherwise;
+		// || yields 1 when L is true.
 		r := c.place(dst)
 		l, _, err := c.expr(x.L, -1)
 		if err != nil {

@@ -86,11 +86,16 @@ func (ex *exec) evalBuiltin(call *minilang.CallExpr) Value {
 		ex.p.Compute(n(0), n(1), n(2), n(3))
 		return Value{}
 	case minilang.BuiltinAlloc:
-		ln := int(n(0))
-		if ln < 0 {
-			panic(fmt.Sprintf("%s: alloc of negative length %d", call.Pos(), ln))
+		ln := n(0)
+		if ln <= -1 {
+			panic(fmt.Sprintf("%s: alloc of negative length %.0f", call.Pos(), math.Trunc(ln)))
 		}
-		return Value{Arr: make([]float64, ln)}
+		// Every array costs its elements and one more, against the VM's
+		// budget; a NaN or +Inf length is over any budget.
+		if ex.elems += math.Trunc(ln) + 1; !(ex.elems <= vm.MaxArrayElems) {
+			panic(fmt.Sprintf("%s: alloc of %g elements exceeds what is left of the rank's array budget of %d", call.Pos(), ln, vm.MaxArrayElems))
+		}
+		return Value{Arr: make([]float64, int(ln))}
 	case minilang.BuiltinMath:
 		switch b.Name {
 		case "len":

@@ -62,6 +62,9 @@ type exec struct {
 	// steps counts the loop iterations completed and the calls made,
 	// against the VM's budget.
 	steps int
+	// elems counts the array elements allocated, plus one an array,
+	// against the VM's budget.
+	elems float64
 }
 
 // spend takes one step — the end of a loop iteration or a call, at pos —

@@ -13,12 +13,32 @@ import (
 	"fmt"
 
 	"scalana/internal/minilang"
-	"scalana/internal/vm"
 )
 
-// Value is the VM's runtime value; the oracle shares the representation
-// so prints and error texts compare byte for byte.
-type Value = vm.Value
+// Value is a MiniMP runtime value: a number, a function reference, or an
+// array. The zero Value is the number 0. The oracle owns this type — the
+// VM packs the same three cases into one word (vm.Value) — so prints and
+// error texts that compare byte for byte were produced by two
+// representations, not one shared one.
+type Value struct {
+	Num float64
+	Fn  string    // non-empty: function reference created by &name
+	Arr []float64 // non-nil: array created by alloc(n)
+}
+
+// IsNum reports whether v is a plain number.
+func (v Value) IsNum() bool { return v.Fn == "" && v.Arr == nil }
+
+func (v Value) String() string {
+	switch {
+	case v.Fn != "":
+		return "&" + v.Fn
+	case v.Arr != nil:
+		return fmt.Sprintf("array[%d]", len(v.Arr))
+	default:
+		return fmt.Sprintf("%g", v.Num)
+	}
+}
 
 // num extracts a number, panicking with position context otherwise.
 func num(v Value, pos minilang.Pos, what string) float64 {

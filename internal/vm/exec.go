@@ -44,6 +44,11 @@ const MaxCallDepth = 1000
 // its rank at the same statement on every run and every host.
 const MaxSteps = 1 << 22
 
+// MaxArrayElems bounds what one rank may allocate: each alloc(n) charges
+// n+1 against it, so neither the elements nor the number of arrays can
+// exhaust the host (8192 ranks at the limit hold 4 GiB).
+const MaxArrayElems = 1 << 16
+
 // Stepper sets up one run of np ranks — a machine a rank, their register
 // files and call stacks carved from one slab each — and returns the
 // stepper to hand to mpisim.World.Run.
@@ -58,7 +63,7 @@ func (r *Runner) Stepper(np int) mpisim.Stepper {
 		m.r = r
 		m.regs = regs[i*nRegs : (i+1)*nRegs : (i+1)*nRegs]
 		m.calls = append(calls[i*nCalls:i*nCalls:(i+1)*nCalls], frame{l: main})
-		m.steps = MaxSteps
+		m.steps, m.arrLeft = MaxSteps, MaxArrayElems
 	}
 	return func(p *mpisim.Proc) bool { return machines[p.Rank].step(p) }
 }
@@ -87,8 +92,20 @@ type machine struct {
 	// anyReg is 1 + the register waiting for the source of the RecvAny the
 	// rank parked in; 0 when there is none.
 	anyReg int32
-	// steps is what is left of the rank's MaxSteps.
-	steps int32
+	// steps is what is left of the rank's MaxSteps, arrLeft of its
+	// MaxArrayElems.
+	steps, arrLeft int32
+	// heap holds the rank's arrays end to end; an array Value is an offset
+	// and a length into it, so a forged one fails (or reads) only this rank.
+	heap []float64
+}
+
+// arr returns the elements v refers to.
+//
+//scalana:hot
+func (m *machine) arr(v Value) []float64 {
+	off := int(v.bits() >> arrBits & arrMask)
+	return m.heap[off : off+v.arrLen()]
 }
 
 // Precomputed conversion-role strings so the hot path never
@@ -108,30 +125,32 @@ func init() {
 }
 
 // num, truthy, and boolVal mirror the interpreter's helpers, panic
-// messages included.
+// messages included. The position is code.poss[pos], read only to panic.
 //
 //scalana:hot
-func num(v Value, pos minilang.Pos, what string) float64 {
-	if !v.IsNum() {
-		badNum(v, pos, what)
+func num(v Value, code *Code, pos int32, what string) float64 {
+	if v != v { // only a NaN can be a reference
+		chkNaN(v, code, pos, what)
 	}
-	return v.Num
+	return float64(v)
 }
 
-// badNum is outlined from num so that num stays within the inlining
-// budget: the fmt.Sprintf kept num (≈a quarter of sweep CPU) from
-// inlining into every arithmetic opcode.
+// chkNaN is num's slow half, outlined so that num (≈a quarter of sweep CPU
+// when it was a call) inlines into every arithmetic opcode: a NaN the
+// program computed passes, a reference panics.
 //
 //go:noinline
-func badNum(v Value, pos minilang.Pos, what string) {
-	panic(fmt.Sprintf("%s: %s must be a number, got %s", pos, what, v))
+func chkNaN(v Value, code *Code, pos int32, what string) {
+	if !v.IsNum() {
+		panic(fmt.Sprintf("%s: %s must be a number, got %s", code.poss[pos], what, v.format(code.fns)))
+	}
 }
 
 // truthy coerces a condition value, panicking on non-numbers.
 //
 //scalana:hot
-func truthy(v Value, pos minilang.Pos) bool {
-	return num(v, pos, "condition") != 0
+func truthy(v Value, code *Code, pos int32) bool {
+	return num(v, code, pos, "condition") != 0
 }
 
 // boolVal converts a Go bool to the VM's numeric truth values.
@@ -139,9 +158,9 @@ func truthy(v Value, pos minilang.Pos) bool {
 //scalana:hot
 func boolVal(b bool) Value {
 	if b {
-		return Value{Num: 1}
+		return 1
 	}
-	return Value{}
+	return 0
 }
 
 // enter pushes an activation of l with args as its first registers. dst
@@ -177,11 +196,26 @@ func (m *machine) spend(pos *minilang.Pos) {
 	}
 }
 
-// outOfSteps is outlined from spend, as badNum is from num.
+// outOfSteps is outlined from spend, as chkNaN is from num.
 //
 //go:noinline
 func outOfSteps(pos *minilang.Pos) {
 	panic(fmt.Sprintf("%s: rank exceeds the step budget of %d backward jumps and calls", *pos, MaxSteps))
+}
+
+// alloc is alloc(n) at pos: it charges int(n)+1 to the rank's array budget
+// and appends the zeroed elements to its heap.
+func (m *machine) alloc(n float64, pos *minilang.Pos) Value {
+	if n <= -1 {
+		panic(fmt.Sprintf("%s: alloc of negative length %.0f", *pos, math.Trunc(n)))
+	}
+	if !(n < float64(m.arrLeft)) { // NaN and +Inf too
+		panic(fmt.Sprintf("%s: alloc of %g elements exceeds what is left of the rank's array budget of %d", *pos, n, MaxArrayElems))
+	}
+	ln, off := int(n), len(m.heap)
+	m.arrLeft -= int32(ln) + 1
+	m.heap = append(m.heap, make([]float64, ln)...)
+	return arrRef(off, ln)
 }
 
 // step runs the rank's program from where it stopped until it finishes
@@ -192,7 +226,7 @@ func outOfSteps(pos *minilang.Pos) {
 func (m *machine) step(p *mpisim.Proc) bool {
 	if m.anyReg != 0 {
 		top := &m.calls[len(m.calls)-1]
-		m.regs[top.base+m.anyReg-1] = Value{Num: float64(p.MatchedSource())}
+		m.regs[top.base+m.anyReg-1] = Value(p.MatchedSource())
 		m.anyReg = 0
 	}
 	// One iteration an activation: entered, returned to, or resumed.
@@ -225,11 +259,11 @@ func (m *machine) step(p *mpisim.Proc) bool {
 				}
 				pc = int(in.a)
 			case opJmpFalse:
-				if !truthy(f[in.a], code.poss[in.pos]) {
+				if !truthy(f[in.a], code, in.pos) {
 					pc = int(in.b)
 				}
 			case opJmpTrue:
-				if truthy(f[in.a], code.poss[in.pos]) {
+				if truthy(f[in.a], code, in.pos) {
 					pc = int(in.b)
 				}
 			case opRet:
@@ -245,76 +279,72 @@ func (m *machine) step(p *mpisim.Proc) bool {
 				m.regs[m.calls[top-1].base+dst] = v
 				break dispatch
 			case opChkNum:
-				num(f[in.a], code.poss[in.pos], whats[in.b])
+				num(f[in.a], code, in.pos, whats[in.b])
 
 			case opNeg:
-				f[in.b] = Value{Num: -num(f[in.a], code.poss[in.pos], "operand")}
+				f[in.b] = Value(-num(f[in.a], code, in.pos, "operand"))
 			case opNot:
-				f[in.b] = boolVal(num(f[in.a], code.poss[in.pos], "operand") == 0)
+				f[in.b] = boolVal(num(f[in.a], code, in.pos, "operand") == 0)
 			case opBool:
-				f[in.b] = boolVal(truthy(f[in.a], code.poss[in.pos]))
+				f[in.b] = boolVal(truthy(f[in.a], code, in.pos))
 			case opAdd:
-				f[in.c] = Value{Num: f[in.a].Num + f[in.b].Num}
+				f[in.c] = f[in.a] + f[in.b]
 			case opSub:
-				f[in.c] = Value{Num: f[in.a].Num - f[in.b].Num}
+				f[in.c] = f[in.a] - f[in.b]
 			case opMul:
-				f[in.c] = Value{Num: f[in.a].Num * f[in.b].Num}
+				f[in.c] = f[in.a] * f[in.b]
 			case opDiv:
-				if f[in.b].Num == 0 {
+				if f[in.b] == 0 {
 					panic(fmt.Sprintf("%s: division by zero", code.poss[in.pos]))
 				}
-				f[in.c] = Value{Num: f[in.a].Num / f[in.b].Num}
+				f[in.c] = f[in.a] / f[in.b]
 			case opMod:
-				if f[in.b].Num == 0 {
+				if f[in.b] == 0 {
 					panic(fmt.Sprintf("%s: modulo by zero", code.poss[in.pos]))
 				}
-				f[in.c] = Value{Num: math.Mod(f[in.a].Num, f[in.b].Num)}
+				f[in.c] = Value(math.Mod(float64(f[in.a]), float64(f[in.b])))
 			case opEq:
-				f[in.c] = boolVal(f[in.a].Num == f[in.b].Num)
+				f[in.c] = boolVal(f[in.a] == f[in.b])
 			case opNe:
-				f[in.c] = boolVal(f[in.a].Num != f[in.b].Num)
+				f[in.c] = boolVal(f[in.a] != f[in.b])
 			case opLt:
-				f[in.c] = boolVal(f[in.a].Num < f[in.b].Num)
+				f[in.c] = boolVal(f[in.a] < f[in.b])
 			case opLe:
-				f[in.c] = boolVal(f[in.a].Num <= f[in.b].Num)
+				f[in.c] = boolVal(f[in.a] <= f[in.b])
 			case opGt:
-				f[in.c] = boolVal(f[in.a].Num > f[in.b].Num)
+				f[in.c] = boolVal(f[in.a] > f[in.b])
 			case opGe:
-				f[in.c] = boolVal(f[in.a].Num >= f[in.b].Num)
+				f[in.c] = boolVal(f[in.a] >= f[in.b])
 
 			case opArrChk:
-				if f[in.a].Arr == nil {
+				if !f[in.a].isArr() {
 					panic(fmt.Sprintf("%s: %q is not an array", code.poss[in.pos], code.names[in.d]))
 				}
 			case opLoadIdx:
-				arr := f[in.a].Arr
-				idx := int(num(f[in.b], code.poss[in.pos], "index"))
+				arr := m.arr(f[in.a])
+				idx := int(num(f[in.b], code, in.pos, "index"))
 				if idx < 0 || idx >= len(arr) {
 					panic(fmt.Sprintf("%s: index %d out of range [0,%d)", code.poss[in.pos], idx, len(arr)))
 				}
-				f[in.c] = Value{Num: arr[idx]}
+				f[in.c] = Value(arr[idx])
 			case opIdxChk:
-				arr := f[in.a].Arr
-				idx := int(num(f[in.b], code.poss[in.pos], "index"))
+				arr := m.arr(f[in.a])
+				idx := int(num(f[in.b], code, in.pos, "index"))
 				if idx < 0 || idx >= len(arr) {
 					panic(fmt.Sprintf("%s: index %d out of range [0,%d)", code.poss[in.pos], idx, len(arr)))
 				}
 			case opStoreIdx:
-				f[in.a].Arr[int(f[in.b].Num)] = num(f[in.c], code.poss[in.pos], "array element")
+				m.arr(f[in.a])[int(f[in.b])] = num(f[in.c], code, in.pos, "array element")
 			case opAlloc:
-				ln := int(num(f[in.a], code.poss[in.pos], "alloc argument"))
-				if ln < 0 {
-					panic(fmt.Sprintf("%s: alloc of negative length %d", code.poss[in.pos], ln))
-				}
-				f[in.b] = Value{Arr: make([]float64, ln)}
+				f[in.b] = m.alloc(num(f[in.a], code, in.pos, "alloc argument"), &code.poss[in.pos])
 			case opLen:
-				if f[in.a].Arr == nil {
+				if !f[in.a].isArr() {
 					panic(fmt.Sprintf("%s: len of non-array", code.poss[in.pos]))
 				}
-				f[in.b] = Value{Num: float64(len(f[in.a].Arr))}
+				f[in.b] = Value(f[in.a].arrLen())
 
 			case opMath1:
-				v := num(f[in.a], code.poss[in.pos], mathArgWhats[in.d])
+				v := num(f[in.a], code, in.pos, mathArgWhats[in.d])
 				var out float64
 				switch mathFn(in.d) {
 				case mathSqrt:
@@ -332,11 +362,11 @@ func (m *machine) step(p *mpisim.Proc) bool {
 				case mathAbs:
 					out = math.Abs(v)
 				}
-				f[in.b] = Value{Num: out}
+				f[in.b] = Value(out)
 			case opMath2:
 				what := mathArgWhats[in.d]
-				v0 := num(f[in.a], code.poss[in.pos], what)
-				v1 := num(f[in.b], code.poss[in.pos], what)
+				v0 := num(f[in.a], code, in.pos, what)
+				v1 := num(f[in.b], code, in.pos, what)
 				var out float64
 				switch mathFn(in.d) {
 				case mathMin:
@@ -346,22 +376,21 @@ func (m *machine) step(p *mpisim.Proc) bool {
 				case mathPow:
 					out = math.Pow(v0, v1)
 				}
-				f[in.c] = Value{Num: out}
+				f[in.c] = Value(out)
 			case opRand:
-				f[in.a] = Value{Num: p.Rand()}
+				f[in.a] = Value(p.Rand())
 			case opRank:
-				f[in.a] = Value{Num: float64(p.Rank)}
+				f[in.a] = Value(p.Rank)
 			case opSize:
-				f[in.a] = Value{Num: float64(p.NP())}
+				f[in.a] = Value(p.NP())
 			case opCompute:
-				pos := code.poss[in.pos]
 				b := in.a
-				n0 := num(f[b], pos, "compute argument")
-				n1 := num(f[b+1], pos, "compute argument")
-				n2 := num(f[b+2], pos, "compute argument")
-				n3 := num(f[b+3], pos, "compute argument")
+				n0 := num(f[b], code, in.pos, "compute argument")
+				n1 := num(f[b+1], code, in.pos, "compute argument")
+				n2 := num(f[b+2], code, in.pos, "compute argument")
+				n3 := num(f[b+3], code, in.pos, "compute argument")
 				p.Compute(n0, n1, n2, n3)
-				f[in.c] = Value{}
+				f[in.c] = 0
 			case opMPI:
 				if !m.mpi(p, code, f, in) {
 					fr.pc = int32(pc)
@@ -382,19 +411,22 @@ func (m *machine) step(p *mpisim.Proc) bool {
 				break dispatch
 			case opCallInd:
 				is := &code.indirects[in.a]
-				fnv := f[in.d]
-				if fnv.Fn == "" {
+				if !f[in.d].isFn() {
 					panic(fmt.Sprintf("%s: %q does not hold a function reference", is.pos, is.varName))
 				}
-				child := l.indirect[in.a][fnv.Fn]
+				id := f[in.d].fnID()
+				var child *Link
+				if targets := l.indirect[in.a]; id < len(targets) {
+					child = targets[id]
+				}
 				if child == nil {
-					m.r.Prog.missingTarget(l, in.a, fnv.Fn)
+					m.r.Prog.missingTarget(l, in.a, code.fns[id])
 				}
 				if got, want := is.argc, int32(len(child.code.fn.Params)); got != want {
 					panic(fmt.Sprintf("vm: %s expects %d args, got %d", child.code.fn.Name, want, got))
 				}
 				if m.r.OnIndirect != nil {
-					m.r.OnIndirect(p.Rank, l.inst, is.node, fnv.Fn)
+					m.r.OnIndirect(p.Rank, l.inst, is.node, code.fns[id])
 				}
 				fr.pc = int32(pc)
 				m.enter(child, f[in.b:in.b+is.argc], in.c, &is.pos)
@@ -417,86 +449,86 @@ func (m *machine) step(p *mpisim.Proc) bool {
 //
 //scalana:hot
 func (m *machine) mpi(p *mpisim.Proc, code *Code, f []Value, in instr) bool {
-	pos := code.poss[in.pos]
+	pos := in.pos
 	o := mpiOp(in.d)
 	what := mpiArgWhats[o]
 	b := in.a
 	switch o {
 	case mpiSend:
-		a0 := int(num(f[b], pos, what))
-		a1 := int(num(f[b+1], pos, what))
-		a2 := num(f[b+2], pos, what)
+		a0 := int(num(f[b], code, pos, what))
+		a1 := int(num(f[b+1], code, pos, what))
+		a2 := num(f[b+2], code, pos, what)
 		p.Send(a0, a1, a2)
-		f[in.c] = Value{}
+		f[in.c] = 0
 	case mpiRecv:
-		a0 := int(num(f[b], pos, what))
-		a1 := int(num(f[b+1], pos, what))
-		a2 := num(f[b+2], pos, what)
-		f[in.c] = Value{}
+		a0 := int(num(f[b], code, pos, what))
+		a1 := int(num(f[b+1], code, pos, what))
+		a2 := num(f[b+2], code, pos, what)
+		f[in.c] = 0
 		return p.Recv(a0, a1, a2)
 	case mpiRecvAny:
-		a0 := int(num(f[b], pos, what))
-		a1 := num(f[b+1], pos, what)
+		a0 := int(num(f[b], code, pos, what))
+		a1 := num(f[b+1], code, pos, what)
 		src := p.RecvAny(a0, a1)
 		if src == mpisim.Parked {
 			m.anyReg = in.c + 1
 			return false
 		}
-		f[in.c] = Value{Num: float64(src)}
+		f[in.c] = Value(src)
 	case mpiIsend:
-		a0 := int(num(f[b], pos, what))
-		a1 := int(num(f[b+1], pos, what))
-		a2 := num(f[b+2], pos, what)
-		f[in.c] = Value{Num: float64(p.Isend(a0, a1, a2).ID())}
+		a0 := int(num(f[b], code, pos, what))
+		a1 := int(num(f[b+1], code, pos, what))
+		a2 := num(f[b+2], code, pos, what)
+		f[in.c] = Value(p.Isend(a0, a1, a2).ID())
 	case mpiIrecv:
-		a0 := int(num(f[b], pos, what))
-		a1 := int(num(f[b+1], pos, what))
-		a2 := num(f[b+2], pos, what)
-		f[in.c] = Value{Num: float64(p.Irecv(a0, a1, a2).ID())}
+		a0 := int(num(f[b], code, pos, what))
+		a1 := int(num(f[b+1], code, pos, what))
+		a2 := num(f[b+2], code, pos, what)
+		f[in.c] = Value(p.Irecv(a0, a1, a2).ID())
 	case mpiIrecvAny:
-		a0 := int(num(f[b], pos, what))
-		a1 := num(f[b+1], pos, what)
-		f[in.c] = Value{Num: float64(p.IrecvAny(a0, a1).ID())}
+		a0 := int(num(f[b], code, pos, what))
+		a1 := num(f[b+1], code, pos, what)
+		f[in.c] = Value(p.IrecvAny(a0, a1).ID())
 	case mpiWait:
-		a0 := int(num(f[b], pos, what))
-		f[in.c] = Value{}
+		a0 := int(num(f[b], code, pos, what))
+		f[in.c] = 0
 		return p.Wait(a0)
 	case mpiWaitall:
-		f[in.c] = Value{}
+		f[in.c] = 0
 		return p.Waitall()
 	case mpiSendrecv:
-		a0 := int(num(f[b], pos, what))
-		a1 := int(num(f[b+1], pos, what))
-		a2 := num(f[b+2], pos, what)
-		a3 := int(num(f[b+3], pos, what))
-		a4 := int(num(f[b+4], pos, what))
-		a5 := num(f[b+5], pos, what)
-		f[in.c] = Value{}
+		a0 := int(num(f[b], code, pos, what))
+		a1 := int(num(f[b+1], code, pos, what))
+		a2 := num(f[b+2], code, pos, what)
+		a3 := int(num(f[b+3], code, pos, what))
+		a4 := int(num(f[b+4], code, pos, what))
+		a5 := num(f[b+5], code, pos, what)
+		f[in.c] = 0
 		return p.Sendrecv(a0, a1, a2, a3, a4, a5)
 	case mpiBarrier:
-		f[in.c] = Value{}
+		f[in.c] = 0
 		return p.Barrier()
 	case mpiBcast:
-		a0 := int(num(f[b], pos, what))
-		a1 := num(f[b+1], pos, what)
-		f[in.c] = Value{}
+		a0 := int(num(f[b], code, pos, what))
+		a1 := num(f[b+1], code, pos, what)
+		f[in.c] = 0
 		return p.Bcast(a0, a1)
 	case mpiReduce:
-		a0 := int(num(f[b], pos, what))
-		a1 := num(f[b+1], pos, what)
-		f[in.c] = Value{}
+		a0 := int(num(f[b], code, pos, what))
+		a1 := num(f[b+1], code, pos, what)
+		f[in.c] = 0
 		return p.Reduce(a0, a1)
 	case mpiAllreduce:
-		a0 := num(f[b], pos, what)
-		f[in.c] = Value{}
+		a0 := num(f[b], code, pos, what)
+		f[in.c] = 0
 		return p.Allreduce(a0)
 	case mpiAlltoall:
-		a0 := num(f[b], pos, what)
-		f[in.c] = Value{}
+		a0 := num(f[b], code, pos, what)
+		f[in.c] = 0
 		return p.Alltoall(a0)
 	case mpiAllgather:
-		a0 := num(f[b], pos, what)
-		f[in.c] = Value{}
+		a0 := num(f[b], code, pos, what)
+		f[in.c] = 0
 		return p.Allgather(a0)
 	default:
 		panic(fmt.Sprintf("vm: unhandled MPI builtin %q", mpiNames[o]))
@@ -507,7 +539,7 @@ func (m *machine) mpi(p *mpisim.Proc, code *Code, f []Value, in instr) bool {
 // print mirrors interp's evalPrint output format; with a nil Stdout the
 // arguments were still evaluated by the preceding instructions.
 func (m *machine) print(p *mpisim.Proc, code *Code, f []Value, in instr) {
-	f[in.b] = Value{}
+	f[in.b] = 0
 	if m.r.Stdout == nil {
 		return
 	}
@@ -517,7 +549,7 @@ func (m *machine) print(p *mpisim.Proc, code *Code, f []Value, in instr) {
 		if part.isStr {
 			out += " " + part.str
 		} else {
-			out += " " + f[part.reg].String()
+			out += " " + f[part.reg].format(code.fns)
 		}
 	}
 	fmt.Fprintln(m.r.Stdout, out)

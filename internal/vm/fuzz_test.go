@@ -7,9 +7,18 @@ package vm_test
 // asserts the two executions produce identical per-rank event streams and
 // final virtual clocks. The interpreter is the oracle; any stream
 // divergence is a VM bug.
+//
+// The generator writes numbers only, so a third input splices value kinds
+// into the generated main (valueProbe): arrays, function references and
+// NaN arithmetic — what the VM's one-word register boxes and the oracle's
+// struct does not. Their effects reach the event streams as byte counts and
+// branches, and print(), which both engines must write byte for byte.
 
 import (
+	"bytes"
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"scalana/internal/machine"
@@ -73,9 +82,49 @@ func (r *recorder) MPIEvent(p *mpisim.Proc, ev *mpisim.Event) float64 {
 	return 0
 }
 
+// Value kinds a fuzz input's third byte selects; its upper five bits are n.
+const (
+	probeArrays = 1 << iota
+	probeFnRefs
+	probeNaNs
+)
+
+// valueProbe returns src with statements of the selected kinds at the top
+// of main and the functions they call appended.
+func valueProbe(src string, values uint8) string {
+	n := int(values >> 3)
+	var stmts strings.Builder
+	if values&probeArrays != 0 {
+		fmt.Fprintf(&stmts, "\tvar vpA = vpFill(alloc(%d), %d);\n\tvar vpB = vpA;\n\tvpB[0] = len(vpB);\n"+
+			"\tmpi_allreduce(8 + vpA[0] + vpA[%d]);\n\tprint(vpA, alloc(0), vpA[%d]);\n", n+1, n, n, n)
+	}
+	if values&probeFnRefs != 0 {
+		fmt.Fprintf(&stmts, "\tvar vpF = &vpTwice;\n\tif (mpi_rank() %% 2 == %d) { vpF = vpSame(&vpThrice); }\n"+
+			"\tmpi_allreduce(8 * vpF(%d));\n\tprint(vpF, vpSame(vpF));\n", n%2, n+1)
+	}
+	if values&probeNaNs != 0 {
+		fmt.Fprintf(&stmts, "\tvar vpX = vpSame(sqrt(0 - 1 - %d) * (%d - log(0 - 1)));\n"+
+			"\tif (vpX == vpX) { mpi_barrier(); } else { mpi_allreduce(16); }\n"+
+			"\tif (vpX + 1 != vpX && !(vpX < 0) && vpX) { mpi_allreduce(24); }\n\tprint(vpX, -vpX, 0 * exp(1000));\n", n, n)
+	}
+	if stmts.Len() == 0 {
+		return src
+	}
+	return strings.Replace(src, "func main() {\n", "func main() {\n"+stmts.String(), 1) + `
+func vpFill(a, n) {
+	for (var i = 0; i < len(a); i = i + 1) { a[i] = i * n; }
+	return a;
+}
+func vpSame(v) { return v; }
+func vpTwice(n) { return 2 * n; }
+func vpThrice(n) { return 3 * n; }
+`
+}
+
 // runRecorded executes the program once on a fresh world and returns the
-// per-rank event streams and final clocks.
-func runRecorded(prog *minilang.Program, graph *psg.Graph, np int, useInterp bool) ([][]recEvent, []float64, error) {
+// per-rank event streams, final clocks and print() output.
+func runRecorded(prog *minilang.Program, graph *psg.Graph, np int, useInterp bool) ([][]recEvent, []float64, []byte, error) {
+	var stdout bytes.Buffer
 	recs := make([]*recorder, np)
 	world := mpisim.NewWorld(mpisim.Config{
 		NP:   np,
@@ -88,31 +137,36 @@ func runRecorded(prog *minilang.Program, graph *psg.Graph, np int, useInterp boo
 	var res mpisim.RunResult
 	var err error
 	if useInterp {
-		res, err = world.RunBlocking(interp.NewRunner(prog, graph).Execute)
+		r := interp.NewRunner(prog, graph)
+		r.Stdout = &stdout
+		res, err = world.RunBlocking(r.Execute)
 	} else {
 		var vp *vm.Program
 		if vp, err = vm.Compile(prog, graph); err != nil {
-			return nil, nil, err
+			return nil, nil, nil, err
 		}
-		res, err = world.Run(vm.NewRunner(vp).Stepper(np))
+		r := vm.NewRunner(vp)
+		r.Stdout = &stdout
+		res, err = world.Run(r.Stepper(np))
 	}
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	streams := make([][]recEvent, np)
 	for r, rec := range recs {
 		streams[r] = rec.events
 	}
-	return streams, res.Clocks, nil
+	return streams, res.Clocks, stdout.Bytes(), nil
 }
 
 func FuzzVMvsInterp(f *testing.F) {
-	f.Add(int64(1), uint8(4))
-	f.Add(int64(2), uint8(6))
-	f.Add(int64(3), uint8(8))
-	f.Add(int64(42), uint8(5))
-	f.Add(int64(1234567), uint8(2))
-	f.Fuzz(func(t *testing.T, seed int64, npRaw uint8) {
+	f.Add(int64(1), uint8(4), uint8(0))
+	f.Add(int64(2), uint8(6), uint8(0))
+	f.Add(int64(3), uint8(8), uint8(0))
+	f.Add(int64(42), uint8(5), uint8(0))
+	f.Add(int64(1234567), uint8(2), uint8(0))
+	f.Add(int64(5), uint8(3), uint8(probeArrays|probeFnRefs|probeNaNs|9<<3))
+	f.Fuzz(func(t *testing.T, seed int64, npRaw, values uint8) {
 		corpus, err := synth.Generate(synth.GenConfig{Seed: seed, Cases: 1})
 		if err != nil {
 			t.Skip() // generator rejects the seed; nothing to compare
@@ -122,7 +176,7 @@ func FuzzVMvsInterp(f *testing.F) {
 		if np < app.MinNP {
 			np = app.MinNP
 		}
-		prog, err := app.Parse()
+		prog, err := minilang.Parse(app.File, valueProbe(app.Source, values))
 		if err != nil {
 			t.Fatalf("generated program does not parse: %v", err)
 		}
@@ -131,8 +185,8 @@ func FuzzVMvsInterp(f *testing.F) {
 			t.Fatalf("generated program does not build a PSG: %v", err)
 		}
 
-		vmStreams, vmClocks, vmErr := runRecorded(prog, graph, np, false)
-		inStreams, inClocks, inErr := runRecorded(prog, graph, np, true)
+		vmStreams, vmClocks, vmOut, vmErr := runRecorded(prog, graph, np, false)
+		inStreams, inClocks, inOut, inErr := runRecorded(prog, graph, np, true)
 		// Failed runs abort ranks at racy points, so streams are only
 		// comparable for successful runs; both engines must still agree
 		// on whether the run fails.
@@ -141,6 +195,12 @@ func FuzzVMvsInterp(f *testing.F) {
 		}
 		if vmErr != nil {
 			return
+		}
+		if values&(probeArrays|probeFnRefs|probeNaNs) != 0 && len(vmOut) == 0 {
+			t.Fatalf("the value probe (%#x) printed nothing", values)
+		}
+		if !bytes.Equal(vmOut, inOut) {
+			t.Fatalf("print() output diverges:\nvm:     %q\ninterp: %q", vmOut, inOut)
 		}
 		if !reflect.DeepEqual(vmClocks, inClocks) {
 			t.Fatalf("final clocks diverge:\nvm:     %v\ninterp: %v", vmClocks, inClocks)

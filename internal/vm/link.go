@@ -36,8 +36,9 @@ type Link struct {
 	ctx []*psg.Vertex
 	// calls holds the callee Link per direct call site.
 	calls []*Link
-	// indirect holds the pre-materialized targets per indirect site.
-	indirect []map[string]*Link
+	// indirect holds the pre-materialized targets per indirect site, by
+	// function id; a site without targets has no table.
+	indirect [][]*Link
 }
 
 // Compile lowers every function of prog to bytecode, cross-checks the
@@ -49,8 +50,14 @@ func Compile(prog *minilang.Program, graph *psg.Graph) (*Program, error) {
 		graph: graph,
 		codes: make(map[string]*Code, len(prog.Funcs)),
 	}
+	// A function's id — what a function reference holds and Link.indirect
+	// is indexed by — is its place in prog.Funcs.
+	fns := make([]string, len(prog.Funcs))
+	for id, fn := range prog.Funcs {
+		fns[id] = fn.Name
+	}
 	for _, fn := range prog.Funcs {
-		code, err := compileFunc(fn)
+		code, err := compileFunc(fn, fns)
 		if err != nil {
 			return nil, err
 		}
@@ -107,7 +114,7 @@ func (p *Program) link(inst *psg.Instance, links map[*psg.Instance]*Link) *Link 
 		code:     code,
 		ctx:      make([]*psg.Vertex, len(code.ctxNodes)),
 		calls:    make([]*Link, len(code.calls)),
-		indirect: make([]map[string]*Link, len(code.indirects)),
+		indirect: make([][]*Link, len(code.indirects)),
 	}
 	links[inst] = l
 	for i, id := range code.ctxNodes {
@@ -123,11 +130,12 @@ func (p *Program) link(inst *psg.Instance, links map[*psg.Instance]*Link) *Link 
 		if len(targets) == 0 {
 			continue
 		}
-		m := make(map[string]*Link, len(targets))
-		for name, ti := range targets {
-			m[name] = p.link(ti, links)
+		l.indirect[i] = make([]*Link, len(code.fns))
+		for id, name := range code.fns {
+			if ti := targets[name]; ti != nil {
+				l.indirect[i][id] = p.link(ti, links)
+			}
 		}
-		l.indirect[i] = m
 	}
 	return l
 }

@@ -142,6 +142,22 @@ func TestRunawayLoopIsARankError(t *testing.T) {
 	}
 }
 
+// TestHugeAllocIsARankError: before arrays were charged to a rank's budget
+// the first program killed the process ("fatal error: runtime: out of
+// memory", which no recover can catch) and the second grew until the host
+// did; each must come back as the rank's positioned error.
+func TestHugeAllocIsARankError(t *testing.T) {
+	for src, at := range map[string]string{
+		"func main() { var a = alloc(1000000000000); }\n":                  ":1:23: alloc of 1e+12",
+		"func main() {\n\twhile (1) {\n\t\tvar a = alloc(1000);\n\t}\n}\n": ":3:11: alloc of 1000",
+	} {
+		want := fmt.Sprintf("scalana: run big np=2: rank 0: %s elements exceeds what is left of the rank's array budget of %d", at, vm.MaxArrayElems)
+		if _, err := Run(RunConfig{App: &App{Name: "big", Source: src}, NP: 2, ToolName: "scalana"}); err == nil || err.Error() != want {
+			t.Errorf("Run = %v, want error %q", err, want)
+		}
+	}
+}
+
 // TestIndirectCallProfiledEndToEnd: an app using function pointers runs
 // under the ScalAna profiler; the PSG is refined at run time and the
 // callee's work is attributed to the materialized vertices.
