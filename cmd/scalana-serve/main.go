@@ -23,14 +23,22 @@
 // newest against the rolling baseline of its predecessors; the
 // -watch-* flags set the default thresholds (overridable per request
 // via query parameters).
+//
+// SIGINT or SIGTERM stops the listener at once and gives requests already
+// in flight shutdownGrace to finish; the process then exits 0.
 package main
 
 import (
+	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
 	"net/http"
 	"os"
+	"os/signal"
+	"syscall"
+	"time"
 
 	"scalana/internal/baseline"
 	"scalana/internal/fit"
@@ -39,6 +47,10 @@ import (
 
 	scalana "scalana"
 )
+
+// shutdownGrace is how long requests in flight at a termination signal
+// have to finish.
+const shutdownGrace = 30 * time.Second
 
 func main() {
 	addr := flag.String("addr", "localhost:8135", "listen address")
@@ -84,8 +96,33 @@ func main() {
 	if err != nil {
 		fatalf("%v", err)
 	}
+	// A slow header and an idle keep-alive connection hold nothing worth
+	// waiting for. There is no body or write timeout: an upload may be
+	// 256 MB, and a simulate-mode sweep answers when it is done.
+	server := &http.Server{
+		Addr:              *addr,
+		Handler:           srv.Handler(),
+		ReadHeaderTimeout: 10 * time.Second,
+		IdleTimeout:       2 * time.Minute,
+	}
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	served := make(chan error, 1)
+	go func() { served <- server.ListenAndServe() }()
 	logger.Printf("listening on %s (store: %s)", *addr, st.Root())
-	if err := http.ListenAndServe(*addr, srv.Handler()); err != nil {
+	select {
+	case err := <-served:
+		fatalf("%v", err)
+	case <-ctx.Done():
+	}
+	stop() // a second signal ends the process the default way
+	logger.Printf("shutting down: requests in flight have %s", shutdownGrace)
+	grace, cancel := context.WithTimeout(context.Background(), shutdownGrace)
+	defer cancel()
+	if err := server.Shutdown(grace); err != nil {
+		fatalf("shutdown: %v", err)
+	}
+	if err := <-served; !errors.Is(err, http.ErrServerClosed) {
 		fatalf("%v", err)
 	}
 }

@@ -40,7 +40,6 @@ import (
 
 	"scalana/internal/fit"
 	"scalana/internal/ppg"
-	"scalana/internal/prof"
 	"scalana/internal/psg"
 )
 
@@ -130,20 +129,14 @@ func Ingest(pg *ppg.Graph, hash string, elapsed float64, merge fit.MergeStrategy
 	return smp
 }
 
-// IngestBytes decodes profile-set wire bytes against the compiled graph,
-// assembles the PPG, and reduces it to a Sample. This is the one
-// ingestion path shared by the service and scalana-detect -watch, which
-// is what makes their reports byte-identical.
+// IngestBytes reduces profile-set wire bytes that no store key vouches
+// for to a Sample, through the reader every query shares (ppg.Decode).
 func IngestBytes(data []byte, g *psg.Graph, hash string, merge fit.MergeStrategy) (*Sample, error) {
-	ps, err := prof.DecodeProfileSet(data, g)
+	pg, set, err := ppg.Decode(data, g, 0)
 	if err != nil {
 		return nil, err
 	}
-	pg, err := ppg.Build(g, ps.Profiles)
-	if err != nil {
-		return nil, err
-	}
-	return Ingest(pg, hash, ps.Elapsed, merge), nil
+	return Ingest(pg, hash, set.Elapsed, merge), nil
 }
 
 // Run is one entry of a scale's history: a Sample plus its position in

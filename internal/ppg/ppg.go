@@ -11,11 +11,11 @@
 package ppg
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"scalana/internal/machine"
-	"scalana/internal/par"
 	"scalana/internal/prof"
 	"scalana/internal/psg"
 )
@@ -71,178 +71,266 @@ func keyOf(keys []string, vid psg.VID) string {
 	return keys[vid]
 }
 
-// rankPart is one rank's independently-computed contribution to the
-// graph, produced by the parallel phase of Build. Edges live in one
-// arena per rank (edgeVals) with per-bucket views sliced out of one
-// pointer arena — no per-edge or per-bucket allocation.
-type rankPart struct {
-	storage  int64
-	time     float64
-	edgeVals []DepEdge
-	froms    []EdgeFrom
-	buckets  [][]*DepEdge
-	err      error
+// MaxNP is the largest job scale Decode sizes a graph for and the largest
+// the service simulates: eight times the np=8192 CI smoke, at which the
+// np*NumVIDs*56 B columnar block of the largest bundled graph (zeusmp, 31
+// vertices) is 108 MB — a CI box holds it.
+const MaxNP = 1 << 16
+
+// NPError is a rank that belongs to a job of another size than the graph
+// is being assembled for.
+type NPError struct{ Rank, NP, Want int }
+
+func (e *NPError) Error() string {
+	return fmt.Sprintf("ppg: profile for rank %d has np=%d, want %d", e.Rank, e.NP, e.Want)
 }
 
-// Build assembles the PPG from the PSG and all rank profiles.
-//
-// Per-rank aggregation (storage sizing, rank time, dependence-edge
-// compression) runs on a CPU-bounded worker pool; every rank writes only
-// rank-owned state, and the cross-rank merge happens serially in rank
-// order, so the assembled graph is identical to a serial build. Edge
-// buckets are keyed by (vertex, rank) and therefore never shared between
-// ranks; their final order comes from the deterministic sort below.
-func Build(g *psg.Graph, profiles []*prof.RankProfile) (*Graph, error) {
-	if err := prof.CheckRanks(profiles); err != nil {
-		return nil, err
+// The edge and bucket arenas grow by whole chunks, never by moving (a
+// bucket holds *DepEdge), in size classes that double from minChunk to
+// their cap and stay there. The caps are small on purpose — DESIGN.md §7,
+// "why the arena's chunks are small".
+const (
+	minChunk     = 8
+	maxEdgeChunk = 64
+	maxPtrChunk  = 512
+)
+
+// carve returns n fresh slots from an arena's open chunk, opening the
+// next chunk when they do not fit.
+func carve[T any](open *[]T, n, most int) []T {
+	at := len(*open)
+	if at+n > cap(*open) {
+		*open, at = make([]T, 0, max(n, minChunk, min(most, 2*cap(*open)))), 0
 	}
-	np := len(profiles)
-	nv := g.NumVIDs()
-	for _, rp := range profiles {
-		// VIDs are dense per graph instance: a profile collected against a
-		// different graph would attribute every sample to the wrong vertex
-		// without this check (string keys were immune to that mixup).
-		if rp.Graph != nil && rp.Graph != g {
-			return nil, fmt.Errorf("ppg: profile for rank %d was collected against a different graph", rp.Rank)
-		}
-		if len(rp.Vertex) > nv {
-			return nil, fmt.Errorf("ppg: profile for rank %d indexes %d vertices, symbol table has %d", rp.Rank, len(rp.Vertex), nv)
-		}
+	*open = (*open)[:at+n]
+	return (*open)[at : at+n : at+n]
+}
+
+// Builder assembles a Graph one rank at a time: Add folds a rank straight
+// into the columnar block and the graph-wide edge arena and keeps nothing
+// of it, so the rank may be the wire reader's scratch (it is a
+// prof.RankSink). The block is sized once, at the first rank, and every
+// check Build's callers rely on is made as ranks arrive: each rank of the
+// job exactly once, all of one np, communication records in canonical
+// order, nothing indexed outside the symbol table.
+type Builder struct {
+	g  *psg.Graph
+	pg *Graph
+	// np is the job size: given (a stored set's key, a slice's length) or,
+	// when zero, the first rank's; above limit it is refused unallocated.
+	np, limit int
+	seen      []bool
+	ranks     int
+	// keys and order are the symbol table and one key-sorted VID order for
+	// the whole build.
+	keys  []string
+	order []psg.VID
+	// edges and ptrs are the open chunks of the two arenas; run and from
+	// are one rank's edges and their waiting vertices, reused.
+	edges []DepEdge
+	ptrs  []*DepEdge
+	run   []*DepEdge
+	from  []psg.VID
+}
+
+// NewBuilder starts a graph of np ranks over g, or — np zero — of as many
+// as the first rank added says, which limit bounds: the caller passes what
+// its input has paid for.
+func NewBuilder(g *psg.Graph, np, limit int) *Builder {
+	return &Builder{g: g, np: np, limit: limit}
+}
+
+// start sizes the graph: ONE block for the whole scale.
+func (b *Builder) start(np int) error {
+	if np < 1 || np > b.limit {
+		return fmt.Errorf("ppg: np=%d is outside 1..%d, the most ranks the input could hold (MaxNP at most)", np, b.limit)
 	}
-	pg := &Graph{
-		PSG:      g,
+	nv := b.g.NumVIDs()
+	b.np, b.seen = np, make([]bool, np)
+	b.pg = &Graph{
+		PSG:      b.g,
 		NP:       np,
-		Perf:     make([]prof.PerfData, nv*np), // ONE block for the whole scale
+		Perf:     make([]prof.PerfData, nv*np),
 		present:  make([]bool, nv),
 		RankTime: make([]float64, np),
 	}
-
-	// The symbol table's keys plus one key-sorted VID order for the
-	// whole build; the pre-VID build sorted key strings once per rank.
-	keys := g.Keys()
-	order := make([]psg.VID, nv)
-	for i := range order {
-		order[i] = psg.VID(i)
+	b.keys = b.g.Keys()
+	b.order = make([]psg.VID, nv)
+	for i := range b.order {
+		b.order[i] = psg.VID(i)
 	}
-	sort.Slice(order, func(a, b int) bool { return keys[order[a]] < keys[order[b]] })
+	slices.SortFunc(b.order, func(x, y psg.VID) int { return cmp.Compare(b.keys[x], b.keys[y]) })
+	return nil
+}
 
-	parts := make([]rankPart, len(profiles))
-	par.ForEach(len(profiles), 0, func(i int) {
-		rp := profiles[i]
-		part := rankPart{storage: rp.StorageBytes()}
-		// Floating-point sums must not depend on storage order, or
-		// "identical profiles in, identical graph out" breaks in the last
-		// ulp: reduce in the fixed key-sorted order.
-		for _, vid := range order {
-			if pd := rp.PerfAt(vid); pd != nil {
-				part.time += pd.Time
-			}
-		}
-		// Aggregate dependence edges per (vertex, peer rank, peer vertex),
-		// again in a fixed record order for the same reason: the canonical
-		// order rp.Comm is kept in, verified here rather than re-derived.
-		// Its sort key starts with exactly the aggregation fields — vertex,
-		// op, peer rank, peer vertex — so records of one aggregated edge
-		// form a contiguous run and records of one waiting vertex form a
-		// contiguous run of runs: aggregation is a linear scan into a
-		// per-rank arena, and each (vertex, rank) bucket is a subslice of
-		// one pointer arena.
-		if part.err = rp.CheckComm(keys); part.err != nil {
-			parts[i] = part
-			return
-		}
-		part.edgeVals = make([]DepEdge, 0, len(rp.Comm))
-		edgeFrom := make([]psg.VID, 0, len(rp.Comm)) // waiting vertex per arena slot
-		var last *prof.CommRecord
-		for j := range rp.Comm {
-			rec := &rp.Comm[j]
-			if rec.DepRank < 0 {
-				continue
-			}
-			n := len(part.edgeVals)
-			if last == nil || last.VID != rec.VID || last.Op != rec.Op ||
-				last.DepRank != rec.DepRank || last.DepVID != rec.DepVID {
-				part.edgeVals = append(part.edgeVals, DepEdge{
-					PeerRank: rec.DepRank, PeerVID: rec.DepVID, Op: rec.Op, Collective: rec.Collective,
-				})
-				edgeFrom = append(edgeFrom, rec.VID)
-				n++
-			}
-			last = rec
-			e := &part.edgeVals[n-1]
-			e.Count += rec.Count
-			e.Bytes += rec.Bytes * float64(rec.Count)
-			e.TotalWait += rec.TotalWait
-			if rec.MaxWait > e.MaxWait {
-				e.MaxWait = rec.MaxWait
-			}
-		}
-		ptrs := make([]*DepEdge, len(part.edgeVals))
-		for j := range part.edgeVals {
-			ptrs[j] = &part.edgeVals[j]
-		}
-		for start := 0; start < len(ptrs); {
-			end := start + 1
-			for end < len(ptrs) && edgeFrom[end] == edgeFrom[start] {
-				end++
-			}
-			part.froms = append(part.froms, EdgeFrom{VID: edgeFrom[start], Rank: rp.Rank})
-			part.buckets = append(part.buckets, ptrs[start:end:end])
-			start = end
-		}
-		parts[i] = part
-	})
-
-	// Serial merge in rank order: presence union, storage and time
-	// reductions, edge bucket splicing.
-	nBuckets := 0
-	for i := range parts {
-		if parts[i].err != nil {
-			return nil, fmt.Errorf("ppg: %w", parts[i].err)
-		}
-		nBuckets += len(parts[i].froms)
+// Reset forgets every rank added — the wire reader met a second
+// "profiles" field, which replaces the first — at the cost of what was
+// added, not of the block: the sizing stands.
+func (b *Builder) Reset() {
+	if b.ranks == 0 {
+		return
 	}
-	pg.Edges = make(map[EdgeFrom][]*DepEdge, nBuckets)
-	for i, rp := range profiles {
-		for vid := range rp.Vertex {
-			if !pg.present[vid] && rp.Vertex[vid].Active() {
-				pg.present[vid] = true
+	pg := b.pg
+	for r, seen := range b.seen {
+		if seen {
+			for vid := range pg.present {
+				pg.Perf[vid*pg.NP+r] = prof.PerfData{}
 			}
-		}
-		pg.Storage += parts[i].storage
-		pg.RankTime[rp.Rank] = parts[i].time
-		for j, from := range parts[i].froms {
-			pg.Edges[from] = parts[i].buckets[j]
+			b.seen[r], pg.RankTime[r] = false, 0
 		}
 	}
-	// Column filling touches disjoint rank slots of the one pre-allocated
-	// block, so it fans out too.
-	par.ForEach(len(profiles), 0, func(i int) {
-		rp := profiles[i]
-		for vid := range rp.Vertex {
-			pg.Perf[vid*np+rp.Rank] = rp.Vertex[vid]
-		}
-	})
+	clear(pg.present)
+	clear(pg.Edges)
+	pg.Storage, b.ranks = 0, 0
+}
 
+// Add folds one rank into the graph.
+func (b *Builder) Add(rp *prof.RankProfile) error {
+	if b.pg == nil {
+		if err := b.start(cmp.Or(b.np, rp.NP)); err != nil {
+			return err
+		}
+	}
+	pg, np := b.pg, b.np
+	switch {
+	case rp.NP != np:
+		return &NPError{Rank: rp.Rank, NP: rp.NP, Want: np}
+	case rp.Rank < 0 || rp.Rank >= np:
+		return fmt.Errorf("ppg: profile rank %d out of range", rp.Rank)
+	case b.seen[rp.Rank]:
+		return fmt.Errorf("ppg: duplicate profile for rank %d", rp.Rank)
+	// VIDs are dense per graph instance: a profile collected against a
+	// different graph would attribute every sample to the wrong vertex
+	// without this check (string keys were immune to that mixup).
+	case rp.Graph != nil && rp.Graph != b.g:
+		return fmt.Errorf("ppg: profile for rank %d was collected against a different graph", rp.Rank)
+	case len(rp.Vertex) > len(pg.present):
+		return fmt.Errorf("ppg: profile for rank %d indexes %d vertices, symbol table has %d", rp.Rank, len(rp.Vertex), len(pg.present))
+	}
+	// Aggregation below sums records in the canonical order rp.Comm is
+	// kept in — verified here rather than re-derived.
+	if err := rp.CheckComm(b.keys); err != nil {
+		return fmt.Errorf("ppg: %w", err)
+	}
+	b.seen[rp.Rank] = true
+	b.ranks++
+	pg.Storage += rp.StorageBytes()
+	// Floating-point sums must not depend on storage order, or "identical
+	// profiles in, identical graph out" breaks in the last ulp: reduce in
+	// the fixed key-sorted order.
+	var time float64
+	for _, vid := range b.order {
+		if pd := rp.PerfAt(vid); pd != nil {
+			time += pd.Time
+			pg.present[vid] = true
+			pg.Perf[int(vid)*np+rp.Rank] = *pd
+		}
+	}
+	pg.RankTime[rp.Rank] = time
+
+	// Aggregate dependence edges per (vertex, op, peer rank, peer vertex).
+	// The canonical order's sort key starts with exactly those fields, so
+	// the records of one edge form a contiguous run and the edges of one
+	// waiting vertex a contiguous run of runs: a linear scan into the arena.
+	b.run, b.from = slices.Grow(b.run[:0], len(rp.Comm)), slices.Grow(b.from[:0], len(rp.Comm))
+	var last *prof.CommRecord
+	var e *DepEdge
+	for j := range rp.Comm {
+		rec := &rp.Comm[j]
+		if rec.DepRank < 0 {
+			continue
+		}
+		if last == nil || last.VID != rec.VID || last.Op != rec.Op ||
+			last.DepRank != rec.DepRank || last.DepVID != rec.DepVID {
+			e = &carve(&b.edges, 1, maxEdgeChunk)[0]
+			*e = DepEdge{PeerRank: rec.DepRank, PeerVID: rec.DepVID, Op: rec.Op, Collective: rec.Collective}
+			b.run, b.from = append(b.run, e), append(b.from, rec.VID)
+		}
+		last = rec
+		e.Count += rec.Count
+		e.Bytes += rec.Bytes * float64(rec.Count)
+		e.TotalWait += rec.TotalWait
+		if rec.MaxWait > e.MaxWait {
+			e.MaxWait = rec.MaxWait
+		}
+	}
+	if pg.Edges == nil {
+		// Sized once, for as many buckets a rank as the first has edges: a
+		// rank has at most one bucket a vertex, so the map never has more
+		// entries than the block has cells, and growing it by rehashing was
+		// half of Build.
+		pg.Edges = make(map[EdgeFrom][]*DepEdge, np*min(len(b.run), len(pg.present)))
+	}
+	// A (vertex, rank) bucket belongs to one rank, so it is final here.
 	// Deterministic edge ordering: heaviest wait first, with a total
 	// tiebreak (on interned key strings, matching the pre-VID order) so
 	// equal-wait edges order identically on every build.
-	for from, edges := range pg.Edges {
-		sort.Slice(edges, func(i, j int) bool {
-			if edges[i].TotalWait != edges[j].TotalWait {
-				return edges[i].TotalWait > edges[j].TotalWait
-			}
-			if edges[i].PeerRank != edges[j].PeerRank {
-				return edges[i].PeerRank < edges[j].PeerRank
-			}
-			if ik, jk := keyOf(keys, edges[i].PeerVID), keyOf(keys, edges[j].PeerVID); ik != jk {
-				return ik < jk
-			}
-			return edges[i].Op < edges[j].Op
-		})
-		pg.Edges[from] = edges
+	for start := 0; start < len(b.run); {
+		end := start + 1
+		for end < len(b.run) && b.from[end] == b.from[start] {
+			end++
+		}
+		bucket := carve(&b.ptrs, end-start, maxPtrChunk)
+		if copy(bucket, b.run[start:end]) > 1 {
+			slices.SortFunc(bucket, b.heavierFirst)
+		}
+		pg.Edges[EdgeFrom{VID: b.from[start], Rank: rp.Rank}] = bucket
+		start = end
 	}
-	return pg, nil
+	return nil
+}
+
+func (b *Builder) heavierFirst(x, y *DepEdge) int {
+	return cmp.Or(
+		cmp.Compare(y.TotalWait, x.TotalWait),
+		cmp.Compare(x.PeerRank, y.PeerRank),
+		cmp.Compare(keyOf(b.keys, x.PeerVID), keyOf(b.keys, y.PeerVID)),
+		cmp.Compare(x.Op, y.Op))
+}
+
+// Finish returns the graph once every rank of the job has been added.
+func (b *Builder) Finish() (*Graph, error) {
+	switch {
+	case b.ranks == 0:
+		return nil, fmt.Errorf("ppg: no profiles")
+	case b.ranks != b.np:
+		return nil, fmt.Errorf("ppg: got %d profiles for np=%d", b.ranks, b.np)
+	}
+	return b.pg, nil
+}
+
+// Build assembles the PPG from the PSG and all rank profiles. It is a
+// serial loop: a rank's fold is a few microseconds of copying, less than
+// handing it to another CPU cost (DESIGN.md §7).
+func Build(g *psg.Graph, profiles []*prof.RankProfile) (*Graph, error) {
+	if n := len(profiles); n > 0 && profiles[0].NP != n {
+		return nil, fmt.Errorf("ppg: got %d profiles for np=%d", n, profiles[0].NP)
+	}
+	b := NewBuilder(g, len(profiles), len(profiles))
+	for _, rp := range profiles {
+		if err := b.Add(rp); err != nil {
+			return nil, err
+		}
+	}
+	return b.Finish()
+}
+
+// Decode reads profile-set wire bytes straight into a graph — the one
+// spelling of "decode, then build" behind every stored-set query, a
+// profiles directory, baseline ingestion and the upload check, so an
+// upload is validated by exactly what later reads it. np sizes the block
+// (a stored set's key; every rank must agree); zero takes the first
+// rank's. Either way it is refused before anything is allocated when it
+// exceeds MaxNP or what the bytes could hold: a rank object costs at
+// least 8. The returned set is the envelope (app, np, elapsed).
+func Decode(data []byte, g *psg.Graph, np int) (*Graph, prof.ProfileSet, error) {
+	b := NewBuilder(g, np, min(MaxNP, len(data)/8))
+	set, err := prof.ReadProfileSet(data, g, b)
+	if err != nil {
+		return nil, set, err
+	}
+	pg, err := b.Finish()
+	return pg, set, err
 }
 
 // NumVIDs returns the size of the symbol table this graph's columnar

@@ -35,7 +35,10 @@ func TestWriteFuzzSeedCorpus(t *testing.T) {
 		switch tc.name {
 		case "reordered fields", "unknown fields at every level", "case-folded names",
 			"duplicate vertex objects merge", "escaped unknown vertex key", "long PMU",
-			"repeated comm arrays merge in the oracle":
+			"repeated comm arrays merge in the oracle",
+			"repeated profiles arrays merge in the oracle", "null rank profile",
+			"second rank leaves out what the first gave", "ranks out of order", "duplicate rank",
+			"a rank whose np disagrees", "np larger than the bytes could hold":
 			seeds = append(seeds, awkwardInput(tc.input, k1, k2))
 		}
 	}

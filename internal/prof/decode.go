@@ -20,6 +20,11 @@ package prof
 // object): encoding/json decodes the second array's elements into the
 // first's, a reflection artefact no writer produces; here the second
 // array replaces the first.
+//
+// A rank leaves the reader as its object closes (RankSink). A consumer
+// that needs each rank once — ppg.Builder — is handed one scratch profile
+// the reader refills rank after rank (ReadProfileSet); DecodeProfileSet is
+// the same reader with a sink that keeps every rank, each a fresh profile.
 
 import (
 	"bytes"
@@ -67,18 +72,56 @@ type decoder struct {
 	// ops interns CommKey.Op once per set: a profile names a handful of
 	// MPI operations thousands of times.
 	ops map[string]string
+	// sink takes each rank as its object closes; nil drops them.
+	sink RankSink
+	// scratch, when set, is the one profile every rank is decoded into;
+	// nil makes each rank a fresh profile the sink may keep.
+	scratch *RankProfile
+}
+
+// RankSink receives a profile set's ranks in wire order.
+type RankSink interface {
+	// Reset forgets the ranks added so far: a "profiles" field is about
+	// to be read, and a repeated one replaces the first.
+	Reset()
+	// Add takes one rank. Under ReadProfileSet rp is the reader's scratch:
+	// the next rank overwrites it, so whatever outlives the call is copied.
+	Add(rp *RankProfile) error
+}
+
+// keptRanks is DecodeProfileSet's sink: the set keeps every rank.
+type keptRanks ProfileSet
+
+func (k *keptRanks) Reset() { k.Profiles = nil }
+
+func (k *keptRanks) Add(rp *RankProfile) error {
+	k.Profiles = append(k.Profiles, rp)
+	return nil
 }
 
 // DecodeProfileSet parses wire-format bytes written by Encode (by this
 // build or a pre-VID one — the wire format is unchanged) and re-interns
 // them against the compiled graph's symbol table.
 func DecodeProfileSet(data []byte, g *psg.Graph) (*ProfileSet, error) {
-	d := decoder{cursor: cursor{data: data}, g: g, ops: map[string]string{}}
 	ps := &ProfileSet{}
+	d := decoder{cursor: cursor{data: data}, g: g, ops: map[string]string{}, sink: (*keptRanks)(ps)}
 	if err := d.document(ps); err != nil {
 		return nil, err
 	}
 	return ps, nil
+}
+
+// ReadProfileSet is DecodeProfileSet for a consumer that needs each rank
+// once: the same reader — it accepts and refuses the same bytes with the
+// same messages — decoding every rank into one scratch profile it hands
+// to sink and then reuses, so a set costs one rank's memory however many
+// it holds. A nil sink validates the ranks and drops them. The returned
+// set is the envelope: its Profiles is nil.
+func ReadProfileSet(data []byte, g *psg.Graph, sink RankSink) (ProfileSet, error) {
+	d := decoder{cursor: cursor{data: data}, g: g, ops: map[string]string{}, sink: sink, scratch: NewRankProfile(g, 0, 0)}
+	var ps ProfileSet
+	err := d.document(&ps)
+	return ps, err
 }
 
 // LoadProfileSet reads a profile set file written by Save.
@@ -141,7 +184,7 @@ func (d *decoder) set(ps *ProfileSet) error {
 		case "elapsed":
 			err = d.readFloat(&ps.Elapsed)
 		case "profiles":
-			err = d.profiles(ps)
+			err = d.profiles()
 		default:
 			err = d.skip()
 		}
@@ -151,8 +194,10 @@ func (d *decoder) set(ps *ProfileSet) error {
 	}
 }
 
-func (d *decoder) profiles(ps *ProfileSet) error {
-	ps.Profiles = nil
+func (d *decoder) profiles() error {
+	if d.sink != nil {
+		d.sink.Reset()
+	}
 	if null, err := d.begin('['); null || err != nil {
 		return err
 	}
@@ -171,7 +216,11 @@ func (d *decoder) profiles(ps *ProfileSet) error {
 		if err != nil {
 			return err
 		}
-		ps.Profiles = append(ps.Profiles, rp)
+		if d.sink != nil {
+			if err := d.sink.Add(rp); err != nil {
+				return err
+			}
+		}
 	}
 }
 
@@ -190,9 +239,18 @@ func unknownVertex(key string) string {
 	return fmt.Sprintf("names vertex %q, which the compiled graph does not contain (profile/app mismatch?)", key)
 }
 
-// rank reads one rank object, the cursor just past its opening brace.
+// rank reads one rank object, the cursor just past its opening brace,
+// into the scratch profile — emptied first, so a field this rank leaves
+// out is not the previous rank's — or into a fresh one.
 func (d *decoder) rank() (*RankProfile, error) {
-	rp := NewRankProfile(d.g, 0, 0)
+	rp := d.scratch
+	if rp == nil {
+		rp = NewRankProfile(d.g, 0, 0)
+	} else {
+		rp.Rank, rp.NP, rp.Comm = 0, 0, rp.Comm[:0]
+		clear(rp.Vertex)
+		clear(rp.Indirect)
+	}
 	var faults rankFaults
 	for first := true; ; first = false {
 		key, ok, err := d.member(first)

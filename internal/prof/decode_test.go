@@ -2,13 +2,18 @@ package prof
 
 // Tests that hold the single-pass reader (decode.go) to decodeOracle, the
 // encoding/json decoder it replaced: accept/reject must agree, and
-// whatever both accept must re-encode to the same bytes. The cases that
-// need a simulated app live in decode_apps_test.go (package prof_test).
+// whatever both accept must re-encode to the same bytes. The same check
+// holds the reader's two sinks to each other — ReadProfileSet's reused
+// scratch rank against DecodeProfileSet's kept ones: same verdict, same
+// error text, same set. The cases that need a simulated app live in
+// decode_apps_test.go (package prof_test).
 
 import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"maps"
+	"slices"
 	"strings"
 	"testing"
 
@@ -61,11 +66,48 @@ func repeatsArrayField(data []byte) bool {
 	}
 }
 
+// copiedRanks is a streaming sink that keeps a copy of each scratch rank
+// as it stood during Add.
+type copiedRanks struct{ ProfileSet }
+
+func (c *copiedRanks) Reset() { c.Profiles = nil }
+
+func (c *copiedRanks) Add(rp *RankProfile) error {
+	cp := *rp
+	cp.Vertex, cp.Comm, cp.Indirect = slices.Clone(rp.Vertex), slices.Clone(rp.Comm), maps.Clone(rp.Indirect)
+	c.Profiles = append(c.Profiles, &cp)
+	return nil
+}
+
+// checkStreamed holds ReadProfileSet, whose ranks pass through one reused
+// scratch profile, to what DecodeProfileSet made of the same bytes.
+func checkStreamed(tb testing.TB, data []byte, g *psg.Graph, got *ProfileSet, gotErr error) {
+	tb.Helper()
+	var streamed copiedRanks
+	env, err := ReadProfileSet(data, g, &streamed)
+	if _, dropErr := ReadProfileSet(data, g, nil); fmt.Sprint(err) != fmt.Sprint(gotErr) || fmt.Sprint(dropErr) != fmt.Sprint(gotErr) {
+		tb.Fatalf("the two sinks disagree:\n kept ranks:     %v\n streamed ranks: %v\n dropped ranks:  %v\n input: %q", gotErr, err, dropErr, clip(data))
+	}
+	if gotErr != nil {
+		return
+	}
+	streamed.App, streamed.NP, streamed.Elapsed = env.App, env.NP, env.Elapsed
+	if env.Profiles != nil {
+		tb.Fatalf("ReadProfileSet returned %d profiles with the envelope", len(env.Profiles))
+	}
+	gotEnc, gotErr := got.Encode()
+	streamedEnc, err := streamed.Encode()
+	if fmt.Sprint(err) != fmt.Sprint(gotErr) || !bytes.Equal(gotEnc, streamedEnc) {
+		tb.Fatalf("the two sinks decode different sets (%v, %v)\n input: %q\n--- kept ---\n%s\n--- streamed ---\n%s", gotErr, err, clip(data), clip(gotEnc), clip(streamedEnc))
+	}
+}
+
 // checkAgainstOracle is the differential property. It returns the named
 // reason when data falls in a class where disagreement is accepted.
 func checkAgainstOracle(tb testing.TB, data []byte, g *psg.Graph) (skipped string) {
 	tb.Helper()
 	got, gotErr := DecodeProfileSet(data, g)
+	checkStreamed(tb, data, g, got, gotErr)
 	want, wantErr := decodeOracle(data, g)
 	if (gotErr == nil) != (wantErr == nil) {
 		if repeatsArrayField(data) {
@@ -272,6 +314,12 @@ var awkwardInputs = []struct {
 	{name: "indirect records under one key", input: `{"profiles":[{"indirect":[{"InstancePath":"m","Site":1,"Target":"f","Count":1},{"InstancePath":"m","Site":1,"Target":"f","Count":5}]}]}`},
 	{name: "indirect with escapes", input: `{"profiles":[{"indirect":[{"InstancePath":"m\u00e9\n","Target":"\ud83d\ude00"}]}]}`},
 
+	{name: "second rank leaves out what the first gave", input: `{"profiles":[{"rank":0,"np":2,"vertex":{%[1]s:{"Samples":3,"Time":1,"PMU":[1,2,3,4,5]}},"comm":[{"VertexKey":%[1]s,"Op":"mpi_send","DepRank":1,"Count":2}],"indirect":[{"InstancePath":"main","Site":1,"Target":"f","Count":1}]},{}]}`},
+	{name: "ranks out of order", input: `{"app":"x","np":3,"profiles":[{"rank":2,"np":3},{"rank":0,"np":3},{"rank":1,"np":3}]}`},
+	{name: "duplicate rank", input: `{"app":"x","np":2,"profiles":[{"rank":1,"np":2},{"rank":1,"np":2}]}`},
+	{name: "a rank whose np disagrees", input: `{"app":"x","np":2,"profiles":[{"rank":0,"np":2},{"rank":1,"np":4}]}`},
+	{name: "np larger than the bytes could hold", input: `{"app":"x","np":1000000000,"profiles":[{"rank":0,"np":1000000000}]}`},
+
 	{name: "repeated comm arrays merge in the oracle", input: `{"profiles":[{"comm":[{"VertexKey":%[1]s,"Op":"a","Count":1}],"comm":[{"VertexKey":%[1]s,"Count":2}]}]}`, gaveUp: "repeated array-valued field"},
 	{name: "repeated profiles arrays merge in the oracle", input: `{"profiles":[{"rank":1,"np":2}],"profiles":[{"np":3}]}`, gaveUp: "repeated array-valued field"},
 	{name: "repeated indirect arrays merge in the oracle", input: `{"profiles":[{"indirect":[{"Target":"f","Count":1}],"indirect":[{"Count":2}]}]}`, gaveUp: "repeated array-valued field"},
@@ -349,6 +397,50 @@ func TestRepeatedArrayFieldLastWins(t *testing.T) {
 	}
 	if rp := ps.Profiles[0]; len(rp.Comm) != 2 || len(rp.Indirect) != 1 {
 		t.Fatalf("comm %d indirect %d, want the second arrays' 2 and 1", len(rp.Comm), len(rp.Indirect))
+	}
+}
+
+// samePointer is a sink that records which profile each Add was handed.
+type samePointer struct {
+	copiedRanks
+	handed []*RankProfile
+}
+
+func (s *samePointer) Add(rp *RankProfile) error {
+	s.handed = append(s.handed, rp)
+	return s.copiedRanks.Add(rp)
+}
+
+// TestScratchRankIsReusedAndEmptied: ReadProfileSet decodes every rank
+// into one profile, so a field a rank leaves out must read as absent, not
+// as the previous rank's — and a kept rank must never be that profile.
+func TestScratchRankIsReusedAndEmptied(t *testing.T) {
+	g := fuzzGraph(t)
+	k1, _ := awkwardKeys(t, g)
+	full := fmt.Sprintf(`{"rank":0,"np":2,"vertex":{%[1]s:{"Samples":3,"Time":1,"PMU":[1,2,3,4,5]}},"comm":[{"VertexKey":%[1]s,"Op":"mpi_send","DepRank":1,"Count":2}],"indirect":[{"InstancePath":"main","Site":1,"Target":"f","Count":1}]}`, k1)
+	data := []byte(`{"profiles":[` + full + `,{"rank":1},` + full + `,{}]}`)
+	var sink samePointer
+	if _, err := ReadProfileSet(data, g, &sink); err != nil {
+		t.Fatal(err)
+	}
+	if len(sink.handed) != 4 || sink.handed[0] != sink.handed[1] || sink.handed[1] != sink.handed[3] {
+		t.Fatalf("Add was handed %p: want one scratch profile four times", sink.handed)
+	}
+	for i, rp := range sink.Profiles {
+		full := i%2 == 0
+		if got := [3]int{rp.NumVertexEntries(), len(rp.Comm), len(rp.Indirect)}; full != (got == [3]int{1, 1, 1}) || !full && got != [3]int{} {
+			t.Errorf("rank object %d decoded to %d vertex, %d comm, %d indirect records", i, got[0], got[1], got[2])
+		}
+		if want := [...]int{0, 1, 0, 0}[i]; !full && (rp.Rank != want || rp.NP != 0) {
+			t.Errorf("rank object %d reads rank %d np %d, want %d and 0", i, rp.Rank, rp.NP, want)
+		}
+	}
+	ps, err := DecodeProfileSet(data, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ps.Profiles[0] == ps.Profiles[1] {
+		t.Fatal("DecodeProfileSet kept one profile twice")
 	}
 }
 

@@ -124,7 +124,7 @@ type RankProfile struct {
 	// canonical wire order (commKeyLess), strictly ascending: no two
 	// records share a CommKey. Profiler.Profile and the decoder establish
 	// the order; a hand-built profile calls SortComm. The encoder and
-	// ppg.Build verify it with CheckComm instead of sorting again.
+	// ppg.Builder verify it with CheckComm instead of sorting again.
 	Comm []CommRecord
 	// Indirect holds runtime indirect-call resolutions (nil until the
 	// first one: most programs make no indirect call).
@@ -239,35 +239,6 @@ func (rp *RankProfile) CheckComm(keys []string) error {
 		if !commKeyLess(keys, &rp.Comm[i-1].CommKey, &rp.Comm[i].CommKey) {
 			return fmt.Errorf("prof: rank %d profile: communication records %d and %d are out of canonical order or share a key (a hand-built profile calls SortComm)", rp.Rank, i-1, i)
 		}
-	}
-	return nil
-}
-
-// CheckRanks reports whether profiles is one complete job: every rank of
-// the np its first profile names, each exactly once, all agreeing on np.
-// ppg.Build refuses anything else, so the upload path asks the same
-// question before a set is stored (the store is append-only: a set that
-// can never be assembled would fail every later query of its scale).
-func CheckRanks(profiles []*RankProfile) error {
-	if len(profiles) == 0 {
-		return fmt.Errorf("ppg: no profiles")
-	}
-	np := profiles[0].NP
-	if len(profiles) != np {
-		return fmt.Errorf("ppg: got %d profiles for np=%d", len(profiles), np)
-	}
-	seen := make([]bool, np)
-	for _, rp := range profiles {
-		if rp.NP != np {
-			return fmt.Errorf("ppg: profile for rank %d has np=%d, want %d", rp.Rank, rp.NP, np)
-		}
-		if rp.Rank < 0 || rp.Rank >= np {
-			return fmt.Errorf("ppg: profile rank %d out of range", rp.Rank)
-		}
-		if seen[rp.Rank] {
-			return fmt.Errorf("ppg: duplicate profile for rank %d", rp.Rank)
-		}
-		seen[rp.Rank] = true
 	}
 	return nil
 }

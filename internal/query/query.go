@@ -177,27 +177,38 @@ func entriesKey(entries []store.Entry) string {
 	return strings.Join(parts, ",")
 }
 
-// eachSet decodes the selected stored sets, in order, against the app's
-// compiled graph.
-func (e *Env) eachSet(app *scalana.App, entries []store.Entry, fn func(store.Entry, *psg.Graph, *prof.ProfileSet) error) error {
+// stored reads one stored set the way every query does — the bytes its
+// key names through the one reader, the graph sized by the key's scale —
+// or, with build unset, validates the same bytes for the envelope alone. A
+// set whose ranks or envelope name another scale than its key was not
+// filed there by Put.
+func (e *Env) stored(app *scalana.App, ent store.Entry, build bool) (pg *ppg.Graph, set prof.ProfileSet, err error) {
 	_, graph, err := e.Engine.Compile(app, psg.Options{})
 	if err != nil {
-		return err
+		return nil, set, err
 	}
-	for _, ent := range entries {
-		data, err := e.Store.Get(ent.Key)
-		if err != nil {
-			return err
-		}
-		ps, err := prof.DecodeProfileSet(data, graph)
-		if err != nil {
-			return errorf(http.StatusConflict, "stored set %s no longer decodes against %s: %v", ent.Key, app.Name, err)
-		}
-		if err := fn(ent, graph, ps); err != nil {
-			return err
-		}
+	data, err := e.Store.Get(ent.Key)
+	if err != nil {
+		return nil, set, err
 	}
-	return nil
+	if build {
+		pg, set, err = ppg.Decode(data, graph, ent.NP)
+	} else {
+		set, err = prof.ReadProfileSet(data, graph, nil)
+	}
+	corrupt := func(np int) error {
+		return fmt.Errorf("stored set %s decodes to np=%d: %w", ent.Key, np, store.ErrCorrupt)
+	}
+	var misfiled *ppg.NPError
+	switch {
+	case errors.As(err, &misfiled):
+		return nil, set, corrupt(misfiled.NP)
+	case err != nil:
+		return nil, set, errorf(http.StatusConflict, "stored set %s no longer decodes against %s: %v", ent.Key, app.Name, err)
+	case set.NP != ent.NP:
+		return nil, set, corrupt(set.NP)
+	}
+	return pg, set, nil
 }
 
 // Detect is a scaling-loss detection query. Its source is the simulator
@@ -257,16 +268,15 @@ func (e *Env) Detect(q Detect) (Plan[*detect.Report], error) {
 		}
 		src = "stored|" + entriesKey(entries)
 		load = func() ([]detect.ScaleRun, error) {
-			runs := make([]detect.ScaleRun, 0, len(entries))
-			err := e.eachSet(app, entries, func(ent store.Entry, graph *psg.Graph, ps *prof.ProfileSet) error {
-				pg, err := ppg.Build(graph, ps.Profiles)
+			runs := make([]detect.ScaleRun, len(entries))
+			for i, ent := range entries {
+				pg, _, err := e.stored(app, ent, true)
 				if err != nil {
-					return fmt.Errorf("assemble PPG from %s: %w", ent.Key, err)
+					return nil, err
 				}
-				runs = append(runs, detect.ScaleRun{NP: ent.NP, PPG: pg})
-				return nil
-			})
-			return runs, err
+				runs[i] = detect.ScaleRun{NP: ent.NP, PPG: pg}
+			}
+			return runs, nil
 		}
 	}
 	c := q.Config
@@ -294,13 +304,13 @@ func (e *Env) loadDir(app *scalana.App, dir string, nps []int) ([]detect.ScaleRu
 	runs := make([]detect.ScaleRun, 0, len(nps))
 	for _, np := range nps {
 		path := filepath.Join(dir, fmt.Sprintf("%s.%d.json", app.Name, np))
-		ps, err := prof.LoadProfileSet(path, graph)
+		var pg *ppg.Graph
+		data, err := os.ReadFile(path)
+		if err == nil {
+			pg, _, err = ppg.Decode(data, graph, 0)
+		}
 		if err != nil {
 			return nil, fmt.Errorf("load %s: %w", path, err)
-		}
-		pg, err := ppg.Build(graph, ps.Profiles)
-		if err != nil {
-			return nil, fmt.Errorf("assemble PPG from %s: %w", path, err)
 		}
 		runs = append(runs, detect.ScaleRun{NP: np, PPG: pg})
 	}
@@ -353,14 +363,15 @@ func (e *Env) Sweep(q Sweep) (Plan[*SweepReport], error) {
 	return Plan[*SweepReport]{Key: key, Run: func() (*SweepReport, []byte, error) {
 		rep := &SweepReport{App: q.App.Name}
 		var nps, elapsed []float64
-		err := e.eachSet(q.App, entries, func(ent store.Entry, _ *psg.Graph, ps *prof.ProfileSet) error {
-			rep.Runs = append(rep.Runs, SweepRun{NP: ent.NP, Hash: ent.Hash, Elapsed: detect.WireFloat(ps.Elapsed)})
+		for _, ent := range entries {
+			// Only the envelope's elapsed is read: no rank is kept or built.
+			_, set, err := e.stored(q.App, ent, false)
+			if err != nil {
+				return nil, nil, err
+			}
+			rep.Runs = append(rep.Runs, SweepRun{NP: ent.NP, Hash: ent.Hash, Elapsed: detect.WireFloat(set.Elapsed)})
 			nps = append(nps, float64(ent.NP))
-			elapsed = append(elapsed, ps.Elapsed)
-			return nil
-		})
-		if err != nil {
-			return nil, nil, err
+			elapsed = append(elapsed, set.Elapsed)
 		}
 		for i := range rep.Runs {
 			r := &rep.Runs[i]

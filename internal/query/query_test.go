@@ -369,3 +369,117 @@ func BenchmarkHistories(b *testing.B) {
 		}
 	}
 }
+
+// misfiled returns the fixture environment with the stored np=4 set also
+// copied, byte for byte, into cg/16/ — where its content hash still
+// verifies — and the entry the store lists it under.
+func misfiled(t *testing.T) (Env, store.Entry) {
+	t.Helper()
+	e := fixtureEnv(t, false)
+	four, err := e.Store.Only("cg", 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := e.Store.Get(four.Key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join(e.Store.Root(), "cg", "16")
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, four.Hash+".json"), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ent, err := e.Store.Only("cg", 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e, ent
+}
+
+// TestMisfiledSetIsCorruptToEveryReader: a 4-rank run filed under np=16
+// used to be fitted by detect as if it were a 16-rank run (200, with a
+// cause) and listed by sweep at np=16, while watch alone called it
+// corrupt. Every stored-source reader now says the same thing.
+func TestMisfiledSetIsCorruptToEveryReader(t *testing.T) {
+	e, ent := misfiled(t)
+	cg := scalana.GetApp("cg")
+	want := fmt.Sprintf("stored set cg/16/%s decodes to np=4: store corrupt", ent.Hash)
+	readers := map[string]func() error{
+		"detect": func() error {
+			plan, err := e.Detect(Detect{App: cg, Scales: []int{8, 16}, Config: detect.DefaultConfig()})
+			if err == nil {
+				_, err = plan.Bytes()
+			}
+			return err
+		},
+		"sweep": func() error {
+			plan, err := e.Sweep(Sweep{App: cg, Scales: []int{8, 16}})
+			if err == nil {
+				_, err = plan.Bytes()
+			}
+			return err
+		},
+		"ingest": func() error {
+			_, err := e.Ingest(cg, ent)
+			return err
+		},
+		"watch": func() error {
+			plan, err := e.Watch(Watch{App: cg, NP: 16, Params: baseline.DefaultParams()})
+			if err == nil {
+				_, err = plan.Bytes()
+			}
+			return err
+		},
+	}
+	for name, read := range readers {
+		if err := read(); !errors.Is(err, store.ErrCorrupt) || err.Error() != want {
+			t.Errorf("%s of a misfiled set: %v, want %s", name, err, want)
+		}
+	}
+	// The scales filed where they belong still answer.
+	if _, data := detectBytes(t, e, Detect{Scales: []int{4, 8}}); len(data) == 0 {
+		t.Error("detect over the sound scales answered nothing")
+	}
+}
+
+// TestStoredReadsAllocateNoRank gates what a stored detect and a stored
+// sweep allocate over the cg fixtures (12 ranks): a detect its two graphs
+// and the report, a sweep the store listing and its answer — neither a
+// profile a rank. 193 and 113 objects when written, each gated with a
+// quarter of headroom; materialising every rank first cost 410 and 177.
+func TestStoredReadsAllocateNoRank(t *testing.T) {
+	e := fixtureEnv(t, false)
+	cg := scalana.GetApp("cg")
+	for _, tc := range []struct {
+		name    string
+		ceiling float64
+		run     func() ([]byte, error)
+	}{
+		{"detect", 193 + 193/4, func() ([]byte, error) {
+			plan, err := e.Detect(Detect{App: cg, Scales: []int{4, 8}, Config: detect.DefaultConfig()})
+			if err != nil {
+				return nil, err
+			}
+			return plan.Bytes()
+		}},
+		{"sweep", 113 + 113/4, func() ([]byte, error) {
+			plan, err := e.Sweep(Sweep{App: cg, Scales: []int{4, 8}})
+			if err != nil {
+				return nil, err
+			}
+			return plan.Bytes()
+		}},
+	} {
+		allocs := testing.AllocsPerRun(10, func() {
+			if _, err := tc.run(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("stored %s over the cg fixtures: %.0f objects", tc.name, allocs)
+		if allocs > tc.ceiling {
+			t.Errorf("stored %s over the cg fixtures allocates %.0f objects; want at most %.0f", tc.name, allocs, tc.ceiling)
+		}
+	}
+}

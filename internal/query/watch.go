@@ -27,22 +27,11 @@ type Watch struct {
 
 // Ingest reduces one stored set to its baseline sample, uncached.
 func (e *Env) Ingest(app *scalana.App, ent store.Entry) (*baseline.Sample, error) {
-	_, graph, err := e.Engine.Compile(app, psg.Options{})
+	pg, set, err := e.stored(app, ent, true)
 	if err != nil {
 		return nil, err
 	}
-	data, err := e.Store.Get(ent.Key)
-	if err != nil {
-		return nil, err
-	}
-	smp, err := baseline.IngestBytes(data, graph, ent.Hash, e.Merge)
-	if err != nil {
-		return nil, errorf(http.StatusConflict, "stored set %s no longer decodes against %s: %v", ent.Key, app.Name, err)
-	}
-	if smp.NP != ent.NP {
-		return nil, fmt.Errorf("stored set %s decodes to np=%d: %w", ent.Key, smp.NP, store.ErrCorrupt)
-	}
-	return smp, nil
+	return baseline.Ingest(pg, ent.Hash, set.Elapsed, e.Merge), nil
 }
 
 // Watch plans a watch query.

@@ -49,6 +49,7 @@ import (
 	"scalana/internal/baseline"
 	"scalana/internal/detect"
 	"scalana/internal/fit"
+	"scalana/internal/ppg"
 	"scalana/internal/prof"
 	"scalana/internal/psg"
 	"scalana/internal/query"
@@ -293,6 +294,18 @@ func fail(w http.ResponseWriter, err error) {
 	}
 }
 
+// overMaxNP answers 400 for a scale above ppg.MaxNP: the service neither
+// simulates nor sizes a graph for more ranks than that, whoever asks.
+func overMaxNP(w http.ResponseWriter, nps ...int) bool {
+	for _, np := range nps {
+		if np > ppg.MaxNP {
+			writeErr(w, http.StatusBadRequest, "np %d exceeds the service limit of %d ranks", np, ppg.MaxNP)
+			return true
+		}
+	}
+	return false
+}
+
 // acquire takes one simulation-gate slot.
 func (s *Server) acquire() func() {
 	s.gate <- struct{}{}
@@ -494,25 +507,21 @@ func (s *Server) handleUploadProfiles(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "profile set has invalid np %d", np)
 		return
 	}
+	if overMaxNP(w, np) {
+		return
+	}
 	_, graph, err := s.env.Engine.Compile(app, psg.Options{})
 	if err != nil {
 		writeErr(w, http.StatusInternalServerError, "compile %s: %v", appName, err)
 		return
 	}
-	// Full validating decode against the app's symbol table, then the
-	// rank checks ppg.Build makes: uploads that would fail at detect time
-	// fail here instead, and only sets every later query can assemble are
-	// ever stored — history is append-only, so one that cannot would fail
-	// its scale's watch forever. PeekEnvelope is the decoder's own
-	// top-level loop, so ps.App and ps.NP are the values routed on above.
-	ps, err := prof.DecodeProfileSet(body, graph)
-	if err == nil {
-		err = prof.CheckRanks(ps.Profiles)
-	}
-	if err == nil && len(ps.Profiles) != np {
-		err = fmt.Errorf("envelope np %d disagrees with its %d rank profiles", np, len(ps.Profiles))
-	}
-	if err != nil {
+	// Validate by running exactly what every later query of this set will
+	// run — the one reader, the graph sized by the scale the set is filed
+	// under — so only sets that assemble are ever stored: history is
+	// append-only, and one that cannot would fail its scale's watch
+	// forever. PeekEnvelope is the reader's own top-level loop, so the app
+	// and np routed on above are the ones it sees.
+	if _, _, err := ppg.Decode(body, graph, np); err != nil {
 		writeErr(w, http.StatusBadRequest, "invalid profile set for %s: %v", appName, err)
 		return
 	}
@@ -527,7 +536,7 @@ func (s *Server) handleUploadProfiles(w http.ResponseWriter, r *http.Request) {
 		Size  int64 `json:"size"`
 		Ranks int   `json:"ranks"`
 	}
-	writeJSON(w, http.StatusCreated, resultJSON{Key: key, Size: int64(len(body)), Ranks: len(ps.Profiles)})
+	writeJSON(w, http.StatusCreated, resultJSON{Key: key, Size: int64(len(body)), Ranks: np})
 }
 
 func (s *Server) handleListProfiles(w http.ResponseWriter, r *http.Request) {
@@ -614,7 +623,7 @@ func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	app := s.app(w, req.App)
-	if app == nil {
+	if app == nil || overMaxNP(w, req.Scales...) {
 		return
 	}
 	q := query.Detect{
@@ -655,6 +664,9 @@ func (s *Server) handleComm(w http.ResponseWriter, r *http.Request) {
 	var err error
 	if q.NP, err = strconv.Atoi(v.Get("np")); err != nil || q.NP < 1 {
 		writeErr(w, http.StatusBadRequest, "bad np %q", v.Get("np"))
+		return
+	}
+	if overMaxNP(w, q.NP) {
 		return
 	}
 	if sv := v.Get("seed"); sv != "" {

@@ -636,3 +636,63 @@ func TestHealthAndStats(t *testing.T) {
 		t.Fatal("apps listing failed")
 	}
 }
+
+// TestNPAboveTheCapIsABadRequest: a 60-byte request used to ask the
+// simulator for a billion ranks. The three routes that take an np from the
+// client answer 400 naming ppg.MaxNP, and the next request is served.
+func TestNPAboveTheCapIsABadRequest(t *testing.T) {
+	_, ts := newTestServer(t)
+	want := []byte(fmt.Sprintf("exceeds the service limit of %d ranks", ppg.MaxNP))
+	detectReq, _ := json.Marshal(detectRequest{App: "cg", Simulate: true, Scales: []int{4, 1000000000}})
+	envelope := []byte(fmt.Sprintf(`{"app":"cg","np":%d,"elapsed":1,"profiles":[{"rank":0,"np":%d}]}`, ppg.MaxNP+1, ppg.MaxNP+1))
+	for name, do := range map[string]func() (int, []byte){
+		"simulated detect": func() (int, []byte) { return post(t, ts.URL+"/v1/detect", "application/json", detectReq) },
+		"comm":             func() (int, []byte) { return get(t, ts.URL+"/v1/comm?app=cg&np=1000000000") },
+		"upload":           func() (int, []byte) { return post(t, ts.URL+"/v1/profiles", "application/json", envelope) },
+	} {
+		if code, body := do(); code != http.StatusBadRequest || !bytes.Contains(body, want) {
+			t.Errorf("%s above the cap: %d %s, want 400 naming the limit", name, code, body)
+		}
+	}
+	// At the cap an upload is refused for what it is — a set too short to
+	// hold that many ranks — before anything is sized for it.
+	atCap := []byte(fmt.Sprintf(`{"app":"cg","np":%d,"elapsed":1,"profiles":[{"rank":0,"np":%d}]}`, ppg.MaxNP, ppg.MaxNP))
+	if code, body := post(t, ts.URL+"/v1/profiles", "application/json", atCap); code != http.StatusBadRequest || !bytes.Contains(body, []byte("the most ranks the input could hold")) {
+		t.Errorf("upload at the cap with one rank: %d %s", code, body)
+	}
+	if code, body := get(t, ts.URL+"/v1/comm?app=cg&np=4"); code != http.StatusOK {
+		t.Errorf("next request after the refused ones: %d %s", code, body)
+	}
+}
+
+// TestMisfiledSetIsA500OnEveryRoute: the np=4 set copied into cg/16/ (its
+// content hash still verifies) used to make POST /v1/detect fit a 4-rank
+// run as if it had 16 and answer 200 with a cause. Detect, sweep and watch
+// now give the same answer: the store is corrupt.
+func TestMisfiledSetIsA500OnEveryRoute(t *testing.T) {
+	srv, ts := newTestServer(t)
+	sets := encodeSets(t, srv.env.Engine, scalana.GetApp("cg"), []int{4, 8}, 1000)
+	for _, np := range []int{4, 8} {
+		if code, body := post(t, ts.URL+"/v1/profiles", "application/json", sets[np]); code != http.StatusCreated {
+			t.Fatalf("upload np=%d: %d %s", np, code, body)
+		}
+	}
+	dir := filepath.Join(srv.env.Store.Root(), "cg", "16")
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, store.HashOf(sets[4])+".json"), sets[4], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	want := []byte("decodes to np=4: store corrupt")
+	req, _ := json.Marshal(detectRequest{App: "cg", Scales: []int{8, 16}})
+	for name, do := range map[string]func() (int, []byte){
+		"detect": func() (int, []byte) { return post(t, ts.URL+"/v1/detect", "application/json", req) },
+		"sweep":  func() (int, []byte) { return get(t, ts.URL+"/v1/sweep?app=cg&scales=8,16") },
+		"watch":  func() (int, []byte) { return get(t, ts.URL+"/v1/watch?app=cg&np=16") },
+	} {
+		if code, body := do(); code != http.StatusInternalServerError || !bytes.Contains(body, want) {
+			t.Errorf("%s over a misfiled set: %d %s, want 500 %s", name, code, body, want)
+		}
+	}
+}

@@ -9,6 +9,9 @@
 # served report identical to the one-shot CLI. Then uploads a second
 # run at np=8 and checks GET /v1/watch against scalana-detect -watch
 # over the same store — the streaming-regression byte-parity contract.
+# Last, sends SIGTERM while a simulate-mode detect is in flight: new
+# connections must be refused, the response must still arrive, and the
+# server must exit 0.
 #
 # Usage: scripts/serve-smoke.sh [port]
 set -euo pipefail
@@ -82,6 +85,39 @@ diff "$work/watch-served.json" "$work/watch-cli.json"
 curl -fs "http://$addr/v1/watch?app=cg&np=8&min-runs=1" > "$work/watch-again.json"
 cmp "$work/watch-served.json" "$work/watch-again.json"
 
-kill "$server_pid"
-wait "$server_pid" 2>/dev/null || true
-echo "serve-smoke: OK (served detect and watch reports byte-identical to offline scalana-detect)"
+# --- graceful shutdown: SIGTERM with a request in flight (a simulated
+# zeusmp sweep, about half a second of work). /v1/stats counts a detect
+# computation as it starts, so the signal goes out the moment the request
+# is known to be computing.
+computes() { curl -fs "http://$addr/v1/stats" | sed -n 's/.*"detect_computes": \([0-9]*\).*/\1/p'; }
+before=$(computes)
+curl -s -o "$work/inflight.json" -w '%{http_code}' -X POST \
+  -d '{"app":"zeusmp","simulate":true,"scales":[1024,2048,4096]}' \
+  "http://$addr/v1/detect" > "$work/inflight.code" &
+curl_pid=$!
+for _ in $(seq 200); do
+  if [ "$(computes)" -gt "$before" ]; then break; fi
+  sleep 0.01
+done
+kill -TERM "$server_pid"
+sleep 0.05
+if ! kill -0 "$curl_pid" 2>/dev/null; then
+  echo "the request finished before SIGTERM reached the server: nothing was in flight" >&2
+  exit 1
+fi
+if curl -fs "http://$addr/healthz" >/dev/null 2>&1; then
+  echo "server accepted a new connection after SIGTERM" >&2
+  exit 1
+fi
+wait "$curl_pid"
+if [ "$(cat "$work/inflight.code")" != 200 ] || ! grep -q '"np": 4096' "$work/inflight.json"; then
+  echo "in-flight detect was cut by SIGTERM: status $(cat "$work/inflight.code")" >&2
+  exit 1
+fi
+server_rc=0
+wait "$server_pid" || server_rc=$?
+if [ "$server_rc" -ne 0 ]; then
+  echo "scalana-serve exited $server_rc after SIGTERM, want 0" >&2
+  exit 1
+fi
+echo "serve-smoke: OK (served detect and watch reports byte-identical to offline scalana-detect; SIGTERM drained the request in flight)"
