@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"scalana/internal/scales"
 	"scalana/internal/store"
 )
 
@@ -108,5 +109,18 @@ func TestWatchRejectsWhatTheServiceRejects(t *testing.T) {
 	}
 	if code, _, stderr := detectCmd(t, "-app", "cg", "-store", dir, "-watch"); code != 0 {
 		t.Errorf("valid -watch: exit %d: %s", code, stderr)
+	}
+}
+
+// TestScaleCountIsCapped: -scales naming more than scales.MaxScales
+// scales exits 1 before simulating any of them.
+func TestScaleCountIsCapped(t *testing.T) {
+	list := make([]string, scales.MaxScales+1)
+	for i := range list {
+		list[i] = fmt.Sprint(4 + i)
+	}
+	code, _, stderr := detectCmd(t, "-app", "cg", "-scales", strings.Join(list, ","))
+	if want := fmt.Sprintf("at most %d", scales.MaxScales); code != 1 || !strings.Contains(stderr, want) {
+		t.Errorf("-scales with %d entries: exit %d (%s), want 1 with %q", len(list), code, stderr, want)
 	}
 }

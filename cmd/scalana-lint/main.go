@@ -4,49 +4,24 @@
 // virtual-time-only simulator core (walltime), seeded randomness
 // (seededrand), and the //scalana:hot allocation contract (hotpath).
 //
-// Standalone:
-//
 //	scalana-lint ./...              # lint the whole module
 //	scalana-lint -list              # describe the analyzers
 //	scalana-lint -json ./internal/prof
-//
-// As a go vet tool (the unitchecker protocol: go vet hands the tool one
-// *.cfg file per package and caches on the -V=full output):
-//
-//	go build -o bin/scalana-lint ./cmd/scalana-lint
-//	go vet -vettool=$(pwd)/bin/scalana-lint ./...
 //
 // Exit status is 0 when the tree is clean, 1 on usage or load errors,
 // and 2 when diagnostics were reported (matching go vet's convention).
 package main
 
 import (
-	"crypto/sha256"
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"os"
-	"strings"
 
 	"scalana/internal/analysis"
 )
 
 func main() {
-	// The unitchecker protocol probes the tool before handing it work:
-	// `tool -V=full` must print a stable version line (the vet cache
-	// key), and `tool -flags` must print the tool's flag schema.
-	for _, arg := range os.Args[1:] {
-		switch arg {
-		case "-V=full", "--V=full":
-			printVersion()
-			return
-		case "-flags", "--flags":
-			fmt.Println("[]")
-			return
-		}
-	}
-
 	jsonOut := flag.Bool("json", false, "emit diagnostics as JSON")
 	list := flag.Bool("list", false, "list the analyzers and exit")
 	flag.Usage = func() {
@@ -66,12 +41,6 @@ func main() {
 	if len(args) == 0 {
 		flag.Usage()
 		os.Exit(1)
-	}
-
-	// go vet invokes the tool with exactly one argument: the package
-	// config file it wrote into the build cache.
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		os.Exit(runVetUnit(args[0]))
 	}
 
 	cwd, err := os.Getwd()
@@ -109,111 +78,6 @@ func main() {
 	if len(diags) > 0 {
 		os.Exit(2)
 	}
-}
-
-// printVersion mimics x/tools' unitchecker -V=full output: the binary's
-// own content hash keys go vet's result cache, so rebuilding the tool
-// invalidates stale vet verdicts.
-func printVersion() {
-	name := "scalana-lint"
-	h := sha256.New()
-	if exe, err := os.Executable(); err == nil {
-		if f, err := os.Open(exe); err == nil {
-			_, _ = io.Copy(h, f)
-			f.Close()
-		}
-	}
-	fmt.Printf("%s version devel buildID=%x\n", name, h.Sum(nil))
-}
-
-// vetConfig is the package description go vet writes for -vettool
-// drivers; field names follow x/tools/go/analysis/unitchecker.Config.
-type vetConfig struct {
-	ID                        string
-	Compiler                  string
-	Dir                       string
-	ImportPath                string
-	GoFiles                   []string
-	ImportMap                 map[string]string
-	PackageFile               map[string]string
-	VetxOnly                  bool
-	VetxOutput                string
-	SucceedOnTypecheckFailure bool
-}
-
-// runVetUnit analyzes one package under the go vet protocol and returns
-// the process exit code.
-func runVetUnit(cfgPath string) int {
-	data, err := os.ReadFile(cfgPath)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "scalana-lint: %v\n", err)
-		return 1
-	}
-	var cfg vetConfig
-	if err := json.Unmarshal(data, &cfg); err != nil {
-		fmt.Fprintf(os.Stderr, "scalana-lint: parse %s: %v\n", cfgPath, err)
-		return 1
-	}
-
-	// The analyzers keep no cross-package facts, so a facts-only request
-	// for a dependency has nothing to compute. Test units are skipped
-	// outright: the invariants are contracts on shipped code, and the
-	// walltime/seededrand passes explicitly exempt tests (a test may time
-	// itself with wall clocks, for example). The standalone loader makes
-	// the same choice by loading only GoFiles.
-	if !cfg.VetxOnly && !isTestUnit(cfg) {
-		pkg, err := analysis.TypeCheckVetUnit(cfg.ImportPath, cfg.Dir, cfg.GoFiles, cfg.PackageFile, cfg.ImportMap)
-		if err != nil {
-			if cfg.SucceedOnTypecheckFailure {
-				return writeVetx(cfg.VetxOutput)
-			}
-			fmt.Fprintf(os.Stderr, "scalana-lint: %v\n", err)
-			return 1
-		}
-		diags, err := analysis.RunAnalyzers(pkg, analysis.All())
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "scalana-lint: %v\n", err)
-			return 1
-		}
-		if len(diags) > 0 {
-			for _, d := range diags {
-				fmt.Fprintf(os.Stderr, "%s: %s (%s)\n", d.Pos, d.Message, d.Analyzer)
-			}
-			return 2
-		}
-	}
-	return writeVetx(cfg.VetxOutput)
-}
-
-// isTestUnit reports whether a vet config describes a test package: an
-// external test package ("pkg_test", or go vet's bracketed recompiled
-// variant "pkg [pkg.test]"), or a unit whose file list includes _test.go
-// sources.
-func isTestUnit(cfg vetConfig) bool {
-	if strings.HasSuffix(cfg.ImportPath, "_test") ||
-		strings.HasSuffix(cfg.ImportPath, ".test") ||
-		strings.Contains(cfg.ImportPath, " [") {
-		return true
-	}
-	for _, f := range cfg.GoFiles {
-		if strings.HasSuffix(f, "_test.go") {
-			return true
-		}
-	}
-	return false
-}
-
-// writeVetx writes the (empty) serialized-facts file go vet expects to
-// find after a successful run.
-func writeVetx(path string) int {
-	if path == "" {
-		return 0
-	}
-	if err := os.WriteFile(path, []byte{}, 0o666); err != nil {
-		fmt.Fprintf(os.Stderr, "scalana-lint: write vetx: %v\n", err)
-		return 1
-	}
-	return 0
 }
 
 func fatalf(format string, args ...any) {

@@ -89,7 +89,7 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 		if len(lp.GoFiles) == 0 {
 			continue
 		}
-		pkg, err := typeCheck(lp.ImportPath, lp.Dir, absFiles(lp.Dir, lp.GoFiles), exports, nil)
+		pkg, err := typeCheck(lp.ImportPath, lp.Dir, lp.GoFiles, exports)
 		if err != nil {
 			return nil, err
 		}
@@ -98,28 +98,10 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 	return pkgs, nil
 }
 
-func absFiles(dir string, names []string) []string {
-	out := make([]string, len(names))
-	for i, n := range names {
-		if filepath.IsAbs(n) {
-			out[i] = n
-		} else {
-			out[i] = filepath.Join(dir, n)
-		}
-	}
-	return out
-}
-
-// exportLookup adapts an import-path -> export-file map (plus an
-// optional import-path rewrite map, as in vet configs) to the lookup
+// exportLookup adapts an import-path -> export-file map to the lookup
 // function the standard library's gc importer accepts.
-func exportLookup(exports map[string]string, importMap map[string]string) func(path string) (io.ReadCloser, error) {
+func exportLookup(exports map[string]string) func(path string) (io.ReadCloser, error) {
 	return func(path string) (io.ReadCloser, error) {
-		if importMap != nil {
-			if mapped, ok := importMap[path]; ok {
-				path = mapped
-			}
-		}
 		file, ok := exports[path]
 		if !ok {
 			return nil, fmt.Errorf("no export data for %q", path)
@@ -128,15 +110,16 @@ func exportLookup(exports map[string]string, importMap map[string]string) func(p
 	}
 }
 
-// typeCheck parses and type-checks one package whose dependencies are
-// all available as gc export data.
-func typeCheck(importPath, dir string, files []string, exports, importMap map[string]string) (*Package, error) {
+// typeCheck parses and type-checks one package — files are names in
+// dir — whose dependencies are all available as gc export data.
+func typeCheck(importPath, dir string, files []string, exports map[string]string) (*Package, error) {
 	fset := token.NewFileSet()
 	var astFiles []*ast.File
 	for _, name := range files {
-		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments|parser.SkipObjectResolution)
+		path := filepath.Join(dir, name)
+		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {
-			return nil, fmt.Errorf("parse %s: %w", name, err)
+			return nil, fmt.Errorf("parse %s: %w", path, err)
 		}
 		astFiles = append(astFiles, f)
 	}
@@ -149,7 +132,7 @@ func typeCheck(importPath, dir string, files []string, exports, importMap map[st
 		Scopes:     map[ast.Node]*types.Scope{},
 	}
 	conf := types.Config{
-		Importer: importer.ForCompiler(fset, "gc", exportLookup(exports, importMap)),
+		Importer: importer.ForCompiler(fset, "gc", exportLookup(exports)),
 	}
 	tpkg, err := conf.Check(importPath, fset, astFiles, info)
 	if err != nil {
@@ -163,13 +146,6 @@ func typeCheck(importPath, dir string, files []string, exports, importMap map[st
 		Types: tpkg,
 		Info:  info,
 	}, nil
-}
-
-// TypeCheckVetUnit type-checks one package from a go vet -vettool
-// config: source files plus the export-data and import-path maps the go
-// command computed for the build.
-func TypeCheckVetUnit(importPath, dir string, goFiles []string, packageFile, importMap map[string]string) (*Package, error) {
-	return typeCheck(importPath, dir, goFiles, packageFile, importMap)
 }
 
 // ModuleRoot walks up from dir to the directory containing go.mod.

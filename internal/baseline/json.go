@@ -9,11 +9,6 @@ package baseline
 // (zero-variance baselines legitimately produce z = +Inf), MarshalIndent
 // with a single-space indent, and vertex references carried as
 // detect.VertexRefJSON.
-//
-// Unlike detect.Report, a baseline Report holds wire-shaped data only
-// (no live *psg.Vertex pointers), so DecodeReport is lossless without a
-// graph and one encode/decode pass is a fixpoint — the property
-// FuzzBaselineWire locks.
 
 import (
 	"encoding/json"
@@ -22,7 +17,6 @@ import (
 	"strings"
 
 	"scalana/internal/detect"
-	"scalana/internal/fit"
 )
 
 // VertexRef identifies one PSG vertex on the wire; it is detect's wire
@@ -75,10 +69,6 @@ func runRefToJSON(r RunRef) runRefJSON {
 	return runRefJSON{NP: r.NP, Seq: r.Seq, Hash: r.Hash, Elapsed: detect.WireFloat(r.Elapsed)}
 }
 
-func runRefFromJSON(j runRefJSON) RunRef {
-	return RunRef{NP: j.NP, Seq: j.Seq, Hash: j.Hash, Elapsed: float64(j.Elapsed)}
-}
-
 // EncodeJSON serializes the report deterministically: fixed field order,
 // history in fold order, regressions in ranked order, indented exactly
 // as detect.Report.EncodeJSON so serve's framing (payload + '\n') is
@@ -119,61 +109,6 @@ func (rep *Report) EncodeJSON() ([]byte, error) {
 		})
 	}
 	return json.MarshalIndent(dto, "", " ")
-}
-
-// mergeFromString reverses fit.MergeStrategy.String for the wire format.
-// Unknown strings normalize to MergeMedian (the default), mirroring how
-// detect's kind decoding normalizes: one encode/decode pass is a
-// fixpoint.
-func mergeFromString(s string) fit.MergeStrategy {
-	if m, err := fit.ParseMergeStrategy(s); err == nil {
-		return m
-	}
-	return fit.MergeMedian
-}
-
-// DecodeReport parses a report written by EncodeJSON. The report holds
-// wire-shaped data only, so no graph is needed and nothing is lost.
-func DecodeReport(data []byte) (*Report, error) {
-	var dto reportJSON
-	if err := json.Unmarshal(data, &dto); err != nil {
-		return nil, fmt.Errorf("baseline: parse report: %w", err)
-	}
-	rep := &Report{
-		App:          dto.App,
-		NP:           dto.NP,
-		Newest:       runRefFromJSON(dto.Newest),
-		Runs:         dto.Runs,
-		BaselineRuns: dto.BaselineRuns,
-		Merge:        mergeFromString(dto.Merge),
-		Params: Params{
-			ZThd:     float64(dto.Params.ZThd),
-			CUSUMThd: float64(dto.Params.CUSUMThd),
-			CUSUMK:   float64(dto.Params.CUSUMK),
-			MinRuns:  dto.Params.MinRuns,
-			MinShare: float64(dto.Params.MinShare),
-		},
-		Vertices: dto.Vertices,
-	}
-	for _, j := range dto.History {
-		rep.History = append(rep.History, runRefFromJSON(j))
-	}
-	for _, j := range dto.Regressions {
-		rep.Regressions = append(rep.Regressions, Regression{
-			Ref:          j.Vertex,
-			Mean:         float64(j.Mean),
-			Std:          float64(j.Std),
-			BaselineRuns: j.BaselineRuns,
-			Value:        float64(j.Value),
-			Z:            float64(j.Z),
-			CUSUM:        float64(j.CUSUM),
-			Share:        float64(j.Share),
-			SlopeOld:     float64(j.SlopeOld),
-			SlopeNew:     float64(j.SlopeNew),
-			SlopeDelta:   float64(j.SlopeDelta),
-		})
-	}
-	return rep, nil
 }
 
 // Render formats the report for terminal output (scalana-detect -watch

@@ -77,3 +77,133 @@ func TestSlopes(t *testing.T) {
 		}
 	}
 }
+
+// fuzzSeedReport builds a report exercising every wire feature: IEEE
+// specials (a +Inf z from a zero-variance baseline, NaN slopes from a
+// single-scale history), multi-run histories, and non-default params.
+func fuzzSeedReport() *Report {
+	return &Report{
+		App:          "cg",
+		NP:           8,
+		Newest:       RunRef{NP: 8, Seq: 2, Hash: "00deadbeef", Elapsed: 3.25},
+		Runs:         3,
+		BaselineRuns: 2,
+		Merge:        1, // fit.MergeMean
+		Params:       Params{ZThd: 2.5, CUSUMThd: 4, CUSUMK: 0.25, MinRuns: 2, MinShare: 0.05},
+		History: []RunRef{
+			{NP: 8, Seq: 0, Hash: "aa", Elapsed: 1},
+			{NP: 8, Seq: 1, Hash: "bb", Elapsed: 2},
+			{NP: 8, Seq: 2, Hash: "00deadbeef", Elapsed: 3.25},
+		},
+		Vertices: 12,
+		Regressions: []Regression{
+			{
+				Ref:  VertexRef{Key: "main:12", Kind: "comp", Name: "compute", File: "seed.mp", Line: 5},
+				Mean: 1, Std: 0, BaselineRuns: 2,
+				Value: 20, Z: math.Inf(1), CUSUM: 7.5, Share: 0.4,
+				SlopeOld: math.NaN(), SlopeNew: math.NaN(), SlopeDelta: math.NaN(),
+			},
+			{
+				Ref:  VertexRef{Key: "main:20", Kind: "mpi", Name: "mpi_allreduce", File: "seed.mp", Line: 9},
+				Mean: 0.5, Std: 0.1, BaselineRuns: 2,
+				Value: 0.9, Z: 4, CUSUM: 3.5, Share: 0.1,
+				SlopeOld: 0.8, SlopeNew: 1.6, SlopeDelta: 0.8,
+			},
+		},
+	}
+}
+
+// TestReportWireBytes pins EncodeJSON's bytes: field order, the merge
+// name, +Inf and NaN spelled "inf" and "nan". Nothing reads a report
+// back, so these bytes are the format's only contract.
+func TestReportWireBytes(t *testing.T) {
+	enc, err := fuzzSeedReport().EncodeJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(enc) != wantReportWire {
+		t.Errorf("report wire bytes changed:\n%s", enc)
+	}
+}
+
+const wantReportWire = `{
+ "app": "cg",
+ "np": 8,
+ "newest": {
+  "np": 8,
+  "seq": 2,
+  "hash": "00deadbeef",
+  "elapsed": 3.25
+ },
+ "runs": 3,
+ "baseline_runs": 2,
+ "merge": "mean",
+ "params": {
+  "z_thd": 2.5,
+  "cusum_thd": 4,
+  "cusum_k": 0.25,
+  "min_runs": 2,
+  "min_share": 0.05
+ },
+ "history": [
+  {
+   "np": 8,
+   "seq": 0,
+   "hash": "aa",
+   "elapsed": 1
+  },
+  {
+   "np": 8,
+   "seq": 1,
+   "hash": "bb",
+   "elapsed": 2
+  },
+  {
+   "np": 8,
+   "seq": 2,
+   "hash": "00deadbeef",
+   "elapsed": 3.25
+  }
+ ],
+ "vertices": 12,
+ "regressions": [
+  {
+   "vertex": {
+    "key": "main:12",
+    "kind": "comp",
+    "name": "compute",
+    "file": "seed.mp",
+    "line": 5
+   },
+   "mean": 1,
+   "std": 0,
+   "baseline_runs": 2,
+   "value": 20,
+   "z": "inf",
+   "cusum": 7.5,
+   "share": 0.4,
+   "slope_old": "nan",
+   "slope_new": "nan",
+   "slope_delta": "nan"
+  },
+  {
+   "vertex": {
+    "key": "main:20",
+    "kind": "mpi",
+    "name": "mpi_allreduce",
+    "file": "seed.mp",
+    "line": 9
+   },
+   "mean": 0.5,
+   "std": 0.1,
+   "baseline_runs": 2,
+   "value": 0.9,
+   "z": 4,
+   "cusum": 3.5,
+   "share": 0.1,
+   "slope_old": 0.8,
+   "slope_new": 1.6,
+   "slope_delta": 0.8
+  }
+ ]
+}`

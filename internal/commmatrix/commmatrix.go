@@ -20,18 +20,11 @@ import (
 	"scalana/internal/psg"
 )
 
-// Config controls the collector.
-type Config struct {
-	// RecordCost is the virtual CPU cost of updating the counters for
-	// one MPI operation (a handful of hash-map adds — cheaper than the
-	// ScalAna profiler's parameter recording).
-	RecordCost float64
-}
-
-// DefaultConfig uses a per-operation cost below the ScalAna profiler's
-// CommRecordCost: the collector touches two counters and a matrix cell,
-// with no parameter compression to run.
-func DefaultConfig() Config { return Config{RecordCost: 0.1e-6} }
+// recordCost is the virtual CPU cost of updating the counters for one
+// MPI operation: below the ScalAna profiler's CommRecordCost, since the
+// collector touches two counters and a matrix cell, with no parameter
+// compression to run.
+const recordCost = 0.1e-6
 
 // VertexComm aggregates the traffic one PSG vertex issued on one rank.
 //
@@ -85,17 +78,12 @@ func (rc *RankComm) StorageBytes() int64 {
 // MPI events and takes no timer samples, which is exactly why its runtime
 // overhead sits below the sampling profilers.
 type Collector struct {
-	cfg  Config
 	comm *RankComm
 }
 
 // New creates the collector for one rank.
-func New(cfg Config, rank, np int) *Collector {
-	if cfg.RecordCost == 0 {
-		cfg = DefaultConfig()
-	}
+func New(rank, np int) *Collector {
 	return &Collector{
-		cfg: cfg,
 		comm: &RankComm{
 			Rank:      rank,
 			NP:        np,
@@ -174,7 +162,7 @@ func (c *Collector) MPIEvent(p *mpisim.Proc, ev *mpisim.Event) float64 {
 		// Posted only; the payload is counted when the wait completes.
 		return 0
 	}
-	return c.cfg.RecordCost
+	return recordCost
 }
 
 func (c *Collector) peer(peer int, bytes float64) {

@@ -165,26 +165,6 @@ func TestCommMatrixDeterministic(t *testing.T) {
 	}
 }
 
-// TestToolOptionsReachTheCollector: RunConfig.ToolOptions carries the
-// collector config through the registry; an absurd per-record cost must
-// show up as measurement perturbation.
-func TestToolOptionsReachTheCollector(t *testing.T) {
-	app := scalana.GetApp("cg")
-	cheap, err := scalana.Run(scalana.RunConfig{App: app, NP: 4, ToolName: "commmatrix"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dear, err := scalana.Run(scalana.RunConfig{App: app, NP: 4, ToolName: "commmatrix",
-		ToolOptions: commmatrix.Config{RecordCost: 1e-3}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dear.Result.PerturbTotal <= cheap.Result.PerturbTotal {
-		t.Errorf("raising RecordCost did not raise perturbation: %g <= %g",
-			dear.Result.PerturbTotal, cheap.Result.PerturbTotal)
-	}
-}
-
 // TestOverheadBelowTracer: the collector's pitch is volume data at less
 // than tracing cost on the same run.
 func TestOverheadBelowTracer(t *testing.T) {

@@ -22,13 +22,8 @@ func (tool) Description() string {
 }
 
 func (tool) NewRun(tc scalana.ToolContext) (scalana.ToolRun, error) {
-	cfg, _ := tc.Config.ToolOptions.(Config)
-	if cfg.RecordCost == 0 {
-		cfg = DefaultConfig()
-	}
 	np := tc.Config.NP
 	return &run{
-		cfg:        cfg,
 		np:         np,
 		collectors: make([]*Collector, np),
 		ranks:      make([]*RankComm, np),
@@ -36,14 +31,13 @@ func (tool) NewRun(tc scalana.ToolContext) (scalana.ToolRun, error) {
 }
 
 type run struct {
-	cfg        Config
 	np         int
 	collectors []*Collector
 	ranks      []*RankComm
 }
 
 func (r *run) HooksForRank(rank int) []mpisim.Hook {
-	c := New(r.cfg, rank, r.np)
+	c := New(rank, r.np)
 	r.collectors[rank] = c
 	return []mpisim.Hook{c}
 }

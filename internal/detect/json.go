@@ -7,20 +7,12 @@ package detect
 // and total (non-finite floats survive the trip: IEEE specials encode as
 // the strings "inf", "-inf", "nan", which encoding/json would otherwise
 // reject).
-//
-// DecodeReport rebuilds a *Report. When a compiled PSG is supplied the
-// vertex references re-attach to live *psg.Vertex values (required by
-// Render); without one the report is "detached": every VertexKey and
-// position survives, but Vertex pointers stay nil.
 
 import (
 	"encoding/json"
-	"fmt"
 	"math"
 	"sort"
 
-	"scalana/internal/fit"
-	"scalana/internal/minilang"
 	"scalana/internal/psg"
 )
 
@@ -41,30 +33,6 @@ func (f WireFloat) MarshalJSON() ([]byte, error) {
 		return []byte(`"nan"`), nil
 	}
 	return json.Marshal(v)
-}
-
-// UnmarshalJSON implements json.Unmarshaler.
-func (f *WireFloat) UnmarshalJSON(data []byte) error {
-	var s string
-	if err := json.Unmarshal(data, &s); err == nil {
-		switch s {
-		case "inf":
-			*f = WireFloat(math.Inf(1))
-		case "-inf":
-			*f = WireFloat(math.Inf(-1))
-		case "nan":
-			*f = WireFloat(math.NaN())
-		default:
-			return fmt.Errorf("detect: bad float string %q", s)
-		}
-		return nil
-	}
-	var v float64
-	if err := json.Unmarshal(data, &v); err != nil {
-		return err
-	}
-	*f = WireFloat(v)
-	return nil
 }
 
 // VertexRefJSON identifies one PSG vertex on the wire: the stable key
@@ -194,100 +162,4 @@ func (rep *Report) EncodeJSON() ([]byte, error) {
 		dto.Causes = append(dto.Causes, *causeToJSON(&rep.Causes[i]))
 	}
 	return json.MarshalIndent(dto, "", " ")
-}
-
-// kindFromString reverses psg.Kind.String for the wire format. Unknown
-// strings normalize to KindComp; one encode/decode pass is a fixpoint.
-func kindFromString(s string) psg.Kind {
-	for _, k := range []psg.Kind{psg.KindRoot, psg.KindLoop, psg.KindBranch, psg.KindComp, psg.KindMPI, psg.KindCall} {
-		if k.String() == s {
-			return k
-		}
-	}
-	return psg.KindComp
-}
-
-// attach resolves a vertex reference against the compiled graph. Keys the
-// graph does not contain — or any key when the graph is nil — get a
-// detached placeholder vertex carrying the wire position, so decoded
-// reports always render and re-encode without loss.
-func attach(g *psg.Graph, ref VertexRefJSON) *psg.Vertex {
-	if g != nil {
-		if v := g.VertexByKey(ref.Key); v != nil {
-			return v
-		}
-	}
-	return &psg.Vertex{
-		Key:  ref.Key,
-		Kind: kindFromString(ref.Kind),
-		Name: ref.Name,
-		Pos:  minilang.Pos{File: ref.File, Line: ref.Line},
-	}
-}
-
-func causeFromJSON(g *psg.Graph, j *causeJSON) *Cause {
-	if j == nil {
-		return nil
-	}
-	return &Cause{
-		VertexKey: j.Vertex.Key,
-		Vertex:    attach(g, j.Vertex),
-		Score:     float64(j.Score),
-		Share:     float64(j.Share),
-		Imbalance: float64(j.Imbalance),
-		Paths:     j.Paths,
-	}
-}
-
-// DecodeReport parses a report written by EncodeJSON. The graph is
-// optional: when non-nil, vertex references re-attach to it (keys the
-// graph does not contain stay detached rather than erroring, so a report
-// from a different build of the app still loads).
-func DecodeReport(data []byte, g *psg.Graph) (*Report, error) {
-	var dto reportJSON
-	if err := json.Unmarshal(data, &dto); err != nil {
-		return nil, fmt.Errorf("detect: parse report: %w", err)
-	}
-	rep := &Report{NP: dto.NP}
-	for _, j := range dto.NonScalable {
-		ns := NonScalable{
-			VertexKey: j.Vertex.Key,
-			Vertex:    attach(g, j.Vertex),
-			Model:     fit.LogLog{A: float64(j.ModelA), B: float64(j.ModelB), R2: float64(j.ModelR2)},
-			Share:     float64(j.Share),
-		}
-		if len(j.Times) > 0 {
-			ns.Times = make(map[int]float64, len(j.Times))
-			for _, st := range j.Times {
-				ns.Times[st.NP] = float64(st.Time)
-			}
-		}
-		rep.NonScalable = append(rep.NonScalable, ns)
-	}
-	for _, j := range dto.Abnormal {
-		rep.Abnormal = append(rep.Abnormal, Abnormal{
-			VertexKey:    j.Vertex.Key,
-			Vertex:       attach(g, j.Vertex),
-			Ratio:        float64(j.Ratio),
-			OutlierRanks: j.OutlierRanks,
-			Share:        float64(j.Share),
-		})
-	}
-	for _, pj := range dto.Paths {
-		p := Path{Cause: causeFromJSON(g, pj.Cause)}
-		for _, sj := range pj.Steps {
-			p.Steps = append(p.Steps, PathStep{
-				VertexKey: sj.Vertex.Key,
-				Vertex:    attach(g, sj.Vertex),
-				Rank:      sj.Rank,
-				Via:       StepVia(sj.Via),
-				Wait:      float64(sj.Wait),
-			})
-		}
-		rep.Paths = append(rep.Paths, p)
-	}
-	for i := range dto.Causes {
-		rep.Causes = append(rep.Causes, *causeFromJSON(g, &dto.Causes[i]))
-	}
-	return rep, nil
 }

@@ -30,7 +30,6 @@ import (
 	"bytes"
 	"cmp"
 	"fmt"
-	"os"
 	"slices"
 
 	"scalana/internal/machine"
@@ -122,19 +121,6 @@ func ReadProfileSet(data []byte, g *psg.Graph, sink RankSink) (ProfileSet, error
 	var ps ProfileSet
 	err := d.document(&ps)
 	return ps, err
-}
-
-// LoadProfileSet reads a profile set file written by Save.
-func LoadProfileSet(path string, g *psg.Graph) (*ProfileSet, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	ps, err := DecodeProfileSet(data, g)
-	if err != nil {
-		return nil, fmt.Errorf("prof: load %s: %w", path, err)
-	}
-	return ps, nil
 }
 
 // PeekEnvelope reads the two top-level fields that route an upload —

@@ -127,6 +127,9 @@ func (e *Env) resolve(appName string, scaleList []int, hashes []string) ([]store
 	if len(scaleList) > 0 && len(hashes) > 0 {
 		return nil, errorf(http.StatusBadRequest, "pass \"scales\" or \"hashes\", not both")
 	}
+	if len(hashes) > scales.MaxScales {
+		return nil, errorf(http.StatusBadRequest, "%d hashes: a query may name at most %d", len(hashes), scales.MaxScales)
+	}
 	entries := make([]store.Entry, 0, len(scaleList)+len(hashes))
 	if len(hashes) > 0 {
 		seenNP := map[int]bool{}

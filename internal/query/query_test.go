@@ -116,7 +116,14 @@ func TestWatchCachedEqualsUncached(t *testing.T) {
 		}
 		return data
 	}
-	uncached := watch(e)
+	plan, err := e.Watch(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, uncached, err := plan.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	cache, ingests := map[store.Key]*baseline.Sample{}, 0
 	cached := e
@@ -138,8 +145,8 @@ func TestWatchCachedEqualsUncached(t *testing.T) {
 	if second := watch(cached); !bytes.Equal(second, uncached) || ingests != 3 {
 		t.Errorf("second cached watch: identical=%t, ingests=%d (want 3)", bytes.Equal(second, uncached), ingests)
 	}
-	if rep, err := baseline.DecodeReport(uncached); err != nil || rep.NP != 8 || rep.Runs != 2 {
-		t.Errorf("watch did not default to the largest stored scale: %+v (err %v)", rep, err)
+	if rep.NP != 8 || rep.Runs != 2 {
+		t.Errorf("watch did not default to the largest stored scale: %+v", rep)
 	}
 }
 

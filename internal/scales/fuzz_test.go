@@ -2,9 +2,9 @@ package scales
 
 // Native fuzz target for the scale-list parser: Parse must never panic
 // on arbitrary input, and every accepted list must satisfy the package
-// contract — entries >= 1, no duplicates (Validate agrees), and a
-// round trip through rejoining reproduces the same list (the parser
-// preserves user order exactly).
+// contract — at most MaxScales entries, each >= 1, no duplicates
+// (Validate agrees), and a round trip through rejoining reproduces the
+// same list (the parser preserves user order exactly).
 
 import (
 	"strconv"
@@ -30,6 +30,11 @@ func FuzzParse(f *testing.F) {
 	} {
 		f.Add(seed)
 	}
+	over := make([]string, MaxScales+1)
+	for i := range over {
+		over[i] = strconv.Itoa(i + 1)
+	}
+	f.Add(strings.Join(over, ",")) // one past MaxScales
 	f.Fuzz(func(t *testing.T, list string) {
 		nps, err := Parse(list)
 		if err != nil {

@@ -12,17 +12,21 @@ import (
 	"strings"
 )
 
-// Parse parses a comma-separated scale list ("4,8,16,32"). Every entry
-// must be an integer >= 1 and no entry may repeat; the user's order is
-// preserved exactly (detection reports depend on run order, so the
-// parser never reorders). Whitespace around entries is ignored.
+// MaxScales bounds how many scales one list may name. Every power of two
+// up to ppg.MaxNP (17 of them) fits; without a bound one request could
+// sweep billions of ranks under a single service slot.
+const MaxScales = 32
+
+// Parse parses a comma-separated scale list ("4,8,16,32") and checks it
+// with Validate. The user's order is preserved exactly (detection reports
+// depend on run order, so the parser never reorders). Whitespace around
+// entries is ignored.
 func Parse(list string) ([]int, error) {
 	if strings.TrimSpace(list) == "" {
 		return nil, fmt.Errorf("empty scale list")
 	}
 	parts := strings.Split(list, ",")
 	nps := make([]int, 0, len(parts))
-	seen := make(map[int]bool, len(parts))
 	for _, part := range parts {
 		s := strings.TrimSpace(part)
 		if s == "" {
@@ -32,21 +36,20 @@ func Parse(list string) ([]int, error) {
 		if err != nil {
 			return nil, fmt.Errorf("bad scale %q", s)
 		}
-		if np < 1 {
-			return nil, fmt.Errorf("scale %d: rank counts must be at least 1", np)
-		}
-		if seen[np] {
-			return nil, fmt.Errorf("duplicate scale %d: each scale may appear once", np)
-		}
-		seen[np] = true
 		nps = append(nps, np)
+	}
+	if err := Validate(nps); err != nil {
+		return nil, err
 	}
 	return nps, nil
 }
 
-// Validate applies Parse's rules to an already-numeric scale list (the
-// JSON request path): every scale >= 1, no duplicates, order preserved.
+// Validate checks a scale list: at most MaxScales entries, every scale
+// >= 1, no duplicates.
 func Validate(nps []int) error {
+	if len(nps) > MaxScales {
+		return fmt.Errorf("%d scales: a list may name at most %d", len(nps), MaxScales)
+	}
 	seen := make(map[int]bool, len(nps))
 	for _, np := range nps {
 		if np < 1 {

@@ -57,6 +57,16 @@ func TestValidate(t *testing.T) {
 	if err := Validate(nil); err != nil {
 		t.Fatalf("Validate(nil): %v", err)
 	}
+	nps := make([]int, MaxScales+1)
+	for i := range nps {
+		nps[i] = i + 1
+	}
+	if err := Validate(nps[:MaxScales]); err != nil {
+		t.Fatalf("Validate rejected %d scales: %v", MaxScales, err)
+	}
+	if err := Validate(nps); err == nil {
+		t.Fatalf("Validate accepted %d scales", len(nps))
+	}
 }
 
 func TestSplitMin(t *testing.T) {

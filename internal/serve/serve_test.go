@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -18,6 +19,7 @@ import (
 	"scalana/internal/ppg"
 	"scalana/internal/prof"
 	"scalana/internal/query"
+	"scalana/internal/scales"
 	"scalana/internal/store"
 	"scalana/internal/synth"
 	"scalana/internal/vm"
@@ -662,6 +664,37 @@ func TestNPAboveTheCapIsABadRequest(t *testing.T) {
 	}
 	if code, body := get(t, ts.URL+"/v1/comm?app=cg&np=4"); code != http.StatusOK {
 		t.Errorf("next request after the refused ones: %d %s", code, body)
+	}
+}
+
+// TestScaleCountIsCapped: a query naming more than scales.MaxScales
+// scales or hashes is a 400 naming the limit, answered before anything is
+// simulated or resolved — it used to sweep every scale it named under one
+// gate slot.
+func TestScaleCountIsCapped(t *testing.T) {
+	srv, ts := newTestServer(t)
+	nps := make([]int, scales.MaxScales+1)
+	list := make([]string, len(nps))
+	hashes := make([]string, len(nps))
+	for i := range nps {
+		nps[i] = 4 + i
+		list[i] = fmt.Sprint(nps[i])
+		hashes[i] = fmt.Sprintf("%02x", i)
+	}
+	want := []byte(fmt.Sprintf("at most %d", scales.MaxScales))
+	simulate, _ := json.Marshal(detectRequest{App: "cg", Simulate: true, Scales: nps})
+	stored, _ := json.Marshal(detectRequest{App: "cg", Hashes: hashes})
+	for name, do := range map[string]func() (int, []byte){
+		"simulated detect": func() (int, []byte) { return post(t, ts.URL+"/v1/detect", "application/json", simulate) },
+		"detect by hash":   func() (int, []byte) { return post(t, ts.URL+"/v1/detect", "application/json", stored) },
+		"sweep":            func() (int, []byte) { return get(t, ts.URL+"/v1/sweep?app=cg&scales="+strings.Join(list, ",")) },
+	} {
+		if code, body := do(); code != http.StatusBadRequest || !bytes.Contains(body, want) {
+			t.Errorf("%s with %d scales: %d %s, want 400 naming the limit", name, len(nps), code, body)
+		}
+	}
+	if st := srv.Stats(); st.DetectComputes != 0 {
+		t.Errorf("detect_computes = %d after refused requests, want 0", st.DetectComputes)
 	}
 }
 

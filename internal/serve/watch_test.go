@@ -116,15 +116,32 @@ func TestWatchEndToEnd(t *testing.T) {
 		}
 	}
 
+	// Every served watch is checked against the same query run in process
+	// with no sample cache — scalana-detect -watch -json '-' — and its
+	// verdict read from that plan's typed report.
+	cli := query.Env{Engine: scalana.NewEngine(), Store: srv.env.Store, Merge: srv.env.Merge}
+	offline := func(served []byte, params baseline.Params) *baseline.Report {
+		t.Helper()
+		plan, err := cli.Watch(query.Watch{App: app, NP: 4, Params: params})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, data, err := plan.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(served, data) {
+			t.Fatalf("served watch differs from the offline pipeline\nserved %d bytes, offline %d bytes", len(served), len(data))
+		}
+		return rep
+	}
+
 	// Quiet history: nothing regressed yet.
 	code, body := get(t, ts.URL+"/v1/watch?app=cg")
 	if code != http.StatusOK {
 		t.Fatalf("watch quiet: %d %s", code, body)
 	}
-	rep, err := baseline.DecodeReport(body)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := offline(body, srv.cfg.Watch)
 	if !rep.Quiet() {
 		t.Fatalf("quiet 3-run history flagged %d regressions (first: %+v)", len(rep.Regressions), rep.Regressions[0])
 	}
@@ -143,10 +160,7 @@ func TestWatchEndToEnd(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("watch flagged: %d %s", code, flagged)
 	}
-	rep, err = baseline.DecodeReport(flagged)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep = offline(flagged, srv.cfg.Watch)
 	if rep.Quiet() {
 		t.Fatal("seeded 20x regression was not flagged")
 	}
@@ -163,30 +177,16 @@ func TestWatchEndToEnd(t *testing.T) {
 		t.Fatal("repeated watch requests differ")
 	}
 
-	// Byte parity with the CLI path: the same watch query against an
-	// environment with no sample cache — scalana-detect -watch -json '-'
-	// in process.
-	cli := query.Env{Engine: scalana.NewEngine(), Store: srv.env.Store, Merge: srv.env.Merge}
-	plan, err := cli.Watch(query.Watch{App: app, NP: 4, Params: srv.cfg.Watch})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cliBytes, err := plan.Bytes()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(flagged, cliBytes) {
-		t.Fatalf("served watch differs from the offline pipeline\nserved %d bytes, offline %d bytes", len(flagged), len(cliBytes))
-	}
-
 	// Threshold overrides change the flight key and the result: an
 	// impossibly high min-share silences the report.
 	code, quiet := get(t, ts.URL+"/v1/watch?app=cg&min-share=0.9999")
 	if code != http.StatusOK {
 		t.Fatalf("watch with overrides: %d %s", code, quiet)
 	}
-	if rep, err := baseline.DecodeReport(quiet); err != nil || !rep.Quiet() {
-		t.Fatalf("min-share=0.9999 still flagged: %v", err)
+	params := srv.cfg.Watch
+	params.MinShare = 0.9999
+	if rep := offline(quiet, params); !rep.Quiet() {
+		t.Fatal("min-share=0.9999 still flagged")
 	}
 }
 

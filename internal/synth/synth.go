@@ -159,15 +159,6 @@ func (c *Corpus) EncodeJSON() ([]byte, error) {
 	return json.MarshalIndent(c, "", " ")
 }
 
-// DecodeCorpus parses a corpus written by EncodeJSON.
-func DecodeCorpus(data []byte) (*Corpus, error) {
-	var c Corpus
-	if err := json.Unmarshal(data, &c); err != nil {
-		return nil, fmt.Errorf("synth: parse corpus: %w", err)
-	}
-	return &c, nil
-}
-
 // Save writes the corpus to a JSON file.
 func (c *Corpus) Save(path string) error {
 	data, err := c.EncodeJSON()

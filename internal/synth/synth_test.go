@@ -91,29 +91,6 @@ func TestCommittedCorpusByteIdentical(t *testing.T) {
 	}
 }
 
-// TestCorpusRoundTrip: corpus JSON decode/encode is lossless.
-func TestCorpusRoundTrip(t *testing.T) {
-	corpus, err := Generate(GenConfig{Seed: 3, Cases: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	enc, err := corpus.EncodeJSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	dec, err := DecodeCorpus(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	enc2, err := dec.EncodeJSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(enc, enc2) {
-		t.Error("corpus decode/encode is not lossless")
-	}
-}
-
 // TestGroundTruthLabels: every generated case compiles and every defect
 // span resolves to at least one PSG vertex whose position lies inside it.
 func TestGroundTruthLabels(t *testing.T) {

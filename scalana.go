@@ -76,9 +76,6 @@ type RunConfig struct {
 	ToolName string
 	// Prof configures the ScalAna profiler (zero value = paper defaults).
 	Prof prof.Config
-	// ToolOptions carries configuration for externally registered tools;
-	// their NewRun type-asserts it (nil = tool defaults).
-	ToolOptions any
 	// Seed makes runs reproducible; runs with equal seeds are identical.
 	Seed int64
 	// Stdout receives application print() output (nil discards).

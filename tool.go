@@ -39,9 +39,8 @@ type MeasurementTool interface {
 // ToolContext carries the per-run inputs a MeasurementTool needs to set
 // up collection.
 type ToolContext struct {
-	// Config is the full run configuration: App, NP, Seed, Prof for the
-	// bundled ScalAna profiler, and ToolOptions for externally registered
-	// tools.
+	// Config is the full run configuration: App, NP, Seed, and Prof for
+	// the bundled ScalAna profiler.
 	Config RunConfig
 	// Graph is the compiled PSG the run executes against. It is shared
 	// and immutable during execution; tools may read it freely.

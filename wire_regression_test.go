@@ -10,6 +10,7 @@ import (
 	"scalana/internal/detect"
 	"scalana/internal/ppg"
 	"scalana/internal/prof"
+	"scalana/internal/psg"
 
 	scalana "scalana"
 )
@@ -33,10 +34,7 @@ func loadFixtureRuns(t *testing.T) []detect.ScaleRun {
 	}
 	var runs []detect.ScaleRun
 	for _, np := range []int{4, 8} {
-		ps, err := prof.LoadProfileSet(filepath.Join("testdata", fixtureName("cg", np)), graph)
-		if err != nil {
-			t.Fatal(err)
-		}
+		ps := loadSet(t, filepath.Join("testdata", fixtureName("cg", np)), graph)
 		pg, err := ppg.Build(graph, ps.Profiles)
 		if err != nil {
 			t.Fatal(err)
@@ -48,6 +46,20 @@ func loadFixtureRuns(t *testing.T) []detect.ScaleRun {
 
 func fixtureName(app string, np int) string {
 	return fmt.Sprintf("%s.%d.json", app, np)
+}
+
+// loadSet reads a profile set file the way scalana-detect -profiles does.
+func loadSet(t *testing.T, path string, graph *psg.Graph) *prof.ProfileSet {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ps, err := prof.DecodeProfileSet(data, graph)
+	if err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+	return ps
 }
 
 // TestWireFormatLegacyProfilesProduceIdenticalReport loads profile sets
@@ -99,11 +111,7 @@ func TestWireFormatSaveReloadReportIdentical(t *testing.T) {
 		if err := ps.Save(path); err != nil {
 			t.Fatal(err)
 		}
-		loaded, err := prof.LoadProfileSet(path, graph)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pg, err := ppg.Build(graph, loaded.Profiles)
+		pg, err := ppg.Build(graph, loadSet(t, path, graph).Profiles)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -133,10 +141,7 @@ func TestWireFormatResaveIsByteIdentical(t *testing.T) {
 	}
 	for _, np := range []int{4, 8} {
 		name := fixtureName("cg", np)
-		ps, err := prof.LoadProfileSet(filepath.Join("testdata", name), graph)
-		if err != nil {
-			t.Fatal(err)
-		}
+		ps := loadSet(t, filepath.Join("testdata", name), graph)
 		out := filepath.Join(t.TempDir(), name)
 		if err := ps.Save(out); err != nil {
 			t.Fatal(err)
