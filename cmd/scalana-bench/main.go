@@ -3,7 +3,7 @@
 // Usage:
 //
 //	scalana-bench -list              # show all experiments
-//	scalana-bench -tools             # show registered measurement tools
+//	scalana-bench -tools             # show the measurement tools
 //	scalana-bench -exp table1        # one experiment
 //	scalana-bench -all               # everything, in paper order
 //	scalana-bench -all -parallel 4   # up to 4 experiments concurrently
@@ -25,18 +25,13 @@ import (
 	"scalana/internal/exp"
 
 	scalana "scalana"
-
-	// The comparison tools the experiments dispatch on are resolved
-	// through the registry; the blank import adds the comm-matrix
-	// collector to the -tools listing.
-	_ "scalana/internal/commmatrix"
 )
 
 func main() {
 	id := flag.String("exp", "", "experiment id (see -list)")
 	all := flag.Bool("all", false, "run every experiment")
 	list := flag.Bool("list", false, "list experiments")
-	tools := flag.Bool("tools", false, "list registered measurement tools")
+	tools := flag.Bool("tools", false, "list the measurement tools")
 	outDir := flag.String("o", "", "directory to write per-experiment .txt files")
 	parallel := flag.Int("parallel", 1, "experiments run concurrently (0 = one per CPU)")
 	flag.Parse()
@@ -48,9 +43,8 @@ func main() {
 		return
 	}
 	if *tools {
-		for _, name := range scalana.Tools() {
-			t, _ := scalana.LookupTool(name)
-			fmt.Printf("%-12s %s\n", name, t.Description())
+		for _, t := range scalana.Tools() {
+			fmt.Printf("%-12s %s\n", t.Name, t.Description)
 		}
 		return
 	}

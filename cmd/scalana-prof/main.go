@@ -2,9 +2,9 @@
 // runs an instrumented application at one scale and collects per-rank
 // measurement data with the selected tool. The default tool is the
 // ScalAna graph-based profiler (sampled performance vectors plus
-// compressed communication dependence); any tool registered with
-// scalana.RegisterTool — including the tracing and call-path baselines
-// and the comm-matrix collector — can be attached via -tool.
+// compressed communication dependence); -tool attaches one of the others
+// instead: the tracing and call-path baselines or the comm-matrix
+// collector (-list-tools).
 //
 // Usage:
 //
@@ -29,8 +29,8 @@ import (
 func main() {
 	appName := flag.String("app", "", "workload name (scalana-static -list shows all)")
 	np := flag.Int("np", 16, "number of simulated MPI ranks")
-	tool := flag.String("tool", "scalana", "registered measurement tool (see -list-tools)")
-	listTools := flag.Bool("list-tools", false, "list registered measurement tools and exit")
+	tool := flag.String("tool", "scalana", "measurement tool (see -list-tools)")
+	listTools := flag.Bool("list-tools", false, "list the measurement tools and exit")
 	hz := flag.Float64("hz", 200, "sampling frequency (the paper uses 200 Hz)")
 	commProb := flag.Float64("comm-prob", 1.0, "communication instrumentation sampling probability")
 	compress := flag.Bool("compress", true, "graph-guided communication compression")
@@ -39,9 +39,8 @@ func main() {
 	flag.Parse()
 
 	if *listTools {
-		for _, name := range scalana.Tools() {
-			t, _ := scalana.LookupTool(name)
-			fmt.Printf("%-12s %s\n", name, t.Description())
+		for _, t := range scalana.Tools() {
+			fmt.Printf("%-12s %s\n", t.Name, t.Description)
 		}
 		return
 	}
@@ -49,9 +48,6 @@ func main() {
 	app := scalana.GetApp(*appName)
 	if app == nil {
 		fatalf("unknown app %q", *appName)
-	}
-	if _, ok := scalana.LookupTool(*tool); !ok {
-		fatalf("unknown tool %q (registered: %v)", *tool, scalana.Tools())
 	}
 	cfg := prof.DefaultConfig()
 	cfg.SampleHz = *hz
@@ -71,7 +67,7 @@ func main() {
 	if pg := res.PPG(); pg != nil {
 		fmt.Printf("dependence edges: %d\n", pg.NumEdges())
 	}
-	if m, ok := res.Measurement.Data().(*commmatrix.Matrix); ok {
+	if m, ok := res.Data.(*commmatrix.Matrix); ok {
 		fmt.Printf("p2p traffic: %s total\n", report.Bytes(int64(m.TotalBytes())))
 		for _, f := range m.TopFlows(5) {
 			fmt.Printf("  rank %3d <-> %3d  %8s in %d msgs\n", f.Src, f.Dst, report.Bytes(int64(f.Bytes)), f.Msgs)

@@ -45,14 +45,17 @@ func main() {
 	}
 	fmt.Print(report.Render(prog))
 
-	// Bonus: any registered measurement tool attaches by name — here the
-	// comm-matrix collector, which registers itself on import and which
-	// the run API dispatches to without knowing it exists.
+	// Bonus: every measurement tool attaches by name — here the
+	// comm-matrix collector, whose payload is the traffic matrix.
 	out, err := scalana.Run(scalana.RunConfig{App: app, NP: 16, ToolName: "commmatrix"})
 	if err != nil {
 		log.Fatal(err)
 	}
-	m := out.Measurement.Data().(*commmatrix.Matrix)
+	m := out.Data.(*commmatrix.Matrix)
+	var tools []string
+	for _, t := range scalana.Tools() {
+		tools = append(tools, t.Name)
+	}
 	fmt.Printf("\np2p traffic at np=16: %.1f MB across %d rank pairs (tools: %v)\n",
-		m.TotalBytes()/1e6, len(m.TopFlows(1<<30)), scalana.Tools())
+		m.TotalBytes()/1e6, len(m.TopFlows(1<<30)), tools)
 }

@@ -6,10 +6,9 @@
 // records, only counters) while still exposing the communication
 // structure that scalability-fault studies (Zhu et al.) start from.
 //
-// The collector registers with the scalana tool registry under the name
-// "commmatrix" (see tool.go); nothing in the run dispatch path knows it
-// exists, which is the point — it proves the registry is a real
-// extension seam.
+// A run attaches it as the "commmatrix" tool (the root package's
+// tools_builtin.go). Like the other collectors, this package imports
+// nothing of the root package.
 package commmatrix
 
 import (
@@ -25,6 +24,11 @@ import (
 // collector touches two counters and a matrix cell, with no parameter
 // compression to run.
 const recordCost = 0.1e-6
+
+// MaxNP is the largest scale a matrix is collected for on request: the
+// paper's largest job scale. Every rank keeps two np-long rows and the
+// matrix is two dense np×np blocks, 2·16·2048² B = 128 MiB at the cap.
+const MaxNP = 2048
 
 // VertexComm aggregates the traffic one PSG vertex issued on one rank.
 //

@@ -33,20 +33,20 @@ func runMatrix(t *testing.T, app *scalana.App, np int) (*scalana.RunOutput, *com
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, ok := out.Measurement.Data().(*commmatrix.Matrix)
+	m, ok := out.Data.(*commmatrix.Matrix)
 	if !ok {
-		t.Fatalf("payload is %T, want *commmatrix.Matrix", out.Measurement.Data())
+		t.Fatalf("payload is %T, want *commmatrix.Matrix", out.Data)
 	}
 	return out, m
 }
 
 // TestCollectorCountsKnownPattern checks exact byte and message
 // accounting on a deterministic two-rank exchange — driven end to end
-// through the public registry, not by poking the hook directly.
+// through scalana.Run, not by poking the hook directly.
 func TestCollectorCountsKnownPattern(t *testing.T) {
 	out, m := runMatrix(t, pairApp, 2)
-	if out.Tool != "commmatrix" || out.Measurement.ToolName() != "commmatrix" {
-		t.Errorf("tool name = %q / %q", out.Tool, out.Measurement.ToolName())
+	if out.Tool != "commmatrix" {
+		t.Errorf("tool name = %q", out.Tool)
 	}
 	if got := m.At(0, 1); got != 300 {
 		t.Errorf("rank 0 -> 1 bytes = %g, want 300", got)

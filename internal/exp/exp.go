@@ -128,8 +128,8 @@ func sweep(app *scalana.App, nps []int) ([]detect.ScaleRun, error) {
 }
 
 // runTools executes app at np with no tool and with each of the three
-// registry-resolved comparison tools, returning overhead percentages and
-// storage bytes keyed by registered tool name.
+// comparison tools, returning overhead percentages and storage bytes
+// keyed by tool name.
 func runTools(app *scalana.App, np int) (ovh map[string]float64, storage map[string]int64, err error) {
 	base, err := eng.Run(scalana.RunConfig{App: app, NP: np})
 	if err != nil {

@@ -12,7 +12,7 @@ import (
 var CheckAgainstOracle = checkAgainstOracle
 
 // OracleProfiler is what profiler_apps_test.go needs of oracleProfiler to
-// run it as a registered measurement tool.
+// attach it to a simulated world as each rank's hook.
 type OracleProfiler interface {
 	mpisim.Hook
 	Profile() *RankProfile

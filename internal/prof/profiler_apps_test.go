@@ -2,8 +2,8 @@ package prof_test
 
 // The profiler's differential test: every bundled app and the synthetic
 // corpus run once under prof.Profiler (the "scalana" tool) and once under
-// the map-based reference it replaced, registered here as a measurement
-// tool like any external one; the two profile sets must encode to the
+// the map-based reference it replaced, attached to a world built the way
+// scalana.RunCompiled builds one; the two profile sets must encode to the
 // same bytes.
 
 import (
@@ -15,68 +15,62 @@ import (
 	"scalana/internal/prof"
 	"scalana/internal/psg"
 	"scalana/internal/synth"
+	"scalana/internal/vm"
 
 	scalana "scalana"
 )
 
-const oracleToolName = "scalana-map-oracle"
-
-type oracleTool struct{}
-
-func (oracleTool) Name() string        { return oracleToolName }
-func (oracleTool) Description() string { return "test reference: the map-based ScalAna profiler" }
-
-func (oracleTool) NewRun(tc scalana.ToolContext) (scalana.ToolRun, error) {
-	return &oracleRun{tc: tc, profilers: make([]prof.OracleProfiler, tc.Config.NP)}, nil
-}
-
-type oracleRun struct {
-	tc        scalana.ToolContext
-	profilers []prof.OracleProfiler
-}
-
-func (r *oracleRun) HooksForRank(rank int) []mpisim.Hook {
-	r.profilers[rank] = prof.NewOracleProfiler(r.tc.Config.Prof, r.tc.Graph, rank, r.tc.Config.NP)
-	return []mpisim.Hook{r.profilers[rank]}
-}
-
-func (r *oracleRun) FinalizeRank(rank int) int64 {
-	return r.profilers[rank].Profile().StorageBytes()
-}
-
-func (r *oracleRun) Finish() (any, error) {
-	profiles := make([]*prof.RankProfile, len(r.profilers))
-	for rank, pr := range r.profilers {
-		profiles[rank] = pr.Profile()
+// oracleProfiles runs app at np on the VM with the map-based profiler as
+// every rank's hook and returns the run's profile set.
+func oracleProfiles(t *testing.T, e *scalana.Engine, app *scalana.App, np int, pcfg prof.Config) *prof.ProfileSet {
+	t.Helper()
+	prog, graph, err := e.Compile(app, psg.Options{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	return profiles, nil
+	code, err := graph.CompileExec(func() (any, error) { return vm.Compile(prog, graph) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	profilers := make([]prof.OracleProfiler, np)
+	wcfg := mpisim.Config{NP: np, Seed: pcfg.Seed, HookFactory: func(rank int) []mpisim.Hook {
+		profilers[rank] = prof.NewOracleProfiler(pcfg, graph, rank, np)
+		return []mpisim.Hook{profilers[rank]}
+	}}
+	if app.CoreConfig != nil {
+		wcfg.Core = app.CoreConfig(np)
+	}
+	runner := vm.NewRunner(code.(*vm.Program))
+	runner.OnIndirect = func(rank int, inst *psg.Instance, site minilang.NodeID, target string) {
+		profilers[rank].ObserveIndirect(rank, inst, site, target)
+	}
+	res, err := mpisim.NewWorld(wcfg).Run(runner.Stepper(np))
+	if err != nil {
+		t.Fatalf("%s np=%d under the oracle: %v", app.Name, np, err)
+	}
+	ps := &prof.ProfileSet{App: app.Name, NP: np, Elapsed: res.Elapsed, Profiles: make([]*prof.RankProfile, np)}
+	for rank, pr := range profilers {
+		ps.Profiles[rank] = pr.Profile()
+	}
+	return ps
 }
-
-func (r *oracleRun) ObserveIndirect(rank int, inst *psg.Instance, site minilang.NodeID, target string) {
-	r.profilers[rank].ObserveIndirect(rank, inst, site, target)
-}
-
-func init() { scalana.RegisterTool(oracleTool{}) }
 
 // checkProfilerAgainstOracle runs app at np under both profilers.
 func checkProfilerAgainstOracle(t *testing.T, e *scalana.Engine, app *scalana.App, np int, pcfg prof.Config) {
 	t.Helper()
-	encode := func(tool string) []byte {
-		out, err := e.Run(scalana.RunConfig{App: app, NP: np, ToolName: tool, Prof: pcfg, Seed: pcfg.Seed})
+	out, err := e.Run(scalana.RunConfig{App: app, NP: np, ToolName: "scalana", Prof: pcfg, Seed: pcfg.Seed})
+	if err != nil {
+		t.Fatalf("%s np=%d: %v", app.Name, np, err)
+	}
+	encode := func(ps *prof.ProfileSet) []byte {
+		data, err := prof.EncodeProfileSet(ps)
 		if err != nil {
-			t.Fatalf("%s np=%d under %s: %v", app.Name, np, tool, err)
-		}
-		profiles, ok := out.Measurement.Data().([]*prof.RankProfile)
-		if !ok {
-			profiles = out.Profiles()
-		}
-		data, err := prof.EncodeProfileSet(&prof.ProfileSet{App: app.Name, NP: np, Elapsed: out.Result.Elapsed, Profiles: profiles})
-		if err != nil {
-			t.Fatalf("%s np=%d under %s: %v", app.Name, np, tool, err)
+			t.Fatalf("%s np=%d: %v", app.Name, np, err)
 		}
 		return data
 	}
-	got, want := encode("scalana"), encode(oracleToolName)
+	got := encode(&prof.ProfileSet{App: app.Name, NP: np, Elapsed: out.Result.Elapsed, Profiles: out.Profiles()})
+	want := encode(oracleProfiles(t, e, app, np, pcfg))
 	if !bytes.Equal(got, want) {
 		t.Errorf("%s np=%d: profiler and map-based oracle wrote different profile sets (%d vs %d bytes)", app.Name, np, len(got), len(want))
 	}

@@ -422,16 +422,16 @@ func (e *Env) Comm(q Comm) (Plan[*CommReport], error) {
 	if err := checkMinNP(q.App, q.NP); err != nil {
 		return Plan[*CommReport]{}, err
 	}
+	if q.NP > commmatrix.MaxNP {
+		return Plan[*CommReport]{}, errorf(http.StatusBadRequest, "np %d exceeds the communication-matrix limit of %d ranks", q.NP, commmatrix.MaxNP)
+	}
 	key := fmt.Sprintf("comm|%s|np=%d|seed=%d", q.App.Name, q.NP, q.Seed)
 	return Plan[*CommReport]{Key: key, Run: func() (*CommReport, []byte, error) {
 		out, err := e.Engine.Run(scalana.RunConfig{App: q.App, NP: q.NP, ToolName: "commmatrix", Seed: q.Seed})
 		if err != nil {
 			return nil, nil, err
 		}
-		m, ok := out.Measurement.Data().(*commmatrix.Matrix)
-		if !ok {
-			return nil, nil, fmt.Errorf("commmatrix tool produced no matrix")
-		}
+		m := out.Data.(*commmatrix.Matrix)
 		rep := &CommReport{
 			App: q.App.Name, NP: q.NP, Seed: q.Seed,
 			TotalBytes: detect.WireFloat(m.TotalBytes()),

@@ -375,6 +375,10 @@ func (s *Server) app(w http.ResponseWriter, name string) *scalana.App {
 
 // ---- apps ----
 
+// MaxApps is how many apps POST /v1/apps registers for the life of a
+// server: each keeps its compiled PSG and bytecode in the engine cache.
+const MaxApps = 64
+
 type appUploadJSON struct {
 	Name        string `json:"name"`
 	Source      string `json:"source"`
@@ -438,14 +442,18 @@ func (s *Server) handleUploadApp(w http.ResponseWriter, r *http.Request) {
 	// register installs app under its name unless one is registered
 	// already (a nil app only asks), and answers for the registered one:
 	// idempotent when it matches the request, a conflict when it differs.
+	// A new name past MaxApps is refused.
 	register := func(app *scalana.App) bool {
 		s.mu.Lock()
 		existing := s.uploaded[req.Name]
-		if existing == nil && app != nil {
+		full := existing == nil && len(s.uploaded) >= MaxApps
+		if existing == nil && !full && app != nil {
 			s.uploaded[req.Name] = app
 		}
 		s.mu.Unlock()
 		switch {
+		case full:
+			writeErr(w, http.StatusInsufficientStorage, "the service already holds its limit of %d uploaded apps", MaxApps)
 		case existing == nil:
 			return false
 		case existing.Source == req.Source && existing.MinNP == req.MinNP:

@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"scalana/internal/commmatrix"
 	"scalana/internal/detect"
 	"scalana/internal/ppg"
 	"scalana/internal/prof"
@@ -664,6 +665,51 @@ func TestNPAboveTheCapIsABadRequest(t *testing.T) {
 	}
 	if code, body := get(t, ts.URL+"/v1/comm?app=cg&np=4"); code != http.StatusOK {
 		t.Errorf("next request after the refused ones: %d %s", code, body)
+	}
+}
+
+// TestCommNPAboveTheMatrixCap: the matrix is dense in np, so /v1/comm at
+// ppg.MaxNP asked for two 64 GiB blocks. Above commmatrix.MaxNP it is a
+// 400 naming the limit, answered before anything is simulated.
+func TestCommNPAboveTheMatrixCap(t *testing.T) {
+	srv, ts := newTestServer(t)
+	want := []byte(fmt.Sprintf("limit of %d ranks", commmatrix.MaxNP))
+	if code, body := get(t, fmt.Sprintf("%s/v1/comm?app=cg&np=%d", ts.URL, commmatrix.MaxNP+1)); code != http.StatusBadRequest || !bytes.Contains(body, want) {
+		t.Errorf("comm above the matrix cap: %d %s, want 400 naming the limit", code, body)
+	}
+	if st := srv.Stats(); st.CommComputes != 0 {
+		t.Errorf("comm_computes = %d after a refused request, want 0", st.CommComputes)
+	}
+}
+
+// TestUploadedAppsAreCapped: every registered app keeps its compiled graph
+// for the life of the server. Past MaxApps a new name is a 507 naming the
+// limit, while an identical re-upload still answers 200 "exists".
+func TestUploadedAppsAreCapped(t *testing.T) {
+	_, ts := newTestServer(t)
+	upload := func(i int) (int, []byte) {
+		body, _ := json.Marshal(appUploadJSON{Name: fmt.Sprintf("app%d", i), Source: "func main() { mpi_barrier(); }\n", MinNP: 2})
+		return post(t, ts.URL+"/v1/apps", "application/json", body)
+	}
+	for i := 0; i < MaxApps; i++ {
+		if code, body := upload(i); code != http.StatusCreated {
+			t.Fatalf("app %d: %d %s", i, code, body)
+		}
+	}
+	want := []byte(fmt.Sprintf("limit of %d uploaded apps", MaxApps))
+	if code, body := upload(MaxApps); code != http.StatusInsufficientStorage || !bytes.Contains(body, want) {
+		t.Errorf("app past the cap: %d %s, want 507 naming the limit", code, body)
+	}
+	if code, body := upload(0); code != http.StatusOK || !bytes.Contains(body, []byte(`"exists"`)) {
+		t.Errorf("re-upload of a registered app at the cap: %d %s, want 200 exists", code, body)
+	}
+	_, body := get(t, ts.URL+"/v1/apps")
+	var list struct{ Uploaded []struct{ Name string } }
+	if err := json.Unmarshal(body, &list); err != nil {
+		t.Fatal(err)
+	}
+	if len(list.Uploaded) != MaxApps {
+		t.Errorf("GET /v1/apps lists %d uploaded apps, want %d", len(list.Uploaded), MaxApps)
 	}
 }
 

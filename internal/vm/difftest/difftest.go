@@ -173,20 +173,15 @@ func run(prog *minilang.Program, graph *psg.Graph, cfg scalana.RunConfig, oracle
 	if err != nil {
 		return mpisim.RunResult{}, nil, fmt.Errorf("%s np=%d (vm): %w", cfg.App.Name, cfg.NP, err)
 	}
-	return out.Result, out.Measurement.Data(), nil
+	return out.Result, out.Data, nil
 }
 
 // runOracle executes cfg on the tree-walking interpreter. It is what
 // scalana.RunCompiled does around the VM, written against the same
-// documented tool lifecycle (scalana.ToolRun): look the tool up, NewRun,
-// HooksForRank as the world's hook factory, run, FinalizeRank per rank,
-// Finish.
+// documented tool lifecycle (scalana.ToolRun): NewToolRun, HooksForRank
+// as the world's hook factory, run, FinalizeRank per rank, Finish.
 func runOracle(prog *minilang.Program, graph *psg.Graph, cfg scalana.RunConfig) (mpisim.RunResult, any, error) {
-	tool, ok := scalana.LookupTool(cfg.ToolName)
-	if !ok {
-		return mpisim.RunResult{}, nil, fmt.Errorf("no measurement tool registered as %q", cfg.ToolName)
-	}
-	trun, err := tool.NewRun(scalana.ToolContext{Config: cfg, Graph: graph})
+	trun, err := scalana.NewToolRun(cfg, graph)
 	if err != nil {
 		return mpisim.RunResult{}, nil, err
 	}

@@ -70,9 +70,9 @@ func CompileOptions(app *App, opts psg.Options) (*minilang.Program, *psg.Graph, 
 type RunConfig struct {
 	App *App
 	NP  int
-	// ToolName selects a registered measurement tool by name (see
-	// RegisterTool / Tools). Empty runs the application bare (the
-	// overhead baseline).
+	// ToolName selects a measurement tool by name: "scalana", "tracer",
+	// "hpctk" or "commmatrix" (see Tools). Empty runs the application
+	// bare (the overhead baseline).
 	ToolName string
 	// Prof configures the ScalAna profiler (zero value = paper defaults).
 	Prof prof.Config
@@ -88,27 +88,40 @@ type RunConfig struct {
 type RunOutput struct {
 	App *App
 	NP  int
-	// Tool is the resolved registered tool name ("" for a bare run).
+	// Tool is the attached tool's name ("" for a bare run).
 	Tool   string
 	Result mpisim.RunResult
 	Graph  *psg.Graph
-	// Measurement is the attached tool's collected result (nil for bare
-	// runs). The typed accessors below forward to it, so pre-registry
-	// callers migrate by adding parentheses.
-	Measurement *Measurement
+	// Data is the attached tool's payload (nil for a bare run): a
+	// *ScalAnaData for "scalana", []*trace.RankTrace for "tracer",
+	// []*hpctk.RankProfile for "hpctk", *commmatrix.Matrix for
+	// "commmatrix".
+	Data any
+	// storage is the tool's measurement-data size summed over ranks.
+	storage int64
 }
 
 // Profiles returns the per-rank ScalAna profiles ("scalana" tool runs
-// only). Compatibility accessor for Measurement.Profiles.
-func (o *RunOutput) Profiles() []*prof.RankProfile { return o.Measurement.Profiles() }
+// only).
+func (o *RunOutput) Profiles() []*prof.RankProfile {
+	if d, ok := o.Data.(*ScalAnaData); ok {
+		return d.Profiles
+	}
+	return nil
+}
 
 // PPG returns the assembled Program Performance Graph ("scalana" tool
-// runs only). Compatibility accessor for Measurement.PPG.
-func (o *RunOutput) PPG() *ppg.Graph { return o.Measurement.PPG() }
+// runs only).
+func (o *RunOutput) PPG() *ppg.Graph {
+	if d, ok := o.Data.(*ScalAnaData); ok {
+		return d.PPG
+	}
+	return nil
+}
 
 // StorageBytes is the tool's total measurement data size (0 for bare
-// runs). Compatibility accessor for Measurement.StorageBytes.
-func (o *RunOutput) StorageBytes() int64 { return o.Measurement.StorageBytes() }
+// runs).
+func (o *RunOutput) StorageBytes() int64 { return o.storage }
 
 // validateRunConfig checks the parts of a RunConfig that both Run and
 // RunCompiled depend on.
@@ -147,10 +160,10 @@ func Run(cfg RunConfig) (*RunOutput, error) {
 // only read it, with no lock, and sharing one graph across a sweep
 // changes neither profiles nor detection output.
 //
-// The tool is resolved through the registry (RegisterTool); RunCompiled
-// itself knows nothing about individual tools — it drives the generic
-// ToolRun lifecycle (HooksForRank before execution, concurrent
-// FinalizeRank after, one Finish at the end).
+// The tool is resolved by NewToolRun; RunCompiled itself knows nothing
+// about individual tools — it drives the ToolRun lifecycle (HooksForRank
+// before execution, concurrent FinalizeRank after, one Finish at the
+// end).
 func RunCompiled(prog *minilang.Program, graph *psg.Graph, cfg RunConfig) (*RunOutput, error) {
 	if err := validateRunConfig(cfg); err != nil {
 		return nil, err
@@ -167,17 +180,9 @@ func RunCompiled(prog *minilang.Program, graph *psg.Graph, cfg RunConfig) (*RunO
 
 	var trun ToolRun
 	if name != "" {
-		tool, ok := LookupTool(name)
-		if !ok {
-			return nil, fmt.Errorf("scalana: no measurement tool registered as %q (registered: %v)", name, Tools())
-		}
 		var err error
-		trun, err = tool.NewRun(ToolContext{Config: cfg, Graph: graph})
-		if err != nil {
-			return nil, fmt.Errorf("scalana: set up tool %s: %w", name, err)
-		}
-		if trun == nil {
-			return nil, fmt.Errorf("scalana: tool %s returned no run", name)
+		if trun, err = NewToolRun(cfg, graph); err != nil {
+			return nil, err
 		}
 		wcfg.HookFactory = trun.HooksForRank
 	}
@@ -214,15 +219,12 @@ func RunCompiled(prog *minilang.Program, graph *psg.Graph, cfg RunConfig) (*RunO
 	par.ForEach(cfg.NP, 0, func(r int) {
 		storage[r] = trun.FinalizeRank(r)
 	})
-	data, err := trun.Finish()
-	if err != nil {
+	if out.Data, err = trun.Finish(); err != nil {
 		return nil, fmt.Errorf("scalana: finalize %s: %w", name, err)
 	}
-	m := &Measurement{tool: name, data: data}
 	for _, s := range storage {
-		m.storage += s
+		out.storage += s
 	}
-	out.Measurement = m
 	return out, nil
 }
 

@@ -6,7 +6,9 @@ import (
 	"testing"
 
 	"scalana/internal/detect"
+	"scalana/internal/hpctk"
 	"scalana/internal/psg"
+	"scalana/internal/trace"
 	"scalana/internal/vm"
 )
 
@@ -64,12 +66,16 @@ func TestRunProducesToolOutputs(t *testing.T) {
 		tool string
 		has  func(*RunOutput) bool
 	}{
-		{"", func(o *RunOutput) bool {
-			return o.Profiles() == nil && o.Measurement.Traces() == nil && o.Measurement.CtxProfiles() == nil && o.StorageBytes() == 0
-		}},
+		{"", func(o *RunOutput) bool { return o.Data == nil && o.Profiles() == nil && o.StorageBytes() == 0 }},
 		{"scalana", func(o *RunOutput) bool { return len(o.Profiles()) == 8 && o.PPG() != nil && o.StorageBytes() > 0 }},
-		{"tracer", func(o *RunOutput) bool { return len(o.Measurement.Traces()) == 8 && o.StorageBytes() > 0 }},
-		{"hpctk", func(o *RunOutput) bool { return len(o.Measurement.CtxProfiles()) == 8 && o.StorageBytes() > 0 }},
+		{"tracer", func(o *RunOutput) bool {
+			traces, ok := o.Data.([]*trace.RankTrace)
+			return ok && len(traces) == 8 && o.StorageBytes() > 0
+		}},
+		{"hpctk", func(o *RunOutput) bool {
+			profiles, ok := o.Data.([]*hpctk.RankProfile)
+			return ok && len(profiles) == 8 && o.StorageBytes() > 0
+		}},
 	} {
 		out, err := Run(RunConfig{App: app, NP: 8, ToolName: tc.tool})
 		if err != nil {

@@ -72,7 +72,7 @@ func TestSchedulerOrderDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out.mat = ro.Measurement.Data().(*commmatrix.Matrix)
+		out.mat = ro.Data.(*commmatrix.Matrix)
 		return out
 	}
 

@@ -2,49 +2,40 @@ package scalana
 
 import (
 	"fmt"
-	"sort"
-	"sync"
+	"strings"
 
 	"scalana/internal/minilang"
 	"scalana/internal/mpisim"
 	"scalana/internal/psg"
 )
 
-// MeasurementTool is one pluggable measurement backend. The paper's
-// evaluation (§VI, Table II) is a comparison *between* such tools —
-// graph-based profiling versus tracing versus call-path profiling — so
-// the run API treats the tool as an open extension point: implementations
-// register under a stable name with RegisterTool, and Run/RunCompiled
-// dispatch purely through the registry. The bundled backends ("scalana",
-// "tracer", "hpctk", and the comm-matrix collector) are ordinary
-// registered implementations with no special-cased dispatch.
-//
-// Implementations must be deterministic: given equal (App, NP, Seed,
-// tool config), every hook decision and every finalized result must be
-// identical across runs and across host parallelism. Randomness must
-// come from seeds derived from ToolContext, never from time or global
-// state (see DESIGN.md §8 for the full contract).
-type MeasurementTool interface {
-	// Name is the registry key: short, lowercase, stable across releases
-	// (it appears in CLI flags and reports).
-	Name() string
-	// Description is a one-line human-readable summary for tool listings.
-	Description() string
-	// NewRun prepares the collection state for one execution. It is
-	// called once per run, before any rank starts, and must not mutate
-	// the shared ToolContext.Graph.
-	NewRun(tc ToolContext) (ToolRun, error)
+// Tool names one measurement tool a run can attach: RunConfig.ToolName
+// selects it by Name, and listings print Description.
+type Tool struct {
+	Name        string
+	Description string
 }
 
-// ToolContext carries the per-run inputs a MeasurementTool needs to set
-// up collection.
-type ToolContext struct {
-	// Config is the full run configuration: App, NP, Seed, and Prof for
-	// the bundled ScalAna profiler.
-	Config RunConfig
-	// Graph is the compiled PSG the run executes against. It is shared
-	// and immutable during execution; tools may read it freely.
-	Graph *psg.Graph
+// Tools lists the measurement tools in name order.
+func Tools() []Tool {
+	out := make([]Tool, len(tools))
+	for i, t := range tools {
+		out[i] = t.Tool
+	}
+	return out
+}
+
+// NewToolRun prepares the collection state of the tool cfg.ToolName names
+// for one run over graph. An unknown name is an error that names it.
+func NewToolRun(cfg RunConfig, graph *psg.Graph) (ToolRun, error) {
+	names := make([]string, len(tools))
+	for i, t := range tools {
+		if t.Name == cfg.ToolName {
+			return t.newRun(cfg, graph), nil
+		}
+		names[i] = t.Name
+	}
+	return nil, fmt.Errorf("scalana: no measurement tool named %q (tools: %s)", cfg.ToolName, strings.Join(names, ", "))
 }
 
 // ToolRun is one run's collection state. The lifecycle is fixed:
@@ -57,7 +48,11 @@ type ToolContext struct {
 //  3. FinalizeRank is called once per rank, concurrently across ranks,
 //     after the run completes. It must touch rank-local state only.
 //  4. Finish is called once, after every FinalizeRank returned, to
-//     assemble the cross-rank payload stored in the Measurement.
+//     assemble the cross-rank payload RunOutput.Data carries.
+//
+// A run must be deterministic: given equal (App, NP, Seed, Prof), every
+// hook decision and the finished payload are identical across runs and
+// across host parallelism (DESIGN.md §8).
 type ToolRun interface {
 	// HooksForRank returns the simulator hooks attached to one rank. Every
 	// hook receives the rank's MPI events (mpisim.Hook). One that samples
@@ -70,7 +65,7 @@ type ToolRun interface {
 	// FinalizeRank extracts the rank's measurement data and returns its
 	// storage size in bytes (the tool-comparison experiments sum these).
 	FinalizeRank(rank int) (storageBytes int64)
-	// Finish returns the tool-specific payload for Measurement.Data —
+	// Finish returns the tool-specific payload for RunOutput.Data —
 	// e.g. per-rank profiles plus an assembled Program Performance Graph.
 	Finish() (data any, err error)
 }
@@ -82,50 +77,4 @@ type ToolRun interface {
 // RunCompiled, in the order the scheduler steps the ranks.
 type IndirectObserver interface {
 	ObserveIndirect(rank int, inst *psg.Instance, site minilang.NodeID, target string)
-}
-
-var toolRegistry = struct {
-	sync.RWMutex
-	m map[string]MeasurementTool
-}{m: map[string]MeasurementTool{}}
-
-// RegisterTool makes a measurement tool selectable by name through
-// RunConfig.ToolName. It panics if the tool is nil, its name is empty,
-// or the name is already taken — duplicate registration is always a
-// programming error (two packages claiming one name), never a runtime
-// condition, mirroring database/sql.Register.
-func RegisterTool(t MeasurementTool) {
-	if t == nil {
-		panic("scalana: RegisterTool: tool is nil")
-	}
-	name := t.Name()
-	if name == "" {
-		panic("scalana: RegisterTool: tool has an empty name")
-	}
-	toolRegistry.Lock()
-	defer toolRegistry.Unlock()
-	if _, dup := toolRegistry.m[name]; dup {
-		panic(fmt.Sprintf("scalana: RegisterTool: tool %q already registered", name))
-	}
-	toolRegistry.m[name] = t
-}
-
-// LookupTool returns the tool registered under name.
-func LookupTool(name string) (MeasurementTool, bool) {
-	toolRegistry.RLock()
-	defer toolRegistry.RUnlock()
-	t, ok := toolRegistry.m[name]
-	return t, ok
-}
-
-// Tools returns the registered tool names in sorted order.
-func Tools() []string {
-	toolRegistry.RLock()
-	defer toolRegistry.RUnlock()
-	names := make([]string, 0, len(toolRegistry.m))
-	for name := range toolRegistry.m {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
 }

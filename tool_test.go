@@ -10,72 +10,27 @@ import (
 	"scalana/internal/psg"
 
 	scalana "scalana"
-
-	// Registers the comm-matrix collector purely through the public
-	// registry — the listing test below proves it arrived.
-	_ "scalana/internal/commmatrix"
 )
 
-// stubTool is a minimal MeasurementTool for registry-behavior tests.
-type stubTool struct{ name string }
-
-func (s stubTool) Name() string        { return s.name }
-func (s stubTool) Description() string { return "stub" }
-func (s stubTool) NewRun(scalana.ToolContext) (scalana.ToolRun, error) {
-	return nil, nil
-}
-
-func mustPanic(t *testing.T, what string, f func()) {
-	t.Helper()
-	defer func() {
-		if recover() == nil {
-			t.Errorf("%s did not panic", what)
-		}
-	}()
-	f()
-}
-
-func TestRegisterToolRejectsDuplicatesAndEmptyNames(t *testing.T) {
-	scalana.RegisterTool(stubTool{name: "stub-dup-test"})
-	mustPanic(t, "duplicate registration", func() {
-		scalana.RegisterTool(stubTool{name: "stub-dup-test"})
-	})
-	mustPanic(t, "empty name", func() {
-		scalana.RegisterTool(stubTool{name: ""})
-	})
-	mustPanic(t, "nil tool", func() {
-		scalana.RegisterTool(nil)
-	})
-}
-
-func TestToolsListingAndLookup(t *testing.T) {
-	names := scalana.Tools()
-	for _, want := range []string{"scalana", "tracer", "hpctk", "commmatrix"} {
-		tool, ok := scalana.LookupTool(want)
-		if !ok {
-			t.Errorf("tool %q not registered (have %v)", want, names)
-			continue
-		}
-		if tool.Name() != want || tool.Description() == "" {
-			t.Errorf("tool %q: name=%q description=%q", want, tool.Name(), tool.Description())
-		}
-		found := false
-		for _, n := range names {
-			if n == want {
-				found = true
-			}
-		}
-		if !found {
-			t.Errorf("Tools() = %v is missing %q", names, want)
-		}
+// TestToolsListing: Tools lists exactly the four tools, sorted by name,
+// each with a description, and NewToolRun resolves each name.
+func TestToolsListing(t *testing.T) {
+	_, graph, err := scalana.Compile(scalana.GetApp("cg"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, ok := scalana.LookupTool("no-such-tool"); ok {
-		t.Error("unknown name should not resolve")
-	}
-	for i := 1; i < len(names); i++ {
-		if names[i-1] >= names[i] {
-			t.Errorf("Tools() not sorted: %v", names)
+	var names []string
+	for _, tool := range scalana.Tools() {
+		if tool.Description == "" {
+			t.Errorf("tool %q has no description", tool.Name)
 		}
+		if _, err := scalana.NewToolRun(scalana.RunConfig{NP: 2, ToolName: tool.Name}, graph); err != nil {
+			t.Errorf("NewToolRun(%q): %v", tool.Name, err)
+		}
+		names = append(names, tool.Name)
+	}
+	if got, want := strings.Join(names, " "), "commmatrix hpctk scalana tracer"; got != want {
+		t.Errorf("Tools() = %s, want %s", got, want)
 	}
 }
 
@@ -83,17 +38,6 @@ func TestRunUnknownToolNameErrors(t *testing.T) {
 	_, err := scalana.Run(scalana.RunConfig{App: scalana.GetApp("cg"), NP: 4, ToolName: "no-such-tool"})
 	if err == nil || !strings.Contains(err.Error(), "no-such-tool") {
 		t.Errorf("unknown tool name should error naming the tool, got: %v", err)
-	}
-}
-
-// TestRunNilToolRunErrors: a registered tool whose NewRun returns
-// (nil, nil) — an easy implementer mistake — must surface as an error,
-// not a panic inside Run.
-func TestRunNilToolRunErrors(t *testing.T) {
-	scalana.RegisterTool(stubTool{name: "stub-nil-run"})
-	_, err := scalana.Run(scalana.RunConfig{App: scalana.GetApp("cg"), NP: 4, ToolName: "stub-nil-run"})
-	if err == nil || !strings.Contains(err.Error(), "returned no run") {
-		t.Errorf("nil ToolRun should error, got: %v", err)
 	}
 }
 
@@ -111,10 +55,9 @@ func saveWire(t *testing.T, out *scalana.RunOutput) string {
 	return string(data)
 }
 
-// TestRunWireJSONMatchesCommittedFixtures is the redesign's byte-identity
-// anchor: a live registry-dispatched run at the fixtures' settings (1 kHz,
-// seed 0) must serialize to exactly the bytes the pre-registry build
-// committed under testdata/.
+// TestRunWireJSONMatchesCommittedFixtures is the tool API's byte-identity
+// anchor: a live "scalana" run at the fixtures' settings (1 kHz, seed 0)
+// must serialize to exactly the bytes committed under testdata/.
 func TestRunWireJSONMatchesCommittedFixtures(t *testing.T) {
 	app := scalana.GetApp("cg")
 	cfg := prof.DefaultConfig()
@@ -136,22 +79,18 @@ func TestRunWireJSONMatchesCommittedFixtures(t *testing.T) {
 	}
 }
 
-// TestMeasurementAccessorsNilSafe: a bare run carries no Measurement and
-// every accessor must degrade to zero values.
-func TestMeasurementAccessorsNilSafe(t *testing.T) {
+// TestBareRunCarriesNoData: a bare run names no tool, carries no
+// payload, and every RunOutput accessor degrades to its zero value.
+func TestBareRunCarriesNoData(t *testing.T) {
 	out, err := scalana.Run(scalana.RunConfig{App: scalana.GetApp("cg"), NP: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Measurement != nil || out.Tool != "" {
-		t.Fatalf("bare run should carry no measurement, got tool %q", out.Tool)
+	if out.Data != nil || out.Tool != "" {
+		t.Fatalf("bare run should carry no payload, got tool %q and %T", out.Tool, out.Data)
 	}
-	if out.Profiles() != nil || out.Measurement.Traces() != nil || out.Measurement.CtxProfiles() != nil ||
-		out.PPG() != nil || out.StorageBytes() != 0 {
-		t.Error("nil-Measurement accessors should return zero values")
-	}
-	if out.Measurement.Data() != nil || out.Measurement.ToolName() != "" {
-		t.Error("nil *Measurement methods should be callable")
+	if out.Profiles() != nil || out.PPG() != nil || out.StorageBytes() != 0 {
+		t.Error("a bare run's accessors should return zero values")
 	}
 }
 

@@ -3,6 +3,7 @@ package scalana
 import (
 	"fmt"
 
+	"scalana/internal/commmatrix"
 	"scalana/internal/hpctk"
 	"scalana/internal/minilang"
 	"scalana/internal/mpisim"
@@ -12,42 +13,46 @@ import (
 	"scalana/internal/trace"
 )
 
-// The bundled measurement tools register like any external one; nothing
-// in the dispatch path knows their names.
-func init() {
-	RegisterTool(scalAnaTool{})
-	RegisterTool(tracerTool{})
-	RegisterTool(callPathTool{})
+// tools is every measurement tool, sorted by name: what RunConfig.ToolName
+// resolves against and what Tools lists.
+var tools = []struct {
+	Tool
+	newRun func(RunConfig, *psg.Graph) ToolRun
+}{
+	{Tool{"commmatrix", "communication-volume collector: per-vertex send/recv bytes and message counts plus the rank-to-rank traffic matrix"}, newCommMatrixRun},
+	{Tool{"hpctk", "HPCToolkit-like call-path profiler: pure calling-context sampling, no inter-process dependence"}, newCallPathRun},
+	{Tool{"scalana", "graph-based profiler: sampled per-vertex performance + compressed communication dependence (the paper's tool)"}, newScalAnaRun},
+	{Tool{"tracer", "Scalasca-like tracer: every MPI event and region transition logged as a timestamped record"}, newTracerRun},
 }
 
 // ---- "scalana": the graph-based profiler (paper's tool) ----
 
-type scalAnaTool struct{}
-
-func (scalAnaTool) Name() string { return "scalana" }
-func (scalAnaTool) Description() string {
-	return "graph-based profiler: sampled per-vertex performance + compressed communication dependence (the paper's tool)"
+// ScalAnaData is the payload of the "scalana" tool: per-rank profiles
+// plus the assembled Program Performance Graph.
+type ScalAnaData struct {
+	Profiles []*prof.RankProfile
+	PPG      *ppg.Graph
 }
 
-func (scalAnaTool) NewRun(tc ToolContext) (ToolRun, error) {
-	pc := tc.Config.Prof
+func newScalAnaRun(cfg RunConfig, graph *psg.Graph) ToolRun {
+	pc := cfg.Prof
 	if pc.SampleHz == 0 {
 		pc = prof.DefaultConfig()
-		pc.Seed = tc.Config.Seed
+		pc.Seed = cfg.Seed
 	}
-	np := tc.Config.NP
+	np := cfg.NP
 	// Every rank's profiler storage comes out of the run's slabs, and so
 	// do the one-hook lists the simulator asks for rank by rank.
 	r := &scalAnaRun{
-		graph:     tc.Graph,
-		profilers: prof.NewProfilers(pc, tc.Graph, np),
+		graph:     graph,
+		profilers: prof.NewProfilers(pc, graph, np),
 		hooks:     make([]mpisim.Hook, np),
 		profiles:  make([]*prof.RankProfile, np),
 	}
 	for rank := range r.hooks {
 		r.hooks[rank] = &r.profilers[rank]
 	}
-	return r, nil
+	return r
 }
 
 type scalAnaRun struct {
@@ -84,19 +89,11 @@ var _ IndirectObserver = (*scalAnaRun)(nil)
 
 // ---- "tracer": the Scalasca-like tracing baseline ----
 
-type tracerTool struct{}
-
-func (tracerTool) Name() string { return "tracer" }
-func (tracerTool) Description() string {
-	return "Scalasca-like tracer: every MPI event and region transition logged as a timestamped record"
-}
-
-func (tracerTool) NewRun(tc ToolContext) (ToolRun, error) {
-	np := tc.Config.NP
+func newTracerRun(cfg RunConfig, _ *psg.Graph) ToolRun {
 	return &tracerRun{
-		tracers: make([]*trace.Tracer, np),
-		traces:  make([]*trace.RankTrace, np),
-	}, nil
+		tracers: make([]*trace.Tracer, cfg.NP),
+		traces:  make([]*trace.RankTrace, cfg.NP),
+	}
 }
 
 type tracerRun struct {
@@ -119,19 +116,11 @@ func (r *tracerRun) Finish() (any, error) { return r.traces, nil }
 
 // ---- "hpctk": the HPCToolkit-like call-path profiling baseline ----
 
-type callPathTool struct{}
-
-func (callPathTool) Name() string { return "hpctk" }
-func (callPathTool) Description() string {
-	return "HPCToolkit-like call-path profiler: pure calling-context sampling, no inter-process dependence"
-}
-
-func (callPathTool) NewRun(tc ToolContext) (ToolRun, error) {
-	np := tc.Config.NP
+func newCallPathRun(cfg RunConfig, _ *psg.Graph) ToolRun {
 	return &callPathRun{
-		profilers: make([]*hpctk.Profiler, np),
-		profiles:  make([]*hpctk.RankProfile, np),
-	}, nil
+		profilers: make([]*hpctk.Profiler, cfg.NP),
+		profiles:  make([]*hpctk.RankProfile, cfg.NP),
+	}
 }
 
 type callPathRun struct {
@@ -151,3 +140,31 @@ func (r *callPathRun) FinalizeRank(rank int) int64 {
 }
 
 func (r *callPathRun) Finish() (any, error) { return r.profiles, nil }
+
+// ---- "commmatrix": the communication-volume collector ----
+
+func newCommMatrixRun(cfg RunConfig, _ *psg.Graph) ToolRun {
+	return &commMatrixRun{
+		collectors: make([]*commmatrix.Collector, cfg.NP),
+		ranks:      make([]*commmatrix.RankComm, cfg.NP),
+	}
+}
+
+type commMatrixRun struct {
+	collectors []*commmatrix.Collector
+	ranks      []*commmatrix.RankComm
+}
+
+func (r *commMatrixRun) HooksForRank(rank int) []mpisim.Hook {
+	c := commmatrix.New(rank, len(r.collectors))
+	r.collectors[rank] = c
+	return []mpisim.Hook{c}
+}
+
+func (r *commMatrixRun) FinalizeRank(rank int) int64 {
+	r.ranks[rank] = r.collectors[rank].Comm()
+	return r.ranks[rank].StorageBytes()
+}
+
+// Finish assembles the dense traffic matrix, a *commmatrix.Matrix.
+func (r *commMatrixRun) Finish() (any, error) { return commmatrix.Assemble(r.ranks) }
