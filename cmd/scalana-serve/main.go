@@ -20,9 +20,8 @@
 //	curl -X POST -d '{"app":"cg"}' http://localhost:8135/v1/detect
 //
 // With several uploads stored per (app, np), GET /v1/watch scores the
-// newest against the rolling baseline of its predecessors; the
-// -watch-* flags set the default thresholds (overridable per request
-// via query parameters).
+// newest against the rolling baseline of its predecessors, with
+// thresholds set per request by query parameters.
 //
 // SIGINT or SIGTERM stops the listener at once and gives requests already
 // in flight shutdownGrace to finish; the process then exits 0.
@@ -40,7 +39,6 @@ import (
 	"syscall"
 	"time"
 
-	"scalana/internal/baseline"
 	"scalana/internal/fit"
 	"scalana/internal/serve"
 	"scalana/internal/store"
@@ -57,11 +55,6 @@ func main() {
 	storeDir := flag.String("store", "", "profile store directory (required; created if missing)")
 	parallel := flag.Int("parallel", 0, "bound on concurrent simulation/PPG work (0 = one per CPU); also fans simulate-mode sweeps")
 	hz := flag.Float64("hz", 1000, "profiler sampling frequency for simulate-mode detect runs")
-	watchZ := flag.Float64("watch-z", 3, "default z-score flagging threshold for /v1/watch")
-	watchCUSUM := flag.Float64("watch-cusum", 5, "default CUSUM flagging threshold for /v1/watch")
-	watchK := flag.Float64("watch-cusum-k", 0.5, "default CUSUM slack per run for /v1/watch")
-	watchMinRuns := flag.Int("watch-min-runs", 2, "default minimum baseline runs before a vertex is scored")
-	watchMinShare := flag.Float64("watch-min-share", 0.01, "default minimum share of total time for flagging")
 	watchMerge := flag.String("watch-merge", "median", "cross-rank merge strategy baselines are built with (server-wide)")
 	quiet := flag.Bool("quiet", false, "suppress the per-request log")
 	flag.Parse()
@@ -83,11 +76,7 @@ func main() {
 		Engine:      scalana.NewEngine(),
 		Parallelism: *parallel,
 		SampleHz:    *hz,
-		Watch: baseline.Params{
-			ZThd: *watchZ, CUSUMThd: *watchCUSUM, CUSUMK: *watchK,
-			MinRuns: *watchMinRuns, MinShare: *watchMinShare,
-		},
-		Merge: merge,
+		Merge:       merge,
 	}
 	if !*quiet {
 		cfg.Logf = logger.Printf

@@ -9,9 +9,10 @@
 //	scalana-viewer -app sst -scales 4,8,16,32 -context 3
 //	scalana-viewer -app cg -scales 4,8,16 -parallel 2
 //
-// The sweep runs through the standard engine: the app compiles once for
-// every scale and the scales fan out across -parallel workers — the
-// same knobs every other command exposes.
+// The report is the internal/query detect plan scalana-detect runs on
+// the simulator, so the causes shown are the ones it reports: the app
+// compiles once for every scale and the scales fan out across -parallel
+// workers.
 package main
 
 import (
@@ -21,7 +22,7 @@ import (
 	"strings"
 
 	"scalana/internal/detect"
-	"scalana/internal/prof"
+	"scalana/internal/query"
 	"scalana/internal/scales"
 
 	scalana "scalana"
@@ -51,16 +52,14 @@ func main() {
 	if len(nps) == 0 {
 		fatalf("no usable scales: all of %v are below the %d-rank minimum of %s", dropped, app.MinNP, app.Name)
 	}
-	cfg := prof.DefaultConfig()
-	cfg.SampleHz = *hz
-	runs, err := scalana.SweepWithConfig(app, nps, scalana.SweepConfig{
-		Parallelism: *parallel,
-		Prof:        cfg,
+	env := query.Env{Engine: scalana.NewEngine(), Parallelism: *parallel}
+	plan, err := env.Detect(query.Detect{
+		App: app, Simulate: true, Scales: nps, SampleHz: *hz, Config: detect.DefaultConfig(),
 	})
 	if err != nil {
 		fatalf("%v", err)
 	}
-	rep, err := scalana.DetectScalingLoss(runs, detect.Config{})
+	rep, _, err := plan.Run()
 	if err != nil {
 		fatalf("%v", err)
 	}

@@ -72,8 +72,8 @@ func DefaultParams() Params {
 
 // Normalized overlays defaults on zero fields (zero means "default",
 // the same convention detect.Config uses on the service wire). Watch
-// applies it internally; the service also calls it up front so its
-// single-flight keys name the resolved thresholds.
+// applies it internally, and so does query.Watch before it builds a
+// plan key, so equal resolved thresholds share one key.
 func (p Params) Normalized() Params {
 	def := DefaultParams()
 	if p.ZThd == 0 {

@@ -14,17 +14,6 @@ import (
 	scalana "scalana"
 )
 
-func init() {
-	registerExp("fig2", "Fig. 2: motivating example, injected delay in NPB-CG found by backtracking", fig2)
-	registerExp("fig7", "Fig. 7: non-scalable and abnormal vertex examples", fig7)
-	registerExp("fig8", "Fig. 8: problematic vertices and backtracking on the PPG", fig8)
-	registerExp("fig12", "Fig. 12: Zeus-MP root-cause paths and optimization speedup", fig12)
-	registerExp("fig13", "Fig. 13: Zeus-MP runtime/storage overhead of the three tools", fig13)
-	registerExp("fig14", "Fig. 14: SST root-cause paths and optimization", fig14)
-	registerExp("fig15", "Fig. 15: SST per-rank TOT_INS before/after the fix", fig15)
-	registerExp("fig16", "Fig. 16: Nekbone PMU data before/after the fix", fig16)
-}
-
 // caseStudy runs detection for an app and returns the report plus the
 // largest-scale run output.
 func caseStudy(name string, nps []int) (*detect.Report, []detect.ScaleRun, error) {

@@ -7,7 +7,6 @@ package exp
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"scalana/internal/detect"
@@ -42,24 +41,37 @@ func (r *Result) addf(format string, args ...any) {
 	r.Text += fmt.Sprintf(format, args...)
 }
 
-// Experiment is a registered experiment generator.
+// Experiment is one experiment generator.
 type Experiment struct {
 	ID    string
 	Title string
 	Run   func() (*Result, error)
 }
 
-var experiments []Experiment
-
-func registerExp(id, title string, run func() (*Result, error)) {
-	experiments = append(experiments, Experiment{ID: id, Title: title, Run: run})
+// experiments is every experiment, in paper order.
+var experiments = []Experiment{
+	{"table1", "Table I: tool comparison on NPB-CG, 128 processes", table1},
+	{"fig2", "Fig. 2: motivating example, injected delay in NPB-CG found by backtracking", fig2},
+	{"fig4", "Fig. 4: PSG construction stages for the Fig. 3 example", fig4},
+	{"fig6", "Fig. 6: a PPG running with 8 processes", fig6},
+	{"fig7", "Fig. 7: non-scalable and abnormal vertex examples", fig7},
+	{"fig8", "Fig. 8: problematic vertices and backtracking on the PPG", fig8},
+	{"table2", "Table II: PSG size and vertex mix for all programs", table2},
+	{"table3", "Table III: static (compile-time) overhead of PSG construction", table3},
+	{"fig10", "Fig. 10: average runtime overhead of the three tools, 4-128 processes", fig10},
+	{"fig11", "Fig. 11: storage cost of the three tools, 128 processes", fig11},
+	{"table4", "Table IV: post-mortem detection cost, 128 processes", table4},
+	{"fig12", "Fig. 12: Zeus-MP root-cause paths and optimization speedup", fig12},
+	{"fig13", "Fig. 13: Zeus-MP runtime/storage overhead of the three tools", fig13},
+	{"fig14", "Fig. 14: SST root-cause paths and optimization", fig14},
+	{"fig15", "Fig. 15: SST per-rank TOT_INS before/after the fix", fig15},
+	{"fig16", "Fig. 16: Nekbone PMU data before/after the fix", fig16},
+	{"synth", "Accuracy: root-cause localization on the synthetic ground-truth corpus", synthAccuracy},
 }
 
-// All returns every registered experiment in paper order.
+// All returns every experiment in paper order.
 func All() []Experiment {
-	out := append([]Experiment(nil), experiments...)
-	sort.SliceStable(out, func(i, j int) bool { return orderOf(out[i].ID) < orderOf(out[j].ID) })
-	return out
+	return append([]Experiment(nil), experiments...)
 }
 
 // Get returns the experiment with the given id, or nil.
@@ -95,18 +107,6 @@ func RunAll(exps []Experiment, parallelism int) ([]*Result, error) {
 		}
 	}
 	return results, nil
-}
-
-func orderOf(id string) int {
-	order := []string{"table1", "fig2", "fig4", "fig6", "fig7", "fig8",
-		"table2", "table3", "fig10", "fig11", "table4",
-		"fig12", "fig13", "fig14", "fig15", "fig16", "synth"}
-	for i, x := range order {
-		if x == id {
-			return i
-		}
-	}
-	return len(order)
 }
 
 // ---- shared helpers ----

@@ -11,12 +11,6 @@ import (
 	scalana "scalana"
 )
 
-func init() {
-	registerExp("fig4", "Fig. 4: PSG construction stages for the Fig. 3 example", fig4)
-	registerExp("fig6", "Fig. 6: a PPG running with 8 processes", fig6)
-	registerExp("table2", "Table II: PSG size and vertex mix for all programs", table2)
-}
-
 // fig4 renders the three construction stages of the paper's Fig. 4: the
 // per-function local graphs, the complete inter-procedural graph, and the
 // contracted graph with MaxLoopDepth=1 (which merges Loop 1.1/1.2).

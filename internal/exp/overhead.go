@@ -14,14 +14,6 @@ import (
 	scalana "scalana"
 )
 
-func init() {
-	registerExp("table1", "Table I: tool comparison on NPB-CG, 128 processes", table1)
-	registerExp("table3", "Table III: static (compile-time) overhead of PSG construction", table3)
-	registerExp("fig10", "Fig. 10: average runtime overhead of the three tools, 4-128 processes", fig10)
-	registerExp("fig11", "Fig. 11: storage cost of the three tools, 128 processes", fig11)
-	registerExp("table4", "Table IV: post-mortem detection cost, 128 processes", table4)
-}
-
 // table1 reproduces the paper's headline comparison (Scalasca 25.3% /
 // 6.77GB, HPCToolkit 8.41% / 11.45MB, ScalAna 3.53% / 314KB on NPB-CG
 // with 128 processes).

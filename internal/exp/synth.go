@@ -11,10 +11,6 @@ import (
 	"scalana/internal/synth"
 )
 
-func init() {
-	registerExp("synth", "Accuracy: root-cause localization on the synthetic ground-truth corpus", synthAccuracy)
-}
-
 // synthGateSeed/synthGateCases mirror the committed fixed-seed corpus
 // the CI accuracy gate pins (internal/synth/testdata/corpus-seed1.json).
 const (

@@ -23,14 +23,15 @@
 //	POST /v1/detect                       detect report (detect.EncodeJSON bytes)
 //	GET  /v1/sweep?app=&scales=           per-scale elapsed/speedup/efficiency + log-log model
 //	GET  /v1/comm?app=&np=                simulated rank-to-rank communication matrix
-//	POST /v1/baseline                     warm/rebuild rolling baselines {app, rebuild}
 //	GET  /v1/watch?app=[&np=]             newest run vs rolling baseline (baseline.EncodeJSON bytes)
 //
 // A detect request reads stored profile sets by default (name scales,
 // or hashes, or nothing for "every stored scale"); with "simulate":
 // true it sweeps the app on the simulator instead. Either way it is the
 // query scalana-detect runs, so the response bytes are what its -json
-// writes for the same inputs.
+// writes for the same inputs. A watch request's query parameters (z,
+// cusum, cusum-k, min-runs, min-share) are its only thresholds; an
+// absent one takes its baseline.DefaultParams value.
 package serve
 
 import (
@@ -75,10 +76,6 @@ type Config struct {
 	// SampleHz is the profiler rate for simulate-mode detect runs
 	// (default 1000, matching scalana-detect's flag default).
 	SampleHz float64
-	// Watch sets the default regression-flagging thresholds for
-	// /v1/watch; zero fields take baseline.DefaultParams. Individual
-	// requests may override them via query parameters.
-	Watch baseline.Params
 	// Merge is the cross-rank merge strategy baselines are built with.
 	// It is server-wide, not per-request: samples cached under one
 	// strategy are not comparable to baselines built under another.
@@ -137,7 +134,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.SampleHz <= 0 {
 		cfg.SampleHz = 1000
 	}
-	cfg.Watch = cfg.Watch.Normalized()
 	s := &Server{
 		cfg:      cfg,
 		env:      query.Env{Engine: cfg.Engine, Store: cfg.Store, Parallelism: cfg.Parallelism, Merge: cfg.Merge},
@@ -211,7 +207,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/detect", s.handleDetect)
 	mux.HandleFunc("GET /v1/sweep", s.handleSweep)
 	mux.HandleFunc("GET /v1/comm", s.handleComm)
-	mux.HandleFunc("POST /v1/baseline", s.handleBaseline)
 	mux.HandleFunc("GET /v1/watch", s.handleWatch)
 	return s.logged(mux)
 }

@@ -1,13 +1,13 @@
 package serve
 
-// Streaming regression endpoints. /v1/watch scores the newest stored
+// The streaming regression endpoint. /v1/watch scores the newest stored
 // run at one scale against the rolling baseline built from every
-// earlier run (internal/baseline), and /v1/baseline warms or rebuilds
-// the server's sample cache from the store. Watch responses are exactly
-// baseline.EncodeJSON()+'\n', the canonical bytes of the query.Watch plan
-// scalana-detect -watch -json runs too, and concurrent identical watch
-// requests coalesce on the plan's key (the full run history plus the
-// resolved thresholds) like every other query.
+// earlier run (internal/baseline); the request alone sets the
+// thresholds. Responses are exactly baseline.EncodeJSON()+'\n', the
+// canonical bytes of the query.Watch plan scalana-detect -watch -json
+// runs too, and concurrent identical watch requests coalesce on the
+// plan's key (the full run history plus the resolved thresholds) like
+// every other query. Ingested samples are cached lazily by store key.
 
 import (
 	"net/http"
@@ -25,20 +25,6 @@ func (s *Server) sampleCount() int {
 	s.sampleMu.Lock()
 	defer s.sampleMu.Unlock()
 	return len(s.samples)
-}
-
-// dropSamples evicts cached samples for one app (rebuild support).
-func (s *Server) dropSamples(appName string) int {
-	s.sampleMu.Lock()
-	defer s.sampleMu.Unlock()
-	n := 0
-	for k := range s.samples {
-		if k.App == appName {
-			delete(s.samples, k)
-			n++
-		}
-	}
-	return n
 }
 
 // sampleFor is the query.Env sample lookup: the ingested sample for one
@@ -69,8 +55,8 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 	if app == nil {
 		return
 	}
-	// Query parameters override the server's configured thresholds.
-	q := query.Watch{App: app, Params: s.cfg.Watch}
+	// Query parameters override the default thresholds.
+	q := query.Watch{App: app, Params: baseline.DefaultParams()}
 	for _, f := range []struct {
 		name string
 		dst  *float64
@@ -102,63 +88,4 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 	}
 	plan, err := s.env.Watch(q)
 	answer(s, w, &s.watches, plan, err)
-}
-
-// ---- baseline warm/rebuild ----
-
-type baselineRequest struct {
-	// App names the application whose stored runs to ingest.
-	App string `json:"app"`
-	// Rebuild drops the app's cached samples first, forcing re-ingestion
-	// from stored bytes.
-	Rebuild bool `json:"rebuild,omitempty"`
-}
-
-type baselineScaleJSON struct {
-	NP   int `json:"np"`
-	Runs int `json:"runs"`
-}
-
-type baselineResponseJSON struct {
-	App      string              `json:"app"`
-	Merge    string              `json:"merge"`
-	Scales   []baselineScaleJSON `json:"scales"`
-	Runs     int                 `json:"runs"`
-	Ingested int64               `json:"ingested"`
-	Evicted  int                 `json:"evicted,omitempty"`
-}
-
-func (s *Server) handleBaseline(w http.ResponseWriter, r *http.Request) {
-	var req baselineRequest
-	if !readJSON(w, r, 1<<20, &req) {
-		return
-	}
-	app := s.app(w, req.App)
-	if app == nil {
-		return
-	}
-	evicted := 0
-	if req.Rebuild {
-		evicted = s.dropSamples(app.Name)
-	}
-	nps, hists, err := s.env.Histories(app.Name)
-	if err != nil {
-		fail(w, err)
-		return
-	}
-	defer s.acquire()()
-	before := s.sampleIngests.Load()
-	resp := baselineResponseJSON{App: app.Name, Merge: s.env.Merge.String(), Evicted: evicted}
-	for _, np := range nps {
-		for _, e := range hists[np] {
-			if _, err := s.sampleFor(app, e); err != nil {
-				fail(w, err)
-				return
-			}
-		}
-		resp.Scales = append(resp.Scales, baselineScaleJSON{NP: np, Runs: len(hists[np])})
-		resp.Runs += len(hists[np])
-	}
-	resp.Ingested = s.sampleIngests.Load() - before
-	writeJSON(w, http.StatusOK, resp)
 }

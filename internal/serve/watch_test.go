@@ -2,7 +2,6 @@ package serve
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"math"
 	"net/http"
@@ -141,7 +140,7 @@ func TestWatchEndToEnd(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("watch quiet: %d %s", code, body)
 	}
-	rep := offline(body, srv.cfg.Watch)
+	rep := offline(body, baseline.DefaultParams())
 	if !rep.Quiet() {
 		t.Fatalf("quiet 3-run history flagged %d regressions (first: %+v)", len(rep.Regressions), rep.Regressions[0])
 	}
@@ -160,7 +159,7 @@ func TestWatchEndToEnd(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("watch flagged: %d %s", code, flagged)
 	}
-	rep = offline(flagged, srv.cfg.Watch)
+	rep = offline(flagged, baseline.DefaultParams())
 	if rep.Quiet() {
 		t.Fatal("seeded 20x regression was not flagged")
 	}
@@ -183,69 +182,10 @@ func TestWatchEndToEnd(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("watch with overrides: %d %s", code, quiet)
 	}
-	params := srv.cfg.Watch
+	params := baseline.DefaultParams()
 	params.MinShare = 0.9999
 	if rep := offline(quiet, params); !rep.Quiet() {
 		t.Fatal("min-share=0.9999 still flagged")
-	}
-}
-
-// TestBaselineEndpoint: POST /v1/baseline warms the sample cache (runs
-// counted per scale), re-warming ingests nothing, and rebuild evicts
-// then re-ingests.
-func TestBaselineEndpoint(t *testing.T) {
-	srv, ts := newTestServer(t)
-	app := scalana.GetApp("cg")
-	_, graph, err := scalana.Compile(app)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bases := encodeSets(t, srv.env.Engine, app, []int{4, 8}, 1000)
-	for _, np := range []int{4, 8} {
-		for _, f := range []float64{0.999, 1.001} {
-			set := scaleSet(t, bases[np], graph, f)
-			if code, body := post(t, ts.URL+"/v1/profiles", "application/json", set); code != http.StatusCreated {
-				t.Fatalf("upload np=%d: %d %s", np, code, body)
-			}
-		}
-	}
-	var resp baselineResponseJSON
-	code, body := post(t, ts.URL+"/v1/baseline", "application/json", []byte(`{"app":"cg"}`))
-	if code != http.StatusOK {
-		t.Fatalf("baseline warm: %d %s", code, body)
-	}
-	if err := json.Unmarshal(body, &resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.Runs != 4 || resp.Ingested != 4 || resp.Evicted != 0 || len(resp.Scales) != 2 {
-		t.Fatalf("warm response %+v", resp)
-	}
-	if st := srv.Stats(); st.BaselineSamples != 4 || st.SampleIngests != 4 {
-		t.Fatalf("stats after warm: %+v", st)
-	}
-
-	// Second warm: everything cached already.
-	code, body = post(t, ts.URL+"/v1/baseline", "application/json", []byte(`{"app":"cg"}`))
-	if code != http.StatusOK {
-		t.Fatalf("baseline rewarm: %d %s", code, body)
-	}
-	if err := json.Unmarshal(body, &resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.Ingested != 0 {
-		t.Fatalf("rewarm ingested %d, want 0", resp.Ingested)
-	}
-
-	// Rebuild: evict then re-ingest.
-	code, body = post(t, ts.URL+"/v1/baseline", "application/json", []byte(`{"app":"cg","rebuild":true}`))
-	if code != http.StatusOK {
-		t.Fatalf("baseline rebuild: %d %s", code, body)
-	}
-	if err := json.Unmarshal(body, &resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.Evicted != 4 || resp.Ingested != 4 {
-		t.Fatalf("rebuild response %+v", resp)
 	}
 }
 
@@ -304,8 +244,7 @@ func TestServeErrorClasses(t *testing.T) {
 		{"detect ambiguous hash prefix", "POST", "/v1/detect", fmt.Sprintf(`{"app":"cg","hashes":[%q]}`, ambiguousPrefix), http.StatusConflict},
 		{"detect non-hex hash", "POST", "/v1/detect", `{"app":"cg","hashes":["zz"]}`, http.StatusBadRequest},
 		{"detect below MinNP", "POST", "/v1/detect", `{"app":"cg","simulate":true,"scales":[1]}`, http.StatusBadRequest},
-		{"baseline malformed JSON", "POST", "/v1/baseline", `{`, http.StatusBadRequest},
-		{"baseline unknown app", "POST", "/v1/baseline", `{"app":"no-such-app"}`, http.StatusNotFound},
+		{"baseline endpoint is gone", "POST", "/v1/baseline", `{"app":"cg"}`, http.StatusNotFound},
 		{"watch unknown app", "GET", "/v1/watch?app=no-such-app", "", http.StatusNotFound},
 		{"watch bad z", "GET", "/v1/watch?app=cg&z=bogus", "", http.StatusBadRequest},
 		{"watch negative cusum", "GET", "/v1/watch?app=cg&cusum=-1", "", http.StatusBadRequest},
@@ -334,9 +273,6 @@ func TestServeErrorClasses(t *testing.T) {
 	_, ts2 := newTestServer(t)
 	if code, resp := get(t, ts2.URL+"/v1/watch?app=cg"); code != http.StatusNotFound {
 		t.Errorf("watch over empty store: got %d (%s), want 404", code, resp)
-	}
-	if code, resp := post(t, ts2.URL+"/v1/baseline", "application/json", []byte(`{"app":"cg"}`)); code != http.StatusNotFound {
-		t.Errorf("baseline over empty store: got %d (%s), want 404", code, resp)
 	}
 }
 

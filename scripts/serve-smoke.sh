@@ -67,7 +67,6 @@ curl -fs "http://$addr/v1/stats" >/dev/null
 # against the rolling baseline, served and offline, byte for byte.
 "$work/scalana-prof" -app cg -np 8 -hz 500 -o "$work/cg.8b.json" >/dev/null
 curl -fs --data-binary @"$work/cg.8b.json" "http://$addr/v1/profiles" >/dev/null
-curl -fs -X POST -d '{"app":"cg"}' "http://$addr/v1/baseline" >/dev/null
 curl -fs "http://$addr/v1/watch?app=cg&np=8&min-runs=1" > "$work/watch-served.json"
 
 # scalana-detect -watch exits 2 when regressions are flagged — either
