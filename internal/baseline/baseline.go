@@ -108,9 +108,10 @@ type Sample struct {
 	// TotalTime is the summed sampled time across ranks (the share
 	// denominator).
 	TotalTime float64
-	// Values holds the merged per-rank time per VID, NaN where no rank
-	// sampled the vertex. Indexed by psg.VID — the flat-array layout the
-	// columnar PPG uses.
+	// Values holds the merged per-rank time per VID (ppg.Graph.Merged),
+	// NaN where no rank sampled the vertex. Indexed by psg.VID — the
+	// flat-array layout the columnar PPG uses. A detect reads it as a
+	// smaller scale's detect.ScaleRun.Merged.
 	Values []float64
 }
 
@@ -119,12 +120,8 @@ type Sample struct {
 func Ingest(pg *ppg.Graph, hash string, elapsed float64, merge fit.MergeStrategy) *Sample {
 	nv := pg.NumVIDs()
 	smp := &Sample{NP: pg.NP, Hash: hash, Elapsed: elapsed, TotalTime: pg.TotalTime(), Values: make([]float64, nv)}
-	for vid := 0; vid < nv; vid++ {
-		if pg.Present(psg.VID(vid)) {
-			smp.Values[vid] = fit.Merge(pg.TimeSeries(psg.VID(vid)), merge)
-		} else {
-			smp.Values[vid] = math.NaN()
-		}
+	for vid := range smp.Values {
+		smp.Values[vid] = pg.Merged(psg.VID(vid), merge)
 	}
 	return smp
 }

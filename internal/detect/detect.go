@@ -69,8 +69,20 @@ type ScaleRun struct {
 	// NP is the job's process count.
 	NP int
 	// PPG is the Program Performance Graph assembled from that job's
-	// per-rank profiles.
+	// per-rank profiles; only the largest scale must have one.
 	PPG *ppg.Graph
+	// Merged, when set, stands in for PPG in the cross-scale fit: each
+	// VID's per-rank time merged under Config.Merge (ppg.Graph.Merged), NaN
+	// where no rank sampled it — a baseline.Sample's Values.
+	Merged []float64
+}
+
+// merged is the run's merged time for one vertex, NaN where it never ran.
+func (r ScaleRun) merged(vid psg.VID, s fit.MergeStrategy) float64 {
+	if r.Merged != nil {
+		return r.Merged[vid]
+	}
+	return r.PPG.Merged(vid, s)
 }
 
 // NonScalable is one vertex whose performance scales badly with the
@@ -186,6 +198,9 @@ func Detect(runs []ScaleRun, cfg Config) (*Report, error) {
 	sorted := append([]ScaleRun(nil), runs...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].NP < sorted[j].NP })
 	largest := sorted[len(sorted)-1]
+	if largest.PPG == nil {
+		return nil, fmt.Errorf("detect: the largest scale, np=%d, has no PPG", largest.NP)
+	}
 
 	rep := &Report{NP: largest.NP}
 	if len(sorted) >= 2 {
@@ -237,10 +252,10 @@ func findNonScalable(sorted []ScaleRun, cfg Config) []NonScalable {
 		var ps, ys []float64
 		times := map[int]float64{}
 		for _, run := range sorted {
-			if !run.PPG.Present(vid) {
+			merged := run.merged(vid, cfg.Merge)
+			if math.IsNaN(merged) {
 				continue
 			}
-			merged := fit.Merge(run.PPG.TimeSeries(vid), cfg.Merge)
 			ps = append(ps, float64(run.NP))
 			ys = append(ys, merged)
 			times[run.NP] = merged

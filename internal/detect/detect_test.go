@@ -398,6 +398,44 @@ func TestMergeStrategyAffectsDetection(t *testing.T) {
 	}
 }
 
+// TestMergedStandsInForAPPG: a smaller scale given as its merged times
+// detects exactly as its PPG does, and the largest scale must bring a PPG.
+func TestMergedStandsInForAPPG(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Merge = fit.MergeSingle
+	var full, summarised []ScaleRun
+	for _, np := range []int{4, 8} {
+		s := newSynthetic(t, simpleSrc, np)
+		s.setTime(s.vertex("main", psg.KindComp), 0, 0.5)
+		pg := s.ppg()
+		full = append(full, ScaleRun{NP: np, PPG: pg})
+		run := ScaleRun{NP: np, PPG: pg}
+		if np == 4 {
+			run = ScaleRun{NP: np, Merged: make([]float64, pg.NumVIDs())}
+			for vid := range run.Merged {
+				run.Merged[vid] = pg.Merged(psg.VID(vid), cfg.Merge)
+			}
+		}
+		summarised = append(summarised, run)
+	}
+	want, err := Detect(full, cfg)
+	if err != nil || len(want.NonScalable) == 0 {
+		t.Fatalf("detect over two PPGs: %v, %d non-scalable", err, len(want.NonScalable))
+	}
+	got, err := Detect(summarised, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantJSON, _ := want.EncodeJSON()
+	gotJSON, _ := got.EncodeJSON()
+	if string(gotJSON) != string(wantJSON) {
+		t.Errorf("np=4 as merged times detects differently:\n%s\nwant\n%s", gotJSON, wantJSON)
+	}
+	if _, err := Detect([]ScaleRun{summarised[1], {NP: 16, Merged: summarised[0].Merged}}, cfg); err == nil {
+		t.Error("a largest scale with no PPG was detected over")
+	}
+}
+
 func TestRenderReport(t *testing.T) {
 	s := newSynthetic(t, simpleSrc, 2)
 	comp := s.vertex("main", psg.KindComp)

@@ -13,8 +13,10 @@ package ppg
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 
+	"scalana/internal/fit"
 	"scalana/internal/machine"
 	"scalana/internal/prof"
 	"scalana/internal/psg"
@@ -381,6 +383,16 @@ func (pg *Graph) TimeSeries(vid psg.VID) []float64 {
 		out[r] = pd.Time
 	}
 	return out
+}
+
+// Merged is one vertex's per-rank time merged across ranks, NaN where no
+// rank sampled it: the one reduction behind detect's cross-scale fit and
+// a baseline sample.
+func (pg *Graph) Merged(vid psg.VID, s fit.MergeStrategy) float64 {
+	if !pg.Present(vid) {
+		return math.NaN()
+	}
+	return fit.Merge(pg.TimeSeries(vid), s)
 }
 
 // PMUSeries returns one counter's per-rank values for a vertex (the data

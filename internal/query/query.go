@@ -43,7 +43,9 @@ type Env struct {
 	// Merge is the cross-rank merge strategy baselines are built with.
 	Merge fit.MergeStrategy
 	// Sample, when set, supplies a stored run's baseline sample in place
-	// of Ingest — the service's content-addressed sample cache.
+	// of Ingest — the service's content-addressed sample cache. A watch
+	// reads every run through it, and a stored detect whose Config.Merge
+	// is Merge reads every scale but its largest through it.
 	Sample func(app *scalana.App, e store.Entry) (*baseline.Sample, error)
 }
 
@@ -216,7 +218,8 @@ func (e *Env) stored(app *scalana.App, ent store.Entry, build bool) (pg *ppg.Gra
 
 // Detect is a scaling-loss detection query. Its source is the simulator
 // (Simulate), a directory of saved scalana-prof outputs named
-// <app>.<np>.json (ProfilesDir), or — by default — the Env's store.
+// <app>.<np>.json (ProfilesDir), or — by default — the Env's store, of
+// which only the largest scale needs a PPG (see Env.Sample).
 type Detect struct {
 	App         *scalana.App
 	Simulate    bool
@@ -271,19 +274,29 @@ func (e *Env) Detect(q Detect) (Plan[*detect.Report], error) {
 		}
 		src = "stored|" + entriesKey(entries)
 		load = func() ([]detect.ScaleRun, error) {
+			largest := 0
+			for _, ent := range entries {
+				largest = max(largest, ent.NP)
+			}
 			runs := make([]detect.ScaleRun, len(entries))
 			for i, ent := range entries {
-				pg, _, err := e.stored(app, ent, true)
+				runs[i].NP = ent.NP
+				var err error
+				if ent.NP == largest || e.Sample == nil || q.Config.Merge != e.Merge {
+					runs[i].PPG, _, err = e.stored(app, ent, true)
+				} else {
+					runs[i].Merged, err = e.merged(app, ent)
+				}
 				if err != nil {
 					return nil, err
 				}
-				runs[i] = detect.ScaleRun{NP: ent.NP, PPG: pg}
 			}
 			return runs, nil
 		}
 	}
 	c := q.Config
-	key := fmt.Sprintf("detect|%s|%s|%g|%g|%g|%d|%t", app.Name, src, c.AbnormThd, c.SlopeThd, c.MinShare, c.TopK, c.CommCauses)
+	key := fmt.Sprintf("detect|%s|%s|%g|%g|%g|%d|%t|%v|%t|%g|%d", app.Name, src, c.AbnormThd, c.SlopeThd, c.MinShare, c.TopK,
+		c.CommCauses, c.Merge, c.PruneWaitless, c.WaitEps, c.MaxSteps)
 	return Plan[*detect.Report]{Key: key, Run: func() (*detect.Report, []byte, error) {
 		runs, err := load()
 		if err != nil {
@@ -296,6 +309,20 @@ func (e *Env) Detect(q Detect) (Plan[*detect.Report], error) {
 		data, err := rep.EncodeJSON()
 		return rep, append(data, '\n'), err
 	}}, nil
+}
+
+// merged reads a smaller scale of a stored detect, which feeds the
+// cross-scale fit alone: its sample's merged times, once the stored bytes
+// the sample was taken from still hash to their key.
+func (e *Env) merged(app *scalana.App, ent store.Entry) ([]float64, error) {
+	if err := e.Store.Verify(ent.Key); err != nil {
+		return nil, err
+	}
+	smp, err := e.Sample(app, ent)
+	if err != nil {
+		return nil, err
+	}
+	return smp.Values, nil
 }
 
 // loadDir builds per-scale PPGs from saved scalana-prof outputs.

@@ -12,6 +12,10 @@ import (
 
 	"scalana/internal/baseline"
 	"scalana/internal/detect"
+	"scalana/internal/fit"
+	"scalana/internal/ppg"
+	"scalana/internal/prof"
+	"scalana/internal/psg"
 	"scalana/internal/store"
 
 	scalana "scalana"
@@ -97,6 +101,167 @@ func TestDetectSourcesAgree(t *testing.T) {
 	}
 }
 
+// allPPG is the detect answer from every scale's full PPG through
+// detect.Detect alone: the bytes each stored-detect path must give.
+func allPPG(t *testing.T, e Env, app *scalana.App, nps []int, cfg detect.Config) []byte {
+	t.Helper()
+	_, graph, err := e.Engine.Compile(app, psg.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var runs []detect.ScaleRun
+	for _, np := range nps {
+		ent, err := e.Store.Only(app.Name, np)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := e.Store.Get(ent.Key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pg, _, err := ppg.Decode(data, graph, np)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runs = append(runs, detect.ScaleRun{NP: np, PPG: pg})
+	}
+	rep, err := detect.Detect(runs, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := rep.EncodeJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(data, '\n')
+}
+
+// TestDetectBytesOnEveryPath: a stored detect answers the bytes of
+// detect.Detect over every scale's PPG whether its smaller scales come
+// from a sample cache, cold or warm, or — the query merging another way
+// than the Env — from full decodes. The zeusmp scales are named out of
+// order, so the largest is not the last.
+func TestDetectBytesOnEveryPath(t *testing.T) {
+	cg, zeusmp := scalana.GetApp("cg"), scalana.GetApp("zeusmp")
+	for _, tc := range []struct {
+		name string
+		env  Env
+		app  *scalana.App
+		nps  []int
+	}{
+		{"cg fixtures", fixtureEnv(t, false), cg, []int{4, 8}},
+		{"zeusmp", storedEnv(t, zeusmp, []int{4, 8, 16}, 2000), zeusmp, []int{16, 4, 8}},
+	} {
+		for _, envMerge := range []fit.MergeStrategy{fit.MergeMedian, fit.MergeMean} {
+			for _, merge := range []fit.MergeStrategy{fit.MergeMedian, fit.MergeMean} {
+				cfg := detect.DefaultConfig()
+				cfg.Merge = merge
+				want := allPPG(t, tc.env, tc.app, tc.nps, cfg)
+				e := tc.env
+				e.Merge = envMerge
+				ingests := withCache(&e)
+				for _, pass := range []string{"cold", "warm"} {
+					plan, err := e.Detect(Detect{App: tc.app, Scales: tc.nps, Config: cfg})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got, err := plan.Bytes(); err != nil || !bytes.Equal(got, want) {
+						t.Errorf("%s, Env merge %v, query merge %v, %s: %d bytes (err %v), want detect.Detect's %d",
+							tc.name, envMerge, merge, pass, len(got), err, len(want))
+					}
+				}
+				wantIngests := 0 // another merge than the Env's decodes every scale
+				if merge == envMerge {
+					wantIngests = len(tc.nps) - 1
+				}
+				if *ingests != wantIngests {
+					t.Errorf("%s, Env merge %v, query merge %v: %d samples ingested, want %d", tc.name, envMerge, merge, *ingests, wantIngests)
+				}
+			}
+		}
+	}
+}
+
+// TestDetectKeyNamesEveryKnob: equal plan keys mean equal bytes, so a key
+// names every resolved knob. Over a stored zeusmp triple a median and a
+// mean detect answer differently; their keys used to be equal. (The cg
+// fixtures cannot show it: every rank's times are equal there, so every
+// merge strategy gives the same bytes.)
+func TestDetectKeyNamesEveryKnob(t *testing.T) {
+	zeusmp := scalana.GetApp("zeusmp")
+	e := storedEnv(t, zeusmp, []int{4, 8, 16}, 2000)
+	keys, answers := map[string]string{}, map[string][]byte{}
+	for name, edit := range map[string]func(*detect.Config){
+		"median":         func(*detect.Config) {},
+		"mean":           func(c *detect.Config) { c.Merge = fit.MergeMean },
+		"no pruning":     func(c *detect.Config) { c.PruneWaitless = false },
+		"wait threshold": func(c *detect.Config) { c.WaitEps = 1e-3 },
+		"step budget":    func(c *detect.Config) { c.MaxSteps = 7 },
+	} {
+		cfg := detect.DefaultConfig()
+		edit(&cfg)
+		plan, err := e.Detect(Detect{App: zeusmp, Config: cfg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if other, ok := keys[plan.Key]; ok {
+			t.Errorf("%s and %s share the key %s", name, other, plan.Key)
+		}
+		keys[plan.Key] = name
+		if answers[name], err = plan.Bytes(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if bytes.Equal(answers["median"], answers["mean"]) {
+		t.Error("median and mean detects over zeusmp answer the same bytes; the key test proves nothing")
+	}
+}
+
+// withCache gives e a sample cache like the service's and returns the
+// count of ingestions it has made (cache misses).
+func withCache(e *Env) *int {
+	cache, ingests := map[store.Key]*baseline.Sample{}, new(int)
+	e.Sample = func(app *scalana.App, ent store.Entry) (*baseline.Sample, error) {
+		if smp := cache[ent.Key]; smp != nil {
+			return smp, nil
+		}
+		*ingests++
+		smp, err := e.Ingest(app, ent)
+		if err == nil {
+			cache[ent.Key] = smp
+		}
+		return smp, err
+	}
+	return ingests
+}
+
+// storedEnv returns an environment whose store holds one profiled run of
+// app at each scale, sampled at hz.
+func storedEnv(tb testing.TB, app *scalana.App, nps []int, hz float64) Env {
+	tb.Helper()
+	st, err := store.Open(tb.TempDir())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	e := Env{Engine: scalana.NewEngine(), Store: st}
+	pcfg := prof.DefaultConfig()
+	pcfg.SampleHz = hz
+	for _, np := range nps {
+		out, err := e.Engine.Run(scalana.RunConfig{App: app, NP: np, ToolName: "scalana", Prof: pcfg})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		data, err := prof.EncodeProfileSet(&prof.ProfileSet{App: app.Name, NP: np, Elapsed: out.Result.Elapsed, Profiles: out.Profiles()})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if _, err := st.Put(app.Name, np, data); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return e
+}
+
 // TestWatchCachedEqualsUncached: a watch through a sample cache (the
 // service's environment) gives the bytes of a watch that ingests every
 // run itself (scalana-detect's), and a second cached watch ingests
@@ -125,25 +290,16 @@ func TestWatchCachedEqualsUncached(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cache, ingests := map[store.Key]*baseline.Sample{}, 0
 	cached := e
-	cached.Sample = func(app *scalana.App, ent store.Entry) (*baseline.Sample, error) {
-		if smp := cache[ent.Key]; smp != nil {
-			return smp, nil
-		}
-		ingests++
-		smp, err := e.Ingest(app, ent)
-		cache[ent.Key] = smp
-		return smp, err
-	}
+	ingests := withCache(&cached)
 	if first := watch(cached); !bytes.Equal(first, uncached) {
 		t.Errorf("cached watch differs from uncached (%d vs %d bytes)", len(first), len(uncached))
 	}
-	if ingests != 3 {
-		t.Errorf("first cached watch ingested %d runs, want all 3", ingests)
+	if *ingests != 3 {
+		t.Errorf("first cached watch ingested %d runs, want all 3", *ingests)
 	}
-	if second := watch(cached); !bytes.Equal(second, uncached) || ingests != 3 {
-		t.Errorf("second cached watch: identical=%t, ingests=%d (want 3)", bytes.Equal(second, uncached), ingests)
+	if second := watch(cached); !bytes.Equal(second, uncached) || *ingests != 3 {
+		t.Errorf("second cached watch: identical=%t, ingests=%d (want 3)", bytes.Equal(second, uncached), *ingests)
 	}
 	if rep.NP != 8 || rep.Runs != 2 {
 		t.Errorf("watch did not default to the largest stored scale: %+v", rep)
@@ -377,10 +533,42 @@ func BenchmarkHistories(b *testing.B) {
 	}
 }
 
+// BenchmarkStoredDetect is a stored detect over zeusmp at np 64, 256 and
+// 1024 (serve-detect-stored's scales): cold decodes every scale, as
+// scalana-detect -store does; warm reads the two smaller scales from a
+// filled sample cache, as the service does after its first detect.
+func BenchmarkStoredDetect(b *testing.B) {
+	zeusmp := scalana.GetApp("zeusmp")
+	cold := storedEnv(b, zeusmp, []int{64, 256, 1024}, 2000)
+	warm := cold
+	withCache(&warm)
+	for _, bc := range []struct {
+		name string
+		env  Env
+	}{{"cold", cold}, {"warm", warm}} {
+		b.Run(bc.name, func(b *testing.B) {
+			plan, err := bc.env.Detect(Detect{App: zeusmp, Config: detect.DefaultConfig()})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := plan.Bytes(); err != nil { // fills the warm cache
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := plan.Bytes(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // misfiled returns the fixture environment with the stored np=4 set also
-// copied, byte for byte, into cg/16/ — where its content hash still
+// copied, byte for byte, into cg/<np>/ — where its content hash still
 // verifies — and the entry the store lists it under.
-func misfiled(t *testing.T) (Env, store.Entry) {
+func misfiled(t *testing.T, np int) (Env, store.Entry) {
 	t.Helper()
 	e := fixtureEnv(t, false)
 	four, err := e.Store.Only("cg", 4)
@@ -391,14 +579,14 @@ func misfiled(t *testing.T) (Env, store.Entry) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := filepath.Join(e.Store.Root(), "cg", "16")
+	dir := filepath.Join(e.Store.Root(), "cg", fmt.Sprint(np))
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(filepath.Join(dir, four.Hash+".json"), data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	ent, err := e.Store.Only("cg", 16)
+	ent, err := e.Store.Only("cg", np)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -408,9 +596,11 @@ func misfiled(t *testing.T) (Env, store.Entry) {
 // TestMisfiledSetIsCorruptToEveryReader: a 4-rank run filed under np=16
 // used to be fitted by detect as if it were a 16-rank run (200, with a
 // cause) and listed by sweep at np=16, while watch alone called it
-// corrupt. Every stored-source reader now says the same thing.
+// corrupt. Every stored-source reader now says the same thing — a detect
+// reading the set as a smaller scale through a sample cache too, which
+// Ingest never fills with it.
 func TestMisfiledSetIsCorruptToEveryReader(t *testing.T) {
-	e, ent := misfiled(t)
+	e, ent := misfiled(t, 16)
 	cg := scalana.GetApp("cg")
 	want := fmt.Sprintf("stored set cg/16/%s decodes to np=4: store corrupt", ent.Hash)
 	readers := map[string]func() error{
@@ -449,6 +639,22 @@ func TestMisfiledSetIsCorruptToEveryReader(t *testing.T) {
 	if _, data := detectBytes(t, e, Detect{Scales: []int{4, 8}}); len(data) == 0 {
 		t.Error("detect over the sound scales answered nothing")
 	}
+
+	small, ent := misfiled(t, 2)
+	ingests := withCache(&small)
+	want = fmt.Sprintf("stored set cg/2/%s decodes to np=4: store corrupt", ent.Hash)
+	for pass := 1; pass <= 2; pass++ {
+		plan, err := small.Detect(Detect{App: cg, Scales: []int{2, 8}, Config: detect.DefaultConfig()})
+		if err == nil {
+			_, err = plan.Bytes()
+		}
+		if !errors.Is(err, store.ErrCorrupt) || err.Error() != want {
+			t.Errorf("detect %d with a misfiled smaller scale: %v, want %s", pass, err, want)
+		}
+	}
+	if *ingests != 2 {
+		t.Errorf("%d ingestions of the misfiled smaller scale, want one a detect (none cached)", *ingests)
+	}
 }
 
 // TestStoredReadsAllocateNoRank gates what a stored detect and a stored
@@ -456,21 +662,31 @@ func TestMisfiledSetIsCorruptToEveryReader(t *testing.T) {
 // and the report, a sweep the store listing and its answer — neither a
 // profile a rank. 193 and 113 objects when written, each gated with a
 // quarter of headroom; materialising every rank first cost 410 and 177.
+// A warm served detect builds one graph and reads np=4 from the sample
+// cache: 164 objects when written (the detect then 195), gated the same
+// way and below the detect that decodes both scales.
 func TestStoredReadsAllocateNoRank(t *testing.T) {
 	e := fixtureEnv(t, false)
+	warm := e
+	withCache(&warm)
 	cg := scalana.GetApp("cg")
-	for _, tc := range []struct {
-		name    string
-		ceiling float64
-		run     func() ([]byte, error)
-	}{
-		{"detect", 193 + 193/4, func() ([]byte, error) {
+	detectIn := func(e Env) func() ([]byte, error) {
+		return func() ([]byte, error) {
 			plan, err := e.Detect(Detect{App: cg, Scales: []int{4, 8}, Config: detect.DefaultConfig()})
 			if err != nil {
 				return nil, err
 			}
 			return plan.Bytes()
-		}},
+		}
+	}
+	allocs := map[string]float64{}
+	for _, tc := range []struct {
+		name    string
+		ceiling float64
+		run     func() ([]byte, error)
+	}{
+		{"detect", 193 + 193/4, detectIn(e)},
+		{"warm served detect", 164 + 164/4, detectIn(warm)},
 		{"sweep", 113 + 113/4, func() ([]byte, error) {
 			plan, err := e.Sweep(Sweep{App: cg, Scales: []int{4, 8}})
 			if err != nil {
@@ -479,14 +695,17 @@ func TestStoredReadsAllocateNoRank(t *testing.T) {
 			return plan.Bytes()
 		}},
 	} {
-		allocs := testing.AllocsPerRun(10, func() {
+		allocs[tc.name] = testing.AllocsPerRun(10, func() {
 			if _, err := tc.run(); err != nil {
 				t.Fatal(err)
 			}
 		})
-		t.Logf("stored %s over the cg fixtures: %.0f objects", tc.name, allocs)
-		if allocs > tc.ceiling {
-			t.Errorf("stored %s over the cg fixtures allocates %.0f objects; want at most %.0f", tc.name, allocs, tc.ceiling)
+		t.Logf("stored %s over the cg fixtures: %.0f objects", tc.name, allocs[tc.name])
+		if allocs[tc.name] > tc.ceiling {
+			t.Errorf("stored %s over the cg fixtures allocates %.0f objects; want at most %.0f", tc.name, allocs[tc.name], tc.ceiling)
 		}
+	}
+	if allocs["warm served detect"] >= allocs["detect"] {
+		t.Errorf("a warm served detect allocates %.0f objects, a detect that decodes every scale %.0f", allocs["warm served detect"], allocs["detect"])
 	}
 }

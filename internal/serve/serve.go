@@ -32,6 +32,10 @@
 // writes for the same inputs. A watch request's query parameters (z,
 // cusum, cusum-k, min-runs, min-share) are its only thresholds; an
 // absent one takes its baseline.DefaultParams value.
+//
+// Watches and stored detects share one content-addressed sample cache: a
+// detect merged the server's way reads every scale but its largest from
+// it, re-hashing each stored set it names.
 package serve
 
 import (
@@ -78,7 +82,8 @@ type Config struct {
 	SampleHz float64
 	// Merge is the cross-rank merge strategy baselines are built with.
 	// It is server-wide, not per-request: samples cached under one
-	// strategy are not comparable to baselines built under another.
+	// strategy are not comparable to baselines built under another. A
+	// stored detect (median) under any other strategy decodes every scale.
 	Merge fit.MergeStrategy
 	// Logf receives one line per request (nil disables logging).
 	Logf func(format string, args ...any)
@@ -104,7 +109,8 @@ type Server struct {
 	mu       sync.Mutex
 	uploaded map[string]*scalana.App
 
-	// samples caches ingested baseline samples by store key. Entries are
+	// samples caches ingested baseline samples by store key, for watches
+	// and for the smaller scales of stored detects. Entries are
 	// content-addressed (derived from stored bytes + compiled graph +
 	// server-wide merge strategy only), so the cache never invalidates.
 	sampleMu sync.Mutex
@@ -163,8 +169,9 @@ type Stats struct {
 	CommCoalesced   int64 `json:"comm_coalesced"`
 	WatchComputes   int64 `json:"watch_computes"`
 	WatchCoalesced  int64 `json:"watch_coalesced"`
-	// BaselineSamples is the number of ingested samples in the baseline
-	// cache; SampleIngests counts ingestions performed (cache misses).
+	// BaselineSamples is the number of ingested samples in the cache that
+	// watches and the smaller scales of stored detects share;
+	// SampleIngests counts ingestions performed (cache misses).
 	BaselineSamples int   `json:"baseline_samples"`
 	SampleIngests   int64 `json:"sample_ingests"`
 	// CompileCache is the shared engine's PSG compile-cache counters.

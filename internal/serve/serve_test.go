@@ -744,6 +744,48 @@ func TestScaleCountIsCapped(t *testing.T) {
 	}
 }
 
+// TestCorruptAfterCacheIsA500: a detect reads the np=4 set of cg [4,8]
+// from the sample cache once it is warm, yet a byte flipped in the stored
+// file afterwards is still the content-hash 500 it was when every detect
+// decoded every scale.
+func TestCorruptAfterCacheIsA500(t *testing.T) {
+	srv, ts := newTestServer(t)
+	var path string
+	for _, np := range []int{4, 8} {
+		data, err := os.ReadFile(filepath.Join("..", "..", "testdata", fmt.Sprintf("cg.%d.json", np)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if code, body := post(t, ts.URL+"/v1/profiles", "application/json", data); code != http.StatusCreated {
+			t.Fatalf("upload cg.%d: %d %s", np, code, body)
+		}
+		if np == 4 {
+			path = filepath.Join(srv.env.Store.Root(), "cg", "4", store.HashOf(data)+".json")
+		}
+	}
+	req, _ := json.Marshal(detectRequest{App: "cg", Scales: []int{4, 8}})
+	for i := 0; i < 2; i++ {
+		if code, body := post(t, ts.URL+"/v1/detect", "application/json", req); code != http.StatusOK {
+			t.Fatalf("detect %d: %d %s", i, code, body)
+		}
+	}
+	if st := srv.Stats(); st.SampleIngests != 1 || st.BaselineSamples != 1 {
+		t.Fatalf("two detects over cg [4,8] made %d ingestions and cached %d samples, want 1 and 1", st.SampleIngests, st.BaselineSamples)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)/2] ^= 1
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	want := []byte("content hash mismatch")
+	if code, body := post(t, ts.URL+"/v1/detect", "application/json", req); code != http.StatusInternalServerError || !bytes.Contains(body, want) {
+		t.Errorf("warm detect over a corrupted smaller scale: %d %s, want 500 naming %s", code, body, want)
+	}
+}
+
 // TestMisfiledSetIsA500OnEveryRoute: the np=4 set copied into cg/16/ (its
 // content hash still verifies) used to make POST /v1/detect fit a 4-rank
 // run as if it had 16 and answer 200 with a cause. Detect, sweep and watch

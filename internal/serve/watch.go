@@ -7,7 +7,8 @@ package serve
 // canonical bytes of the query.Watch plan scalana-detect -watch -json
 // runs too, and concurrent identical watch requests coalesce on the
 // plan's key (the full run history plus the resolved thresholds) like
-// every other query. Ingested samples are cached lazily by store key.
+// every other query. Ingested samples are cached lazily by store key, in
+// the cache stored detects read their smaller scales from.
 
 import (
 	"net/http"

@@ -28,6 +28,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -298,20 +299,48 @@ func (s *Store) History(app string, np int) ([]Entry, error) {
 // hash — corruption on disk surfaces as an error here, never as wrong
 // bytes downstream.
 func (s *Store) Get(k Key) ([]byte, error) {
-	if !ValidName(k.App) || !validHash(k.Hash) || k.NP < 1 {
-		return nil, fmt.Errorf("store: invalid key %s: %w", k, os.ErrInvalid)
-	}
-	data, err := os.ReadFile(s.pathFor(k))
+	var data []byte
+	err := s.hashCheck(k, func(path string) (_ string, err error) {
+		data, err = os.ReadFile(path)
+		return HashOf(data), err
+	})
 	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, fmt.Errorf("store: %s: %w", k, os.ErrNotExist)
-		}
-		return nil, fmt.Errorf("store: get %s: %w", k, err)
-	}
-	if got := HashOf(data); got != k.Hash {
-		return nil, fmt.Errorf("store: %s: content hash mismatch (stored bytes hash to %s): %w", k, got, ErrCorrupt)
+		return nil, err
 	}
 	return data, nil
+}
+
+// Verify is Get without the bytes: the stored file streams through
+// SHA-256 and only the verdict is kept, with Get's errors.
+func (s *Store) Verify(k Key) error {
+	return s.hashCheck(k, func(path string) (string, error) {
+		f, err := os.Open(path)
+		if err != nil {
+			return "", err
+		}
+		defer f.Close()
+		h := sha256.New()
+		_, err = io.Copy(h, f)
+		return hex.EncodeToString(h.Sum(nil)), err
+	})
+}
+
+// hashCheck validates k, hashes its file with hash, and names what went
+// wrong the way Get and Verify both do.
+func (s *Store) hashCheck(k Key, hash func(path string) (string, error)) error {
+	if !ValidName(k.App) || !validHash(k.Hash) || k.NP < 1 {
+		return fmt.Errorf("store: invalid key %s: %w", k, os.ErrInvalid)
+	}
+	got, err := hash(s.pathFor(k))
+	switch {
+	case os.IsNotExist(err):
+		return fmt.Errorf("store: %s: %w", k, os.ErrNotExist)
+	case err != nil:
+		return fmt.Errorf("store: get %s: %w", k, err)
+	case got != k.Hash:
+		return fmt.Errorf("store: %s: content hash mismatch (stored bytes hash to %s): %w", k, got, ErrCorrupt)
+	}
+	return nil
 }
 
 // hashes lists the content hashes stored under <app>/<np>, ascending,

@@ -452,6 +452,29 @@ func TestErrorSentinels(t *testing.T) {
 	}
 }
 
+// TestVerifyIsGetWithoutTheBytes: over a sound set, a tampered one, a
+// missing one and an invalid key, Verify answers exactly Get's error.
+func TestVerifyIsGetWithoutTheBytes(t *testing.T) {
+	s := open(t)
+	good, _ := s.Put("cg", 4, []byte("payload-a"))
+	bad, _ := s.Put("cg", 8, []byte("payload-b"))
+	if err := os.WriteFile(s.pathFor(bad), []byte("tampered"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	missing := Key{App: "cg", NP: 4, Hash: HashOf([]byte("missing"))}
+	invalid := Key{App: "../evil", NP: 4, Hash: good.Hash}
+	for _, k := range []Key{good, bad, missing, invalid} {
+		_, getErr := s.Get(k)
+		verifyErr := s.Verify(k)
+		if fmt.Sprint(getErr) != fmt.Sprint(verifyErr) {
+			t.Errorf("%s: Get says %v, Verify %v", k, getErr, verifyErr)
+		}
+	}
+	if !errors.Is(s.Verify(bad), ErrCorrupt) {
+		t.Errorf("Verify(tampered) = %v, want ErrCorrupt", s.Verify(bad))
+	}
+}
+
 // TestHistoryEmptyScale: a scale directory holding no stored set has no
 // history — not even a corrupt one — whatever was left behind in it.
 func TestHistoryEmptyScale(t *testing.T) {

@@ -6,9 +6,11 @@
 # report, and diffs it against the offline `scalana-detect -json`
 # output over the same files. Exercises the full wire contract:
 # upload -> content-addressed store -> byte-identical retrieval ->
-# served report identical to the one-shot CLI. Then uploads a second
-# run at np=8 and checks GET /v1/watch against scalana-detect -watch
-# over the same store — the streaming-regression byte-parity contract.
+# served report identical to the one-shot CLI, cold and warm (a warm
+# detect reads its smaller scale from the sample cache). Then uploads a
+# second run at np=8 and checks GET /v1/watch against scalana-detect
+# -watch over the same store — the streaming-regression byte-parity
+# contract.
 # Last, sends SIGTERM while a simulate-mode detect is in flight: new
 # connections must be refused, the response must still arrive, and the
 # server must exit 0.
@@ -53,6 +55,10 @@ cmp testdata/cg.8.json "$work/roundtrip.json"
 # The served detect report must match the offline CLI byte-for-byte.
 curl -fs -X POST -d '{"app":"cg","scales":[4,8]}' "http://$addr/v1/detect" > "$work/served.json"
 diff "$work/offline.json" "$work/served.json"
+
+# So must a warm one, which reads np=4 from the sample cache.
+curl -fs -X POST -d '{"app":"cg","scales":[4,8]}' "http://$addr/v1/detect" > "$work/served-warm.json"
+diff "$work/offline.json" "$work/served-warm.json"
 
 # The store-backed CLI path reads the same store the server wrote.
 "$work/scalana-detect" -app cg -scales 4,8 -store "$work/store" \
