@@ -75,10 +75,10 @@ func readFlags() error {
 // flagLedger is every command's sorted flag names. A knob added or
 // removed anywhere changes a line here.
 const flagLedger = `scalana-bench all exp list o parallel tools
-scalana-detect abnorm-thd app comm-causes cusum cusum-k expect-cause hz json merge min-runs min-share np parallel profiles scales store topk watch z
+scalana-detect abnorm-thd app comm-causes cusum cusum-k expect-cause hz json min-runs min-share np parallel profiles scales store topk watch z
 scalana-lint json list
 scalana-prof app comm-prob compress hz list-tools np o seed tool
-scalana-serve addr hz parallel quiet store watch-merge
+scalana-serve addr hz parallel quiet store
 scalana-static app contract file json lint list maxloopdepth
 scalana-synth archetypes cases corpus generate-only hz json np-list parallel seed templates topk
 scalana-viewer app context hz parallel scales

@@ -48,7 +48,6 @@ import (
 
 	"scalana/internal/baseline"
 	"scalana/internal/detect"
-	"scalana/internal/fit"
 	"scalana/internal/query"
 	"scalana/internal/scales"
 	"scalana/internal/store"
@@ -75,7 +74,6 @@ func main() {
 	watchK := flag.Float64("cusum-k", 0.5, "CUSUM slack per run (-watch only)")
 	watchMinRuns := flag.Int("min-runs", 2, "minimum baseline runs before a vertex is scored (-watch only)")
 	watchMinShare := flag.Float64("min-share", 0.01, "minimum share of total time for flagging (-watch only)")
-	watchMerge := flag.String("merge", "median", "cross-rank merge strategy for baselines (-watch only)")
 	flag.Parse()
 
 	app := scalana.GetApp(*appName)
@@ -102,9 +100,6 @@ func main() {
 	if *watch {
 		if env.Store == nil {
 			fatalf("-watch requires -store")
-		}
-		if env.Merge, err = fit.ParseMergeStrategy(*watchMerge); err != nil {
-			fatalf("-merge: %v", err)
 		}
 		rep, data := run(env.Watch(query.Watch{App: app, NP: *watchNP, Params: baseline.Params{
 			ZThd: *watchZ, CUSUMThd: *watchCUSUM, CUSUMK: *watchK,

@@ -39,7 +39,6 @@ import (
 	"syscall"
 	"time"
 
-	"scalana/internal/fit"
 	"scalana/internal/serve"
 	"scalana/internal/store"
 
@@ -55,7 +54,6 @@ func main() {
 	storeDir := flag.String("store", "", "profile store directory (required; created if missing)")
 	parallel := flag.Int("parallel", 0, "bound on concurrent simulation/PPG work (0 = one per CPU); also fans simulate-mode sweeps")
 	hz := flag.Float64("hz", 1000, "profiler sampling frequency for simulate-mode detect runs")
-	watchMerge := flag.String("watch-merge", "median", "cross-rank merge strategy baselines are built with (server-wide)")
 	quiet := flag.Bool("quiet", false, "suppress the per-request log")
 	flag.Parse()
 
@@ -66,17 +64,12 @@ func main() {
 	if err != nil {
 		fatalf("%v", err)
 	}
-	merge, err := fit.ParseMergeStrategy(*watchMerge)
-	if err != nil {
-		fatalf("-watch-merge: %v", err)
-	}
 	logger := log.New(os.Stderr, "scalana-serve: ", log.LstdFlags)
 	cfg := serve.Config{
 		Store:       st,
 		Engine:      scalana.NewEngine(),
 		Parallelism: *parallel,
 		SampleHz:    *hz,
-		Merge:       merge,
 	}
 	if !*quiet {
 		cfg.Logf = logger.Printf

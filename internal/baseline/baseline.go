@@ -164,12 +164,6 @@ func NewState(app string, g *psg.Graph, merge fit.MergeStrategy) *State {
 	return &State{app: app, merge: merge, keys: g.Keys(), verts: g.Vertices, byNP: map[int][]Run{}}
 }
 
-// App returns the application name the state tracks.
-func (s *State) App() string { return s.app }
-
-// Merge returns the state's cross-rank merge strategy.
-func (s *State) Merge() fit.MergeStrategy { return s.merge }
-
 // Add inserts one run at its history position. Insertion order is
 // irrelevant: the scale's history is kept sorted by Seq, with the
 // content hash as a total tiebreak, and a (Seq, Hash) duplicate is a

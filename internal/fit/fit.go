@@ -99,17 +99,6 @@ const (
 	MergeCluster // mean of the largest k-means cluster
 )
 
-// ParseMergeStrategy is the inverse of MergeStrategy.String, for CLI
-// flags and wire formats that carry the strategy by name.
-func ParseMergeStrategy(name string) (MergeStrategy, error) {
-	for _, s := range []MergeStrategy{MergeMedian, MergeMean, MergeMax, MergeSingle, MergeCluster} {
-		if s.String() == name {
-			return s, nil
-		}
-	}
-	return 0, fmt.Errorf("fit: unknown merge strategy %q (median, mean, max, single, cluster)", name)
-}
-
 func (s MergeStrategy) String() string {
 	switch s {
 	case MergeMedian:

@@ -1,13 +1,12 @@
 // Package hpctk implements the profiling-based baseline the paper compares
 // against (HPCToolkit): pure call-path sampling. It attributes samples to
-// full calling-context paths and reports the hottest contexts — but it
-// records no inter-process dependence, which is exactly why the paper's
+// full calling-context paths — but it records no inter-process
+// dependence, which is exactly why the paper's
 // case studies find it needs "significant human efforts" to get from the
 // hot spots it reports to the root cause.
 package hpctk
 
 import (
-	"sort"
 	"strings"
 
 	"scalana/internal/machine"
@@ -145,47 +144,3 @@ func (pr *Profiler) Sample(p *mpisim.Proc, crossings int64, period float64, pmu 
 func (pr *Profiler) MPIEvent(p *mpisim.Proc, ev *mpisim.Event) float64 { return 0 }
 
 var _ mpisim.TimerSampler = (*Profiler)(nil)
-
-// HotPath is one entry of the profiler's report.
-type HotPath struct {
-	Path    string
-	Time    float64
-	Samples int64
-}
-
-// TopPaths aggregates profiles across ranks and returns the hottest n
-// calling contexts — the flat "here are your bottlenecks, good luck"
-// output that the paper contrasts with root-cause paths.
-func TopPaths(profiles []*RankProfile, n int) []HotPath {
-	agg := map[string]*HotPath{}
-	for _, rp := range profiles {
-		for path, cd := range rp.Ctx {
-			hp := agg[path]
-			if hp == nil {
-				hp = &HotPath{Path: path}
-				agg[path] = hp
-			}
-			hp.Time += cd.Time
-			hp.Samples += cd.Samples
-		}
-	}
-	paths := make([]string, 0, len(agg))
-	for path := range agg {
-		paths = append(paths, path)
-	}
-	sort.Strings(paths)
-	out := make([]HotPath, 0, len(paths))
-	for _, path := range paths {
-		out = append(out, *agg[path])
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Time != out[j].Time {
-			return out[i].Time > out[j].Time
-		}
-		return out[i].Path < out[j].Path
-	})
-	if len(out) > n {
-		out = out[:n]
-	}
-	return out
-}

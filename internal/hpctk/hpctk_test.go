@@ -99,27 +99,6 @@ func TestSamplerCost(t *testing.T) {
 	}
 }
 
-func TestTopPaths(t *testing.T) {
-	p1 := &RankProfile{Rank: 0, Ctx: map[string]*CtxData{
-		"a;b": {Samples: 10, Time: 1.0},
-		"a;c": {Samples: 5, Time: 0.5},
-	}}
-	p2 := &RankProfile{Rank: 1, Ctx: map[string]*CtxData{
-		"a;b": {Samples: 10, Time: 1.0},
-		"a;d": {Samples: 1, Time: 0.1},
-	}}
-	top := TopPaths([]*RankProfile{p1, p2}, 2)
-	if len(top) != 2 {
-		t.Fatalf("%d paths", len(top))
-	}
-	if top[0].Path != "a;b" || top[0].Time != 2.0 || top[0].Samples != 20 {
-		t.Errorf("top = %+v", top[0])
-	}
-	if top[1].Path != "a;c" {
-		t.Errorf("second = %+v", top[1])
-	}
-}
-
 func TestStorageGrowsWithContextsAndSamples(t *testing.T) {
 	rp := &RankProfile{Rank: 0, Ctx: map[string]*CtxData{}}
 	empty := rp.StorageBytes()

@@ -17,7 +17,6 @@ import (
 	"path/filepath"
 	"strings"
 
-	"scalana/internal/baseline"
 	"scalana/internal/commmatrix"
 	"scalana/internal/detect"
 	"scalana/internal/fit"
@@ -40,13 +39,10 @@ type Env struct {
 	// Parallelism fans a simulate-source sweep's scales (the
 	// SweepConfig.Parallelism knob).
 	Parallelism int
-	// Merge is the cross-rank merge strategy baselines are built with.
-	Merge fit.MergeStrategy
-	// Sample, when set, supplies a stored run's baseline sample in place
-	// of Ingest — the service's content-addressed sample cache. A watch
-	// reads every run through it, and a stored detect whose Config.Merge
-	// is Merge reads every scale but its largest through it.
-	Sample func(app *scalana.App, e store.Entry) (*baseline.Sample, error)
+	// Samples caches the baseline samples a watch reads for every run and
+	// a stored detect for every scale but its largest; nil ingests each
+	// one from its stored bytes.
+	Samples *Samples
 }
 
 // Plan is a validated query with its inputs resolved.
@@ -219,7 +215,8 @@ func (e *Env) stored(app *scalana.App, ent store.Entry, build bool) (pg *ppg.Gra
 // Detect is a scaling-loss detection query. Its source is the simulator
 // (Simulate), a directory of saved scalana-prof outputs named
 // <app>.<np>.json (ProfilesDir), or — by default — the Env's store, of
-// which only the largest scale needs a PPG (see Env.Sample).
+// which only the largest scale needs a PPG: every smaller one feeds the
+// cross-scale fit its baseline sample (detect.ScaleRun.Merged).
 type Detect struct {
 	App         *scalana.App
 	Simulate    bool
@@ -282,10 +279,10 @@ func (e *Env) Detect(q Detect) (Plan[*detect.Report], error) {
 			for i, ent := range entries {
 				runs[i].NP = ent.NP
 				var err error
-				if ent.NP == largest || e.Sample == nil || q.Config.Merge != e.Merge {
+				if ent.NP == largest {
 					runs[i].PPG, _, err = e.stored(app, ent, true)
 				} else {
-					runs[i].Merged, err = e.merged(app, ent)
+					runs[i].Merged, err = e.merged(app, ent, q.Config.Merge)
 				}
 				if err != nil {
 					return nil, err
@@ -314,11 +311,11 @@ func (e *Env) Detect(q Detect) (Plan[*detect.Report], error) {
 // merged reads a smaller scale of a stored detect, which feeds the
 // cross-scale fit alone: its sample's merged times, once the stored bytes
 // the sample was taken from still hash to their key.
-func (e *Env) merged(app *scalana.App, ent store.Entry) ([]float64, error) {
+func (e *Env) merged(app *scalana.App, ent store.Entry, merge fit.MergeStrategy) ([]float64, error) {
 	if err := e.Store.Verify(ent.Key); err != nil {
 		return nil, err
 	}
-	smp, err := e.Sample(app, ent)
+	smp, err := e.sample(app, ent, merge)
 	if err != nil {
 		return nil, err
 	}

@@ -137,10 +137,12 @@ func allPPG(t *testing.T, e Env, app *scalana.App, nps []int, cfg detect.Config)
 }
 
 // TestDetectBytesOnEveryPath: a stored detect answers the bytes of
-// detect.Detect over every scale's PPG whether its smaller scales come
-// from a sample cache, cold or warm, or — the query merging another way
-// than the Env — from full decodes. The zeusmp scales are named out of
-// order, so the largest is not the last.
+// detect.Detect over every scale's PPG whether its smaller scales are
+// ingested with no cache, into a cold one, or read from a warm one, under
+// either merge. One cache serves both merges, so the second merge's cold
+// pass ingests as many samples as the first's: a sample merged one way is
+// never read as the other. The zeusmp scales are named out of order, so
+// the largest is not the last.
 func TestDetectBytesOnEveryPath(t *testing.T) {
 	cg, zeusmp := scalana.GetApp("cg"), scalana.GetApp("zeusmp")
 	for _, tc := range []struct {
@@ -152,30 +154,27 @@ func TestDetectBytesOnEveryPath(t *testing.T) {
 		{"cg fixtures", fixtureEnv(t, false), cg, []int{4, 8}},
 		{"zeusmp", storedEnv(t, zeusmp, []int{4, 8, 16}, 2000), zeusmp, []int{16, 4, 8}},
 	} {
-		for _, envMerge := range []fit.MergeStrategy{fit.MergeMedian, fit.MergeMean} {
-			for _, merge := range []fit.MergeStrategy{fit.MergeMedian, fit.MergeMean} {
-				cfg := detect.DefaultConfig()
-				cfg.Merge = merge
-				want := allPPG(t, tc.env, tc.app, tc.nps, cfg)
-				e := tc.env
-				e.Merge = envMerge
-				ingests := withCache(&e)
-				for _, pass := range []string{"cold", "warm"} {
-					plan, err := e.Detect(Detect{App: tc.app, Scales: tc.nps, Config: cfg})
-					if err != nil {
-						t.Fatal(err)
-					}
-					if got, err := plan.Bytes(); err != nil || !bytes.Equal(got, want) {
-						t.Errorf("%s, Env merge %v, query merge %v, %s: %d bytes (err %v), want detect.Detect's %d",
-							tc.name, envMerge, merge, pass, len(got), err, len(want))
-					}
+		cached := tc.env
+		cached.Samples = &Samples{}
+		for _, merge := range []fit.MergeStrategy{fit.MergeMedian, fit.MergeMean} {
+			cfg := detect.DefaultConfig()
+			cfg.Merge = merge
+			want := allPPG(t, tc.env, tc.app, tc.nps, cfg)
+			for _, pass := range []struct {
+				name    string
+				env     Env
+				ingests int
+			}{{"no cache", tc.env, 0}, {"cold", cached, len(tc.nps) - 1}, {"warm", cached, 0}} {
+				_, before := pass.env.Samples.Counts()
+				plan, err := pass.env.Detect(Detect{App: tc.app, Scales: tc.nps, Config: cfg})
+				if err != nil {
+					t.Fatal(err)
 				}
-				wantIngests := 0 // another merge than the Env's decodes every scale
-				if merge == envMerge {
-					wantIngests = len(tc.nps) - 1
+				if got, err := plan.Bytes(); err != nil || !bytes.Equal(got, want) {
+					t.Errorf("%s, %v, %s: %d bytes (err %v), want detect.Detect's %d", tc.name, merge, pass.name, len(got), err, len(want))
 				}
-				if *ingests != wantIngests {
-					t.Errorf("%s, Env merge %v, query merge %v: %d samples ingested, want %d", tc.name, envMerge, merge, *ingests, wantIngests)
+				if _, after := pass.env.Samples.Counts(); after-before != int64(pass.ingests) {
+					t.Errorf("%s, %v, %s: %d samples ingested, want %d", tc.name, merge, pass.name, after-before, pass.ingests)
 				}
 			}
 		}
@@ -215,24 +214,6 @@ func TestDetectKeyNamesEveryKnob(t *testing.T) {
 	if bytes.Equal(answers["median"], answers["mean"]) {
 		t.Error("median and mean detects over zeusmp answer the same bytes; the key test proves nothing")
 	}
-}
-
-// withCache gives e a sample cache like the service's and returns the
-// count of ingestions it has made (cache misses).
-func withCache(e *Env) *int {
-	cache, ingests := map[store.Key]*baseline.Sample{}, new(int)
-	e.Sample = func(app *scalana.App, ent store.Entry) (*baseline.Sample, error) {
-		if smp := cache[ent.Key]; smp != nil {
-			return smp, nil
-		}
-		*ingests++
-		smp, err := e.Ingest(app, ent)
-		if err == nil {
-			cache[ent.Key] = smp
-		}
-		return smp, err
-	}
-	return ingests
 }
 
 // storedEnv returns an environment whose store holds one profiled run of
@@ -291,15 +272,16 @@ func TestWatchCachedEqualsUncached(t *testing.T) {
 	}
 
 	cached := e
-	ingests := withCache(&cached)
+	cached.Samples = &Samples{}
 	if first := watch(cached); !bytes.Equal(first, uncached) {
 		t.Errorf("cached watch differs from uncached (%d vs %d bytes)", len(first), len(uncached))
 	}
-	if *ingests != 3 {
-		t.Errorf("first cached watch ingested %d runs, want all 3", *ingests)
+	if _, ingests := cached.Samples.Counts(); ingests != 3 {
+		t.Errorf("first cached watch ingested %d runs, want all 3", ingests)
 	}
-	if second := watch(cached); !bytes.Equal(second, uncached) || *ingests != 3 {
-		t.Errorf("second cached watch: identical=%t, ingests=%d (want 3)", bytes.Equal(second, uncached), *ingests)
+	second := watch(cached)
+	if _, ingests := cached.Samples.Counts(); !bytes.Equal(second, uncached) || ingests != 3 {
+		t.Errorf("second cached watch: identical=%t, ingests=%d (want 3)", bytes.Equal(second, uncached), ingests)
 	}
 	if rep.NP != 8 || rep.Runs != 2 {
 		t.Errorf("watch did not default to the largest stored scale: %+v", rep)
@@ -534,14 +516,15 @@ func BenchmarkHistories(b *testing.B) {
 }
 
 // BenchmarkStoredDetect is a stored detect over zeusmp at np 64, 256 and
-// 1024 (serve-detect-stored's scales): cold decodes every scale, as
-// scalana-detect -store does; warm reads the two smaller scales from a
-// filled sample cache, as the service does after its first detect.
+// 1024 (serve-detect-stored's scales): cold has no sample cache and
+// ingests the two smaller scales on every detect, as scalana-detect
+// -store does; warm reads them from a filled cache, as the service does
+// after its first detect.
 func BenchmarkStoredDetect(b *testing.B) {
 	zeusmp := scalana.GetApp("zeusmp")
 	cold := storedEnv(b, zeusmp, []int{64, 256, 1024}, 2000)
 	warm := cold
-	withCache(&warm)
+	warm.Samples = &Samples{}
 	for _, bc := range []struct {
 		name string
 		env  Env
@@ -598,7 +581,7 @@ func misfiled(t *testing.T, np int) (Env, store.Entry) {
 // cause) and listed by sweep at np=16, while watch alone called it
 // corrupt. Every stored-source reader now says the same thing — a detect
 // reading the set as a smaller scale through a sample cache too, which
-// Ingest never fills with it.
+// never holds it.
 func TestMisfiledSetIsCorruptToEveryReader(t *testing.T) {
 	e, ent := misfiled(t, 16)
 	cg := scalana.GetApp("cg")
@@ -619,7 +602,7 @@ func TestMisfiledSetIsCorruptToEveryReader(t *testing.T) {
 			return err
 		},
 		"ingest": func() error {
-			_, err := e.Ingest(cg, ent)
+			_, err := e.sample(cg, ent, fit.MergeMedian)
 			return err
 		},
 		"watch": func() error {
@@ -641,7 +624,7 @@ func TestMisfiledSetIsCorruptToEveryReader(t *testing.T) {
 	}
 
 	small, ent := misfiled(t, 2)
-	ingests := withCache(&small)
+	small.Samples = &Samples{}
 	want = fmt.Sprintf("stored set cg/2/%s decodes to np=4: store corrupt", ent.Hash)
 	for pass := 1; pass <= 2; pass++ {
 		plan, err := small.Detect(Detect{App: cg, Scales: []int{2, 8}, Config: detect.DefaultConfig()})
@@ -652,8 +635,8 @@ func TestMisfiledSetIsCorruptToEveryReader(t *testing.T) {
 			t.Errorf("detect %d with a misfiled smaller scale: %v, want %s", pass, err, want)
 		}
 	}
-	if *ingests != 2 {
-		t.Errorf("%d ingestions of the misfiled smaller scale, want one a detect (none cached)", *ingests)
+	if held, ingests := small.Samples.Counts(); held != 0 || ingests != 0 {
+		t.Errorf("the cache holds %d samples after %d ingests of the misfiled smaller scale, want none", held, ingests)
 	}
 }
 
@@ -662,13 +645,18 @@ func TestMisfiledSetIsCorruptToEveryReader(t *testing.T) {
 // and the report, a sweep the store listing and its answer — neither a
 // profile a rank. 193 and 113 objects when written, each gated with a
 // quarter of headroom; materialising every rank first cost 410 and 177.
-// A warm served detect builds one graph and reads np=4 from the sample
-// cache: 164 objects when written (the detect then 195), gated the same
-// way and below the detect that decodes both scales.
+// With no sample cache (cold) a detect still decodes np=4 into a graph,
+// for its sample; with a filled one (warm) it builds one graph: 211 and
+// 163 objects when written, under the same ceilings as before (193 and
+// 164 a quarter up), and warm below cold. The race runtime allocates on
+// its own account, so the counts are gated only without it.
 func TestStoredReadsAllocateNoRank(t *testing.T) {
-	e := fixtureEnv(t, false)
-	warm := e
-	withCache(&warm)
+	if raceEnabled {
+		t.Skip("allocation counts are not gated under the race detector")
+	}
+	cold := fixtureEnv(t, false)
+	warm := cold
+	warm.Samples = &Samples{}
 	cg := scalana.GetApp("cg")
 	detectIn := func(e Env) func() ([]byte, error) {
 		return func() ([]byte, error) {
@@ -685,10 +673,10 @@ func TestStoredReadsAllocateNoRank(t *testing.T) {
 		ceiling float64
 		run     func() ([]byte, error)
 	}{
-		{"detect", 193 + 193/4, detectIn(e)},
-		{"warm served detect", 164 + 164/4, detectIn(warm)},
+		{"cold detect", 193 + 193/4, detectIn(cold)},
+		{"warm detect", 164 + 164/4, detectIn(warm)},
 		{"sweep", 113 + 113/4, func() ([]byte, error) {
-			plan, err := e.Sweep(Sweep{App: cg, Scales: []int{4, 8}})
+			plan, err := cold.Sweep(Sweep{App: cg, Scales: []int{4, 8}})
 			if err != nil {
 				return nil, err
 			}
@@ -705,7 +693,7 @@ func TestStoredReadsAllocateNoRank(t *testing.T) {
 			t.Errorf("stored %s over the cg fixtures allocates %.0f objects; want at most %.0f", tc.name, allocs[tc.name], tc.ceiling)
 		}
 	}
-	if allocs["warm served detect"] >= allocs["detect"] {
-		t.Errorf("a warm served detect allocates %.0f objects, a detect that decodes every scale %.0f", allocs["warm served detect"], allocs["detect"])
+	if allocs["warm detect"] >= allocs["cold detect"] {
+		t.Errorf("a warm detect allocates %.0f objects, a cold one %.0f", allocs["warm detect"], allocs["cold detect"])
 	}
 }

@@ -4,8 +4,11 @@ import (
 	"fmt"
 	"net/http"
 	"strings"
+	"sync"
 
 	"scalana/internal/baseline"
+	"scalana/internal/detect"
+	"scalana/internal/fit"
 	"scalana/internal/psg"
 	"scalana/internal/store"
 
@@ -25,13 +28,69 @@ type Watch struct {
 	Params baseline.Params
 }
 
-// Ingest reduces one stored set to its baseline sample, uncached.
-func (e *Env) Ingest(app *scalana.App, ent store.Entry) (*baseline.Sample, error) {
+// Samples caches baseline samples by stored set and merge strategy. A
+// sample is derived from content-addressed bytes alone, so an entry never
+// goes stale and the cache holds at most one per stored set and strategy;
+// a concurrent double ingest is wasted work, never a wrong answer. A nil
+// *Samples caches nothing. Safe for concurrent use.
+type Samples struct {
+	mu      sync.Mutex
+	m       map[sampleKey]*baseline.Sample
+	ingests int64
+}
+
+type sampleKey struct {
+	store.Key
+	merge fit.MergeStrategy
+}
+
+// Counts returns how many samples the cache holds and how many it has
+// ingested (its misses).
+func (c *Samples) Counts() (held int, ingests int64) {
+	if c == nil {
+		return 0, 0
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.m), c.ingests
+}
+
+func (c *Samples) get(k sampleKey) *baseline.Sample {
+	if c == nil {
+		return nil
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.m[k]
+}
+
+func (c *Samples) put(k sampleKey, smp *baseline.Sample) {
+	if c == nil {
+		return
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.m == nil {
+		c.m = map[sampleKey]*baseline.Sample{}
+	}
+	c.m[k] = smp
+	c.ingests++
+}
+
+// sample is one stored set's baseline sample under merge: from e.Samples
+// when it holds it, else ingested from the stored bytes and cached there.
+func (e *Env) sample(app *scalana.App, ent store.Entry, merge fit.MergeStrategy) (*baseline.Sample, error) {
+	k := sampleKey{ent.Key, merge}
+	if smp := e.Samples.get(k); smp != nil {
+		return smp, nil
+	}
 	pg, set, err := e.stored(app, ent, true)
 	if err != nil {
 		return nil, err
 	}
-	return baseline.Ingest(pg, ent.Hash, set.Elapsed, e.Merge), nil
+	smp := baseline.Ingest(pg, ent.Hash, set.Elapsed, merge)
+	e.Samples.put(k, smp)
+	return smp, nil
 }
 
 // Watch plans a watch query.
@@ -83,15 +142,12 @@ func (e *Env) Watch(q Watch) (Plan[*baseline.Report], error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		sample := e.Sample
-		if sample == nil {
-			sample = e.Ingest
-		}
 		// Every scale goes in: cross-scale slope fits need them all.
-		state := baseline.NewState(q.App.Name, graph, e.Merge)
+		merge := detect.DefaultConfig().Merge
+		state := baseline.NewState(q.App.Name, graph, merge)
 		for _, n := range nps {
 			for seq, ent := range hists[n] {
-				smp, err := sample(q.App, ent)
+				smp, err := e.sample(q.App, ent, merge)
 				if err != nil {
 					return nil, nil, err
 				}

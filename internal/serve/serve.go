@@ -33,9 +33,10 @@
 // cusum, cusum-k, min-runs, min-share) are its only thresholds; an
 // absent one takes its baseline.DefaultParams value.
 //
-// Watches and stored detects share one content-addressed sample cache: a
-// detect merged the server's way reads every scale but its largest from
-// it, re-hashing each stored set it names.
+// Watches and stored detects share one query.Samples cache, keyed by
+// stored set and merge strategy: a watch reads every run from it, and a
+// stored detect every scale but its largest, re-hashing each stored set
+// it names. It holds at most one sample a stored set and strategy.
 package serve
 
 import (
@@ -51,9 +52,7 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"scalana/internal/baseline"
 	"scalana/internal/detect"
-	"scalana/internal/fit"
 	"scalana/internal/ppg"
 	"scalana/internal/prof"
 	"scalana/internal/psg"
@@ -80,11 +79,6 @@ type Config struct {
 	// SampleHz is the profiler rate for simulate-mode detect runs
 	// (default 1000, matching scalana-detect's flag default).
 	SampleHz float64
-	// Merge is the cross-rank merge strategy baselines are built with.
-	// It is server-wide, not per-request: samples cached under one
-	// strategy are not comparable to baselines built under another. A
-	// stored detect (median) under any other strategy decodes every scale.
-	Merge fit.MergeStrategy
 	// Logf receives one line per request (nil disables logging).
 	Logf func(format string, args ...any)
 }
@@ -94,8 +88,8 @@ type Config struct {
 type Server struct {
 	// cfg is New's Config with its defaults filled in.
 	cfg Config
-	// env is what every query runs against: cfg's store, engine, sweep
-	// fan-out and baseline merge strategy, and the sample cache below.
+	// env is what every query runs against: cfg's store, engine and sweep
+	// fan-out, and the sample cache.
 	env query.Env
 
 	// gate bounds concurrent simulation/PPG work across requests.
@@ -109,15 +103,7 @@ type Server struct {
 	mu       sync.Mutex
 	uploaded map[string]*scalana.App
 
-	// samples caches ingested baseline samples by store key, for watches
-	// and for the smaller scales of stored detects. Entries are
-	// content-addressed (derived from stored bytes + compiled graph +
-	// server-wide merge strategy only), so the cache never invalidates.
-	sampleMu sync.Mutex
-	samples  map[store.Key]*baseline.Sample
-
-	uploads       atomic.Int64
-	sampleIngests atomic.Int64
+	uploads atomic.Int64
 
 	// computeGate, when non-nil, blocks every coalesced computation until
 	// the channel closes. Test hook: it lets the coalescing test hold the
@@ -142,12 +128,10 @@ func New(cfg Config) (*Server, error) {
 	}
 	s := &Server{
 		cfg:      cfg,
-		env:      query.Env{Engine: cfg.Engine, Store: cfg.Store, Parallelism: cfg.Parallelism, Merge: cfg.Merge},
-		samples:  map[store.Key]*baseline.Sample{},
+		env:      query.Env{Engine: cfg.Engine, Store: cfg.Store, Parallelism: cfg.Parallelism, Samples: &query.Samples{}},
 		gate:     make(chan struct{}, cfg.Parallelism),
 		uploaded: map[string]*scalana.App{},
 	}
-	s.env.Sample = s.sampleFor
 	return s, nil
 }
 
@@ -181,6 +165,7 @@ type Stats struct {
 // Stats snapshots the service counters.
 func (s *Server) Stats() Stats {
 	stored, _ := s.env.Store.Count()
+	samples, ingests := s.env.Samples.Counts()
 	return Stats{
 		Uploads:         s.uploads.Load(),
 		StoredSets:      stored,
@@ -192,8 +177,8 @@ func (s *Server) Stats() Stats {
 		CommCoalesced:   s.comms.coalesced.Load(),
 		WatchComputes:   s.watches.computes.Load(),
 		WatchCoalesced:  s.watches.coalesced.Load(),
-		BaselineSamples: s.sampleCount(),
-		SampleIngests:   s.sampleIngests.Load(),
+		BaselineSamples: samples,
+		SampleIngests:   ingests,
 		CompileCache:    s.env.Engine.CacheStats(),
 	}
 }

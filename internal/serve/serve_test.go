@@ -786,6 +786,67 @@ func TestCorruptAfterCacheIsA500(t *testing.T) {
 	}
 }
 
+// TestSampleCacheIsBoundedByTheStore: watches and stored detects merge
+// the same way, so the cache they share holds one sample a stored set at
+// most, and a second round of queries over an unchanged store ingests
+// nothing. Each round's queries run at once, so several goroutines fill
+// and read the cache together.
+func TestSampleCacheIsBoundedByTheStore(t *testing.T) {
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := New(Config{Store: st, Parallelism: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := srv.Handler()
+	call := func(method, target string, body []byte) (int, string) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(method, target, bytes.NewReader(body)))
+		return rec.Code, rec.Body.String()
+	}
+	nps := []int{4, 8, 16}
+	sets := encodeSets(t, srv.env.Engine, scalana.GetApp("cg"), nps, 1000)
+	for _, np := range nps {
+		if code, body := call("POST", "/v1/profiles", sets[np]); code != http.StatusCreated {
+			t.Fatalf("upload np=%d: %d %s", np, code, body)
+		}
+	}
+	type request struct {
+		method, target string
+		body           []byte
+	}
+	detectReq, _ := json.Marshal(detectRequest{App: "cg"})
+	reqs := []request{{"POST", "/v1/detect", detectReq}}
+	for _, np := range nps {
+		reqs = append(reqs, request{"GET", fmt.Sprintf("/v1/watch?app=cg&np=%d", np), nil})
+	}
+	var ingests int64
+	for round := 1; round <= 2; round++ {
+		var wg sync.WaitGroup
+		for _, r := range reqs {
+			wg.Add(1)
+			go func(r request) {
+				defer wg.Done()
+				if code, resp := call(r.method, r.target, r.body); code != http.StatusOK {
+					t.Errorf("round %d: %s %s: %d %s", round, r.method, r.target, code, resp)
+				}
+			}(r)
+		}
+		wg.Wait()
+		stats := srv.Stats()
+		// Every watch reads every scale, so the bound is met exactly.
+		if stats.BaselineSamples != stats.StoredSets {
+			t.Errorf("round %d: %d samples cached over %d stored sets, want one a set", round, stats.BaselineSamples, stats.StoredSets)
+		}
+		if round == 2 && stats.SampleIngests != ingests {
+			t.Errorf("round 2 over an unchanged store ingested %d samples, want 0", stats.SampleIngests-ingests)
+		}
+		ingests = stats.SampleIngests
+	}
+}
+
 // TestMisfiledSetIsA500OnEveryRoute: the np=4 set copied into cg/16/ (its
 // content hash still verifies) used to make POST /v1/detect fit a 4-rank
 // run as if it had 16 and answer 200 with a cause. Detect, sweep and watch

@@ -7,8 +7,8 @@ package serve
 // canonical bytes of the query.Watch plan scalana-detect -watch -json
 // runs too, and concurrent identical watch requests coalesce on the
 // plan's key (the full run history plus the resolved thresholds) like
-// every other query. Ingested samples are cached lazily by store key, in
-// the cache stored detects read their smaller scales from.
+// every other query. Ingested samples are cached lazily in the server's
+// query.Samples, which stored detects read their smaller scales from.
 
 import (
 	"net/http"
@@ -16,39 +16,7 @@ import (
 
 	"scalana/internal/baseline"
 	"scalana/internal/query"
-	"scalana/internal/store"
-
-	scalana "scalana"
 )
-
-// sampleCount returns the baseline cache size.
-func (s *Server) sampleCount() int {
-	s.sampleMu.Lock()
-	defer s.sampleMu.Unlock()
-	return len(s.samples)
-}
-
-// sampleFor is the query.Env sample lookup: the ingested sample for one
-// stored set, from cache or by ingesting the stored bytes. Samples are
-// content-addressed, so a concurrent double-ingest is wasted work but
-// never a wrong answer.
-func (s *Server) sampleFor(app *scalana.App, e store.Entry) (*baseline.Sample, error) {
-	s.sampleMu.Lock()
-	smp := s.samples[e.Key]
-	s.sampleMu.Unlock()
-	if smp != nil {
-		return smp, nil
-	}
-	smp, err := s.env.Ingest(app, e)
-	if err != nil {
-		return nil, err
-	}
-	s.sampleIngests.Add(1)
-	s.sampleMu.Lock()
-	s.samples[e.Key] = smp
-	s.sampleMu.Unlock()
-	return smp, nil
-}
 
 func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 	v := r.URL.Query()

@@ -118,7 +118,7 @@ func TestWatchEndToEnd(t *testing.T) {
 	// Every served watch is checked against the same query run in process
 	// with no sample cache — scalana-detect -watch -json '-' — and its
 	// verdict read from that plan's typed report.
-	cli := query.Env{Engine: scalana.NewEngine(), Store: srv.env.Store, Merge: srv.env.Merge}
+	cli := query.Env{Engine: scalana.NewEngine(), Store: srv.env.Store}
 	offline := func(served []byte, params baseline.Params) *baseline.Report {
 		t.Helper()
 		plan, err := cli.Watch(query.Watch{App: app, NP: 4, Params: params})

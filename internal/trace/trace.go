@@ -4,15 +4,9 @@
 // actual bytes of the OTF2-like binary layout, and each record charges the
 // per-event logging overhead — the two costs that make tracing prohibitive
 // at scale (paper Table I: 6.77 GB and 25.3% on NPB-CG at 128 ranks).
-//
-// The package also implements a simplified Böhme-style wait-state analysis
-// (paper ref. [64]): a backward replay over the collected timelines that
-// attributes waiting time to the remote code regions that caused it.
 package trace
 
 import (
-	"sort"
-
 	"scalana/internal/machine"
 	"scalana/internal/mpisim"
 	"scalana/internal/psg"
@@ -133,105 +127,3 @@ func (tr *Tracer) MPIEvent(p *mpisim.Proc, ev *mpisim.Event) float64 {
 }
 
 var _ mpisim.AdvanceObserver = (*Tracer)(nil)
-
-// WaitState is an aggregated wait state found by post-mortem analysis.
-type WaitState struct {
-	Vertex    psg.VID
-	TotalWait float64
-	Count     int64
-	// CauseRanks histograms which remote ranks caused the waiting.
-	CauseRanks map[int]float64
-}
-
-// AnalyzeWaitStates scans all rank traces and aggregates waiting time per
-// code region, the first stage of Scalasca's trace analysis.
-func AnalyzeWaitStates(traces []*RankTrace) []WaitState {
-	agg := map[psg.VID]*WaitState{}
-	for _, rt := range traces {
-		for _, rec := range rt.Records {
-			if rec.Kind != RecComm || rec.Wait <= 0 {
-				continue
-			}
-			ws := agg[rec.Vertex]
-			if ws == nil {
-				ws = &WaitState{Vertex: rec.Vertex, CauseRanks: map[int]float64{}}
-				agg[rec.Vertex] = ws
-			}
-			ws.TotalWait += rec.Wait
-			ws.Count++
-			if rec.Dep >= 0 {
-				ws.CauseRanks[rec.Dep] += rec.Wait
-			}
-		}
-	}
-	verts := make([]psg.VID, 0, len(agg))
-	for v := range agg {
-		verts = append(verts, v)
-	}
-	sort.Slice(verts, func(i, j int) bool { return verts[i] < verts[j] })
-	out := make([]WaitState, 0, len(verts))
-	for _, v := range verts {
-		out = append(out, *agg[v])
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].TotalWait != out[j].TotalWait {
-			return out[i].TotalWait > out[j].TotalWait
-		}
-		return out[i].Vertex < out[j].Vertex
-	})
-	return out
-}
-
-// DelayChainStep is one hop of a backward replay.
-type DelayChainStep struct {
-	Rank   int
-	Vertex psg.VID
-	Wait   float64
-}
-
-// BackwardReplay follows the largest wait state backwards across ranks,
-// hopping to the causing rank's latest preceding communication record,
-// like Böhme's backward trace replay. It stops after maxHops or when the
-// chain reaches a record with no remote cause.
-func BackwardReplay(traces []*RankTrace, maxHops int) []DelayChainStep {
-	byRank := map[int]*RankTrace{}
-	for _, rt := range traces {
-		byRank[rt.Rank] = rt
-	}
-	// Seed: globally largest single wait.
-	var cur *Record
-	var curRank int
-	for _, rt := range traces {
-		for i := range rt.Records {
-			r := &rt.Records[i]
-			if r.Kind == RecComm && (cur == nil || r.Wait > cur.Wait) {
-				cur = r
-				curRank = rt.Rank
-			}
-		}
-	}
-	var chain []DelayChainStep
-	for hop := 0; cur != nil && hop < maxHops; hop++ {
-		chain = append(chain, DelayChainStep{Rank: curRank, Vertex: cur.Vertex, Wait: cur.Wait})
-		if cur.Dep < 0 || cur.Wait <= 0 {
-			break
-		}
-		dep := byRank[cur.Dep]
-		if dep == nil {
-			break
-		}
-		// Find the causing rank's last communication record before the
-		// wait completed.
-		t := cur.T
-		cur = nil
-		for i := len(dep.Records) - 1; i >= 0; i-- {
-			r := &dep.Records[i]
-			if r.Kind == RecComm && r.T < t {
-				cur = r
-				curRank = dep.Rank
-				break
-			}
-		}
-	}
-	return chain
-}

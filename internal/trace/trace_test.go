@@ -5,7 +5,6 @@ import (
 
 	"scalana/internal/machine"
 	"scalana/internal/mpisim"
-	"scalana/internal/psg"
 )
 
 func fakeProc(t *testing.T) *mpisim.Proc {
@@ -66,74 +65,6 @@ func TestStorageBytes(t *testing.T) {
 	}
 	if got := tr.Trace().StorageBytes(); got != 100*recordBytes {
 		t.Errorf("storage = %d, want %d", got, 100*recordBytes)
-	}
-}
-
-func TestAnalyzeWaitStates(t *testing.T) {
-	const v1, v2, v3 = psg.VID(1), psg.VID(2), psg.VID(3)
-	traces := []*RankTrace{
-		{Rank: 0, Records: []Record{
-			{Kind: RecComm, Vertex: v1, Wait: 0.5, Dep: 2},
-			{Kind: RecComm, Vertex: v1, Wait: 0.3, Dep: 2},
-			{Kind: RecComm, Vertex: v2, Wait: 0.1, Dep: 1},
-			{Kind: RecComm, Vertex: v3, Wait: 0, Dep: -1}, // no wait: excluded
-			{Kind: RecEnter, Vertex: v1},                  // non-comm: excluded
-		}},
-		{Rank: 1, Records: []Record{
-			{Kind: RecComm, Vertex: v1, Wait: 0.2, Dep: 2},
-		}},
-	}
-	ws := AnalyzeWaitStates(traces)
-	if len(ws) != 2 {
-		t.Fatalf("%d wait states, want 2", len(ws))
-	}
-	if ws[0].Vertex != v1 || ws[0].TotalWait != 1.0 || ws[0].Count != 3 {
-		t.Errorf("top wait state = %+v", ws[0])
-	}
-	if ws[0].CauseRanks[2] != 1.0 {
-		t.Errorf("cause attribution = %v", ws[0].CauseRanks)
-	}
-	if ws[1].Vertex != v2 {
-		t.Errorf("second wait state = %+v", ws[1])
-	}
-}
-
-func TestBackwardReplayFollowsDelayChain(t *testing.T) {
-	// Rank 0 waits on rank 1, whose last prior comm waited on rank 2.
-	const recv0, recv1, send1, send2 = psg.VID(10), psg.VID(11), psg.VID(12), psg.VID(13)
-	traces := []*RankTrace{
-		{Rank: 0, Records: []Record{
-			{Kind: RecComm, Vertex: recv0, T: 10, Wait: 5, Dep: 1},
-		}},
-		{Rank: 1, Records: []Record{
-			{Kind: RecComm, Vertex: recv1, T: 4, Wait: 3, Dep: 2},
-			{Kind: RecComm, Vertex: send1, T: 12, Wait: 0, Dep: -1},
-		}},
-		{Rank: 2, Records: []Record{
-			{Kind: RecComm, Vertex: send2, T: 3, Wait: 0, Dep: -1},
-		}},
-	}
-	chain := BackwardReplay(traces, 10)
-	if len(chain) < 3 {
-		t.Fatalf("chain too short: %+v", chain)
-	}
-	if chain[0].Rank != 0 || chain[0].Vertex != recv0 {
-		t.Errorf("chain start = %+v", chain[0])
-	}
-	if chain[1].Rank != 1 || chain[1].Vertex != recv1 {
-		t.Errorf("chain hop 1 = %+v", chain[1])
-	}
-	if chain[2].Rank != 2 || chain[2].Vertex != send2 {
-		t.Errorf("chain hop 2 = %+v", chain[2])
-	}
-	if chain[len(chain)-1].Wait != 0 {
-		t.Errorf("chain should end at a no-wait record: %+v", chain)
-	}
-}
-
-func TestBackwardReplayEmptyTraces(t *testing.T) {
-	if chain := BackwardReplay(nil, 5); chain != nil {
-		t.Errorf("empty traces gave %+v", chain)
 	}
 }
 

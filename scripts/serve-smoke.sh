@@ -60,7 +60,8 @@ diff "$work/offline.json" "$work/served.json"
 curl -fs -X POST -d '{"app":"cg","scales":[4,8]}' "http://$addr/v1/detect" > "$work/served-warm.json"
 diff "$work/offline.json" "$work/served-warm.json"
 
-# The store-backed CLI path reads the same store the server wrote.
+# The store-backed CLI path reads the same store the server wrote, np=4
+# as a sample like the warm served detect (ingested, with no cache).
 "$work/scalana-detect" -app cg -scales 4,8 -store "$work/store" \
   -json "$work/cli-store.json" >/dev/null
 diff "$work/offline.json" "$work/cli-store.json"
