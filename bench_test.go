@@ -9,16 +9,12 @@ package scalana_test
 import (
 	"testing"
 
-	"scalana/internal/detect"
 	"scalana/internal/exp"
-	"scalana/internal/fit"
 	"scalana/internal/prof"
 	"scalana/internal/psg"
 
 	scalana "scalana"
 )
-
-func fitStrategy(i int) fit.MergeStrategy { return fit.MergeStrategy(i) }
 
 // benchExp runs one registered experiment per iteration and republishes
 // its headline values as benchmark metrics.
@@ -112,35 +108,6 @@ func BenchmarkAblationCompression(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationMerge compares the cross-rank merge strategies for
-// non-scalable vertex detection (paper §IV-A discusses all four).
-func BenchmarkAblationMerge(b *testing.B) {
-	cfg := prof.DefaultConfig()
-	cfg.SampleHz = 2000
-	runs, err := scalana.Sweep(scalana.GetApp("zeusmp"), []int{8, 16, 32}, cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, strat := range []struct {
-		name string
-		m    int
-	}{{"median", 0}, {"mean", 1}, {"max", 2}, {"single", 3}, {"cluster", 4}} {
-		b.Run(strat.name, func(b *testing.B) {
-			var found float64
-			for i := 0; i < b.N; i++ {
-				dcfg := detect.DefaultConfig()
-				dcfg.Merge = fitStrategy(strat.m)
-				rep, err := scalana.DetectScalingLoss(runs, dcfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				found = float64(len(rep.NonScalable))
-			}
-			b.ReportMetric(found, "nonscalable_found")
-		})
-	}
-}
-
 // BenchmarkAblationSampling sweeps the sampling frequency and reports the
 // measured runtime overhead (the precision/overhead trade-off of §V).
 func BenchmarkAblationSampling(b *testing.B) {
@@ -165,39 +132,6 @@ func BenchmarkAblationSampling(b *testing.B) {
 				ovh = 100 * (out.Result.Elapsed - base.Result.Elapsed) / base.Result.Elapsed
 			}
 			b.ReportMetric(ovh, "overhead_pct")
-		})
-	}
-}
-
-// BenchmarkAblationPruning compares backtracking with and without
-// wait-state pruning of communication dependence edges (paper §IV-B).
-func BenchmarkAblationPruning(b *testing.B) {
-	cfg := prof.DefaultConfig()
-	cfg.SampleHz = 2000
-	runs, err := scalana.Sweep(scalana.GetApp("zeusmp"), []int{8, 16, 32}, cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, prune := range []bool{true, false} {
-		name := "pruned"
-		if !prune {
-			name = "unpruned"
-		}
-		b.Run(name, func(b *testing.B) {
-			var steps float64
-			for i := 0; i < b.N; i++ {
-				dcfg := detect.DefaultConfig()
-				dcfg.PruneWaitless = prune
-				rep, err := scalana.DetectScalingLoss(runs, dcfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				steps = 0
-				for _, p := range rep.Paths {
-					steps += float64(len(p.Steps))
-				}
-			}
-			b.ReportMetric(steps, "path_steps")
 		})
 	}
 }

@@ -115,25 +115,27 @@ type Sample struct {
 	Values []float64
 }
 
-// Ingest reduces an assembled PPG to a Sample using the given cross-rank
-// merge strategy.
-func Ingest(pg *ppg.Graph, hash string, elapsed float64, merge fit.MergeStrategy) *Sample {
+// Ingest reduces an assembled PPG to a Sample, merging each vertex's
+// per-rank times by their median. The merge argument is ignored: median is
+// the one merge there is.
+func Ingest(pg *ppg.Graph, hash string, elapsed float64, _ fit.MergeStrategy) *Sample {
 	nv := pg.NumVIDs()
 	smp := &Sample{NP: pg.NP, Hash: hash, Elapsed: elapsed, TotalTime: pg.TotalTime(), Values: make([]float64, nv)}
 	for vid := range smp.Values {
-		smp.Values[vid] = pg.Merged(psg.VID(vid), merge)
+		smp.Values[vid] = pg.Merged(psg.VID(vid))
 	}
 	return smp
 }
 
 // IngestBytes reduces profile-set wire bytes that no store key vouches
 // for to a Sample, through the reader every query shares (ppg.Decode).
-func IngestBytes(data []byte, g *psg.Graph, hash string, merge fit.MergeStrategy) (*Sample, error) {
+// The merge argument is ignored, as in Ingest.
+func IngestBytes(data []byte, g *psg.Graph, hash string, _ fit.MergeStrategy) (*Sample, error) {
 	pg, set, err := ppg.Decode(data, g, 0)
 	if err != nil {
 		return nil, err
 	}
-	return Ingest(pg, hash, set.Elapsed, merge), nil
+	return Ingest(pg, hash, set.Elapsed, fit.MergeMedian), nil
 }
 
 // Run is one entry of a scale's history: a Sample plus its position in
@@ -151,17 +153,15 @@ type Run struct {
 // run, grouped by scale, ordered by history sequence.
 type State struct {
 	app   string
-	merge fit.MergeStrategy
 	keys  []string      // the graph's read-only VID -> stable key table
 	verts []*psg.Vertex // the graph's read-only VID -> vertex table
 	byNP  map[int][]Run
 }
 
 // NewState creates an empty state for one application. The merge
-// strategy is fixed per state: baselines built under one strategy are
-// not comparable to samples merged under another.
-func NewState(app string, g *psg.Graph, merge fit.MergeStrategy) *State {
-	return &State{app: app, merge: merge, keys: g.Keys(), verts: g.Vertices, byNP: map[int][]Run{}}
+// argument is ignored, as in Ingest.
+func NewState(app string, g *psg.Graph, _ fit.MergeStrategy) *State {
+	return &State{app: app, keys: g.Keys(), verts: g.Vertices, byNP: map[int][]Run{}}
 }
 
 // Add inserts one run at its history position. Insertion order is
@@ -287,8 +287,6 @@ type Report struct {
 	Runs, BaselineRuns int
 	// Params are the thresholds the evaluation used (normalized).
 	Params Params
-	// Merge is the cross-rank merge strategy samples were built with.
-	Merge fit.MergeStrategy
 	// History lists every run of the scale in fold order.
 	History []RunRef
 	// Vertices counts the VIDs that were scored (present in the newest
@@ -321,7 +319,6 @@ func (s *State) Watch(np int, p Params) (*Report, error) {
 		Runs:         len(hist),
 		BaselineRuns: len(base),
 		Params:       p,
-		Merge:        s.merge,
 	}
 	for _, r := range hist {
 		rep.History = append(rep.History, runRef(r))

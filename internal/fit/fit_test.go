@@ -84,65 +84,8 @@ func TestStats(t *testing.T) {
 }
 
 func TestMergeStrategies(t *testing.T) {
-	vals := []float64{1, 2, 3, 100}
-	if got := Merge(vals, MergeMedian); got != 2.5 {
+	if got := Merge([]float64{1, 2, 3, 100}); got != 2.5 {
 		t.Errorf("median merge = %g", got)
-	}
-	if got := Merge(vals, MergeMean); got != 26.5 {
-		t.Errorf("mean merge = %g", got)
-	}
-	if got := Merge(vals, MergeMax); got != 100 {
-		t.Errorf("max merge = %g", got)
-	}
-	if got := Merge(vals, MergeSingle); got != 1 {
-		t.Errorf("single merge = %g", got)
-	}
-	// Cluster merge picks the majority cluster {1,2,3}.
-	if got := Merge(vals, MergeCluster); math.Abs(got-2) > 1e-9 {
-		t.Errorf("cluster merge = %g, want 2", got)
-	}
-	if Merge(nil, MergeMean) != 0 {
-		t.Error("empty merge should be 0")
-	}
-}
-
-func TestMergeStrategyNames(t *testing.T) {
-	names := map[MergeStrategy]string{
-		MergeMedian: "median", MergeMean: "mean", MergeMax: "max",
-		MergeSingle: "single", MergeCluster: "cluster",
-	}
-	for s, want := range names {
-		if s.String() != want {
-			t.Errorf("%d.String() = %q, want %q", s, s.String(), want)
-		}
-	}
-}
-
-func TestKMeans1D(t *testing.T) {
-	vals := []float64{1, 1.1, 0.9, 10, 10.2, 9.8}
-	centers, assign := KMeans1D(vals, 2, 50)
-	if len(centers) != 2 {
-		t.Fatalf("%d centers", len(centers))
-	}
-	// The first three points must share a cluster, the last three another.
-	if assign[0] != assign[1] || assign[1] != assign[2] {
-		t.Errorf("low cluster split: %v", assign)
-	}
-	if assign[3] != assign[4] || assign[4] != assign[5] {
-		t.Errorf("high cluster split: %v", assign)
-	}
-	if assign[0] == assign[3] {
-		t.Error("clusters not separated")
-	}
-}
-
-func TestKMeansEdgeCases(t *testing.T) {
-	if c, a := KMeans1D(nil, 2, 10); c != nil || a != nil {
-		t.Error("empty input should return nil")
-	}
-	c, a := KMeans1D([]float64{5}, 3, 10)
-	if len(c) != 1 || len(a) != 1 {
-		t.Errorf("k>n should clamp: %v %v", c, a)
 	}
 }
 

@@ -388,11 +388,11 @@ func (pg *Graph) TimeSeries(vid psg.VID) []float64 {
 // Merged is one vertex's per-rank time merged across ranks, NaN where no
 // rank sampled it: the one reduction behind detect's cross-scale fit and
 // a baseline sample.
-func (pg *Graph) Merged(vid psg.VID, s fit.MergeStrategy) float64 {
+func (pg *Graph) Merged(vid psg.VID) float64 {
 	if !pg.Present(vid) {
 		return math.NaN()
 	}
-	return fit.Merge(pg.TimeSeries(vid), s)
+	return fit.Merge(pg.TimeSeries(vid))
 }
 
 // PMUSeries returns one counter's per-rank values for a vertex (the data
@@ -415,14 +415,13 @@ func (pg *Graph) TotalTime() float64 {
 }
 
 // BestEdge returns the dominant dependence edge out of (vid, rank): the
-// one with the largest total waiting time, or nil. When pruneWaitless is
-// set, edges whose waiting time never exceeded waitEps are ignored —
-// the paper's search-space pruning ("we only preserve the communication
-// dependence edge if a waiting event exists").
-func (pg *Graph) BestEdge(vid psg.VID, rank int, pruneWaitless bool, waitEps float64) *DepEdge {
-	edges := pg.Edges[EdgeFrom{VID: vid, Rank: rank}]
-	for _, e := range edges {
-		if pruneWaitless && e.MaxWait < waitEps {
+// one with the largest total waiting time, or nil. Edges whose waiting
+// time never reached waitEps are ignored — the paper's search-space
+// pruning ("we only preserve the communication dependence edge if a
+// waiting event exists").
+func (pg *Graph) BestEdge(vid psg.VID, rank int, waitEps float64) *DepEdge {
+	for _, e := range pg.Edges[EdgeFrom{VID: vid, Rank: rank}] {
+		if e.MaxWait < waitEps {
 			continue
 		}
 		return e // edges are sorted by TotalWait descending

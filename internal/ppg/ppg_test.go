@@ -106,18 +106,14 @@ func TestBuildEdgesAggregation(t *testing.T) {
 		t.Errorf("NumEdges = %d", pg.NumEdges())
 	}
 
-	best := pg.BestEdge(mpiV.VID, 0, true, 1e-6)
+	best := pg.BestEdge(mpiV.VID, 0, 1e-6)
 	if best == nil || best.Op != "mpi_allreduce" {
 		t.Errorf("BestEdge = %+v", best)
 	}
 	// Prune threshold above MaxWait: allreduce pruned, barrier pruned too
 	// (its max wait 0.01 < 0.05) -> nil.
-	if e := pg.BestEdge(mpiV.VID, 0, true, 0.5); e != nil {
+	if e := pg.BestEdge(mpiV.VID, 0, 0.5); e != nil {
 		t.Errorf("expected all edges pruned, got %+v", e)
-	}
-	// Unpruned returns the heaviest regardless.
-	if e := pg.BestEdge(mpiV.VID, 0, false, 0.5); e == nil || e.Op != "mpi_allreduce" {
-		t.Errorf("unpruned BestEdge = %+v", e)
 	}
 }
 

@@ -282,7 +282,7 @@ func (e *Env) Detect(q Detect) (Plan[*detect.Report], error) {
 				if ent.NP == largest {
 					runs[i].PPG, _, err = e.stored(app, ent, true)
 				} else {
-					runs[i].Merged, err = e.merged(app, ent, q.Config.Merge)
+					runs[i].Merged, err = e.merged(app, ent)
 				}
 				if err != nil {
 					return nil, err
@@ -291,9 +291,8 @@ func (e *Env) Detect(q Detect) (Plan[*detect.Report], error) {
 			return runs, nil
 		}
 	}
-	c := q.Config
-	key := fmt.Sprintf("detect|%s|%s|%g|%g|%g|%d|%t|%v|%t|%g|%d", app.Name, src, c.AbnormThd, c.SlopeThd, c.MinShare, c.TopK,
-		c.CommCauses, c.Merge, c.PruneWaitless, c.WaitEps, c.MaxSteps)
+	c := q.Config.Normalized()
+	key := fmt.Sprintf("detect|%s|%s|%g|%g|%g|%d|%t", app.Name, src, c.AbnormThd, c.SlopeThd, c.MinShare, c.TopK, c.CommCauses)
 	return Plan[*detect.Report]{Key: key, Run: func() (*detect.Report, []byte, error) {
 		runs, err := load()
 		if err != nil {
@@ -311,11 +310,11 @@ func (e *Env) Detect(q Detect) (Plan[*detect.Report], error) {
 // merged reads a smaller scale of a stored detect, which feeds the
 // cross-scale fit alone: its sample's merged times, once the stored bytes
 // the sample was taken from still hash to their key.
-func (e *Env) merged(app *scalana.App, ent store.Entry, merge fit.MergeStrategy) ([]float64, error) {
+func (e *Env) merged(app *scalana.App, ent store.Entry) ([]float64, error) {
 	if err := e.Store.Verify(ent.Key); err != nil {
 		return nil, err
 	}
-	smp, err := e.sample(app, ent, merge)
+	smp, err := e.sample(app, ent)
 	if err != nil {
 		return nil, err
 	}

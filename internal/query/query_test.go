@@ -12,7 +12,6 @@ import (
 
 	"scalana/internal/baseline"
 	"scalana/internal/detect"
-	"scalana/internal/fit"
 	"scalana/internal/ppg"
 	"scalana/internal/prof"
 	"scalana/internal/psg"
@@ -138,11 +137,8 @@ func allPPG(t *testing.T, e Env, app *scalana.App, nps []int, cfg detect.Config)
 
 // TestDetectBytesOnEveryPath: a stored detect answers the bytes of
 // detect.Detect over every scale's PPG whether its smaller scales are
-// ingested with no cache, into a cold one, or read from a warm one, under
-// either merge. One cache serves both merges, so the second merge's cold
-// pass ingests as many samples as the first's: a sample merged one way is
-// never read as the other. The zeusmp scales are named out of order, so
-// the largest is not the last.
+// ingested with no cache, into a cold one, or read from a warm one. The
+// zeusmp scales are named out of order, so the largest is not the last.
 func TestDetectBytesOnEveryPath(t *testing.T) {
 	cg, zeusmp := scalana.GetApp("cg"), scalana.GetApp("zeusmp")
 	for _, tc := range []struct {
@@ -156,63 +152,68 @@ func TestDetectBytesOnEveryPath(t *testing.T) {
 	} {
 		cached := tc.env
 		cached.Samples = &Samples{}
-		for _, merge := range []fit.MergeStrategy{fit.MergeMedian, fit.MergeMean} {
-			cfg := detect.DefaultConfig()
-			cfg.Merge = merge
-			want := allPPG(t, tc.env, tc.app, tc.nps, cfg)
-			for _, pass := range []struct {
-				name    string
-				env     Env
-				ingests int
-			}{{"no cache", tc.env, 0}, {"cold", cached, len(tc.nps) - 1}, {"warm", cached, 0}} {
-				_, before := pass.env.Samples.Counts()
-				plan, err := pass.env.Detect(Detect{App: tc.app, Scales: tc.nps, Config: cfg})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got, err := plan.Bytes(); err != nil || !bytes.Equal(got, want) {
-					t.Errorf("%s, %v, %s: %d bytes (err %v), want detect.Detect's %d", tc.name, merge, pass.name, len(got), err, len(want))
-				}
-				if _, after := pass.env.Samples.Counts(); after-before != int64(pass.ingests) {
-					t.Errorf("%s, %v, %s: %d samples ingested, want %d", tc.name, merge, pass.name, after-before, pass.ingests)
-				}
+		cfg := detect.DefaultConfig()
+		want := allPPG(t, tc.env, tc.app, tc.nps, cfg)
+		for _, pass := range []struct {
+			name    string
+			env     Env
+			ingests int
+		}{{"no cache", tc.env, 0}, {"cold", cached, len(tc.nps) - 1}, {"warm", cached, 0}} {
+			_, before := pass.env.Samples.Counts()
+			plan, err := pass.env.Detect(Detect{App: tc.app, Scales: tc.nps, Config: cfg})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, err := plan.Bytes(); err != nil || !bytes.Equal(got, want) {
+				t.Errorf("%s, %s: %d bytes (err %v), want detect.Detect's %d", tc.name, pass.name, len(got), err, len(want))
+			}
+			if _, after := pass.env.Samples.Counts(); after-before != int64(pass.ingests) {
+				t.Errorf("%s, %s: %d samples ingested, want %d", tc.name, pass.name, after-before, pass.ingests)
 			}
 		}
 	}
 }
 
 // TestDetectKeyNamesEveryKnob: equal plan keys mean equal bytes, so a key
-// names every resolved knob. Over a stored zeusmp triple a median and a
-// mean detect answer differently; their keys used to be equal. (The cg
-// fixtures cannot show it: every rank's times are equal there, so every
-// merge strategy gives the same bytes.)
+// names every resolved knob, and a zero field plans the key of the default
+// it resolves to.
 func TestDetectKeyNamesEveryKnob(t *testing.T) {
 	zeusmp := scalana.GetApp("zeusmp")
 	e := storedEnv(t, zeusmp, []int{4, 8, 16}, 2000)
-	keys, answers := map[string]string{}, map[string][]byte{}
-	for name, edit := range map[string]func(*detect.Config){
-		"median":         func(*detect.Config) {},
-		"mean":           func(c *detect.Config) { c.Merge = fit.MergeMean },
-		"no pruning":     func(c *detect.Config) { c.PruneWaitless = false },
-		"wait threshold": func(c *detect.Config) { c.WaitEps = 1e-3 },
-		"step budget":    func(c *detect.Config) { c.MaxSteps = 7 },
-	} {
+	plan := func(edit func(*detect.Config)) Plan[*detect.Report] {
 		cfg := detect.DefaultConfig()
 		edit(&cfg)
-		plan, err := e.Detect(Detect{App: zeusmp, Config: cfg})
+		p, err := e.Detect(Detect{App: zeusmp, Config: cfg})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if other, ok := keys[plan.Key]; ok {
-			t.Errorf("%s and %s share the key %s", name, other, plan.Key)
-		}
-		keys[plan.Key] = name
-		if answers[name], err = plan.Bytes(); err != nil {
-			t.Fatal(err)
-		}
+		return p
 	}
-	if bytes.Equal(answers["median"], answers["mean"]) {
-		t.Error("median and mean detects over zeusmp answer the same bytes; the key test proves nothing")
+	defaults := plan(func(*detect.Config) {})
+	keys := map[string]string{defaults.Key: "defaults"}
+	for name, edit := range map[string]func(*detect.Config){
+		"abnormal threshold": func(c *detect.Config) { c.AbnormThd = 2 },
+		"slope threshold":    func(c *detect.Config) { c.SlopeThd = -0.5 },
+		"min share":          func(c *detect.Config) { c.MinShare = 0.05 },
+		"top k":              func(c *detect.Config) { c.TopK = 3 },
+		"comm causes":        func(c *detect.Config) { c.CommCauses = true },
+	} {
+		key := plan(edit).Key
+		if other, ok := keys[key]; ok {
+			t.Errorf("%s and %s share the key %s", name, other, key)
+		}
+		keys[key] = name
+	}
+	zero := plan(func(c *detect.Config) { c.AbnormThd = 0 })
+	if zero.Key != defaults.Key {
+		t.Errorf("a zero AbnormThd plans %s, an explicit 1.3 %s", zero.Key, defaults.Key)
+	}
+	want, err := defaults.Bytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := zero.Bytes(); err != nil || !bytes.Equal(got, want) {
+		t.Errorf("a zero AbnormThd answers %d bytes (err %v), an explicit 1.3 %d", len(got), err, len(want))
 	}
 }
 
@@ -602,7 +603,7 @@ func TestMisfiledSetIsCorruptToEveryReader(t *testing.T) {
 			return err
 		},
 		"ingest": func() error {
-			_, err := e.sample(cg, ent, fit.MergeMedian)
+			_, err := e.sample(cg, ent)
 			return err
 		},
 		"watch": func() error {

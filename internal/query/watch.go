@@ -7,7 +7,6 @@ import (
 	"sync"
 
 	"scalana/internal/baseline"
-	"scalana/internal/detect"
 	"scalana/internal/fit"
 	"scalana/internal/psg"
 	"scalana/internal/store"
@@ -28,20 +27,15 @@ type Watch struct {
 	Params baseline.Params
 }
 
-// Samples caches baseline samples by stored set and merge strategy. A
-// sample is derived from content-addressed bytes alone, so an entry never
-// goes stale and the cache holds at most one per stored set and strategy;
-// a concurrent double ingest is wasted work, never a wrong answer. A nil
-// *Samples caches nothing. Safe for concurrent use.
+// Samples caches baseline samples by store key. A sample is derived from
+// content-addressed bytes alone, so an entry never goes stale and the
+// cache holds at most one per stored set; a concurrent double ingest is
+// wasted work, never a wrong answer. A nil *Samples caches nothing. Safe
+// for concurrent use.
 type Samples struct {
 	mu      sync.Mutex
-	m       map[sampleKey]*baseline.Sample
+	m       map[store.Key]*baseline.Sample
 	ingests int64
-}
-
-type sampleKey struct {
-	store.Key
-	merge fit.MergeStrategy
 }
 
 // Counts returns how many samples the cache holds and how many it has
@@ -55,7 +49,7 @@ func (c *Samples) Counts() (held int, ingests int64) {
 	return len(c.m), c.ingests
 }
 
-func (c *Samples) get(k sampleKey) *baseline.Sample {
+func (c *Samples) get(k store.Key) *baseline.Sample {
 	if c == nil {
 		return nil
 	}
@@ -64,32 +58,31 @@ func (c *Samples) get(k sampleKey) *baseline.Sample {
 	return c.m[k]
 }
 
-func (c *Samples) put(k sampleKey, smp *baseline.Sample) {
+func (c *Samples) put(k store.Key, smp *baseline.Sample) {
 	if c == nil {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.m == nil {
-		c.m = map[sampleKey]*baseline.Sample{}
+		c.m = map[store.Key]*baseline.Sample{}
 	}
 	c.m[k] = smp
 	c.ingests++
 }
 
-// sample is one stored set's baseline sample under merge: from e.Samples
-// when it holds it, else ingested from the stored bytes and cached there.
-func (e *Env) sample(app *scalana.App, ent store.Entry, merge fit.MergeStrategy) (*baseline.Sample, error) {
-	k := sampleKey{ent.Key, merge}
-	if smp := e.Samples.get(k); smp != nil {
+// sample is one stored set's baseline sample: from e.Samples when it
+// holds it, else ingested from the stored bytes and cached there.
+func (e *Env) sample(app *scalana.App, ent store.Entry) (*baseline.Sample, error) {
+	if smp := e.Samples.get(ent.Key); smp != nil {
 		return smp, nil
 	}
 	pg, set, err := e.stored(app, ent, true)
 	if err != nil {
 		return nil, err
 	}
-	smp := baseline.Ingest(pg, ent.Hash, set.Elapsed, merge)
-	e.Samples.put(k, smp)
+	smp := baseline.Ingest(pg, ent.Hash, set.Elapsed, fit.MergeMedian)
+	e.Samples.put(ent.Key, smp)
 	return smp, nil
 }
 
@@ -143,11 +136,10 @@ func (e *Env) Watch(q Watch) (Plan[*baseline.Report], error) {
 			return nil, nil, err
 		}
 		// Every scale goes in: cross-scale slope fits need them all.
-		merge := detect.DefaultConfig().Merge
-		state := baseline.NewState(q.App.Name, graph, merge)
+		state := baseline.NewState(q.App.Name, graph, fit.MergeMedian)
 		for _, n := range nps {
 			for seq, ent := range hists[n] {
-				smp, err := e.sample(q.App, ent, merge)
+				smp, err := e.sample(q.App, ent)
 				if err != nil {
 					return nil, nil, err
 				}

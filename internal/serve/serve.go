@@ -34,9 +34,9 @@
 // absent one takes its baseline.DefaultParams value.
 //
 // Watches and stored detects share one query.Samples cache, keyed by
-// stored set and merge strategy: a watch reads every run from it, and a
-// stored detect every scale but its largest, re-hashing each stored set
-// it names. It holds at most one sample a stored set and strategy.
+// store key: a watch reads every run from it, and a stored detect every
+// scale but its largest, re-hashing each stored set it names. It holds at
+// most one sample a stored set.
 package serve
 
 import (
@@ -569,34 +569,14 @@ func (s *Server) handleGetProfiles(w http.ResponseWriter, r *http.Request) {
 
 // ---- queries ----
 
-// detectConfigJSON exposes the user-tunable detect.Config knobs. Zero
-// values mean "paper default" (so a slope threshold of exactly 0 is not
-// expressible — the CLI has the same property via flag defaults).
+// detectConfigJSON is the wire form of detect.Config, field for field.
+// Zero values mean "paper default" (detect.Config.Normalized).
 type detectConfigJSON struct {
 	AbnormThd  float64 `json:"abnorm_thd,omitempty"`
 	SlopeThd   float64 `json:"slope_thd,omitempty"`
 	MinShare   float64 `json:"min_share,omitempty"`
 	TopK       int     `json:"topk,omitempty"`
 	CommCauses bool    `json:"comm_causes,omitempty"`
-}
-
-// resolve overlays the request's knobs on the paper defaults.
-func (j detectConfigJSON) resolve() detect.Config {
-	cfg := detect.DefaultConfig()
-	if j.AbnormThd != 0 {
-		cfg.AbnormThd = j.AbnormThd
-	}
-	if j.SlopeThd != 0 {
-		cfg.SlopeThd = j.SlopeThd
-	}
-	if j.MinShare != 0 {
-		cfg.MinShare = j.MinShare
-	}
-	if j.TopK != 0 {
-		cfg.TopK = j.TopK
-	}
-	cfg.CommCauses = j.CommCauses
-	return cfg
 }
 
 // detectRequest is the wire form of query.Detect, whose fields it names:
@@ -623,7 +603,7 @@ func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
 	}
 	q := query.Detect{
 		App: app, Simulate: req.Simulate, Scales: req.Scales, Hashes: req.Hashes,
-		SampleHz: req.SampleHz, Seed: req.Seed, Config: req.Config.resolve(),
+		SampleHz: req.SampleHz, Seed: req.Seed, Config: detect.Config(req.Config),
 	}
 	if q.SampleHz <= 0 {
 		q.SampleHz = s.cfg.SampleHz

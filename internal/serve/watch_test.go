@@ -82,7 +82,7 @@ func hottestVertex(t *testing.T, data []byte, graph *psg.Graph) psg.VID {
 		if v == nil || v.Kind == psg.KindRoot {
 			continue
 		}
-		if m := fit.Merge(pg.TimeSeries(psg.VID(vid)), fit.MergeMedian); m > bestVal {
+		if m := fit.Merge(pg.TimeSeries(psg.VID(vid))); m > bestVal {
 			best, bestVal = psg.VID(vid), m
 		}
 	}

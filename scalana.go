@@ -245,10 +245,8 @@ func SweepWithConfig(app *App, nps []int, cfg SweepConfig) ([]detect.ScaleRun, e
 }
 
 // DetectScalingLoss runs problematic-vertex detection and backtracking
-// root-cause analysis over profiled runs at multiple scales.
+// root-cause analysis over profiled runs at multiple scales. Zero cfg
+// fields take their detect.DefaultConfig values.
 func DetectScalingLoss(runs []detect.ScaleRun, cfg detect.Config) (*detect.Report, error) {
-	if cfg == (detect.Config{}) {
-		cfg = detect.DefaultConfig()
-	}
 	return detect.Detect(runs, cfg)
 }

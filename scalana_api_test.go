@@ -123,6 +123,40 @@ func TestSweepAndDetectSmoke(t *testing.T) {
 	}
 }
 
+// TestPartialConfigIsTheDefaults: a zero Config field is its default, so a
+// config naming only some fields detects exactly as the defaults do. A
+// config that set TopK alone used to skip the defaults and backtrack
+// without wait-state pruning, which changed the zeusmp report.
+func TestPartialConfigIsTheDefaults(t *testing.T) {
+	cfg := sweepCfg()
+	cfg.SampleHz = 2000
+	runs, err := Sweep(GetApp("zeusmp"), []int{4, 8, 16, 32}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	encode := func(rep *detect.Report, err error) string {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := rep.EncodeJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(data)
+	}
+	want := encode(DetectScalingLoss(runs, detect.Config{}))
+	for name, got := range map[string]string{
+		"TopK alone":          encode(DetectScalingLoss(runs, detect.Config{TopK: 10})),
+		"DefaultConfig":       encode(DetectScalingLoss(runs, detect.DefaultConfig())),
+		"detect.Detect, zero": encode(detect.Detect(runs, detect.Config{})),
+	} {
+		if got != want {
+			t.Errorf("%s encodes %d bytes unlike the zero config's %d", name, len(got), len(want))
+		}
+	}
+}
+
 // TestUnboundedRecursionIsARankError: before the VM's call stack was data
 // this program killed the process ("fatal error: stack overflow", which no
 // recover can catch); it must come back as the rank's positioned error.
