@@ -1,7 +1,7 @@
 // Benchmarks regenerating every table and figure of the paper's evaluation
 // (one benchmark per experiment; headline numbers are attached as custom
 // metrics), plus ablation benchmarks for the design choices called out in
-// DESIGN.md §5. Run with:
+// DESIGN.md §10. Run with:
 //
 //	go test -bench=. -benchmem
 package scalana_test
@@ -53,7 +53,7 @@ func BenchmarkFig14SST(b *testing.B)                { benchExp(b, "fig14") }
 func BenchmarkFig15SSTPMU(b *testing.B)             { benchExp(b, "fig15") }
 func BenchmarkFig16NekbonePMU(b *testing.B)         { benchExp(b, "fig16") }
 
-// ---- ablations (DESIGN.md §5) ----
+// ---- ablations (DESIGN.md §10) ----
 
 // BenchmarkAblationContraction compares PSG size and build cost with
 // contraction enabled vs disabled.

@@ -1,6 +1,6 @@
 // Command scalana-lint runs the invariant analyzers of internal/analysis
 // over Go packages. It is the machine-checked form of the contracts
-// DESIGN.md §12 catalogues: deterministic wire output (maporder), the
+// DESIGN.md §11 catalogues: deterministic wire output (maporder), the
 // virtual-time-only simulator core (walltime), seeded randomness
 // (seededrand), and the //scalana:hot allocation contract (hotpath).
 //

@@ -120,13 +120,12 @@ type SweepConfig struct {
 	// Parallelism bounds how many scales execute concurrently: 0 uses one
 	// worker per CPU, 1 runs the scales one at a time. It is the only
 	// concurrency knob over simulation: within a run the cooperative
-	// scheduler executes exactly one rank at a time (see DESIGN.md §11),
+	// scheduler executes exactly one rank at a time (see DESIGN.md §3),
 	// so rank-level parallelism does not exist and adding workers only
 	// helps when the sweep has multiple scales to overlap. (Post-run
-	// finalization still fans per-rank conversion across a CPU-bounded
-	// pool, but that is not tunable and not simulation.) Results never
-	// depend on this value: each scale is its own deterministic simulated
-	// world, and runs are returned in nps order either way.
+	// finalization runs in rank order on the scale's own worker.) Results
+	// never depend on this value: each scale is its own deterministic
+	// simulated world, and runs are returned in nps order either way.
 	Parallelism int
 	// Prof configures the ScalAna profiler for every scale (zero value =
 	// paper defaults).

@@ -26,7 +26,7 @@
 //
 // A function whose doc comment contains a line "//scalana:hot" opts into
 // the hotpath analyzer's allocation contract; see hotpath.go for the
-// checked construct list and DESIGN.md §12 for the grammar.
+// checked construct list and DESIGN.md §11 for the grammar.
 package analysis
 
 import (

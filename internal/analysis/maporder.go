@@ -7,7 +7,7 @@ import (
 	"strings"
 )
 
-// MapOrder enforces the byte-identical-output invariant (DESIGN.md §6):
+// MapOrder enforces the byte-identical-output invariant (DESIGN.md §9):
 // Go map iteration order is deliberately randomized, so a `range` over a
 // map may not feed anything order-sensitive. Flagged loop bodies are
 // ones that reach an encoder/renderer/writer, accumulate into a float

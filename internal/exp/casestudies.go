@@ -10,6 +10,7 @@ import (
 	"scalana/internal/machine"
 	"scalana/internal/psg"
 	"scalana/internal/report"
+	"scalana/internal/scales"
 
 	scalana "scalana"
 )
@@ -18,7 +19,8 @@ import (
 // largest-scale run output.
 func caseStudy(name string, nps []int) (*detect.Report, []detect.ScaleRun, error) {
 	app := scalana.GetApp(name)
-	runs, err := sweep(app, scalesFor(app, nps))
+	nps, _ = scales.SplitMin(nps, app.MinNP)
+	runs, err := sweep(app, nps)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -203,7 +205,7 @@ func fig12() (*Result, error) {
 // returns the performance improvement (%) at the largest scale.
 func speedupComparison(r *Result, orig, opt string, nps []int) (float64, error) {
 	a, b := scalana.GetApp(orig), scalana.GetApp(opt)
-	nps = scalesFor(a, nps)
+	nps, _ = scales.SplitMin(nps, a.MinNP)
 	var tOrig, tOpt []float64
 	for _, np := range nps {
 		o, err := eng.Run(scalana.RunConfig{App: a, NP: np})

@@ -148,17 +148,6 @@ func runTools(app *scalana.App, np int) (ovh map[string]float64, storage map[str
 	return ovh, storage, nil
 }
 
-// scalesFor returns the np sweep for an app, honoring its minimum.
-func scalesFor(app *scalana.App, nps []int) []int {
-	var out []int
-	for _, np := range nps {
-		if np >= app.MinNP {
-			out = append(out, np)
-		}
-	}
-	return out
-}
-
 // describeVertex renders a vertex with its source position and snippet.
 func describeVertex(v *psg.Vertex, app *scalana.App) string {
 	prog, err := app.Parse()

@@ -10,6 +10,7 @@ import (
 	"scalana/internal/minilang"
 	"scalana/internal/psg"
 	"scalana/internal/report"
+	"scalana/internal/scales"
 
 	scalana "scalana"
 )
@@ -105,8 +106,8 @@ func fig10() (*Result, error) {
 	for _, name := range scalana.EvaluationNames() {
 		app := scalana.GetApp(name)
 		var aT, aH, aS float64
-		scales := scalesFor(app, []int{4, 16, 64, 128})
-		for _, np := range scales {
+		nps, _ := scales.SplitMin([]int{4, 16, 64, 128}, app.MinNP)
+		for _, np := range nps {
 			ovh, _, err := runTools(app, np)
 			if err != nil {
 				return nil, err
@@ -115,7 +116,7 @@ func fig10() (*Result, error) {
 			aH += ovh["hpctk"]
 			aS += ovh["scalana"]
 		}
-		k := float64(len(scales))
+		k := float64(len(nps))
 		aT, aH, aS = aT/k, aH/k, aS/k
 		rows = append(rows, []string{name, report.Pct(aT), report.Pct(aH), report.Pct(aS)})
 		r.Values["ovh_scalana_"+name+"_pct"] = aS
@@ -162,7 +163,8 @@ func table4() (*Result, error) {
 	var rows [][]string
 	for _, name := range scalana.EvaluationNames() {
 		app := scalana.GetApp(name)
-		runs, err := sweep(app, scalesFor(app, []int{16, 32, 64, 128}))
+		nps, _ := scales.SplitMin([]int{16, 32, 64, 128}, app.MinNP)
+		runs, err := sweep(app, nps)
 		if err != nil {
 			return nil, err
 		}

@@ -346,8 +346,7 @@ func TestPanicOnOneRankAbortsRun(t *testing.T) {
 
 func TestDeadlockDetection(t *testing.T) {
 	// Detection is exact and instant: the test completes the moment the
-	// ready heap drains (no timeout knob exists anymore — the deprecated
-	// DeadlockTimeout no-op was removed; see DESIGN.md §11).
+	// ready heap drains (there is no timeout knob; see DESIGN.md §3).
 	w := NewWorld(Config{NP: 2})
 	_, err := w.RunBlocking(func(p *Proc) {
 		if p.Rank == 0 {

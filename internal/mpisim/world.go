@@ -363,13 +363,6 @@ func (p *Proc) waitUntil(t float64) float64 {
 	return w
 }
 
-func ceilLog2(n int) float64 {
-	if n <= 1 {
-		return 0
-	}
-	return math.Ceil(math.Log2(float64(n)))
-}
-
 // Barrier synchronizes all ranks. Like every collective it reports false
 // when the rank parked waiting for the others.
 func (p *Proc) Barrier() bool { return p.collective("mpi_barrier", -1, 0) }

@@ -50,8 +50,8 @@ func benchProfiles(tb testing.TB, nMPI, np int) (*psg.Graph, []*prof.RankProfile
 	return g, profiles
 }
 
-// BenchmarkBuild measures PPG assembly; allocs/op is the headline the
-// columnar-storage refactor targets (ISSUE 2, DESIGN.md §5).
+// BenchmarkBuild measures PPG assembly; allocs/op is its headline
+// (DESIGN.md §5).
 func BenchmarkBuild(b *testing.B) {
 	for _, np := range []int{8, 32} {
 		b.Run(fmt.Sprintf("np=%d", np), func(b *testing.B) {
@@ -67,7 +67,7 @@ func BenchmarkBuild(b *testing.B) {
 	}
 }
 
-// TestBuildAllocReduction pins what a build allocates (DESIGN.md §7): the
+// TestBuildAllocReduction pins what a build allocates (DESIGN.md §5): the
 // pre-VID Build allocated one map row per vertex plus one DepEdge and one
 // bucket slice per edge — 996 objects for this np=8 workload; the columnar
 // block with per-rank arenas 399. The streaming Builder allocates the

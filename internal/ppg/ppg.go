@@ -4,7 +4,7 @@
 // communication dependence edges connect the vertices that waited to the
 // vertices that kept them waiting.
 //
-// Storage is columnar (ISSUE 2, DESIGN.md §7): all per-vertex, per-rank
+// Storage is columnar (DESIGN.md §5): all per-vertex, per-rank
 // performance vectors live in one contiguous block indexed
 // [int(vid)*NP + rank], one allocation per scale instead of one map row
 // per vertex, and dependence edges are keyed by interned psg.VID.
@@ -89,8 +89,8 @@ func (e *NPError) Error() string {
 
 // The edge and bucket arenas grow by whole chunks, never by moving (a
 // bucket holds *DepEdge), in size classes that double from minChunk to
-// their cap and stay there. The caps are small on purpose — DESIGN.md §7,
-// "why the arena's chunks are small".
+// their cap and stay there. The caps are small on purpose — DESIGN.md §5,
+// "Columnar layout".
 const (
 	minChunk     = 8
 	maxEdgeChunk = 64
@@ -303,7 +303,7 @@ func (b *Builder) Finish() (*Graph, error) {
 
 // Build assembles the PPG from the PSG and all rank profiles. It is a
 // serial loop: a rank's fold is a few microseconds of copying, less than
-// handing it to another CPU cost (DESIGN.md §7).
+// handing it to another CPU cost (DESIGN.md §5).
 func Build(g *psg.Graph, profiles []*prof.RankProfile) (*Graph, error) {
 	if n := len(profiles); n > 0 && profiles[0].NP != n {
 		return nil, fmt.Errorf("ppg: got %d profiles for np=%d", n, profiles[0].NP)

@@ -320,8 +320,8 @@ func TestRepeatedProfilesFieldReplacesTheFirst(t *testing.T) {
 }
 
 // TestArenaChunksStaySmall: an arena chunk is far below the runtime's 32 KB
-// large-object threshold on purpose. DESIGN.md §7 ("why the arena's chunks
-// are small") has the measurement: with 295 KB chunks a served detect's
+// large-object threshold on purpose. DESIGN.md §5 ("Columnar layout")
+// has the measurement: with 295 KB chunks a served detect's
 // peak RSS rose 25 %, because a decode loop that allocates nothing else
 // gives a one-P collector no assist point and a mark phase then spans the
 // whole op.

@@ -39,7 +39,7 @@ func mpiVertices(g *psg.Graph) []*psg.Vertex {
 // op is a fresh per-rank profiler handling rounds of timer samples (one
 // period crossed each) and MPI events across 16 distinct vertices —
 // the first-touch storage cost plus the steady-state attribution cost.
-// Allocation counts are deterministic and recorded in DESIGN.md §5.
+// Allocation counts are deterministic.
 func BenchmarkProfilerEvents(b *testing.B) {
 	g := benchGraph(16)
 	vs := mpiVertices(g)

@@ -1,6 +1,6 @@
 package prof
 
-// Single-pass reader for the profile-set wire format (DESIGN.md §7, §13).
+// Single-pass reader for the profile-set wire format (DESIGN.md §5, §7).
 //
 // The reader walks the upload once with a byte cursor (cursor.go),
 // validates the JSON grammar as it goes, resolves every vertex key against the compiled

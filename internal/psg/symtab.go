@@ -1,6 +1,6 @@
 package psg
 
-// Symbol table: dense interned vertex IDs (DESIGN.md §7).
+// Symbol table: dense interned vertex IDs (DESIGN.md §1).
 //
 // Every vertex has a VID, a dense uint32 index into the graph's symbol
 // table. Downstream layers (prof, ppg, detect, trace) attribute

@@ -12,7 +12,7 @@ import (
 // the low 48 bits the payload: a function's index in the Program's name
 // table, or an array's offset<<24 | length in its rank's heap. Every other
 // word is a number, the host's NaNs included: none has bit 50 set, and no
-// arithmetic reads a box, so none makes one (DESIGN.md §10). The zero Value
+// arithmetic reads a box, so none makes one (DESIGN.md §2). The zero Value
 // is the number 0.
 type Value float64
 

@@ -20,7 +20,7 @@ import (
 // the interpreter's left-to-right evaluation and conversion order
 // (opChkNum lets a binary operator convert its left operand before the
 // right operand runs), and reproduces the interpreter's panic messages
-// byte for byte. See DESIGN.md §10 for the full determinism contract.
+// byte for byte. See DESIGN.md §2 for the full determinism contract.
 
 type scope struct {
 	names map[string]int32

@@ -6,7 +6,7 @@ import (
 )
 
 // TestBoxesAreDisjointFromHostNaNs: every NaN the hardware or the math
-// package makes is a number (DESIGN.md §10 says why none can be a box), and
+// package makes is a number (DESIGN.md §2 says why none can be a box), and
 // the boxes keep what they were given.
 func TestBoxesAreDisjointFromHostNaNs(t *testing.T) {
 	zero, inf := 0.0, math.Inf(1) // variables, so the host computes

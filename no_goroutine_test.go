@@ -28,8 +28,8 @@ func (g *goroutineGauge) MPIEvent(*mpisim.Proc, *mpisim.Event) float64 { return 
 // process never holds more goroutines than it did before the run. A rank
 // is a machine in a slab, and the scheduler a loop on the caller's
 // goroutine. The world is built the way RunCompiled builds it, with the
-// gauge as every rank's hook. (Finalization's par.ForEach fans out after
-// the last hook call and is outside the gate.)
+// gauge as every rank's hook. (Finalization, after the last hook call,
+// runs on the same goroutine.)
 func TestProductionRunStartsNoGoroutine(t *testing.T) {
 	const np = 256
 	app := scalana.GetApp("zeusmp")

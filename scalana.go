@@ -26,7 +26,6 @@ import (
 	"scalana/internal/detect"
 	"scalana/internal/minilang"
 	"scalana/internal/mpisim"
-	"scalana/internal/par"
 	"scalana/internal/ppg"
 	"scalana/internal/prof"
 	"scalana/internal/psg"
@@ -162,8 +161,8 @@ func Run(cfg RunConfig) (*RunOutput, error) {
 //
 // The tool is resolved by NewToolRun; RunCompiled itself knows nothing
 // about individual tools — it drives the ToolRun lifecycle (HooksForRank
-// before execution, concurrent FinalizeRank after, one Finish at the
-// end).
+// before execution, FinalizeRank in rank order after, one Finish at the
+// end), all on the calling goroutine.
 func RunCompiled(prog *minilang.Program, graph *psg.Graph, cfg RunConfig) (*RunOutput, error) {
 	if err := validateRunConfig(cfg); err != nil {
 		return nil, err
@@ -212,18 +211,13 @@ func RunCompiled(prog *minilang.Program, graph *psg.Graph, cfg RunConfig) (*RunO
 	if trun == nil {
 		return out, nil
 	}
-	// Per-rank finalization (profile extraction and storage sizing) is
-	// independent across ranks; fan it out and reduce the byte counts in
-	// rank order so the sum is reproducible.
-	storage := make([]int64, cfg.NP)
-	par.ForEach(cfg.NP, 0, func(r int) {
-		storage[r] = trun.FinalizeRank(r)
-	})
+	// Finalization runs in rank order on this goroutine: one rank's costs
+	// less than a pool handoff, and the storage sum keeps one order.
+	for r := range cfg.NP {
+		out.storage += trun.FinalizeRank(r)
+	}
 	if out.Data, err = trun.Finish(); err != nil {
 		return nil, fmt.Errorf("scalana: finalize %s: %w", name, err)
-	}
-	for _, s := range storage {
-		out.storage += s
 	}
 	return out, nil
 }

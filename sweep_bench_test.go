@@ -32,8 +32,8 @@ func benchmarkSweepNP(b *testing.B, np int) {
 	}
 }
 
-// BenchmarkSweepNP64 is the benchmark DESIGN.md §10's interpreter → VM
-// → scheduler trajectory was measured on.
+// BenchmarkSweepNP64 is the benchmark DESIGN.md §10's interpreter-against-VM
+// reading was measured on.
 func BenchmarkSweepNP64(b *testing.B) { benchmarkSweepNP(b, 64) }
 
 // BenchmarkSweepNP256 and BenchmarkSweepNP1024 track scheduler scaling:

@@ -45,14 +45,14 @@ func NewToolRun(cfg RunConfig, graph *psg.Graph) (ToolRun, error) {
 //  2. The simulation runs; hooks observe their own rank only: its MPI
 //     events, and virtual time as timer samples or advance by advance,
 //     whichever of mpisim's optional interfaces they implement.
-//  3. FinalizeRank is called once per rank, concurrently across ranks,
-//     after the run completes. It must touch rank-local state only.
+//  3. FinalizeRank is called once per rank, in rank order on the
+//     goroutine that called RunCompiled, after the run completes.
 //  4. Finish is called once, after every FinalizeRank returned, to
 //     assemble the cross-rank payload RunOutput.Data carries.
 //
 // A run must be deterministic: given equal (App, NP, Seed, Prof), every
 // hook decision and the finished payload are identical across runs and
-// across host parallelism (DESIGN.md §8).
+// across host parallelism (DESIGN.md §4).
 type ToolRun interface {
 	// HooksForRank returns the simulator hooks attached to one rank. Every
 	// hook receives the rank's MPI events (mpisim.Hook). One that samples
