@@ -12,9 +12,10 @@ import (
 // breaks the byte-reproducibility contract (same config + seed => same
 // bytes) that the synth corpus, the determinism tests, and the wire
 // fixtures all rely on. Randomness must flow from an explicit seeded
-// *rand.Rand threaded out of a Config (see mpisim.Config.Seed and
-// prof.Config.Seed for the pattern); rand.New/rand.NewSource are
-// therefore allowed — they are how such streams are built.
+// stream threaded out of a Config: a simulated rank's is an mpisim.Stream
+// (seeded from mpisim.Config.Seed and prof.Config.Seed), elsewhere a
+// *rand.Rand; rand.New/rand.NewSource are therefore allowed — they are
+// how such streams are built.
 var SeededRand = &Analyzer{
 	Name: "seededrand",
 	Doc: "forbids global math/rand top-level functions (rand.Intn, rand.Float64, " +

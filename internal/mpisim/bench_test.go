@@ -1,6 +1,7 @@
 package mpisim
 
 import (
+	"math/rand"
 	"testing"
 
 	"scalana/internal/machine"
@@ -70,6 +71,27 @@ func BenchmarkComputeAdvance(b *testing.B) {
 		p.Compute(1000, 100, 50, 4096)
 	}
 }
+
+// BenchmarkRandFirstDraw measures what a rank's first Rand call costs: one
+// Stream draw, and the math/rand source it replaced, which seeds its whole
+// register first.
+func BenchmarkRandFirstDraw(b *testing.B) {
+	b.Run("stream", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			s := NewStream(int64(i))
+			benchSink += s.Float64()
+		}
+	})
+	b.Run("math-rand", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			benchSink += rand.New(rand.NewSource(int64(i))).Float64()
+		}
+	})
+}
+
+var benchSink float64
 
 // benchObserver is an every-advance hook that does nothing.
 type benchObserver struct{}

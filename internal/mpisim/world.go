@@ -3,7 +3,6 @@ package mpisim
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
 	"scalana/internal/machine"
 )
@@ -81,6 +80,7 @@ func NewWorld(cfg Config) *World {
 	for r := 0; r < cfg.NP; r++ {
 		p := &procs[r]
 		p.world, p.Rank, p.Core = w, r, machine.NewCore(cfg.Core, r)
+		p.rng = NewStream(cfg.Seed*7919 + int64(r) + 1)
 		var hooks []Hook
 		if cfg.HookFactory != nil {
 			hooks = cfg.HookFactory(r)
@@ -184,10 +184,9 @@ type Proc struct {
 	period float64
 	bucket int64
 	pmu    machine.Vec
-	// rng is seeded lazily on the first Rand call: most workloads never
-	// draw randomness, and seeding math/rand's source per rank is
-	// expensive enough to show up in np=1024 sweeps.
-	rng     *rand.Rand
+	// rng is the rank's Rand stream. It costs nothing until drawn, and
+	// most ranks never draw.
+	rng     Stream
 	reqs    []*Request
 	nextReq int
 	collSeq int
@@ -217,12 +216,7 @@ func (p *Proc) NP() int { return p.world.np }
 func (p *Proc) World() *World { return p.world }
 
 // Rand returns a deterministic per-rank pseudo-random float64 in [0,1).
-func (p *Proc) Rand() float64 {
-	if p.rng == nil {
-		p.rng = rand.New(rand.NewSource(p.world.cfg.Seed*7919 + int64(p.Rank) + 1))
-	}
-	return p.rng.Float64()
-}
+func (p *Proc) Rand() float64 { return p.rng.Float64() }
 
 // attach files the rank's hooks under the callbacks they implement and
 // sets the sampling timer's period if one asks for it.

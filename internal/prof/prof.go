@@ -7,7 +7,6 @@ package prof
 
 import (
 	"fmt"
-	"math/rand"
 	"slices"
 
 	"scalana/internal/machine"
@@ -299,7 +298,8 @@ func (rp *RankProfile) StorageBytes() int64 {
 type Profiler struct {
 	cfg     Config
 	profile *RankProfile
-	rng     *rand.Rand
+	// rng draws the communication-sampling decisions (paper §III-B2).
+	rng mpisim.Stream
 
 	// The records an MPI vertex owns form a chain through profile.Comm:
 	// commHead[vid] is one more than the index of the newest (0 = none)
@@ -373,6 +373,7 @@ func newProfilers(cfg Config, graph *psg.Graph, first, n, np int) []Profiler {
 		profilers[i] = Profiler{
 			cfg:        cfg,
 			profile:    &profiles[i],
+			rng:        mpisim.NewStream(cfg.Seed*31 + int64(first+i)*2654435761 + 17),
 			commHead:   heads[i*nv : (i+1)*nv : (i+1)*nv],
 			commNext:   next[i*commCap : i*commCap : (i+1)*commCap],
 			commSorted: true,
@@ -380,17 +381,6 @@ func newProfilers(cfg Config, graph *psg.Graph, first, n, np int) []Profiler {
 		}
 	}
 	return profilers
-}
-
-// sampleRand lazily seeds the instrumentation-sampling RNG on first draw.
-// The stream is identical to eager seeding in New, but the default
-// CommSampleProb of 1 never draws, and math/rand source initialization is
-// costly enough to matter across 1024 ranks.
-func (pr *Profiler) sampleRand() float64 {
-	if pr.rng == nil {
-		pr.rng = rand.New(rand.NewSource(pr.cfg.Seed*31 + int64(pr.profile.Rank)*2654435761 + 17))
-	}
-	return pr.rng.Float64()
 }
 
 // Profile returns the collected rank profile, its communication records
@@ -481,7 +471,7 @@ func (pr *Profiler) MPIEvent(p *mpisim.Proc, ev *mpisim.Event) float64 {
 
 	// Random sampling-based instrumentation (paper §III-B2): record the
 	// parameters of this operation with probability CommSampleProb.
-	if pr.cfg.CommSampleProb < 1 && pr.sampleRand() >= pr.cfg.CommSampleProb {
+	if pr.cfg.CommSampleProb < 1 && pr.rng.Float64() >= pr.cfg.CommSampleProb {
 		return 0
 	}
 	pr.profile.EventsSampled++
