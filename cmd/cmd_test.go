@@ -103,6 +103,79 @@ func TestFlagLedger(t *testing.T) {
 	}
 }
 
+// optionLedger is every exported struct named *Config, *Options or
+// *Params outside bench/ and testdata/, with its sorted exported fields.
+// An option added or removed anywhere changes a line here.
+const optionLedger = `baseline.Params CUSUMK CUSUMThd MinRuns MinShare ZThd
+detect.Config AbnormThd CommCauses MinShare SlopeThd TopK
+difftest.Config NPs SampleHz Seed
+mpisim.Config HookFactory MemSpeed NP Seed
+prof.Config CommSampleProb Compress SampleHz Seed
+psg.Options Contract MaxLoopDepth
+scalana.RunConfig App NP Prof Seed ToolName
+scalana.SweepConfig Parallelism Prof Seed
+serve.Config Engine Logf Parallelism SampleHz Store
+synth.EvalConfig Detect Engine NPs Parallelism SampleHz TopK
+synth.GenConfig Archetypes Cases Seed Templates
+`
+
+func TestOptionLedger(t *testing.T) {
+	var lines []string
+	err := filepath.WalkDir("..", func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if name := d.Name(); path != ".." && (name == "bench" || name == "testdata" || strings.HasPrefix(name, ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			s, ok := n.(*ast.TypeSpec)
+			if !ok || !s.Name.IsExported() || !optionType.MatchString(s.Name.Name) {
+				return true
+			}
+			st, ok := s.Type.(*ast.StructType)
+			if !ok {
+				return true
+			}
+			var fields []string
+			for _, fl := range st.Fields.List {
+				if len(fl.Names) == 0 && ast.IsExported(typeName(fl.Type)) {
+					fields = append(fields, typeName(fl.Type))
+				}
+				for _, n := range fl.Names {
+					if n.IsExported() {
+						fields = append(fields, n.Name)
+					}
+				}
+			}
+			sort.Strings(fields)
+			lines = append(lines, strings.TrimSpace(f.Name.Name+"."+s.Name.Name+" "+strings.Join(fields, " ")))
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sort.Strings(lines)
+	if got := strings.Join(lines, "\n") + "\n"; got != optionLedger {
+		t.Errorf("option ledger changed:\n%s\nwant\n%s", got, optionLedger)
+	}
+}
+
+// optionType matches the name of a type the option ledger pins.
+var optionType = regexp.MustCompile(`(Config|Options|Params)$`)
+
 // docFlag matches a flag token in a documented command line; a value
 // joined with '=' is not part of the name.
 var docFlag = regexp.MustCompile(`(?:^|\s)-([a-z][a-z0-9-]*)`)

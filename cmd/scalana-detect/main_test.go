@@ -124,3 +124,21 @@ func TestScaleCountIsCapped(t *testing.T) {
 		t.Errorf("-scales with %d entries: exit %d (%s), want 1 with %q", len(list), code, stderr, want)
 	}
 }
+
+// TestInvalidDetectConfigExits1: a negative -topk used to panic with a
+// slice bound out of range, and a NaN -abnorm-thd flagged every vertex.
+// Both are refused before anything is simulated.
+func TestInvalidDetectConfigExits1(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		msg  string
+	}{
+		{[]string{"-topk", "-1"}, "negative topk -1"},
+		{[]string{"-abnorm-thd", "NaN"}, "NaN threshold"},
+	} {
+		args := append([]string{"-app", "cg", "-scales", "4,8"}, tc.args...)
+		if code, _, stderr := detectCmd(t, args...); code != 1 || !strings.Contains(stderr, tc.msg) || strings.Contains(stderr, "panic") {
+			t.Errorf("%v: exit %d (%s), want 1 with %q and no panic", tc.args, code, stderr, tc.msg)
+		}
+	}
+}

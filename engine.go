@@ -74,10 +74,10 @@ func (e *Engine) CacheStats() CacheStats {
 	return CacheStats{Hits: e.hits.Load(), Misses: e.misses.Load(), Entries: entries}
 }
 
-// Compile is CompileOptions backed by the engine's cache. Options are
-// normalized (psg.Options.Normalize) before keying, so every spelling of
-// the defaults — the zero value, Options{Contract: true}, or
-// DefaultOptions() — shares one cache entry.
+// Compile is the package-level Compile with explicit PSG options, backed
+// by the engine's cache. Options are normalized (psg.Options.Normalize)
+// before keying, so every spelling of the defaults — the zero value,
+// Options{Contract: true}, or DefaultOptions() — shares one cache entry.
 func (e *Engine) Compile(app *App, opts psg.Options) (*minilang.Program, *psg.Graph, error) {
 	if app == nil {
 		return nil, nil, fmt.Errorf("scalana: Engine.Compile: app is nil")
@@ -97,7 +97,7 @@ func (e *Engine) Compile(app *App, opts psg.Options) (*minilang.Program, *psg.Gr
 		e.misses.Add(1)
 	}
 	ent.once.Do(func() {
-		ent.prog, ent.graph, ent.err = CompileOptions(app, opts)
+		ent.prog, ent.graph, ent.err = compile(app, opts)
 	})
 	return ent.prog, ent.graph, ent.err
 }
@@ -108,7 +108,7 @@ func (e *Engine) Run(cfg RunConfig) (*RunOutput, error) {
 	if err := validateRunConfig(cfg); err != nil {
 		return nil, err
 	}
-	prog, graph, err := e.Compile(cfg.App, cfg.PSGOptions)
+	prog, graph, err := e.Compile(cfg.App, psg.Options{})
 	if err != nil {
 		return nil, err
 	}
@@ -132,8 +132,6 @@ type SweepConfig struct {
 	Prof prof.Config
 	// Seed is applied to every run; sweeps with equal seeds are identical.
 	Seed int64
-	// PSGOptions overrides contraction settings (zero value = defaults).
-	PSGOptions psg.Options
 }
 
 // Sweep profiles the app at every scale in nps using the engine's
@@ -148,12 +146,11 @@ func (e *Engine) Sweep(app *App, nps []int, cfg SweepConfig) ([]detect.ScaleRun,
 	}
 	return par.MapErr(len(nps), cfg.Parallelism, func(i int) (detect.ScaleRun, error) {
 		out, err := e.Run(RunConfig{
-			App:        app,
-			NP:         nps[i],
-			ToolName:   "scalana",
-			Prof:       cfg.Prof,
-			Seed:       cfg.Seed,
-			PSGOptions: cfg.PSGOptions,
+			App:      app,
+			NP:       nps[i],
+			ToolName: "scalana",
+			Prof:     cfg.Prof,
+			Seed:     cfg.Seed,
 		})
 		if err != nil {
 			return detect.ScaleRun{}, err

@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"sort"
 
-	"scalana/internal/machine"
 	"scalana/internal/minilang"
 )
 
@@ -30,9 +29,10 @@ type App struct {
 	// KLoc is the original application's source size in thousands of
 	// lines (paper Table II), reported alongside our measured PSG sizes.
 	PaperKLoc float64
-	// CoreConfig customizes the machine model (Nekbone's heterogeneous
-	// memory speeds). Nil uses the default.
-	CoreConfig func(np int) machine.Config
+	// MemSpeed returns the relative memory speed of the core hosting a
+	// rank (Nekbone's heterogeneous cores; see machine.NewCore). Nil means
+	// uniform.
+	MemSpeed func(rank int) float64
 	// MinNP is the smallest rank count the port supports.
 	MinNP int
 }
@@ -82,13 +82,4 @@ func NPBNames() []string {
 // order: the NPB suite plus the three real applications.
 func EvaluationNames() []string {
 	return append(NPBNames(), "sst", "nekbone", "zeusmp")
-}
-
-// CaseStudies lists the §VI-D applications with their optimized variants.
-func CaseStudies() [][2]string {
-	return [][2]string{
-		{"zeusmp", "zeusmp-opt"},
-		{"sst", "sst-opt"},
-		{"nekbone", "nekbone-opt"},
-	}
 }

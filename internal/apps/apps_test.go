@@ -18,9 +18,7 @@ func runApp(t *testing.T, app *App, cfg mpisim.Config) mpisim.RunResult {
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
-	if app.CoreConfig != nil {
-		cfg.Core = app.CoreConfig(cfg.NP)
-	}
+	cfg.MemSpeed = app.MemSpeed
 	res, err := mpisim.NewWorld(cfg).Run(vm.NewRunner(code).Stepper(cfg.NP))
 	if err != nil {
 		t.Fatalf("run: %v", err)
@@ -132,13 +130,12 @@ func TestSSTImbalanceByConstruction(t *testing.T) {
 	}
 }
 
-// TestNekboneHeterogeneousCores: the core config must produce several
-// distinct memory speeds.
+// TestNekboneHeterogeneousCores: the memory speeds must take several
+// distinct values.
 func TestNekboneHeterogeneousCores(t *testing.T) {
-	cfg := nekboneCores(32)
 	speeds := map[float64]bool{}
 	for r := 0; r < 32; r++ {
-		speeds[cfg.MemSpeed(r)] = true
+		speeds[Get("nekbone").MemSpeed(r)] = true
 	}
 	if len(speeds) != 5 {
 		t.Errorf("%d distinct memory speeds, want 5", len(speeds))
@@ -179,9 +176,9 @@ func TestRegistryHelpers(t *testing.T) {
 			t.Errorf("evaluation app %q not registered", n)
 		}
 	}
-	for _, pair := range CaseStudies() {
-		if Get(pair[0]) == nil || Get(pair[1]) == nil {
-			t.Errorf("case study pair %v not registered", pair)
+	for _, name := range []string{"zeusmp", "sst", "nekbone"} {
+		if Get(name) == nil || Get(name+"-opt") == nil {
+			t.Errorf("case study %s or its -opt variant not registered", name)
 		}
 	}
 	names := Names()

@@ -1,7 +1,5 @@
 package apps
 
-import "scalana/internal/machine"
-
 // Nekbone port (paper §VI-D3). Nekbone's CG iteration spends its time in
 // a dgemm loop (blas.f:8941); the cluster's cores have differing memory
 // speeds and ranks are pinned to cores, so the memory-bound naive dgemm
@@ -17,25 +15,21 @@ func init() {
 		Name: "nekbone", File: "nekbone.mp", PaperKLoc: 31.8,
 		Description: "Nekbone spectral-element CG: memory-bound dgemm on heterogeneous cores, halo Waitall + glsum allreduce",
 		Source:      nekboneSource(false),
-		CoreConfig:  nekboneCores,
+		MemSpeed:    nekboneMemSpeed,
 	})
 	register(&App{
 		Name: "nekbone-opt", File: "nekbone.mp", PaperKLoc: 31.8,
 		Description: "Nekbone with the paper's fix: blocked BLAS dgemm (~90% fewer loads/stores)",
 		Source:      nekboneSource(true),
-		CoreConfig:  nekboneCores,
+		MemSpeed:    nekboneMemSpeed,
 	})
 }
 
-// nekboneCores models the heterogeneous memory speed the paper found:
+// nekboneMemSpeed models the heterogeneous memory speed the paper found:
 // "the memory access speed of each processor core differs, and the
 // processes are bound to different processor cores".
-func nekboneCores(np int) machine.Config {
-	cfg := machine.DefaultConfig()
-	cfg.MemSpeed = func(rank int) float64 {
-		return 1.0 + 0.8*float64((rank*11)%5)/4.0
-	}
-	return cfg
+func nekboneMemSpeed(rank int) float64 {
+	return 1.0 + 0.8*float64((rank*11)%5)/4.0
 }
 
 func nekboneSource(opt bool) string {

@@ -20,7 +20,7 @@ import (
 )
 
 // recordCost is the virtual CPU cost of updating the counters for one
-// MPI operation: below the ScalAna profiler's CommRecordCost, since the
+// MPI operation: below the ScalAna profiler's per-record cost, since the
 // collector touches two counters and a matrix cell, with no parameter
 // compression to run.
 const recordCost = 0.1e-6

@@ -67,6 +67,19 @@ func (c Config) Normalized() Config {
 	return c
 }
 
+// Validate rejects a configuration detection cannot run: a negative TopK
+// or a NaN threshold, which no comparison would ever fail. Detect applies
+// it, and so does query.Detect when it plans.
+func (c Config) Validate() error {
+	if c.TopK < 0 {
+		return fmt.Errorf("detect: negative topk %d", c.TopK)
+	}
+	if math.IsNaN(c.AbnormThd) || math.IsNaN(c.SlopeThd) || math.IsNaN(c.MinShare) {
+		return fmt.Errorf("detect: NaN threshold (abnorm-thd %g, slope-thd %g, min-share %g)", c.AbnormThd, c.SlopeThd, c.MinShare)
+	}
+	return nil
+}
+
 const (
 	// waitEps is the least waiting time that counts as a wait state: the
 	// backtracking walk follows a communication dependence edge only if
@@ -205,6 +218,9 @@ type Report struct {
 func Detect(runs []ScaleRun, cfg Config) (*Report, error) {
 	if len(runs) == 0 {
 		return nil, fmt.Errorf("detect: no runs")
+	}
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
 	cfg = cfg.Normalized()
 	sorted := append([]ScaleRun(nil), runs...)

@@ -351,6 +351,16 @@ func TestDetectErrors(t *testing.T) {
 	if _, err := Detect(nil, DefaultConfig()); err == nil {
 		t.Error("no runs should error")
 	}
+	// A negative TopK used to slice out of range, and a NaN threshold
+	// fails every comparison, so it flagged every vertex.
+	s := newSynthetic(t, simpleSrc, 2)
+	runs := []ScaleRun{{NP: 2, PPG: s.ppg()}}
+	nan := math.NaN()
+	for _, cfg := range []Config{{TopK: -1}, {AbnormThd: nan}, {SlopeThd: nan}, {MinShare: nan}} {
+		if _, err := Detect(runs, cfg); err == nil {
+			t.Errorf("%+v: no error", cfg)
+		}
+	}
 }
 
 func TestDetectSingleScaleSkipsNonScalable(t *testing.T) {

@@ -20,9 +20,6 @@ type LogLog struct {
 	R2 float64
 }
 
-// Eval evaluates the model at p.
-func (m LogLog) Eval(p float64) float64 { return math.Exp(m.A) * math.Pow(p, m.B) }
-
 func (m LogLog) String() string {
 	return fmt.Sprintf("y = %.3g * p^%.3f (R2=%.3f)", math.Exp(m.A), m.B, m.R2)
 }

@@ -23,8 +23,8 @@ func TestFitLogLogExactPowerLaw(t *testing.T) {
 		if m.R2 < 0.999999 {
 			t.Errorf("R2 = %g for exact power law", m.R2)
 		}
-		if math.Abs(m.Eval(16)-3.7*math.Pow(16, b)) > 1e-6 {
-			t.Errorf("Eval(16) = %g", m.Eval(16))
+		if math.Abs(math.Exp(m.A)-3.7) > 1e-9 {
+			t.Errorf("coefficient = %g, want 3.7", math.Exp(m.A))
 		}
 	}
 }

@@ -14,23 +14,15 @@ import (
 	"scalana/internal/psg"
 )
 
-// Config controls the call-path profiler.
-type Config struct {
-	// SampleHz is the timer frequency (the paper pins both tools at 200 Hz).
-	SampleHz float64
-	// SampleCost is the virtual cost of one interrupt + stack unwind.
+// The profiler mirrors hpcrun's defaults with tracing enabled.
+const (
+	// sampleHz is the timer frequency (the paper pins both tools at 200 Hz).
+	sampleHz float64 = 200
+	// sampleCost is the virtual cost of one interrupt + stack unwind.
 	// Unwinding a full call path costs a bit more than ScalAna's
 	// graph-pointer lookup.
-	SampleCost float64
-	// TraceLine enables hpctraceviewer-style per-sample trace lines,
-	// which is where most of HPCToolkit's storage goes.
-	TraceLine bool
-}
-
-// DefaultConfig mirrors hpcrun defaults with tracing enabled.
-func DefaultConfig() Config {
-	return Config{SampleHz: 200, SampleCost: 2.2e-6, TraceLine: true}
-}
+	sampleCost float64 = 2.2e-6
+)
 
 // CtxData is the metric payload of one calling-context-tree node.
 type CtxData struct {
@@ -44,7 +36,8 @@ type RankProfile struct {
 	Rank int
 	// Ctx maps a calling-context path (joined vertex keys) to metrics.
 	Ctx map[string]*CtxData
-	// TraceSamples counts hpctrace records (one per sample).
+	// TraceSamples counts hpctraceviewer-style trace records, one per
+	// sample: where most of HPCToolkit's storage goes.
 	TraceSamples int64
 }
 
@@ -60,16 +53,11 @@ func (rp *RankProfile) StorageBytes() int64 {
 	for path := range rp.Ctx {
 		pathBytes += int64(len(path)) / 4 // dictionary-compressed frames
 	}
-	s := int64(len(rp.Ctx))*cctNode + pathBytes
-	if rp.TraceSamples > 0 {
-		s += rp.TraceSamples * traceRec
-	}
-	return fileHeader + s
+	return fileHeader + int64(len(rp.Ctx))*cctNode + pathBytes + rp.TraceSamples*traceRec
 }
 
 // Profiler is the per-rank hook, an mpisim.TimerSampler.
 type Profiler struct {
-	cfg     Config
 	profile *RankProfile
 	// paths caches the rendered calling-context string per leaf vertex,
 	// indexed by interned psg.VID: the parent walk and string join run
@@ -78,14 +66,8 @@ type Profiler struct {
 }
 
 // New creates the call-path profiler for one rank.
-func New(cfg Config, rank int) *Profiler {
-	if cfg.SampleHz <= 0 {
-		cfg = DefaultConfig()
-	}
-	return &Profiler{
-		cfg:     cfg,
-		profile: &RankProfile{Rank: rank, Ctx: map[string]*CtxData{}},
-	}
+func New(rank int) *Profiler {
+	return &Profiler{profile: &RankProfile{Rank: rank, Ctx: map[string]*CtxData{}}}
 }
 
 // Profile returns the collected profile.
@@ -117,9 +99,9 @@ func (pr *Profiler) callPath(ctx any) string {
 	return path
 }
 
-// SamplePeriod asks the rank for a timer interrupt every 1/SampleHz
+// SamplePeriod asks the rank for a timer interrupt every 1/sampleHz
 // virtual seconds.
-func (pr *Profiler) SamplePeriod() float64 { return 1 / pr.cfg.SampleHz }
+func (pr *Profiler) SamplePeriod() float64 { return 1 / sampleHz }
 
 // Sample is the timer interrupt: it unwinds the calling context the rank
 // is in and attributes the samples and the counters accrued since the
@@ -134,10 +116,8 @@ func (pr *Profiler) Sample(p *mpisim.Proc, crossings int64, period float64, pmu 
 	cd.Samples += crossings
 	cd.Time += float64(crossings) * period
 	cd.PMU.Add(*pmu)
-	if pr.cfg.TraceLine {
-		pr.profile.TraceSamples += crossings
-	}
-	return float64(crossings) * pr.cfg.SampleCost
+	pr.profile.TraceSamples += crossings
+	return float64(crossings) * sampleCost
 }
 
 // MPIEvent is a no-op: a pure sampling profiler does not interpose on MPI.

@@ -36,7 +36,7 @@ func main() {
 
 func TestCallPathAttribution(t *testing.T) {
 	v := testVertex(t)
-	pr := New(DefaultConfig(), 0)
+	pr := New(0)
 	p := fakeProc(t)
 	p.Ctx = v
 	pr.Sample(p, 20, 1.0/200, &machine.Vec{50, 100, 25, 0, 40}) // 0.1s at 200Hz
@@ -62,7 +62,7 @@ func TestCallPathAttribution(t *testing.T) {
 }
 
 func TestNilContextAttribution(t *testing.T) {
-	pr := New(DefaultConfig(), 0)
+	pr := New(0)
 	p := fakeProc(t)
 	pr.Sample(p, 2, 1.0/200, &machine.Vec{})
 	if _, ok := pr.Profile().Ctx["root"]; !ok {
@@ -71,7 +71,7 @@ func TestNilContextAttribution(t *testing.T) {
 }
 
 func TestMPIEventIsNoOp(t *testing.T) {
-	pr := New(DefaultConfig(), 0)
+	pr := New(0)
 	p := fakeProc(t)
 	if owed := pr.MPIEvent(p, &mpisim.Event{Op: "mpi_recv"}); owed != 0 {
 		t.Error("pure sampler should not charge MPI events")
@@ -85,16 +85,16 @@ func TestSamplerCost(t *testing.T) {
 	// Driven by the rank's timer: 27.6 ms of computation crosses five
 	// 200 Hz boundaries, each charged; the samples a perturbation advance
 	// crosses are taken and not charged.
-	pr := New(DefaultConfig(), 0)
+	pr := New(0)
 	p := mpisim.NewWorld(mpisim.Config{NP: 1, HookFactory: func(int) []mpisim.Hook {
 		return []mpisim.Hook{pr}
 	}}).Proc(0)
 	p.Compute(1.056e8, 0, 0, 64)
-	if got := pr.Profile().TraceSamples; got != 5 || p.PerturbTotal != 5*DefaultConfig().SampleCost {
-		t.Errorf("%d samples charged %g, want 5 charged %g", got, p.PerturbTotal, 5*DefaultConfig().SampleCost)
+	if got := pr.Profile().TraceSamples; got != 5 || p.PerturbTotal != 5*sampleCost {
+		t.Errorf("%d samples charged %g, want 5 charged %g", got, p.PerturbTotal, 5*sampleCost)
 	}
 	p.Perturb(0.1)
-	if got := pr.Profile().TraceSamples; got != 25 || p.PerturbTotal != 5*DefaultConfig().SampleCost+0.1 {
+	if got := pr.Profile().TraceSamples; got != 25 || p.PerturbTotal != 5*sampleCost+0.1 {
 		t.Errorf("after a perturb advance: %d samples, %g charged; want 25 and no new charge", got, p.PerturbTotal)
 	}
 }

@@ -61,34 +61,6 @@ func BuildCallGraph(prog *minilang.Program, fns map[string]*Func) *CallGraph {
 	return cg
 }
 
-// Recursive reports whether fn participates in a call cycle (including
-// self-recursion) considering only direct calls.
-func (cg *CallGraph) Recursive(fn string) bool {
-	// DFS from each callee of fn looking for fn again.
-	var dfs func(cur string, visited map[string]bool) bool
-	dfs = func(cur string, visited map[string]bool) bool {
-		if cur == fn {
-			return true
-		}
-		if visited[cur] {
-			return false
-		}
-		visited[cur] = true
-		for _, c := range cg.Callees[cur] {
-			if dfs(c, visited) {
-				return true
-			}
-		}
-		return false
-	}
-	for _, c := range cg.Callees[fn] {
-		if dfs(c, map[string]bool{}) {
-			return true
-		}
-	}
-	return false
-}
-
 // TopDownOrder returns functions reachable from main in a deterministic
 // top-down order (breadth-first over direct call edges). Functions not
 // reachable from main are excluded; unknown callees are an error.

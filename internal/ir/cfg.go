@@ -91,15 +91,6 @@ type Func struct {
 	Exit   *Block
 }
 
-// NumInstrs reports the total instruction count across all blocks.
-func (f *Func) NumInstrs() int {
-	n := 0
-	for _, b := range f.Blocks {
-		n += len(b.Instrs)
-	}
-	return n
-}
-
 type lowerer struct {
 	fn     *Func
 	cur    *Block

@@ -83,15 +83,6 @@ func (dt *DomTree) intersect(a, b int) int {
 	return a
 }
 
-// IDom returns the immediate dominator block ID of b, or -1 for the entry
-// block and unreachable blocks.
-func (dt *DomTree) IDom(b int) int {
-	if b == dt.fn.Blocks[0].ID {
-		return -1
-	}
-	return dt.idom[b]
-}
-
 // Dominates reports whether block a dominates block b.
 func (dt *DomTree) Dominates(a, b int) bool {
 	if dt.idom[b] == -1 {

@@ -6,14 +6,14 @@ import (
 )
 
 // compute runs one kernel and returns its time and counter deltas.
-func compute(c *Core, flops, loads, stores, ws float64) (float64, Vec) {
+func compute(c Core, flops, loads, stores, ws float64) (float64, Vec) {
 	var d Vec
 	dt := c.Compute(flops, loads, stores, ws, &d)
 	return dt, d
 }
 
 func TestComputeBasics(t *testing.T) {
-	c := NewCore(DefaultConfig(), 0)
+	c := NewCore(nil, 0)
 	dt, d := compute(c, 1e6, 1e5, 5e4, 1024)
 	if dt <= 0 {
 		t.Fatalf("elapsed = %g, want > 0", dt)
@@ -33,7 +33,7 @@ func TestComputeBasics(t *testing.T) {
 }
 
 func TestComputeFlopsScaling(t *testing.T) {
-	c := NewCore(DefaultConfig(), 0)
+	c := NewCore(nil, 0)
 	t1, _ := compute(c, 1e7, 0, 0, 64)
 	t2, _ := compute(c, 1e8, 0, 0, 64)
 	ratio := t2 / t1
@@ -43,10 +43,9 @@ func TestComputeFlopsScaling(t *testing.T) {
 }
 
 func TestCacheModelMonotonicInWorkingSet(t *testing.T) {
-	cfg := DefaultConfig()
 	prev := 0.0
 	for _, ws := range []float64{1 << 10, 64 << 10, 512 << 10, 4 << 20, 64 << 20} {
-		c := NewCore(cfg, 0)
+		c := NewCore(nil, 0)
 		dt, _ := compute(c, 1e5, 1e6, 0, ws) // memory-dominated
 		if dt < prev {
 			t.Errorf("time decreased when working set grew to %g: %g < %g", ws, dt, prev)
@@ -56,9 +55,9 @@ func TestCacheModelMonotonicInWorkingSet(t *testing.T) {
 }
 
 func TestCacheMissesIncreaseWithWorkingSet(t *testing.T) {
-	cSmall := NewCore(DefaultConfig(), 0)
+	cSmall := NewCore(nil, 0)
 	_, dSmall := compute(cSmall, 1e5, 1e6, 0, 8<<10)
-	cBig := NewCore(DefaultConfig(), 0)
+	cBig := NewCore(nil, 0)
 	_, dBig := compute(cBig, 1e5, 1e6, 0, 32<<20)
 	if dSmall[L2Miss] >= dBig[L2Miss] {
 		t.Errorf("L2 misses: small ws %g >= big ws %g", dSmall[L2Miss], dBig[L2Miss])
@@ -69,15 +68,14 @@ func TestCacheMissesIncreaseWithWorkingSet(t *testing.T) {
 }
 
 func TestHeterogeneousMemorySpeed(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.MemSpeed = func(rank int) float64 {
+	memSpeed := func(rank int) float64 {
 		if rank == 1 {
 			return 2.0
 		}
 		return 1.0
 	}
-	fast := NewCore(cfg, 0)
-	slow := NewCore(cfg, 1)
+	fast := NewCore(memSpeed, 0)
+	slow := NewCore(memSpeed, 1)
 	// Memory-bound kernel: the slow-memory core must take longer while
 	// executing the identical instruction stream (the Nekbone signature).
 	tf, df := compute(fast, 1e5, 2e6, 1e6, 32<<20)
@@ -100,19 +98,16 @@ func TestHeterogeneousMemorySpeed(t *testing.T) {
 }
 
 func TestMemSpeedZeroOrNegativeClamped(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.MemSpeed = func(rank int) float64 { return -1 }
-	c := NewCore(cfg, 0)
-	if c.MemFactor() != 1.0 {
-		t.Errorf("negative mem factor should clamp to 1.0, got %g", c.MemFactor())
+	c := NewCore(func(rank int) float64 { return -1 }, 0)
+	if c.memFactor != 1.0 {
+		t.Errorf("negative mem factor should clamp to 1.0, got %g", c.memFactor)
 	}
 }
 
 func TestOverhead(t *testing.T) {
-	cfg := DefaultConfig()
-	cycles, dt := cfg.Overhead(1000)
-	if cycles != 1000/cfg.IPC || dt != cycles/cfg.ClockHz {
-		t.Errorf("overhead: cycles=%g dt=%g, want 1000 instructions at IPC %g and %g Hz", cycles, dt, cfg.IPC, cfg.ClockHz)
+	cycles, dt := Overhead(1000)
+	if cycles != 1000/ipc || dt != cycles/clockHz {
+		t.Errorf("overhead: cycles=%g dt=%g, want 1000 instructions at IPC %g and %g Hz", cycles, dt, ipc, clockHz)
 	}
 }
 
@@ -122,7 +117,7 @@ func TestComputePanicsOnNegative(t *testing.T) {
 			t.Error("expected panic on negative flops")
 		}
 	}()
-	compute(NewCore(DefaultConfig(), 0), -1, 0, 0, 0)
+	compute(NewCore(nil, 0), -1, 0, 0, 0)
 }
 
 func TestVecAddScale(t *testing.T) {
@@ -130,9 +125,6 @@ func TestVecAddScale(t *testing.T) {
 	a.Add(Vec{10, 20, 30, 40, 50})
 	if a != (Vec{11, 22, 33, 44, 55}) {
 		t.Errorf("Add = %v", a)
-	}
-	if got := a.Scale(2); got != (Vec{22, 44, 66, 88, 110}) {
-		t.Errorf("Scale = %v", got)
 	}
 }
 
@@ -149,7 +141,7 @@ func TestCounterNames(t *testing.T) {
 // Property: for any non-negative operands, time and counters are finite,
 // non-negative, and instructions cover at least the requested operations.
 func TestComputePropertyNonNegative(t *testing.T) {
-	c := NewCore(DefaultConfig(), 0)
+	c := NewCore(nil, 0)
 	f := func(flops, loads, stores, ws uint32) bool {
 		fl, ld, st, w := float64(flops), float64(loads), float64(stores), float64(ws)
 		dt, d := compute(c, fl, ld, st, w)
@@ -173,11 +165,10 @@ func TestComputePropertyNonNegative(t *testing.T) {
 
 // Property: time is monotone in each operand.
 func TestComputePropertyMonotone(t *testing.T) {
-	cfg := DefaultConfig()
 	f := func(base uint16, extra uint16) bool {
 		b, e := float64(base)+1, float64(extra)
-		c1 := NewCore(cfg, 0)
-		c2 := NewCore(cfg, 0)
+		c1 := NewCore(nil, 0)
+		c2 := NewCore(nil, 0)
 		t1, _ := compute(c1, b, b, b, 4096)
 		t2, _ := compute(c2, b+e, b+e, b+e, 4096)
 		return t2 >= t1

@@ -177,9 +177,6 @@ func (p *Program) Func(name string) *FuncDecl {
 	return p.byName[name]
 }
 
-// NumNodes reports how many AST nodes the program contains.
-func (p *Program) NumNodes() int { return p.nodes }
-
 // SourceLine returns the 1-based line of the program source, or "" if out
 // of range. The viewer uses it to show code snippets for root causes.
 func (p *Program) SourceLine(line int) string {

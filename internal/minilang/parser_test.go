@@ -50,8 +50,8 @@ func main() {
 	if prog.Func("main") == nil || prog.Func("helper") == nil {
 		t.Fatal("functions missing")
 	}
-	if prog.NumNodes() < 40 {
-		t.Errorf("expected a rich AST, got %d nodes", prog.NumNodes())
+	if prog.nodes < 40 {
+		t.Errorf("expected a rich AST, got %d nodes", prog.nodes)
 	}
 }
 

@@ -101,20 +101,19 @@ func (c *collectives) newSlot(seq int, op string, root int, bytes float64) *coll
 // cost returns the collective's completion cost beyond the last arrival,
 // using tree/butterfly algorithm shapes over the LogGP parameters.
 func (w *World) collCost(op string, bytes float64, n int) float64 {
-	net := w.cfg.Net
 	logn := ceilLog2b(n)
 	switch op {
 	case "mpi_barrier":
-		return logn * (net.Latency + net.Overhead)
+		return logn * (netLatency + netOverhead)
 	case "mpi_bcast", "mpi_reduce":
-		return logn * (net.Latency + bytes*net.PerByte + net.Overhead)
+		return logn * (netLatency + bytes*netPerByte + netOverhead)
 	case "mpi_allreduce":
 		// reduce-scatter + allgather butterfly: 2 log n stages.
-		return 2 * logn * (net.Latency + bytes*net.PerByte + net.Overhead)
+		return 2 * logn * (netLatency + bytes*netPerByte + netOverhead)
 	case "mpi_alltoall":
-		return float64(n-1)*(net.Overhead+bytes*net.PerByte) + net.Latency*logn
+		return float64(n-1)*(netOverhead+bytes*netPerByte) + netLatency*logn
 	case "mpi_allgather":
-		return logn*net.Latency + float64(n-1)*bytes*net.PerByte
+		return logn*netLatency + float64(n-1)*bytes*netPerByte
 	}
 	panic(fmt.Sprintf("mpisim: unknown collective %q", op))
 }

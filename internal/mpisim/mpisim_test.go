@@ -16,7 +16,6 @@ func newTestWorld(np int) *World {
 
 func TestSendRecvTiming(t *testing.T) {
 	w := newTestWorld(2)
-	net := w.cfg.Net
 	const bytes = 1 << 20
 	_, err := w.RunBlocking(func(p *Proc) {
 		if p.Rank == 0 {
@@ -32,7 +31,7 @@ func TestSendRecvTiming(t *testing.T) {
 	// Receiver time: its own entry overhead is absorbed while waiting for
 	// the arrival (sender overhead + injection copy + latency), then the
 	// local copy: o + G*bytes + L + G*bytes.
-	want := net.Overhead + bytes*net.PerByte + net.Latency + bytes*net.PerByte
+	want := netOverhead + bytes*netPerByte + netLatency + bytes*netPerByte
 	if math.Abs(r1-want) > 1e-12 {
 		t.Errorf("recv completion = %g, want %g", r1, want)
 	}

@@ -7,27 +7,20 @@ import (
 	"scalana/internal/machine"
 )
 
-// NetConfig is the LogGP-style interconnect cost model.
-type NetConfig struct {
-	Latency  float64 // L: wire latency per message (seconds)
-	PerByte  float64 // G: per-byte transfer/copy time (seconds)
-	Overhead float64 // o: CPU overhead per MPI operation (seconds)
-}
-
-// DefaultNet resembles a 100 Gb/s EDR InfiniBand fabric.
-func DefaultNet() NetConfig {
-	return NetConfig{
-		Latency:  1.8e-6,
-		PerByte:  1.0 / 10e9,
-		Overhead: 0.6e-6,
-	}
-}
+// The LogGP-style interconnect cost model: a 100 Gb/s EDR InfiniBand
+// fabric.
+const (
+	netLatency  float64 = 1.8e-6     // L: wire latency per message (seconds)
+	netPerByte  float64 = 1.0 / 10e9 // G: per-byte transfer/copy time (seconds)
+	netOverhead float64 = 0.6e-6     // o: CPU overhead per MPI operation (seconds)
+)
 
 // Config configures a World.
 type Config struct {
-	NP   int
-	Net  NetConfig
-	Core machine.Config
+	NP int
+	// MemSpeed returns the relative memory speed of the core hosting a rank
+	// (see machine.NewCore); nil means uniform.
+	MemSpeed func(rank int) float64
 	// Seed seeds the per-rank deterministic RNGs.
 	Seed int64
 	// HookFactory creates per-rank tool hooks; nil means no tools.
@@ -60,14 +53,6 @@ func NewWorld(cfg Config) *World {
 	if cfg.NP <= 0 {
 		panic("mpisim: NP must be positive")
 	}
-	if cfg.Net == (NetConfig{}) {
-		cfg.Net = DefaultNet()
-	}
-	if cfg.Core.ClockHz == 0 {
-		mem := cfg.Core.MemSpeed
-		cfg.Core = machine.DefaultConfig()
-		cfg.Core.MemSpeed = mem
-	}
 	w := &World{
 		cfg: cfg,
 		np:  cfg.NP,
@@ -79,7 +64,7 @@ func NewWorld(cfg Config) *World {
 	procs := make([]Proc, cfg.NP)
 	for r := 0; r < cfg.NP; r++ {
 		p := &procs[r]
-		p.world, p.Rank, p.Core = w, r, machine.NewCore(cfg.Core, r)
+		p.world, p.Rank, p.Core = w, r, machine.NewCore(cfg.MemSpeed, r)
 		p.rng = NewStream(cfg.Seed*7919 + int64(r) + 1)
 		var hooks []Hook
 		if cfg.HookFactory != nil {
@@ -165,7 +150,7 @@ type Proc struct {
 	Rank  int
 	// Clock is the rank's virtual time in seconds.
 	Clock float64
-	Core  *machine.Core
+	Core  machine.Core
 	// Ctx is the current attribution context (opaque to the simulator;
 	// the interpreter stores the current *psg.Vertex here).
 	Ctx any
@@ -325,7 +310,7 @@ func (p *Proc) Glue(n float64) {
 	w := p.world
 	if n != w.glue[machine.TotIns] {
 		w.glue[machine.TotIns] = n
-		w.glue[machine.TotCyc], w.glueDt = w.cfg.Core.Overhead(n)
+		w.glue[machine.TotCyc], w.glueDt = machine.Overhead(n)
 	}
 	p.pmu[machine.TotIns] += n
 	p.pmu[machine.TotCyc] += w.glue[machine.TotCyc]
@@ -344,7 +329,7 @@ func (p *Proc) Perturb(dt float64) {
 
 // mpiOverhead charges the CPU entry cost of one MPI operation.
 func (p *Proc) mpiOverhead() {
-	p.advance(p.world.cfg.Net.Overhead, AdvMPIOverhead, &zeroVec)
+	p.advance(netOverhead, AdvMPIOverhead, &zeroVec)
 }
 
 // waitUntil blocks virtual time until t (no-op if already past).

@@ -20,16 +20,10 @@ type Config struct {
 	// SampleHz is the timer sampling frequency (paper evaluation: 200 Hz,
 	// matched to HPCToolkit for fairness).
 	SampleHz float64
-	// SampleCost is the virtual CPU cost of one sampling interrupt
-	// (signal delivery + unwind + counter read).
-	SampleCost float64
 	// CommSampleProb is the probability that one communication operation's
 	// parameters are recorded (random sampling-based instrumentation,
 	// paper §III-B2). 1.0 records every operation.
 	CommSampleProb float64
-	// CommRecordCost is the virtual CPU cost of recording one
-	// communication operation.
-	CommRecordCost float64
 	// Compress enables graph-guided communication compression: repeated
 	// operations with identical parameters collapse into one record.
 	// Disable only for the ablation benchmark.
@@ -42,12 +36,18 @@ type Config struct {
 func DefaultConfig() Config {
 	return Config{
 		SampleHz:       200,
-		SampleCost:     1.8e-6,
 		CommSampleProb: 1.0,
-		CommRecordCost: 0.25e-6,
 		Compress:       true,
 	}
 }
+
+// The profiler's virtual CPU costs: one sampling interrupt (signal
+// delivery + unwind + counter read), and recording one communication
+// operation.
+const (
+	sampleCost     float64 = 1.8e-6
+	commRecordCost float64 = 0.25e-6
+)
 
 // PerfData is the performance vector attached to one PSG vertex on one
 // rank (paper Fig. 6 shows Time/TOT_INS/TOT_LST on a vertex).
@@ -431,7 +431,7 @@ func (pr *Profiler) Sample(p *mpisim.Proc, crossings int64, period float64, pmu 
 	pd.Time += float64(crossings) * period
 	pd.PMU.Add(*pmu)
 	pr.profile.SamplesTaken += crossings
-	return float64(crossings) * pr.cfg.SampleCost
+	return float64(crossings) * sampleCost
 }
 
 // MPIEvent implements the PMPI interposition layer.
@@ -490,7 +490,7 @@ func (pr *Profiler) MPIEvent(p *mpisim.Proc, ev *mpisim.Event) float64 {
 	if ev.Wait > rec.MaxWait {
 		rec.MaxWait = ev.Wait
 	}
-	return pr.cfg.CommRecordCost
+	return commRecordCost
 }
 
 // record finds the record an event accumulates into, appending one when

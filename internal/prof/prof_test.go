@@ -59,14 +59,14 @@ func TestSamplerCrossingCounts(t *testing.T) {
 	if pd.PMU[machine.FpOps] != flops {
 		t.Errorf("PMU attributed = %v", pd.PMU)
 	}
-	if p.PerturbTotal != 2*DefaultConfig().SampleCost {
+	if p.PerturbTotal != 2*sampleCost {
 		t.Errorf("charged %g, want two sample costs", p.PerturbTotal)
 	}
 
 	// Sub-period advances accumulate pending PMU without sampling...
 	ins := pd.PMU[machine.TotIns]
 	p.Glue(7)
-	if p.PerturbTotal != 2*DefaultConfig().SampleCost {
+	if p.PerturbTotal != 2*sampleCost {
 		t.Errorf("sub-period advance was charged: total %g", p.PerturbTotal)
 	}
 	if pr.Profile().Vertex[v.VID].PMU[machine.TotIns] != ins {

@@ -33,13 +33,10 @@ func oracleProfiles(t *testing.T, e *scalana.Engine, app *scalana.App, np int, p
 		t.Fatal(err)
 	}
 	profilers := make([]prof.OracleProfiler, np)
-	wcfg := mpisim.Config{NP: np, Seed: pcfg.Seed, HookFactory: func(rank int) []mpisim.Hook {
+	wcfg := mpisim.Config{NP: np, MemSpeed: app.MemSpeed, Seed: pcfg.Seed, HookFactory: func(rank int) []mpisim.Hook {
 		profilers[rank] = prof.NewOracleProfiler(pcfg, graph, rank, np)
 		return []mpisim.Hook{profilers[rank]}
 	}}
-	if app.CoreConfig != nil {
-		wcfg.Core = app.CoreConfig(np)
-	}
 	runner := vm.NewRunner(code.(*vm.Program))
 	runner.OnIndirect = func(rank int, inst *psg.Instance, site minilang.NodeID, target string) {
 		profilers[rank].ObserveIndirect(rank, inst, site, target)

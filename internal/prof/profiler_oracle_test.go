@@ -87,7 +87,7 @@ func (pr *oracleProfiler) Advance(p *mpisim.Proc, from, to float64, kind mpisim.
 	if kind == mpisim.AdvPerturb {
 		return 0
 	}
-	return float64(crossings) * pr.cfg.SampleCost
+	return float64(crossings) * sampleCost
 }
 
 func (pr *oracleProfiler) MPIEvent(p *mpisim.Proc, ev *mpisim.Event) float64 {
@@ -140,7 +140,7 @@ func (pr *oracleProfiler) MPIEvent(p *mpisim.Proc, ev *mpisim.Event) float64 {
 	if ev.Wait > rec.MaxWait {
 		rec.MaxWait = ev.Wait
 	}
-	return pr.cfg.CommRecordCost
+	return commRecordCost
 }
 
 func (pr *oracleProfiler) ObserveIndirect(rank int, inst *psg.Instance, site minilang.NodeID, target string) {

@@ -22,11 +22,10 @@ type Options struct {
 func DefaultOptions() Options { return Options{MaxLoopDepth: 10, Contract: true} }
 
 // Normalize canonicalizes user-supplied options: the zero value means
-// "paper defaults" (the contract of RunConfig.PSGOptions), and any other
-// value with a non-positive MaxLoopDepth gets the default depth. Run and
-// Engine.Compile normalize through this method before building or cache
-// keying, so Options{Contract: true} and DefaultOptions() are the same
-// compilation — and the same cache entry.
+// "paper defaults", and any other value with a non-positive MaxLoopDepth
+// gets the default depth. Engine.Compile normalizes through this method
+// before building or cache keying, so Options{Contract: true} and
+// DefaultOptions() are the same compilation — and the same cache entry.
 func (o Options) Normalize() Options {
 	if o == (Options{}) {
 		return DefaultOptions()
@@ -180,16 +179,6 @@ func (g *Graph) newInstance(parent *Instance, fn *minilang.FuncDecl, path string
 	g.instances = append(g.instances, in)
 	g.parents[in] = parent
 	return in
-}
-
-// VertexByKey returns the vertex with the given stable key, or nil.
-func (g *Graph) VertexByKey(key string) *Vertex { return g.byKey[key] }
-
-// Instances returns all function instances (inlined copies).
-func (g *Graph) Instances() []*Instance {
-	out := make([]*Instance, len(g.instances))
-	copy(out, g.instances)
-	return out
 }
 
 // builder performs the intra- plus inter-procedural walk. Inlining happens

@@ -301,11 +301,11 @@ func TestVertexNavigation(t *testing.T) {
 func TestVertexByKeyAndIDs(t *testing.T) {
 	g := build(t, fig3, DefaultOptions())
 	for _, v := range g.Vertices {
-		if got := g.VertexByKey(v.Key); got != v {
-			t.Errorf("VertexByKey(%q) = %v, want %v", v.Key, got, v)
+		if got := g.byKey[v.Key]; got != v {
+			t.Errorf("byKey[%q] = %v, want %v", v.Key, got, v)
 		}
 	}
-	if g.VertexByKey("nope") != nil {
+	if g.byKey["nope"] != nil {
 		t.Error("unknown key should return nil")
 	}
 }
@@ -537,7 +537,7 @@ func TestContractionProperty(t *testing.T) {
 func TestAttributionTotality(t *testing.T) {
 	prog := minilang.MustParse("t.mp", fig3)
 	g := MustBuild(prog)
-	for _, inst := range g.Instances() {
+	for _, inst := range g.instances {
 		var walk func(s minilang.Stmt)
 		walk = func(s minilang.Stmt) {
 			if inst.VertexOf(s.ID()) == nil {

@@ -238,6 +238,9 @@ type Detect struct {
 // Detect plans a detection query.
 func (e *Env) Detect(q Detect) (Plan[*detect.Report], error) {
 	var none Plan[*detect.Report]
+	if err := q.Config.Validate(); err != nil {
+		return none, errorf(http.StatusBadRequest, "%v", err)
+	}
 	app := q.App
 	var src string
 	var load func() ([]detect.ScaleRun, error)

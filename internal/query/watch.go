@@ -94,7 +94,7 @@ func (e *Env) Watch(q Watch) (Plan[*baseline.Report], error) {
 		name string
 		v    float64
 	}{{"z", p.ZThd}, {"cusum", p.CUSUMThd}, {"cusum-k", p.CUSUMK}, {"min-share", p.MinShare}} {
-		if f.v < 0 {
+		if !(f.v >= 0) {
 			return none, errorf(http.StatusBadRequest, "bad %s \"%g\"", f.name, f.v)
 		}
 	}

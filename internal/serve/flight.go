@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 )
@@ -30,8 +31,10 @@ type flightGroup struct {
 // Do runs fn under key, coalescing concurrent duplicates. A caller that
 // finds an in-flight computation is counted before it blocks waiting —
 // that ordering is what lets tests deterministically observe "a second
-// request has coalesced" while the first is still computing.
-func (g *flightGroup) Do(key string, c *flightCount, fn func() ([]byte, error)) ([]byte, error) {
+// request has coalesced" while the first is still computing. A panic in
+// fn is the error of every caller on the flight, and the flight is
+// released either way, so a later identical request computes again.
+func (g *flightGroup) Do(key string, c *flightCount, fn func() ([]byte, error)) (data []byte, err error) {
 	g.mu.Lock()
 	if g.m == nil {
 		g.m = map[string]*flight{}
@@ -47,11 +50,15 @@ func (g *flightGroup) Do(key string, c *flightCount, fn func() ([]byte, error)) 
 	g.mu.Unlock()
 
 	c.computes.Add(1)
-	f.data, f.err = fn()
-
-	g.mu.Lock()
-	delete(g.m, key)
-	g.mu.Unlock()
-	close(f.done)
-	return f.data, f.err
+	defer func() {
+		if r := recover(); r != nil {
+			data, err = nil, fmt.Errorf("serve: computing %s panicked: %v", key, r)
+		}
+		f.data, f.err = data, err
+		g.mu.Lock()
+		delete(g.m, key)
+		g.mu.Unlock()
+		close(f.done)
+	}()
+	return fn()
 }

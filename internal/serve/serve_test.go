@@ -364,6 +364,11 @@ func TestDetectValidation(t *testing.T) {
 		{"simulate below MinNP", detectRequest{App: "cg", Simulate: true, Scales: []int{1, 4}}, http.StatusBadRequest},
 		{"scales and hashes", detectRequest{App: "cg", Scales: []int{4}, Hashes: []string{"ab"}}, http.StatusBadRequest},
 		{"simulate with hashes", detectRequest{App: "cg", Simulate: true, Scales: []int{4}, Hashes: []string{"ab"}}, http.StatusBadRequest},
+		// A negative topk used to panic inside the computation and leak its
+		// flight, so the repeat hung (TestPanicReleasesTheFlight).
+		{"negative topk", detectRequest{App: "cg", Config: detectConfigJSON{TopK: -1}}, http.StatusBadRequest},
+		{"simulate negative topk", detectRequest{App: "cg", Simulate: true, Scales: []int{4, 8}, Config: detectConfigJSON{TopK: -1}}, http.StatusBadRequest},
+		{"simulate negative topk again", detectRequest{App: "cg", Simulate: true, Scales: []int{4, 8}, Config: detectConfigJSON{TopK: -1}}, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		body, _ := json.Marshal(tc.req)

@@ -248,6 +248,8 @@ func TestServeErrorClasses(t *testing.T) {
 		{"watch unknown app", "GET", "/v1/watch?app=no-such-app", "", http.StatusNotFound},
 		{"watch bad z", "GET", "/v1/watch?app=cg&z=bogus", "", http.StatusBadRequest},
 		{"watch negative cusum", "GET", "/v1/watch?app=cg&cusum=-1", "", http.StatusBadRequest},
+		{"watch NaN z", "GET", "/v1/watch?app=cg&z=NaN", "", http.StatusBadRequest},
+		{"watch NaN min-share", "GET", "/v1/watch?app=cg&min-share=NaN", "", http.StatusBadRequest},
 		{"watch bad min-runs", "GET", "/v1/watch?app=cg&min-runs=0", "", http.StatusBadRequest},
 		{"watch bad np", "GET", "/v1/watch?app=cg&np=zero", "", http.StatusBadRequest},
 		{"watch unstocked scale", "GET", "/v1/watch?app=cg&np=64", "", http.StatusNotFound},

@@ -26,9 +26,6 @@ type EvalConfig struct {
 	// SampleHz is the profiler sampling rate (default 5000, the rate the
 	// repo's detection-quality experiments use).
 	SampleHz float64
-	// Seed seeds every simulated run (0 = the corpus seed, so one seed
-	// drives generation and simulation alike).
-	Seed int64
 	// Detect overrides detection parameters. The zero value uses the
 	// paper defaults plus CommCauses (non-scalable collectives must be
 	// blamable for the collective archetype to be locatable at all).
@@ -148,6 +145,8 @@ func (cfg EvalConfig) withDefaults() EvalConfig {
 
 // Evaluate sweeps every case of the corpus across the configured scales,
 // runs detection, and scores the ranked causes against ground truth.
+// Every run is seeded with the corpus seed, so one seed drives generation
+// and simulation alike.
 // Cases fan out across a bounded worker pool; each case's own sweep runs
 // its scales serially so the pool is the only source of parallelism.
 func Evaluate(corpus *Corpus, cfg EvalConfig) (*EvalResult, error) {
@@ -163,9 +162,6 @@ func Evaluate(corpus *Corpus, cfg EvalConfig) (*EvalResult, error) {
 		}
 	}
 	cfg = cfg.withDefaults()
-	if cfg.Seed == 0 {
-		cfg.Seed = corpus.Seed
-	}
 	profCfg := prof.DefaultConfig()
 	profCfg.SampleHz = cfg.SampleHz
 
@@ -174,7 +170,7 @@ func Evaluate(corpus *Corpus, cfg EvalConfig) (*EvalResult, error) {
 		runs, err := cfg.Engine.Sweep(c.App(), cfg.NPs, scalana.SweepConfig{
 			Parallelism: 1,
 			Prof:        profCfg,
-			Seed:        cfg.Seed,
+			Seed:        corpus.Seed,
 		})
 		if err != nil {
 			return CaseResult{}, fmt.Errorf("synth: sweep %s: %w", c.Name, err)

@@ -36,10 +36,11 @@ type GenConfig struct {
 	Archetypes []DefectKind
 	// Templates restricts the structural templates by name (empty = all).
 	Templates []string
-	// SecondDefectProb is the probability a case carries a second defect
-	// of a different archetype (default 0.2; negative disables).
-	SecondDefectProb float64
 }
+
+// secondDefectProb is the probability a case carries a second defect of a
+// different archetype.
+const secondDefectProb = 0.2
 
 // Generate builds a labeled corpus. Every generated case is compiled
 // once to validate it and to resolve each defect span to the PSG vertex
@@ -65,17 +66,9 @@ func Generate(cfg GenConfig) (*Corpus, error) {
 			tmpls = append(tmpls, t)
 		}
 	}
-	secondProb := cfg.SecondDefectProb
-	if secondProb == 0 {
-		secondProb = 0.2
-	}
-	if secondProb < 0 {
-		secondProb = 0
-	}
-
 	corpus := &Corpus{Seed: cfg.Seed, Archetypes: kinds}
 	for i := 0; i < cfg.Cases; i++ {
-		c, err := generateCase(cfg.Seed, i, kinds, tmpls, secondProb)
+		c, err := generateCase(cfg.Seed, i, kinds, tmpls)
 		if err != nil {
 			return nil, err
 		}
@@ -85,7 +78,7 @@ func Generate(cfg GenConfig) (*Corpus, error) {
 }
 
 // generateCase builds case i of a corpus.
-func generateCase(seed int64, i int, kinds []DefectKind, tmpls []*template, secondProb float64) (*Case, error) {
+func generateCase(seed int64, i int, kinds []DefectKind, tmpls []*template) (*Case, error) {
 	caseSeed := seed + int64(i)*caseSeedStride
 	rng := rand.New(rand.NewSource(caseSeed))
 
@@ -112,7 +105,7 @@ func generateCase(seed int64, i int, kinds []DefectKind, tmpls []*template, seco
 	// different archetype the template can also host. All rng draws
 	// happen at planning time, in a fixed order.
 	plans := []*defectPlan{planDefect(primary, p, rng)}
-	if rng.Float64() < secondProb {
+	if rng.Float64() < secondDefectProb {
 		var others []DefectKind
 		for _, k := range kinds {
 			if k != primary && tmpl.hosts(k) {

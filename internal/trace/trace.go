@@ -12,19 +12,9 @@ import (
 	"scalana/internal/psg"
 )
 
-// Config controls the tracer.
-type Config struct {
-	// EventCost is the virtual CPU cost of logging one trace record.
-	EventCost float64
-	// RegionGranularity adds enter/exit records around every attribution
-	// context switch, like compiler-instrumented Score-P regions.
-	RegionGranularity bool
-}
-
-// DefaultConfig matches a Score-P/Scalasca-like setup.
-func DefaultConfig() Config {
-	return Config{EventCost: 1.6e-6, RegionGranularity: true}
-}
+// eventCost is the virtual CPU cost of logging one trace record, as in a
+// Score-P/Scalasca-like setup.
+const eventCost float64 = 1.6e-6
 
 // Record is one trace record. Regions are identified by interned
 // psg.VID, matching the integer region IDs an OTF2 trace stores.
@@ -68,17 +58,13 @@ func (rt *RankTrace) StorageBytes() int64 {
 // Tracer is the per-rank hook, an mpisim.AdvanceObserver: region
 // transitions can happen at any advance, so it watches them all.
 type Tracer struct {
-	cfg     Config
 	trace   *RankTrace
 	lastCtx any
 }
 
 // New creates a tracer for one rank.
-func New(cfg Config, rank int) *Tracer {
-	if cfg.EventCost == 0 {
-		cfg = DefaultConfig()
-	}
-	return &Tracer{cfg: cfg, trace: &RankTrace{Rank: rank}}
+func New(rank int) *Tracer {
+	return &Tracer{trace: &RankTrace{Rank: rank}}
 }
 
 // Trace returns the collected records.
@@ -91,9 +77,10 @@ func ctxVID(ctx any) psg.VID {
 	return psg.VIDRoot
 }
 
-// Advance logs region enter/exit transitions.
+// Advance logs region enter/exit transitions around every attribution
+// context switch, like compiler-instrumented Score-P regions.
 func (tr *Tracer) Advance(p *mpisim.Proc, from, to float64, kind mpisim.AdvanceKind, ctx any, pmu machine.Vec) float64 {
-	if !tr.cfg.RegionGranularity || kind == mpisim.AdvPerturb {
+	if kind == mpisim.AdvPerturb {
 		return 0
 	}
 	if ctx == tr.lastCtx {
@@ -102,10 +89,10 @@ func (tr *Tracer) Advance(p *mpisim.Proc, from, to float64, kind mpisim.AdvanceK
 	var owed float64
 	if tr.lastCtx != nil {
 		tr.trace.Records = append(tr.trace.Records, Record{T: from, Kind: RecExit, Vertex: ctxVID(tr.lastCtx), Peer: -1, Dep: -1})
-		owed += tr.cfg.EventCost
+		owed += eventCost
 	}
 	tr.trace.Records = append(tr.trace.Records, Record{T: from, Kind: RecEnter, Vertex: ctxVID(ctx), Peer: -1, Dep: -1})
-	owed += tr.cfg.EventCost
+	owed += eventCost
 	tr.lastCtx = ctx
 	return owed
 }
@@ -123,7 +110,7 @@ func (tr *Tracer) MPIEvent(p *mpisim.Proc, ev *mpisim.Event) float64 {
 		Wait:   ev.Wait,
 		Dep:    ev.DepRank,
 	})
-	return tr.cfg.EventCost
+	return eventCost
 }
 
 var _ mpisim.AdvanceObserver = (*Tracer)(nil)

@@ -13,11 +13,11 @@ func fakeProc(t *testing.T) *mpisim.Proc {
 }
 
 func TestTracerRecordsEvents(t *testing.T) {
-	tr := New(DefaultConfig(), 0)
+	tr := New(0)
 	p := fakeProc(t)
 	owed := tr.MPIEvent(p, &mpisim.Event{Kind: mpisim.EvRecv, Op: "mpi_recv",
 		Peer: 1, Tag: 2, Bytes: 512, Wait: 0.002, DepRank: 1, TEnd: 1.5})
-	if owed != DefaultConfig().EventCost {
+	if owed != eventCost {
 		t.Errorf("owed = %g", owed)
 	}
 	recs := tr.Trace().Records
@@ -30,7 +30,7 @@ func TestTracerRecordsEvents(t *testing.T) {
 }
 
 func TestTracerRegionEnterExit(t *testing.T) {
-	tr := New(DefaultConfig(), 0)
+	tr := New(0)
 	p := fakeProc(t)
 	ctxA, ctxB := "A", "B" // any comparable ctx works
 	tr.Advance(p, 0, 1, mpisim.AdvCompute, ctxA, machine.Vec{})
@@ -47,7 +47,7 @@ func TestTracerRegionEnterExit(t *testing.T) {
 }
 
 func TestTracerIgnoresPerturbRegions(t *testing.T) {
-	tr := New(DefaultConfig(), 0)
+	tr := New(0)
 	p := fakeProc(t)
 	if owed := tr.Advance(p, 0, 1, mpisim.AdvPerturb, "X", machine.Vec{}); owed != 0 {
 		t.Error("perturb advance should not be traced or charged")
@@ -58,7 +58,7 @@ func TestTracerIgnoresPerturbRegions(t *testing.T) {
 }
 
 func TestStorageBytes(t *testing.T) {
-	tr := New(DefaultConfig(), 0)
+	tr := New(0)
 	p := fakeProc(t)
 	for i := 0; i < 100; i++ {
 		tr.MPIEvent(p, &mpisim.Event{Kind: mpisim.EvSend, Op: "mpi_send", Peer: 1})
@@ -73,7 +73,7 @@ func TestTracerEndToEndVolume(t *testing.T) {
 	// is exactly why tracing storage explodes (paper Table I).
 	tracers := make([]*Tracer, 4)
 	cfg := mpisim.Config{NP: 4, HookFactory: func(rank int) []mpisim.Hook {
-		tracers[rank] = New(DefaultConfig(), rank)
+		tracers[rank] = New(rank)
 		return []mpisim.Hook{tracers[rank]}
 	}}
 	w := mpisim.NewWorld(cfg)

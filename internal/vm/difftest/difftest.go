@@ -185,10 +185,7 @@ func runOracle(prog *minilang.Program, graph *psg.Graph, cfg scalana.RunConfig) 
 	if err != nil {
 		return mpisim.RunResult{}, nil, err
 	}
-	wcfg := mpisim.Config{NP: cfg.NP, Seed: cfg.Seed, HookFactory: trun.HooksForRank}
-	if cfg.App.CoreConfig != nil {
-		wcfg.Core = cfg.App.CoreConfig(cfg.NP)
-	}
+	wcfg := mpisim.Config{NP: cfg.NP, MemSpeed: cfg.App.MemSpeed, Seed: cfg.Seed, HookFactory: trun.HooksForRank}
 	runner := interp.NewRunner(prog, graph)
 	if obs, ok := trun.(scalana.IndirectObserver); ok {
 		runner.OnIndirect = obs.ObserveIndirect

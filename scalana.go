@@ -20,7 +20,6 @@ package scalana
 
 import (
 	"fmt"
-	"io"
 
 	"scalana/internal/apps"
 	"scalana/internal/detect"
@@ -49,11 +48,11 @@ func EvaluationNames() []string { return apps.EvaluationNames() }
 // Compile parses the app and builds its contracted PSG (the
 // scalana-static step).
 func Compile(app *App) (*minilang.Program, *psg.Graph, error) {
-	return CompileOptions(app, psg.DefaultOptions())
+	return compile(app, psg.DefaultOptions())
 }
 
-// CompileOptions is Compile with explicit PSG options.
-func CompileOptions(app *App, opts psg.Options) (*minilang.Program, *psg.Graph, error) {
+// compile is Compile with explicit PSG options.
+func compile(app *App, opts psg.Options) (*minilang.Program, *psg.Graph, error) {
 	prog, err := app.Parse()
 	if err != nil {
 		return nil, nil, fmt.Errorf("scalana: parse %s: %w", app.Name, err)
@@ -77,10 +76,6 @@ type RunConfig struct {
 	Prof prof.Config
 	// Seed makes runs reproducible; runs with equal seeds are identical.
 	Seed int64
-	// Stdout receives application print() output (nil discards).
-	Stdout io.Writer
-	// PSGOptions overrides contraction settings (zero value = defaults).
-	PSGOptions psg.Options
 }
 
 // RunOutput is the result of one execution.
@@ -136,15 +131,14 @@ func validateRunConfig(cfg RunConfig) error {
 }
 
 // Run executes the app at one scale with the configured tool. It is the
-// compile phase (CompileOptions) followed by the execute phase
-// (RunCompiled); multi-run workloads should compile once — through an
-// Engine, whose cache keys on (app, PSG options) — and call RunCompiled
-// per execution.
+// compile phase (Compile) followed by the execute phase (RunCompiled);
+// multi-run workloads should compile once — through an Engine, whose
+// cache keys on (app, PSG options) — and call RunCompiled per execution.
 func Run(cfg RunConfig) (*RunOutput, error) {
 	if err := validateRunConfig(cfg); err != nil {
 		return nil, err
 	}
-	prog, graph, err := CompileOptions(cfg.App, cfg.PSGOptions.Normalize())
+	prog, graph, err := Compile(cfg.App)
 	if err != nil {
 		return nil, err
 	}
@@ -172,10 +166,7 @@ func RunCompiled(prog *minilang.Program, graph *psg.Graph, cfg RunConfig) (*RunO
 	}
 	name := cfg.ToolName
 	out := &RunOutput{App: cfg.App, NP: cfg.NP, Tool: name, Graph: graph}
-	wcfg := mpisim.Config{NP: cfg.NP, Seed: cfg.Seed}
-	if cfg.App.CoreConfig != nil {
-		wcfg.Core = cfg.App.CoreConfig(cfg.NP)
-	}
+	wcfg := mpisim.Config{NP: cfg.NP, MemSpeed: cfg.App.MemSpeed, Seed: cfg.Seed}
 
 	var trun ToolRun
 	if name != "" {
@@ -196,7 +187,6 @@ func RunCompiled(prog *minilang.Program, graph *psg.Graph, cfg RunConfig) (*RunO
 		return nil, fmt.Errorf("scalana: compile bytecode for %s: %w", cfg.App.Name, err)
 	}
 	runner := vm.NewRunner(cached.(*vm.Program))
-	runner.Stdout = cfg.Stdout
 	if obs, ok := trun.(IndirectObserver); ok {
 		runner.OnIndirect = obs.ObserveIndirect
 	}
@@ -225,17 +215,10 @@ func RunCompiled(prog *minilang.Program, graph *psg.Graph, cfg RunConfig) (*RunO
 // Sweep profiles the app with ScalAna at each scale in nps and returns the
 // per-scale runs ready for DetectScalingLoss. profCfg zero value uses
 // paper defaults. The app is compiled once for the whole sweep and the
-// scales execute on a CPU-bounded worker pool; use SweepWithConfig (or
-// an Engine) to control parallelism, seeding, and PSG options.
+// scales execute on a CPU-bounded worker pool; use an Engine to control
+// parallelism and seeding, or to share its compile cache across sweeps.
 func Sweep(app *App, nps []int, profCfg prof.Config) ([]detect.ScaleRun, error) {
-	return SweepWithConfig(app, nps, SweepConfig{Prof: profCfg})
-}
-
-// SweepWithConfig is Sweep with explicit sweep configuration. Each call
-// uses a fresh Engine; reuse one Engine directly to share its compile
-// cache across sweeps.
-func SweepWithConfig(app *App, nps []int, cfg SweepConfig) ([]detect.ScaleRun, error) {
-	return NewEngine().Sweep(app, nps, cfg)
+	return NewEngine().Sweep(app, nps, SweepConfig{Prof: profCfg})
 }
 
 // DetectScalingLoss runs problematic-vertex detection and backtracking

@@ -47,11 +47,11 @@ func TestGetAppAndNames(t *testing.T) {
 
 func TestCompileOptionsRespected(t *testing.T) {
 	app := GetApp("cg")
-	_, contracted, err := CompileOptions(app, psg.Options{MaxLoopDepth: 10, Contract: true})
+	_, contracted, err := compile(app, psg.Options{MaxLoopDepth: 10, Contract: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, full, err := CompileOptions(app, psg.Options{MaxLoopDepth: 10, Contract: false})
+	_, full, err := compile(app, psg.Options{MaxLoopDepth: 10, Contract: false})
 	if err != nil {
 		t.Fatal(err)
 	}

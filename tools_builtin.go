@@ -102,7 +102,7 @@ type tracerRun struct {
 }
 
 func (r *tracerRun) HooksForRank(rank int) []mpisim.Hook {
-	tr := trace.New(trace.DefaultConfig(), rank)
+	tr := trace.New(rank)
 	r.tracers[rank] = tr
 	return []mpisim.Hook{tr}
 }
@@ -129,7 +129,7 @@ type callPathRun struct {
 }
 
 func (r *callPathRun) HooksForRank(rank int) []mpisim.Hook {
-	pr := hpctk.New(hpctk.DefaultConfig(), rank)
+	pr := hpctk.New(rank)
 	r.profilers[rank] = pr
 	return []mpisim.Hook{pr}
 }
