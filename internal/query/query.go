@@ -39,10 +39,10 @@ type Env struct {
 	// Parallelism fans a simulate-source sweep's scales (the
 	// SweepConfig.Parallelism knob).
 	Parallelism int
-	// Samples caches the baseline samples a watch reads for every run and
-	// a stored detect for every scale but its largest; nil ingests each
-	// one from its stored bytes.
-	Samples *Samples
+	// Cache holds the baseline samples a watch reads for every run and a
+	// stored detect for every scale but its largest, and the graph of a
+	// stored detect's largest scale; nil reads each from its stored bytes.
+	Cache *Cache
 }
 
 // Plan is a validated query with its inputs resolved.
@@ -283,7 +283,7 @@ func (e *Env) Detect(q Detect) (Plan[*detect.Report], error) {
 				runs[i].NP = ent.NP
 				var err error
 				if ent.NP == largest {
-					runs[i].PPG, _, err = e.stored(app, ent, true)
+					runs[i].PPG, err = e.graph(app, ent)
 				} else {
 					runs[i].Merged, err = e.merged(app, ent)
 				}
@@ -310,14 +310,37 @@ func (e *Env) Detect(q Detect) (Plan[*detect.Report], error) {
 	}}, nil
 }
 
-// merged reads a smaller scale of a stored detect, which feeds the
-// cross-scale fit alone: its sample's merged times, once the stored bytes
-// the sample was taken from still hash to their key.
-func (e *Env) merged(app *scalana.App, ent store.Entry) ([]float64, error) {
-	if err := e.Store.Verify(ent.Key); err != nil {
+// graph reads the largest scale of a stored detect, which hosts
+// backtracking: its PPG from e.Cache once the stored bytes it was decoded
+// from still hash to their key, else decoded from those bytes (Get hashes
+// them once) and cached.
+func (e *Env) graph(app *scalana.App, ent store.Entry) (*ppg.Graph, error) {
+	if pg := e.Cache.graph(ent.Key); pg != nil {
+		if err := e.Store.Verify(ent.Key); err != nil {
+			return nil, err
+		}
+		return pg, nil
+	}
+	pg, _, err := e.stored(app, ent, true)
+	if err != nil {
 		return nil, err
 	}
-	smp, err := e.sample(app, ent)
+	e.Cache.addGraph(ent.Key, pg)
+	return pg, nil
+}
+
+// merged reads a smaller scale of a stored detect, which feeds the
+// cross-scale fit alone: its sample's merged times, from e.Cache once the
+// stored bytes the sample was taken from still hash to their key, else
+// ingested from those bytes.
+func (e *Env) merged(app *scalana.App, ent store.Entry) ([]float64, error) {
+	if smp := e.Cache.sample(ent.Key); smp != nil {
+		if err := e.Store.Verify(ent.Key); err != nil {
+			return nil, err
+		}
+		return smp.Values, nil
+	}
+	smp, err := e.ingest(app, ent)
 	if err != nil {
 		return nil, err
 	}

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -136,9 +137,11 @@ func allPPG(t *testing.T, e Env, app *scalana.App, nps []int, cfg detect.Config)
 }
 
 // TestDetectBytesOnEveryPath: a stored detect answers the bytes of
-// detect.Detect over every scale's PPG whether its smaller scales are
-// ingested with no cache, into a cold one, or read from a warm one. The
-// zeusmp scales are named out of order, so the largest is not the last.
+// detect.Detect over every scale's PPG whether its scales are read with
+// no cache, into a cold one, from a warm one, or through one whose budget
+// is the largest scale's graph alone, so every detect evicts what the
+// next one needs. The zeusmp scales are named out of order, so the
+// largest is not the last.
 func TestDetectBytesOnEveryPath(t *testing.T) {
 	cg, zeusmp := scalana.GetApp("cg"), scalana.GetApp("zeusmp")
 	for _, tc := range []struct {
@@ -150,16 +153,25 @@ func TestDetectBytesOnEveryPath(t *testing.T) {
 		{"cg fixtures", fixtureEnv(t, false), cg, []int{4, 8}},
 		{"zeusmp", storedEnv(t, zeusmp, []int{4, 8, 16}, 2000), zeusmp, []int{16, 4, 8}},
 	} {
-		cached := tc.env
-		cached.Samples = &Samples{}
+		cached, evicting := tc.env, tc.env
+		cached.Cache = &Cache{}
+		evicting.Cache = &Cache{budget: graphBytes(largestGraph(t, tc.env, tc.app, tc.nps))}
 		cfg := detect.DefaultConfig()
 		want := allPPG(t, tc.env, tc.app, tc.nps, cfg)
+		smaller := int64(len(tc.nps) - 1)
 		for _, pass := range []struct {
 			name    string
 			env     Env
-			ingests int
-		}{{"no cache", tc.env, 0}, {"cold", cached, len(tc.nps) - 1}, {"warm", cached, 0}} {
-			_, before := pass.env.Samples.Counts()
+			ingests int64
+			decodes int64
+		}{
+			{"no cache", tc.env, 0, 0},
+			{"cold", cached, smaller, 1},
+			{"warm", cached, 0, 0},
+			{"evicting, cold", evicting, smaller, 1},
+			{"evicted", evicting, smaller, 1},
+		} {
+			before := pass.env.Cache.Stats()
 			plan, err := pass.env.Detect(Detect{App: tc.app, Scales: tc.nps, Config: cfg})
 			if err != nil {
 				t.Fatal(err)
@@ -167,11 +179,29 @@ func TestDetectBytesOnEveryPath(t *testing.T) {
 			if got, err := plan.Bytes(); err != nil || !bytes.Equal(got, want) {
 				t.Errorf("%s, %s: %d bytes (err %v), want detect.Detect's %d", tc.name, pass.name, len(got), err, len(want))
 			}
-			if _, after := pass.env.Samples.Counts(); after-before != int64(pass.ingests) {
-				t.Errorf("%s, %s: %d samples ingested, want %d", tc.name, pass.name, after-before, pass.ingests)
+			after := pass.env.Cache.Stats()
+			if ingests, decodes := after.Ingests-before.Ingests, after.Decodes-before.Decodes; ingests != pass.ingests || decodes != pass.decodes {
+				t.Errorf("%s, %s: %d samples ingested and %d graphs decoded, want %d and %d", tc.name, pass.name, ingests, decodes, pass.ingests, pass.decodes)
 			}
 		}
+		if st := evicting.Cache.Stats(); st.Evictions == 0 || st.Bytes > evicting.Cache.budget {
+			t.Errorf("%s: the evicting cache evicted %d entries and holds %d bytes of a %d budget", tc.name, st.Evictions, st.Bytes, evicting.Cache.budget)
+		}
 	}
+}
+
+// largestGraph decodes the stored set at the largest of nps.
+func largestGraph(t *testing.T, e Env, app *scalana.App, nps []int) *ppg.Graph {
+	t.Helper()
+	ent, err := e.Store.Only(app.Name, slices.Max(nps))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pg, _, err := e.stored(app, ent, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pg
 }
 
 // TestDetectKeyNamesEveryKnob: equal plan keys mean equal bytes, so a key
@@ -273,15 +303,15 @@ func TestWatchCachedEqualsUncached(t *testing.T) {
 	}
 
 	cached := e
-	cached.Samples = &Samples{}
+	cached.Cache = &Cache{}
 	if first := watch(cached); !bytes.Equal(first, uncached) {
 		t.Errorf("cached watch differs from uncached (%d vs %d bytes)", len(first), len(uncached))
 	}
-	if _, ingests := cached.Samples.Counts(); ingests != 3 {
+	if ingests := cached.Cache.Stats().Ingests; ingests != 3 {
 		t.Errorf("first cached watch ingested %d runs, want all 3", ingests)
 	}
 	second := watch(cached)
-	if _, ingests := cached.Samples.Counts(); !bytes.Equal(second, uncached) || ingests != 3 {
+	if ingests := cached.Cache.Stats().Ingests; !bytes.Equal(second, uncached) || ingests != 3 {
 		t.Errorf("second cached watch: identical=%t, ingests=%d (want 3)", bytes.Equal(second, uncached), ingests)
 	}
 	if rep.NP != 8 || rep.Runs != 2 {
@@ -517,15 +547,16 @@ func BenchmarkHistories(b *testing.B) {
 }
 
 // BenchmarkStoredDetect is a stored detect over zeusmp at np 64, 256 and
-// 1024 (serve-detect-stored's scales): cold has no sample cache and
-// ingests the two smaller scales on every detect, as scalana-detect
-// -store does; warm reads them from a filled cache, as the service does
+// 1024 (serve-detect-stored's scales): cold has no cache, so it decodes
+// np=1024 and ingests the two smaller scales on every detect, as
+// scalana-detect -store does; warm reads the graph and both samples from a
+// filled cache and only re-hashes the three sets, as the service does
 // after its first detect.
 func BenchmarkStoredDetect(b *testing.B) {
 	zeusmp := scalana.GetApp("zeusmp")
 	cold := storedEnv(b, zeusmp, []int{64, 256, 1024}, 2000)
 	warm := cold
-	warm.Samples = &Samples{}
+	warm.Cache = &Cache{}
 	for _, bc := range []struct {
 		name string
 		env  Env
@@ -625,7 +656,7 @@ func TestMisfiledSetIsCorruptToEveryReader(t *testing.T) {
 	}
 
 	small, ent := misfiled(t, 2)
-	small.Samples = &Samples{}
+	small.Cache = &Cache{}
 	want = fmt.Sprintf("stored set cg/2/%s decodes to np=4: store corrupt", ent.Hash)
 	for pass := 1; pass <= 2; pass++ {
 		plan, err := small.Detect(Detect{App: cg, Scales: []int{2, 8}, Config: detect.DefaultConfig()})
@@ -636,8 +667,8 @@ func TestMisfiledSetIsCorruptToEveryReader(t *testing.T) {
 			t.Errorf("detect %d with a misfiled smaller scale: %v, want %s", pass, err, want)
 		}
 	}
-	if held, ingests := small.Samples.Counts(); held != 0 || ingests != 0 {
-		t.Errorf("the cache holds %d samples after %d ingests of the misfiled smaller scale, want none", held, ingests)
+	if st := small.Cache.Stats(); st.Samples != 0 || st.Ingests != 0 {
+		t.Errorf("the cache holds %d samples after %d ingests of the misfiled smaller scale, want none", st.Samples, st.Ingests)
 	}
 }
 
@@ -646,18 +677,19 @@ func TestMisfiledSetIsCorruptToEveryReader(t *testing.T) {
 // and the report, a sweep the store listing and its answer — neither a
 // profile a rank. 193 and 113 objects when written, each gated with a
 // quarter of headroom; materialising every rank first cost 410 and 177.
-// With no sample cache (cold) a detect still decodes np=4 into a graph,
-// for its sample; with a filled one (warm) it builds one graph: 211 and
-// 163 objects when written, under the same ceilings as before (193 and
-// 164 a quarter up), and warm below cold. The race runtime allocates on
-// its own account, so the counts are gated only without it.
+// With no cache (cold) a detect still decodes np=4 into a graph, for its
+// sample; with a filled one (warm) it decodes nothing and re-hashes both
+// sets: 197 and 135 objects when written, cold under its old ceiling (193
+// a quarter up), warm under its own count a quarter up, and warm below
+// cold. The race runtime allocates on its own account, so the counts are
+// gated only without it.
 func TestStoredReadsAllocateNoRank(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not gated under the race detector")
 	}
 	cold := fixtureEnv(t, false)
 	warm := cold
-	warm.Samples = &Samples{}
+	warm.Cache = &Cache{}
 	cg := scalana.GetApp("cg")
 	detectIn := func(e Env) func() ([]byte, error) {
 		return func() ([]byte, error) {
@@ -675,7 +707,7 @@ func TestStoredReadsAllocateNoRank(t *testing.T) {
 		run     func() ([]byte, error)
 	}{
 		{"cold detect", 193 + 193/4, detectIn(cold)},
-		{"warm detect", 164 + 164/4, detectIn(warm)},
+		{"warm detect", 135 + 135/4, detectIn(warm)},
 		{"sweep", 113 + 113/4, func() ([]byte, error) {
 			plan, err := cold.Sweep(Sweep{App: cg, Scales: []int{4, 8}})
 			if err != nil {

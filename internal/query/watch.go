@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"net/http"
 	"strings"
-	"sync"
 
 	"scalana/internal/baseline"
 	"scalana/internal/fit"
@@ -27,62 +26,24 @@ type Watch struct {
 	Params baseline.Params
 }
 
-// Samples caches baseline samples by store key. A sample is derived from
-// content-addressed bytes alone, so an entry never goes stale and the
-// cache holds at most one per stored set; a concurrent double ingest is
-// wasted work, never a wrong answer. A nil *Samples caches nothing. Safe
-// for concurrent use.
-type Samples struct {
-	mu      sync.Mutex
-	m       map[store.Key]*baseline.Sample
-	ingests int64
-}
-
-// Counts returns how many samples the cache holds and how many it has
-// ingested (its misses).
-func (c *Samples) Counts() (held int, ingests int64) {
-	if c == nil {
-		return 0, 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.m), c.ingests
-}
-
-func (c *Samples) get(k store.Key) *baseline.Sample {
-	if c == nil {
-		return nil
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.m[k]
-}
-
-func (c *Samples) put(k store.Key, smp *baseline.Sample) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.m == nil {
-		c.m = map[store.Key]*baseline.Sample{}
-	}
-	c.m[k] = smp
-	c.ingests++
-}
-
-// sample is one stored set's baseline sample: from e.Samples when it
-// holds it, else ingested from the stored bytes and cached there.
+// sample is one stored set's baseline sample: from e.Cache when it holds
+// it, else ingested.
 func (e *Env) sample(app *scalana.App, ent store.Entry) (*baseline.Sample, error) {
-	if smp := e.Samples.get(ent.Key); smp != nil {
+	if smp := e.Cache.sample(ent.Key); smp != nil {
 		return smp, nil
 	}
+	return e.ingest(app, ent)
+}
+
+// ingest reduces one stored set to its baseline sample, read from the
+// stored bytes, and caches it in e.Cache.
+func (e *Env) ingest(app *scalana.App, ent store.Entry) (*baseline.Sample, error) {
 	pg, set, err := e.stored(app, ent, true)
 	if err != nil {
 		return nil, err
 	}
 	smp := baseline.Ingest(pg, ent.Hash, set.Elapsed, fit.MergeMedian)
-	e.Samples.put(ent.Key, smp)
+	e.Cache.addSample(ent.Key, smp)
 	return smp, nil
 }
 

@@ -14,7 +14,7 @@
 // Endpoints (all JSON):
 //
 //	GET  /healthz                         liveness
-//	GET  /v1/stats                        counters: uploads, computes, coalescing, compile cache
+//	GET  /v1/stats                        counters: uploads, computes, coalescing, query and compile caches
 //	GET  /v1/apps                         bundled + uploaded application names
 //	POST /v1/apps                         register an ad-hoc app {name, source, min_np}
 //	POST /v1/profiles                     upload a profile set (prof.EncodeProfileSet bytes)
@@ -33,10 +33,12 @@
 // cusum, cusum-k, min-runs, min-share) are its only thresholds; an
 // absent one takes its baseline.DefaultParams value.
 //
-// Watches and stored detects share one query.Samples cache, keyed by
-// store key: a watch reads every run from it, and a stored detect every
-// scale but its largest, re-hashing each stored set it names. It holds at
-// most one sample a stored set.
+// Watches and stored detects share one query.Cache, keyed by store key:
+// a watch reads every run's sample from it, and a stored detect every
+// smaller scale's sample and its largest scale's decoded graph,
+// re-hashing each stored set it names. The cache holds at most
+// query.CacheBudget bytes and evicts the least recently used; /v1/stats
+// reports its samples, ingests, graph decodes, bytes and evictions.
 package serve
 
 import (
@@ -89,7 +91,7 @@ type Server struct {
 	// cfg is New's Config with its defaults filled in.
 	cfg Config
 	// env is what every query runs against: cfg's store, engine and sweep
-	// fan-out, and the sample cache.
+	// fan-out, and the query cache.
 	env query.Env
 
 	// gate bounds concurrent simulation/PPG work across requests.
@@ -128,7 +130,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	s := &Server{
 		cfg:      cfg,
-		env:      query.Env{Engine: cfg.Engine, Store: cfg.Store, Parallelism: cfg.Parallelism, Samples: &query.Samples{}},
+		env:      query.Env{Engine: cfg.Engine, Store: cfg.Store, Parallelism: cfg.Parallelism, Cache: &query.Cache{}},
 		gate:     make(chan struct{}, cfg.Parallelism),
 		uploaded: map[string]*scalana.App{},
 	}
@@ -158,6 +160,13 @@ type Stats struct {
 	// SampleIngests counts ingestions performed (cache misses).
 	BaselineSamples int   `json:"baseline_samples"`
 	SampleIngests   int64 `json:"sample_ingests"`
+	// GraphDecodes counts stored detects' largest scales decoded into a
+	// PPG (the same cache's graph misses). CacheBytes is what the cache's
+	// entries are charged, at most query.CacheBudget, and CacheEvictions
+	// how many it has dropped to stay within it.
+	GraphDecodes   int64 `json:"graph_decodes"`
+	CacheBytes     int64 `json:"cache_bytes"`
+	CacheEvictions int64 `json:"cache_evictions"`
 	// CompileCache is the shared engine's PSG compile-cache counters.
 	CompileCache scalana.CacheStats `json:"compile_cache"`
 }
@@ -165,7 +174,7 @@ type Stats struct {
 // Stats snapshots the service counters.
 func (s *Server) Stats() Stats {
 	stored, _ := s.env.Store.Count()
-	samples, ingests := s.env.Samples.Counts()
+	cache := s.env.Cache.Stats()
 	return Stats{
 		Uploads:         s.uploads.Load(),
 		StoredSets:      stored,
@@ -177,8 +186,11 @@ func (s *Server) Stats() Stats {
 		CommCoalesced:   s.comms.coalesced.Load(),
 		WatchComputes:   s.watches.computes.Load(),
 		WatchCoalesced:  s.watches.coalesced.Load(),
-		BaselineSamples: samples,
-		SampleIngests:   ingests,
+		BaselineSamples: cache.Samples,
+		SampleIngests:   cache.Ingests,
+		GraphDecodes:    cache.Decodes,
+		CacheBytes:      cache.Bytes,
+		CacheEvictions:  cache.Evictions,
 		CompileCache:    s.env.Engine.CacheStats(),
 	}
 }

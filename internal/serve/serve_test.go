@@ -640,6 +640,11 @@ func TestHealthAndStats(t *testing.T) {
 	if err := json.Unmarshal(body, &st); err != nil {
 		t.Fatal(err)
 	}
+	for _, field := range []string{"baseline_samples", "sample_ingests", "graph_decodes", "cache_bytes", "cache_evictions"} {
+		if !bytes.Contains(body, []byte(`"`+field+`"`)) {
+			t.Errorf("stats lack %q: %s", field, body)
+		}
+	}
 	if code, _ := get(t, ts.URL+"/v1/apps"); code != http.StatusOK {
 		t.Fatal("apps listing failed")
 	}
@@ -750,12 +755,13 @@ func TestScaleCountIsCapped(t *testing.T) {
 }
 
 // TestCorruptAfterCacheIsA500: a detect reads the np=4 set of cg [4,8]
-// from the sample cache once it is warm, yet a byte flipped in the stored
-// file afterwards is still the content-hash 500 it was when every detect
-// decoded every scale.
+// from the sample cache and the np=8 set's graph from the same cache once
+// it is warm, yet a byte flipped in either stored file afterwards is still
+// the content-hash 500 it was when every detect decoded every scale. Put
+// back, the same bytes answer from the cache again.
 func TestCorruptAfterCacheIsA500(t *testing.T) {
 	srv, ts := newTestServer(t)
-	var path string
+	paths := map[int]string{}
 	for _, np := range []int{4, 8} {
 		data, err := os.ReadFile(filepath.Join("..", "..", "testdata", fmt.Sprintf("cg.%d.json", np)))
 		if err != nil {
@@ -764,9 +770,7 @@ func TestCorruptAfterCacheIsA500(t *testing.T) {
 		if code, body := post(t, ts.URL+"/v1/profiles", "application/json", data); code != http.StatusCreated {
 			t.Fatalf("upload cg.%d: %d %s", np, code, body)
 		}
-		if np == 4 {
-			path = filepath.Join(srv.env.Store.Root(), "cg", "4", store.HashOf(data)+".json")
-		}
+		paths[np] = filepath.Join(srv.env.Store.Root(), "cg", fmt.Sprint(np), store.HashOf(data)+".json")
 	}
 	req, _ := json.Marshal(detectRequest{App: "cg", Scales: []int{4, 8}})
 	for i := 0; i < 2; i++ {
@@ -774,20 +778,67 @@ func TestCorruptAfterCacheIsA500(t *testing.T) {
 			t.Fatalf("detect %d: %d %s", i, code, body)
 		}
 	}
-	if st := srv.Stats(); st.SampleIngests != 1 || st.BaselineSamples != 1 {
-		t.Fatalf("two detects over cg [4,8] made %d ingestions and cached %d samples, want 1 and 1", st.SampleIngests, st.BaselineSamples)
+	cached := func(when string) {
+		t.Helper()
+		if st := srv.Stats(); st.SampleIngests != 1 || st.BaselineSamples != 1 || st.GraphDecodes != 1 {
+			t.Fatalf("%s: %d ingestions, %d samples cached and %d graphs decoded, want 1, 1 and 1", when, st.SampleIngests, st.BaselineSamples, st.GraphDecodes)
+		}
 	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[len(data)/2] ^= 1
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	cached("two detects over cg [4,8]")
 	want := []byte("content hash mismatch")
-	if code, body := post(t, ts.URL+"/v1/detect", "application/json", req); code != http.StatusInternalServerError || !bytes.Contains(body, want) {
-		t.Errorf("warm detect over a corrupted smaller scale: %d %s, want 500 naming %s", code, body, want)
+	for _, np := range []int{4, 8} {
+		data, err := os.ReadFile(paths[np])
+		if err != nil {
+			t.Fatal(err)
+		}
+		data[len(data)/2] ^= 1
+		if err := os.WriteFile(paths[np], data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if code, body := post(t, ts.URL+"/v1/detect", "application/json", req); code != http.StatusInternalServerError || !bytes.Contains(body, want) {
+			t.Errorf("warm detect over a corrupted np=%d: %d %s, want 500 naming %s", np, code, body, want)
+		}
+		data[len(data)/2] ^= 1
+		if err := os.WriteFile(paths[np], data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if code, body := post(t, ts.URL+"/v1/detect", "application/json", req); code != http.StatusOK {
+			t.Errorf("detect with np=%d put back: %d %s", np, code, body)
+		}
+	}
+	cached("the same sets put back")
+}
+
+// TestRemovedAfterCacheAnswersAsUncached: a stored set removed after the
+// cache took its sample (np=4) or its graph (np=8) gets the status and
+// body a server with an empty cache gives over the same store.
+func TestRemovedAfterCacheAnswersAsUncached(t *testing.T) {
+	req, _ := json.Marshal(detectRequest{App: "cg", Scales: []int{4, 8}})
+	for _, np := range []int{4, 8} {
+		srv, ts := newTestServer(t)
+		sets := encodeSets(t, srv.env.Engine, scalana.GetApp("cg"), []int{4, 8}, 1000)
+		for _, n := range []int{4, 8} {
+			if code, body := post(t, ts.URL+"/v1/profiles", "application/json", sets[n]); code != http.StatusCreated {
+				t.Fatalf("upload np=%d: %d %s", n, code, body)
+			}
+		}
+		if code, body := post(t, ts.URL+"/v1/detect", "application/json", req); code != http.StatusOK {
+			t.Fatalf("detect: %d %s", code, body)
+		}
+		if err := os.Remove(filepath.Join(srv.env.Store.Root(), "cg", fmt.Sprint(np), store.HashOf(sets[np])+".json")); err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := New(Config{Store: srv.env.Store, Parallelism: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		uncached := httptest.NewServer(fresh.Handler())
+		wantCode, wantBody := post(t, uncached.URL+"/v1/detect", "application/json", req)
+		uncached.Close()
+		code, body := post(t, ts.URL+"/v1/detect", "application/json", req)
+		if code != http.StatusNotFound || code != wantCode || !bytes.Equal(body, wantBody) {
+			t.Errorf("np=%d removed after caching: %d %s; an empty cache answers %d %s", np, code, body, wantCode, wantBody)
+		}
 	}
 }
 

@@ -8,7 +8,7 @@ package serve
 // runs too, and concurrent identical watch requests coalesce on the
 // plan's key (the full run history plus the resolved thresholds) like
 // every other query. Ingested samples are cached lazily in the server's
-// query.Samples, which stored detects read their smaller scales from.
+// query.Cache, which stored detects read their smaller scales from.
 
 import (
 	"net/http"

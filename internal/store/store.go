@@ -80,11 +80,13 @@ type Entry struct {
 // directory.
 type Store struct {
 	root string
-	// mu serializes writes (Put and its history-log append) within this
-	// process. Readers of stored sets need no lock — rename is the commit
-	// point — but the upload-order log is append-only per (app, np) and
-	// the append must pair atomically with the file landing, so History
-	// takes it too and never sees one without the other.
+	// mu serializes commits (a Put's existence check, rename and
+	// history-log append) within this process; a Put hashes and writes its
+	// temp file before taking it. Readers of stored sets need no lock —
+	// rename is the commit point — but the upload-order log is append-only
+	// per (app, np) and the append must pair atomically with the file
+	// landing, so History takes it too and never sees one without the
+	// other.
 	mu sync.Mutex
 }
 
@@ -157,12 +159,14 @@ func (s *Store) historyPath(app string, np int) string {
 }
 
 // Put stores data under (app, np, HashOf(data)) and returns the key.
-// Storing bytes that are already present is a no-op returning the same
-// key — content addressing makes the write idempotent. The write is
+// Storing bytes that are already present stores nothing and returns the
+// same key — content addressing makes the write idempotent. The write is
 // atomic (temp file + rename in the destination directory), and the
 // first time a given content lands its hash is appended to the (app,
 // np) history log, establishing the upload order History reports. A Put
-// whose log append fails stores nothing, so retrying it logs it.
+// whose log append fails stores nothing, so retrying it logs it. The
+// store mutex covers only the commit — existence check, rename and log
+// append — so concurrent Puts hash and write in parallel.
 func (s *Store) Put(app string, np int, data []byte) (Key, error) {
 	if !ValidName(app) {
 		return Key{}, badApp(app)
@@ -173,13 +177,9 @@ func (s *Store) Put(app string, np int, data []byte) (Key, error) {
 	if len(data) == 0 {
 		return Key{}, fmt.Errorf("store: refusing to store an empty profile set: %w", os.ErrInvalid)
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	// Hashing and writing need no lock: the temp file is this Put's alone
+	// until the rename below commits it.
 	k := Key{App: app, NP: np, Hash: HashOf(data)}
-	path := s.pathFor(k)
-	if _, err := os.Stat(path); err == nil {
-		return k, nil // content-addressed: same path means same bytes
-	}
 	dir := s.dirFor(app, np)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return Key{}, fmt.Errorf("store: put %s: %w", k, err)
@@ -189,14 +189,20 @@ func (s *Store) Put(app string, np int, data []byte) (Key, error) {
 		return Key{}, fmt.Errorf("store: put %s: %w", k, err)
 	}
 	tmpName := tmp.Name()
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
+	_, err = tmp.Write(data)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
 		os.Remove(tmpName)
 		return Key{}, fmt.Errorf("store: put %s: %w", k, err)
 	}
-	if err := tmp.Close(); err != nil {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	path := s.pathFor(k)
+	if _, err := os.Stat(path); err == nil {
 		os.Remove(tmpName)
-		return Key{}, fmt.Errorf("store: put %s: %w", k, err)
+		return k, nil // content-addressed: same path means same bytes
 	}
 	if err := os.Rename(tmpName, path); err != nil {
 		os.Remove(tmpName)

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -643,5 +644,42 @@ func TestHistoryConcurrentWithPut(t *testing.T) {
 	}
 	if len(prev) != puts {
 		t.Fatalf("final history holds %d runs, want %d", len(prev), puts)
+	}
+}
+
+// TestConcurrentPutsOfOneSetLogOnce: eight Puts of the same bytes at once
+// each write their own temp file outside the store mutex. One lands and
+// logs the set; the others find it landed and remove theirs, so the
+// history names it once and no .put-* file is left.
+func TestConcurrentPutsOfOneSetLogOnce(t *testing.T) {
+	s := open(t)
+	data := []byte(`{"app":"cg","np":8,"run":1}`)
+	want := Key{App: "cg", NP: 8, Hash: HashOf(data)}
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if k, err := s.Put("cg", 8, data); err != nil || k != want {
+				t.Errorf("Put = %v, %v; want %v", k, err, want)
+			}
+		}()
+	}
+	wg.Wait()
+	raw, err := os.ReadFile(s.historyPath("cg", 8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(raw) != want.Hash+"\n" {
+		t.Errorf("history.log = %q, want the hash once", raw)
+	}
+	files, err := os.ReadDir(s.dirFor("cg", 8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range files {
+		if strings.HasPrefix(f.Name(), ".put-") {
+			t.Errorf("a Put left its temp file %s", f.Name())
+		}
 	}
 }
