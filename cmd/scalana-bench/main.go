@@ -18,6 +18,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"log"
 	"os"
 	"path/filepath"
 	"time"
@@ -28,6 +29,8 @@ import (
 )
 
 func main() {
+	log.SetFlags(0)
+	log.SetPrefix("scalana-bench: ")
 	id := flag.String("exp", "", "experiment id (see -list)")
 	all := flag.Bool("all", false, "run every experiment")
 	list := flag.Bool("list", false, "list experiments")
@@ -56,16 +59,16 @@ func main() {
 	case *id != "":
 		e := exp.Get(*id)
 		if e == nil {
-			fatalf("unknown experiment %q (try -list)", *id)
+			log.Fatalf("unknown experiment %q (try -list)", *id)
 		}
 		toRun = []exp.Experiment{*e}
 	default:
-		fatalf("one of -exp or -all is required (try -list)")
+		log.Fatalf("one of -exp or -all is required (try -list)")
 	}
 
 	if *outDir != "" {
 		if err := os.MkdirAll(*outDir, 0o755); err != nil {
-			fatalf("%v", err)
+			log.Fatal(err)
 		}
 	}
 	if *parallel == 1 {
@@ -73,7 +76,7 @@ func main() {
 			start := time.Now()
 			res, err := e.Run()
 			if err != nil {
-				fatalf("%s: %v", e.ID, err)
+				log.Fatalf("%s: %v", e.ID, err)
 			}
 			fmt.Printf("==== %s: %s (took %.1fs) ====\n\n%s\n", res.ID, e.Title, time.Since(start).Seconds(), res.Text)
 			writeResult(*outDir, res)
@@ -94,7 +97,7 @@ func main() {
 		done++
 	}
 	if err != nil {
-		fatalf("%v (%d of %d experiments completed)", err, done, len(toRun))
+		log.Fatalf("%v (%d of %d experiments completed)", err, done, len(toRun))
 	}
 	fmt.Printf("%d experiments in %.1fs\n", done, time.Since(start).Seconds())
 }
@@ -105,11 +108,6 @@ func writeResult(outDir string, res *exp.Result) {
 	}
 	path := filepath.Join(outDir, res.ID+".txt")
 	if err := os.WriteFile(path, []byte(res.Text), 0o644); err != nil {
-		fatalf("write %s: %v", path, err)
+		log.Fatalf("write %s: %v", path, err)
 	}
-}
-
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "scalana-bench: "+format+"\n", args...)
-	os.Exit(1)
 }

@@ -43,6 +43,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"log"
 	"os"
 	"strings"
 
@@ -56,6 +57,8 @@ import (
 )
 
 func main() {
+	log.SetFlags(0)
+	log.SetPrefix("scalana-detect: ")
 	appName := flag.String("app", "", "workload name")
 	scaleList := flag.String("scales", "4,8,16,32", "comma-separated rank counts (with -store, default: every stored scale)")
 	hz := flag.Float64("hz", 1000, "sampling frequency for profiling runs")
@@ -78,16 +81,16 @@ func main() {
 
 	app := scalana.GetApp(*appName)
 	if app == nil {
-		fatalf("unknown app %q", *appName)
+		log.Fatalf("unknown app %q", *appName)
 	}
 	if *profilesDir != "" && *storeDir != "" {
-		fatalf("-profiles and -store are mutually exclusive")
+		log.Fatalf("-profiles and -store are mutually exclusive")
 	}
 	env := query.Env{Engine: scalana.NewEngine(), Parallelism: *parallel}
 	var err error
 	if *storeDir != "" {
 		if env.Store, err = store.Open(*storeDir); err != nil {
-			fatalf("%v", err)
+			log.Fatal(err)
 		}
 	}
 	// With -json '-' stdout must stay parseable JSON; the rendered text
@@ -99,7 +102,7 @@ func main() {
 
 	if *watch {
 		if env.Store == nil {
-			fatalf("-watch requires -store")
+			log.Fatalf("-watch requires -store")
 		}
 		rep, data := run(env.Watch(query.Watch{App: app, NP: *watchNP, Params: baseline.Params{
 			ZThd: *watchZ, CUSUMThd: *watchCUSUM, CUSUMK: *watchK,
@@ -123,18 +126,8 @@ func main() {
 	scalesSet := env.Store == nil
 	flag.Visit(func(f *flag.Flag) { scalesSet = scalesSet || f.Name == "scales" })
 	if scalesSet {
-		all, err := scales.Parse(*scaleList)
-		if err != nil {
-			fatalf("-scales: %v", err)
-		}
-		var dropped []int
-		q.Scales, dropped = scales.SplitMin(all, app.MinNP)
-		if len(dropped) > 0 {
-			fmt.Fprintf(os.Stderr, "scalana-detect: dropping scales %v: %s requires at least %d ranks\n",
-				dropped, app.Name, app.MinNP)
-		}
-		if len(q.Scales) == 0 {
-			fatalf("no usable scales: all of %v are below the %d-rank minimum of %s", dropped, app.MinNP, app.Name)
+		if q.Scales, err = scales.ForApp(*scaleList, app.Name, app.MinNP, log.Printf); err != nil {
+			log.Fatal(err)
 		}
 	}
 	rep, data := run(env.Detect(q))
@@ -147,24 +140,24 @@ func main() {
 
 	if *expectCause != "" {
 		if len(rep.Causes) == 0 {
-			fatalf("expectation %q not met: the report contains no root causes at all", *expectCause)
+			log.Fatalf("expectation %q not met: the report contains no root causes at all", *expectCause)
 		}
 		if !causeMatches(rep, *expectCause) {
-			fatalf("expectation %q not met: none of the %d reported causes match (top cause: %s)",
+			log.Fatalf("expectation %q not met: none of the %d reported causes match (top cause: %s)",
 				*expectCause, len(rep.Causes), describeCause(&rep.Causes[0]))
 		}
-		fmt.Fprintf(os.Stderr, "scalana-detect: expectation %q met\n", *expectCause)
+		log.Printf("expectation %q met", *expectCause)
 	}
 }
 
 // run executes a planned query; a planning or execution error is fatal.
 func run[R any](plan query.Plan[R], err error) (R, []byte) {
 	if err != nil {
-		fatalf("%v", err)
+		log.Fatal(err)
 	}
 	rep, data, err := plan.Run()
 	if err != nil {
-		fatalf("%v", err)
+		log.Fatal(err)
 	}
 	return rep, data
 }
@@ -178,7 +171,7 @@ func writeJSON(path string, data []byte) {
 		os.Stdout.Write(data)
 	default:
 		if err := os.WriteFile(path, data, 0o644); err != nil {
-			fatalf("write report: %v", err)
+			log.Fatalf("write report: %v", err)
 		}
 	}
 }
@@ -199,9 +192,4 @@ func describeCause(c *detect.Cause) string {
 		return c.VertexKey
 	}
 	return fmt.Sprintf("%s %s %s at %s:%d", c.VertexKey, c.Vertex.Kind, c.Vertex.Name, c.Vertex.Pos.File, c.Vertex.Pos.Line)
-}
-
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "scalana-detect: "+format+"\n", args...)
-	os.Exit(1)
 }

@@ -126,8 +126,10 @@ func TestScaleCountIsCapped(t *testing.T) {
 }
 
 // TestInvalidDetectConfigExits1: a negative -topk used to panic with a
-// slice bound out of range, and a NaN -abnorm-thd flagged every vertex.
-// Both are refused before anything is simulated.
+// slice bound out of range, a NaN -abnorm-thd flagged every vertex, a
+// NaN or infinite -hz panicked in the sampler, and a zero or negative
+// one silently profiled at 200 Hz. All are refused before anything is
+// simulated.
 func TestInvalidDetectConfigExits1(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
@@ -135,9 +137,14 @@ func TestInvalidDetectConfigExits1(t *testing.T) {
 	}{
 		{[]string{"-topk", "-1"}, "negative topk -1"},
 		{[]string{"-abnorm-thd", "NaN"}, "NaN threshold"},
+		{[]string{"-hz", "NaN"}, "sampling rate NaN Hz"},
+		{[]string{"-hz", "Inf"}, "sampling rate +Inf Hz"},
+		{[]string{"-hz", "-5"}, "sampling rate -5 Hz"},
+		{[]string{"-hz", "0"}, "sampling rate 0 Hz"},
 	} {
 		args := append([]string{"-app", "cg", "-scales", "4,8"}, tc.args...)
-		if code, _, stderr := detectCmd(t, args...); code != 1 || !strings.Contains(stderr, tc.msg) || strings.Contains(stderr, "panic") {
+		if code, _, stderr := detectCmd(t, args...); code != 1 || !strings.HasPrefix(stderr, "scalana-detect: ") ||
+			!strings.Contains(stderr, tc.msg) || strings.Contains(stderr, "panic") {
 			t.Errorf("%v: exit %d (%s), want 1 with %q and no panic", tc.args, code, stderr, tc.msg)
 		}
 	}

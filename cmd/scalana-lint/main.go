@@ -16,12 +16,15 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"log"
 	"os"
 
 	"scalana/internal/analysis"
 )
 
 func main() {
+	log.SetFlags(0)
+	log.SetPrefix("scalana-lint: ")
 	jsonOut := flag.Bool("json", false, "emit diagnostics as JSON")
 	list := flag.Bool("list", false, "list the analyzers and exit")
 	flag.Usage = func() {
@@ -45,7 +48,7 @@ func main() {
 
 	cwd, err := os.Getwd()
 	if err != nil {
-		fatalf("%v", err)
+		log.Fatal(err)
 	}
 	root, err := analysis.ModuleRoot(cwd)
 	if err != nil {
@@ -53,13 +56,15 @@ func main() {
 	}
 	pkgs, err := analysis.Load(root, args...)
 	if err != nil {
-		fatalf("%v", err)
+		// A go list failure ends in go list's own newline; the explicit
+		// one keeps the blank line after it.
+		log.Fatalf("%v\n", err)
 	}
 	var diags []analysis.Diagnostic
 	for _, pkg := range pkgs {
 		ds, err := analysis.RunAnalyzers(pkg, analysis.All())
 		if err != nil {
-			fatalf("%v", err)
+			log.Fatal(err)
 		}
 		diags = append(diags, ds...)
 	}
@@ -68,7 +73,7 @@ func main() {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", " ")
 		if err := enc.Encode(diags); err != nil {
-			fatalf("%v", err)
+			log.Fatal(err)
 		}
 	} else {
 		for _, d := range diags {
@@ -78,9 +83,4 @@ func main() {
 	if len(diags) > 0 {
 		os.Exit(2)
 	}
-}
-
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "scalana-lint: "+format+"\n", args...)
-	os.Exit(1)
 }

@@ -17,7 +17,7 @@ package main
 import (
 	"flag"
 	"fmt"
-	"os"
+	"log"
 
 	"scalana/internal/commmatrix"
 	"scalana/internal/prof"
@@ -27,6 +27,8 @@ import (
 )
 
 func main() {
+	log.SetFlags(0)
+	log.SetPrefix("scalana-prof: ")
 	appName := flag.String("app", "", "workload name (scalana-static -list shows all)")
 	np := flag.Int("np", 16, "number of simulated MPI ranks")
 	tool := flag.String("tool", "scalana", "measurement tool (see -list-tools)")
@@ -47,7 +49,7 @@ func main() {
 
 	app := scalana.GetApp(*appName)
 	if app == nil {
-		fatalf("unknown app %q", *appName)
+		log.Fatalf("unknown app %q", *appName)
 	}
 	cfg := prof.DefaultConfig()
 	cfg.SampleHz = *hz
@@ -59,7 +61,7 @@ func main() {
 		App: app, NP: *np, ToolName: *tool, Prof: cfg, Seed: *seed,
 	})
 	if err != nil {
-		fatalf("%v", err)
+		log.Fatal(err)
 	}
 	fmt.Printf("ran %s with %d ranks: %.4fs virtual time\n", app.Name, *np, res.Result.Elapsed)
 	fmt.Printf("%s storage: %s across %d ranks (%s per rank)\n", *tool,
@@ -77,17 +79,12 @@ func main() {
 	if *out != "" {
 		profiles := res.Profiles()
 		if profiles == nil {
-			fatalf("-o needs the scalana tool's profiles; tool %q produces none", *tool)
+			log.Fatalf("-o needs the scalana tool's profiles; tool %q produces none", *tool)
 		}
 		ps := &prof.ProfileSet{App: app.Name, NP: *np, Elapsed: res.Result.Elapsed, Profiles: profiles}
 		if err := ps.Save(*out); err != nil {
-			fatalf("save: %v", err)
+			log.Fatalf("save: %v", err)
 		}
 		fmt.Printf("profiles written to %s\n", *out)
 	}
-}
-
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "scalana-prof: "+format+"\n", args...)
-	os.Exit(1)
 }

@@ -69,3 +69,18 @@ func TestToolListingBytes(t *testing.T) {
 		t.Errorf("scalana-prof -tool nope: exit %d, stderr %q, want exit 1 naming the tool", code, stderr)
 	}
 }
+
+// TestBadRatesExit1: a NaN or infinite -hz used to panic in the sampler,
+// a negative one silently profiled at 200 Hz, and a -comm-prob outside
+// [0, 1] was accepted; each now exits 1 with a message.
+func TestBadRatesExit1(t *testing.T) {
+	for _, args := range [][]string{
+		{"-hz", "NaN"}, {"-hz", "Inf"}, {"-hz", "-5"},
+		{"-comm-prob", "-1"}, {"-comm-prob", "2"}, {"-comm-prob", "NaN"},
+	} {
+		code, _, stderr := run(t, profBin, append([]string{"-app", "cg", "-np", "4"}, args...)...)
+		if code != 1 || !strings.HasPrefix(stderr, "scalana-prof: ") || strings.Contains(stderr, "panic") {
+			t.Errorf("%v: exit %d, stderr %q, want exit 1 with a message and no panic", args, code, stderr)
+		}
+	}
+}

@@ -31,7 +31,6 @@ import (
 	"context"
 	"errors"
 	"flag"
-	"fmt"
 	"log"
 	"net/http"
 	"os"
@@ -50,6 +49,8 @@ import (
 const shutdownGrace = 30 * time.Second
 
 func main() {
+	log.SetFlags(0)
+	log.SetPrefix("scalana-serve: ")
 	addr := flag.String("addr", "localhost:8135", "listen address")
 	storeDir := flag.String("store", "", "profile store directory (required; created if missing)")
 	parallel := flag.Int("parallel", 0, "bound on concurrent simulation/PPG work (0 = one per CPU); also fans simulate-mode sweeps")
@@ -58,11 +59,11 @@ func main() {
 	flag.Parse()
 
 	if *storeDir == "" {
-		fatalf("-store is required")
+		log.Fatalf("-store is required")
 	}
 	st, err := store.Open(*storeDir)
 	if err != nil {
-		fatalf("%v", err)
+		log.Fatal(err)
 	}
 	logger := log.New(os.Stderr, "scalana-serve: ", log.LstdFlags)
 	cfg := serve.Config{
@@ -76,7 +77,7 @@ func main() {
 	}
 	srv, err := serve.New(cfg)
 	if err != nil {
-		fatalf("%v", err)
+		log.Fatal(err)
 	}
 	// A slow header and an idle keep-alive connection hold nothing worth
 	// waiting for. There is no body or write timeout: an upload may be
@@ -94,7 +95,7 @@ func main() {
 	logger.Printf("listening on %s (store: %s)", *addr, st.Root())
 	select {
 	case err := <-served:
-		fatalf("%v", err)
+		log.Fatal(err)
 	case <-ctx.Done():
 	}
 	stop() // a second signal ends the process the default way
@@ -102,14 +103,9 @@ func main() {
 	grace, cancel := context.WithTimeout(context.Background(), shutdownGrace)
 	defer cancel()
 	if err := server.Shutdown(grace); err != nil {
-		fatalf("shutdown: %v", err)
+		log.Fatalf("shutdown: %v", err)
 	}
 	if err := <-served; !errors.Is(err, http.ErrServerClosed) {
-		fatalf("%v", err)
+		log.Fatal(err)
 	}
-}
-
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "scalana-serve: "+format+"\n", args...)
-	os.Exit(1)
 }

@@ -18,6 +18,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"log"
 	"os"
 
 	"scalana/internal/apps"
@@ -27,6 +28,8 @@ import (
 )
 
 func main() {
+	log.SetFlags(0)
+	log.SetPrefix("scalana-static: ")
 	appName := flag.String("app", "", "bundled workload name (see -list)")
 	file := flag.String("file", "", "MiniMP source file to analyze")
 	jsonOut := flag.String("json", "", "write the serialized PSG to this file")
@@ -49,20 +52,20 @@ func main() {
 	case *appName != "":
 		app := apps.Get(*appName)
 		if app == nil {
-			fatalf("unknown app %q (try -list)", *appName)
+			log.Fatalf("unknown app %q (try -list)", *appName)
 		}
 		prog, err = app.Parse()
 	case *file != "":
 		data, rerr := os.ReadFile(*file)
 		if rerr != nil {
-			fatalf("%v", rerr)
+			log.Fatalf("%v", rerr)
 		}
 		prog, err = minilang.Parse(*file, string(data))
 	default:
-		fatalf("one of -app or -file is required")
+		log.Fatalf("one of -app or -file is required")
 	}
 	if err != nil {
-		fatalf("compile: %v", err)
+		log.Fatalf("compile: %v", err)
 	}
 
 	if *lint {
@@ -79,7 +82,7 @@ func main() {
 
 	g, err := psg.Build(prog, psg.Options{MaxLoopDepth: *maxDepth, Contract: *contract})
 	if err != nil {
-		fatalf("PSG: %v", err)
+		log.Fatalf("PSG: %v", err)
 	}
 	st := g.Stats
 	fmt.Printf("Program Structure Graph for %s\n", prog.File)
@@ -90,16 +93,11 @@ func main() {
 	if *jsonOut != "" {
 		data, err := json.MarshalIndent(g.ToDTO(), "", " ")
 		if err != nil {
-			fatalf("serialize: %v", err)
+			log.Fatalf("serialize: %v", err)
 		}
 		if err := os.WriteFile(*jsonOut, data, 0o644); err != nil {
-			fatalf("write: %v", err)
+			log.Fatalf("write: %v", err)
 		}
 		fmt.Printf("\nPSG written to %s\n", *jsonOut)
 	}
-}
-
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "scalana-static: "+format+"\n", args...)
-	os.Exit(1)
 }

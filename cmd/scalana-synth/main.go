@@ -18,6 +18,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"log"
 	"os"
 	"strings"
 
@@ -26,6 +27,8 @@ import (
 )
 
 func main() {
+	log.SetFlags(0)
+	log.SetPrefix("scalana-synth: ")
 	seed := flag.Int64("seed", 1, "corpus seed; equal seeds reproduce identical corpora")
 	cases := flag.Int("cases", 25, "number of cases to generate")
 	archetypes := flag.String("archetypes", "", "comma-separated defect archetypes (default: all of "+joinKinds()+")")
@@ -40,7 +43,7 @@ func main() {
 	flag.Parse()
 
 	if *genOnly && *corpusOut == "" {
-		fatalf("-generate-only needs -corpus")
+		log.Fatalf("-generate-only needs -corpus")
 	}
 	gcfg := synth.GenConfig{Seed: *seed, Cases: *cases}
 	if *archetypes != "" {
@@ -55,13 +58,13 @@ func main() {
 	}
 	corpus, err := synth.Generate(gcfg)
 	if err != nil {
-		fatalf("%v", err)
+		log.Fatal(err)
 	}
 	if *corpusOut != "" {
 		if err := corpus.Save(*corpusOut); err != nil {
-			fatalf("save corpus: %v", err)
+			log.Fatalf("save corpus: %v", err)
 		}
-		fmt.Fprintf(os.Stderr, "scalana-synth: corpus (%d cases) written to %s\n", len(corpus.Cases), *corpusOut)
+		log.Printf("corpus (%d cases) written to %s", len(corpus.Cases), *corpusOut)
 	}
 	if *genOnly {
 		return
@@ -70,11 +73,11 @@ func main() {
 	ecfg := synth.EvalConfig{Parallelism: *parallel, SampleHz: *hz, TopK: *topK}
 	ecfg.NPs, err = scales.Parse(*npList)
 	if err != nil {
-		fatalf("-np-list: %v", err)
+		log.Fatalf("-np-list: %v", err)
 	}
 	res, err := synth.Evaluate(corpus, ecfg)
 	if err != nil {
-		fatalf("%v", err)
+		log.Fatal(err)
 	}
 	// With -json '-' stdout must stay parseable JSON; the rendered text
 	// report moves to stderr.
@@ -86,12 +89,12 @@ func main() {
 	if *jsonOut != "" {
 		data, err := res.EncodeJSON()
 		if err != nil {
-			fatalf("encode report: %v", err)
+			log.Fatalf("encode report: %v", err)
 		}
 		if *jsonOut == "-" {
 			os.Stdout.Write(append(data, '\n'))
 		} else if err := os.WriteFile(*jsonOut, append(data, '\n'), 0o644); err != nil {
-			fatalf("write report: %v", err)
+			log.Fatalf("write report: %v", err)
 		}
 	}
 }
@@ -102,9 +105,4 @@ func joinKinds() string {
 		names = append(names, string(k))
 	}
 	return strings.Join(names, ",")
-}
-
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "scalana-synth: "+format+"\n", args...)
-	os.Exit(1)
 }

@@ -18,7 +18,7 @@ package main
 import (
 	"flag"
 	"fmt"
-	"os"
+	"log"
 	"strings"
 
 	"scalana/internal/detect"
@@ -29,6 +29,8 @@ import (
 )
 
 func main() {
+	log.SetFlags(0)
+	log.SetPrefix("scalana-viewer: ")
 	appName := flag.String("app", "", "workload name")
 	scaleList := flag.String("scales", "4,8,16,32", "comma-separated rank counts")
 	context := flag.Int("context", 2, "source lines of context around each root cause")
@@ -38,34 +40,26 @@ func main() {
 
 	app := scalana.GetApp(*appName)
 	if app == nil {
-		fatalf("unknown app %q", *appName)
+		log.Fatalf("unknown app %q", *appName)
 	}
-	all, err := scales.Parse(*scaleList)
+	nps, err := scales.ForApp(*scaleList, app.Name, app.MinNP, log.Printf)
 	if err != nil {
-		fatalf("-scales: %v", err)
-	}
-	nps, dropped := scales.SplitMin(all, app.MinNP)
-	if len(dropped) > 0 {
-		fmt.Fprintf(os.Stderr, "scalana-viewer: dropping scales %v: %s requires at least %d ranks\n",
-			dropped, app.Name, app.MinNP)
-	}
-	if len(nps) == 0 {
-		fatalf("no usable scales: all of %v are below the %d-rank minimum of %s", dropped, app.MinNP, app.Name)
+		log.Fatal(err)
 	}
 	env := query.Env{Engine: scalana.NewEngine(), Parallelism: *parallel}
 	plan, err := env.Detect(query.Detect{
 		App: app, Simulate: true, Scales: nps, SampleHz: *hz, Config: detect.DefaultConfig(),
 	})
 	if err != nil {
-		fatalf("%v", err)
+		log.Fatal(err)
 	}
 	rep, _, err := plan.Run()
 	if err != nil {
-		fatalf("%v", err)
+		log.Fatal(err)
 	}
 	prog, err := app.Parse()
 	if err != nil {
-		fatalf("%v", err)
+		log.Fatal(err)
 	}
 
 	fmt.Printf("┌─ root cause vertices and calling paths ─ %s (np=%d) ─┐\n", app.Name, rep.NP)
@@ -94,9 +88,4 @@ func main() {
 		}
 		fmt.Println()
 	}
-}
-
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "scalana-viewer: "+format+"\n", args...)
-	os.Exit(1)
 }

@@ -96,3 +96,25 @@ func TestFig8Experiment(t *testing.T) {
 		t.Error("imbalanced stencil produced no abnormal vertices")
 	}
 }
+
+// TestCaseStudyVerdicts asserts what each §VI-D case study concludes:
+// the root cause is the paper's analog, and the paper's fix of it speeds
+// the app up. Fig. 2's verdict is TestFig2Experiment's.
+func TestCaseStudyVerdicts(t *testing.T) {
+	for _, tc := range []struct {
+		id   string
+		mins map[string]float64
+	}{
+		{"fig12", map[string]float64{"bval3d_found": 1, "improvement_pct": 50}},
+		{"fig14", map[string]float64{"handleevent_found": 1, "improvement_pct": 50}},
+		{"fig15", map[string]float64{"tot_ins_reduction_pct": 90}},
+		{"fig16", map[string]float64{"improvement_pct": 50, "tot_lst_reduction_pct": 80, "tot_cyc_var_reduction_pct": 80}},
+	} {
+		res := runExp(t, tc.id)
+		for metric, min := range tc.mins {
+			if v, ok := res.Values[metric]; !ok || v < min {
+				t.Errorf("%s %s = %.2f, want at least %g:\n%s", tc.id, metric, v, min, res.Text)
+			}
+		}
+	}
+}

@@ -12,6 +12,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -257,6 +258,9 @@ func (e *Env) Detect(q Detect) (Plan[*detect.Report], error) {
 		}
 		if err := checkMinNP(app, q.Scales...); err != nil {
 			return none, err
+		}
+		if hz := q.SampleHz; !(hz > 0 && hz <= math.MaxFloat64) {
+			return none, errorf(http.StatusBadRequest, "sampling rate %g Hz: want a finite rate above 0", hz)
 		}
 		src = fmt.Sprintf("sim|%v|hz=%g|seed=%d", q.Scales, q.SampleHz, q.Seed)
 		load = func() ([]detect.ScaleRun, error) {

@@ -65,9 +65,7 @@ func Validate(nps []int) error {
 
 // SplitMin partitions nps into the scales usable at an application's
 // minimum rank count and the dropped remainder, preserving order in
-// both. Callers warn about dropped and error when kept is empty —
-// silently proceeding with a thinned (or empty) sweep is the
-// scalana-viewer bug this helper exists to prevent.
+// both.
 func SplitMin(nps []int, minNP int) (kept, dropped []int) {
 	for _, np := range nps {
 		if np >= minNP {
@@ -77,4 +75,22 @@ func SplitMin(nps []int, minNP int) (kept, dropped []int) {
 		}
 	}
 	return kept, dropped
+}
+
+// ForApp parses a command's -scales list for app, whose runs need at
+// least minNP ranks. Smaller scales are dropped with a warning through
+// warnf; a list that does not parse, or leaves no scale, is an error.
+func ForApp(list, app string, minNP int, warnf func(format string, args ...any)) ([]int, error) {
+	all, err := Parse(list)
+	if err != nil {
+		return nil, fmt.Errorf("-scales: %w", err)
+	}
+	kept, dropped := SplitMin(all, minNP)
+	if len(dropped) > 0 {
+		warnf("dropping scales %v: %s requires at least %d ranks", dropped, app, minNP)
+	}
+	if len(kept) == 0 {
+		return nil, fmt.Errorf("no usable scales: all of %v are below the %d-rank minimum of %s", dropped, minNP, app)
+	}
+	return kept, nil
 }

@@ -1,6 +1,7 @@
 package scales
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 )
@@ -81,5 +82,24 @@ func TestSplitMin(t *testing.T) {
 	kept, dropped = SplitMin([]int{8, 4}, 2)
 	if !reflect.DeepEqual(kept, []int{8, 4}) || dropped != nil {
 		t.Fatalf("SplitMin none-dropped = %v / %v", kept, dropped)
+	}
+}
+
+func TestForApp(t *testing.T) {
+	var warned []string
+	warnf := func(format string, args ...any) { warned = append(warned, fmt.Sprintf(format, args...)) }
+	nps, err := ForApp("2,8,16", "zeusmp", 4, warnf)
+	if err != nil || !reflect.DeepEqual(nps, []int{8, 16}) {
+		t.Fatalf("ForApp = %v, %v", nps, err)
+	}
+	if want := []string{"dropping scales [2]: zeusmp requires at least 4 ranks"}; !reflect.DeepEqual(warned, want) {
+		t.Fatalf("warnings %q, want %q", warned, want)
+	}
+	if _, err := ForApp("2", "zeusmp", 4, warnf); err == nil ||
+		err.Error() != "no usable scales: all of [2] are below the 4-rank minimum of zeusmp" {
+		t.Fatalf("all scales dropped: %v", err)
+	}
+	if _, err := ForApp("4,x", "zeusmp", 4, warnf); err == nil || err.Error() != `-scales: bad scale "x"` {
+		t.Fatalf("unparsable list: %v", err)
 	}
 }

@@ -46,6 +46,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"os"
 	"runtime"
@@ -79,7 +80,8 @@ type Config struct {
 	// its scales across the same bound. 0 means one worker per CPU.
 	Parallelism int
 	// SampleHz is the profiler rate for simulate-mode detect runs
-	// (default 1000, matching scalana-detect's flag default).
+	// (0 means 1000, matching scalana-detect's flag default; NaN,
+	// infinite or negative is an error).
 	SampleHz float64
 	// Logf receives one line per request (nil disables logging).
 	Logf func(format string, args ...any)
@@ -125,7 +127,10 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Parallelism <= 0 {
 		cfg.Parallelism = runtime.NumCPU()
 	}
-	if cfg.SampleHz <= 0 {
+	if hz := cfg.SampleHz; !(hz >= 0 && hz <= math.MaxFloat64) {
+		return nil, fmt.Errorf("serve: sampling rate %g Hz: want 0 (the default) or a finite positive rate", hz)
+	}
+	if cfg.SampleHz == 0 {
 		cfg.SampleHz = 1000
 	}
 	s := &Server{

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -932,5 +933,26 @@ func TestMisfiledSetIsA500OnEveryRoute(t *testing.T) {
 		if code, body := do(); code != http.StatusInternalServerError || !bytes.Contains(body, want) {
 			t.Errorf("%s over a misfiled set: %d %s, want 500 %s", name, code, body, want)
 		}
+	}
+}
+
+// TestNewRejectsBadRate: a NaN, infinite or negative SampleHz is an
+// error (scalana-serve -hz exits 1); zero is the 1000 Hz default.
+func TestNewRejectsBadRate(t *testing.T) {
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, hz := range []float64{math.NaN(), math.Inf(1), -1} {
+		if _, err := New(Config{Store: st, SampleHz: hz}); err == nil {
+			t.Errorf("New with SampleHz %g should error", hz)
+		}
+	}
+	srv, err := New(Config{Store: st})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if srv.cfg.SampleHz != 1000 {
+		t.Errorf("New with SampleHz 0 runs at %g Hz, want 1000", srv.cfg.SampleHz)
 	}
 }

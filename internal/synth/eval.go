@@ -161,6 +161,9 @@ func Evaluate(corpus *Corpus, cfg EvalConfig) (*EvalResult, error) {
 			return nil, fmt.Errorf("synth: case %s carries no ground truth", c.Name)
 		}
 	}
+	if cfg.TopK < 0 {
+		return nil, fmt.Errorf("synth: negative top-k %d", cfg.TopK)
+	}
 	cfg = cfg.withDefaults()
 	profCfg := prof.DefaultConfig()
 	profCfg.SampleHz = cfg.SampleHz

@@ -2,6 +2,7 @@ package synth
 
 import (
 	"bytes"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -210,6 +211,21 @@ func TestCaseSweepParallelismIdentity(t *testing.T) {
 		}
 		if !bytes.Equal(reports[0], reports[1]) {
 			t.Errorf("%s: parallel sweep report differs from serial", c.Name)
+		}
+	}
+}
+
+// TestEvaluateRejectsBadConfig: a negative top-k used to score every
+// case as a miss under a "top--1" header, and a NaN rate panicked in the
+// sampler; both are errors.
+func TestEvaluateRejectsBadConfig(t *testing.T) {
+	corpus, err := Generate(GenConfig{Seed: 1, Cases: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cfg := range []EvalConfig{{TopK: -1}, {SampleHz: math.NaN()}, {SampleHz: -5}} {
+		if _, err := Evaluate(corpus, cfg); err == nil {
+			t.Errorf("Evaluate with %+v should error", cfg)
 		}
 	}
 }

@@ -20,6 +20,7 @@ package scalana
 
 import (
 	"fmt"
+	"math"
 
 	"scalana/internal/apps"
 	"scalana/internal/detect"
@@ -126,6 +127,13 @@ func validateRunConfig(cfg RunConfig) error {
 	// An unregistered app's MinNP is 0; the simulator needs one rank.
 	if minNP := max(1, cfg.App.MinNP); cfg.NP < minNP {
 		return fmt.Errorf("scalana: %s requires at least %d ranks, got %d", cfg.App.Name, minNP, cfg.NP)
+	}
+	// A zero rate is the profiler's default; NaN fails both comparisons.
+	if hz := cfg.Prof.SampleHz; !(hz >= 0 && hz <= math.MaxFloat64) {
+		return fmt.Errorf("scalana: sampling rate %g Hz: want 0 (the default) or a finite positive rate", hz)
+	}
+	if p := cfg.Prof.CommSampleProb; !(p >= 0 && p <= 1) {
+		return fmt.Errorf("scalana: communication sampling probability %g: want a value in [0, 1]", p)
 	}
 	return nil
 }

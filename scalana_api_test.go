@@ -2,11 +2,13 @@ package scalana
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
 	"scalana/internal/detect"
 	"scalana/internal/hpctk"
+	"scalana/internal/prof"
 	"scalana/internal/psg"
 	"scalana/internal/trace"
 	"scalana/internal/vm"
@@ -28,6 +30,39 @@ func TestRunConfigValidation(t *testing.T) {
 		}
 		if _, err := NewEngine().Sweep(adhoc, []int{2, np}, SweepConfig{Parallelism: 1}); err == nil {
 			t.Errorf("sweep with scale %d should error", np)
+		}
+	}
+	// A sampling rate that is NaN, infinite or negative, or a
+	// communication sampling probability outside [0, 1], used to panic
+	// in the sampler or be silently replaced; every entry point refuses it.
+	cg := GetApp("cg")
+	prog, graph, err := Compile(cg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pc := range []prof.Config{
+		{SampleHz: math.NaN()}, {SampleHz: math.Inf(1)}, {SampleHz: math.Inf(-1)}, {SampleHz: -5},
+		{CommSampleProb: -1}, {CommSampleProb: 2}, {CommSampleProb: math.NaN()},
+	} {
+		cfg := RunConfig{App: cg, NP: 4, ToolName: "scalana", Prof: pc}
+		if _, err := Run(cfg); err == nil {
+			t.Errorf("Run with %+v should error", pc)
+		}
+		if _, err := RunCompiled(prog, graph, cfg); err == nil {
+			t.Errorf("RunCompiled with %+v should error", pc)
+		}
+		if _, err := NewEngine().Run(cfg); err == nil {
+			t.Errorf("Engine.Run with %+v should error", pc)
+		}
+		if _, err := NewEngine().Sweep(cg, []int{4, 8}, SweepConfig{Parallelism: 1, Prof: pc}); err == nil {
+			t.Errorf("Engine.Sweep with %+v should error", pc)
+		}
+	}
+	// Zero still means the default rate, and both ends of [0, 1] are
+	// probabilities.
+	for _, pc := range []prof.Config{{SampleHz: 0, CommSampleProb: 1}, {SampleHz: 200, CommSampleProb: 0}} {
+		if _, err := Run(RunConfig{App: cg, NP: 4, ToolName: "scalana", Prof: pc}); err != nil {
+			t.Errorf("Run with %+v: %v", pc, err)
 		}
 	}
 }
