@@ -95,7 +95,7 @@ func BenchmarkAblationCompression(b *testing.B) {
 			var storage int64
 			for i := 0; i < b.N; i++ {
 				cfg := prof.DefaultConfig()
-				cfg.Compress = on
+				cfg.NoCompress = !on
 				out, err := e.Run(scalana.RunConfig{
 					App: scalana.GetApp("cg"), NP: 32, ToolName: "scalana", Prof: cfg})
 				if err != nil {

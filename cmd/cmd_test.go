@@ -110,7 +110,7 @@ const optionLedger = `baseline.Params CUSUMK CUSUMThd MinRuns MinShare ZThd
 detect.Config AbnormThd CommCauses MinShare SlopeThd TopK
 difftest.Config NPs SampleHz Seed
 mpisim.Config HookFactory MemSpeed NP Seed
-prof.Config CommSampleProb Compress SampleHz Seed
+prof.Config CommSampleProb NoCompress SampleHz Seed
 psg.Options Contract MaxLoopDepth
 scalana.RunConfig App NP Prof Seed ToolName
 scalana.SweepConfig Parallelism Prof Seed

@@ -20,8 +20,9 @@
 //
 // The app is compiled once for the whole sweep and the scales execute
 // concurrently on -parallel workers (0 = one per CPU, 1 = one scale at
-// a time; each scale's own rank simulation and finalization still use
-// goroutines). The report is identical regardless of parallelism.
+// a time). Each scale simulates and finalizes its ranks on its worker's
+// goroutine, starting none of its own. The report is identical
+// regardless of parallelism.
 //
 // With -profiles, previously saved scalana-prof outputs named
 // <app>.<np>.json are loaded from the directory instead of re-running.

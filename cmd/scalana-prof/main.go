@@ -51,11 +51,10 @@ func main() {
 	if app == nil {
 		log.Fatalf("unknown app %q", *appName)
 	}
-	cfg := prof.DefaultConfig()
-	cfg.SampleHz = *hz
-	cfg.CommSampleProb = *commProb
-	cfg.Compress = *compress
-	cfg.Seed = *seed
+	if *commProb == 0 {
+		log.Fatal("-comm-prob must be above 0: a zero probability reads as the default, 1")
+	}
+	cfg := prof.Config{SampleHz: *hz, CommSampleProb: *commProb, NoCompress: !*compress, Seed: *seed}
 
 	res, err := scalana.Run(scalana.RunConfig{
 		App: app, NP: *np, ToolName: *tool, Prof: cfg, Seed: *seed,

@@ -229,6 +229,12 @@ func Detect(runs []ScaleRun, cfg Config) (*Report, error) {
 	if largest.PPG == nil {
 		return nil, fmt.Errorf("detect: the largest scale, np=%d, has no PPG", largest.NP)
 	}
+	nv := largest.PPG.PSG.NumVIDs()
+	for _, r := range sorted[:len(sorted)-1] {
+		if (r.Merged == nil && r.PPG == nil) || (r.Merged != nil && len(r.Merged) != nv) {
+			return nil, fmt.Errorf("detect: scale np=%d has neither a PPG nor a merged time for each of the %d vertices", r.NP, nv)
+		}
+	}
 
 	rep := &Report{NP: largest.NP}
 	if len(sorted) >= 2 {

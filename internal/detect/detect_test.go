@@ -361,6 +361,19 @@ func TestDetectErrors(t *testing.T) {
 			t.Errorf("%+v: no error", cfg)
 		}
 	}
+	// A smaller scale with neither a PPG nor a merged time for every
+	// vertex used to panic: a nil dereference, an index out of range.
+	s8 := newSynthetic(t, simpleSrc, 8)
+	for r := range 8 {
+		s8.setTime(s8.vertex("main", psg.KindComp), r, 1)
+		s8.setTime(s8.vertex("main", psg.KindMPI), r, 1)
+	}
+	run8 := ScaleRun{NP: 8, PPG: s8.ppg()}
+	for _, small := range []ScaleRun{{NP: 4}, {NP: 4, Merged: []float64{1}}} {
+		if _, err := Detect([]ScaleRun{small, run8}, DefaultConfig()); err == nil || !strings.Contains(err.Error(), "np=4") {
+			t.Errorf("%+v beside np=8: %v, want an error naming np=4", small, err)
+		}
+	}
 }
 
 func TestDetectSingleScaleSkipsNonScalable(t *testing.T) {

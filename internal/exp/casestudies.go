@@ -283,11 +283,11 @@ func fig14() (*Result, error) {
 
 func fig15() (*Result, error) {
 	r := newResult("fig15", "Fig. 15: SST per-rank TOT_INS in handleEvent before/after the fix, np=32")
-	origIns, err := handleEventSeries("sst", machine.TotIns)
+	origIns, err := pmuSeries("sst", "@handleEvent", machine.TotIns)
 	if err != nil {
 		return nil, err
 	}
-	optIns, err := handleEventSeries("sst-opt", machine.TotIns)
+	optIns, err := pmuSeries("sst-opt", "@handleEvent", machine.TotIns)
 	if err != nil {
 		return nil, err
 	}
@@ -298,11 +298,11 @@ func fig15() (*Result, error) {
 	r.addf("%s\n", report.Bars("original TOT_INS per rank", labels, origIns, engFmt))
 	r.addf("%s\n", report.Bars("optimized TOT_INS per rank", labels, optIns, engFmt))
 	redIns := 100 * (1 - fit.Mean(optIns)/fit.Mean(origIns))
-	origCyc, err := handleEventSeries("sst", machine.TotCyc)
+	origCyc, err := pmuSeries("sst", "@handleEvent", machine.TotCyc)
 	if err != nil {
 		return nil, err
 	}
-	optCyc, err := handleEventSeries("sst-opt", machine.TotCyc)
+	optCyc, err := pmuSeries("sst-opt", "@handleEvent", machine.TotCyc)
 	if err != nil {
 		return nil, err
 	}
@@ -313,9 +313,9 @@ func fig15() (*Result, error) {
 	return r, nil
 }
 
-// handleEventSeries extracts the per-rank counter for SST's handleEvent
-// instance, summed over its vertices.
-func handleEventSeries(appName string, c machine.Counter) ([]float64, error) {
+// pmuSeries runs an app at np=32 and returns one PMU counter per rank,
+// summed over the vertices whose key holds fn (e.g. "@handleEvent").
+func pmuSeries(appName, fn string, c machine.Counter) ([]float64, error) {
 	out, err := eng.Run(scalana.RunConfig{
 		App: scalana.GetApp(appName), NP: 32, ToolName: "scalana", Prof: sweepProf()})
 	if err != nil {
@@ -324,7 +324,7 @@ func handleEventSeries(appName string, c machine.Counter) ([]float64, error) {
 	sum := make([]float64, out.NP)
 	keys := out.PPG().PSG.Keys()
 	for _, vid := range out.PPG().PresentVIDs() {
-		if !strings.Contains(keys[vid], "@handleEvent") {
+		if !strings.Contains(keys[vid], fn) {
 			continue
 		}
 		for i, v := range out.PPG().PMUSeries(vid, c) {
@@ -336,37 +336,19 @@ func handleEventSeries(appName string, c machine.Counter) ([]float64, error) {
 
 func fig16() (*Result, error) {
 	r := newResult("fig16", "Fig. 16: Nekbone dgemm PMU data before/after the fix, np=32")
-	series := func(appName string, c machine.Counter) ([]float64, error) {
-		out, err := eng.Run(scalana.RunConfig{
-			App: scalana.GetApp(appName), NP: 32, ToolName: "scalana", Prof: sweepProf()})
-		if err != nil {
-			return nil, err
-		}
-		sum := make([]float64, out.NP)
-		keys := out.PPG().PSG.Keys()
-		for _, vid := range out.PPG().PresentVIDs() {
-			if !strings.Contains(keys[vid], "@dgemm") {
-				continue
-			}
-			for i, v := range out.PPG().PMUSeries(vid, c) {
-				sum[i] += v
-			}
-		}
-		return sum, nil
-	}
-	origLst, err := series("nekbone", machine.TotLstIns)
+	origLst, err := pmuSeries("nekbone", "@dgemm", machine.TotLstIns)
 	if err != nil {
 		return nil, err
 	}
-	optLst, err := series("nekbone-opt", machine.TotLstIns)
+	optLst, err := pmuSeries("nekbone-opt", "@dgemm", machine.TotLstIns)
 	if err != nil {
 		return nil, err
 	}
-	origCyc, err := series("nekbone", machine.TotCyc)
+	origCyc, err := pmuSeries("nekbone", "@dgemm", machine.TotCyc)
 	if err != nil {
 		return nil, err
 	}
-	optCyc, err := series("nekbone-opt", machine.TotCyc)
+	optCyc, err := pmuSeries("nekbone-opt", "@dgemm", machine.TotCyc)
 	if err != nil {
 		return nil, err
 	}

@@ -56,8 +56,8 @@ func checkStreamedGraph(t *testing.T, e *scalana.Engine, app *scalana.App, np in
 			t.Fatalf("%s np=%d: Decode(size %d): %v", app.Name, np, size, err)
 		}
 		if !reflect.DeepEqual(streamed, want) {
-			t.Errorf("%s np=%d: the streamed graph (size %d) differs from Build(DecodeProfileSet(bytes)): %d vs %d edges, storage %d vs %d",
-				app.Name, np, size, streamed.NumEdges(), want.NumEdges(), streamed.Storage, want.Storage)
+			t.Errorf("%s np=%d: the streamed graph (size %d) differs from Build(DecodeProfileSet(bytes)): %d vs %d edges",
+				app.Name, np, size, streamed.NumEdges(), want.NumEdges())
 		}
 		if set.App != ps.App || set.NP != ps.NP || set.Elapsed != ps.Elapsed || set.Profiles != nil {
 			t.Errorf("%s np=%d: Decode's envelope is %+v, the set's is %q %d %g", app.Name, np, set, ps.App, ps.NP, ps.Elapsed)

@@ -20,7 +20,6 @@ import (
 // arena per rank (edgeVals) with per-bucket views sliced out of one
 // pointer arena — no per-edge or per-bucket allocation.
 type rankPart struct {
-	storage  int64
 	time     float64
 	edgeVals []DepEdge
 	froms    []EdgeFrom
@@ -30,7 +29,7 @@ type rankPart struct {
 
 // buildOracle assembles the PPG from the PSG and all rank profiles.
 //
-// Per-rank aggregation (storage sizing, rank time, dependence-edge
+// Per-rank aggregation (rank time, dependence-edge
 // compression) runs on a CPU-bounded worker pool; every rank writes only
 // rank-owned state, and the cross-rank merge happens serially in rank
 // order, so the assembled graph is identical to a serial build. Edge
@@ -73,7 +72,7 @@ func buildOracle(g *psg.Graph, profiles []*prof.RankProfile) (*Graph, error) {
 	parts := make([]rankPart, len(profiles))
 	par.ForEach(len(profiles), 0, func(i int) {
 		rp := profiles[i]
-		part := rankPart{storage: rp.StorageBytes()}
+		var part rankPart
 		// Floating-point sums must not depend on storage order, or
 		// "identical profiles in, identical graph out" breaks in the last
 		// ulp: reduce in the fixed key-sorted order.
@@ -115,7 +114,6 @@ func buildOracle(g *psg.Graph, profiles []*prof.RankProfile) (*Graph, error) {
 			last = rec
 			e := &part.edgeVals[n-1]
 			e.Count += rec.Count
-			e.Bytes += rec.Bytes * float64(rec.Count)
 			e.TotalWait += rec.TotalWait
 			if rec.MaxWait > e.MaxWait {
 				e.MaxWait = rec.MaxWait
@@ -137,8 +135,8 @@ func buildOracle(g *psg.Graph, profiles []*prof.RankProfile) (*Graph, error) {
 		parts[i] = part
 	})
 
-	// Serial merge in rank order: presence union, storage and time
-	// reductions, edge bucket splicing.
+	// Serial merge in rank order: presence union, time reduction, edge
+	// bucket splicing.
 	nBuckets := 0
 	for i := range parts {
 		if parts[i].err != nil {
@@ -153,7 +151,6 @@ func buildOracle(g *psg.Graph, profiles []*prof.RankProfile) (*Graph, error) {
 				pg.present[vid] = true
 			}
 		}
-		pg.Storage += parts[i].storage
 		pg.RankTime[rp.Rank] = parts[i].time
 		for j, from := range parts[i].froms {
 			pg.Edges[from] = parts[i].buckets[j]

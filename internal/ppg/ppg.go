@@ -37,7 +37,6 @@ type DepEdge struct {
 	PeerVID    psg.VID
 	Op         string
 	Count      int64
-	Bytes      float64
 	TotalWait  float64
 	MaxWait    float64
 	Collective bool
@@ -59,8 +58,6 @@ type Graph struct {
 	Edges map[EdgeFrom][]*DepEdge
 	// RankTime is each rank's total sampled time.
 	RankTime []float64
-	// Storage is the summed profile storage across ranks (bytes).
-	Storage int64
 }
 
 // keyOf renders a VID through a symbol-table snapshot, with psg.VIDNone
@@ -183,7 +180,7 @@ func (b *Builder) Reset() {
 	}
 	clear(pg.present)
 	clear(pg.Edges)
-	pg.Storage, b.ranks = 0, 0
+	b.ranks = 0
 }
 
 // Add folds one rank into the graph.
@@ -216,7 +213,6 @@ func (b *Builder) Add(rp *prof.RankProfile) error {
 	}
 	b.seen[rp.Rank] = true
 	b.ranks++
-	pg.Storage += rp.StorageBytes()
 	// Floating-point sums must not depend on storage order, or "identical
 	// profiles in, identical graph out" breaks in the last ulp: reduce in
 	// the fixed key-sorted order.
@@ -250,7 +246,6 @@ func (b *Builder) Add(rp *prof.RankProfile) error {
 		}
 		last = rec
 		e.Count += rec.Count
-		e.Bytes += rec.Bytes * float64(rec.Count)
 		e.TotalWait += rec.TotalWait
 		if rec.MaxWait > e.MaxWait {
 			e.MaxWait = rec.MaxWait

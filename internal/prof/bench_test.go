@@ -162,17 +162,18 @@ func TestSampledAdvanceAllocFree(t *testing.T) {
 	cfg.SampleHz = 1e8
 	pr := New(cfg, g, 0, 4)
 	p := sampledProc(pr)
-	p.Ctx = mpiVertices(g)[0]
+	v := mpiVertices(g)[0]
+	p.Ctx = v
 	for name, advance := range map[string]func(){
 		"glue":    func() { p.Glue(24) },
 		"compute": func() { p.Compute(1e5, 1e4, 1e3, 4096) },
 	} {
 		advance()
-		before := pr.Profile().SamplesTaken
+		before := pr.Profile().Vertex[v.VID].Samples
 		if allocs := testing.AllocsPerRun(1000, advance); allocs != 0 {
 			t.Errorf("a %s advance with the profiler attached allocates %.2f objects, want 0", name, allocs)
 		}
-		if took := pr.Profile().SamplesTaken - before; took < 500 {
+		if took := pr.Profile().Vertex[v.VID].Samples - before; took < 500 {
 			t.Errorf("1001 %s advances took %d samples; the gate must cover the sampled path", name, took)
 		}
 	}

@@ -16,10 +16,11 @@ package prof
 // and U+FFFD for invalid UTF-8, a repeated scalar field last-wins and a
 // repeated "vertex" object merged key by key, and nesting capped at
 // maxDepth. The one deliberate difference is a repeated
-// array-valued field ("profiles", "comm", "indirect" twice in one
-// object): encoding/json decodes the second array's elements into the
-// first's, a reflection artefact no writer produces; here the second
-// array replaces the first.
+// array-valued field ("profiles" or "comm" twice in one object):
+// encoding/json decodes the second array's elements into the first's, a
+// reflection artefact no writer produces; here the second array replaces
+// the first. A rank's "indirect" member, which the encoder writes as
+// null, is an unknown field like any other.
 //
 // A rank leaves the reader as its object closes (RankSink). A consumer
 // that needs each rank once — ppg.Builder — is handed one scratch profile
@@ -33,7 +34,6 @@ import (
 	"slices"
 
 	"scalana/internal/machine"
-	"scalana/internal/minilang"
 	"scalana/internal/psg"
 )
 
@@ -55,11 +55,10 @@ func fieldName(names []string, key []byte) string {
 }
 
 var (
-	setFields      = []string{"app", "np", "elapsed", "profiles"}
-	rankFields     = []string{"rank", "np", "vertex", "comm", "indirect"}
-	perfFields     = []string{"Samples", "Time", "PMU"}
-	commFields     = []string{"VertexKey", "Op", "DepRank", "DepVertex", "Tag", "Bytes", "Collective", "Count", "TotalWait", "MaxWait"}
-	indirectFields = []string{"InstancePath", "Site", "Target", "Count"}
+	setFields  = []string{"app", "np", "elapsed", "profiles"}
+	rankFields = []string{"rank", "np", "vertex", "comm"}
+	perfFields = []string{"Samples", "Time", "PMU"}
+	commFields = []string{"VertexKey", "Op", "DepRank", "DepVertex", "Tag", "Bytes", "Collective", "Count", "TotalWait", "MaxWait"}
 )
 
 // decoder reads one profile set against one compiled graph.
@@ -216,7 +215,7 @@ func (d *decoder) profiles() error {
 // object to close; a field that is given again drops the fault its first
 // value raised. Records themselves are never buffered.
 type rankFaults struct {
-	vertex, comm, indirect string
+	vertex, comm string
 	// nulls lists the vertices whose record is currently null.
 	nulls []psg.VID
 }
@@ -235,7 +234,6 @@ func (d *decoder) rank() (*RankProfile, error) {
 	} else {
 		rp.Rank, rp.NP, rp.Comm = 0, 0, rp.Comm[:0]
 		clear(rp.Vertex)
-		clear(rp.Indirect)
 	}
 	var faults rankFaults
 	for first := true; ; first = false {
@@ -255,8 +253,6 @@ func (d *decoder) rank() (*RankProfile, error) {
 			err = d.vertices(rp, &faults)
 		case "comm":
 			err = d.comm(rp, &faults)
-		case "indirect":
-			err = d.indirect(rp, &faults)
 		default:
 			err = d.skip()
 		}
@@ -268,7 +264,7 @@ func (d *decoder) rank() (*RankProfile, error) {
 	if len(faults.nulls) > 0 {
 		nullRecord = fmt.Sprintf("has a null record for vertex %q", d.g.KeyOf(faults.nulls[0]))
 	}
-	if fault := cmp.Or(faults.vertex, nullRecord, faults.comm, faults.indirect); fault != "" {
+	if fault := cmp.Or(faults.vertex, nullRecord, faults.comm); fault != "" {
 		return nil, fmt.Errorf("rank %d profile %s", rp.Rank, fault)
 	}
 	return rp, nil
@@ -503,65 +499,4 @@ func (d *decoder) commRecord(rp *RankProfile) (fault string, err error) {
 	}
 	rp.Comm = append(rp.Comm, rec)
 	return "", nil
-}
-
-func (d *decoder) indirect(rp *RankProfile, faults *rankFaults) error {
-	clear(rp.Indirect)
-	faults.indirect = ""
-	if null, err := d.begin('['); null || err != nil {
-		return err
-	}
-	for first := true; ; first = false {
-		if more, err := d.more(']', first); !more {
-			return err
-		}
-		null, err := d.indirectRecord(rp)
-		if err != nil {
-			return err
-		}
-		if null {
-			faults.indirect = "has a null indirect-call record"
-		}
-	}
-}
-
-func (d *decoder) indirectRecord(rp *RankProfile) (null bool, err error) {
-	if null, err = d.begin('{'); null || err != nil {
-		return null, err
-	}
-	rec := &IndirectRecord{}
-	for first := true; ; first = false {
-		key, ok, err := d.member(first)
-		if err != nil {
-			return false, err
-		}
-		if !ok {
-			break
-		}
-		switch fieldName(indirectFields, key) {
-		case "InstancePath":
-			s, null, e := d.readText()
-			if err = e; err == nil && !null {
-				rec.InstancePath = string(s)
-			}
-		case "Target":
-			s, null, e := d.readText()
-			if err = e; err == nil && !null {
-				rec.Target = string(s)
-			}
-		case "Site":
-			site := int(rec.Site)
-			err = d.readInt(&site)
-			rec.Site = minilang.NodeID(site)
-		case "Count":
-			err = d.readInt64(&rec.Count)
-		default:
-			err = d.skip()
-		}
-		if err != nil {
-			return false, err
-		}
-	}
-	rp.setIndirect(indirectKey(rec.InstancePath, rec.Site, rec.Target), rec)
-	return false, nil
 }

@@ -12,7 +12,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"maps"
 	"slices"
 	"strings"
 	"testing"
@@ -30,7 +29,7 @@ import (
 func repeatsArrayField(data []byte) bool {
 	type frame struct {
 		object, wantKey bool
-		seen            [3]bool
+		seen            [2]bool
 	}
 	var stack []frame
 	dec := json.NewDecoder(bytes.NewReader(data))
@@ -48,7 +47,7 @@ func repeatsArrayField(data []byte) bool {
 			stack = stack[:top]
 			top--
 		case top >= 0 && stack[top].wantKey:
-			for i, name := range []string{"profiles", "comm", "indirect"} {
+			for i, name := range []string{"profiles", "comm"} {
 				if strings.EqualFold(tok.(string), name) {
 					if stack[top].seen[i] {
 						return true
@@ -74,7 +73,7 @@ func (c *copiedRanks) Reset() { c.Profiles = nil }
 
 func (c *copiedRanks) Add(rp *RankProfile) error {
 	cp := *rp
-	cp.Vertex, cp.Comm, cp.Indirect = slices.Clone(rp.Vertex), slices.Clone(rp.Comm), maps.Clone(rp.Indirect)
+	cp.Vertex, cp.Comm = slices.Clone(rp.Vertex), slices.Clone(rp.Comm)
 	c.Profiles = append(c.Profiles, &cp)
 	return nil
 }
@@ -322,7 +321,8 @@ var awkwardInputs = []struct {
 
 	{name: "repeated comm arrays merge in the oracle", input: `{"profiles":[{"comm":[{"VertexKey":%[1]s,"Op":"a","Count":1}],"comm":[{"VertexKey":%[1]s,"Count":2}]}]}`, gaveUp: "repeated array-valued field"},
 	{name: "repeated profiles arrays merge in the oracle", input: `{"profiles":[{"rank":1,"np":2}],"profiles":[{"np":3}]}`, gaveUp: "repeated array-valued field"},
-	{name: "repeated indirect arrays merge in the oracle", input: `{"profiles":[{"indirect":[{"Target":"f","Count":1}],"indirect":[{"Count":2}]}]}`, gaveUp: "repeated array-valued field"},
+	{name: "repeated indirect arrays", input: `{"profiles":[{"indirect":[{"Target":"f","Count":1}],"indirect":[{"Count":2}]}]}`},
+	{name: "indirect with a number no float holds", input: `{"profiles":[{"indirect":[{"Site":1e999}]}]}`},
 	{name: "a null rank profile replaced by a second profiles array", input: `{"profiles":[null],"profiles":[]}`, gaveUp: "repeated array-valued field"},
 	{name: "repeated comm, second null", input: `{"profiles":[{"comm":[{"VertexKey":"bogus"}],"comm":null}]}`},
 	{name: "repeated comm, second empty", input: `{"profiles":[{"comm":[null],"comm":[]}]}`},
@@ -387,7 +387,7 @@ func TestDecodeMatchesOracle(t *testing.T) {
 func TestRepeatedArrayFieldLastWins(t *testing.T) {
 	g := fuzzGraph(t)
 	k1, _ := awkwardKeys(t, g)
-	data := []byte(fmt.Sprintf(`{"profiles":[{"rank":7},{"rank":8}],"profiles":[{"rank":1,"comm":[{"VertexKey":"bogus"}],"comm":[{"VertexKey":%[1]s,"Op":"a"},{"VertexKey":%[1]s,"Op":"b"}],"indirect":[null],"indirect":[{"Target":"f"}]}]}`, k1))
+	data := []byte(fmt.Sprintf(`{"profiles":[{"rank":7},{"rank":8}],"profiles":[{"rank":1,"comm":[{"VertexKey":"bogus"}],"comm":[{"VertexKey":%[1]s,"Op":"a"},{"VertexKey":%[1]s,"Op":"b"}]}]}`, k1))
 	ps, err := DecodeProfileSet(data, g)
 	if err != nil {
 		t.Fatal(err)
@@ -395,8 +395,8 @@ func TestRepeatedArrayFieldLastWins(t *testing.T) {
 	if len(ps.Profiles) != 1 || ps.Profiles[0].Rank != 1 {
 		t.Fatalf("profiles = %+v, want the second array's one rank", ps.Profiles)
 	}
-	if rp := ps.Profiles[0]; len(rp.Comm) != 2 || len(rp.Indirect) != 1 {
-		t.Fatalf("comm %d indirect %d, want the second arrays' 2 and 1", len(rp.Comm), len(rp.Indirect))
+	if rp := ps.Profiles[0]; len(rp.Comm) != 2 {
+		t.Fatalf("comm %d, want the second array's 2", len(rp.Comm))
 	}
 }
 
@@ -428,8 +428,8 @@ func TestScratchRankIsReusedAndEmptied(t *testing.T) {
 	}
 	for i, rp := range sink.Profiles {
 		full := i%2 == 0
-		if got := [3]int{rp.NumVertexEntries(), len(rp.Comm), len(rp.Indirect)}; full != (got == [3]int{1, 1, 1}) || !full && got != [3]int{} {
-			t.Errorf("rank object %d decoded to %d vertex, %d comm, %d indirect records", i, got[0], got[1], got[2])
+		if got := [2]int{rp.NumVertexEntries(), len(rp.Comm)}; full != (got == [2]int{1, 1}) || !full && got != [2]int{} {
+			t.Errorf("rank object %d decoded to %d vertex and %d comm records", i, got[0], got[1])
 		}
 		if want := [...]int{0, 1, 0, 0}[i]; !full && (rp.Rank != want || rp.NP != 0) {
 			t.Errorf("rank object %d reads rank %d np %d, want %d and 0", i, rp.Rank, rp.NP, want)
@@ -453,7 +453,6 @@ func TestDecodeErrorTexts(t *testing.T) {
 		{`{"profiles":[{"rank":2,"comm":[{"VertexKey":%s,"DepVertex":"nope"}]}]}`, `rank 2 profile names vertex "nope", which the compiled graph does not contain (profile/app mismatch?)`},
 		{`{"profiles":[{"rank":1,"vertex":{%s:null}}]}`, `rank 1 profile has a null record for vertex ` + k1},
 		{`{"profiles":[{"comm":[null],"rank":4}]}`, `rank 4 profile has a null communication record`},
-		{`{"profiles":[{"indirect":[null],"rank":5}]}`, `rank 5 profile has a null indirect-call record`},
 		{`{"profiles":[null]}`, `profile set has a null rank profile`},
 		{`{"np":1.0}`, `parse profile set: number is not an integer the field can hold at offset 9`},
 		{`{"x":[[[}`, `parse profile set: expected a value at offset 8`},

@@ -1,7 +1,6 @@
 package prof
 
 import (
-	"scalana/internal/minilang"
 	"scalana/internal/mpisim"
 	"scalana/internal/psg"
 )
@@ -16,7 +15,6 @@ var CheckAgainstOracle = checkAgainstOracle
 type OracleProfiler interface {
 	mpisim.Hook
 	Profile() *RankProfile
-	ObserveIndirect(rank int, inst *psg.Instance, site minilang.NodeID, target string)
 }
 
 // NewOracleProfiler builds the map-based reference profiler for one rank.

@@ -43,7 +43,7 @@ func fuzzGraph(tb testing.TB) *psg.Graph {
 
 // fuzzSeedSet builds a small but fully-populated profile set against the
 // fuzz graph: per-vertex performance vectors, p2p and collective
-// communication records with waits, and an indirect-call record.
+// communication records with waits.
 func fuzzSeedSet(tb testing.TB, g *psg.Graph) *ProfileSet {
 	tb.Helper()
 	ps := &ProfileSet{App: "fuzz", NP: 2, Elapsed: 0.25}
@@ -70,7 +70,6 @@ func fuzzSeedSet(tb testing.TB, g *psg.Graph) *ProfileSet {
 			{CommKey: ckey, Count: 1, TotalWait: 0.002, MaxWait: 0.002},
 		}
 		rp.SortComm()
-		rp.Indirect = map[string]*IndirectRecord{"main:1#foo": {InstancePath: "main", Site: 1, Target: "foo", Count: 2}}
 		ps.Profiles = append(ps.Profiles, rp)
 	}
 	return ps

@@ -12,7 +12,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"sort"
 
 	"scalana/internal/psg"
 )
@@ -29,11 +28,14 @@ type ProfileSet struct {
 // rankProfileDTO flattens the dense VID-indexed storage back to the
 // string-keyed maps of the wire format.
 type rankProfileDTO struct {
-	Rank     int                  `json:"rank"`
-	NP       int                  `json:"np"`
-	Vertex   map[string]*PerfData `json:"vertex"`
-	Comm     []*commRecordDTO     `json:"comm"`
-	Indirect []*IndirectRecord    `json:"indirect"`
+	Rank   int                  `json:"rank"`
+	NP     int                  `json:"np"`
+	Vertex map[string]*PerfData `json:"vertex"`
+	Comm   []*commRecordDTO     `json:"comm"`
+	// Indirect is always null: a run records no indirect-call resolution
+	// (DESIGN.md §1). The key stays so every set keeps its bytes and its
+	// store address.
+	Indirect []struct{} `json:"indirect"`
 }
 
 // commRecordDTO is one communication record on the wire; field names and
@@ -98,14 +100,6 @@ func (rp *RankProfile) MarshalJSON() ([]byte, error) {
 			Count: rec.Count, TotalWait: rec.TotalWait, MaxWait: rec.MaxWait,
 		}
 		dto.Comm[i] = &recs[i]
-	}
-	ikeys := make([]string, 0, len(rp.Indirect))
-	for k := range rp.Indirect {
-		ikeys = append(ikeys, k)
-	}
-	sort.Strings(ikeys)
-	for _, k := range ikeys {
-		dto.Indirect = append(dto.Indirect, rp.Indirect[k])
 	}
 	return json.Marshal(dto)
 }

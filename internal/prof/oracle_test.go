@@ -6,6 +6,9 @@ package prof
 // differential test and FuzzDecodeVsOracle hold the reader to. One thing
 // changed with RankProfile.Comm: the records still meet in a map keyed by
 // CommKey, and the map is then flattened into the canonical-order slice.
+// Another came with the runtime indirect-call records: the oracle decodes
+// into its own rank DTO, which lacks the encoder's always-null "indirect"
+// field, so encoding/json skips that member as an unknown one.
 
 import (
 	"encoding/json"
@@ -15,8 +18,16 @@ import (
 	"scalana/internal/psg"
 )
 
+// oracleRankDTO is the wire form of a RankProfile as the oracle reads it.
+type oracleRankDTO struct {
+	Rank   int                  `json:"rank"`
+	NP     int                  `json:"np"`
+	Vertex map[string]*PerfData `json:"vertex"`
+	Comm   []*commRecordDTO     `json:"comm"`
+}
+
 // fromDTO re-interns a wire profile against g's symbol table.
-func (dto *rankProfileDTO) fromDTO(g *psg.Graph) (*RankProfile, error) {
+func (dto *oracleRankDTO) fromDTO(g *psg.Graph) (*RankProfile, error) {
 	rp := NewRankProfile(g, dto.Rank, dto.NP)
 	vidOf := func(key string) (psg.VID, error) {
 		vid, ok := g.VIDOf(key)
@@ -70,21 +81,15 @@ func (dto *rankProfileDTO) fromDTO(g *psg.Graph) (*RankProfile, error) {
 		rp.Comm = append(rp.Comm, *rec)
 	}
 	sortComm(g.Keys(), rp.Comm)
-	for _, rec := range dto.Indirect {
-		if rec == nil {
-			return nil, fmt.Errorf("rank %d profile has a null indirect-call record", dto.Rank)
-		}
-		rp.setIndirect(indirectKey(rec.InstancePath, rec.Site, rec.Target), rec)
-	}
 	return rp, nil
 }
 
 // profileSetDTO is the wire form of a ProfileSet.
 type profileSetDTO struct {
-	App      string            `json:"app"`
-	NP       int               `json:"np"`
-	Elapsed  float64           `json:"elapsed"`
-	Profiles []*rankProfileDTO `json:"profiles"`
+	App      string           `json:"app"`
+	NP       int              `json:"np"`
+	Elapsed  float64          `json:"elapsed"`
+	Profiles []*oracleRankDTO `json:"profiles"`
 }
 
 // decodeOracle parses wire-format bytes the way DecodeProfileSet did

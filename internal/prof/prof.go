@@ -10,12 +10,12 @@ import (
 	"slices"
 
 	"scalana/internal/machine"
-	"scalana/internal/minilang"
 	"scalana/internal/mpisim"
 	"scalana/internal/psg"
 )
 
-// Config controls the profiler.
+// Config controls the profiler. A zero field means its default
+// (Normalized), so the zero Config is the paper's evaluation setup.
 type Config struct {
 	// SampleHz is the timer sampling frequency (paper evaluation: 200 Hz,
 	// matched to HPCToolkit for fairness).
@@ -24,21 +24,31 @@ type Config struct {
 	// parameters are recorded (random sampling-based instrumentation,
 	// paper §III-B2). 1.0 records every operation.
 	CommSampleProb float64
-	// Compress enables graph-guided communication compression: repeated
-	// operations with identical parameters collapse into one record.
-	// Disable only for the ablation benchmark.
-	Compress bool
+	// NoCompress turns off graph-guided communication compression, which
+	// collapses repeated operations with identical parameters into one
+	// record. Set it only for the ablation benchmark.
+	NoCompress bool
 	// Seed seeds the per-rank instrumentation-sampling RNG.
 	Seed int64
 }
 
 // DefaultConfig mirrors the paper's evaluation setup.
 func DefaultConfig() Config {
-	return Config{
-		SampleHz:       200,
-		CommSampleProb: 1.0,
-		Compress:       true,
+	return Config{SampleHz: 200, CommSampleProb: 1.0}
+}
+
+// Normalized overlays defaults on zero fields: a zero SampleHz samples at
+// 200 Hz and a zero CommSampleProb records every operation, so a rate of
+// exactly 0 is not expressible. The profilers apply it.
+func (c Config) Normalized() Config {
+	def := DefaultConfig()
+	if c.SampleHz == 0 {
+		c.SampleHz = def.SampleHz
 	}
+	if c.CommSampleProb == 0 {
+		c.CommSampleProb = def.CommSampleProb
+	}
+	return c
 }
 
 // The profiler's virtual CPU costs: one sampling interrupt (signal
@@ -94,18 +104,6 @@ type CommRecord struct {
 	MaxWait float64
 }
 
-// IndirectRecord is one runtime-resolved indirect call (paper §III-B3).
-type IndirectRecord struct {
-	// InstancePath is the PSG instance path of the calling function.
-	InstancePath string
-	// Site is the AST node of the indirect call site.
-	Site minilang.NodeID
-	// Target is the function name the call resolved to.
-	Target string
-	// Count is how many times this (site, target) resolution fired.
-	Count int64
-}
-
 // RankProfile is the profiler output for one rank.
 type RankProfile struct {
 	// Rank is the process this profile was collected on.
@@ -125,13 +123,8 @@ type RankProfile struct {
 	// the order; a hand-built profile calls SortComm. The encoder and
 	// ppg.Builder verify it with CheckComm instead of sorting again.
 	Comm []CommRecord
-	// Indirect holds runtime indirect-call resolutions (nil until the
-	// first one: most programs make no indirect call).
-	Indirect map[string]*IndirectRecord
-	// Raw counts for storage accounting.
-	EventsSeen    int64
+	// EventsSampled counts the MPI events whose parameters were recorded.
 	EventsSampled int64
-	SamplesTaken  int64
 }
 
 // NewRankProfile returns an empty profile whose dense vertex storage is
@@ -279,18 +272,16 @@ func (rp *RankProfile) NumVertexEntries() int {
 // for the storage-cost experiments (Table I, Fig. 11, Fig. 13). Sizes per
 // record reflect the binary layout scalana-prof writes: a vertex perf
 // entry is key hash + samples + 5 counters; a comm record is parameters +
-// counters; an indirect record is two hashes and a count.
+// counters.
 func (rp *RankProfile) StorageBytes() int64 {
 	const (
-		vertexEntry   = 8 + 8 + 8*int64(machine.NumCounters)
-		commEntry     = 8 + 4 + 4 + 8 + 4 + 8 + 8 + 8
-		indirectEntry = 8 + 8 + 8
-		header        = 64
+		vertexEntry = 8 + 8 + 8*int64(machine.NumCounters)
+		commEntry   = 8 + 4 + 4 + 8 + 4 + 8 + 8 + 8
+		header      = 64
 	)
 	return header +
 		int64(rp.NumVertexEntries())*vertexEntry +
-		int64(len(rp.Comm))*commEntry +
-		int64(len(rp.Indirect))*indirectEntry
+		int64(len(rp.Comm))*commEntry
 }
 
 // Profiler is the per-rank tool hook: an mpisim.TimerSampler, driven by
@@ -351,9 +342,7 @@ func New(cfg Config, graph *psg.Graph, rank, np int) *Profiler {
 // newProfilers builds the profilers of ranks first..first+n-1 of an
 // np-rank job over shared slabs.
 func newProfilers(cfg Config, graph *psg.Graph, first, n, np int) []Profiler {
-	if cfg.SampleHz <= 0 {
-		cfg.SampleHz = DefaultConfig().SampleHz
-	}
+	cfg = cfg.Normalized()
 	nv := graph.NumVIDs()
 	profilers := make([]Profiler, n)
 	profiles := make([]RankProfile, n)
@@ -430,7 +419,6 @@ func (pr *Profiler) Sample(p *mpisim.Proc, crossings int64, period float64, pmu 
 	pd.Samples += crossings
 	pd.Time += float64(crossings) * period
 	pd.PMU.Add(*pmu)
-	pr.profile.SamplesTaken += crossings
 	return float64(crossings) * sampleCost
 }
 
@@ -438,8 +426,6 @@ func (pr *Profiler) Sample(p *mpisim.Proc, crossings int64, period float64, pmu 
 //
 //scalana:hot
 func (pr *Profiler) MPIEvent(p *mpisim.Proc, ev *mpisim.Event) float64 {
-	pr.profile.EventsSeen++
-
 	// Fig. 5: capture (source, tag) at Irecv; resolve at Wait. When the
 	// posted source was a wildcard, the completed event's Peer plays the
 	// role of status.MPI_SOURCE.
@@ -480,7 +466,7 @@ func (pr *Profiler) MPIEvent(p *mpisim.Proc, ev *mpisim.Event) float64 {
 	if ev.DepCtx != nil {
 		depVID = ctxVID(ev.DepCtx)
 	}
-	if !pr.cfg.Compress {
+	if pr.cfg.NoCompress {
 		// Without graph-guided compression every record is unique.
 		tag = int(pr.profile.EventsSampled)<<8 | tag
 	}
@@ -503,7 +489,7 @@ func (pr *Profiler) record(vid, depVID psg.VID, depRank, tag int, ev *mpisim.Eve
 	// [0, 256), so while every tag has been that small the key is new by
 	// construction and the chain — one record an event — is not walked.
 	pr.wideTag = pr.wideTag || uint(ev.Tag) >= 256
-	if pr.cfg.Compress || pr.wideTag {
+	if !pr.cfg.NoCompress || pr.wideTag {
 		for i := pr.commHead[vid]; i != 0; i = pr.commNext[i-1] {
 			rec := &comm[i-1]
 			if rec.DepRank == depRank && rec.Tag == tag && rec.DepVID == depVID &&
@@ -520,32 +506,6 @@ func (pr *Profiler) record(vid, depVID psg.VID, depRank, tag int, ev *mpisim.Eve
 	pr.commHead[vid] = int32(len(pr.profile.Comm))
 	pr.commSorted = false
 	return &pr.profile.Comm[len(comm)]
-}
-
-// indirectKey names one (call site, target) resolution in
-// RankProfile.Indirect.
-func indirectKey(instancePath string, site minilang.NodeID, target string) string {
-	return fmt.Sprintf("%s:%d#%s", instancePath, site, target)
-}
-
-// setIndirect files rec under key, allocating the map on first use.
-func (rp *RankProfile) setIndirect(key string, rec *IndirectRecord) {
-	if rp.Indirect == nil {
-		rp.Indirect = map[string]*IndirectRecord{}
-	}
-	rp.Indirect[key] = rec
-}
-
-// ObserveIndirect records a runtime indirect-call resolution; wire it to
-// vm.Runner.OnIndirect.
-func (pr *Profiler) ObserveIndirect(rank int, inst *psg.Instance, site minilang.NodeID, target string) {
-	key := indirectKey(inst.Path, site, target)
-	rec := pr.profile.Indirect[key]
-	if rec == nil {
-		rec = &IndirectRecord{InstancePath: inst.Path, Site: site, Target: target}
-		pr.profile.setIndirect(key, rec)
-	}
-	rec.Count++
 }
 
 var _ mpisim.TimerSampler = (*Profiler)(nil)

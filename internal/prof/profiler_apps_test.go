@@ -10,7 +10,6 @@ import (
 	"bytes"
 	"testing"
 
-	"scalana/internal/minilang"
 	"scalana/internal/mpisim"
 	"scalana/internal/prof"
 	"scalana/internal/psg"
@@ -37,11 +36,7 @@ func oracleProfiles(t *testing.T, e *scalana.Engine, app *scalana.App, np int, p
 		profilers[rank] = prof.NewOracleProfiler(pcfg, graph, rank, np)
 		return []mpisim.Hook{profilers[rank]}
 	}}
-	runner := vm.NewRunner(code.(*vm.Program))
-	runner.OnIndirect = func(rank int, inst *psg.Instance, site minilang.NodeID, target string) {
-		profilers[rank].ObserveIndirect(rank, inst, site, target)
-	}
-	res, err := mpisim.NewWorld(wcfg).Run(runner.Stepper(np))
+	res, err := mpisim.NewWorld(wcfg).Run(vm.NewRunner(code.(*vm.Program)).Stepper(np))
 	if err != nil {
 		t.Fatalf("%s np=%d under the oracle: %v", app.Name, np, err)
 	}
@@ -78,7 +73,7 @@ func TestProfilerMatchesOracle(t *testing.T) {
 	sampled := prof.DefaultConfig()
 	sampled.CommSampleProb, sampled.Seed = 0.5, 7
 	uncompressed := prof.DefaultConfig()
-	uncompressed.Compress = false
+	uncompressed.NoCompress = true
 	for _, name := range scalana.AppNames() {
 		app := scalana.GetApp(name)
 		t.Run(name, func(t *testing.T) {

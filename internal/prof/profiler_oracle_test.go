@@ -14,7 +14,6 @@ import (
 	"math/rand"
 
 	"scalana/internal/machine"
-	"scalana/internal/minilang"
 	"scalana/internal/mpisim"
 	"scalana/internal/psg"
 )
@@ -83,7 +82,6 @@ func (pr *oracleProfiler) Advance(p *mpisim.Proc, from, to float64, kind mpisim.
 	pd.Time += float64(crossings) * pr.period
 	pd.PMU.Add(pr.pendingPMU)
 	pr.pendingPMU = machine.Vec{}
-	pr.profile.SamplesTaken += crossings
 	if kind == mpisim.AdvPerturb {
 		return 0
 	}
@@ -91,8 +89,6 @@ func (pr *oracleProfiler) Advance(p *mpisim.Proc, from, to float64, kind mpisim.
 }
 
 func (pr *oracleProfiler) MPIEvent(p *mpisim.Proc, ev *mpisim.Event) float64 {
-	pr.profile.EventsSeen++
-
 	switch ev.Kind {
 	case mpisim.EvIrecv:
 		pr.requestConverter[ev.ReqID] = srcTag{src: ev.Peer, tag: ev.Tag}
@@ -126,7 +122,7 @@ func (pr *oracleProfiler) MPIEvent(p *mpisim.Proc, ev *mpisim.Event) float64 {
 	if ev.DepCtx == nil {
 		key.DepVID = psg.VIDNone
 	}
-	if !pr.cfg.Compress {
+	if pr.cfg.NoCompress {
 		// Without graph-guided compression every record is unique.
 		key.Tag = int(pr.profile.EventsSampled)<<8 | key.Tag
 	}
@@ -141,16 +137,6 @@ func (pr *oracleProfiler) MPIEvent(p *mpisim.Proc, ev *mpisim.Event) float64 {
 		rec.MaxWait = ev.Wait
 	}
 	return commRecordCost
-}
-
-func (pr *oracleProfiler) ObserveIndirect(rank int, inst *psg.Instance, site minilang.NodeID, target string) {
-	key := indirectKey(inst.Path, site, target)
-	rec := pr.profile.Indirect[key]
-	if rec == nil {
-		rec = &IndirectRecord{InstancePath: inst.Path, Site: site, Target: target}
-		pr.profile.setIndirect(key, rec)
-	}
-	rec.Count++
 }
 
 var _ mpisim.Hook = (*oracleProfiler)(nil)

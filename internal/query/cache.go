@@ -180,7 +180,7 @@ func sampleBytes(smp *baseline.Sample) int64 {
 // graphBytes is what a cached graph is charged: its columnar Perf block,
 // its dependence edges (a map entry per waiting side, a pointer and a
 // DepEdge per edge) and its per-rank times. Zeusmp at np=1024 is charged
-// 2.40 MB of the 2.62 MB its decoded graph keeps live; the rest is map and
+// 2.36 MB of the 2.62 MB its decoded graph keeps live; the rest is map and
 // arena slack.
 func graphBytes(pg *ppg.Graph) int64 {
 	n := int64(len(pg.Perf))*int64(unsafe.Sizeof(prof.PerfData{})) +

@@ -186,11 +186,7 @@ func runOracle(prog *minilang.Program, graph *psg.Graph, cfg scalana.RunConfig) 
 		return mpisim.RunResult{}, nil, err
 	}
 	wcfg := mpisim.Config{NP: cfg.NP, MemSpeed: cfg.App.MemSpeed, Seed: cfg.Seed, HookFactory: trun.HooksForRank}
-	runner := interp.NewRunner(prog, graph)
-	if obs, ok := trun.(scalana.IndirectObserver); ok {
-		runner.OnIndirect = obs.ObserveIndirect
-	}
-	res, err := mpisim.NewWorld(wcfg).RunBlocking(runner.Execute)
+	res, err := mpisim.NewWorld(wcfg).RunBlocking(interp.NewRunner(prog, graph).Execute)
 	if err != nil {
 		return res, nil, err
 	}

@@ -21,7 +21,8 @@ type Runner struct {
 	GlueIns float64
 	// Stdout receives print() output; nil discards it.
 	Stdout io.Writer
-	// OnIndirect observes runtime indirect-call resolution.
+	// OnIndirect observes runtime indirect-call resolution. Only tests
+	// set it, as on vm.Runner.
 	OnIndirect vm.IndirectObserver
 }
 

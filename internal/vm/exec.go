@@ -16,8 +16,9 @@ import (
 const glueIns = 24
 
 // IndirectObserver is notified when an indirect call resolves its target
-// at run time (paper §III-B3). The ScalAna profiler records which
-// targets fired (prof.IndirectRecord); the PSG already holds them all.
+// at run time (paper §III-B3). No run records the resolutions: the PSG
+// already holds every target, and the target subtrees that ran carry the
+// samples.
 type IndirectObserver func(rank int, inst *psg.Instance, site minilang.NodeID, target string)
 
 // Runner executes a compiled Program on simulated ranks.
@@ -25,7 +26,8 @@ type Runner struct {
 	Prog *Program
 	// Stdout receives print() output; nil discards it.
 	Stdout io.Writer
-	// OnIndirect observes runtime indirect-call resolution.
+	// OnIndirect observes runtime indirect-call resolution. Only tests
+	// set it: the VM-vs-oracle differential test compares the targets.
 	OnIndirect IndirectObserver
 }
 

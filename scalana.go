@@ -194,13 +194,8 @@ func RunCompiled(prog *minilang.Program, graph *psg.Graph, cfg RunConfig) (*RunO
 	if err != nil {
 		return nil, fmt.Errorf("scalana: compile bytecode for %s: %w", cfg.App.Name, err)
 	}
-	runner := vm.NewRunner(cached.(*vm.Program))
-	if obs, ok := trun.(IndirectObserver); ok {
-		runner.OnIndirect = obs.ObserveIndirect
-	}
-
 	world := mpisim.NewWorld(wcfg)
-	res, err := world.Run(runner.Stepper(cfg.NP))
+	res, err := world.Run(vm.NewRunner(cached.(*vm.Program)).Stepper(cfg.NP))
 	if err != nil {
 		return nil, fmt.Errorf("scalana: run %s np=%d: %w", cfg.App.Name, cfg.NP, err)
 	}

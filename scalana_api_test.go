@@ -192,6 +192,37 @@ func TestPartialConfigIsTheDefaults(t *testing.T) {
 	}
 }
 
+// TestPartialProfConfigIsTheDefaults: a zero prof.Config field is its
+// default (prof.Config.Normalized), as a zero detect.Config field is. A
+// config that set only the rate used to record no communication, because
+// a zero CommSampleProb sampled nothing, and one that set only the
+// probability lost it, because a zero SampleHz swapped in DefaultConfig.
+func TestPartialProfConfigIsTheDefaults(t *testing.T) {
+	cg := GetApp("cg")
+	encode := func(pc prof.Config) string {
+		t.Helper()
+		out, err := Run(RunConfig{App: cg, NP: 8, ToolName: "scalana", Prof: pc, Seed: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := prof.EncodeProfileSet(&prof.ProfileSet{App: cg.Name, NP: 8, Elapsed: out.Result.Elapsed, Profiles: out.Profiles()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(data)
+	}
+	rate, prob := prof.DefaultConfig(), prof.DefaultConfig()
+	rate.SampleHz, prob.CommSampleProb = 1000, 0.5
+	for _, tc := range []struct{ partial, full prof.Config }{
+		{prof.Config{SampleHz: 1000}, rate},
+		{prof.Config{CommSampleProb: 0.5}, prob},
+	} {
+		if got, want := encode(tc.partial), encode(tc.full); got != want {
+			t.Errorf("%+v encodes %d bytes unlike %+v's %d", tc.partial, len(got), tc.full, len(want))
+		}
+	}
+}
+
 // TestUnboundedRecursionIsARankError: before the VM's call stack was data
 // this program killed the process ("fatal error: stack overflow", which no
 // recover can catch); it must come back as the rank's positioned error.
@@ -234,8 +265,9 @@ func TestHugeAllocIsARankError(t *testing.T) {
 }
 
 // TestIndirectCallProfiledEndToEnd: an app using function pointers runs
-// under the ScalAna profiler; the PSG is refined at run time and the
-// callee's work is attributed to the materialized vertices.
+// under the ScalAna profiler. A run records no indirect resolution: the
+// PSG holds every target's subtree, and the subtree each rank called
+// carries that rank's samples.
 func TestIndirectCallProfiledEndToEnd(t *testing.T) {
 	app := &App{
 		Name: "indirect-e2e", File: "ind.mp", MinNP: 1,
@@ -255,32 +287,26 @@ func main() {
 	mpi_barrier();
 }`,
 	}
-	out, err := Run(RunConfig{App: app, NP: 4, ToolName: "scalana"})
+	out, err := Run(RunConfig{App: app, NP: 4, ToolName: "scalana", Prof: prof.Config{SampleHz: 5000}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Both targets observed at run time.
-	targets := map[string]bool{}
-	for _, rp := range out.Profiles() {
-		for _, rec := range rp.Indirect {
-			targets[rec.Target] = true
-		}
-	}
-	if !targets["lightKernel"] || !targets["heavyKernel"] {
-		t.Errorf("indirect targets observed = %v", targets)
-	}
-	// The refined PSG contains vertices for both kernels, with samples on
-	// the heavy one.
-	heavyTime := 0.0
+	// Each kernel's vertices carry time on exactly the ranks that called
+	// it: light on the even ranks, heavy on the odd ones.
 	keys := out.PPG().PSG.Keys()
-	for _, vid := range out.PPG().PresentVIDs() {
-		if strings.Contains(keys[vid], "@heavyKernel") {
-			for _, tm := range out.PPG().TimeSeries(vid) {
-				heavyTime += tm
+	for kernel, odd := range map[string]bool{"@lightKernel": false, "@heavyKernel": true} {
+		time := make([]float64, out.NP)
+		for _, vid := range out.PPG().PresentVIDs() {
+			if strings.Contains(keys[vid], kernel) {
+				for r, tm := range out.PPG().TimeSeries(vid) {
+					time[r] += tm
+				}
 			}
 		}
-	}
-	if heavyTime <= 0 {
-		t.Error("no time attributed to the runtime-materialized heavyKernel vertices")
+		for r, tm := range time {
+			if (tm > 0) != (r%2 == 1 == odd) {
+				t.Errorf("%s: rank %d has %g s attributed", kernel, r, tm)
+			}
+		}
 	}
 }

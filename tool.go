@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"scalana/internal/minilang"
 	"scalana/internal/mpisim"
 	"scalana/internal/psg"
 )
@@ -68,13 +67,4 @@ type ToolRun interface {
 	// Finish returns the tool-specific payload for RunOutput.Data —
 	// e.g. per-rank profiles plus an assembled Program Performance Graph.
 	Finish() (data any, err error)
-}
-
-// IndirectObserver is optionally implemented by a ToolRun that wants
-// runtime indirect-call resolutions (paper §III-B3). When implemented,
-// the VM reports every resolved indirect call; rank is the resolving
-// rank, and calls arrive one at a time, on the goroutine that called
-// RunCompiled, in the order the scheduler steps the ranks.
-type IndirectObserver interface {
-	ObserveIndirect(rank int, inst *psg.Instance, site minilang.NodeID, target string)
 }

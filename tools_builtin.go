@@ -5,7 +5,6 @@ import (
 
 	"scalana/internal/commmatrix"
 	"scalana/internal/hpctk"
-	"scalana/internal/minilang"
 	"scalana/internal/mpisim"
 	"scalana/internal/ppg"
 	"scalana/internal/prof"
@@ -36,8 +35,7 @@ type ScalAnaData struct {
 
 func newScalAnaRun(cfg RunConfig, graph *psg.Graph) ToolRun {
 	pc := cfg.Prof
-	if pc.SampleHz == 0 {
-		pc = prof.DefaultConfig()
+	if pc.Seed == 0 {
 		pc.Seed = cfg.Seed
 	}
 	np := cfg.NP
@@ -78,14 +76,6 @@ func (r *scalAnaRun) Finish() (any, error) {
 	}
 	return &ScalAnaData{Profiles: r.profiles, PPG: pg}, nil
 }
-
-// ObserveIndirect forwards runtime indirect-call resolutions to the
-// resolving rank's profiler (paper §III-B3).
-func (r *scalAnaRun) ObserveIndirect(rank int, inst *psg.Instance, site minilang.NodeID, target string) {
-	r.profilers[rank].ObserveIndirect(rank, inst, site, target)
-}
-
-var _ IndirectObserver = (*scalAnaRun)(nil)
 
 // ---- "tracer": the Scalasca-like tracing baseline ----
 
