@@ -23,20 +23,23 @@ import (
 // The budgets are those plus 20 %. What is left is ppg.Build's per-rank
 // edge arenas and the dense Vertex blocks, not the per-event path.
 //
-// The bare run has a budget of its own: 23.3 objects (plus 20 %) and
-// 4,761 B a rank (plus 10 %) — the ranks of a world are one slab, a rank
+// The bare run has a budget of its own: 1.28 objects (plus 20 %) and
+// 2,483 B a rank (plus 10 %) — the ranks of a world are one slab, a rank
 // carries the timer and the counters it reads, and a VM register is one
 // 8-byte word (5,913 B when it was 48). A rank's machine, registers and
-// call stack are carved from three per-run slabs; a per-rank allocation
-// creeping back into vm.Runner.Stepper shows here as a count.
+// call stack are carved from three per-run slabs, its request lists and
+// handles and its channels' first queues from the world's; a channel
+// keeps only its in-flight messages (22.3 objects and 4,697 B a rank when
+// it kept every message of the run). A per-rank allocation creeping back
+// into vm.Runner.Stepper or mpisim shows here as a count.
 func TestAttachCostPerRank(t *testing.T) {
 	const (
 		np                = 256
 		runs              = 5
 		objectsBudget     = 19
 		bytesBudget       = 7700
-		bareObjectsBudget = 28
-		bareBytesBudget   = 5240
+		bareObjectsBudget = 1.53
+		bareBytesBudget   = 2731
 	)
 	app := scalana.GetApp("zeusmp")
 	prog, graph, err := scalana.NewEngine().Compile(app, psg.Options{})
@@ -60,10 +63,10 @@ func TestAttachCostPerRank(t *testing.T) {
 	bareObjects, bareBytes := perRank("")
 	profObjects, profBytes := perRank("scalana")
 	objects, bytes := profObjects-bareObjects, profBytes-bareBytes
-	t.Logf("per rank: bare %.1f objects / %.0f B, profiled %.1f / %.0f, attach cost %.1f objects / %.0f B",
+	t.Logf("per rank: bare %.2f objects / %.0f B, profiled %.1f / %.0f, attach cost %.1f objects / %.0f B",
 		bareObjects, bareBytes, profObjects, profBytes, objects, bytes)
 	if bareObjects > bareObjectsBudget || bareBytes > bareBytesBudget {
-		t.Errorf("a bare run costs %.1f objects and %.0f B a rank, budget %d and %d",
+		t.Errorf("a bare run costs %.2f objects and %.0f B a rank, budget %g and %d",
 			bareObjects, bareBytes, bareObjectsBudget, bareBytesBudget)
 	}
 	if objects > objectsBudget || bytes > bytesBudget {

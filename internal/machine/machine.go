@@ -6,7 +6,10 @@
 // per-rank heterogeneous memory speed (the Nekbone case study's root cause).
 package machine
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Counter indexes one PMU counter in a Vec.
 type Counter int
@@ -88,8 +91,8 @@ func NewCore(memSpeed func(rank int) float64, rank int) Core {
 // the FP pipeline time, the instruction issue time, and the memory time
 // derived from a two-level cache hit model over the working set.
 func (c *Core) Compute(flops, loads, stores, ws float64, d *Vec) float64 {
-	if flops < 0 || loads < 0 || stores < 0 {
-		panic(fmt.Sprintf("machine: negative compute operands (%g,%g,%g)", flops, loads, stores))
+	if !(isAmount(flops) && isAmount(loads) && isAmount(stores) && isAmount(ws)) {
+		panic(fmt.Sprintf("machine: compute(%g, %g, %g, %g): every operand must be finite and non-negative", flops, loads, stores, ws))
 	}
 	mem := loads + stores
 	ins := (flops + mem) * (1 + insOverhead)
@@ -125,6 +128,9 @@ func (c *Core) Compute(flops, loads, stores, ws float64, d *Vec) float64 {
 	*d = Vec{TotIns: ins, TotCyc: cycles, TotLstIns: mem, L2Miss: missMem * mem, FpOps: flops}
 	return cycles / clockHz
 }
+
+// isAmount reports whether x is finite and non-negative.
+func isAmount(x float64) bool { return x >= 0 && x <= math.MaxFloat64 }
 
 // Overhead prices light bookkeeping work (interpreter glue, MPI call
 // entry): n abstract instructions at the issue rate take the returned

@@ -1,6 +1,9 @@
 package machine
 
 import (
+	"fmt"
+	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -111,13 +114,20 @@ func TestOverhead(t *testing.T) {
 	}
 }
 
+// TestComputePanicsOnNegative: an operand that is negative, NaN or
+// infinite — the working set's included — is refused, naming compute.
 func TestComputePanicsOnNegative(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic on negative flops")
-		}
-	}()
-	compute(NewCore(nil, 0), -1, 0, 0, 0)
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, ops := range [][4]float64{{-1, 0, 0, 0}, {nan, 1, 1, 64}, {inf, 1, 1, 64}, {1, -inf, 1, 64}, {1, 1, nan, 64}, {1, 1, 1, -64}, {1, 1, 1, inf}} {
+		func() {
+			defer func() {
+				if r := fmt.Sprint(recover()); !strings.HasPrefix(r, "machine: compute(") {
+					t.Errorf("compute%v panicked with %q, want a compute operand error", ops, r)
+				}
+			}()
+			compute(NewCore(nil, 0), ops[0], ops[1], ops[2], ops[3])
+		}()
+	}
 }
 
 func TestVecAddScale(t *testing.T) {

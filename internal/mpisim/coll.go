@@ -129,6 +129,7 @@ func ceilLog2b(n int) float64 {
 // arrival, and — for the last arriver — the completion; every earlier
 // arriver parks (false) and completes when the last one wakes it.
 func (p *Proc) collective(op string, root int, bytes float64) bool {
+	p.validBytes(op, bytes)
 	t0 := p.Clock
 	p.mpiOverhead()
 	seq := p.collSeq

@@ -629,11 +629,17 @@ func TestRunResultCounters(t *testing.T) {
 }
 
 // TestInboxIndexedPastScanLimit sends one rank more (source, tag) pairs
-// than an inbox scans and checks every message still finds its channel.
+// than an inbox scans and checks that every receive was handed its own
+// message and that every channel ends with nothing in flight.
 func TestInboxIndexedPastScanLimit(t *testing.T) {
 	const np, tags = 4, 4
-	w := newTestWorld(np)
-	var got [np][tags]float64
+	var events []*Event
+	w := NewWorld(Config{NP: np, Seed: 1, HookFactory: func(rank int) []Hook {
+		if rank != 0 {
+			return nil
+		}
+		return []Hook{&captureHook{events: &events}}
+	}})
 	_, err := w.RunBlocking(func(p *Proc) {
 		if p.Rank != 0 {
 			for tag := 0; tag < tags; tag++ {
@@ -651,22 +657,70 @@ func TestInboxIndexedPastScanLimit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	waits := 0
+	for _, ev := range events {
+		if ev.Kind != EvWait {
+			continue
+		}
+		waits++
+		if want := float64(100*ev.Peer + ev.Tag); ev.Bytes != want {
+			t.Errorf("wait on %d->0 tag %d delivered %g bytes, want %g", ev.Peer, ev.Tag, ev.Bytes, want)
+		}
+	}
+	if waits != (np-1)*tags {
+		t.Errorf("%d waits completed, want %d", waits, (np-1)*tags)
+	}
 	in := &w.matcher.inboxes[0]
 	if len(in.list) != (np-1)*tags || in.index == nil {
 		t.Fatalf("rank 0 inbox: %d channels, index %v; want %d channels behind an index", len(in.list), in.index != nil, (np-1)*tags)
 	}
 	for _, e := range in.list {
-		if in.index[e.srcTag] != e.ch || len(e.ch.sends) != 1 {
-			t.Fatalf("channel %+v: index and list disagree, or %d sends, want 1", e.srcTag, len(e.ch.sends))
+		if in.index[e.srcTag] != e.ch || len(e.ch.queue) != 0 || e.ch.base != 1 {
+			t.Errorf("channel %+v: index and list disagree, or %d sends held and base %d, want 0 and 1", e.srcTag, len(e.ch.queue), e.ch.base)
 		}
-		got[e.src][e.tag] = e.ch.sends[0].bytes
 	}
-	for src := 1; src < np; src++ {
-		for tag := 0; tag < tags; tag++ {
-			if want := float64(100*src + tag); got[src][tag] != want {
-				t.Errorf("channel %d->0 tag %d carried %g bytes, want %g", src, tag, got[src][tag], want)
-			}
+}
+
+// TestChannelHoldsOnlyInFlight streams 20,000 messages down one channel
+// with the receives at most 4 behind the sends: the channel's queue keeps
+// the sends in flight, not the run's history, so its capacity stays small.
+func TestChannelHoldsOnlyInFlight(t *testing.T) {
+	const n, lag = 20000, 4
+	w := newTestWorld(2)
+	s, r := w.Proc(0), w.Proc(1)
+	longest := 0
+	for i := 0; i < n+lag; i++ {
+		if i < n {
+			s.Send(1, 3, float64(i))
 		}
+		if i >= lag {
+			r.Recv(0, 3, 0)
+		}
+		longest = max(longest, cap(w.matcher.inboxes[1].list[0].ch.queue))
+	}
+	ch := w.matcher.inboxes[1].list[0].ch
+	if longest > 2*lag || len(ch.queue) != 0 || ch.base != n {
+		t.Errorf("queue capacity reached %d (want at most %d); at the end %d sends held, base %d (want 0 and %d)", longest, 2*lag, len(ch.queue), ch.base, n)
+	}
+}
+
+// TestWildcardThenSpecificOnOneChannel: a specific receive whose send a
+// wildcard receive already consumed fails its rank loudly.
+func TestWildcardThenSpecificOnOneChannel(t *testing.T) {
+	w := newTestWorld(2)
+	_, err := w.RunBlocking(func(p *Proc) {
+		if p.Rank == 1 {
+			p.Send(0, 4, 64)
+			p.Send(0, 4, 64)
+			return
+		}
+		p.Compute(1e6, 0, 0, 64) // both sends are posted first
+		p.RecvAny(4, 64)
+		p.Recv(1, 4, 64)
+	})
+	want := "rank 0: mpisim: send 1->0 tag 4 seq 0 already consumed by a wildcard receive (mixed wildcard/specific matching is not supported)"
+	if err == nil || err.Error() != want {
+		t.Errorf("error %v, want %q", err, want)
 	}
 }
 

@@ -2,6 +2,7 @@ package mpisim
 
 import (
 	"fmt"
+	"math"
 
 	"scalana/internal/machine"
 )
@@ -25,20 +26,24 @@ import (
 
 type sendInfo struct {
 	from    int
-	seq     int
 	bytes   float64
 	tArrive float64 // virtual arrival time at the receiver
 	ctx     any     // sender's attribution context at the send
+	// matched marks a queued send a receive has consumed. A receive gets
+	// its send by value, and there matched says the copy is filled in.
 	matched bool
 }
 
 type channel struct {
 	src, tag int
-	sends    []*sendInfo
-	// head is the first send a wildcard receive has yet to look at:
-	// every send before it is matched, so wildcard matching starts here
-	// instead of rescanning the channel's history.
-	head        int
+	// queue holds the channel's in-flight sends by value: queue[i] is send
+	// number base+i, and queue[:head] is the consumed prefix. A Wait may
+	// complete a later request of a channel first, so a send is marked
+	// consumed where it sits and head moves past the prefix as soon as it
+	// forms; push reclaims the prefix's room. The queue's capacity follows
+	// how many sends are in flight, not how many were ever posted.
+	queue       []sendInfo
+	base, head  int
 	recvClaims  int  // sequence numbers claimed by specific receives
 	hasSpecific bool // a specific receive has used this channel
 	// waiter is the rank parked until the send with sequence number
@@ -47,6 +52,33 @@ type channel struct {
 	// blocks in one operation at a time.
 	waiter    int
 	waiterSeq int
+}
+
+// push queues a newly posted send. A full queue whose consumed prefix is
+// a quarter of it slides its live sends down instead of growing.
+func (ch *channel) push(s sendInfo) {
+	if n := len(ch.queue); n == cap(ch.queue) && 4*ch.head >= n {
+		ch.base += ch.head
+		ch.queue = ch.queue[:copy(ch.queue, ch.queue[ch.head:])]
+		ch.head = 0
+	}
+	ch.queue = append(ch.queue, s)
+}
+
+// consume marks send number seq consumed, drops the consumed prefix, and
+// returns the send.
+func (ch *channel) consume(seq int) sendInfo {
+	s := &ch.queue[seq-ch.base]
+	s.matched = true
+	info := *s
+	for ch.head < len(ch.queue) && ch.queue[ch.head].matched {
+		ch.head++
+	}
+	if ch.head == len(ch.queue) {
+		ch.base += ch.head
+		ch.queue, ch.head = ch.queue[:0], 0
+	}
+	return info
 }
 
 type srcTag struct{ src, tag int }
@@ -71,34 +103,37 @@ const (
 	// inboxCap is the list capacity each rank gets out of the matcher's
 	// one slab; a longer list moves to the heap.
 	inboxCap = 4
+	// queueCap is the queue capacity a channel gets out of the matcher's
+	// slab, and reqsCap the capacity of a rank's outstanding and free
+	// request lists out of the world's; a longer one moves to the heap.
+	queueCap = 2
+	reqsCap  = 4
 )
 
 type matcher struct {
 	w *World
 	// inboxes holds every channel, by destination rank.
 	inboxes []inbox
-	// slab is the current sendInfo allocation chunk. Records live for the
-	// whole run (channels keep them for matching), so the slab only grows;
-	// chunks are never appended past capacity, keeping pointers stable.
-	slab []sendInfo
-	// chanSlab is the same for channels.
-	chanSlab []channel
+	// chanSlab, queueSlab and reqSlab are the current allocation chunks of
+	// channels, their first queues and request handles (see carve).
+	chanSlab  []channel
+	queueSlab [][queueCap]sendInfo
+	reqSlab   []Request
 	// anyScanned counts the sends wildcard matching has examined.
 	anyScanned int
 }
 
-const (
-	sendSlabChunk = 256
-	chanSlabChunk = 64
-)
+const slabChunk = 64
 
-// newSendInfo carves one record out of the slab.
-func (m *matcher) newSendInfo() *sendInfo {
-	if len(m.slab) == cap(m.slab) {
-		m.slab = make([]sendInfo, 0, sendSlabChunk)
+// carve takes one zero T out of the current chunk of a slab, starting a
+// new chunk when it is full. A chunk never grows past its capacity, so the
+// pointers carve hands out stay valid for the life of the world.
+func carve[T any](slab *[]T) *T {
+	if len(*slab) == cap(*slab) {
+		*slab = make([]T, 0, slabChunk)
 	}
-	m.slab = append(m.slab, sendInfo{})
-	return &m.slab[len(m.slab)-1]
+	*slab = (*slab)[:len(*slab)+1]
+	return &(*slab)[len(*slab)-1]
 }
 
 func newMatcher(w *World) *matcher {
@@ -130,11 +165,8 @@ func (m *matcher) chanFor(src, dst, tag int) *channel {
 }
 
 func (m *matcher) newChannel(in *inbox, src, tag int) *channel {
-	if len(m.chanSlab) == cap(m.chanSlab) {
-		m.chanSlab = make([]channel, 0, chanSlabChunk)
-	}
-	m.chanSlab = append(m.chanSlab, channel{src: src, tag: tag, waiter: -1})
-	ch := &m.chanSlab[len(m.chanSlab)-1]
+	ch := carve(&m.chanSlab)
+	*ch = channel{src: src, tag: tag, waiter: -1, queue: carve(&m.queueSlab)[:0]}
 	in.list = append(in.list, inboxEntry{srcTag{src, tag}, ch})
 	switch {
 	case in.index != nil:
@@ -148,33 +180,29 @@ func (m *matcher) newChannel(in *inbox, src, tag int) *channel {
 	return ch
 }
 
-// postSend registers a message from src to dst and readies a matching
-// parked receiver, if any.
+// postSend registers a message from src to dst and hands it to a
+// matching parked receiver, if any.
 func (m *matcher) postSend(src, dst, tag int, bytes, tArrive float64, ctx any) {
 	ch := m.chanFor(src, dst, tag)
-	info := m.newSendInfo()
-	*info = sendInfo{from: src, seq: len(ch.sends), bytes: bytes, tArrive: tArrive, ctx: ctx}
-	ch.sends = append(ch.sends, info)
-	if ch.waiter >= 0 && ch.waiterSeq == info.seq {
-		r := ch.waiter
+	seq := ch.base + len(ch.queue)
+	ch.push(sendInfo{from: src, bytes: bytes, tArrive: tArrive, ctx: ctx})
+	r := ch.waiter
+	if r >= 0 && ch.waiterSeq == seq {
 		ch.waiter = -1
-		info.matched = true
-		m.w.procs[r].wakeInfo = info
-		m.w.sched.wake(r)
+	} else if b := &m.w.procs[dst].block; b.kind == blockRecvAny && b.tag == tag && !ch.hasSpecific {
+		// A rank parked in a wildcard receive says so in its block state.
+		r = dst
+	} else {
 		return
 	}
-	// A rank parked in a wildcard receive says so in its block state.
-	if b := &m.w.procs[dst].block; b.kind == blockRecvAny && b.tag == tag && !ch.hasSpecific {
-		info.matched = true
-		m.w.procs[dst].wakeInfo = info
-		m.w.sched.wake(dst)
-	}
+	m.w.procs[r].wakeInfo = ch.consume(seq)
+	m.w.sched.wake(r)
 }
 
 // claimRecv obtains the matching send for the next specific receive
-// posted by p on (src,tag); nil means the send has not been posted yet and
-// the rank is now blocked on it.
-func (m *matcher) claimRecv(p *Proc, src, tag int) *sendInfo {
+// posted by p on (src,tag); an unmatched result means the send has not
+// been posted yet and the rank is now blocked on it.
+func (m *matcher) claimRecv(p *Proc, src, tag int) sendInfo {
 	ch, seq := m.claim(src, p.Rank, tag)
 	return m.take(p, ch, seq)
 }
@@ -190,54 +218,48 @@ func (m *matcher) claim(src, dst, tag int) (*channel, int) {
 
 // take consumes send number seq of a channel for a specific receive of
 // its destination rank p. When the send is not posted yet it registers p
-// as the channel's waiter and returns nil: postSend will wake p with the
-// send in its wake slot.
-func (m *matcher) take(p *Proc, ch *channel, seq int) *sendInfo {
-	if seq < len(ch.sends) {
-		info := ch.sends[seq]
-		if info.matched {
-			panic(fmt.Sprintf("mpisim: send %d->%d tag %d seq %d already consumed by a wildcard receive (mixed wildcard/specific matching is not supported)", ch.src, p.Rank, ch.tag, seq))
-		}
-		info.matched = true
-		return info
+// as the channel's waiter and returns an unmatched sendInfo: postSend
+// will wake p with the send in its wake slot.
+func (m *matcher) take(p *Proc, ch *channel, seq int) sendInfo {
+	switch i := seq - ch.base; {
+	case i < ch.head:
+		panic(fmt.Sprintf("mpisim: send %d->%d tag %d seq %d already consumed by a wildcard receive (mixed wildcard/specific matching is not supported)", ch.src, p.Rank, ch.tag, seq))
+	case i < len(ch.queue):
+		return ch.consume(seq)
 	}
 	ch.waiter = p.Rank
 	ch.waiterSeq = seq
 	m.w.sched.blockOn(p, blockState{kind: blockRecv, src: ch.src, tag: ch.tag, seq: seq})
-	return nil
+	return sendInfo{}
 }
 
 // claimRecvAny matches the next wildcard receive of p on tag: the
 // unconsumed send with the earliest virtual arrival, or — when none is
-// posted, which it reports as nil — the first send a peer posts to p on
-// tag, delivered through the wake slot.
-func (m *matcher) claimRecvAny(p *Proc, tag int) *sendInfo {
-	var best *sendInfo
+// posted, which it reports as an unmatched sendInfo — the first send a
+// peer posts to p on tag, delivered through the wake slot.
+func (m *matcher) claimRecvAny(p *Proc, tag int) sendInfo {
+	var best *channel
 	for _, e := range m.inboxes[p.Rank].list {
 		ch := e.ch
-		if e.tag != tag || ch.hasSpecific {
-			continue
-		}
-		// Sends are in order; only the first unmatched one can match.
-		for ch.head < len(ch.sends) && ch.sends[ch.head].matched {
-			ch.head++
-			m.anyScanned++
-		}
-		if ch.head == len(ch.sends) {
+		// Only a channel's first unconsumed send can match.
+		if e.tag != tag || ch.hasSpecific || ch.head == len(ch.queue) {
 			continue
 		}
 		m.anyScanned++
-		s := ch.sends[ch.head]
-		if best == nil || s.tArrive < best.tArrive || (s.tArrive == best.tArrive && s.from < best.from) {
-			best = s
+		if best == nil {
+			best = ch
+			continue
+		}
+		s, b := &ch.queue[ch.head], &best.queue[best.head]
+		if s.tArrive < b.tArrive || (s.tArrive == b.tArrive && s.from < b.from) {
+			best = ch
 		}
 	}
 	if best != nil {
-		best.matched = true
-		return best
+		return best.consume(best.base + best.head)
 	}
 	m.w.sched.blockOn(p, blockState{kind: blockRecvAny, tag: tag})
-	return nil
+	return sendInfo{}
 }
 
 // Request is a non-blocking communication handle.
@@ -249,11 +271,10 @@ type Request struct {
 	bytes  float64
 	// ch and seq are the channel and the matching sequence number a
 	// specific receive claimed at post time; wildcard receives resolve at
-	// wait time.
+	// wait time. claimed is the matched send once the receive resolved.
 	ch      *channel
 	seq     int
-	claimed *sendInfo
-	postCtx any
+	claimed sendInfo
 }
 
 // ID returns the request handle value exposed to the application.
@@ -265,10 +286,19 @@ func (p *Proc) validPeer(peer int) {
 	}
 }
 
+// validBytes fails the rank on a byte count that is negative, NaN or
+// infinite, naming the operation.
+func (p *Proc) validBytes(op string, bytes float64) {
+	if !(bytes >= 0 && bytes <= math.MaxFloat64) {
+		panic(fmt.Sprintf("mpisim: rank %d: %s of %g bytes: a byte count must be finite and non-negative", p.Rank, op, bytes))
+	}
+}
+
 // Send is an eager blocking send: the sender pays overhead plus injection
 // cost and proceeds; the message arrives after the wire latency.
 func (p *Proc) Send(dst, tag int, bytes float64) {
 	p.validPeer(dst)
+	p.validBytes("mpi_send", bytes)
 	t0 := p.Clock
 	p.mpiOverhead()
 	p.advance(bytes*netPerByte, AdvTransfer, &zeroVec)
@@ -279,13 +309,14 @@ func (p *Proc) Send(dst, tag int, bytes float64) {
 // Recv is a blocking receive from a specific source.
 func (p *Proc) Recv(src, tag int, bytes float64) bool {
 	p.validPeer(src)
+	p.validBytes("mpi_recv", bytes)
 	t0 := p.Clock
 	p.mpiOverhead()
 	info := p.world.matcher.claimRecv(p, src, tag)
-	if info == nil {
+	if !info.matched {
 		return p.park(cont{kind: contRecv, t0: t0, tag: tag})
 	}
-	p.finishRecv("mpi_recv", t0, tag, info)
+	p.finishRecv("mpi_recv", t0, tag, &info)
 	return true
 }
 
@@ -296,16 +327,17 @@ const Parked = -2
 // RecvAny is a blocking wildcard-source receive; it returns the matched
 // source rank (the MPI_Status.MPI_SOURCE of paper Fig. 5), or Parked.
 func (p *Proc) RecvAny(tag int, bytes float64) int {
+	p.validBytes("mpi_recv_any", bytes)
 	t0 := p.Clock
 	p.mpiOverhead()
 	info := p.world.matcher.claimRecvAny(p, tag)
-	if info == nil {
+	if !info.matched {
 		if !p.park(cont{kind: contRecvAny, t0: t0, tag: tag}) {
 			return Parked
 		}
 		return p.MatchedSource()
 	}
-	p.finishRecv("mpi_recv_any", t0, tag, info)
+	p.finishRecv("mpi_recv_any", t0, tag, &info)
 	return info.from
 }
 
@@ -327,6 +359,7 @@ func (p *Proc) finishRecv(op string, t0 float64, tag int, info *sendInfo) {
 // buffered immediately, so the returned request completes instantly.
 func (p *Proc) Isend(dst, tag int, bytes float64) *Request {
 	p.validPeer(dst)
+	p.validBytes("mpi_isend", bytes)
 	t0 := p.Clock
 	p.mpiOverhead()
 	p.advance(bytes*netPerByte, AdvTransfer, &zeroVec)
@@ -340,6 +373,7 @@ func (p *Proc) Isend(dst, tag int, bytes float64) *Request {
 // sequence number is claimed at post time, preserving program order.
 func (p *Proc) Irecv(src, tag int, bytes float64) *Request {
 	p.validPeer(src)
+	p.validBytes("mpi_irecv", bytes)
 	t0 := p.Clock
 	p.mpiOverhead()
 	req := p.newRequest(false, src, tag, bytes)
@@ -351,6 +385,7 @@ func (p *Proc) Irecv(src, tag int, bytes float64) *Request {
 // IrecvAny posts a non-blocking wildcard receive; the source is uncertain
 // until completion (paper Fig. 5's status-based resolution).
 func (p *Proc) IrecvAny(tag int, bytes float64) *Request {
+	p.validBytes("mpi_irecv_any", bytes)
 	t0 := p.Clock
 	p.mpiOverhead()
 	req := p.newRequest(false, AnySource, tag, bytes)
@@ -365,9 +400,9 @@ func (p *Proc) newRequest(isSend bool, src, tag int, bytes float64) *Request {
 		p.freeReqs = p.freeReqs[:n-1]
 		*r = Request{}
 	} else {
-		r = &Request{}
+		r = carve(&p.world.matcher.reqSlab)
 	}
-	r.isSend, r.src, r.tag, r.bytes, r.postCtx = isSend, src, tag, bytes, p.Ctx
+	r.isSend, r.src, r.tag, r.bytes = isSend, src, tag, bytes
 	p.nextReq++
 	r.id = p.nextReq
 	p.reqs = append(p.reqs, r)
@@ -385,22 +420,19 @@ func (p *Proc) FindRequest(id int) *Request {
 	return nil
 }
 
-// resolve obtains the matched sendInfo for a receive request; nil means
-// the matching send has not been posted yet and the rank is now blocked on
-// it (resume stores the send its waker delivers in r.claimed).
-func (p *Proc) resolve(r *Request) *sendInfo {
-	if r.claimed != nil {
-		return r.claimed
+// resolve fills in r.claimed, the matched send of a receive request, and
+// reports whether it could: false means the matching send has not been
+// posted yet and the rank is now blocked on it (resume stores the send its
+// waker delivers in r.claimed).
+func (p *Proc) resolve(r *Request) bool {
+	if !r.claimed.matched {
+		if r.src == AnySource {
+			r.claimed = p.world.matcher.claimRecvAny(p, r.tag)
+		} else {
+			r.claimed = p.world.matcher.take(p, r.ch, r.seq)
+		}
 	}
-	if r.isSend {
-		return nil
-	}
-	if r.src == AnySource {
-		r.claimed = p.world.matcher.claimRecvAny(p, r.tag)
-		return r.claimed
-	}
-	r.claimed = p.world.matcher.take(p, r.ch, r.seq)
-	return r.claimed
+	return r.claimed.matched
 }
 
 // dropRequest removes a completed request from the outstanding list and
@@ -431,11 +463,10 @@ func (p *Proc) Wait(id int) bool {
 			TStart: t0, TEnd: p.Clock, DepRank: -1, Root: -1, Requests: 1, ReqID: id})
 		return true
 	}
-	info := p.resolve(r)
-	if info == nil {
+	if !p.resolve(r) {
 		return p.park(cont{kind: contWait, t0: t0, idx: id})
 	}
-	p.finishWait(t0, r, info)
+	p.finishWait(t0, r, &r.claimed)
 	return true
 }
 
@@ -472,15 +503,14 @@ func (p *Proc) waitallFrom() bool {
 	for ; c.idx < len(p.reqs); c.idx++ {
 		r := p.reqs[c.idx]
 		if !r.isSend {
-			info := p.resolve(r)
-			if info == nil {
+			if !p.resolve(r) {
 				c.kind = contWaitall
 				return false
 			}
 			c.nRecv++
-			c.bytes += info.bytes
-			if c.last == nil || info.tArrive > c.last.tArrive {
-				c.last = info
+			c.bytes += r.claimed.bytes
+			if c.last == nil || r.claimed.tArrive > c.last.tArrive {
+				c.last = &r.claimed
 			}
 		}
 		p.freeReqs = append(p.freeReqs, r)
@@ -507,15 +537,17 @@ func (p *Proc) waitallFrom() bool {
 func (p *Proc) Sendrecv(dst, stag int, sbytes float64, src, rtag int, rbytes float64) bool {
 	p.validPeer(dst)
 	p.validPeer(src)
+	p.validBytes("mpi_sendrecv", sbytes)
+	p.validBytes("mpi_sendrecv", rbytes)
 	t0 := p.Clock
 	p.mpiOverhead()
 	p.advance(sbytes*netPerByte, AdvTransfer, &zeroVec)
 	p.world.matcher.postSend(p.Rank, dst, stag, sbytes, p.Clock+netLatency, p.Ctx)
 	info := p.world.matcher.claimRecv(p, src, rtag)
-	if info == nil {
+	if !info.matched {
 		return p.park(cont{kind: contSendrecv, t0: t0, tag: rtag, dst: int32(dst), bytes: sbytes})
 	}
-	p.finishSendrecv(t0, rtag, dst, sbytes, info)
+	p.finishSendrecv(t0, rtag, dst, sbytes, &info)
 	return true
 }
 

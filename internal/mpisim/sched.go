@@ -90,8 +90,9 @@ type cont struct {
 	// idx is the id of the request a Wait is completing, or the index in
 	// Proc.reqs of the next request a Waitall has to complete.
 	idx int
-	// last is the latest-arriving message a Waitall has seen: the rank that
-	// kept this one waiting. Send records live as long as the world.
+	// last is the latest-arriving message a Waitall has seen — the rank
+	// that kept this one waiting — in the claimed slot of its request,
+	// which no operation reuses before the Waitall completes.
 	last *sendInfo
 	slot *collSlot // the collective the rank arrived in
 }
@@ -124,8 +125,7 @@ func (p *Proc) resume() bool {
 	c := &p.cont
 	kind := c.kind
 	c.kind = contNone
-	info := p.wakeInfo
-	p.wakeInfo = nil
+	info := &p.wakeInfo
 	switch kind {
 	case contRecv:
 		p.finishRecv("mpi_recv", c.t0, c.tag, info)
@@ -137,7 +137,7 @@ func (p *Proc) resume() bool {
 	case contWait:
 		p.finishWait(c.t0, p.FindRequest(c.idx), info)
 	case contWaitall:
-		p.reqs[c.idx].claimed = info
+		p.reqs[c.idx].claimed = *info
 		return p.waitallFrom()
 	case contColl:
 		p.finishCollective(c.t0, c.slot, c.bytes)

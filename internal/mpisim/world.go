@@ -62,9 +62,12 @@ func NewWorld(cfg Config) *World {
 	w.colls = newCollectives(w)
 	w.procs = make([]*Proc, cfg.NP)
 	procs := make([]Proc, cfg.NP)
+	lists := make([]*Request, 2*cfg.NP*reqsCap)
 	for r := 0; r < cfg.NP; r++ {
 		p := &procs[r]
 		p.world, p.Rank, p.Core = w, r, machine.NewCore(cfg.MemSpeed, r)
+		reqs, free := 2*r*reqsCap, (2*r+1)*reqsCap
+		p.reqs, p.freeReqs = lists[reqs:reqs:free], lists[free:free:free+reqsCap]
 		p.rng = NewStream(cfg.Seed*7919 + int64(r) + 1)
 		var hooks []Hook
 		if cfg.HookFactory != nil {
@@ -181,7 +184,7 @@ type Proc struct {
 	// and wakeInfo carries the matched send delivered by the waker.
 	block    blockState
 	cont     cont
-	wakeInfo *sendInfo
+	wakeInfo sendInfo
 
 	// evScratch stages events for emit: hooks receive a pointer into it,
 	// valid only for the duration of the callback, so steady-state

@@ -1,12 +1,16 @@
 package difftest
 
 import (
+	"fmt"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
+	"scalana/internal/mpisim"
 	"scalana/internal/prof"
 	"scalana/internal/synth"
+	"scalana/internal/vm/difftest/interp"
 
 	scalana "scalana"
 )
@@ -91,5 +95,49 @@ func TestRunsNeverGrowTheGraph(t *testing.T) {
 					app.Name, vertices, len(graph.Vertices), vids, graph.NumVIDs(), slices.Equal(graph.Keys(), keys))
 			}
 		})
+	}
+}
+
+// TestNonFiniteOperandFailsTheRank: a compute operand or an MPI byte count
+// that is negative, NaN or infinite fails its rank with an error naming
+// the operation, the same on both engines, bare and profiled. Before, a
+// NaN operand dereferenced a bare rank's nil sampler, and on a profiled
+// rank it turned every clock into NaN.
+func TestNonFiniteOperandFailsTheRank(t *testing.T) {
+	const finite = "every operand must be finite and non-negative"
+	const size = "a byte count must be finite and non-negative"
+	cases := []struct{ body, want string }{
+		{"compute(sqrt(0 - 1), 1, 1, 64);", "machine: compute(NaN, 1, 1, 64): " + finite},
+		{"compute(exp(1000), 1, 1, 64);", "machine: compute(+Inf, 1, 1, 64): " + finite},
+		{"compute(1, 0 - 1, 1, 64);", "machine: compute(1, -1, 1, 64): " + finite},
+		{"compute(1, 1, 1, 0 - exp(1000));", "machine: compute(1, 1, 1, -Inf): " + finite},
+		{"compute(1, 1, 1, sqrt(0 - 1));", "machine: compute(1, 1, 1, NaN): " + finite},
+		{"if (mpi_rank() == 0) { mpi_send(1, 0, sqrt(0 - 1)); } else { mpi_recv(0, 0, 8); }", "mpisim: rank 0: mpi_send of NaN bytes: " + size},
+		{"if (mpi_rank() == 0) { mpi_send(1, 0, 0 - 100); } else { mpi_recv(0, 0, 8); }", "mpisim: rank 0: mpi_send of -100 bytes: " + size},
+		{"if (mpi_rank() == 1) { mpi_send(0, 0, 8); } else { mpi_recv(1, 0, exp(1000)); }", "mpisim: rank 0: mpi_recv of +Inf bytes: " + size},
+		{"mpi_wait(mpi_isend(1 - mpi_rank(), 0, 0 - 8));", "mpisim: rank 0: mpi_isend of -8 bytes: " + size},
+		{"mpi_allreduce(sqrt(0 - 1));", "mpisim: rank 0: mpi_allreduce of NaN bytes: " + size},
+		{"mpi_allreduce(0 - 100);", "mpisim: rank 0: mpi_allreduce of -100 bytes: " + size},
+		{"mpi_bcast(0, exp(1000));", "mpisim: rank 0: mpi_bcast of +Inf bytes: " + size},
+	}
+	for i, c := range cases {
+		app := &scalana.App{Name: fmt.Sprintf("bad%d", i), File: "bad.mp", MinNP: 1, Source: "func main() { " + c.body + " }\n"}
+		prog, graph, err := scalana.Compile(app)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tool := range []string{"", "scalana"} {
+			for _, oracle := range []bool{false, true} {
+				var err error
+				if tool == "" && oracle { // a tool run's lifecycle needs a tool
+					_, err = mpisim.NewWorld(mpisim.Config{NP: 2}).RunBlocking(interp.NewRunner(prog, graph).Execute)
+				} else {
+					_, _, err = run(prog, graph, scalana.RunConfig{App: app, NP: 2, ToolName: tool}, oracle)
+				}
+				if want := "rank 0: " + c.want; err == nil || !strings.HasSuffix(err.Error(), want) {
+					t.Errorf("%s (tool %q, interp %v): error %v, want one ending %q", c.body, tool, oracle, err, want)
+				}
+			}
+		}
 	}
 }
