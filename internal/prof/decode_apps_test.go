@@ -7,11 +7,13 @@ package prof_test
 // decodeOracle through export_test.go.
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"scalana/internal/ppg"
 	"scalana/internal/prof"
 	"scalana/internal/psg"
 	"scalana/internal/synth"
@@ -83,6 +85,41 @@ func TestDecodeMatchesOracleOnRealProfiles(t *testing.T) {
 			check(t, graph, data)
 		}
 	})
+}
+
+// TestDecodeLeavesItsInputUnchanged: the readers a stored set goes
+// through, ppg.Decode and prof.ReadProfileSet, never write into the bytes
+// they read. A cached graph keeps those bytes as the reference its stored
+// file is compared with, so they must still be the file's.
+func TestDecodeLeavesItsInputUnchanged(t *testing.T) {
+	e := scalana.NewEngine()
+	_, cg, err := e.Compile(scalana.GetApp("cg"), psg.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sets := map[string][]byte{}
+	graphs := map[string]*psg.Graph{}
+	for _, np := range []int{4, 8} {
+		name := fmt.Sprintf("cg.%d.json", np)
+		data, err := os.ReadFile(filepath.Join("..", "..", "testdata", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sets[name], graphs[name] = data, cg
+	}
+	graphs["zeusmp np=256"], sets["zeusmp np=256"] = simulatedSet(t, e, scalana.GetApp("zeusmp"), 256)
+	for name, data := range sets {
+		want := bytes.Clone(data)
+		if _, _, err := ppg.Decode(data, graphs[name], 0); err != nil {
+			t.Fatalf("%s: ppg.Decode: %v", name, err)
+		}
+		if _, err := prof.ReadProfileSet(data, graphs[name], nil); err != nil {
+			t.Fatalf("%s: prof.ReadProfileSet: %v", name, err)
+		}
+		if !bytes.Equal(data, want) {
+			t.Errorf("%s: decoding wrote into its input", name)
+		}
+	}
 }
 
 // BenchmarkDecodeProfileSet is the read half of a served detect on its

@@ -559,6 +559,10 @@ func FuzzDecodeVsOracle(f *testing.F) {
 		f.Add(awkwardInput(tc.input, k1, k2))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		want := bytes.Clone(data)
 		checkAgainstOracle(t, data, g)
+		if !bytes.Equal(data, want) {
+			t.Fatalf("a reader wrote into its input\n input: %q", clip(want))
+		}
 	})
 }

@@ -12,19 +12,20 @@ import (
 	"scalana/internal/store"
 )
 
-// CacheBudget is the most bytes a Cache charges its entries: 27 decoded
-// zeusmp np=1024 graphs, or a quarter of a million zeusmp samples.
+// CacheBudget is the most bytes a Cache charges its entries: 14 decoded
+// zeusmp np=1024 graphs with the bytes each was decoded from, or a quarter
+// of a million zeusmp samples.
 const CacheBudget = 64 << 20
 
 // Cache holds what stored sets reduce to, by store key: the baseline
 // sample a watch reads for every run and a stored detect for every scale
 // but its largest, and the decoded PPG of a stored detect's largest
-// scale. Both derive from content-addressed bytes alone, so an entry never
-// goes stale; a concurrent double miss is wasted work, never a wrong
-// answer. A cached graph is shared by every detect that reads it and
-// written by none.
+// scale, with the stored bytes it was decoded from. Both derive from
+// content-addressed bytes alone, so an entry never goes stale; a
+// concurrent double miss is wasted work, never a wrong answer. A cached
+// graph is shared by every detect that reads it and written by none.
 //
-// Each entry is charged the bytes it retains (graphBytes, sampleBytes).
+// Each entry is charged the bytes it retains (graphCharge, sampleBytes).
 // An insert past the budget evicts the least-recently-used entries, and
 // an entry larger than the whole budget is not kept. A hit allocates
 // nothing. A nil *Cache caches nothing. Safe for concurrent use.
@@ -51,6 +52,7 @@ type slot struct {
 type cached struct {
 	smp  *baseline.Sample
 	pg   *ppg.Graph
+	data []byte // the stored bytes pg was decoded from
 	size int64
 	used uint64
 }
@@ -86,12 +88,13 @@ func (c *Cache) sample(k store.Key) *baseline.Sample {
 	return nil
 }
 
-// graph returns the cached PPG of a stored set, or nil.
-func (c *Cache) graph(k store.Key) *ppg.Graph {
+// graph returns the cached PPG of a stored set and the bytes it was
+// decoded from, or nil.
+func (c *Cache) graph(k store.Key) (*ppg.Graph, []byte) {
 	if e := c.get(slot{key: k, graph: true}); e != nil {
-		return e.pg
+		return e.pg, e.data
 	}
-	return nil
+	return nil, nil
 }
 
 // addSample counts an ingest and caches its sample.
@@ -99,9 +102,10 @@ func (c *Cache) addSample(k store.Key, smp *baseline.Sample) {
 	c.put(slot{key: k}, &cached{smp: smp, size: sampleBytes(smp)})
 }
 
-// addGraph counts a decode and caches its graph.
-func (c *Cache) addGraph(k store.Key, pg *ppg.Graph) {
-	c.put(slot{key: k, graph: true}, &cached{pg: pg, size: graphBytes(pg)})
+// addGraph counts a decode and caches its graph with the bytes it was
+// decoded from.
+func (c *Cache) addGraph(k store.Key, pg *ppg.Graph, data []byte) {
+	c.put(slot{key: k, graph: true}, &cached{pg: pg, data: data, size: graphCharge(pg, data)})
 }
 
 func (c *Cache) get(s slot) *cached {
@@ -177,11 +181,16 @@ func sampleBytes(smp *baseline.Sample) int64 {
 	return int64(len(smp.Values)) * int64(unsafe.Sizeof(float64(0)))
 }
 
-// graphBytes is what a cached graph is charged: its columnar Perf block,
-// its dependence edges (a map entry per waiting side, a pointer and a
-// DepEdge per edge) and its per-rank times. Zeusmp at np=1024 is charged
-// 2.36 MB of the 2.62 MB its decoded graph keeps live; the rest is map and
-// arena slack.
+// graphCharge is what a cached graph is charged: graphBytes, plus the
+// stored bytes it was decoded from. Zeusmp at np=1024 is charged 4.54 MB,
+// 2.18 MB of it stored bytes.
+func graphCharge(pg *ppg.Graph, data []byte) int64 { return graphBytes(pg) + int64(len(data)) }
+
+// graphBytes is what a decoded graph retains: its columnar Perf block, its
+// dependence edges (a map entry per waiting side, a pointer and a DepEdge
+// per edge) and its per-rank times. Zeusmp at np=1024 comes to 2.36 MB of
+// the 2.62 MB its decoded graph keeps live; the rest is map and arena
+// slack.
 func graphBytes(pg *ppg.Graph) int64 {
 	n := int64(len(pg.Perf))*int64(unsafe.Sizeof(prof.PerfData{})) +
 		int64(len(pg.RankTime))*int64(unsafe.Sizeof(float64(0)))

@@ -10,33 +10,42 @@ import (
 	"testing"
 
 	"scalana/internal/detect"
+	"scalana/internal/ppg"
 	"scalana/internal/store"
 
 	scalana "scalana"
 )
 
-// TestCacheEvictsLeastRecentlyUsed: with a budget of two cg graphs, a
-// third evicts the one read least recently, the bytes held never exceed
-// the budget, a hit allocates nothing, and a graph larger than the whole
-// budget is decoded but not kept.
+// TestCacheEvictsLeastRecentlyUsed: with a budget of two cg graphs, each
+// charged with the bytes it was decoded from, a third evicts the one read
+// least recently, the bytes held never exceed the budget, a hit returns
+// the graph with its bytes and allocates nothing, and a graph larger than
+// the whole budget is decoded but not kept.
 func TestCacheEvictsLeastRecentlyUsed(t *testing.T) {
 	cg := scalana.GetApp("cg")
-	pg := largestGraph(t, fixtureEnv(t, false), cg, []int{8})
-	size := graphBytes(pg)
+	pg, data := largestGraph(t, fixtureEnv(t, false), cg, []int{8})
+	size := graphCharge(pg, data)
 	c := &Cache{budget: 2 * size}
+	held := func(c *Cache, k store.Key) *ppg.Graph {
+		got, gotData := c.graph(k)
+		if got != nil && &gotData[0] != &data[0] {
+			t.Fatalf("the graph of %s is held without the bytes it was decoded from", k.Hash[:1])
+		}
+		return got
+	}
 	a, b, third := store.Key{App: "cg", NP: 8, Hash: hash("a")}, store.Key{App: "cg", NP: 8, Hash: hash("b")}, store.Key{App: "cg", NP: 8, Hash: hash("c")}
 	for _, k := range []store.Key{a, b} {
-		c.addGraph(k, pg)
+		c.addGraph(k, pg, data)
 		if held := c.Stats().Bytes; held > c.budget {
 			t.Fatalf("after adding %s the cache holds %d bytes of a %d budget", k.Hash[:1], held, c.budget)
 		}
 	}
-	if c.graph(a) != pg { // a is now more recent than b
+	if held(c, a) != pg { // a is now more recent than b
 		t.Fatal("a graph added within the budget is not held")
 	}
-	c.addGraph(third, pg)
-	if c.graph(a) != pg || c.graph(b) != nil || c.graph(third) != pg {
-		t.Errorf("after a third graph the cache holds a=%t b=%t c=%t, want a and c", c.graph(a) != nil, c.graph(b) != nil, c.graph(third) != nil)
+	c.addGraph(third, pg, data)
+	if held(c, a) != pg || held(c, b) != nil || held(c, third) != pg {
+		t.Errorf("after a third graph the cache holds a=%t b=%t c=%t, want a and c", held(c, a) != nil, held(c, b) != nil, held(c, third) != nil)
 	}
 	if st := c.Stats(); st.Bytes != 2*size || st.Evictions != 1 || st.Decodes != 3 {
 		t.Errorf("stats %+v, want %d bytes, 1 eviction, 3 decodes", st, 2*size)
@@ -46,9 +55,9 @@ func TestCacheEvictsLeastRecentlyUsed(t *testing.T) {
 	}
 
 	small := &Cache{budget: size - 1}
-	small.addGraph(a, pg)
-	if st := small.Stats(); small.graph(a) != nil || st.Bytes != 0 || st.Decodes != 1 || st.Evictions != 0 {
-		t.Errorf("a graph over the whole budget: held=%t, stats %+v, want not held, 1 decode", small.graph(a) != nil, st)
+	small.addGraph(a, pg, data)
+	if st := small.Stats(); held(small, a) != nil || st.Bytes != 0 || st.Decodes != 1 || st.Evictions != 0 {
+		t.Errorf("a graph over the whole budget: held=%t, stats %+v, want not held, 1 decode", held(small, a) != nil, st)
 	}
 }
 

@@ -181,17 +181,18 @@ func entriesKey(entries []store.Entry) string {
 
 // stored reads one stored set the way every query does — the bytes its
 // key names through the one reader, the graph sized by the key's scale —
-// or, with build unset, validates the same bytes for the envelope alone. A
-// set whose ranks or envelope name another scale than its key was not
-// filed there by Put.
-func (e *Env) stored(app *scalana.App, ent store.Entry, build bool) (pg *ppg.Graph, set prof.ProfileSet, err error) {
+// or, with build unset, validates the same bytes for the envelope alone.
+// It returns the bytes Get returned with what they decode to. A set whose
+// ranks or envelope name another scale than its key was not filed there
+// by Put.
+func (e *Env) stored(app *scalana.App, ent store.Entry, build bool) (pg *ppg.Graph, set prof.ProfileSet, data []byte, err error) {
 	_, graph, err := e.Engine.Compile(app, psg.Options{})
 	if err != nil {
-		return nil, set, err
+		return nil, set, nil, err
 	}
-	data, err := e.Store.Get(ent.Key)
+	data, err = e.Store.Get(ent.Key)
 	if err != nil {
-		return nil, set, err
+		return nil, set, nil, err
 	}
 	if build {
 		pg, set, err = ppg.Decode(data, graph, ent.NP)
@@ -204,13 +205,13 @@ func (e *Env) stored(app *scalana.App, ent store.Entry, build bool) (pg *ppg.Gra
 	var misfiled *ppg.NPError
 	switch {
 	case errors.As(err, &misfiled):
-		return nil, set, corrupt(misfiled.NP)
+		return nil, set, nil, corrupt(misfiled.NP)
 	case err != nil:
-		return nil, set, errorf(http.StatusConflict, "stored set %s no longer decodes against %s: %v", ent.Key, app.Name, err)
+		return nil, set, nil, errorf(http.StatusConflict, "stored set %s no longer decodes against %s: %v", ent.Key, app.Name, err)
 	case set.NP != ent.NP:
-		return nil, set, corrupt(set.NP)
+		return nil, set, nil, corrupt(set.NP)
 	}
-	return pg, set, nil
+	return pg, set, data, nil
 }
 
 // Detect is a scaling-loss detection query. Its source is the simulator
@@ -315,21 +316,22 @@ func (e *Env) Detect(q Detect) (Plan[*detect.Report], error) {
 }
 
 // graph reads the largest scale of a stored detect, which hosts
-// backtracking: its PPG from e.Cache once the stored bytes it was decoded
-// from still hash to their key, else decoded from those bytes (Get hashes
-// them once) and cached.
+// backtracking: its PPG from e.Cache once the stored file still holds the
+// bytes it was decoded from (store.Store.Holds, which answers what Verify
+// answers), else decoded from those bytes (Get hashes them once) and
+// cached with them.
 func (e *Env) graph(app *scalana.App, ent store.Entry) (*ppg.Graph, error) {
-	if pg := e.Cache.graph(ent.Key); pg != nil {
-		if err := e.Store.Verify(ent.Key); err != nil {
+	if pg, data := e.Cache.graph(ent.Key); pg != nil {
+		if err := e.Store.Holds(ent.Key, data); err != nil {
 			return nil, err
 		}
 		return pg, nil
 	}
-	pg, _, err := e.stored(app, ent, true)
+	pg, _, data, err := e.stored(app, ent, true)
 	if err != nil {
 		return nil, err
 	}
-	e.Cache.addGraph(ent.Key, pg)
+	e.Cache.addGraph(ent.Key, pg, data)
 	return pg, nil
 }
 
@@ -421,7 +423,7 @@ func (e *Env) Sweep(q Sweep) (Plan[*SweepReport], error) {
 		var nps, elapsed []float64
 		for _, ent := range entries {
 			// Only the envelope's elapsed is read: no rank is kept or built.
-			_, set, err := e.stored(q.App, ent, false)
+			_, set, _, err := e.stored(q.App, ent, false)
 			if err != nil {
 				return nil, nil, err
 			}

@@ -38,7 +38,7 @@ func (e *Env) sample(app *scalana.App, ent store.Entry) (*baseline.Sample, error
 // ingest reduces one stored set to its baseline sample, read from the
 // stored bytes, and caches it in e.Cache.
 func (e *Env) ingest(app *scalana.App, ent store.Entry) (*baseline.Sample, error) {
-	pg, set, err := e.stored(app, ent, true)
+	pg, set, _, err := e.stored(app, ent, true)
 	if err != nil {
 		return nil, err
 	}

@@ -35,10 +35,12 @@
 //
 // Watches and stored detects share one query.Cache, keyed by store key:
 // a watch reads every run's sample from it, and a stored detect every
-// smaller scale's sample and its largest scale's decoded graph,
-// re-hashing each stored set it names. The cache holds at most
-// query.CacheBudget bytes and evicts the least recently used; /v1/stats
-// reports its samples, ingests, graph decodes, bytes and evictions.
+// smaller scale's sample and its largest scale's decoded graph. A detect
+// re-hashes each smaller scale's stored set and compares the largest
+// one's with the bytes its graph was decoded from, so a set corrupted
+// after caching is still a 500. The cache holds at most query.CacheBudget
+// bytes and evicts the least recently used; /v1/stats reports its
+// samples, ingests, graph decodes, bytes and evictions.
 package serve
 
 import (
@@ -167,8 +169,9 @@ type Stats struct {
 	SampleIngests   int64 `json:"sample_ingests"`
 	// GraphDecodes counts stored detects' largest scales decoded into a
 	// PPG (the same cache's graph misses). CacheBytes is what the cache's
-	// entries are charged, at most query.CacheBudget, and CacheEvictions
-	// how many it has dropped to stay within it.
+	// entries are charged, a graph with the stored bytes it was decoded
+	// from, at most query.CacheBudget; CacheEvictions is how many it has
+	// dropped to stay within it.
 	GraphDecodes   int64 `json:"graph_decodes"`
 	CacheBytes     int64 `json:"cache_bytes"`
 	CacheEvictions int64 `json:"cache_evictions"`

@@ -758,8 +758,10 @@ func TestScaleCountIsCapped(t *testing.T) {
 // TestCorruptAfterCacheIsA500: a detect reads the np=4 set of cg [4,8]
 // from the sample cache and the np=8 set's graph from the same cache once
 // it is warm, yet a byte flipped in either stored file afterwards is still
-// the content-hash 500 it was when every detect decoded every scale. Put
-// back, the same bytes answer from the cache again.
+// the content-hash 500 it was when every detect decoded every scale, and
+// so is the graph-held np=8 file cut short by a byte, grown by one, or
+// flipped in its last byte. Put back, the same bytes answer from the cache
+// again, each time.
 func TestCorruptAfterCacheIsA500(t *testing.T) {
 	srv, ts := newTestServer(t)
 	paths := map[int]string{}
@@ -787,27 +789,43 @@ func TestCorruptAfterCacheIsA500(t *testing.T) {
 	}
 	cached("two detects over cg [4,8]")
 	want := []byte("content hash mismatch")
-	for _, np := range []int{4, 8} {
-		data, err := os.ReadFile(paths[np])
+	flip := func(i func([]byte) int) func([]byte) []byte {
+		return func(data []byte) []byte {
+			data = bytes.Clone(data)
+			data[i(data)] ^= 1
+			return data
+		}
+	}
+	middle := flip(func(data []byte) int { return len(data) / 2 })
+	for _, tc := range []struct {
+		np     int
+		name   string
+		mutate func([]byte) []byte
+	}{
+		{4, "a middle byte flipped", middle},
+		{8, "a middle byte flipped", middle},
+		{8, "one byte short", func(data []byte) []byte { return data[:len(data)-1] }},
+		{8, "one byte long", func(data []byte) []byte { return append(bytes.Clone(data), ' ') }},
+		{8, "the last byte flipped", flip(func(data []byte) int { return len(data) - 1 })},
+	} {
+		data, err := os.ReadFile(paths[tc.np])
 		if err != nil {
 			t.Fatal(err)
 		}
-		data[len(data)/2] ^= 1
-		if err := os.WriteFile(paths[np], data, 0o644); err != nil {
+		if err := os.WriteFile(paths[tc.np], tc.mutate(data), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		if code, body := post(t, ts.URL+"/v1/detect", "application/json", req); code != http.StatusInternalServerError || !bytes.Contains(body, want) {
-			t.Errorf("warm detect over a corrupted np=%d: %d %s, want 500 naming %s", np, code, body, want)
+			t.Errorf("warm detect over np=%d with %s: %d %s, want 500 naming %s", tc.np, tc.name, code, body, want)
 		}
-		data[len(data)/2] ^= 1
-		if err := os.WriteFile(paths[np], data, 0o644); err != nil {
+		if err := os.WriteFile(paths[tc.np], data, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		if code, body := post(t, ts.URL+"/v1/detect", "application/json", req); code != http.StatusOK {
-			t.Errorf("detect with np=%d put back: %d %s", np, code, body)
+			t.Errorf("detect with np=%d put back after %s: %d %s", tc.np, tc.name, code, body)
 		}
+		cached(fmt.Sprintf("np=%d put back after %s", tc.np, tc.name))
 	}
-	cached("the same sets put back")
 }
 
 // TestRemovedAfterCacheAnswersAsUncached: a stored set removed after the

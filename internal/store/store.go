@@ -24,6 +24,7 @@
 package store
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
@@ -325,16 +326,54 @@ func (s *Store) Verify(k Key) error {
 			return "", err
 		}
 		defer f.Close()
+		buf := readBufs.Get().(*[]byte)
+		defer readBufs.Put(buf)
 		h := sha256.New()
-		_, err = io.Copy(h, f)
+		// The wrapper hides File.WriteTo, whose copy allocates its own buffer.
+		_, err = io.CopyBuffer(h, struct{ io.Reader }{f}, *buf)
 		return hex.EncodeToString(h.Sum(nil)), err
 	})
 }
 
+// Holds is Verify for a caller that kept the bytes Get returned for k:
+// the stored file is compared with want as it streams, and only a
+// difference — in content or length, or a failed open or read — is
+// hashed, by Verify, whose error Holds returns. Given Get's bytes it
+// answers what Verify answers; given any others, nil means only that the
+// file holds them.
+func (s *Store) Holds(k Key, want []byte) error {
+	if !validKey(k) {
+		return s.Verify(k)
+	}
+	f, err := os.Open(s.pathFor(k))
+	if err != nil {
+		return s.Verify(k)
+	}
+	defer f.Close()
+	buf := readBufs.Get().(*[]byte)
+	defer readBufs.Put(buf)
+	for {
+		n, err := f.Read(*buf)
+		if n > len(want) || !bytes.Equal((*buf)[:n], want[:n]) {
+			return s.Verify(k)
+		}
+		want = want[n:]
+		switch {
+		case err == io.EOF && len(want) == 0:
+			return nil
+		case err != nil:
+			return s.Verify(k)
+		}
+	}
+}
+
+// readBufs holds the buffers Verify and Holds stream a stored file through.
+var readBufs = sync.Pool{New: func() any { buf := make([]byte, 64<<10); return &buf }}
+
 // hashCheck validates k, hashes its file with hash, and names what went
 // wrong the way Get and Verify both do.
 func (s *Store) hashCheck(k Key, hash func(path string) (string, error)) error {
-	if !ValidName(k.App) || !validHash(k.Hash) || k.NP < 1 {
+	if !validKey(k) {
 		return fmt.Errorf("store: invalid key %s: %w", k, os.ErrInvalid)
 	}
 	got, err := hash(s.pathFor(k))
@@ -556,6 +595,8 @@ func (s *Store) Only(app string, np int) (Entry, error) {
 		return Entry{}, fmt.Errorf("store: %d profile sets stored for app %s at np=%d; name the content hash to pick one: %w", len(hashes), app, np, ErrAmbiguous)
 	}
 }
+
+func validKey(k Key) bool { return ValidName(k.App) && validHash(k.Hash) && k.NP >= 1 }
 
 func validHash(h string) bool {
 	if len(h) != sha256.Size*2 {

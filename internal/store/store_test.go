@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -473,6 +475,132 @@ func TestVerifyIsGetWithoutTheBytes(t *testing.T) {
 	}
 	if !errors.Is(s.Verify(bad), ErrCorrupt) {
 		t.Errorf("Verify(tampered) = %v, want ErrCorrupt", s.Verify(bad))
+	}
+}
+
+// TestHoldsIsVerify: given the bytes Get returned for a key, Holds
+// answers exactly what Verify answers — the same error text, nil exactly
+// when Verify's is — whatever the stored file has become: sound, a byte
+// flipped, shortened, lengthened, emptied, missing, a directory, an
+// invalid key, or 200 seeded random mutations of a real cg set. Given
+// other bytes it need not.
+func TestHoldsIsVerify(t *testing.T) {
+	s := open(t)
+	cg := fixture(t, "cg.8.json")
+	k, err := s.Put("cg", 8, cg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := s.Get(k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := s.pathFor(k)
+	check := func(name string, k Key) {
+		t.Helper()
+		holdsErr, verifyErr := s.Holds(k, want), s.Verify(k)
+		if (holdsErr == nil) != (verifyErr == nil) || fmt.Sprint(holdsErr) != fmt.Sprint(verifyErr) {
+			t.Errorf("%s: Holds says %v, Verify %v", name, holdsErr, verifyErr)
+		}
+	}
+	stored := func(name string, data []byte) {
+		t.Helper()
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		check(name, k)
+	}
+	flipped := func(i int) []byte {
+		data := bytes.Clone(cg)
+		data[i] ^= 0x20
+		return data
+	}
+	stored("sound", cg)
+	if err := s.Holds(k, want); err != nil {
+		t.Fatalf("Holds over a sound set: %v", err)
+	}
+	stored("first byte flipped", flipped(0))
+	stored("middle byte flipped", flipped(len(cg)/2))
+	stored("last byte flipped", flipped(len(cg)-1))
+	stored("one byte short", cg[:len(cg)-1])
+	stored("one byte long", append(bytes.Clone(cg), '\n'))
+	stored("emptied", nil)
+	if !errors.Is(s.Holds(k, want), ErrCorrupt) {
+		t.Errorf("Holds over an emptied set = %v, want ErrCorrupt", s.Holds(k, want))
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 200; i++ {
+		data := bytes.Clone(cg)
+		at := rng.Intn(len(data))
+		switch rng.Intn(4) {
+		case 0:
+			data[at] ^= byte(1 + rng.Intn(255))
+		case 1:
+			data = data[:at]
+		case 2:
+			data = append(data, make([]byte, 1+rng.Intn(70000))...)
+		case 3:
+			data = append(data[:at], data[at+1:]...)
+		}
+		stored(fmt.Sprintf("mutation %d", i), data)
+	}
+	if err := os.Remove(path); err != nil {
+		t.Fatal(err)
+	}
+	check("missing", k)
+	if err := os.Mkdir(path, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	check("a directory", k)
+	check("invalid key", Key{App: "../evil", NP: 8, Hash: k.Hash})
+	check("invalid scale", Key{App: "cg", NP: 0, Hash: k.Hash})
+
+	// Holds compares and never hashes a match, which is why only bytes Get
+	// returned may be passed to it: a file holding bytes that do not hash
+	// to its key, handed those same bytes, holds them, though Verify calls
+	// it corrupt.
+	other, _ := s.Put("cg", 4, []byte("payload"))
+	if err := os.WriteFile(s.pathFor(other), []byte("tampered"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Holds(other, []byte("tampered")); err != nil {
+		t.Errorf("Holds(k, the file's own bytes) = %v, want nil", err)
+	}
+	if err := s.Verify(other); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("Verify(k) = %v, want ErrCorrupt", err)
+	}
+}
+
+// TestVerifyReusesItsBuffer: Verify streams a stored file through a pooled
+// buffer, not the 32 KiB one io.Copy allocates through File.WriteTo on
+// every call: one Verify of a 1 MiB set allocates under 4 KiB. The race
+// runtime drops pooled buffers at random, so the bytes are gated only
+// without it.
+func TestVerifyReusesItsBuffer(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation bytes are not gated under the race detector")
+	}
+	s := open(t)
+	data := make([]byte, 1<<20)
+	rand.New(rand.NewSource(1)).Read(data)
+	k, err := s.Put("cg", 4, data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Verify(k); err != nil { // fills the pool
+		t.Fatal(err)
+	}
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if err := s.Verify(k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if perOp := (after.TotalAlloc - before.TotalAlloc) / runs; perOp >= 4<<10 {
+		t.Errorf("one Verify of a 1 MiB set allocates %d bytes, want under 4 KiB", perOp)
 	}
 }
 

@@ -7,7 +7,8 @@
 # output over the same files. Exercises the full wire contract:
 # upload -> content-addressed store -> byte-identical retrieval ->
 # served report identical to the one-shot CLI, cold and warm (a warm
-# detect reads its smaller scale from the sample cache). Then uploads a
+# detect reads its smaller scale from the sample cache), and a stored set
+# corrupted after caching is a 500 until put back. Then uploads a
 # second run at np=8 and checks GET /v1/watch against scalana-detect
 # -watch over the same store — the streaming-regression byte-parity
 # contract.
@@ -59,6 +60,23 @@ diff "$work/offline.json" "$work/served.json"
 # So must a warm one, which reads np=4 from the sample cache.
 curl -fs -X POST -d '{"app":"cg","scales":[4,8]}' "http://$addr/v1/detect" > "$work/served-warm.json"
 diff "$work/offline.json" "$work/served-warm.json"
+
+# A byte flipped in the stored np=8 file after its graph was cached is a
+# 500 naming the content hash mismatch; with the byte put back, the warm
+# detect answers the offline bytes again.
+stored8="$work/store/cg/8/$hash8.json"
+cp "$stored8" "$work/cg.8.kept"
+printf '[' | dd of="$stored8" bs=1 seek=0 conv=notrunc status=none
+code=$(curl -s -o "$work/corrupt.json" -w '%{http_code}' -X POST \
+  -d '{"app":"cg","scales":[4,8]}' "http://$addr/v1/detect")
+if [ "$code" != 500 ] || ! grep -q "content hash mismatch" "$work/corrupt.json"; then
+  echo "warm detect over a corrupted np=8 set: status $code, want 500 naming the content hash mismatch" >&2
+  cat "$work/corrupt.json" >&2
+  exit 1
+fi
+cp "$work/cg.8.kept" "$stored8"
+curl -fs -X POST -d '{"app":"cg","scales":[4,8]}' "http://$addr/v1/detect" > "$work/served-restored.json"
+diff "$work/offline.json" "$work/served-restored.json"
 
 # The store-backed CLI path reads the same store the server wrote, np=4
 # as a sample like the warm served detect (ingested, with no cache).
