@@ -689,6 +689,20 @@ func TestBenchListBytes(t *testing.T) {
 	}
 }
 
+// TestStaticRejectsLoopDepthBelow1: a -maxloopdepth below 1 used to
+// contract silently at the default depth; it now exits 1 naming the flag.
+func TestStaticRejectsLoopDepthBelow1(t *testing.T) {
+	for _, depth := range []string{"0", "-3"} {
+		var stderr strings.Builder
+		cmd := exec.Command(filepath.Join(binDir, "scalana-static"), "-app", "cg", "-maxloopdepth", depth)
+		cmd.Stderr = &stderr
+		err := cmd.Run()
+		if code := cmd.ProcessState.ExitCode(); code != 1 || !strings.Contains(stderr.String(), "-maxloopdepth") {
+			t.Errorf("-maxloopdepth %s: exit %d (%v), stderr %q, want exit 1 naming the flag", depth, code, err, stderr.String())
+		}
+	}
+}
+
 // viewerCause matches the viewer's heading for one root cause's code.
 var viewerCause = regexp.MustCompile(`(?m)^── code for root cause \d+ \(([^)]+)\) ──$`)
 

@@ -38,6 +38,9 @@ func main() {
 	lint := flag.Bool("lint", false, "report collectives inside np-dependent loops and exit")
 	list := flag.Bool("list", false, "list bundled workloads")
 	flag.Parse()
+	if *maxDepth < 1 {
+		log.Fatalf("-maxloopdepth %d: want a depth of 1 or more", *maxDepth)
+	}
 
 	if *list {
 		for _, n := range apps.Names() {

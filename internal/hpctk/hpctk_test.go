@@ -86,8 +86,8 @@ func TestSamplerCost(t *testing.T) {
 	// 200 Hz boundaries, each charged; the samples a perturbation advance
 	// crosses are taken and not charged.
 	pr := New(0)
-	p := mpisim.NewWorld(mpisim.Config{NP: 1, HookFactory: func(int) []mpisim.Hook {
-		return []mpisim.Hook{pr}
+	p := mpisim.NewWorld(mpisim.Config{NP: 1, HookFactory: func(int) mpisim.Hook {
+		return pr
 	}}).Proc(0)
 	p.Compute(1.056e8, 0, 0, 64)
 	if got := pr.Profile().TraceSamples; got != 5 || p.PerturbTotal != 5*sampleCost {

@@ -97,8 +97,8 @@ func TestSteadyStateCollectiveAllocs(t *testing.T) {
 }
 
 func TestEmitDoesNotAllocate(t *testing.T) {
-	w := NewWorld(Config{NP: 1, Seed: 1, HookFactory: func(rank int) []Hook {
-		return []Hook{&chargingHook{}}
+	w := NewWorld(Config{NP: 1, Seed: 1, HookFactory: func(rank int) Hook {
+		return &chargingHook{}
 	}})
 	p := w.Proc(0)
 	ev := Event{Kind: EvSend, Op: "mpi_send", Peer: 0, Tag: 1, Bytes: 64, DepRank: -1, Root: -1}

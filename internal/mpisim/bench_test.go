@@ -108,15 +108,15 @@ func (benchObserver) Advance(*Proc, float64, float64, AdvanceKind, any, machine.
 // observer.
 func BenchmarkGlueAdvance(b *testing.B) {
 	for _, c := range []struct {
-		name  string
-		hooks []Hook
+		name string
+		hook Hook
 	}{
 		{"bare", nil},
-		{"timer", []Hook{&timerOnly{period: 1.0 / 2000, cost: 1.8e-6}}},
-		{"observer", []Hook{benchObserver{}}},
+		{"timer", &timerOnly{period: 1.0 / 2000, cost: 1.8e-6}},
+		{"observer", benchObserver{}},
 	} {
 		b.Run(c.name, func(b *testing.B) {
-			w := NewWorld(Config{NP: 1, HookFactory: func(int) []Hook { return c.hooks }})
+			w := NewWorld(Config{NP: 1, HookFactory: func(int) Hook { return c.hook }})
 			p := w.Proc(0)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -23,8 +23,8 @@
 // waits for a straggler, records how long it waited and on whom — exactly
 // the inter-process dependence that ScalAna's backtracking walks.
 //
-// Measurement tools attach as Hooks. Every hook hears of each completed
-// MPI operation. Virtual time reaches a hook one of two ways: a
+// A measurement tool attaches as one Hook a rank. The hook hears of each
+// completed MPI operation. Virtual time reaches a hook one of two ways: a
 // TimerSampler names a period and is called when the rank's clock crosses
 // a multiple of it, with the PMU counters accrued since the last crossing
 // (between samples an advance calls nothing), and an AdvanceObserver is
@@ -159,10 +159,11 @@ func (k AdvanceKind) String() string {
 }
 
 // Hook observes one rank's execution: it is told of every completed MPI
-// operation. Each rank gets its own hook instances, so implementations
-// need no internal locking. A hook that also wants virtual time
-// implements one of the two optional interfaces below — TimerSampler for
-// fixed-period samples, AdvanceObserver to see every advance.
+// operation. A rank has at most one hook and it is the rank's own, so
+// implementations need no internal locking. A hook that also wants
+// virtual time implements one or both of the optional interfaces below —
+// TimerSampler for fixed-period samples, AdvanceObserver to see every
+// advance (it is called first when an advance also fires the timer).
 //
 // Every callback returns the virtual measurement overhead (seconds) the
 // tool wants charged for the observation — the per-sample interrupt cost
@@ -180,8 +181,7 @@ type Hook interface {
 // TimerSampler is a Hook driven by the rank's sampling timer, the way
 // PAPI overflow sampling drives a profiler: the program runs unobserved
 // between interrupts. The rank owns the clock and the PMU counters, so it
-// owns the timer; a rank has one, and NewWorld panics if two of its hooks
-// ask for it.
+// owns the timer, and its one hook is the timer's only sampler.
 type TimerSampler interface {
 	Hook
 	// SamplePeriod returns the timer period in virtual seconds (positive).

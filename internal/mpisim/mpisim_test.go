@@ -109,11 +109,11 @@ func TestNonBlockingWaitall(t *testing.T) {
 func TestWaitallDependsOnLatestArrival(t *testing.T) {
 	var events []*Event
 	cfg := Config{NP: 3, Seed: 1}
-	cfg.HookFactory = func(rank int) []Hook {
+	cfg.HookFactory = func(rank int) Hook {
 		if rank != 0 {
 			return nil
 		}
-		return []Hook{&captureHook{events: &events}}
+		return &captureHook{events: &events}
 	}
 	w := NewWorld(cfg)
 	_, err := w.RunBlocking(func(p *Proc) {
@@ -168,11 +168,11 @@ func (h *captureHook) MPIEvent(p *Proc, ev *Event) float64 {
 func TestCollectiveStragglerDependence(t *testing.T) {
 	var events []*Event
 	cfg := Config{NP: 4, Seed: 1}
-	cfg.HookFactory = func(rank int) []Hook {
+	cfg.HookFactory = func(rank int) Hook {
 		if rank != 0 {
 			return nil
 		}
-		return []Hook{&captureHook{events: &events}}
+		return &captureHook{events: &events}
 	}
 	w := NewWorld(cfg)
 	_, err := w.RunBlocking(func(p *Proc) {
@@ -294,11 +294,11 @@ func TestRecvAnyMatchesOnlySender(t *testing.T) {
 func TestIrecvAnyResolvedAtWait(t *testing.T) {
 	var events []*Event
 	cfg := Config{NP: 2, Seed: 1}
-	cfg.HookFactory = func(rank int) []Hook {
+	cfg.HookFactory = func(rank int) Hook {
 		if rank != 0 {
 			return nil
 		}
-		return []Hook{&captureHook{events: &events}}
+		return &captureHook{events: &events}
 	}
 	w := NewWorld(cfg)
 	_, err := w.RunBlocking(func(p *Proc) {
@@ -524,7 +524,7 @@ func TestPerturbAccounting(t *testing.T) {
 func TestHookOverheadCharged(t *testing.T) {
 	charge := &chargingHook{}
 	cfg := Config{NP: 1, Seed: 1}
-	cfg.HookFactory = func(rank int) []Hook { return []Hook{charge} }
+	cfg.HookFactory = func(rank int) Hook { return charge }
 	w := NewWorld(cfg)
 	res, err := w.RunBlocking(func(p *Proc) {
 		p.Compute(1e6, 0, 0, 64)
@@ -605,7 +605,7 @@ func TestRunResultCounters(t *testing.T) {
 	// A hook that charges for every advance and every event adds one
 	// perturbation advance behind each of them — and takes no sample: what
 	// an every-advance observer charges is not the timer's.
-	cfg := Config{NP: 2, Seed: 1, HookFactory: func(rank int) []Hook { return []Hook{&chargingHook{}} }}
+	cfg := Config{NP: 2, Seed: 1, HookFactory: func(rank int) Hook { return &chargingHook{} }}
 	res, err = NewWorld(cfg).RunBlocking(body)
 	if err != nil {
 		t.Fatal(err)
@@ -617,7 +617,7 @@ func TestRunResultCounters(t *testing.T) {
 	// A 1 µs timer fires on rank 1's compute, on rank 0's wait for it, and
 	// on the entry overhead of rank 1's send: three charged advances, and
 	// one perturbation advance behind each.
-	cfg.HookFactory = func(rank int) []Hook { return []Hook{&timerOnly{period: 1e-6, cost: 1e-9}} }
+	cfg.HookFactory = func(rank int) Hook { return &timerOnly{period: 1e-6, cost: 1e-9} }
 	res, err = NewWorld(cfg).RunBlocking(body)
 	if err != nil {
 		t.Fatal(err)
@@ -634,11 +634,11 @@ func TestRunResultCounters(t *testing.T) {
 func TestInboxIndexedPastScanLimit(t *testing.T) {
 	const np, tags = 4, 4
 	var events []*Event
-	w := NewWorld(Config{NP: np, Seed: 1, HookFactory: func(rank int) []Hook {
+	w := NewWorld(Config{NP: np, Seed: 1, HookFactory: func(rank int) Hook {
 		if rank != 0 {
 			return nil
 		}
-		return []Hook{&captureHook{events: &events}}
+		return &captureHook{events: &events}
 	}})
 	_, err := w.RunBlocking(func(p *Proc) {
 		if p.Rank != 0 {

@@ -138,7 +138,7 @@ type dualOutcome struct {
 
 func runDual(boom, blocking bool) dualOutcome {
 	log := &eventLog{}
-	w := NewWorld(Config{NP: 4, Seed: 1, HookFactory: func(int) []Hook { return []Hook{log} }})
+	w := NewWorld(Config{NP: 4, Seed: 1, HookFactory: func(int) Hook { return log }})
 	prog, sources, waitallYields := dualProgram(boom)
 	var res RunResult
 	var err error

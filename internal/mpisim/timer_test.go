@@ -130,7 +130,7 @@ func TestTimerCrossingsProperty(t *testing.T) {
 			t.Run(fmt.Sprintf("period=%g/cost=%g", period, costFrac), func(t *testing.T) {
 				o := &timerOracle{t: t, period: period, cost: costFrac * period}
 				only := &timerOnly{period: period, cost: costFrac * period}
-				w := NewWorld(Config{NP: 2, HookFactory: func(rank int) []Hook { return [][]Hook{{o}, {only}}[rank] }})
+				w := NewWorld(Config{NP: 2, HookFactory: func(rank int) Hook { return []Hook{o, only}[rank] }})
 				p := w.Proc(0)
 				seed := int64(period*1e9) + int64(costFrac*1e3)
 				drive(p, period, rand.New(rand.NewSource(seed)))
@@ -191,17 +191,6 @@ func TestTimerClampKeepsClock(t *testing.T) {
 // callLog records, in order, every callback a rank makes.
 type callLog []string
 
-type loggingObserver struct {
-	log  *callLog
-	cost float64
-}
-
-func (h loggingObserver) MPIEvent(*Proc, *Event) float64 { return 0 }
-func (h loggingObserver) Advance(p *Proc, from, to float64, kind AdvanceKind, ctx any, pmu machine.Vec) float64 {
-	*h.log = append(*h.log, fmt.Sprintf("advance %s %.4g", kind, to-from))
-	return h.cost
-}
-
 type loggingSampler struct {
 	log  *callLog
 	cost float64
@@ -214,14 +203,26 @@ func (h loggingSampler) Sample(p *Proc, crossings int64, period float64, pmu *ma
 	return h.cost
 }
 
-// TestTimerAndObserverOrder attaches a timer sampler and an every-advance
-// observer to one rank, the sampler first in the hook list: both see the
-// advance, the observer first, and what they ask for is charged together
-// as one perturbation advance.
+// loggingSamplerObserver is one hook that is both a timer sampler and an
+// every-advance observer.
+type loggingSamplerObserver struct {
+	loggingSampler
+	advanceCost float64
+}
+
+func (h loggingSamplerObserver) Advance(p *Proc, from, to float64, kind AdvanceKind, ctx any, pmu machine.Vec) float64 {
+	*h.log = append(*h.log, fmt.Sprintf("advance %s %.4g", kind, to-from))
+	return h.advanceCost
+}
+
+// TestTimerAndObserverOrder attaches one hook that is both a timer sampler
+// and an every-advance observer: it sees the advance as the observer
+// first, then as the sampler, and what it asks for is charged together as
+// one perturbation advance.
 func TestTimerAndObserverOrder(t *testing.T) {
 	var log callLog
-	w := NewWorld(Config{NP: 1, HookFactory: func(int) []Hook {
-		return []Hook{loggingSampler{&log, 0.25}, loggingObserver{&log, 0.125}}
+	w := NewWorld(Config{NP: 1, HookFactory: func(int) Hook {
+		return loggingSamplerObserver{loggingSampler{&log, 0.25}, 0.125}
 	}})
 	p := w.Proc(0)
 	p.advance(0.25, AdvWait, &zeroVec)
@@ -243,7 +244,7 @@ func TestTimerAndObserverOrder(t *testing.T) {
 // charged — or one sample would cost another for ever.
 func TestTimerOverheadIgnoredDuringPerturb(t *testing.T) {
 	var log callLog
-	w := NewWorld(Config{NP: 1, HookFactory: func(int) []Hook { return []Hook{loggingSampler{&log, 1e9}} }})
+	w := NewWorld(Config{NP: 1, HookFactory: func(int) Hook { return loggingSampler{&log, 1e9} }})
 	p := w.Proc(0)
 	p.Perturb(10.5)
 	if fmt.Sprint(log) != "[sample 10]" || p.Clock != 10.5 || p.PerturbTotal != 10.5 {
@@ -255,13 +256,13 @@ func TestTimerOverheadIgnoredDuringPerturb(t *testing.T) {
 	}
 }
 
-// TestOneTimerSamplerARank: a rank has one sampling timer.
+// TestOneTimerSamplerARank: a rank's one sampling timer needs a positive
+// period.
 func TestOneTimerSamplerARank(t *testing.T) {
-	for name, hooks := range map[string][]Hook{
-		"two timer samplers":  {loggingSampler{}, loggingSampler{}},
-		"a period of 0 s":     {&timerOracle{period: 0}},
-		"a period of NaN s":   {&timerOracle{period: math.NaN()}},
-		"a period of -0.01 s": {&timerOracle{period: -0.01}},
+	for name, hook := range map[string]Hook{
+		"a period of 0 s":     &timerOracle{period: 0},
+		"a period of NaN s":   &timerOracle{period: math.NaN()},
+		"a period of -0.01 s": &timerOracle{period: -0.01},
 	} {
 		func() {
 			defer func() {
@@ -269,7 +270,7 @@ func TestOneTimerSamplerARank(t *testing.T) {
 					t.Errorf("NewWorld panicked with %v, want a message naming %s", r, name)
 				}
 			}()
-			NewWorld(Config{NP: 1, HookFactory: func(int) []Hook { return hooks }})
+			NewWorld(Config{NP: 1, HookFactory: func(int) Hook { return hook }})
 		}()
 	}
 }

@@ -28,9 +28,9 @@ func (d *eventDigest) MPIEvent(p *Proc, ev *Event) float64 {
 func runWildcard(t *testing.T, np int, body func(p *Proc)) (string, *World) {
 	t.Helper()
 	digests := make([]*eventDigest, np)
-	w := NewWorld(Config{NP: np, Seed: 1, HookFactory: func(rank int) []Hook {
+	w := NewWorld(Config{NP: np, Seed: 1, HookFactory: func(rank int) Hook {
 		digests[rank] = &eventDigest{h: sha256.New()}
-		return []Hook{digests[rank]}
+		return digests[rank]
 	}})
 	res, err := w.RunBlocking(body)
 	if err != nil {

@@ -23,8 +23,9 @@ type Config struct {
 	MemSpeed func(rank int) float64
 	// Seed seeds the per-rank deterministic RNGs.
 	Seed int64
-	// HookFactory creates per-rank tool hooks; nil means no tools.
-	HookFactory func(rank int) []Hook
+	// HookFactory creates each rank's tool hook; nil (or a nil hook) means
+	// no tool.
+	HookFactory func(rank int) Hook
 }
 
 // World is one simulated MPI job: np ranks, the matcher and collective
@@ -69,11 +70,10 @@ func NewWorld(cfg Config) *World {
 		reqs, free := 2*r*reqsCap, (2*r+1)*reqsCap
 		p.reqs, p.freeReqs = lists[reqs:reqs:free], lists[free:free:free+reqsCap]
 		p.rng = NewStream(cfg.Seed*7919 + int64(r) + 1)
-		var hooks []Hook
+		p.period = math.Inf(1)
 		if cfg.HookFactory != nil {
-			hooks = cfg.HookFactory(r)
+			p.attach(cfg.HookFactory(r))
 		}
-		p.attach(hooks)
 		w.procs[r] = p
 	}
 	return w
@@ -137,7 +137,7 @@ func (w *World) Run(step Stepper) (RunResult, error) {
 }
 
 // Proc is the per-rank execution state: the virtual clock, the PMU core,
-// outstanding requests, tool hooks, the attribution context (the PSG
+// outstanding requests, the tool hook, the attribution context (the PSG
 // vertex currently executing, set by the VM), and — while the rank is
 // parked — the continuation of the one operation it is blocked in.
 //
@@ -160,11 +160,11 @@ type Proc struct {
 	// PerturbTotal accumulates virtual tool overhead (AdvPerturb).
 	PerturbTotal float64
 
-	// hooks all receive MPI events; observers are the ones that also see
-	// every advance, sampler the one the timer below drives.
-	hooks     []Hook
-	observers []AdvanceObserver
-	sampler   TimerSampler
+	// hook receives MPI events; observer and sampler are that same hook
+	// when it also sees every advance or is driven by the timer below.
+	hook     Hook
+	observer AdvanceObserver
+	sampler  TimerSampler
 	// The sampling timer: bucket is int64(Clock/period) as of the previous
 	// advance, and an advance that moves it has crossed that many period
 	// boundaries. Without a sampler the period is +Inf and the bucket stays
@@ -186,8 +186,8 @@ type Proc struct {
 	cont     cont
 	wakeInfo sendInfo
 
-	// evScratch stages events for emit: hooks receive a pointer into it,
-	// valid only for the duration of the callback, so steady-state
+	// evScratch stages events for emit: the hook receives a pointer into
+	// it, valid only for the duration of the callback, so steady-state
 	// simulation emits events without allocating.
 	evScratch Event
 	// freeReqs recycles completed request handles.
@@ -206,24 +206,16 @@ func (p *Proc) World() *World { return p.world }
 // Rand returns a deterministic per-rank pseudo-random float64 in [0,1).
 func (p *Proc) Rand() float64 { return p.rng.Float64() }
 
-// attach files the rank's hooks under the callbacks they implement and
-// sets the sampling timer's period if one asks for it.
-func (p *Proc) attach(hooks []Hook) {
-	p.hooks = hooks
-	p.period = math.Inf(1)
-	for _, h := range hooks {
-		if o, ok := h.(AdvanceObserver); ok {
-			p.observers = append(p.observers, o)
+// attach files the rank's hook under the callbacks it implements and sets
+// the sampling timer's period if it asks for one.
+func (p *Proc) attach(h Hook) {
+	p.hook = h
+	p.observer, _ = h.(AdvanceObserver)
+	if s, ok := h.(TimerSampler); ok {
+		if p.period = s.SamplePeriod(); !(p.period > 0) {
+			panic(fmt.Sprintf("mpisim: rank %d timer sampler asks for a period of %g s", p.Rank, p.period))
 		}
-		if s, ok := h.(TimerSampler); ok {
-			if p.sampler != nil {
-				panic(fmt.Sprintf("mpisim: rank %d has two timer samplers; a rank has one sampling timer", p.Rank))
-			}
-			if p.period = s.SamplePeriod(); !(p.period > 0) {
-				panic(fmt.Sprintf("mpisim: rank %d timer sampler asks for a period of %g s", p.Rank, p.period))
-			}
-			p.sampler = s
-		}
+		p.sampler = s
 	}
 }
 
@@ -242,23 +234,23 @@ func (p *Proc) advance(dt float64, kind AdvanceKind, pmu *machine.Vec) {
 	from := p.Clock
 	p.Clock += dt
 	p.advances++
-	if int64(p.Clock/p.period) != p.bucket || len(p.observers) != 0 {
+	if int64(p.Clock/p.period) != p.bucket || p.observer != nil {
 		p.tick(from, kind, pmu)
 	}
 }
 
-// tick is the part of an advance that calls hooks: the every-advance
-// observers first, in hook-list order, then the timer sampler if the
-// advance crossed a period boundary. pmu is the advance's own counter
-// delta, which only observers are shown. The overhead they ask for is
-// summed in that order and charged as one follow-up AdvPerturb advance;
-// what is asked for while observing that one is ignored.
+// tick is the part of an advance that calls the hook: as an every-advance
+// observer first, then as the timer sampler if the advance crossed a
+// period boundary. pmu is the advance's own counter delta, which only the
+// observer is shown. The overhead asked for is summed in that order and
+// charged as one follow-up AdvPerturb advance; what is asked for while
+// observing that one is ignored.
 //
 //scalana:hot
 func (p *Proc) tick(from float64, kind AdvanceKind, pmu *machine.Vec) {
 	var owed float64
-	for _, o := range p.observers {
-		owed += o.Advance(p, from, p.Clock, kind, p.Ctx, *pmu)
+	if p.observer != nil {
+		owed = p.observer.Advance(p, from, p.Clock, kind, p.Ctx, *pmu)
 	}
 	if bucket := int64(p.Clock / p.period); bucket != p.bucket {
 		crossings := bucket - p.bucket
@@ -274,9 +266,9 @@ func (p *Proc) tick(from float64, kind AdvanceKind, pmu *machine.Vec) {
 	}
 }
 
-// emit reports one completed MPI operation to the rank's hooks. The
-// event is staged in per-rank scratch storage that the next operation
-// overwrites; hooks must copy any fields they keep (see Hook).
+// emit reports one completed MPI operation to the rank's hook. The event
+// is staged in per-rank scratch storage that the next operation
+// overwrites; a hook must copy any fields it keeps (see Hook).
 //
 //scalana:hot
 func (p *Proc) emit(ev *Event) {
@@ -285,13 +277,12 @@ func (p *Proc) emit(ev *Event) {
 	if ev.Kind != EvSendrecv {
 		ev.SendPeer = -1
 	}
-	p.evScratch = *ev
 	p.events++
-	var owed float64
-	for _, h := range p.hooks {
-		owed += h.MPIEvent(p, &p.evScratch)
+	if p.hook == nil {
+		return
 	}
-	if owed > 0 {
+	p.evScratch = *ev
+	if owed := p.hook.MPIEvent(p, &p.evScratch); owed > 0 {
 		p.Perturb(owed)
 	}
 }

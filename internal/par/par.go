@@ -1,8 +1,8 @@
 // Package par provides the bounded fork-join primitives used by the
-// sweep engine and the PPG assembler. All helpers preserve determinism
-// by construction: workers only write to disjoint, index-addressed
-// slots, and any order-sensitive reduction is left to the (serial)
-// caller.
+// sweep engine, the synth corpus evaluation and the experiment runner.
+// All helpers preserve determinism by construction: workers only write to
+// disjoint, index-addressed slots, and any order-sensitive reduction is
+// left to the (serial) caller.
 package par
 
 import (

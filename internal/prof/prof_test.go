@@ -32,8 +32,8 @@ func fakeProc(t *testing.T) *mpisim.Proc {
 // sampledProc attaches pr to the one rank of a new world, so the rank's
 // sampling timer drives it.
 func sampledProc(pr *Profiler) *mpisim.Proc {
-	w := mpisim.NewWorld(mpisim.Config{NP: 1, HookFactory: func(int) []mpisim.Hook {
-		return []mpisim.Hook{pr}
+	w := mpisim.NewWorld(mpisim.Config{NP: 1, HookFactory: func(int) mpisim.Hook {
+		return pr
 	}})
 	return w.Proc(0)
 }
@@ -183,9 +183,9 @@ func main() {
 }`)
 	g := psg.MustBuild(prog)
 	profilers := make([]*Profiler, 2)
-	cfg := mpisim.Config{NP: 2, HookFactory: func(rank int) []mpisim.Hook {
+	cfg := mpisim.Config{NP: 2, HookFactory: func(rank int) mpisim.Hook {
 		profilers[rank] = New(DefaultConfig(), g, rank, 2)
-		return []mpisim.Hook{profilers[rank]}
+		return profilers[rank]
 	}}
 	w := mpisim.NewWorld(cfg)
 	_, err := w.RunBlocking(func(p *mpisim.Proc) {
@@ -280,9 +280,9 @@ func TestProfileSetRoundTrip(t *testing.T) {
 func TestRequestConverterBounded(t *testing.T) {
 	g := testGraph(t)
 	profilers := make([]*Profiler, 2)
-	w := mpisim.NewWorld(mpisim.Config{NP: 2, HookFactory: func(rank int) []mpisim.Hook {
+	w := mpisim.NewWorld(mpisim.Config{NP: 2, HookFactory: func(rank int) mpisim.Hook {
 		profilers[rank] = New(DefaultConfig(), g, rank, 2)
-		return []mpisim.Hook{profilers[rank]}
+		return profilers[rank]
 	}})
 	check := func(p *mpisim.Proc) {
 		if held, out := len(profilers[p.Rank].pending), p.Outstanding(); held > out {

@@ -32,9 +32,9 @@ func oracleProfiles(t *testing.T, e *scalana.Engine, app *scalana.App, np int, p
 		t.Fatal(err)
 	}
 	profilers := make([]prof.OracleProfiler, np)
-	wcfg := mpisim.Config{NP: np, MemSpeed: app.MemSpeed, Seed: pcfg.Seed, HookFactory: func(rank int) []mpisim.Hook {
+	wcfg := mpisim.Config{NP: np, MemSpeed: app.MemSpeed, Seed: pcfg.Seed, HookFactory: func(rank int) mpisim.Hook {
 		profilers[rank] = prof.NewOracleProfiler(pcfg, graph, rank, np)
-		return []mpisim.Hook{profilers[rank]}
+		return profilers[rank]
 	}}
 	res, err := mpisim.NewWorld(wcfg).Run(vm.NewRunner(code.(*vm.Program)).Stepper(np))
 	if err != nil {

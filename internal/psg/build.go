@@ -92,11 +92,10 @@ func (g *Graph) CompileExec(build func() (any, error)) (any, error) {
 
 // Build constructs the PSG of prog: intra-procedural graphs per function,
 // inter-procedural inlining from main over the program call graph, then
-// contraction (if enabled).
+// contraction (if enabled). opts is normalized first: the zero value
+// builds the paper's defaults.
 func Build(prog *minilang.Program, opts Options) (*Graph, error) {
-	if opts.MaxLoopDepth <= 0 {
-		opts.MaxLoopDepth = DefaultOptions().MaxLoopDepth
-	}
+	opts = opts.Normalize()
 	// The call graph validates call targets and provides the PCG the paper
 	// traverses top-down; inlining below performs that traversal.
 	cg := ir.BuildCallGraph(prog, nil)

@@ -37,3 +37,14 @@ func TestNormalizedOptionsBuildIdenticalGraphs(t *testing.T) {
 		t.Errorf("graph stats diverge: %+v vs %+v", a.Stats, b.Stats)
 	}
 }
+
+// TestBuildZeroOptionsIsTheDefaults: Build normalizes its options the way
+// Engine.Compile does, so the zero value builds the contracted default
+// graph, not an uncontracted one.
+func TestBuildZeroOptionsIsTheDefaults(t *testing.T) {
+	a := build(t, fig3, Options{})
+	b := build(t, fig3, DefaultOptions())
+	if a.Opts != b.Opts || a.Stats != b.Stats {
+		t.Errorf("Build(Options{}) = %+v with %+v, want %+v with %+v", a.Opts, a.Stats, b.Opts, b.Stats)
+	}
+}

@@ -72,9 +72,9 @@ func TestTracerEndToEndVolume(t *testing.T) {
 	// Full tracing of a small run: record counts scale with events, which
 	// is exactly why tracing storage explodes (paper Table I).
 	tracers := make([]*Tracer, 4)
-	cfg := mpisim.Config{NP: 4, HookFactory: func(rank int) []mpisim.Hook {
+	cfg := mpisim.Config{NP: 4, HookFactory: func(rank int) mpisim.Hook {
 		tracers[rank] = New(rank)
-		return []mpisim.Hook{tracers[rank]}
+		return tracers[rank]
 	}}
 	w := mpisim.NewWorld(cfg)
 	const iters = 25

@@ -178,21 +178,18 @@ func run(prog *minilang.Program, graph *psg.Graph, cfg scalana.RunConfig, oracle
 
 // runOracle executes cfg on the tree-walking interpreter. It is what
 // scalana.RunCompiled does around the VM, written against the same
-// documented tool lifecycle (scalana.ToolRun): NewToolRun, HooksForRank
-// as the world's hook factory, run, FinalizeRank per rank, Finish.
+// documented tool lifecycle (scalana.ToolRun): NewToolRun, HookForRank
+// as the world's hook factory, run, Finish.
 func runOracle(prog *minilang.Program, graph *psg.Graph, cfg scalana.RunConfig) (mpisim.RunResult, any, error) {
 	trun, err := scalana.NewToolRun(cfg, graph)
 	if err != nil {
 		return mpisim.RunResult{}, nil, err
 	}
-	wcfg := mpisim.Config{NP: cfg.NP, MemSpeed: cfg.App.MemSpeed, Seed: cfg.Seed, HookFactory: trun.HooksForRank}
+	wcfg := mpisim.Config{NP: cfg.NP, MemSpeed: cfg.App.MemSpeed, Seed: cfg.Seed, HookFactory: trun.HookForRank}
 	res, err := mpisim.NewWorld(wcfg).RunBlocking(interp.NewRunner(prog, graph).Execute)
 	if err != nil {
 		return res, nil, err
 	}
-	for r := 0; r < cfg.NP; r++ {
-		trun.FinalizeRank(r)
-	}
-	data, err := trun.Finish()
+	data, _, err := trun.Finish()
 	return res, data, err
 }

@@ -193,9 +193,9 @@ func main() {
 	} {
 		var events []*mpisim.Event
 		hook := &ctxCapture{events: &events}
-		world := mpisim.NewWorld(mpisim.Config{NP: 2, HookFactory: func(rank int) []mpisim.Hook {
+		world := mpisim.NewWorld(mpisim.Config{NP: 2, HookFactory: func(rank int) mpisim.Hook {
 			if rank == 0 {
-				return []mpisim.Hook{hook}
+				return hook
 			}
 			return nil
 		}})

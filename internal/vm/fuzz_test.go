@@ -129,9 +129,9 @@ func runRecorded(prog *minilang.Program, graph *psg.Graph, np int, useInterp boo
 	world := mpisim.NewWorld(mpisim.Config{
 		NP:   np,
 		Seed: 1,
-		HookFactory: func(rank int) []mpisim.Hook {
+		HookFactory: func(rank int) mpisim.Hook {
 			recs[rank] = &recorder{}
-			return []mpisim.Hook{recs[rank]}
+			return recs[rank]
 		},
 	})
 	var res mpisim.RunResult

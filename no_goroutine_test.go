@@ -42,7 +42,7 @@ func TestProductionRunStartsNoGoroutine(t *testing.T) {
 		t.Fatal(err)
 	}
 	gauge := &goroutineGauge{}
-	wcfg := mpisim.Config{NP: np, MemSpeed: app.MemSpeed, HookFactory: func(int) []mpisim.Hook { return []mpisim.Hook{gauge} }}
+	wcfg := mpisim.Config{NP: np, MemSpeed: app.MemSpeed, HookFactory: func(int) mpisim.Hook { return gauge }}
 	before := runtime.NumGoroutine()
 	if _, err := mpisim.NewWorld(wcfg).Run(vm.NewRunner(code).Stepper(np)); err != nil {
 		t.Fatal(err)

@@ -162,9 +162,9 @@ func Run(cfg RunConfig) (*RunOutput, error) {
 // changes neither profiles nor detection output.
 //
 // The tool is resolved by NewToolRun; RunCompiled itself knows nothing
-// about individual tools — it drives the ToolRun lifecycle (HooksForRank
-// before execution, FinalizeRank in rank order after, one Finish at the
-// end), all on the calling goroutine.
+// about individual tools — it drives the ToolRun lifecycle (HookForRank
+// for each rank before execution, one Finish after), all on the calling
+// goroutine.
 func RunCompiled(prog *minilang.Program, graph *psg.Graph, cfg RunConfig) (*RunOutput, error) {
 	if err := validateRunConfig(cfg); err != nil {
 		return nil, err
@@ -182,7 +182,7 @@ func RunCompiled(prog *minilang.Program, graph *psg.Graph, cfg RunConfig) (*RunO
 		if trun, err = NewToolRun(cfg, graph); err != nil {
 			return nil, err
 		}
-		wcfg.HookFactory = trun.HooksForRank
+		wcfg.HookFactory = trun.HookForRank
 	}
 
 	// The bytecode is cached on the graph, so the sweep-wide sharing the
@@ -204,12 +204,7 @@ func RunCompiled(prog *minilang.Program, graph *psg.Graph, cfg RunConfig) (*RunO
 	if trun == nil {
 		return out, nil
 	}
-	// Finalization runs in rank order on this goroutine: one rank's costs
-	// less than a pool handoff, and the storage sum keeps one order.
-	for r := range cfg.NP {
-		out.storage += trun.FinalizeRank(r)
-	}
-	if out.Data, err = trun.Finish(); err != nil {
+	if out.Data, out.storage, err = trun.Finish(); err != nil {
 		return nil, fmt.Errorf("scalana: finalize %s: %w", name, err)
 	}
 	return out, nil

@@ -37,34 +37,25 @@ func NewToolRun(cfg RunConfig, graph *psg.Graph) (ToolRun, error) {
 	return nil, fmt.Errorf("scalana: no measurement tool named %q (tools: %s)", cfg.ToolName, strings.Join(names, ", "))
 }
 
-// ToolRun is one run's collection state. The lifecycle is fixed:
+// ToolRun is one run's collection state. The lifecycle is two calls:
 //
-//  1. HooksForRank is called once per rank, sequentially in rank order,
-//     during world construction (before any rank executes).
-//  2. The simulation runs; hooks observe their own rank only: its MPI
-//     events, and virtual time as timer samples or advance by advance,
-//     whichever of mpisim's optional interfaces they implement.
-//  3. FinalizeRank is called once per rank, in rank order on the
-//     goroutine that called RunCompiled, after the run completes.
-//  4. Finish is called once, after every FinalizeRank returned, to
-//     assemble the cross-rank payload RunOutput.Data carries.
+//  1. HookForRank is called once per rank, sequentially in rank order,
+//     during world construction (before any rank executes). The hook sees
+//     its own rank only: its MPI events, and virtual time as timer samples
+//     (mpisim.TimerSampler) or advance by advance (mpisim.AdvanceObserver,
+//     a call per executed statement), whichever interface it implements.
+//  2. Finish is called once, on the goroutine that called RunCompiled,
+//     after the run completes.
 //
 // A run must be deterministic: given equal (App, NP, Seed, Prof), every
 // hook decision and the finished payload are identical across runs and
 // across host parallelism (DESIGN.md §4).
 type ToolRun interface {
-	// HooksForRank returns the simulator hooks attached to one rank. Every
-	// hook receives the rank's MPI events (mpisim.Hook). One that samples
-	// on a timer also implements mpisim.TimerSampler — it names its period
-	// once and is called only when the rank's clock crosses a multiple of
-	// it, at most one such hook a rank; one that must see every
-	// virtual-time advance implements mpisim.AdvanceObserver, at the cost
-	// of a call per executed statement.
-	HooksForRank(rank int) []mpisim.Hook
-	// FinalizeRank extracts the rank's measurement data and returns its
-	// storage size in bytes (the tool-comparison experiments sum these).
-	FinalizeRank(rank int) (storageBytes int64)
-	// Finish returns the tool-specific payload for RunOutput.Data —
-	// e.g. per-rank profiles plus an assembled Program Performance Graph.
-	Finish() (data any, err error)
+	// HookForRank returns the simulator hook attached to one rank.
+	HookForRank(rank int) mpisim.Hook
+	// Finish collects each rank's measurement data in rank order and
+	// returns the payload for RunOutput.Data — e.g. per-rank profiles plus
+	// an assembled Program Performance Graph — and the ranks' storage
+	// sizes summed (the tool-comparison experiments read it).
+	Finish() (data any, storageBytes int64, err error)
 }

@@ -1,8 +1,12 @@
 package scalana_test
 
 import (
+	"crypto/sha256"
+	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -127,5 +131,39 @@ func TestPSGOptionsNormalizeSharedAcrossSpellings(t *testing.T) {
 	}
 	if out.Graph.Opts != psg.DefaultOptions() {
 		t.Errorf("Run compiled with %+v, want the defaults", out.Graph.Opts)
+	}
+}
+
+// TestBaselineToolOutputsArePinned pins what the three baseline tools
+// produce on one small run (cg, np=8, seed 7) to committed numbers: the
+// virtual makespan, the summed storage size and a SHA-256 of the payload's
+// JSON encoding. The "scalana" tool has its own anchor, the wire fixtures
+// under testdata/. Both engines of the difftest harness reach the tool
+// through one mpisim hook path, so a change to how events reach a hook
+// shows here, not there.
+func TestBaselineToolOutputsArePinned(t *testing.T) {
+	for _, tc := range []struct {
+		tool, elapsed string
+		storage       int64
+		sha           string
+	}{
+		{"commmatrix", "0.7746762480545851", 2432, "d7a76e08722b0d9971f6ae1d08747a2c375fccd0b05acd6e45cce6bb05c578c7"},
+		{"hpctk", "0.7749754480545906", 66472, "e2a8d5a956b025cc22c9b98ae93bcbe3c1a7ca6d10f6b49c2e8c9c5feef09ad4"},
+		{"tracer", "0.7813806480545744", 1517400, "ff262d80659a0c80505e24c30c69bdfb23a9e1787c5def25a5912a92ff1b30e6"},
+	} {
+		out, err := scalana.Run(scalana.RunConfig{App: scalana.GetApp("cg"), NP: 8, Seed: 7, ToolName: tc.tool})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.tool, err)
+		}
+		data, err := json.Marshal(out.Data)
+		if err != nil {
+			t.Fatalf("%s: encode payload: %v", tc.tool, err)
+		}
+		elapsed := strconv.FormatFloat(out.Result.Elapsed, 'g', -1, 64)
+		sha := fmt.Sprintf("%x", sha256.Sum256(data))
+		if elapsed != tc.elapsed || out.StorageBytes() != tc.storage || sha != tc.sha {
+			t.Errorf("%s: elapsed %s, storage %d B, payload sha256 %s\nwant     %s, %d B, %s",
+				tc.tool, elapsed, out.StorageBytes(), sha, tc.elapsed, tc.storage, tc.sha)
+		}
 	}
 }

@@ -18,13 +18,21 @@ var tools = []struct {
 	Tool
 	newRun func(RunConfig, *psg.Graph) ToolRun
 }{
-	{Tool{"commmatrix", "communication-volume collector: per-vertex send/recv bytes and message counts plus the rank-to-rank traffic matrix"}, newCommMatrixRun},
-	{Tool{"hpctk", "HPCToolkit-like call-path profiler: pure calling-context sampling, no inter-process dependence"}, newCallPathRun},
+	{Tool{"commmatrix", "communication-volume collector: per-vertex send/recv bytes and message counts plus the rank-to-rank traffic matrix"},
+		func(cfg RunConfig, _ *psg.Graph) ToolRun {
+			return newPerRank(cfg.NP, func(rank int) *commmatrix.Collector { return commmatrix.New(rank, cfg.NP) },
+				(*commmatrix.Collector).Comm, func(ranks []*commmatrix.RankComm) (any, error) { return commmatrix.Assemble(ranks) })
+		}},
+	{Tool{"hpctk", "HPCToolkit-like call-path profiler: pure calling-context sampling, no inter-process dependence"},
+		func(cfg RunConfig, _ *psg.Graph) ToolRun {
+			return newPerRank(cfg.NP, hpctk.New, (*hpctk.Profiler).Profile, ranksAsPayload[*hpctk.RankProfile])
+		}},
 	{Tool{"scalana", "graph-based profiler: sampled per-vertex performance + compressed communication dependence (the paper's tool)"}, newScalAnaRun},
-	{Tool{"tracer", "Scalasca-like tracer: every MPI event and region transition logged as a timestamped record"}, newTracerRun},
+	{Tool{"tracer", "Scalasca-like tracer: every MPI event and region transition logged as a timestamped record"},
+		func(cfg RunConfig, _ *psg.Graph) ToolRun {
+			return newPerRank(cfg.NP, trace.New, (*trace.Tracer).Trace, ranksAsPayload[*trace.RankTrace])
+		}},
 }
-
-// ---- "scalana": the graph-based profiler (paper's tool) ----
 
 // ScalAnaData is the payload of the "scalana" tool: per-rank profiles
 // plus the assembled Program Performance Graph.
@@ -33,128 +41,58 @@ type ScalAnaData struct {
 	PPG      *ppg.Graph
 }
 
+// newScalAnaRun attaches the graph-based profiler, the paper's tool. Every
+// rank's profiler storage comes out of the run's slabs.
 func newScalAnaRun(cfg RunConfig, graph *psg.Graph) ToolRun {
 	pc := cfg.Prof
 	if pc.Seed == 0 {
 		pc.Seed = cfg.Seed
 	}
-	np := cfg.NP
-	// Every rank's profiler storage comes out of the run's slabs, and so
-	// do the one-hook lists the simulator asks for rank by rank.
-	r := &scalAnaRun{
-		graph:     graph,
-		profilers: prof.NewProfilers(pc, graph, np),
-		hooks:     make([]mpisim.Hook, np),
-		profiles:  make([]*prof.RankProfile, np),
-	}
+	profilers := prof.NewProfilers(pc, graph, cfg.NP)
+	return newPerRank(cfg.NP, func(rank int) *prof.Profiler { return &profilers[rank] }, (*prof.Profiler).Profile,
+		func(profiles []*prof.RankProfile) (any, error) {
+			pg, err := ppg.Build(graph, profiles)
+			if err != nil {
+				return nil, fmt.Errorf("assemble PPG: %w", err)
+			}
+			return &ScalAnaData{Profiles: profiles, PPG: pg}, nil
+		})
+}
+
+// rankData is what a tool keeps of one rank: it knows its storage size.
+type rankData interface{ StorageBytes() int64 }
+
+// perRank is the ToolRun of every tool: each rank carries one hook H, from
+// which Finish reads the rank's data D; assemble turns the ranks' data, in
+// rank order, into the payload.
+type perRank[H mpisim.Hook, D rankData] struct {
+	hooks    []H
+	data     func(H) D
+	assemble func([]D) (any, error)
+}
+
+// newPerRank builds every rank's hook up front, in rank order.
+func newPerRank[H mpisim.Hook, D rankData](np int, hook func(rank int) H, data func(H) D, assemble func([]D) (any, error)) ToolRun {
+	r := &perRank[H, D]{hooks: make([]H, np), data: data, assemble: assemble}
 	for rank := range r.hooks {
-		r.hooks[rank] = &r.profilers[rank]
+		r.hooks[rank] = hook(rank)
 	}
 	return r
 }
 
-type scalAnaRun struct {
-	graph     *psg.Graph
-	profilers []prof.Profiler
-	hooks     []mpisim.Hook
-	profiles  []*prof.RankProfile
-}
+func (r *perRank[H, D]) HookForRank(rank int) mpisim.Hook { return r.hooks[rank] }
 
-func (r *scalAnaRun) HooksForRank(rank int) []mpisim.Hook {
-	return r.hooks[rank : rank+1 : rank+1]
-}
-
-func (r *scalAnaRun) FinalizeRank(rank int) int64 {
-	r.profiles[rank] = r.profilers[rank].Profile()
-	return r.profiles[rank].StorageBytes()
-}
-
-func (r *scalAnaRun) Finish() (any, error) {
-	pg, err := ppg.Build(r.graph, r.profiles)
-	if err != nil {
-		return nil, fmt.Errorf("assemble PPG: %w", err)
+func (r *perRank[H, D]) Finish() (any, int64, error) {
+	ranks := make([]D, len(r.hooks))
+	var storage int64
+	for rank, h := range r.hooks {
+		ranks[rank] = r.data(h)
+		storage += ranks[rank].StorageBytes()
 	}
-	return &ScalAnaData{Profiles: r.profiles, PPG: pg}, nil
+	payload, err := r.assemble(ranks)
+	return payload, storage, err
 }
 
-// ---- "tracer": the Scalasca-like tracing baseline ----
-
-func newTracerRun(cfg RunConfig, _ *psg.Graph) ToolRun {
-	return &tracerRun{
-		tracers: make([]*trace.Tracer, cfg.NP),
-		traces:  make([]*trace.RankTrace, cfg.NP),
-	}
-}
-
-type tracerRun struct {
-	tracers []*trace.Tracer
-	traces  []*trace.RankTrace
-}
-
-func (r *tracerRun) HooksForRank(rank int) []mpisim.Hook {
-	tr := trace.New(rank)
-	r.tracers[rank] = tr
-	return []mpisim.Hook{tr}
-}
-
-func (r *tracerRun) FinalizeRank(rank int) int64 {
-	r.traces[rank] = r.tracers[rank].Trace()
-	return r.traces[rank].StorageBytes()
-}
-
-func (r *tracerRun) Finish() (any, error) { return r.traces, nil }
-
-// ---- "hpctk": the HPCToolkit-like call-path profiling baseline ----
-
-func newCallPathRun(cfg RunConfig, _ *psg.Graph) ToolRun {
-	return &callPathRun{
-		profilers: make([]*hpctk.Profiler, cfg.NP),
-		profiles:  make([]*hpctk.RankProfile, cfg.NP),
-	}
-}
-
-type callPathRun struct {
-	profilers []*hpctk.Profiler
-	profiles  []*hpctk.RankProfile
-}
-
-func (r *callPathRun) HooksForRank(rank int) []mpisim.Hook {
-	pr := hpctk.New(rank)
-	r.profilers[rank] = pr
-	return []mpisim.Hook{pr}
-}
-
-func (r *callPathRun) FinalizeRank(rank int) int64 {
-	r.profiles[rank] = r.profilers[rank].Profile()
-	return r.profiles[rank].StorageBytes()
-}
-
-func (r *callPathRun) Finish() (any, error) { return r.profiles, nil }
-
-// ---- "commmatrix": the communication-volume collector ----
-
-func newCommMatrixRun(cfg RunConfig, _ *psg.Graph) ToolRun {
-	return &commMatrixRun{
-		collectors: make([]*commmatrix.Collector, cfg.NP),
-		ranks:      make([]*commmatrix.RankComm, cfg.NP),
-	}
-}
-
-type commMatrixRun struct {
-	collectors []*commmatrix.Collector
-	ranks      []*commmatrix.RankComm
-}
-
-func (r *commMatrixRun) HooksForRank(rank int) []mpisim.Hook {
-	c := commmatrix.New(rank, len(r.collectors))
-	r.collectors[rank] = c
-	return []mpisim.Hook{c}
-}
-
-func (r *commMatrixRun) FinalizeRank(rank int) int64 {
-	r.ranks[rank] = r.collectors[rank].Comm()
-	return r.ranks[rank].StorageBytes()
-}
-
-// Finish assembles the dense traffic matrix, a *commmatrix.Matrix.
-func (r *commMatrixRun) Finish() (any, error) { return commmatrix.Assemble(r.ranks) }
+// ranksAsPayload is the assemble step of a tool whose payload is the
+// ranks' data itself.
+func ranksAsPayload[D any](ranks []D) (any, error) { return ranks, nil }
