@@ -51,6 +51,9 @@ func main() {
 	if app == nil {
 		log.Fatalf("unknown app %q", *appName)
 	}
+	if *hz == 0 {
+		log.Fatal("-hz must be above 0: a zero rate reads as the default, 200")
+	}
 	if *commProb == 0 {
 		log.Fatal("-comm-prob must be above 0: a zero probability reads as the default, 1")
 	}

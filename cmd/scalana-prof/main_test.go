@@ -72,16 +72,19 @@ func TestToolListingBytes(t *testing.T) {
 
 // TestBadRatesExit1: a NaN or infinite -hz used to panic in the sampler,
 // a negative one silently profiled at 200 Hz, and a -comm-prob outside
-// [0, 1] was accepted; each now exits 1 with a message. So does a
-// -comm-prob of 0, which prof.Config would read as its default, 1.
+// [0, 1] was accepted; each now exits 1 with a message. So do a -hz and
+// a -comm-prob of 0, which prof.Config would read as its defaults.
 func TestBadRatesExit1(t *testing.T) {
 	for _, args := range [][]string{
-		{"-hz", "NaN"}, {"-hz", "Inf"}, {"-hz", "-5"},
+		{"-hz", "NaN"}, {"-hz", "Inf"}, {"-hz", "-5"}, {"-hz", "0"},
 		{"-comm-prob", "-1"}, {"-comm-prob", "2"}, {"-comm-prob", "NaN"}, {"-comm-prob", "0"},
 	} {
 		code, _, stderr := run(t, profBin, append([]string{"-app", "cg", "-np", "4"}, args...)...)
 		if code != 1 || !strings.HasPrefix(stderr, "scalana-prof: ") || strings.Contains(stderr, "panic") {
 			t.Errorf("%v: exit %d, stderr %q, want exit 1 with a message and no panic", args, code, stderr)
+		}
+		if args[1] == "0" && !strings.Contains(stderr, args[0]) {
+			t.Errorf("%v: stderr %q does not name the flag", args, stderr)
 		}
 	}
 }

@@ -45,6 +45,13 @@ func main() {
 	if *genOnly && *corpusOut == "" {
 		log.Fatalf("-generate-only needs -corpus")
 	}
+	// synth.EvalConfig reads a zero SampleHz or TopK as its default.
+	if !(*hz > 0) {
+		log.Fatalf("-hz must be above 0, got %g", *hz)
+	}
+	if *topK < 1 {
+		log.Fatalf("-topk must be at least 1, got %d", *topK)
+	}
 	gcfg := synth.GenConfig{Seed: *seed, Cases: *cases}
 	if *archetypes != "" {
 		for _, a := range strings.Split(*archetypes, ",") {

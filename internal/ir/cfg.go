@@ -1,9 +1,9 @@
 // Package ir lowers MiniMP functions to a control-flow graph of basic
-// blocks and provides the classic analyses ScalAna's static module relies
-// on: dominator computation, natural-loop detection, and the program call
-// graph (PCG). The paper builds its Program Structure Graph by traversing
-// the control flow graph of each procedure at the IR level (§III-A); this
-// package supplies that substrate.
+// blocks and provides two classic analyses over it: dominators and
+// natural loops. Its readers are the static scalability lint
+// (LintScaledCollectives), the bytecode VM's lowering check and the
+// Table III overhead baseline. The PSG builder does not use it: it walks
+// the checked AST directly (package psg).
 package ir
 
 import (
@@ -16,8 +16,8 @@ import (
 type Op int
 
 // Instruction kinds. Plain expression evaluation and assignment lower to
-// OpEval; call-like constructs each get their own instruction so the PSG
-// builder sees them in evaluation order.
+// OpEval; call-like constructs each get their own instruction, in
+// evaluation order.
 const (
 	OpEval Op = iota
 	OpCall
@@ -53,8 +53,8 @@ type Instr struct {
 	Callee string             // for OpCall: target function name
 }
 
-// BlockKind annotates why a block was created; the PSG builder and tests
-// use it to relate CFG structure back to syntax.
+// BlockKind annotates why a block was created; tests use it to relate
+// CFG structure back to syntax.
 type BlockKind int
 
 // Block kinds.

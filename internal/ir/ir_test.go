@@ -149,9 +149,6 @@ func main() {
 	if depths[1] != 2 || depths[2] != 1 || depths[3] != 1 {
 		t.Errorf("loop depth histogram = %v, want 2 at depth 1, 1 at 2, 1 at 3", depths)
 	}
-	if MaxLoopDepth(fn) != 3 {
-		t.Errorf("MaxLoopDepth = %d, want 3", MaxLoopDepth(fn))
-	}
 }
 
 // TestCFGLoopsMatchASTLoops is the cross-check property: every natural
@@ -250,64 +247,6 @@ func main() {
 	// sqrt folds into OpEval; two var decls + one eval = 3 OpEval minimum.
 	if counts[OpEval] < 2 {
 		t.Errorf("too few OpEval: %v", counts)
-	}
-}
-
-func TestCallGraph(t *testing.T) {
-	prog, err := minilang.Parse("t.mp", `
-func leaf() { return 1; }
-func middle() { return leaf() + leaf(); }
-func recursive(n) { if (n > 0) { return recursive(n - 1); } return 0; }
-func mutualA(n) { if (n > 0) { return mutualB(n - 1); } return 0; }
-func mutualB(n) { return mutualA(n); }
-func unreached() { return leaf(); }
-func main() {
-	middle();
-	recursive(3);
-	mutualA(2);
-}`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cg := BuildCallGraph(prog, nil)
-	if got := cg.Callees["middle"]; len(got) != 1 || got[0] != "leaf" {
-		t.Errorf("middle callees = %v", got)
-	}
-	order, err := cg.TopDownOrder()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if order[0] != "main" {
-		t.Errorf("order starts with %q", order[0])
-	}
-	for _, f := range order {
-		if f == "unreached" {
-			t.Error("unreached function in top-down order")
-		}
-	}
-	pos := map[string]int{}
-	for i, f := range order {
-		pos[f] = i
-	}
-	if pos["middle"] > pos["leaf"] {
-		// BFS from main: middle is discovered before leaf.
-		t.Errorf("BFS order wrong: %v", order)
-	}
-}
-
-func TestCallSitesRecorded(t *testing.T) {
-	prog, err := minilang.Parse("t.mp", `
-func f() { return 0; }
-func main() { f(); f(); var g = &f; g(); }`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cg := BuildCallGraph(prog, nil)
-	if len(cg.Sites["main"]) != 3 {
-		t.Errorf("main has %d call sites, want 3", len(cg.Sites["main"]))
-	}
-	if len(cg.IndirectSites) != 1 {
-		t.Errorf("%d indirect sites, want 1", len(cg.IndirectSites))
 	}
 }
 

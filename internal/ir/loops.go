@@ -99,15 +99,3 @@ func FindLoops(fn *Func, dt *DomTree) []*Loop {
 	})
 	return loops
 }
-
-// MaxLoopDepth returns the deepest loop nesting level in fn (0 if loop-free).
-func MaxLoopDepth(fn *Func) int {
-	dt := ComputeDominators(fn)
-	maxd := 0
-	for _, l := range FindLoops(fn, dt) {
-		if l.Depth > maxd {
-			maxd = l.Depth
-		}
-	}
-	return maxd
-}

@@ -7,11 +7,11 @@ package ir
 // shape of the paper's zeusmp-style scalability defects, visible
 // statically long before a sweep measures it.
 //
-// The pass reuses the CFG machinery the PSG builder runs on: natural
-// loops from FindLoops give nesting depth and the originating loop
-// statement; the program call graph extends the check through direct
-// calls (a collective buried two calls deep inside an np-scaled loop is
-// still flagged, with the call chain reported).
+// The pass runs on this package's CFGs: natural loops from FindLoops
+// give nesting depth and the originating loop statement, and the direct
+// calls each CFG records extend the check through callees (a collective
+// buried two calls deep inside an np-scaled loop is still flagged, with
+// the call chain reported).
 
 import (
 	"fmt"
@@ -53,8 +53,7 @@ func (f ScaleFinding) String() string {
 // findings in deterministic (declaration, then position) order.
 func LintScaledCollectives(prog *minilang.Program) []ScaleFinding {
 	fns := LowerProgram(prog)
-	cg := BuildCallGraph(prog, fns)
-	collectiveVia := buildCollectiveVia(prog, cg)
+	collectiveVia := buildCollectiveVia(prog, fns)
 
 	var out []ScaleFinding
 	for _, fd := range prog.Funcs {
@@ -127,33 +126,33 @@ type collectiveInfo struct {
 
 // buildCollectiveVia maps every function that (transitively, via direct
 // calls) executes a collective to one representative collective site.
-func buildCollectiveVia(prog *minilang.Program, cg *CallGraph) map[string]collectiveInfo {
-	direct := map[string]collectiveInfo{}
+func buildCollectiveVia(prog *minilang.Program, fns map[string]*Func) map[string]collectiveInfo {
+	via := map[string]collectiveInfo{}
+	callees := map[string][]string{}
 	for _, fd := range prog.Funcs {
-		fn := cg.Funcs[fd.Name]
-		for _, b := range fn.Blocks {
+		for _, b := range fns[fd.Name].Blocks {
 			for _, in := range b.Instrs {
-				if in.Op == OpMPI && minilang.IsCollective(in.Call) {
-					if _, ok := direct[fd.Name]; !ok {
-						direct[fd.Name] = collectiveInfo{name: in.Call.Name, pos: in.Call.Pos()}
+				switch {
+				case in.Op == OpCall:
+					callees[fd.Name] = append(callees[fd.Name], in.Callee)
+				case in.Op == OpMPI && minilang.IsCollective(in.Call):
+					if _, ok := via[fd.Name]; !ok {
+						via[fd.Name] = collectiveInfo{name: in.Call.Name, pos: in.Call.Pos()}
 					}
 				}
 			}
 		}
+		sort.Strings(callees[fd.Name])
 	}
-	// Propagate up the call graph to a fixed point. Callees lists are
+	// Propagate up the direct calls to a fixed point. Callee lists are
 	// sorted, so the representative chain chosen is deterministic.
-	via := map[string]collectiveInfo{}
-	for name, info := range direct {
-		via[name] = info
-	}
 	for changed := true; changed; {
 		changed = false
 		for _, fd := range prog.Funcs {
 			if _, ok := via[fd.Name]; ok {
 				continue
 			}
-			for _, callee := range cg.Callees[fd.Name] {
+			for _, callee := range callees[fd.Name] {
 				if sub, ok := via[callee]; ok {
 					via[fd.Name] = collectiveInfo{
 						name: sub.name, pos: sub.pos,

@@ -67,6 +67,40 @@ func main() {
 	}
 }
 
+// TestScaleLintViaChainIsPinned: step calls three functions, two of
+// which reach a collective two calls deep. The chain reported is the
+// first callee, in sorted order, already known to reach a collective when
+// step is visited in declaration order: mid_b (declared before step),
+// not mid_a (declared after it), even though "mid_a" sorts first.
+func TestScaleLintViaChainIsPinned(t *testing.T) {
+	findings := lintSrc(t, `
+func zeta() { mpi_barrier(); }
+func leaf() { mpi_allreduce(8); }
+func mid_b() { zeta(); zeta(); }
+func step() {
+	helper();
+	mid_b();
+	mid_a();
+}
+func mid_a() { compute(1e3, 1e2, 1e1, 64); leaf(); }
+func helper() { var x = 1; }
+func main() {
+	var np = mpi_size();
+	for (var i = 0; i < np; i = i + 1) {
+		step();
+	}
+}
+`)
+	if len(findings) != 1 {
+		t.Fatalf("got %d findings, want 1: %v", len(findings), findings)
+	}
+	f := findings[0]
+	want := "main: mpi_barrier at t.mp:2:15 inside np-dependent loop at t.mp:14:2 (depth 1) via step() mid_b() zeta()"
+	if got := f.String(); got != want {
+		t.Errorf("finding = %s\nwant      %s", got, want)
+	}
+}
+
 func TestScaleLintNestedDepth(t *testing.T) {
 	// The np-dependent loop is the inner one; the finding must attribute
 	// the collective to it with its real nesting depth.

@@ -167,6 +167,10 @@ type Program struct {
 	File   string
 	Funcs  []*FuncDecl
 	Source string // original source text, kept for the viewer
+	// AddressTaken holds the sorted, distinct names of the functions
+	// whose address is taken (&name) anywhere in the program: the only
+	// possible targets of an indirect call. Check fills it.
+	AddressTaken []string
 
 	byName map[string]*FuncDecl
 	nodes  int // total number of AST nodes allocated

@@ -1,16 +1,22 @@
 package minilang
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Check performs semantic analysis on a parsed program: it resolves every
 // call to a builtin, a declared function, or an indirect call through a
 // variable; verifies arities; and checks that variables are declared before
-// use. It mutates CallExpr nodes in place (Builtin/Indirect fields).
+// use. It mutates CallExpr nodes in place (Builtin/Indirect fields) and
+// records the address-taken functions in prog.AddressTaken.
 func Check(prog *Program) error {
 	c := &checker{prog: prog}
 	for _, fn := range prog.Funcs {
 		c.checkFunc(fn)
 	}
+	slices.Sort(c.taken)
+	prog.AddressTaken = slices.Compact(c.taken)
 	if prog.Func("main") == nil {
 		c.errorf(Pos{File: prog.File, Line: 1, Col: 1}, "program has no main function")
 	}
@@ -28,6 +34,7 @@ type checker struct {
 	errs   []error
 	scopes []map[string]bool
 	loops  int
+	taken  []string // every &name, in visit order
 }
 
 func (c *checker) errorf(pos Pos, format string, args ...any) {
@@ -145,6 +152,7 @@ func (c *checker) checkExpr(e Expr) {
 		}
 		c.checkExpr(ex.Idx)
 	case *FuncRefExpr:
+		c.taken = append(c.taken, ex.Name)
 		if c.prog.Func(ex.Name) == nil {
 			c.errorf(ex.Pos(), "&%s: no such function", ex.Name)
 		}

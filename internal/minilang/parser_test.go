@@ -92,6 +92,36 @@ func main() { var g = &f; var v = -g(3) + !0; }
 	}
 }
 
+// TestAddressTaken: Check records every &name it visits, wherever the
+// expression sits, as one sorted list without repeats; a program that
+// takes no address records none.
+func TestAddressTaken(t *testing.T) {
+	prog := parseOK(t, `
+func f() { return 0; }
+func g() { return 1; }
+func h() { return 2; }
+func k(x) { return x; }
+func m() { return &g; }
+func main() {
+	var a = alloc(4);
+	var x = a[&h];
+	for (var i = 0; i < 1; i = &f) { x = 0; }
+	if (&k == &k) { x = 1; }
+	k(&f);
+}
+`)
+	if got, want := strings.Join(prog.AddressTaken, ","), "f,g,h,k"; got != want {
+		t.Errorf("AddressTaken = %q, want %q", got, want)
+	}
+	prog = parseOK(t, `
+func f() { return 0; }
+func main() { var y = f(); }
+`)
+	if len(prog.AddressTaken) != 0 {
+		t.Errorf("AddressTaken = %q, want none", prog.AddressTaken)
+	}
+}
+
 func TestParseNestedCalls(t *testing.T) {
 	prog := parseOK(t, `func main() { var v = max(min(1, 2), abs(0 - 3)); }`)
 	call := prog.Func("main").Body.Stmts[0].(*VarDecl).Init.(*CallExpr)

@@ -35,6 +35,25 @@ func main() {
 	}
 }`
 
+// TestBuildAllocBound gates what one contracted build of benchSrc
+// allocates: Build walks the checked AST and lowers nothing else (176
+// objects when written). The race runtime allocates on its own account,
+// so the count is gated only without it.
+func TestBuildAllocBound(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not gated under the race detector")
+	}
+	prog := minilang.MustParse("bench.mp", benchSrc)
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := Build(prog, DefaultOptions()); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 180 {
+		t.Errorf("Build allocates %.0f objects, want at most 180", allocs)
+	}
+}
+
 // BenchmarkBuildContracted measures full PSG construction with contraction.
 func BenchmarkBuildContracted(b *testing.B) {
 	prog := minilang.MustParse("bench.mp", benchSrc)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 
-	"scalana/internal/ir"
 	"scalana/internal/minilang"
 )
 
@@ -90,18 +89,13 @@ func (g *Graph) CompileExec(build func() (any, error)) (any, error) {
 	return g.execProg, g.execErr
 }
 
-// Build constructs the PSG of prog: intra-procedural graphs per function,
-// inter-procedural inlining from main over the program call graph, then
-// contraction (if enabled). opts is normalized first: the zero value
-// builds the paper's defaults.
+// Build constructs the PSG of prog in the paper's three phases: local
+// graphs per function, inlined top-down by walking the checked AST from
+// main (each direct call splices in its callee), then contraction (if
+// enabled). opts is normalized first: the zero value builds the paper's
+// defaults. A direct call to a function prog does not define is an error.
 func Build(prog *minilang.Program, opts Options) (*Graph, error) {
 	opts = opts.Normalize()
-	// The call graph validates call targets and provides the PCG the paper
-	// traverses top-down; inlining below performs that traversal.
-	cg := ir.BuildCallGraph(prog, nil)
-	if _, err := cg.TopDownOrder(); err != nil {
-		return nil, err
-	}
 	g := &Graph{
 		Prog:    prog,
 		Opts:    opts,
@@ -117,6 +111,9 @@ func Build(prog *minilang.Program, opts Options) (*Graph, error) {
 	g.Main = g.newInstance(nil, mainFn, "main")
 	b := &builder{g: g}
 	b.walkBlock(g.Main, mainFn.Body, g.Root)
+	if b.err != nil {
+		return nil, b.err
+	}
 
 	// Materialize every possible indirect-call target now: nothing can
 	// add a vertex after finalize (see the comment in resolve.go).
@@ -191,6 +188,9 @@ type builder struct {
 	// noInline keeps direct calls as Call vertices instead of splicing in
 	// the callee (intra-procedural local graphs, paper Fig. 4(a)).
 	noInline bool
+	// err is the first direct call to a function the program does not
+	// define; the walk skips such calls and Build returns it.
+	err error
 }
 
 type stackEntry struct {
@@ -394,6 +394,12 @@ func (b *builder) walkCall(inst *Instance, call *minilang.CallExpr, parent *Vert
 			return
 		}
 		callee := b.g.Prog.Func(call.Name)
+		if callee == nil {
+			if b.err == nil {
+				b.err = fmt.Errorf("psg: call to unknown function %q from %q", call.Name, inst.Fn.Name)
+			}
+			return
+		}
 		if rec := b.findOnStack(call.Name); rec != nil {
 			// Recursion: the PSG forms a cycle back to the active instance
 			// (paper §III-A, "a circle is formed in the PSG").

@@ -612,3 +612,24 @@ func main() {
 		t.Fatal(err)
 	}
 }
+
+// TestBuildRejectsUndefinedCallee: a program that failed Check with "call
+// of undefined function" still reaches Build through Parse's returned
+// program; Build must name the function in an error, not panic.
+func TestBuildRejectsUndefinedCallee(t *testing.T) {
+	prog, err := minilang.Parse("t.mp", `
+func helper() { nope(1); }
+func main() { helper(); }`)
+	if err == nil || !strings.Contains(err.Error(), "call of undefined function") {
+		t.Fatalf("Parse error = %v, want a call of an undefined function", err)
+	}
+	defer func() {
+		if r := recover(); r != nil {
+			t.Fatalf("Build panicked: %v", r)
+		}
+	}()
+	g, err := Build(prog, DefaultOptions())
+	if err == nil || !strings.Contains(err.Error(), `"nope"`) {
+		t.Fatalf("Build = %v, %v; want an error naming \"nope\"", g, err)
+	}
+}

@@ -12,89 +12,14 @@ import (
 // The paper (§III-B3) leaves indirect call sites as Call vertices and
 // fills them in with runtime information. In MiniMP the possible targets
 // are statically enumerable — a function value can only originate from
-// an address-of expression (&name) — so Build materializes the subtree
+// an address-of expression (&name), and minilang.Check records every
+// such name in Program.AddressTaken — so Build materializes the subtree
 // for every (indirect site, address-taken function) pair at compile
 // time, before contraction and the one finalize. That is the whole
 // mechanism: materialize is reachable only from Build, ResolveIndirect
 // is a lookup in what Build filled, and a compiled graph shared by many
 // simultaneous runs (the sweep engine's compile cache) cannot change
 // under them because no code that could change it exists.
-
-// addressTakenFuncs returns the sorted names of functions whose address
-// is taken (&name) anywhere in the program. These are exactly the
-// possible targets of indirect calls.
-func addressTakenFuncs(prog *minilang.Program) []string {
-	set := map[string]bool{}
-	var walkExpr func(e minilang.Expr)
-	var walkStmt func(s minilang.Stmt)
-	walkExpr = func(e minilang.Expr) {
-		switch ex := e.(type) {
-		case *minilang.FuncRefExpr:
-			set[ex.Name] = true
-		case *minilang.IndexExpr:
-			walkExpr(ex.Idx)
-		case *minilang.UnaryExpr:
-			walkExpr(ex.X)
-		case *minilang.BinaryExpr:
-			walkExpr(ex.L)
-			walkExpr(ex.R)
-		case *minilang.CallExpr:
-			for _, a := range ex.Args {
-				walkExpr(a)
-			}
-		}
-	}
-	walkStmt = func(s minilang.Stmt) {
-		switch st := s.(type) {
-		case *minilang.VarDecl:
-			walkExpr(st.Init)
-		case *minilang.AssignStmt:
-			if st.Idx != nil {
-				walkExpr(st.Idx)
-			}
-			walkExpr(st.Val)
-		case *minilang.ExprStmt:
-			walkExpr(st.X)
-		case *minilang.ReturnStmt:
-			if st.Value != nil {
-				walkExpr(st.Value)
-			}
-		case *minilang.Block:
-			for _, c := range st.Stmts {
-				walkStmt(c)
-			}
-		case *minilang.IfStmt:
-			walkExpr(st.Cond)
-			walkStmt(st.Then)
-			if st.Else != nil {
-				walkStmt(st.Else)
-			}
-		case *minilang.ForStmt:
-			if st.Init != nil {
-				walkStmt(st.Init)
-			}
-			if st.Cond != nil {
-				walkExpr(st.Cond)
-			}
-			if st.Post != nil {
-				walkStmt(st.Post)
-			}
-			walkStmt(st.Body)
-		case *minilang.WhileStmt:
-			walkExpr(st.Cond)
-			walkStmt(st.Body)
-		}
-	}
-	for _, fn := range prog.Funcs {
-		walkStmt(fn.Body)
-	}
-	out := make([]string, 0, len(set))
-	for name := range set {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
 
 // materialize inlines target's local PSG underneath cv, the indirect
 // call vertex of (inst, site), or binds the site to the ancestor instance
@@ -127,7 +52,7 @@ func (g *Graph) materialize(inst *Instance, site minilang.NodeID, cv *Vertex, ta
 	b.stack = append(b.stack, stackEntry{name: target, inst: child})
 	b.walkBlock(child, fn.Body, cv)
 	rememberIndirect(inst, site, target, child)
-	return nil
+	return b.err
 }
 
 // maxMaterializedInstances bounds materialization. The fixpoint must run
@@ -148,7 +73,7 @@ const maxMaterializedInstances = 65536
 // it never invokes at run time; unsampled vertices stay out of profiles
 // and reports, so over-approximation costs graph memory only.
 func (g *Graph) materializeAllIndirect() error {
-	targets := addressTakenFuncs(g.Prog)
+	targets := g.Prog.AddressTaken
 	if len(targets) == 0 {
 		return nil
 	}
