@@ -4,6 +4,7 @@
 package cmd
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"go/ast"
@@ -17,6 +18,9 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
+
+	scalana "scalana"
 )
 
 // binDir holds every command, built once by TestMain; flagsOf maps each
@@ -79,7 +83,7 @@ func readFlags() error {
 // flagLedger is every command's sorted flag names. A knob added or
 // removed anywhere changes a line here.
 const flagLedger = `scalana-bench all exp list o parallel tools
-scalana-detect abnorm-thd app comm-causes cusum cusum-k expect-cause hz json min-runs min-share np parallel profiles scales store topk watch z
+scalana-detect abnorm-thd app comm-causes expect-cause hz json parallel profiles scales store topk
 scalana-lint json list
 scalana-prof app comm-prob compress hz list-tools np o seed tool
 scalana-serve addr hz parallel quiet store
@@ -746,5 +750,33 @@ func TestViewerShowsDetectCauses(t *testing.T) {
 		if strings.Join(got, " ") != strings.Join(want, " ") {
 			t.Errorf("%s at %s: viewer shows causes %v, scalana-detect reports %v", tc.app, tc.scales, got, want)
 		}
+	}
+}
+
+// TestViewerContextIsBounded: a negative -context used to print every
+// code panel empty and exit 0, and a huge one spun for minutes, rescanning
+// the source once per requested line. A negative one now exits 1 naming
+// the flag, and one past the source's length prints what the whole
+// source does.
+func TestViewerContextIsBounded(t *testing.T) {
+	viewer := func(ctx context.Context, lines string) (int, string, string) {
+		var stdout, stderr strings.Builder
+		cmd := exec.CommandContext(ctx, filepath.Join(binDir, "scalana-viewer"), "-app", "cg-delay", "-scales", "4,8", "-context", lines)
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		cmd.Run()
+		return cmd.ProcessState.ExitCode(), stdout.String(), stderr.String()
+	}
+	if code, _, stderr := viewer(context.Background(), "-1"); code != 1 || !strings.Contains(stderr, "-context") {
+		t.Errorf("-context -1: exit %d, stderr %q, want exit 1 naming the flag", code, stderr)
+	}
+	whole := strconv.Itoa(strings.Count(scalana.GetApp("cg-delay").Source, "\n") + 1)
+	code, want, stderr := viewer(context.Background(), whole)
+	if code != 0 || !strings.Contains(want, "=>") {
+		t.Fatalf("-context %s: exit %d (%s), want a code panel", whole, code, stderr)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if code, got, stderr := viewer(ctx, "1000000000"); code != 0 || got != want {
+		t.Errorf("-context 1000000000: exit %d (%s), output differs from -context %s", code, stderr, whole)
 	}
 }

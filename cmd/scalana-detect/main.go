@@ -11,7 +11,6 @@
 //	scalana-detect -app zeusmp -scales 8,16,32 -expect-cause bval3d
 //	scalana-detect -app cg -scales 4,8,16 -json report.json
 //	scalana-detect -app cg -store /var/lib/scalana
-//	scalana-detect -app cg -store /var/lib/scalana -watch
 //
 // With -expect-cause, the command exits non-zero unless some reported
 // root cause matches the substring (vertex key, name, or file:line) —
@@ -30,14 +29,9 @@
 // store instead; each requested scale must resolve to exactly one
 // stored set, and without -scales every stored scale is used.
 //
-// With -watch (requires -store), the command switches to streaming
-// regression mode: the newest stored run at -np (default: the largest
-// stored scale) is scored against the rolling per-vertex baseline built
-// from every earlier run.
-//
-// Every mode is one internal/query plan — the same one scalana-serve
-// runs for POST /v1/detect and GET /v1/watch — and -json writes the
-// plan's canonical bytes, so CLI and served output are identical by
+// Every mode is one internal/query detect plan — the same one
+// scalana-serve runs for POST /v1/detect — and -json writes the plan's
+// canonical bytes, so CLI and served output are identical by
 // construction.
 package main
 
@@ -48,7 +42,6 @@ import (
 	"os"
 	"strings"
 
-	"scalana/internal/baseline"
 	"scalana/internal/detect"
 	"scalana/internal/query"
 	"scalana/internal/scales"
@@ -71,13 +64,6 @@ func main() {
 	expectCause := flag.String("expect-cause", "", "exit non-zero unless a reported root cause matches this substring")
 	commCauses := flag.Bool("comm-causes", false, "admit non-scalable collectives as root-cause candidates (detect.Config.CommCauses)")
 	jsonOut := flag.String("json", "", "also write the report as JSON to this file ('-' for stdout)")
-	watch := flag.Bool("watch", false, "streaming regression mode: score the newest stored run against the rolling baseline (requires -store)")
-	watchNP := flag.Int("np", 0, "scale to watch (0 = largest stored scale; -watch only)")
-	watchZ := flag.Float64("z", 3, "z-score flagging threshold (-watch only)")
-	watchCUSUM := flag.Float64("cusum", 5, "CUSUM flagging threshold (-watch only)")
-	watchK := flag.Float64("cusum-k", 0.5, "CUSUM slack per run (-watch only)")
-	watchMinRuns := flag.Int("min-runs", 2, "minimum baseline runs before a vertex is scored (-watch only)")
-	watchMinShare := flag.Float64("min-share", 0.01, "minimum share of total time for flagging (-watch only)")
 	flag.Parse()
 
 	app := scalana.GetApp(*appName)
@@ -101,22 +87,6 @@ func main() {
 		rendered = os.Stderr
 	}
 
-	if *watch {
-		if env.Store == nil {
-			log.Fatalf("-watch requires -store")
-		}
-		rep, data := run(env.Watch(query.Watch{App: app, NP: *watchNP, Params: baseline.Params{
-			ZThd: *watchZ, CUSUMThd: *watchCUSUM, CUSUMK: *watchK,
-			MinRuns: *watchMinRuns, MinShare: *watchMinShare,
-		}}))
-		fmt.Fprint(rendered, rep.Render())
-		writeJSON(*jsonOut, data)
-		if !rep.Quiet() {
-			os.Exit(2) // regressions found: distinct from usage/runtime failures (1)
-		}
-		return
-	}
-
 	q := query.Detect{
 		App: app, Simulate: *storeDir == "" && *profilesDir == "", ProfilesDir: *profilesDir,
 		SampleHz: *hz, Config: detect.DefaultConfig(),
@@ -131,13 +101,29 @@ func main() {
 			log.Fatal(err)
 		}
 	}
-	rep, data := run(env.Detect(q))
+	plan, err := env.Detect(q)
+	if err != nil {
+		log.Fatal(err)
+	}
+	rep, data, err := plan.Run()
+	if err != nil {
+		log.Fatal(err)
+	}
 	prog, err := app.Parse()
 	if err != nil {
 		prog = nil
 	}
 	fmt.Fprint(rendered, rep.Render(prog))
-	writeJSON(*jsonOut, data)
+	// -json writes the exact bytes scalana-serve answers the same query with.
+	switch *jsonOut {
+	case "":
+	case "-":
+		os.Stdout.Write(data)
+	default:
+		if err := os.WriteFile(*jsonOut, data, 0o644); err != nil {
+			log.Fatalf("write report: %v", err)
+		}
+	}
 
 	if *expectCause != "" {
 		if len(rep.Causes) == 0 {
@@ -148,32 +134,6 @@ func main() {
 				*expectCause, len(rep.Causes), describeCause(&rep.Causes[0]))
 		}
 		log.Printf("expectation %q met", *expectCause)
-	}
-}
-
-// run executes a planned query; a planning or execution error is fatal.
-func run[R any](plan query.Plan[R], err error) (R, []byte) {
-	if err != nil {
-		log.Fatal(err)
-	}
-	rep, data, err := plan.Run()
-	if err != nil {
-		log.Fatal(err)
-	}
-	return rep, data
-}
-
-// writeJSON writes a report's canonical bytes where -json points: the
-// exact bytes scalana-serve answers the same query with.
-func writeJSON(path string, data []byte) {
-	switch path {
-	case "":
-	case "-":
-		os.Stdout.Write(data)
-	default:
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			log.Fatalf("write report: %v", err)
-		}
 	}
 }
 

@@ -89,29 +89,6 @@ func TestStoreDefaultsToEveryStoredScale(t *testing.T) {
 	}
 }
 
-// TestWatchRejectsWhatTheServiceRejects: -watch fails with exit 1 and
-// the text GET /v1/watch answers 400/404 with.
-func TestWatchRejectsWhatTheServiceRejects(t *testing.T) {
-	dir := fixtureStore(t)
-	for _, tc := range []struct {
-		args []string
-		msg  string
-	}{
-		{[]string{"-z", "-1"}, `bad z "-1"`},
-		{[]string{"-cusum-k", "-2"}, `bad cusum-k "-2"`},
-		{[]string{"-min-runs", "0"}, `bad min-runs "0"`},
-		{[]string{"-np", "64"}, `no profile sets stored for app "cg" at np=64`},
-	} {
-		args := append([]string{"-app", "cg", "-store", dir, "-watch"}, tc.args...)
-		if code, _, stderr := detectCmd(t, args...); code != 1 || !strings.Contains(stderr, tc.msg) {
-			t.Errorf("%v: exit %d (%s), want 1 with %q", tc.args, code, stderr, tc.msg)
-		}
-	}
-	if code, _, stderr := detectCmd(t, "-app", "cg", "-store", dir, "-watch"); code != 0 {
-		t.Errorf("valid -watch: exit %d: %s", code, stderr)
-	}
-}
-
 // TestScaleCountIsCapped: -scales naming more than scales.MaxScales
 // scales exits 1 before simulating any of them.
 func TestScaleCountIsCapped(t *testing.T) {

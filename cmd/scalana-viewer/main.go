@@ -37,6 +37,9 @@ func main() {
 	hz := flag.Float64("hz", 1000, "sampling frequency for profiling runs")
 	parallel := flag.Int("parallel", 0, "scales profiled concurrently (0 = one per CPU, 1 = one scale at a time)")
 	flag.Parse()
+	if *context < 0 {
+		log.Fatalf("-context %d: must be at least 0", *context)
+	}
 
 	app := scalana.GetApp(*appName)
 	if app == nil {
@@ -73,15 +76,20 @@ func main() {
 	}
 	fmt.Printf("└%s┘\n\n", strings.Repeat("─", 58))
 
+	// Each window is clamped to the source, so a wider -context than the
+	// source has lines prints the same bytes as the whole source.
+	lines := strings.Split(prog.Source, "\n")
+	span := min(*context, len(lines))
 	for i, c := range rep.Causes {
-		fmt.Printf("── code for root cause %d (%s:%d) ──\n", i+1, c.Vertex.Pos.File, c.Vertex.Pos.Line)
-		for l := c.Vertex.Pos.Line - *context; l <= c.Vertex.Pos.Line+*context; l++ {
-			src := prog.SourceLine(l)
-			if src == "" && l != c.Vertex.Pos.Line {
+		at := c.Vertex.Pos.Line
+		fmt.Printf("── code for root cause %d (%s:%d) ──\n", i+1, c.Vertex.Pos.File, at)
+		for l := max(at-span, 1); l <= min(at+span, len(lines)); l++ {
+			src := lines[l-1]
+			if src == "" && l != at {
 				continue
 			}
 			marker := "  "
-			if l == c.Vertex.Pos.Line {
+			if l == at {
 				marker = "=>"
 			}
 			fmt.Printf(" %s %4d  %s\n", marker, l, src)

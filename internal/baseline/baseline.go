@@ -204,9 +204,6 @@ func (s *State) NPs() []int {
 	return nps
 }
 
-// Runs returns one scale's history in fold order (ascending Seq).
-func (s *State) Runs(np int) []Run { return s.byNP[np] }
-
 // welford is the per-VID rolling mean/variance accumulator: three flat
 // arrays indexed by VID, exactly the columnar layout the PPG uses for
 // per-rank data.
@@ -295,9 +292,6 @@ type Report struct {
 	// Regressions lists the flagged vertices, worst first.
 	Regressions []Regression
 }
-
-// Quiet reports whether the evaluation flagged nothing.
-func (rep *Report) Quiet() bool { return len(rep.Regressions) == 0 }
 
 // Watch scores the newest run at one scale against the baseline built
 // from every earlier run of that scale. An empty history is an error; a

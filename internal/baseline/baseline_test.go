@@ -85,7 +85,7 @@ func TestWatchFlagsSeededRegression(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Quiet() {
+	if len(rep.Regressions) == 0 {
 		t.Fatal("seeded 20x regression was not flagged")
 	}
 	top := rep.Regressions[0]
@@ -123,7 +123,7 @@ func TestWatchQuietHistory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rep.Quiet() {
+	if len(rep.Regressions) != 0 {
 		t.Fatalf("no-regression history flagged %d vertices (first: %+v)", len(rep.Regressions), rep.Regressions[0])
 	}
 	if rep.Vertices == 0 {
@@ -141,8 +141,8 @@ func TestWatchSingleRunHistory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rep.Quiet() || rep.Vertices != 0 {
-		t.Fatalf("single-run history: quiet=%t vertices=%d", rep.Quiet(), rep.Vertices)
+	if len(rep.Regressions) != 0 || rep.Vertices != 0 {
+		t.Fatalf("single-run history: regressions=%d vertices=%d", len(rep.Regressions), rep.Vertices)
 	}
 	if _, err := st.Watch(16, baseline.DefaultParams()); err == nil {
 		t.Fatal("watching a scale with no runs did not error")
@@ -211,8 +211,8 @@ func TestAddValidation(t *testing.T) {
 	if err := st.Add(0, smp); err != nil {
 		t.Fatalf("idempotent re-add errored: %v", err)
 	}
-	if got := len(st.Runs(8)); got != 1 {
-		t.Fatalf("re-add duplicated the run: %d entries", got)
+	if rep, err := st.Watch(8, baseline.DefaultParams()); err != nil || rep.Runs != 1 {
+		t.Fatalf("re-add duplicated the run: %+v, %v", rep, err)
 	}
 	bad := &baseline.Sample{NP: 8, Hash: smp.Hash, Values: []float64{1, 2, 3}}
 	if err := st.Add(1, bad); err == nil {
@@ -247,7 +247,7 @@ func TestWatchZeroVarianceBaseline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Quiet() {
+	if len(rep.Regressions) == 0 {
 		t.Fatal("zero-variance baseline did not flag an upward move")
 	}
 	if !math.IsInf(rep.Regressions[0].Z, 1) {

@@ -1,20 +1,14 @@
 package baseline
 
-// JSON wire format for watch reports. The report crosses process
-// boundaries in both directions — `GET /v1/watch` serves it and
-// `scalana-detect -watch -json` writes it — and the acceptance contract
-// is byte determinism: identical history, identical bytes, whichever
-// side rendered them. The format therefore reuses detect's wire
-// conventions wholesale: detect.WireFloat so IEEE specials survive
-// (zero-variance baselines legitimately produce z = +Inf), MarshalIndent
-// with a single-space indent, and vertex references carried as
-// detect.VertexRefJSON.
+// JSON wire format for watch reports, which `GET /v1/watch` serves. The
+// acceptance contract is byte determinism: identical history, identical
+// bytes. The format therefore reuses detect's wire conventions wholesale:
+// detect.WireFloat so IEEE specials survive (zero-variance baselines
+// legitimately produce z = +Inf), MarshalIndent with a single-space
+// indent, and vertex references carried as detect.VertexRefJSON.
 
 import (
 	"encoding/json"
-	"fmt"
-	"math"
-	"strings"
 
 	"scalana/internal/detect"
 )
@@ -109,60 +103,4 @@ func (rep *Report) EncodeJSON() ([]byte, error) {
 		})
 	}
 	return json.MarshalIndent(dto, "", " ")
-}
-
-// Render formats the report for terminal output (scalana-detect -watch
-// without -json).
-func (rep *Report) Render() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "== watch: %s at np=%d ==\n", rep.App, rep.NP)
-	fmt.Fprintf(&b, "newest run: seq=%d hash=%s elapsed=%s\n",
-		rep.Newest.Seq, shortHash(rep.Newest.Hash), fmtFloat(rep.Newest.Elapsed))
-	fmt.Fprintf(&b, "history: %d run(s), %d in baseline, merge=median\n",
-		rep.Runs, rep.BaselineRuns)
-	fmt.Fprintf(&b, "thresholds: z>=%s cusum>=%s (k=%s) min-runs=%d min-share=%s\n",
-		fmtFloat(rep.Params.ZThd), fmtFloat(rep.Params.CUSUMThd), fmtFloat(rep.Params.CUSUMK),
-		rep.Params.MinRuns, fmtFloat(rep.Params.MinShare))
-	if rep.Quiet() {
-		fmt.Fprintf(&b, "no regressions (%d vertices scored)\n", rep.Vertices)
-		return b.String()
-	}
-	fmt.Fprintf(&b, "%d regression(s) across %d scored vertices:\n", len(rep.Regressions), rep.Vertices)
-	for i, reg := range rep.Regressions {
-		loc := ""
-		if reg.Ref.File != "" {
-			loc = fmt.Sprintf(" (%s:%d)", reg.Ref.File, reg.Ref.Line)
-		}
-		fmt.Fprintf(&b, " %d. %s%s\n", i+1, reg.Ref.Key, loc)
-		fmt.Fprintf(&b, "    value=%s baseline=%s±%s over %d run(s) z=%s cusum=%s share=%s\n",
-			fmtFloat(reg.Value), fmtFloat(reg.Mean), fmtFloat(reg.Std),
-			reg.BaselineRuns, fmtFloat(reg.Z), fmtFloat(reg.CUSUM), fmtFloat(reg.Share))
-		if !math.IsNaN(reg.SlopeOld) || !math.IsNaN(reg.SlopeNew) {
-			fmt.Fprintf(&b, "    slope %s -> %s (delta %s)\n",
-				fmtFloat(reg.SlopeOld), fmtFloat(reg.SlopeNew), fmtFloat(reg.SlopeDelta))
-		}
-	}
-	return b.String()
-}
-
-func shortHash(h string) string {
-	if len(h) > 12 {
-		return h[:12]
-	}
-	if h == "" {
-		return "-"
-	}
-	return h
-}
-
-func fmtFloat(v float64) string {
-	switch {
-	case math.IsInf(v, 1):
-		return "inf"
-	case math.IsInf(v, -1):
-		return "-inf"
-	case math.IsNaN(v):
-		return "nan"
-	}
-	return fmt.Sprintf("%.6g", v)
 }

@@ -4,11 +4,11 @@ package serve
 // run at one scale against the rolling baseline built from every
 // earlier run (internal/baseline); the request alone sets the
 // thresholds. Responses are exactly baseline.EncodeJSON()+'\n', the
-// canonical bytes of the query.Watch plan scalana-detect -watch -json
-// runs too, and concurrent identical watch requests coalesce on the
-// plan's key (the full run history plus the resolved thresholds) like
-// every other query. Ingested samples are cached lazily in the server's
-// query.Cache, which stored detects read their smaller scales from.
+// canonical bytes of the query.Watch plan, and concurrent identical
+// watch requests coalesce on the plan's key (the full run history plus
+// the resolved thresholds) like every other query. Ingested samples are
+// cached lazily in the server's query.Cache, which stored detects read
+// their smaller scales from.
 
 import (
 	"net/http"

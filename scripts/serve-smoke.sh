@@ -9,9 +9,8 @@
 # served report identical to the one-shot CLI, cold and warm (a warm
 # detect reads its smaller scale from the sample cache), and a stored set
 # corrupted after caching is a 500 until put back. Then uploads a
-# second run at np=8 and checks GET /v1/watch against scalana-detect
-# -watch over the same store — the streaming-regression byte-parity
-# contract.
+# second run at np=8 and checks that repeated GET /v1/watch requests
+# serve identical bytes.
 # Last, sends SIGTERM while a simulate-mode detect is in flight: new
 # connections must be refused, the response must still arrive, and the
 # server must exit 0.
@@ -89,21 +88,10 @@ curl -fs "http://$addr/v1/sweep?app=cg&scales=4,8" >/dev/null
 curl -fs "http://$addr/v1/stats" >/dev/null
 
 # --- watch mode: upload a second np=8 run, then score the newest run
-# against the rolling baseline, served and offline, byte for byte.
+# against the rolling baseline.
 "$work/scalana-prof" -app cg -np 8 -hz 500 -o "$work/cg.8b.json" >/dev/null
 curl -fs --data-binary @"$work/cg.8b.json" "http://$addr/v1/profiles" >/dev/null
 curl -fs "http://$addr/v1/watch?app=cg&np=8&min-runs=1" > "$work/watch-served.json"
-
-# scalana-detect -watch exits 2 when regressions are flagged — either
-# outcome is fine here; only a real failure (exit 1) may kill the smoke.
-watch_rc=0
-"$work/scalana-detect" -app cg -store "$work/store" -watch -np 8 -min-runs 1 \
-  -json "$work/watch-cli.json" >/dev/null || watch_rc=$?
-if [ "$watch_rc" -ne 0 ] && [ "$watch_rc" -ne 2 ]; then
-  echo "scalana-detect -watch failed with exit $watch_rc" >&2
-  exit 1
-fi
-diff "$work/watch-served.json" "$work/watch-cli.json"
 
 # Identical repeated requests must serve identical bytes.
 curl -fs "http://$addr/v1/watch?app=cg&np=8&min-runs=1" > "$work/watch-again.json"
@@ -144,4 +132,4 @@ if [ "$server_rc" -ne 0 ]; then
   echo "scalana-serve exited $server_rc after SIGTERM, want 0" >&2
   exit 1
 fi
-echo "serve-smoke: OK (served detect and watch reports byte-identical to offline scalana-detect; SIGTERM drained the request in flight)"
+echo "serve-smoke: OK (served detect reports byte-identical to offline scalana-detect, repeated watches identical; SIGTERM drained the request in flight)"
