@@ -625,7 +625,7 @@ func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
 		App: app, Simulate: req.Simulate, Scales: req.Scales, Hashes: req.Hashes,
 		SampleHz: req.SampleHz, Seed: req.Seed, Config: detect.Config(req.Config),
 	}
-	if q.SampleHz <= 0 {
+	if q.SampleHz == 0 {
 		q.SampleHz = s.cfg.SampleHz
 	}
 	plan, err := s.env.Detect(q)

@@ -370,6 +370,10 @@ func TestDetectValidation(t *testing.T) {
 		{"negative topk", detectRequest{App: "cg", Config: detectConfigJSON{TopK: -1}}, http.StatusBadRequest},
 		{"simulate negative topk", detectRequest{App: "cg", Simulate: true, Scales: []int{4, 8}, Config: detectConfigJSON{TopK: -1}}, http.StatusBadRequest},
 		{"simulate negative topk again", detectRequest{App: "cg", Simulate: true, Scales: []int{4, 8}, Config: detectConfigJSON{TopK: -1}}, http.StatusBadRequest},
+		// Only a zero hz is the server's rate; a negative one is refused,
+		// not replaced.
+		{"simulate negative hz", detectRequest{App: "cg", Simulate: true, Scales: []int{4, 8}, SampleHz: -5}, http.StatusBadRequest},
+		{"simulate tiny negative hz", detectRequest{App: "cg", Simulate: true, Scales: []int{4, 8}, SampleHz: -1e-300}, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		body, _ := json.Marshal(tc.req)

@@ -149,6 +149,57 @@ func TestAccuracyGate(t *testing.T) {
 	}
 }
 
+// paperRateFloors are the top-1 hits of 200-case corpora evaluated at
+// the paper's 200 Hz, overall and per archetype (40 cases each), as
+// `scalana-synth -cases 200 -hz 200` reads them.
+var paperRateFloors = []struct {
+	seed    int64
+	overall int
+	kinds   map[DefectKind]int
+}{
+	{1, 191, map[DefectKind]int{DefectImbalance: 39, DefectCollective: 39, DefectWaitChain: 37, DefectSerial: 36, DefectSkew: 40}},
+	{7, 190, map[DefectKind]int{DefectImbalance: 40, DefectCollective: 32, DefectWaitChain: 39, DefectSerial: 39, DefectSkew: 40}},
+}
+
+// TestAccuracyAtPaperRate pins localization at the paper's sampling rate,
+// where TestAccuracyGate's 5 kHz leaves no headroom. Evaluation is
+// deterministic, so the floors are exact readings and the test is a
+// ratchet: a reading below its floor is a detection regression, and one
+// above it fails until the floor is raised to it.
+func TestAccuracyAtPaperRate(t *testing.T) {
+	for _, want := range paperRateFloors {
+		corpus, err := Generate(GenConfig{Seed: want.seed, Cases: 200})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := Evaluate(corpus, EvalConfig{NPs: []int{4, 8, 16, 32}, SampleHz: 200})
+		if err != nil {
+			t.Fatal(err)
+		}
+		check := func(what string, got, floor int) {
+			switch {
+			case got < floor:
+				t.Errorf("seed %d %s: %d top-1 hits at 200 Hz, below its floor %d\n%s", want.seed, what, got, floor, res.Render())
+			case got > floor:
+				t.Errorf("seed %d %s: %d top-1 hits at 200 Hz, above its floor %d: raise the floor to the reading", want.seed, what, got, floor)
+			}
+		}
+		overall := 0
+		for _, c := range res.Cases {
+			if c.Top1Hit {
+				overall++
+			}
+		}
+		check("overall", overall, want.overall)
+		if len(res.Kinds) != len(want.kinds) {
+			t.Errorf("seed %d: %d archetypes evaluated, %d floored", want.seed, len(res.Kinds), len(want.kinds))
+		}
+		for _, m := range res.Kinds {
+			check(string(m.Kind), m.Top1Hits, want.kinds[m.Kind])
+		}
+	}
+}
+
 // TestEvaluateDeterministic: evaluating one corpus twice — once serially,
 // once with case-level parallelism — produces byte-identical JSON.
 func TestEvaluateDeterministic(t *testing.T) {
