@@ -17,11 +17,14 @@ import (
 // as time, which a shared 1-CPU runner cannot assert, and as allocation,
 // which repeats exactly under testing.AllocsPerRun's single P.
 //
-// Measured with the sampling timer's state in the rank: 16.1 objects and
-// 6,435 B a rank (16.7 and 6,521 B when the profiler kept its own period,
-// bucket and pending counters; the map-based profiler: 41.4 and 10,502 B).
-// The budgets are those plus 20 %. What is left is ppg.Build's per-rank
-// edge arenas and the dense Vertex blocks, not the per-event path.
+// Measured with the profilers writing their vertex data into the PPG's
+// block in place: 0.2 objects and 3,816 B a rank (0.2 and 5,565 B when
+// the profilers kept a slab of their own and the PPG copied it; 16.7 and
+// 6,521 B when the profiler kept its own period, bucket and pending
+// counters; the map-based profiler: 41.4 and 10,502 B). The budgets are
+// 0.5 objects and those bytes plus 10 %. What is left is the one
+// performance block, the record arenas and the PPG's edge arenas, not
+// the per-event path.
 //
 // The bare run has a budget of its own: 1.28 objects (plus 20 %) and
 // 2,483 B a rank (plus 10 %) — the ranks of a world are one slab, a rank
@@ -36,8 +39,8 @@ func TestAttachCostPerRank(t *testing.T) {
 	const (
 		np                = 256
 		runs              = 5
-		objectsBudget     = 19
-		bytesBudget       = 7700
+		objectsBudget     = 0.5
+		bytesBudget       = 4198
 		bareObjectsBudget = 1.53
 		bareBytesBudget   = 2731
 	)
@@ -70,7 +73,7 @@ func TestAttachCostPerRank(t *testing.T) {
 			bareObjects, bareBytes, bareObjectsBudget, bareBytesBudget)
 	}
 	if objects > objectsBudget || bytes > bytesBudget {
-		t.Errorf("attaching the profiler costs %.1f objects and %.0f B a rank, budget %d and %d",
+		t.Errorf("attaching the profiler costs %.1f objects and %.0f B a rank, budget %g and %d",
 			objects, bytes, objectsBudget, bytesBudget)
 	}
 }
@@ -126,6 +129,26 @@ func TestSamplesCountsTimerSamplesOnly(t *testing.T) {
 		}
 		if got := [2]int64{out.Result.Advances, out.Result.Samples}; got != want {
 			t.Errorf("%s: advances, samples = %v, want %v", tool, got, want)
+		}
+	}
+}
+
+// TestProfiledRunPPGSharesProfileRows pins the one copy of a scale's
+// performance data: every rank's profile Vertex is its row of the PPG's
+// rank-major block, written in place by the profiler, not a slab of its
+// own that the graph copies.
+func TestProfiledRunPPGSharesProfileRows(t *testing.T) {
+	pcfg := prof.DefaultConfig()
+	pcfg.SampleHz = 2000
+	out, err := scalana.Run(scalana.RunConfig{App: scalana.GetApp("zeusmp"), NP: 64, ToolName: "scalana", Prof: pcfg, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pg := out.PPG()
+	nv := pg.NumVIDs()
+	for r, rp := range out.Profiles() {
+		if len(rp.Vertex) != nv || &rp.Vertex[0] != &pg.Perf[r*nv] {
+			t.Fatalf("rank %d's profile is not its row of the PPG's block", r)
 		}
 	}
 }

@@ -1,7 +1,6 @@
 package detect
 
 import (
-	"math"
 	"sort"
 
 	"scalana/internal/ppg"
@@ -39,7 +38,7 @@ type backtracker struct {
 func backtrackAll(rep *Report, largest ScaleRun) {
 	bt := &backtracker{pg: largest.PPG, budget: maxSteps, scanned: make([]bool, largest.PPG.PSG.NumVIDs())}
 	for _, ns := range rep.NonScalable {
-		rank := argmaxRank(largest.PPG, ns.Vertex.VID)
+		rank, _ := slowestRank(largest.PPG, ns.Vertex.VID)
 		if p := bt.walk(ns.Vertex, rank); len(p.Steps) > 0 {
 			rep.Paths = append(rep.Paths, p)
 		}
@@ -50,24 +49,11 @@ func backtrackAll(rep *Report, largest ScaleRun) {
 		if bt.scanned[ab.Vertex.VID] {
 			continue
 		}
-		rank := argmaxRank(largest.PPG, ab.Vertex.VID)
+		rank, _ := slowestRank(largest.PPG, ab.Vertex.VID)
 		if p := bt.walk(ab.Vertex, rank); len(p.Steps) > 0 {
 			rep.Paths = append(rep.Paths, p)
 		}
 	}
-}
-
-// argmaxRank picks the rank most affected by the vertex: the one with the
-// largest sampled time.
-func argmaxRank(pg *ppg.Graph, vid psg.VID) int {
-	vals := pg.TimeSeries(vid)
-	best, bestV := 0, math.Inf(-1)
-	for r, v := range vals {
-		if v > bestV {
-			best, bestV = r, v
-		}
-	}
-	return best
 }
 
 type pv struct {
@@ -175,7 +161,7 @@ func rankCauses(rep *Report, largest ScaleRun, cfg Config) {
 				// also score here.
 				share = intrinsicShare(largest.PPG, st.Vertex.VID, total)
 			} else {
-				share = sum(largest.PPG.TimeSeries(st.Vertex.VID)) / total
+				share = largest.PPG.Total(st.Vertex.VID) / total
 			}
 			imb := abn[st.Vertex.VID]
 			if imb == 0 {
@@ -188,7 +174,7 @@ func rankCauses(rep *Report, largest ScaleRun, cfg Config) {
 		}
 		if best == nil && len(p.Steps) > 0 {
 			last := p.Steps[len(p.Steps)-1]
-			share := sum(largest.PPG.TimeSeries(last.Vertex.VID)) / total
+			share := largest.PPG.Total(last.Vertex.VID) / total
 			best = &Cause{VertexKey: last.VertexKey, Vertex: last.Vertex, Share: share, Imbalance: 1, Score: share}
 		}
 		if best == nil {
@@ -225,10 +211,7 @@ func rankCauses(rep *Report, largest ScaleRun, cfg Config) {
 // intrinsicShare is a vertex's time share minus the part explained by
 // its outgoing dependence edges (time blocked on other ranks).
 func intrinsicShare(pg *ppg.Graph, vid psg.VID, total float64) float64 {
-	t := 0.0
-	for _, v := range pg.TimeSeries(vid) {
-		t += v
-	}
+	t := pg.Total(vid)
 	for r := 0; r < pg.NP; r++ {
 		for _, e := range pg.Edges[ppg.EdgeFrom{VID: vid, Rank: r}] {
 			t -= e.TotalWait

@@ -8,6 +8,7 @@ package detect
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"scalana/internal/fit"
@@ -229,10 +230,16 @@ func Detect(runs []ScaleRun, cfg Config) (*Report, error) {
 	if largest.PPG == nil {
 		return nil, fmt.Errorf("detect: the largest scale, np=%d, has no PPG", largest.NP)
 	}
-	nv := largest.PPG.PSG.NumVIDs()
+	// Every smaller scale is read by the largest scale's VIDs, so its
+	// graph must be the same program's: the same graph, or a compile of
+	// it with the same symbol table.
+	keys := largest.PPG.PSG.Keys()
 	for _, r := range sorted[:len(sorted)-1] {
-		if (r.Merged == nil && r.PPG == nil) || (r.Merged != nil && len(r.Merged) != nv) {
-			return nil, fmt.Errorf("detect: scale np=%d has neither a PPG nor a merged time for each of the %d vertices", r.NP, nv)
+		if (r.Merged == nil && r.PPG == nil) || (r.Merged != nil && len(r.Merged) != len(keys)) {
+			return nil, fmt.Errorf("detect: scale np=%d has neither a PPG nor a merged time for each of the %d vertices", r.NP, len(keys))
+		}
+		if r.PPG != nil && r.PPG.PSG != largest.PPG.PSG && !slices.Equal(r.PPG.PSG.Keys(), keys) {
+			return nil, fmt.Errorf("detect: scale np=%d was profiled against another program than the largest scale, np=%d (their graphs' vertex keys differ)", r.NP, largest.NP)
 		}
 	}
 
@@ -278,7 +285,7 @@ func findNonScalable(sorted []ScaleRun, cfg Config) []NonScalable {
 		if err != nil {
 			continue
 		}
-		share := sum(largest.PPG.TimeSeries(vid)) / total
+		share := largest.PPG.Total(vid) / total
 		if model.B <= cfg.SlopeThd || share < cfg.MinShare {
 			continue
 		}
@@ -298,25 +305,28 @@ func findNonScalable(sorted []ScaleRun, cfg Config) []NonScalable {
 }
 
 // findAbnormal compares each vertex's time across ranks at one scale
-// (paper §IV-A, Fig. 7(b)).
+// (paper §IV-A, Fig. 7(b)). It reads the graph in place: a present
+// vertex's times hold no NaN (the profiler sums finite periods, and the
+// wire reader refuses non-numbers), so its merged time is the median of
+// its times.
 func findAbnormal(run ScaleRun, cfg Config) []Abnormal {
-	total := run.PPG.TotalTime()
+	pg := run.PPG
+	total := pg.TotalTime()
 	if total <= 0 {
 		return nil
 	}
 	var out []Abnormal
-	for _, vid := range run.PPG.PresentVIDs() {
-		v := run.PPG.PSG.VertexByVID(vid)
+	for _, vid := range pg.PresentVIDs() {
+		v := pg.PSG.VertexByVID(vid)
 		if v == nil || v.Kind == psg.KindRoot {
 			continue
 		}
-		vals := run.PPG.TimeSeries(vid)
-		share := sum(vals) / total
+		share := pg.Total(vid) / total
 		if share < cfg.MinShare {
 			continue
 		}
-		med := fit.Median(vals)
-		mx := fit.Max(vals)
+		med := pg.Merged(vid)
+		_, mx := slowestRank(pg, vid)
 		var ratio float64
 		switch {
 		case med > 0:
@@ -330,8 +340,8 @@ func findAbnormal(run ScaleRun, cfg Config) []Abnormal {
 			continue
 		}
 		var outliers []int
-		for r, t := range vals {
-			if (med > 0 && t > cfg.AbnormThd*med) || (med == 0 && t > 0) {
+		for r := 0; r < pg.NP; r++ {
+			if t := pg.PerfAt(vid, r).Time; (med > 0 && t > cfg.AbnormThd*med) || (med == 0 && t > 0) {
 				outliers = append(outliers, r)
 			}
 		}
@@ -354,10 +364,14 @@ func score(ratio float64) float64 {
 	return ratio
 }
 
-func sum(vals []float64) float64 {
-	var s float64
-	for _, v := range vals {
-		s += v
+// slowestRank is the rank with the largest sampled time on vid (the
+// lowest such rank on a tie) and that time.
+func slowestRank(pg *ppg.Graph, vid psg.VID) (rank int, t float64) {
+	t = math.Inf(-1)
+	for r := 0; r < pg.NP; r++ {
+		if v := pg.PerfAt(vid, r).Time; v > t {
+			rank, t = r, v
+		}
 	}
-	return s
+	return rank, t
 }

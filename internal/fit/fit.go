@@ -111,16 +111,21 @@ func Mean(values []float64) float64 {
 
 // Median returns the median (average of middle two for even length).
 func Median(values []float64) float64 {
+	return SortedMedian(append([]float64(nil), values...))
+}
+
+// SortedMedian sorts values in place and returns their median: Median
+// without the copy, for a caller that owns a scratch series.
+func SortedMedian(values []float64) float64 {
 	if len(values) == 0 {
 		return 0
 	}
-	cp := append([]float64(nil), values...)
-	sort.Float64s(cp)
-	n := len(cp)
+	sort.Float64s(values)
+	n := len(values)
 	if n%2 == 1 {
-		return cp[n/2]
+		return values[n/2]
 	}
-	return (cp[n/2-1] + cp[n/2]) / 2
+	return (values[n/2-1] + values[n/2]) / 2
 }
 
 // Variance returns the population variance, ignoring NaN entries

@@ -9,9 +9,11 @@ package ppg_test
 // lives in the external test package.
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
+	"scalana/internal/fit"
 	"scalana/internal/ppg"
 	"scalana/internal/prof"
 	"scalana/internal/psg"
@@ -63,10 +65,29 @@ func checkStreamedGraph(t *testing.T, e *scalana.Engine, app *scalana.App, np in
 			t.Errorf("%s np=%d: Decode's envelope is %+v, the set's is %q %d %g", app.Name, np, set, ps.App, ps.NP, ps.Elapsed)
 		}
 	}
-	// The run's own graph went through Build, and wire floats round-trip
-	// exactly: even that one is the same graph.
+	// The run's own graph was written in place by its profilers, and wire
+	// floats round-trip exactly: even that one is the same graph.
 	if !reflect.DeepEqual(out.PPG(), want) {
 		t.Errorf("%s np=%d: the graph the run assembled differs from the one its wire bytes decode to", app.Name, np)
+	}
+	// Finish's per-vertex summary is, bit for bit, what summing and
+	// merging a copied series gives.
+	for vid := range want.NumVIDs() {
+		ts := want.TimeSeries(psg.VID(vid))
+		var sum float64
+		for _, t := range ts {
+			sum += t
+		}
+		merged := math.NaN()
+		if want.Present(psg.VID(vid)) {
+			merged = fit.Merge(ts)
+		}
+		if got := want.Total(psg.VID(vid)); math.Float64bits(got) != math.Float64bits(sum) {
+			t.Errorf("%s np=%d: vertex %d's Total is %v, its series sums to %v", app.Name, np, vid, got, sum)
+		}
+		if got := want.Merged(psg.VID(vid)); math.Float64bits(got) != math.Float64bits(merged) {
+			t.Errorf("%s np=%d: vertex %d's Merged is %v, fit.Merge of its series is %v", app.Name, np, vid, got, merged)
+		}
 	}
 }
 

@@ -2,9 +2,10 @@ package ppg
 
 // buildOracle is Build as it was until Builder replaced it: every rank
 // profile materialised, per-rank arenas filled by two par.ForEach fan-outs,
-// a serial merge and a copy pass. It is kept, verbatim, as the reference
-// the differential test holds Builder and Decode to — the same role
-// prof's decodeOracle plays for the wire reader.
+// a serial merge and a copy pass. It is kept as the reference the
+// differential test holds Builder and Decode to — the same role prof's
+// decodeOracle plays for the wire reader — changed only to lay the block
+// out rank-major and to end with Finish's per-vertex summary.
 
 import (
 	"fmt"
@@ -55,7 +56,7 @@ func buildOracle(g *psg.Graph, profiles []*prof.RankProfile) (*Graph, error) {
 	pg := &Graph{
 		PSG:      g,
 		NP:       np,
-		Perf:     make([]prof.PerfData, nv*np), // ONE block for the whole scale
+		Perf:     make([]prof.PerfData, np*nv), // ONE block for the whole scale
 		present:  make([]bool, nv),
 		RankTime: make([]float64, np),
 	}
@@ -161,7 +162,7 @@ func buildOracle(g *psg.Graph, profiles []*prof.RankProfile) (*Graph, error) {
 	par.ForEach(len(profiles), 0, func(i int) {
 		rp := profiles[i]
 		for vid := range rp.Vertex {
-			pg.Perf[vid*np+rp.Rank] = rp.Vertex[vid]
+			pg.Perf[rp.Rank*nv+vid] = rp.Vertex[vid]
 		}
 	})
 
@@ -183,6 +184,7 @@ func buildOracle(g *psg.Graph, profiles []*prof.RankProfile) (*Graph, error) {
 		})
 		pg.Edges[from] = edges
 	}
+	pg.summarize()
 	return pg, nil
 }
 

@@ -6,8 +6,13 @@
 //
 // Storage is columnar (DESIGN.md §5): all per-vertex, per-rank
 // performance vectors live in one contiguous block indexed
-// [int(vid)*NP + rank], one allocation per scale instead of one map row
-// per vertex, and dependence edges are keyed by interned psg.VID.
+// [rank*NumVIDs() + int(vid)], one allocation per scale instead of one map
+// row per vertex. A rank's row has the layout of a prof.RankProfile's
+// Vertex, so a simulated run's profilers write their rows in place
+// (Builder.Block) and the block is the only copy of the scale's data.
+// Finish sums and median-merges each vertex's times once, so detection
+// reads them without copying a series, and dependence edges are keyed by
+// interned psg.VID.
 package ppg
 
 import (
@@ -46,14 +51,21 @@ type DepEdge struct {
 type Graph struct {
 	PSG *psg.Graph
 	NP  int
-	// Perf is the columnar performance block: the vector profiling
-	// collected for vertex vid on rank r is Perf[int(vid)*NP + r],
-	// zero-valued where the rank never sampled the vertex. Use PerfAt /
-	// TimeSeries / PMUSeries unless iterating the whole block.
+	// Perf is the columnar performance block, rank-major: the vector
+	// profiling collected for vertex vid on rank r is
+	// Perf[r*NumVIDs() + int(vid)], zero-valued where the rank never
+	// sampled the vertex, so rank r's row is laid out as a
+	// prof.RankProfile's Vertex (and, for a simulated run, is that
+	// Vertex). Use PerfAt / Total / Merged unless iterating the whole
+	// block.
 	Perf []prof.PerfData
 	// present[vid] records whether any rank attributed data to vid — the
 	// equivalent of key presence in the old per-vertex map.
 	present []bool
+	// total and merged hold, per VID, the time summed over ranks in rank
+	// order and the ranks' median time, both computed once by
+	// Builder.Finish (0 where no rank sampled the vertex).
+	total, merged []float64
 	// Edges holds inter-process dependence edges grouped by waiting side.
 	Edges map[EdgeFrom][]*DepEdge
 	// RankTime is each rank's total sampled time.
@@ -108,10 +120,10 @@ func carve[T any](open *[]T, n, most int) []T {
 // Builder assembles a Graph one rank at a time: Add folds a rank straight
 // into the columnar block and the graph-wide edge arena and keeps nothing
 // of it, so the rank may be the wire reader's scratch (it is a
-// prof.RankSink). The block is sized once, at the first rank, and every
-// check Build's callers rely on is made as ranks arrive: each rank of the
-// job exactly once, all of one np, communication records in canonical
-// order, nothing indexed outside the symbol table.
+// prof.RankSink). The block is sized once, at Block or the first rank,
+// and every check Build's callers rely on is made as ranks arrive: each
+// rank of the job exactly once, all of one np, communication records in
+// canonical order, nothing indexed outside the symbol table.
 type Builder struct {
 	g  *psg.Graph
 	pg *Graph
@@ -149,7 +161,7 @@ func (b *Builder) start(np int) error {
 	b.pg = &Graph{
 		PSG:      b.g,
 		NP:       np,
-		Perf:     make([]prof.PerfData, nv*np),
+		Perf:     make([]prof.PerfData, np*nv),
 		present:  make([]bool, nv),
 		RankTime: make([]float64, np),
 	}
@@ -162,9 +174,24 @@ func (b *Builder) start(np int) error {
 	return nil
 }
 
+// Block sizes the graph for the np NewBuilder was given and returns its
+// performance block, rank r's row at [r*nv, (r+1)*nv) for nv the symbol
+// table's size. A producer that writes each rank's vertex data into its
+// row (prof.NewProfilers) hands Add ranks whose Vertex is that row, and
+// Add copies nothing.
+func (b *Builder) Block() ([]prof.PerfData, error) {
+	if b.pg == nil {
+		if err := b.start(b.np); err != nil {
+			return nil, err
+		}
+	}
+	return b.pg.Perf, nil
+}
+
 // Reset forgets every rank added — the wire reader met a second
 // "profiles" field, which replaces the first — at the cost of what was
-// added, not of the block: the sizing stands.
+// added, not of the block: the sizing stands. It clears the rows of the
+// ranks added, so it is for ranks Add copied, not ranks written in place.
 func (b *Builder) Reset() {
 	if b.ranks == 0 {
 		return
@@ -172,9 +199,7 @@ func (b *Builder) Reset() {
 	pg := b.pg
 	for r, seen := range b.seen {
 		if seen {
-			for vid := range pg.present {
-				pg.Perf[vid*pg.NP+r] = prof.PerfData{}
-			}
+			clear(pg.row(r))
 			b.seen[r], pg.RankTime[r] = false, 0
 		}
 	}
@@ -213,15 +238,21 @@ func (b *Builder) Add(rp *prof.RankProfile) error {
 	}
 	b.seen[rp.Rank] = true
 	b.ranks++
-	// Floating-point sums must not depend on storage order, or "identical
-	// profiles in, identical graph out" breaks in the last ulp: reduce in
-	// the fixed key-sorted order.
+	// A rank written in place (Block) is its row already; any other has
+	// its active slots copied, so an inactive one (a -0 included) stays
+	// the block's zero. Floating-point sums must not depend on storage
+	// order, or "identical profiles in, identical graph out" breaks in the
+	// last ulp: reduce in the fixed key-sorted order.
+	row := pg.row(rp.Rank)
+	inPlace := len(rp.Vertex) == len(row) && len(row) > 0 && &rp.Vertex[0] == &row[0]
 	var time float64
 	for _, vid := range b.order {
 		if pd := rp.PerfAt(vid); pd != nil {
 			time += pd.Time
 			pg.present[vid] = true
-			pg.Perf[int(vid)*np+rp.Rank] = *pd
+			if !inPlace {
+				row[vid] = *pd
+			}
 		}
 	}
 	pg.RankTime[rp.Rank] = time
@@ -285,7 +316,9 @@ func (b *Builder) heavierFirst(x, y *DepEdge) int {
 		cmp.Compare(x.Op, y.Op))
 }
 
-// Finish returns the graph once every rank of the job has been added.
+// Finish returns the graph once every rank of the job has been added,
+// with each vertex's total and merged time computed: after it returns,
+// the graph is only read.
 func (b *Builder) Finish() (*Graph, error) {
 	switch {
 	case b.ranks == 0:
@@ -293,7 +326,33 @@ func (b *Builder) Finish() (*Graph, error) {
 	case b.ranks != b.np:
 		return nil, fmt.Errorf("ppg: got %d profiles for np=%d", b.ranks, b.np)
 	}
+	b.pg.summarize()
 	return b.pg, nil
+}
+
+// summarize computes each present vertex's total time, summed in rank
+// order, and its merged time, fit.Merge of its per-rank times — so Total
+// is exactly the sum of TimeSeries and Merged exactly fit.Merge of it —
+// in one pass over the block with one scratch series.
+func (pg *Graph) summarize() {
+	nv := pg.NumVIDs()
+	pg.total, pg.merged = make([]float64, nv), make([]float64, nv)
+	vals := make([]float64, 0, pg.NP)
+	for vid, ok := range pg.present {
+		if !ok {
+			continue
+		}
+		var sum float64
+		vals = vals[:0]
+		for at := vid; at < len(pg.Perf); at += nv {
+			t := pg.Perf[at].Time
+			sum += t
+			if !math.IsNaN(t) {
+				vals = append(vals, t)
+			}
+		}
+		pg.total[vid], pg.merged[vid] = sum, fit.SortedMedian(vals)
+	}
 }
 
 // Build assembles the PPG from the PSG and all rank profiles. It is a
@@ -358,44 +417,51 @@ func (pg *Graph) PerfAt(vid psg.VID, rank int) prof.PerfData {
 	if int(vid) >= pg.NumVIDs() || rank < 0 || rank >= pg.NP {
 		return prof.PerfData{}
 	}
-	return pg.Perf[int(vid)*pg.NP+rank]
+	return pg.Perf[rank*pg.NumVIDs()+int(vid)]
 }
 
-// row returns the contiguous per-rank slice of one vertex, or nil when
-// the VID is out of range.
-func (pg *Graph) row(vid psg.VID) []prof.PerfData {
-	if int(vid) >= pg.NumVIDs() {
-		return nil
-	}
-	return pg.Perf[int(vid)*pg.NP : (int(vid)+1)*pg.NP]
+// row returns rank r's contiguous slice of the block, indexed by VID.
+func (pg *Graph) row(r int) []prof.PerfData {
+	nv := pg.NumVIDs()
+	return pg.Perf[r*nv : (r+1)*nv : (r+1)*nv]
 }
 
 // TimeSeries returns the per-rank sampled time of one vertex (length NP,
-// zeros where the vertex never ran).
+// zeros where the vertex never ran), a copy: detection reads Total,
+// Merged and PerfAt instead.
 func (pg *Graph) TimeSeries(vid psg.VID) []float64 {
 	out := make([]float64, pg.NP)
-	for r, pd := range pg.row(vid) {
-		out[r] = pd.Time
+	for r := range out {
+		out[r] = pg.PerfAt(vid, r).Time
 	}
 	return out
 }
 
-// Merged is one vertex's per-rank time merged across ranks, NaN where no
-// rank sampled it: the one reduction behind detect's cross-scale fit and
-// a baseline sample.
+// Total is one vertex's sampled time summed over ranks in rank order, the
+// sum of its TimeSeries (0 where no rank sampled it).
+func (pg *Graph) Total(vid psg.VID) float64 {
+	if !pg.Present(vid) {
+		return 0
+	}
+	return pg.total[vid]
+}
+
+// Merged is one vertex's per-rank time merged across ranks, fit.Merge of
+// its TimeSeries, NaN where no rank sampled it: the one reduction behind
+// detect's cross-scale fit and a baseline sample.
 func (pg *Graph) Merged(vid psg.VID) float64 {
 	if !pg.Present(vid) {
 		return math.NaN()
 	}
-	return fit.Merge(pg.TimeSeries(vid))
+	return pg.merged[vid]
 }
 
 // PMUSeries returns one counter's per-rank values for a vertex (the data
 // behind the paper's Figs. 15 and 16).
 func (pg *Graph) PMUSeries(vid psg.VID, c machine.Counter) []float64 {
 	out := make([]float64, pg.NP)
-	for r, pd := range pg.row(vid) {
-		out[r] = pd.PMU[c]
+	for r := range out {
+		out[r] = pg.PerfAt(vid, r).PMU[c]
 	}
 	return out
 }

@@ -116,6 +116,9 @@ type RankProfile struct {
 	Graph *psg.Graph
 	// Vertex is dense per-vertex performance data indexed by psg.VID; a
 	// zero-valued entry means the vertex was never sampled on this rank.
+	// A simulated run's profilers write it as the rank's row of the
+	// scale's ppg.Graph.Perf block (NewProfilers), so the graph holds it
+	// without a copy.
 	Vertex []PerfData
 	// Comm holds the compressed communication dependence records in the
 	// canonical wire order (commKeyLess), strictly ascending: no two
@@ -326,27 +329,34 @@ const (
 )
 
 // NewProfilers returns the hooks of all np ranks of one run, rank r at
-// index r. Every rank's dense vertex storage, record arena, record index
+// index r. Rank r's dense vertex storage is row r of block, entries
+// [r*nv, (r+1)*nv) for nv the graph's symbol-table size — the rank-major
+// layout of ppg.Graph.Perf, so a builder's block (ppg.Builder.Block) is
+// written in place and a run keeps one copy of its performance data. A
+// nil block is allocated here. Every rank's record arena, record index
 // and request converter are carved from slabs allocated once here — a
 // handful of allocations a run instead of a handful a rank. Use the
 // elements in place (&profilers[r]); a copy would fork a rank's state.
-func NewProfilers(cfg Config, graph *psg.Graph, np int) []Profiler {
-	return newProfilers(cfg, graph, 0, np, np)
+func NewProfilers(cfg Config, graph *psg.Graph, np int, block []PerfData) []Profiler {
+	return newProfilers(cfg, graph, 0, np, np, block)
 }
 
 // New creates a stand-alone profiler hook for one rank.
 func New(cfg Config, graph *psg.Graph, rank, np int) *Profiler {
-	return &newProfilers(cfg, graph, rank, 1, np)[0]
+	return &newProfilers(cfg, graph, rank, 1, np, nil)[0]
 }
 
 // newProfilers builds the profilers of ranks first..first+n-1 of an
-// np-rank job over shared slabs.
-func newProfilers(cfg Config, graph *psg.Graph, first, n, np int) []Profiler {
+// np-rank job over shared slabs, their vertex rows carved from vertex
+// (n rows) or, when it is nil, from a fresh block.
+func newProfilers(cfg Config, graph *psg.Graph, first, n, np int, vertex []PerfData) []Profiler {
 	cfg = cfg.Normalized()
 	nv := graph.NumVIDs()
+	if vertex == nil {
+		vertex = make([]PerfData, n*nv)
+	}
 	profilers := make([]Profiler, n)
 	profiles := make([]RankProfile, n)
-	vertex := make([]PerfData, n*nv)
 	heads := make([]int32, n*nv)
 	comm := make([]CommRecord, n*commCap)
 	next := make([]int32, n*commCap)

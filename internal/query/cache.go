@@ -188,12 +188,12 @@ func graphCharge(pg *ppg.Graph, data []byte) int64 { return graphBytes(pg) + int
 
 // graphBytes is what a decoded graph retains: its columnar Perf block, its
 // dependence edges (a map entry per waiting side, a pointer and a DepEdge
-// per edge) and its per-rank times. Zeusmp at np=1024 comes to 2.36 MB of
-// the 2.62 MB its decoded graph keeps live; the rest is map and arena
-// slack.
+// per edge), its per-rank times and its per-vertex total and merged
+// times. Zeusmp at np=1024 comes to 2.36 MB of the 2.62 MB its decoded
+// graph keeps live; the rest is map and arena slack.
 func graphBytes(pg *ppg.Graph) int64 {
 	n := int64(len(pg.Perf))*int64(unsafe.Sizeof(prof.PerfData{})) +
-		int64(len(pg.RankTime))*int64(unsafe.Sizeof(float64(0)))
+		int64(len(pg.RankTime)+2*pg.NumVIDs())*int64(unsafe.Sizeof(float64(0)))
 	const entry = int64(unsafe.Sizeof(ppg.EdgeFrom{}) + unsafe.Sizeof([]*ppg.DepEdge(nil)))
 	const edge = int64(unsafe.Sizeof((*ppg.DepEdge)(nil)) + unsafe.Sizeof(ppg.DepEdge{}))
 	for _, es := range pg.Edges {

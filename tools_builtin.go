@@ -42,16 +42,26 @@ type ScalAnaData struct {
 }
 
 // newScalAnaRun attaches the graph-based profiler, the paper's tool. Every
-// rank's profiler storage comes out of the run's slabs.
+// rank's profiler storage comes out of the run's slabs, and its vertex
+// data is its row of the PPG's block: the builder opens first, the
+// profilers write the block in place, and Finish adds ranks it copies
+// nothing of. An np below 1 has no block and fails at Finish.
 func newScalAnaRun(cfg RunConfig, graph *psg.Graph) ToolRun {
 	pc := cfg.Prof
 	if pc.Seed == 0 {
 		pc.Seed = cfg.Seed
 	}
-	profilers := prof.NewProfilers(pc, graph, cfg.NP)
+	b := ppg.NewBuilder(graph, cfg.NP, cfg.NP)
+	block, _ := b.Block()
+	profilers := prof.NewProfilers(pc, graph, cfg.NP, block)
 	return newPerRank(cfg.NP, func(rank int) *prof.Profiler { return &profilers[rank] }, (*prof.Profiler).Profile,
 		func(profiles []*prof.RankProfile) (any, error) {
-			pg, err := ppg.Build(graph, profiles)
+			for _, rp := range profiles {
+				if err := b.Add(rp); err != nil {
+					return nil, fmt.Errorf("assemble PPG: %w", err)
+				}
+			}
+			pg, err := b.Finish()
 			if err != nil {
 				return nil, fmt.Errorf("assemble PPG: %w", err)
 			}
