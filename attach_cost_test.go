@@ -2,6 +2,7 @@ package scalana_test
 
 import (
 	"runtime"
+	"strings"
 	"testing"
 
 	"scalana/internal/prof"
@@ -150,5 +151,22 @@ func TestProfiledRunPPGSharesProfileRows(t *testing.T) {
 		if len(rp.Vertex) != nv || &rp.Vertex[0] != &pg.Perf[r*nv] {
 			t.Fatalf("rank %d's profile is not its row of the PPG's block", r)
 		}
+	}
+}
+
+// A scalana run for no rank has no PPG block: Finish reports the
+// builder's error instead of profiling into a block of its own.
+func TestScalAnaRunWithoutRanksFailsAtFinish(t *testing.T) {
+	app := scalana.GetApp("zeusmp")
+	_, graph, err := scalana.Compile(app)
+	if err != nil {
+		t.Fatal(err)
+	}
+	trun, err := scalana.NewToolRun(scalana.RunConfig{App: app, NP: 0, ToolName: "scalana"}, graph)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := trun.Finish(); err == nil || !strings.Contains(err.Error(), "assemble PPG: ppg: np=0") {
+		t.Fatalf("Finish of a run without ranks: %v", err)
 	}
 }

@@ -177,8 +177,8 @@ func (b *Builder) start(np int) error {
 // Block sizes the graph for the np NewBuilder was given and returns its
 // performance block, rank r's row at [r*nv, (r+1)*nv) for nv the symbol
 // table's size. A producer that writes each rank's vertex data into its
-// row (prof.NewProfilers) hands Add ranks whose Vertex is that row, and
-// Add copies nothing.
+// row (prof.NewProfilers) hands Add ranks whose Vertex is that row, so
+// the scale's data is held once.
 func (b *Builder) Block() ([]prof.PerfData, error) {
 	if b.pg == nil {
 		if err := b.start(b.np); err != nil {
@@ -238,21 +238,17 @@ func (b *Builder) Add(rp *prof.RankProfile) error {
 	}
 	b.seen[rp.Rank] = true
 	b.ranks++
-	// A rank written in place (Block) is its row already; any other has
-	// its active slots copied, so an inactive one (a -0 included) stays
-	// the block's zero. Floating-point sums must not depend on storage
-	// order, or "identical profiles in, identical graph out" breaks in the
-	// last ulp: reduce in the fixed key-sorted order.
+	// Only active slots are copied, so an inactive one (a -0 included)
+	// stays the block's zero. Floating-point sums must not depend on
+	// storage order, or "identical profiles in, identical graph out"
+	// breaks in the last ulp: reduce in the fixed key-sorted order.
 	row := pg.row(rp.Rank)
-	inPlace := len(rp.Vertex) == len(row) && len(row) > 0 && &rp.Vertex[0] == &row[0]
 	var time float64
 	for _, vid := range b.order {
 		if pd := rp.PerfAt(vid); pd != nil {
 			time += pd.Time
 			pg.present[vid] = true
-			if !inPlace {
-				row[vid] = *pd
-			}
+			row[vid] = *pd
 		}
 	}
 	pg.RankTime[rp.Rank] = time

@@ -97,7 +97,8 @@ type RunOutput struct {
 }
 
 // Profiles returns the per-rank ScalAna profiles ("scalana" tool runs
-// only).
+// only). They are read-only: each rank's Vertex is its row of PPG().Perf
+// (ScalAnaData), so copy a Vertex before perturbing it.
 func (o *RunOutput) Profiles() []*prof.RankProfile {
 	if d, ok := o.Data.(*ScalAnaData); ok {
 		return d.Profiles

@@ -35,7 +35,10 @@ var tools = []struct {
 }
 
 // ScalAnaData is the payload of the "scalana" tool: per-rank profiles
-// plus the assembled Program Performance Graph.
+// plus the assembled Program Performance Graph. The profiles are
+// read-only: each one's Vertex is its rank's row of PPG.Perf, so an edit
+// would change the graph behind the totals and medians Finish computed.
+// Copy a Vertex before perturbing it.
 type ScalAnaData struct {
 	Profiles []*prof.RankProfile
 	PPG      *ppg.Graph
@@ -44,15 +47,21 @@ type ScalAnaData struct {
 // newScalAnaRun attaches the graph-based profiler, the paper's tool. Every
 // rank's profiler storage comes out of the run's slabs, and its vertex
 // data is its row of the PPG's block: the builder opens first, the
-// profilers write the block in place, and Finish adds ranks it copies
-// nothing of. An np below 1 has no block and fails at Finish.
+// profilers write the block in place, and Finish adds the ranks.
 func newScalAnaRun(cfg RunConfig, graph *psg.Graph) ToolRun {
 	pc := cfg.Prof
 	if pc.Seed == 0 {
 		pc.Seed = cfg.Seed
 	}
 	b := ppg.NewBuilder(graph, cfg.NP, cfg.NP)
-	block, _ := b.Block()
+	block, err := b.Block()
+	if err != nil {
+		// Only an np below 1, which RunCompiled refuses first, has no
+		// block: the run has no rank to profile, and Finish says why.
+		return newPerRank[*prof.Profiler](0, nil, (*prof.Profiler).Profile, func([]*prof.RankProfile) (any, error) {
+			return nil, fmt.Errorf("assemble PPG: %w", err)
+		})
+	}
 	profilers := prof.NewProfilers(pc, graph, cfg.NP, block)
 	return newPerRank(cfg.NP, func(rank int) *prof.Profiler { return &profilers[rank] }, (*prof.Profiler).Profile,
 		func(profiles []*prof.RankProfile) (any, error) {
