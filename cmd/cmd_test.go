@@ -707,6 +707,27 @@ func TestStaticRejectsLoopDepthBelow1(t *testing.T) {
 	}
 }
 
+// TestNegativeParallelExits1: a negative -parallel used to read as "one
+// per CPU"; it now exits 1 naming the flag, before any work starts. (0
+// keeps that meaning; scalana-detect and scalana-synth test their own.)
+func TestNegativeParallelExits1(t *testing.T) {
+	for _, args := range [][]string{
+		{"scalana-viewer", "-app", "cg", "-scales", "4,8"},
+		{"scalana-serve", "-store", t.TempDir(), "-addr", "127.0.0.1:0"},
+		{"scalana-bench", "-exp", "fig8"},
+	} {
+		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+		var stderr strings.Builder
+		cmd := exec.CommandContext(ctx, filepath.Join(binDir, args[0]), append(args[1:], "-parallel", "-2")...)
+		cmd.Stderr = &stderr
+		err := cmd.Run()
+		cancel()
+		if code := cmd.ProcessState.ExitCode(); code != 1 || !strings.Contains(stderr.String(), "-parallel -2") {
+			t.Errorf("%s -parallel -2: exit %d (%v), stderr %q, want exit 1 naming the flag", args[0], code, err, stderr.String())
+		}
+	}
+}
+
 // viewerCause matches the viewer's heading for one root cause's code.
 var viewerCause = regexp.MustCompile(`(?m)^── code for root cause \d+ \(([^)]+)\) ──$`)
 

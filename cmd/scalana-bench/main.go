@@ -38,6 +38,9 @@ func main() {
 	outDir := flag.String("o", "", "directory to write per-experiment .txt files")
 	parallel := flag.Int("parallel", 1, "experiments run concurrently (0 = one per CPU)")
 	flag.Parse()
+	if *parallel < 0 {
+		log.Fatalf("-parallel %d: must be at least 0 (0 = one per CPU)", *parallel)
+	}
 
 	if *list {
 		for _, e := range exp.All() {

@@ -65,6 +65,9 @@ func main() {
 	commCauses := flag.Bool("comm-causes", false, "admit non-scalable collectives as root-cause candidates (detect.Config.CommCauses)")
 	jsonOut := flag.String("json", "", "also write the report as JSON to this file ('-' for stdout)")
 	flag.Parse()
+	if *parallel < 0 {
+		log.Fatalf("-parallel %d: must be at least 0 (0 = one per CPU)", *parallel)
+	}
 
 	app := scalana.GetApp(*appName)
 	if app == nil {

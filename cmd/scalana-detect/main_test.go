@@ -118,6 +118,7 @@ func TestInvalidDetectConfigExits1(t *testing.T) {
 		{[]string{"-hz", "Inf"}, "sampling rate +Inf Hz"},
 		{[]string{"-hz", "-5"}, "sampling rate -5 Hz"},
 		{[]string{"-hz", "0"}, "sampling rate 0 Hz"},
+		{[]string{"-parallel", "-2"}, "-parallel -2: must be at least 0"},
 	} {
 		args := append([]string{"-app", "cg", "-scales", "4,8"}, tc.args...)
 		if code, _, stderr := detectCmd(t, args...); code != 1 || !strings.HasPrefix(stderr, "scalana-detect: ") ||

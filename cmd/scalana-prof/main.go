@@ -2,15 +2,14 @@
 // runs an instrumented application at one scale and collects per-rank
 // measurement data with the selected tool. The default tool is the
 // ScalAna graph-based profiler (sampled performance vectors plus
-// compressed communication dependence); -tool attaches one of the others
-// instead: the tracing and call-path baselines or the comm-matrix
-// collector (-list-tools).
+// compressed communication dependence); -tool attaches one of the
+// baselines instead, the tracer or the call-path profiler (-list-tools).
 //
 // Usage:
 //
 //	scalana-prof -app cg -np 64 -o cg.64.json
 //	scalana-prof -app zeusmp -np 128 -hz 1000 -o zeusmp.128.json
-//	scalana-prof -app cg -np 32 -tool commmatrix
+//	scalana-prof -app cg -np 32 -tool tracer
 //	scalana-prof -list-tools
 package main
 
@@ -19,7 +18,6 @@ import (
 	"fmt"
 	"log"
 
-	"scalana/internal/commmatrix"
 	"scalana/internal/prof"
 	"scalana/internal/report"
 
@@ -57,6 +55,9 @@ func main() {
 	if *commProb == 0 {
 		log.Fatal("-comm-prob must be above 0: a zero probability reads as the default, 1")
 	}
+	if *out != "" && *tool != "scalana" {
+		log.Fatalf("-o needs the scalana tool's profiles; tool %q produces none", *tool)
+	}
 	cfg := prof.Config{SampleHz: *hz, CommSampleProb: *commProb, NoCompress: !*compress, Seed: *seed}
 
 	res, err := scalana.Run(scalana.RunConfig{
@@ -71,19 +72,9 @@ func main() {
 	if pg := res.PPG(); pg != nil {
 		fmt.Printf("dependence edges: %d\n", pg.NumEdges())
 	}
-	if m, ok := res.Data.(*commmatrix.Matrix); ok {
-		fmt.Printf("p2p traffic: %s total\n", report.Bytes(int64(m.TotalBytes())))
-		for _, f := range m.TopFlows(5) {
-			fmt.Printf("  rank %3d <-> %3d  %8s in %d msgs\n", f.Src, f.Dst, report.Bytes(int64(f.Bytes)), f.Msgs)
-		}
-	}
 
 	if *out != "" {
-		profiles := res.Profiles()
-		if profiles == nil {
-			log.Fatalf("-o needs the scalana tool's profiles; tool %q produces none", *tool)
-		}
-		ps := &prof.ProfileSet{App: app.Name, NP: *np, Elapsed: res.Result.Elapsed, Profiles: profiles}
+		ps := &prof.ProfileSet{App: app.Name, NP: *np, Elapsed: res.Result.Elapsed, Profiles: res.Profiles()}
 		if err := ps.Save(*out); err != nil {
 			log.Fatalf("save: %v", err)
 		}

@@ -50,14 +50,14 @@ func run(t *testing.T, bin string, args ...string) (int, string, string) {
 }
 
 // toolListing is the committed -list-tools output.
-const toolListing = `commmatrix   communication-volume collector: per-vertex send/recv bytes and message counts plus the rank-to-rank traffic matrix
-hpctk        HPCToolkit-like call-path profiler: pure calling-context sampling, no inter-process dependence
+const toolListing = `hpctk        HPCToolkit-like call-path profiler: pure calling-context sampling, no inter-process dependence
 scalana      graph-based profiler: sampled per-vertex performance + compressed communication dependence (the paper's tool)
 tracer       Scalasca-like tracer: every MPI event and region transition logged as a timestamped record
 `
 
 // TestToolListingBytes pins what a user sees of the tools: the listing
-// both binaries print, and the refusal of a name that is not in it.
+// both binaries print, and the refusal of a name that is not in it, such
+// as the communication-matrix collector this project no longer ships.
 func TestToolListingBytes(t *testing.T) {
 	if code, out, stderr := run(t, profBin, "-list-tools"); code != 0 || out != toolListing {
 		t.Errorf("scalana-prof -list-tools: exit %d, stdout\n%s\nwant\n%s\nstderr: %s", code, out, toolListing, stderr)
@@ -67,6 +67,22 @@ func TestToolListingBytes(t *testing.T) {
 	}
 	if code, _, stderr := run(t, profBin, "-app", "cg", "-np", "4", "-tool", "nope"); code != 1 || !strings.Contains(stderr, "nope") {
 		t.Errorf("scalana-prof -tool nope: exit %d, stderr %q, want exit 1 naming the tool", code, stderr)
+	}
+	if code, _, stderr := run(t, profBin, "-app", "cg", "-np", "4", "-tool", "commmatrix"); code != 1 || !strings.Contains(stderr, `"commmatrix" (tools: hpctk, scalana, tracer)`) {
+		t.Errorf("scalana-prof -tool commmatrix: exit %d, stderr %q, want exit 1 listing the three tools", code, stderr)
+	}
+}
+
+// TestOutputNeedsTheScalanaTool: -o writes the scalana tool's profiles, so
+// with another tool it exits 1 before anything is simulated.
+func TestOutputNeedsTheScalanaTool(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "x.json")
+	code, out, stderr := run(t, profBin, "-app", "cg", "-np", "4", "-tool", "tracer", "-o", path)
+	if code != 1 || !strings.Contains(stderr, "-o needs the scalana tool's profiles") || strings.Contains(out, "ran ") {
+		t.Errorf("-tool tracer -o: exit %d, stdout %q, stderr %q, want exit 1 before any run", code, out, stderr)
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Errorf("-tool tracer -o wrote %s (stat: %v)", path, err)
 	}
 }
 

@@ -57,6 +57,9 @@ func main() {
 	hz := flag.Float64("hz", 1000, "profiler sampling frequency for simulate-mode detect runs")
 	quiet := flag.Bool("quiet", false, "suppress the per-request log")
 	flag.Parse()
+	if *parallel < 0 {
+		log.Fatalf("-parallel %d: must be at least 0 (0 = one per CPU)", *parallel)
+	}
 
 	if *storeDir == "" {
 		log.Fatalf("-store is required")

@@ -41,6 +41,9 @@ func main() {
 	jsonOut := flag.String("json", "", "write the scored evaluation to this JSON file ('-' for stdout)")
 	genOnly := flag.Bool("generate-only", false, "generate and write the corpus without evaluating it")
 	flag.Parse()
+	if *parallel < 0 {
+		log.Fatalf("-parallel %d: must be at least 0 (0 = one per CPU)", *parallel)
+	}
 
 	if *genOnly && *corpusOut == "" {
 		log.Fatalf("-generate-only needs -corpus")

@@ -17,7 +17,7 @@ func TestZeroFlagsExit1(t *testing.T) {
 	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
 		t.Fatalf("build: %v\n%s", err, out)
 	}
-	for _, args := range [][]string{{"-hz", "0"}, {"-hz", "-5"}, {"-topk", "0"}, {"-topk", "-1"}} {
+	for _, args := range [][]string{{"-hz", "0"}, {"-hz", "-5"}, {"-topk", "0"}, {"-topk", "-1"}, {"-parallel", "-2"}} {
 		var stderr bytes.Buffer
 		cmd := exec.Command(bin, append([]string{"-cases", "1", "-np-list", "4,8"}, args...)...)
 		cmd.Stderr = &stderr

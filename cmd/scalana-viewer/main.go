@@ -37,6 +37,9 @@ func main() {
 	hz := flag.Float64("hz", 1000, "sampling frequency for profiling runs")
 	parallel := flag.Int("parallel", 0, "scales profiled concurrently (0 = one per CPU, 1 = one scale at a time)")
 	flag.Parse()
+	if *parallel < 0 {
+		log.Fatalf("-parallel %d: must be at least 0 (0 = one per CPU)", *parallel)
+	}
 	if *context < 0 {
 		log.Fatalf("-context %d: must be at least 0", *context)
 	}

@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"log"
 
-	"scalana/internal/commmatrix"
 	"scalana/internal/detect"
 	"scalana/internal/prof"
 
@@ -44,18 +43,4 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Print(report.Render(prog))
-
-	// Bonus: every measurement tool attaches by name — here the
-	// comm-matrix collector, whose payload is the traffic matrix.
-	out, err := scalana.Run(scalana.RunConfig{App: app, NP: 16, ToolName: "commmatrix"})
-	if err != nil {
-		log.Fatal(err)
-	}
-	m := out.Data.(*commmatrix.Matrix)
-	var tools []string
-	for _, t := range scalana.Tools() {
-		tools = append(tools, t.Name)
-	}
-	fmt.Printf("\np2p traffic at np=16: %.1f MB across %d rank pairs (tools: %v)\n",
-		m.TotalBytes()/1e6, len(m.TopFlows(1<<30)), tools)
 }

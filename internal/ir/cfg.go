@@ -1,8 +1,8 @@
 // Package ir lowers MiniMP functions to a control-flow graph of basic
 // blocks and provides two classic analyses over it: dominators and
 // natural loops. Its readers are the static scalability lint
-// (LintScaledCollectives), the bytecode VM's lowering check and the
-// Table III overhead baseline. The PSG builder does not use it: it walks
+// (LintScaledCollectives) and the Table III overhead baseline; the VM's
+// tests hold its bytecode to this lowering. The PSG builder does not use it: it walks
 // the checked AST directly (package psg).
 package ir
 

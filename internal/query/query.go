@@ -18,7 +18,6 @@ import (
 	"path/filepath"
 	"strings"
 
-	"scalana/internal/commmatrix"
 	"scalana/internal/detect"
 	"scalana/internal/fit"
 	"scalana/internal/ppg"
@@ -438,66 +437,6 @@ func (e *Env) Sweep(q Sweep) (Plan[*SweepReport], error) {
 		}
 		if model, err := fit.FitLogLog(nps, elapsed); err == nil {
 			rep.Model = &SweepModel{A: detect.WireFloat(model.A), B: detect.WireFloat(model.B), R2: detect.WireFloat(model.R2)}
-		}
-		data, err := json.MarshalIndent(rep, "", " ")
-		return rep, append(data, '\n'), err
-	}}, nil
-}
-
-// Comm is a simulated rank-to-rank communication-matrix query.
-type Comm struct {
-	App  *scalana.App
-	NP   int
-	Seed int64
-}
-
-// CommFlow is one heavy (src, dst) pair of a CommReport.
-type CommFlow struct {
-	Src   int              `json:"src"`
-	Dst   int              `json:"dst"`
-	Bytes detect.WireFloat `json:"bytes"`
-	Msgs  int64            `json:"msgs"`
-}
-
-// CommReport is the answer to a Comm query.
-type CommReport struct {
-	App        string           `json:"app"`
-	NP         int              `json:"np"`
-	Seed       int64            `json:"seed"`
-	TotalBytes detect.WireFloat `json:"total_bytes"`
-	// Bytes and Msgs are the dense np*np traffic matrices in row-major
-	// order (src*np+dst), as collected by the commmatrix tool.
-	Bytes    []detect.WireFloat `json:"bytes"`
-	Msgs     []int64            `json:"msgs"`
-	TopFlows []CommFlow         `json:"top_flows"`
-}
-
-// Comm plans a communication-matrix query.
-func (e *Env) Comm(q Comm) (Plan[*CommReport], error) {
-	if err := checkMinNP(q.App, q.NP); err != nil {
-		return Plan[*CommReport]{}, err
-	}
-	if q.NP > commmatrix.MaxNP {
-		return Plan[*CommReport]{}, errorf(http.StatusBadRequest, "np %d exceeds the communication-matrix limit of %d ranks", q.NP, commmatrix.MaxNP)
-	}
-	key := fmt.Sprintf("comm|%s|np=%d|seed=%d", q.App.Name, q.NP, q.Seed)
-	return Plan[*CommReport]{Key: key, Run: func() (*CommReport, []byte, error) {
-		out, err := e.Engine.Run(scalana.RunConfig{App: q.App, NP: q.NP, ToolName: "commmatrix", Seed: q.Seed})
-		if err != nil {
-			return nil, nil, err
-		}
-		m := out.Data.(*commmatrix.Matrix)
-		rep := &CommReport{
-			App: q.App.Name, NP: q.NP, Seed: q.Seed,
-			TotalBytes: detect.WireFloat(m.TotalBytes()),
-			Bytes:      make([]detect.WireFloat, len(m.Bytes)),
-			Msgs:       m.Msgs,
-		}
-		for i, b := range m.Bytes {
-			rep.Bytes[i] = detect.WireFloat(b)
-		}
-		for _, f := range m.TopFlows(10) {
-			rep.TopFlows = append(rep.TopFlows, CommFlow{Src: f.Src, Dst: f.Dst, Bytes: detect.WireFloat(f.Bytes), Msgs: f.Msgs})
 		}
 		data, err := json.MarshalIndent(rep, "", " ")
 		return rep, append(data, '\n'), err

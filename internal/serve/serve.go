@@ -8,7 +8,7 @@
 // app), simulation work is bounded by a worker gate sized by the
 // SweepConfig.Parallelism knob, and concurrent identical queries
 // coalesce into one computation (single-flight on the query plan's key).
-// The detect, sweep, comm and watch endpoints parse a request into an
+// The detect, sweep and watch endpoints parse a request into an
 // internal/query query and write the plan's canonical bytes.
 //
 // Endpoints (all JSON):
@@ -22,7 +22,6 @@
 //	GET  /v1/profiles/{app}/{np}/{hash}   stored bytes, byte-identical to the upload
 //	POST /v1/detect                       detect report (detect.EncodeJSON bytes)
 //	GET  /v1/sweep?app=&scales=           per-scale elapsed/speedup/efficiency + log-log model
-//	GET  /v1/comm?app=&np=                simulated rank-to-rank communication matrix
 //	GET  /v1/watch?app=[&np=]             newest run vs rolling baseline (baseline.EncodeJSON bytes)
 //
 // A detect request reads stored profile sets by default (name scales,
@@ -103,8 +102,8 @@ type Server struct {
 
 	// flights coalesces concurrent identical queries, tallied per
 	// endpoint.
-	flights                         flightGroup
-	detects, sweeps, comms, watches flightCount
+	flights                  flightGroup
+	detects, sweeps, watches flightCount
 
 	mu       sync.Mutex
 	uploaded map[string]*scalana.App
@@ -158,8 +157,6 @@ type Stats struct {
 	DetectCoalesced int64 `json:"detect_coalesced"`
 	SweepComputes   int64 `json:"sweep_computes"`
 	SweepCoalesced  int64 `json:"sweep_coalesced"`
-	CommComputes    int64 `json:"comm_computes"`
-	CommCoalesced   int64 `json:"comm_coalesced"`
 	WatchComputes   int64 `json:"watch_computes"`
 	WatchCoalesced  int64 `json:"watch_coalesced"`
 	// BaselineSamples is the number of ingested samples in the cache that
@@ -190,8 +187,6 @@ func (s *Server) Stats() Stats {
 		DetectCoalesced: s.detects.coalesced.Load(),
 		SweepComputes:   s.sweeps.computes.Load(),
 		SweepCoalesced:  s.sweeps.coalesced.Load(),
-		CommComputes:    s.comms.computes.Load(),
-		CommCoalesced:   s.comms.coalesced.Load(),
 		WatchComputes:   s.watches.computes.Load(),
 		WatchCoalesced:  s.watches.coalesced.Load(),
 		BaselineSamples: cache.Samples,
@@ -218,7 +213,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/profiles/{app}/{np}/{hash}", s.handleGetProfiles)
 	mux.HandleFunc("POST /v1/detect", s.handleDetect)
 	mux.HandleFunc("GET /v1/sweep", s.handleSweep)
-	mux.HandleFunc("GET /v1/comm", s.handleComm)
 	mux.HandleFunc("GET /v1/watch", s.handleWatch)
 	return s.logged(mux)
 }
@@ -647,31 +641,6 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 	plan, err := s.env.Sweep(q)
 	answer(s, w, &s.sweeps, plan, err)
-}
-
-func (s *Server) handleComm(w http.ResponseWriter, r *http.Request) {
-	v := r.URL.Query()
-	app := s.app(w, v.Get("app"))
-	if app == nil {
-		return
-	}
-	q := query.Comm{App: app}
-	var err error
-	if q.NP, err = strconv.Atoi(v.Get("np")); err != nil || q.NP < 1 {
-		writeErr(w, http.StatusBadRequest, "bad np %q", v.Get("np"))
-		return
-	}
-	if overMaxNP(w, q.NP) {
-		return
-	}
-	if sv := v.Get("seed"); sv != "" {
-		if q.Seed, err = strconv.ParseInt(sv, 10, 64); err != nil {
-			writeErr(w, http.StatusBadRequest, "bad seed %q", sv)
-			return
-		}
-	}
-	plan, err := s.env.Comm(q)
-	answer(s, w, &s.comms, plan, err)
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {

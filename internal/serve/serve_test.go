@@ -16,7 +16,6 @@ import (
 	"testing"
 	"time"
 
-	"scalana/internal/commmatrix"
 	"scalana/internal/detect"
 	"scalana/internal/ppg"
 	"scalana/internal/prof"
@@ -241,8 +240,6 @@ func TestCoalescing(t *testing.T) {
 			func(st Stats) (int64, int64) { return st.DetectComputes, st.DetectCoalesced }},
 		{"sweep", "/v1/sweep?app=cg", nil, true, func(s *Server) *flightCount { return &s.sweeps },
 			func(st Stats) (int64, int64) { return st.SweepComputes, st.SweepCoalesced }},
-		{"comm", "/v1/comm?app=cg&np=4", nil, false, func(s *Server) *flightCount { return &s.comms },
-			func(st Stats) (int64, int64) { return st.CommComputes, st.CommCoalesced }},
 		{"watch", "/v1/watch?app=cg", nil, true, func(s *Server) *flightCount { return &s.watches },
 			func(st Stats) (int64, int64) { return st.WatchComputes, st.WatchCoalesced }},
 	} {
@@ -310,7 +307,7 @@ func TestCoalescing(t *testing.T) {
 			if computes, coalesced := tc.stats(srv.Stats()); computes != 1 || coalesced != 1 {
 				t.Fatalf("expected one computation and one coalesced request, got %d and %d", computes, coalesced)
 			}
-			if st := srv.Stats(); st.DetectComputes+st.SweepComputes+st.CommComputes+st.WatchComputes != 1 {
+			if st := srv.Stats(); st.DetectComputes+st.SweepComputes+st.WatchComputes != 1 {
 				t.Fatalf("another endpoint's counter moved: %+v", st)
 			}
 
@@ -495,8 +492,8 @@ func TestAppUploadValidation(t *testing.T) {
 
 // TestRunawayRecursionIsAnErrorResponse: an uploaded program that recurses
 // without bound used to overflow the host stack and take the server down.
-// Both endpoints that simulate must answer with the rank's error, and the
-// server must still be there for the next request.
+// A simulated detect answers with the rank's error on every request, and
+// the server must still be there for the next one.
 func TestRunawayRecursionIsAnErrorResponse(t *testing.T) {
 	_, ts := newTestServer(t)
 	body, _ := json.Marshal(appUploadJSON{Name: "runaway", Source: "func f(n) { return f(n + 1); }\nfunc main() { f(0); }\n", MinNP: 2})
@@ -504,14 +501,12 @@ func TestRunawayRecursionIsAnErrorResponse(t *testing.T) {
 		t.Fatalf("register app: %d %s", code, resp)
 	}
 	const want = "exceeds the call depth limit"
-	req, _ := json.Marshal(detectRequest{App: "runaway", Simulate: true, Scales: []int{2, 4}})
-	if code, resp := post(t, ts.URL+"/v1/detect", "application/json", req); code < 400 || !bytes.Contains(resp, []byte(want)) {
-		t.Errorf("simulated detect of a runaway recursion: %d %s, want an error naming the depth limit", code, resp)
+	for i := 0; i < 2; i++ {
+		if code, resp := simulatedDetect(t, ts, "runaway"); code < 400 || !bytes.Contains(resp, []byte(want)) {
+			t.Errorf("simulated detect of a runaway recursion, request %d: %d %s, want an error naming the depth limit", i, code, resp)
+		}
 	}
-	if code, resp := get(t, ts.URL+"/v1/comm?app=runaway&np=2"); code < 400 || !bytes.Contains(resp, []byte(want)) {
-		t.Errorf("comm of a runaway recursion: %d %s, want an error naming the depth limit", code, resp)
-	}
-	if code, resp := get(t, ts.URL+"/v1/comm?app=cg&np=4"); code != http.StatusOK {
+	if code, resp := simulatedDetect(t, ts, "cg"); code != http.StatusOK {
 		t.Errorf("next request after the failed ones: %d %s", code, resp)
 	}
 }
@@ -527,16 +522,12 @@ func TestRunawayLoopIsAnErrorResponse(t *testing.T) {
 		t.Fatalf("register app: %d %s", code, resp)
 	}
 	want := []byte(fmt.Sprintf("rank 0: spin.mp:2:2: rank exceeds the step budget of %d backward jumps and calls", vm.MaxSteps))
-	req, _ := json.Marshal(detectRequest{App: "spin", Simulate: true, Scales: []int{2, 4}})
-	if code, resp := post(t, ts.URL+"/v1/detect", "application/json", req); code < 400 || !bytes.Contains(resp, want) {
-		t.Errorf("simulated detect of a program that never ends: %d %s, want an error with %q", code, resp, want)
-	}
-	for i := 0; i < 2; i++ {
-		if code, resp := get(t, ts.URL+"/v1/comm?app=spin&np=2"); code < 400 || !bytes.Contains(resp, want) {
-			t.Errorf("comm of a program that never ends, request %d: %d %s, want an error with %q", i, code, resp, want)
+	for i := 0; i < 3; i++ {
+		if code, resp := simulatedDetect(t, ts, "spin"); code < 400 || !bytes.Contains(resp, want) {
+			t.Errorf("simulated detect of a program that never ends, request %d: %d %s, want an error with %q", i, code, resp, want)
 		}
 	}
-	if code, resp := get(t, ts.URL+"/v1/comm?app=cg&np=4"); code != http.StatusOK {
+	if code, resp := simulatedDetect(t, ts, "cg"); code != http.StatusOK {
 		t.Errorf("next request after the failed ones: %d %s", code, resp)
 	}
 }
@@ -557,19 +548,22 @@ func TestHugeAllocIsAnErrorResponse(t *testing.T) {
 			t.Fatalf("register app: %d %s", code, resp)
 		}
 		want := []byte(fmt.Sprintf("rank 0: %s elements exceeds what is left of the rank's array budget of %d", c.at, vm.MaxArrayElems))
-		req, _ := json.Marshal(detectRequest{App: name, Simulate: true, Scales: []int{2, 4}})
-		if code, resp := post(t, ts.URL+"/v1/detect", "application/json", req); code != http.StatusInternalServerError || !bytes.Contains(resp, want) {
-			t.Errorf("simulated detect of %s: %d %s, want a 500 with %q", name, code, resp, want)
-		}
-		for i := 0; i < 2; i++ {
-			if code, resp := get(t, ts.URL+"/v1/comm?app="+name+"&np=2"); code != http.StatusInternalServerError || !bytes.Contains(resp, want) {
-				t.Errorf("comm of %s, request %d: %d %s, want a 500 with %q", name, i, code, resp, want)
+		for i := 0; i < 3; i++ {
+			if code, resp := simulatedDetect(t, ts, name); code != http.StatusInternalServerError || !bytes.Contains(resp, want) {
+				t.Errorf("simulated detect of %s, request %d: %d %s, want a 500 with %q", name, i, code, resp, want)
 			}
 		}
 	}
-	if code, resp := get(t, ts.URL+"/v1/comm?app=cg&np=4"); code != http.StatusOK {
+	if code, resp := simulatedDetect(t, ts, "cg"); code != http.StatusOK {
 		t.Errorf("next request after the failed ones: %d %s", code, resp)
 	}
+}
+
+// simulatedDetect posts a simulated detect of app at np 2 and 4.
+func simulatedDetect(t *testing.T, ts *httptest.Server, app string) (int, []byte) {
+	t.Helper()
+	req, _ := json.Marshal(detectRequest{App: app, Simulate: true, Scales: []int{2, 4}})
+	return post(t, ts.URL+"/v1/detect", "application/json", req)
 }
 
 func TestSweepEndpoint(t *testing.T) {
@@ -607,31 +601,6 @@ func TestSweepEndpoint(t *testing.T) {
 	}
 }
 
-func TestCommEndpoint(t *testing.T) {
-	_, ts := newTestServer(t)
-	code, body := get(t, ts.URL+"/v1/comm?app=cg&np=4")
-	if code != http.StatusOK {
-		t.Fatalf("comm: %d %s", code, body)
-	}
-	var resp query.CommReport
-	if err := json.Unmarshal(body, &resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.NP != 4 || len(resp.Bytes) != 16 || len(resp.Msgs) != 16 {
-		t.Fatalf("comm matrix shape: np=%d bytes=%d msgs=%d", resp.NP, len(resp.Bytes), len(resp.Msgs))
-	}
-	if resp.TotalBytes <= 0 || len(resp.TopFlows) == 0 {
-		t.Fatalf("comm matrix empty: total=%v flows=%d", resp.TotalBytes, len(resp.TopFlows))
-	}
-	_, body2 := get(t, ts.URL+"/v1/comm?app=cg&np=4")
-	if !bytes.Equal(body, body2) {
-		t.Fatal("comm response is not deterministic")
-	}
-	if code, _ := get(t, ts.URL+"/v1/comm?app=cg&np=1"); code != http.StatusBadRequest {
-		t.Fatal("np below MinNP did not 400")
-	}
-}
-
 func TestHealthAndStats(t *testing.T) {
 	_, ts := newTestServer(t)
 	if code, body := get(t, ts.URL+"/healthz"); code != http.StatusOK || string(body) != "ok\n" {
@@ -655,8 +624,26 @@ func TestHealthAndStats(t *testing.T) {
 	}
 }
 
+// TestNoCommRoute: the service has no communication-matrix query.
+// GET /v1/comm answers as a route that never existed does, and /v1/stats
+// counts no comm computes.
+func TestNoCommRoute(t *testing.T) {
+	_, ts := newTestServer(t)
+	code, body := get(t, ts.URL+"/v1/comm?app=cg&np=4")
+	unknownCode, unknownBody := get(t, ts.URL+"/v1/nosuch?app=cg&np=4")
+	if code != http.StatusNotFound || code != unknownCode || !bytes.Equal(body, unknownBody) {
+		t.Errorf("GET /v1/comm: %d %q, want an unknown route's %d %q", code, body, unknownCode, unknownBody)
+	}
+	_, stats := get(t, ts.URL+"/v1/stats")
+	for _, field := range []string{"comm_computes", "comm_coalesced"} {
+		if bytes.Contains(stats, []byte(`"`+field+`"`)) {
+			t.Errorf("stats still have %q: %s", field, stats)
+		}
+	}
+}
+
 // TestNPAboveTheCapIsABadRequest: a 60-byte request used to ask the
-// simulator for a billion ranks. The three routes that take an np from the
+// simulator for a billion ranks. The two routes that take an np from the
 // client answer 400 naming ppg.MaxNP, and the next request is served.
 func TestNPAboveTheCapIsABadRequest(t *testing.T) {
 	_, ts := newTestServer(t)
@@ -665,7 +652,6 @@ func TestNPAboveTheCapIsABadRequest(t *testing.T) {
 	envelope := []byte(fmt.Sprintf(`{"app":"cg","np":%d,"elapsed":1,"profiles":[{"rank":0,"np":%d}]}`, ppg.MaxNP+1, ppg.MaxNP+1))
 	for name, do := range map[string]func() (int, []byte){
 		"simulated detect": func() (int, []byte) { return post(t, ts.URL+"/v1/detect", "application/json", detectReq) },
-		"comm":             func() (int, []byte) { return get(t, ts.URL+"/v1/comm?app=cg&np=1000000000") },
 		"upload":           func() (int, []byte) { return post(t, ts.URL+"/v1/profiles", "application/json", envelope) },
 	} {
 		if code, body := do(); code != http.StatusBadRequest || !bytes.Contains(body, want) {
@@ -678,22 +664,8 @@ func TestNPAboveTheCapIsABadRequest(t *testing.T) {
 	if code, body := post(t, ts.URL+"/v1/profiles", "application/json", atCap); code != http.StatusBadRequest || !bytes.Contains(body, []byte("the most ranks the input could hold")) {
 		t.Errorf("upload at the cap with one rank: %d %s", code, body)
 	}
-	if code, body := get(t, ts.URL+"/v1/comm?app=cg&np=4"); code != http.StatusOK {
+	if code, body := simulatedDetect(t, ts, "cg"); code != http.StatusOK {
 		t.Errorf("next request after the refused ones: %d %s", code, body)
-	}
-}
-
-// TestCommNPAboveTheMatrixCap: the matrix is dense in np, so /v1/comm at
-// ppg.MaxNP asked for two 64 GiB blocks. Above commmatrix.MaxNP it is a
-// 400 naming the limit, answered before anything is simulated.
-func TestCommNPAboveTheMatrixCap(t *testing.T) {
-	srv, ts := newTestServer(t)
-	want := []byte(fmt.Sprintf("limit of %d ranks", commmatrix.MaxNP))
-	if code, body := get(t, fmt.Sprintf("%s/v1/comm?app=cg&np=%d", ts.URL, commmatrix.MaxNP+1)); code != http.StatusBadRequest || !bytes.Contains(body, want) {
-		t.Errorf("comm above the matrix cap: %d %s, want 400 naming the limit", code, body)
-	}
-	if st := srv.Stats(); st.CommComputes != 0 {
-		t.Errorf("comm_computes = %d after a refused request, want 0", st.CommComputes)
 	}
 }
 

@@ -69,9 +69,9 @@ func compile(app *App, opts psg.Options) (*minilang.Program, *psg.Graph, error) 
 type RunConfig struct {
 	App *App
 	NP  int
-	// ToolName selects a measurement tool by name: "scalana", "tracer",
-	// "hpctk" or "commmatrix" (see Tools). Empty runs the application
-	// bare (the overhead baseline).
+	// ToolName selects a measurement tool by name: "scalana", "tracer"
+	// or "hpctk" (see Tools). Empty runs the application bare (the
+	// overhead baseline).
 	ToolName string
 	// Prof configures the ScalAna profiler (zero value = paper defaults).
 	Prof prof.Config
@@ -88,9 +88,8 @@ type RunOutput struct {
 	Result mpisim.RunResult
 	Graph  *psg.Graph
 	// Data is the attached tool's payload (nil for a bare run): a
-	// *ScalAnaData for "scalana", []*trace.RankTrace for "tracer",
-	// []*hpctk.RankProfile for "hpctk", *commmatrix.Matrix for
-	// "commmatrix".
+	// *ScalAnaData for "scalana", []*trace.RankTrace for "tracer" and
+	// []*hpctk.RankProfile for "hpctk".
 	Data any
 	// storage is the tool's measurement-data size summed over ranks.
 	storage int64

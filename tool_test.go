@@ -16,7 +16,7 @@ import (
 	scalana "scalana"
 )
 
-// TestToolsListing: Tools lists exactly the four tools, sorted by name,
+// TestToolsListing: Tools lists exactly the three tools, sorted by name,
 // each with a description, and NewToolRun resolves each name.
 func TestToolsListing(t *testing.T) {
 	_, graph, err := scalana.Compile(scalana.GetApp("cg"))
@@ -33,7 +33,7 @@ func TestToolsListing(t *testing.T) {
 		}
 		names = append(names, tool.Name)
 	}
-	if got, want := strings.Join(names, " "), "commmatrix hpctk scalana tracer"; got != want {
+	if got, want := strings.Join(names, " "), "hpctk scalana tracer"; got != want {
 		t.Errorf("Tools() = %s, want %s", got, want)
 	}
 }
@@ -134,7 +134,7 @@ func TestPSGOptionsNormalizeSharedAcrossSpellings(t *testing.T) {
 	}
 }
 
-// TestBaselineToolOutputsArePinned pins what the three baseline tools
+// TestBaselineToolOutputsArePinned pins what the two baseline tools
 // produce on one small run (cg, np=8, seed 7) to committed numbers: the
 // virtual makespan, the summed storage size and a SHA-256 of the payload's
 // JSON encoding. The "scalana" tool has its own anchor, the wire fixtures
@@ -147,7 +147,6 @@ func TestBaselineToolOutputsArePinned(t *testing.T) {
 		storage       int64
 		sha           string
 	}{
-		{"commmatrix", "0.7746762480545851", 2432, "d7a76e08722b0d9971f6ae1d08747a2c375fccd0b05acd6e45cce6bb05c578c7"},
 		{"hpctk", "0.7749754480545906", 66472, "e2a8d5a956b025cc22c9b98ae93bcbe3c1a7ca6d10f6b49c2e8c9c5feef09ad4"},
 		{"tracer", "0.7813806480545744", 1517400, "ff262d80659a0c80505e24c30c69bdfb23a9e1787c5def25a5912a92ff1b30e6"},
 	} {

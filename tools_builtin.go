@@ -3,7 +3,6 @@ package scalana
 import (
 	"fmt"
 
-	"scalana/internal/commmatrix"
 	"scalana/internal/hpctk"
 	"scalana/internal/mpisim"
 	"scalana/internal/ppg"
@@ -18,11 +17,6 @@ var tools = []struct {
 	Tool
 	newRun func(RunConfig, *psg.Graph) ToolRun
 }{
-	{Tool{"commmatrix", "communication-volume collector: per-vertex send/recv bytes and message counts plus the rank-to-rank traffic matrix"},
-		func(cfg RunConfig, _ *psg.Graph) ToolRun {
-			return newPerRank(cfg.NP, func(rank int) *commmatrix.Collector { return commmatrix.New(rank, cfg.NP) },
-				(*commmatrix.Collector).Comm, func(ranks []*commmatrix.RankComm) (any, error) { return commmatrix.Assemble(ranks) })
-		}},
 	{Tool{"hpctk", "HPCToolkit-like call-path profiler: pure calling-context sampling, no inter-process dependence"},
 		func(cfg RunConfig, _ *psg.Graph) ToolRun {
 			return newPerRank(cfg.NP, hpctk.New, (*hpctk.Profiler).Profile, ranksAsPayload[*hpctk.RankProfile])
