@@ -87,7 +87,7 @@ scalana-detect abnorm-thd app comm-causes expect-cause hz json parallel profiles
 scalana-lint json list
 scalana-prof app comm-prob compress hz list-tools np o seed tool
 scalana-serve addr hz parallel quiet store
-scalana-static app contract file json lint list maxloopdepth
+scalana-static app contract file json list maxloopdepth
 scalana-synth archetypes cases corpus generate-only hz json np-list parallel seed templates topk
 scalana-viewer app context hz parallel scales
 `

@@ -7,11 +7,6 @@
 //	scalana-static -file prog.mp          # any MiniMP source file
 //	scalana-static -app cg -json psg.json # also write the serialized PSG
 //	scalana-static -app cg -maxloopdepth 1 -contract=false
-//	scalana-static -app cg -lint          # np-scaled collective lint only
-//
-// -lint runs the static scalability check instead of emitting the PSG:
-// any MPI collective whose enclosing loop trip count grows with np is
-// reported, and the exit status is 2 when findings exist.
 package main
 
 import (
@@ -22,7 +17,6 @@ import (
 	"os"
 
 	"scalana/internal/apps"
-	"scalana/internal/ir"
 	"scalana/internal/minilang"
 	"scalana/internal/psg"
 )
@@ -35,7 +29,6 @@ func main() {
 	jsonOut := flag.String("json", "", "write the serialized PSG to this file")
 	maxDepth := flag.Int("maxloopdepth", 10, "MaxLoopDepth contraction parameter")
 	contract := flag.Bool("contract", true, "enable graph contraction")
-	lint := flag.Bool("lint", false, "report collectives inside np-dependent loops and exit")
 	list := flag.Bool("list", false, "list bundled workloads")
 	flag.Parse()
 	if *maxDepth < 1 {
@@ -69,18 +62,6 @@ func main() {
 	}
 	if err != nil {
 		log.Fatalf("compile: %v", err)
-	}
-
-	if *lint {
-		findings := ir.LintScaledCollectives(prog)
-		if len(findings) == 0 {
-			fmt.Printf("%s: no collectives inside np-dependent loops\n", prog.File)
-			return
-		}
-		for _, f := range findings {
-			fmt.Printf("%s: %s\n", prog.File, f)
-		}
-		os.Exit(2)
 	}
 
 	g, err := psg.Build(prog, psg.Options{MaxLoopDepth: *maxDepth, Contract: *contract})

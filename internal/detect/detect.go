@@ -224,6 +224,13 @@ func Detect(runs []ScaleRun, cfg Config) (*Report, error) {
 		return nil, err
 	}
 	cfg = cfg.Normalized()
+	// The fit reads a run's scale from NP, so a PPG of another size would
+	// be fitted as the wrong scale.
+	for _, r := range runs {
+		if r.PPG != nil && r.PPG.NP != r.NP {
+			return nil, fmt.Errorf("detect: the run given as np=%d has a PPG of np=%d", r.NP, r.PPG.NP)
+		}
+	}
 	sorted := append([]ScaleRun(nil), runs...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].NP < sorted[j].NP })
 	largest := sorted[len(sorted)-1]

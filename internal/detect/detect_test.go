@@ -376,17 +376,26 @@ func TestDetectErrors(t *testing.T) {
 	}
 }
 
-func TestDetectSingleScaleSkipsNonScalable(t *testing.T) {
-	s := newSynthetic(t, simpleSrc, 2)
-	comp := s.vertex("main", psg.KindComp)
-	s.setTime(comp, 0, 1)
-	s.setTime(comp, 1, 1)
-	rep, err := Detect([]ScaleRun{{NP: 2, PPG: s.ppg()}}, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
+// TestDetectRefusesAMislabelledScale: the fit takes a run's scale from
+// ScaleRun.NP, so a PPG of another size under it is an error naming both,
+// whichever scale it is given as. It used to be fitted as the scale it
+// was labelled.
+func TestDetectRefusesAMislabelledScale(t *testing.T) {
+	pgs := map[int]*ppg.Graph{}
+	for _, np := range []int{4, 8} {
+		s := newSynthetic(t, simpleSrc, np)
+		for r := range np {
+			s.setTime(s.vertex("main", psg.KindComp), r, 1.0/float64(np))
+		}
+		pgs[np] = s.ppg()
 	}
-	if len(rep.NonScalable) != 0 {
-		t.Error("single scale cannot yield non-scalable vertices")
+	for want, runs := range map[string][]ScaleRun{
+		"detect: the run given as np=8 has a PPG of np=4": {{NP: 4, PPG: pgs[4]}, {NP: 8, PPG: pgs[4]}},
+		"detect: the run given as np=2 has a PPG of np=4": {{NP: 2, PPG: pgs[4]}, {NP: 8, PPG: pgs[8]}},
+	} {
+		if _, err := Detect(runs, DefaultConfig()); err == nil || err.Error() != want {
+			t.Errorf("%v, want %s", err, want)
+		}
 	}
 }
 

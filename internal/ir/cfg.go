@@ -1,9 +1,9 @@
 // Package ir lowers MiniMP functions to a control-flow graph of basic
 // blocks and provides two classic analyses over it: dominators and
-// natural loops. Its readers are the static scalability lint
-// (LintScaledCollectives) and the Table III overhead baseline; the VM's
-// tests hold its bytecode to this lowering. The PSG builder does not use it: it walks
-// the checked AST directly (package psg).
+// natural loops. Its one shipped reader is the Table III overhead
+// baseline (package exp); the VM's tests hold its bytecode to this
+// lowering. The PSG builder does not use it: it walks the checked AST
+// directly (package psg).
 package ir
 
 import (

@@ -86,8 +86,3 @@ var Builtins = map[string]*Builtin{
 	// Output.
 	"print": {Name: "print", Kind: BuiltinIO, Arity: -1},
 }
-
-// IsCollective reports whether the call is an MPI collective.
-func IsCollective(c *CallExpr) bool {
-	return c.Builtin != nil && c.Builtin.Collective
-}

@@ -5,8 +5,8 @@ import (
 	"fmt"
 )
 
-// VertexDTO is the serialized form of one vertex, emitted by
-// scalana-static and consumed by scalana-detect.
+// VertexDTO is the serialized form of one vertex, written by
+// scalana-static -json; nothing in this repository reads it back.
 type VertexDTO struct {
 	ID         int    `json:"id"`
 	Key        string `json:"key"`

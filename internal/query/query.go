@@ -361,13 +361,25 @@ func (e *Env) loadDir(app *scalana.App, dir string, nps []int) ([]detect.ScaleRu
 	runs := make([]detect.ScaleRun, 0, len(nps))
 	for _, np := range nps {
 		path := filepath.Join(dir, fmt.Sprintf("%s.%d.json", app.Name, np))
+		// The file name gives the scale the fit uses, so the set must be
+		// of that size, as a stored set must be of its key's.
 		var pg *ppg.Graph
+		var set prof.ProfileSet
 		data, err := os.ReadFile(path)
 		if err == nil {
-			pg, _, err = ppg.Decode(data, graph, 0)
+			pg, set, err = ppg.Decode(data, graph, np)
 		}
-		if err != nil {
+		misnamed := func(got int) error {
+			return fmt.Errorf("load %s: the set is np=%d, its name says np=%d", path, got, np)
+		}
+		var misfiled *ppg.NPError
+		switch {
+		case errors.As(err, &misfiled):
+			return nil, misnamed(misfiled.NP)
+		case err != nil:
 			return nil, fmt.Errorf("load %s: %w", path, err)
+		case set.NP != np:
+			return nil, misnamed(set.NP)
 		}
 		runs = append(runs, detect.ScaleRun{NP: np, PPG: pg})
 	}

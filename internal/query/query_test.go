@@ -674,6 +674,43 @@ func TestMisfiledSetIsCorruptToEveryReader(t *testing.T) {
 	}
 }
 
+// TestMisnamedProfileFile: a profiles directory's file name gives the
+// scale the fit uses, so a set of another size under it is an error that
+// names the file and both scales. Both kinds of disagreement are caught:
+// the ranks' np (a 4-rank set named cg.8.json used to be fitted as np=8,
+// flagging both compute vertices with slope +0.00) and the envelope's.
+func TestMisnamedProfileFile(t *testing.T) {
+	four, err := os.ReadFile(filepath.Join(fixtures, "cg.4.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	eight, err := os.ReadFile(filepath.Join(fixtures, "cg.8.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	envelope := bytes.Replace(eight, []byte(`"np": 8`), []byte(`"np": 4`), 1)
+	if bytes.Equal(envelope, eight) {
+		t.Fatal("fixture has no envelope np to edit")
+	}
+	for name, eightFile := range map[string][]byte{"ranks": four, "envelope": envelope} {
+		dir := t.TempDir()
+		for file, data := range map[string][]byte{"cg.4.json": four, "cg.8.json": eightFile} {
+			if err := os.WriteFile(filepath.Join(dir, file), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		e := Env{Engine: scalana.NewEngine()}
+		plan, err := e.Detect(Detect{App: scalana.GetApp("cg"), ProfilesDir: dir, Scales: []int{4, 8}, Config: detect.DefaultConfig()})
+		if err == nil {
+			_, err = plan.Bytes()
+		}
+		want := fmt.Sprintf("load %s: the set is np=4, its name says np=8", filepath.Join(dir, "cg.8.json"))
+		if err == nil || err.Error() != want {
+			t.Errorf("%s of cg.8.json at np=4: %v, want %s", name, err, want)
+		}
+	}
+}
+
 // TestStoredReadsAllocateNoRank gates what a stored detect and a stored
 // sweep allocate over the cg fixtures (12 ranks): a detect its two graphs
 // and the report, a sweep the store listing and its answer — neither a
