@@ -376,6 +376,20 @@ func TestDetectErrors(t *testing.T) {
 	}
 }
 
+func TestDetectSingleScaleSkipsNonScalable(t *testing.T) {
+	s := newSynthetic(t, simpleSrc, 2)
+	comp := s.vertex("main", psg.KindComp)
+	s.setTime(comp, 0, 1)
+	s.setTime(comp, 1, 1)
+	rep, err := Detect([]ScaleRun{{NP: 2, PPG: s.ppg()}}, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.NonScalable) != 0 {
+		t.Error("single scale cannot yield non-scalable vertices")
+	}
+}
+
 // TestDetectRefusesAMislabelledScale: the fit takes a run's scale from
 // ScaleRun.NP, so a PPG of another size under it is an error naming both,
 // whichever scale it is given as. It used to be fitted as the scale it
