@@ -13,22 +13,29 @@ import (
 )
 
 // CacheBudget is the most bytes a Cache charges its entries: 14 decoded
-// zeusmp np=1024 graphs with the bytes each was decoded from, or a quarter
-// of a million zeusmp samples.
+// zeusmp np=1024 graphs with the bytes each was decoded from, a quarter of
+// a million zeusmp samples a watch ingested, or about 125 zeusmp np=256
+// samples a stored detect read, each with its 0.54 MB of stored bytes.
 const CacheBudget = 64 << 20
 
 // Cache holds what stored sets reduce to, by store key: the baseline
 // sample a watch reads for every run and a stored detect for every scale
 // but its largest, and the decoded PPG of a stored detect's largest
-// scale, with the stored bytes it was decoded from. Both derive from
-// content-addressed bytes alone, so an entry never goes stale; a
-// concurrent double miss is wasted work, never a wrong answer. A cached
-// graph is shared by every detect that reads it and written by none.
+// scale. A graph and a sample a detect read keep the stored bytes they
+// were read from, so a hit compares the stored file with them
+// (store.Store.Holds) instead of hashing it; a sample a watch ingested
+// keeps none, as the watch checks nothing on a hit and a long history's
+// bytes would not fit the budget. Every entry derives from
+// content-addressed bytes alone, so it never goes stale; a concurrent
+// double miss is wasted work, never a wrong answer. An entry in the map
+// is shared by every query that reads it and written by none: an entry
+// gains its bytes by being replaced.
 //
-// Each entry is charged the bytes it retains (graphCharge, sampleBytes).
-// An insert past the budget evicts the least-recently-used entries, and
-// an entry larger than the whole budget is not kept. A hit allocates
-// nothing. A nil *Cache caches nothing. Safe for concurrent use.
+// Each entry is charged the bytes it retains (graphCharge, sampleBytes,
+// plus the stored bytes a sample keeps). An insert past the budget evicts
+// the least-recently-used entries, and an entry larger than the whole
+// budget is not kept. A hit allocates nothing. A nil *Cache caches
+// nothing. Safe for concurrent use.
 type Cache struct {
 	// budget replaces CacheBudget when positive: how a test evicts.
 	budget int64
@@ -52,7 +59,7 @@ type slot struct {
 type cached struct {
 	smp  *baseline.Sample
 	pg   *ppg.Graph
-	data []byte // the stored bytes pg was decoded from
+	data []byte // the stored bytes pg or smp was read from; nil for a watch's sample
 	size int64
 	used uint64
 }
@@ -80,12 +87,13 @@ func (c *Cache) Stats() CacheStats {
 	return CacheStats{Samples: c.samples, Ingests: c.ingests, Decodes: c.decodes, Bytes: c.held, Evictions: c.evictions}
 }
 
-// sample returns the cached sample of a stored set, or nil.
-func (c *Cache) sample(k store.Key) *baseline.Sample {
+// sample returns the cached sample of a stored set and the bytes it was
+// read from (nil when a watch ingested it), or nil.
+func (c *Cache) sample(k store.Key) (*baseline.Sample, []byte) {
 	if e := c.get(slot{key: k}); e != nil {
-		return e.smp
+		return e.smp, e.data
 	}
-	return nil
+	return nil, nil
 }
 
 // graph returns the cached PPG of a stored set and the bytes it was
@@ -97,15 +105,26 @@ func (c *Cache) graph(k store.Key) (*ppg.Graph, []byte) {
 	return nil, nil
 }
 
-// addSample counts an ingest and caches its sample.
-func (c *Cache) addSample(k store.Key, smp *baseline.Sample) {
-	c.put(slot{key: k}, &cached{smp: smp, size: sampleBytes(smp)})
+// addSample counts an ingest and caches its sample, with the stored bytes
+// it was read from unless data is nil.
+func (c *Cache) addSample(k store.Key, smp *baseline.Sample, data []byte) {
+	c.put(slot{key: k}, sampleEntry(smp, data), true)
+}
+
+// keepBytes caches anew a sample a watch ingested, now with the stored
+// bytes it was read from: not an ingest, and nothing is decoded.
+func (c *Cache) keepBytes(k store.Key, smp *baseline.Sample, data []byte) {
+	c.put(slot{key: k}, sampleEntry(smp, data), false)
+}
+
+func sampleEntry(smp *baseline.Sample, data []byte) *cached {
+	return &cached{smp: smp, data: data, size: sampleBytes(smp) + int64(len(data))}
 }
 
 // addGraph counts a decode and caches its graph with the bytes it was
 // decoded from.
 func (c *Cache) addGraph(k store.Key, pg *ppg.Graph, data []byte) {
-	c.put(slot{key: k, graph: true}, &cached{pg: pg, data: data, size: graphCharge(pg, data)})
+	c.put(slot{key: k, graph: true}, &cached{pg: pg, data: data, size: graphCharge(pg, data)}, true)
 }
 
 func (c *Cache) get(s slot) *cached {
@@ -122,23 +141,31 @@ func (c *Cache) get(s slot) *cached {
 	return e
 }
 
-func (c *Cache) put(s slot, e *cached) {
+// put caches e at s, counting a miss when miss is set. An entry already
+// at s stays, unless it keeps no bytes and e does: then e replaces it.
+func (c *Cache) put(s slot, e *cached, miss bool) {
 	if c == nil {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if s.graph {
+	switch {
+	case !miss:
+	case s.graph:
 		c.decodes++
-	} else {
+	default:
 		c.ingests++
 	}
 	budget := c.budget
 	if budget <= 0 {
 		budget = CacheBudget
 	}
-	if e.size > budget || c.m[s] != nil {
+	old := c.m[s]
+	if e.size > budget || old != nil && (old.data != nil || e.data == nil) {
 		return
+	}
+	if old != nil {
+		c.drop(s)
 	}
 	if c.held+e.size > budget {
 		c.evict(budget - e.size)
@@ -167,13 +194,18 @@ func (c *Cache) evict(limit int64) {
 		if c.held <= limit {
 			return
 		}
-		c.held -= c.m[s].size
-		if !s.graph {
-			c.samples--
-		}
-		delete(c.m, s)
+		c.drop(s)
 		c.evictions++
 	}
+}
+
+// drop removes the entry at s. Caller holds c.mu.
+func (c *Cache) drop(s slot) {
+	c.held -= c.m[s].size
+	if !s.graph {
+		c.samples--
+	}
+	delete(c.m, s)
 }
 
 // sampleBytes is what a cached sample is charged: its values.

@@ -6,9 +6,11 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
+	"scalana/internal/baseline"
 	"scalana/internal/detect"
 	"scalana/internal/ppg"
 	"scalana/internal/store"
@@ -138,5 +140,127 @@ func TestRemovedAfterCachingReadsAsUncached(t *testing.T) {
 		if want == nil || got == nil || got.Error() != want.Error() {
 			t.Errorf("np=%d removed, planned after: %v, the uncached path %v", np, got, want)
 		}
+	}
+}
+
+// TestDetectChargesASampleItsBytes: after one detect over cg [4,8] the
+// cache is charged the np=8 graph's graphCharge, the np=4 sample's
+// sampleBytes and the np=4 set's length: a detect's sample keeps the
+// stored bytes it was read from, which the next hit compares the file
+// with.
+func TestDetectChargesASampleItsBytes(t *testing.T) {
+	e := fixtureEnv(t, false)
+	e.Cache = &Cache{}
+	cg := scalana.GetApp("cg")
+	plan, err := e.Detect(Detect{App: cg, Scales: []int{4, 8}, Config: detect.DefaultConfig()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := plan.Bytes(); err != nil {
+		t.Fatal(err)
+	}
+	four, err := e.Store.Only("cg", 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eight, err := e.Store.Only("cg", 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	smp := e.Cache.get(slot{key: four.Key})
+	pg, pgData := e.Cache.graph(eight.Key)
+	if smp == nil || pg == nil {
+		t.Fatalf("a detect over cg [4,8] cached sample=%t graph=%t, want both", smp != nil, pg != nil)
+	}
+	if int64(len(smp.data)) != four.Size {
+		t.Errorf("the np=4 sample keeps %d bytes, the stored set is %d", len(smp.data), four.Size)
+	}
+	want := graphCharge(pg, pgData) + sampleBytes(smp.smp) + four.Size
+	if got := e.Cache.Stats().Bytes; got != want {
+		t.Errorf("the cache is charged %d bytes, want %d: graph %d + sample %d + np=4 set %d",
+			got, want, graphCharge(pg, pgData), sampleBytes(smp.smp), four.Size)
+	}
+}
+
+// TestDetectKeepsTheBytesOfAWatchSample: a watch caches the samples of cg
+// np 4 and 8 without their bytes. Two detects over [4,8] then ingest
+// nothing: the first reads the np=4 set once more, through Get, and
+// replaces its sample's entry with one that keeps those bytes, so the
+// cache's bytes rise by the np=8 graph's charge and exactly the np=4
+// set's length; the second only compares the file with them. A byte
+// flipped in the np=4 file is still store.ErrCorrupt naming the hash
+// mismatch (a 500 from the service), and the detect answers its bytes
+// again once the byte is put back.
+func TestDetectKeepsTheBytesOfAWatchSample(t *testing.T) {
+	e := fixtureEnv(t, false)
+	e.Cache = &Cache{}
+	cg := scalana.GetApp("cg")
+	for _, np := range []int{4, 8} {
+		plan, err := e.Watch(Watch{App: cg, NP: np, Params: baseline.DefaultParams()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := plan.Bytes(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	four, err := e.Store.Only("cg", 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	watched := e.Cache.Stats()
+	if smp := e.Cache.get(slot{key: four.Key}); smp == nil || smp.data != nil || watched.Samples != 2 || watched.Ingests != 2 {
+		t.Fatalf("after the watches: np=4 sample held=%t, stats %+v; want held without bytes, 2 samples, 2 ingests", smp != nil, watched)
+	}
+	want := allPPG(t, e, cg, []int{4, 8}, detect.DefaultConfig())
+	plan, err := e.Detect(Detect{App: cg, Scales: []int{4, 8}, Config: detect.DefaultConfig()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if got, err := plan.Bytes(); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("detect %d after the watches: %d bytes (err %v), want %d", i, len(got), err, len(want))
+		}
+	}
+	eight, err := e.Store.Only("cg", 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pg, pgData := e.Cache.graph(eight.Key)
+	if pg == nil {
+		t.Fatal("the np=8 graph is not cached")
+	}
+	st := e.Cache.Stats()
+	if st.Ingests != watched.Ingests || st.Samples != 2 || st.Decodes != 1 {
+		t.Errorf("two detects after the watches: %d ingests, %d samples, %d decodes; want %d, 2 and 1", st.Ingests, st.Samples, st.Decodes, watched.Ingests)
+	}
+	if rise := st.Bytes - watched.Bytes; rise != graphCharge(pg, pgData)+four.Size {
+		t.Errorf("two detects raised the cache's bytes by %d, want the np=8 graph's %d and the np=4 set's %d", rise, graphCharge(pg, pgData), four.Size)
+	}
+	if smp := e.Cache.get(slot{key: four.Key}); smp == nil || int64(len(smp.data)) != four.Size {
+		t.Errorf("the np=4 sample is not held with the stored set's %d bytes", four.Size)
+	}
+
+	path := filepath.Join(e.Store.Root(), "cg", "4", four.Hash+".json")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flipped := bytes.Clone(data)
+	flipped[len(flipped)/2] ^= 1
+	if err := os.WriteFile(path, flipped, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := plan.Bytes(); !errors.Is(err, store.ErrCorrupt) || !strings.Contains(err.Error(), "content hash mismatch") {
+		t.Errorf("detect over a flipped np=4 file: %v, want store.ErrCorrupt naming the content hash mismatch", err)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := plan.Bytes(); err != nil || !bytes.Equal(got, want) {
+		t.Errorf("detect with the byte put back: %d bytes (err %v), want %d", len(got), err, len(want))
+	}
+	if st := e.Cache.Stats(); st.Ingests != watched.Ingests {
+		t.Errorf("the detects ingested %d samples, want 0", st.Ingests-watched.Ingests)
 	}
 }

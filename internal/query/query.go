@@ -41,7 +41,8 @@ type Env struct {
 	Parallelism int
 	// Cache holds the baseline samples a watch reads for every run and a
 	// stored detect for every scale but its largest, and the graph of a
-	// stored detect's largest scale; nil reads each from its stored bytes.
+	// stored detect's largest scale, a detect's with the stored bytes it
+	// read; nil reads each from its stored bytes.
 	Cache *Cache
 }
 
@@ -336,18 +337,29 @@ func (e *Env) graph(app *scalana.App, ent store.Entry) (*ppg.Graph, error) {
 
 // merged reads a smaller scale of a stored detect, which feeds the
 // cross-scale fit alone: its sample's merged times, from e.Cache once the
-// stored bytes the sample was taken from still hash to their key, else
-// ingested from those bytes.
+// stored file still holds the bytes the sample was read from (Holds, as
+// graph checks its graph), else ingested from those bytes (Get hashes
+// them once) and cached with them. A sample a watch ingested kept no
+// bytes: they are read once, through Get, and cached with it.
 func (e *Env) merged(app *scalana.App, ent store.Entry) ([]float64, error) {
-	if smp := e.Cache.sample(ent.Key); smp != nil {
-		if err := e.Store.Verify(ent.Key); err != nil {
+	smp, data := e.Cache.sample(ent.Key)
+	switch {
+	case data != nil:
+		if err := e.Store.Holds(ent.Key, data); err != nil {
 			return nil, err
 		}
-		return smp.Values, nil
-	}
-	smp, err := e.ingest(app, ent)
-	if err != nil {
-		return nil, err
+	case smp != nil:
+		data, err := e.Store.Get(ent.Key)
+		if err != nil {
+			return nil, err
+		}
+		e.Cache.keepBytes(ent.Key, smp, data)
+	default:
+		var err error
+		if smp, data, err = e.ingest(app, ent); err != nil {
+			return nil, err
+		}
+		e.Cache.addSample(ent.Key, smp, data)
 	}
 	return smp.Values, nil
 }

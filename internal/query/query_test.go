@@ -551,9 +551,8 @@ func BenchmarkHistories(b *testing.B) {
 // 1024 (serve-detect-stored's scales): cold has no cache, so it decodes
 // np=1024 and ingests the two smaller scales on every detect, as
 // scalana-detect -store does; warm reads the graph and both samples from a
-// filled cache, compares the np=1024 file with the bytes its graph was
-// decoded from and re-hashes the two smaller sets, as the service does
-// after its first detect.
+// filled cache and compares each stored file with the bytes its entry was
+// read from, hashing none, as the service does after its first detect.
 func BenchmarkStoredDetect(b *testing.B) {
 	zeusmp := scalana.GetApp("zeusmp")
 	cold := storedEnv(b, zeusmp, []int{64, 256, 1024}, 2000)

@@ -160,15 +160,18 @@ type Stats struct {
 	WatchComputes   int64 `json:"watch_computes"`
 	WatchCoalesced  int64 `json:"watch_coalesced"`
 	// BaselineSamples is the number of ingested samples in the cache that
-	// watches and the smaller scales of stored detects share;
-	// SampleIngests counts ingestions performed (cache misses).
+	// watches and the smaller scales of stored detects share, one a
+	// stored set at most (a detect giving a watch's sample its stored
+	// bytes replaces it); SampleIngests counts ingestions performed
+	// (cache misses).
 	BaselineSamples int   `json:"baseline_samples"`
 	SampleIngests   int64 `json:"sample_ingests"`
 	// GraphDecodes counts stored detects' largest scales decoded into a
 	// PPG (the same cache's graph misses). CacheBytes is what the cache's
-	// entries are charged, a graph with the stored bytes it was decoded
-	// from, at most query.CacheBudget; CacheEvictions is how many it has
-	// dropped to stay within it.
+	// entries are charged, a graph and a sample a detect read with the
+	// stored bytes they were read from, a watch's sample without, at most
+	// query.CacheBudget; CacheEvictions is how many it has dropped to stay
+	// within it.
 	GraphDecodes   int64 `json:"graph_decodes"`
 	CacheBytes     int64 `json:"cache_bytes"`
 	CacheEvictions int64 `json:"cache_evictions"`
@@ -176,9 +179,16 @@ type Stats struct {
 	CompileCache scalana.CacheStats `json:"compile_cache"`
 }
 
-// Stats snapshots the service counters.
+// Stats snapshots the service counters. StoredSets is 0 when the store
+// cannot be listed; GET /v1/stats answers that error instead.
 func (s *Server) Stats() Stats {
-	stored, _ := s.env.Store.Count()
+	st, _ := s.stats()
+	return st
+}
+
+// stats is Stats with the error Store.Count gave.
+func (s *Server) stats() (Stats, error) {
+	stored, err := s.env.Store.Count()
 	cache := s.env.Cache.Stats()
 	return Stats{
 		Uploads:         s.uploads.Load(),
@@ -195,7 +205,7 @@ func (s *Server) Stats() Stats {
 		CacheBytes:      cache.Bytes,
 		CacheEvictions:  cache.Evictions,
 		CompileCache:    s.env.Engine.CacheStats(),
-	}
+	}, err
 }
 
 // Handler returns the service's HTTP handler.
@@ -644,5 +654,10 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.Stats())
+	st, err := s.stats()
+	if err != nil {
+		writeErr(w, http.StatusInternalServerError, "%v", err)
+		return
+	}
+	writeJSON(w, http.StatusOK, st)
 }

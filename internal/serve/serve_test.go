@@ -624,6 +624,28 @@ func TestHealthAndStats(t *testing.T) {
 	}
 }
 
+// TestStatsAnswersTheStoreError: a store that can no longer be listed
+// used to give GET /v1/stats 200 with "stored_sets": 0. The route now
+// answers 500 with the error the listing gave, as GET /v1/profiles names
+// it.
+func TestStatsAnswersTheStoreError(t *testing.T) {
+	srv, ts := newTestServer(t)
+	if err := os.RemoveAll(srv.env.Store.Root()); err != nil {
+		t.Fatal(err)
+	}
+	_, listed := get(t, ts.URL+"/v1/profiles")
+	var want struct {
+		Error string `json:"error"`
+	}
+	if err := json.Unmarshal(listed, &want); err != nil || !strings.Contains(want.Error, "store: list: ") {
+		t.Fatalf("GET /v1/profiles over a removed store: %s (%v), want a store listing error", listed, err)
+	}
+	code, body := get(t, ts.URL+"/v1/stats")
+	if code != http.StatusInternalServerError || !bytes.Contains(body, []byte(want.Error)) {
+		t.Errorf("GET /v1/stats over a removed store: %d %s, want 500 naming %q", code, body, want.Error)
+	}
+}
+
 // TestNoCommRoute: the service has no communication-matrix query.
 // GET /v1/comm answers as a route that never existed does, and /v1/stats
 // counts no comm computes.
