@@ -18,8 +18,10 @@ import (
 // as time, which a shared 1-CPU runner cannot assert, and as allocation,
 // which repeats exactly under testing.AllocsPerRun's single P.
 //
-// Measured with the profilers writing their vertex data into the PPG's
-// block in place: 0.2 objects and 3,816 B a rank (0.2 and 5,565 B when
+// Measured with attribution contexts carried as VIDs and operations as
+// an mpisim.Op, so records and edges hold no pointer: 0.2 objects and
+// 3,459 B a rank (3,816 B when they held an interface and a string; 0.2
+// and 5,565 B when
 // the profilers kept a slab of their own and the PPG copied it; 16.7 and
 // 6,521 B when the profiler kept its own period, bucket and pending
 // counters; the map-based profiler: 41.4 and 10,502 B). The budgets are
@@ -27,23 +29,26 @@ import (
 // performance block, the record arenas and the PPG's edge arenas, not
 // the per-event path.
 //
-// The bare run has a budget of its own: 1.28 objects (plus 20 %) and
-// 2,483 B a rank (plus 10 %) — the ranks of a world are one slab, a rank
+// The bare run has a budget of its own: 1.24 objects (plus 20 %) and
+// 2,231 B a rank (plus 10 %) — the ranks of a world are one slab, a rank
 // carries the timer and the counters it reads, and a VM register is one
 // 8-byte word (5,913 B when it was 48). A rank's machine, registers and
 // call stack are carved from three per-run slabs, its request lists and
-// handles and its channels' first queues from the world's; a channel
-// keeps only its in-flight messages (22.3 objects and 4,697 B a rank when
-// it kept every message of the run). A per-rank allocation creeping back
+// handles and its channels' first queues from the world's, whose chunks
+// open at np slots; a channel keeps only its in-flight messages, a
+// pointer-free 32 B each (1.28 objects and 2,440 B a rank when a message
+// held its sender's context as an interface and chunks opened at 64
+// slots; 22.3 objects and 4,697 B when a channel kept every message of
+// the run). A per-rank allocation creeping back
 // into vm.Runner.Stepper or mpisim shows here as a count.
 func TestAttachCostPerRank(t *testing.T) {
 	const (
 		np                = 256
 		runs              = 5
 		objectsBudget     = 0.5
-		bytesBudget       = 4198
-		bareObjectsBudget = 1.53
-		bareBytesBudget   = 2731
+		bytesBudget       = 3805
+		bareObjectsBudget = 1.49
+		bareBytesBudget   = 2454
 	)
 	app := scalana.GetApp("zeusmp")
 	prog, graph, err := scalana.NewEngine().Compile(app, psg.Options{})

@@ -7,6 +7,7 @@ import (
 
 	"scalana/internal/machine"
 	"scalana/internal/minilang"
+	"scalana/internal/mpisim"
 	"scalana/internal/ppg"
 	"scalana/internal/prof"
 	"scalana/internal/psg"
@@ -50,7 +51,11 @@ func (s *synthetic) setTime(v *psg.Vertex, rank int, time float64) {
 }
 
 func (s *synthetic) addEdge(from *psg.Vertex, rank int, to *psg.Vertex, peerRank int, wait float64) {
-	key := prof.CommKey{VID: from.VID, Op: from.Name, DepRank: peerRank, DepVID: to.VID}
+	op, ok := mpisim.OpNamed(from.Name)
+	if !ok {
+		s.t.Fatalf("vertex %s is not an MPI builtin", from.Name)
+	}
+	key := prof.CommKey{VID: from.VID, Op: op, DepRank: peerRank, DepVID: to.VID}
 	s.profs[rank].Comm = append(s.profs[rank].Comm, prof.CommRecord{CommKey: key, Count: 1, TotalWait: wait, MaxWait: wait})
 }
 

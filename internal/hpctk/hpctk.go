@@ -59,43 +59,39 @@ func (rp *RankProfile) StorageBytes() int64 {
 // Profiler is the per-rank hook, an mpisim.TimerSampler.
 type Profiler struct {
 	profile *RankProfile
+	graph   *psg.Graph
 	// paths caches the rendered calling-context string per leaf vertex,
 	// indexed by interned psg.VID: the parent walk and string join run
 	// once per distinct context instead of once per sample.
 	paths []string
 }
 
-// New creates the call-path profiler for one rank.
-func New(rank int) *Profiler {
-	return &Profiler{profile: &RankProfile{Rank: rank, Ctx: map[string]*CtxData{}}}
+// New creates the call-path profiler for one rank of a run over graph.
+func New(graph *psg.Graph, rank int) *Profiler {
+	return &Profiler{
+		profile: &RankProfile{Rank: rank, Ctx: map[string]*CtxData{}},
+		graph:   graph,
+		paths:   make([]string, graph.NumVIDs()),
+	}
 }
 
 // Profile returns the collected profile.
 func (pr *Profiler) Profile() *RankProfile { return pr.profile }
 
-// callPath renders the calling context of ctx by walking vertex parents —
-// the moral equivalent of unwinding the stack at an interrupt. The walk
-// memoizes per interned VID, so repeated samples in the same context are
-// a slice index.
-func (pr *Profiler) callPath(ctx any) string {
-	v, ok := ctx.(*psg.Vertex)
-	if !ok || v == nil {
-		return "root"
-	}
-	if int(v.VID) < len(pr.paths) && pr.paths[v.VID] != "" {
-		return pr.paths[v.VID]
+// callPath renders the calling context ctx, a VID, by walking vertex
+// parents — the moral equivalent of unwinding the stack at an interrupt.
+// The walk memoizes per VID, so repeated samples in the same context are
+// a slice index. The root's path is "root".
+func (pr *Profiler) callPath(ctx mpisim.Ctx) string {
+	if path := pr.paths[ctx]; path != "" {
+		return path
 	}
 	var parts []string
-	for _, x := range v.Path() {
+	for _, x := range pr.graph.VertexByVID(psg.VID(ctx)).Path() {
 		parts = append(parts, x.Key)
 	}
 	path := strings.Join(parts, ";")
-	if int(v.VID) >= len(pr.paths) {
-		grown := make([]string, int(v.VID)+1)
-		copy(grown, pr.paths)
-		pr.paths = grown
-	}
-	pr.paths[v.VID] = path
+	pr.paths[ctx] = path
 	return path
 }
 

@@ -15,7 +15,8 @@ func fakeProc(t *testing.T) *mpisim.Proc {
 	return mpisim.NewWorld(mpisim.Config{NP: 1}).Proc(0)
 }
 
-func testVertex(t *testing.T) *psg.Vertex {
+// testVertex returns a comp vertex nested in a loop, and its graph.
+func testVertex(t *testing.T) (*psg.Graph, *psg.Vertex) {
 	t.Helper()
 	prog := minilang.MustParse("t.mp", `
 func main() {
@@ -27,18 +28,18 @@ func main() {
 	g := psg.MustBuild(prog)
 	for _, v := range g.Vertices {
 		if v.Kind == psg.KindComp && v.Parent.Kind == psg.KindLoop {
-			return v
+			return g, v
 		}
 	}
 	t.Fatal("no nested comp vertex")
-	return nil
+	return nil, nil
 }
 
 func TestCallPathAttribution(t *testing.T) {
-	v := testVertex(t)
-	pr := New(0)
+	g, v := testVertex(t)
+	pr := New(g, 0)
 	p := fakeProc(t)
-	p.Ctx = v
+	p.Ctx = mpisim.Ctx(v.VID)
 	pr.Sample(p, 20, 1.0/200, &machine.Vec{50, 100, 25, 0, 40}) // 0.1s at 200Hz
 	prof := pr.Profile()
 	if len(prof.Ctx) != 1 {
@@ -61,19 +62,23 @@ func TestCallPathAttribution(t *testing.T) {
 	}
 }
 
+// TestNilContextAttribution: a rank that has entered no vertex is in the
+// zero context, the root, and its samples land on the "root" path.
 func TestNilContextAttribution(t *testing.T) {
-	pr := New(0)
+	g, _ := testVertex(t)
+	pr := New(g, 0)
 	p := fakeProc(t)
 	pr.Sample(p, 2, 1.0/200, &machine.Vec{})
 	if _, ok := pr.Profile().Ctx["root"]; !ok {
-		t.Errorf("nil ctx should attribute to root: %v", pr.Profile().Ctx)
+		t.Errorf("the root ctx should attribute to root: %v", pr.Profile().Ctx)
 	}
 }
 
 func TestMPIEventIsNoOp(t *testing.T) {
-	pr := New(0)
+	g, _ := testVertex(t)
+	pr := New(g, 0)
 	p := fakeProc(t)
-	if owed := pr.MPIEvent(p, &mpisim.Event{Op: "mpi_recv"}); owed != 0 {
+	if owed := pr.MPIEvent(p, &mpisim.Event{Op: mpisim.OpRecv}); owed != 0 {
 		t.Error("pure sampler should not charge MPI events")
 	}
 	if len(pr.Profile().Ctx) != 0 {
@@ -85,7 +90,8 @@ func TestSamplerCost(t *testing.T) {
 	// Driven by the rank's timer: 27.6 ms of computation crosses five
 	// 200 Hz boundaries, each charged; the samples a perturbation advance
 	// crosses are taken and not charged.
-	pr := New(0)
+	g, _ := testVertex(t)
+	pr := New(g, 0)
 	p := mpisim.NewWorld(mpisim.Config{NP: 1, HookFactory: func(int) mpisim.Hook {
 		return pr
 	}}).Proc(0)

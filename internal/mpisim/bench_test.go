@@ -96,8 +96,10 @@ var benchSink float64
 // benchObserver is an every-advance hook that does nothing.
 type benchObserver struct{}
 
+var _ AdvanceObserver = benchObserver{}
+
 func (benchObserver) MPIEvent(*Proc, *Event) float64 { return 0 }
-func (benchObserver) Advance(*Proc, float64, float64, AdvanceKind, any, machine.Vec) float64 {
+func (benchObserver) Advance(*Proc, float64, float64, AdvanceKind, Ctx, machine.Vec) float64 {
 	return 0
 }
 

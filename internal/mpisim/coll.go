@@ -19,12 +19,12 @@ import (
 
 type arrival struct {
 	t   float64
-	ctx any
+	ctx Ctx
 }
 
 type collSlot struct {
 	seq      int // the collective's number in program order
-	op       string
+	op       Op
 	root     int
 	bytes    float64
 	arrivals []arrival
@@ -35,7 +35,7 @@ type collSlot struct {
 	// computed by the last arriver:
 	tMax     float64
 	depRank  int
-	depCtx   any
+	depCtx   Ctx
 	complete float64
 	reads    int
 }
@@ -62,7 +62,7 @@ func newCollectives(w *World) *collectives {
 
 // slotFor returns the slot of collective number seq, opening it when the
 // calling rank is the first to arrive.
-func (c *collectives) slotFor(seq int, op string, root int, bytes float64) *collSlot {
+func (c *collectives) slotFor(seq int, op Op, root int, bytes float64) *collSlot {
 	i := seq - c.base
 	if i == len(c.live) {
 		c.live = append(c.live, c.newSlot(seq, op, root, bytes))
@@ -83,7 +83,7 @@ func (c *collectives) retire(slot *collSlot) {
 }
 
 // newSlot allocates or recycles a slot.
-func (c *collectives) newSlot(seq int, op string, root int, bytes float64) *collSlot {
+func (c *collectives) newSlot(seq int, op Op, root int, bytes float64) *collSlot {
 	var slot *collSlot
 	if n := len(c.free); n > 0 {
 		slot = c.free[n-1]
@@ -100,19 +100,19 @@ func (c *collectives) newSlot(seq int, op string, root int, bytes float64) *coll
 
 // cost returns the collective's completion cost beyond the last arrival,
 // using tree/butterfly algorithm shapes over the LogGP parameters.
-func (w *World) collCost(op string, bytes float64, n int) float64 {
+func (w *World) collCost(op Op, bytes float64, n int) float64 {
 	logn := ceilLog2b(n)
 	switch op {
-	case "mpi_barrier":
+	case OpBarrier:
 		return logn * (netLatency + netOverhead)
-	case "mpi_bcast", "mpi_reduce":
+	case OpBcast, OpReduce:
 		return logn * (netLatency + bytes*netPerByte + netOverhead)
-	case "mpi_allreduce":
+	case OpAllreduce:
 		// reduce-scatter + allgather butterfly: 2 log n stages.
 		return 2 * logn * (netLatency + bytes*netPerByte + netOverhead)
-	case "mpi_alltoall":
+	case OpAlltoall:
 		return float64(n-1)*(netOverhead+bytes*netPerByte) + netLatency*logn
-	case "mpi_allgather":
+	case OpAllgather:
 		return logn*netLatency + float64(n-1)*bytes*netPerByte
 	}
 	panic(fmt.Sprintf("mpisim: unknown collective %q", op))
@@ -128,7 +128,7 @@ func ceilLog2b(n int) float64 {
 // collective executes one collective operation on the calling rank: the
 // arrival, and — for the last arriver — the completion; every earlier
 // arriver parks (false) and completes when the last one wakes it.
-func (p *Proc) collective(op string, root int, bytes float64) bool {
+func (p *Proc) collective(op Op, root int, bytes float64) bool {
 	p.validBytes(op, bytes)
 	t0 := p.Clock
 	p.mpiOverhead()
@@ -182,7 +182,7 @@ func (p *Proc) finishCollective(t0 float64, slot *collSlot, bytes float64) {
 	depCtx := slot.depCtx
 	if depRank == p.Rank {
 		// This rank was the straggler; it depends on no one here.
-		depRank, depCtx = -1, nil
+		depRank, depCtx = -1, NoCtx
 	}
 	p.emit(&Event{Kind: EvCollective, Op: slot.op, Peer: -1, Bytes: bytes,
 		TStart: t0, TEnd: p.Clock, Wait: wait, DepRank: depRank, DepCtx: depCtx,

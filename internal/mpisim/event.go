@@ -74,11 +74,70 @@ func (k EventKind) String() string {
 // AnySource is the wildcard source rank for mpi_recv_any.
 const AnySource = -1
 
+// Ctx is an attribution context: the PSG vertex ID (psg.VID) of the
+// code a rank is executing. The simulator never looks inside it; the VM
+// sets it and the tools read it as a VID. Its zero is the root vertex
+// (psg.VIDRoot), the context of a rank that has entered no vertex yet.
+type Ctx uint32
+
+// NoCtx is "no context": the DepCtx of an event that depended on no
+// remote rank. It converts to psg.VIDNone.
+const NoCtx = ^Ctx(0)
+
+// Op is a MiniMP MPI builtin. The builtins are numbered in the
+// alphabetical order of their names, so comparing two Ops orders them as
+// comparing their names does.
+type Op uint8
+
+// The MPI operations, OpNone ("") first.
+const (
+	OpNone Op = iota
+	OpAllgather
+	OpAllreduce
+	OpAlltoall
+	OpBarrier
+	OpBcast
+	OpIrecv
+	OpIrecvAny
+	OpIsend
+	OpRecv
+	OpRecvAny
+	OpReduce
+	OpSend
+	OpSendrecv
+	OpWait
+	OpWaitall
+	numOps
+)
+
+var opNames = [numOps]string{
+	"", "mpi_allgather", "mpi_allreduce", "mpi_alltoall", "mpi_barrier",
+	"mpi_bcast", "mpi_irecv", "mpi_irecv_any", "mpi_isend", "mpi_recv",
+	"mpi_recv_any", "mpi_reduce", "mpi_send", "mpi_sendrecv", "mpi_wait",
+	"mpi_waitall",
+}
+
+// String returns the builtin's name ("" for OpNone), as the wire format
+// spells it.
+func (o Op) String() string { return opNames[o] }
+
+// OpNamed returns the Op a builtin name spells ("" is OpNone), and false
+// for a name that is not an MPI builtin. It is a scan of the table, so a
+// caller may pass string(b) of a byte slice without allocating.
+func OpNamed(name string) (Op, bool) {
+	for i := range opNames {
+		if opNames[i] == name {
+			return Op(i), true
+		}
+	}
+	return OpNone, false
+}
+
 // Event describes one completed MPI operation on one rank. Tool hooks
 // (the ScalAna PMPI layer, the tracer, the profiler) receive every event.
 type Event struct {
 	Kind EventKind
-	Op   string // MiniMP builtin name (mpi_send, mpi_allreduce, ...)
+	Op   Op // the MiniMP builtin (mpi_send, mpi_allreduce, ...)
 	Rank int
 	Peer int // matched peer rank; -1 for collectives/none
 	Tag  int
@@ -94,11 +153,11 @@ type Event struct {
 	// matched sender for receives, the last-arriving rank for collectives.
 	// -1 when the operation did not depend on a remote rank.
 	DepRank int
-	// DepCtx is the peer's attribution context (PSG vertex) at the
-	// operation that satisfied the dependence.
-	DepCtx any
+	// DepCtx is the peer's attribution context at the operation that
+	// satisfied the dependence; NoCtx when DepRank is -1.
+	DepCtx Ctx
 	// Ctx is the local attribution context when the event completed.
-	Ctx any
+	Ctx Ctx
 	// Collective marks collective operations; Root is the collective root
 	// (or -1).
 	Collective bool
@@ -204,5 +263,5 @@ type AdvanceObserver interface {
 	// Advance is called after the clock moved from from to to. pmu holds
 	// the PMU counter deltas accrued during the advance: zero for every
 	// kind but AdvCompute and AdvGlue.
-	Advance(p *Proc, from, to float64, kind AdvanceKind, ctx any, pmu machine.Vec) (overhead float64)
+	Advance(p *Proc, from, to float64, kind AdvanceKind, ctx Ctx, pmu machine.Vec) (overhead float64)
 }

@@ -156,7 +156,9 @@ type captureHook struct {
 	events *[]*Event
 }
 
-func (h *captureHook) Advance(p *Proc, from, to float64, kind AdvanceKind, ctx any, pmu machine.Vec) float64 {
+var _ AdvanceObserver = (*captureHook)(nil)
+
+func (h *captureHook) Advance(p *Proc, from, to float64, kind AdvanceKind, ctx Ctx, pmu machine.Vec) float64 {
 	return 0
 }
 func (h *captureHook) MPIEvent(p *Proc, ev *Event) float64 {
@@ -188,7 +190,7 @@ func TestCollectiveStragglerDependence(t *testing.T) {
 		t.Fatalf("%d events", len(events))
 	}
 	ev := events[0]
-	if !ev.Collective || ev.Op != "mpi_allreduce" {
+	if !ev.Collective || ev.Op != OpAllreduce {
 		t.Errorf("event = %+v", ev)
 	}
 	if ev.DepRank != 2 {
@@ -241,13 +243,13 @@ func TestCollectiveRootMismatchFails(t *testing.T) {
 }
 
 func TestCollectiveCostGrowsWithScale(t *testing.T) {
-	cost4 := NewWorld(Config{NP: 4}).collCost("mpi_allreduce", 8, 4)
-	cost64 := NewWorld(Config{NP: 64}).collCost("mpi_allreduce", 8, 64)
+	cost4 := NewWorld(Config{NP: 4}).collCost(OpAllreduce, 8, 4)
+	cost64 := NewWorld(Config{NP: 64}).collCost(OpAllreduce, 8, 64)
 	if cost64 <= cost4 {
 		t.Errorf("allreduce cost should grow with np: %g <= %g", cost64, cost4)
 	}
-	a2a4 := NewWorld(Config{NP: 4}).collCost("mpi_alltoall", 1024, 4)
-	a2a64 := NewWorld(Config{NP: 64}).collCost("mpi_alltoall", 1024, 64)
+	a2a4 := NewWorld(Config{NP: 4}).collCost(OpAlltoall, 1024, 4)
+	a2a64 := NewWorld(Config{NP: 64}).collCost(OpAlltoall, 1024, 64)
 	if a2a64 <= a2a4*4 {
 		t.Errorf("alltoall cost should grow ~linearly with np: %g vs %g", a2a64, a2a4)
 	}
@@ -545,7 +547,9 @@ type chargingHook struct {
 	sawPerturb int
 }
 
-func (h *chargingHook) Advance(p *Proc, from, to float64, kind AdvanceKind, ctx any, pmu machine.Vec) float64 {
+var _ AdvanceObserver = (*chargingHook)(nil)
+
+func (h *chargingHook) Advance(p *Proc, from, to float64, kind AdvanceKind, ctx Ctx, pmu machine.Vec) float64 {
 	if kind == AdvPerturb {
 		h.sawPerturb++
 		return 1e9 // must be ignored, or the run would never finish

@@ -28,7 +28,7 @@ type sendInfo struct {
 	from    int
 	bytes   float64
 	tArrive float64 // virtual arrival time at the receiver
-	ctx     any     // sender's attribution context at the send
+	ctx     Ctx     // sender's attribution context at the send
 	// matched marks a queued send a receive has consumed. A receive gets
 	// its send by value, and there matched says the copy is filled in.
 	matched bool
@@ -123,14 +123,23 @@ type matcher struct {
 	anyScanned int
 }
 
+// slabChunk is the most slots a chunk of a slab opens with after the
+// world's first.
 const slabChunk = 64
 
 // carve takes one zero T out of the current chunk of a slab, starting a
-// new chunk when it is full. A chunk never grows past its capacity, so the
-// pointers carve hands out stay valid for the life of the world.
-func carve[T any](slab *[]T) *T {
-	if len(*slab) == cap(*slab) {
-		*slab = make([]T, 0, slabChunk)
+// new chunk when it is full. A world's first chunk has np slots — a small
+// world uses a few dozen channels, not hundreds — and each later one
+// twice the previous one's, up to slabChunk. A chunk never grows past its
+// capacity, so the pointers carve hands out stay valid for the life of
+// the world.
+func carve[T any](slab *[]T, np int) *T {
+	if n := cap(*slab); len(*slab) == n {
+		size := np
+		if n > 0 {
+			size = min(2*n, slabChunk)
+		}
+		*slab = make([]T, 0, size)
 	}
 	*slab = (*slab)[:len(*slab)+1]
 	return &(*slab)[len(*slab)-1]
@@ -165,8 +174,8 @@ func (m *matcher) chanFor(src, dst, tag int) *channel {
 }
 
 func (m *matcher) newChannel(in *inbox, src, tag int) *channel {
-	ch := carve(&m.chanSlab)
-	*ch = channel{src: src, tag: tag, waiter: -1, queue: carve(&m.queueSlab)[:0]}
+	ch := carve(&m.chanSlab, m.w.np)
+	*ch = channel{src: src, tag: tag, waiter: -1, queue: carve(&m.queueSlab, m.w.np)[:0]}
 	in.list = append(in.list, inboxEntry{srcTag{src, tag}, ch})
 	switch {
 	case in.index != nil:
@@ -182,7 +191,7 @@ func (m *matcher) newChannel(in *inbox, src, tag int) *channel {
 
 // postSend registers a message from src to dst and hands it to a
 // matching parked receiver, if any.
-func (m *matcher) postSend(src, dst, tag int, bytes, tArrive float64, ctx any) {
+func (m *matcher) postSend(src, dst, tag int, bytes, tArrive float64, ctx Ctx) {
 	ch := m.chanFor(src, dst, tag)
 	seq := ch.base + len(ch.queue)
 	ch.push(sendInfo{from: src, bytes: bytes, tArrive: tArrive, ctx: ctx})
@@ -288,7 +297,7 @@ func (p *Proc) validPeer(peer int) {
 
 // validBytes fails the rank on a byte count that is negative, NaN or
 // infinite, naming the operation.
-func (p *Proc) validBytes(op string, bytes float64) {
+func (p *Proc) validBytes(op Op, bytes float64) {
 	if !(bytes >= 0 && bytes <= math.MaxFloat64) {
 		panic(fmt.Sprintf("mpisim: rank %d: %s of %g bytes: a byte count must be finite and non-negative", p.Rank, op, bytes))
 	}
@@ -298,25 +307,25 @@ func (p *Proc) validBytes(op string, bytes float64) {
 // cost and proceeds; the message arrives after the wire latency.
 func (p *Proc) Send(dst, tag int, bytes float64) {
 	p.validPeer(dst)
-	p.validBytes("mpi_send", bytes)
+	p.validBytes(OpSend, bytes)
 	t0 := p.Clock
 	p.mpiOverhead()
 	p.advance(bytes*netPerByte, AdvTransfer, &zeroVec)
 	p.world.matcher.postSend(p.Rank, dst, tag, bytes, p.Clock+netLatency, p.Ctx)
-	p.emit(&Event{Kind: EvSend, Op: "mpi_send", Peer: dst, Tag: tag, Bytes: bytes, TStart: t0, TEnd: p.Clock, DepRank: -1, Root: -1})
+	p.emit(&Event{Kind: EvSend, Op: OpSend, Peer: dst, Tag: tag, Bytes: bytes, TStart: t0, TEnd: p.Clock, DepRank: -1, DepCtx: NoCtx, Root: -1})
 }
 
 // Recv is a blocking receive from a specific source.
 func (p *Proc) Recv(src, tag int, bytes float64) bool {
 	p.validPeer(src)
-	p.validBytes("mpi_recv", bytes)
+	p.validBytes(OpRecv, bytes)
 	t0 := p.Clock
 	p.mpiOverhead()
 	info := p.world.matcher.claimRecv(p, src, tag)
 	if !info.matched {
 		return p.park(cont{kind: contRecv, t0: t0, tag: tag})
 	}
-	p.finishRecv("mpi_recv", t0, tag, &info)
+	p.finishRecv(OpRecv, t0, tag, &info)
 	return true
 }
 
@@ -327,7 +336,7 @@ const Parked = -2
 // RecvAny is a blocking wildcard-source receive; it returns the matched
 // source rank (the MPI_Status.MPI_SOURCE of paper Fig. 5), or Parked.
 func (p *Proc) RecvAny(tag int, bytes float64) int {
-	p.validBytes("mpi_recv_any", bytes)
+	p.validBytes(OpRecvAny, bytes)
 	t0 := p.Clock
 	p.mpiOverhead()
 	info := p.world.matcher.claimRecvAny(p, tag)
@@ -337,7 +346,7 @@ func (p *Proc) RecvAny(tag int, bytes float64) int {
 		}
 		return p.MatchedSource()
 	}
-	p.finishRecv("mpi_recv_any", t0, tag, &info)
+	p.finishRecv(OpRecvAny, t0, tag, &info)
 	return info.from
 }
 
@@ -348,7 +357,7 @@ func (p *Proc) MatchedSource() int { return int(p.cont.from) }
 // matched message's arrival, copy it in, report the event.
 //
 //scalana:hot
-func (p *Proc) finishRecv(op string, t0 float64, tag int, info *sendInfo) {
+func (p *Proc) finishRecv(op Op, t0 float64, tag int, info *sendInfo) {
 	wait := p.waitUntil(info.tArrive)
 	p.advance(info.bytes*netPerByte, AdvTransfer, &zeroVec)
 	p.emit(&Event{Kind: EvRecv, Op: op, Peer: info.from, Tag: tag, Bytes: info.bytes,
@@ -359,13 +368,13 @@ func (p *Proc) finishRecv(op string, t0 float64, tag int, info *sendInfo) {
 // buffered immediately, so the returned request completes instantly.
 func (p *Proc) Isend(dst, tag int, bytes float64) *Request {
 	p.validPeer(dst)
-	p.validBytes("mpi_isend", bytes)
+	p.validBytes(OpIsend, bytes)
 	t0 := p.Clock
 	p.mpiOverhead()
 	p.advance(bytes*netPerByte, AdvTransfer, &zeroVec)
 	p.world.matcher.postSend(p.Rank, dst, tag, bytes, p.Clock+netLatency, p.Ctx)
 	req := p.newRequest(true, dst, tag, bytes)
-	p.emit(&Event{Kind: EvIsend, Op: "mpi_isend", Peer: dst, Tag: tag, Bytes: bytes, TStart: t0, TEnd: p.Clock, DepRank: -1, Root: -1, ReqID: req.id})
+	p.emit(&Event{Kind: EvIsend, Op: OpIsend, Peer: dst, Tag: tag, Bytes: bytes, TStart: t0, TEnd: p.Clock, DepRank: -1, DepCtx: NoCtx, Root: -1, ReqID: req.id})
 	return req
 }
 
@@ -373,23 +382,23 @@ func (p *Proc) Isend(dst, tag int, bytes float64) *Request {
 // sequence number is claimed at post time, preserving program order.
 func (p *Proc) Irecv(src, tag int, bytes float64) *Request {
 	p.validPeer(src)
-	p.validBytes("mpi_irecv", bytes)
+	p.validBytes(OpIrecv, bytes)
 	t0 := p.Clock
 	p.mpiOverhead()
 	req := p.newRequest(false, src, tag, bytes)
 	req.ch, req.seq = p.world.matcher.claim(src, p.Rank, tag)
-	p.emit(&Event{Kind: EvIrecv, Op: "mpi_irecv", Peer: src, Tag: tag, Bytes: bytes, TStart: t0, TEnd: p.Clock, DepRank: -1, Root: -1, ReqID: req.id})
+	p.emit(&Event{Kind: EvIrecv, Op: OpIrecv, Peer: src, Tag: tag, Bytes: bytes, TStart: t0, TEnd: p.Clock, DepRank: -1, DepCtx: NoCtx, Root: -1, ReqID: req.id})
 	return req
 }
 
 // IrecvAny posts a non-blocking wildcard receive; the source is uncertain
 // until completion (paper Fig. 5's status-based resolution).
 func (p *Proc) IrecvAny(tag int, bytes float64) *Request {
-	p.validBytes("mpi_irecv_any", bytes)
+	p.validBytes(OpIrecvAny, bytes)
 	t0 := p.Clock
 	p.mpiOverhead()
 	req := p.newRequest(false, AnySource, tag, bytes)
-	p.emit(&Event{Kind: EvIrecv, Op: "mpi_irecv_any", Peer: AnySource, Tag: tag, Bytes: bytes, TStart: t0, TEnd: p.Clock, DepRank: -1, Root: -1, ReqID: req.id})
+	p.emit(&Event{Kind: EvIrecv, Op: OpIrecvAny, Peer: AnySource, Tag: tag, Bytes: bytes, TStart: t0, TEnd: p.Clock, DepRank: -1, DepCtx: NoCtx, Root: -1, ReqID: req.id})
 	return req
 }
 
@@ -400,7 +409,7 @@ func (p *Proc) newRequest(isSend bool, src, tag int, bytes float64) *Request {
 		p.freeReqs = p.freeReqs[:n-1]
 		*r = Request{}
 	} else {
-		r = carve(&p.world.matcher.reqSlab)
+		r = carve(&p.world.matcher.reqSlab, p.world.np)
 	}
 	r.isSend, r.src, r.tag, r.bytes = isSend, src, tag, bytes
 	p.nextReq++
@@ -459,8 +468,8 @@ func (p *Proc) Wait(id int) bool {
 	p.mpiOverhead()
 	if r.isSend {
 		p.dropRequest(id)
-		p.emit(&Event{Kind: EvWait, Op: "mpi_wait", Peer: r.src, Tag: r.tag, Bytes: r.bytes,
-			TStart: t0, TEnd: p.Clock, DepRank: -1, Root: -1, Requests: 1, ReqID: id})
+		p.emit(&Event{Kind: EvWait, Op: OpWait, Peer: r.src, Tag: r.tag, Bytes: r.bytes,
+			TStart: t0, TEnd: p.Clock, DepRank: -1, DepCtx: NoCtx, Root: -1, Requests: 1, ReqID: id})
 		return true
 	}
 	if !p.resolve(r) {
@@ -478,7 +487,7 @@ func (p *Proc) finishWait(t0 float64, r *Request, info *sendInfo) {
 	p.advance(info.bytes*netPerByte, AdvTransfer, &zeroVec)
 	id, tag := r.id, r.tag
 	p.dropRequest(id)
-	p.emit(&Event{Kind: EvWait, Op: "mpi_wait", Peer: info.from, Tag: tag, Bytes: info.bytes,
+	p.emit(&Event{Kind: EvWait, Op: OpWait, Peer: info.from, Tag: tag, Bytes: info.bytes,
 		TStart: t0, TEnd: p.Clock, Wait: wait, DepRank: info.from, DepCtx: info.ctx, Root: -1, Requests: 1, ReqID: id})
 }
 
@@ -518,7 +527,7 @@ func (p *Proc) waitallFrom() bool {
 	n := len(p.reqs)
 	p.reqs = p.reqs[:0]
 	var wait float64
-	depRank, depCtx := -1, any(nil)
+	depRank, depCtx := -1, NoCtx
 	if c.last != nil {
 		wait = p.waitUntil(c.last.tArrive)
 		depRank, depCtx = c.last.from, c.last.ctx
@@ -526,7 +535,7 @@ func (p *Proc) waitallFrom() bool {
 	if c.bytes > 0 {
 		p.advance(c.bytes*netPerByte, AdvTransfer, &zeroVec)
 	}
-	p.emit(&Event{Kind: EvWaitall, Op: "mpi_waitall", Peer: depRank, Tag: 0, Bytes: c.bytes,
+	p.emit(&Event{Kind: EvWaitall, Op: OpWaitall, Peer: depRank, Tag: 0, Bytes: c.bytes,
 		TStart: c.t0, TEnd: p.Clock, Wait: wait, DepRank: depRank, DepCtx: depCtx, Root: -1,
 		Requests: n, RecvRequests: int(c.nRecv)})
 	return true
@@ -537,8 +546,8 @@ func (p *Proc) waitallFrom() bool {
 func (p *Proc) Sendrecv(dst, stag int, sbytes float64, src, rtag int, rbytes float64) bool {
 	p.validPeer(dst)
 	p.validPeer(src)
-	p.validBytes("mpi_sendrecv", sbytes)
-	p.validBytes("mpi_sendrecv", rbytes)
+	p.validBytes(OpSendrecv, sbytes)
+	p.validBytes(OpSendrecv, rbytes)
 	t0 := p.Clock
 	p.mpiOverhead()
 	p.advance(sbytes*netPerByte, AdvTransfer, &zeroVec)
@@ -557,7 +566,7 @@ func (p *Proc) Sendrecv(dst, stag int, sbytes float64, src, rtag int, rbytes flo
 func (p *Proc) finishSendrecv(t0 float64, rtag, dst int, sbytes float64, info *sendInfo) {
 	wait := p.waitUntil(info.tArrive)
 	p.advance(info.bytes*netPerByte, AdvTransfer, &zeroVec)
-	p.emit(&Event{Kind: EvSendrecv, Op: "mpi_sendrecv", Peer: info.from, Tag: rtag, Bytes: sbytes + info.bytes,
+	p.emit(&Event{Kind: EvSendrecv, Op: OpSendrecv, Peer: info.from, Tag: rtag, Bytes: sbytes + info.bytes,
 		TStart: t0, TEnd: p.Clock, Wait: wait, DepRank: info.from, DepCtx: info.ctx, Root: -1,
 		SendPeer: dst, SendBytes: sbytes})
 }

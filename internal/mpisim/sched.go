@@ -43,7 +43,7 @@ type blockState struct {
 	kind     blockKind
 	src, tag int
 	seq      int
-	op       string
+	op       Op
 }
 
 func (b blockState) String() string {
@@ -128,10 +128,10 @@ func (p *Proc) resume() bool {
 	info := &p.wakeInfo
 	switch kind {
 	case contRecv:
-		p.finishRecv("mpi_recv", c.t0, c.tag, info)
+		p.finishRecv(OpRecv, c.t0, c.tag, info)
 	case contRecvAny:
 		c.from = int32(info.from)
-		p.finishRecv("mpi_recv_any", c.t0, c.tag, info)
+		p.finishRecv(OpRecvAny, c.t0, c.tag, info)
 	case contSendrecv:
 		p.finishSendrecv(c.t0, c.tag, int(c.dst), c.bytes, info)
 	case contWait:

@@ -31,7 +31,7 @@ func dualProgram(boom bool) (prog [4][]op, sources *[4][]int, waitallYields *int
 	sources, waitallYields = new([4][]int), new(int64)
 	var parkedAny [4]bool
 	compute := func(flops float64) op { return always(func(p *Proc) { p.Compute(flops, 1e3, 1e3, 4096) }) }
-	ctx := func(label string) op { return always(func(p *Proc) { p.Ctx = label }) }
+	ctx := func(c Ctx) op { return always(func(p *Proc) { p.Ctx = c }) }
 	recvAny := func(tag int) []op {
 		return []op{
 			func(p *Proc) bool {
@@ -53,7 +53,7 @@ func dualProgram(boom bool) (prog [4][]op, sources *[4][]int, waitallYields *int
 	tail := func(r int) []op {
 		var req int
 		return []op{
-			ctx(fmt.Sprintf("tail-%d", r)),
+			ctx(Ctx(10 + r)),
 			func(p *Proc) bool { return p.Sendrecv((r+1)%4, 5, 256, (r+3)%4, 5, 256) },
 			always(func(p *Proc) { req = p.Irecv((r+2)%4, 6, 32).ID() }),
 			compute(float64(1+r) * 1e5),
@@ -68,7 +68,7 @@ func dualProgram(boom bool) (prog [4][]op, sources *[4][]int, waitallYields *int
 	// late, rank 2 later than rank 1 and only after rank 0 has been woken
 	// once: the Waitall parks twice.
 	prog[0] = []op{
-		ctx("waitall"),
+		ctx(1),
 		always(func(p *Proc) { p.Irecv(1, 1, 64); p.Irecv(2, 2, 64); p.Isend(3, 4, 16) }),
 		func(p *Proc) bool { return p.Waitall() },
 		always(func(p *Proc) { *waitallYields = p.yields }),
@@ -79,14 +79,14 @@ func dualProgram(boom bool) (prog [4][]op, sources *[4][]int, waitallYields *int
 	prog[0] = append(prog[0], recvAny(9)...)
 	prog[0] = append(prog[0], recvAny(9)...)
 	prog[1] = []op{
-		ctx("sender-1"),
+		ctx(2),
 		compute(1e6),
 		always(func(p *Proc) { p.Send(0, 1, 64) }),
 		func(p *Proc) bool { return p.Barrier() },
 		always(func(p *Proc) { p.Send(0, 9, 8) }),
 	}
 	prog[2] = []op{
-		ctx("sender-2"),
+		ctx(3),
 		compute(1e6),
 		func(p *Proc) bool { return p.Recv(3, 3, 8) },
 		always(func(p *Proc) { p.Send(0, 2, 64) }),
@@ -95,7 +95,7 @@ func dualProgram(boom bool) (prog [4][]op, sources *[4][]int, waitallYields *int
 		always(func(p *Proc) { p.Send(0, 9, 8) }),
 	}
 	prog[3] = []op{
-		ctx("sender-3"),
+		ctx(4),
 		compute(5e6),
 		always(func(p *Proc) {
 			if boom {
@@ -118,7 +118,9 @@ type eventLog struct {
 	advances [4]int
 }
 
-func (l *eventLog) Advance(p *Proc, from, to float64, kind AdvanceKind, ctx any, pmu machine.Vec) float64 {
+var _ AdvanceObserver = (*eventLog)(nil)
+
+func (l *eventLog) Advance(p *Proc, from, to float64, kind AdvanceKind, ctx Ctx, pmu machine.Vec) float64 {
 	l.advances[p.Rank]++
 	return 0
 }

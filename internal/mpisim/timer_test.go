@@ -56,10 +56,15 @@ type timerOracle struct {
 	kind      AdvanceKind
 }
 
+var (
+	_ AdvanceObserver = (*timerOracle)(nil)
+	_ TimerSampler    = (*timerOracle)(nil)
+)
+
 func (o *timerOracle) MPIEvent(*Proc, *Event) float64 { return 0 }
 func (o *timerOracle) SamplePeriod() float64          { return o.period }
 
-func (o *timerOracle) Advance(p *Proc, from, to float64, kind AdvanceKind, ctx any, pmu machine.Vec) float64 {
+func (o *timerOracle) Advance(p *Proc, from, to float64, kind AdvanceKind, ctx Ctx, pmu machine.Vec) float64 {
 	if o.due {
 		o.t.Fatalf("the advance before %g -> %g crossed %d boundaries and the timer did not fire", from, to, o.want.crossings)
 	}
@@ -210,7 +215,12 @@ type loggingSamplerObserver struct {
 	advanceCost float64
 }
 
-func (h loggingSamplerObserver) Advance(p *Proc, from, to float64, kind AdvanceKind, ctx any, pmu machine.Vec) float64 {
+var (
+	_ AdvanceObserver = loggingSamplerObserver{}
+	_ TimerSampler    = loggingSamplerObserver{}
+)
+
+func (h loggingSamplerObserver) Advance(p *Proc, from, to float64, kind AdvanceKind, ctx Ctx, pmu machine.Vec) float64 {
 	*h.log = append(*h.log, fmt.Sprintf("advance %s %.4g", kind, to-from))
 	return h.advanceCost
 }

@@ -12,7 +12,9 @@ import (
 // eventDigest hashes every event its rank reports, field by field.
 type eventDigest struct{ h hash.Hash }
 
-func (d *eventDigest) Advance(p *Proc, from, to float64, kind AdvanceKind, ctx any, pmu machine.Vec) float64 {
+var _ AdvanceObserver = (*eventDigest)(nil)
+
+func (d *eventDigest) Advance(p *Proc, from, to float64, kind AdvanceKind, ctx Ctx, pmu machine.Vec) float64 {
 	return 0
 }
 

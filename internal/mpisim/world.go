@@ -154,9 +154,9 @@ type Proc struct {
 	// Clock is the rank's virtual time in seconds.
 	Clock float64
 	Core  machine.Core
-	// Ctx is the current attribution context (opaque to the simulator;
-	// the interpreter stores the current *psg.Vertex here).
-	Ctx any
+	// Ctx is the current attribution context: the VID of the PSG vertex
+	// the VM is executing (opaque to the simulator).
+	Ctx Ctx
 	// PerturbTotal accumulates virtual tool overhead (AdvPerturb).
 	PerturbTotal float64
 
@@ -338,19 +338,19 @@ func (p *Proc) waitUntil(t float64) float64 {
 
 // Barrier synchronizes all ranks. Like every collective it reports false
 // when the rank parked waiting for the others.
-func (p *Proc) Barrier() bool { return p.collective("mpi_barrier", -1, 0) }
+func (p *Proc) Barrier() bool { return p.collective(OpBarrier, -1, 0) }
 
 // Bcast broadcasts bytes from root.
-func (p *Proc) Bcast(root int, bytes float64) bool { return p.collective("mpi_bcast", root, bytes) }
+func (p *Proc) Bcast(root int, bytes float64) bool { return p.collective(OpBcast, root, bytes) }
 
 // Reduce reduces bytes to root.
-func (p *Proc) Reduce(root int, bytes float64) bool { return p.collective("mpi_reduce", root, bytes) }
+func (p *Proc) Reduce(root int, bytes float64) bool { return p.collective(OpReduce, root, bytes) }
 
 // Allreduce reduces bytes to all ranks.
-func (p *Proc) Allreduce(bytes float64) bool { return p.collective("mpi_allreduce", -1, bytes) }
+func (p *Proc) Allreduce(bytes float64) bool { return p.collective(OpAllreduce, -1, bytes) }
 
 // Alltoall exchanges bytes with every rank.
-func (p *Proc) Alltoall(bytes float64) bool { return p.collective("mpi_alltoall", -1, bytes) }
+func (p *Proc) Alltoall(bytes float64) bool { return p.collective(OpAlltoall, -1, bytes) }
 
 // Allgather gathers bytes from every rank to all.
-func (p *Proc) Allgather(bytes float64) bool { return p.collective("mpi_allgather", -1, bytes) }
+func (p *Proc) Allgather(bytes float64) bool { return p.collective(OpAllgather, -1, bytes) }

@@ -23,6 +23,7 @@ import (
 
 	"scalana/internal/fit"
 	"scalana/internal/machine"
+	"scalana/internal/mpisim"
 	"scalana/internal/prof"
 	"scalana/internal/psg"
 )
@@ -40,11 +41,11 @@ type EdgeFrom struct {
 type DepEdge struct {
 	PeerRank   int
 	PeerVID    psg.VID
-	Op         string
+	Op         mpisim.Op
+	Collective bool
 	Count      int64
 	TotalWait  float64
 	MaxWait    float64
-	Collective bool
 }
 
 // Graph is a Program Performance Graph for one job scale.

@@ -12,6 +12,7 @@ import (
 
 	"scalana/internal/machine"
 	"scalana/internal/minilang"
+	"scalana/internal/mpisim"
 	"scalana/internal/prof"
 	"scalana/internal/psg"
 )
@@ -71,18 +72,18 @@ func TestBuildEdgesAggregation(t *testing.T) {
 	mpiV := g.Root.Children[1]
 	np := 2
 	p0 := mkProfile(0, np, g, []float64{0.1, 0.05})
-	key := prof.CommKey{VID: mpiV.VID, Op: "mpi_allreduce", DepRank: 1,
+	key := prof.CommKey{VID: mpiV.VID, Op: mpisim.OpAllreduce, DepRank: 1,
 		DepVID: mpiV.VID, Bytes: 8, Collective: true}
 	p0.Comm = append(p0.Comm, prof.CommRecord{CommKey: key, Count: 10, TotalWait: 0.5, MaxWait: 0.1})
 	// A second record with a different op but same peer aggregates into a
 	// separate edge.
 	key2 := key
-	key2.Op = "mpi_barrier"
+	key2.Op = mpisim.OpBarrier
 	p0.Comm = append(p0.Comm, prof.CommRecord{CommKey: key2, Count: 2, TotalWait: 0.01, MaxWait: 0.01})
 	// Records without a dependence rank never become edges.
 	key3 := key
 	key3.DepRank = -1
-	key3.Op = "mpi_isend"
+	key3.Op = mpisim.OpIsend
 	p0.Comm = append(p0.Comm, prof.CommRecord{CommKey: key3, Count: 5})
 	p0.SortComm()
 	p1 := mkProfile(1, np, g, []float64{0.1, 0.0})
@@ -96,7 +97,7 @@ func TestBuildEdgesAggregation(t *testing.T) {
 		t.Fatalf("%d edges, want 2", len(edges))
 	}
 	// Sorted by TotalWait descending.
-	if edges[0].Op != "mpi_allreduce" || edges[0].TotalWait != 0.5 {
+	if edges[0].Op != mpisim.OpAllreduce || edges[0].TotalWait != 0.5 {
 		t.Errorf("dominant edge = %+v", edges[0])
 	}
 	if pg.NumEdges() != 2 {
@@ -104,7 +105,7 @@ func TestBuildEdgesAggregation(t *testing.T) {
 	}
 
 	best := pg.BestEdge(mpiV.VID, 0, 1e-6)
-	if best == nil || best.Op != "mpi_allreduce" {
+	if best == nil || best.Op != mpisim.OpAllreduce {
 		t.Errorf("BestEdge = %+v", best)
 	}
 	// Prune threshold above MaxWait: allreduce pruned, barrier pruned too
@@ -148,7 +149,7 @@ func TestTiedRecordsAggregateInWireOrder(t *testing.T) {
 	mpiV := g.Root.Children[1]
 	p0 := mkProfile(0, 2, g, []float64{0.1, 0.05})
 	for _, r := range []struct{ bytes, wait float64 }{{1e6, 0.1}, {7, 0.2}, {1e3, 0.3}} {
-		key := prof.CommKey{VID: mpiV.VID, Op: "mpi_recv", DepRank: 1, DepVID: mpiV.VID, Tag: 4, Bytes: r.bytes}
+		key := prof.CommKey{VID: mpiV.VID, Op: mpisim.OpRecv, DepRank: 1, DepVID: mpiV.VID, Tag: 4, Bytes: r.bytes}
 		p0.Comm = append(p0.Comm, prof.CommRecord{CommKey: key, Count: 3, TotalWait: r.wait, MaxWait: r.wait / 2})
 	}
 	p1 := mkProfile(1, 2, g, []float64{0.1, 0.0})
@@ -172,7 +173,7 @@ func TestTiedRecordsAggregateInWireOrder(t *testing.T) {
 	if len(edges) != 1 {
 		t.Fatalf("%d edges, want the three records in one", len(edges))
 	}
-	want := DepEdge{PeerRank: 1, PeerVID: mpiV.VID, Op: "mpi_recv", Count: 9, TotalWait: 0.6, MaxWait: 0.15}
+	want := DepEdge{PeerRank: 1, PeerVID: mpiV.VID, Op: mpisim.OpRecv, Count: 9, TotalWait: 0.6, MaxWait: 0.15}
 	if *edges[0] != want {
 		t.Errorf("aggregated edge = %+v, want %+v", *edges[0], want)
 	}
@@ -205,7 +206,7 @@ func edgeProfiles(g *psg.Graph, np int, scale float64) []*prof.RankProfile {
 	for r := range profiles {
 		rp := mkProfile(r, np, g, []float64{scale * float64(r+1), scale / 2})
 		for _, peer := range []int{(r + 1) % np, (r + np - 1) % np}[:min(np-1, 2)] {
-			key := prof.CommKey{VID: mpiV.VID, Op: "mpi_recv", DepRank: peer, DepVID: mpiV.VID, Bytes: 8}
+			key := prof.CommKey{VID: mpiV.VID, Op: mpisim.OpRecv, DepRank: peer, DepVID: mpiV.VID, Bytes: 8}
 			rp.Comm = append(rp.Comm, prof.CommRecord{CommKey: key, Count: 2, TotalWait: scale * float64(peer+1), MaxWait: scale})
 		}
 		rp.SortComm()

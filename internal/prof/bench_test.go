@@ -48,8 +48,8 @@ func BenchmarkProfilerEvents(b *testing.B) {
 	evs := make([]mpisim.Event, len(vs))
 	for i, v := range vs {
 		evs[i] = mpisim.Event{
-			Kind: mpisim.EvRecv, Op: "mpi_recv", Rank: 0, Peer: 1, Tag: i,
-			Bytes: 1024, Wait: 1e-4, DepRank: 1, DepCtx: v, Ctx: v,
+			Kind: mpisim.EvRecv, Op: mpisim.OpRecv, Rank: 0, Peer: 1, Tag: i,
+			Bytes: 1024, Wait: 1e-4, DepRank: 1, DepCtx: mpisim.Ctx(v.VID), Ctx: mpisim.Ctx(v.VID),
 		}
 	}
 	const rounds = 8
@@ -60,7 +60,7 @@ func BenchmarkProfilerEvents(b *testing.B) {
 		pr := New(DefaultConfig(), g, 0, 4)
 		for j := 0; j < rounds*len(vs); j++ {
 			v := vs[j%len(vs)]
-			p.Ctx = v
+			p.Ctx = mpisim.Ctx(v.VID)
 			pr.Sample(p, 1, period, &machine.Vec{100, 50, 10, 1, 5})
 			pr.MPIEvent(p, &evs[j%len(evs)])
 		}
@@ -78,8 +78,8 @@ func BenchmarkProfilerEventSteady(b *testing.B) {
 	evs := make([]mpisim.Event, len(vs))
 	for i, v := range vs {
 		evs[i] = mpisim.Event{
-			Kind: mpisim.EvRecv, Op: "mpi_recv", Rank: 0, Peer: 1, Tag: i,
-			Bytes: 1024, Wait: 1e-4, DepRank: 1, DepCtx: v, Ctx: v,
+			Kind: mpisim.EvRecv, Op: mpisim.OpRecv, Rank: 0, Peer: 1, Tag: i,
+			Bytes: 1024, Wait: 1e-4, DepRank: 1, DepCtx: mpisim.Ctx(v.VID), Ctx: mpisim.Ctx(v.VID),
 		}
 	}
 	period := 1 / pr.cfg.SampleHz
@@ -87,7 +87,7 @@ func BenchmarkProfilerEventSteady(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		v := vs[i%len(vs)]
-		p.Ctx = v
+		p.Ctx = mpisim.Ctx(v.VID)
 		pr.Sample(p, 1, period, &machine.Vec{100, 50, 10, 1, 5})
 		pr.MPIEvent(p, &evs[i%len(evs)])
 	}
@@ -105,7 +105,7 @@ func BenchmarkProfilerSampleOnly(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p.Ctx = vs[i%len(vs)]
+		p.Ctx = mpisim.Ctx(vs[i%len(vs)].VID)
 		pr.Sample(p, 1, period, &machine.Vec{100, 50, 10, 1, 5})
 	}
 }
@@ -127,14 +127,14 @@ func TestSamplerHotPathAllocFree(t *testing.T) {
 	for i := range evs {
 		v, peer := vs[i%len(vs)], 1+i/len(vs)
 		evs[i] = mpisim.Event{
-			Kind: mpisim.EvRecv, Op: "mpi_recv", Rank: 0, Peer: peer, Tag: i % len(vs),
-			Bytes: 1024, Wait: 1e-4, DepRank: peer, DepCtx: v, Ctx: v,
+			Kind: mpisim.EvRecv, Op: mpisim.OpRecv, Rank: 0, Peer: peer, Tag: i % len(vs),
+			Bytes: 1024, Wait: 1e-4, DepRank: peer, DepCtx: mpisim.Ctx(v.VID), Ctx: mpisim.Ctx(v.VID),
 		}
 	}
 	period := 1 / pr.cfg.SampleHz
 	iter := 0
 	step := func() {
-		p.Ctx = vs[iter%len(vs)]
+		p.Ctx = mpisim.Ctx(vs[iter%len(vs)].VID)
 		pr.Sample(p, 1, period, &machine.Vec{1, 1, 1, 1, 1})
 		pr.MPIEvent(p, &evs[iter%len(evs)])
 		iter++
@@ -163,7 +163,7 @@ func TestSampledAdvanceAllocFree(t *testing.T) {
 	pr := New(cfg, g, 0, 4)
 	p := sampledProc(pr)
 	v := mpiVertices(g)[0]
-	p.Ctx = v
+	p.Ctx = mpisim.Ctx(v.VID)
 	for name, advance := range map[string]func(){
 		"glue":    func() { p.Glue(24) },
 		"compute": func() { p.Compute(1e5, 1e4, 1e3, 4096) },

@@ -34,6 +34,7 @@ import (
 	"slices"
 
 	"scalana/internal/machine"
+	"scalana/internal/mpisim"
 	"scalana/internal/psg"
 )
 
@@ -67,9 +68,6 @@ type decoder struct {
 	g *psg.Graph
 	// envelopeOnly makes set read "app" and "np" and skip the rest.
 	envelopeOnly bool
-	// ops interns CommKey.Op once per set: a profile names a handful of
-	// MPI operations thousands of times.
-	ops map[string]string
 	// sink takes each rank as its object closes; nil drops them.
 	sink RankSink
 	// scratch, when set, is the one profile every rank is decoded into;
@@ -102,7 +100,7 @@ func (k *keptRanks) Add(rp *RankProfile) error {
 // them against the compiled graph's symbol table.
 func DecodeProfileSet(data []byte, g *psg.Graph) (*ProfileSet, error) {
 	ps := &ProfileSet{}
-	d := decoder{cursor: cursor{data: data}, g: g, ops: map[string]string{}, sink: (*keptRanks)(ps)}
+	d := decoder{cursor: cursor{data: data}, g: g, sink: (*keptRanks)(ps)}
 	if err := d.document(ps); err != nil {
 		return nil, err
 	}
@@ -116,7 +114,7 @@ func DecodeProfileSet(data []byte, g *psg.Graph) (*ProfileSet, error) {
 // it holds. A nil sink validates the ranks and drops them. The returned
 // set is the envelope: its Profiles is nil.
 func ReadProfileSet(data []byte, g *psg.Graph, sink RankSink) (ProfileSet, error) {
-	d := decoder{cursor: cursor{data: data}, g: g, ops: map[string]string{}, sink: sink, scratch: NewRankProfile(g, 0, 0)}
+	d := decoder{cursor: cursor{data: data}, g: g, sink: sink, scratch: NewRankProfile(g, 0, 0)}
 	var ps ProfileSet
 	err := d.document(&ps)
 	return ps, err
@@ -423,11 +421,12 @@ func (d *decoder) commRecord(rp *RankProfile) (fault string, err error) {
 	case null:
 		return "has a null communication record", nil
 	}
-	// An absent or empty DepVertex is "no responsible vertex". A key the
-	// graph lacks is kept (copied) for the fault message.
+	// An absent or empty DepVertex is "no responsible vertex", and an
+	// absent or empty Op is mpisim.OpNone. A key the graph lacks, or an op
+	// that is not a builtin, is kept (copied) for the fault message.
 	var rec CommRecord
-	var vertexKey, depKey string
-	vertexGiven, vertexKnown, depKnown := false, false, true
+	var vertexKey, depKey, opName string
+	vertexGiven, vertexKnown, depKnown, opKnown := false, false, true, true
 	rec.DepVID = psg.VIDNone
 	for first := true; ; first = false {
 		key, ok, err := d.member(first)
@@ -459,12 +458,9 @@ func (d *decoder) commRecord(rp *RankProfile) (fault string, err error) {
 		case "Op":
 			s, null, e := d.readText()
 			if err = e; err == nil && !null {
-				op, ok := d.ops[string(s)]
-				if !ok {
-					op = string(s)
-					d.ops[op] = op
+				if rec.Op, opKnown = mpisim.OpNamed(string(s)); !opKnown {
+					opName = string(s)
 				}
-				rec.Op = op
 			}
 		case "DepRank":
 			err = d.readInt(&rec.DepRank)
@@ -496,6 +492,8 @@ func (d *decoder) commRecord(rp *RankProfile) (fault string, err error) {
 		return unknownVertex(vertexKey), nil
 	case !depKnown:
 		return unknownVertex(depKey), nil
+	case !opKnown:
+		return fmt.Sprintf("names operation %q, which is not an MPI builtin", opName), nil
 	}
 	rp.Comm = append(rp.Comm, rec)
 	return "", nil

@@ -16,6 +16,7 @@ import (
 	"strings"
 	"testing"
 
+	"scalana/internal/mpisim"
 	"scalana/internal/psg"
 )
 
@@ -215,7 +216,7 @@ var awkwardInputs = []struct {
 	{name: "unknown comm DepVertex overridden by empty", input: `{"profiles":[{"comm":[{"VertexKey":%[1]s,"DepVertex":"bogus","DepVertex":""}]}]}`},
 	{name: "absent comm VertexKey", input: `{"profiles":[{"comm":[{"Op":"mpi_send"}]}]}`},
 	{name: "empty comm record", input: `{"profiles":[{"comm":[{}]}]}`},
-	{name: "duplicate comm keys in one list", input: `{"profiles":[{"comm":[{"VertexKey":%[1]s,"Op":"a","Count":1},{"VertexKey":%[1]s,"Op":"a","Count":2}]}]}`},
+	{name: "duplicate comm keys in one list", input: `{"profiles":[{"comm":[{"VertexKey":%[1]s,"Op":"mpi_send","Count":1},{"VertexKey":%[1]s,"Op":"mpi_send","Count":2}]}]}`},
 	{name: "comm keys differing in the sign of zero", input: `{"profiles":[{"comm":[{"VertexKey":%[1]s,"Bytes":0,"Count":1},{"VertexKey":%[1]s,"Bytes":-0.0,"Count":2}]}]}`},
 	{name: "escaped vertex key", input: `{"profiles":[{"vertex":{"r\u006fot":{"Samples":1}}}]}`},
 	{name: "escaped unknown vertex key", input: `{"profiles":[{"vertex":{"\u00e9\ud83d\ude00\n\"\\\/\b\f\r\t":{}}}]}`},
@@ -282,6 +283,10 @@ var awkwardInputs = []struct {
 	{name: "literal with a tail", input: `{"profiles":[{"comm":[{"VertexKey":%[1]s,"Collective":truex}]}]}`},
 	{name: "capitalised literal", input: `{"app":Null}`},
 	{name: "string given a number", input: `{"app":5}`},
+	{name: "unknown op behind an unknown vertex", input: `{"profiles":[{"comm":[{"VertexKey":"bogus","Op":"mpi_foo"}]}]}`},
+	{name: "unknown op given again as a builtin", input: `{"profiles":[{"comm":[{"VertexKey":%[1]s,"Op":"mpi_foo","op":"mpi_bcast"}]}]}`},
+	{name: "op named in the wrong case", input: `{"profiles":[{"comm":[{"VertexKey":%[1]s,"Op":"MPI_SEND"}]}]}`},
+	{name: "empty op", input: `{"profiles":[{"comm":[{"VertexKey":%[1]s,"Op":"","Count":1}]}]}`},
 	{name: "Op given an array", input: `{"profiles":[{"comm":[{"VertexKey":%[1]s,"Op":[]}]}]}`},
 	{name: "profiles is an object", input: `{"profiles":{}}`},
 	{name: "profiles holds a number", input: `{"profiles":[5]}`},
@@ -319,7 +324,7 @@ var awkwardInputs = []struct {
 	{name: "a rank whose np disagrees", input: `{"app":"x","np":2,"profiles":[{"rank":0,"np":2},{"rank":1,"np":4}]}`},
 	{name: "np larger than the bytes could hold", input: `{"app":"x","np":1000000000,"profiles":[{"rank":0,"np":1000000000}]}`},
 
-	{name: "repeated comm arrays merge in the oracle", input: `{"profiles":[{"comm":[{"VertexKey":%[1]s,"Op":"a","Count":1}],"comm":[{"VertexKey":%[1]s,"Count":2}]}]}`, gaveUp: "repeated array-valued field"},
+	{name: "repeated comm arrays merge in the oracle", input: `{"profiles":[{"comm":[{"VertexKey":%[1]s,"Op":"mpi_send","Count":1}],"comm":[{"VertexKey":%[1]s,"Count":2}]}]}`, gaveUp: "repeated array-valued field"},
 	{name: "repeated profiles arrays merge in the oracle", input: `{"profiles":[{"rank":1,"np":2}],"profiles":[{"np":3}]}`, gaveUp: "repeated array-valued field"},
 	{name: "repeated indirect arrays", input: `{"profiles":[{"indirect":[{"Target":"f","Count":1}],"indirect":[{"Count":2}]}]}`},
 	{name: "indirect with a number no float holds", input: `{"profiles":[{"indirect":[{"Site":1e999}]}]}`},
@@ -387,7 +392,7 @@ func TestDecodeMatchesOracle(t *testing.T) {
 func TestRepeatedArrayFieldLastWins(t *testing.T) {
 	g := fuzzGraph(t)
 	k1, _ := awkwardKeys(t, g)
-	data := []byte(fmt.Sprintf(`{"profiles":[{"rank":7},{"rank":8}],"profiles":[{"rank":1,"comm":[{"VertexKey":"bogus"}],"comm":[{"VertexKey":%[1]s,"Op":"a"},{"VertexKey":%[1]s,"Op":"b"}]}]}`, k1))
+	data := []byte(fmt.Sprintf(`{"profiles":[{"rank":7},{"rank":8}],"profiles":[{"rank":1,"comm":[{"VertexKey":"bogus"}],"comm":[{"VertexKey":%[1]s,"Op":"mpi_send"},{"VertexKey":%[1]s,"Op":"mpi_recv"}]}]}`, k1))
 	ps, err := DecodeProfileSet(data, g)
 	if err != nil {
 		t.Fatal(err)
@@ -397,6 +402,32 @@ func TestRepeatedArrayFieldLastWins(t *testing.T) {
 	}
 	if rp := ps.Profiles[0]; len(rp.Comm) != 2 {
 		t.Fatalf("comm %d, want the second array's 2", len(rp.Comm))
+	}
+}
+
+// TestDecodeRejectsUnknownOp: the ops on the wire are the closed set of
+// MPI builtins. A name outside it is a decode error that names it, on the
+// reader and the oracle alike; an absent or empty Op is mpisim.OpNone.
+func TestDecodeRejectsUnknownOp(t *testing.T) {
+	g := fuzzGraph(t)
+	k1, _ := awkwardKeys(t, g)
+	bad := []byte(fmt.Sprintf(`{"profiles":[{"rank":3,"comm":[{"VertexKey":%s,"Op":"mpi_foo"}]}]}`, k1))
+	const want = `rank 3 profile names operation "mpi_foo", which is not an MPI builtin`
+	if _, err := DecodeProfileSet(bad, g); err == nil || err.Error() != want {
+		t.Errorf("reader: %v, want %q", err, want)
+	}
+	if _, err := decodeOracle(bad, g); err == nil || err.Error() != want {
+		t.Errorf("oracle: %v, want %q", err, want)
+	}
+	for _, op := range []string{``, `,"Op":""`, `,"Op":null`} {
+		data := []byte(fmt.Sprintf(`{"profiles":[{"comm":[{"VertexKey":%s%s}]}]}`, k1, op))
+		ps, err := DecodeProfileSet(data, g)
+		if err != nil {
+			t.Fatalf("%s: %v", data, err)
+		}
+		if got := ps.Profiles[0].Comm[0].Op; got != mpisim.OpNone {
+			t.Errorf("%s: Op = %v, want OpNone", data, got)
+		}
 	}
 }
 
@@ -515,7 +546,7 @@ func allocBoundSet(tb testing.TB) (*psg.Graph, []byte) {
 			rp.Vertex[vid].PMU[0] = float64(vid) * 1234.5
 		}
 		for i, v := range mpiVertices(g) {
-			key := CommKey{VID: v.VID, Op: "mpi_sendrecv", DepRank: (rank + 1) % np, DepVID: v.VID, Tag: i, Bytes: 4096}
+			key := CommKey{VID: v.VID, Op: mpisim.OpSendrecv, DepRank: (rank + 1) % np, DepVID: v.VID, Tag: i, Bytes: 4096}
 			rp.Comm = append(rp.Comm, CommRecord{CommKey: key, Count: 10, TotalWait: 0.001 * float64(i+1), MaxWait: 0.0001})
 		}
 		rp.SortComm()

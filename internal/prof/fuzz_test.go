@@ -12,6 +12,7 @@ import (
 
 	"scalana/internal/machine"
 	"scalana/internal/minilang"
+	"scalana/internal/mpisim"
 	"scalana/internal/psg"
 )
 
@@ -63,8 +64,8 @@ func fuzzSeedSet(tb testing.TB, g *psg.Graph) *ProfileSet {
 		}
 		rp.Vertex[compVID] = PerfData{Samples: 10 + int64(rank), Time: 0.125}
 		rp.Vertex[compVID].PMU[machine.TotCyc] = 1e6
-		key := CommKey{VID: mpiVID, Op: "mpi_sendrecv", DepRank: 1 - rank, DepVID: compVID, Tag: 1, Bytes: 64}
-		ckey := CommKey{VID: mpiVID, Op: "mpi_allreduce", DepRank: 1 - rank, DepVID: compVID, Collective: true, Bytes: 8}
+		key := CommKey{VID: mpiVID, Op: mpisim.OpSendrecv, DepRank: 1 - rank, DepVID: compVID, Tag: 1, Bytes: 64}
+		ckey := CommKey{VID: mpiVID, Op: mpisim.OpAllreduce, DepRank: 1 - rank, DepVID: compVID, Collective: true, Bytes: 8}
 		rp.Comm = []CommRecord{
 			{CommKey: key, Count: 4, TotalWait: 0.01, MaxWait: 0.004},
 			{CommKey: ckey, Count: 1, TotalWait: 0.002, MaxWait: 0.002},

@@ -95,7 +95,7 @@ func (rp *RankProfile) MarshalJSON() ([]byte, error) {
 			dep = keys[rec.DepVID]
 		}
 		recs[i] = commRecordDTO{
-			VertexKey: keys[rec.VID], Op: rec.Op, DepRank: rec.DepRank, DepVertex: dep,
+			VertexKey: keys[rec.VID], Op: rec.Op.String(), DepRank: rec.DepRank, DepVertex: dep,
 			Tag: rec.Tag, Bytes: rec.Bytes, Collective: rec.Collective,
 			Count: rec.Count, TotalWait: rec.TotalWait, MaxWait: rec.MaxWait,
 		}

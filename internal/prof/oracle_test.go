@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"sort"
 
+	"scalana/internal/mpisim"
 	"scalana/internal/psg"
 )
 
@@ -71,8 +72,12 @@ func (dto *oracleRankDTO) fromDTO(g *psg.Graph) (*RankProfile, error) {
 				return nil, err
 			}
 		}
+		op, ok := mpisim.OpNamed(rec.Op)
+		if !ok {
+			return nil, fmt.Errorf("rank %d profile names operation %q, which is not an MPI builtin", dto.Rank, rec.Op)
+		}
 		key := CommKey{
-			VID: vid, Op: rec.Op, DepRank: rec.DepRank, DepVID: dep,
+			VID: vid, Op: op, DepRank: rec.DepRank, DepVID: dep,
 			Tag: rec.Tag, Bytes: rec.Bytes, Collective: rec.Collective,
 		}
 		comm[key] = &CommRecord{CommKey: key, Count: rec.Count, TotalWait: rec.TotalWait, MaxWait: rec.MaxWait}

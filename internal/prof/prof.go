@@ -78,17 +78,17 @@ type PerfData struct {
 type CommKey struct {
 	// VID is the interned ID of the MPI vertex that issued the operation.
 	VID psg.VID
-	// Op is the MPI operation name (mpi_send, mpi_allreduce, ...).
-	Op string
-	// DepRank is the peer this operation depended on (-1 when none).
-	DepRank int
 	// DepVID is the interned ID of the peer's responsible vertex
 	// (psg.VIDNone when the dependence has no responsible vertex).
 	DepVID psg.VID
+	// DepRank is the peer this operation depended on (-1 when none).
+	DepRank int
 	// Tag is the message tag (p2p operations).
 	Tag int
 	// Bytes is the per-operation message size.
 	Bytes float64
+	// Op is the MPI operation (mpi_send, mpi_allreduce, ...).
+	Op mpisim.Op
 	// Collective marks collective operations.
 	Collective bool
 }
@@ -155,7 +155,7 @@ func commKeyLess(keys []string, a, b *CommKey) bool {
 		}
 	}
 	if a.Op != b.Op {
-		return a.Op < b.Op
+		return a.Op < b.Op // the Ops' order is their names'
 	}
 	if a.DepRank != b.DepRank {
 		return a.DepRank < b.DepRank
@@ -407,13 +407,6 @@ func (pr *Profiler) Profile() *RankProfile {
 // run can hand the profiler is in range.
 func (pr *Profiler) perf(vid psg.VID) *PerfData { return &pr.profile.Vertex[vid] }
 
-func ctxVID(ctx any) psg.VID {
-	if v, ok := ctx.(*psg.Vertex); ok && v != nil {
-		return v.VID
-	}
-	return psg.VIDRoot
-}
-
 // SamplePeriod asks the rank for a timer interrupt every 1/SampleHz
 // virtual seconds.
 func (pr *Profiler) SamplePeriod() float64 { return 1 / pr.cfg.SampleHz }
@@ -425,7 +418,7 @@ func (pr *Profiler) SamplePeriod() float64 { return 1 / pr.cfg.SampleHz }
 //
 //scalana:hot
 func (pr *Profiler) Sample(p *mpisim.Proc, crossings int64, period float64, pmu *machine.Vec) float64 {
-	pd := pr.perf(ctxVID(p.Ctx))
+	pd := pr.perf(psg.VID(p.Ctx))
 	pd.Samples += crossings
 	pd.Time += float64(crossings) * period
 	pd.PMU.Add(*pmu)
@@ -472,10 +465,8 @@ func (pr *Profiler) MPIEvent(p *mpisim.Proc, ev *mpisim.Event) float64 {
 	}
 	pr.profile.EventsSampled++
 
-	vid, depVID, tag := ctxVID(ev.Ctx), psg.VIDNone, ev.Tag
-	if ev.DepCtx != nil {
-		depVID = ctxVID(ev.DepCtx)
-	}
+	// A context is a VID, and mpisim.NoCtx is psg.VIDNone.
+	vid, depVID, tag := psg.VID(ev.Ctx), psg.VID(ev.DepCtx), ev.Tag
 	if pr.cfg.NoCompress {
 		// Without graph-guided compression every record is unique.
 		tag = int(pr.profile.EventsSampled)<<8 | tag

@@ -43,7 +43,7 @@ func TestSamplerCrossingCounts(t *testing.T) {
 	pr := New(DefaultConfig(), g, 0, 1) // 200 Hz -> period 5 ms
 	p := sampledProc(pr)
 	v := g.Root.Children[0] // the Comp vertex
-	p.Ctx = v
+	p.Ctx = mpisim.Ctx(v.VID)
 
 	// 12 ms of computation in one go (issue-bound: 1.15 instructions a
 	// flop, 2 a cycle, 2.2 GHz): crosses t=5ms and t=10ms -> 2 samples.
@@ -85,7 +85,7 @@ func TestSamplerNoChargeOnPerturb(t *testing.T) {
 	pr := New(DefaultConfig(), g, 0, 1)
 	p := sampledProc(pr)
 	v := g.Root.Children[0]
-	p.Ctx = v
+	p.Ctx = mpisim.Ctx(v.VID)
 	p.Perturb(1.0)
 	if got := pr.Profile().Vertex[v.VID].Samples; got != 200 {
 		t.Errorf("a 1 s perturb advance took %d samples, want 200", got)
@@ -101,8 +101,8 @@ func TestCommCompression(t *testing.T) {
 	p := fakeProc(t)
 	v := g.Root.Children[1] // MPI vertex
 	ev := &mpisim.Event{
-		Kind: mpisim.EvRecv, Op: "mpi_recv", Rank: 0, Peer: 1, Tag: 7,
-		Bytes: 1024, Wait: 0.001, DepRank: 1, DepCtx: v, Ctx: v,
+		Kind: mpisim.EvRecv, Op: mpisim.OpRecv, Rank: 0, Peer: 1, Tag: 7,
+		Bytes: 1024, Wait: 0.001, DepRank: 1, DepCtx: mpisim.Ctx(v.VID), Ctx: mpisim.Ctx(v.VID),
 	}
 	for i := 0; i < 50; i++ {
 		pr.MPIEvent(p, ev)
@@ -139,8 +139,8 @@ func TestCommCompressionDisabled(t *testing.T) {
 	pr := New(cfg, g, 0, 4)
 	p := fakeProc(t)
 	v := g.Root.Children[1]
-	ev := &mpisim.Event{Kind: mpisim.EvRecv, Op: "mpi_recv", Peer: 1, Tag: 7,
-		Bytes: 1024, DepRank: 1, DepCtx: v, Ctx: v}
+	ev := &mpisim.Event{Kind: mpisim.EvRecv, Op: mpisim.OpRecv, Peer: 1, Tag: 7,
+		Bytes: 1024, DepRank: 1, DepCtx: mpisim.Ctx(v.VID), Ctx: mpisim.Ctx(v.VID)}
 	for i := 0; i < 20; i++ {
 		pr.MPIEvent(p, ev)
 	}
@@ -157,8 +157,8 @@ func TestCommSamplingProbability(t *testing.T) {
 	pr := New(cfg, g, 0, 4)
 	p := fakeProc(t)
 	v := g.Root.Children[1]
-	ev := &mpisim.Event{Kind: mpisim.EvRecv, Op: "mpi_recv", Peer: 1, Tag: 7,
-		Bytes: 1024, DepRank: 1, DepCtx: v, Ctx: v}
+	ev := &mpisim.Event{Kind: mpisim.EvRecv, Op: mpisim.OpRecv, Peer: 1, Tag: 7,
+		Bytes: 1024, DepRank: 1, DepCtx: mpisim.Ctx(v.VID), Ctx: mpisim.Ctx(v.VID)}
 	const n = 2000
 	for i := 0; i < n; i++ {
 		pr.MPIEvent(p, ev)
@@ -204,7 +204,7 @@ func main() {
 	var waitRec *CommRecord
 	comm := profilers[0].Profile().Comm
 	for i := range comm {
-		if comm[i].Op == "mpi_wait" {
+		if comm[i].Op == mpisim.OpWait {
 			waitRec = &comm[i]
 		}
 	}
@@ -222,9 +222,9 @@ func TestStorageBytesGrowsWithRecords(t *testing.T) {
 	empty := pr.Profile().StorageBytes()
 	p := fakeProc(t)
 	v := g.Root.Children[1]
-	pr.MPIEvent(p, &mpisim.Event{Kind: mpisim.EvRecv, Op: "mpi_recv", Peer: 1,
-		Bytes: 64, DepRank: 1, DepCtx: v, Ctx: v})
-	p.Ctx = g.Root.Children[0]
+	pr.MPIEvent(p, &mpisim.Event{Kind: mpisim.EvRecv, Op: mpisim.OpRecv, Peer: 1,
+		Bytes: 64, DepRank: 1, DepCtx: mpisim.Ctx(v.VID), Ctx: mpisim.Ctx(v.VID)})
+	p.Ctx = mpisim.Ctx(g.Root.Children[0].VID)
 	pr.Sample(p, 200, 1.0/200, &machine.Vec{})
 	if pr.Profile().StorageBytes() <= empty {
 		t.Error("storage should grow with records")
@@ -236,10 +236,10 @@ func TestProfileSetRoundTrip(t *testing.T) {
 	pr := New(DefaultConfig(), g, 0, 1)
 	p := fakeProc(t)
 	v := g.Root.Children[1]
-	p.Ctx = g.Root.Children[0]
+	p.Ctx = mpisim.Ctx(g.Root.Children[0].VID)
 	pr.Sample(p, 20, 1.0/200, &machine.Vec{10, 20, 5, 1, 8})
-	pr.MPIEvent(p, &mpisim.Event{Kind: mpisim.EvRecv, Op: "mpi_recv", Peer: 1, Tag: 3,
-		Bytes: 64, Wait: 0.01, DepRank: 1, DepCtx: v, Ctx: v})
+	pr.MPIEvent(p, &mpisim.Event{Kind: mpisim.EvRecv, Op: mpisim.OpRecv, Peer: 1, Tag: 3,
+		Bytes: 64, Wait: 0.01, DepRank: 1, DepCtx: mpisim.Ctx(v.VID), Ctx: mpisim.Ctx(v.VID)})
 
 	ps := &ProfileSet{App: "test", NP: 1, Elapsed: 0.1, Profiles: []*RankProfile{pr.Profile()}}
 	dir := t.TempDir()
@@ -266,7 +266,7 @@ func TestProfileSetRoundTrip(t *testing.T) {
 		t.Fatalf("comm records = %d", len(lp.Comm))
 	}
 	for _, rec := range lp.Comm {
-		if rec.Op != "mpi_recv" || rec.TotalWait != 0.01 {
+		if rec.Op != mpisim.OpRecv || rec.TotalWait != 0.01 {
 			t.Errorf("restored record = %+v", rec)
 		}
 	}
@@ -333,8 +333,8 @@ func TestUncompressedKeysCollideLikeTheMap(t *testing.T) {
 	tags := []int{0x200, 7, 0, 0x100, -1, -1, 3, 0x300, 5}
 	pr, ref := New(cfg, g, 0, 2), newOracleProfiler(cfg, g, 0, 2)
 	for _, tag := range tags {
-		ev := &mpisim.Event{Kind: mpisim.EvRecv, Op: "mpi_recv", Peer: 1, Tag: tag,
-			Bytes: 64, Wait: 0.5, DepRank: 1, DepCtx: v, Ctx: v}
+		ev := &mpisim.Event{Kind: mpisim.EvRecv, Op: mpisim.OpRecv, Peer: 1, Tag: tag,
+			Bytes: 64, Wait: 0.5, DepRank: 1, DepCtx: mpisim.Ctx(v.VID), Ctx: mpisim.Ctx(v.VID)}
 		pr.MPIEvent(p, ev)
 		ref.MPIEvent(p, ev)
 	}
@@ -361,7 +361,7 @@ func TestCheckComm(t *testing.T) {
 	g := testGraph(t)
 	v := g.Root.Children[1]
 	rec := func(vid, dep psg.VID, tag int) CommRecord {
-		return CommRecord{CommKey: CommKey{VID: vid, Op: "mpi_recv", DepRank: 1, DepVID: dep, Tag: tag}, Count: 1}
+		return CommRecord{CommKey: CommKey{VID: vid, Op: mpisim.OpRecv, DepRank: 1, DepVID: dep, Tag: tag}, Count: 1}
 	}
 	for _, tc := range []struct {
 		name    string

@@ -69,7 +69,7 @@ func (pr *oracleProfiler) Profile() *RankProfile {
 
 func (pr *oracleProfiler) perf(vid psg.VID) *PerfData { return &pr.profile.Vertex[vid] }
 
-func (pr *oracleProfiler) Advance(p *mpisim.Proc, from, to float64, kind mpisim.AdvanceKind, ctx any, pmu machine.Vec) float64 {
+func (pr *oracleProfiler) Advance(p *mpisim.Proc, from, to float64, kind mpisim.AdvanceKind, ctx mpisim.Ctx, pmu machine.Vec) float64 {
 	pr.pendingPMU.Add(pmu)
 	bucket := int64(to / pr.period)
 	crossings := bucket - pr.lastBucket
@@ -77,7 +77,7 @@ func (pr *oracleProfiler) Advance(p *mpisim.Proc, from, to float64, kind mpisim.
 	if crossings <= 0 {
 		return 0
 	}
-	pd := pr.perf(ctxVID(ctx))
+	pd := pr.perf(psg.VID(ctx))
 	pd.Samples += crossings
 	pd.Time += float64(crossings) * pr.period
 	pd.PMU.Add(pr.pendingPMU)
@@ -111,16 +111,13 @@ func (pr *oracleProfiler) MPIEvent(p *mpisim.Proc, ev *mpisim.Event) float64 {
 	pr.profile.EventsSampled++
 
 	key := CommKey{
-		VID:        ctxVID(ev.Ctx),
+		VID:        psg.VID(ev.Ctx),
 		Op:         ev.Op,
 		DepRank:    ev.DepRank,
-		DepVID:     ctxVID(ev.DepCtx),
+		DepVID:     psg.VID(ev.DepCtx),
 		Tag:        ev.Tag,
 		Bytes:      ev.Bytes,
 		Collective: ev.Collective,
-	}
-	if ev.DepCtx == nil {
-		key.DepVID = psg.VIDNone
 	}
 	if pr.cfg.NoCompress {
 		// Without graph-guided compression every record is unique.
@@ -139,4 +136,4 @@ func (pr *oracleProfiler) MPIEvent(p *mpisim.Proc, ev *mpisim.Event) float64 {
 	return commRecordCost
 }
 
-var _ mpisim.Hook = (*oracleProfiler)(nil)
+var _ mpisim.AdvanceObserver = (*oracleProfiler)(nil)

@@ -625,20 +625,23 @@ func TestHealthAndStats(t *testing.T) {
 }
 
 // TestStatsAnswersTheStoreError: a store that can no longer be listed
-// used to give GET /v1/stats 200 with "stored_sets": 0. The route now
-// answers 500 with the error the listing gave, as GET /v1/profiles names
-// it.
+// used to give GET /v1/stats 200 with "stored_sets": 0, and GET
+// /v1/profiles a 404, as if the client had named content that is not
+// stored. Both routes now answer 500 with the error the listing gave.
 func TestStatsAnswersTheStoreError(t *testing.T) {
 	srv, ts := newTestServer(t)
 	if err := os.RemoveAll(srv.env.Store.Root()); err != nil {
 		t.Fatal(err)
 	}
-	_, listed := get(t, ts.URL+"/v1/profiles")
+	code, listed := get(t, ts.URL+"/v1/profiles")
 	var want struct {
 		Error string `json:"error"`
 	}
 	if err := json.Unmarshal(listed, &want); err != nil || !strings.Contains(want.Error, "store: list: ") {
 		t.Fatalf("GET /v1/profiles over a removed store: %s (%v), want a store listing error", listed, err)
+	}
+	if code != http.StatusInternalServerError {
+		t.Errorf("GET /v1/profiles over a removed store: %d, want 500", code)
 	}
 	code, body := get(t, ts.URL+"/v1/stats")
 	if code != http.StatusInternalServerError || !bytes.Contains(body, []byte(want.Error)) {

@@ -429,7 +429,9 @@ func sized(dir string, k Key) (Entry, error) {
 func (s *Store) apps() ([]string, error) {
 	dirs, err := os.ReadDir(s.root)
 	if err != nil {
-		return nil, fmt.Errorf("store: list: %w", err)
+		// A root that cannot be read is a broken store, not content that is
+		// not stored: the error keeps its text and drops os.ErrNotExist.
+		return nil, fmt.Errorf("store: list: %v", err)
 	}
 	var out []string
 	for _, d := range dirs {

@@ -58,8 +58,10 @@ func (rt *RankTrace) StorageBytes() int64 {
 // Tracer is the per-rank hook, an mpisim.AdvanceObserver: region
 // transitions can happen at any advance, so it watches them all.
 type Tracer struct {
-	trace   *RankTrace
-	lastCtx any
+	trace *RankTrace
+	// lastCtx is the context last entered; the root (a rank's context
+	// before its first vertex) counts as never entered.
+	lastCtx mpisim.Ctx
 }
 
 // New creates a tracer for one rank.
@@ -70,16 +72,9 @@ func New(rank int) *Tracer {
 // Trace returns the collected records.
 func (tr *Tracer) Trace() *RankTrace { return tr.trace }
 
-func ctxVID(ctx any) psg.VID {
-	if v, ok := ctx.(*psg.Vertex); ok && v != nil {
-		return v.VID
-	}
-	return psg.VIDRoot
-}
-
 // Advance logs region enter/exit transitions around every attribution
 // context switch, like compiler-instrumented Score-P regions.
-func (tr *Tracer) Advance(p *mpisim.Proc, from, to float64, kind mpisim.AdvanceKind, ctx any, pmu machine.Vec) float64 {
+func (tr *Tracer) Advance(p *mpisim.Proc, from, to float64, kind mpisim.AdvanceKind, ctx mpisim.Ctx, pmu machine.Vec) float64 {
 	if kind == mpisim.AdvPerturb {
 		return 0
 	}
@@ -87,11 +82,11 @@ func (tr *Tracer) Advance(p *mpisim.Proc, from, to float64, kind mpisim.AdvanceK
 		return 0
 	}
 	var owed float64
-	if tr.lastCtx != nil {
-		tr.trace.Records = append(tr.trace.Records, Record{T: from, Kind: RecExit, Vertex: ctxVID(tr.lastCtx), Peer: -1, Dep: -1})
+	if tr.lastCtx != mpisim.Ctx(psg.VIDRoot) {
+		tr.trace.Records = append(tr.trace.Records, Record{T: from, Kind: RecExit, Vertex: psg.VID(tr.lastCtx), Peer: -1, Dep: -1})
 		owed += eventCost
 	}
-	tr.trace.Records = append(tr.trace.Records, Record{T: from, Kind: RecEnter, Vertex: ctxVID(ctx), Peer: -1, Dep: -1})
+	tr.trace.Records = append(tr.trace.Records, Record{T: from, Kind: RecEnter, Vertex: psg.VID(ctx), Peer: -1, Dep: -1})
 	owed += eventCost
 	tr.lastCtx = ctx
 	return owed
@@ -102,8 +97,8 @@ func (tr *Tracer) MPIEvent(p *mpisim.Proc, ev *mpisim.Event) float64 {
 	tr.trace.Records = append(tr.trace.Records, Record{
 		T:      ev.TEnd,
 		Kind:   RecComm,
-		Op:     ev.Op,
-		Vertex: ctxVID(ev.Ctx),
+		Op:     ev.Op.String(),
+		Vertex: psg.VID(ev.Ctx),
 		Peer:   ev.Peer,
 		Tag:    ev.Tag,
 		Bytes:  ev.Bytes,

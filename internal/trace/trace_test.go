@@ -15,7 +15,7 @@ func fakeProc(t *testing.T) *mpisim.Proc {
 func TestTracerRecordsEvents(t *testing.T) {
 	tr := New(0)
 	p := fakeProc(t)
-	owed := tr.MPIEvent(p, &mpisim.Event{Kind: mpisim.EvRecv, Op: "mpi_recv",
+	owed := tr.MPIEvent(p, &mpisim.Event{Kind: mpisim.EvRecv, Op: mpisim.OpRecv,
 		Peer: 1, Tag: 2, Bytes: 512, Wait: 0.002, DepRank: 1, TEnd: 1.5})
 	if owed != eventCost {
 		t.Errorf("owed = %g", owed)
@@ -32,7 +32,7 @@ func TestTracerRecordsEvents(t *testing.T) {
 func TestTracerRegionEnterExit(t *testing.T) {
 	tr := New(0)
 	p := fakeProc(t)
-	ctxA, ctxB := "A", "B" // any comparable ctx works
+	ctxA, ctxB := mpisim.Ctx(1), mpisim.Ctx(2)
 	tr.Advance(p, 0, 1, mpisim.AdvCompute, ctxA, machine.Vec{})
 	tr.Advance(p, 1, 2, mpisim.AdvCompute, ctxA, machine.Vec{}) // same region: no records
 	tr.Advance(p, 2, 3, mpisim.AdvCompute, ctxB, machine.Vec{}) // switch: exit+enter
@@ -49,7 +49,7 @@ func TestTracerRegionEnterExit(t *testing.T) {
 func TestTracerIgnoresPerturbRegions(t *testing.T) {
 	tr := New(0)
 	p := fakeProc(t)
-	if owed := tr.Advance(p, 0, 1, mpisim.AdvPerturb, "X", machine.Vec{}); owed != 0 {
+	if owed := tr.Advance(p, 0, 1, mpisim.AdvPerturb, 3, machine.Vec{}); owed != 0 {
 		t.Error("perturb advance should not be traced or charged")
 	}
 	if len(tr.Trace().Records) != 0 {
@@ -61,7 +61,7 @@ func TestStorageBytes(t *testing.T) {
 	tr := New(0)
 	p := fakeProc(t)
 	for i := 0; i < 100; i++ {
-		tr.MPIEvent(p, &mpisim.Event{Kind: mpisim.EvSend, Op: "mpi_send", Peer: 1})
+		tr.MPIEvent(p, &mpisim.Event{Kind: mpisim.EvSend, Op: mpisim.OpSend, Peer: 1})
 	}
 	if got := tr.Trace().StorageBytes(); got != 100*recordBytes {
 		t.Errorf("storage = %d, want %d", got, 100*recordBytes)

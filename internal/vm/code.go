@@ -70,7 +70,7 @@ const (
 	opMove  // R[a] = R[b]
 
 	// Attribution and accounting.
-	opSetCtx // p.Ctx = link.ctx[a] unless nil
+	opSetCtx // p.Ctx = link.ctx[a] unless NoCtx
 	opGlue   // charge glueIns abstract instructions
 
 	// Control flow.

@@ -81,7 +81,7 @@ func (ex *exec) top() *frame { return ex.frames[len(ex.frames)-1] }
 // setCtx points the simulated process at the vertex attributing node.
 func (ex *exec) setCtx(node minilang.Node) {
 	if v := ex.top().inst.VertexOf(node.ID()); v != nil {
-		ex.p.Ctx = v
+		ex.p.Ctx = mpisim.Ctx(v.VID)
 	}
 }
 

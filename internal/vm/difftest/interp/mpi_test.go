@@ -205,8 +205,8 @@ func main() {
 		if len(events) != 1 {
 			t.Fatalf("%s: %d events", name, len(events))
 		}
-		v, ok := events[0].Ctx.(*psg.Vertex)
-		if !ok || v.Kind != psg.KindMPI || v.Name != "mpi_barrier" {
+		v := g.VertexByVID(psg.VID(events[0].Ctx))
+		if v == nil || v.Kind != psg.KindMPI || v.Name != "mpi_barrier" {
 			t.Errorf("%s: event ctx = %v", name, events[0].Ctx)
 		}
 	}
@@ -214,7 +214,9 @@ func main() {
 
 type ctxCapture struct{ events *[]*mpisim.Event }
 
-func (h *ctxCapture) Advance(p *mpisim.Proc, from, to float64, kind mpisim.AdvanceKind, ctx any, pmu machine.Vec) float64 {
+var _ mpisim.AdvanceObserver = (*ctxCapture)(nil)
+
+func (h *ctxCapture) Advance(p *mpisim.Proc, from, to float64, kind mpisim.AdvanceKind, ctx mpisim.Ctx, pmu machine.Vec) float64 {
 	return 0
 }
 func (h *ctxCapture) MPIEvent(p *mpisim.Proc, ev *mpisim.Event) float64 {

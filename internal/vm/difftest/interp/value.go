@@ -2,8 +2,8 @@
 // the semantic oracle the bytecode VM (internal/vm) is held to. Only
 // tests link it — internal/vm/difftest, FuzzVMvsInterp, and this
 // package's own both-engine semantic tests; nothing that ships imports
-// it. Like the VM, it keeps the current PSG instance and vertex up to
-// date on the simulated process (Proc.Ctx) as it runs, so tool hooks
+// it. Like the VM, it keeps the VID of the current PSG vertex up to date
+// on the simulated process (Proc.Ctx) as it runs, so tool hooks
 // attribute time, PMU counters, and communication dependence to graph
 // vertices the way call-stack unwinding attributes samples on real
 // hardware.

@@ -250,7 +250,7 @@ func (m *machine) step(p *mpisim.Proc) bool {
 			case opMove:
 				f[in.a] = f[in.b]
 			case opSetCtx:
-				if v := l.ctx[in.a]; v != nil {
+				if v := l.ctx[in.a]; v != mpisim.NoCtx {
 					p.Ctx = v
 				}
 			case opGlue:

@@ -30,55 +30,19 @@ import (
 	"scalana/internal/vm/difftest/interp"
 )
 
-// recEvent is one MPI event with the opaque attribution contexts
-// flattened to interned vertex IDs, so whole streams compare with
-// reflect.DeepEqual.
-type recEvent struct {
-	Kind         mpisim.EventKind
-	Op           string
-	Rank         int
-	Peer         int
-	Tag          int
-	Bytes        float64
-	TStart       float64
-	TEnd         float64
-	Wait         float64
-	DepRank      int
-	DepCtx       int
-	Ctx          int
-	Collective   bool
-	Root         int
-	Requests     int
-	RecvRequests int
-	SendPeer     int
-	SendBytes    float64
-	ReqID        int
-}
+// recorder copies every event out of the simulator's reusable scratch
+// storage (the Event pointer is only valid during the call). An Event
+// holds no pointer, so whole streams compare with reflect.DeepEqual.
+type recorder struct{ events []mpisim.Event }
 
-func ctxVID(ctx any) int {
-	if v, ok := ctx.(*psg.Vertex); ok {
-		return int(v.VID)
-	}
-	return -1
-}
+var _ mpisim.AdvanceObserver = (*recorder)(nil)
 
-// recorder copies every event's fields out of the simulator's reusable
-// scratch storage (the Event pointer is only valid during the call).
-type recorder struct{ events []recEvent }
-
-func (r *recorder) Advance(p *mpisim.Proc, from, to float64, kind mpisim.AdvanceKind, ctx any, pmu machine.Vec) float64 {
+func (r *recorder) Advance(p *mpisim.Proc, from, to float64, kind mpisim.AdvanceKind, ctx mpisim.Ctx, pmu machine.Vec) float64 {
 	return 0
 }
 
 func (r *recorder) MPIEvent(p *mpisim.Proc, ev *mpisim.Event) float64 {
-	r.events = append(r.events, recEvent{
-		Kind: ev.Kind, Op: ev.Op, Rank: ev.Rank, Peer: ev.Peer, Tag: ev.Tag,
-		Bytes: ev.Bytes, TStart: ev.TStart, TEnd: ev.TEnd, Wait: ev.Wait,
-		DepRank: ev.DepRank, DepCtx: ctxVID(ev.DepCtx), Ctx: ctxVID(ev.Ctx),
-		Collective: ev.Collective, Root: ev.Root, Requests: ev.Requests,
-		RecvRequests: ev.RecvRequests, SendPeer: ev.SendPeer,
-		SendBytes: ev.SendBytes, ReqID: ev.ReqID,
-	})
+	r.events = append(r.events, *ev)
 	return 0
 }
 
@@ -123,7 +87,7 @@ func vpThrice(n) { return 3 * n; }
 
 // runRecorded executes the program once on a fresh world and returns the
 // per-rank event streams, final clocks and print() output.
-func runRecorded(prog *minilang.Program, graph *psg.Graph, np int, useInterp bool) ([][]recEvent, []float64, []byte, error) {
+func runRecorded(prog *minilang.Program, graph *psg.Graph, np int, useInterp bool) ([][]mpisim.Event, []float64, []byte, error) {
 	var stdout bytes.Buffer
 	recs := make([]*recorder, np)
 	world := mpisim.NewWorld(mpisim.Config{
@@ -155,7 +119,7 @@ func runRecorded(prog *minilang.Program, graph *psg.Graph, np int, useInterp boo
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	streams := make([][]recEvent, np)
+	streams := make([][]mpisim.Event, np)
 	for r, rec := range recs {
 		streams[r] = rec.events
 	}

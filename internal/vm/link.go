@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"scalana/internal/minilang"
+	"scalana/internal/mpisim"
 	"scalana/internal/psg"
 )
 
@@ -30,10 +31,10 @@ type Link struct {
 	inst *psg.Instance
 	code *Code
 
-	// ctx holds the attribution vertex per opSetCtx site; nil means the
-	// node was contracted away in this instance and the context keeps
-	// its previous value, exactly like the interpreter's setCtx.
-	ctx []*psg.Vertex
+	// ctx holds the attribution vertex's VID per opSetCtx site; NoCtx
+	// means the node was contracted away in this instance and the context
+	// keeps its previous value, exactly like the interpreter's setCtx.
+	ctx []mpisim.Ctx
 	// calls holds the callee Link per direct call site.
 	calls []*Link
 	// indirect holds the pre-materialized targets per indirect site, by
@@ -109,13 +110,16 @@ func (p *Program) link(inst *psg.Instance, links map[*psg.Instance]*Link) *Link 
 	l := &Link{
 		inst:     inst,
 		code:     code,
-		ctx:      make([]*psg.Vertex, len(code.ctxNodes)),
+		ctx:      make([]mpisim.Ctx, len(code.ctxNodes)),
 		calls:    make([]*Link, len(code.calls)),
 		indirect: make([][]*Link, len(code.indirects)),
 	}
 	links[inst] = l
 	for i, id := range code.ctxNodes {
-		l.ctx[i] = inst.VertexOf(id)
+		l.ctx[i] = mpisim.NoCtx
+		if v := inst.VertexOf(id); v != nil {
+			l.ctx[i] = mpisim.Ctx(v.VID)
+		}
 	}
 	for i := range code.calls {
 		if child := inst.CalleeInstance(code.calls[i].node); child != nil {

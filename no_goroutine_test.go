@@ -15,7 +15,9 @@ import (
 // runtime.NumGoroutine() any Advance call saw.
 type goroutineGauge struct{ peak int }
 
-func (g *goroutineGauge) Advance(*mpisim.Proc, float64, float64, mpisim.AdvanceKind, any, machine.Vec) float64 {
+var _ mpisim.AdvanceObserver = (*goroutineGauge)(nil)
+
+func (g *goroutineGauge) Advance(*mpisim.Proc, float64, float64, mpisim.AdvanceKind, mpisim.Ctx, machine.Vec) float64 {
 	if n := runtime.NumGoroutine(); n > g.peak {
 		g.peak = n
 	}

@@ -18,8 +18,9 @@ var tools = []struct {
 	newRun func(RunConfig, *psg.Graph) ToolRun
 }{
 	{Tool{"hpctk", "HPCToolkit-like call-path profiler: pure calling-context sampling, no inter-process dependence"},
-		func(cfg RunConfig, _ *psg.Graph) ToolRun {
-			return newPerRank(cfg.NP, hpctk.New, (*hpctk.Profiler).Profile, ranksAsPayload[*hpctk.RankProfile])
+		func(cfg RunConfig, g *psg.Graph) ToolRun {
+			hook := func(rank int) *hpctk.Profiler { return hpctk.New(g, rank) }
+			return newPerRank(cfg.NP, hook, (*hpctk.Profiler).Profile, ranksAsPayload[*hpctk.RankProfile])
 		}},
 	{Tool{"scalana", "graph-based profiler: sampled per-vertex performance + compressed communication dependence (the paper's tool)"}, newScalAnaRun},
 	{Tool{"tracer", "Scalasca-like tracer: every MPI event and region transition logged as a timestamped record"},
