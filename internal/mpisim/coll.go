@@ -184,9 +184,9 @@ func (p *Proc) finishCollective(t0 float64, slot *collSlot, bytes float64) {
 		// This rank was the straggler; it depends on no one here.
 		depRank, depCtx = -1, NoCtx
 	}
-	p.emit(&Event{Kind: EvCollective, Op: slot.op, Peer: -1, Bytes: bytes,
-		TStart: t0, TEnd: p.Clock, Wait: wait, DepRank: depRank, DepCtx: depCtx,
-		Collective: true, Root: slot.root})
+	ev := p.event(EvCollective, slot.op, -1, 0, bytes, t0, wait, depRank, depCtx)
+	ev.Collective, ev.Root = true, slot.root
+	p.emit(ev)
 
 	slot.reads++
 	if slot.reads == p.world.np {

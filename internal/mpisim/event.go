@@ -107,10 +107,10 @@ const (
 	OpSendrecv
 	OpWait
 	OpWaitall
-	numOps
+	NumOps
 )
 
-var opNames = [numOps]string{
+var opNames = [NumOps]string{
 	"", "mpi_allgather", "mpi_allreduce", "mpi_alltoall", "mpi_barrier",
 	"mpi_bcast", "mpi_irecv", "mpi_irecv_any", "mpi_isend", "mpi_recv",
 	"mpi_recv_any", "mpi_reduce", "mpi_send", "mpi_sendrecv", "mpi_wait",
@@ -120,6 +120,10 @@ var opNames = [numOps]string{
 // String returns the builtin's name ("" for OpNone), as the wire format
 // spells it.
 func (o Op) String() string { return opNames[o] }
+
+// MarshalText encodes o as its name, so a record holding an Op encodes
+// as one that held the name did.
+func (o Op) MarshalText() ([]byte, error) { return []byte(o.String()), nil }
 
 // OpNamed returns the Op a builtin name spells ("" is OpNone), and false
 // for a name that is not an MPI builtin. It is a scan of the table, so a

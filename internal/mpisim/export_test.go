@@ -6,3 +6,7 @@ type (
 	SendInfo = sendInfo
 	Arrival  = arrival
 )
+
+// Advance moves p's clock by dt as a compute of that length would, for
+// advance_test.go: no producer in the package makes a non-finite dt.
+func (p *Proc) Advance(dt float64) { p.advance(dt, AdvCompute, &zeroVec) }

@@ -312,7 +312,7 @@ func (p *Proc) Send(dst, tag int, bytes float64) {
 	p.mpiOverhead()
 	p.advance(bytes*netPerByte, AdvTransfer, &zeroVec)
 	p.world.matcher.postSend(p.Rank, dst, tag, bytes, p.Clock+netLatency, p.Ctx)
-	p.emit(&Event{Kind: EvSend, Op: OpSend, Peer: dst, Tag: tag, Bytes: bytes, TStart: t0, TEnd: p.Clock, DepRank: -1, DepCtx: NoCtx, Root: -1})
+	p.emit(p.event(EvSend, OpSend, dst, tag, bytes, t0, 0, -1, NoCtx))
 }
 
 // Recv is a blocking receive from a specific source.
@@ -360,8 +360,7 @@ func (p *Proc) MatchedSource() int { return int(p.cont.from) }
 func (p *Proc) finishRecv(op Op, t0 float64, tag int, info *sendInfo) {
 	wait := p.waitUntil(info.tArrive)
 	p.advance(info.bytes*netPerByte, AdvTransfer, &zeroVec)
-	p.emit(&Event{Kind: EvRecv, Op: op, Peer: info.from, Tag: tag, Bytes: info.bytes,
-		TStart: t0, TEnd: p.Clock, Wait: wait, DepRank: info.from, DepCtx: info.ctx, Root: -1})
+	p.emit(p.event(EvRecv, op, info.from, tag, info.bytes, t0, wait, info.from, info.ctx))
 }
 
 // Isend posts a non-blocking send. Eager semantics: the payload is
@@ -374,7 +373,9 @@ func (p *Proc) Isend(dst, tag int, bytes float64) *Request {
 	p.advance(bytes*netPerByte, AdvTransfer, &zeroVec)
 	p.world.matcher.postSend(p.Rank, dst, tag, bytes, p.Clock+netLatency, p.Ctx)
 	req := p.newRequest(true, dst, tag, bytes)
-	p.emit(&Event{Kind: EvIsend, Op: OpIsend, Peer: dst, Tag: tag, Bytes: bytes, TStart: t0, TEnd: p.Clock, DepRank: -1, DepCtx: NoCtx, Root: -1, ReqID: req.id})
+	ev := p.event(EvIsend, OpIsend, dst, tag, bytes, t0, 0, -1, NoCtx)
+	ev.ReqID = req.id
+	p.emit(ev)
 	return req
 }
 
@@ -387,7 +388,9 @@ func (p *Proc) Irecv(src, tag int, bytes float64) *Request {
 	p.mpiOverhead()
 	req := p.newRequest(false, src, tag, bytes)
 	req.ch, req.seq = p.world.matcher.claim(src, p.Rank, tag)
-	p.emit(&Event{Kind: EvIrecv, Op: OpIrecv, Peer: src, Tag: tag, Bytes: bytes, TStart: t0, TEnd: p.Clock, DepRank: -1, DepCtx: NoCtx, Root: -1, ReqID: req.id})
+	ev := p.event(EvIrecv, OpIrecv, src, tag, bytes, t0, 0, -1, NoCtx)
+	ev.ReqID = req.id
+	p.emit(ev)
 	return req
 }
 
@@ -398,7 +401,9 @@ func (p *Proc) IrecvAny(tag int, bytes float64) *Request {
 	t0 := p.Clock
 	p.mpiOverhead()
 	req := p.newRequest(false, AnySource, tag, bytes)
-	p.emit(&Event{Kind: EvIrecv, Op: OpIrecvAny, Peer: AnySource, Tag: tag, Bytes: bytes, TStart: t0, TEnd: p.Clock, DepRank: -1, DepCtx: NoCtx, Root: -1, ReqID: req.id})
+	ev := p.event(EvIrecv, OpIrecvAny, AnySource, tag, bytes, t0, 0, -1, NoCtx)
+	ev.ReqID = req.id
+	p.emit(ev)
 	return req
 }
 
@@ -468,8 +473,9 @@ func (p *Proc) Wait(id int) bool {
 	p.mpiOverhead()
 	if r.isSend {
 		p.dropRequest(id)
-		p.emit(&Event{Kind: EvWait, Op: OpWait, Peer: r.src, Tag: r.tag, Bytes: r.bytes,
-			TStart: t0, TEnd: p.Clock, DepRank: -1, DepCtx: NoCtx, Root: -1, Requests: 1, ReqID: id})
+		ev := p.event(EvWait, OpWait, r.src, r.tag, r.bytes, t0, 0, -1, NoCtx)
+		ev.Requests, ev.ReqID = 1, id
+		p.emit(ev)
 		return true
 	}
 	if !p.resolve(r) {
@@ -487,8 +493,9 @@ func (p *Proc) finishWait(t0 float64, r *Request, info *sendInfo) {
 	p.advance(info.bytes*netPerByte, AdvTransfer, &zeroVec)
 	id, tag := r.id, r.tag
 	p.dropRequest(id)
-	p.emit(&Event{Kind: EvWait, Op: OpWait, Peer: info.from, Tag: tag, Bytes: info.bytes,
-		TStart: t0, TEnd: p.Clock, Wait: wait, DepRank: info.from, DepCtx: info.ctx, Root: -1, Requests: 1, ReqID: id})
+	ev := p.event(EvWait, OpWait, info.from, tag, info.bytes, t0, wait, info.from, info.ctx)
+	ev.Requests, ev.ReqID = 1, id
+	p.emit(ev)
 }
 
 // Waitall completes every outstanding request of the rank. The dependence
@@ -535,9 +542,9 @@ func (p *Proc) waitallFrom() bool {
 	if c.bytes > 0 {
 		p.advance(c.bytes*netPerByte, AdvTransfer, &zeroVec)
 	}
-	p.emit(&Event{Kind: EvWaitall, Op: OpWaitall, Peer: depRank, Tag: 0, Bytes: c.bytes,
-		TStart: c.t0, TEnd: p.Clock, Wait: wait, DepRank: depRank, DepCtx: depCtx, Root: -1,
-		Requests: n, RecvRequests: int(c.nRecv)})
+	ev := p.event(EvWaitall, OpWaitall, depRank, 0, c.bytes, c.t0, wait, depRank, depCtx)
+	ev.Requests, ev.RecvRequests = n, int(c.nRecv)
+	p.emit(ev)
 	return true
 }
 
@@ -566,9 +573,9 @@ func (p *Proc) Sendrecv(dst, stag int, sbytes float64, src, rtag int, rbytes flo
 func (p *Proc) finishSendrecv(t0 float64, rtag, dst int, sbytes float64, info *sendInfo) {
 	wait := p.waitUntil(info.tArrive)
 	p.advance(info.bytes*netPerByte, AdvTransfer, &zeroVec)
-	p.emit(&Event{Kind: EvSendrecv, Op: OpSendrecv, Peer: info.from, Tag: rtag, Bytes: sbytes + info.bytes,
-		TStart: t0, TEnd: p.Clock, Wait: wait, DepRank: info.from, DepCtx: info.ctx, Root: -1,
-		SendPeer: dst, SendBytes: sbytes})
+	ev := p.event(EvSendrecv, OpSendrecv, info.from, rtag, sbytes+info.bytes, t0, wait, info.from, info.ctx)
+	ev.SendPeer, ev.SendBytes = dst, sbytes
+	p.emit(ev)
 }
 
 // Outstanding reports the number of pending requests (testing aid).

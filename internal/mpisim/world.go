@@ -43,6 +43,9 @@ type World struct {
 	// same n for every statement of every rank, so they are priced once.
 	glue   machine.Vec
 	glueDt float64
+	// kernel is the compute kernel a rank last had priced. A rank runs a
+	// loop's kernel over and over before it parks and another rank runs.
+	kernel kernel
 	// blocking is set for the length of a RunBlocking: the adapter that
 	// lets a parked operation sleep on its body's goroutine instead of
 	// returning to the stepper. Nil in every production run.
@@ -70,7 +73,7 @@ func NewWorld(cfg Config) *World {
 		reqs, free := 2*r*reqsCap, (2*r+1)*reqsCap
 		p.reqs, p.freeReqs = lists[reqs:reqs:free], lists[free:free:free+reqsCap]
 		p.rng = NewStream(cfg.Seed*7919 + int64(r) + 1)
-		p.period = math.Inf(1)
+		p.period, p.nextAt = math.Inf(1), math.Inf(1)
 		if cfg.HookFactory != nil {
 			p.attach(cfg.HookFactory(r))
 		}
@@ -167,9 +170,13 @@ type Proc struct {
 	sampler  TimerSampler
 	// The sampling timer: bucket is int64(Clock/period) as of the previous
 	// advance, and an advance that moves it has crossed that many period
-	// boundaries. Without a sampler the period is +Inf and the bucket stays
-	// 0. pmu accumulates the PMU counter deltas since the last sample.
+	// boundaries. nextAt is a clock at or below the first of bucket+1, so
+	// an advance that ends below it moved nothing and divides nothing
+	// (DESIGN.md §3); it is -Inf on a rank an AdvanceObserver watches.
+	// Without a sampler the period is +Inf and the bucket stays 0. pmu
+	// accumulates the PMU counter deltas since the last sample.
 	period float64
+	nextAt float64
 	bucket int64
 	pmu    machine.Vec
 	// rng is the rank's Rand stream. It costs nothing until drawn, and
@@ -215,26 +222,68 @@ func (p *Proc) attach(h Hook) {
 		if p.period = s.SamplePeriod(); !(p.period > 0) {
 			panic(fmt.Sprintf("mpisim: rank %d timer sampler asks for a period of %g s", p.Rank, p.period))
 		}
+		p.nextAt = bucketStart(1, p.period)
 		p.sampler = s
+	}
+	if p.observer != nil {
+		p.nextAt = math.Inf(-1) // every advance calls the hook
 	}
 }
 
+// bucketStart is a clock at or below the first clock of the given bucket
+// of the timer: one a division of which could land in it. The margin,
+// a millionth of a millionth, is far above a division's rounding.
+func bucketStart(bucket int64, period float64) float64 {
+	return float64(bucket) * period * (1 - 1e-12)
+}
+
 // advance moves the clock forward. Between timer samples, on a rank no
-// hook observes advance by advance, that is all it does.
+// hook observes advance by advance, that is all it does (quietly);
+// everything else is outlined into advanceTick.
 //
 //scalana:hot
 func (p *Proc) advance(dt float64, kind AdvanceKind, pmu *machine.Vec) {
-	if dt < 0 {
-		if dt > -1e-12 {
-			dt = 0
-		} else {
-			panic(fmt.Sprintf("mpisim: rank %d time going backwards by %g", p.Rank, -dt))
-		}
+	if !p.quietly(dt) {
+		p.advanceTick(dt, kind, pmu)
+	}
+}
+
+// quietly is advance's common case, small enough to inline into it and,
+// with advanceTick behind it as in advance, into Glue and Compute: it
+// moves the clock by dt and reports true, unless the advance must refuse
+// dt or may call the hook. An infinite dt never moves quietly, its clock
+// not being below nextAt, and no advance of an observed rank does: its
+// nextAt is -Inf.
+//
+//scalana:hot
+func (p *Proc) quietly(dt float64) bool {
+	if clock := p.Clock + dt; dt >= 0 && clock < p.nextAt {
+		p.Clock = clock
+		p.advances++
+		return true
+	}
+	return false
+}
+
+// advanceTick is an advance that may call the hook or fail the rank. A
+// step back of a rounding error's size is no step; a longer one, or a
+// non-finite one, fails the rank: the timer's gate needs a clock that is
+// finite and never decreases.
+//
+//go:noinline
+func (p *Proc) advanceTick(dt float64, kind AdvanceKind, pmu *machine.Vec) {
+	switch {
+	case math.IsNaN(dt) || math.IsInf(dt, 0):
+		panic(fmt.Sprintf("mpisim: rank %d advance by a non-finite %g s", p.Rank, dt))
+	case dt <= -1e-12:
+		panic(fmt.Sprintf("mpisim: rank %d time going backwards by %g", p.Rank, -dt))
+	case dt < 0:
+		dt = 0
 	}
 	from := p.Clock
 	p.Clock += dt
 	p.advances++
-	if int64(p.Clock/p.period) != p.bucket || p.observer != nil {
+	if p.Clock >= p.nextAt {
 		p.tick(from, kind, pmu)
 	}
 }
@@ -255,6 +304,9 @@ func (p *Proc) tick(from float64, kind AdvanceKind, pmu *machine.Vec) {
 	if bucket := int64(p.Clock / p.period); bucket != p.bucket {
 		crossings := bucket - p.bucket
 		p.bucket = bucket
+		if p.observer == nil {
+			p.nextAt = bucketStart(bucket+1, p.period)
+		}
 		owed += p.sampler.Sample(p, crossings, p.period, &p.pmu)
 		p.pmu = machine.Vec{}
 		if kind != AdvPerturb {
@@ -266,9 +318,25 @@ func (p *Proc) tick(from float64, kind AdvanceKind, pmu *machine.Vec) {
 	}
 }
 
-// emit reports one completed MPI operation to the rank's hook. The event
-// is staged in per-rank scratch storage that the next operation
-// overwrites; a hook must copy any fields it keeps (see Hook).
+// event stages the event of an operation that completed at the rank's
+// clock in the rank's scratch storage, with Root -1 and every field it is
+// not given zero, and returns it for the operation to set the rest and
+// emit. It is built in place: a 144-byte Event is not built and copied.
+//
+//scalana:hot
+func (p *Proc) event(kind EventKind, op Op, peer, tag int, bytes, t0, wait float64, depRank int, depCtx Ctx) *Event {
+	ev := &p.evScratch
+	*ev = Event{}
+	ev.Kind, ev.Op, ev.Peer, ev.Tag, ev.Bytes = kind, op, peer, tag, bytes
+	ev.TStart, ev.TEnd, ev.Wait = t0, p.Clock, wait
+	ev.DepRank, ev.DepCtx, ev.Root = depRank, depCtx, -1
+	return ev
+}
+
+// emit reports one completed MPI operation to the rank's hook. The
+// operations stage the event in per-rank scratch storage (event) that the
+// next operation overwrites; a hook must copy any fields it keeps (see
+// Hook).
 //
 //scalana:hot
 func (p *Proc) emit(ev *Event) {
@@ -281,20 +349,38 @@ func (p *Proc) emit(ev *Event) {
 	if p.hook == nil {
 		return
 	}
-	p.evScratch = *ev
-	if owed := p.hook.MPIEvent(p, &p.evScratch); owed > 0 {
+	if owed := p.hook.MPIEvent(p, ev); owed > 0 {
 		p.Perturb(owed)
 	}
 }
 
-// Compute executes application computation through the machine model.
+// kernel is one priced compute kernel: the core and the bits of the four
+// operands it was priced for, and the counter deltas and time
+// machine.Core.Compute gave. Its zero value is the price of an empty
+// kernel on the zero core, which is what Compute would give.
+type kernel struct {
+	core machine.Core
+	ops  [4]uint64
+	d    machine.Vec
+	dt   float64
+}
+
+// Compute executes application computation through the machine model. A
+// kernel its world last priced — on an equal core, with the same operands
+// bit for bit — is not priced again: the price is a function of them.
 //
 //scalana:hot
 func (p *Proc) Compute(flops, loads, stores, ws float64) {
-	var d machine.Vec
-	dt := p.Core.Compute(flops, loads, stores, ws, &d)
-	p.pmu.Add(d)
-	p.advance(dt, AdvCompute, &d)
+	k := &p.world.kernel
+	ops := [4]uint64{math.Float64bits(flops), math.Float64bits(loads), math.Float64bits(stores), math.Float64bits(ws)}
+	if ops != k.ops || p.Core != k.core {
+		k.dt = p.Core.Compute(flops, loads, stores, ws, &k.d)
+		k.core, k.ops = p.Core, ops
+	}
+	p.pmu.Add(k.d)
+	if !p.quietly(k.dt) {
+		p.advanceTick(k.dt, AdvCompute, &k.d)
+	}
 }
 
 // Glue charges n abstract bookkeeping instructions (interpreter overhead).
@@ -308,7 +394,9 @@ func (p *Proc) Glue(n float64) {
 	}
 	p.pmu[machine.TotIns] += n
 	p.pmu[machine.TotCyc] += w.glue[machine.TotCyc]
-	p.advance(w.glueDt, AdvGlue, &w.glue)
+	if !p.quietly(w.glueDt) {
+		p.advanceTick(w.glueDt, AdvGlue, &w.glue)
+	}
 }
 
 // Perturb charges virtual measurement-tool overhead. The overhead

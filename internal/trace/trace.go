@@ -21,7 +21,7 @@ const eventCost float64 = 1.6e-6
 type Record struct {
 	T      float64
 	Kind   RecordKind
-	Op     string
+	Op     mpisim.Op // OpNone on an enter or exit record
 	Vertex psg.VID
 	Peer   int
 	Tag    int
@@ -97,7 +97,7 @@ func (tr *Tracer) MPIEvent(p *mpisim.Proc, ev *mpisim.Event) float64 {
 	tr.trace.Records = append(tr.trace.Records, Record{
 		T:      ev.TEnd,
 		Kind:   RecComm,
-		Op:     ev.Op.String(),
+		Op:     ev.Op,
 		Vertex: psg.VID(ev.Ctx),
 		Peer:   ev.Peer,
 		Tag:    ev.Tag,

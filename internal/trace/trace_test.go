@@ -21,7 +21,7 @@ func TestTracerRecordsEvents(t *testing.T) {
 		t.Errorf("owed = %g", owed)
 	}
 	recs := tr.Trace().Records
-	if len(recs) != 1 || recs[0].Kind != RecComm || recs[0].Op != "mpi_recv" {
+	if len(recs) != 1 || recs[0].Kind != RecComm || recs[0].Op != mpisim.OpRecv {
 		t.Fatalf("records = %+v", recs)
 	}
 	if recs[0].Wait != 0.002 || recs[0].Dep != 1 || recs[0].T != 1.5 {

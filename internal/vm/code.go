@@ -59,34 +59,48 @@ func (v Value) format(fns []string) string {
 // interpreter's evaluation steps: every point where the tree-walker
 // charges glue, moves the attribution context, or converts a value has a
 // corresponding instruction, which is what makes the two paths emit
-// byte-identical event streams.
+// byte-identical event streams. Where the tree-walker takes several such
+// steps in a row, one instruction takes them in the same order
+// (DESIGN.md §2): a statement's prologue moves the context and charges
+// glue, a binary operator converts both its operands, and a comparison
+// that only feeds a branch is the branch.
 type op uint8
 
 const (
 	opNop op = iota
 
-	// Values and moves.
+	// Values and moves. A function's literals also sit in fixed registers
+	// (Code.lits), so an operand that is a literal costs no instruction.
 	opConst // R[a] = consts[b]
 	opMove  // R[a] = R[b]
 
 	// Attribution and accounting.
 	opSetCtx // p.Ctx = link.ctx[a] unless NoCtx
-	opGlue   // charge glueIns abstract instructions
+	opStmt   // a statement's prologue: opSetCtx a, then charge glueIns
 
 	// Control flow.
 	opJmp      // pc = a
 	opJmpFalse // if !truthy(R[a]) pc = b (num check, "condition")
 	opJmpTrue  // if truthy(R[a]) pc = b (num check, "condition")
-	opRet      // return R[a]; a < 0 returns 0
+	// Fused compare-and-branch: if !(R[a] cmp R[b]) pc = c, after checking
+	// both operands as opAdd does. A condition that is a comparison
+	// compiles to one of these instead of a compare and an opJmpFalse.
+	opJmpUnlessEq
+	opJmpUnlessNe
+	opJmpUnlessLt
+	opJmpUnlessLe
+	opJmpUnlessGt
+	opJmpUnlessGe
+	opRet // return R[a]; a < 0 returns 0
 
 	// Checks. opChkNum verifies R[a] is a number with message whats[b];
-	// it lets binary operators convert their left operand before the
-	// right operand is evaluated, exactly like the interpreter.
+	// it lets a binary operator convert its left operand before a right
+	// operand that can have an effect runs, exactly like the interpreter.
 	opChkNum
 
-	// Unary and binary arithmetic/comparison: R[c] = R[a] op R[b].
-	// Operands were verified numeric by opChkNum (or are statically
-	// numeric), so these read the word as a float64 directly.
+	// Unary and binary arithmetic/comparison: R[c] = R[a] op R[b]. Each
+	// converts its operands itself, left then right ("left operand",
+	// "right operand"), before any check of its own.
 	opNeg // R[b] = -num(R[a], "operand")
 	opNot // R[b] = bool(num(R[a], "operand") == 0)
 	opBool
@@ -113,15 +127,16 @@ const (
 	opAlloc    // R[b] = alloc(int(num(R[a], "alloc argument")))
 	opLen      // R[b] = len(R[a])
 
-	// Builtins.
-	opMath1 // R[b] = mathFns1[d](num(R[a], name+" argument"))
-	opMath2 // R[c] = mathFns2[d](num(R[a]), num(R[b]))
-	opRand  // R[a] = p.Rand()
-	opRank  // R[a] = rank
-	opSize  // R[a] = np
-	opCompute
-	opMPI   // mpi op d, args R[a..], result R[c]
-	opPrint // spec prints[a], result R[b] = 0
+	// Builtins. opCompute and opMPI first move the context to their own
+	// site, b, as an opSetCtx b would.
+	opMath1   // R[b] = mathFns1[d](num(R[a], name+" argument"))
+	opMath2   // R[c] = mathFns2[d](num(R[a]), num(R[b]))
+	opRand    // R[a] = p.Rand()
+	opRank    // R[a] = rank
+	opSize    // R[a] = np
+	opCompute // compute(R[args[a]], ..., R[args[a+3]]), result R[c]
+	opMPI     // mpisim.Op d, operands R[args[a]], R[args[a+1]], ..., result R[c]
+	opPrint   // spec prints[a], result R[b] = 0
 
 	// Calls.
 	opCall    // site a, argBase b, dst c
@@ -142,11 +157,10 @@ type instr struct {
 
 // whats are the operand-role strings used in conversion errors, indexed
 // by opChkNum's b operand.
-var whats = [...]string{"left operand", "right operand", "condition"}
+var whats = [...]string{"left operand", "condition"}
 
 const (
 	whatLeft int32 = iota
-	whatRight
 	whatCond
 )
 
@@ -167,42 +181,6 @@ const (
 )
 
 var mathNames = [...]string{"sqrt", "log", "log2", "exp", "floor", "ceil", "abs", "min", "max", "pow"}
-
-// mpiOp identifies an MPI builtin for opMPI.
-type mpiOp int32
-
-const (
-	mpiSend mpiOp = iota
-	mpiRecv
-	mpiRecvAny
-	mpiIsend
-	mpiIrecv
-	mpiIrecvAny
-	mpiWait
-	mpiWaitall
-	mpiSendrecv
-	mpiBarrier
-	mpiBcast
-	mpiReduce
-	mpiAllreduce
-	mpiAlltoall
-	mpiAllgather
-)
-
-var mpiNames = [...]string{
-	"mpi_send", "mpi_recv", "mpi_recv_any", "mpi_isend", "mpi_irecv",
-	"mpi_irecv_any", "mpi_wait", "mpi_waitall", "mpi_sendrecv",
-	"mpi_barrier", "mpi_bcast", "mpi_reduce", "mpi_allreduce",
-	"mpi_alltoall", "mpi_allgather",
-}
-
-var mpiOpByName = func() map[string]mpiOp {
-	m := make(map[string]mpiOp, len(mpiNames))
-	for i, n := range mpiNames {
-		m[n] = mpiOp(i)
-	}
-	return m
-}()
 
 // printPart is one piece of a print() call: a literal string or the
 // register holding an evaluated argument.
@@ -242,17 +220,26 @@ type Code struct {
 	fn     *minilang.FuncDecl
 	instrs []instr
 	consts []Value
-	poss   []minilang.Pos
-	names  []string // variable names for array errors
-	fns    []string // the Program's function names, by function id
+	// lits are the first consts: the function's literals, which every
+	// activation finds in registers litBase.. (after the parameters).
+	lits    []Value
+	litBase int32
+	poss    []minilang.Pos
+	names   []string // variable names for array errors
+	fns     []string // the Program's function names, by function id
 
-	// ctxNodes are the attribution sites (opSetCtx's a indexes it).
+	// ctxNodes are the attribution sites (opSetCtx's and opStmt's a,
+	// opCompute's and opMPI's b index it).
 	ctxNodes []minilang.NodeID
+	// args are the operand registers of opCompute and opMPI, each
+	// instruction's a list from its a on.
+	args []int32
 	// calls and indirects are the call-site tables (opCall/opCallInd's a).
 	calls     []callSite
 	indirects []indSite
 	prints    []printSpec
 
-	// nSlots is the frame size: parameters, locals, and temporaries.
+	// nSlots is the frame size: parameters, literals, locals, and
+	// temporaries.
 	nSlots int32
 }

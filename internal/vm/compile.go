@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"scalana/internal/minilang"
+	"scalana/internal/mpisim"
 )
 
 // The bytecode compiler lowers one function's AST to a flat register
@@ -14,13 +15,14 @@ import (
 // statement boundary.
 //
 // The compiler's contract is behavioral identity with the reference
-// tree-walker (internal/vm/difftest/interp): it emits explicit
-// opSetCtx/opGlue instructions at exactly the points the tree-walker
-// moves the attribution context and charges glue, keeps
-// the interpreter's left-to-right evaluation and conversion order
-// (opChkNum lets a binary operator convert its left operand before the
-// right operand runs), and reproduces the interpreter's panic messages
-// byte for byte. See DESIGN.md §2 for the full determinism contract.
+// tree-walker (internal/vm/difftest/interp): it moves the attribution
+// context and charges glue at exactly the points the tree-walker does
+// (opStmt, opSetCtx, and the context sites opCompute and opMPI carry),
+// keeps the interpreter's left-to-right evaluation and conversion order
+// (opChkNum lets a binary operator convert its left operand before a
+// right operand with an effect runs), and reproduces the interpreter's
+// panic messages byte for byte. See DESIGN.md §2 for the full
+// determinism contract.
 
 type scope struct {
 	names map[string]int32
@@ -39,26 +41,33 @@ type compiler struct {
 	reg    int32 // next temporary slot (>= floor)
 	loops  []*loopPatch
 
-	posIdx  map[minilang.Pos]int32
-	ctxIdx  map[minilang.NodeID]int32
-	numIdx  map[float64]int32
-	nameIdx map[string]int32
+	// moves counts the instructions emitted that can move the context
+	// away from the statement's: calls, computes and MPI operations.
+	moves int
+
+	posIdx   map[minilang.Pos]int32
+	ctxIdx   map[minilang.NodeID]int32
+	constIdx map[uint64]int32 // by the constant's bits
+	nameIdx  map[string]int32
 }
 
 // compileFunc lowers one function declaration to bytecode; fns is the
 // program's function-name table, which &name constants index.
 func compileFunc(fn *minilang.FuncDecl, fns []string) (*Code, error) {
 	c := &compiler{
-		code:    &Code{fn: fn, fns: fns},
-		posIdx:  map[minilang.Pos]int32{},
-		ctxIdx:  map[minilang.NodeID]int32{},
-		numIdx:  map[float64]int32{},
-		nameIdx: map[string]int32{},
+		code:     &Code{fn: fn, fns: fns},
+		posIdx:   map[minilang.Pos]int32{},
+		ctxIdx:   map[minilang.NodeID]int32{},
+		constIdx: map[uint64]int32{},
+		nameIdx:  map[string]int32{},
 	}
 	c.pushScope()
 	for _, p := range fn.Params {
 		c.bind(p, c.declareSlot())
 	}
+	c.code.litBase = c.floor
+	c.stmtLits(fn.Body)
+	c.code.lits = c.code.consts[:len(c.code.consts):len(c.code.consts)]
 	if err := c.block(fn.Body); err != nil {
 		return nil, err
 	}
@@ -68,6 +77,10 @@ func compileFunc(fn *minilang.FuncDecl, fns []string) (*Code, error) {
 }
 
 func (c *compiler) emit(in instr) int32 {
+	switch in.op {
+	case opCall, opCallInd, opCompute, opMPI:
+		c.moves++
+	}
 	c.code.instrs = append(c.code.instrs, in)
 	return int32(len(c.code.instrs) - 1)
 }
@@ -83,8 +96,8 @@ func (c *compiler) pos(p minilang.Pos) int32 {
 }
 
 // ctx interns an attribution site. One node can be the target of several
-// opSetCtx instructions (an if statement sets its context twice), so
-// sites are deduplicated by node ID.
+// instructions (an if statement whose condition moved the context sets it
+// twice), so sites are deduplicated by node ID.
 func (c *compiler) ctx(n minilang.Node) int32 {
 	id := n.ID()
 	if i, ok := c.ctxIdx[id]; ok {
@@ -106,24 +119,119 @@ func (c *compiler) name(s string) int32 {
 	return i
 }
 
-func (c *compiler) numConst(v float64) int32 {
-	if i, ok := c.numIdx[v]; ok {
-		return i
+// constant interns v and reports whether it was new.
+func (c *compiler) constant(v Value) (int32, bool) {
+	if i, ok := c.constIdx[v.bits()]; ok {
+		return i, false
 	}
 	i := int32(len(c.code.consts))
-	c.code.consts = append(c.code.consts, Value(v))
-	c.numIdx[v] = i
-	return i
+	c.code.consts = append(c.code.consts, v)
+	c.constIdx[v.bits()] = i
+	return i, true
 }
 
-func (c *compiler) fnConst(name string, pos minilang.Pos) (int32, error) {
+// fnValue returns the reference &name evaluates to.
+func (c *compiler) fnValue(name string, pos minilang.Pos) (Value, error) {
 	for id, fn := range c.code.fns {
 		if fn == name {
-			c.code.consts = append(c.code.consts, fnRef(int32(id)))
-			return int32(len(c.code.consts) - 1), nil
+			return fnRef(int32(id)), nil
 		}
 	}
 	return 0, fmt.Errorf("vm: %s: &%s: no such function", pos, name)
+}
+
+// literal places the literal v: in dst if one is asked for, else where it
+// already is — the register it was given when its function was compiled.
+func (c *compiler) literal(v Value, dst int32) int32 {
+	k, _ := c.constant(v)
+	if dst < 0 && k < int32(len(c.code.lits)) {
+		return c.code.litBase + k
+	}
+	r := c.place(dst)
+	c.emit(instr{op: opConst, a: r, b: k})
+	return r
+}
+
+// stmtLits and exprLits intern the literals of a function body that are
+// read where they stand — an operand, an index, a condition, a returned
+// value — in source order, as its first constants, and reserve a register
+// for each after the parameters: enter fills them, so such a literal
+// costs no instruction. A literal stored into a variable or passed as an
+// argument is still loaded by opConst, as it must be copied anyway. A
+// reference to no function is left for the compiler to report where it
+// stands.
+func (c *compiler) stmtLits(s minilang.Stmt) {
+	switch st := s.(type) {
+	case *minilang.VarDecl:
+		c.exprLits(st.Init, false)
+	case *minilang.AssignStmt:
+		c.exprLits(st.Idx, true)
+		c.exprLits(st.Val, st.Idx != nil)
+	case *minilang.ExprStmt:
+		c.exprLits(st.X, true)
+	case *minilang.ReturnStmt:
+		c.exprLits(st.Value, true)
+	case *minilang.Block:
+		for _, s := range st.Stmts {
+			c.stmtLits(s)
+		}
+	case *minilang.IfStmt:
+		c.exprLits(st.Cond, true)
+		c.stmtLits(st.Then)
+		if st.Else != nil {
+			c.stmtLits(st.Else)
+		}
+	case *minilang.ForStmt:
+		c.stmtLits(st.Init)
+		c.exprLits(st.Cond, true)
+		c.stmtLits(st.Post)
+		c.stmtLits(st.Body)
+	case *minilang.WhileStmt:
+		c.exprLits(st.Cond, true)
+		c.stmtLits(st.Body)
+	}
+}
+
+// exprLits is stmtLits for e; inPlace reports whether e is compiled with
+// no destination register (expr's dst < 0).
+func (c *compiler) exprLits(e minilang.Expr, inPlace bool) {
+	var v Value
+	switch x := e.(type) {
+	case *minilang.NumLit:
+		v = Value(x.Value)
+	case *minilang.FuncRefExpr:
+		ref, err := c.fnValue(x.Name, x.Pos())
+		if err != nil {
+			return
+		}
+		v = ref
+	case *minilang.IndexExpr:
+		c.exprLits(x.Idx, true)
+		return
+	case *minilang.UnaryExpr:
+		c.exprLits(x.X, true)
+		return
+	case *minilang.BinaryExpr:
+		c.exprLits(x.L, true)
+		c.exprLits(x.R, true)
+		return
+	case *minilang.CallExpr:
+		// A builtin other than print reads its arguments in place
+		// (operandList); a call and print copy them.
+		inPlace := x.Builtin != nil && x.Builtin.Kind != minilang.BuiltinIO
+		for _, a := range x.Args {
+			c.exprLits(a, inPlace)
+		}
+		return
+	default:
+		return
+	}
+	if !inPlace {
+		return
+	}
+	if _, isNew := c.constant(v); isNew {
+		c.declareSlot()
+	}
 }
 
 func (c *compiler) pushScope() {
@@ -174,13 +282,16 @@ func (c *compiler) grow(n int32) {
 	}
 }
 
-// setCtx emits the context move every statement begins with.
+// setCtx emits a context move: what a statement that charges no glue
+// begins with.
 func (c *compiler) setCtx(n minilang.Node) {
 	c.emit(instr{op: opSetCtx, a: c.ctx(n)})
 }
 
-func (c *compiler) glue() {
-	c.emit(instr{op: opGlue})
+// prologue emits the context move and glue charge a statement begins
+// with, as one instruction.
+func (c *compiler) prologue(n minilang.Node) {
+	c.emit(instr{op: opStmt, a: c.ctx(n)})
 }
 
 // patch points instruction i's jump target at the next emitted
@@ -188,9 +299,12 @@ func (c *compiler) glue() {
 func (c *compiler) patch(i int32) {
 	in := &c.code.instrs[i]
 	t := int32(len(c.code.instrs))
-	if in.op == opJmp {
+	switch {
+	case in.op == opJmp:
 		in.a = t
-	} else {
+	case in.op >= opJmpUnlessEq && in.op <= opJmpUnlessGe:
+		in.c = t
+	default:
 		in.b = t
 	}
 }
@@ -209,10 +323,20 @@ func (c *compiler) block(b *minilang.Block) error {
 func (c *compiler) stmt(s minilang.Stmt) error {
 	// Temporaries never outlive a statement.
 	defer func() { c.reg = c.floor }()
-	c.setCtx(s)
+	switch st := s.(type) {
+	case *minilang.VarDecl, *minilang.AssignStmt, *minilang.ExprStmt, *minilang.IfStmt:
+		c.prologue(s)
+	case *minilang.WhileStmt:
+		// The head's prologue moves the context to the loop first.
+	case *minilang.ForStmt:
+		if st.Init != nil {
+			c.setCtx(s) // what the Init keeps if its own site is contracted
+		}
+	default:
+		c.setCtx(s)
+	}
 	switch st := s.(type) {
 	case *minilang.VarDecl:
-		c.glue()
 		// The slot is reserved before the initializer runs (temporaries
 		// stay above it) but the name binds after, so the initializer
 		// resolves any same-named variable to the enclosing scope, just
@@ -223,7 +347,6 @@ func (c *compiler) stmt(s minilang.Stmt) error {
 		}
 		c.bind(st.Name, slot)
 	case *minilang.AssignStmt:
-		c.glue()
 		slot, err := c.lookup(st.Name, st.Pos())
 		if err != nil {
 			return err
@@ -249,7 +372,6 @@ func (c *compiler) stmt(s minilang.Stmt) error {
 			return err
 		}
 	case *minilang.ExprStmt:
-		c.glue()
 		if _, _, err := c.expr(st.X, -1); err != nil {
 			return err
 		}
@@ -290,19 +412,10 @@ func (c *compiler) stmt(s minilang.Stmt) error {
 }
 
 func (c *compiler) ifStmt(st *minilang.IfStmt) error {
-	c.glue()
-	cond, isNum, err := c.expr(st.Cond, -1)
+	jf, err := c.branchUnless(st.Cond, c.pos(st.Pos()), st)
 	if err != nil {
 		return err
 	}
-	p := c.pos(st.Pos())
-	if !isNum {
-		// The interpreter's truthiness check fires before the second
-		// context move; keep that order for erroring runs too.
-		c.emit(instr{op: opChkNum, a: cond, b: whatCond, pos: p})
-	}
-	c.setCtx(st)
-	jf := c.emit(instr{op: opJmpFalse, a: cond, pos: p})
 	c.reg = c.floor
 	if err := c.block(st.Then); err != nil {
 		return err
@@ -329,15 +442,13 @@ func (c *compiler) forStmt(st *minilang.ForStmt) error {
 		}
 	}
 	head := int32(len(c.code.instrs))
-	c.setCtx(st)
-	c.glue()
+	c.prologue(st)
 	var jf int32 = -1
 	if st.Cond != nil {
-		cond, _, err := c.expr(st.Cond, -1)
-		if err != nil {
+		var err error
+		if jf, err = c.branchUnless(st.Cond, c.pos(st.Pos()), nil); err != nil {
 			return err
 		}
-		jf = c.emit(instr{op: opJmpFalse, a: cond, pos: c.pos(st.Pos())})
 		c.reg = c.floor
 	}
 	l := &loopPatch{}
@@ -368,13 +479,11 @@ func (c *compiler) forStmt(st *minilang.ForStmt) error {
 
 func (c *compiler) whileStmt(st *minilang.WhileStmt) error {
 	head := int32(len(c.code.instrs))
-	c.setCtx(st)
-	c.glue()
-	cond, _, err := c.expr(st.Cond, -1)
+	c.prologue(st)
+	jf, err := c.branchUnless(st.Cond, c.pos(st.Pos()), nil)
 	if err != nil {
 		return err
 	}
-	jf := c.emit(instr{op: opJmpFalse, a: cond, pos: c.pos(st.Pos())})
 	c.reg = c.floor
 	l := &loopPatch{}
 	c.loops = append(c.loops, l)
@@ -393,6 +502,47 @@ func (c *compiler) whileStmt(st *minilang.WhileStmt) error {
 	return nil
 }
 
+// branchUnless compiles a condition and the jump taken when it is false,
+// and returns the jump for the caller to patch; p positions a truthiness
+// failure. A comparison is the jump: one fused compare-and-branch.
+//
+// An if statement passes itself as reset: the interpreter moves the
+// context back to the statement once its condition has run, before it
+// branches. Only a condition that can move the context (a call, a compute
+// or an MPI operation) needs that move; for one, the comparison and the
+// truthiness check stay separate instructions, so they still fail before
+// the move.
+func (c *compiler) branchUnless(cond minilang.Expr, p int32, reset minilang.Node) (int32, error) {
+	moves := c.moves
+	if x, ok := cond.(*minilang.BinaryExpr); ok {
+		if jo, ok := jmpUnless[x.Op]; ok {
+			l, r, err := c.operands(x)
+			if err != nil {
+				return 0, err
+			}
+			xp := c.pos(x.Pos())
+			if reset == nil || c.moves == moves {
+				return c.emit(instr{op: jo, a: l, b: r, pos: xp}), nil
+			}
+			v := c.tmp()
+			c.emit(instr{op: binOps[x.Op], a: l, b: r, c: v, pos: xp})
+			c.setCtx(reset)
+			return c.emit(instr{op: opJmpFalse, a: v, pos: p}), nil
+		}
+	}
+	v, isNum, err := c.expr(cond, -1)
+	if err != nil {
+		return 0, err
+	}
+	if reset != nil && c.moves != moves {
+		if !isNum {
+			c.emit(instr{op: opChkNum, a: v, b: whatCond, pos: p})
+		}
+		c.setCtx(reset)
+	}
+	return c.emit(instr{op: opJmpFalse, a: v, pos: p}), nil
+}
+
 // expr compiles e. dst >= 0 forces the result into that register;
 // dst < 0 lets the result live anywhere (a variable's own slot for a
 // plain reference). It reports the result register and whether the
@@ -401,9 +551,7 @@ func (c *compiler) whileStmt(st *minilang.WhileStmt) error {
 func (c *compiler) expr(e minilang.Expr, dst int32) (int32, bool, error) {
 	switch x := e.(type) {
 	case *minilang.NumLit:
-		r := c.place(dst)
-		c.emit(instr{op: opConst, a: r, b: c.numConst(x.Value)})
-		return r, true, nil
+		return c.literal(Value(x.Value), dst), true, nil
 	case *minilang.StrLit:
 		// Checked programs cannot reach this; reproduce the
 		// interpreter's runtime panic for unchecked ones.
@@ -420,13 +568,11 @@ func (c *compiler) expr(e minilang.Expr, dst int32) (int32, bool, error) {
 		c.emit(instr{op: opMove, a: dst, b: slot})
 		return dst, false, nil
 	case *minilang.FuncRefExpr:
-		k, err := c.fnConst(x.Name, x.Pos())
+		ref, err := c.fnValue(x.Name, x.Pos())
 		if err != nil {
 			return 0, false, err
 		}
-		r := c.place(dst)
-		c.emit(instr{op: opConst, a: r, b: k})
-		return r, false, nil
+		return c.literal(ref, dst), false, nil
 	case *minilang.IndexExpr:
 		slot, err := c.lookup(x.Name, x.Pos())
 		if err != nil {
@@ -484,6 +630,16 @@ var binOps = map[minilang.TokKind]op{
 	minilang.TokGe:      opGe,
 }
 
+// jmpUnless holds the fused compare-and-branch of each comparison.
+var jmpUnless = map[minilang.TokKind]op{
+	minilang.TokEq: opJmpUnlessEq,
+	minilang.TokNe: opJmpUnlessNe,
+	minilang.TokLt: opJmpUnlessLt,
+	minilang.TokLe: opJmpUnlessLe,
+	minilang.TokGt: opJmpUnlessGt,
+	minilang.TokGe: opJmpUnlessGe,
+}
+
 func (c *compiler) binary(x *minilang.BinaryExpr, dst int32) (int32, bool, error) {
 	p := c.pos(x.Pos())
 	switch x.Op {
@@ -513,7 +669,8 @@ func (c *compiler) binary(x *minilang.BinaryExpr, dst int32) (int32, bool, error
 		if x.Op == minilang.TokOrOr {
 			short = 1
 		}
-		c.emit(instr{op: opConst, a: r, b: c.numConst(short)})
+		k, _ := c.constant(Value(short))
+		c.emit(instr{op: opConst, a: r, b: k})
 		c.patch(end)
 		return r, true, nil
 	}
@@ -521,30 +678,38 @@ func (c *compiler) binary(x *minilang.BinaryExpr, dst int32) (int32, bool, error
 	if !ok {
 		return 0, false, fmt.Errorf("vm: unknown binary operator %v", x.Op)
 	}
-	l, lNum, err := c.expr(x.L, -1)
+	l, r, err := c.operands(x)
 	if err != nil {
 		return 0, false, err
-	}
-	if !lNum {
-		// The interpreter converts the left operand before evaluating
-		// the right one; check here so a non-number fails at the same
-		// point in the event stream.
-		c.emit(instr{op: opChkNum, a: l, b: whatLeft, pos: p})
-	}
-	r, rNum, err := c.expr(x.R, -1)
-	if err != nil {
-		return 0, false, err
-	}
-	if !rNum {
-		c.emit(instr{op: opChkNum, a: r, b: whatRight, pos: p})
 	}
 	d := c.place(dst)
 	c.emit(instr{op: o, a: l, b: r, c: d, pos: p})
 	return d, true, nil
 }
 
+// operands compiles a binary operator's operands, left then right. The
+// operator converts both itself; the interpreter converts the left one
+// before it evaluates the right, so the left is checked here first only
+// when that order can show — when the right operand can have an effect,
+// a call's or an error of its own. A variable or a literal has none.
+func (c *compiler) operands(x *minilang.BinaryExpr) (l, r int32, err error) {
+	l, lNum, err := c.expr(x.L, -1)
+	if err != nil {
+		return 0, 0, err
+	}
+	switch x.R.(type) {
+	case *minilang.VarRef, *minilang.NumLit, *minilang.FuncRefExpr:
+	default:
+		if !lNum {
+			c.emit(instr{op: opChkNum, a: l, b: whatLeft, pos: c.pos(x.Pos())})
+		}
+	}
+	r, _, err = c.expr(x.R, -1)
+	return l, r, err
+}
+
 // args compiles a call's arguments into a fresh contiguous register
-// block and returns its base.
+// block, which the callee's frame is copied from, and returns its base.
 func (c *compiler) args(list []minilang.Expr) (int32, error) {
 	base := c.reg
 	c.reg += int32(len(list))
@@ -557,6 +722,26 @@ func (c *compiler) args(list []minilang.Expr) (int32, error) {
 		c.reg = top // release argument subexpression temporaries
 	}
 	return base, nil
+}
+
+// operandList compiles a builtin's arguments, left to right, each to
+// wherever it lands — a variable's slot, a literal's register, a
+// temporary kept live to the end of the statement — and returns the index
+// in code.args of the list of those registers. No argument can change a
+// variable another one read, so none is copied.
+func (c *compiler) operandList(list []minilang.Expr) (int32, error) {
+	var buf [6]int32 // the most a builtin takes
+	regs := buf[:0]
+	for _, a := range list {
+		r, _, err := c.expr(a, -1)
+		if err != nil {
+			return 0, err
+		}
+		regs = append(regs, r)
+	}
+	start := int32(len(c.code.args))
+	c.code.args = append(c.code.args, regs...)
+	return start, nil
 }
 
 func (c *compiler) call(x *minilang.CallExpr, dst int32) (int32, bool, error) {
@@ -596,18 +781,17 @@ func (c *compiler) builtin(x *minilang.CallExpr, dst int32) (int32, bool, error)
 		return c.print(x, dst)
 	case minilang.BuiltinComm:
 		r := c.place(dst)
-		base, err := c.args(x.Args)
+		ops, err := c.operandList(x.Args)
 		if err != nil {
 			return 0, false, err
 		}
-		mop, ok := mpiOpByName[b.Name]
-		if !ok {
+		mop, ok := mpisim.OpNamed(b.Name)
+		if !ok || mop == mpisim.OpNone {
 			return 0, false, fmt.Errorf("vm: unhandled MPI builtin %q", b.Name)
 		}
 		// Arguments evaluate under the enclosing context; the operation
 		// itself runs at the MPI vertex.
-		c.setCtx(x)
-		c.emit(instr{op: opMPI, a: base, c: r, d: int32(mop), pos: p})
+		c.emit(instr{op: opMPI, a: ops, b: c.ctx(x), c: r, d: int32(mop), pos: p})
 		return r, true, nil
 	case minilang.BuiltinQuery:
 		r := c.place(dst)
@@ -619,20 +803,19 @@ func (c *compiler) builtin(x *minilang.CallExpr, dst int32) (int32, bool, error)
 		return r, true, nil
 	case minilang.BuiltinCompute:
 		r := c.place(dst)
-		base, err := c.args(x.Args)
+		ops, err := c.operandList(x.Args)
 		if err != nil {
 			return 0, false, err
 		}
-		c.setCtx(x)
-		c.emit(instr{op: opCompute, a: base, c: r, pos: p})
+		c.emit(instr{op: opCompute, a: ops, b: c.ctx(x), c: r, pos: p})
 		return r, true, nil
 	case minilang.BuiltinAlloc:
-		base, err := c.args(x.Args)
+		v, _, err := c.expr(x.Args[0], -1)
 		if err != nil {
 			return 0, false, err
 		}
 		r := c.place(dst)
-		c.emit(instr{op: opAlloc, a: base, b: r, pos: p})
+		c.emit(instr{op: opAlloc, a: v, b: r, pos: p})
 		return r, false, nil
 	case minilang.BuiltinMath:
 		switch b.Name {
@@ -641,27 +824,28 @@ func (c *compiler) builtin(x *minilang.CallExpr, dst int32) (int32, bool, error)
 			c.emit(instr{op: opRand, a: r})
 			return r, true, nil
 		case "len":
-			base, err := c.args(x.Args)
+			v, _, err := c.expr(x.Args[0], -1)
 			if err != nil {
 				return 0, false, err
 			}
 			r := c.place(dst)
-			c.emit(instr{op: opLen, a: base, b: r, pos: p})
+			c.emit(instr{op: opLen, a: v, b: r, pos: p})
 			return r, true, nil
 		}
 		for i, n := range mathNames {
 			if n != b.Name {
 				continue
 			}
-			base, err := c.args(x.Args)
+			ops, err := c.operandList(x.Args)
 			if err != nil {
 				return 0, false, err
 			}
+			args := c.code.args[ops:]
 			r := c.place(dst)
 			if b.Arity == 2 {
-				c.emit(instr{op: opMath2, a: base, b: base + 1, c: r, d: int32(i), pos: p})
+				c.emit(instr{op: opMath2, a: args[0], b: args[1], c: r, d: int32(i), pos: p})
 			} else {
-				c.emit(instr{op: opMath1, a: base, b: r, d: int32(i), pos: p})
+				c.emit(instr{op: opMath1, a: args[0], b: r, d: int32(i), pos: p})
 			}
 			return r, true, nil
 		}

@@ -154,3 +154,43 @@ func TestArrayBudgetFailsTheRank(t *testing.T) {
 		t.Errorf("output %q, want %q", out.Stdout, want)
 	}
 }
+
+// TestFusedFormsFailAsTheOracleDoes: the instructions that take several of
+// the interpreter's steps at once — a compare-and-branch, an operator
+// reading a literal's register, an operator checking its own operands —
+// fail as the steps did, with the same positioned text, a reference on
+// either side of each and a literal zero divisor included. Where the right
+// operand can fail on its own (a[5]) the left one is still converted first.
+func TestFusedFormsFailAsTheOracleDoes(t *testing.T) {
+	const fns = "func f() { }\nfunc g(v) { mpi_barrier(); return v; }\n"
+	for body, want := range map[string]string{
+		"var h = &f; if (h < 1) { }":                             `4:20: left operand must be a number, got &f`,
+		"var h = &f; if (1 >= h) { }":                            `4:20: right operand must be a number, got &f`,
+		"if (&f == 0) { }":                                       `4:9: left operand must be a number, got &f`,
+		"var h = &f; while (h != 0) { }":                         `4:23: left operand must be a number, got &f`,
+		"for (var i = 0; i < &f; i = i + 1) { }":                 `4:20: right operand must be a number, got &f`,
+		"for (var i = &g; i <= 3; i = i + 1) { }":                `4:21: left operand must be a number, got &g`,
+		"var h = &f; if (g(1) > h) { }":                          `4:23: right operand must be a number, got &f`,
+		"var h = &f; if (h > g(1)) { }":                          `4:20: left operand must be a number, got &f`,
+		"var a = alloc(2); var h = &f; if (h < a[5]) { }":        `4:38: left operand must be a number, got &f`,
+		"var a = alloc(2); var h = &f; var x = h + a[5];":        `4:42: left operand must be a number, got &f`,
+		"var x = 1 + &f;":                                        `4:12: right operand must be a number, got &f`,
+		"var h = &g; var x = 2 * h;":                             `4:24: right operand must be a number, got &g`,
+		"var h = &g; var x = h - 0.5;":                           `4:24: left operand must be a number, got &g`,
+		"var x = mpi_rank() / 0;":                                `4:21: division by zero`,
+		"var x = mpi_size() % 0;":                                `4:21: modulo by zero`,
+		"var h = &f; var x = h / 0;":                             `4:24: left operand must be a number, got &f`,
+		"var x = 0 % &f;":                                        `4:12: right operand must be a number, got &f`,
+		"compute(1, 1, 1, &f);":                                  `4:2: compute argument must be a number, got &f`,
+		"var a = alloc(2); mpi_allreduce(a);":                    `4:20: mpi_allreduce argument must be a number, got array[2]`,
+		"var a = alloc(2); if (len(a) == 2 && a) { }":            `4:36: condition must be a number, got array[2]`,
+		"var a = alloc(2); if (g(a)) { }":                        `4:20: condition must be a number, got array[2]`,
+		"var a = alloc(2); var s = 0; if (s < 1) { s = a + 1; }": `4:50: left operand must be a number, got array[2]`,
+	} {
+		src := fns + "func main() {\n\t" + body + "\n}\n"
+		prog := minilang.MustParse("r.mp", src)
+		if _, err := runBoth(t, prog, psg.MustBuild(prog), 1); err == nil || err.Error() != "rank 0: r.mp:"+want {
+			t.Errorf("%q: error %v, want %q", body, err, "rank 0: r.mp:"+want)
+		}
+	}
+}

@@ -65,6 +65,7 @@ func (r *Runner) Stepper(np int) mpisim.Stepper {
 		m.r = r
 		m.regs = regs[i*nRegs : (i+1)*nRegs : (i+1)*nRegs]
 		m.calls = append(calls[i*nCalls:i*nCalls:(i+1)*nCalls], frame{l: main})
+		copy(m.regs[main.code.litBase:], main.code.lits)
 		m.steps, m.arrLeft = MaxSteps, MaxArrayElems
 	}
 	return func(p *mpisim.Proc) bool { return machines[p.Rank].step(p) }
@@ -113,13 +114,13 @@ func (m *machine) arr(v Value) []float64 {
 // Precomputed conversion-role strings so the hot path never
 // concatenates (the messages only surface in panics).
 var (
-	mpiArgWhats  [len(mpiNames)]string
+	mpiArgWhats  [mpisim.NumOps]string
 	mathArgWhats [len(mathNames)]string
 )
 
 func init() {
-	for i, n := range mpiNames {
-		mpiArgWhats[i] = n + " argument"
+	for o := range mpiArgWhats {
+		mpiArgWhats[o] = mpisim.Op(o).String() + " argument"
 	}
 	for i, n := range mathNames {
 		mathArgWhats[i] = n + " argument"
@@ -155,6 +156,36 @@ func truthy(v Value, code *Code, pos int32) bool {
 	return num(v, code, pos, "condition") != 0
 }
 
+// operands converts a binary operator's operands, left then right, with
+// the interpreter's texts: num for two, with one test for both.
+//
+//scalana:hot
+func operands(l, r Value, code *Code, pos int32) (float64, float64) {
+	if l != l || r != r {
+		chkOperands(l, r, code, pos)
+	}
+	return float64(l), float64(r)
+}
+
+// chkOperands is operands' slow half, as chkNaN is num's.
+//
+//go:noinline
+func chkOperands(l, r Value, code *Code, pos int32) {
+	chkNaN(l, code, pos, "left operand")
+	chkNaN(r, code, pos, "right operand")
+}
+
+// moveCtx points p at an attribution site's vertex; a site contracted
+// away in this instance (NoCtx) leaves the context as it was, as the
+// interpreter's setCtx does.
+//
+//scalana:hot
+func moveCtx(p *mpisim.Proc, l *Link, site int32) {
+	if v := l.ctx[site]; v != mpisim.NoCtx {
+		p.Ctx = v
+	}
+}
+
 // boolVal converts a Go bool to the VM's numeric truth values.
 //
 //scalana:hot
@@ -165,7 +196,8 @@ func boolVal(b bool) Value {
 	return 0
 }
 
-// enter pushes an activation of l with args as its first registers. dst
+// enter pushes an activation of l with args as its first registers and its
+// literals in theirs. dst
 // and pos belong to the call site: where the value goes, and where a call
 // too deep is reported.
 //
@@ -185,6 +217,7 @@ func (m *machine) enter(l *Link, args []Value, dst int32, pos *minilang.Pos) {
 		m.regs = grown
 	}
 	copy(m.regs[base:], args)
+	copy(m.regs[base+l.code.litBase:], l.code.lits)
 	m.calls = append(m.calls, frame{l: l, base: base, dst: dst})
 }
 
@@ -241,7 +274,7 @@ func (m *machine) step(p *mpisim.Proc) bool {
 		pc := int(fr.pc)
 	dispatch:
 		for {
-			in := instrs[pc]
+			in := &instrs[pc]
 			pc++
 			switch in.op {
 			case opNop:
@@ -250,10 +283,9 @@ func (m *machine) step(p *mpisim.Proc) bool {
 			case opMove:
 				f[in.a] = f[in.b]
 			case opSetCtx:
-				if v := l.ctx[in.a]; v != mpisim.NoCtx {
-					p.Ctx = v
-				}
-			case opGlue:
+				moveCtx(p, l, in.a)
+			case opStmt:
+				moveCtx(p, l, in.a)
 				p.Glue(glueIns)
 			case opJmp:
 				if int(in.a) < pc {
@@ -267,6 +299,30 @@ func (m *machine) step(p *mpisim.Proc) bool {
 			case opJmpTrue:
 				if truthy(f[in.a], code, in.pos) {
 					pc = int(in.b)
+				}
+			case opJmpUnlessEq:
+				if x, y := operands(f[in.a], f[in.b], code, in.pos); !(x == y) {
+					pc = int(in.c)
+				}
+			case opJmpUnlessNe:
+				if x, y := operands(f[in.a], f[in.b], code, in.pos); !(x != y) {
+					pc = int(in.c)
+				}
+			case opJmpUnlessLt:
+				if x, y := operands(f[in.a], f[in.b], code, in.pos); !(x < y) {
+					pc = int(in.c)
+				}
+			case opJmpUnlessLe:
+				if x, y := operands(f[in.a], f[in.b], code, in.pos); !(x <= y) {
+					pc = int(in.c)
+				}
+			case opJmpUnlessGt:
+				if x, y := operands(f[in.a], f[in.b], code, in.pos); !(x > y) {
+					pc = int(in.c)
+				}
+			case opJmpUnlessGe:
+				if x, y := operands(f[in.a], f[in.b], code, in.pos); !(x >= y) {
+					pc = int(in.c)
 				}
 			case opRet:
 				var v Value
@@ -290,33 +346,44 @@ func (m *machine) step(p *mpisim.Proc) bool {
 			case opBool:
 				f[in.b] = boolVal(truthy(f[in.a], code, in.pos))
 			case opAdd:
-				f[in.c] = f[in.a] + f[in.b]
+				x, y := operands(f[in.a], f[in.b], code, in.pos)
+				f[in.c] = Value(x + y)
 			case opSub:
-				f[in.c] = f[in.a] - f[in.b]
+				x, y := operands(f[in.a], f[in.b], code, in.pos)
+				f[in.c] = Value(x - y)
 			case opMul:
-				f[in.c] = f[in.a] * f[in.b]
+				x, y := operands(f[in.a], f[in.b], code, in.pos)
+				f[in.c] = Value(x * y)
 			case opDiv:
-				if f[in.b] == 0 {
+				x, y := operands(f[in.a], f[in.b], code, in.pos)
+				if y == 0 {
 					panic(fmt.Sprintf("%s: division by zero", code.poss[in.pos]))
 				}
-				f[in.c] = f[in.a] / f[in.b]
+				f[in.c] = Value(x / y)
 			case opMod:
-				if f[in.b] == 0 {
+				x, y := operands(f[in.a], f[in.b], code, in.pos)
+				if y == 0 {
 					panic(fmt.Sprintf("%s: modulo by zero", code.poss[in.pos]))
 				}
-				f[in.c] = Value(math.Mod(float64(f[in.a]), float64(f[in.b])))
+				f[in.c] = Value(math.Mod(x, y))
 			case opEq:
-				f[in.c] = boolVal(f[in.a] == f[in.b])
+				x, y := operands(f[in.a], f[in.b], code, in.pos)
+				f[in.c] = boolVal(x == y)
 			case opNe:
-				f[in.c] = boolVal(f[in.a] != f[in.b])
+				x, y := operands(f[in.a], f[in.b], code, in.pos)
+				f[in.c] = boolVal(x != y)
 			case opLt:
-				f[in.c] = boolVal(f[in.a] < f[in.b])
+				x, y := operands(f[in.a], f[in.b], code, in.pos)
+				f[in.c] = boolVal(x < y)
 			case opLe:
-				f[in.c] = boolVal(f[in.a] <= f[in.b])
+				x, y := operands(f[in.a], f[in.b], code, in.pos)
+				f[in.c] = boolVal(x <= y)
 			case opGt:
-				f[in.c] = boolVal(f[in.a] > f[in.b])
+				x, y := operands(f[in.a], f[in.b], code, in.pos)
+				f[in.c] = boolVal(x > y)
 			case opGe:
-				f[in.c] = boolVal(f[in.a] >= f[in.b])
+				x, y := operands(f[in.a], f[in.b], code, in.pos)
+				f[in.c] = boolVal(x >= y)
 
 			case opArrChk:
 				if !f[in.a].isArr() {
@@ -386,20 +453,22 @@ func (m *machine) step(p *mpisim.Proc) bool {
 			case opSize:
 				f[in.a] = Value(p.NP())
 			case opCompute:
-				b := in.a
-				n0 := num(f[b], code, in.pos, "compute argument")
-				n1 := num(f[b+1], code, in.pos, "compute argument")
-				n2 := num(f[b+2], code, in.pos, "compute argument")
-				n3 := num(f[b+3], code, in.pos, "compute argument")
+				moveCtx(p, l, in.b)
+				ops := code.args[in.a : in.a+4 : in.a+4]
+				n0 := num(f[ops[0]], code, in.pos, "compute argument")
+				n1 := num(f[ops[1]], code, in.pos, "compute argument")
+				n2 := num(f[ops[2]], code, in.pos, "compute argument")
+				n3 := num(f[ops[3]], code, in.pos, "compute argument")
 				p.Compute(n0, n1, n2, n3)
 				f[in.c] = 0
 			case opMPI:
-				if !m.mpi(p, code, f, in) {
+				moveCtx(p, l, in.b)
+				if !m.mpi(p, code, f, *in) {
 					fr.pc = int32(pc)
 					return false
 				}
 			case opPrint:
-				m.print(p, code, f, in)
+				m.print(p, code, f, *in)
 
 			case opCall:
 				cs := &code.calls[in.a]
@@ -443,7 +512,8 @@ func (m *machine) step(p *mpisim.Proc) bool {
 	}
 }
 
-// mpi dispatches one MPI builtin. Argument conversion order and error
+// mpi dispatches one MPI builtin, its operands in the registers code.args
+// lists from in.a on. Argument conversion order and error
 // roles match the interpreter's evalMPI exactly. It reports false when the
 // operation parked: the result register is already written (the source of
 // a RecvAny follows through anyReg), so the program continues at the next
@@ -452,88 +522,88 @@ func (m *machine) step(p *mpisim.Proc) bool {
 //scalana:hot
 func (m *machine) mpi(p *mpisim.Proc, code *Code, f []Value, in instr) bool {
 	pos := in.pos
-	o := mpiOp(in.d)
+	o := mpisim.Op(in.d)
 	what := mpiArgWhats[o]
-	b := in.a
+	ops := code.args[in.a:]
 	switch o {
-	case mpiSend:
-		a0 := int(num(f[b], code, pos, what))
-		a1 := int(num(f[b+1], code, pos, what))
-		a2 := num(f[b+2], code, pos, what)
+	case mpisim.OpSend:
+		a0 := int(num(f[ops[0]], code, pos, what))
+		a1 := int(num(f[ops[1]], code, pos, what))
+		a2 := num(f[ops[2]], code, pos, what)
 		p.Send(a0, a1, a2)
 		f[in.c] = 0
-	case mpiRecv:
-		a0 := int(num(f[b], code, pos, what))
-		a1 := int(num(f[b+1], code, pos, what))
-		a2 := num(f[b+2], code, pos, what)
+	case mpisim.OpRecv:
+		a0 := int(num(f[ops[0]], code, pos, what))
+		a1 := int(num(f[ops[1]], code, pos, what))
+		a2 := num(f[ops[2]], code, pos, what)
 		f[in.c] = 0
 		return p.Recv(a0, a1, a2)
-	case mpiRecvAny:
-		a0 := int(num(f[b], code, pos, what))
-		a1 := num(f[b+1], code, pos, what)
+	case mpisim.OpRecvAny:
+		a0 := int(num(f[ops[0]], code, pos, what))
+		a1 := num(f[ops[1]], code, pos, what)
 		src := p.RecvAny(a0, a1)
 		if src == mpisim.Parked {
 			m.anyReg = in.c + 1
 			return false
 		}
 		f[in.c] = Value(src)
-	case mpiIsend:
-		a0 := int(num(f[b], code, pos, what))
-		a1 := int(num(f[b+1], code, pos, what))
-		a2 := num(f[b+2], code, pos, what)
+	case mpisim.OpIsend:
+		a0 := int(num(f[ops[0]], code, pos, what))
+		a1 := int(num(f[ops[1]], code, pos, what))
+		a2 := num(f[ops[2]], code, pos, what)
 		f[in.c] = Value(p.Isend(a0, a1, a2).ID())
-	case mpiIrecv:
-		a0 := int(num(f[b], code, pos, what))
-		a1 := int(num(f[b+1], code, pos, what))
-		a2 := num(f[b+2], code, pos, what)
+	case mpisim.OpIrecv:
+		a0 := int(num(f[ops[0]], code, pos, what))
+		a1 := int(num(f[ops[1]], code, pos, what))
+		a2 := num(f[ops[2]], code, pos, what)
 		f[in.c] = Value(p.Irecv(a0, a1, a2).ID())
-	case mpiIrecvAny:
-		a0 := int(num(f[b], code, pos, what))
-		a1 := num(f[b+1], code, pos, what)
+	case mpisim.OpIrecvAny:
+		a0 := int(num(f[ops[0]], code, pos, what))
+		a1 := num(f[ops[1]], code, pos, what)
 		f[in.c] = Value(p.IrecvAny(a0, a1).ID())
-	case mpiWait:
-		a0 := int(num(f[b], code, pos, what))
+	case mpisim.OpWait:
+		a0 := int(num(f[ops[0]], code, pos, what))
 		f[in.c] = 0
 		return p.Wait(a0)
-	case mpiWaitall:
+	case mpisim.OpWaitall:
 		f[in.c] = 0
 		return p.Waitall()
-	case mpiSendrecv:
-		a0 := int(num(f[b], code, pos, what))
-		a1 := int(num(f[b+1], code, pos, what))
-		a2 := num(f[b+2], code, pos, what)
-		a3 := int(num(f[b+3], code, pos, what))
-		a4 := int(num(f[b+4], code, pos, what))
-		a5 := num(f[b+5], code, pos, what)
+	case mpisim.OpSendrecv:
+		a0 := int(num(f[ops[0]], code, pos, what))
+		a1 := int(num(f[ops[1]], code, pos, what))
+		a2 := num(f[ops[2]], code, pos, what)
+		a3 := int(num(f[ops[3]], code, pos, what))
+		a4 := int(num(f[ops[4]], code, pos, what))
+		a5 := num(f[ops[5]], code, pos, what)
 		f[in.c] = 0
 		return p.Sendrecv(a0, a1, a2, a3, a4, a5)
-	case mpiBarrier:
+	case mpisim.OpBarrier:
 		f[in.c] = 0
 		return p.Barrier()
-	case mpiBcast:
-		a0 := int(num(f[b], code, pos, what))
-		a1 := num(f[b+1], code, pos, what)
+	case mpisim.OpBcast:
+		a0 := int(num(f[ops[0]], code, pos, what))
+		a1 := num(f[ops[1]], code, pos, what)
 		f[in.c] = 0
 		return p.Bcast(a0, a1)
-	case mpiReduce:
-		a0 := int(num(f[b], code, pos, what))
-		a1 := num(f[b+1], code, pos, what)
+	case mpisim.OpReduce:
+		a0 := int(num(f[ops[0]], code, pos, what))
+		a1 := num(f[ops[1]], code, pos, what)
 		f[in.c] = 0
 		return p.Reduce(a0, a1)
-	case mpiAllreduce:
-		a0 := num(f[b], code, pos, what)
+	case mpisim.OpAllreduce:
+		a0 := num(f[ops[0]], code, pos, what)
 		f[in.c] = 0
 		return p.Allreduce(a0)
-	case mpiAlltoall:
-		a0 := num(f[b], code, pos, what)
+	case mpisim.OpAlltoall:
+		a0 := num(f[ops[0]], code, pos, what)
 		f[in.c] = 0
 		return p.Alltoall(a0)
-	case mpiAllgather:
-		a0 := num(f[b], code, pos, what)
+	case mpisim.OpAllgather:
+		a0 := num(f[ops[0]], code, pos, what)
 		f[in.c] = 0
 		return p.Allgather(a0)
 	default:
-		panic(fmt.Sprintf("vm: unhandled MPI builtin %q", mpiNames[o]))
+		panic(fmt.Sprintf("vm: unhandled MPI builtin %q", o))
 	}
 	return true
 }

@@ -12,7 +12,11 @@ package vm_test
 // into the generated main (valueProbe): arrays, function references and
 // NaN arithmetic — what the VM's one-word register boxes and the oracle's
 // struct does not. Their effects reach the event streams as byte counts and
-// branches, and print(), which both engines must write byte for byte.
+// branches, and print(), which both engines must write byte for byte. The
+// second input's high bit splices one statement more that fails the run
+// (faultProbe) where a fused instruction takes the oracle's steps: a
+// reference compared by a branch or added to a literal, a literal zero
+// divisor. Both engines must then fail with the same text.
 
 import (
 	"bytes"
@@ -32,12 +36,28 @@ import (
 
 // recorder copies every event out of the simulator's reusable scratch
 // storage (the Event pointer is only valid during the call). An Event
-// holds no pointer, so whole streams compare with reflect.DeepEqual.
-type recorder struct{ events []mpisim.Event }
+// holds no pointer, so whole streams compare with reflect.DeepEqual. It
+// also keeps the context of every advance, as the advance at which each
+// context began: what a sample taken anywhere would be attributed to.
+type recorder struct {
+	events []mpisim.Event
+	ctxs   []ctxFrom
+	n      int // advances seen
+}
+
+// ctxFrom is a context and the advance it began at.
+type ctxFrom struct {
+	advance int
+	ctx     mpisim.Ctx
+}
 
 var _ mpisim.AdvanceObserver = (*recorder)(nil)
 
 func (r *recorder) Advance(p *mpisim.Proc, from, to float64, kind mpisim.AdvanceKind, ctx mpisim.Ctx, pmu machine.Vec) float64 {
+	if len(r.ctxs) == 0 || r.ctxs[len(r.ctxs)-1].ctx != ctx {
+		r.ctxs = append(r.ctxs, ctxFrom{r.n, ctx})
+	}
+	r.n++
 	return 0
 }
 
@@ -85,9 +105,29 @@ func vpThrice(n) { return 3 * n; }
 `
 }
 
+// faultProbes are the statements faultProbe picks from.
+var faultProbes = [...]string{
+	"var vpG = &vpSame;\n\tif (vpG < 1) { mpi_barrier(); }",
+	"for (var vpI = 0; vpI < &vpSame; vpI = vpI + 1) { mpi_barrier(); }",
+	"var vpS = 1 + &vpTwice;",
+	"var vpD = mpi_rank() / 0;",
+	"var vpM = mpi_size() % 0;",
+}
+
+// faultProbe returns src, already through valueProbe with values, with
+// faultProbes[n % 5] after the probe statements, n being values' upper
+// five bits, and the functions they call appended if valueProbe did not.
+func faultProbe(src string, values uint8) string {
+	stmt := "\t" + faultProbes[int(values>>3)%len(faultProbes)] + "\n"
+	if values&(probeArrays|probeFnRefs|probeNaNs) == 0 {
+		src += "\nfunc vpSame(v) { return v; }\nfunc vpTwice(n) { return 2 * n; }\n"
+	}
+	return strings.Replace(src, "func main() {\n", "func main() {\n"+stmt, 1)
+}
+
 // runRecorded executes the program once on a fresh world and returns the
-// per-rank event streams, final clocks and print() output.
-func runRecorded(prog *minilang.Program, graph *psg.Graph, np int, useInterp bool) ([][]mpisim.Event, []float64, []byte, error) {
+// per-rank recorders, final clocks and print() output.
+func runRecorded(prog *minilang.Program, graph *psg.Graph, np int, useInterp bool) ([]*recorder, []float64, []byte, error) {
 	var stdout bytes.Buffer
 	recs := make([]*recorder, np)
 	world := mpisim.NewWorld(mpisim.Config{
@@ -119,11 +159,7 @@ func runRecorded(prog *minilang.Program, graph *psg.Graph, np int, useInterp boo
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	streams := make([][]mpisim.Event, np)
-	for r, rec := range recs {
-		streams[r] = rec.events
-	}
-	return streams, res.Clocks, stdout.Bytes(), nil
+	return recs, res.Clocks, stdout.Bytes(), nil
 }
 
 func FuzzVMvsInterp(f *testing.F) {
@@ -133,17 +169,22 @@ func FuzzVMvsInterp(f *testing.F) {
 	f.Add(int64(42), uint8(5), uint8(0))
 	f.Add(int64(1234567), uint8(2), uint8(0))
 	f.Add(int64(5), uint8(3), uint8(probeArrays|probeFnRefs|probeNaNs|9<<3))
+	f.Add(int64(6), uint8(0x80|4), uint8(probeNaNs|2<<3))
 	f.Fuzz(func(t *testing.T, seed int64, npRaw, values uint8) {
 		corpus, err := synth.Generate(synth.GenConfig{Seed: seed, Cases: 1})
 		if err != nil {
 			t.Skip() // generator rejects the seed; nothing to compare
 		}
 		app := corpus.Cases[0].App()
-		np := 2 + int(npRaw)%7
+		np := 2 + int(npRaw&0x7F)%7
 		if np < app.MinNP {
 			np = app.MinNP
 		}
-		prog, err := minilang.Parse(app.File, valueProbe(app.Source, values))
+		src, faults := valueProbe(app.Source, values), npRaw&0x80 != 0
+		if faults {
+			src = faultProbe(src, values)
+		}
+		prog, err := minilang.Parse(app.File, src)
 		if err != nil {
 			t.Fatalf("generated program does not parse: %v", err)
 		}
@@ -152,13 +193,16 @@ func FuzzVMvsInterp(f *testing.F) {
 			t.Fatalf("generated program does not build a PSG: %v", err)
 		}
 
-		vmStreams, vmClocks, vmOut, vmErr := runRecorded(prog, graph, np, false)
-		inStreams, inClocks, inOut, inErr := runRecorded(prog, graph, np, true)
+		vmRecs, vmClocks, vmOut, vmErr := runRecorded(prog, graph, np, false)
+		inRecs, inClocks, inOut, inErr := runRecorded(prog, graph, np, true)
 		// Failed runs abort ranks at racy points, so streams are only
 		// comparable for successful runs; both engines must still agree
 		// on whether the run fails.
 		if (vmErr != nil) != (inErr != nil) {
 			t.Fatalf("engines disagree on failure: vm err=%v, interp err=%v", vmErr, inErr)
+		}
+		if faults && (vmErr == nil || vmErr.Error() != inErr.Error()) {
+			t.Fatalf("the fault probe: vm err=%v, interp err=%v, want one error", vmErr, inErr)
 		}
 		if vmErr != nil {
 			return
@@ -173,13 +217,17 @@ func FuzzVMvsInterp(f *testing.F) {
 			t.Fatalf("final clocks diverge:\nvm:     %v\ninterp: %v", vmClocks, inClocks)
 		}
 		for r := 0; r < np; r++ {
-			if len(vmStreams[r]) != len(inStreams[r]) {
-				t.Fatalf("rank %d: vm emitted %d events, interp %d", r, len(vmStreams[r]), len(inStreams[r]))
+			vmEvs, inEvs := vmRecs[r].events, inRecs[r].events
+			if len(vmEvs) != len(inEvs) {
+				t.Fatalf("rank %d: vm emitted %d events, interp %d", r, len(vmEvs), len(inEvs))
 			}
-			for i := range vmStreams[r] {
-				if vmStreams[r][i] != inStreams[r][i] {
-					t.Fatalf("rank %d event %d diverges:\nvm:     %+v\ninterp: %+v", r, i, vmStreams[r][i], inStreams[r][i])
+			for i := range vmEvs {
+				if vmEvs[i] != inEvs[i] {
+					t.Fatalf("rank %d event %d diverges:\nvm:     %+v\ninterp: %+v", r, i, vmEvs[i], inEvs[i])
 				}
+			}
+			if vm, in := vmRecs[r], inRecs[r]; vm.n != in.n || !reflect.DeepEqual(vm.ctxs, in.ctxs) {
+				t.Fatalf("rank %d: the contexts of the advances diverge:\nvm:     %d advances, %v\ninterp: %d advances, %v", r, vm.n, vm.ctxs, in.n, in.ctxs)
 			}
 		}
 	})

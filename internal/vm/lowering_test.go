@@ -171,6 +171,9 @@ func reachableInstrs(code *Code) []bool {
 			case opJmpFalse, opJmpTrue:
 				stack = append(stack, in.b)
 				pc++
+			case opJmpUnlessEq, opJmpUnlessNe, opJmpUnlessLt, opJmpUnlessLe, opJmpUnlessGt, opJmpUnlessGe:
+				stack = append(stack, in.c)
+				pc++
 			case opRet:
 				pc = int32(len(code.instrs))
 			default:
