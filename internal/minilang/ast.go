@@ -176,6 +176,11 @@ type Program struct {
 	nodes  int // total number of AST nodes allocated
 }
 
+// Nodes returns how many AST nodes the parser made. It numbers them from
+// 1 in source order, so a function's nodes are the IDs from its own up to
+// the next function's, and the last function's run to Nodes.
+func (p *Program) Nodes() int { return p.nodes }
+
 // Func returns the function declared with the given name, or nil.
 func (p *Program) Func(name string) *FuncDecl {
 	return p.byName[name]

@@ -11,7 +11,7 @@ import (
 // use. It mutates CallExpr nodes in place (Builtin/Indirect fields) and
 // records the address-taken functions in prog.AddressTaken.
 func Check(prog *Program) error {
-	c := &checker{prog: prog}
+	c := &checker{prog: prog, inner: map[string]int{}}
 	for _, fn := range prog.Funcs {
 		c.checkFunc(fn)
 	}
@@ -29,42 +29,73 @@ func Check(prog *Program) error {
 	return nil
 }
 
+// checker's scopes are marks on one binding stack: binds holds every
+// variable declared in the open scopes, innermost last, and marks[i] is
+// where scope i begins in it. inner maps a name to its innermost binding,
+// each of which records the one it shadows, so declaring, looking up and
+// closing a scope cost a map operation a binding, however wide the scope.
 type checker struct {
-	prog   *Program
-	errs   []error
-	scopes []map[string]bool
-	loops  int
-	taken  []string // every &name, in visit order
+	prog  *Program
+	errs  []error
+	binds []binding
+	marks []int
+	inner map[string]int
+	loops int
+	taken []string // every &name, in visit order
+}
+
+// binding is a declared variable; shadows is the index in checker.binds
+// of the binding of the same name it hides, or -1.
+type binding struct {
+	name    string
+	shadows int
 }
 
 func (c *checker) errorf(pos Pos, format string, args ...any) {
 	c.errs = append(c.errs, fmt.Errorf("%s: %s", pos, fmt.Sprintf(format, args...)))
 }
 
-func (c *checker) push() { c.scopes = append(c.scopes, map[string]bool{}) }
-func (c *checker) pop()  { c.scopes = c.scopes[:len(c.scopes)-1] }
+func (c *checker) push() { c.marks = append(c.marks, len(c.binds)) }
+
+func (c *checker) pop() {
+	mark := c.marks[len(c.marks)-1]
+	for i := len(c.binds) - 1; i >= mark; i-- {
+		if b := c.binds[i]; b.shadows < 0 {
+			delete(c.inner, b.name)
+		} else {
+			c.inner[b.name] = b.shadows
+		}
+	}
+	c.binds = c.binds[:mark]
+	c.marks = c.marks[:len(c.marks)-1]
+}
+
+// bind declares name in the innermost scope.
+func (c *checker) bind(name string) {
+	shadows, ok := c.inner[name]
+	if !ok {
+		shadows = -1
+	}
+	c.inner[name] = len(c.binds)
+	c.binds = append(c.binds, binding{name, shadows})
+}
 
 func (c *checker) declare(name string, pos Pos) {
-	top := c.scopes[len(c.scopes)-1]
-	if top[name] {
+	if i, ok := c.inner[name]; ok && i >= c.marks[len(c.marks)-1] {
 		c.errorf(pos, "variable %q redeclared in this scope", name)
 	}
-	top[name] = true
+	c.bind(name)
 }
 
 func (c *checker) declared(name string) bool {
-	for i := len(c.scopes) - 1; i >= 0; i-- {
-		if c.scopes[i][name] {
-			return true
-		}
-	}
-	return false
+	_, ok := c.inner[name]
+	return ok
 }
 
 func (c *checker) checkFunc(fn *FuncDecl) {
 	c.push()
 	for _, p := range fn.Params {
-		c.scopes[len(c.scopes)-1][p] = true
+		c.bind(p)
 	}
 	c.checkBlock(fn.Body)
 	c.pop()

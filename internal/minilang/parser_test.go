@@ -1,8 +1,11 @@
 package minilang
 
 import (
+	"fmt"
+	"math"
 	"strings"
 	"testing"
+	"time"
 )
 
 func parseOK(t *testing.T, src string) *Program {
@@ -163,6 +166,72 @@ func main() {
 	}
 }
 `)
+}
+
+// TestScopesCloseAndRestoreShadowed: closing a scope drops its names and
+// brings back the ones they shadowed, so a name is redeclared only within
+// its own scope and is undeclared once its scope has closed.
+func TestScopesCloseAndRestoreShadowed(t *testing.T) {
+	parseOK(t, `
+func f(a, b) { var a = b; { var a = 1; var b = a; } return a + b; }
+func main() {
+	var x = 1;
+	{ var x = 2; { var x = x + 1; } x = 4; }
+	x = 5;
+	for (var i = 0; i < 2; i = i + 1) { var i = 7; }
+	var i = f(x, 2);
+}
+`)
+	parseErr(t, `func main() { { var z = 1; } z = 2; }`, `t.mp:1:30: assignment to undeclared variable "z"`)
+	parseErr(t, `func main() { var x = 1; { var x = 2; } var x = 3; }`, `t.mp:1:41: variable "x" redeclared in this scope`)
+	parseErr(t, `func main() { for (var i = 0; i < 2; i = i + 1) { } i = 1; }`, `undeclared variable "i"`)
+	parseErr(t, `func main() { var y = y; }`, `undeclared variable "y"`)
+}
+
+// TestWideScopeChecksInLinearTime: a declaration and a use each cost the
+// checker a map operation, not a scan of the open bindings, so n
+// declarations, each reading the first, check about as fast in one scope
+// as in blocks of ten, where a scan makes the one scope over fifteen
+// times slower at this n.
+func TestWideScopeChecksInLinearTime(t *testing.T) {
+	const n = 20_000
+	parse := func(src string) func() {
+		return func() {
+			if _, err := Parse("wide.mp", src); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	wide, narrow := fastest(parse(declarations(n, n))), fastest(parse(declarations(n, 10)))
+	if ratio := float64(wide) / float64(narrow); ratio > 8 {
+		t.Errorf("parsing %d declarations in one scope takes %v, %.1f times the %v in blocks of ten", n, wide, ratio, narrow)
+	}
+}
+
+// declarations returns a main of n declarations, each but the first
+// reading the first, in blocks of width.
+func declarations(n, width int) string {
+	var b strings.Builder
+	b.WriteString("func main() {\n\tvar a0 = 0;\n\t{\n")
+	for i := 1; i < n; i++ {
+		if i%width == 0 {
+			b.WriteString("\t}\n\t{\n")
+		}
+		fmt.Fprintf(&b, "\t\tvar a%d = a0;\n", i)
+	}
+	b.WriteString("\t}\n}\n")
+	return b.String()
+}
+
+// fastest returns the least of five timings of f.
+func fastest(f func()) time.Duration {
+	least := time.Duration(math.MaxInt64)
+	for range 5 {
+		start := time.Now()
+		f()
+		least = min(least, time.Since(start))
+	}
+	return least
 }
 
 func TestNodeIDsUnique(t *testing.T) {

@@ -2,6 +2,7 @@ package psg
 
 import (
 	"fmt"
+	"strconv"
 	"sync"
 
 	"scalana/internal/minilang"
@@ -191,6 +192,24 @@ type builder struct {
 	// err is the first direct call to a function the program does not
 	// define; the walk skips such calls and Build returns it.
 	err error
+	// buf is where key and path spell a name before it becomes a string.
+	buf []byte
+}
+
+// key returns the key of the vertex of node n in inst: the instance's
+// path, ':', the node's ID.
+func (b *builder) key(inst *Instance, n minilang.Node) string {
+	b.buf = append(append(b.buf[:0], inst.Path...), ':')
+	b.buf = strconv.AppendInt(b.buf, int64(n.ID()), 10)
+	return string(b.buf)
+}
+
+// path returns the path of the instance of fn called at site in inst:
+// the caller's path, '/', the site's ID, '@', the callee's name.
+func (b *builder) path(inst *Instance, site minilang.NodeID, fn string) string {
+	b.buf = append(append(b.buf[:0], inst.Path...), '/')
+	b.buf = append(append(strconv.AppendInt(b.buf, int64(site), 10), '@'), fn...)
+	return string(b.buf)
 }
 
 type stackEntry struct {
@@ -222,7 +241,7 @@ func (b *builder) compVertex(inst *Instance, n minilang.Node) *Vertex {
 		Inst:        inst,
 		SiteNode:    n.ID(),
 		MergedNodes: []minilang.NodeID{n.ID()},
-		Key:         fmt.Sprintf("%s:%d", inst.Path, n.ID()),
+		Key:         b.key(inst, n),
 	}
 }
 
@@ -276,7 +295,7 @@ func (b *builder) walkStmt(inst *Instance, s minilang.Stmt, parent *Vertex) {
 			Pos:      st.Pos(),
 			Inst:     inst,
 			SiteNode: st.ID(),
-			Key:      fmt.Sprintf("%s:%d", inst.Path, st.ID()),
+			Key:      b.key(inst, st),
 		})
 		inst.vertexOf[st.ID()] = v
 		b.walkBlock(inst, st.Then, v)
@@ -294,7 +313,7 @@ func (b *builder) walkStmt(inst *Instance, s minilang.Stmt, parent *Vertex) {
 			Pos:      st.Pos(),
 			Inst:     inst,
 			SiteNode: st.ID(),
-			Key:      fmt.Sprintf("%s:%d", inst.Path, st.ID()),
+			Key:      b.key(inst, st),
 		})
 		inst.vertexOf[st.ID()] = v
 		if st.Cond != nil {
@@ -315,7 +334,7 @@ func (b *builder) walkStmt(inst *Instance, s minilang.Stmt, parent *Vertex) {
 			Pos:      st.Pos(),
 			Inst:     inst,
 			SiteNode: st.ID(),
-			Key:      fmt.Sprintf("%s:%d", inst.Path, st.ID()),
+			Key:      b.key(inst, st),
 		})
 		inst.vertexOf[st.ID()] = v
 		b.walkExpr(inst, st.Cond, v)
@@ -374,7 +393,7 @@ func (b *builder) walkCall(inst *Instance, call *minilang.CallExpr, parent *Vert
 			Pos:          call.Pos(),
 			Inst:         inst,
 			SiteNode:     call.ID(),
-			Key:          fmt.Sprintf("%s:%d", inst.Path, call.ID()),
+			Key:          b.key(inst, call),
 			IndirectSite: true,
 		})
 		inst.vertexOf[call.ID()] = v
@@ -388,7 +407,7 @@ func (b *builder) walkCall(inst *Instance, call *minilang.CallExpr, parent *Vert
 				Pos:      call.Pos(),
 				Inst:     inst,
 				SiteNode: call.ID(),
-				Key:      fmt.Sprintf("%s:%d", inst.Path, call.ID()),
+				Key:      b.key(inst, call),
 			})
 			inst.vertexOf[call.ID()] = v
 			return
@@ -409,14 +428,14 @@ func (b *builder) walkCall(inst *Instance, call *minilang.CallExpr, parent *Vert
 				Pos:         call.Pos(),
 				Inst:        inst,
 				SiteNode:    call.ID(),
-				Key:         fmt.Sprintf("%s:%d", inst.Path, call.ID()),
+				Key:         b.key(inst, call),
 				RecursiveTo: rec,
 			})
 			inst.vertexOf[call.ID()] = v
 			inst.calls[call.ID()] = rec
 			return
 		}
-		child := b.g.newInstance(inst, callee, fmt.Sprintf("%s/%d@%s", inst.Path, call.ID(), call.Name))
+		child := b.g.newInstance(inst, callee, b.path(inst, call.ID(), call.Name))
 		inst.calls[call.ID()] = child
 		inst.vertexOf[call.ID()] = parent
 		b.stack = append(b.stack, stackEntry{name: call.Name, inst: child})
@@ -430,7 +449,7 @@ func (b *builder) walkCall(inst *Instance, call *minilang.CallExpr, parent *Vert
 			Pos:        call.Pos(),
 			Inst:       inst,
 			SiteNode:   call.ID(),
-			Key:        fmt.Sprintf("%s:%d", inst.Path, call.ID()),
+			Key:        b.key(inst, call),
 			Builtin:    call.Builtin,
 			Collective: call.Builtin.Collective,
 		})

@@ -29,20 +29,31 @@ func containsComm(v *Vertex, memo map[*Vertex]bool) bool {
 	return r
 }
 
+// contraction is one contractSubtree's state. memo caches containsComm,
+// replaced maps each removed vertex to the one that took it over, and
+// scratch is a stack the vertices being transformed gather their kept
+// children on: a vertex's list sits above its ancestors' and is gone
+// before they go on.
+type contraction struct {
+	g        *Graph
+	memo     map[*Vertex]bool
+	replaced map[*Vertex]*Vertex
+	scratch  []*Vertex
+}
+
 // contractSubtree contracts the subtree rooted at v in place. baseDepth is
 // the number of Loop vertices enclosing v (0 for the root). After the
 // transformation, every instance's node attribution is redirected to the
 // surviving vertices.
 func (g *Graph) contractSubtree(v *Vertex, baseDepth int) {
-	memo := map[*Vertex]bool{}
-	replaced := map[*Vertex]*Vertex{}
-	g.transformChildren(v, baseDepth, memo, replaced)
-	if len(replaced) == 0 {
+	k := &contraction{g: g, memo: map[*Vertex]bool{}, replaced: map[*Vertex]*Vertex{}}
+	k.transformChildren(v, baseDepth)
+	if len(k.replaced) == 0 {
 		return
 	}
 	chase := func(x *Vertex) *Vertex {
 		for {
-			r, ok := replaced[x]
+			r, ok := k.replaced[x]
 			if !ok {
 				return x
 			}
@@ -50,39 +61,41 @@ func (g *Graph) contractSubtree(v *Vertex, baseDepth int) {
 		}
 	}
 	for _, inst := range g.instances {
-		for k, vx := range inst.vertexOf {
-			inst.vertexOf[k] = chase(vx)
+		for id, vx := range inst.vertexOf {
+			inst.vertexOf[id] = chase(vx)
 		}
 	}
 }
 
-func (g *Graph) transformChildren(v *Vertex, loopDepth int, memo map[*Vertex]bool, replaced map[*Vertex]*Vertex) {
-	process := func(children []*Vertex) []*Vertex {
-		var kept []*Vertex
+func (k *contraction) transformChildren(v *Vertex, loopDepth int) {
+	// process contracts children onto the scratch stack and merges
+	// consecutive Comp vertices there, in place.
+	process := func(children []*Vertex) {
+		base := len(k.scratch)
 		for _, c := range children {
 			switch c.Kind {
 			case KindLoop:
-				if !containsComm(c, memo) && loopDepth+1 > g.Opts.MaxLoopDepth {
-					kept = append(kept, g.flatten(c, replaced))
+				if !containsComm(c, k.memo) && loopDepth+1 > k.g.Opts.MaxLoopDepth {
+					k.scratch = append(k.scratch, k.g.flatten(c, k.replaced))
 					continue
 				}
-				g.transformChildren(c, loopDepth+1, memo, replaced)
-				kept = append(kept, c)
+				k.transformChildren(c, loopDepth+1)
+				k.scratch = append(k.scratch, c)
 			case KindCall:
 				// Indirect call sites carry pre-materialized target
 				// subtrees; contract them in place (the Call vertex itself
 				// is always preserved).
-				g.transformChildren(c, loopDepth, memo, replaced)
-				kept = append(kept, c)
+				k.transformChildren(c, loopDepth)
+				k.scratch = append(k.scratch, c)
 			case KindBranch:
-				if !containsComm(c, memo) {
+				if !containsComm(c, k.memo) {
 					// A branch without MPI is not preserved, but loops
 					// inside it are ("we only preserve Loop because
 					// computation produced by loop iterations may dominate
 					// performance"): contract the branch body, then hoist
 					// its children in place of the branch. The branch's own
 					// bookkeeping collapses into a Comp vertex.
-					g.transformChildren(c, loopDepth, memo, replaced)
+					k.transformChildren(c, loopDepth)
 					comp := &Vertex{
 						Kind:        KindComp,
 						Name:        "comp",
@@ -92,43 +105,49 @@ func (g *Graph) transformChildren(v *Vertex, loopDepth int, memo map[*Vertex]boo
 						Key:         c.Key,
 						MergedNodes: append([]minilang.NodeID{c.SiteNode}, c.MergedNodes...),
 					}
-					replaced[c] = comp
-					kept = append(kept, comp)
-					kept = append(kept, c.Children...)
+					k.replaced[c] = comp
+					k.scratch = append(k.scratch, comp)
+					k.scratch = append(k.scratch, c.Children...)
 					continue
 				}
-				g.transformChildren(c, loopDepth, memo, replaced)
-				kept = append(kept, c)
+				k.transformChildren(c, loopDepth)
+				k.scratch = append(k.scratch, c)
 			default:
-				kept = append(kept, c)
+				k.scratch = append(k.scratch, c)
 			}
 		}
 		// Merge consecutive Comp vertices (paper: "merge continuous
 		// vertices into a larger vertex").
-		var merged []*Vertex
-		for _, c := range kept {
-			if c.Kind == KindComp && len(merged) > 0 && merged[len(merged)-1].Kind == KindComp {
-				last := merged[len(merged)-1]
+		n := base
+		for _, c := range k.scratch[base:] {
+			if c.Kind == KindComp && n > base && k.scratch[n-1].Kind == KindComp {
+				last := k.scratch[n-1]
 				last.MergedNodes = append(last.MergedNodes, c.MergedNodes...)
-				replaced[c] = last
+				k.replaced[c] = last
 				continue
 			}
 			c.Parent = v
-			merged = append(merged, c)
+			k.scratch[n] = c
+			n++
 		}
-		return merged
+		k.scratch = k.scratch[:n]
 	}
 
+	base := len(k.scratch)
 	if v.Kind == KindBranch {
 		// Never merge Comp vertices across the then/else boundary.
-		then := process(v.Children[:v.ElseStart])
-		els := process(v.Children[v.ElseStart:])
-		v.Children = append(then, els...)
-		v.ElseStart = len(then)
+		els := v.Children[v.ElseStart:]
+		process(v.Children[:v.ElseStart])
+		v.ElseStart = len(k.scratch) - base
+		process(els)
 	} else {
-		v.Children = process(v.Children)
-		v.ElseStart = len(v.Children)
+		process(v.Children)
+		v.ElseStart = len(k.scratch) - base
 	}
+	// The old children are all on the stack now, so their array can take
+	// the new ones when it is large enough.
+	v.Children = append(v.Children[:0], k.scratch[base:]...)
+	k.scratch = k.scratch[:base]
 }
 
 // flatten replaces a structure vertex (and its whole subtree) by a single

@@ -40,8 +40,8 @@ func (g *Graph) materialize(inst *Instance, site minilang.NodeID, cv *Vertex, ta
 		}
 	}
 
-	child := g.newInstance(inst, fn, fmt.Sprintf("%s/%d@%s", inst.Path, site, target))
 	b := &builder{g: g}
+	child := g.newInstance(inst, fn, b.path(inst, site, target))
 	// Seed the inlining stack with the ancestry so that direct recursion
 	// inside the materialized subtree is still detected.
 	for p := inst; p != nil; p = g.parents[p] {

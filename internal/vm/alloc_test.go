@@ -2,12 +2,15 @@ package vm_test
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 	"unsafe"
 
+	"scalana/internal/apps"
 	"scalana/internal/minilang"
 	"scalana/internal/mpisim"
 	"scalana/internal/psg"
@@ -121,5 +124,85 @@ func TestRegisterIsOneWord(t *testing.T) {
 	}
 	if _, err := mpisim.NewWorld(mpisim.Config{NP: np, Seed: 1}).Run(step); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCompileAllocBound gates what a cold compile of zeusmp allocates:
+// parse, psg.Build and Compile. Each allocates a program's worth of
+// objects, not one a token, a scope or a key: the lexer reads the source
+// in place, a scope is a mark on one binding stack with one name map, one
+// compiler and its interning maps serve every function, whose tables are
+// sized from its node count, and a PSG key is one allocation. 814
+// objects, and the budget 8 % above (1,429 when each of those allocated
+// on its own).
+// The race runtime allocates on its own account, so the count is gated
+// only without it.
+func TestCompileAllocBound(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not gated under the race detector")
+	}
+	const budget = 879
+	src := apps.Get("zeusmp").Source
+	allocs := testing.AllocsPerRun(20, func() {
+		prog, err := minilang.Parse("zeusmp.mp", src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		graph, err := psg.Build(prog, psg.DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := vm.Compile(prog, graph); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > budget {
+		t.Errorf("a cold compile of zeusmp allocates %.0f objects, want at most %d", allocs, budget)
+	}
+}
+
+// TestWideScopeCompilesInLinearTime: a use costs the compiler a map read
+// and a binding a map write, not a scan of the open bindings, so n
+// declarations, each reading the first, compile about as fast in one
+// scope as in blocks of ten, where a scan makes the one scope over forty
+// times slower at this n.
+func TestWideScopeCompilesInLinearTime(t *testing.T) {
+	const n = 20_000
+	compile := func(width int) func() {
+		var src strings.Builder
+		src.WriteString("func main() {\n\tvar a0 = 0;\n\t{\n")
+		for i := 1; i < n; i++ {
+			if i%width == 0 {
+				src.WriteString("\t}\n\t{\n")
+			}
+			fmt.Fprintf(&src, "\t\tvar a%d = a0;\n", i)
+		}
+		src.WriteString("\t}\n}\n")
+		prog, err := minilang.Parse("wide.mp", src.String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		graph, err := psg.Build(prog, psg.DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return func() {
+			if _, err := vm.Compile(prog, graph); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	fastest := func(f func()) time.Duration {
+		least := time.Duration(math.MaxInt64)
+		for range 5 {
+			start := time.Now()
+			f()
+			least = min(least, time.Since(start))
+		}
+		return least
+	}
+	wide, narrow := fastest(compile(n)), fastest(compile(10))
+	if ratio := float64(wide) / float64(narrow); ratio > 8 {
+		t.Errorf("compiling %d declarations in one scope takes %v, %.1f times the %v in blocks of ten", n, wide, ratio, narrow)
 	}
 }

@@ -93,8 +93,8 @@ const (
 	opJmpUnlessGe
 	opRet // return R[a]; a < 0 returns 0
 
-	// Checks. opChkNum verifies R[a] is a number with message whats[b];
-	// it lets a binary operator convert its left operand before a right
+	// Checks. opChkNum verifies R[a] is a number as a left operand: it
+	// lets a binary operator convert its left operand before a right
 	// operand that can have an effect runs, exactly like the interpreter.
 	opChkNum
 
@@ -154,15 +154,6 @@ type instr struct {
 	a, b, c, d int32
 	pos        int32
 }
-
-// whats are the operand-role strings used in conversion errors, indexed
-// by opChkNum's b operand.
-var whats = [...]string{"left operand", "condition"}
-
-const (
-	whatLeft int32 = iota
-	whatCond
-)
 
 // mathFn identifies a math builtin for opMath1/opMath2.
 type mathFn int32

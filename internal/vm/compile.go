@@ -24,9 +24,19 @@ import (
 // panic messages byte for byte. See DESIGN.md §2 for the full
 // determinism contract.
 
+// binding is a variable's slot; shadows is the index in compiler.binds of
+// the binding of the same name it hides, or -1. A scope is a mark on one
+// stack of them: where its bindings begin, and the locals watermark to
+// restore on exit.
+type binding struct {
+	name    string
+	slot    int32
+	shadows int32
+}
+
 type scope struct {
-	names map[string]int32
-	floor int32 // locals watermark to restore on exit
+	base  int
+	floor int32
 }
 
 type loopPatch struct {
@@ -34,16 +44,22 @@ type loopPatch struct {
 	continues []int32 // instruction indices whose target is the continue point
 }
 
+// compiler lowers the functions of one program, one at a time: its
+// binding stack, name map, loop stack and interning maps are emptied, not
+// remade, between functions.
 type compiler struct {
 	code   *Code
+	fns    []string
+	binds  []binding
 	scopes []scope
-	floor  int32 // next local slot
-	reg    int32 // next temporary slot (>= floor)
-	loops  []*loopPatch
-
-	// moves counts the instructions emitted that can move the context
-	// away from the statement's: calls, computes and MPI operations.
-	moves int
+	// inner maps a name to its innermost binding, so a lookup is one map
+	// read however many bindings are open.
+	inner map[string]int32
+	floor int32 // next local slot
+	reg   int32 // next temporary slot (>= floor)
+	// loops holds the open loops' patch lists, innermost last; a closed
+	// loop's lists stay past the end, to be reused.
+	loops []loopPatch
 
 	posIdx   map[minilang.Pos]int32
 	ctxIdx   map[minilang.NodeID]int32
@@ -51,16 +67,40 @@ type compiler struct {
 	nameIdx  map[string]int32
 }
 
-// compileFunc lowers one function declaration to bytecode; fns is the
-// program's function-name table, which &name constants index.
-func compileFunc(fn *minilang.FuncDecl, fns []string) (*Code, error) {
-	c := &compiler{
-		code:     &Code{fn: fn, fns: fns},
+// newCompiler returns a compiler for a program whose function-name table,
+// which &name constants index, is fns.
+func newCompiler(fns []string) *compiler {
+	return &compiler{
+		fns:      fns,
+		inner:    map[string]int32{},
 		posIdx:   map[minilang.Pos]int32{},
 		ctxIdx:   map[minilang.NodeID]int32{},
 		constIdx: map[uint64]int32{},
 		nameIdx:  map[string]int32{},
 	}
+}
+
+// compileFunc lowers one function declaration of nodes AST nodes to
+// bytecode. Its tables are sized from that count: across the bundled
+// apps and the committed corpus a function compiles to at most 0.9
+// instructions a node and at most half a position, a site and a constant
+// a node.
+func (c *compiler) compileFunc(fn *minilang.FuncDecl, nodes int) (*Code, error) {
+	c.code = &Code{
+		fn:       fn,
+		fns:      c.fns,
+		instrs:   make([]instr, 0, nodes+1),
+		poss:     make([]minilang.Pos, 0, nodes/2+1),
+		ctxNodes: make([]minilang.NodeID, 0, nodes/2+1),
+		consts:   make([]Value, 0, nodes/2+1),
+	}
+	c.binds, c.scopes, c.loops = c.binds[:0], c.scopes[:0], c.loops[:0]
+	c.floor, c.reg = 0, 0
+	clear(c.inner)
+	clear(c.posIdx)
+	clear(c.ctxIdx)
+	clear(c.constIdx)
+	clear(c.nameIdx)
 	c.pushScope()
 	for _, p := range fn.Params {
 		c.bind(p, c.declareSlot())
@@ -77,10 +117,6 @@ func compileFunc(fn *minilang.FuncDecl, fns []string) (*Code, error) {
 }
 
 func (c *compiler) emit(in instr) int32 {
-	switch in.op {
-	case opCall, opCallInd, opCompute, opMPI:
-		c.moves++
-	}
 	c.code.instrs = append(c.code.instrs, in)
 	return int32(len(c.code.instrs) - 1)
 }
@@ -95,9 +131,7 @@ func (c *compiler) pos(p minilang.Pos) int32 {
 	return i
 }
 
-// ctx interns an attribution site. One node can be the target of several
-// instructions (an if statement whose condition moved the context sets it
-// twice), so sites are deduplicated by node ID.
+// ctx interns an attribution site, deduplicated by node ID.
 func (c *compiler) ctx(n minilang.Node) int32 {
 	id := n.ID()
 	if i, ok := c.ctxIdx[id]; ok {
@@ -132,7 +166,7 @@ func (c *compiler) constant(v Value) (int32, bool) {
 
 // fnValue returns the reference &name evaluates to.
 func (c *compiler) fnValue(name string, pos minilang.Pos) (Value, error) {
-	for id, fn := range c.code.fns {
+	for id, fn := range c.fns {
 		if fn == name {
 			return fnRef(int32(id)), nil
 		}
@@ -235,12 +269,20 @@ func (c *compiler) exprLits(e minilang.Expr, inPlace bool) {
 }
 
 func (c *compiler) pushScope() {
-	c.scopes = append(c.scopes, scope{names: map[string]int32{}, floor: c.floor})
+	c.scopes = append(c.scopes, scope{base: len(c.binds), floor: c.floor})
 }
 
 func (c *compiler) popScope() {
 	s := c.scopes[len(c.scopes)-1]
 	c.scopes = c.scopes[:len(c.scopes)-1]
+	for i := len(c.binds) - 1; i >= s.base; i-- {
+		if b := c.binds[i]; b.shadows < 0 {
+			delete(c.inner, b.name)
+		} else {
+			c.inner[b.name] = b.shadows
+		}
+	}
+	c.binds = c.binds[:s.base]
 	c.floor = s.floor
 	c.reg = c.floor
 }
@@ -257,14 +299,18 @@ func (c *compiler) declareSlot() int32 {
 }
 
 func (c *compiler) bind(name string, slot int32) {
-	c.scopes[len(c.scopes)-1].names[name] = slot
+	shadows, ok := c.inner[name]
+	if !ok {
+		shadows = -1
+	}
+	c.inner[name] = int32(len(c.binds))
+	c.binds = append(c.binds, binding{name, slot, shadows})
 }
 
+// lookup resolves name innermost first, so a shadowing binding wins.
 func (c *compiler) lookup(name string, pos minilang.Pos) (int32, error) {
-	for i := len(c.scopes) - 1; i >= 0; i-- {
-		if slot, ok := c.scopes[i].names[name]; ok {
-			return slot, nil
-		}
+	if i, ok := c.inner[name]; ok {
+		return c.binds[i].slot, nil
 	}
 	return 0, fmt.Errorf("vm: %s: undefined variable %q", pos, name)
 }
@@ -389,13 +435,13 @@ func (c *compiler) stmt(s minilang.Stmt) error {
 		if len(c.loops) == 0 {
 			return fmt.Errorf("vm: %s: break outside loop", st.Pos())
 		}
-		l := c.loops[len(c.loops)-1]
+		l := &c.loops[len(c.loops)-1]
 		l.breaks = append(l.breaks, c.emit(instr{op: opJmp}))
 	case *minilang.ContinueStmt:
 		if len(c.loops) == 0 {
 			return fmt.Errorf("vm: %s: continue outside loop", st.Pos())
 		}
-		l := c.loops[len(c.loops)-1]
+		l := &c.loops[len(c.loops)-1]
 		l.continues = append(l.continues, c.emit(instr{op: opJmp}))
 	case *minilang.Block:
 		return c.block(st)
@@ -412,7 +458,7 @@ func (c *compiler) stmt(s minilang.Stmt) error {
 }
 
 func (c *compiler) ifStmt(st *minilang.IfStmt) error {
-	jf, err := c.branchUnless(st.Cond, c.pos(st.Pos()), st)
+	jf, err := c.branchUnless(st.Cond, c.pos(st.Pos()))
 	if err != nil {
 		return err
 	}
@@ -446,17 +492,15 @@ func (c *compiler) forStmt(st *minilang.ForStmt) error {
 	var jf int32 = -1
 	if st.Cond != nil {
 		var err error
-		if jf, err = c.branchUnless(st.Cond, c.pos(st.Pos()), nil); err != nil {
+		if jf, err = c.branchUnless(st.Cond, c.pos(st.Pos())); err != nil {
 			return err
 		}
 		c.reg = c.floor
 	}
-	l := &loopPatch{}
-	c.loops = append(c.loops, l)
-	if err := c.block(st.Body); err != nil {
+	l, err := c.loopBody(st.Body)
+	if err != nil {
 		return err
 	}
-	c.loops = c.loops[:len(c.loops)-1]
 	// The continue point: the post statement if present, else the back
 	// jump to the head.
 	for _, i := range l.continues {
@@ -480,17 +524,15 @@ func (c *compiler) forStmt(st *minilang.ForStmt) error {
 func (c *compiler) whileStmt(st *minilang.WhileStmt) error {
 	head := int32(len(c.code.instrs))
 	c.prologue(st)
-	jf, err := c.branchUnless(st.Cond, c.pos(st.Pos()), nil)
+	jf, err := c.branchUnless(st.Cond, c.pos(st.Pos()))
 	if err != nil {
 		return err
 	}
 	c.reg = c.floor
-	l := &loopPatch{}
-	c.loops = append(c.loops, l)
-	if err := c.block(st.Body); err != nil {
+	l, err := c.loopBody(st.Body)
+	if err != nil {
 		return err
 	}
-	c.loops = c.loops[:len(c.loops)-1]
 	for _, i := range l.continues {
 		c.code.instrs[i].a = head
 	}
@@ -502,43 +544,48 @@ func (c *compiler) whileStmt(st *minilang.WhileStmt) error {
 	return nil
 }
 
+// loopBody compiles a loop's body and returns the jumps its break and
+// continue statements left for the caller to patch. The lists reuse the
+// storage of a loop closed before.
+func (c *compiler) loopBody(body *minilang.Block) (loopPatch, error) {
+	n := len(c.loops)
+	if n < cap(c.loops) {
+		c.loops = c.loops[:n+1]
+		l := &c.loops[n]
+		l.breaks, l.continues = l.breaks[:0], l.continues[:0]
+	} else {
+		c.loops = append(c.loops, loopPatch{})
+	}
+	err := c.block(body)
+	l := c.loops[n]
+	c.loops = c.loops[:n]
+	return l, err
+}
+
 // branchUnless compiles a condition and the jump taken when it is false,
 // and returns the jump for the caller to patch; p positions a truthiness
 // failure. A comparison is the jump: one fused compare-and-branch.
 //
-// An if statement passes itself as reset: the interpreter moves the
-// context back to the statement once its condition has run, before it
-// branches. Only a condition that can move the context (a call, a compute
-// or an MPI operation) needs that move; for one, the comparison and the
-// truthiness check stay separate instructions, so they still fail before
-// the move.
-func (c *compiler) branchUnless(cond minilang.Expr, p int32, reset minilang.Node) (int32, error) {
-	moves := c.moves
+// The interpreter moves the context back to an if statement once its
+// condition has run; the bytecode does not, because nothing can see that
+// move. Only an advance reads the context, every instruction that
+// advances (opStmt, opCompute, opMPI) first moves it to a site of its
+// own, and psg.Build gives every such site of every instance a vertex
+// (TestEverySiteHasAVertex), so the next advance always finds the
+// context moved again.
+func (c *compiler) branchUnless(cond minilang.Expr, p int32) (int32, error) {
 	if x, ok := cond.(*minilang.BinaryExpr); ok {
 		if jo, ok := jmpUnless[x.Op]; ok {
 			l, r, err := c.operands(x)
 			if err != nil {
 				return 0, err
 			}
-			xp := c.pos(x.Pos())
-			if reset == nil || c.moves == moves {
-				return c.emit(instr{op: jo, a: l, b: r, pos: xp}), nil
-			}
-			v := c.tmp()
-			c.emit(instr{op: binOps[x.Op], a: l, b: r, c: v, pos: xp})
-			c.setCtx(reset)
-			return c.emit(instr{op: opJmpFalse, a: v, pos: p}), nil
+			return c.emit(instr{op: jo, a: l, b: r, pos: c.pos(x.Pos())}), nil
 		}
 	}
-	v, isNum, err := c.expr(cond, -1)
+	v, _, err := c.expr(cond, -1)
 	if err != nil {
 		return 0, err
-	}
-	if reset != nil && c.moves != moves {
-		if !isNum {
-			c.emit(instr{op: opChkNum, a: v, b: whatCond, pos: p})
-		}
-		c.setCtx(reset)
 	}
 	return c.emit(instr{op: opJmpFalse, a: v, pos: p}), nil
 }
@@ -701,7 +748,7 @@ func (c *compiler) operands(x *minilang.BinaryExpr) (l, r int32, err error) {
 	case *minilang.VarRef, *minilang.NumLit, *minilang.FuncRefExpr:
 	default:
 		if !lNum {
-			c.emit(instr{op: opChkNum, a: l, b: whatLeft, pos: c.pos(x.Pos())})
+			c.emit(instr{op: opChkNum, a: l, pos: c.pos(x.Pos())})
 		}
 	}
 	r, _, err = c.expr(x.R, -1)

@@ -155,6 +155,75 @@ func TestArrayBudgetFailsTheRank(t *testing.T) {
 	}
 }
 
+// TestArraysFromTheArena: a rank's first array is cut from its run's
+// arena and stays its own. Over two chunks' worth of ranks, with first
+// arrays of three sizes, some coming after an empty one, and later arrays
+// appended after a barrier, every rank reads back what it wrote, as the
+// oracle's arrays of their own do.
+func TestArraysFromTheArena(t *testing.T) {
+	out, _ := mustRunBoth(t, `func main() {
+	var r = mpi_rank();
+	if (r % 5 == 4) {
+		var z = alloc(0);
+	}
+	var a = alloc(40 + r % 3);
+	for (var i = 0; i < len(a); i = i + 1) {
+		a[i] = r * 1000 + i;
+	}
+	mpi_barrier();
+	var b = alloc(3);
+	b[2] = a[len(a) - 1];
+	var s = 0;
+	for (var i = 0; i < len(a); i = i + 1) {
+		s = s + a[i];
+	}
+	print(r, len(a), s, b[2], a);
+}`, 300)
+	if n := strings.Count(out.Stdout, "\n"); n != 300 {
+		t.Fatalf("%d lines of output, want one a rank", n)
+	}
+	for _, line := range []string{"[rank 0] 0 40 780 39 array[40]\n", "[rank 299] 299 42 1.2558861e+07 299041 array[42]\n"} {
+		if !strings.Contains(out.Stdout, line) {
+			t.Errorf("no line %q in the output", line)
+		}
+	}
+}
+
+// TestShadowedNamesResolveInnermost: a name resolves to its innermost
+// binding, an initializer reads the binding its own declaration shadows,
+// and closing a scope brings back what it shadowed, in loops and in
+// functions that reuse their parameters' names, on both engines.
+func TestShadowedNamesResolveInnermost(t *testing.T) {
+	out, _ := mustRunBoth(t, `func f(x) {
+	var y = x * 2;
+	{
+		var x = y + 1;
+		y = x;
+	}
+	return x + y;
+}
+func main() {
+	var x = 1;
+	var s = 0;
+	for (var i = 0; i < 3; i = i + 1) {
+		var x = i * 10;
+		{
+			var x = x + 1;
+			s = s + x;
+		}
+		s = s + x;
+	}
+	{
+		var t = x;
+		x = t + 100;
+	}
+	print(x, s, f(5));
+}`, 1)
+	if want := "[rank 0] 101 63 16\n"; out.Stdout != want {
+		t.Errorf("output %q, want %q", out.Stdout, want)
+	}
+}
+
 // TestFusedFormsFailAsTheOracleDoes: the instructions that take several of
 // the interpreter's steps at once — a compare-and-branch, an operator
 // reading a literal's register, an operator checking its own operands —

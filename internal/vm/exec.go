@@ -57,10 +57,12 @@ const MaxArrayElems = 1 << 16
 func (r *Runner) Stepper(np int) mpisim.Stepper {
 	main := r.Prog.main
 	nRegs, nCalls := int(r.Prog.stackRegs), int(r.Prog.stackDepth)
-	machines := make([]machine, np)
+	// The last machine is no rank's: its heap is the run's arena (alloc),
+	// kept in the slab so that a run is still four allocations.
+	machines := make([]machine, np+1)
 	regs := make([]Value, np*nRegs)
 	calls := make([]frame, np*nCalls)
-	for i := range machines {
+	for i := range np {
 		m := &machines[i]
 		m.r = r
 		m.regs = regs[i*nRegs : (i+1)*nRegs : (i+1)*nRegs]
@@ -68,7 +70,8 @@ func (r *Runner) Stepper(np int) mpisim.Stepper {
 		copy(m.regs[main.code.litBase:], main.code.lits)
 		m.steps, m.arrLeft = MaxSteps, MaxArrayElems
 	}
-	return func(p *mpisim.Proc) bool { return machines[p.Rank].step(p) }
+	arena := &machines[np].heap
+	return func(p *mpisim.Proc) bool { return machines[p.Rank].step(p, arena, np) }
 }
 
 // frame is one activation on a machine's call stack.
@@ -100,6 +103,7 @@ type machine struct {
 	steps, arrLeft int32
 	// heap holds the rank's arrays end to end; an array Value is an offset
 	// and a length into it, so a forged one fails (or reads) only this rank.
+	// Its first array is cut from the run's arena (alloc).
 	heap []float64
 }
 
@@ -239,8 +243,13 @@ func outOfSteps(pos *minilang.Pos) {
 }
 
 // alloc is alloc(n) at pos: it charges int(n)+1 to the rank's array budget
-// and appends the zeroed elements to its heap.
-func (m *machine) alloc(n float64, pos *minilang.Pos) Value {
+// and appends the zeroed elements to its heap. A rank's first array is cut
+// from the front of arena, the unused tail of the run's current chunk, as
+// an empty slice capped at the array's end, so no array reaches a
+// neighbour's; every later array appends as any heap does, into an array
+// of the rank's own. np ranks whose first arrays are alike thus make a few
+// chunks, not np objects.
+func (m *machine) alloc(n float64, pos *minilang.Pos, arena *[]float64, np int) Value {
 	if n <= -1 {
 		panic(fmt.Sprintf("%s: alloc of negative length %.0f", *pos, math.Trunc(n)))
 	}
@@ -249,16 +258,29 @@ func (m *machine) alloc(n float64, pos *minilang.Pos) Value {
 	}
 	ln, off := int(n), len(m.heap)
 	m.arrLeft -= int32(ln) + 1
+	if cap(m.heap) == 0 && ln > 0 {
+		a := *arena
+		if cap(a) < ln {
+			a = make([]float64, max(ln, min(arenaChunk, np*ln)))
+		}
+		m.heap, *arena = a[:0:ln], a[ln:]
+	}
 	m.heap = append(m.heap, make([]float64, ln)...)
 	return arrRef(off, ln)
 }
+
+// arenaChunk bounds a chunk of a run's arena, in elements, unless one
+// first array is larger. A chunk holds np arrays the size of the one that
+// opened it, or arenaChunk elements if that is less, so a run of np ranks
+// whose first arrays are alike leaves none of a lone chunk unused.
+const arenaChunk = 1 << 13
 
 // step runs the rank's program from where it stopped until it finishes
 // (true) or parks in an MPI operation (false). It is the bytecode
 // dispatch loop — the hottest function in a sweep.
 //
 //scalana:hot
-func (m *machine) step(p *mpisim.Proc) bool {
+func (m *machine) step(p *mpisim.Proc, arena *[]float64, np int) bool {
 	if m.anyReg != 0 {
 		top := &m.calls[len(m.calls)-1]
 		m.regs[top.base+m.anyReg-1] = Value(p.MatchedSource())
@@ -337,7 +359,7 @@ func (m *machine) step(p *mpisim.Proc) bool {
 				m.regs[m.calls[top-1].base+dst] = v
 				break dispatch
 			case opChkNum:
-				num(f[in.a], code, in.pos, whats[in.b])
+				num(f[in.a], code, in.pos, "left operand")
 
 			case opNeg:
 				f[in.b] = Value(-num(f[in.a], code, in.pos, "operand"))
@@ -405,7 +427,7 @@ func (m *machine) step(p *mpisim.Proc) bool {
 			case opStoreIdx:
 				m.arr(f[in.a])[int(f[in.b])] = num(f[in.c], code, in.pos, "array element")
 			case opAlloc:
-				f[in.b] = m.alloc(num(f[in.a], code, in.pos, "alloc argument"), &code.poss[in.pos])
+				f[in.b] = m.alloc(num(f[in.a], code, in.pos, "alloc argument"), &code.poss[in.pos], arena, np)
 			case opLen:
 				if !f[in.a].isArr() {
 					panic(fmt.Sprintf("%s: len of non-array", code.poss[in.pos]))

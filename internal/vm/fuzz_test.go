@@ -152,6 +152,9 @@ func runRecorded(prog *minilang.Program, graph *psg.Graph, np int, useInterp boo
 		if err = vm.VerifyLowering(vp); err != nil {
 			return nil, nil, nil, err
 		}
+		if err = vm.VerifySites(vp); err != nil {
+			return nil, nil, nil, err
+		}
 		r := vm.NewRunner(vp)
 		r.Stdout = &stdout
 		res, err = world.Run(r.Stepper(np))

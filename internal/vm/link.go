@@ -57,8 +57,13 @@ func Compile(prog *minilang.Program, graph *psg.Graph) (*Program, error) {
 	for id, fn := range prog.Funcs {
 		fns[id] = fn.Name
 	}
-	for _, fn := range prog.Funcs {
-		code, err := compileFunc(fn, fns)
+	c := newCompiler(fns)
+	for i, fn := range prog.Funcs {
+		end := prog.Nodes() + 1
+		if i+1 < len(prog.Funcs) {
+			end = int(prog.Funcs[i+1].ID())
+		}
+		code, err := c.compileFunc(fn, max(end-int(fn.ID()), 0))
 		if err != nil {
 			return nil, err
 		}

@@ -11,6 +11,7 @@ import (
 	"scalana/internal/apps"
 	"scalana/internal/ir"
 	"scalana/internal/minilang"
+	"scalana/internal/mpisim"
 	"scalana/internal/psg"
 )
 
@@ -19,6 +20,32 @@ import (
 // lowering of the same functions (verifyLowering). FuzzVMvsInterp runs the
 // same check on each program it compiles.
 func TestLoweringAgreesWithIR(t *testing.T) {
+	for file, p := range bundledPrograms(t, psg.DefaultOptions()) {
+		if err := VerifyLowering(p); err != nil {
+			t.Errorf("%s: %v", file, err)
+		}
+	}
+}
+
+// TestEverySiteHasAVertex: no attribution site of any bundled program or
+// committed corpus case is contracted away in any instance, under the
+// default options, the shallowest loop depth, or no contraction. That is
+// why an if statement needs no context move after its condition
+// (branchUnless). FuzzVMvsInterp checks each program it compiles too.
+func TestEverySiteHasAVertex(t *testing.T) {
+	for _, opts := range []psg.Options{psg.DefaultOptions(), {MaxLoopDepth: 1, Contract: true}, {MaxLoopDepth: 10}} {
+		for file, p := range bundledPrograms(t, opts) {
+			if err := VerifySites(p); err != nil {
+				t.Errorf("%s %+v: %v", file, opts, err)
+			}
+		}
+	}
+}
+
+// bundledPrograms compiles every bundled app and every case of the
+// committed synth corpus over PSGs built with opts, by file name.
+func bundledPrograms(t *testing.T, opts psg.Options) map[string]*Program {
+	t.Helper()
 	var files, srcs []string
 	for _, name := range apps.Names() {
 		files, srcs = append(files, name+".mp"), append(srcs, apps.Get(name).Source)
@@ -39,19 +66,56 @@ func TestLoweringAgreesWithIR(t *testing.T) {
 	for _, c := range corpus.Cases {
 		files, srcs = append(files, c.Name+".mp"), append(srcs, c.Source)
 	}
+	progs := make(map[string]*Program, len(files))
 	for i, file := range files {
 		prog, err := minilang.Parse(file, srcs[i])
 		if err != nil {
 			t.Fatalf("%s: %v", file, err)
 		}
-		p, err := Compile(prog, psg.MustBuild(prog))
+		graph, err := psg.Build(prog, opts)
 		if err != nil {
 			t.Fatalf("%s: %v", file, err)
 		}
-		if err := VerifyLowering(p); err != nil {
-			t.Errorf("%s: %v", file, err)
+		p, err := Compile(prog, graph)
+		if err != nil {
+			t.Fatalf("%s: %v", file, err)
 		}
+		progs[file] = p
 	}
+	return progs
+}
+
+// VerifySites reports an attribution site that some linked instance of p
+// left without a vertex (NoCtx). The package's external tests call it on
+// what they compile.
+func VerifySites(p *Program) error {
+	seen := map[*Link]bool{}
+	var walk func(l *Link) error
+	walk = func(l *Link) error {
+		if l == nil || seen[l] {
+			return nil
+		}
+		seen[l] = true
+		for i, v := range l.ctx {
+			if v == mpisim.NoCtx {
+				return fmt.Errorf("%s: site %d (node %d) has no vertex in instance %s", l.code.fn.Name, i, l.code.ctxNodes[i], l.inst.Path)
+			}
+		}
+		for _, child := range l.calls {
+			if err := walk(child); err != nil {
+				return err
+			}
+		}
+		for _, targets := range l.indirect {
+			for _, child := range targets {
+				if err := walk(child); err != nil {
+					return err
+				}
+			}
+		}
+		return nil
+	}
+	return walk(p.main)
 }
 
 // TestLoweringCheckCatchesADroppedOp: the cross-check is not vacuous. A
