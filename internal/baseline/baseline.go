@@ -110,8 +110,7 @@ type Sample struct {
 	TotalTime float64
 	// Values holds the merged per-rank time per VID (ppg.Graph.Merged),
 	// NaN where no rank sampled the vertex. Indexed by psg.VID — the
-	// flat-array layout the columnar PPG uses. A detect reads it as a
-	// smaller scale's detect.ScaleRun.Merged.
+	// flat-array layout the columnar PPG uses.
 	Values []float64
 }
 

@@ -96,20 +96,8 @@ type ScaleRun struct {
 	// NP is the job's process count.
 	NP int
 	// PPG is the Program Performance Graph assembled from that job's
-	// per-rank profiles; only the largest scale must have one.
+	// per-rank profiles.
 	PPG *ppg.Graph
-	// Merged, when set, stands in for PPG in the cross-scale fit: each
-	// VID's per-rank time merged across ranks (ppg.Graph.Merged), NaN
-	// where no rank sampled it — a baseline.Sample's Values.
-	Merged []float64
-}
-
-// merged is the run's merged time for one vertex, NaN where it never ran.
-func (r ScaleRun) merged(vid psg.VID) float64 {
-	if r.Merged != nil {
-		return r.Merged[vid]
-	}
-	return r.PPG.Merged(vid)
 }
 
 // NonScalable is one vertex whose performance scales badly with the
@@ -227,25 +215,22 @@ func Detect(runs []ScaleRun, cfg Config) (*Report, error) {
 	// The fit reads a run's scale from NP, so a PPG of another size would
 	// be fitted as the wrong scale.
 	for _, r := range runs {
-		if r.PPG != nil && r.PPG.NP != r.NP {
+		if r.PPG == nil {
+			return nil, fmt.Errorf("detect: the run given as np=%d has no PPG", r.NP)
+		}
+		if r.PPG.NP != r.NP {
 			return nil, fmt.Errorf("detect: the run given as np=%d has a PPG of np=%d", r.NP, r.PPG.NP)
 		}
 	}
 	sorted := append([]ScaleRun(nil), runs...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].NP < sorted[j].NP })
 	largest := sorted[len(sorted)-1]
-	if largest.PPG == nil {
-		return nil, fmt.Errorf("detect: the largest scale, np=%d, has no PPG", largest.NP)
-	}
 	// Every smaller scale is read by the largest scale's VIDs, so its
 	// graph must be the same program's: the same graph, or a compile of
 	// it with the same symbol table.
 	keys := largest.PPG.PSG.Keys()
 	for _, r := range sorted[:len(sorted)-1] {
-		if (r.Merged == nil && r.PPG == nil) || (r.Merged != nil && len(r.Merged) != len(keys)) {
-			return nil, fmt.Errorf("detect: scale np=%d has neither a PPG nor a merged time for each of the %d vertices", r.NP, len(keys))
-		}
-		if r.PPG != nil && r.PPG.PSG != largest.PPG.PSG && !slices.Equal(r.PPG.PSG.Keys(), keys) {
+		if r.PPG.PSG != largest.PPG.PSG && !slices.Equal(r.PPG.PSG.Keys(), keys) {
 			return nil, fmt.Errorf("detect: scale np=%d was profiled against another program than the largest scale, np=%d (their graphs' vertex keys differ)", r.NP, largest.NP)
 		}
 	}
@@ -277,7 +262,7 @@ func findNonScalable(sorted []ScaleRun, cfg Config) []NonScalable {
 		var ps, ys []float64
 		times := map[int]float64{}
 		for _, run := range sorted {
-			merged := run.merged(vid)
+			merged := run.PPG.Merged(vid)
 			if math.IsNaN(merged) {
 				continue
 			}

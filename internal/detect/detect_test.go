@@ -366,17 +366,20 @@ func TestDetectErrors(t *testing.T) {
 			t.Errorf("%+v: no error", cfg)
 		}
 	}
-	// A smaller scale with neither a PPG nor a merged time for every
-	// vertex used to panic: a nil dereference, an index out of range.
+	// A run with no PPG, smaller or largest, is an error naming its np;
+	// a smaller one used to be a nil dereference.
 	s8 := newSynthetic(t, simpleSrc, 8)
 	for r := range 8 {
 		s8.setTime(s8.vertex("main", psg.KindComp), r, 1)
 		s8.setTime(s8.vertex("main", psg.KindMPI), r, 1)
 	}
 	run8 := ScaleRun{NP: 8, PPG: s8.ppg()}
-	for _, small := range []ScaleRun{{NP: 4}, {NP: 4, Merged: []float64{1}}} {
-		if _, err := Detect([]ScaleRun{small, run8}, DefaultConfig()); err == nil || !strings.Contains(err.Error(), "np=4") {
-			t.Errorf("%+v beside np=8: %v, want an error naming np=4", small, err)
+	for want, runs := range map[string][]ScaleRun{
+		"detect: the run given as np=4 has no PPG":  {{NP: 4}, run8},
+		"detect: the run given as np=16 has no PPG": {run8, {NP: 16}},
+	} {
+		if _, err := Detect(runs, DefaultConfig()); err == nil || err.Error() != want {
+			t.Errorf("%v, want %s", err, want)
 		}
 	}
 }
@@ -415,46 +418,6 @@ func TestDetectRefusesAMislabelledScale(t *testing.T) {
 		if _, err := Detect(runs, DefaultConfig()); err == nil || err.Error() != want {
 			t.Errorf("%v, want %s", err, want)
 		}
-	}
-}
-
-// TestMergedStandsInForAPPG: a smaller scale given as its merged times
-// detects exactly as its PPG does, and the largest scale must bring a PPG.
-func TestMergedStandsInForAPPG(t *testing.T) {
-	cfg := DefaultConfig()
-	var full, summarised []ScaleRun
-	for _, np := range []int{4, 8} {
-		s := newSynthetic(t, simpleSrc, np)
-		comp := s.vertex("main", psg.KindComp)
-		for r := 0; r < np; r++ {
-			s.setTime(comp, r, 0.5)
-		}
-		pg := s.ppg()
-		full = append(full, ScaleRun{NP: np, PPG: pg})
-		run := ScaleRun{NP: np, PPG: pg}
-		if np == 4 {
-			run = ScaleRun{NP: np, Merged: make([]float64, pg.NumVIDs())}
-			for vid := range run.Merged {
-				run.Merged[vid] = pg.Merged(psg.VID(vid))
-			}
-		}
-		summarised = append(summarised, run)
-	}
-	want, err := Detect(full, cfg)
-	if err != nil || len(want.NonScalable) == 0 {
-		t.Fatalf("detect over two PPGs: %v, %d non-scalable", err, len(want.NonScalable))
-	}
-	got, err := Detect(summarised, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantJSON, _ := want.EncodeJSON()
-	gotJSON, _ := got.EncodeJSON()
-	if string(gotJSON) != string(wantJSON) {
-		t.Errorf("np=4 as merged times detects differently:\n%s\nwant\n%s", gotJSON, wantJSON)
-	}
-	if _, err := Detect([]ScaleRun{summarised[1], {NP: 16, Merged: summarised[0].Merged}}, cfg); err == nil {
-		t.Error("a largest scale with no PPG was detected over")
 	}
 }
 

@@ -24,7 +24,7 @@ func Check(prog *Program) error {
 		c.errorf(main.Pos(), "main must take no parameters")
 	}
 	if len(c.errs) > 0 {
-		return joinErrors(c.errs)
+		return joinErrors(c.errs, 0)
 	}
 	return nil
 }

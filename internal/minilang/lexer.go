@@ -20,6 +20,9 @@ type Lexer struct {
 	line int
 	col  int
 	errs []error
+	// maxErrs, when positive, is how many errors the lexer formats; more
+	// counts the rest.
+	maxErrs, more int
 }
 
 // NewLexer returns a lexer over src, reporting positions in file.
@@ -67,6 +70,10 @@ func (lx *Lexer) advance() rune {
 }
 
 func (lx *Lexer) errorf(p Pos, format string, args ...any) {
+	if lx.maxErrs > 0 && len(lx.errs) == lx.maxErrs {
+		lx.more++
+		return
+	}
 	lx.errs = append(lx.errs, fmt.Errorf("%s: %s", p, fmt.Sprintf(format, args...)))
 }
 
@@ -287,13 +294,20 @@ const maxTokensSized = 1 << 12
 // MiniMP source runs about three bytes a token, so half the source length
 // (up to maxTokensSized) holds every bundled program's tokens.
 func Tokenize(file, src string) ([]Token, []error) {
-	lx := Lexer{file: file, src: src, line: 1, col: 1}
+	toks, errs, _ := tokenize(file, src, 0)
+	return toks, errs
+}
+
+// tokenize is Tokenize formatting at most maxErrs errors (every one when
+// maxErrs is 0); it returns how many more it found.
+func tokenize(file, src string, maxErrs int) ([]Token, []error, int) {
+	lx := Lexer{file: file, src: src, line: 1, col: 1, maxErrs: maxErrs}
 	toks := make([]Token, 0, min(len(src)/2, maxTokensSized)+1)
 	for {
 		t := lx.Next()
 		toks = append(toks, t)
 		if t.Kind == TokEOF {
-			return toks, lx.errs
+			return toks, lx.errs, lx.more
 		}
 	}
 }

@@ -8,9 +8,11 @@ import (
 
 // Parser builds an AST from tokens.
 type Parser struct {
-	toks   []Token
-	pos    int
-	errs   []error
+	toks []Token
+	pos  int
+	errs []error
+	// more counts the lexical errors past errs, found but not formatted.
+	more   int
 	nextID NodeID
 	file   string
 	src    string
@@ -19,12 +21,12 @@ type Parser struct {
 // Parse parses a MiniMP source file into a Program. It returns the program
 // together with all lexical, syntactic, and semantic errors found.
 func Parse(file, src string) (*Program, error) {
-	toks, lexErrs := Tokenize(file, src)
-	p := &Parser{toks: toks, file: file, src: src}
-	p.errs = append(p.errs, lexErrs...)
+	// The lexer formats only the errors joinErrors can show.
+	toks, lexErrs, more := tokenize(file, src, maxShown)
+	p := &Parser{toks: toks, errs: lexErrs, more: more, file: file, src: src}
 	prog := p.parseProgram()
 	if len(p.errs) > 0 {
-		return prog, joinErrors(p.errs)
+		return prog, joinErrors(p.errs, p.more)
 	}
 	if err := Check(prog); err != nil {
 		return prog, err
@@ -42,17 +44,21 @@ func MustParse(file, src string) *Program {
 	return prog
 }
 
-func joinErrors(errs []error) error {
-	if len(errs) == 1 {
+// maxShown is how many errors joinErrors shows.
+const maxShown = 20
+
+// joinErrors joins errs, and more errors found but not formatted, into
+// one error showing the first maxShown.
+func joinErrors(errs []error, more int) error {
+	if len(errs) == 1 && more == 0 {
 		return errs[0]
 	}
 	msgs := make([]string, 0, len(errs))
 	for _, e := range errs {
 		msgs = append(msgs, e.Error())
 	}
-	const maxShown = 20
-	if len(msgs) > maxShown {
-		msgs = append(msgs[:maxShown], fmt.Sprintf("... and %d more errors", len(msgs)-maxShown))
+	if n := len(msgs) + more; n > maxShown {
+		msgs = append(msgs[:maxShown], fmt.Sprintf("... and %d more errors", n-maxShown))
 	}
 	return errors.New(strings.Join(msgs, "\n"))
 }
@@ -97,7 +103,7 @@ func (p *Parser) expect(k TokKind) Token {
 
 func (p *Parser) errorf(pos Pos, format string, args ...any) {
 	p.errs = append(p.errs, fmt.Errorf("%s: %s", pos, fmt.Sprintf(format, args...)))
-	if len(p.errs) > 200 {
+	if len(p.errs)+p.more > 200 {
 		panic(tooManyErrors{})
 	}
 }

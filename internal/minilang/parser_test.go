@@ -3,6 +3,7 @@ package minilang
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -341,5 +342,38 @@ func TestParsePositionsPointAtSource(t *testing.T) {
 	}
 	if stmts[1].Pos().Line != 3 {
 		t.Errorf("assign at line %d, want 3", stmts[1].Pos().Line)
+	}
+}
+
+// TestLexErrorsAreBounded: the lexer formats only the errors Parse can
+// show and counts the rest, so 100,000 unexpected characters allocate
+// under 1 MB (30 MB in 800,000 objects when each was formatted), while
+// the error text is what it was: the first 20 errors, then the count of
+// the rest. The count also meets the parser's 200-error cap as before:
+// 150 lexical errors leave room for 51 syntax errors.
+func TestLexErrorsAreBounded(t *testing.T) {
+	shown := func(n int) string {
+		lines := make([]string, 20)
+		for i := range lines {
+			lines[i] = fmt.Sprintf("t.mp:1:%d: unexpected character '@'", i+1)
+		}
+		return strings.Join(lines, "\n") + fmt.Sprintf("\n... and %d more errors", n)
+	}
+	src := strings.Repeat("@", 100000) + "func main() {}"
+	if _, err := Parse("t.mp", src); err == nil || err.Error() != shown(99980) {
+		t.Errorf("100,000 unexpected characters: %.200v..., want 20 errors and 99980 more", err)
+	}
+	capped := strings.Repeat("@", 150) + "func main() {}" + strings.Repeat(" x", 100)
+	if _, err := Parse("t.mp", capped); err == nil || err.Error() != shown(181) {
+		t.Errorf("150 lexical errors then 100 stray tokens: %.200v..., want 20 errors and 181 more", err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := Parse("t.mp", src); err == nil {
+		t.Fatal("no error")
+	}
+	runtime.ReadMemStats(&after)
+	if n := after.TotalAlloc - before.TotalAlloc; n >= 1<<20 {
+		t.Errorf("parsing 100,000 unexpected characters allocated %d bytes, want under 1 MB", n)
 	}
 }

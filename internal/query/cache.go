@@ -13,29 +13,26 @@ import (
 )
 
 // CacheBudget is the most bytes a Cache charges its entries: 14 decoded
-// zeusmp np=1024 graphs with the bytes each was decoded from, a quarter of
-// a million zeusmp samples a watch ingested, or about 125 zeusmp np=256
-// samples a stored detect read, each with its 0.54 MB of stored bytes.
+// zeusmp np=1024 graphs with the bytes each was decoded from, the three
+// graphs of 11 stored detects over zeusmp 64/256/1024 (5.8 MB a detect), or
+// a quarter of a million zeusmp samples a watch ingested.
 const CacheBudget = 64 << 20
 
 // Cache holds what stored sets reduce to, by store key: the baseline
-// sample a watch reads for every run and a stored detect for every scale
-// but its largest, and the decoded PPG of a stored detect's largest
-// scale. A graph and a sample a detect read keep the stored bytes they
-// were read from, so a hit compares the stored file with them
-// (store.Store.Holds) instead of hashing it; a sample a watch ingested
-// keeps none, as the watch checks nothing on a hit and a long history's
-// bytes would not fit the budget. Every entry derives from
-// content-addressed bytes alone, so it never goes stale; a concurrent
-// double miss is wasted work, never a wrong answer. An entry in the map
-// is shared by every query that reads it and written by none: an entry
-// gains its bytes by being replaced.
+// sample a watch reads for every run, and the decoded PPG of every scale a
+// stored detect reads. A graph keeps the stored bytes it was decoded from,
+// so a hit compares the stored file with them (store.Store.Holds) instead
+// of hashing it; a sample keeps none, as the watch checks nothing on a hit
+// and a long history's bytes would not fit the budget. Every entry derives
+// from content-addressed bytes alone, so it never goes stale; a concurrent
+// double miss is wasted work, never a wrong answer, and the first entry
+// put stays. An entry in the map is shared by every query that reads it
+// and written by none.
 //
-// Each entry is charged the bytes it retains (graphCharge, sampleBytes,
-// plus the stored bytes a sample keeps). An insert past the budget evicts
-// the least-recently-used entries, and an entry larger than the whole
-// budget is not kept. A hit allocates nothing. A nil *Cache caches
-// nothing. Safe for concurrent use.
+// Each entry is charged the bytes it retains (graphCharge, sampleBytes).
+// An insert past the budget evicts the least-recently-used entries, and an
+// entry larger than the whole budget is not kept. A hit allocates nothing.
+// A nil *Cache caches nothing. Safe for concurrent use.
 type Cache struct {
 	// budget replaces CacheBudget when positive: how a test evicts.
 	budget int64
@@ -59,7 +56,7 @@ type slot struct {
 type cached struct {
 	smp  *baseline.Sample
 	pg   *ppg.Graph
-	data []byte // the stored bytes pg or smp was read from; nil for a watch's sample
+	data []byte // the stored bytes pg was decoded from
 	size int64
 	used uint64
 }
@@ -68,8 +65,8 @@ type cached struct {
 type CacheStats struct {
 	// Samples is how many samples the cache holds.
 	Samples int
-	// Ingests counts samples ingested and Decodes graphs decoded for a
-	// stored detect's largest scale: the cache's misses.
+	// Ingests counts samples ingested for a watch and Decodes graphs
+	// decoded for a stored detect's scales: the cache's misses.
 	Ingests, Decodes int64
 	// Bytes is what the held entries are charged; Evictions counts the
 	// entries dropped to keep it within the budget.
@@ -87,13 +84,12 @@ func (c *Cache) Stats() CacheStats {
 	return CacheStats{Samples: c.samples, Ingests: c.ingests, Decodes: c.decodes, Bytes: c.held, Evictions: c.evictions}
 }
 
-// sample returns the cached sample of a stored set and the bytes it was
-// read from (nil when a watch ingested it), or nil.
-func (c *Cache) sample(k store.Key) (*baseline.Sample, []byte) {
+// sample returns the cached sample of a stored set, or nil.
+func (c *Cache) sample(k store.Key) *baseline.Sample {
 	if e := c.get(slot{key: k}); e != nil {
-		return e.smp, e.data
+		return e.smp
 	}
-	return nil, nil
+	return nil
 }
 
 // graph returns the cached PPG of a stored set and the bytes it was
@@ -105,26 +101,15 @@ func (c *Cache) graph(k store.Key) (*ppg.Graph, []byte) {
 	return nil, nil
 }
 
-// addSample counts an ingest and caches its sample, with the stored bytes
-// it was read from unless data is nil.
-func (c *Cache) addSample(k store.Key, smp *baseline.Sample, data []byte) {
-	c.put(slot{key: k}, sampleEntry(smp, data), true)
-}
-
-// keepBytes caches anew a sample a watch ingested, now with the stored
-// bytes it was read from: not an ingest, and nothing is decoded.
-func (c *Cache) keepBytes(k store.Key, smp *baseline.Sample, data []byte) {
-	c.put(slot{key: k}, sampleEntry(smp, data), false)
-}
-
-func sampleEntry(smp *baseline.Sample, data []byte) *cached {
-	return &cached{smp: smp, data: data, size: sampleBytes(smp) + int64(len(data))}
+// addSample counts an ingest and caches its sample.
+func (c *Cache) addSample(k store.Key, smp *baseline.Sample) {
+	c.put(slot{key: k}, &cached{smp: smp, size: sampleBytes(smp)})
 }
 
 // addGraph counts a decode and caches its graph with the bytes it was
 // decoded from.
 func (c *Cache) addGraph(k store.Key, pg *ppg.Graph, data []byte) {
-	c.put(slot{key: k, graph: true}, &cached{pg: pg, data: data, size: graphCharge(pg, data)}, true)
+	c.put(slot{key: k, graph: true}, &cached{pg: pg, data: data, size: graphCharge(pg, data)})
 }
 
 func (c *Cache) get(s slot) *cached {
@@ -141,31 +126,24 @@ func (c *Cache) get(s slot) *cached {
 	return e
 }
 
-// put caches e at s, counting a miss when miss is set. An entry already
-// at s stays, unless it keeps no bytes and e does: then e replaces it.
-func (c *Cache) put(s slot, e *cached, miss bool) {
+// put counts a miss and caches e at s, unless an entry is already there.
+func (c *Cache) put(s slot, e *cached) {
 	if c == nil {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	switch {
-	case !miss:
-	case s.graph:
+	if s.graph {
 		c.decodes++
-	default:
+	} else {
 		c.ingests++
 	}
 	budget := c.budget
 	if budget <= 0 {
 		budget = CacheBudget
 	}
-	old := c.m[s]
-	if e.size > budget || old != nil && (old.data != nil || e.data == nil) {
+	if e.size > budget || c.m[s] != nil {
 		return
-	}
-	if old != nil {
-		c.drop(s)
 	}
 	if c.held+e.size > budget {
 		c.evict(budget - e.size)

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync"
 	"testing"
 
@@ -63,10 +62,11 @@ func TestCacheEvictsLeastRecentlyUsed(t *testing.T) {
 	}
 }
 
-// TestConcurrentDetectsShareOneGraph: eight goroutines detect over one
-// cached np=8 graph at once. Every answer has the bytes of detect.Detect
-// over freshly decoded graphs, and the graph was decoded once: the
-// detects read it and none writes it (the race detector checks).
+// TestConcurrentDetectsShareOneGraph: eight goroutines detect over the
+// cached np=4 and np=8 graphs at once. Every answer has the bytes of
+// detect.Detect over freshly decoded graphs, and each graph was decoded
+// once: the detects read them and none writes them (the race detector
+// checks).
 func TestConcurrentDetectsShareOneGraph(t *testing.T) {
 	e := fixtureEnv(t, false)
 	e.Cache = &Cache{}
@@ -80,7 +80,7 @@ func TestConcurrentDetectsShareOneGraph(t *testing.T) {
 		}
 		return plan.Bytes()
 	}
-	if _, err := run(); err != nil { // caches the graph and the sample
+	if _, err := run(); err != nil { // caches both graphs
 		t.Fatal(err)
 	}
 	var wg sync.WaitGroup
@@ -96,13 +96,13 @@ func TestConcurrentDetectsShareOneGraph(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if st := e.Cache.Stats(); st.Decodes != 1 || st.Ingests != 1 {
-		t.Errorf("33 detects decoded %d graphs and ingested %d samples, want 1 and 1", st.Decodes, st.Ingests)
+	if st := e.Cache.Stats(); st.Decodes != 2 || st.Ingests != 0 {
+		t.Errorf("33 detects decoded %d graphs and ingested %d samples, want 2 and 0", st.Decodes, st.Ingests)
 	}
 }
 
 // TestRemovedAfterCachingReadsAsUncached: a stored set removed after the
-// cache took its sample (np=4) or its graph (np=8) fails a detect planned
+// cache took its graph (np=4 or np=8) fails a detect planned
 // before the removal with the error the uncached path gives, and one
 // planned after it with the same planning error.
 func TestRemovedAfterCachingReadsAsUncached(t *testing.T) {
@@ -143,12 +143,10 @@ func TestRemovedAfterCachingReadsAsUncached(t *testing.T) {
 	}
 }
 
-// TestDetectChargesASampleItsBytes: after one detect over cg [4,8] the
-// cache is charged the np=8 graph's graphCharge, the np=4 sample's
-// sampleBytes and the np=4 set's length: a detect's sample keeps the
-// stored bytes it was read from, which the next hit compares the file
-// with.
-func TestDetectChargesASampleItsBytes(t *testing.T) {
+// TestDetectChargesItsGraphs: after one detect over cg [4,8] the cache
+// holds both scales' graphs, each with the stored set it was decoded
+// from, and is charged the sum of their graphCharge.
+func TestDetectChargesItsGraphs(t *testing.T) {
 	e := fixtureEnv(t, false)
 	e.Cache = &Cache{}
 	cg := scalana.GetApp("cg")
@@ -159,41 +157,31 @@ func TestDetectChargesASampleItsBytes(t *testing.T) {
 	if _, err := plan.Bytes(); err != nil {
 		t.Fatal(err)
 	}
-	four, err := e.Store.Only("cg", 4)
-	if err != nil {
-		t.Fatal(err)
+	var want int64
+	for _, np := range []int{4, 8} {
+		ent, err := e.Store.Only("cg", np)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pg, data := e.Cache.graph(ent.Key)
+		if pg == nil || int64(len(data)) != ent.Size {
+			t.Fatalf("the np=%d graph is held=%t with %d bytes, want held with the stored set's %d", np, pg != nil, len(data), ent.Size)
+		}
+		want += graphCharge(pg, data)
 	}
-	eight, err := e.Store.Only("cg", 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	smp := e.Cache.get(slot{key: four.Key})
-	pg, pgData := e.Cache.graph(eight.Key)
-	if smp == nil || pg == nil {
-		t.Fatalf("a detect over cg [4,8] cached sample=%t graph=%t, want both", smp != nil, pg != nil)
-	}
-	if int64(len(smp.data)) != four.Size {
-		t.Errorf("the np=4 sample keeps %d bytes, the stored set is %d", len(smp.data), four.Size)
-	}
-	want := graphCharge(pg, pgData) + sampleBytes(smp.smp) + four.Size
 	if got := e.Cache.Stats().Bytes; got != want {
-		t.Errorf("the cache is charged %d bytes, want %d: graph %d + sample %d + np=4 set %d",
-			got, want, graphCharge(pg, pgData), sampleBytes(smp.smp), four.Size)
+		t.Errorf("the cache is charged %d bytes, want the two graphs' %d", got, want)
 	}
 }
 
-// TestDetectKeepsTheBytesOfAWatchSample: a watch caches the samples of cg
-// np 4 and 8 without their bytes. Two detects over [4,8] then ingest
-// nothing: the first reads the np=4 set once more, through Get, and
-// replaces its sample's entry with one that keeps those bytes, so the
-// cache's bytes rise by the np=8 graph's charge and exactly the np=4
-// set's length; the second only compares the file with them. A byte
-// flipped in the np=4 file is still store.ErrCorrupt naming the hash
-// mismatch (a 500 from the service), and the detect answers its bytes
-// again once the byte is put back.
-func TestDetectKeepsTheBytesOfAWatchSample(t *testing.T) {
+// TestDetectAfterAWatchDecodesEachScaleOnce: watches over cg np 4 and 8
+// cache both samples; two detects over [4,8] after them ingest nothing,
+// decode each scale once, and answer the bytes a detect through a fresh
+// cache answers.
+func TestDetectAfterAWatchDecodesEachScaleOnce(t *testing.T) {
 	e := fixtureEnv(t, false)
-	e.Cache = &Cache{}
+	fresh := e
+	e.Cache, fresh.Cache = &Cache{}, &Cache{}
 	cg := scalana.GetApp("cg")
 	for _, np := range []int{4, 8} {
 		plan, err := e.Watch(Watch{App: cg, NP: np, Params: baseline.DefaultParams()})
@@ -204,63 +192,29 @@ func TestDetectKeepsTheBytesOfAWatchSample(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	four, err := e.Store.Only("cg", 4)
+	watched := e.Cache.Stats()
+	if watched.Samples != 2 || watched.Ingests != 2 || watched.Decodes != 0 {
+		t.Fatalf("after the watches: stats %+v; want 2 samples, 2 ingests, no decode", watched)
+	}
+	q := Detect{App: cg, Scales: []int{4, 8}, Config: detect.DefaultConfig()}
+	freshPlan, err := fresh.Detect(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	watched := e.Cache.Stats()
-	if smp := e.Cache.get(slot{key: four.Key}); smp == nil || smp.data != nil || watched.Samples != 2 || watched.Ingests != 2 {
-		t.Fatalf("after the watches: np=4 sample held=%t, stats %+v; want held without bytes, 2 samples, 2 ingests", smp != nil, watched)
+	want, err := freshPlan.Bytes()
+	if err != nil {
+		t.Fatal(err)
 	}
-	want := allPPG(t, e, cg, []int{4, 8}, detect.DefaultConfig())
-	plan, err := e.Detect(Detect{App: cg, Scales: []int{4, 8}, Config: detect.DefaultConfig()})
+	plan, err := e.Detect(q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {
 		if got, err := plan.Bytes(); err != nil || !bytes.Equal(got, want) {
-			t.Fatalf("detect %d after the watches: %d bytes (err %v), want %d", i, len(got), err, len(want))
+			t.Fatalf("detect %d after the watches: %d bytes (err %v), want a fresh cache's %d", i, len(got), err, len(want))
 		}
 	}
-	eight, err := e.Store.Only("cg", 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pg, pgData := e.Cache.graph(eight.Key)
-	if pg == nil {
-		t.Fatal("the np=8 graph is not cached")
-	}
-	st := e.Cache.Stats()
-	if st.Ingests != watched.Ingests || st.Samples != 2 || st.Decodes != 1 {
-		t.Errorf("two detects after the watches: %d ingests, %d samples, %d decodes; want %d, 2 and 1", st.Ingests, st.Samples, st.Decodes, watched.Ingests)
-	}
-	if rise := st.Bytes - watched.Bytes; rise != graphCharge(pg, pgData)+four.Size {
-		t.Errorf("two detects raised the cache's bytes by %d, want the np=8 graph's %d and the np=4 set's %d", rise, graphCharge(pg, pgData), four.Size)
-	}
-	if smp := e.Cache.get(slot{key: four.Key}); smp == nil || int64(len(smp.data)) != four.Size {
-		t.Errorf("the np=4 sample is not held with the stored set's %d bytes", four.Size)
-	}
-
-	path := filepath.Join(e.Store.Root(), "cg", "4", four.Hash+".json")
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	flipped := bytes.Clone(data)
-	flipped[len(flipped)/2] ^= 1
-	if err := os.WriteFile(path, flipped, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := plan.Bytes(); !errors.Is(err, store.ErrCorrupt) || !strings.Contains(err.Error(), "content hash mismatch") {
-		t.Errorf("detect over a flipped np=4 file: %v, want store.ErrCorrupt naming the content hash mismatch", err)
-	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if got, err := plan.Bytes(); err != nil || !bytes.Equal(got, want) {
-		t.Errorf("detect with the byte put back: %d bytes (err %v), want %d", len(got), err, len(want))
-	}
-	if st := e.Cache.Stats(); st.Ingests != watched.Ingests {
-		t.Errorf("the detects ingested %d samples, want 0", st.Ingests-watched.Ingests)
+	if st := e.Cache.Stats(); st.Ingests != watched.Ingests || st.Samples != 2 || st.Decodes != 2 {
+		t.Errorf("two detects after the watches: %d ingests, %d samples, %d decodes; want %d, 2 and 2", st.Ingests, st.Samples, st.Decodes, watched.Ingests)
 	}
 }

@@ -39,10 +39,9 @@ type Env struct {
 	// Parallelism fans a simulate-source sweep's scales (the
 	// SweepConfig.Parallelism knob).
 	Parallelism int
-	// Cache holds the baseline samples a watch reads for every run and a
-	// stored detect for every scale but its largest, and the graph of a
-	// stored detect's largest scale, a detect's with the stored bytes it
-	// read; nil reads each from its stored bytes.
+	// Cache holds the baseline samples a watch reads for every run and
+	// the graph of every scale a stored detect reads, with the stored bytes
+	// it was decoded from; nil reads each from its stored bytes.
 	Cache *Cache
 }
 
@@ -216,9 +215,8 @@ func (e *Env) stored(app *scalana.App, ent store.Entry, build bool) (pg *ppg.Gra
 
 // Detect is a scaling-loss detection query. Its source is the simulator
 // (Simulate), a directory of saved scalana-prof outputs named
-// <app>.<np>.json (ProfilesDir), or — by default — the Env's store, of
-// which only the largest scale needs a PPG: every smaller one feeds the
-// cross-scale fit its baseline sample (detect.ScaleRun.Merged).
+// <app>.<np>.json (ProfilesDir), or — by default — the Env's store. Each
+// gives every scale's PPG.
 type Detect struct {
 	App         *scalana.App
 	Simulate    bool
@@ -279,22 +277,13 @@ func (e *Env) Detect(q Detect) (Plan[*detect.Report], error) {
 		}
 		src = "stored|" + entriesKey(entries)
 		load = func() ([]detect.ScaleRun, error) {
-			largest := 0
-			for _, ent := range entries {
-				largest = max(largest, ent.NP)
-			}
 			runs := make([]detect.ScaleRun, len(entries))
 			for i, ent := range entries {
-				runs[i].NP = ent.NP
-				var err error
-				if ent.NP == largest {
-					runs[i].PPG, err = e.graph(app, ent)
-				} else {
-					runs[i].Merged, err = e.merged(app, ent)
-				}
+				pg, err := e.graph(app, ent)
 				if err != nil {
 					return nil, err
 				}
+				runs[i] = detect.ScaleRun{NP: ent.NP, PPG: pg}
 			}
 			return runs, nil
 		}
@@ -315,11 +304,10 @@ func (e *Env) Detect(q Detect) (Plan[*detect.Report], error) {
 	}}, nil
 }
 
-// graph reads the largest scale of a stored detect, which hosts
-// backtracking: its PPG from e.Cache once the stored file still holds the
-// bytes it was decoded from (store.Store.Holds, which answers what Verify
-// answers), else decoded from those bytes (Get hashes them once) and
-// cached with them.
+// graph reads one scale of a stored detect: its PPG from e.Cache once the
+// stored file still holds the bytes it was decoded from
+// (store.Store.Holds, which answers what Verify answers), else decoded
+// from those bytes (Get hashes them once) and cached with them.
 func (e *Env) graph(app *scalana.App, ent store.Entry) (*ppg.Graph, error) {
 	if pg, data := e.Cache.graph(ent.Key); pg != nil {
 		if err := e.Store.Holds(ent.Key, data); err != nil {
@@ -333,35 +321,6 @@ func (e *Env) graph(app *scalana.App, ent store.Entry) (*ppg.Graph, error) {
 	}
 	e.Cache.addGraph(ent.Key, pg, data)
 	return pg, nil
-}
-
-// merged reads a smaller scale of a stored detect, which feeds the
-// cross-scale fit alone: its sample's merged times, from e.Cache once the
-// stored file still holds the bytes the sample was read from (Holds, as
-// graph checks its graph), else ingested from those bytes (Get hashes
-// them once) and cached with them. A sample a watch ingested kept no
-// bytes: they are read once, through Get, and cached with it.
-func (e *Env) merged(app *scalana.App, ent store.Entry) ([]float64, error) {
-	smp, data := e.Cache.sample(ent.Key)
-	switch {
-	case data != nil:
-		if err := e.Store.Holds(ent.Key, data); err != nil {
-			return nil, err
-		}
-	case smp != nil:
-		data, err := e.Store.Get(ent.Key)
-		if err != nil {
-			return nil, err
-		}
-		e.Cache.keepBytes(ent.Key, smp, data)
-	default:
-		var err error
-		if smp, data, err = e.ingest(app, ent); err != nil {
-			return nil, err
-		}
-		e.Cache.addSample(ent.Key, smp, data)
-	}
-	return smp.Values, nil
 }
 
 // loadDir builds per-scale PPGs from saved scalana-prof outputs.

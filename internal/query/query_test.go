@@ -140,8 +140,9 @@ func allPPG(t *testing.T, e Env, app *scalana.App, nps []int, cfg detect.Config)
 // detect.Detect over every scale's PPG whether its scales are read with
 // no cache, into a cold one, from a warm one, or through one whose budget
 // is the largest scale's graph charge alone (the graph and its stored
-// bytes), so every detect evicts what the next one needs. The zeusmp scales are named out of order, so the
-// largest is not the last.
+// bytes), so every detect evicts what the next one needs. A cold read
+// decodes each scale once and no path ingests a sample. The zeusmp scales
+// are named out of order, so the largest is not the last.
 func TestDetectBytesOnEveryPath(t *testing.T) {
 	cg, zeusmp := scalana.GetApp("cg"), scalana.GetApp("zeusmp")
 	for _, tc := range []struct {
@@ -158,18 +159,17 @@ func TestDetectBytesOnEveryPath(t *testing.T) {
 		evicting.Cache = &Cache{budget: graphCharge(largestGraph(t, tc.env, tc.app, tc.nps))}
 		cfg := detect.DefaultConfig()
 		want := allPPG(t, tc.env, tc.app, tc.nps, cfg)
-		smaller := int64(len(tc.nps) - 1)
+		scales := int64(len(tc.nps))
 		for _, pass := range []struct {
 			name    string
 			env     Env
-			ingests int64
 			decodes int64
 		}{
-			{"no cache", tc.env, 0, 0},
-			{"cold", cached, smaller, 1},
-			{"warm", cached, 0, 0},
-			{"evicting, cold", evicting, smaller, 1},
-			{"evicted", evicting, smaller, 1},
+			{"no cache", tc.env, 0},
+			{"cold", cached, scales},
+			{"warm", cached, 0},
+			{"evicting, cold", evicting, scales},
+			{"evicted", evicting, scales},
 		} {
 			before := pass.env.Cache.Stats()
 			plan, err := pass.env.Detect(Detect{App: tc.app, Scales: tc.nps, Config: cfg})
@@ -180,8 +180,8 @@ func TestDetectBytesOnEveryPath(t *testing.T) {
 				t.Errorf("%s, %s: %d bytes (err %v), want detect.Detect's %d", tc.name, pass.name, len(got), err, len(want))
 			}
 			after := pass.env.Cache.Stats()
-			if ingests, decodes := after.Ingests-before.Ingests, after.Decodes-before.Decodes; ingests != pass.ingests || decodes != pass.decodes {
-				t.Errorf("%s, %s: %d samples ingested and %d graphs decoded, want %d and %d", tc.name, pass.name, ingests, decodes, pass.ingests, pass.decodes)
+			if ingests, decodes := after.Ingests-before.Ingests, after.Decodes-before.Decodes; ingests != 0 || decodes != pass.decodes {
+				t.Errorf("%s, %s: %d samples ingested and %d graphs decoded, want 0 and %d", tc.name, pass.name, ingests, decodes, pass.decodes)
 			}
 		}
 		if st := evicting.Cache.Stats(); st.Evictions == 0 || st.Bytes > evicting.Cache.budget {
@@ -549,10 +549,10 @@ func BenchmarkHistories(b *testing.B) {
 
 // BenchmarkStoredDetect is a stored detect over zeusmp at np 64, 256 and
 // 1024 (serve-detect-stored's scales): cold has no cache, so it decodes
-// np=1024 and ingests the two smaller scales on every detect, as
-// scalana-detect -store does; warm reads the graph and both samples from a
-// filled cache and compares each stored file with the bytes its entry was
-// read from, hashing none, as the service does after its first detect.
+// every scale on every detect, as scalana-detect -store does; warm reads
+// the three graphs from a filled cache and compares each stored file with
+// the bytes its graph was decoded from, hashing none, as the service does
+// after its first detect.
 func BenchmarkStoredDetect(b *testing.B) {
 	zeusmp := scalana.GetApp("zeusmp")
 	cold := storedEnv(b, zeusmp, []int{64, 256, 1024}, 2000)
@@ -613,8 +613,8 @@ func misfiled(t *testing.T, np int) (Env, store.Entry) {
 // used to be fitted by detect as if it were a 16-rank run (200, with a
 // cause) and listed by sweep at np=16, while watch alone called it
 // corrupt. Every stored-source reader now says the same thing — a detect
-// reading the set as a smaller scale through a sample cache too, which
-// never holds it.
+// reading the set as a smaller scale through a cache too, which never
+// holds it.
 func TestMisfiledSetIsCorruptToEveryReader(t *testing.T) {
 	e, ent := misfiled(t, 16)
 	cg := scalana.GetApp("cg")
@@ -668,8 +668,8 @@ func TestMisfiledSetIsCorruptToEveryReader(t *testing.T) {
 			t.Errorf("detect %d with a misfiled smaller scale: %v, want %s", pass, err, want)
 		}
 	}
-	if st := small.Cache.Stats(); st.Samples != 0 || st.Ingests != 0 {
-		t.Errorf("the cache holds %d samples after %d ingests of the misfiled smaller scale, want none", st.Samples, st.Ingests)
+	if pg, _ := small.Cache.graph(ent.Key); pg != nil || small.Cache.Stats().Bytes != 0 {
+		t.Errorf("the cache holds the misfiled smaller scale's graph (%t) or %d bytes, want nothing", pg != nil, small.Cache.Stats().Bytes)
 	}
 }
 
@@ -715,11 +715,11 @@ func TestMisnamedProfileFile(t *testing.T) {
 // and the report, a sweep the store listing and its answer — neither a
 // profile a rank. 193 and 113 objects when written, each gated with a
 // quarter of headroom; materialising every rank first cost 410 and 177.
-// With no cache (cold) a detect still decodes np=4 into a graph, for its
-// sample; with a filled one (warm) it decodes nothing and checks both
-// sets: 197 and 122 objects when written, cold under its old ceiling
-// (193 a quarter up), warm under its own count a quarter up, and warm
-// below cold. The race runtime allocates on its own account, so the
+// With no cache (cold) a detect decodes both sets; with a filled one
+// (warm) it decodes nothing and checks both sets: 197 and 122 objects when
+// written (165 and 97 since a smaller scale is read as its graph alone),
+// cold under its old ceiling (193 a quarter up), warm under its own count
+// a quarter up, and warm below cold. The race runtime allocates on its own account, so the
 // counts are gated only without it.
 func TestStoredReadsAllocateNoRank(t *testing.T) {
 	if raceEnabled {

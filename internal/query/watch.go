@@ -27,27 +27,18 @@ type Watch struct {
 }
 
 // sample is one stored set's baseline sample: from e.Cache when it holds
-// it, else ingested and cached without its bytes.
+// it, else read from the stored bytes and cached without them.
 func (e *Env) sample(app *scalana.App, ent store.Entry) (*baseline.Sample, error) {
-	if smp, _ := e.Cache.sample(ent.Key); smp != nil {
+	if smp := e.Cache.sample(ent.Key); smp != nil {
 		return smp, nil
 	}
-	smp, _, err := e.ingest(app, ent)
+	pg, set, _, err := e.stored(app, ent, true)
 	if err != nil {
 		return nil, err
 	}
-	e.Cache.addSample(ent.Key, smp, nil)
+	smp := baseline.Ingest(pg, ent.Hash, set.Elapsed, fit.MergeMedian)
+	e.Cache.addSample(ent.Key, smp)
 	return smp, nil
-}
-
-// ingest reduces one stored set to its baseline sample, read from the
-// stored bytes, which it returns with it.
-func (e *Env) ingest(app *scalana.App, ent store.Entry) (*baseline.Sample, []byte, error) {
-	pg, set, data, err := e.stored(app, ent, true)
-	if err != nil {
-		return nil, nil, err
-	}
-	return baseline.Ingest(pg, ent.Hash, set.Elapsed, fit.MergeMedian), data, nil
 }
 
 // Watch plans a watch query.

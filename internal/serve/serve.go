@@ -34,12 +34,11 @@
 //
 // Watches and stored detects share one query.Cache, keyed by store key:
 // a watch reads every run's sample from it, and a stored detect every
-// smaller scale's sample and its largest scale's decoded graph. A detect
-// re-hashes each smaller scale's stored set and compares the largest
-// one's with the bytes its graph was decoded from, so a set corrupted
-// after caching is still a 500. The cache holds at most query.CacheBudget
-// bytes and evicts the least recently used; /v1/stats reports its
-// samples, ingests, graph decodes, bytes and evictions.
+// scale's decoded graph. A detect compares each scale's stored set with
+// the bytes its graph was decoded from, so a set corrupted after caching
+// is still a 500. The cache holds at most query.CacheBudget bytes and
+// evicts the least recently used; /v1/stats reports its samples, ingests,
+// graph decodes, bytes and evictions.
 package serve
 
 import (
@@ -160,18 +159,15 @@ type Stats struct {
 	WatchComputes   int64 `json:"watch_computes"`
 	WatchCoalesced  int64 `json:"watch_coalesced"`
 	// BaselineSamples is the number of ingested samples in the cache that
-	// watches and the smaller scales of stored detects share, one a
-	// stored set at most (a detect giving a watch's sample its stored
-	// bytes replaces it); SampleIngests counts ingestions performed
-	// (cache misses).
+	// watches read, one a stored set at most; SampleIngests counts
+	// ingestions performed (cache misses).
 	BaselineSamples int   `json:"baseline_samples"`
 	SampleIngests   int64 `json:"sample_ingests"`
-	// GraphDecodes counts stored detects' largest scales decoded into a
-	// PPG (the same cache's graph misses). CacheBytes is what the cache's
-	// entries are charged, a graph and a sample a detect read with the
-	// stored bytes they were read from, a watch's sample without, at most
-	// query.CacheBudget; CacheEvictions is how many it has dropped to stay
-	// within it.
+	// GraphDecodes counts the scales of stored detects decoded into a PPG
+	// (the same cache's graph misses). CacheBytes is what the cache's
+	// entries are charged, a graph with the stored bytes it was decoded
+	// from, a watch's sample without, at most query.CacheBudget;
+	// CacheEvictions is how many it has dropped to stay within it.
 	GraphDecodes   int64 `json:"graph_decodes"`
 	CacheBytes     int64 `json:"cache_bytes"`
 	CacheEvictions int64 `json:"cache_evictions"`

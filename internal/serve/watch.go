@@ -7,8 +7,7 @@ package serve
 // canonical bytes of the query.Watch plan, and concurrent identical
 // watch requests coalesce on the plan's key (the full run history plus
 // the resolved thresholds) like every other query. Ingested samples are
-// cached lazily in the server's query.Cache, which stored detects read
-// their smaller scales from.
+// cached lazily in the server's query.Cache.
 
 import (
 	"net/http"

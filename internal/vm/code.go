@@ -75,8 +75,9 @@ const (
 	opMove  // R[a] = R[b]
 
 	// Attribution and accounting.
-	opSetCtx // p.Ctx = link.ctx[a] unless NoCtx
-	opStmt   // a statement's prologue: opSetCtx a, then charge glueIns
+	// opStmt is a statement's prologue: p.Ctx = link.ctx[a] unless NoCtx,
+	// then charge glueIns.
+	opStmt
 
 	// Control flow.
 	opJmp      // pc = a
@@ -128,7 +129,7 @@ const (
 	opLen      // R[b] = len(R[a])
 
 	// Builtins. opCompute and opMPI first move the context to their own
-	// site, b, as an opSetCtx b would.
+	// site, b, as an opStmt does to its a.
 	opMath1   // R[b] = mathFns1[d](num(R[a], name+" argument"))
 	opMath2   // R[c] = mathFns2[d](num(R[a]), num(R[b]))
 	opRand    // R[a] = p.Rand()
@@ -219,8 +220,8 @@ type Code struct {
 	names   []string // variable names for array errors
 	fns     []string // the Program's function names, by function id
 
-	// ctxNodes are the attribution sites (opSetCtx's and opStmt's a,
-	// opCompute's and opMPI's b index it).
+	// ctxNodes are the attribution sites (opStmt's a, opCompute's and
+	// opMPI's b index it).
 	ctxNodes []minilang.NodeID
 	// args are the operand registers of opCompute and opMPI, each
 	// instruction's a list from its a on.

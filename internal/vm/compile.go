@@ -16,8 +16,9 @@ import (
 //
 // The compiler's contract is behavioral identity with the reference
 // tree-walker (internal/vm/difftest/interp): it moves the attribution
-// context and charges glue at exactly the points the tree-walker does
-// (opStmt, opSetCtx, and the context sites opCompute and opMPI carry),
+// context wherever an advance can see the tree-walker's move and charges
+// glue at exactly the points the tree-walker does (opStmt, and the
+// context sites opCompute and opMPI carry),
 // keeps the interpreter's left-to-right evaluation and conversion order
 // (opChkNum lets a binary operator convert its left operand before a
 // right operand with an effect runs), and reproduces the interpreter's
@@ -328,12 +329,6 @@ func (c *compiler) grow(n int32) {
 	}
 }
 
-// setCtx emits a context move: what a statement that charges no glue
-// begins with.
-func (c *compiler) setCtx(n minilang.Node) {
-	c.emit(instr{op: opSetCtx, a: c.ctx(n)})
-}
-
 // prologue emits the context move and glue charge a statement begins
 // with, as one instruction.
 func (c *compiler) prologue(n minilang.Node) {
@@ -369,17 +364,14 @@ func (c *compiler) block(b *minilang.Block) error {
 func (c *compiler) stmt(s minilang.Stmt) error {
 	// Temporaries never outlive a statement.
 	defer func() { c.reg = c.floor }()
-	switch st := s.(type) {
+	// A statement that charges no glue (a loop, whose head has its own
+	// prologue, a return, break, continue or block) moves no context,
+	// though the interpreter does: only an advance reads the context,
+	// and each instruction that advances first moves it to a site of its
+	// own, which has a vertex in every instance.
+	switch s.(type) {
 	case *minilang.VarDecl, *minilang.AssignStmt, *minilang.ExprStmt, *minilang.IfStmt:
 		c.prologue(s)
-	case *minilang.WhileStmt:
-		// The head's prologue moves the context to the loop first.
-	case *minilang.ForStmt:
-		if st.Init != nil {
-			c.setCtx(s) // what the Init keeps if its own site is contracted
-		}
-	default:
-		c.setCtx(s)
 	}
 	switch st := s.(type) {
 	case *minilang.VarDecl:

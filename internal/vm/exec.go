@@ -304,8 +304,6 @@ func (m *machine) step(p *mpisim.Proc, arena *[]float64, np int) bool {
 				f[in.a] = code.consts[in.b]
 			case opMove:
 				f[in.a] = f[in.b]
-			case opSetCtx:
-				moveCtx(p, l, in.a)
 			case opStmt:
 				moveCtx(p, l, in.a)
 				p.Glue(glueIns)

@@ -31,7 +31,7 @@ type Link struct {
 	inst *psg.Instance
 	code *Code
 
-	// ctx holds the attribution vertex's VID per opSetCtx site; NoCtx
+	// ctx holds the attribution vertex's VID per attribution site; NoCtx
 	// means the node was contracted away in this instance and the context
 	// keeps its previous value, exactly like the interpreter's setCtx.
 	ctx []mpisim.Ctx

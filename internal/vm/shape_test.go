@@ -73,8 +73,9 @@ func TestLoopIterationShape(t *testing.T) {
 
 // TestStatementPrologueIsOneInstruction: a statement that charges glue
 // begins with one opStmt, not a context move and a glue charge; a
-// statement that charges none begins with a context move; nothing emits a
-// context move just before a compute or an MPI operation, which carry
+// statement that charges none (return a;) begins with no context move;
+// nothing emits a context move just before a compute or an MPI operation,
+// which carry
 // their own; and a variable or literal right operand gets no number
 // check of its own.
 func TestStatementPrologueIsOneInstruction(t *testing.T) {
@@ -97,7 +98,7 @@ func TestStatementPrologueIsOneInstruction(t *testing.T) {
 		opStmt, opCompute, // compute(a, 1, 1, 64);
 		opStmt, opJmpFalse, opStmt, opConst, // if (a) { a = 2; }
 		opStmt, opJmpUnlessGt, opStmt, opSub, opJmp, // while (a > 1) { a = a - 1; }
-		opSetCtx, opRet, // return a;
+		opRet, // return a;
 		opRet,
 	}
 	if got := opsOf(code.instrs); !slices.Equal(got, want) {

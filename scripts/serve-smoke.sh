@@ -7,7 +7,7 @@
 # output over the same files. Exercises the full wire contract:
 # upload -> content-addressed store -> byte-identical retrieval ->
 # served report identical to the one-shot CLI, cold and warm (a warm
-# detect reads its smaller scale from the sample cache), and a stored set
+# detect reads both scales' graphs from the cache), and a stored set
 # corrupted after caching is a 500 until put back. Then uploads a
 # second run at np=8 and checks that repeated GET /v1/watch requests
 # serve identical bytes.
@@ -56,7 +56,7 @@ cmp testdata/cg.8.json "$work/roundtrip.json"
 curl -fs -X POST -d '{"app":"cg","scales":[4,8]}' "http://$addr/v1/detect" > "$work/served.json"
 diff "$work/offline.json" "$work/served.json"
 
-# So must a warm one, which reads np=4 from the sample cache.
+# So must a warm one, which reads both graphs from the cache.
 curl -fs -X POST -d '{"app":"cg","scales":[4,8]}' "http://$addr/v1/detect" > "$work/served-warm.json"
 diff "$work/offline.json" "$work/served-warm.json"
 
@@ -77,8 +77,8 @@ cp "$work/cg.8.kept" "$stored8"
 curl -fs -X POST -d '{"app":"cg","scales":[4,8]}' "http://$addr/v1/detect" > "$work/served-restored.json"
 diff "$work/offline.json" "$work/served-restored.json"
 
-# The store-backed CLI path reads the same store the server wrote, np=4
-# as a sample like the warm served detect (ingested, with no cache).
+# The store-backed CLI path reads the same store the server wrote, every
+# scale as a graph like the served detect (decoded, with no cache).
 "$work/scalana-detect" -app cg -scales 4,8 -store "$work/store" \
   -json "$work/cli-store.json" >/dev/null
 diff "$work/offline.json" "$work/cli-store.json"
