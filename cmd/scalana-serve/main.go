@@ -3,10 +3,10 @@
 // server over a content-addressed profile store. Clients upload
 // profile-set wire files (scalana-prof -o output, the
 // prof.EncodeProfileSet format) and query detect reports, sweep
-// comparisons, and communication matrices as JSON; one shared engine
-// compiles each app once no matter how many uploads and queries touch
-// it, and concurrent identical detect requests coalesce into a single
-// computation.
+// comparisons and watches of a run against its history as JSON; one
+// shared engine compiles each app once no matter how many uploads and
+// queries touch it, and concurrent identical detect requests coalesce
+// into a single computation.
 //
 // Usage:
 //

@@ -29,8 +29,6 @@ type Builtin struct {
 	// Collective is true for MPI collectives; the backtracking algorithm
 	// terminates at collective vertices (paper Algorithm 1).
 	Collective bool
-	// NonBlocking marks operations completed later by mpi_wait/mpi_waitall.
-	NonBlocking bool
 }
 
 // Builtins is the table of all MiniMP builtins, keyed by name.
@@ -42,12 +40,12 @@ var Builtins = map[string]*Builtin{
 	// Point-to-point communication: (peer, tag, bytes).
 	"mpi_send":  {Name: "mpi_send", Kind: BuiltinComm, Arity: 3},
 	"mpi_recv":  {Name: "mpi_recv", Kind: BuiltinComm, Arity: 3},
-	"mpi_isend": {Name: "mpi_isend", Kind: BuiltinComm, Arity: 3, NonBlocking: true},
-	"mpi_irecv": {Name: "mpi_irecv", Kind: BuiltinComm, Arity: 3, NonBlocking: true},
+	"mpi_isend": {Name: "mpi_isend", Kind: BuiltinComm, Arity: 3},
+	"mpi_irecv": {Name: "mpi_irecv", Kind: BuiltinComm, Arity: 3},
 	// Wildcard-source receives: (tag, bytes); source resolved at completion
 	// (exercises the "source or tag is uncertain" path of paper Fig. 5).
 	"mpi_recv_any":  {Name: "mpi_recv_any", Kind: BuiltinComm, Arity: 2},
-	"mpi_irecv_any": {Name: "mpi_irecv_any", Kind: BuiltinComm, Arity: 2, NonBlocking: true},
+	"mpi_irecv_any": {Name: "mpi_irecv_any", Kind: BuiltinComm, Arity: 2},
 	// Completion of non-blocking operations.
 	"mpi_wait":    {Name: "mpi_wait", Kind: BuiltinComm, Arity: 1},
 	"mpi_waitall": {Name: "mpi_waitall", Kind: BuiltinComm, Arity: 0},

@@ -69,12 +69,21 @@ func (lx *Lexer) advance() rune {
 	return r
 }
 
-func (lx *Lexer) errorf(p Pos, format string, args ...any) {
+// room reports whether the lexer may format one more error; when it may
+// not, it counts the error among the rest. A caller whose error arguments
+// cost an allocation asks it before building them.
+func (lx *Lexer) room() bool {
 	if lx.maxErrs > 0 && len(lx.errs) == lx.maxErrs {
 		lx.more++
-		return
+		return false
 	}
-	lx.errs = append(lx.errs, fmt.Errorf("%s: %s", p, fmt.Sprintf(format, args...)))
+	return true
+}
+
+func (lx *Lexer) errorf(p Pos, format string, args ...any) {
+	if lx.room() {
+		lx.errs = append(lx.errs, fmt.Errorf("%s: %s", p, fmt.Sprintf(format, args...)))
+	}
 }
 
 func (lx *Lexer) skipSpaceAndComments() {
@@ -181,7 +190,9 @@ func (lx *Lexer) Next() Token {
 			lx.errorf(p, "unexpected character %q (did you mean ||?)", r)
 			continue
 		}
-		lx.errorf(p, "unexpected character %q", r)
+		if lx.room() { // boxing a rune above U+00FF allocates
+			lx.errorf(p, "unexpected character %q", r)
+		}
 	}
 }
 
@@ -206,10 +217,15 @@ func (lx *Lexer) lexIdent(p Pos) Token {
 func (lx *Lexer) lexNumber(p Pos) Token {
 	start := lx.off
 	seenDot, seenExp := false, false
+	// ascii says every digit is ASCII and expDigit that the exponent has
+	// one: without either, ParseFloat rejects the text whatever its value.
+	ascii, expDigit := true, false
 	for lx.off < len(lx.src) {
 		r := lx.peek()
 		switch {
 		case unicode.IsDigit(r):
+			ascii = ascii && r <= '9'
+			expDigit = seenExp
 			lx.advance()
 		case r == '.' && !seenDot && !seenExp:
 			seenDot = true
@@ -226,6 +242,9 @@ func (lx *Lexer) lexNumber(p Pos) Token {
 	}
 done:
 	text := lx.src[start:lx.off]
+	if (!ascii || seenExp && !expDigit) && !lx.room() {
+		return Token{Kind: TokNumber, Text: text, Pos: p}
+	}
 	v, err := strconv.ParseFloat(text, 64)
 	if err != nil {
 		lx.errorf(p, "bad number literal %q: %v", text, err)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"runtime/debug"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -421,6 +422,14 @@ func FuzzTokenize(f *testing.F) {
 			if gotErrs[i].Error() != wantErrs[i].Error() {
 				t.Fatalf("%q: error %d %q, the oracle's %q", src, i, gotErrs[i], wantErrs[i])
 			}
+		}
+		// Past a cap of one formatted error, the lexer counts the rest
+		// without formatting (or parsing) them, and its tokens are the same.
+		capped, cappedErrs, more := tokenize("f.mp", src, 1)
+		if !slices.Equal(capped, got) || len(cappedErrs)+more != len(gotErrs) ||
+			len(cappedErrs) > 0 && cappedErrs[0].Error() != gotErrs[0].Error() {
+			t.Fatalf("%q: capped at one error, %d errors and %d more, tokens equal %v; uncapped %d errors",
+				src, len(cappedErrs), more, slices.Equal(capped, got), len(gotErrs))
 		}
 	})
 }

@@ -346,34 +346,61 @@ func TestParsePositionsPointAtSource(t *testing.T) {
 }
 
 // TestLexErrorsAreBounded: the lexer formats only the errors Parse can
-// show and counts the rest, so 100,000 unexpected characters allocate
-// under 1 MB (30 MB in 800,000 objects when each was formatted), while
-// the error text is what it was: the first 20 errors, then the count of
-// the rest. The count also meets the parser's 200-error cap as before:
-// 150 lexical errors leave room for 51 syntax errors.
+// show and counts the rest, while the error text is what it was: the
+// first 20 errors, then the count of the rest. An unexpected character is
+// counted before its rune is boxed for formatting, and a number literal
+// ParseFloat rejects whatever its value (an exponent with no digit, a
+// non-ASCII digit) without calling ParseFloat. So 100,000 of either
+// allocate a few hundred objects (30 MB in 800,000 objects when each
+// '@' was formatted, 100,000 objects for '€' and 300,000 for " 1e" when
+// each was boxed or parsed). The characters stay under 1 MB; the number
+// literals' bytes are their 100,000 tokens. The count also meets the
+// parser's 200-error cap as before: 150 lexical errors leave room for 51
+// syntax errors, and a token stream that is all numbers adds the one
+// syntax error that hits the cap.
 func TestLexErrorsAreBounded(t *testing.T) {
-	shown := func(n int) string {
+	shown := func(line func(i int) string, n int) string {
 		lines := make([]string, 20)
 		for i := range lines {
-			lines[i] = fmt.Sprintf("t.mp:1:%d: unexpected character '@'", i+1)
+			lines[i] = line(i)
 		}
 		return strings.Join(lines, "\n") + fmt.Sprintf("\n... and %d more errors", n)
 	}
-	src := strings.Repeat("@", 100000) + "func main() {}"
-	if _, err := Parse("t.mp", src); err == nil || err.Error() != shown(99980) {
-		t.Errorf("100,000 unexpected characters: %.200v..., want 20 errors and 99980 more", err)
+	char := func(c string) func(i int) string {
+		return func(i int) string { return fmt.Sprintf("t.mp:1:%d: unexpected character '%s'", i+1, c) }
+	}
+	badExp := func(i int) string {
+		return fmt.Sprintf(`t.mp:1:%d: bad number literal "1e": strconv.ParseFloat: parsing "1e": invalid syntax`, 3*i+2)
+	}
+	for _, tc := range []struct {
+		unit     string
+		line     func(i int) string
+		more     int
+		maxBytes uint64
+	}{
+		{"@", char("@"), 99980, 1 << 20},
+		{"€", char("€"), 99980, 1 << 20},
+		{" 1e", badExp, 99981, 0},
+	} {
+		src := strings.Repeat(tc.unit, 100000) + "func main() {}"
+		if _, err := Parse("t.mp", src); err == nil || err.Error() != shown(tc.line, tc.more) {
+			t.Errorf("100,000 %q: %.200v..., want 20 errors and %d more", tc.unit, err, tc.more)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := Parse("t.mp", src); err == nil {
+			t.Fatal("no error")
+		}
+		runtime.ReadMemStats(&after)
+		if n := after.Mallocs - before.Mallocs; n >= 1000 {
+			t.Errorf("parsing 100,000 %q allocated %d objects, want under 1,000", tc.unit, n)
+		}
+		if n := after.TotalAlloc - before.TotalAlloc; tc.maxBytes > 0 && n >= tc.maxBytes {
+			t.Errorf("parsing 100,000 %q allocated %d bytes, want under %d", tc.unit, n, tc.maxBytes)
+		}
 	}
 	capped := strings.Repeat("@", 150) + "func main() {}" + strings.Repeat(" x", 100)
-	if _, err := Parse("t.mp", capped); err == nil || err.Error() != shown(181) {
+	if _, err := Parse("t.mp", capped); err == nil || err.Error() != shown(char("@"), 181) {
 		t.Errorf("150 lexical errors then 100 stray tokens: %.200v..., want 20 errors and 181 more", err)
-	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	if _, err := Parse("t.mp", src); err == nil {
-		t.Fatal("no error")
-	}
-	runtime.ReadMemStats(&after)
-	if n := after.TotalAlloc - before.TotalAlloc; n >= 1<<20 {
-		t.Errorf("parsing 100,000 unexpected characters allocated %d bytes, want under 1 MB", n)
 	}
 }

@@ -101,7 +101,7 @@ func TestEmitDoesNotAllocate(t *testing.T) {
 		return &chargingHook{}
 	}})
 	p := w.Proc(0)
-	ev := Event{Kind: EvSend, Op: OpSend, Peer: 0, Tag: 1, Bytes: 64, DepRank: -1, Root: -1}
+	ev := Event{Op: OpSend, Peer: 0, Tag: 1, Bytes: 64, DepRank: -1}
 	p.emit(&ev)
 	if allocs := testing.AllocsPerRun(100, func() { p.emit(&ev) }); allocs > 0 {
 		t.Errorf("emit averages %.2f allocs, want 0 (events stage in per-rank scratch)", allocs)

@@ -26,7 +26,6 @@ type collSlot struct {
 	seq      int // the collective's number in program order
 	op       Op
 	root     int
-	bytes    float64
 	arrivals []arrival
 	got      int
 	// waiters are the ranks parked on this slot, readied by the last
@@ -62,10 +61,10 @@ func newCollectives(w *World) *collectives {
 
 // slotFor returns the slot of collective number seq, opening it when the
 // calling rank is the first to arrive.
-func (c *collectives) slotFor(seq int, op Op, root int, bytes float64) *collSlot {
+func (c *collectives) slotFor(seq int, op Op, root int) *collSlot {
 	i := seq - c.base
 	if i == len(c.live) {
-		c.live = append(c.live, c.newSlot(seq, op, root, bytes))
+		c.live = append(c.live, c.newSlot(seq, op, root))
 	}
 	return c.live[i]
 }
@@ -83,7 +82,7 @@ func (c *collectives) retire(slot *collSlot) {
 }
 
 // newSlot allocates or recycles a slot.
-func (c *collectives) newSlot(seq int, op Op, root int, bytes float64) *collSlot {
+func (c *collectives) newSlot(seq int, op Op, root int) *collSlot {
 	var slot *collSlot
 	if n := len(c.free); n > 0 {
 		slot = c.free[n-1]
@@ -93,7 +92,7 @@ func (c *collectives) newSlot(seq int, op Op, root int, bytes float64) *collSlot
 	} else {
 		slot = &collSlot{arrivals: make([]arrival, c.w.np)}
 	}
-	slot.seq, slot.op, slot.root, slot.bytes = seq, op, root, bytes
+	slot.seq, slot.op, slot.root = seq, op, root
 	slot.depRank = -1
 	return slot
 }
@@ -130,12 +129,11 @@ func ceilLog2b(n int) float64 {
 // arriver parks (false) and completes when the last one wakes it.
 func (p *Proc) collective(op Op, root int, bytes float64) bool {
 	p.validBytes(op, bytes)
-	t0 := p.Clock
 	p.mpiOverhead()
 	seq := p.collSeq
 	p.collSeq++
 
-	slot := p.world.colls.slotFor(seq, op, root, bytes)
+	slot := p.world.colls.slotFor(seq, op, root)
 	if slot.op != op {
 		panic(fmt.Sprintf("mpisim: rank %d called %s where other ranks called %s (collective #%d mismatch)", p.Rank, op, slot.op, seq))
 	}
@@ -147,7 +145,7 @@ func (p *Proc) collective(op Op, root int, bytes float64) bool {
 	if slot.got < p.world.np {
 		slot.waiters = append(slot.waiters, p.Rank)
 		p.world.sched.blockOn(p, blockState{kind: blockColl, op: op, seq: seq})
-		return p.park(cont{kind: contColl, t0: t0, slot: slot, bytes: bytes})
+		return p.park(cont{kind: contColl, slot: slot, bytes: bytes})
 	}
 	for r, a := range slot.arrivals {
 		if a.t > slot.tMax || slot.depRank == -1 {
@@ -161,7 +159,7 @@ func (p *Proc) collective(op Op, root int, bytes float64) bool {
 		p.world.sched.wake(r)
 	}
 	slot.waiters = slot.waiters[:0]
-	p.finishCollective(t0, slot, bytes)
+	p.finishCollective(slot, bytes)
 	return true
 }
 
@@ -170,7 +168,7 @@ func (p *Proc) collective(op Op, root int, bytes float64) bool {
 // the slot once every rank has read it.
 //
 //scalana:hot
-func (p *Proc) finishCollective(t0 float64, slot *collSlot, bytes float64) {
+func (p *Proc) finishCollective(slot *collSlot, bytes float64) {
 	myArrival := p.Clock
 	wait := slot.tMax - myArrival
 	if wait < 0 {
@@ -184,8 +182,8 @@ func (p *Proc) finishCollective(t0 float64, slot *collSlot, bytes float64) {
 		// This rank was the straggler; it depends on no one here.
 		depRank, depCtx = -1, NoCtx
 	}
-	ev := p.event(EvCollective, slot.op, -1, 0, bytes, t0, wait, depRank, depCtx)
-	ev.Collective, ev.Root = true, slot.root
+	ev := p.event(slot.op, -1, 0, bytes, wait, depRank, depCtx)
+	ev.Collective = true
 	p.emit(ev)
 
 	slot.reads++

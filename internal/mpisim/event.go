@@ -34,43 +34,6 @@ package mpisim
 
 import "scalana/internal/machine"
 
-// EventKind classifies MPI events reported to tool hooks.
-type EventKind int
-
-// Event kinds.
-const (
-	EvSend EventKind = iota
-	EvRecv
-	EvIsend
-	EvIrecv
-	EvWait
-	EvWaitall
-	EvSendrecv
-	EvCollective
-)
-
-func (k EventKind) String() string {
-	switch k {
-	case EvSend:
-		return "send"
-	case EvRecv:
-		return "recv"
-	case EvIsend:
-		return "isend"
-	case EvIrecv:
-		return "irecv"
-	case EvWait:
-		return "wait"
-	case EvWaitall:
-		return "waitall"
-	case EvSendrecv:
-		return "sendrecv"
-	case EvCollective:
-		return "collective"
-	}
-	return "event"
-}
-
 // AnySource is the wildcard source rank for mpi_recv_any.
 const AnySource = -1
 
@@ -140,15 +103,15 @@ func OpNamed(name string) (Op, bool) {
 // Event describes one completed MPI operation on one rank. Tool hooks
 // (the ScalAna PMPI layer, the tracer, the profiler) receive every event.
 type Event struct {
-	Kind EventKind
-	Op   Op // the MiniMP builtin (mpi_send, mpi_allreduce, ...)
-	Rank int
+	Op   Op  // the MiniMP builtin (mpi_send, mpi_allreduce, ...)
 	Peer int // matched peer rank; -1 for collectives/none
 	Tag  int
-	// Bytes is the message payload (per peer for collectives).
+	// Bytes is the message payload (per peer for collectives; for a
+	// sendrecv, both directions together; for a waitall, every receive
+	// it completed).
 	Bytes float64
-	// TStart/TEnd bracket the operation in virtual time.
-	TStart, TEnd float64
+	// TEnd is the virtual time the operation completed at.
+	TEnd float64
 	// Wait is the blocked time spent inside the operation waiting for
 	// remote progress. Backtracking prunes communication dependence edges
 	// with no waiting (paper §IV-B).
@@ -162,22 +125,8 @@ type Event struct {
 	DepCtx Ctx
 	// Ctx is the local attribution context when the event completed.
 	Ctx Ctx
-	// Collective marks collective operations; Root is the collective root
-	// (or -1).
+	// Collective marks collective operations.
 	Collective bool
-	Root       int
-	// Requests is the number of requests completed (for waitall; counts
-	// send and receive requests alike).
-	Requests int
-	// RecvRequests is the number of completed receive requests (for
-	// waitall; Bytes aggregates exactly these).
-	RecvRequests int
-	// SendPeer and SendBytes carry the send half of a combined sendrecv
-	// (EvSendrecv only, where Peer/Bytes describe the whole exchange:
-	// Peer is the matched receive source and Bytes the combined payload).
-	// SendPeer is -1 for every other event kind.
-	SendPeer  int
-	SendBytes float64
 	// ReqID is the request handle for isend/irecv/wait events (0 if none);
 	// the ScalAna PMPI layer's request converter remembers a posted
 	// receive under it until the wait that completes it (paper Fig. 5).

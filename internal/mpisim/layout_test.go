@@ -43,7 +43,7 @@ func TestRankStateHoldsNoPointer(t *testing.T) {
 		v     any
 		amd64 uintptr
 	}{
-		{mpisim.Event{}, 144},
+		{mpisim.Event{}, 80},
 		{mpisim.SendInfo{}, 32},
 		{mpisim.Arrival{}, 16},
 		{prof.CommRecord{}, 64},

@@ -42,7 +42,6 @@ func TestMessagesMatchInOrder(t *testing.T) {
 	// the second recv cannot complete before the second send's arrival.
 	w := newTestWorld(2)
 	var waits []float64
-	w.cfg.HookFactory = nil
 	_, err := w.RunBlocking(func(p *Proc) {
 		if p.Rank == 0 {
 			p.Send(1, 7, 100)
@@ -134,7 +133,7 @@ func TestWaitallDependsOnLatestArrival(t *testing.T) {
 	}
 	var wa *Event
 	for _, ev := range events {
-		if ev.Kind == EvWaitall {
+		if ev.Op == OpWaitall {
 			wa = ev
 		}
 	}
@@ -146,9 +145,6 @@ func TestWaitallDependsOnLatestArrival(t *testing.T) {
 	}
 	if wa.Wait <= 0 {
 		t.Errorf("waitall wait = %g, want > 0", wa.Wait)
-	}
-	if wa.Requests != 2 {
-		t.Errorf("waitall completed %d requests, want 2", wa.Requests)
 	}
 }
 
@@ -316,7 +312,7 @@ func TestIrecvAnyResolvedAtWait(t *testing.T) {
 	}
 	var wait *Event
 	for _, ev := range events {
-		if ev.Kind == EvWait {
+		if ev.Op == OpWait {
 			wait = ev
 		}
 	}
@@ -572,12 +568,7 @@ func TestRandDeterministicPerRank(t *testing.T) {
 	}
 }
 
-func TestEventKindAndAdvanceKindStrings(t *testing.T) {
-	for _, k := range []EventKind{EvSend, EvRecv, EvIsend, EvIrecv, EvWait, EvWaitall, EvSendrecv, EvCollective} {
-		if k.String() == "event" {
-			t.Errorf("EventKind %d has no name", k)
-		}
-	}
+func TestAdvanceKindStrings(t *testing.T) {
 	for _, k := range []AdvanceKind{AdvCompute, AdvGlue, AdvMPIOverhead, AdvTransfer, AdvWait, AdvPerturb} {
 		if k.String() == "advance" {
 			t.Errorf("AdvanceKind %d has no name", k)
@@ -663,7 +654,7 @@ func TestInboxIndexedPastScanLimit(t *testing.T) {
 	}
 	waits := 0
 	for _, ev := range events {
-		if ev.Kind != EvWait {
+		if ev.Op != OpWait {
 			continue
 		}
 		waits++

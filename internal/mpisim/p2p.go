@@ -308,24 +308,22 @@ func (p *Proc) validBytes(op Op, bytes float64) {
 func (p *Proc) Send(dst, tag int, bytes float64) {
 	p.validPeer(dst)
 	p.validBytes(OpSend, bytes)
-	t0 := p.Clock
 	p.mpiOverhead()
 	p.advance(bytes*netPerByte, AdvTransfer, &zeroVec)
 	p.world.matcher.postSend(p.Rank, dst, tag, bytes, p.Clock+netLatency, p.Ctx)
-	p.emit(p.event(EvSend, OpSend, dst, tag, bytes, t0, 0, -1, NoCtx))
+	p.emit(p.event(OpSend, dst, tag, bytes, 0, -1, NoCtx))
 }
 
 // Recv is a blocking receive from a specific source.
 func (p *Proc) Recv(src, tag int, bytes float64) bool {
 	p.validPeer(src)
 	p.validBytes(OpRecv, bytes)
-	t0 := p.Clock
 	p.mpiOverhead()
 	info := p.world.matcher.claimRecv(p, src, tag)
 	if !info.matched {
-		return p.park(cont{kind: contRecv, t0: t0, tag: tag})
+		return p.park(cont{kind: contRecv, tag: tag})
 	}
-	p.finishRecv(OpRecv, t0, tag, &info)
+	p.finishRecv(OpRecv, tag, &info)
 	return true
 }
 
@@ -337,16 +335,15 @@ const Parked = -2
 // source rank (the MPI_Status.MPI_SOURCE of paper Fig. 5), or Parked.
 func (p *Proc) RecvAny(tag int, bytes float64) int {
 	p.validBytes(OpRecvAny, bytes)
-	t0 := p.Clock
 	p.mpiOverhead()
 	info := p.world.matcher.claimRecvAny(p, tag)
 	if !info.matched {
-		if !p.park(cont{kind: contRecvAny, t0: t0, tag: tag}) {
+		if !p.park(cont{kind: contRecvAny, tag: tag}) {
 			return Parked
 		}
 		return p.MatchedSource()
 	}
-	p.finishRecv(OpRecvAny, t0, tag, &info)
+	p.finishRecv(OpRecvAny, tag, &info)
 	return info.from
 }
 
@@ -357,10 +354,10 @@ func (p *Proc) MatchedSource() int { return int(p.cont.from) }
 // matched message's arrival, copy it in, report the event.
 //
 //scalana:hot
-func (p *Proc) finishRecv(op Op, t0 float64, tag int, info *sendInfo) {
+func (p *Proc) finishRecv(op Op, tag int, info *sendInfo) {
 	wait := p.waitUntil(info.tArrive)
 	p.advance(info.bytes*netPerByte, AdvTransfer, &zeroVec)
-	p.emit(p.event(EvRecv, op, info.from, tag, info.bytes, t0, wait, info.from, info.ctx))
+	p.emit(p.event(op, info.from, tag, info.bytes, wait, info.from, info.ctx))
 }
 
 // Isend posts a non-blocking send. Eager semantics: the payload is
@@ -368,12 +365,11 @@ func (p *Proc) finishRecv(op Op, t0 float64, tag int, info *sendInfo) {
 func (p *Proc) Isend(dst, tag int, bytes float64) *Request {
 	p.validPeer(dst)
 	p.validBytes(OpIsend, bytes)
-	t0 := p.Clock
 	p.mpiOverhead()
 	p.advance(bytes*netPerByte, AdvTransfer, &zeroVec)
 	p.world.matcher.postSend(p.Rank, dst, tag, bytes, p.Clock+netLatency, p.Ctx)
 	req := p.newRequest(true, dst, tag, bytes)
-	ev := p.event(EvIsend, OpIsend, dst, tag, bytes, t0, 0, -1, NoCtx)
+	ev := p.event(OpIsend, dst, tag, bytes, 0, -1, NoCtx)
 	ev.ReqID = req.id
 	p.emit(ev)
 	return req
@@ -384,11 +380,10 @@ func (p *Proc) Isend(dst, tag int, bytes float64) *Request {
 func (p *Proc) Irecv(src, tag int, bytes float64) *Request {
 	p.validPeer(src)
 	p.validBytes(OpIrecv, bytes)
-	t0 := p.Clock
 	p.mpiOverhead()
 	req := p.newRequest(false, src, tag, bytes)
 	req.ch, req.seq = p.world.matcher.claim(src, p.Rank, tag)
-	ev := p.event(EvIrecv, OpIrecv, src, tag, bytes, t0, 0, -1, NoCtx)
+	ev := p.event(OpIrecv, src, tag, bytes, 0, -1, NoCtx)
 	ev.ReqID = req.id
 	p.emit(ev)
 	return req
@@ -398,10 +393,9 @@ func (p *Proc) Irecv(src, tag int, bytes float64) *Request {
 // until completion (paper Fig. 5's status-based resolution).
 func (p *Proc) IrecvAny(tag int, bytes float64) *Request {
 	p.validBytes(OpIrecvAny, bytes)
-	t0 := p.Clock
 	p.mpiOverhead()
 	req := p.newRequest(false, AnySource, tag, bytes)
-	ev := p.event(EvIrecv, OpIrecvAny, AnySource, tag, bytes, t0, 0, -1, NoCtx)
+	ev := p.event(OpIrecvAny, AnySource, tag, bytes, 0, -1, NoCtx)
 	ev.ReqID = req.id
 	p.emit(ev)
 	return req
@@ -469,32 +463,31 @@ func (p *Proc) Wait(id int) bool {
 	if r == nil {
 		panic(fmt.Sprintf("mpisim: rank %d: mpi_wait on unknown request %d", p.Rank, id))
 	}
-	t0 := p.Clock
 	p.mpiOverhead()
 	if r.isSend {
 		p.dropRequest(id)
-		ev := p.event(EvWait, OpWait, r.src, r.tag, r.bytes, t0, 0, -1, NoCtx)
-		ev.Requests, ev.ReqID = 1, id
+		ev := p.event(OpWait, r.src, r.tag, r.bytes, 0, -1, NoCtx)
+		ev.ReqID = id
 		p.emit(ev)
 		return true
 	}
 	if !p.resolve(r) {
-		return p.park(cont{kind: contWait, t0: t0, idx: id})
+		return p.park(cont{kind: contWait, idx: id})
 	}
-	p.finishWait(t0, r, &r.claimed)
+	p.finishWait(r, &r.claimed)
 	return true
 }
 
 // finishWait is the complete half of a Wait on a receive request.
 //
 //scalana:hot
-func (p *Proc) finishWait(t0 float64, r *Request, info *sendInfo) {
+func (p *Proc) finishWait(r *Request, info *sendInfo) {
 	wait := p.waitUntil(info.tArrive)
 	p.advance(info.bytes*netPerByte, AdvTransfer, &zeroVec)
 	id, tag := r.id, r.tag
 	p.dropRequest(id)
-	ev := p.event(EvWait, OpWait, info.from, tag, info.bytes, t0, wait, info.from, info.ctx)
-	ev.Requests, ev.ReqID = 1, id
+	ev := p.event(OpWait, info.from, tag, info.bytes, wait, info.from, info.ctx)
+	ev.ReqID = id
 	p.emit(ev)
 }
 
@@ -502,7 +495,7 @@ func (p *Proc) finishWait(t0 float64, r *Request, info *sendInfo) {
 // recorded is the request whose message arrived last — the rank that kept
 // this rank waiting.
 func (p *Proc) Waitall() bool {
-	p.cont = cont{t0: p.Clock}
+	p.cont = cont{}
 	p.mpiOverhead()
 	return p.waitallFrom() || p.parked()
 }
@@ -523,7 +516,6 @@ func (p *Proc) waitallFrom() bool {
 				c.kind = contWaitall
 				return false
 			}
-			c.nRecv++
 			c.bytes += r.claimed.bytes
 			if c.last == nil || r.claimed.tArrive > c.last.tArrive {
 				c.last = &r.claimed
@@ -531,7 +523,6 @@ func (p *Proc) waitallFrom() bool {
 		}
 		p.freeReqs = append(p.freeReqs, r)
 	}
-	n := len(p.reqs)
 	p.reqs = p.reqs[:0]
 	var wait float64
 	depRank, depCtx := -1, NoCtx
@@ -542,9 +533,7 @@ func (p *Proc) waitallFrom() bool {
 	if c.bytes > 0 {
 		p.advance(c.bytes*netPerByte, AdvTransfer, &zeroVec)
 	}
-	ev := p.event(EvWaitall, OpWaitall, depRank, 0, c.bytes, c.t0, wait, depRank, depCtx)
-	ev.Requests, ev.RecvRequests = n, int(c.nRecv)
-	p.emit(ev)
+	p.emit(p.event(OpWaitall, depRank, 0, c.bytes, wait, depRank, depCtx))
 	return true
 }
 
@@ -555,27 +544,24 @@ func (p *Proc) Sendrecv(dst, stag int, sbytes float64, src, rtag int, rbytes flo
 	p.validPeer(src)
 	p.validBytes(OpSendrecv, sbytes)
 	p.validBytes(OpSendrecv, rbytes)
-	t0 := p.Clock
 	p.mpiOverhead()
 	p.advance(sbytes*netPerByte, AdvTransfer, &zeroVec)
 	p.world.matcher.postSend(p.Rank, dst, stag, sbytes, p.Clock+netLatency, p.Ctx)
 	info := p.world.matcher.claimRecv(p, src, rtag)
 	if !info.matched {
-		return p.park(cont{kind: contSendrecv, t0: t0, tag: rtag, dst: int32(dst), bytes: sbytes})
+		return p.park(cont{kind: contSendrecv, tag: rtag, bytes: sbytes})
 	}
-	p.finishSendrecv(t0, rtag, dst, sbytes, &info)
+	p.finishSendrecv(rtag, sbytes, &info)
 	return true
 }
 
 // finishSendrecv is the complete half of Sendrecv.
 //
 //scalana:hot
-func (p *Proc) finishSendrecv(t0 float64, rtag, dst int, sbytes float64, info *sendInfo) {
+func (p *Proc) finishSendrecv(rtag int, sbytes float64, info *sendInfo) {
 	wait := p.waitUntil(info.tArrive)
 	p.advance(info.bytes*netPerByte, AdvTransfer, &zeroVec)
-	ev := p.event(EvSendrecv, OpSendrecv, info.from, rtag, sbytes+info.bytes, t0, wait, info.from, info.ctx)
-	ev.SendPeer, ev.SendBytes = dst, sbytes
-	p.emit(ev)
+	p.emit(p.event(OpSendrecv, info.from, rtag, sbytes+info.bytes, wait, info.from, info.ctx))
 }
 
 // Outstanding reports the number of pending requests (testing aid).

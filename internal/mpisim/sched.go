@@ -74,16 +74,12 @@ const (
 // cont is a parked rank's continuation: the locals of its blocking
 // operation that cross the blocking point, which a goroutine would have
 // kept on its stack. A rank blocks in at most one operation, so each Proc
-// has one, and operations share its fields to keep a Proc the size it was
-// with a condition variable in it. kind is contNone unless the rank is
-// parked.
+// has one, and operations share its fields to keep a Proc small. kind is
+// contNone unless the rank is parked.
 type cont struct {
-	kind  contKind
-	dst   int32 // Sendrecv destination
-	nRecv int32 // Waitall: receive requests completed so far
-	from  int32 // the source a parked RecvAny matched (its result)
-	t0    float64
-	tag   int // receive tag (Recv, RecvAny, Sendrecv)
+	kind contKind
+	from int32 // the source a parked RecvAny matched (its result)
+	tag  int   // receive tag (Recv, RecvAny, Sendrecv)
 	// bytes is the Sendrecv send size, the collective payload, or the
 	// Waitall running total.
 	bytes float64
@@ -128,19 +124,19 @@ func (p *Proc) resume() bool {
 	info := &p.wakeInfo
 	switch kind {
 	case contRecv:
-		p.finishRecv(OpRecv, c.t0, c.tag, info)
+		p.finishRecv(OpRecv, c.tag, info)
 	case contRecvAny:
 		c.from = int32(info.from)
-		p.finishRecv(OpRecvAny, c.t0, c.tag, info)
+		p.finishRecv(OpRecvAny, c.tag, info)
 	case contSendrecv:
-		p.finishSendrecv(c.t0, c.tag, int(c.dst), c.bytes, info)
+		p.finishSendrecv(c.tag, c.bytes, info)
 	case contWait:
-		p.finishWait(c.t0, p.FindRequest(c.idx), info)
+		p.finishWait(p.FindRequest(c.idx), info)
 	case contWaitall:
 		p.reqs[c.idx].claimed = *info
 		return p.waitallFrom()
 	case contColl:
-		p.finishCollective(c.t0, c.slot, c.bytes)
+		p.finishCollective(c.slot, c.bytes)
 	}
 	return true
 }

@@ -32,7 +32,6 @@ type Config struct {
 // slots they meet in, and the scheduler that steps them. A world belongs
 // to one goroutine — the one that calls Run — and starts none of its own.
 type World struct {
-	cfg     Config
 	np      int
 	procs   []*Proc
 	matcher *matcher
@@ -57,10 +56,7 @@ func NewWorld(cfg Config) *World {
 	if cfg.NP <= 0 {
 		panic("mpisim: NP must be positive")
 	}
-	w := &World{
-		cfg: cfg,
-		np:  cfg.NP,
-	}
+	w := &World{np: cfg.NP}
 	w.sched = newScheduler(w)
 	w.matcher = newMatcher(w)
 	w.colls = newCollectives(w)
@@ -319,17 +315,17 @@ func (p *Proc) tick(from float64, kind AdvanceKind, pmu *machine.Vec) {
 }
 
 // event stages the event of an operation that completed at the rank's
-// clock in the rank's scratch storage, with Root -1 and every field it is
-// not given zero, and returns it for the operation to set the rest and
-// emit. It is built in place: a 144-byte Event is not built and copied.
+// clock in the rank's scratch storage, with every field it is not given
+// zero, and returns it for the operation to set the rest and emit. It is
+// built in place: an 80-byte Event is not built and copied.
 //
 //scalana:hot
-func (p *Proc) event(kind EventKind, op Op, peer, tag int, bytes, t0, wait float64, depRank int, depCtx Ctx) *Event {
+func (p *Proc) event(op Op, peer, tag int, bytes, wait float64, depRank int, depCtx Ctx) *Event {
 	ev := &p.evScratch
 	*ev = Event{}
-	ev.Kind, ev.Op, ev.Peer, ev.Tag, ev.Bytes = kind, op, peer, tag, bytes
-	ev.TStart, ev.TEnd, ev.Wait = t0, p.Clock, wait
-	ev.DepRank, ev.DepCtx, ev.Root = depRank, depCtx, -1
+	ev.Op, ev.Peer, ev.Tag, ev.Bytes = op, peer, tag, bytes
+	ev.TEnd, ev.Wait = p.Clock, wait
+	ev.DepRank, ev.DepCtx = depRank, depCtx
 	return ev
 }
 
@@ -340,11 +336,7 @@ func (p *Proc) event(kind EventKind, op Op, peer, tag int, bytes, t0, wait float
 //
 //scalana:hot
 func (p *Proc) emit(ev *Event) {
-	ev.Rank = p.Rank
 	ev.Ctx = p.Ctx
-	if ev.Kind != EvSendrecv {
-		ev.SendPeer = -1
-	}
 	p.events++
 	if p.hook == nil {
 		return

@@ -41,7 +41,7 @@ func benchProfiles(tb testing.TB, nMPI, np int) (*psg.Graph, []*prof.RankProfile
 			p.Ctx = mpisim.Ctx(v.VID)
 			pr.Sample(p, 1, period, &machine.Vec{100, 50, 10, 1, 5})
 			pr.MPIEvent(p, &mpisim.Event{
-				Kind: mpisim.EvRecv, Op: mpisim.OpRecv, Rank: r, Peer: (r + 1) % np,
+				Op: mpisim.OpRecv, Peer: (r + 1) % np,
 				Tag: i, Bytes: 1024, Wait: 1e-4, DepRank: (r + 1) % np, DepCtx: mpisim.Ctx(v.VID), Ctx: mpisim.Ctx(v.VID),
 			})
 		}

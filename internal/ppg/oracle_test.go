@@ -107,7 +107,7 @@ func buildOracle(g *psg.Graph, profiles []*prof.RankProfile) (*Graph, error) {
 			if last == nil || last.VID != rec.VID || last.Op != rec.Op ||
 				last.DepRank != rec.DepRank || last.DepVID != rec.DepVID {
 				part.edgeVals = append(part.edgeVals, DepEdge{
-					PeerRank: rec.DepRank, PeerVID: rec.DepVID, Op: rec.Op, Collective: rec.Collective,
+					PeerRank: rec.DepRank, PeerVID: rec.DepVID, Op: rec.Op,
 				})
 				edgeFrom = append(edgeFrom, rec.VID)
 				n++

@@ -39,13 +39,12 @@ type EdgeFrom struct {
 // (VID, Rank) waited TotalWait seconds in total on PeerRank, whose
 // responsible code was PeerVID.
 type DepEdge struct {
-	PeerRank   int
-	PeerVID    psg.VID
-	Op         mpisim.Op
-	Collective bool
-	Count      int64
-	TotalWait  float64
-	MaxWait    float64
+	PeerRank  int
+	PeerVID   psg.VID
+	Op        mpisim.Op
+	Count     int64
+	TotalWait float64
+	MaxWait   float64
 }
 
 // Graph is a Program Performance Graph for one job scale.
@@ -269,7 +268,7 @@ func (b *Builder) Add(rp *prof.RankProfile) error {
 		if last == nil || last.VID != rec.VID || last.Op != rec.Op ||
 			last.DepRank != rec.DepRank || last.DepVID != rec.DepVID {
 			e = &carve(&b.edges, 1, maxEdgeChunk)[0]
-			*e = DepEdge{PeerRank: rec.DepRank, PeerVID: rec.DepVID, Op: rec.Op, Collective: rec.Collective}
+			*e = DepEdge{PeerRank: rec.DepRank, PeerVID: rec.DepVID, Op: rec.Op}
 			b.run, b.from = append(b.run, e), append(b.from, rec.VID)
 		}
 		last = rec

@@ -48,7 +48,7 @@ func BenchmarkProfilerEvents(b *testing.B) {
 	evs := make([]mpisim.Event, len(vs))
 	for i, v := range vs {
 		evs[i] = mpisim.Event{
-			Kind: mpisim.EvRecv, Op: mpisim.OpRecv, Rank: 0, Peer: 1, Tag: i,
+			Op: mpisim.OpRecv, Peer: 1, Tag: i,
 			Bytes: 1024, Wait: 1e-4, DepRank: 1, DepCtx: mpisim.Ctx(v.VID), Ctx: mpisim.Ctx(v.VID),
 		}
 	}
@@ -78,7 +78,7 @@ func BenchmarkProfilerEventSteady(b *testing.B) {
 	evs := make([]mpisim.Event, len(vs))
 	for i, v := range vs {
 		evs[i] = mpisim.Event{
-			Kind: mpisim.EvRecv, Op: mpisim.OpRecv, Rank: 0, Peer: 1, Tag: i,
+			Op: mpisim.OpRecv, Peer: 1, Tag: i,
 			Bytes: 1024, Wait: 1e-4, DepRank: 1, DepCtx: mpisim.Ctx(v.VID), Ctx: mpisim.Ctx(v.VID),
 		}
 	}
@@ -127,7 +127,7 @@ func TestSamplerHotPathAllocFree(t *testing.T) {
 	for i := range evs {
 		v, peer := vs[i%len(vs)], 1+i/len(vs)
 		evs[i] = mpisim.Event{
-			Kind: mpisim.EvRecv, Op: mpisim.OpRecv, Rank: 0, Peer: peer, Tag: i % len(vs),
+			Op: mpisim.OpRecv, Peer: peer, Tag: i % len(vs),
 			Bytes: 1024, Wait: 1e-4, DepRank: peer, DepCtx: mpisim.Ctx(v.VID), Ctx: mpisim.Ctx(v.VID),
 		}
 	}

@@ -433,13 +433,13 @@ func (pr *Profiler) MPIEvent(p *mpisim.Proc, ev *mpisim.Event) float64 {
 	// posted source was a wildcard, the completed event's Peer plays the
 	// role of status.MPI_SOURCE.
 	depRank := ev.DepRank
-	switch ev.Kind {
-	case mpisim.EvIrecv:
+	switch ev.Op {
+	case mpisim.OpIrecv, mpisim.OpIrecvAny:
 		pr.pending = append(pr.pending, pendingRecv{id: ev.ReqID, src: ev.Peer})
 		return 0 // dependence is recorded at completion time
-	case mpisim.EvIsend:
+	case mpisim.OpIsend:
 		return 0
-	case mpisim.EvWait:
+	case mpisim.OpWait:
 		for i := range pr.pending {
 			if st := pr.pending[i]; st.id == ev.ReqID {
 				last := len(pr.pending) - 1
@@ -454,7 +454,7 @@ func (pr *Profiler) MPIEvent(p *mpisim.Proc, ev *mpisim.Event) float64 {
 				break
 			}
 		}
-	case mpisim.EvWaitall:
+	case mpisim.OpWaitall:
 		pr.pending = pr.pending[:0]
 	}
 

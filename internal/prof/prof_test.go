@@ -101,7 +101,7 @@ func TestCommCompression(t *testing.T) {
 	p := fakeProc(t)
 	v := g.Root.Children[1] // MPI vertex
 	ev := &mpisim.Event{
-		Kind: mpisim.EvRecv, Op: mpisim.OpRecv, Rank: 0, Peer: 1, Tag: 7,
+		Op: mpisim.OpRecv, Peer: 1, Tag: 7,
 		Bytes: 1024, Wait: 0.001, DepRank: 1, DepCtx: mpisim.Ctx(v.VID), Ctx: mpisim.Ctx(v.VID),
 	}
 	for i := 0; i < 50; i++ {
@@ -139,7 +139,7 @@ func TestCommCompressionDisabled(t *testing.T) {
 	pr := New(cfg, g, 0, 4)
 	p := fakeProc(t)
 	v := g.Root.Children[1]
-	ev := &mpisim.Event{Kind: mpisim.EvRecv, Op: mpisim.OpRecv, Peer: 1, Tag: 7,
+	ev := &mpisim.Event{Op: mpisim.OpRecv, Peer: 1, Tag: 7,
 		Bytes: 1024, DepRank: 1, DepCtx: mpisim.Ctx(v.VID), Ctx: mpisim.Ctx(v.VID)}
 	for i := 0; i < 20; i++ {
 		pr.MPIEvent(p, ev)
@@ -157,7 +157,7 @@ func TestCommSamplingProbability(t *testing.T) {
 	pr := New(cfg, g, 0, 4)
 	p := fakeProc(t)
 	v := g.Root.Children[1]
-	ev := &mpisim.Event{Kind: mpisim.EvRecv, Op: mpisim.OpRecv, Peer: 1, Tag: 7,
+	ev := &mpisim.Event{Op: mpisim.OpRecv, Peer: 1, Tag: 7,
 		Bytes: 1024, DepRank: 1, DepCtx: mpisim.Ctx(v.VID), Ctx: mpisim.Ctx(v.VID)}
 	const n = 2000
 	for i := 0; i < n; i++ {
@@ -222,7 +222,7 @@ func TestStorageBytesGrowsWithRecords(t *testing.T) {
 	empty := pr.Profile().StorageBytes()
 	p := fakeProc(t)
 	v := g.Root.Children[1]
-	pr.MPIEvent(p, &mpisim.Event{Kind: mpisim.EvRecv, Op: mpisim.OpRecv, Peer: 1,
+	pr.MPIEvent(p, &mpisim.Event{Op: mpisim.OpRecv, Peer: 1,
 		Bytes: 64, DepRank: 1, DepCtx: mpisim.Ctx(v.VID), Ctx: mpisim.Ctx(v.VID)})
 	p.Ctx = mpisim.Ctx(g.Root.Children[0].VID)
 	pr.Sample(p, 200, 1.0/200, &machine.Vec{})
@@ -238,7 +238,7 @@ func TestProfileSetRoundTrip(t *testing.T) {
 	v := g.Root.Children[1]
 	p.Ctx = mpisim.Ctx(g.Root.Children[0].VID)
 	pr.Sample(p, 20, 1.0/200, &machine.Vec{10, 20, 5, 1, 8})
-	pr.MPIEvent(p, &mpisim.Event{Kind: mpisim.EvRecv, Op: mpisim.OpRecv, Peer: 1, Tag: 3,
+	pr.MPIEvent(p, &mpisim.Event{Op: mpisim.OpRecv, Peer: 1, Tag: 3,
 		Bytes: 64, Wait: 0.01, DepRank: 1, DepCtx: mpisim.Ctx(v.VID), Ctx: mpisim.Ctx(v.VID)})
 
 	ps := &ProfileSet{App: "test", NP: 1, Elapsed: 0.1, Profiles: []*RankProfile{pr.Profile()}}
@@ -333,7 +333,7 @@ func TestUncompressedKeysCollideLikeTheMap(t *testing.T) {
 	tags := []int{0x200, 7, 0, 0x100, -1, -1, 3, 0x300, 5}
 	pr, ref := New(cfg, g, 0, 2), newOracleProfiler(cfg, g, 0, 2)
 	for _, tag := range tags {
-		ev := &mpisim.Event{Kind: mpisim.EvRecv, Op: mpisim.OpRecv, Peer: 1, Tag: tag,
+		ev := &mpisim.Event{Op: mpisim.OpRecv, Peer: 1, Tag: tag,
 			Bytes: 64, Wait: 0.5, DepRank: 1, DepCtx: mpisim.Ctx(v.VID), Ctx: mpisim.Ctx(v.VID)}
 		pr.MPIEvent(p, ev)
 		ref.MPIEvent(p, ev)

@@ -89,13 +89,13 @@ func (pr *oracleProfiler) Advance(p *mpisim.Proc, from, to float64, kind mpisim.
 }
 
 func (pr *oracleProfiler) MPIEvent(p *mpisim.Proc, ev *mpisim.Event) float64 {
-	switch ev.Kind {
-	case mpisim.EvIrecv:
+	switch ev.Op {
+	case mpisim.OpIrecv, mpisim.OpIrecvAny:
 		pr.requestConverter[ev.ReqID] = srcTag{src: ev.Peer, tag: ev.Tag}
 		return 0 // dependence is recorded at completion time
-	case mpisim.EvIsend:
+	case mpisim.OpIsend:
 		return 0
-	case mpisim.EvWait:
+	case mpisim.OpWait:
 		if st, ok := pr.requestConverter[ev.ReqID]; ok {
 			delete(pr.requestConverter, ev.ReqID)
 			if st.src == mpisim.AnySource {

@@ -165,7 +165,6 @@ func BuildLocal(prog *minilang.Program, fnName string) (*Graph, error) {
 
 func (g *Graph) newInstance(parent *Instance, fn *minilang.FuncDecl, path string) *Instance {
 	in := &Instance{
-		ID:         len(g.instances),
 		Fn:         fn,
 		Path:       path,
 		vertexOf:   map[minilang.NodeID]*Vertex{},
@@ -238,7 +237,6 @@ func (b *builder) compVertex(inst *Instance, n minilang.Node) *Vertex {
 		Kind:        KindComp,
 		Name:        "comp",
 		Pos:         n.Pos(),
-		Inst:        inst,
 		SiteNode:    n.ID(),
 		MergedNodes: []minilang.NodeID{n.ID()},
 		Key:         b.key(inst, n),
@@ -293,7 +291,6 @@ func (b *builder) walkStmt(inst *Instance, s minilang.Stmt, parent *Vertex) {
 			Kind:     KindBranch,
 			Name:     "branch",
 			Pos:      st.Pos(),
-			Inst:     inst,
 			SiteNode: st.ID(),
 			Key:      b.key(inst, st),
 		})
@@ -311,7 +308,6 @@ func (b *builder) walkStmt(inst *Instance, s minilang.Stmt, parent *Vertex) {
 			Kind:     KindLoop,
 			Name:     "loop",
 			Pos:      st.Pos(),
-			Inst:     inst,
 			SiteNode: st.ID(),
 			Key:      b.key(inst, st),
 		})
@@ -332,7 +328,6 @@ func (b *builder) walkStmt(inst *Instance, s minilang.Stmt, parent *Vertex) {
 			Kind:     KindLoop,
 			Name:     "loop",
 			Pos:      st.Pos(),
-			Inst:     inst,
 			SiteNode: st.ID(),
 			Key:      b.key(inst, st),
 		})
@@ -388,13 +383,11 @@ func (b *builder) walkCall(inst *Instance, call *minilang.CallExpr, parent *Vert
 	switch {
 	case call.Indirect:
 		v := b.addChild(parent, &Vertex{
-			Kind:         KindCall,
-			Name:         "indirect:" + call.Name,
-			Pos:          call.Pos(),
-			Inst:         inst,
-			SiteNode:     call.ID(),
-			Key:          b.key(inst, call),
-			IndirectSite: true,
+			Kind:     KindCall,
+			Name:     "indirect:" + call.Name,
+			Pos:      call.Pos(),
+			SiteNode: call.ID(),
+			Key:      b.key(inst, call),
 		})
 		inst.vertexOf[call.ID()] = v
 		inst.siteVertex[call.ID()] = v
@@ -405,7 +398,6 @@ func (b *builder) walkCall(inst *Instance, call *minilang.CallExpr, parent *Vert
 				Kind:     KindCall,
 				Name:     "call:" + call.Name,
 				Pos:      call.Pos(),
-				Inst:     inst,
 				SiteNode: call.ID(),
 				Key:      b.key(inst, call),
 			})
@@ -423,13 +415,11 @@ func (b *builder) walkCall(inst *Instance, call *minilang.CallExpr, parent *Vert
 			// Recursion: the PSG forms a cycle back to the active instance
 			// (paper §III-A, "a circle is formed in the PSG").
 			v := b.addChild(parent, &Vertex{
-				Kind:        KindCall,
-				Name:        "recurse:" + call.Name,
-				Pos:         call.Pos(),
-				Inst:        inst,
-				SiteNode:    call.ID(),
-				Key:         b.key(inst, call),
-				RecursiveTo: rec,
+				Kind:     KindCall,
+				Name:     "recurse:" + call.Name,
+				Pos:      call.Pos(),
+				SiteNode: call.ID(),
+				Key:      b.key(inst, call),
 			})
 			inst.vertexOf[call.ID()] = v
 			inst.calls[call.ID()] = rec
@@ -447,10 +437,8 @@ func (b *builder) walkCall(inst *Instance, call *minilang.CallExpr, parent *Vert
 			Kind:       KindMPI,
 			Name:       call.Name,
 			Pos:        call.Pos(),
-			Inst:       inst,
 			SiteNode:   call.ID(),
 			Key:        b.key(inst, call),
-			Builtin:    call.Builtin,
 			Collective: call.Builtin.Collective,
 		})
 		inst.vertexOf[call.ID()] = v

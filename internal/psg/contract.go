@@ -100,7 +100,6 @@ func (k *contraction) transformChildren(v *Vertex, loopDepth int) {
 						Kind:        KindComp,
 						Name:        "comp",
 						Pos:         c.Pos,
-						Inst:        c.Inst,
 						SiteNode:    c.SiteNode,
 						Key:         c.Key,
 						MergedNodes: append([]minilang.NodeID{c.SiteNode}, c.MergedNodes...),
@@ -157,7 +156,6 @@ func (g *Graph) flatten(c *Vertex, replaced map[*Vertex]*Vertex) *Vertex {
 		Kind:     KindComp,
 		Name:     "comp",
 		Pos:      c.Pos,
-		Inst:     c.Inst,
 		SiteNode: c.SiteNode,
 		Key:      c.Key,
 	}

@@ -218,16 +218,26 @@ func main() {
 }`, DefaultOptions())
 	var rec []*Vertex
 	for _, v := range g.Vertices {
-		if v.Kind == KindCall && v.RecursiveTo != nil {
+		if v.Kind == KindCall && strings.HasPrefix(v.Name, "recurse:") {
 			rec = append(rec, v)
 		}
 	}
 	if len(rec) != 2 {
 		t.Fatalf("found %d recursive call vertices, want 2 (fib calls itself twice)\n%s", len(rec), g.Render())
 	}
+	// fib has one instance, and each recursive call in it enters it again.
+	var fibs []*Instance
+	for _, in := range g.instances {
+		if in.Fn.Name == "fib" {
+			fibs = append(fibs, in)
+		}
+	}
+	if len(fibs) != 1 {
+		t.Fatalf("%d instances of fib, want 1", len(fibs))
+	}
 	for _, v := range rec {
-		if v.RecursiveTo.Fn.Name != "fib" {
-			t.Errorf("recursive target = %s", v.RecursiveTo.Fn.Name)
+		if fibs[0].VertexOf(v.SiteNode) != v || fibs[0].CalleeInstance(v.SiteNode) != fibs[0] {
+			t.Errorf("recursive call %s does not close the cycle back to fib's instance", v)
 		}
 	}
 }
@@ -255,8 +265,15 @@ func main() {
 	if loops[0].Key == loops[1].Key {
 		t.Error("two inlined instances share a vertex key")
 	}
-	if loops[0].Inst == loops[1].Inst {
-		t.Error("two call sites share an instance")
+	var works []*Instance
+	for _, in := range g.instances {
+		if in.Fn.Name == "work" {
+			works = append(works, in)
+		}
+	}
+	loop := loops[0].SiteNode
+	if len(works) != 2 || works[0].VertexOf(loop) == works[1].VertexOf(loop) {
+		t.Errorf("%d instances of work, want 2 each with its own loop vertex", len(works))
 	}
 }
 
@@ -360,7 +377,7 @@ func main() {
 	inst := g.Main
 	var site minilang.NodeID
 	for _, v := range g.Vertices {
-		if v.IndirectSite {
+		if v.Kind == KindCall && g.Main.IndirectTargets(v.SiteNode) != nil {
 			site = v.SiteNode
 		}
 	}
@@ -431,7 +448,7 @@ func main() {
 	g := MustBuild(prog)
 	var site minilang.NodeID
 	for _, v := range g.Vertices {
-		if v.IndirectSite {
+		if v.Kind == KindCall && g.Main.IndirectTargets(v.SiteNode) != nil {
 			site = v.SiteNode
 		}
 	}
@@ -583,7 +600,7 @@ func main() {
 	found := false
 	var site minilang.NodeID
 	for _, v := range g.Vertices {
-		if v.IndirectSite {
+		if v.Kind == KindCall && g.Main.IndirectTargets(v.SiteNode) != nil {
 			site = v.SiteNode
 		}
 		if strings.Contains(v.Key, "@taken") {

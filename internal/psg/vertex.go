@@ -73,26 +73,15 @@ type Vertex struct {
 	// Branch vertex (== len(Children) when there is no else arm).
 	ElseStart int
 
-	// Builtin is set for MPI vertices.
-	Builtin *minilang.Builtin
-	// Collective mirrors Builtin.Collective for quick checks.
+	// Collective marks the MPI vertex of a collective operation.
 	Collective bool
 
-	// Inst is the function instance this vertex belongs to.
-	Inst *Instance
 	// SiteNode is the AST node that created this vertex (first merged node
 	// for contracted Comp vertices).
 	SiteNode minilang.NodeID
 	// MergedNodes lists all AST statement nodes attributed to this vertex
 	// after contraction (only maintained for Comp vertices).
 	MergedNodes []minilang.NodeID
-
-	// RecursiveTo is set on KindCall vertices that close a recursion cycle:
-	// it names the ancestor instance executing the callee.
-	RecursiveTo *Instance
-	// IndirectSite marks the KindCall vertex of an indirect call; the
-	// subtrees of its possible targets hang beneath it.
-	IndirectSite bool
 }
 
 // IsRoot reports whether v is the root vertex.
@@ -163,8 +152,6 @@ func (v *Vertex) String() string {
 // data lands on the right vertex even when a function is called from many
 // places.
 type Instance struct {
-	// ID is the instance's creation index within its graph.
-	ID int
 	// Fn is the function this instance is a copy of.
 	Fn *minilang.FuncDecl
 	// Path names the call path: "main", "main/17@foo", ...

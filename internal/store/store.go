@@ -72,7 +72,7 @@ func (k Key) String() string { return fmt.Sprintf("%s/%d/%s", k.App, k.NP, k.Has
 type Entry struct {
 	Key
 	// Size is the stored byte count, filled by the calls that report it
-	// (List, ListApp, ListScale, Only, Resolve) at one lstat each. History
+	// (List, ListApp, Only, Resolve) at one lstat each. History
 	// orders runs and stats nothing: its entries carry Size 0.
 	Size int64 `json:"size"`
 }
@@ -521,27 +521,17 @@ func (s *Store) ListApp(app string) ([]Entry, error) {
 	}
 	var out []Entry
 	for _, np := range nps {
-		sub, err := s.ListScale(app, np)
+		hashes, err := s.hashes(app, np)
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, sub...)
-	}
-	return out, nil
-}
-
-// ListScale returns the stored entries for one (app, scale), sorted by
-// hash, reading that scale's directory only.
-func (s *Store) ListScale(app string, np int) ([]Entry, error) {
-	hashes, err := s.hashes(app, np)
-	if err != nil {
-		return nil, err
-	}
-	dir := s.dirFor(app, np)
-	out := make([]Entry, len(hashes))
-	for i, hash := range hashes {
-		if out[i], err = sized(dir, Key{App: app, NP: np, Hash: hash}); err != nil {
-			return nil, err
+		dir := s.dirFor(app, np)
+		for _, hash := range hashes {
+			e, err := sized(dir, Key{App: app, NP: np, Hash: hash})
+			if err != nil {
+				return nil, err
+			}
+			out = append(out, e)
 		}
 	}
 	return out, nil

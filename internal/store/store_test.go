@@ -284,8 +284,8 @@ func TestHistoryUploadOrder(t *testing.T) {
 		}
 	}
 	// The contract is non-trivial only if upload order differs from the
-	// hash order ListScale uses; these payloads were picked to differ.
-	listed, err := s.ListScale("cg", 8)
+	// hash order ListApp uses; these payloads were picked to differ.
+	listed, err := s.ListApp("cg")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +301,7 @@ func TestHistoryUploadOrder(t *testing.T) {
 	// history.log must stay invisible to the listing API.
 	for _, e := range listed {
 		if e.Hash == historyName {
-			t.Fatal("history.log leaked into ListScale")
+			t.Fatal("history.log leaked into ListApp")
 		}
 	}
 }

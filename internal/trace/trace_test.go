@@ -15,7 +15,7 @@ func fakeProc(t *testing.T) *mpisim.Proc {
 func TestTracerRecordsEvents(t *testing.T) {
 	tr := New(0)
 	p := fakeProc(t)
-	owed := tr.MPIEvent(p, &mpisim.Event{Kind: mpisim.EvRecv, Op: mpisim.OpRecv,
+	owed := tr.MPIEvent(p, &mpisim.Event{Op: mpisim.OpRecv,
 		Peer: 1, Tag: 2, Bytes: 512, Wait: 0.002, DepRank: 1, TEnd: 1.5})
 	if owed != eventCost {
 		t.Errorf("owed = %g", owed)
@@ -61,7 +61,7 @@ func TestStorageBytes(t *testing.T) {
 	tr := New(0)
 	p := fakeProc(t)
 	for i := 0; i < 100; i++ {
-		tr.MPIEvent(p, &mpisim.Event{Kind: mpisim.EvSend, Op: mpisim.OpSend, Peer: 1})
+		tr.MPIEvent(p, &mpisim.Event{Op: mpisim.OpSend, Peer: 1})
 	}
 	if got := tr.Trace().StorageBytes(); got != 100*recordBytes {
 		t.Errorf("storage = %d, want %d", got, 100*recordBytes)

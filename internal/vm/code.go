@@ -75,8 +75,8 @@ const (
 	opMove  // R[a] = R[b]
 
 	// Attribution and accounting.
-	// opStmt is a statement's prologue: p.Ctx = link.ctx[a] unless NoCtx,
-	// then charge glueIns.
+	// opStmt is a statement's prologue: p.Ctx = link.ctx[a], then charge
+	// glueIns.
 	opStmt
 
 	// Control flow.

@@ -179,17 +179,6 @@ func chkOperands(l, r Value, code *Code, pos int32) {
 	chkNaN(r, code, pos, "right operand")
 }
 
-// moveCtx points p at an attribution site's vertex; a site contracted
-// away in this instance (NoCtx) leaves the context as it was, as the
-// interpreter's setCtx does.
-//
-//scalana:hot
-func moveCtx(p *mpisim.Proc, l *Link, site int32) {
-	if v := l.ctx[site]; v != mpisim.NoCtx {
-		p.Ctx = v
-	}
-}
-
 // boolVal converts a Go bool to the VM's numeric truth values.
 //
 //scalana:hot
@@ -305,7 +294,7 @@ func (m *machine) step(p *mpisim.Proc, arena *[]float64, np int) bool {
 			case opMove:
 				f[in.a] = f[in.b]
 			case opStmt:
-				moveCtx(p, l, in.a)
+				p.Ctx = l.ctx[in.a]
 				p.Glue(glueIns)
 			case opJmp:
 				if int(in.a) < pc {
@@ -473,7 +462,7 @@ func (m *machine) step(p *mpisim.Proc, arena *[]float64, np int) bool {
 			case opSize:
 				f[in.a] = Value(p.NP())
 			case opCompute:
-				moveCtx(p, l, in.b)
+				p.Ctx = l.ctx[in.b]
 				ops := code.args[in.a : in.a+4 : in.a+4]
 				n0 := num(f[ops[0]], code, in.pos, "compute argument")
 				n1 := num(f[ops[1]], code, in.pos, "compute argument")
@@ -482,7 +471,7 @@ func (m *machine) step(p *mpisim.Proc, arena *[]float64, np int) bool {
 				p.Compute(n0, n1, n2, n3)
 				f[in.c] = 0
 			case opMPI:
-				moveCtx(p, l, in.b)
+				p.Ctx = l.ctx[in.b]
 				if !m.mpi(p, code, f, *in) {
 					fr.pc = int32(pc)
 					return false

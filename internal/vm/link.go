@@ -31,9 +31,7 @@ type Link struct {
 	inst *psg.Instance
 	code *Code
 
-	// ctx holds the attribution vertex's VID per attribution site; NoCtx
-	// means the node was contracted away in this instance and the context
-	// keeps its previous value, exactly like the interpreter's setCtx.
+	// ctx holds the attribution vertex's VID per attribution site.
 	ctx []mpisim.Ctx
 	// calls holds the callee Link per direct call site.
 	calls []*Link
@@ -72,7 +70,10 @@ func Compile(prog *minilang.Program, graph *psg.Graph) (*Program, error) {
 	if graph.Main == nil {
 		return nil, fmt.Errorf("vm: PSG has no main instance")
 	}
-	p.main = p.link(graph.Main, map[*psg.Instance]*Link{})
+	var err error
+	if p.main, err = p.link(graph.Main, map[*psg.Instance]*Link{}); err != nil {
+		return nil, err
+	}
 	p.stackRegs, p.stackDepth = stackNeed(p.main, map[*Link]bool{})
 	return p, nil
 }
@@ -106,10 +107,12 @@ func stackNeed(l *Link, onPath map[*Link]bool) (regs, depth int32) {
 // link returns the Link for inst, building it (and, recursively, its
 // callees) on first use. links is Compile's memo; the entry is installed
 // before the recursion so recursive call cycles resolve to the
-// in-progress Link.
-func (p *Program) link(inst *psg.Instance, links map[*psg.Instance]*Link) *Link {
+// in-progress Link. An attribution site with no vertex in its instance is
+// an error: psg.Build gives every statement and call node one, so a
+// context move never has to keep the previous context.
+func (p *Program) link(inst *psg.Instance, links map[*psg.Instance]*Link) (*Link, error) {
 	if l, ok := links[inst]; ok {
-		return l
+		return l, nil
 	}
 	code := p.codes[inst.Fn.Name]
 	l := &Link{
@@ -121,14 +124,18 @@ func (p *Program) link(inst *psg.Instance, links map[*psg.Instance]*Link) *Link 
 	}
 	links[inst] = l
 	for i, id := range code.ctxNodes {
-		l.ctx[i] = mpisim.NoCtx
-		if v := inst.VertexOf(id); v != nil {
-			l.ctx[i] = mpisim.Ctx(v.VID)
+		v := inst.VertexOf(id)
+		if v == nil {
+			return nil, fmt.Errorf("vm: %s: attribution site %d (node %d) has no vertex in instance %s", inst.Fn.Name, i, id, inst.Path)
 		}
+		l.ctx[i] = mpisim.Ctx(v.VID)
 	}
+	var err error
 	for i := range code.calls {
 		if child := inst.CalleeInstance(code.calls[i].node); child != nil {
-			l.calls[i] = p.link(child, links)
+			if l.calls[i], err = p.link(child, links); err != nil {
+				return nil, err
+			}
 		}
 	}
 	for i := range code.indirects {
@@ -139,11 +146,13 @@ func (p *Program) link(inst *psg.Instance, links map[*psg.Instance]*Link) *Link 
 		l.indirect[i] = make([]*Link, len(code.fns))
 		for id, name := range code.fns {
 			if ti := targets[name]; ti != nil {
-				l.indirect[i][id] = p.link(ti, links)
+				if l.indirect[i][id], err = p.link(ti, links); err != nil {
+					return nil, err
+				}
 			}
 		}
 	}
-	return l
+	return l, nil
 }
 
 // missingTarget reports an indirect call whose target has no Link. No

@@ -11,7 +11,6 @@ import (
 	"scalana/internal/apps"
 	"scalana/internal/ir"
 	"scalana/internal/minilang"
-	"scalana/internal/mpisim"
 	"scalana/internal/psg"
 )
 
@@ -29,16 +28,21 @@ func TestLoweringAgreesWithIR(t *testing.T) {
 
 // TestEverySiteHasAVertex: no attribution site of any bundled program or
 // committed corpus case is contracted away in any instance, under the
-// default options, the shallowest loop depth, or no contraction. That is
-// why an if statement needs no context move after its condition
-// (branchUnless). FuzzVMvsInterp checks each program it compiles too.
+// default options, the shallowest loop depth, or no contraction —
+// Compile, which bundledPrograms calls, fails on such a site. That is why
+// an if statement needs no context move after its condition
+// (branchUnless). FuzzVMvsInterp compiles each program it generates too.
+// The check is not vacuous: linked against another program's PSG, a
+// site has no vertex and Compile names it.
 func TestEverySiteHasAVertex(t *testing.T) {
 	for _, opts := range []psg.Options{psg.DefaultOptions(), {MaxLoopDepth: 1, Contract: true}, {MaxLoopDepth: 10}} {
-		for file, p := range bundledPrograms(t, opts) {
-			if err := VerifySites(p); err != nil {
-				t.Errorf("%s %+v: %v", file, opts, err)
-			}
-		}
+		bundledPrograms(t, opts)
+	}
+	prog := apps.Get("cg").MustParse()
+	other := minilang.MustParse("other.mp", "func main() { mpi_barrier(); }")
+	_, err := Compile(prog, psg.MustBuild(other))
+	if err == nil || !strings.Contains(err.Error(), "vm: main: attribution site") || !strings.Contains(err.Error(), "has no vertex in instance main") {
+		t.Errorf("Compile against another program's PSG: %v, want a site with no vertex", err)
 	}
 }
 
@@ -83,39 +87,6 @@ func bundledPrograms(t *testing.T, opts psg.Options) map[string]*Program {
 		progs[file] = p
 	}
 	return progs
-}
-
-// VerifySites reports an attribution site that some linked instance of p
-// left without a vertex (NoCtx). The package's external tests call it on
-// what they compile.
-func VerifySites(p *Program) error {
-	seen := map[*Link]bool{}
-	var walk func(l *Link) error
-	walk = func(l *Link) error {
-		if l == nil || seen[l] {
-			return nil
-		}
-		seen[l] = true
-		for i, v := range l.ctx {
-			if v == mpisim.NoCtx {
-				return fmt.Errorf("%s: site %d (node %d) has no vertex in instance %s", l.code.fn.Name, i, l.code.ctxNodes[i], l.inst.Path)
-			}
-		}
-		for _, child := range l.calls {
-			if err := walk(child); err != nil {
-				return err
-			}
-		}
-		for _, targets := range l.indirect {
-			for _, child := range targets {
-				if err := walk(child); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	}
-	return walk(p.main)
 }
 
 // TestLoweringCheckCatchesADroppedOp: the cross-check is not vacuous. A
