@@ -13,10 +13,12 @@ import (
 
 // TestAttachCostPerRank gates what attaching the ScalAna tool adds to a
 // run, in heap objects and bytes a rank: zeusmp at np=256, bare and
-// profiled, everything from NewRun to the assembled PPG included. The
-// paper's claim is a cheap runtime (Fig. 10); on the host its cost shows
-// as time, which a shared 1-CPU runner cannot assert, and as allocation,
-// which repeats exactly under testing.AllocsPerRun's single P.
+// profiled, everything from NewRun to the assembled PPG included. It is
+// the cold gate: RunCompiled runs every time on a fresh world and fresh
+// VM slabs, which an Engine's warm run reuses (TestEngineWarmRunAllocs).
+// The paper's claim is a cheap runtime (Fig. 10); on the host its cost
+// shows as time, which a shared 1-CPU runner cannot assert, and as
+// allocation, which repeats exactly under testing.AllocsPerRun's single P.
 //
 // Measured with attribution contexts carried as VIDs and operations as
 // an mpisim.Op, so records and edges hold no pointer: 0.2 objects and
@@ -176,5 +178,59 @@ func TestScalAnaRunWithoutRanksFailsAtFinish(t *testing.T) {
 	}
 	if _, _, err := trun.Finish(); err == nil || !strings.Contains(err.Error(), "assemble PPG: ppg: np=0") {
 		t.Fatalf("Finish of a run without ranks: %v", err)
+	}
+}
+
+// TestEngineWarmRunAllocs gates what an Engine's run allocates once the
+// engine holds a finished run's world and VM slabs to reuse: zeusmp at
+// np=256, bare and profiled, in heap objects and bytes a rank. A warm run
+// allocates only what it returns — the RunOutput and its clocks, and a
+// profiled run's profiles, records and PPG. Measured: bare 0.0078 objects
+// (two a run) and 8.6 B a rank, profiled 0.25 objects and 3,512 B (cold,
+// TestAttachCostPerRank: 0.23 and 2,239 B, 0.5 and 5,724 B). The budgets
+// are those readings plus 20 %, so a slab of the world or the VM
+// allocated again fails the bare gate by its bytes.
+func TestEngineWarmRunAllocs(t *testing.T) {
+	const (
+		np                = 256
+		runs              = 5
+		objectsBudget     = 0.30
+		bytesBudget       = 4214
+		bareObjectsBudget = 0.0094
+		bareBytesBudget   = 10.3
+	)
+	app := scalana.GetApp("zeusmp")
+	pcfg := prof.DefaultConfig()
+	pcfg.SampleHz = 2000
+	e := scalana.NewEngine()
+	perRank := func(tool string) (objects, bytes float64) {
+		cfg := scalana.RunConfig{App: app, NP: np, ToolName: tool, Prof: pcfg}
+		// The first run allocates the slabs; the second's reset merges the
+		// chunks the first carved into one.
+		for range 2 {
+			if _, err := e.Run(cfg); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		objects = testing.AllocsPerRun(runs, func() {
+			if _, err := e.Run(cfg); err != nil {
+				t.Fatal(err)
+			}
+		})
+		runtime.ReadMemStats(&after)
+		return objects / np, float64(after.TotalAlloc-before.TotalAlloc) / (runs + 1) / np
+	}
+	bareObjects, bareBytes := perRank("")
+	profObjects, profBytes := perRank("scalana")
+	t.Logf("per rank: bare %.4f objects / %.1f B, profiled %.2f / %.0f", bareObjects, bareBytes, profObjects, profBytes)
+	if bareObjects > bareObjectsBudget || bareBytes > bareBytesBudget {
+		t.Errorf("a warm bare run costs %.4f objects and %.1f B a rank, budget %g and %g",
+			bareObjects, bareBytes, bareObjectsBudget, bareBytesBudget)
+	}
+	if profObjects > objectsBudget || profBytes > bytesBudget {
+		t.Errorf("a warm profiled run costs %.2f objects and %.0f B a rank, budget %g and %d",
+			profObjects, profBytes, objectsBudget, bytesBudget)
 	}
 }

@@ -2,6 +2,7 @@ package scalana
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -22,11 +23,19 @@ import (
 // profiles and detection reports are identical whether the graph is
 // shared or rebuilt per run.
 //
+// An Engine also keeps the simulated world and VM slabs of its finished
+// runs, and a later run re-initializes one of them instead of allocating
+// its own (runScratch). A run's output never depends on which runs, failed
+// ones included, the engine made before it.
+//
 // An Engine is safe for concurrent use. The zero value is not usable;
 // call NewEngine.
 type Engine struct {
 	mu    sync.Mutex
 	cache map[compileKey]*compileEntry
+	// idle is the finished runs' scratch, at most one a CPU: as many as
+	// can run at once.
+	idle []*runScratch
 
 	hits   atomic.Int64
 	misses atomic.Int64
@@ -103,7 +112,7 @@ func (e *Engine) Compile(app *App, opts psg.Options) (*minilang.Program, *psg.Gr
 }
 
 // Run is the package-level Run with the compile phase served from the
-// engine's cache.
+// engine's cache, run on an idle scratch of the engine's when it has one.
 func (e *Engine) Run(cfg RunConfig) (*RunOutput, error) {
 	if err := validateRunConfig(cfg); err != nil {
 		return nil, err
@@ -112,7 +121,43 @@ func (e *Engine) Run(cfg RunConfig) (*RunOutput, error) {
 	if err != nil {
 		return nil, err
 	}
-	return RunCompiled(prog, graph, cfg)
+	sc := e.takeScratch()
+	out, err := runCompiled(prog, graph, cfg, sc)
+	e.keepScratch(sc)
+	return out, err
+}
+
+// maxKeptRanks is the largest world whose scratch an Engine keeps. Its
+// slabs grow with the ranks, and an engine holds them for as long as it
+// lives; past a few thousand ranks a run takes so long (np=8192 zeusmp,
+// about 0.9 s) that allocating them is a small share of it.
+const maxKeptRanks = 4096
+
+// takeScratch returns an idle scratch, or a fresh one when none is idle.
+func (e *Engine) takeScratch() *runScratch {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	n := len(e.idle)
+	if n == 0 {
+		return new(runScratch)
+	}
+	sc := e.idle[n-1]
+	e.idle[n-1] = nil
+	e.idle = e.idle[:n-1]
+	return sc
+}
+
+// keepScratch files a finished run's scratch as idle, unless its world is
+// above maxKeptRanks or every CPU already has an idle one.
+func (e *Engine) keepScratch(sc *runScratch) {
+	if sc.world.NP() > maxKeptRanks {
+		return
+	}
+	e.mu.Lock()
+	if len(e.idle) < runtime.GOMAXPROCS(0) {
+		e.idle = append(e.idle, sc)
+	}
+	e.mu.Unlock()
 }
 
 // SweepConfig configures a multi-scale sweep.

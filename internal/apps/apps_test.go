@@ -19,7 +19,7 @@ func runApp(t *testing.T, app *App, cfg mpisim.Config) mpisim.RunResult {
 		t.Fatalf("compile: %v", err)
 	}
 	cfg.MemSpeed = app.MemSpeed
-	res, err := mpisim.NewWorld(cfg).Run(vm.NewRunner(code).Stepper(cfg.NP))
+	res, err := mpisim.NewWorld(cfg).Run(vm.NewRunner(code).Stepper(nil, cfg.NP))
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}

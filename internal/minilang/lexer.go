@@ -305,13 +305,13 @@ func (lx *Lexer) lexString(p Pos) Token {
 
 // maxTokensSized caps the token slice Tokenize sizes from the source
 // length, so a long source of comments or blanks costs no token memory it
-// does not use; a longer program grows the slice as it goes.
+// does not use; a longer program doubles the slice as it goes.
 const maxTokensSized = 1 << 12
 
 // Tokenize scans the whole input and returns all tokens up to and
-// including EOF, plus any lexical errors. The token slice is sized once:
-// MiniMP source runs about three bytes a token, so half the source length
-// (up to maxTokensSized) holds every bundled program's tokens.
+// including EOF, plus any lexical errors. The token slice is sized up
+// front: MiniMP source runs about three bytes a token, so half the source
+// length (up to maxTokensSized) holds every bundled program's tokens.
 func Tokenize(file, src string) ([]Token, []error) {
 	toks, errs, _ := tokenize(file, src, 0)
 	return toks, errs
@@ -324,6 +324,12 @@ func tokenize(file, src string, maxErrs int) ([]Token, []error, int) {
 	toks := make([]Token, 0, min(len(src)/2, maxTokensSized)+1)
 	for {
 		t := lx.Next()
+		if len(toks) == cap(toks) {
+			// append would grow a slice this large by a quarter at a time,
+			// allocating about five times the final slice in all; doubling
+			// allocates about twice it.
+			toks = append(make([]Token, 0, 2*cap(toks)), toks...)
+		}
 		toks = append(toks, t)
 		if t.Kind == TokEOF {
 			return toks, lx.errs, lx.more

@@ -50,13 +50,21 @@ type collectives struct {
 	base int
 	// free recycles retired slots. A slot retires only after every rank
 	// has read its results (reads == np), so reuse cannot confuse
-	// readers; the arrivals slice is reused as-is because all np entries
-	// are rewritten before the last arriver inspects them.
+	// readers; the arrivals slice is reused unwritten because all np
+	// entries are rewritten before the last arriver inspects them.
 	free []*collSlot
 }
 
-func newCollectives(w *World) *collectives {
-	return &collectives{w: w}
+// reset readies the collectives for a new job of w. The slots a failed
+// run left open go to the freelist, whose slots newSlot rewrites.
+func (c *collectives) reset(w *World) {
+	c.w = w
+	for _, slot := range c.live {
+		if slot != nil {
+			c.free = append(c.free, slot)
+		}
+	}
+	c.live, c.base = c.live[:0], 0
 }
 
 // slotFor returns the slot of collective number seq, opening it when the
@@ -87,7 +95,8 @@ func (c *collectives) newSlot(seq int, op Op, root int) *collSlot {
 	if n := len(c.free); n > 0 {
 		slot = c.free[n-1]
 		c.free = c.free[:n-1]
-		arr, wtr := slot.arrivals, slot.waiters[:0]
+		// A slot a reset world kept may come from a job of fewer ranks.
+		arr, wtr := resize(slot.arrivals, c.w.np), slot.waiters[:0]
 		*slot = collSlot{arrivals: arr, waiters: wtr}
 	} else {
 		slot = &collSlot{arrivals: make([]arrival, c.w.np)}

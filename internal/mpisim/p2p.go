@@ -112,13 +112,15 @@ const (
 
 type matcher struct {
 	w *World
-	// inboxes holds every channel, by destination rank.
+	// inboxes holds every channel, by destination rank, and lists is the
+	// slab of their first lists.
 	inboxes []inbox
-	// chanSlab, queueSlab and reqSlab are the current allocation chunks of
-	// channels, their first queues and request handles (see carve).
-	chanSlab  []channel
-	queueSlab [][queueCap]sendInfo
-	reqSlab   []Request
+	lists   []inboxEntry
+	// chans, queues and reqs carve channels, their first queues and
+	// request handles.
+	chans  slab[channel]
+	queues slab[[queueCap]sendInfo]
+	reqs   slab[Request]
 	// anyScanned counts the sends wildcard matching has examined.
 	anyScanned int
 }
@@ -127,31 +129,59 @@ type matcher struct {
 // world's first.
 const slabChunk = 64
 
-// carve takes one zero T out of the current chunk of a slab, starting a
-// new chunk when it is full. A world's first chunk has np slots — a small
-// world uses a few dozen channels, not hundreds — and each later one
-// twice the previous one's, up to slabChunk. A chunk never grows past its
-// capacity, so the pointers carve hands out stay valid for the life of
-// the world.
-func carve[T any](slab *[]T, np int) *T {
-	if n := cap(*slab); len(*slab) == n {
+// slab hands out zero Ts that keep their address for the rest of the run.
+// A world's first chunk has np slots — a small world uses a few dozen
+// channels, not hundreds — and each later one twice the previous one's,
+// up to slabChunk. A chunk never grows past its capacity, so the pointers
+// carve hands out stay valid. A reset keeps the first chunk, enlarged to
+// what the last run carved in all, so a world reset for a job it has run
+// before carves every slot from it.
+type slab[T any] struct {
+	first, cur []T
+	carved     int // slots carved since the reset
+}
+
+// carve takes one zero T out of the current chunk, starting a new chunk
+// when it is full.
+func (s *slab[T]) carve(np int) *T {
+	if n := cap(s.cur); len(s.cur) == n {
 		size := np
 		if n > 0 {
 			size = min(2*n, slabChunk)
 		}
-		*slab = make([]T, 0, size)
+		s.cur = make([]T, 0, size)
+		if s.carved == 0 {
+			s.first = s.cur
+		}
 	}
-	*slab = (*slab)[:len(*slab)+1]
-	return &(*slab)[len(*slab)-1]
+	s.carved++
+	s.cur = s.cur[:len(s.cur)+1]
+	t := &s.cur[len(s.cur)-1]
+	var zero T // a kept chunk holds the last run's
+	*t = zero
+	return t
 }
 
-func newMatcher(w *World) *matcher {
-	m := &matcher{w: w, inboxes: make([]inbox, w.np)}
-	lists := make([]inboxEntry, w.np*inboxCap)
-	for r := range m.inboxes {
-		m.inboxes[r].list = lists[r*inboxCap : r*inboxCap : (r+1)*inboxCap]
+// reset makes the first chunk the current one again.
+func (s *slab[T]) reset() {
+	if s.carved > cap(s.first) {
+		s.first = make([]T, 0, s.carved)
 	}
-	return m
+	s.cur, s.carved = s.first[:0], 0
+}
+
+// reset readies the matcher for a new job of w: every inbox empty, every
+// slab back at its first chunk.
+func (m *matcher) reset(w *World) {
+	m.w, m.anyScanned = w, 0
+	m.inboxes = resize(m.inboxes, w.np)
+	m.lists = resize(m.lists, w.np*inboxCap)
+	for r := range m.inboxes {
+		m.inboxes[r] = inbox{list: m.lists[r*inboxCap : r*inboxCap : (r+1)*inboxCap]}
+	}
+	m.chans.reset()
+	m.queues.reset()
+	m.reqs.reset()
 }
 
 // chanFor returns the channel src -> dst on tag, creating it on first use.
@@ -174,8 +204,8 @@ func (m *matcher) chanFor(src, dst, tag int) *channel {
 }
 
 func (m *matcher) newChannel(in *inbox, src, tag int) *channel {
-	ch := carve(&m.chanSlab, m.w.np)
-	*ch = channel{src: src, tag: tag, waiter: -1, queue: carve(&m.queueSlab, m.w.np)[:0]}
+	ch := m.chans.carve(m.w.np)
+	*ch = channel{src: src, tag: tag, waiter: -1, queue: m.queues.carve(m.w.np)[:0]}
 	in.list = append(in.list, inboxEntry{srcTag{src, tag}, ch})
 	switch {
 	case in.index != nil:
@@ -408,7 +438,7 @@ func (p *Proc) newRequest(isSend bool, src, tag int, bytes float64) *Request {
 		p.freeReqs = p.freeReqs[:n-1]
 		*r = Request{}
 	} else {
-		r = carve(&p.world.matcher.reqSlab, p.world.np)
+		r = p.world.matcher.reqs.carve(p.world.np)
 	}
 	r.isSend, r.src, r.tag, r.bytes = isSend, src, tag, bytes
 	p.nextReq++

@@ -167,8 +167,9 @@ type scheduler struct {
 	started bool
 }
 
-func newScheduler(w *World) *scheduler {
-	return &scheduler{w: w, current: -1}
+// reset readies the scheduler for a new job of w, keeping its heap.
+func (s *scheduler) reset(w *World) {
+	*s = scheduler{w: w, ready: s.ready[:0], current: -1}
 }
 
 // less orders the ready heap: smallest virtual clock first, rank index as

@@ -31,12 +31,17 @@ type Config struct {
 // World is one simulated MPI job: np ranks, the matcher and collective
 // slots they meet in, and the scheduler that steps them. A world belongs
 // to one goroutine — the one that calls Run — and starts none of its own.
+// Once a run has returned, Reset makes the world a new job that reuses
+// its slabs.
 type World struct {
-	np      int
-	procs   []*Proc
-	matcher *matcher
-	colls   *collectives
-	sched   *scheduler
+	np    int
+	procs []*Proc
+	// procSlab holds the ranks and reqLists their request lists.
+	procSlab []Proc
+	reqLists []*Request
+	matcher  matcher
+	colls    collectives
+	sched    scheduler
 	// glue is the counter delta of the n = glue[TotIns] instructions a rank
 	// last asked Glue to charge and glueDt their time. The VM charges the
 	// same n for every statement of every rank, so they are priced once.
@@ -53,29 +58,54 @@ type World struct {
 
 // NewWorld creates a world with np ranks.
 func NewWorld(cfg Config) *World {
+	w := new(World)
+	w.Reset(cfg)
+	return w
+}
+
+// Reset makes w the world NewWorld(cfg) would create, reusing the slabs
+// its earlier runs left: a slab that holds what the new job needs is
+// resliced and only the slots the job uses are written, and a slab too
+// small is allocated anew. What a run does never depends on what the
+// world ran before — a failed run included — because every field a run
+// reads is written here or before it is read. Reset must not be called
+// while a Run is in progress.
+func (w *World) Reset(cfg Config) {
 	if cfg.NP <= 0 {
 		panic("mpisim: NP must be positive")
 	}
-	w := &World{np: cfg.NP}
-	w.sched = newScheduler(w)
-	w.matcher = newMatcher(w)
-	w.colls = newCollectives(w)
-	w.procs = make([]*Proc, cfg.NP)
-	procs := make([]Proc, cfg.NP)
-	lists := make([]*Request, 2*cfg.NP*reqsCap)
-	for r := 0; r < cfg.NP; r++ {
-		p := &procs[r]
-		p.world, p.Rank, p.Core = w, r, machine.NewCore(cfg.MemSpeed, r)
+	np := cfg.NP
+	w.np = np
+	w.glue, w.glueDt, w.kernel, w.blocking = machine.Vec{}, 0, kernel{}, nil
+	w.sched.reset(w)
+	w.matcher.reset(w)
+	w.colls.reset(w)
+	w.procs = resize(w.procs, np)
+	w.procSlab = resize(w.procSlab, np)
+	w.reqLists = resize(w.reqLists, 2*np*reqsCap)
+	for r := range np {
+		p := &w.procSlab[r]
 		reqs, free := 2*r*reqsCap, (2*r+1)*reqsCap
-		p.reqs, p.freeReqs = lists[reqs:reqs:free], lists[free:free:free+reqsCap]
-		p.rng = NewStream(cfg.Seed*7919 + int64(r) + 1)
-		p.period, p.nextAt = math.Inf(1), math.Inf(1)
+		*p = Proc{
+			world: w, Rank: r, Core: machine.NewCore(cfg.MemSpeed, r),
+			reqs: w.reqLists[reqs:reqs:free], freeReqs: w.reqLists[free : free : free+reqsCap],
+			rng:    NewStream(cfg.Seed*7919 + int64(r) + 1),
+			period: math.Inf(1), nextAt: math.Inf(1),
+		}
 		if cfg.HookFactory != nil {
 			p.attach(cfg.HookFactory(r))
 		}
 		w.procs[r] = p
 	}
-	return w
+}
+
+// resize returns s with length n: s itself when it has the room, else a
+// new zero slice. Slots a reused s holds are the caller's to write.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // NP returns the number of ranks.
@@ -118,6 +148,8 @@ type Stepper func(p *Proc) (finished bool)
 // clock until every rank's program has finished. A panic on any rank ends
 // the run and is returned as that rank's error; a deadlock (no rank can
 // make progress) fails the run immediately with a per-rank diagnostic.
+// Once it returns, no rank has a hook: a world kept for a later Reset
+// keeps no tool's data alive.
 func (w *World) Run(step Stepper) (RunResult, error) {
 	err := w.sched.run(step)
 	res := RunResult{Clocks: make([]float64, w.np)}
@@ -131,6 +163,7 @@ func (w *World) Run(step Stepper) (RunResult, error) {
 		if p.Clock > res.Elapsed {
 			res.Elapsed = p.Clock
 		}
+		p.hook, p.observer, p.sampler = nil, nil, nil
 	}
 	return res, err
 }

@@ -36,7 +36,7 @@ func oracleProfiles(t *testing.T, e *scalana.Engine, app *scalana.App, np int, p
 		profilers[rank] = prof.NewOracleProfiler(pcfg, graph, rank, np)
 		return profilers[rank]
 	}}
-	res, err := mpisim.NewWorld(wcfg).Run(vm.NewRunner(code.(*vm.Program)).Stepper(np))
+	res, err := mpisim.NewWorld(wcfg).Run(vm.NewRunner(code.(*vm.Program)).Stepper(nil, np))
 	if err != nil {
 		t.Fatalf("%s np=%d under the oracle: %v", app.Name, np, err)
 	}

@@ -59,7 +59,7 @@ func TestExecuteAllocsIndependentOfIterations(t *testing.T) {
 	measure := func(vp *vm.Program) float64 {
 		r := vm.NewRunner(vp)
 		execute := func() {
-			if _, err := world.Run(r.Stepper(1)); err != nil {
+			if _, err := world.Run(r.Stepper(nil, 1)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -111,12 +111,12 @@ func TestRegisterIsOneWord(t *testing.T) {
 	}
 	r := vm.NewRunner(vp)
 	var step mpisim.Stepper
-	if allocs := testing.AllocsPerRun(10, func() { step = r.Stepper(np) }); allocs > 4 {
-		t.Errorf("Stepper(%d) makes %.0f allocations, want the machine, register and frame slabs and the closure", np, allocs)
+	if allocs := testing.AllocsPerRun(10, func() { step = r.Stepper(nil, np) }); allocs > 5 {
+		t.Errorf("Stepper(%d) makes %.0f allocations, want the Slabs, their machine, register and frame slabs and the closure", np, allocs)
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	step = r.Stepper(np)
+	step = r.Stepper(nil, np)
 	runtime.ReadMemStats(&after)
 	perRank := float64(after.TotalAlloc-before.TotalAlloc) / np
 	if budget := float64(regs*8 + 200); perRank < regs*8 || perRank > budget {

@@ -47,7 +47,7 @@ func runBoth(t testing.TB, prog *minilang.Program, g *psg.Graph, np int) (outcom
 		} else {
 			r := vm.NewRunner(code)
 			r.Stdout, r.OnIndirect = &sb, observe
-			out.RunResult, errs[i] = world.Run(r.Stepper(np))
+			out.RunResult, errs[i] = world.Run(r.Stepper(nil, np))
 		}
 		out.Stdout = sb.String()
 	}

@@ -189,7 +189,7 @@ func main() {
 	}
 	for name, run := range map[string]func(*mpisim.World) (mpisim.RunResult, error){
 		"interp": func(w *mpisim.World) (mpisim.RunResult, error) { return w.RunBlocking(NewRunner(prog, g).Execute) },
-		"vm":     func(w *mpisim.World) (mpisim.RunResult, error) { return w.Run(vm.NewRunner(code).Stepper(w.NP())) },
+		"vm":     func(w *mpisim.World) (mpisim.RunResult, error) { return w.Run(vm.NewRunner(code).Stepper(nil, w.NP())) },
 	} {
 		var events []*mpisim.Event
 		hook := &ctxCapture{events: &events}

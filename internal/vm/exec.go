@@ -51,27 +51,56 @@ const MaxSteps = 1 << 22
 // exhaust the host (8192 ranks at the limit hold 4 GiB).
 const MaxArrayElems = 1 << 16
 
-// Stepper sets up one run of np ranks — a machine a rank, their register
-// files and call stacks carved from one slab each — and returns the
-// stepper to hand to mpisim.World.Run.
-func (r *Runner) Stepper(np int) mpisim.Stepper {
+// Slabs are what a run's ranks are carved from: a machine a rank, their
+// register files and call stacks one slab each, and the run's arena. A
+// Stepper given the slabs of a finished run re-initializes the slots its
+// ranks use and allocates only what outgrows them. Slabs serve one run at
+// a time.
+type Slabs struct {
+	machines []machine
+	regs     []Value
+	calls    []frame
+	arena    arena
+	// step is the stepper over these slabs, made once.
+	step mpisim.Stepper
+}
+
+// Stepper sets up one run of np ranks on s, or on fresh slabs when s is
+// nil, and returns the stepper to hand to mpisim.World.Run. Registers are
+// not cleared: a rank writes each before it reads it.
+func (r *Runner) Stepper(s *Slabs, np int) mpisim.Stepper {
+	if s == nil {
+		s = new(Slabs)
+	}
 	main := r.Prog.main
 	nRegs, nCalls := int(r.Prog.stackRegs), int(r.Prog.stackDepth)
-	// The last machine is no rank's: its heap is the run's arena (alloc),
-	// kept in the slab so that a run is still four allocations.
-	machines := make([]machine, np+1)
-	regs := make([]Value, np*nRegs)
-	calls := make([]frame, np*nCalls)
+	s.machines = resize(s.machines, np)
+	s.regs = resize(s.regs, np*nRegs)
+	s.calls = resize(s.calls, np*nCalls)
 	for i := range np {
-		m := &machines[i]
-		m.r = r
-		m.regs = regs[i*nRegs : (i+1)*nRegs : (i+1)*nRegs]
-		m.calls = append(calls[i*nCalls:i*nCalls:(i+1)*nCalls], frame{l: main})
+		m := &s.machines[i]
+		*m = machine{
+			r:     r,
+			regs:  s.regs[i*nRegs : (i+1)*nRegs : (i+1)*nRegs],
+			calls: append(s.calls[i*nCalls:i*nCalls:(i+1)*nCalls], frame{l: main}),
+			steps: MaxSteps, arrLeft: MaxArrayElems,
+		}
 		copy(m.regs[main.code.litBase:], main.code.lits)
-		m.steps, m.arrLeft = MaxSteps, MaxArrayElems
 	}
-	arena := &machines[np].heap
-	return func(p *mpisim.Proc) bool { return machines[p.Rank].step(p, arena, np) }
+	s.arena.reset(np)
+	if s.step == nil {
+		s.step = func(p *mpisim.Proc) bool { return s.machines[p.Rank].step(p, &s.arena) }
+	}
+	return s.step
+}
+
+// resize returns s with length n: s itself when it has the room, else a
+// new zero slice. Slots a reused s holds are the caller's to write.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // frame is one activation on a machine's call stack.
@@ -233,12 +262,10 @@ func outOfSteps(pos *minilang.Pos) {
 
 // alloc is alloc(n) at pos: it charges int(n)+1 to the rank's array budget
 // and appends the zeroed elements to its heap. A rank's first array is cut
-// from the front of arena, the unused tail of the run's current chunk, as
-// an empty slice capped at the array's end, so no array reaches a
-// neighbour's; every later array appends as any heap does, into an array
-// of the rank's own. np ranks whose first arrays are alike thus make a few
-// chunks, not np objects.
-func (m *machine) alloc(n float64, pos *minilang.Pos, arena *[]float64, np int) Value {
+// from the run's arena, as an empty slice capped at the array's end, so no
+// array reaches a neighbour's; every later array appends as any heap does,
+// into an array of the rank's own.
+func (m *machine) alloc(n float64, pos *minilang.Pos, ar *arena) Value {
 	if n <= -1 {
 		panic(fmt.Sprintf("%s: alloc of negative length %.0f", *pos, math.Trunc(n)))
 	}
@@ -248,14 +275,21 @@ func (m *machine) alloc(n float64, pos *minilang.Pos, arena *[]float64, np int) 
 	ln, off := int(n), len(m.heap)
 	m.arrLeft -= int32(ln) + 1
 	if cap(m.heap) == 0 && ln > 0 {
-		a := *arena
-		if cap(a) < ln {
-			a = make([]float64, max(ln, min(arenaChunk, np*ln)))
-		}
-		m.heap, *arena = a[:0:ln], a[ln:]
+		m.heap = ar.cut(ln)
 	}
 	m.heap = append(m.heap, make([]float64, ln)...)
 	return arrRef(off, ln)
+}
+
+// arena is where a run's ranks cut their first arrays: free is the unused
+// tail of the current chunk. np ranks whose first arrays are alike make a
+// few chunks, not np objects. A reset keeps the run's first chunk,
+// enlarged to what the run cut in all, so a rerun of a job cuts every
+// first array from it.
+type arena struct {
+	free, first []float64
+	used        int // elements cut since the reset
+	np          int
 }
 
 // arenaChunk bounds a chunk of a run's arena, in elements, unless one
@@ -264,12 +298,36 @@ func (m *machine) alloc(n float64, pos *minilang.Pos, arena *[]float64, np int) 
 // whose first arrays are alike leaves none of a lone chunk unused.
 const arenaChunk = 1 << 13
 
+// cut returns an empty slice with room for n elements that no other cut
+// reaches. Its elements may hold an earlier run's values: alloc appends
+// zeroes into it.
+func (a *arena) cut(n int) []float64 {
+	if cap(a.free) < n {
+		a.free = make([]float64, max(n, min(arenaChunk, a.np*n)))
+		if a.used == 0 {
+			a.first = a.free
+		}
+	}
+	a.used += n
+	h := a.free[:0:n]
+	a.free = a.free[n:]
+	return h
+}
+
+// reset readies the arena for a run of np ranks.
+func (a *arena) reset(np int) {
+	if a.used > cap(a.first) {
+		a.first = make([]float64, a.used)
+	}
+	a.free, a.used, a.np = a.first, 0, np
+}
+
 // step runs the rank's program from where it stopped until it finishes
 // (true) or parks in an MPI operation (false). It is the bytecode
 // dispatch loop — the hottest function in a sweep.
 //
 //scalana:hot
-func (m *machine) step(p *mpisim.Proc, arena *[]float64, np int) bool {
+func (m *machine) step(p *mpisim.Proc, ar *arena) bool {
 	if m.anyReg != 0 {
 		top := &m.calls[len(m.calls)-1]
 		m.regs[top.base+m.anyReg-1] = Value(p.MatchedSource())
@@ -414,7 +472,7 @@ func (m *machine) step(p *mpisim.Proc, arena *[]float64, np int) bool {
 			case opStoreIdx:
 				m.arr(f[in.a])[int(f[in.b])] = num(f[in.c], code, in.pos, "array element")
 			case opAlloc:
-				f[in.b] = m.alloc(num(f[in.a], code, in.pos, "alloc argument"), &code.poss[in.pos], arena, np)
+				f[in.b] = m.alloc(num(f[in.a], code, in.pos, "alloc argument"), &code.poss[in.pos], ar)
 			case opLen:
 				if !f[in.a].isArr() {
 					panic(fmt.Sprintf("%s: len of non-array", code.poss[in.pos]))

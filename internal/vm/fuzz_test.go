@@ -154,7 +154,7 @@ func runRecorded(prog *minilang.Program, graph *psg.Graph, np int, useInterp boo
 		}
 		r := vm.NewRunner(vp)
 		r.Stdout = &stdout
-		res, err = world.Run(r.Stepper(np))
+		res, err = world.Run(r.Stepper(nil, np))
 	}
 	if err != nil {
 		return nil, nil, nil, err

@@ -46,7 +46,7 @@ func TestProductionRunStartsNoGoroutine(t *testing.T) {
 	gauge := &goroutineGauge{}
 	wcfg := mpisim.Config{NP: np, MemSpeed: app.MemSpeed, HookFactory: func(int) mpisim.Hook { return gauge }}
 	before := runtime.NumGoroutine()
-	if _, err := mpisim.NewWorld(wcfg).Run(vm.NewRunner(code).Stepper(np)); err != nil {
+	if _, err := mpisim.NewWorld(wcfg).Run(vm.NewRunner(code).Stepper(nil, np)); err != nil {
 		t.Fatal(err)
 	}
 	if gauge.peak == 0 || gauge.peak > before {

@@ -166,6 +166,21 @@ func Run(cfg RunConfig) (*RunOutput, error) {
 // for each rank before execution, one Finish after), all on the calling
 // goroutine.
 func RunCompiled(prog *minilang.Program, graph *psg.Graph, cfg RunConfig) (*RunOutput, error) {
+	return runCompiled(prog, graph, cfg, new(runScratch))
+}
+
+// runScratch is the state a run needs only while it runs: the simulated
+// world and the VM's slabs. A zero one is fresh; one a finished run left
+// is reused, so an Engine keeps a few for its next runs. Nothing a
+// RunOutput holds is in it.
+type runScratch struct {
+	world  mpisim.World
+	runner vm.Runner
+	slabs  vm.Slabs
+}
+
+// runCompiled is RunCompiled on sc, which serves one run at a time.
+func runCompiled(prog *minilang.Program, graph *psg.Graph, cfg RunConfig, sc *runScratch) (*RunOutput, error) {
 	if err := validateRunConfig(cfg); err != nil {
 		return nil, err
 	}
@@ -194,8 +209,9 @@ func RunCompiled(prog *minilang.Program, graph *psg.Graph, cfg RunConfig) (*RunO
 	if err != nil {
 		return nil, fmt.Errorf("scalana: compile bytecode for %s: %w", cfg.App.Name, err)
 	}
-	world := mpisim.NewWorld(wcfg)
-	res, err := world.Run(vm.NewRunner(cached.(*vm.Program)).Stepper(cfg.NP))
+	sc.world.Reset(wcfg)
+	sc.runner = vm.Runner{Prog: cached.(*vm.Program)}
+	res, err := sc.world.Run(sc.runner.Stepper(&sc.slabs, cfg.NP))
 	if err != nil {
 		return nil, fmt.Errorf("scalana: run %s np=%d: %w", cfg.App.Name, cfg.NP, err)
 	}
