@@ -191,6 +191,12 @@ func TestScalAnaRunWithoutRanksFailsAtFinish(t *testing.T) {
 // are those readings plus 20 %, so a slab of the world or the VM
 // allocated again fails the bare gate by its bytes.
 func TestEngineWarmRunAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("under the race detector sync.Pool drops a quarter of what it is given, so a warm run may be a cold one")
+	}
+	// One P: a sync.Pool gives a goroutine what was put on its P, and
+	// testing.AllocsPerRun runs on one P anyway.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	const (
 		np                = 256
 		runs              = 5

@@ -2,7 +2,6 @@ package scalana
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -23,19 +22,17 @@ import (
 // profiles and detection reports are identical whether the graph is
 // shared or rebuilt per run.
 //
-// An Engine also keeps the simulated world and VM slabs of its finished
-// runs, and a later run re-initializes one of them instead of allocating
-// its own (runScratch). A run's output never depends on which runs, failed
-// ones included, the engine made before it.
+// An Engine's finished runs leave their simulated world and VM slabs
+// (runScratch) in a pool every Engine shares, and a later run
+// re-initializes one of them instead of allocating its own. A run's
+// output never depends on which runs, failed ones included, were made
+// before it.
 //
 // An Engine is safe for concurrent use. The zero value is not usable;
 // call NewEngine.
 type Engine struct {
 	mu    sync.Mutex
 	cache map[compileKey]*compileEntry
-	// idle is the finished runs' scratch, at most one a CPU: as many as
-	// can run at once.
-	idle []*runScratch
 
 	hits   atomic.Int64
 	misses atomic.Int64
@@ -112,7 +109,7 @@ func (e *Engine) Compile(app *App, opts psg.Options) (*minilang.Program, *psg.Gr
 }
 
 // Run is the package-level Run with the compile phase served from the
-// engine's cache, run on an idle scratch of the engine's when it has one.
+// engine's cache, run on a kept scratch when there is one.
 func (e *Engine) Run(cfg RunConfig) (*RunOutput, error) {
 	if err := validateRunConfig(cfg); err != nil {
 		return nil, err
@@ -121,44 +118,30 @@ func (e *Engine) Run(cfg RunConfig) (*RunOutput, error) {
 	if err != nil {
 		return nil, err
 	}
-	sc := e.takeScratch()
+	sc, _ := keptScratch.Get().(*runScratch)
+	if sc == nil {
+		sc = new(runScratch)
+	}
 	out, err := runCompiled(prog, graph, cfg, sc)
-	e.keepScratch(sc)
+	if sc.idle() <= maxKeptBytes {
+		keptScratch.Put(sc)
+	}
 	return out, err
 }
 
-// maxKeptRanks is the largest world whose scratch an Engine keeps. Its
-// slabs grow with the ranks, and an engine holds them for as long as it
-// lives; past a few thousand ranks a run takes so long (np=8192 zeusmp,
-// about 0.9 s) that allocating them is a small share of it.
-const maxKeptRanks = 4096
+// keptScratch holds finished runs' *runScratch, each at most maxKeptBytes,
+// until a run takes it or the garbage collector frees it. It is one pool
+// for every Engine, since a kept scratch holds nothing of its run: a pool
+// an Engine owned would be registered with the runtime, and so kept alive
+// with its Engine for two collections, by each short-lived Engine — one a
+// case in a corpus sweep, whose ops ran about 15 % slower for it.
+var keptScratch sync.Pool
 
-// takeScratch returns an idle scratch, or a fresh one when none is idle.
-func (e *Engine) takeScratch() *runScratch {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	n := len(e.idle)
-	if n == 0 {
-		return new(runScratch)
-	}
-	sc := e.idle[n-1]
-	e.idle[n-1] = nil
-	e.idle = e.idle[:n-1]
-	return sc
-}
-
-// keepScratch files a finished run's scratch as idle, unless its world is
-// above maxKeptRanks or every CPU already has an idle one.
-func (e *Engine) keepScratch(sc *runScratch) {
-	if sc.world.NP() > maxKeptRanks {
-		return
-	}
-	e.mu.Lock()
-	if len(e.idle) < runtime.GOMAXPROCS(0) {
-		e.idle = append(e.idle, sc)
-	}
-	e.mu.Unlock()
-}
+// maxKeptBytes bounds the slabs of a scratch an Engine keeps. A zeusmp run
+// at np=1024 leaves 2.1 MB; a program that allocates or opens channels at
+// will can leave gigabytes, and those are freed with the run, as they
+// would be without an Engine.
+const maxKeptBytes = 8 << 20
 
 // SweepConfig configures a multi-scale sweep.
 type SweepConfig struct {

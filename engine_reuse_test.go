@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
+	"fmt"
 	"math"
 	"reflect"
 	"runtime"
@@ -16,6 +17,7 @@ import (
 	"scalana/internal/mpisim"
 	"scalana/internal/ppg"
 	"scalana/internal/prof"
+	"scalana/internal/psg"
 	"scalana/internal/trace"
 )
 
@@ -43,7 +45,8 @@ func printRun(t *testing.T, out *RunOutput) runPrint {
 		if p.wire, err = ps.Encode(); err != nil {
 			t.Fatal(err)
 		}
-		// Each engine compiles its own PSG; the graphs are equal, not one.
+		// Each of two compared runs has a PSG of its own; the graphs are
+		// equal, not one.
 		g := *data.PPG
 		g.PSG = nil
 		p.graph = &g
@@ -94,31 +97,61 @@ func main() {
 }`}
 
 // TestEngineReuseIsInvisible: an engine's runs reuse the world and VM
-// slabs of its earlier ones, and what a run returns must not show it. On
-// one engine, zeusmp at np 1024, 64, 256 and 1024 — each run in a world
-// kept from a larger or a smaller one — then sst, nekbone and cg, each
-// bare and under every tool, and after a run whose rank fails, zeusmp
-// again: every run returns what a fresh engine returns.
+// slabs of earlier ones, and what a run returns must not show it, then
+// or after the engine's later runs. On one engine, zeusmp at np 1024,
+// 64, 256 and 1024 — each run in a world kept from a larger or a smaller
+// one — then sst, nekbone and cg, each bare and under every tool, and
+// after a run whose rank fails, zeusmp again: every run returns what a
+// run on fresh slabs (Run) returns, and still does once the sequence has
+// ended. A
+// trace, up to 140 MB of records at np=1024, is checked again once the
+// next app or scale has run rather than held to the end.
 func TestEngineReuseIsInvisible(t *testing.T) {
 	pcfg := prof.DefaultConfig()
 	pcfg.SampleHz = 2000
 	e := NewEngine()
-	check := func(app string, np int) {
+	type kept struct {
+		name string
+		out  *RunOutput
+		want runPrint
+	}
+	recheck := func(runs []kept) {
 		t.Helper()
-		for _, tool := range []string{"", "hpctk", "scalana", "tracer"} {
-			cfg := RunConfig{App: GetApp(app), NP: np, ToolName: tool, Prof: pcfg, Seed: 7}
-			var prints [2]runPrint
-			for i, eng := range []*Engine{e, NewEngine()} {
-				out, err := eng.Run(cfg)
-				if err != nil {
-					t.Fatalf("%s np=%d tool %q: %v", app, np, tool, err)
-				}
-				prints[i] = printRun(t, out)
-			}
-			if !reflect.DeepEqual(prints[0], prints[1]) {
-				t.Errorf("%s np=%d tool %q: the engine's run differs from a fresh engine's", app, np, tool)
+		for _, r := range runs {
+			if !reflect.DeepEqual(printRun(t, r.out), r.want) {
+				t.Errorf("%s: the engine's later runs changed what the run returned", r.name)
 			}
 		}
+	}
+	var runs, traces []kept
+	check := func(app string, np int) {
+		t.Helper()
+		prev := traces
+		traces = nil
+		for _, tool := range []string{"", "hpctk", "scalana", "tracer"} {
+			cfg := RunConfig{App: GetApp(app), NP: np, ToolName: tool, Prof: pcfg, Seed: 7}
+			name := fmt.Sprintf("%s np=%d tool %q", app, np, tool)
+			fresh, err := Run(cfg)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			want := printRun(t, fresh)
+			fresh = nil
+			out, err := e.Run(cfg)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if !reflect.DeepEqual(printRun(t, out), want) {
+				t.Errorf("%s: the engine's run differs from a run on fresh slabs", name)
+			}
+			k := kept{name, out, want}
+			if tool == "tracer" {
+				traces = append(traces, k)
+			} else {
+				runs = append(runs, k)
+			}
+		}
+		recheck(prev)
 	}
 	for _, np := range []int{1024, 64, 256, 1024} {
 		check("zeusmp", np)
@@ -126,15 +159,13 @@ func TestEngineReuseIsInvisible(t *testing.T) {
 	for _, app := range []string{"sst", "nekbone", "cg"} {
 		check(app, 32)
 	}
-	if len(e.idle) != 1 {
-		t.Fatalf("a serial engine keeps %d scratch, want 1", len(e.idle))
-	}
 	for _, tool := range []string{"", "scalana"} {
 		if _, err := e.Run(RunConfig{App: failingApp, NP: 64, ToolName: tool}); err == nil || !strings.Contains(err.Error(), "rank 5: ") {
 			t.Fatalf("tool %q: the failing program gave %v, want rank 5's error", tool, err)
 		}
 		check("zeusmp", 64)
 	}
+	recheck(runs)
 }
 
 // TestEngineConcurrentSweepsReuse: two sweeps at once on one engine, each
@@ -182,40 +213,88 @@ func TestEngineConcurrentSweepsReuse(t *testing.T) {
 			}
 		}
 	}
-	if n := len(e.idle); n < 1 || n > runtime.GOMAXPROCS(0) {
-		t.Errorf("the engine keeps %d scratch, want 1 to %d", n, runtime.GOMAXPROCS(0))
+}
+
+// TestEngineKeepsBoundedScratch: the scratch a zeusmp run at np=1024
+// leaves is kept, and whatever a program allocates — large first arrays
+// in the run's arena, large later arrays in the ranks' heaps, long
+// channel queues, many channels — what an engine's run keeps holds at
+// most maxKeptBytes once the run has returned, and once a later run has
+// reset it.
+func TestEngineKeepsBoundedScratch(t *testing.T) {
+	prog, graph, err := NewEngine().Compile(GetApp("zeusmp"), psg.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := new(runScratch)
+	if _, err := runCompiled(prog, graph, RunConfig{App: GetApp("zeusmp"), NP: 1024}, sc); err != nil {
+		t.Fatal(err)
+	}
+	n := sc.idle()
+	t.Logf("a zeusmp np=1024 scratch holds %d B", n)
+	if n > maxKeptBytes {
+		t.Errorf("a zeusmp np=1024 scratch holds %d B, more than the %d B an engine keeps", n, maxKeptBytes)
+	}
+
+	// One P and an empty pool (two collections empty it), so that the run
+	// after a heavy one takes what the heavy one kept, if anything.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	runtime.GC()
+	runtime.GC()
+	const np = 32
+	barrier := &App{Name: "barrier", File: "barrier.mp", Source: "func main() { mpi_barrier(); }\n"}
+	for _, c := range []struct{ name, body string }{
+		{"first arrays", "var a = alloc(60000); a[59999] = 1;"},
+		{"later arrays", "var a = alloc(1); var b = alloc(60000); b[59999] = 1;"},
+		{"queued sends", `var n = mpi_size();
+	var r = mpi_rank();
+	for (var i = 0; i < 20000; i = i + 1) {
+		mpi_send((r + 1) % n, 1, 8);
+	}
+	for (var i = 0; i < 20000; i = i + 1) {
+		mpi_recv((r + n - 1) % n, 1, 8);
+	}`},
+		{"many channels", `var n = mpi_size();
+	var r = mpi_rank();
+	for (var tag = 0; tag < 100; tag = tag + 1) {
+		for (var d = 0; d < n; d = d + 1) {
+			mpi_send(d, tag, 8);
+		}
+	}
+	for (var tag = 0; tag < 100; tag = tag + 1) {
+		for (var s = 0; s < n; s = s + 1) {
+			mpi_recv(s, tag, 8);
+		}
+	}`},
+	} {
+		app := &App{Name: "heavy", File: "heavy.mp", Source: "func main() {\n\t" + c.body + "\n}\n"}
+		e := NewEngine()
+		for _, a := range []*App{app, barrier} {
+			if _, _, err := e.Compile(a, psg.Options{}); err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+		}
+		before := heapAfterGC()
+		// The barrier run takes what the heavy run kept, if anything, and
+		// resets it.
+		for _, a := range []*App{app, barrier} {
+			if _, err := e.Run(RunConfig{App: a, NP: np}); err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+			// One collection leaves what the pool holds alive.
+			kept := heapAfterGC() - before
+			t.Logf("%s, after %s: %d B more are kept", c.name, a.Name, kept)
+			if kept > maxKeptBytes+1<<20 {
+				t.Errorf("%s: after %s %d B more are kept, want at most about %d", c.name, a.Name, kept, maxKeptBytes)
+			}
+		}
 	}
 }
 
-// TestEngineKeepsBoundedScratch: an engine keeps at most one idle scratch
-// a CPU however many runs finish at once, and none whose world had more
-// than maxKeptRanks ranks.
-func TestEngineKeepsBoundedScratch(t *testing.T) {
-	e := NewEngine()
-	cfg := RunConfig{App: GetApp("cg"), NP: 8}
-	var wg sync.WaitGroup
-	for range 4 * runtime.GOMAXPROCS(0) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if _, err := e.Run(cfg); err != nil {
-				t.Error(err)
-			}
-		}()
-	}
-	wg.Wait()
-	if n := len(e.idle); n < 1 || n > runtime.GOMAXPROCS(0) {
-		t.Errorf("after concurrent runs the engine keeps %d scratch, want 1 to %d", n, runtime.GOMAXPROCS(0))
-	}
-
-	barrier := &App{Name: "barrier", File: "barrier.mp", Source: "func main() { mpi_barrier(); }\n"}
-	for _, c := range []struct{ np, kept int }{{maxKeptRanks + 1, 0}, {maxKeptRanks, 1}} {
-		e := NewEngine()
-		if _, err := e.Run(RunConfig{App: barrier, NP: c.np}); err != nil {
-			t.Fatal(err)
-		}
-		if len(e.idle) != c.kept {
-			t.Errorf("after a run of %d ranks the engine keeps %d scratch, want %d", c.np, len(e.idle), c.kept)
-		}
-	}
+// heapAfterGC returns the bytes of live heap objects after a collection.
+func heapAfterGC() int64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
 }

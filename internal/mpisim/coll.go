@@ -3,6 +3,9 @@ package mpisim
 import (
 	"fmt"
 	"math"
+	"unsafe"
+
+	"scalana/internal/slab"
 )
 
 // Collective synchronization. All ranks must invoke collectives in the
@@ -67,6 +70,20 @@ func (c *collectives) reset(w *World) {
 	c.live, c.base = c.live[:0], 0
 }
 
+// bytes returns what the collectives' slots hold; nothing in them points
+// outside the world.
+func (c *collectives) bytes() int {
+	n := slab.Bytes(c.live) + slab.Bytes(c.free)
+	for _, slots := range [2][]*collSlot{c.live, c.free} {
+		for _, slot := range slots {
+			if slot != nil {
+				n += int(unsafe.Sizeof(*slot)) + slab.Bytes(slot.arrivals) + slab.Bytes(slot.waiters)
+			}
+		}
+	}
+	return n
+}
+
 // slotFor returns the slot of collective number seq, opening it when the
 // calling rank is the first to arrive.
 func (c *collectives) slotFor(seq int, op Op, root int) *collSlot {
@@ -96,7 +113,7 @@ func (c *collectives) newSlot(seq int, op Op, root int) *collSlot {
 		slot = c.free[n-1]
 		c.free = c.free[:n-1]
 		// A slot a reset world kept may come from a job of fewer ranks.
-		arr, wtr := resize(slot.arrivals, c.w.np), slot.waiters[:0]
+		arr, wtr := slab.Resize(slot.arrivals, c.w.np), slot.waiters[:0]
 		*slot = collSlot{arrivals: arr, waiters: wtr}
 	} else {
 		slot = &collSlot{arrivals: make([]arrival, c.w.np)}

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"scalana/internal/machine"
+	"scalana/internal/slab"
 )
 
 // Point-to-point matching. Messages on one (src,dst,tag) channel match in
@@ -118,70 +119,33 @@ type matcher struct {
 	lists   []inboxEntry
 	// chans, queues and reqs carve channels, their first queues and
 	// request handles.
-	chans  slab[channel]
-	queues slab[[queueCap]sendInfo]
-	reqs   slab[Request]
+	chans  slab.Slab[channel]
+	queues slab.Slab[[queueCap]sendInfo]
+	reqs   slab.Slab[Request]
 	// anyScanned counts the sends wildcard matching has examined.
 	anyScanned int
-}
-
-// slabChunk is the most slots a chunk of a slab opens with after the
-// world's first.
-const slabChunk = 64
-
-// slab hands out zero Ts that keep their address for the rest of the run.
-// A world's first chunk has np slots — a small world uses a few dozen
-// channels, not hundreds — and each later one twice the previous one's,
-// up to slabChunk. A chunk never grows past its capacity, so the pointers
-// carve hands out stay valid. A reset keeps the first chunk, enlarged to
-// what the last run carved in all, so a world reset for a job it has run
-// before carves every slot from it.
-type slab[T any] struct {
-	first, cur []T
-	carved     int // slots carved since the reset
-}
-
-// carve takes one zero T out of the current chunk, starting a new chunk
-// when it is full.
-func (s *slab[T]) carve(np int) *T {
-	if n := cap(s.cur); len(s.cur) == n {
-		size := np
-		if n > 0 {
-			size = min(2*n, slabChunk)
-		}
-		s.cur = make([]T, 0, size)
-		if s.carved == 0 {
-			s.first = s.cur
-		}
-	}
-	s.carved++
-	s.cur = s.cur[:len(s.cur)+1]
-	t := &s.cur[len(s.cur)-1]
-	var zero T // a kept chunk holds the last run's
-	*t = zero
-	return t
-}
-
-// reset makes the first chunk the current one again.
-func (s *slab[T]) reset() {
-	if s.carved > cap(s.first) {
-		s.first = make([]T, 0, s.carved)
-	}
-	s.cur, s.carved = s.first[:0], 0
 }
 
 // reset readies the matcher for a new job of w: every inbox empty, every
 // slab back at its first chunk.
 func (m *matcher) reset(w *World) {
 	m.w, m.anyScanned = w, 0
-	m.inboxes = resize(m.inboxes, w.np)
-	m.lists = resize(m.lists, w.np*inboxCap)
+	m.inboxes = slab.Resize(m.inboxes, w.np)
+	m.lists = slab.Resize(m.lists, w.np*inboxCap)
 	for r := range m.inboxes {
 		m.inboxes[r] = inbox{list: m.lists[r*inboxCap : r*inboxCap : (r+1)*inboxCap]}
 	}
-	m.chans.reset()
-	m.queues.reset()
-	m.reqs.reset()
+	m.chans.Reset()
+	m.queues.Reset()
+	m.reqs.Reset()
+}
+
+// idle drops the inboxes' indexes and grown lists and the channels' grown
+// queues, and returns the bytes the matcher holds after its next reset.
+func (m *matcher) idle() int {
+	clear(m.inboxes[:cap(m.inboxes)])
+	clear(m.lists[:cap(m.lists)])
+	return slab.Bytes(m.inboxes) + slab.Bytes(m.lists) + m.chans.Idle() + m.queues.Idle() + m.reqs.Idle()
 }
 
 // chanFor returns the channel src -> dst on tag, creating it on first use.
@@ -204,8 +168,8 @@ func (m *matcher) chanFor(src, dst, tag int) *channel {
 }
 
 func (m *matcher) newChannel(in *inbox, src, tag int) *channel {
-	ch := m.chans.carve(m.w.np)
-	*ch = channel{src: src, tag: tag, waiter: -1, queue: m.queues.carve(m.w.np)[:0]}
+	ch := m.chans.Carve(m.w.np)
+	*ch = channel{src: src, tag: tag, waiter: -1, queue: m.queues.Carve(m.w.np)[:0]}
 	in.list = append(in.list, inboxEntry{srcTag{src, tag}, ch})
 	switch {
 	case in.index != nil:
@@ -436,13 +400,11 @@ func (p *Proc) newRequest(isSend bool, src, tag int, bytes float64) *Request {
 	if n := len(p.freeReqs); n > 0 {
 		r = p.freeReqs[n-1]
 		p.freeReqs = p.freeReqs[:n-1]
-		*r = Request{}
 	} else {
-		r = p.world.matcher.reqs.carve(p.world.np)
+		r = p.world.matcher.reqs.Carve(p.world.np)
 	}
-	r.isSend, r.src, r.tag, r.bytes = isSend, src, tag, bytes
 	p.nextReq++
-	r.id = p.nextReq
+	*r = Request{id: p.nextReq, isSend: isSend, src: src, tag: tag, bytes: bytes}
 	p.reqs = append(p.reqs, r)
 	return r
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"scalana/internal/machine"
+	"scalana/internal/slab"
 )
 
 // The LogGP-style interconnect cost model: a 100 Gb/s EDR InfiniBand
@@ -80,9 +81,9 @@ func (w *World) Reset(cfg Config) {
 	w.sched.reset(w)
 	w.matcher.reset(w)
 	w.colls.reset(w)
-	w.procs = resize(w.procs, np)
-	w.procSlab = resize(w.procSlab, np)
-	w.reqLists = resize(w.reqLists, 2*np*reqsCap)
+	w.procs = slab.Resize(w.procs, np)
+	w.procSlab = slab.Resize(w.procSlab, np)
+	w.reqLists = slab.Resize(w.reqLists, 2*np*reqsCap)
 	for r := range np {
 		p := &w.procSlab[r]
 		reqs, free := 2*r*reqsCap, (2*r+1)*reqsCap
@@ -99,13 +100,18 @@ func (w *World) Reset(cfg Config) {
 	}
 }
 
-// resize returns s with length n: s itself when it has the room, else a
-// new zero slice. Slots a reused s holds are the caller's to write.
-func resize[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n)
-	}
-	return s[:n]
+// Idle readies a finished world to wait for its next Reset: it drops
+// every reference the run's ranks, inboxes and channels hold beyond the
+// world's slabs — a rank's hook, its drawn random stream and grown request
+// lists, an inbox's index, a channel's grown queue — and returns the bytes
+// the world holds once a Reset for the job it last ran is done. Idle must
+// not be called while a Run is in progress.
+func (w *World) Idle() int {
+	clear(w.procSlab[:cap(w.procSlab)])
+	clear(w.reqLists[:cap(w.reqLists)])
+	w.blocking = nil
+	return slab.Bytes(w.procs) + slab.Bytes(w.procSlab) + slab.Bytes(w.reqLists) +
+		w.matcher.idle() + w.colls.bytes() + slab.Bytes(w.sched.ready)
 }
 
 // NP returns the number of ranks.
@@ -148,8 +154,6 @@ type Stepper func(p *Proc) (finished bool)
 // clock until every rank's program has finished. A panic on any rank ends
 // the run and is returned as that rank's error; a deadlock (no rank can
 // make progress) fails the run immediately with a per-rank diagnostic.
-// Once it returns, no rank has a hook: a world kept for a later Reset
-// keeps no tool's data alive.
 func (w *World) Run(step Stepper) (RunResult, error) {
 	err := w.sched.run(step)
 	res := RunResult{Clocks: make([]float64, w.np)}
@@ -163,7 +167,6 @@ func (w *World) Run(step Stepper) (RunResult, error) {
 		if p.Clock > res.Elapsed {
 			res.Elapsed = p.Clock
 		}
-		p.hook, p.observer, p.sampler = nil, nil, nil
 	}
 	return res, err
 }

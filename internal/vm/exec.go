@@ -8,6 +8,7 @@ import (
 	"scalana/internal/minilang"
 	"scalana/internal/mpisim"
 	"scalana/internal/psg"
+	"scalana/internal/slab"
 )
 
 // glueIns is the abstract instruction count charged per statement,
@@ -74,9 +75,9 @@ func (r *Runner) Stepper(s *Slabs, np int) mpisim.Stepper {
 	}
 	main := r.Prog.main
 	nRegs, nCalls := int(r.Prog.stackRegs), int(r.Prog.stackDepth)
-	s.machines = resize(s.machines, np)
-	s.regs = resize(s.regs, np*nRegs)
-	s.calls = resize(s.calls, np*nCalls)
+	s.machines = slab.Resize(s.machines, np)
+	s.regs = slab.Resize(s.regs, np*nRegs)
+	s.calls = slab.Resize(s.calls, np*nCalls)
 	for i := range np {
 		m := &s.machines[i]
 		*m = machine{
@@ -94,13 +95,14 @@ func (r *Runner) Stepper(s *Slabs, np int) mpisim.Stepper {
 	return s.step
 }
 
-// resize returns s with length n: s itself when it has the room, else a
-// new zero slice. Slots a reused s holds are the caller's to write.
-func resize[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n)
-	}
-	return s[:n]
+// Idle readies the slabs of a finished run to wait for their next
+// Stepper: it drops the ranks' heaps and every reference into the run's
+// program, and returns the bytes the slabs hold once that Stepper has set
+// up the run they last served.
+func (s *Slabs) Idle() int {
+	clear(s.machines[:cap(s.machines)])
+	clear(s.calls[:cap(s.calls)])
+	return slab.Bytes(s.machines) + slab.Bytes(s.regs) + slab.Bytes(s.calls) + s.arena.idle()
 }
 
 // frame is one activation on a machine's call stack.
@@ -285,7 +287,7 @@ func (m *machine) alloc(n float64, pos *minilang.Pos, ar *arena) Value {
 // tail of the current chunk. np ranks whose first arrays are alike make a
 // few chunks, not np objects. A reset keeps the run's first chunk,
 // enlarged to what the run cut in all, so a rerun of a job cuts every
-// first array from it.
+// first array from it: slab.Slab's policy, which this one must follow.
 type arena struct {
 	free, first []float64
 	used        int // elements cut since the reset
@@ -320,6 +322,13 @@ func (a *arena) reset(np int) {
 		a.first = make([]float64, a.used)
 	}
 	a.free, a.used, a.np = a.first, 0, np
+}
+
+// idle keeps the first chunk alone and returns the bytes the arena holds
+// after its next reset.
+func (a *arena) idle() int {
+	a.free = nil
+	return 8 * max(a.used, cap(a.first))
 }
 
 // step runs the rank's program from where it stopped until it finishes

@@ -179,6 +179,13 @@ type runScratch struct {
 	slabs  vm.Slabs
 }
 
+// idle readies sc for a later run: it drops all the finished run left in
+// sc but the slabs, and returns the bytes the slabs hold.
+func (sc *runScratch) idle() int {
+	sc.runner = vm.Runner{}
+	return sc.world.Idle() + sc.slabs.Idle()
+}
+
 // runCompiled is RunCompiled on sc, which serves one run at a time.
 func runCompiled(prog *minilang.Program, graph *psg.Graph, cfg RunConfig, sc *runScratch) (*RunOutput, error) {
 	if err := validateRunConfig(cfg); err != nil {
