@@ -45,8 +45,13 @@ import (
 // context as an interface and chunks opened at 64 slots; 22.3 objects
 // and 4,697 B when a channel kept every message of the run). A per-rank
 // allocation creeping back into vm.Runner.Stepper or mpisim shows here
-// as a count.
+// as a count. The budgets hold for normal builds only: the race
+// detector's instrumentation alone puts a bare run at about 1.23 objects
+// and 2,495 B a rank.
 func TestAttachCostPerRank(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates per rank; the budgets are for normal builds")
+	}
 	const (
 		np                = 256
 		runs              = 5

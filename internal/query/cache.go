@@ -12,24 +12,26 @@ import (
 	"scalana/internal/store"
 )
 
-// CacheBudget is the most bytes a Cache charges its entries: 14 decoded
-// zeusmp np=1024 graphs with the bytes each was decoded from, the three
-// graphs of 11 stored detects over zeusmp 64/256/1024 (5.8 MB a detect), or
-// a quarter of a million zeusmp samples a watch ingested.
+// CacheBudget is the most bytes a Cache charges its entries: 30 decoded
+// zeusmp np=1024 graphs (2.24 MB each), the three graphs of 22 stored
+// detects over zeusmp 64/256/1024 (2.94 MB a detect), or a quarter of a
+// million zeusmp samples a watch ingested. An entry keeps no stored bytes.
 const CacheBudget = 64 << 20
 
 // Cache holds what stored sets reduce to, by store key: the baseline
 // sample a watch reads for every run, and the decoded PPG of every scale a
-// stored detect reads. A graph keeps the stored bytes it was decoded from,
-// so a hit compares the stored file with them (store.Store.Holds) instead
-// of hashing it; a sample keeps none, as the watch checks nothing on a hit
-// and a long history's bytes would not fit the budget. Every entry derives
-// from content-addressed bytes alone, so it never goes stale; a concurrent
-// double miss is wasted work, never a wrong answer, and the first entry
-// put stays. An entry in the map is shared by every query that reads it
-// and written by none.
+// stored detect reads. A graph keeps the stamp of the hashed read it was
+// decoded from (store.Stamp), so a hit checks the stored file with one
+// stat (store.Store.Unchanged) instead of reading it, and a hit whose
+// stamp is racy or changed reads and hashes the file again and, if it is
+// sound, puts a new entry with the same graph and the new stamp in its
+// place; a sample keeps no stamp, as the watch checks nothing on a hit.
+// Every entry derives from content-addressed bytes alone, so it never goes
+// stale; a concurrent double miss is wasted work, never a wrong answer,
+// and the first entry put stays. An entry in the map is shared by every
+// query that reads it and written by none.
 //
-// Each entry is charged the bytes it retains (graphCharge, sampleBytes).
+// Each entry is charged the bytes it retains (graphBytes, sampleBytes).
 // An insert past the budget evicts the least-recently-used entries, and an
 // entry larger than the whole budget is not kept. A hit allocates nothing.
 // A nil *Cache caches nothing. Safe for concurrent use.
@@ -37,12 +39,12 @@ type Cache struct {
 	// budget replaces CacheBudget when positive: how a test evicts.
 	budget int64
 
-	mu                          sync.Mutex
-	m                           map[slot]*cached
-	held                        int64  // bytes charged by the entries in m
-	tick                        uint64 // advanced by every hit and insert
-	samples                     int    // entries in m holding a sample
-	ingests, decodes, evictions int64
+	mu                                   sync.Mutex
+	m                                    map[slot]*cached
+	held                                 int64  // bytes charged by the entries in m
+	tick                                 uint64 // advanced by every hit and insert
+	samples                              int    // entries in m holding a sample
+	ingests, decodes, rereads, evictions int64
 }
 
 // slot addresses one entry: a stored set's sample, or its graph.
@@ -54,11 +56,11 @@ type slot struct {
 // cached is one entry. Only used changes once it is in the map, and only
 // under Cache.mu.
 type cached struct {
-	smp  *baseline.Sample
-	pg   *ppg.Graph
-	data []byte // the stored bytes pg was decoded from
-	size int64
-	used uint64
+	smp   *baseline.Sample
+	pg    *ppg.Graph
+	stamp store.Stamp // of the hashed read pg was decoded from, or last re-read
+	size  int64
+	used  uint64
 }
 
 // CacheStats is a snapshot of a Cache's counters.
@@ -68,6 +70,9 @@ type CacheStats struct {
 	// Ingests counts samples ingested for a watch and Decodes graphs
 	// decoded for a stored detect's scales: the cache's misses.
 	Ingests, Decodes int64
+	// Rereads counts graph hits whose stored file was read and hashed
+	// again because their stamp was racy or the file's stamp changed.
+	Rereads int64
 	// Bytes is what the held entries are charged; Evictions counts the
 	// entries dropped to keep it within the budget.
 	Bytes     int64
@@ -81,7 +86,7 @@ func (c *Cache) Stats() CacheStats {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return CacheStats{Samples: c.samples, Ingests: c.ingests, Decodes: c.decodes, Bytes: c.held, Evictions: c.evictions}
+	return CacheStats{Samples: c.samples, Ingests: c.ingests, Decodes: c.decodes, Rereads: c.rereads, Bytes: c.held, Evictions: c.evictions}
 }
 
 // sample returns the cached sample of a stored set, or nil.
@@ -92,13 +97,13 @@ func (c *Cache) sample(k store.Key) *baseline.Sample {
 	return nil
 }
 
-// graph returns the cached PPG of a stored set and the bytes it was
-// decoded from, or nil.
-func (c *Cache) graph(k store.Key) (*ppg.Graph, []byte) {
+// graph returns the cached PPG of a stored set and its entry's stamp, or
+// nil.
+func (c *Cache) graph(k store.Key) (*ppg.Graph, store.Stamp) {
 	if e := c.get(slot{key: k, graph: true}); e != nil {
-		return e.pg, e.data
+		return e.pg, e.stamp
 	}
-	return nil, nil
+	return nil, store.Stamp{}
 }
 
 // addSample counts an ingest and caches its sample.
@@ -106,10 +111,26 @@ func (c *Cache) addSample(k store.Key, smp *baseline.Sample) {
 	c.put(slot{key: k}, &cached{smp: smp, size: sampleBytes(smp)})
 }
 
-// addGraph counts a decode and caches its graph with the bytes it was
-// decoded from.
-func (c *Cache) addGraph(k store.Key, pg *ppg.Graph, data []byte) {
-	c.put(slot{key: k, graph: true}, &cached{pg: pg, data: data, size: graphCharge(pg, data)})
+// addGraph counts a decode and caches its graph with the stamp of the
+// read it was decoded from.
+func (c *Cache) addGraph(k store.Key, pg *ppg.Graph, st store.Stamp) {
+	c.put(slot{key: k, graph: true}, &cached{pg: pg, stamp: st, size: graphBytes(pg)})
+}
+
+// reread counts a graph hit read again and, when that read found the set
+// sound, puts an entry holding pg with the read's stamp in place of the
+// one the hit found, if that is still there. No decode is counted.
+func (c *Cache) reread(k store.Key, pg *ppg.Graph, st store.Stamp, sound bool) {
+	if c == nil {
+		return
+	}
+	s := slot{key: k, graph: true}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.rereads++
+	if old := c.m[s]; sound && old != nil && old.pg == pg {
+		c.m[s] = &cached{pg: pg, stamp: st, size: old.size, used: old.used}
+	}
 }
 
 func (c *Cache) get(s slot) *cached {
@@ -191,16 +212,12 @@ func sampleBytes(smp *baseline.Sample) int64 {
 	return int64(len(smp.Values)) * int64(unsafe.Sizeof(float64(0)))
 }
 
-// graphCharge is what a cached graph is charged: graphBytes, plus the
-// stored bytes it was decoded from. Zeusmp at np=1024 is charged 4.54 MB,
-// 2.18 MB of it stored bytes.
-func graphCharge(pg *ppg.Graph, data []byte) int64 { return graphBytes(pg) + int64(len(data)) }
-
-// graphBytes is what a decoded graph retains: its columnar Perf block, its
-// dependence edges (a map entry per waiting side, a pointer and a DepEdge
-// per edge), its per-rank times and its per-vertex total and merged
-// times. Zeusmp at np=1024 comes to 2.36 MB of the 2.62 MB its decoded
-// graph keeps live; the rest is map and arena slack.
+// graphBytes is what a cached graph is charged, what its decoded graph
+// retains: its columnar Perf block, its dependence edges (a map entry per
+// waiting side, a pointer and a DepEdge per edge), its per-rank times and
+// its per-vertex total and merged times. Zeusmp at np=1024, profiled at
+// 2,000 Hz as serve-detect-stored's sets are, comes to 2.24 MB of the
+// 2.44 MB its decoded graph keeps live; the rest is map and arena slack.
 func graphBytes(pg *ppg.Graph) int64 {
 	n := int64(len(pg.Perf))*int64(unsafe.Sizeof(prof.PerfData{})) +
 		int64(len(pg.RankTime)+2*pg.NumVIDs())*int64(unsafe.Sizeof(float64(0)))

@@ -17,26 +17,35 @@ import (
 	scalana "scalana"
 )
 
-// TestCacheEvictsLeastRecentlyUsed: with a budget of two cg graphs, each
-// charged with the bytes it was decoded from, a third evicts the one read
-// least recently, the bytes held never exceed the budget, a hit returns
-// the graph with its bytes and allocates nothing, and a graph larger than
-// the whole budget is decoded but not kept.
+// TestCacheEvictsLeastRecentlyUsed: with a budget of two cg graphs, a
+// third evicts the one read least recently, the bytes held never exceed
+// the budget, a hit returns the graph with its stamp and allocates
+// nothing, and a graph larger than the whole budget is decoded but not
+// kept.
 func TestCacheEvictsLeastRecentlyUsed(t *testing.T) {
 	cg := scalana.GetApp("cg")
-	pg, data := largestGraph(t, fixtureEnv(t, false), cg, []int{8})
-	size := graphCharge(pg, data)
+	e := fixtureEnv(t, false)
+	pg := largestGraph(t, e, cg, []int{8})
+	ent, err := e.Store.Only("cg", 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, st, err := e.Store.Read(ent.Key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	size := graphBytes(pg)
 	c := &Cache{budget: 2 * size}
 	held := func(c *Cache, k store.Key) *ppg.Graph {
-		got, gotData := c.graph(k)
-		if got != nil && &gotData[0] != &data[0] {
-			t.Fatalf("the graph of %s is held without the bytes it was decoded from", k.Hash[:1])
+		got, gotStamp := c.graph(k)
+		if got != nil && gotStamp != st {
+			t.Fatalf("the graph of %s is held without the stamp it was added with", k.Hash[:1])
 		}
 		return got
 	}
 	a, b, third := store.Key{App: "cg", NP: 8, Hash: hash("a")}, store.Key{App: "cg", NP: 8, Hash: hash("b")}, store.Key{App: "cg", NP: 8, Hash: hash("c")}
 	for _, k := range []store.Key{a, b} {
-		c.addGraph(k, pg, data)
+		c.addGraph(k, pg, st)
 		if held := c.Stats().Bytes; held > c.budget {
 			t.Fatalf("after adding %s the cache holds %d bytes of a %d budget", k.Hash[:1], held, c.budget)
 		}
@@ -44,7 +53,7 @@ func TestCacheEvictsLeastRecentlyUsed(t *testing.T) {
 	if held(c, a) != pg { // a is now more recent than b
 		t.Fatal("a graph added within the budget is not held")
 	}
-	c.addGraph(third, pg, data)
+	c.addGraph(third, pg, st)
 	if held(c, a) != pg || held(c, b) != nil || held(c, third) != pg {
 		t.Errorf("after a third graph the cache holds a=%t b=%t c=%t, want a and c", held(c, a) != nil, held(c, b) != nil, held(c, third) != nil)
 	}
@@ -56,7 +65,7 @@ func TestCacheEvictsLeastRecentlyUsed(t *testing.T) {
 	}
 
 	small := &Cache{budget: size - 1}
-	small.addGraph(a, pg, data)
+	small.addGraph(a, pg, st)
 	if st := small.Stats(); held(small, a) != nil || st.Bytes != 0 || st.Decodes != 1 || st.Evictions != 0 {
 		t.Errorf("a graph over the whole budget: held=%t, stats %+v, want not held, 1 decode", held(small, a) != nil, st)
 	}
@@ -143,9 +152,174 @@ func TestRemovedAfterCachingReadsAsUncached(t *testing.T) {
 	}
 }
 
+// TestWarmDetectSeesEveryChange: once a warm detect over cg [4,8] checks
+// its cached graphs by stat alone, a change to a stored file makes the
+// next warm detect fail with the error a detect through no cache gives
+// over the same store: the file rewritten in place with one byte changed
+// (its mtime restored or not), another file with those bytes and that
+// mtime renamed over it, cut one byte short, grown by one, its last byte
+// flipped, removed, or a directory in its place. Put back, the sets
+// answer from the cache again with no decode.
+func TestWarmDetectSeesEveryChange(t *testing.T) {
+	uncached := fixtureEnv(t, false)
+	cached := uncached
+	cached.Cache = &Cache{}
+	cg := scalana.GetApp("cg")
+	q := Detect{App: cg, Scales: []int{4, 8}, Config: detect.DefaultConfig()}
+	plan, err := cached.Detect(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	uncachedPlan, err := uncached.Detect(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := uncachedPlan.Bytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := plan.Bytes(); err != nil {
+		t.Fatal(err)
+	}
+	decodes := cached.Cache.Stats().Decodes
+	flip := func(at func([]byte) int) func([]byte) []byte {
+		return func(data []byte) []byte {
+			data = bytes.Clone(data)
+			data[at(data)] ^= 1
+			return data
+		}
+	}
+	middle := flip(func(data []byte) int { return len(data) / 2 })
+	rewrite := func(mutate func([]byte) []byte) func(path string, data []byte) error {
+		return func(path string, data []byte) error { return os.WriteFile(path, mutate(data), 0o644) }
+	}
+	for _, tc := range []struct {
+		np     int
+		name   string
+		change func(path string, data []byte) error
+	}{
+		{8, "rewritten in place", rewrite(middle)},
+		{4, "rewritten in place", rewrite(middle)},
+		{8, "rewritten with its mtime restored", func(path string, data []byte) error {
+			info, err := os.Stat(path)
+			if err == nil {
+				err = os.WriteFile(path, middle(data), 0o644)
+			}
+			if err == nil {
+				err = os.Chtimes(path, info.ModTime(), info.ModTime())
+			}
+			return err
+		}},
+		{8, "another file renamed over it", func(path string, data []byte) error {
+			info, err := os.Stat(path)
+			if err != nil {
+				return err
+			}
+			other := path + ".other"
+			if err := os.WriteFile(other, middle(data), 0o644); err != nil {
+				return err
+			}
+			if err := os.Chtimes(other, info.ModTime(), info.ModTime()); err != nil {
+				return err
+			}
+			return os.Rename(other, path)
+		}},
+		{8, "one byte short", rewrite(func(data []byte) []byte { return data[:len(data)-1] })},
+		{8, "one byte long", rewrite(func(data []byte) []byte { return append(bytes.Clone(data), ' ') })},
+		{8, "the last byte flipped", rewrite(flip(func(data []byte) int { return len(data) - 1 }))},
+		{8, "removed", func(path string, _ []byte) error { return os.Remove(path) }},
+		{8, "a directory in its place", func(path string, _ []byte) error {
+			if err := os.Remove(path); err != nil {
+				return err
+			}
+			return os.Mkdir(path, 0o755)
+		}},
+	} {
+		waitClean(t, cached.Cache, plan)
+		ent, err := uncached.Store.Only("cg", tc.np)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(uncached.Store.Root(), "cg", fmt.Sprint(tc.np), ent.Hash+".json")
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tc.change(path, data); err != nil {
+			t.Fatal(err)
+		}
+		rereads := cached.Cache.Stats().Rereads
+		_, wantErr := uncachedPlan.Bytes()
+		_, got := plan.Bytes()
+		if wantErr == nil || got == nil || got.Error() != wantErr.Error() {
+			t.Errorf("np=%d %s: a warm detect says %v, the uncached path %v", tc.np, tc.name, got, wantErr)
+		}
+		if cached.Cache.Stats().Rereads == rereads {
+			t.Errorf("np=%d %s: the warm detect read no file again", tc.np, tc.name)
+		}
+		if err := os.RemoveAll(path); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := plan.Bytes(); err != nil || !bytes.Equal(got, want) {
+			t.Errorf("np=%d put back after %s: %d bytes (err %v), want the uncached path's %d", tc.np, tc.name, len(got), err, len(want))
+		}
+		if st := cached.Cache.Stats(); st.Decodes != decodes {
+			t.Errorf("np=%d put back after %s: %d decodes, want %d", tc.np, tc.name, st.Decodes, decodes)
+		}
+	}
+}
+
+// TestWarmDetectRereadsNothing: once the racy window has passed, warm
+// detects over cg [4,8] read no stored file again and decode nothing, and
+// a file rewritten with its own bytes is read once more and then not.
+func TestWarmDetectRereadsNothing(t *testing.T) {
+	e := fixtureEnv(t, false)
+	e.Cache = &Cache{}
+	plan, err := e.Detect(Detect{App: scalana.GetApp("cg"), Scales: []int{4, 8}, Config: detect.DefaultConfig()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := plan.Bytes(); err != nil {
+		t.Fatal(err)
+	}
+	waitClean(t, e.Cache, plan)
+	before := e.Cache.Stats()
+	for i := 0; i < 3; i++ {
+		if _, err := plan.Bytes(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := e.Cache.Stats(); st.Rereads != before.Rereads || st.Decodes != before.Decodes {
+		t.Errorf("three warm detects after the window: %d rereads and %d decodes, want none", st.Rereads-before.Rereads, st.Decodes-before.Decodes)
+	}
+
+	ent, err := e.Store.Only("cg", 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(e.Store.Root(), "cg", "8", ent.Hash+".json")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := plan.Bytes(); err != nil {
+		t.Fatal(err)
+	}
+	if st := e.Cache.Stats(); st.Rereads != before.Rereads+1 || st.Decodes != before.Decodes {
+		t.Errorf("a detect after the np=8 file was rewritten: %d rereads and %d decodes, want 1 and none", st.Rereads-before.Rereads, st.Decodes-before.Decodes)
+	}
+	waitClean(t, e.Cache, plan)
+}
+
 // TestDetectChargesItsGraphs: after one detect over cg [4,8] the cache
-// holds both scales' graphs, each with the stored set it was decoded
-// from, and is charged the sum of their graphCharge.
+// holds both scales' graphs, each with the stamp of the stored file it was
+// decoded from, and is charged the sum of their graphBytes.
 func TestDetectChargesItsGraphs(t *testing.T) {
 	e := fixtureEnv(t, false)
 	e.Cache = &Cache{}
@@ -163,11 +337,11 @@ func TestDetectChargesItsGraphs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pg, data := e.Cache.graph(ent.Key)
-		if pg == nil || int64(len(data)) != ent.Size {
-			t.Fatalf("the np=%d graph is held=%t with %d bytes, want held with the stored set's %d", np, pg != nil, len(data), ent.Size)
+		pg, st := e.Cache.graph(ent.Key)
+		if pg == nil || st == (store.Stamp{}) {
+			t.Fatalf("the np=%d graph is held=%t with stamp %+v, want held with its file's", np, pg != nil, st)
 		}
-		want += graphCharge(pg, data)
+		want += graphBytes(pg)
 	}
 	if got := e.Cache.Stats().Bytes; got != want {
 		t.Errorf("the cache is charged %d bytes, want the two graphs' %d", got, want)

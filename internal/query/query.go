@@ -40,8 +40,8 @@ type Env struct {
 	// SweepConfig.Parallelism knob).
 	Parallelism int
 	// Cache holds the baseline samples a watch reads for every run and
-	// the graph of every scale a stored detect reads, with the stored bytes
-	// it was decoded from; nil reads each from its stored bytes.
+	// the graph of every scale a stored detect reads, with the stamp of the
+	// stored file it was decoded from; nil reads each from its stored bytes.
 	Cache *Cache
 }
 
@@ -181,17 +181,17 @@ func entriesKey(entries []store.Entry) string {
 // stored reads one stored set the way every query does — the bytes its
 // key names through the one reader, the graph sized by the key's scale —
 // or, with build unset, validates the same bytes for the envelope alone.
-// It returns the bytes Get returned with what they decode to. A set whose
-// ranks or envelope name another scale than its key was not filed there
-// by Put.
-func (e *Env) stored(app *scalana.App, ent store.Entry, build bool) (pg *ppg.Graph, set prof.ProfileSet, data []byte, err error) {
+// It returns what the bytes decode to with the stamp of the file they were
+// read from. A set whose ranks or envelope name another scale than its key
+// was not filed there by Put.
+func (e *Env) stored(app *scalana.App, ent store.Entry, build bool) (pg *ppg.Graph, set prof.ProfileSet, st store.Stamp, err error) {
 	_, graph, err := e.Engine.Compile(app, psg.Options{})
 	if err != nil {
-		return nil, set, nil, err
+		return nil, set, st, err
 	}
-	data, err = e.Store.Get(ent.Key)
+	data, st, err := e.Store.Read(ent.Key)
 	if err != nil {
-		return nil, set, nil, err
+		return nil, set, st, err
 	}
 	if build {
 		pg, set, err = ppg.Decode(data, graph, ent.NP)
@@ -204,13 +204,13 @@ func (e *Env) stored(app *scalana.App, ent store.Entry, build bool) (pg *ppg.Gra
 	var misfiled *ppg.NPError
 	switch {
 	case errors.As(err, &misfiled):
-		return nil, set, nil, corrupt(misfiled.NP)
+		return nil, set, st, corrupt(misfiled.NP)
 	case err != nil:
-		return nil, set, nil, errorf(http.StatusConflict, "stored set %s no longer decodes against %s: %v", ent.Key, app.Name, err)
+		return nil, set, st, errorf(http.StatusConflict, "stored set %s no longer decodes against %s: %v", ent.Key, app.Name, err)
 	case set.NP != ent.NP:
-		return nil, set, nil, corrupt(set.NP)
+		return nil, set, st, corrupt(set.NP)
 	}
-	return pg, set, data, nil
+	return pg, set, st, nil
 }
 
 // Detect is a scaling-loss detection query. Its source is the simulator
@@ -304,22 +304,29 @@ func (e *Env) Detect(q Detect) (Plan[*detect.Report], error) {
 	}}, nil
 }
 
-// graph reads one scale of a stored detect: its PPG from e.Cache once the
-// stored file still holds the bytes it was decoded from
-// (store.Store.Holds, which answers what Verify answers), else decoded
-// from those bytes (Get hashes them once) and cached with them.
+// graph reads one scale of a stored detect: its PPG from e.Cache while
+// the entry's stamp is clean and the stored file still has it (one stat,
+// store.Store.Unchanged). Any other hit reads and hashes the file again
+// (store.Store.Read, which answers Get's error) and keeps the graph under
+// the new stamp; a miss decodes the bytes Read hashed and caches the graph
+// with their stamp.
 func (e *Env) graph(app *scalana.App, ent store.Entry) (*ppg.Graph, error) {
-	if pg, data := e.Cache.graph(ent.Key); pg != nil {
-		if err := e.Store.Holds(ent.Key, data); err != nil {
+	if pg, st := e.Cache.graph(ent.Key); pg != nil {
+		if e.Store.Unchanged(ent.Key, st) {
+			return pg, nil
+		}
+		_, st, err := e.Store.Read(ent.Key)
+		e.Cache.reread(ent.Key, pg, st, err == nil)
+		if err != nil {
 			return nil, err
 		}
 		return pg, nil
 	}
-	pg, _, data, err := e.stored(app, ent, true)
+	pg, _, st, err := e.stored(app, ent, true)
 	if err != nil {
 		return nil, err
 	}
-	e.Cache.addGraph(ent.Key, pg, data)
+	e.Cache.addGraph(ent.Key, pg, st)
 	return pg, nil
 }
 

@@ -34,11 +34,13 @@
 //
 // Watches and stored detects share one query.Cache, keyed by store key:
 // a watch reads every run's sample from it, and a stored detect every
-// scale's decoded graph. A detect compares each scale's stored set with
-// the bytes its graph was decoded from, so a set corrupted after caching
-// is still a 500. The cache holds at most query.CacheBudget bytes and
-// evicts the least recently used; /v1/stats reports its samples, ingests,
-// graph decodes, bytes and evictions.
+// scale's decoded graph. A detect stats each scale's stored file against
+// the stamp of the read its graph was decoded from, and reads and hashes
+// it again when the stamp is racy or the file's has changed, so a set
+// corrupted after caching is still a 500. The cache holds at most
+// query.CacheBudget bytes and evicts the least recently used; /v1/stats
+// reports its samples, ingests, graph decodes and re-reads, bytes and
+// evictions.
 package serve
 
 import (
@@ -164,11 +166,13 @@ type Stats struct {
 	BaselineSamples int   `json:"baseline_samples"`
 	SampleIngests   int64 `json:"sample_ingests"`
 	// GraphDecodes counts the scales of stored detects decoded into a PPG
-	// (the same cache's graph misses). CacheBytes is what the cache's
-	// entries are charged, a graph with the stored bytes it was decoded
-	// from, a watch's sample without, at most query.CacheBudget;
-	// CacheEvictions is how many it has dropped to stay within it.
+	// (the same cache's graph misses), and GraphRereads the graph hits
+	// whose stored file was read and hashed again, its stamp racy or
+	// changed. CacheBytes is what the cache's entries are charged, at most
+	// query.CacheBudget; CacheEvictions is how many it has dropped to stay
+	// within it.
 	GraphDecodes   int64 `json:"graph_decodes"`
+	GraphRereads   int64 `json:"graph_rereads"`
 	CacheBytes     int64 `json:"cache_bytes"`
 	CacheEvictions int64 `json:"cache_evictions"`
 	// CompileCache is the shared engine's PSG compile-cache counters.
@@ -198,6 +202,7 @@ func (s *Server) stats() (Stats, error) {
 		BaselineSamples: cache.Samples,
 		SampleIngests:   cache.Ingests,
 		GraphDecodes:    cache.Decodes,
+		GraphRereads:    cache.Rereads,
 		CacheBytes:      cache.Bytes,
 		CacheEvictions:  cache.Evictions,
 		CompileCache:    s.env.Engine.CacheStats(),

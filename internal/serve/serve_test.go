@@ -614,7 +614,7 @@ func TestHealthAndStats(t *testing.T) {
 	if err := json.Unmarshal(body, &st); err != nil {
 		t.Fatal(err)
 	}
-	for _, field := range []string{"baseline_samples", "sample_ingests", "graph_decodes", "cache_bytes", "cache_evictions"} {
+	for _, field := range []string{"baseline_samples", "sample_ingests", "graph_decodes", "graph_rereads", "cache_bytes", "cache_evictions"} {
 		if !bytes.Contains(body, []byte(`"`+field+`"`)) {
 			t.Errorf("stats lack %q: %s", field, body)
 		}

@@ -24,7 +24,6 @@
 package store
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
@@ -36,6 +35,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"time"
 )
 
 // Sentinel errors, used by callers (the HTTP service in particular) to
@@ -306,86 +306,111 @@ func (s *Store) History(app string, np int) ([]Entry, error) {
 // hash — corruption on disk surfaces as an error here, never as wrong
 // bytes downstream.
 func (s *Store) Get(k Key) ([]byte, error) {
-	var data []byte
-	err := s.hashCheck(k, func(path string) (_ string, err error) {
-		data, err = os.ReadFile(path)
-		return HashOf(data), err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return data, nil
+	data, _, err := s.Read(k)
+	return data, err
 }
 
-// Verify is Get without the bytes: the stored file streams through
-// SHA-256 and only the verdict is kept, with Get's errors.
-func (s *Store) Verify(k Key) error {
-	return s.hashCheck(k, func(path string) (string, error) {
-		f, err := os.Open(path)
-		if err != nil {
-			return "", err
-		}
-		defer f.Close()
-		buf := readBufs.Get().(*[]byte)
-		defer readBufs.Put(buf)
-		h := sha256.New()
-		// The wrapper hides File.WriteTo, whose copy allocates its own buffer.
-		_, err = io.CopyBuffer(h, struct{ io.Reader }{f}, *buf)
-		return hex.EncodeToString(h.Sum(nil)), err
-	})
-}
-
-// Holds is Verify for a caller that kept the bytes Get returned for k:
-// the stored file is compared with want as it streams, and only a
-// difference — in content or length, or a failed open or read — is
-// hashed, by Verify, whose error Holds returns. Given Get's bytes it
-// answers what Verify answers; given any others, nil means only that the
-// file holds them.
-func (s *Store) Holds(k Key, want []byte) error {
+// Read is Get that also returns the stamp of the file it hashed, for
+// Unchanged to check later.
+func (s *Store) Read(k Key) ([]byte, Stamp, error) {
 	if !validKey(k) {
-		return s.Verify(k)
+		return nil, Stamp{}, fmt.Errorf("store: invalid key %s: %w", k, os.ErrInvalid)
 	}
-	f, err := os.Open(s.pathFor(k))
-	if err != nil {
-		return s.Verify(k)
-	}
-	defer f.Close()
-	buf := readBufs.Get().(*[]byte)
-	defer readBufs.Put(buf)
-	for {
-		n, err := f.Read(*buf)
-		if n > len(want) || !bytes.Equal((*buf)[:n], want[:n]) {
-			return s.Verify(k)
-		}
-		want = want[n:]
-		switch {
-		case err == io.EOF && len(want) == 0:
-			return nil
-		case err != nil:
-			return s.Verify(k)
-		}
-	}
-}
-
-// readBufs holds the buffers Verify and Holds stream a stored file through.
-var readBufs = sync.Pool{New: func() any { buf := make([]byte, 64<<10); return &buf }}
-
-// hashCheck validates k, hashes its file with hash, and names what went
-// wrong the way Get and Verify both do.
-func (s *Store) hashCheck(k Key, hash func(path string) (string, error)) error {
-	if !validKey(k) {
-		return fmt.Errorf("store: invalid key %s: %w", k, os.ErrInvalid)
-	}
-	got, err := hash(s.pathFor(k))
+	data, st, err := readStamped(s.pathFor(k))
 	switch {
 	case os.IsNotExist(err):
-		return fmt.Errorf("store: %s: %w", k, os.ErrNotExist)
+		return nil, Stamp{}, fmt.Errorf("store: %s: %w", k, os.ErrNotExist)
 	case err != nil:
-		return fmt.Errorf("store: get %s: %w", k, err)
-	case got != k.Hash:
-		return fmt.Errorf("store: %s: content hash mismatch (stored bytes hash to %s): %w", k, got, ErrCorrupt)
+		return nil, Stamp{}, fmt.Errorf("store: get %s: %w", k, err)
 	}
-	return nil
+	if got := HashOf(data); got != k.Hash {
+		return nil, Stamp{}, fmt.Errorf("store: %s: content hash mismatch (stored bytes hash to %s): %w", k, got, ErrCorrupt)
+	}
+	return data, st, nil
+}
+
+// readStamped reads a file whole, as os.ReadFile does, and stamps the
+// descriptor it reads, with the time taken just before that fstat: a
+// write that lands after the fstat has an mtime or ctime no older than
+// the read, so it leaves the stamp racy.
+func readStamped(path string) ([]byte, Stamp, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, Stamp{}, err
+	}
+	defer f.Close()
+	read := time.Now()
+	info, err := f.Stat()
+	if err != nil {
+		return nil, Stamp{}, err
+	}
+	data := make([]byte, 0, info.Size()+1) // one spare byte, so a file of the stat's size ends in one read
+	for {
+		n, err := f.Read(data[len(data):cap(data)])
+		data = data[:len(data)+n]
+		switch {
+		case err == io.EOF:
+			return data, Stamp{id: idOf(info), read: read.UnixNano()}, nil
+		case err != nil:
+			return nil, Stamp{}, err
+		case len(data) == cap(data): // the file grew since the fstat
+			data = append(data, 0)[:len(data)]
+		}
+	}
+}
+
+// Stamp is a stored file's identity as a hashed read found it: device,
+// inode, size, mtime and ctime from an fstat of the descriptor the read
+// hashed, and the time just before that fstat. The store never rewrites
+// a set — Put renames a new file over nothing — so while a file still has
+// a clean stamp it still holds the bytes that read hashed. A stamp with
+// no identity, the zero Stamp's or one taken off Linux, is never clean.
+type Stamp struct {
+	id   fileID
+	read int64 // ns since the epoch
+}
+
+// fileID is what a stat says of a file's identity. It is zero where the
+// platform's stat gives no inode or ctime (stamp_other.go).
+type fileID struct {
+	dev, ino     uint64
+	size         int64
+	mtime, ctime int64 // ns since the epoch
+}
+
+// racyWindow is how much older than its read a stamp's mtime and ctime
+// must both be for the stamp to be clean: git's racy-clean rule. A write
+// within the window of the read may share the read's timestamps, so a
+// stat could not tell the file was written. Linux stamps files from a
+// clock that ticks at HZ, 10 ms at HZ=100; coarseWindow is for a
+// filesystem whose stamps have no sub-second part (FAT's are 2 s).
+const (
+	racyWindow   = 20 * time.Millisecond
+	coarseWindow = 2 * time.Second
+)
+
+// clean reports whether the file's timestamps are older than its read by
+// the window, so that any later write moves one of them.
+func (st Stamp) clean() bool {
+	window := int64(racyWindow)
+	if st.id.mtime%1e9 == 0 || st.id.ctime%1e9 == 0 {
+		window = int64(coarseWindow)
+	}
+	return st.id != (fileID{}) && st.read-st.id.mtime > window && st.read-st.id.ctime > window
+}
+
+// Unchanged reports whether st, a stamp Read returned for k, is clean and
+// k's file still has it, from one stat and no read. A file rewritten,
+// its mtime restored or not, replaced by a rename, resized or removed
+// has another stamp or none. What it cannot see is a change beneath the
+// filesystem that leaves stat alone, such as media rot: only a hashed
+// read sees that.
+func (s *Store) Unchanged(k Key, st Stamp) bool {
+	if !st.clean() || !validKey(k) {
+		return false
+	}
+	id, ok := statID(s.pathFor(k))
+	return ok && id == st.id
 }
 
 // hashes lists the content hashes stored under <app>/<np>, ascending,

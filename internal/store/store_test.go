@@ -8,10 +8,10 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"runtime"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 // fixture reads one of the repo's committed profile-set wire fixtures.
@@ -455,84 +455,47 @@ func TestErrorSentinels(t *testing.T) {
 	}
 }
 
-// TestVerifyIsGetWithoutTheBytes: over a sound set, a tampered one, a
-// missing one and an invalid key, Verify answers exactly Get's error.
-func TestVerifyIsGetWithoutTheBytes(t *testing.T) {
-	s := open(t)
-	good, _ := s.Put("cg", 4, []byte("payload-a"))
-	bad, _ := s.Put("cg", 8, []byte("payload-b"))
-	if err := os.WriteFile(s.pathFor(bad), []byte("tampered"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	missing := Key{App: "cg", NP: 4, Hash: HashOf([]byte("missing"))}
-	invalid := Key{App: "../evil", NP: 4, Hash: good.Hash}
-	for _, k := range []Key{good, bad, missing, invalid} {
-		_, getErr := s.Get(k)
-		verifyErr := s.Verify(k)
-		if fmt.Sprint(getErr) != fmt.Sprint(verifyErr) {
-			t.Errorf("%s: Get says %v, Verify %v", k, getErr, verifyErr)
-		}
-	}
-	if !errors.Is(s.Verify(bad), ErrCorrupt) {
-		t.Errorf("Verify(tampered) = %v, want ErrCorrupt", s.Verify(bad))
-	}
-}
-
-// TestHoldsIsVerify: given the bytes Get returned for a key, Holds
-// answers exactly what Verify answers — the same error text, nil exactly
-// when Verify's is — whatever the stored file has become: sound, a byte
-// flipped, shortened, lengthened, emptied, missing, a directory, an
-// invalid key, or 200 seeded random mutations of a real cg set. Given
-// other bytes it need not.
-func TestHoldsIsVerify(t *testing.T) {
+// TestReadIsGet: Read answers Get's bytes and error word for word, over
+// a sound set, a tampered one, a missing one, a directory and an invalid
+// key, and over 200 seeded random mutations of a real cg set its bytes are
+// the whole file exactly when they hash to the key; any other file is
+// ErrCorrupt.
+func TestReadIsGet(t *testing.T) {
 	s := open(t)
 	cg := fixture(t, "cg.8.json")
 	k, err := s.Put("cg", 8, cg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := s.Get(k)
-	if err != nil {
+	bad, _ := s.Put("cg", 4, []byte("payload-b"))
+	if err := os.WriteFile(s.pathFor(bad), []byte("tampered"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	path := s.pathFor(k)
-	check := func(name string, k Key) {
-		t.Helper()
-		holdsErr, verifyErr := s.Holds(k, want), s.Verify(k)
-		if (holdsErr == nil) != (verifyErr == nil) || fmt.Sprint(holdsErr) != fmt.Sprint(verifyErr) {
-			t.Errorf("%s: Holds says %v, Verify %v", name, holdsErr, verifyErr)
+	dir, _ := s.Put("cg", 16, []byte("payload-c"))
+	if err := os.Remove(s.pathFor(dir)); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(s.pathFor(dir), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	missing := Key{App: "cg", NP: 4, Hash: HashOf([]byte("missing"))}
+	invalid := Key{App: "../evil", NP: 4, Hash: k.Hash}
+	for _, k := range []Key{k, bad, dir, missing, invalid} {
+		got, getErr := s.Get(k)
+		read, _, readErr := s.Read(k)
+		if !bytes.Equal(got, read) || fmt.Sprint(getErr) != fmt.Sprint(readErr) {
+			t.Errorf("%s: Get says %d bytes, %v; Read %d bytes, %v", k, len(got), getErr, len(read), readErr)
 		}
 	}
-	stored := func(name string, data []byte) {
-		t.Helper()
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		check(name, k)
+	if _, _, err := s.Read(dir); err == nil || !strings.Contains(err.Error(), "is a directory") {
+		t.Errorf("Read(a directory) = %v, want the read's error", err)
 	}
-	flipped := func(i int) []byte {
-		data := bytes.Clone(cg)
-		data[i] ^= 0x20
-		return data
-	}
-	stored("sound", cg)
-	if err := s.Holds(k, want); err != nil {
-		t.Fatalf("Holds over a sound set: %v", err)
-	}
-	stored("first byte flipped", flipped(0))
-	stored("middle byte flipped", flipped(len(cg)/2))
-	stored("last byte flipped", flipped(len(cg)-1))
-	stored("one byte short", cg[:len(cg)-1])
-	stored("one byte long", append(bytes.Clone(cg), '\n'))
-	stored("emptied", nil)
-	if !errors.Is(s.Holds(k, want), ErrCorrupt) {
-		t.Errorf("Holds over an emptied set = %v, want ErrCorrupt", s.Holds(k, want))
-	}
+
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 200; i++ {
 		data := bytes.Clone(cg)
 		at := rng.Intn(len(data))
-		switch rng.Intn(4) {
+		switch rng.Intn(5) {
 		case 0:
 			data[at] ^= byte(1 + rng.Intn(255))
 		case 1:
@@ -542,65 +505,144 @@ func TestHoldsIsVerify(t *testing.T) {
 		case 3:
 			data = append(data[:at], data[at+1:]...)
 		}
-		stored(fmt.Sprintf("mutation %d", i), data)
-	}
-	if err := os.Remove(path); err != nil {
-		t.Fatal(err)
-	}
-	check("missing", k)
-	if err := os.Mkdir(path, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	check("a directory", k)
-	check("invalid key", Key{App: "../evil", NP: 8, Hash: k.Hash})
-	check("invalid scale", Key{App: "cg", NP: 0, Hash: k.Hash})
-
-	// Holds compares and never hashes a match, which is why only bytes Get
-	// returned may be passed to it: a file holding bytes that do not hash
-	// to its key, handed those same bytes, holds them, though Verify calls
-	// it corrupt.
-	other, _ := s.Put("cg", 4, []byte("payload"))
-	if err := os.WriteFile(s.pathFor(other), []byte("tampered"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Holds(other, []byte("tampered")); err != nil {
-		t.Errorf("Holds(k, the file's own bytes) = %v, want nil", err)
-	}
-	if err := s.Verify(other); !errors.Is(err, ErrCorrupt) {
-		t.Errorf("Verify(k) = %v, want ErrCorrupt", err)
+		if err := os.WriteFile(s.pathFor(k), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		got, _, err := s.Read(k)
+		switch {
+		case bytes.Equal(data, cg) && (err != nil || !bytes.Equal(got, cg)):
+			t.Errorf("mutation %d left the set sound, yet Read = %d bytes, %v", i, len(got), err)
+		case !bytes.Equal(data, cg) && !errors.Is(err, ErrCorrupt):
+			t.Errorf("mutation %d: Read of %d bytes = %v, want ErrCorrupt", i, len(data), err)
+		}
 	}
 }
 
-// TestVerifyReusesItsBuffer: Verify streams a stored file through a pooled
-// buffer, not the 32 KiB one io.Copy allocates through File.WriteTo on
-// every call: one Verify of a 1 MiB set allocates under 4 KiB. The race
-// runtime drops pooled buffers at random, so the bytes are gated only
-// without it.
-func TestVerifyReusesItsBuffer(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation bytes are not gated under the race detector")
+// cleanStamp reads k until the stamp Read returns is clean, within a
+// bound: a stamp is racy while the file's mtime or ctime is within the
+// window of the read.
+func cleanStamp(t *testing.T, s *Store, k Key) Stamp {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); ; {
+		_, st, err := s.Read(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.clean() {
+			return st
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%s: no clean stamp within 10 s: %+v", k, st)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
+}
+
+// TestStampIsCleanPastTheWindow: a stamp is clean once both its mtime and
+// its ctime are older than its read by more than the window, 20 ms, or 2 s
+// when either has no sub-second part; a stamp with no identity never is.
+func TestStampIsCleanPastTheWindow(t *testing.T) {
+	const at = int64(1_700_000_000_123_456_789)
+	id := fileID{dev: 1, ino: 2, size: 3, mtime: at, ctime: at}
+	coarse := id
+	coarse.mtime = at - at%1e9
+	for _, tc := range []struct {
+		name string
+		st   Stamp
+		want bool
+	}{
+		{"read at the mtime", Stamp{id: id, read: at}, false},
+		{"read one window on", Stamp{id: id, read: at + int64(racyWindow)}, false},
+		{"read past the window", Stamp{id: id, read: at + int64(racyWindow) + 1}, true},
+		{"a ctime within the window", Stamp{id: fileID{dev: 1, ino: 2, mtime: at - 1e9, ctime: at}, read: at + 1}, false},
+		{"a whole-second mtime past the short window", Stamp{id: coarse, read: at + int64(time.Second)}, false},
+		{"a whole-second mtime past the long window", Stamp{id: coarse, read: at + int64(coarseWindow) + 1}, true},
+		{"no identity", Stamp{read: at}, false},
+		{"zero", Stamp{}, false},
+	} {
+		if got := tc.st.clean(); got != tc.want {
+			t.Errorf("%s: clean = %t, want %t", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestUnchangedSeesEveryChange: a stamp fresh off a Put is racy, so
+// Unchanged says no; once a read's stamp is clean it says yes until the
+// file is rewritten in place (its mtime restored or not), renamed over,
+// cut short, grown, removed or replaced by a directory. A stamp from
+// another key's read is not this file's.
+func TestUnchangedSeesEveryChange(t *testing.T) {
 	s := open(t)
-	data := make([]byte, 1<<20)
-	rand.New(rand.NewSource(1)).Read(data)
-	k, err := s.Put("cg", 4, data)
+	cg := fixture(t, "cg.8.json")
+	k, err := s.Put("cg", 8, cg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Verify(k); err != nil { // fills the pool
+	other, err := s.Put("cg", 4, fixture(t, "cg.4.json"))
+	if err != nil {
 		t.Fatal(err)
 	}
-	const runs = 20
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < runs; i++ {
-		if err := s.Verify(k); err != nil {
+	if _, st, err := s.Read(k); err != nil || s.Unchanged(k, st) {
+		t.Fatalf("a stamp read just after the Put: Unchanged = %t (err %v), want racy", s.Unchanged(k, st), err)
+	}
+	path := s.pathFor(k)
+	write := func(data []byte) func() error {
+		return func() error { return os.WriteFile(path, data, 0o644) }
+	}
+	flipped := bytes.Clone(cg)
+	flipped[len(flipped)/2] ^= 1
+	for _, tc := range []struct {
+		name   string
+		change func() error
+	}{
+		{"rewritten in place", write(flipped)},
+		{"rewritten with its mtime restored", func() error {
+			info, err := os.Stat(path)
+			if err == nil {
+				err = os.WriteFile(path, flipped, 0o644)
+			}
+			if err == nil {
+				err = os.Chtimes(path, info.ModTime(), info.ModTime())
+			}
+			return err
+		}},
+		{"renamed over", func() error {
+			tmp := path + ".new"
+			if err := os.WriteFile(tmp, cg, 0o644); err != nil {
+				return err
+			}
+			return os.Rename(tmp, path)
+		}},
+		{"one byte short", write(cg[:len(cg)-1])},
+		{"one byte long", write(append(bytes.Clone(cg), ' '))},
+		{"removed", func() error { return os.Remove(path) }},
+		{"a directory", func() error {
+			if err := os.Remove(path); err != nil {
+				return err
+			}
+			return os.Mkdir(path, 0o755)
+		}},
+	} {
+		st := cleanStamp(t, s, k)
+		if !s.Unchanged(k, st) {
+			t.Fatalf("before %s: a clean stamp of an untouched file is not Unchanged", tc.name)
+		}
+		if s.Unchanged(other, st) {
+			t.Errorf("before %s: another set's file has this set's stamp", tc.name)
+		}
+		if err := tc.change(); err != nil {
 			t.Fatal(err)
 		}
-	}
-	runtime.ReadMemStats(&after)
-	if perOp := (after.TotalAlloc - before.TotalAlloc) / runs; perOp >= 4<<10 {
-		t.Errorf("one Verify of a 1 MiB set allocates %d bytes, want under 4 KiB", perOp)
+		if s.Unchanged(k, st) {
+			t.Errorf("%s: Unchanged = true", tc.name)
+		}
+		os.Remove(path)
+		if err := os.WriteFile(path, cg, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if s.Unchanged(k, st) {
+			t.Errorf("%s, then put back: Unchanged = true", tc.name)
+		}
 	}
 }
 
